@@ -133,7 +133,7 @@ func catalogue() []experiment {
 		{"E12", "Virtual-time scale: open-loop placements, discrete-event clock", func() *experiments.Table {
 			return experiments.E12VirtualScale(e12Hosts, e12Requests)
 		}},
-		{"E13", "Codec boundary: E12 wall-clock under gob vs binary marshalling", func() *experiments.Table {
+		{"E13", "Codec boundary: E12 wall-clock with and without wire marshalling", func() *experiments.Table {
 			return experiments.E13CodecBoundary(e13Hosts, e13Requests)
 		}},
 		{"E14", "Computational economy: deadline/budget scheduling vs cost-blind policies", func() *experiments.Table {

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzDecode asserts the gob decoder is total over arbitrary bytes —
-// attribute snapshots arrive off the wire from other domains, so a
+// saved object state is retrieved from Vaults in other domains, so a
 // malformed or hostile payload must produce an error, never a panic or
 // an out-of-range Value — and that whatever it accepts survives an
 // encode/decode round trip unchanged.

@@ -8,8 +8,9 @@ import (
 
 // wireValue is the gob-visible form of Value. Value keeps its fields
 // unexported for immutability, so it implements GobEncoder/GobDecoder by
-// round-tripping through this struct (attribute snapshots cross the wire
-// in Collection updates and Host information reports).
+// round-tripping through this struct, so an object's saved state
+// (package opr) and the wire codec's test reference can carry
+// attributes. The wire uses AppendWire.
 type wireValue struct {
 	Kind Kind
 	S    string

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestGobRoundTrip(t *testing.T) {
+func TestGobEncodeDecode(t *testing.T) {
 	vals := []Value{
 		String("hi"),
 		Int(-7),

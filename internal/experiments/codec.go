@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"legion/internal/core"
-	"legion/internal/orb"
 	"legion/internal/resilient"
 	"legion/internal/sim"
 	"legion/internal/telemetry"
@@ -18,9 +17,9 @@ import (
 // local dispatch. Virtual time is untouched by the boundary (encoding
 // is synchronous CPU work, invisible to the discrete-event clock), so
 // the campaign's placements, sheds, latencies, and event trace must be
-// identical across codecs — only the wall-clock differs. That is the
-// point: the delta between two rows is pure codec cost, measured inside
-// the real placement pipeline rather than a microbenchmark loop.
+// identical with and without it — only the wall-clock differs. That is
+// the point: the delta between the two rows is pure codec cost, measured
+// inside the real placement pipeline rather than a microbenchmark loop.
 type codecRun struct {
 	res   *sim.DriverResult
 	wall  time.Duration
@@ -28,7 +27,7 @@ type codecRun struct {
 	trace []string
 }
 
-func runCodecCampaign(lc orb.LoopbackCodec, hosts, requests int, keepTrace bool) codecRun {
+func runCodecCampaign(boundary bool, hosts, requests int, keepTrace bool) codecRun {
 	vc := vclock.NewVirtual()
 	ms := core.New("codec", core.Options{
 		Seed:    13,
@@ -47,7 +46,7 @@ func runCodecCampaign(lc orb.LoopbackCodec, hosts, requests int, keepTrace bool)
 	fleet := sim.Build(ms, rng, sim.RandomSpecs(rng, hosts, "z1", "z2"))
 
 	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
-	ms.Runtime().SetLoopbackCodec(lc)
+	ms.Runtime().SetLoopbackCodec(boundary)
 
 	if keepTrace {
 		vc.StartTrace()
@@ -75,13 +74,12 @@ func runCodecCampaign(lc orb.LoopbackCodec, hosts, requests int, keepTrace bool)
 	return run
 }
 
-// E13CodecBoundary reruns a reduced E12 virtual-time campaign three
-// times — no marshalling boundary (E12's own configuration), the gob
-// stream codec, and the binary wire codec — and reports the wall-clock
-// cost of each. Every placement's argument and result crosses the
-// selected codec on local dispatch, exactly as it would cross a
-// connection, so the gob→binary delta is the serialization time the
-// new codec removes from the metasystem's hot path.
+// E13CodecBoundary reruns a reduced E12 virtual-time campaign twice —
+// no marshalling boundary (E12's own configuration) and the wire codec
+// on every local dispatch — and reports the wall-clock cost of each.
+// Every placement's argument and result crosses the codec exactly as it
+// would cross a connection, so the delta is the serialization time the
+// metasystem's hot path pays.
 //
 // hosts/requests <= 0 default to 10,000 hosts and 50,000 placements
 // (the committed EXPERIMENTS.md row, matching E12's CI-reduced size).
@@ -94,30 +92,29 @@ func E13CodecBoundary(hosts, requests int) *Table {
 	}
 	t := &Table{
 		ID:    "E13",
-		Title: "Codec boundary: E12 campaign wall-clock under gob vs binary marshalling",
+		Title: "Codec boundary: E12 campaign wall-clock with and without wire marshalling",
 		Header: []string{"codec", "hosts", "requests", "ok", "shed", "failed",
 			"p50", "p99", "vtime", "wall", "wall vs off", "leaks"},
 	}
 
-	base := runCodecCampaign(orb.LoopbackOff, hosts, requests, false)
+	base := runCodecCampaign(false, hosts, requests, false)
 	for _, row := range []struct {
-		lc  orb.LoopbackCodec
-		run codecRun
+		codec string
+		run   codecRun
 	}{
-		{orb.LoopbackOff, base},
-		{orb.LoopbackGob, runCodecCampaign(orb.LoopbackGob, hosts, requests, false)},
-		{orb.LoopbackBinary, runCodecCampaign(orb.LoopbackBinary, hosts, requests, false)},
+		{"off", base},
+		{"binary", runCodecCampaign(true, hosts, requests, false)},
 	} {
 		r := row.run
-		t.AddRow(row.lc.String(), hosts, requests, r.res.Succeeded, r.res.Shed, r.res.Failed,
+		t.AddRow(row.codec, hosts, requests, r.res.Succeeded, r.res.Shed, r.res.Failed,
 			r.res.Percentile(0.50), r.res.Percentile(0.99),
 			r.res.Elapsed.Round(time.Millisecond), r.wall.Round(time.Millisecond),
 			fmt.Sprintf("%+.0f%%", 100*(float64(r.wall)/float64(base.wall)-1)),
 			r.leaks)
 	}
 	t.Notes = append(t.Notes,
-		"same seed, same virtual-time schedule in all rows: placements, sheds, and virtual latencies are identical by construction (asserted by TestE13CodecDifferential)",
-		"loopback codec round-trips every method argument and result through the codec on local dispatch; 'off' is E12's own configuration",
-		"wall vs off = extra wall-clock the codec adds to the whole campaign; the gob-to-binary gap is the serialization cost the wire codec removes")
+		"same seed, same virtual-time schedule in both rows: placements, sheds, and virtual latencies are identical by construction (asserted by TestE13CodecDifferential)",
+		"the boundary round-trips every method argument and result through the wire codec on local dispatch; 'off' is E12's own configuration",
+		"wall vs off = extra wall-clock the codec adds to the whole campaign")
 	return t
 }

@@ -5,16 +5,14 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
-
-	"legion/internal/orb"
 )
 
 // TestE13CodecDifferential is the codec analog of the E11 clock
 // differential: the marshalling boundary must be behaviourally
-// invisible. A reduced campaign runs under no boundary, the gob codec,
-// and the binary codec; all three must produce identical placement
-// outcomes and — because encoding is synchronous CPU work the virtual
-// clock cannot observe — byte-identical discrete-event traces.
+// invisible. A reduced campaign runs with and without the boundary;
+// both must produce identical placement outcomes and — because encoding
+// is synchronous CPU work the virtual clock cannot observe —
+// byte-identical discrete-event traces.
 func TestE13CodecDifferential(t *testing.T) {
 	const hosts, requests = 400, 2_000
 
@@ -23,8 +21,8 @@ func TestE13CodecDifferential(t *testing.T) {
 		events                  int
 		traceHash               string
 	}
-	run := func(lc orb.LoopbackCodec) fingerprint {
-		r := runCodecCampaign(lc, hosts, requests, true)
+	run := func(boundary bool) fingerprint {
+		r := runCodecCampaign(boundary, hosts, requests, true)
 		sum := sha256.Sum256([]byte(strings.Join(r.trace, "\n")))
 		return fingerprint{
 			ok: r.res.Succeeded, shed: r.res.Shed, failed: r.res.Failed,
@@ -33,17 +31,14 @@ func TestE13CodecDifferential(t *testing.T) {
 		}
 	}
 
-	off := run(orb.LoopbackOff)
+	off := run(false)
 	if off.ok == 0 {
 		t.Fatalf("baseline campaign placed nothing: %+v", off)
 	}
 	if off.leaks != 0 {
 		t.Fatalf("baseline campaign leaked %d reservations/instances", off.leaks)
 	}
-	for _, lc := range []orb.LoopbackCodec{orb.LoopbackGob, orb.LoopbackBinary} {
-		got := run(lc)
-		if got != off {
-			t.Errorf("%v boundary diverges from baseline:\nbase:  %+v\ncodec: %+v", lc, off, got)
-		}
+	if got := run(true); got != off {
+		t.Errorf("codec boundary diverges from baseline:\nbase:  %+v\ncodec: %+v", off, got)
 	}
 }

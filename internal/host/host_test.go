@@ -678,3 +678,58 @@ func TestDrainReportsVaultFailure(t *testing.T) {
 		t.Errorf("running = %d", e.host.RunningCount())
 	}
 }
+
+// TestGenericObjectCrossesTheWire drives ping/set/get — the methods
+// whose arguments and results are bare string and []string, not proto
+// messages — over a real TCP connection and under the loopback codec
+// boundary, pinning the codec's two built-in payload tags end to end.
+func TestGenericObjectCrossesTheWire(t *testing.T) {
+	server := orb.NewRuntime("srv")
+	g, err := NewGenericObject(server.Mint("Worker"), classL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.Register(g)
+	addr, err := server.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := orb.NewRuntime("cli")
+	defer client.Close()
+	client.Bind(g.LOID(), addr)
+
+	local := orb.NewRuntime("loop")
+	local.SetLoopbackCodec(true)
+	lg, err := NewGenericObject(local.Mint("Worker"), classL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.Register(lg)
+
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		rt   *orb.Runtime
+		obj  *GenericObject
+	}{{"tcp", client, g}, {"loopback", local, lg}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.obj.LOID()
+			if res, err := tc.rt.Call(ctx, l, "ping", nil); err != nil || res != "pong" {
+				t.Fatalf("ping: %v %v", res, err)
+			}
+			if res, err := tc.rt.Call(ctx, l, "set", []string{"phase", "warm-up"}); err != nil || res != nil {
+				t.Fatalf("set: %v %v", res, err)
+			}
+			if res, err := tc.rt.Call(ctx, l, "get", "phase"); err != nil || res != "warm-up" {
+				t.Fatalf("get: %v %v", res, err)
+			}
+			if res, err := tc.rt.Call(ctx, l, "get", "absent"); err != nil || res != "" {
+				t.Fatalf("get absent: %#v %v", res, err)
+			}
+			if tc.obj.Pings() != 1 {
+				t.Fatalf("pings = %d, want 1", tc.obj.Pings())
+			}
+		})
+	}
+}

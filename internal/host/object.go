@@ -37,8 +37,6 @@ type genericState struct {
 	Generation int
 }
 
-func init() { orb.RegisterWireType(genericState{}) }
-
 // genericMethods is the class-wide dispatch table all GenericObjects
 // share. Placement experiments create (and destroy) one GenericObject
 // per placed instance — millions per scale run — so the per-instance

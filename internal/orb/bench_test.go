@@ -8,9 +8,7 @@ import (
 	"legion/internal/wire"
 )
 
-// benchMsg is a modest RPC argument registered with both codecs: the
-// binary registry (typed encoder, the fast path) and gob (so the gob
-// wire codec can carry it as an interface value).
+// benchMsg is a modest registered RPC argument.
 type benchMsg struct {
 	Domain string
 	Class  string
@@ -32,60 +30,62 @@ func (m *benchMsg) DecodeWire(r *wire.Reader) {
 	m.Load = r.Float64()
 }
 
-func init() {
-	// Test-binary registry: orb's tests never import proto, whose IDs
-	// start at WireIDFirst, so the first ID is free here.
-	RegisterWireMessage[benchMsg, *benchMsg](WireIDFirst)
-	RegisterWireType(benchMsg{})
-}
+// Test-binary registry: orb's tests never import proto, whose IDs start
+// at WireIDFirst, so the first IDs are free here.
+const (
+	testWireBenchMsg = WireIDFirst + iota
+	testWireEchoArg
+	testWireLOID
+)
+
+func init() { RegisterWireMessage[benchMsg, *benchMsg](testWireBenchMsg) }
 
 // BenchmarkLoopbackCalls measures end-to-end call throughput over a
-// real TCP loopback connection — preamble negotiation, frame codec,
-// write coalescing, server limiter, response demultiplexing — for each
-// wire codec. b.RunParallel drives many concurrent callers through one
-// multiplexed connection, which is exactly the coalescer's target
-// workload: concurrent frames gathered into batched writes.
+// real TCP loopback connection — preamble, frame codec, write
+// coalescing, server limiter, response demultiplexing. The single
+// sub-benchmark keeps the name "binary" so numbers line up with runs
+// from when a gob codec sat beside it. b.RunParallel drives many
+// concurrent callers through one multiplexed connection, which is
+// exactly the coalescer's target workload: concurrent frames gathered
+// into batched writes.
 func BenchmarkLoopbackCalls(b *testing.B) {
-	for _, codec := range []WireCodec{CodecBinary, CodecGob} {
-		b.Run(codec.String(), func(b *testing.B) {
-			server := NewRuntime("srv")
-			server.SetMetrics(telemetry.NewDisabled())
-			obj := &codecEchoObj{l: server.Mint("Echo")}
-			server.Register(obj)
-			addr, err := server.ListenAndServe("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer server.Close()
+	b.Run("binary", func(b *testing.B) {
+		server := NewRuntime("srv")
+		server.SetMetrics(telemetry.NewDisabled())
+		obj := &codecEchoObj{l: server.Mint("Echo")}
+		server.Register(obj)
+		addr, err := server.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer server.Close()
 
-			client := NewRuntime("cli")
-			client.SetMetrics(telemetry.NewDisabled())
-			client.SetWireCodec(codec)
-			defer client.Close()
-			client.Bind(obj.LOID(), addr)
+		client := NewRuntime("cli")
+		client.SetMetrics(telemetry.NewDisabled())
+		defer client.Close()
+		client.Bind(obj.LOID(), addr)
 
-			ctx := context.Background()
-			arg := benchMsg{Domain: "zone-1", Class: "Worker", ID: 42, Load: 0.5}
-			if _, err := client.Call(ctx, obj.LOID(), "echo", arg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			// Dozens of concurrent callers per core: call throughput on a
-			// multiplexed connection is a batching problem, not a CPU one —
-			// the coalescer needs concurrent frames to gather, and a single
-			// serial caller would measure round-trip latency instead.
-			b.SetParallelism(64)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := client.Call(ctx, obj.LOID(), "echo", arg); err != nil {
-						b.Fatal(err)
-					}
+		ctx := context.Background()
+		arg := benchMsg{Domain: "zone-1", Class: "Worker", ID: 42, Load: 0.5}
+		if _, err := client.Call(ctx, obj.LOID(), "echo", arg); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		// Dozens of concurrent callers per core: call throughput on a
+		// multiplexed connection is a batching problem, not a CPU one —
+		// the coalescer needs concurrent frames to gather, and a single
+		// serial caller would measure round-trip latency instead.
+		b.SetParallelism(64)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := client.Call(ctx, obj.LOID(), "echo", arg); err != nil {
+					b.Fatal(err)
 				}
-			})
-			b.StopTimer()
-			callsPerSec := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(callsPerSec, "calls/s")
+			}
 		})
-	}
+		b.StopTimer()
+		callsPerSec := float64(b.N) / b.Elapsed().Seconds()
+		b.ReportMetric(callsPerSec, "calls/s")
+	})
 }

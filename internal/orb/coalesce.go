@@ -11,10 +11,9 @@ import (
 // under one short mutex hold; the first appender spawns a flusher
 // goroutine that swaps the buffer out and issues one conn.Write for
 // everything accumulated while the previous write was in flight. Under
-// concurrency this replaces N serialized per-call writes (and, in the
-// gob codec, N serialized stream encodes under one mutex) with a
-// handful of batched writes — the same dynamic-batching idea as
-// batchq's flush loop, applied to the socket.
+// concurrency this replaces N serialized per-call writes with a handful
+// of batched writes — the same dynamic-batching idea as batchq's flush
+// loop, applied to the socket.
 //
 // The coalescer also tracks frame fate, because context-expiry
 // semantics depend on it: a frame whose bytes are fully written is

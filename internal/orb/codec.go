@@ -1,57 +1,26 @@
 package orb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 
-	"legion/internal/loid"
 	"legion/internal/wire"
 )
 
-// This file is the ORB's compact binary codec: the negotiated
-// alternative to the original per-call gob streams. Frames are
-// length-prefixed; headers are varints (request ID, LOID, per-connection
-// interned method ID, trace/span IDs, deadline); payloads are
-// hand-rolled WireMessage encodings selected by stable registered type
-// IDs, with gob retained as an inline fallback for exotic types. One
-// version byte at connection open (the preamble) selects binary or gob
-// for the whole connection, so mixed-version runtimes interoperate.
-
-// WireCodec selects the connection protocol a client runtime speaks.
-type WireCodec byte
-
-// The negotiable codecs. The byte values appear on the wire in the
-// connection preamble and must never be renumbered.
-const (
-	// CodecBinary is the compact binary framing (default).
-	CodecBinary WireCodec = 'B'
-	// CodecGob is the original gob stream, kept as the negotiated
-	// fallback for mixed-version runtimes.
-	CodecGob WireCodec = 'G'
-)
-
-// String names the codec.
-func (c WireCodec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
+// This file is the ORB's wire codec, the only format runtimes speak.
+// Frames are length-prefixed; headers are varints (request ID, LOID,
+// per-connection interned method ID, trace/span IDs, deadline); payloads
+// are hand-rolled WireMessage encodings selected by stable registered
+// type IDs, plus two built-in tags for string and []string.
 
 // preamble is the 4-byte connection open: magic, protocol version, and
-// the codec byte the client selected for this connection.
-const (
-	preambleMagic0 = 'L'
-	preambleMagic1 = 'G'
-	preambleVer    = 1
-	preambleLen    = 4
-)
+// the codec byte. 'B' is the only codec; 'G' named the gob stream this
+// format replaced and is refused.
+var preamble = [4]byte{'L', 'G', 1, 'B'}
 
-// maxFrameLen bounds a single binary frame; larger prefixes indicate a
+// maxFrameLen bounds a single frame; larger prefixes indicate a
 // corrupt stream and drop the connection.
 const maxFrameLen = 1 << 26 // 64M
 
@@ -66,25 +35,31 @@ var ErrServerOverload = errors.New("legion: overloaded, request shed by orb serv
 
 // --- payload registry ---
 
-// WireMessage is implemented by message types that cross the binary
-// codec with hand-rolled encodings. AppendWire appends the value to b
-// and returns the extended slice; DecodeWire consumes the same field
-// sequence from r, reusing the receiver's slice capacities, and reports
-// malformed input through r.Err.
+// WireMessage is implemented by message types that cross the wire with
+// hand-rolled encodings. AppendWire appends the value to b and returns
+// the extended slice; DecodeWire consumes the same field sequence from
+// r, reusing the receiver's slice capacities, and reports malformed
+// input through r.Err.
 type WireMessage interface {
 	AppendWire(b []byte) []byte
 	DecodeWire(r *wire.Reader)
 }
 
-// Payload tags. Tag values 0 and 1 are structural; registered message
-// type IDs start at wireIDFirst and are stable, explicitly assigned
-// constants (package proto) that must never be renumbered.
+// Payload tags. Tags below WireIDFirst are structural or built in;
+// registered message type IDs start at WireIDFirst and are stable,
+// explicitly assigned constants (package proto). No tag is ever
+// renumbered or reused: 1 carried inline gob blobs and stays retired.
 const (
-	payloadNil = 0 // nil argument or result
-	payloadGob = 1 // inline gob blob: the fallback for unregistered types
+	payloadNil     = 0 // nil argument or result
+	payloadString  = 2 // string
+	payloadStrings = 3 // []string
 	// WireIDFirst is the smallest assignable message type ID.
 	WireIDFirst = 16
 )
+
+// ErrUnregisteredType reports a value the codec has no encoding for: it
+// is neither nil, a string, a []string, nor a registered WireMessage.
+var ErrUnregisteredType = errors.New("orb: type not registered for the wire")
 
 type wireEncodeFunc func(v any, b []byte) []byte
 
@@ -97,12 +72,10 @@ var (
 	wireDecoders = make(map[uint64]wireDecodeFunc)
 )
 
-// RegisterWireMessage registers T under the given stable wire type ID
-// for the binary codec, alongside the gob registration every wire type
-// already has (RegisterWireType). Values of both T and *T encode under
-// the ID; decoding always produces a T value, matching gob's semantics
-// for interface-carried pointers. Registration happens in init
-// functions; re-registering an ID or type panics.
+// RegisterWireMessage registers T under the given stable wire type ID.
+// Values of both T and *T encode under the ID; decoding always produces
+// a T value. Registration happens in init functions; re-registering an
+// ID or type panics.
 func RegisterWireMessage[T any, PT interface {
 	*T
 	WireMessage
@@ -142,34 +115,32 @@ func RegisterWireMessage[T any, PT interface {
 	wireDecoders[uint64(id)] = dec
 }
 
-// gobPayload wraps the fallback blob so gob can encode interface values
-// of any registered concrete type.
-type gobPayload struct{ V any }
-
 // AppendPayload appends v's payload encoding: a uvarint type tag and
-// the body. Registered WireMessage types use their hand-rolled
-// encodings; everything else falls back to an inline gob blob, so
-// exotic `any` arguments (test doubles, raw byte slices, strings) keep
-// working over the binary codec.
+// the body. A type with no encoding fails with ErrUnregisteredType.
 func AppendPayload(b []byte, v any) ([]byte, error) {
-	if v == nil {
+	switch x := v.(type) {
+	case nil:
 		return wire.AppendUvarint(b, payloadNil), nil
+	case string:
+		return wire.AppendString(wire.AppendUvarint(b, payloadString), x), nil
+	case []string:
+		b = wire.AppendUvarint(b, payloadStrings)
+		b = wire.AppendUvarint(b, uint64(len(x)))
+		for _, s := range x {
+			b = wire.AppendString(b, s)
+		}
+		return b, nil
 	}
 	typ := reflect.TypeOf(v)
 	wireRegMu.RLock()
 	enc := wireEncoders[typ]
 	id := wireTypeIDs[typ]
 	wireRegMu.RUnlock()
-	if enc != nil {
-		b = wire.AppendUvarint(b, id)
-		return enc(v, b), nil
+	if enc == nil {
+		return b, fmt.Errorf("%w: %T", ErrUnregisteredType, v)
 	}
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(gobPayload{V: v}); err != nil {
-		return b, fmt.Errorf("orb: encode payload %T: %w", v, err)
-	}
-	b = wire.AppendUvarint(b, payloadGob)
-	return wire.AppendBytes(b, blob.Bytes()), nil
+	b = wire.AppendUvarint(b, id)
+	return enc(v, b), nil
 }
 
 // DecodePayload consumes one payload from r. Decoded values never alias
@@ -182,17 +153,18 @@ func DecodePayload(r *wire.Reader) (any, error) {
 	switch tag {
 	case payloadNil:
 		return nil, nil
-	case payloadGob:
-		n := r.Len()
+	case payloadString:
+		s := r.Str()
+		return s, r.Err
+	case payloadStrings:
+		out := make([]string, r.Len())
+		for i := range out {
+			out[i] = r.Str()
+		}
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		var p gobPayload
-		if err := gob.NewDecoder(bytes.NewReader(r.B[:n])).Decode(&p); err != nil {
-			return nil, fmt.Errorf("orb: decode gob payload: %w", err)
-		}
-		r.B = r.B[n:]
-		return p.V, nil
+		return out, nil
 	default:
 		wireRegMu.RLock()
 		dec := wireDecoders[tag]
@@ -229,28 +201,13 @@ func DecodePayloadBytes(b []byte) (any, error) {
 	return v, nil
 }
 
-// GobRoundTrip round-trips v through the gob fallback encoding. The
-// differential fuzzer uses it as the reference semantics the binary
-// codec must match.
-func GobRoundTrip(v any) (any, error) {
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(gobPayload{V: v}); err != nil {
-		return nil, err
-	}
-	var p gobPayload
-	if err := gob.NewDecoder(&blob).Decode(&p); err != nil {
-		return nil, err
-	}
-	return p.V, nil
-}
-
 // --- method tables ---
 
-// The binary header carries methods as per-connection interned IDs: the
+// The frame header carries methods as per-connection interned IDs: the
 // first frame naming a method carries (ID, name); later frames carry
 // the ID alone. Tables are built independently on each side of every
 // connection, so no global registration order has to agree between
-// runtimes of different versions.
+// runtimes.
 
 // methodIntern is the sender side: name -> assigned ID.
 type methodIntern struct {
@@ -274,21 +231,29 @@ func (m *methodIntern) intern(name string) (id uint64, first bool) {
 	return m.next, true
 }
 
-// methodTable is the receiver side: ID -> name.
+// methodTable is the receiver side: ID -> name. It is built from what
+// the peer sends, so both its size and the names it retains are capped;
+// a frame past either cap is a corrupt header. Real vocabularies are a
+// few dozen short constants (package proto).
 type methodTable struct {
 	names map[uint64]string
 }
 
-func (m *methodTable) lookup(id uint64) (string, bool) {
-	s, ok := m.names[id]
-	return s, ok
-}
+const (
+	maxMethods       = 1024
+	maxMethodNameLen = 128
+)
 
-func (m *methodTable) define(id uint64, name string) {
+// define records id -> name, refusing to grow past maxMethods.
+func (m *methodTable) define(id uint64, name string) bool {
 	if m.names == nil {
 		m.names = make(map[uint64]string, 16)
 	}
+	if _, known := m.names[id]; !known && len(m.names) >= maxMethods {
+		return false
+	}
 	m.names[id] = name
+	return true
 }
 
 // appendMethod appends the method field: uvarint id<<1|first, then the
@@ -314,21 +279,28 @@ func decodeMethod(r *wire.Reader, mt *methodTable) (string, error) {
 	}
 	id := code >> 1
 	if code&1 == 1 {
-		name := wire.Intern([]byte(r.Str()))
+		n := r.Len()
 		if r.Err != nil {
 			return "", r.Err
 		}
-		mt.define(id, name)
+		if n > maxMethodNameLen {
+			return "", fmt.Errorf("orb: method name of %d bytes exceeds limit", n)
+		}
+		name := wire.Intern(r.B[:n])
+		r.B = r.B[n:]
+		if !mt.define(id, name) {
+			return "", fmt.Errorf("orb: connection defines more than %d methods", maxMethods)
+		}
 		return name, nil
 	}
-	name, ok := mt.lookup(id)
+	name, ok := mt.names[id]
 	if !ok {
 		return "", fmt.Errorf("orb: frame references undefined method ID %d", id)
 	}
 	return name, nil
 }
 
-// --- binary frames ---
+// --- frames ---
 
 // appendRequestFrame appends one length-prefixed request frame: header
 // (request ID, method, target LOID, trace/span IDs, deadline) + the
@@ -339,7 +311,7 @@ func appendRequestFrame(b []byte, scratch *[]byte, mi *methodIntern, req *reques
 	h := (*scratch)[:0]
 	h = wire.AppendUvarint(h, req.ID)
 	h = appendMethod(h, mi, req.Method)
-	h = loid.LOID{Domain: req.Target.Domain, Class: req.Target.Class, Instance: req.Target.Instance}.AppendWire(h)
+	h = req.Target.AppendWire(h)
 	h = wire.AppendUvarint(h, req.TraceID)
 	h = wire.AppendUvarint(h, req.SpanID)
 	h = wire.AppendVarint(h, req.Deadline)
@@ -352,19 +324,19 @@ func appendRequestFrame(b []byte, scratch *[]byte, mi *methodIntern, req *reques
 // decodeRequestHeader consumes a request frame header (the length
 // prefix already stripped); the payload is decoded separately so a bad
 // payload can be answered without abandoning the stream.
-func decodeRequestHeader(r *wire.Reader, mt *methodTable) (requestMeta, error) {
-	var meta requestMeta
-	meta.id = r.Uvarint()
+func decodeRequestHeader(r *wire.Reader, mt *methodTable) (request, error) {
+	var req request
+	req.ID = r.Uvarint()
 	m, err := decodeMethod(r, mt)
 	if err != nil {
-		return meta, err
+		return req, err
 	}
-	meta.method = m
-	meta.target.DecodeWire(r)
-	meta.traceID = r.Uvarint()
-	meta.spanID = r.Uvarint()
-	meta.deadline = r.Varint()
-	return meta, r.Err
+	req.Method = m
+	req.Target.DecodeWire(r)
+	req.TraceID = r.Uvarint()
+	req.SpanID = r.Uvarint()
+	req.Deadline = r.Varint()
+	return req, r.Err
 }
 
 // appendResponseFrame appends one length-prefixed response frame:

@@ -1,12 +1,20 @@
 package orb
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,12 +23,9 @@ import (
 	"legion/internal/wire"
 )
 
-func init() {
-	// Package proto registers the real message types; these tests use a
-	// bare LOID as a stand-in payload, which needs gob registration for
-	// the fallback blob path.
-	RegisterWireType(loid.LOID{})
-}
+// Package proto registers the real message types; these tests use a
+// bare LOID as a stand-in registered payload.
+func init() { RegisterWireMessage[loid.LOID, *loid.LOID](testWireLOID) }
 
 // codecEchoObj echoes its argument back; "fail" returns an error.
 type codecEchoObj struct {
@@ -44,6 +49,8 @@ func (o *codecEchoObj) Dispatch(ctx context.Context, method string, arg any) (an
 			}
 		}
 		return "held", nil
+	case "unregistered":
+		return struct{ X int }{7}, nil
 	default:
 		return arg, nil
 	}
@@ -63,48 +70,239 @@ func startEcho(t *testing.T) (*Runtime, *codecEchoObj, string) {
 	return server, obj, addr
 }
 
-// TestMixedCodecInterop drives one server from a binary client and a
-// gob client at once: the server auto-detects each connection's codec
-// from its preamble, so mixed-version runtimes interoperate.
-func TestMixedCodecInterop(t *testing.T) {
+// rawConn opens a connection to addr that has sent the preamble, for
+// tests that speak frames by hand.
+func rawConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(preamble[:]); err != nil {
+		t.Fatalf("preamble: %v", err)
+	}
+	return conn
+}
+
+// readResponse reads one response frame off a raw connection.
+func readResponse(br *bufio.Reader) (response, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return response{}, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return response{}, err
+	}
+	var r wire.Reader
+	return decodeResponseFrame(&r, body)
+}
+
+// TestTCPCallRoundTrips drives every payload kind the codec carries —
+// a registered message, the built-in string and []string tags, nil —
+// and the typed errors across one real connection.
+func TestTCPCallRoundTrips(t *testing.T) {
 	_, obj, addr := startEcho(t)
 	ctx := context.Background()
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
 
-	for _, tc := range []struct {
-		name  string
-		codec WireCodec
-	}{
-		{"binary-client", CodecBinary},
-		{"gob-client", CodecGob},
+	if res, err := client.Call(ctx, obj.LOID(), "echo", "hello"); err != nil || res != "hello" {
+		t.Fatalf("string echo: %v %v", res, err)
+	}
+	kv := []string{"key", "", "value"}
+	if res, err := client.Call(ctx, obj.LOID(), "echo", kv); err != nil || !reflect.DeepEqual(res, kv) {
+		t.Fatalf("[]string echo: %v %v", res, err)
+	}
+	want := loid.LOID{Domain: "d", Class: "C", Instance: 9}
+	if res, err := client.Call(ctx, obj.LOID(), "echo", want); err != nil || res != want {
+		t.Fatalf("LOID echo: %v %v", res, err)
+	}
+	if res, err := client.Call(ctx, obj.LOID(), "echo", nil); err != nil || res != nil {
+		t.Fatalf("nil echo: %v %v", res, err)
+	}
+	// Errors cross with their message.
+	if _, err := client.Call(ctx, obj.LOID(), "fail", nil); err == nil ||
+		!strings.Contains(err.Error(), "codec test failure") {
+		t.Fatalf("error passthrough: %v", err)
+	}
+	// Unbound targets keep their typed identity.
+	if _, err := client.Call(ctx, loid.LOID{Domain: "srv", Class: "Nope", Instance: 1}, "echo", nil); !errors.Is(err, ErrNotBound) {
+		t.Fatalf("not-bound: %v", err)
+	}
+}
+
+// TestUnregisteredTypeFailsCallNotConnection pins the codec's one
+// refusal: a value with no wire encoding fails its own call with a typed
+// error and leaves the shared connection serving. An argument is refused
+// before a request ID is allocated or a byte is written; a result is
+// refused by the server and comes back as a remote error.
+func TestUnregisteredTypeFailsCallNotConnection(t *testing.T) {
+	_, obj, addr := startEcho(t)
+	ctx := context.Background()
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+	if _, err := client.Call(ctx, obj.LOID(), "echo", nil); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	c, err := client.client(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLiveClient := func(when string) {
+		t.Helper()
+		c.mu.Lock()
+		cerr := c.err
+		c.mu.Unlock()
+		if again, _ := client.client(addr); cerr != nil || again != c {
+			t.Fatalf("%s: connection replaced or closed (err=%v)", when, cerr)
+		}
+		if n := pendingCount(client); n != 0 {
+			t.Fatalf("%s: %d pending requests leaked", when, n)
+		}
+		if res, err := client.Call(ctx, obj.LOID(), "echo", "still here"); err != nil || res != "still here" {
+			t.Fatalf("%s: next call: %v %v", when, res, err)
+		}
+	}
+
+	invoked := obj.invoked.Load()
+	c.mu.Lock()
+	nextID := c.nextID
+	c.mu.Unlock()
+	for _, arg := range []any{struct{ X int }{7}, 42, []byte{1}, map[string]string{"k": "v"}} {
+		if _, err := client.Call(ctx, obj.LOID(), "echo", arg); !errors.Is(err, ErrUnregisteredType) {
+			t.Fatalf("%T argument: err=%v, want ErrUnregisteredType", arg, err)
+		}
+	}
+	c.mu.Lock()
+	sent := c.nextID - nextID
+	c.mu.Unlock()
+	if sent != 0 || obj.invoked.Load() != invoked {
+		t.Fatalf("refused arguments allocated %d request IDs and reached the object %d times",
+			sent, obj.invoked.Load()-invoked)
+	}
+	sameLiveClient("after unregistered argument")
+
+	_, err = client.Call(ctx, obj.LOID(), "unregistered", nil)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), ErrUnregisteredType.Error()) {
+		t.Fatalf("unregistered result: err=%v, want a remote error naming the refusal", err)
+	}
+	sameLiveClient("after unregistered result")
+}
+
+// TestRetiredPreambleClosedWithoutWedging opens connections with the
+// retired gob codec byte, a wrong magic, and a short preamble: each is
+// closed (or left waiting for its missing bytes) without a response,
+// and the server keeps serving well-formed clients throughout.
+func TestRetiredPreambleClosedWithoutWedging(t *testing.T) {
+	_, obj, addr := startEcho(t)
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+
+	for _, pre := range [][]byte{
+		{'L', 'G', 1, 'G'}, // the retired gob stream
+		{'L', 'G', 2, 'B'}, // unknown version
+		{'X', 'G', 1, 'B'}, // wrong magic
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			client := NewRuntime("cli-" + tc.name)
-			defer client.Close()
-			client.SetWireCodec(tc.codec)
-			client.Bind(obj.LOID(), addr)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A gob-era peer would follow the preamble with a type
+		// descriptor stream; none of it may be interpreted.
+		if _, err := conn.Write(append(pre, 0x40, 0xff, 0x81, 0x03, 0x01, 0x01)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+			t.Fatalf("preamble % x: server answered (%d bytes, err=%v), want close", pre, n, err)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("preamble % x: connection left open", pre)
+		}
+		conn.Close()
+		if res, err := client.Call(context.Background(), obj.LOID(), "echo", "ok"); err != nil || res != "ok" {
+			t.Fatalf("after preamble % x: well-formed client got %v %v", pre, res, err)
+		}
+	}
 
-			// A registered wire type (echoed LOID inside a payload), a
-			// gob-fallback payload (plain string), and a nil round trip.
-			if res, err := client.Call(ctx, obj.LOID(), "echo", "hello"); err != nil || res != "hello" {
-				t.Fatalf("string echo: %v %v", res, err)
+	// A peer that stalls mid-preamble occupies only its own goroutine.
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	stalled.Write([]byte{'L', 'G'})
+	if res, err := client.Call(context.Background(), obj.LOID(), "echo", "ok"); err != nil || res != "ok" {
+		t.Fatalf("beside a stalled preamble: %v %v", res, err)
+	}
+}
+
+// TestMethodTableBounded drives the per-connection method table's two
+// caps from a hostile peer: a defining frame whose name is too long, or
+// one that would grow the table past maxMethods, is a corrupt header —
+// the connection drops, unanswered, and nothing is retained.
+func TestMethodTableBounded(t *testing.T) {
+	_, obj, addr := startEcho(t)
+	// define writes a frame introducing method id as name; a failed
+	// write shows up as the missing response.
+	define := func(conn net.Conn, id uint64, name string) {
+		b := wire.AppendUvarint(nil, id) // request ID
+		b = wire.AppendUvarint(b, id<<1|1)
+		b = wire.AppendString(b, name)
+		b = obj.LOID().AppendWire(b)
+		b = append(b, 0, 0, 0) // trace, span, deadline
+		b = append(b, payloadNil)
+		conn.Write(wire.AppendBytes(nil, b))
+	}
+	dropped := func(br *bufio.Reader, conn net.Conn) bool {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := readResponse(br)
+		return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)
+	}
+
+	t.Run("name length", func(t *testing.T) {
+		conn := rawConn(t, addr)
+		br := bufio.NewReader(conn)
+		define(conn, 1, strings.Repeat("m", maxMethodNameLen))
+		if resp, err := readResponse(br); err != nil || resp.ID != 1 {
+			t.Fatalf("name at the cap: %+v %v", resp, err)
+		}
+		define(conn, 2, strings.Repeat("m", maxMethodNameLen+1))
+		if !dropped(br, conn) {
+			t.Fatal("over-long method name did not drop the connection")
+		}
+	})
+
+	t.Run("entries", func(t *testing.T) {
+		conn := rawConn(t, addr)
+		br := bufio.NewReader(conn)
+		for id := uint64(1); id <= maxMethods; id++ {
+			define(conn, id, fmt.Sprintf("m%d", id))
+		}
+		define(conn, 1, "redefined") // an existing ID does not grow the table
+		for id := uint64(1); id <= maxMethods+1; id++ {
+			if _, err := readResponse(br); err != nil {
+				t.Fatalf("response %d of a full table: %v", id, err)
 			}
-			want := loid.LOID{Domain: "d", Class: "C", Instance: 9}
-			if res, err := client.Call(ctx, obj.LOID(), "echo", want); err != nil || res != want {
-				t.Fatalf("LOID echo: %v %v", res, err)
-			}
-			if res, err := client.Call(ctx, obj.LOID(), "echo", nil); err != nil || res != nil {
-				t.Fatalf("nil echo: %v %v", res, err)
-			}
-			// Errors cross with their message.
-			if _, err := client.Call(ctx, obj.LOID(), "fail", nil); err == nil ||
-				!strings.Contains(err.Error(), "codec test failure") {
-				t.Fatalf("error passthrough: %v", err)
-			}
-			// Unbound targets keep their typed identity.
-			if _, err := client.Call(ctx, loid.LOID{Domain: "srv", Class: "Nope", Instance: 1}, "echo", nil); !errors.Is(err, ErrNotBound) {
-				t.Fatalf("not-bound: %v", err)
-			}
-		})
+		}
+		define(conn, maxMethods+1, "one-too-many")
+		if !dropped(br, conn) {
+			t.Fatal("frame growing the table past maxMethods did not drop the connection")
+		}
+	})
+
+	// Direct: the table holds what it was given and no more.
+	var mt methodTable
+	for id := uint64(0); id < 2*maxMethods; id++ {
+		mt.define(id, "m")
+	}
+	if len(mt.names) != maxMethods {
+		t.Fatalf("table holds %d entries, cap %d", len(mt.names), maxMethods)
 	}
 }
 
@@ -149,103 +347,99 @@ func TestBinaryCodecConcurrentCalls(t *testing.T) {
 // shed counter increments, and the connection keeps serving once
 // capacity frees up.
 func TestServerOverloadSheds(t *testing.T) {
-	for _, codec := range []WireCodec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			server := NewRuntime("srv")
-			server.SetMetrics(reg)
-			server.SetServerLimit(2)
-			obj := &codecEchoObj{l: server.Mint("Echo"), block: make(chan struct{})}
-			server.Register(obj)
-			addr, err := server.ListenAndServe("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer server.Close()
+	reg := telemetry.NewRegistry()
+	server := NewRuntime("srv")
+	server.SetMetrics(reg)
+	server.SetServerLimit(2)
+	obj := &codecEchoObj{l: server.Mint("Echo"), block: make(chan struct{})}
+	server.Register(obj)
+	addr, err := server.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
 
-			client := NewRuntime("cli")
-			defer client.Close()
-			client.SetWireCodec(codec)
-			client.Bind(obj.LOID(), addr)
-			ctx := context.Background()
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+	ctx := context.Background()
 
-			// Fill both handler slots with calls that park in the object.
-			var wg sync.WaitGroup
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if res, err := client.Call(ctx, obj.LOID(), "hold", nil); err != nil || res != "held" {
-						t.Errorf("held call: %v %v", res, err)
-					}
-				}()
+	// Fill both handler slots with calls that park in the object.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := client.Call(ctx, obj.LOID(), "hold", nil); err != nil || res != "held" {
+				t.Errorf("held call: %v %v", res, err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for server.serverLimiter().InFlight() != 2 {
-				if time.Now().After(deadline) {
-					t.Fatal("holders never occupied the limiter")
-				}
-				time.Sleep(time.Millisecond)
-			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for server.serverLimiter().InFlight() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("holders never occupied the limiter")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-			// The third frame must shed, typed and counted.
-			_, err = client.Call(ctx, obj.LOID(), "echo", "overflow")
-			if !errors.Is(err, ErrServerOverload) {
-				t.Fatalf("overload err=%v, want ErrServerOverload", err)
-			}
-			// The message carries the proto.ErrOverload prefix package
-			// resilient classifies as a permanent refusal.
-			if !strings.Contains(err.Error(), "legion: overloaded, request shed") {
-				t.Fatalf("overload message %q lacks the shed-classification prefix", err)
-			}
-			if n := reg.CounterValue("legion_orb_server_overload_total", "method", "echo"); n != 1 {
-				t.Fatalf("legion_orb_server_overload_total = %v, want 1", n)
-			}
+	// The third frame must shed, typed and counted.
+	_, err = client.Call(ctx, obj.LOID(), "echo", "overflow")
+	if !errors.Is(err, ErrServerOverload) {
+		t.Fatalf("overload err=%v, want ErrServerOverload", err)
+	}
+	// The message carries the proto.ErrOverload prefix package
+	// resilient classifies as a permanent refusal.
+	if !strings.Contains(err.Error(), "legion: overloaded, request shed") {
+		t.Fatalf("overload message %q lacks the shed-classification prefix", err)
+	}
+	if n := reg.CounterValue("legion_orb_server_overload_total", "method", "echo"); n != 1 {
+		t.Fatalf("legion_orb_server_overload_total = %v, want 1", n)
+	}
 
-			// Capacity frees; the same connection serves again.
-			close(obj.block)
-			wg.Wait()
-			if res, err := client.Call(ctx, obj.LOID(), "echo", "after"); err != nil || res != "after" {
-				t.Fatalf("call after shed: %v %v", res, err)
-			}
-		})
+	// Capacity frees; the same connection serves again.
+	close(obj.block)
+	wg.Wait()
+	if res, err := client.Call(ctx, obj.LOID(), "echo", "after"); err != nil || res != "after" {
+		t.Fatalf("call after shed: %v %v", res, err)
 	}
 }
 
 // TestLoopbackCodecRoundTrips verifies the loopback marshalling boundary:
 // local dispatch sees a re-materialized argument (not the caller's
-// reference) under both codecs, and results round-trip equally.
+// reference), results round-trip equally, and a type the wire cannot
+// carry fails the call as it would over a connection.
 func TestLoopbackCodecRoundTrips(t *testing.T) {
-	for _, lc := range []LoopbackCodec{LoopbackGob, LoopbackBinary} {
-		t.Run(lc.String(), func(t *testing.T) {
-			rt := NewRuntime("local")
-			rt.SetLoopbackCodec(lc)
-			var seen any
-			obj := &funcObj{l: rt.Mint("Echo"), fn: func(arg any) (any, error) {
-				seen = arg
-				return arg, nil
-			}}
-			rt.Register(obj)
+	rt := NewRuntime("local")
+	rt.SetLoopbackCodec(true)
+	var seen any
+	obj := &funcObj{l: rt.Mint("Echo"), fn: func(arg any) (any, error) {
+		seen = arg
+		return arg, nil
+	}}
+	rt.Register(obj)
 
-			arg := loid.LOID{Domain: "d", Class: "C", Instance: 42}
-			res, err := rt.Call(context.Background(), obj.LOID(), "echo", arg)
-			if err != nil || res != arg {
-				t.Fatalf("loopback echo: %v %v", res, err)
-			}
-			if seen != arg {
-				t.Fatalf("dispatch saw %v, want %v", seen, arg)
-			}
-			// A byte slice crosses by value now: mutating the original
-			// after the call must not be visible to a retained argument.
-			raw := []byte{1, 2, 3}
-			if _, err := rt.Call(context.Background(), obj.LOID(), "echo", raw); err != nil {
-				t.Fatal(err)
-			}
-			raw[0] = 99
-			if got := seen.([]byte); got[0] != 1 {
-				t.Fatalf("loopback aliased the caller's slice: %v", got)
-			}
-		})
+	arg := loid.LOID{Domain: "d", Class: "C", Instance: 42}
+	res, err := rt.Call(context.Background(), obj.LOID(), "echo", arg)
+	if err != nil || res != arg {
+		t.Fatalf("loopback echo: %v %v", res, err)
+	}
+	if seen != arg {
+		t.Fatalf("dispatch saw %v, want %v", seen, arg)
+	}
+	// A slice crosses by value now: mutating the original after the
+	// call must not be visible to a retained argument.
+	raw := []string{"a", "b"}
+	if _, err := rt.Call(context.Background(), obj.LOID(), "echo", raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[0] = "mutated"
+	if got := seen.([]string); got[0] != "a" {
+		t.Fatalf("loopback aliased the caller's slice: %v", got)
+	}
+	seen = nil
+	if _, err := rt.Call(context.Background(), obj.LOID(), "echo", []byte{1}); !errors.Is(err, ErrUnregisteredType) || seen != nil {
+		t.Fatalf("unregistered argument: err=%v dispatched=%v", err, seen)
 	}
 }
 
@@ -355,21 +549,27 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestPayloadRegistryFallback round-trips an unregistered type through
-// the gob-blob payload path.
-func TestPayloadRegistryFallback(t *testing.T) {
-	type weird struct{ X int } // never registered with RegisterWireMessage
-	RegisterWireType(weird{})
-	b, err := EncodePayloadBytes(weird{X: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := DecodePayloadBytes(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := v.(weird); !ok || got.X != 7 {
-		t.Fatalf("round trip = %#v", v)
+// TestBuiltinPayloadTags pins the two built-in tags: string is 2,
+// []string is 3, and both round-trip by value (empty strings and the
+// empty slice included).
+func TestBuiltinPayloadTags(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want []byte
+	}{
+		{"pong", []byte{2, 4, 'p', 'o', 'n', 'g'}},
+		{"", []byte{2, 0}},
+		{[]string{"k", "v"}, []byte{3, 2, 1, 'k', 1, 'v'}},
+		{[]string{}, []byte{3, 0}},
+	} {
+		b, err := EncodePayloadBytes(tc.v)
+		if err != nil || !bytes.Equal(b, tc.want) {
+			t.Fatalf("%#v encodes as % x (%v), want % x", tc.v, b, err, tc.want)
+		}
+		got, err := DecodePayloadBytes(b)
+		if err != nil || !reflect.DeepEqual(got, tc.v) {
+			t.Fatalf("%#v round-trips as %#v (%v)", tc.v, got, err)
+		}
 	}
 }
 
@@ -377,12 +577,16 @@ func TestPayloadRegistryFallback(t *testing.T) {
 // expects typed errors, never panics.
 func TestDecodePayloadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		{},                  // missing tag
-		{0xFF},              // truncated uvarint
-		{2},                 // reserved tag below WireIDFirst with no decoder
-		{1},                 // gob tag with no blob
-		{1, 0x05, 1, 2},     // gob blob shorter than its prefix
-		{200, 1},            // unknown registered ID
+		{},                             // missing tag
+		{0xFF},                         // truncated uvarint
+		{1},                            // the retired gob tag
+		{1, 0x03, 1, 2, 3},             // the retired gob tag with a blob
+		{4},                            // reserved tag below WireIDFirst with no decoder
+		{2},                            // string tag with no length
+		{2, 0x05, 'a'},                 // string shorter than its prefix
+		{3, 2, 1, 'k'},                 // []string with a missing element
+		{3, 0x7f},                      // []string count past the buffer
+		{200, 1},                       // unknown registered ID
 		wire.AppendUvarint(nil, 1<<40), // absurd tag
 	}
 	for i, b := range cases {
@@ -409,7 +613,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		}
 		req := request{
 			ID:       uint64(100 + i),
-			Target:   wireLOID{Domain: target.Domain, Class: target.Class, Instance: target.Instance},
+			Target:   target,
 			Method:   method,
 			TraceID:  7,
 			SpanID:   8,
@@ -432,17 +636,54 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		if n := r.Len(); n != len(r.B) {
 			t.Fatalf("frame %d: length prefix %d over %d bytes", i, n, len(r.B))
 		}
-		meta, err := decodeRequestHeader(&r, &mt)
+		req, err := decodeRequestHeader(&r, &mt)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if meta.id != uint64(100+i) || meta.method != wantMethods[i] ||
-			meta.target != target || meta.traceID != 7 || meta.spanID != 8 ||
-			meta.deadline != 1234567890 {
-			t.Fatalf("frame %d decoded %+v", i, meta)
+		if req.ID != uint64(100+i) || req.Method != wantMethods[i] ||
+			req.Target != target || req.TraceID != 7 || req.SpanID != 8 ||
+			req.Deadline != 1234567890 {
+			t.Fatalf("frame %d decoded %+v", i, req)
 		}
 		if arg, err := DecodePayload(&r); err != nil || arg != nil {
 			t.Fatalf("frame %d payload: %v %v", i, arg, err)
+		}
+	}
+}
+
+// TestFrameGoldenBytes pins the frame layout byte for byte: a request
+// frame introducing its method (name inline), the repeat (bare ID), and
+// a response frame. The bytes were produced by the codec as it stood
+// when gob still sat beside it; a diff here is a wire-format change.
+func TestFrameGoldenBytes(t *testing.T) {
+	var mi methodIntern
+	var scratch []byte
+	req := request{
+		ID:       7,
+		Target:   loid.LOID{Domain: "uva", Class: "Host", Instance: 3},
+		Method:   "make_reservation",
+		TraceID:  0x1234,
+		SpanID:   5,
+		Deadline: 1_700_000_000_000_000_000,
+	}
+	payload, err := AppendPayload(nil, benchMsg{Domain: "zone-1", Class: "Worker", ID: 42, Load: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tail = "10067a6f6e652d3106576f726b65722a000000000000e03f" // the payload: tag 16 + benchMsg
+	for i, tc := range []struct {
+		got  []byte
+		want string
+	}{
+		{appendRequestFrame(nil, &scratch, &mi, &req, payload),
+			"410703106d616b655f7265736572766174696f6e0375766104486f737403b424058080d0e2c6bfce972f" + tail},
+		{appendRequestFrame(nil, &scratch, &mi, &req, payload),
+			"3007020375766104486f737403b424058080d0e2c6bfce972f" + tail},
+		{appendResponseFrame(nil, &scratch, 7, errKindNotBound, "orb: LOID not bound", payload),
+			"2e0702136f72623a204c4f4944206e6f7420626f756e64" + tail},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Fatalf("frame %d:\n got %s\nwant %s", i, got, tc.want)
 		}
 	}
 }

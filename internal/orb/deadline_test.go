@@ -1,10 +1,9 @@
 package orb
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,10 +76,10 @@ func TestDeadlinePropagatesAcrossRuntimes(t *testing.T) {
 }
 
 // TestExpiredFrameRefusedWithoutDispatch sends a frame whose propagated
-// deadline already passed (via a raw gob connection — the high-level
-// client refuses to send on an expired ctx) and verifies the server
-// refuses it with ErrDeadlineExpired without ever invoking the method,
-// and counts the shed in legion_orb_deadline_expired_total.
+// deadline already passed (by hand — the high-level client refuses to
+// send on an expired ctx) and verifies the server refuses it with
+// ErrDeadlineExpired without ever invoking the method, and counts the
+// shed in legion_orb_deadline_expired_total.
 func TestExpiredFrameRefusedWithoutDispatch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	server := NewRuntime("srv")
@@ -93,33 +92,21 @@ func TestExpiredFrameRefusedWithoutDispatch(t *testing.T) {
 	}
 	defer server.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Select the gob fallback codec in the connection preamble, then
-	// speak raw gob frames — this doubles as coverage that a
-	// gob-negotiated connection serves.
-	if _, err := conn.Write([]byte{preambleMagic0, preambleMagic1, preambleVer, byte(CodecGob)}); err != nil {
-		t.Fatalf("preamble: %v", err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	l := obj.LOID()
+	conn := rawConn(t, addr)
 	req := request{
 		ID:       7,
-		Target:   wireLOID{Domain: l.Domain, Class: l.Class, Instance: l.Instance},
+		Target:   obj.LOID(),
 		Method:   "probe",
 		Deadline: time.Now().Add(-time.Second).UnixNano(),
 	}
-	if err := enc.Encode(&req); err != nil {
-		t.Fatalf("encode: %v", err)
+	var mi methodIntern
+	var scratch []byte
+	if _, err := conn.Write(appendRequestFrame(nil, &scratch, &mi, &req, []byte{payloadNil})); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatalf("decode: %v", err)
+	resp, err := readResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatalf("read: %v", err)
 	}
 	if resp.ID != req.ID {
 		t.Fatalf("response ID = %d, want %d", resp.ID, req.ID)

@@ -12,8 +12,9 @@
 //     TCP endpoints (remote),
 //   - synchronous method invocation via Call, transparently local or
 //     remote,
-//   - a gob-based wire protocol (tcp.go) so multiple Runtimes form one
-//     metasystem across OS processes ("multi-process emulation"),
+//   - a binary frame protocol (tcp.go, codec.go) so multiple Runtimes
+//     form one metasystem across OS processes ("multi-process
+//     emulation"),
 //   - fault injection and latency hooks so tests and benchmarks can
 //     exercise the failure tolerance the paper requires ("our Legion
 //     objects are built to accommodate failure at any step in the
@@ -25,9 +26,7 @@
 package orb
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -46,8 +45,9 @@ type Object interface {
 	// LOID returns the object's name.
 	LOID() loid.LOID
 	// Dispatch handles one method invocation. Arguments and results are
-	// values of wire-registered types (see RegisterWireType); they must
-	// be treated as immutable since local calls pass them by reference.
+	// nil, strings, []string, or values of wire-registered types (see
+	// RegisterWireMessage); they must be treated as immutable since
+	// local calls pass them by reference.
 	Dispatch(ctx context.Context, method string, arg any) (any, error)
 }
 
@@ -101,21 +101,15 @@ type Runtime struct {
 
 	server *tcpServer
 
-	hooksMu   sync.RWMutex
-	inject    FaultInjector
-	latency   time.Duration
-	jitter    time.Duration
-	tracer    CallTracer
-	metrics   *telemetry.Registry
-	clock     vclock.Clock
-	loopback  LoopbackCodec
-	wireCodec WireCodec
-	srvLim    *fanout.Limiter
-
-	loopGobMu  sync.Mutex
-	loopGobBuf bytes.Buffer
-	loopGobEnc *gob.Encoder
-	loopGobDec *gob.Decoder
+	hooksMu  sync.RWMutex
+	inject   FaultInjector
+	latency  time.Duration
+	jitter   time.Duration
+	tracer   CallTracer
+	metrics  *telemetry.Registry
+	clock    vclock.Clock
+	loopback bool
+	srvLim   *fanout.Limiter
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -126,17 +120,16 @@ type Runtime struct {
 // LOIDs minted through the runtime carry it.
 func NewRuntime(domain string) *Runtime {
 	return &Runtime{
-		name:      domain,
-		minter:    loid.NewMinter(domain),
-		objects:   make(map[loid.LOID]Object),
-		remote:    make(map[loid.LOID]string),
-		domains:   make(map[string]string),
-		clients:   make(map[string]*tcpClient),
-		rng:       rand.New(rand.NewSource(1)),
-		metrics:   telemetry.Default,
-		clock:     vclock.Wall,
-		wireCodec: CodecBinary,
-		srvLim:    fanout.NewLimiter(DefaultServerLimit),
+		name:    domain,
+		minter:  loid.NewMinter(domain),
+		objects: make(map[loid.LOID]Object),
+		remote:  make(map[loid.LOID]string),
+		domains: make(map[string]string),
+		clients: make(map[string]*tcpClient),
+		rng:     rand.New(rand.NewSource(1)),
+		metrics: telemetry.Default,
+		clock:   vclock.Wall,
+		srvLim:  fanout.NewLimiter(DefaultServerLimit),
 	}
 }
 
@@ -268,22 +261,6 @@ func (rt *Runtime) Clock() vclock.Clock {
 	return rt.clock
 }
 
-// SetWireCodec selects the codec this runtime's outbound connections
-// negotiate (default CodecBinary). Existing cached connections keep
-// their negotiated codec; call it before the first remote call.
-func (rt *Runtime) SetWireCodec(c WireCodec) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.wireCodec = c
-}
-
-// clientCodec returns the codec for new outbound connections.
-func (rt *Runtime) clientCodec() WireCodec {
-	rt.hooksMu.RLock()
-	defer rt.hooksMu.RUnlock()
-	return rt.wireCodec
-}
-
 // DefaultServerLimit is the default bound on concurrently executing
 // inbound request handlers across all of a runtime's server
 // connections. Past it, frames are shed with ErrServerOverload instead
@@ -307,86 +284,40 @@ func (rt *Runtime) serverLimiter() *fanout.Limiter {
 	return rt.srvLim
 }
 
-// LoopbackCodec selects whether local dispatch round-trips arguments
-// and results through a wire codec. Off (the default) passes values by
-// reference, as the runtime always has. The simulation harness turns
-// this on so in-process experiments pay honest per-call marshalling
-// cost — the virtual-time scale runs otherwise assume serialization is
-// free, which hides exactly the cost this codec exists to cut.
-type LoopbackCodec int
-
-// The loopback modes.
-const (
-	LoopbackOff LoopbackCodec = iota
-	// LoopbackGob round-trips through a persistent gob stream (type
-	// descriptors sent once, encodes serialized under one mutex —
-	// faithful to the real gob connection's cost shape).
-	LoopbackGob
-	// LoopbackBinary round-trips through the binary payload codec with
-	// pooled buffers, like a binary connection would.
-	LoopbackBinary
-)
-
-// String names the mode.
-func (lc LoopbackCodec) String() string {
-	switch lc {
-	case LoopbackGob:
-		return "gob"
-	case LoopbackBinary:
-		return "binary"
-	default:
-		return "off"
-	}
-}
-
-// SetLoopbackCodec installs (or, with LoopbackOff, removes) the
-// marshalling boundary on local dispatch.
-func (rt *Runtime) SetLoopbackCodec(lc LoopbackCodec) {
+// SetLoopbackCodec installs (or removes) a marshalling boundary on
+// local dispatch: every argument and result round-trips through the
+// wire codec. Off (the default) passes values by reference. The
+// simulation harness turns this on so in-process experiments pay honest
+// per-call marshalling cost — the virtual-time scale runs otherwise
+// assume serialization is free.
+func (rt *Runtime) SetLoopbackCodec(on bool) {
 	rt.hooksMu.Lock()
 	defer rt.hooksMu.Unlock()
-	rt.loopback = lc
+	rt.loopback = on
 }
 
-// loopbackRoundTrip re-materializes v through the selected codec,
-// exactly as it would arrive on the far side of a connection.
-func (rt *Runtime) loopbackRoundTrip(lc LoopbackCodec, v any) (any, error) {
-	if lc == LoopbackBinary {
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		b, err := AppendPayload((*buf)[:0], v)
-		if err != nil {
-			return nil, err
-		}
-		*buf = b
-		r := wire.GetReader(b)
-		defer wire.PutReader(r)
-		return DecodePayload(r)
-	}
-	// Gob: one persistent stream per runtime, strictly alternating
-	// encode/decode over a shared buffer, serialized like a real
-	// connection's encMu.
-	rt.loopGobMu.Lock()
-	defer rt.loopGobMu.Unlock()
-	if rt.loopGobEnc == nil {
-		rt.loopGobEnc = gob.NewEncoder(&rt.loopGobBuf)
-		rt.loopGobDec = gob.NewDecoder(&rt.loopGobBuf)
-	}
-	if err := rt.loopGobEnc.Encode(gobPayload{V: v}); err != nil {
+// loopbackRoundTrip re-materializes v through the wire codec with
+// pooled buffers, exactly as it would arrive on the far side of a
+// connection.
+func loopbackRoundTrip(v any) (any, error) {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	b, err := AppendPayload((*buf)[:0], v)
+	if err != nil {
 		return nil, err
 	}
-	var p gobPayload
-	if err := rt.loopGobDec.Decode(&p); err != nil {
-		return nil, err
-	}
-	return p.V, nil
+	*buf = b
+	r := wire.GetReader(b)
+	defer wire.PutReader(r)
+	return DecodePayload(r)
 }
 
 // dispatchLoopback is local dispatch with the marshalling boundary:
 // the argument crosses the codec inbound, the result (or the method's
 // error, re-materialized the way a response frame would carry it)
 // crosses outbound.
-func (rt *Runtime) dispatchLoopback(ctx context.Context, lc LoopbackCodec, obj Object, method string, arg any) (any, error) {
-	arg, err := rt.loopbackRoundTrip(lc, arg)
+func dispatchLoopback(ctx context.Context, obj Object, method string, arg any) (any, error) {
+	arg, err := loopbackRoundTrip(arg)
 	if err != nil {
 		return nil, fmt.Errorf("orb: loopback encode arg: %w", err)
 	}
@@ -395,7 +326,7 @@ func (rt *Runtime) dispatchLoopback(ctx context.Context, lc LoopbackCodec, obj O
 		kind, msg := encodeErr(err)
 		return nil, decodeErr(kind, msg)
 	}
-	res, err = rt.loopbackRoundTrip(lc, res)
+	res, err = loopbackRoundTrip(res)
 	if err != nil {
 		return nil, fmt.Errorf("orb: loopback encode result: %w", err)
 	}
@@ -438,7 +369,7 @@ type callHooks struct {
 	inject   FaultInjector
 	latency  time.Duration
 	jitter   time.Duration
-	loopback LoopbackCodec
+	loopback bool
 }
 
 func (rt *Runtime) call(ctx context.Context, h callHooks, target loid.LOID, method string, arg any) (any, error) {
@@ -474,8 +405,8 @@ func (rt *Runtime) call(ctx context.Context, h callHooks, target loid.LOID, meth
 	rt.mu.RUnlock()
 
 	if local {
-		if h.loopback != LoopbackOff {
-			return rt.dispatchLoopback(ctx, h.loopback, obj, method, arg)
+		if h.loopback {
+			return dispatchLoopback(ctx, obj, method, arg)
 		}
 		return obj.Dispatch(ctx, method, arg)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/wire"
 )
 
 // echoArg is a wire-registered test message.
@@ -18,7 +19,16 @@ type echoArg struct {
 	S string
 }
 
-func init() { RegisterWireType(echoArg{}) }
+func (m *echoArg) AppendWire(b []byte) []byte {
+	return wire.AppendString(wire.AppendVarint(b, int64(m.N)), m.S)
+}
+
+func (m *echoArg) DecodeWire(r *wire.Reader) {
+	m.N = int(r.Varint())
+	m.S = r.Str()
+}
+
+func init() { RegisterWireMessage[echoArg, *echoArg](testWireEchoArg) }
 
 func newEcho(rt *Runtime) *ServiceObject {
 	obj := NewServiceObject(rt.Mint("Echo"))

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,13 +17,6 @@ import (
 	"legion/internal/wire"
 )
 
-// RegisterWireType registers a concrete type for transmission inside the
-// protocol's `any` argument/result slots. Packages defining message types
-// call this from init(); it wraps encoding/gob registration. Types that
-// additionally register a binary encoding (RegisterWireMessage) use it on
-// binary connections; everything else crosses as an inline gob blob.
-func RegisterWireType(v any) { gob.Register(v) }
-
 // request is one method invocation on the wire. TraceID/SpanID carry
 // the caller's active telemetry span (zero when the caller has none) so
 // the serving runtime's spans parent under it — this is how one
@@ -35,20 +27,12 @@ func RegisterWireType(v any) { gob.Register(v) }
 // instead of only at the origin.
 type request struct {
 	ID       uint64
-	Target   wireLOID
+	Target   loid.LOID
 	Method   string
 	Arg      any
 	TraceID  uint64
 	SpanID   uint64
 	Deadline int64
-}
-
-// wireLOID mirrors loid.LOID for gob (kept separate so the loid package
-// stays transport-agnostic).
-type wireLOID struct {
-	Domain   string
-	Class    string
-	Instance uint64
 }
 
 // response is the reply to one request.
@@ -100,16 +84,6 @@ func decodeErr(kind int, msg string) error {
 	default:
 		return &RemoteError{Msg: msg}
 	}
-}
-
-// requestMeta is the codec-independent header of one inbound request.
-type requestMeta struct {
-	id       uint64
-	target   loid.LOID
-	method   string
-	traceID  uint64
-	spanID   uint64
-	deadline int64
 }
 
 // tcpServer accepts connections and serves requests against a Runtime.
@@ -209,10 +183,10 @@ func (s *tcpServer) acceptLoop() {
 	}
 }
 
-// serveConn reads the connection preamble and serves the codec the
-// client selected. A bad preamble drops the connection: every legion
-// runtime since the binary codec landed sends one, and refusing
-// preamble-less streams keeps stray connections from wedging a decoder.
+// serveConn validates the connection preamble and serves frames. A bad
+// preamble drops the connection: refusing streams that do not open with
+// it keeps stray connections from wedging a decoder. The codec byte has
+// one accepted value; 'G' named the retired gob stream.
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -221,42 +195,37 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		delete(s.cs, conn)
 		s.mu.Unlock()
 	}()
-	var pre [preambleLen]byte
+	var pre [len(preamble)]byte
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
 		return
 	}
-	if pre[0] != preambleMagic0 || pre[1] != preambleMagic1 || pre[2] != preambleVer {
+	if pre != preamble {
 		return
 	}
-	switch WireCodec(pre[3]) {
-	case CodecBinary:
-		s.serveBinary(conn)
-	case CodecGob:
-		s.serveGob(conn)
-	}
+	s.serveBinary(conn)
 }
 
 // process runs one decoded request against the runtime: span
 // re-parenting, propagated-deadline enforcement, dispatch, server-side
-// metrics. Both codecs share it.
-func (s *tcpServer) process(meta requestMeta, arg any) (any, error) {
+// metrics.
+func (s *tcpServer) process(req request) (any, error) {
 	ctx := telemetry.WithRemoteParent(s.ctx,
-		telemetry.SpanContext{TraceID: meta.traceID, SpanID: meta.spanID})
+		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	reg := s.rt.Metrics()
-	ctx, span := reg.Spans().StartIn(ctx, "rpc/"+meta.method, s.rt.Domain())
+	ctx, span := reg.Spans().StartIn(ctx, "rpc/"+req.Method, s.rt.Domain())
 	start := time.Now()
 	var res any
 	var err error
-	if meta.deadline != 0 {
-		dl := time.Unix(0, meta.deadline)
+	if req.Deadline != 0 {
+		dl := time.Unix(0, req.Deadline)
 		if !dl.After(time.Now()) {
 			// The caller abandoned this request before we even dequeued
 			// it: refuse without invoking the method so doomed work is
 			// shed at every hop, not just at the origin.
 			reg.Counter("legion_orb_deadline_expired_total",
-				"method", meta.method).Inc()
+				"method", req.Method).Inc()
 			err = fmt.Errorf("%w: %s (deadline %s ago)",
-				ErrDeadlineExpired, meta.method,
+				ErrDeadlineExpired, req.Method,
 				time.Since(dl).Round(time.Millisecond))
 		} else {
 			var cancel context.CancelFunc
@@ -265,13 +234,13 @@ func (s *tcpServer) process(meta requestMeta, arg any) (any, error) {
 		}
 	}
 	if err == nil {
-		res, err = s.rt.Call(ctx, meta.target, meta.method, arg)
+		res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
 	}
 	span.Finish(err)
 	reg.Histogram("legion_orb_server_seconds", telemetry.LatencyBuckets,
-		"method", meta.method).ObserveSince(start)
+		"method", req.Method).ObserveSince(start)
 	if err != nil {
-		reg.Counter("legion_orb_server_errors_total", "method", meta.method).Inc()
+		reg.Counter("legion_orb_server_errors_total", "method", req.Method).Inc()
 	}
 	return res, err
 }
@@ -285,46 +254,7 @@ func (s *tcpServer) shed(method string) error {
 	return ErrServerOverload
 }
 
-// serveGob is the fallback protocol: one gob stream each way, one
-// handler goroutine per request, bounded by the server-wide limiter.
-func (s *tcpServer) serveGob(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	respond := func(resp response) {
-		encMu.Lock()
-		encodeFailed := enc.Encode(&resp) != nil
-		encMu.Unlock()
-		if encodeFailed {
-			conn.Close()
-		}
-	}
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or protocol error: drop the connection
-		}
-		meta := requestMeta{id: req.ID, target: loidFromWire(req.Target),
-			method: req.Method, traceID: req.TraceID, spanID: req.SpanID,
-			deadline: req.Deadline}
-		reqWG.Add(1)
-		admitted := s.lim.TryGo(func() {
-			defer reqWG.Done()
-			res, err := s.process(meta, req.Arg)
-			kind, msg := encodeErr(err)
-			respond(response{ID: meta.id, Result: res, ErrMsg: msg, ErrKind: kind})
-		})
-		if !admitted {
-			reqWG.Done()
-			kind, msg := encodeErr(s.shed(meta.method))
-			respond(response{ID: meta.id, ErrMsg: msg, ErrKind: kind})
-		}
-	}
-}
-
-// serveBinary is the binary protocol: length-prefixed frames, a
+// serveBinary is the wire protocol: length-prefixed frames, a
 // per-connection method table built as frames arrive, handler
 // goroutines bounded by the server-wide limiter, and responses
 // coalesced into batched writes.
@@ -352,29 +282,30 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 		// updates must apply in frame order, and decoded values never
 		// alias body, so the buffer is immediately reusable.
 		r.Reset(body)
-		meta, err := decodeRequestHeader(&r, &mt)
+		req, err := decodeRequestHeader(&r, &mt)
 		if err != nil {
 			return // corrupt header: the stream is unrecoverable
 		}
-		arg, perr := DecodePayload(&r)
+		var perr error
+		req.Arg, perr = DecodePayload(&r)
 		if perr == nil && len(r.B) != 0 {
 			perr = fmt.Errorf("orb: request frame has %d trailing bytes", len(r.B))
 		}
 		if perr != nil {
 			// The frame boundary is intact, so the connection survives a
 			// bad payload; only this request fails.
-			s.respondBinary(co, meta.id, nil, perr)
+			s.respondBinary(co, req.ID, nil, perr)
 			continue
 		}
 		reqWG.Add(1)
 		admitted := s.lim.TryGo(func() {
 			defer reqWG.Done()
-			res, err := s.process(meta, arg)
-			s.respondBinary(co, meta.id, res, err)
+			res, err := s.process(req)
+			s.respondBinary(co, req.ID, res, err)
 		})
 		if !admitted {
 			reqWG.Done()
-			s.respondBinary(co, meta.id, nil, s.shed(meta.method))
+			s.respondBinary(co, req.ID, nil, s.shed(req.Method))
 		}
 	}
 }
@@ -396,18 +327,12 @@ func (s *tcpServer) respondBinary(co *coalescer, id uint64, res any, err error) 
 	wire.PutBuf(payload)
 }
 
-// tcpClient multiplexes calls to one remote runtime over one connection,
-// speaking whichever codec was negotiated in the connection preamble.
+// tcpClient multiplexes calls to one remote runtime over one connection.
 type tcpClient struct {
-	conn  net.Conn
-	codec WireCodec
+	conn net.Conn
 
-	// gob codec: one stream encoder serialized by encMu.
-	enc   *gob.Encoder
-	encMu sync.Mutex
-
-	// binary codec: frames coalesce into batched writes; mi is the
-	// method-intern table, touched only inside co.append callbacks.
+	// Frames coalesce into batched writes; mi is the method-intern
+	// table, touched only inside co.append callbacks.
 	co *coalescer
 	mi methodIntern
 
@@ -419,48 +344,25 @@ type tcpClient struct {
 	err     error
 }
 
-func dialClient(addr string, codec WireCodec, onClose func(*tcpClient)) (*tcpClient, error) {
+func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("orb: dial %s: %w", addr, err)
 	}
-	pre := [preambleLen]byte{preambleMagic0, preambleMagic1, preambleVer, byte(codec)}
-	if _, err := conn.Write(pre[:]); err != nil {
+	if _, err := conn.Write(preamble[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("orb: preamble %s: %w", addr, err)
 	}
 	c := &tcpClient{
 		conn:    conn,
-		codec:   codec,
 		onClose: onClose,
 		pending: make(map[uint64]chan response),
 	}
-	switch codec {
-	case CodecGob:
-		c.enc = gob.NewEncoder(conn)
-		go c.readLoopGob()
-	default:
-		c.co = newCoalescer(conn, func(err error) {
-			c.close(fmt.Errorf("orb: send: %w", err))
-		})
-		go c.readLoopBinary()
-	}
+	c.co = newCoalescer(conn, func(err error) {
+		c.close(fmt.Errorf("orb: send: %w", err))
+	})
+	go c.readLoopBinary()
 	return c, nil
-}
-
-func (c *tcpClient) readLoopGob() {
-	dec := gob.NewDecoder(c.conn)
-	for {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
-			if err == io.EOF {
-				err = errors.New("orb: connection closed by peer")
-			}
-			c.close(err)
-			return
-		}
-		c.deliver(resp)
-	}
 }
 
 func (c *tcpClient) readLoopBinary() {
@@ -554,14 +456,7 @@ func (c *tcpClient) withdraw(id uint64) {
 	c.mu.Unlock()
 }
 
-func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
-	if c.codec == CodecGob {
-		return c.callGob(ctx, req)
-	}
-	return c.callBinary(ctx, req)
-}
-
-// callBinary sends one request over the coalesced binary path. The
+// call sends one request over the coalesced connection. The
 // payload is encoded outside every lock; only the small header encode
 // (which must be ordered with method interning) runs under the
 // coalescer lock. Appending never blocks — a wedged connection is the
@@ -570,7 +465,7 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 // trichotomy: excised (nothing sent, connection lives), flushed
 // (response will be dropped, connection lives), or inflight (stream
 // integrity unknown, connection dies and the cache redials).
-func (c *tcpClient) callBinary(ctx context.Context, req request) (any, error) {
+func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -617,77 +512,6 @@ func (c *tcpClient) callBinary(ctx context.Context, req request) (any, error) {
 	}
 }
 
-// callGob sends one request over the fallback gob stream.
-func (c *tcpClient) callGob(ctx context.Context, req request) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ch, err := c.register(&req)
-	if err != nil {
-		return nil, err
-	}
-
-	// Encode on a separate goroutine so a wedged connection (peer not
-	// draining, send buffers full) cannot hold the caller past its ctx.
-	// If ctx expires while our encode is in flight the connection is
-	// unusable — the stream may be cut mid-message — so the whole client
-	// is closed; pending calls fail fast and the Runtime's eviction hook
-	// forces a redial. But if ctx expires while we are merely QUEUED on
-	// encMu behind another caller's encode, nothing of this message has
-	// touched the wire: the call is abandoned (the goroutine skips the
-	// encode entirely) and the connection stays alive, so one short
-	// per-attempt timeout under load cannot cascade into connection-wide
-	// failures that feed breakers and liveness with false positives.
-	encDone := make(chan error, 1)
-	var sendMu sync.Mutex
-	sendStarted, sendAbandoned := false, false
-	go func() {
-		c.encMu.Lock()
-		sendMu.Lock()
-		if sendAbandoned {
-			sendMu.Unlock()
-			c.encMu.Unlock()
-			return
-		}
-		sendStarted = true
-		sendMu.Unlock()
-		err := c.enc.Encode(&req)
-		c.encMu.Unlock()
-		encDone <- err
-	}()
-	select {
-	case err := <-encDone:
-		if err != nil {
-			c.withdraw(req.ID)
-			c.close(fmt.Errorf("orb: send: %w", err))
-			return nil, fmt.Errorf("orb: send: %w", err)
-		}
-	case <-ctx.Done():
-		sendMu.Lock()
-		queued := !sendStarted
-		if queued {
-			sendAbandoned = true
-		}
-		sendMu.Unlock()
-		c.withdraw(req.ID)
-		if !queued {
-			c.close(fmt.Errorf("orb: send aborted: %w", ctx.Err()))
-		}
-		return nil, ctx.Err()
-	}
-
-	// Await the response. On ctx expiry the pending entry is withdrawn
-	// (no leak); the connection stays usable — a late response for the
-	// withdrawn ID is simply dropped by the read loop.
-	select {
-	case resp := <-ch:
-		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
-	case <-ctx.Done():
-		c.withdraw(req.ID)
-		return nil, ctx.Err()
-	}
-}
-
 // client returns (dialing if necessary) the shared client for addr.
 // Dead clients are evicted eagerly by their close hook; the liveness
 // check here remains as a backstop against races.
@@ -703,7 +527,7 @@ func (rt *Runtime) client(addr string) (*tcpClient, error) {
 		}
 		delete(rt.clients, addr)
 	}
-	c, err := dialClient(addr, rt.clientCodec(), func(dead *tcpClient) {
+	c, err := dialClient(addr, func(dead *tcpClient) {
 		rt.clientsMu.Lock()
 		if rt.clients[addr] == dead {
 			delete(rt.clients, addr)
@@ -735,7 +559,7 @@ func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.L
 		return nil, err
 	}
 	req := request{
-		Target: wireLOID{Domain: target.Domain, Class: target.Class, Instance: target.Instance},
+		Target: target,
 		Method: method,
 		Arg:    arg,
 	}
@@ -746,8 +570,4 @@ func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.L
 		req.Deadline = d.UnixNano()
 	}
 	return c.call(ctx, req)
-}
-
-func loidFromWire(w wireLOID) loid.LOID {
-	return loid.LOID{Domain: w.Domain, Class: w.Class, Instance: w.Instance}
 }

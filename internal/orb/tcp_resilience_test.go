@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func TestCallHonorsContextWhenConnectionWedged(t *testing.T) {
 	target := loid.LOID{Domain: "srv", Class: "Sink", Instance: 1}
 	client.Bind(target, ln.Addr().String())
 
-	payload := make([]byte, 16<<20) // far beyond loopback socket buffers
+	payload := strings.Repeat("x", 16<<20) // far beyond loopback socket buffers
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -177,72 +178,13 @@ func TestCallHonorsContextWhenConnectionWedged(t *testing.T) {
 	}
 }
 
-// TestQueuedSendTimeoutLeavesConnectionAlive expires a call's ctx while
-// it is merely queued on the gob encoder mutex behind another caller's
-// encode. Nothing of its message has touched the wire, so the shared
-// connection must survive: closing it would cascade one short attempt
-// timeout under load into connection-wide failures feeding breakers and
-// liveness with false positives. (The binary codec's equivalent
-// guarantee — pending-frame excision — is covered by
-// TestPendingFrameTimeoutLeavesConnectionAlive.)
-func TestQueuedSendTimeoutLeavesConnectionAlive(t *testing.T) {
-	server := NewRuntime("srv")
-	obj := &slowObj{l: server.Mint("Echo")}
-	server.Register(obj)
-	addr, err := server.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	client := NewRuntime("cli")
-	defer client.Close()
-	client.SetWireCodec(CodecGob) // encMu queueing exists only on the gob path
-	client.Bind(obj.LOID(), addr)
-
-	// Warm the connection, then grab the encoder mutex as a stand-in for
-	// another caller's wedged in-flight encode.
-	if _, err := client.Call(context.Background(), obj.LOID(), "fast", nil); err != nil {
-		t.Fatalf("warm-up call: %v", err)
-	}
-	c, err := client.client(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.encMu.Lock()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, err = client.Call(ctx, obj.LOID(), "fast", nil)
-	c.encMu.Unlock()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued call: err=%v, want deadline exceeded", err)
-	}
-
-	// The connection was never touched: still cached, still alive, no
-	// pending leak, and immediately usable.
-	c.mu.Lock()
-	alive := c.err == nil
-	c.mu.Unlock()
-	if !alive {
-		t.Fatal("client closed by a merely-queued send timeout")
-	}
-	if clientCount(client) != 1 {
-		t.Fatalf("clients cached: %d, want 1 (queued timeout must not evict)", clientCount(client))
-	}
-	if n := pendingCount(client); n != 0 {
-		t.Fatalf("pending requests leaked: %d", n)
-	}
-	if res, err := client.Call(context.Background(), obj.LOID(), "fast", nil); err != nil || res != "done" {
-		t.Fatalf("call after queued timeout: %v %v", res, err)
-	}
-}
-
-// TestPendingFrameTimeoutLeavesConnectionAlive is the binary codec's
-// counterpart of the queued-send guarantee: a frame whose ctx expires
-// while it still sits in the coalescer's pending buffer (behind a write
-// that is wedged on a peer that never reads) is excised in place —
-// nothing of it touched the wire, so the shared connection must not be
-// closed.
+// TestPendingFrameTimeoutLeavesConnectionAlive: a frame whose ctx
+// expires while it still sits in the coalescer's pending buffer (behind
+// a write that is wedged on a peer that never reads) is excised in place
+// — nothing of it touched the wire, so the shared connection must not be
+// closed: closing it would cascade one short attempt timeout under load
+// into connection-wide failures feeding breakers and liveness with false
+// positives.
 func TestPendingFrameTimeoutLeavesConnectionAlive(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -268,7 +210,7 @@ func TestPendingFrameTimeoutLeavesConnectionAlive(t *testing.T) {
 	defer bigCancel()
 	bigDone := make(chan error, 1)
 	go func() {
-		_, cerr := client.Call(bigCtx, target, "ingest", make([]byte, 16<<20))
+		_, cerr := client.Call(bigCtx, target, "ingest", strings.Repeat("x", 16<<20))
 		bigDone <- cerr
 	}()
 

@@ -341,7 +341,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%T: decode own encoding: %v", msg, err)
 		}
-		want, err := orb.GobRoundTrip(msg)
+		want, err := gobRoundTrip(msg)
 		if err != nil {
 			t.Fatalf("%T: gob reference: %v", msg, err)
 		}

@@ -18,7 +18,6 @@ import (
 	"legion/internal/attr"
 	"legion/internal/loid"
 	"legion/internal/opr"
-	"legion/internal/orb"
 	"legion/internal/reservation"
 	"legion/internal/sched"
 )
@@ -461,23 +460,4 @@ type AccountReply struct {
 	Spent     int64
 	Refunded  int64
 	Remaining int64
-}
-
-func init() {
-	for _, v := range []any{
-		MakeReservationArgs{}, MakeReservationReply{}, TokenArgs{},
-		StartObjectArgs{}, StartObjectReply{}, ObjectArgs{}, DeactivateReply{},
-		CompatibleVaultsReply{}, VaultOKArgs{}, BoolReply{}, AttributesReply{},
-		DefineTriggerArgs{}, RegisterOutcallArgs{}, NotifyArgs{},
-		StoreOPRArgs{}, RetrieveOPRArgs{}, RetrieveOPRReply{}, DeleteOPRArgs{},
-		JoinArgs{}, LeaveArgs{}, UpdateArgs{}, QueryArgs{}, QueryReply{},
-		CollectionRecord{}, BatchEntry{}, BatchUpdateArgs{}, BatchUpdateReply{},
-		CreateInstanceArgs{}, CreateInstanceReply{}, ImplementationsReply{},
-		InstancesReply{}, Placement{}, Implementation{},
-		MakeReservationsArgs{}, FeedbackReply{}, EnactScheduleArgs{},
-		EnactReply{}, CancelReservationsArgs{}, Ack{}, ServicesReply{},
-		AccountArgs{}, AccountDepositArgs{}, AccountReply{},
-	} {
-		orb.RegisterWireType(v)
-	}
 }

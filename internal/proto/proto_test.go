@@ -1,33 +1,30 @@
 package proto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 
 	"legion/internal/attr"
 	"legion/internal/loid"
 	"legion/internal/opr"
+	"legion/internal/orb"
 	"legion/internal/reservation"
 	"legion/internal/sched"
 )
 
-// roundTrip gob-encodes a value through an `any` slot (exactly how the
-// orb wire protocol carries it) and decodes it back, catching both
-// unregistered types and unencodable fields.
+// roundTrip carries a value through the wire codec, catching both
+// unregistered types and fields the encoding drops.
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
-	var buf bytes.Buffer
-	holder := struct{ V any }{V: v}
-	if err := gob.NewEncoder(&buf).Encode(&holder); err != nil {
+	b, err := orb.EncodePayloadBytes(v)
+	if err != nil {
 		t.Fatalf("encode %T: %v", v, err)
 	}
-	var out struct{ V any }
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
+	out, err := orb.DecodePayloadBytes(b)
+	if err != nil {
 		t.Fatalf("decode %T: %v", v, err)
 	}
-	return out.V
+	return out
 }
 
 func TestAllMessageTypesCrossTheWire(t *testing.T) {

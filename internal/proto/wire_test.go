@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -297,7 +298,7 @@ func TestWireRoundTripMatchesGob(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: decode: %v", v, err)
 		}
-		want, err := orb.GobRoundTrip(v)
+		want, err := gobRoundTrip(v)
 		if err != nil {
 			t.Fatalf("%T: gob: %v", v, err)
 		}
@@ -392,5 +393,31 @@ func TestWireTruncationSafety(t *testing.T) {
 				t.Fatalf("%T: truncation at %d/%d decoded cleanly", v, cut, len(b))
 			}
 		}
+	}
+}
+
+// TestMakeReservationsArgsGoldenBytes pins one payload byte for byte
+// (tag 49 + the Figure 5 structure: master, variant bitmap, k-of-n,
+// reservation spec). The bytes were produced by the codec as it stood
+// when gob still sat beside it; a diff here is a wire-format change.
+func TestMakeReservationsArgsGoldenBytes(t *testing.T) {
+	b, err := orb.EncodePayloadBytes(MakeReservationsArgs{
+		Request: fixtureRequestList(4), RequesterDomain: "zone-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "31a9460104067a6f6e652d3106576f726b657201067a6f6e652d3104486f737401067a6f6e652d31055661756c740106" +
+		"7a6f6e652d3106576f726b657201067a6f6e652d3104486f737402067a6f6e652d31055661756c7402067a6f6e652d31" +
+		"06576f726b657201067a6f6e652d3104486f737403067a6f6e652d31055661756c7403067a6f6e652d3106576f726b65" +
+		"7201067a6f6e652d3104486f737404067a6f6e652d31055661756c7404040100067a6f6e652d3106576f726b65720106" +
+		"7a6f6e652d3104486f737405067a6f6e652d31055661756c740101030102067a6f6e652d3106576f726b657201067a6f" +
+		"6e652d3104486f737406067a6f6e652d31055661756c740201060104067a6f6e652d3106576f726b657201067a6f6e65" +
+		"2d3104486f737407067a6f6e652d31055661756c7403010c0106067a6f6e652d3106576f726b657201067a6f6e652d31" +
+		"04486f737408067a6f6e652d31055661756c7404010901067a6f6e652d3106576f726b6572010403067a6f6e652d3104" +
+		"486f737433067a6f6e652d31055661756c7401067a6f6e652d3104486f737434067a6f6e652d31055661756c7402067a" +
+		"6f6e652d3104486f737435067a6f6e652d31055661756c740301000190c79fd50c008080c58bc6d10180a0be81950106" +
+		"05617374726f8080cfa2d2f4040000000000002940067a6f6e652d32"
+	if got := hex.EncodeToString(b); got != want {
+		t.Fatalf("payload bytes moved:\n got %s\nwant %s", got, want)
 	}
 }

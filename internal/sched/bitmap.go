@@ -142,8 +142,9 @@ func (b Bitmap) Clone() Bitmap {
 	return Bitmap{words: append([]uint64(nil), b.words...)}
 }
 
-// GobEncode implements gob.GobEncoder: schedules cross the wire between
-// remote Schedulers and Enactors, and the bitmap's words are unexported.
+// GobEncode implements gob.GobEncoder: the bitmap's words are unexported,
+// and gob is how an object's saved state (package opr) and the wire
+// codec's test reference carry a schedule. The wire uses AppendWire.
 func (b Bitmap) GobEncode() ([]byte, error) {
 	out := make([]byte, 8*len(b.words))
 	for i, w := range b.words {

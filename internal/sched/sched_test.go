@@ -277,7 +277,7 @@ func TestMappingString(t *testing.T) {
 	}
 }
 
-func TestBitmapGobRoundTrip(t *testing.T) {
+func TestBitmapGobEncodeDecode(t *testing.T) {
 	f := func(idxs []uint16) bool {
 		b := NewBitmap(0)
 		for _, x := range idxs {

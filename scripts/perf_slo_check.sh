@@ -7,17 +7,17 @@
 # land in $OUT for artifact upload either way.
 #
 # Environment:
-#   BASELINE                      baseline -json file (default BENCH_PR5.json)
+#   BASELINE                      baseline -json file (default BENCH_PR8.json)
 #   OUT                           output JSON path (default bench_current.json)
 #   EXPERIMENTS                   IDs to run (default E6,E10,E13,E14,E15)
 #   LEGION_BENCH_DRIFT_MAX        relative drift gate, e.g. 0.5 (unset = report only)
 #   LEGION_PERF_QUERY_10K_US_MAX  ceiling for E8 indexed query over 10k hosts (µs)
-#   LEGION_PERF_E13_BINARY_WALL_MS_MAX  ceiling for E13's binary-codec campaign wall (ms)
+#   LEGION_PERF_E13_BINARY_WALL_MS_MAX  ceiling for E13's codec-boundary campaign wall (ms)
 #   (full ceiling list: cmd/legion-bench/slo.go)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE="${BASELINE:-BENCH_PR5.json}"
+BASELINE="${BASELINE:-BENCH_PR8.json}"
 OUT="${OUT:-bench_current.json}"
 EXPERIMENTS="${EXPERIMENTS:-E6,E10,E13,E14,E15}"
 BIN="$(mktemp -d)/legion-bench"
