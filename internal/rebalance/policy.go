@@ -1,8 +1,9 @@
 package rebalance
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"legion/internal/classobj"
 	"legion/internal/core"
@@ -44,54 +45,14 @@ func NewLeastLoaded() *LeastLoaded {
 
 // Plan implements Policy.
 func (p *LeastLoaded) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Metasystem, classes []*classobj.Class) ([]Move, error) {
-	shed := p.MaxShedPerEvent
-	if shed <= 0 {
-		shed = 1
-	}
-
-	victims := victimsOn(ev.Source, classes, shed)
+	victims := victimsOn(ev.Source, classes, max(p.MaxShedPerEvent, 1))
 	if len(victims) == 0 {
 		return nil, nil
 	}
-
-	cands, err := p.candidates(ctx, ev.Source, ms)
-	if err != nil || len(cands) == 0 {
-		return nil, err
-	}
-
-	zoneOf := func(vaultL loid.LOID) string {
-		if v := ms.VaultByLOID(vaultL); v != nil {
-			return v.Zone()
-		}
-		return ""
-	}
-
-	var moves []Move
-	for i, vic := range victims {
-		ranked := rankCandidates(cands, vic.vault, zoneOf(vic.vault))
-		if len(ranked) == 0 {
-			continue
-		}
-		// Spread multiple sheds across destinations instead of piling
-		// them all onto the single coolest host.
-		dest := ranked[i%len(ranked)]
-		toVault := dest.Vaults[0]
-		for _, dv := range dest.Vaults {
-			if dv == vic.vault {
-				toVault = dv // keep the vault: no OPR copy needed
-				break
-			}
-		}
-		moves = append(moves, Move{Class: vic.class, Instance: vic.inst, ToHost: dest.LOID, ToVault: toVault})
-	}
-	return moves, nil
+	return spread(ms, victims, candidateHosts(ctx, ev.Source, ms, p.Query), false, currentLoad), nil
 }
 
-// candidates returns usable destination host records, Collection-first
-// with a metasystem-introspection fallback.
-func (p *LeastLoaded) candidates(ctx context.Context, source loid.LOID, ms *core.Metasystem) ([]scheduler.HostInfo, error) {
-	return candidateHosts(ctx, source, ms, p.Query)
-}
+func currentLoad(hi *scheduler.HostInfo) float64 { return hi.Load }
 
 // victim is one shed candidate: a managed instance placed on the
 // overloaded source.
@@ -99,6 +60,7 @@ type victim struct {
 	class *classobj.Class
 	inst  loid.LOID
 	vault loid.LOID
+	prio  int // scheduling priority class; only PreemptingPolicy ranks by it
 }
 
 // victimsOn lists up to shed managed instances the class records place
@@ -122,8 +84,8 @@ func victimsOn(source loid.LOID, classes []*classobj.Class, shed int) []victim {
 
 // candidateHosts returns usable destination host records for a shed off
 // source, Collection-first with a metasystem-introspection fallback.
-// Shared by every rebalancing policy.
-func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, query string) ([]scheduler.HostInfo, error) {
+// Shared by every rebalancing policy; the slice is the caller's own.
+func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, query string) []scheduler.HostInfo {
 	if query == "" {
 		query = "defined($host_load)"
 	}
@@ -153,38 +115,58 @@ func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, 
 			})
 		}
 	}
-	return out, nil
+	return out
 }
 
-// rankCandidates orders destinations: current-vault-reachable first,
-// then same-zone, then the rest; each tier sorted by ascending load.
-func rankCandidates(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string) []scheduler.HostInfo {
-	return rankCandidatesBy(cands, curVault, vaultZone,
-		func(hi scheduler.HostInfo) float64 { return hi.Load })
-}
-
-// rankCandidatesBy is rankCandidates with a pluggable coolness key —
-// predictive policies rank by forecast load, reactive ones by current
-// load; the vault/zone tiering is identical.
-func rankCandidatesBy(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string, key func(scheduler.HostInfo) float64) []scheduler.HostInfo {
-	tier := func(hi scheduler.HostInfo) int {
-		for _, v := range hi.Vaults {
-			if v == curVault {
-				return 0
-			}
-		}
-		if vaultZone != "" && hi.Zone == vaultZone {
-			return 1
-		}
-		return 2
+// spread is the tail every policy ends in: rank the destinations for
+// each victim and send victim i to its i-th best (so multiple sheds
+// spread out instead of piling onto the single coolest host), keeping
+// the victim's vault whenever the destination reaches it — no OPR copy
+// needed. No candidates, no moves.
+func spread(ms *core.Metasystem, victims []victim, cands []scheduler.HostInfo, spotLast bool, key func(*scheduler.HostInfo) float64) []Move {
+	if len(cands) == 0 {
+		return nil
 	}
-	out := append([]scheduler.HostInfo(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := tier(out[i]), tier(out[j])
-		if ti != tj {
-			return ti < tj
+	var moves []Move
+	for i, vic := range victims {
+		zone := ""
+		if v := ms.VaultByLOID(vic.vault); v != nil {
+			zone = v.Zone()
 		}
-		return key(out[i]) < key(out[j])
+		ranked := rank(cands, vic.vault, zone, spotLast, key)
+		dest := ranked[i%len(ranked)]
+		toVault := dest.Vaults[0]
+		if slices.Contains(dest.Vaults, vic.vault) {
+			toVault = vic.vault
+		}
+		moves = append(moves, Move{Class: vic.class, Instance: vic.inst, ToHost: dest.LOID, ToVault: toVault})
+	}
+	return moves
+}
+
+// rank orders destinations for one victim, in tiers: hosts that reach
+// its current vault, then hosts in that vault's zone, then the rest;
+// with spotLast every reserved-class host outranks every spot one
+// before any of that. Within a tier the coolest key (current load for
+// reactive policies, forecast for predictive ones) goes first; full ties
+// keep the candidates' incoming order.
+func rank(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string, spotLast bool, key func(*scheduler.HostInfo) float64) []scheduler.HostInfo {
+	tier := func(hi *scheduler.HostInfo) int {
+		t := 2
+		switch {
+		case slices.Contains(hi.Vaults, curVault):
+			t = 0
+		case vaultZone != "" && hi.Zone == vaultZone:
+			t = 1
+		}
+		if spotLast && hi.Spot {
+			t += 3
+		}
+		return t
+	}
+	out := slices.Clone(cands)
+	slices.SortStableFunc(out, func(a, b scheduler.HostInfo) int {
+		return cmp.Or(cmp.Compare(tier(&a), tier(&b)), cmp.Compare(key(&a), key(&b)))
 	})
 	return out
 }

@@ -1,7 +1,9 @@
 package rebalance
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"legion/internal/classobj"
@@ -81,36 +83,30 @@ func (p *Predictive) watermark() float64 {
 }
 
 // forecastOf reduces one host record to its expected near-term load:
-// the predictor over its published history, or the instantaneous load
-// when no history has been published (the LeastLoaded degradation).
-func (p *Predictive) forecastOf(hi scheduler.HostInfo) float64 {
+// pred (built once per plan or scan by predictor()) over its published
+// history, or the instantaneous load when no history has been published
+// (the LeastLoaded degradation).
+func forecastOf(pred nws.Predictor, hi *scheduler.HostInfo) float64 {
 	if len(hi.LoadHistory) == 0 {
 		return hi.Load
 	}
-	return p.predictor().Predict(hi.LoadHistory)
+	return pred.Predict(hi.LoadHistory)
 }
 
 // Plan implements Policy.
 func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Metasystem, classes []*classobj.Class) ([]Move, error) {
-	shed := p.MaxShedPerEvent
-	if shed <= 0 {
-		shed = 1
-	}
-	victims := victimsOn(ev.Source, classes, shed)
+	victims := victimsOn(ev.Source, classes, max(p.MaxShedPerEvent, 1))
 	if len(victims) == 0 {
 		return nil, nil
 	}
+	cands := candidateHosts(ctx, ev.Source, ms, p.Query)
 
-	cands, err := candidateHosts(ctx, ev.Source, ms, p.Query)
-	if err != nil || len(cands) == 0 {
-		return nil, err
-	}
-
-	// Precompute forecasts once: ranking consults the key O(n log n)
-	// times, and Bank replays its whole member bank per call.
+	// Forecast each candidate once: ranking consults the key O(n log n)
+	// times per victim, and Bank replays its whole member bank per call.
+	pred := p.predictor()
 	forecast := make(map[loid.LOID]float64, len(cands))
-	for _, hi := range cands {
-		forecast[hi.LOID] = p.forecastOf(hi)
+	for i := range cands {
+		forecast[cands[i].LOID] = forecastOf(pred, &cands[i])
 	}
 	// Keep destinations not themselves predicted to cross the
 	// watermark — shedding onto tomorrow's hot spot just schedules the
@@ -125,34 +121,8 @@ func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Met
 	if len(cool) > 0 {
 		cands = cool
 	}
-
-	zoneOf := func(vaultL loid.LOID) string {
-		if v := ms.VaultByLOID(vaultL); v != nil {
-			return v.Zone()
-		}
-		return ""
-	}
-
-	var moves []Move
-	for i, vic := range victims {
-		ranked := rankCandidatesBy(cands, vic.vault, zoneOf(vic.vault),
-			func(hi scheduler.HostInfo) float64 { return forecast[hi.LOID] })
-		if len(ranked) == 0 {
-			continue
-		}
-		// Spread multiple sheds across destinations instead of piling
-		// them all onto the single coolest host.
-		dest := ranked[i%len(ranked)]
-		toVault := dest.Vaults[0]
-		for _, dv := range dest.Vaults {
-			if dv == vic.vault {
-				toVault = dv // keep the vault: no OPR copy needed
-				break
-			}
-		}
-		moves = append(moves, Move{Class: vic.class, Instance: vic.inst, ToHost: dest.LOID, ToVault: toVault})
-	}
-	return moves, nil
+	return spread(ms, victims, cands, false,
+		func(hi *scheduler.HostInfo) float64 { return forecast[hi.LOID] }), nil
 }
 
 // StartForecastScan runs the predictive sweep every interval until
@@ -202,21 +172,19 @@ func (r *Rebalancer) forecastScan(ctx context.Context, p *Predictive) {
 		forecast float64
 	}
 	var hots []hot
-	for _, hi := range infos {
+	pred := p.predictor()
+	for i := range infos {
+		hi := &infos[i]
 		if hi.Down || len(hi.LoadHistory) == 0 {
 			continue
 		}
-		if f := p.forecastOf(hi); f >= p.watermark() {
+		if f := forecastOf(pred, hi); f >= p.watermark() {
 			hots = append(hots, hot{loid: hi.LOID, forecast: f})
 		}
 	}
 	// infos arrives LOID-sorted, so this stable sort keeps the scan
 	// deterministic under the virtual clock.
-	for i := 1; i < len(hots); i++ {
-		for j := i; j > 0 && hots[j].forecast > hots[j-1].forecast; j-- {
-			hots[j], hots[j-1] = hots[j-1], hots[j]
-		}
-	}
+	slices.SortStableFunc(hots, func(a, b hot) int { return cmp.Compare(b.forecast, a.forecast) })
 	now := r.now()
 	for _, h := range hots {
 		r.handle(proto.NotifyArgs{Source: h.loid, Trigger: ForecastTrigger, Time: now})

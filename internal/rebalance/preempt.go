@@ -2,6 +2,7 @@ package rebalance
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"legion/internal/classobj"
@@ -9,7 +10,6 @@ import (
 	"legion/internal/economy"
 	"legion/internal/loid"
 	"legion/internal/proto"
-	"legion/internal/scheduler"
 )
 
 // PreemptingPolicy is the computational economy's eviction arm
@@ -63,119 +63,39 @@ func (p *PreemptingPolicy) Plan(ctx context.Context, ev proto.NotifyArgs, ms *co
 		// LeastLoaded's problem.
 		return nil, nil
 	}
-	shed := p.MaxShedPerEvent
-	if shed <= 0 {
-		shed = 1
-	}
-	prio := p.Priority
-	if prio == nil {
-		prio = func(loid.LOID) int { return 0 }
-	}
-
-	type victim struct {
-		class *classobj.Class
-		inst  loid.LOID
-		vault loid.LOID
-		prio  int
-	}
-	var victims []victim
-	for _, c := range classes {
-		for _, inst := range c.Instances() {
-			h, v, err := c.WhereIs(inst)
-			if err != nil || h != ev.Source {
-				continue
-			}
-			victims = append(victims, victim{class: c, inst: inst, vault: v, prio: prio(inst)})
-		}
-	}
+	victims := victimsOn(ev.Source, classes, math.MaxInt)
 	if len(victims) == 0 {
 		return nil, nil
 	}
 	// Cheapest blood first: lowest priority class, LOID tiebreak for
 	// determinism.
+	if p.Priority != nil {
+		for i := range victims {
+			victims[i].prio = p.Priority(victims[i].inst)
+		}
+	}
 	sort.Slice(victims, func(a, b int) bool {
 		if victims[a].prio != victims[b].prio {
 			return victims[a].prio < victims[b].prio
 		}
 		return victims[a].inst.Less(victims[b].inst)
 	})
-	if len(victims) > shed {
-		victims = victims[:shed]
-	}
+	victims = victims[:min(len(victims), max(p.MaxShedPerEvent, 1))]
 
-	cands, err := candidateHosts(ctx, ev.Source, ms, p.Query)
-	if err != nil || len(cands) == 0 {
-		return nil, err
-	}
 	// Reserved-class destinations first (so the evictee stops being
 	// preemptible), then the usual vault/zone/load ranking within each
 	// class.
-	sort.SliceStable(cands, func(a, b int) bool {
-		return !cands[a].Spot && cands[b].Spot
-	})
-
-	zoneOf := func(vaultL loid.LOID) string {
-		if v := ms.VaultByLOID(vaultL); v != nil {
-			return v.Zone()
-		}
-		return ""
-	}
-
-	var moves []Move
-	for i, vic := range victims {
-		ranked := rankPreserveSpotOrder(cands, vic.vault, zoneOf(vic.vault))
-		if len(ranked) == 0 {
-			continue
-		}
-		dest := ranked[i%len(ranked)]
-		toVault := dest.Vaults[0]
-		for _, dv := range dest.Vaults {
-			if dv == vic.vault {
-				toVault = dv
-				break
-			}
-		}
-		// Economy bookkeeping before the move is attempted: the
-		// eviction decision, not the migration outcome, is what ends
-		// the tenant's obligation to pay for this grant.
-		if tok, ok := src.TokenFor(vic.inst); ok {
+	moves := spread(ms, victims, candidateHosts(ctx, ev.Source, ms, p.Query), true, currentLoad)
+	// Economy bookkeeping before the moves are attempted: the eviction
+	// decision, not the migration outcome, is what ends the tenant's
+	// obligation to pay for this grant.
+	for _, m := range moves {
+		if tok, ok := src.TokenFor(m.Instance); ok {
 			src.NotePreempted(tok.ID)
 			if p.Ledger != nil {
 				p.Ledger.Refund(tok.ID)
 			}
 		}
-		moves = append(moves, Move{Class: vic.class, Instance: vic.inst, ToHost: dest.LOID, ToVault: toVault})
 	}
 	return moves, nil
-}
-
-// rankPreserveSpotOrder ranks like rankCandidates (vault-reachable, then
-// same-zone, then rest, by load) but keeps the caller's reserved-before-
-// spot partition as the outermost sort key.
-func rankPreserveSpotOrder(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string) []scheduler.HostInfo {
-	tier := func(hi scheduler.HostInfo) int {
-		t := 0
-		for _, v := range hi.Vaults {
-			if v == curVault {
-				t = -3
-				break
-			}
-		}
-		if t == 0 && vaultZone != "" && hi.Zone == vaultZone {
-			t = -2
-		}
-		if hi.Spot {
-			t += 10 // spot destinations always rank behind reserved ones
-		}
-		return t
-	}
-	out := append([]scheduler.HostInfo(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := tier(out[i]), tier(out[j])
-		if ti != tj {
-			return ti < tj
-		}
-		return out[i].Load < out[j].Load
-	})
-	return out
 }

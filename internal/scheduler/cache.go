@@ -22,11 +22,13 @@ import (
 // and staleness is bounded by the same figure the Collection's own pull
 // interval already imposes.
 //
-// The cached slice is handed out shared and must be treated as
-// read-only; every shipped Generator honors this by filtering through
-// usable(), which copies into a fresh backing array before any in-place
-// reorder. Time comes from the supplied Clock, so under a virtual clock
-// the TTL expires in virtual time along with everything else.
+// The cached slices are handed out shared and are read-only. That is
+// enforced by construction, not convention: generators reach them only
+// through candidates, and the only way to reorder candidates is
+// ordered(), which sorts a list of pointers into the view and never the
+// view (TestSharedViewReadOnly hammers this under -race). Time comes
+// from the supplied Clock, so under a virtual clock the TTL expires in
+// virtual time along with everything else.
 type HostCache struct {
 	clock vclock.Clock
 	ttl   time.Duration
@@ -54,47 +56,33 @@ func NewHostCache(clock vclock.Clock, ttl time.Duration) *HostCache {
 	}
 }
 
-// get returns the live entry for the query, if any.
-func (c *HostCache) get(query string) ([]HostInfo, int, bool) {
+// get returns the live entry for the query, if any — the one cache
+// lookup. Both of the entry's slices are shared across every caller in
+// the TTL window and are read-only: candidates hands out the usable view
+// for generators to index or copy from, never to reorder.
+func (c *HostCache) get(query string) (hostCacheEntry, bool) {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[query]
 	if !ok || now.Sub(e.fetched) >= c.ttl {
 		c.misses++
-		return nil, 0, false
+		return hostCacheEntry{}, false
 	}
 	c.hits++
-	return e.hosts, e.skipped, true
+	return e, true
 }
 
-// getUsable is get returning the usable-filtered view instead. The
-// returned slice is shared across every placement in the TTL window and
-// MUST be treated as read-only; it exists so non-mutating generators
-// (Random) can skip the per-placement filter copy, which at 100k hosts
-// is the placement path's dominant allocation.
-func (c *HostCache) getUsable(query string) ([]HostInfo, int, bool) {
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[query]
-	if !ok || now.Sub(e.fetched) >= c.ttl {
-		c.misses++
-		return nil, 0, false
-	}
-	c.hits++
-	return e.usable, e.skipped, true
-}
-
-// put stores a freshly fetched result, first sweeping out every expired
-// entry. Without the sweep, entries are only ever overwritten (same
-// query string) or mass-dropped by Invalidate, so a workload whose query
+// put stores a freshly fetched result and returns its entry (the usable
+// view is filtered once, here), first sweeping out every expired entry.
+// Without the sweep, entries are only ever overwritten (same query
+// string) or mass-dropped by Invalidate, so a workload whose query
 // strings vary — per-class filters, per-tenant predicates — leaks one
 // parsed fleet snapshot per distinct string forever. Sweeping here keeps
 // the map bounded by the number of query shapes live within one TTL, at
 // O(entries) per put; puts happen at most once per TTL per shape, so the
 // sweep never dominates the fetch it rides on.
-func (c *HostCache) put(query string, hosts []HostInfo, skipped int) {
+func (c *HostCache) put(query string, hosts []HostInfo, skipped int) hostCacheEntry {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,10 +92,12 @@ func (c *HostCache) put(query string, hosts []HostInfo, skipped int) {
 			c.evicted++
 		}
 	}
-	c.entries[query] = hostCacheEntry{
+	e := hostCacheEntry{
 		hosts: hosts, usable: usable(hosts),
 		skipped: skipped, fetched: now,
 	}
+	c.entries[query] = e
+	return e
 }
 
 // Invalidate drops every entry, forcing the next query of each shape to

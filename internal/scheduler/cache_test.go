@@ -40,7 +40,7 @@ func TestHostCacheEvictsExpiredEntries(t *testing.T) {
 		if n := c.Len(); n != 2 {
 			t.Errorf("entries with live neighbor = %d, want 2", n)
 		}
-		if _, _, ok := c.get("defined($host_load)"); !ok {
+		if _, ok := c.get("defined($host_load)"); !ok {
 			t.Error("live entry evicted early")
 		}
 	})

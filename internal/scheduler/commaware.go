@@ -2,8 +2,7 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 
 	"legion/internal/loid"
 	"legion/internal/netobj"
@@ -32,47 +31,26 @@ func (CommAware) Name() string { return "comm-aware" }
 
 // Generate implements Generator.
 func (g CommAware) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
-	if g.Rows < 1 || g.Cols < 1 {
-		return sched.RequestList{}, fmt.Errorf("scheduler: comm-aware needs positive grid dims, got %dx%d", g.Rows, g.Cols)
-	}
-	if len(req.Classes) != 1 || req.Classes[0].Count != g.Rows*g.Cols {
-		return sched.RequestList{}, fmt.Errorf("scheduler: comm-aware wants one class with count %d", g.Rows*g.Cols)
-	}
-	cr := req.Classes[0]
-	hosts, err := matchingHosts(ctx, env, cr.Class)
+	ranked, err := gridCandidates(ctx, env, req, g.Name(), g.Rows, g.Cols)
 	if err != nil {
 		return sched.RequestList{}, err
 	}
-	hosts = usable(hosts)
-	if len(hosts) == 0 {
-		return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-	}
-
-	// Group hosts by zone; order each group by capacity (largest first).
-	byZone := map[string][]HostInfo{}
-	for _, h := range hosts {
+	// Group the capacity ranking by zone: each group keeps it.
+	byZone := map[string][]cand{}
+	for _, h := range ranked {
 		byZone[h.Zone] = append(byZone[h.Zone], h)
 	}
 	zones := make([]string, 0, len(byZone))
 	for z := range byZone {
 		zones = append(zones, z)
-		sort.Slice(byZone[z], func(a, b int) bool {
-			ca, cb := freeCapacity(byZone[z][a]), freeCapacity(byZone[z][b])
-			if ca != cb {
-				return ca > cb
-			}
-			return byZone[z][a].LOID.Less(byZone[z][b].LOID)
-		})
 	}
-	sort.Strings(zones)
-	zones = chainZones(zones, g.Topo)
+	slices.Sort(zones)
 
-	ordered := make([]HostInfo, 0, len(hosts))
-	for _, z := range zones {
-		ordered = append(ordered, byZone[z]...)
+	chained := make([]cand, 0, len(ranked))
+	for _, z := range chainZones(zones, g.Topo) {
+		chained = append(chained, byZone[z]...)
 	}
-	master := bandSchedule(cr.Class, ordered, g.Rows, g.Cols)
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(bandSchedule(req.Classes[0].Class, chained, g.Rows, g.Cols), req), nil
 }
 
 // chainZones orders zones as a greedy nearest-neighbour chain under the

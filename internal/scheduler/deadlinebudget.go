@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
+	"legion/internal/loid"
 	"legion/internal/sched"
 )
 
@@ -65,25 +65,25 @@ func (g DeadlineBudget) Generate(ctx context.Context, env *Env, req Request) (sc
 	if est <= 0 {
 		est = time.Hour
 	}
-	deadline := req.Res.Deadline
+	// within is the deadline less Margin headroom.
+	margin := g.Margin
+	if margin <= 0 || margin > 1 {
+		margin = 0.75
+	}
+	within := time.Duration(float64(req.Res.Deadline) * margin)
 
 	var master sched.Master
 	var totalCost float64
+	buy := func(class loid.LOID, h cand) {
+		master.Mappings = append(master.Mappings, h.mapping(class, 0))
+		totalCost += h.Price * est.Hours()
+	}
 	for _, cr := range req.Classes {
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		view, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
-		sort.Slice(hosts, func(a, b int) bool {
-			if hosts[a].Price != hosts[b].Price {
-				return hosts[a].Price < hosts[b].Price
-			}
-			return hosts[a].LOID.Less(hosts[b].LOID)
-		})
+		hosts := ordered(view, byPrice)
 		// Within one price tier, order is irrelevant to cost — shuffle it
 		// so concurrent cheapest-first buyers spread across equally-cheap
 		// hosts instead of all piling onto the lexicographically first
@@ -100,94 +100,40 @@ func (g DeadlineBudget) Generate(ctx context.Context, env *Env, req Request) (sc
 				lo = hi
 			}
 		}
-		// capFor bounds how many instances a host can finish within the
-		// deadline (with Margin headroom), under the same fluid capacity
-		// model the makespan judge applies: n tasks of the estimated
-		// duration complete in est×n×(1+load)/(CPUs×speed), where load
-		// includes the n/CPUs the placed instances themselves add once
-		// running.
-		margin := g.Margin
-		if margin <= 0 || margin > 1 {
-			margin = 0.75
+		// Only hosts that can finish at least one instance in time are
+		// ever bought from or offered as alternatives.
+		room := func(h cand) int {
+			if req.Res.Deadline <= 0 {
+				return cr.Count // no deadline: everything fits
+			}
+			return fitsWithin(h.HostInfo, est, within, cr.Count)
 		}
-		budget := time.Duration(float64(deadline) * margin)
-		capFor := func(h HostInfo) int {
-			if deadline <= 0 {
-				return cr.Count
+		feasible := hosts[:0]
+		for _, h := range hosts {
+			if room(h) > 0 {
+				feasible = append(feasible, h)
 			}
-			cpus := h.CPUs
-			if cpus < 1 {
-				cpus = 1
-			}
-			speed := h.Speed
-			if speed <= 0 {
-				speed = 1
-			}
-			n := 0
-			for n < cr.Count {
-				m := float64(n + 1)
-				t := float64(est) * m * (1 + h.Load + m/float64(cpus)) / (float64(cpus) * speed)
-				if time.Duration(t) > budget {
-					break
-				}
-				n++
-			}
-			return n
 		}
 		placed := 0
-		for hi := 0; hi < len(hosts) && placed < cr.Count; hi++ {
-			h := hosts[hi]
-			room := capFor(h)
-			if room <= 0 {
-				continue
-			}
-			n := cr.Count - placed
-			if room < n {
-				n = room
-			}
-			for k := 0; k < n; k++ {
-				idx := len(master.Mappings)
-				master.Mappings = append(master.Mappings, sched.Mapping{
-					Class: cr.Class, Host: h.LOID, Vault: h.Vaults[0],
-				})
-				totalCost += h.Price * est.Hours()
+		for fi := 0; fi < len(feasible) && placed < cr.Count; fi++ {
+			h := feasible[fi]
+			for k := min(room(h), cr.Count-placed); k > 0; k-- {
 				// Alternatives: the next-cheapest hosts that also meet
 				// the deadline, so enactment failures degrade to the
 				// next-best buy instead of a rescheduling round trip.
-				vn := 0
-				for aj := hi + 1; aj < len(hosts) && vn < nVar; aj++ {
-					if capFor(hosts[aj]) <= 0 {
-						continue
-					}
-					for len(master.Variants) <= vn {
-						master.Variants = append(master.Variants, sched.Variant{})
-					}
-					master.Variants[vn].AddReplacement(idx, sched.Mapping{
-						Class: cr.Class, Host: hosts[aj].LOID, Vault: hosts[aj].Vaults[0],
-					})
-					vn++
-				}
+				addVariants(&master, len(master.Mappings), cr.Class, upTo(feasible, fi+1, nVar))
+				buy(cr.Class, h)
+				placed++
 			}
-			placed += n
 		}
 		if placed < cr.Count {
 			// The deadline leaves too little feasible capacity in the
 			// whole fleet. Best effort: spread the remainder across the
 			// fastest (least-loaded) hosts — the deadline will slip, but
 			// by the least the estimates allow.
-			byLoad := append([]HostInfo(nil), hosts...)
-			sort.Slice(byLoad, func(a, b int) bool {
-				if byLoad[a].Load != byLoad[b].Load {
-					return byLoad[a].Load < byLoad[b].Load
-				}
-				return byLoad[a].LOID.Less(byLoad[b].LOID)
-			})
-			for i := placed; i < cr.Count; i++ {
-				h := byLoad[(i-placed)%len(byLoad)]
-				master.Mappings = append(master.Mappings, sched.Mapping{
-					Class: cr.Class, Host: h.LOID, Vault: h.Vaults[0],
-				})
-				totalCost += h.Price * est.Hours()
+			coolest := ordered(view, byLoad)
+			for i := 0; placed < cr.Count; i, placed = i+1, placed+1 {
+				buy(cr.Class, coolest[i%len(coolest)])
 			}
 		}
 	}
@@ -195,5 +141,28 @@ func (g DeadlineBudget) Generate(ctx context.Context, env *Env, req Request) (sc
 		return sched.RequestList{}, fmt.Errorf("%w: cost %.6g > budget %.6g (tenant %q)",
 			ErrBudgetInfeasible, totalCost, req.Res.Budget, req.Res.Tenant)
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
+}
+
+// fitsWithin bounds how many of want instances a host can finish within
+// the given time, under the same fluid capacity model the makespan judge
+// applies: n tasks of the estimated duration complete in
+// est×n×(1+load)/(CPUs×speed), where load includes the n/CPUs the placed
+// instances themselves add once running.
+func fitsWithin(h *HostInfo, est, within time.Duration, want int) int {
+	cpus := float64(max(h.CPUs, 1))
+	speed := h.Speed
+	if speed <= 0 {
+		speed = 1
+	}
+	n := 0
+	for n < want {
+		m := float64(n + 1)
+		t := float64(est) * m * (1 + h.Load + m/cpus) / (cpus * speed)
+		if time.Duration(t) > within {
+			break
+		}
+		n++
+	}
+	return n
 }

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
 
 	"legion/internal/sched"
 )
@@ -43,20 +42,14 @@ func (g IRS) Generate(ctx context.Context, env *Env, req Request) (sched.Request
 	for _, cr := range req.Classes {
 		// One class-implementations query + one Collection lookup per
 		// class — this is the lookup economy over calling Random n times.
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
 		for i := 0; i < cr.Count; i++ {
 			list := make([]sched.Mapping, n)
-			for l := 0; l < n; l++ {
-				h := hosts[env.Rand.Intn(len(hosts))]
-				v := h.Vaults[env.Rand.Intn(len(h.Vaults))]
-				list[l] = sched.Mapping{Class: cr.Class, Host: h.LOID, Vault: v}
+			for l := range list {
+				list[l] = randomMapping(env.Rand, cr.Class, hosts)
 			}
 			choices = append(choices, list)
 		}
@@ -79,5 +72,5 @@ func (g IRS) Generate(ctx context.Context, env *Env, req Request) (sched.Request
 			master.Variants = append(master.Variants, v)
 		}
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }

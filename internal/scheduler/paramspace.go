@@ -1,9 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"legion/internal/classobj"
@@ -101,39 +101,34 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 	// the least-loaded compatible host not already carrying more of this
 	// study's slots than its share.
 	inUse := make(map[loid.LOID]int)
+	bySlotLoad := func(a, b cand) int {
+		return cmp.Compare(a.Load+float64(inUse[a.LOID]), b.Load+float64(inUse[b.LOID]))
+	}
 	negotiate := func(s *psSlot) error {
-		hosts, err := matchingUsableHosts(ctx, env, class.LOID())
+		view, err := candidates(ctx, env, class.LOID())
 		if err != nil {
 			return err
 		}
-		if len(hosts) == 0 {
-			return ErrNoResources
-		}
-		sort.SliceStable(hosts, func(i, j int) bool {
-			li := hosts[i].Load + float64(inUse[hosts[i].LOID])
-			lj := hosts[j].Load + float64(inUse[hosts[j].LOID])
-			return li < lj
-		})
 		dur := p.Duration
 		if dur <= 0 {
 			dur = time.Hour
 		}
 		var lastErr error
-		for _, h := range hosts {
-			reply, err := caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
+		for _, h := range ordered(view, bySlotLoad) {
+			reply, err := replyAs[proto.MakeReservationReply](caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: env.Collection, // the study has no LOID of its own; attribute to the RM
-				Vault:     h.Vaults[0],
+				Vault:     h.hostVault(0).Vault,
 				Type:      reservation.ReusableTimesharing,
 				Duration:  dur,
 				Priority:  p.Priority,
 				Tenant:    p.Tenant,
-			})
+			}))
 			res.ReservationRPCs++
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			tok := reply.(proto.MakeReservationReply).Token
+			tok := reply.Token
 			s.placement = proto.Placement{Host: h.LOID, Vault: tok.Vault, Token: tok}
 			s.used = 0
 			inUse[h.LOID]++

@@ -2,8 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"legion/internal/sched"
@@ -23,22 +21,16 @@ func (*RoundRobin) Name() string { return "round-robin" }
 func (rr *RoundRobin) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
 	var master sched.Master
 	for _, cr := range req.Classes {
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
 		for i := 0; i < cr.Count; i++ {
-			h := hosts[int(rr.next.Add(1)-1)%len(hosts)]
-			master.Mappings = append(master.Mappings, sched.Mapping{
-				Class: cr.Class, Host: h.LOID, Vault: h.Vaults[0],
-			})
+			h := &hosts[int(rr.next.Add(1)-1)%len(hosts)]
+			master.Mappings = append(master.Mappings, h.mapping(cr.Class, 0))
 		}
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }
 
 // LoadAware places instances on the least-loaded matching hosts,
@@ -64,59 +56,23 @@ func (g LoadAware) Generate(ctx context.Context, env *Env, req Request) (sched.R
 		nVar = 2
 	}
 	var master sched.Master
-	type projected struct {
-		HostInfo
-		extra int // instances this schedule has already put here
-	}
 	for _, cr := range req.Classes {
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
-		pool := make([]projected, len(hosts))
-		for i, h := range hosts {
-			pool[i] = projected{HostInfo: h}
-		}
-		effLoad := func(p projected) float64 {
-			cpus := p.CPUs
-			if cpus < 1 {
-				cpus = 1
-			}
-			return p.Load + float64(p.extra)/float64(cpus)
-		}
+		pool := owned(hosts)
 		for i := 0; i < cr.Count; i++ {
-			// Least projected load wins; ties break on LOID for
-			// determinism.
-			sort.Slice(pool, func(a, b int) bool {
-				la, lb := effLoad(pool[a]), effLoad(pool[b])
-				if la != lb {
-					return la < lb
-				}
-				return pool[a].LOID.Less(pool[b].LOID)
-			})
-			best := &pool[0]
+			// Least projected load wins; each placement re-ranks the pool.
+			order(pool, byProjectedLoad)
 			idx := len(master.Mappings)
-			master.Mappings = append(master.Mappings, sched.Mapping{
-				Class: cr.Class, Host: best.LOID, Vault: best.Vaults[0],
-			})
-			best.extra++
+			master.Mappings = append(master.Mappings, pool[0].mapping(cr.Class, 0))
+			pool[0].placed++
 			// Variants: the next-best alternatives for this entry.
-			for v := 0; v < nVar && v+1 < len(pool); v++ {
-				for len(master.Variants) <= v {
-					master.Variants = append(master.Variants, sched.Variant{})
-				}
-				alt := pool[v+1]
-				master.Variants[v].AddReplacement(idx, sched.Mapping{
-					Class: cr.Class, Host: alt.LOID, Vault: alt.Vaults[0],
-				})
-			}
+			addVariants(&master, idx, cr.Class, upTo(pool, 1, nVar))
 		}
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }
 
 // CostAware prefers the cheapest matching hosts ($host_cost_per_cpu),
@@ -132,29 +88,14 @@ func (CostAware) Name() string { return "cost-aware" }
 func (CostAware) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
 	var master sched.Master
 	for _, cr := range req.Classes {
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
-		sort.Slice(hosts, func(a, b int) bool {
-			if hosts[a].Cost != hosts[b].Cost {
-				return hosts[a].Cost < hosts[b].Cost
-			}
-			if hosts[a].Load != hosts[b].Load {
-				return hosts[a].Load < hosts[b].Load
-			}
-			return hosts[a].LOID.Less(hosts[b].LOID)
-		})
+		cheapest := ordered(hosts, byCostThenLoad)
 		for i := 0; i < cr.Count; i++ {
-			h := hosts[i%len(hosts)]
-			master.Mappings = append(master.Mappings, sched.Mapping{
-				Class: cr.Class, Host: h.LOID, Vault: h.Vaults[0],
-			})
+			master.Mappings = append(master.Mappings, cheapest[i%len(cheapest)].mapping(cr.Class, 0))
 		}
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
 
 	"legion/internal/sched"
 )
@@ -32,23 +31,16 @@ func (Random) Generate(ctx context.Context, env *Env, req Request) (sched.Reques
 	}
 	var master sched.Master
 	for _, cr := range req.Classes {
-		// Read-only shared view: Random only indexes into it, so it can
-		// share the cache's filtered snapshot instead of copying 100k
-		// HostInfos per placement.
-		hosts, err := matchingUsableHosts(ctx, env, cr.Class)
+		// Random only indexes into the view, so it reads the cache's
+		// shared snapshot in place instead of copying 100k HostInfos per
+		// placement.
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		if len(hosts) == 0 {
-			return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-		}
 		for i := 0; i < cr.Count; i++ {
-			h := hosts[env.Rand.Intn(len(hosts))]
-			v := h.Vaults[env.Rand.Intn(len(h.Vaults))]
-			master.Mappings = append(master.Mappings, sched.Mapping{
-				Class: cr.Class, Host: h.LOID, Vault: v,
-			})
+			master.Mappings = append(master.Mappings, randomMapping(env.Rand, cr.Class, hosts))
 		}
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }

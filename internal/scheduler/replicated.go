@@ -30,41 +30,28 @@ func (Replicated) Name() string { return "replicated-k-of-n" }
 func (g Replicated) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
 	var master sched.Master
 	for _, cr := range req.Classes {
-		hosts, err := matchingHosts(ctx, env, cr.Class)
+		hosts, err := candidates(ctx, env, cr.Class)
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		hosts = usable(hosts)
 		if len(hosts) < cr.Count {
 			return sched.RequestList{}, fmt.Errorf(
 				"%w: class %v wants %d distinct hosts, %d available",
 				ErrNoResources, cr.Class, cr.Count, len(hosts))
 		}
-		// Rank by load, least first; ties by LOID for determinism.
-		ordered := append([]HostInfo(nil), hosts...)
-		for i := 1; i < len(ordered); i++ {
-			for j := i; j > 0; j-- {
-				a, b := ordered[j-1], ordered[j]
-				if b.Load < a.Load || (b.Load == a.Load && b.LOID.Less(a.LOID)) {
-					ordered[j-1], ordered[j] = b, a
-				} else {
-					break
-				}
-			}
-		}
+		ranked := ordered(hosts, byLoad)
 		n := g.N
-		if n <= 0 || n > len(ordered) {
-			n = len(ordered)
+		if n <= 0 || n > len(ranked) {
+			n = len(ranked)
 		}
 		if n < cr.Count {
 			n = cr.Count
 		}
 		group := sched.KofN{Class: cr.Class, K: cr.Count}
-		for _, h := range ordered[:n] {
-			group.Alternatives = append(group.Alternatives,
-				sched.HostVault{Host: h.LOID, Vault: h.Vaults[0]})
+		for _, h := range ranked[:n] {
+			group.Alternatives = append(group.Alternatives, h.hostVault(0))
 		}
 		master.KofN = append(master.KofN, group)
 	}
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(master, req), nil
 }

@@ -9,20 +9,35 @@
 //
 // The paper is explicit that Legion provides enabling technology, not
 // scheduling research: "Legion provides simple, generic default
-// Schedulers that offer the classic '90%' solution". This package
-// provides:
+// Schedulers that offer the classic '90%' solution". So the package is
+// one small mechanism (place.go) and ten policies that are a few lines
+// each over it.
 //
-//   - Random — the Figure 7 random placement generator;
-//   - IRS — Improved Random Scheduling (Figures 8 and 9), which computes
-//     n mappings per object instance with fewer Collection lookups and
-//     emits master + variant schedules;
-//   - RoundRobin — a simple deterministic spreader;
-//   - LoadAware — least-loaded placement using $host_load;
-//   - Stencil — a specialized policy for 2-D nearest-neighbour grids
-//     (§4.3's MPI ocean-simulation scenario), minimizing cross-host
-//     communication edges;
+// The mechanism does what every policy needs and none should repeat:
 //
-// plus the Wrapper retry protocol of Figure 9 that drives any generator
+//   - candidates: query the class for implementations, query the
+//     Collection (through Env.Cache) for matching Hosts, drop hosts that
+//     are down or reach no vault, raise ErrNoResources when nothing is
+//     left. The result is a read-only view, shared under a cache.
+//   - order: sort an owned copy of the view by an ordering, LOID
+//     tiebreak appended, so every ranking is total and deterministic.
+//   - fill: turn a host into a sched.Mapping or sched.HostVault, record
+//     the next k alternatives as variant schedules, wrap the master.
+//
+// A generator supplies an ordering and a pick rule:
+//
+//	Random          no ordering      uniform host, uniform vault (Fig 7)
+//	IRS             no ordering      n Random picks per instance → master + variants (Fig 8)
+//	RoundRobin      LOID order       next host, position kept across calls
+//	LoadAware       projected load   head of the list, re-ranked per instance; next k as variants
+//	CostAware       cost, then load  cycle the list
+//	Replicated      load             first N as a k-of-n equivalence class
+//	DeadlineBudget  price            cheapest deadline-feasible first; next k feasible as variants
+//	Stencil         free capacity    contiguous row bands apportioned by capacity (§4.3)
+//	CommAware       free capacity    Stencil's bands walked along a latency chain of zones
+//	ParamSpace      load + slots     first host to grant a reusable reservation
+//
+// plus the Wrapper retry protocol of Figure 9 that drives any Generator
 // through the Enactor.
 package scheduler
 
@@ -160,15 +175,22 @@ type HostInfo struct {
 func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Implementation, error) {
 	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
 	defer cancel()
-	res, err := env.call(cctx, class, proto.MethodGetImplementations, nil)
+	reply, err := replyAs[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
 	}
-	reply, ok := res.(proto.ImplementationsReply)
-	if !ok {
-		return nil, fmt.Errorf("scheduler: unexpected reply %T", res)
-	}
 	return reply.Impls, nil
+}
+
+// replyAs types a call's result, passing a call error through. Peers may
+// be remote or version-skewed, so a reply of another type is an error
+// like any other — never a panic.
+func replyAs[T any](res any, err error) (T, error) {
+	reply, ok := res.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("scheduler: unexpected reply %T", res)
+	}
+	return reply, err
 }
 
 // implQuery builds the Collection query matching hosts able to run any of
@@ -199,16 +221,6 @@ func implQuery(impls []proto.Implementation) string {
 	return strings.Join(terms, " or ")
 }
 
-// matchingHosts runs one Collection query for a class and parses the
-// results. This is the single lookup per class that IRS amortizes.
-func matchingHosts(ctx context.Context, env *Env, class loid.LOID) ([]HostInfo, error) {
-	impls, err := queryClassImpls(ctx, env, class)
-	if err != nil {
-		return nil, err
-	}
-	return QueryHosts(ctx, env, implQuery(impls))
-}
-
 // QueryHosts runs an arbitrary query against the Collection and parses
 // host records from the result. When the Collection is a federation
 // Router, the result may silently be partial; schedulers that should
@@ -218,28 +230,6 @@ func QueryHosts(ctx context.Context, env *Env, querySrc string) ([]HostInfo, err
 	return hosts, err
 }
 
-// matchingUsableHosts is matchingHosts pre-filtered through usable().
-// The returned slice may be the cache's shared filtered view: callers
-// MUST NOT reorder or mutate it. Generators that sort or shuffle in
-// place use matchingHosts + usable() (which copies) instead.
-func matchingUsableHosts(ctx context.Context, env *Env, class loid.LOID) ([]HostInfo, error) {
-	impls, err := queryClassImpls(ctx, env, class)
-	if err != nil {
-		return nil, err
-	}
-	querySrc := implQuery(impls)
-	if env.Cache != nil {
-		if hosts, _, ok := env.Cache.getUsable(querySrc); ok {
-			return hosts, nil
-		}
-	}
-	hosts, _, err := QueryHostsPartial(ctx, env, querySrc)
-	if err != nil {
-		return nil, err
-	}
-	return usable(hosts), nil
-}
-
 // QueryHostsPartial is QueryHosts surfacing the federation layer's
 // partial-result marker: skipped is how many Collection shards
 // contributed nothing (timed out, unreachable, breaker-open) — always
@@ -247,32 +237,37 @@ func matchingUsableHosts(ctx context.Context, env *Env, class loid.LOID) ([]Host
 // seeing skipped > 0 knows the host list under-represents the
 // metasystem and can widen its schedule or retry later.
 func QueryHostsPartial(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
+	snap, err := hostSnapshot(ctx, env, querySrc)
+	return snap.hosts, snap.skipped, err
+}
+
+// hostSnapshot answers a Collection query with parsed host records in
+// LOID order: the live Env.Cache entry when there is one, otherwise a
+// fresh fetch (stored for the next caller when a cache is set). This is
+// the single lookup per class that IRS amortizes.
+func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntry, error) {
 	if env.Cache != nil {
-		if hosts, skipped, ok := env.Cache.get(querySrc); ok {
-			return hosts, skipped, nil
+		if snap, ok := env.Cache.get(querySrc); ok {
+			return snap, nil
 		}
 	}
 	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
 	defer cancel()
-	res, err := env.call(cctx, env.Collection, proto.MethodQueryCollection,
-		proto.QueryArgs{Query: querySrc})
+	reply, err := replyAs[proto.QueryReply](env.call(cctx, env.Collection,
+		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
 	if err != nil {
-		return nil, 0, fmt.Errorf("scheduler: collection query: %w", err)
+		return hostCacheEntry{}, fmt.Errorf("scheduler: collection query: %w", err)
 	}
-	reply, ok := res.(proto.QueryReply)
-	if !ok {
-		return nil, 0, fmt.Errorf("scheduler: unexpected reply %T", res)
-	}
-	hosts = make([]HostInfo, 0, len(reply.Records))
+	hosts := make([]HostInfo, 0, len(reply.Records))
 	for _, rec := range reply.Records {
 		hosts = append(hosts, parseHostInfo(rec))
 	}
-	// Deterministic base order; randomized policies shuffle explicitly.
+	// Deterministic base order; randomized policies draw explicitly.
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].LOID.Less(hosts[j].LOID) })
 	if env.Cache != nil {
-		env.Cache.put(querySrc, hosts, reply.SkippedShards)
+		return env.Cache.put(querySrc, hosts, reply.SkippedShards), nil
 	}
-	return hosts, reply.SkippedShards, nil
+	return hostCacheEntry{hosts: hosts, skipped: reply.SkippedShards}, nil
 }
 
 // parseHostInfo converts a Collection record into a HostInfo.
@@ -329,17 +324,4 @@ func parseHostInfo(rec proto.CollectionRecord) HostInfo {
 		}
 	}
 	return h
-}
-
-// usable filters hosts that have at least one compatible vault — a host
-// with no vault cannot run anything (objects need OPR storage) — and are
-// not flagged down by the failure detector.
-func usable(hosts []HostInfo) []HostInfo {
-	out := hosts[:0:0]
-	for _, h := range hosts {
-		if len(h.Vaults) > 0 && !h.Down {
-			out = append(out, h)
-		}
-	}
-	return out
 }

@@ -31,56 +31,37 @@ func (Stencil) Name() string { return "stencil" }
 
 // Generate implements Generator.
 func (g Stencil) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
-	if g.Rows < 1 || g.Cols < 1 {
-		return sched.RequestList{}, fmt.Errorf("scheduler: stencil needs positive grid dims, got %dx%d", g.Rows, g.Cols)
-	}
-	if len(req.Classes) != 1 || req.Classes[0].Count != g.Rows*g.Cols {
-		return sched.RequestList{}, fmt.Errorf("scheduler: stencil wants one class with count %d", g.Rows*g.Cols)
-	}
-	cr := req.Classes[0]
-	hosts, err := matchingHosts(ctx, env, cr.Class)
+	ranked, err := gridCandidates(ctx, env, req, g.Name(), g.Rows, g.Cols)
 	if err != nil {
 		return sched.RequestList{}, err
 	}
-	hosts = usable(hosts)
-	if len(hosts) == 0 {
-		return sched.RequestList{}, fmt.Errorf("%w: class %v", ErrNoResources, cr.Class)
-	}
-
-	// Order hosts by free capacity, largest first, so the biggest
-	// contiguous band lands on the roomiest machine.
-	sort.Slice(hosts, func(a, b int) bool {
-		ca, cb := freeCapacity(hosts[a]), freeCapacity(hosts[b])
-		if ca != cb {
-			return ca > cb
-		}
-		return hosts[a].LOID.Less(hosts[b].LOID)
-	})
-	master := bandSchedule(cr.Class, hosts, g.Rows, g.Cols)
-	return sched.RequestList{Masters: []sched.Master{master}, Res: req.Res}, nil
+	return schedule(bandSchedule(req.Classes[0].Class, ranked, g.Rows, g.Cols), req), nil
 }
 
-// freeCapacity estimates a host's remaining compute: CPUs scaled by idle
-// fraction, floored so even saturated hosts can take a sliver.
-func freeCapacity(h HostInfo) float64 {
-	cpus := h.CPUs
-	if cpus < 1 {
-		cpus = 1
+// gridCandidates checks that the request is one class of rows×cols
+// instances and ranks its candidates by free capacity, largest first, so
+// the biggest contiguous band lands on the roomiest machine.
+func gridCandidates(ctx context.Context, env *Env, req Request, name string, rows, cols int) ([]cand, error) {
+	if rows < 1 || cols < 1 {
+		return nil, fmt.Errorf("scheduler: %s needs positive grid dims, got %dx%d", name, rows, cols)
 	}
-	free := 1 - h.Load
-	if free < 0.05 {
-		free = 0.05
+	if len(req.Classes) != 1 || req.Classes[0].Count != rows*cols {
+		return nil, fmt.Errorf("scheduler: %s wants one class with count %d", name, rows*cols)
 	}
-	return float64(cpus) * free
+	view, err := candidates(ctx, env, req.Classes[0].Class)
+	if err != nil {
+		return nil, err
+	}
+	return ordered(view, byFreeCapacity), nil
 }
 
 // apportionRows distributes rows to the (pre-ordered) hosts proportional
 // to free capacity, largest-remainder method: every row is owned and at
 // most len(hosts) bands exist.
-func apportionRows(hosts []HostInfo, rows int) []int {
+func apportionRows(hosts []cand, rows int) []int {
 	total := 0.0
 	for _, h := range hosts {
-		total += freeCapacity(h)
+		total += h.freeCapacity()
 	}
 	quota := make([]int, len(hosts))
 	assigned := 0
@@ -90,7 +71,7 @@ func apportionRows(hosts []HostInfo, rows int) []int {
 	}
 	fracs := make([]frac, len(hosts))
 	for i, h := range hosts {
-		exact := float64(rows) * freeCapacity(h) / total
+		exact := float64(rows) * h.freeCapacity() / total
 		quota[i] = int(exact)
 		fracs[i] = frac{i: i, f: exact - float64(quota[i])}
 		assigned += quota[i]
@@ -109,7 +90,7 @@ func apportionRows(hosts []HostInfo, rows int) []int {
 
 // bandSchedule emits a row-major master schedule assigning contiguous
 // row bands to hosts in the given order.
-func bandSchedule(class loid.LOID, hosts []HostInfo, rows, cols int) sched.Master {
+func bandSchedule(class loid.LOID, hosts []cand, rows, cols int) sched.Master {
 	quota := apportionRows(hosts, rows)
 	master := sched.Master{Mappings: make([]sched.Mapping, 0, rows*cols)}
 	hostIdx, rowsLeft := 0, 0
@@ -124,9 +105,7 @@ func bandSchedule(class loid.LOID, hosts []HostInfo, rows, cols int) sched.Maste
 		}
 		h := hosts[hostIdx]
 		for col := 0; col < cols; col++ {
-			master.Mappings = append(master.Mappings, sched.Mapping{
-				Class: class, Host: h.LOID, Vault: h.Vaults[0],
-			})
+			master.Mappings = append(master.Mappings, h.mapping(class, 0))
 		}
 		rowsLeft--
 		if rowsLeft == 0 {

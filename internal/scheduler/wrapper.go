@@ -130,8 +130,8 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			var staleIDs []uint64
 			rerr := env.Retry.Do(ctx, func(actx context.Context) error {
 				request.ID = wrapperIDs.Add(1)
-				res, cerr := caller.CallOnce(actx, enactorL, proto.MethodMakeReservations,
-					proto.MakeReservationsArgs{Request: request, RequesterDomain: env.RT.Domain()})
+				reply, cerr := replyAs[proto.FeedbackReply](caller.CallOnce(actx, enactorL, proto.MethodMakeReservations,
+					proto.MakeReservationsArgs{Request: request, RequesterDomain: env.RT.Domain()}))
 				if cerr != nil {
 					// The attempt may have succeeded server-side with the
 					// reply lost — its episode (never to be enacted: the
@@ -141,14 +141,15 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 					// unless the fault provably fired before dispatch
 					// (NeverReached), in which case no episode exists and
 					// a cancel would be pure extra load on a link that is
-					// already misbehaving.
+					// already misbehaving. A reply of the wrong type lands
+					// here too: whatever answered may be holding grants.
 					if !resilient.NeverReached(cerr) {
 						staleIDs = append(staleIDs, request.ID)
 					}
 					out.TransportRetries++
 					return cerr
 				}
-				fb = res.(proto.FeedbackReply).Feedback
+				fb = reply.Feedback
 				return nil
 			})
 			for _, id := range staleIDs {
@@ -177,8 +178,8 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			// enact_schedule is idempotent at the Enactor (a retried
 			// success returns the same instances), so the same request
 			// ID is safely retried through the resilient caller.
-			eres, err := caller.Call(ctx, enactorL, proto.MethodEnactSchedule,
-				proto.EnactScheduleArgs{RequestID: request.ID})
+			reply, err := replyAs[proto.EnactReply](caller.Call(ctx, enactorL, proto.MethodEnactSchedule,
+				proto.EnactScheduleArgs{RequestID: request.ID}))
 			if err != nil {
 				lastErr = err
 				// A refusal (admission shed, deadline expired before
@@ -186,15 +187,14 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 				// held reservations can be released immediately instead
 				// of aging out through the confirmation timeouts. Other
 				// errors are ambiguous — the enactment may have
-				// completed with the reply lost — and cancelling could
-				// strand running instances, so those are left to the
-				// Enactor's TTL sweep and the hosts' reapers.
+				// completed with the reply lost or mistyped — and
+				// cancelling could strand running instances, so those are
+				// left to the Enactor's TTL sweep and the hosts' reapers.
 				if isRefusal(err) {
 					cancelEpisode(request.ID)
 				}
 				continue
 			}
-			reply := eres.(proto.EnactReply)
 			if reply.Success {
 				out.Success = true
 				out.RequestID = request.ID
