@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	"legion/internal/attr"
@@ -53,22 +52,20 @@ func main() {
 		recs := res.(proto.QueryReply).Records
 		fmt.Printf("%d record(s) match %q\n", len(recs), *q)
 		for _, r := range recs {
-			m := attr.FromPairs(r.Attrs)
 			if *verbose {
 				fmt.Printf("  %s\n", r.Member)
-				names := make([]string, 0, len(m))
-				for n := range m {
-					names = append(names, n)
-				}
-				sort.Strings(names)
-				for _, n := range names {
-					fmt.Printf("    %-26s %s\n", n, m[n])
+				for _, p := range r.Attrs {
+					fmt.Printf("    %-26s %s\n", p.Name, p.Value)
 				}
 				continue
 			}
+			get := func(name string) attr.Value {
+				v, _ := attr.Lookup(r.Attrs, name)
+				return v
+			}
 			fmt.Printf("  %-14s %s/%s load=%s cpus=%s\n", r.Member.Short(),
-				m["host_arch"].Str(), m["host_os_name"].Str(),
-				m["host_load"], m["host_cpus"])
+				get("host_arch").Str(), get("host_os_name").Str(),
+				get("host_load"), get("host_cpus"))
 		}
 	}
 

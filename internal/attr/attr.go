@@ -15,8 +15,9 @@
 package attr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -273,7 +274,7 @@ func (s *Set) Snapshot() []Pair {
 		pairs = append(pairs, Pair{Name: k, Value: v})
 	}
 	s.mu.RUnlock()
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Name < pairs[j].Name })
+	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Name, b.Name) })
 	return pairs
 }
 
@@ -285,6 +286,27 @@ func (s *Set) Clone() *Set {
 // Lookup adapts the Set to the query evaluator's attribute-resolution
 // interface: it returns the value bound to $name.
 func (s *Set) Lookup(name string) (Value, bool) { return s.Get(name) }
+
+// Lookup finds name in pairs, which must be sorted by name (a Snapshot,
+// or the attributes of a Collection record): a binary search, no map. A
+// record is some twenty contiguous pairs, so the five or so string
+// compares this costs are cheaper than hashing the name once — and a
+// reader gets to use the slice the store already holds.
+func Lookup(pairs []Pair, name string) (Value, bool) {
+	lo, hi := 0, len(pairs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pairs[mid].Name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(pairs) && pairs[lo].Name == name {
+		return pairs[lo].Value, true
+	}
+	return Value{}, false
+}
 
 // FromPairs builds a read-only lookup map from a snapshot, for evaluating
 // queries over records that are no longer backed by a live Set.

@@ -216,3 +216,25 @@ func TestAtPanicsOnNonList(t *testing.T) {
 	}()
 	Int(1).At(0)
 }
+
+func TestLookupSortedPairs(t *testing.T) {
+	pairs := NewSet(
+		Pair{Name: "host_load", Value: Float(0.5)},
+		Pair{Name: "host_arch", Value: String("x86")},
+		Pair{Name: "host_zone", Value: String("z1")},
+		Pair{Name: "host_cpus", Value: Int(8)},
+	).Snapshot()
+	for _, p := range pairs { // first, last and middle
+		if v, ok := Lookup(pairs, p.Name); !ok || !v.Equal(p.Value) {
+			t.Errorf("Lookup(%q) = %v, %v", p.Name, v, ok)
+		}
+	}
+	for _, name := range []string{"", "a", "host_b", "host_load_history", "z"} { // before, between, after
+		if v, ok := Lookup(pairs, name); ok || v.IsValid() {
+			t.Errorf("Lookup(%q) = %v, %v on a set without it", name, v, ok)
+		}
+	}
+	if _, ok := Lookup(nil, "host_arch"); ok {
+		t.Error("Lookup found a name in no pairs")
+	}
+}

@@ -28,7 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,40 +75,91 @@ var (
 	ErrNotMember = errors.New("collection: not a member")
 )
 
-// record is one member's stored description. Records are immutable
-// copy-on-write snapshots: mutators build a replacement record and swap
-// the pointer under the write lock, so queries capture a consistent
-// snapshot with a brief read lock and evaluate entirely outside it, and
-// query results share the pre-sorted pairs slice instead of deep-copying
-// and re-sorting the attributes per match.
+// record is one member's stored description: its attributes as a slice
+// strictly sorted by name, and nothing else. That slice is the record on
+// the whole read path — the query evaluator and the index binary-search
+// it (record implements query.Record), query replies share it, the
+// scheduler walks it — so no map is built per record anywhere.
+//
+// Records are immutable copy-on-write snapshots: mutators build a
+// replacement record and swap the pointer under the write lock, so
+// queries capture a consistent snapshot with a brief read lock and
+// evaluate entirely outside it.
 type record struct {
-	attrs     map[string]attr.Value
-	pairs     []attr.Pair // sorted by name; shared with query results
+	// pairs has cap == len: replies keep it alive for as long as their
+	// holder likes, so it must not carry slack.
+	pairs     []attr.Pair
 	updatedAt time.Time
 }
 
+// Lookup implements query.Record.
+func (r *record) Lookup(name string) (attr.Value, bool) { return attr.Lookup(r.pairs, name) }
+
 // newRecord builds the successor of old (nil for a fresh member) with
-// attrs merged in. Neither old nor the result is ever mutated afterwards.
-func newRecord(old *record, attrs []attr.Pair, at time.Time) *record {
-	n := len(attrs)
+// update merged in, an update's value replacing the old one of the same
+// name: a two-pointer merge of two sorted runs into one slice allocated
+// at its exact length. Neither old nor the result is ever mutated
+// afterwards, and the result never aliases update.
+func newRecord(old *record, update []attr.Pair, at time.Time) *record {
+	update = normalized(update)
+	var base []attr.Pair
 	if old != nil {
-		n += len(old.attrs)
+		base = old.pairs
 	}
-	m := make(map[string]attr.Value, n)
-	if old != nil {
-		for k, v := range old.attrs {
-			m[k] = v
+	n := len(base) + len(update)
+	for i, j := 0, 0; i < len(base) && j < len(update); {
+		c := strings.Compare(base[i].Name, update[j].Name)
+		if c == 0 {
+			n-- // replaced, not added
+		}
+		if c <= 0 {
+			i++
+		}
+		if c >= 0 {
+			j++
 		}
 	}
-	for _, p := range attrs {
-		m[p.Name] = p.Value
+	pairs := make([]attr.Pair, 0, n)
+	i, j := 0, 0
+	for i < len(base) && j < len(update) {
+		c := strings.Compare(base[i].Name, update[j].Name)
+		if c < 0 {
+			pairs = append(pairs, base[i])
+		} else {
+			pairs = append(pairs, update[j])
+			j++
+		}
+		if c <= 0 {
+			i++
+		}
 	}
-	pairs := make([]attr.Pair, 0, len(m))
-	for k, v := range m {
-		pairs = append(pairs, attr.Pair{Name: k, Value: v})
+	pairs = append(pairs, base[i:]...)
+	pairs = append(pairs, update[j:]...)
+	return &record{pairs: pairs, updatedAt: at}
+}
+
+// normalized returns update strictly sorted by name. A Host's push is an
+// attr.Set.Snapshot, which already is, and comes back as it is. Anything
+// else is copied, stably sorted, and stripped of all but the last pair
+// of each name — later pairs overwrite earlier ones, as in attr.NewSet.
+func normalized(update []attr.Pair) []attr.Pair {
+	strict := true
+	for i := 1; i < len(update) && strict; i++ {
+		strict = update[i-1].Name < update[i].Name
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Name < pairs[j].Name })
-	return &record{attrs: m, pairs: pairs, updatedAt: at}
+	if strict {
+		return update
+	}
+	update = slices.Clone(update)
+	slices.SortStableFunc(update, func(a, b attr.Pair) int { return strings.Compare(a.Name, b.Name) })
+	out := update[:0]
+	for i, p := range update {
+		if i+1 < len(update) && update[i+1].Name == p.Name {
+			continue // a later pair of the same name wins
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // Collection is a Legion Collection object. Safe for concurrent use.
@@ -185,7 +237,7 @@ func (c *Collection) SetIndexedKeys(keys ...string) {
 	defer c.mu.Unlock()
 	c.idx = newAttrIndex(keys)
 	for member, r := range c.records {
-		c.idx.insert(member, r)
+		c.idx.replace(member, nil, r)
 	}
 }
 
@@ -252,7 +304,7 @@ func (c *Collection) Leave(member loid.LOID, credential string) error {
 		return fmt.Errorf("%w: %v", ErrNotMember, member)
 	}
 	delete(c.records, member)
-	c.idx.remove(member, r)
+	c.idx.replace(member, r, nil)
 	return nil
 }
 
@@ -388,9 +440,10 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 
 	var out []Record
 	skips := 0
+	env := query.Env{Funcs: funcs}
 	for _, cand := range snap {
-		env := &query.Env{Rec: query.MapRecord(cand.rec.attrs), Funcs: funcs}
-		ok, err := query.EvalEnv(e, env)
+		env.Rec = cand.rec
+		ok, err := query.EvalEnv(e, &env)
 		if err != nil {
 			// One record's bad value must not hide every other resource
 			// from the scheduler: skip it and report the rest.
@@ -405,7 +458,15 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 	if skips > 0 {
 		c.met.evalSkips.Add(int64(skips))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Member.Less(out[j].Member) })
+	slices.SortFunc(out, func(a, b Record) int {
+		switch {
+		case a.Member.Less(b.Member):
+			return -1
+		case b.Member.Less(a.Member):
+			return 1
+		}
+		return 0
+	})
 	c.met.querySize.Observe(float64(len(out)))
 	return out, nil
 }
@@ -433,7 +494,7 @@ func (c *Collection) Prune(olderThan time.Time) int {
 	for member, r := range c.records {
 		if r.updatedAt.Before(olderThan) {
 			delete(c.records, member)
-			c.idx.remove(member, r)
+			c.idx.replace(member, r, nil)
 			n++
 		}
 	}

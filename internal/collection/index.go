@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"math"
 	"strconv"
 
 	"legion/internal/attr"
@@ -62,57 +63,84 @@ func newAttrIndex(keys []string) *attrIndex {
 	return ix
 }
 
-func (ix *attrIndex) insert(member loid.LOID, r *record) {
-	for k := range ix.keys {
-		v, ok := r.attrs[k]
-		if !ok {
-			continue
-		}
-		bk := ix.buckets[k]
-		if bk == nil {
-			bk = make(map[string]*indexBucket)
-			ix.buckets[k] = bk
-		}
-		cv := canonical(v)
-		b := bk[cv]
-		if b == nil {
-			b = &indexBucket{val: v, members: make(map[loid.LOID]struct{})}
-			bk[cv] = b
-		}
-		b.members[member] = struct{}{}
+// add files member under key k's bucket for v.
+func (ix *attrIndex) add(member loid.LOID, k string, v attr.Value) {
+	bk := ix.buckets[k]
+	if bk == nil {
+		bk = make(map[string]*indexBucket)
+		ix.buckets[k] = bk
 	}
+	cv := canonical(v)
+	b := bk[cv]
+	if b == nil {
+		b = &indexBucket{val: v, members: make(map[loid.LOID]struct{})}
+		bk[cv] = b
+	}
+	b.members[member] = struct{}{}
 }
 
-func (ix *attrIndex) remove(member loid.LOID, r *record) {
-	if r == nil {
+// drop takes member out of key k's bucket for v.
+func (ix *attrIndex) drop(member loid.LOID, k string, v attr.Value) {
+	bk := ix.buckets[k]
+	if bk == nil {
 		return
 	}
-	for k := range ix.keys {
-		v, ok := r.attrs[k]
-		if !ok {
-			continue
-		}
-		bk := ix.buckets[k]
-		if bk == nil {
-			continue
-		}
-		cv := canonical(v)
-		if b := bk[cv]; b != nil {
-			delete(b.members, member)
-			if len(b.members) == 0 {
-				delete(bk, cv)
-			}
+	cv := canonical(v)
+	if b := bk[cv]; b != nil {
+		delete(b.members, member)
+		if len(b.members) == 0 {
+			delete(bk, cv)
 		}
 	}
 }
 
 // replace swaps member's index entries from the old record to its
-// successor; either may be nil (fresh join / removal).
+// successor; either may be nil (fresh join / removal). A key whose old
+// and new values land in the same bucket is left alone, so the common
+// update — a Host re-pushing its attributes with a new host_load, which
+// is not indexed — does no index work at all.
 func (ix *attrIndex) replace(member loid.LOID, old, succ *record) {
-	ix.remove(member, old)
-	if succ != nil {
-		ix.insert(member, succ)
+	for k := range ix.keys {
+		var ov, nv attr.Value
+		var had, has bool
+		if old != nil {
+			ov, had = old.Lookup(k)
+		}
+		if succ != nil {
+			nv, has = succ.Lookup(k)
+		}
+		if had && has && sameBucket(ov, nv) {
+			continue
+		}
+		if had {
+			ix.drop(member, k, ov)
+		}
+		if has {
+			ix.add(member, k, nv)
+		}
 	}
+}
+
+// sameBucket reports whether a and b certainly have the same canonical
+// text, without rendering it. It compares what the text is made from —
+// the float64 bits of a numeric (0 and -0 print differently), the payload
+// of a string or bool — and answers false for anything it cannot decide
+// cheaply (lists), which only costs replace a drop and an add.
+func sameBucket(a, b attr.Value) bool {
+	if af, ok := a.AsFloat(); ok {
+		bf, bok := b.AsFloat()
+		return bok && math.Float64bits(af) == math.Float64bits(bf)
+	}
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case attr.KindString:
+		return a.Str() == b.Str()
+	case attr.KindBool:
+		return a.BoolVal() == b.BoolVal()
+	}
+	return false
 }
 
 // candidates returns the smallest member set implied by the indexable

@@ -149,8 +149,8 @@ func E4FunctionInjection(steps int) *Table {
 			pickFct = recs[0].Member // lowest-LOID matching host
 			best := 2.0
 			for _, r := range recs {
-				m := attr.FromPairs(r.Attrs)
-				h, herr := historyMean(m["host_load_history"])
+				v, _ := attr.Lookup(r.Attrs, "host_load_history")
+				h, herr := historyMean(v)
 				if herr == nil && h < best {
 					best = h
 					pickFct = r.Member

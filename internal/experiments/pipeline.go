@@ -72,8 +72,8 @@ func runLayeringA(ctx context.Context, ms *core.Metasystem, class *classobj.Clas
 		if err != nil {
 			continue
 		}
-		m := attr.FromPairs(res.(proto.AttributesReply).Attrs)
-		load, _ := m["host_load"].AsFloat()
+		v, _ := attr.Lookup(res.(proto.AttributesReply).Attrs, "host_load")
+		load, _ := v.AsFloat()
 		vres, err := rt.Call(ctx, l, proto.MethodGetCompatibleVaults, nil)
 		if err != nil {
 			continue

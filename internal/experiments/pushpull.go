@@ -63,8 +63,8 @@ func A4PushVsPull(steps int) *Table {
 					continue
 				}
 				for _, r := range recs {
-					m := attr.FromPairs(r.Attrs)
-					seen, _ := m["host_load"].AsFloat()
+					v, _ := attr.Lookup(r.Attrs, "host_load")
+					seen, _ := v.AsFloat()
 					for _, h := range fleet.Hosts {
 						if h.LOID() == r.Member {
 							totalErr += math.Abs(seen - h.Load())

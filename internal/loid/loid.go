@@ -83,18 +83,21 @@ func Parse(s string) (LOID, error) {
 	if rest == "nil" {
 		return Nil, nil
 	}
-	parts := strings.Split(rest, "/")
-	if len(parts) != 3 {
+	if strings.Count(rest, "/") != 2 {
 		return Nil, fmt.Errorf("loid: %q: want domain/class/instance", s)
 	}
-	if parts[0] == "" || parts[1] == "" {
+	// Cut, not Split: the scheduler parses a vault list per host record,
+	// and the parts need no slice of their own.
+	domain, rest, _ := strings.Cut(rest, "/")
+	class, instance, _ := strings.Cut(rest, "/")
+	if domain == "" || class == "" {
 		return Nil, fmt.Errorf("loid: %q: empty domain or class", s)
 	}
-	n, err := strconv.ParseUint(parts[2], 10, 64)
+	n, err := strconv.ParseUint(instance, 10, 64)
 	if err != nil {
 		return Nil, fmt.Errorf("loid: %q: bad instance: %v", s, err)
 	}
-	l := LOID{Domain: parts[0], Class: parts[1], Instance: n}
+	l := LOID{Domain: domain, Class: class, Instance: n}
 	if l.IsNil() {
 		return Nil, fmt.Errorf("loid: %q parses to the nil LOID", s)
 	}

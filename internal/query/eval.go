@@ -8,9 +8,10 @@ import (
 	"legion/internal/attr"
 )
 
-// Record resolves $name attribute references during evaluation. Both
-// *attr.Set and the map-based view returned by attr.FromPairs (via
-// MapRecord) satisfy it.
+// Record resolves $name attribute references during evaluation. A
+// Collection's records satisfy it over their sorted pairs (attr.Lookup),
+// as do *attr.Set and the map-based view returned by attr.FromPairs (via
+// MapRecord).
 type Record interface {
 	Lookup(name string) (attr.Value, bool)
 }

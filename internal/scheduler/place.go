@@ -45,13 +45,24 @@ func candidates(ctx context.Context, env *Env, class loid.LOID) ([]HostInfo, err
 
 // usable filters hosts that have at least one compatible vault — a host
 // with no vault cannot run anything (objects need OPR storage) — and are
-// not flagged down by the failure detector. It copies; the input is
-// never reordered.
+// not flagged down by the failure detector. When that is every host it
+// returns its input, otherwise a copy allocated once; neither is ever
+// reordered, views being read-only.
 func usable(hosts []HostInfo) []HostInfo {
-	out := hosts[:0:0]
-	for _, h := range hosts {
-		if len(h.Vaults) > 0 && !h.Down {
-			out = append(out, h)
+	ok := func(h *HostInfo) bool { return len(h.Vaults) > 0 && !h.Down }
+	n := 0
+	for i := range hosts {
+		if ok(&hosts[i]) {
+			n++
+		}
+	}
+	if n == len(hosts) {
+		return hosts
+	}
+	out := make([]HostInfo, 0, n)
+	for i := range hosts {
+		if ok(&hosts[i]) {
+			out = append(out, hosts[i])
 		}
 	}
 	return out

@@ -46,7 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -263,65 +263,81 @@ func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntr
 		hosts = append(hosts, parseHostInfo(rec))
 	}
 	// Deterministic base order; randomized policies draw explicitly.
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i].LOID.Less(hosts[j].LOID) })
+	slices.SortFunc(hosts, func(a, b HostInfo) int {
+		switch {
+		case a.LOID.Less(b.LOID):
+			return -1
+		case b.LOID.Less(a.LOID):
+			return 1
+		}
+		return 0
+	})
 	if env.Cache != nil {
 		return env.Cache.put(querySrc, hosts, reply.SkippedShards), nil
 	}
 	return hostCacheEntry{hosts: hosts, skipped: reply.SkippedShards}, nil
 }
 
-// parseHostInfo converts a Collection record into a HostInfo.
+// parseHostInfo converts a Collection record into a HostInfo in one pass
+// over its attributes. The record may come off the wire from a skewed
+// peer, so nothing is assumed about order or uniqueness: every pair of a
+// name the scheduler reads assigns its field outright, and the last one
+// therefore wins.
 func parseHostInfo(rec proto.CollectionRecord) HostInfo {
-	m := attr.FromPairs(rec.Attrs)
 	h := HostInfo{LOID: rec.Member}
-	if v, ok := m["host_arch"]; ok {
-		h.Arch = v.Str()
-	}
-	if v, ok := m["host_os_name"]; ok {
-		h.OS = v.Str()
-	}
-	if v, ok := m["host_load"]; ok {
-		h.Load, _ = v.AsFloat()
-	}
-	if v, ok := m["host_cpus"]; ok {
-		if f, fok := v.AsFloat(); fok {
+	for _, p := range rec.Attrs {
+		v := p.Value
+		switch p.Name {
+		case "host_arch":
+			h.Arch = v.Str()
+		case "host_os_name":
+			h.OS = v.Str()
+		case "host_load":
+			h.Load, _ = v.AsFloat()
+		case "host_cpus":
+			f, _ := v.AsFloat()
 			h.CPUs = int(f)
-		}
-	}
-	if v, ok := m["host_zone"]; ok {
-		h.Zone = v.Str()
-	}
-	if v, ok := m["host_cost_per_cpu"]; ok {
-		h.Cost, _ = v.AsFloat()
-	}
-	if v, ok := m["host_price"]; ok {
-		h.Price, _ = v.AsFloat()
-	}
-	if v, ok := m["host_class"]; ok {
-		h.Spot = v.Str() == "spot"
-	}
-	if v, ok := m["host_speed"]; ok {
-		h.Speed, _ = v.AsFloat()
-	}
-	if v, ok := m["host_is_batch"]; ok {
-		h.Batch = v.BoolVal()
-	}
-	if v, ok := m["host_alive"]; ok {
-		h.Down = !v.BoolVal()
-	}
-	if v, ok := m["host_load_history"]; ok && v.Kind() == attr.KindList {
-		for i := 0; i < v.Len(); i++ {
-			if f, fok := v.At(i).AsFloat(); fok {
-				h.LoadHistory = append(h.LoadHistory, f)
-			}
-		}
-	}
-	if v, ok := m["host_vaults"]; ok && v.Kind() == attr.KindList {
-		for i := 0; i < v.Len(); i++ {
-			if l, err := loid.Parse(v.At(i).Str()); err == nil {
-				h.Vaults = append(h.Vaults, l)
-			}
+		case "host_zone":
+			h.Zone = v.Str()
+		case "host_cost_per_cpu":
+			h.Cost, _ = v.AsFloat()
+		case "host_price":
+			h.Price, _ = v.AsFloat()
+		case "host_class":
+			h.Spot = v.Str() == "spot"
+		case "host_speed":
+			h.Speed, _ = v.AsFloat()
+		case "host_is_batch":
+			h.Batch = v.BoolVal()
+		case "host_alive":
+			h.Down = !v.BoolVal()
+		case "host_load_history":
+			h.LoadHistory = listOf(v, attr.Value.AsFloat)
+		case "host_vaults":
+			h.Vaults = listOf(v, func(e attr.Value) (loid.LOID, bool) {
+				l, err := loid.Parse(e.Str())
+				return l, err == nil
+			})
 		}
 	}
 	return h
+}
+
+// listOf converts the elements of a list value that elem accepts, into a
+// slice allocated once. It is nil when v is not a list or nothing in it
+// converts.
+func listOf[T any](v attr.Value, elem func(attr.Value) (T, bool)) []T {
+	if v.Kind() != attr.KindList {
+		return nil
+	}
+	var out []T
+	for i := 0; i < v.Len(); i++ {
+		if e, ok := elem(v.At(i)); ok {
+			if out == nil {
+				out = make([]T, 0, v.Len()-i)
+			}
+			out = append(out, e)
+		}
+	}
+	return out
 }
