@@ -15,7 +15,6 @@
 package attr
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -274,7 +273,7 @@ func (s *Set) Snapshot() []Pair {
 		pairs = append(pairs, Pair{Name: k, Value: v})
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Name, b.Name) })
+	slices.SortFunc(pairs, func(a, b Pair) int { return strings.Compare(a.Name, b.Name) })
 	return pairs
 }
 

@@ -44,9 +44,13 @@ type indexBucket struct {
 // Equal holds. Numerics need care: Equal compares ints and floats
 // through float64 (Int(1e6) equals Float(1e6)), but Value.String prints
 // them differently ("1000000" vs "1e+06"), so both are formatted from
-// their float64 image instead.
+// their float64 image instead — with -0, which equals 0 and prints "-0",
+// folded onto 0.
 func canonical(v attr.Value) string {
 	if f, ok := v.AsFloat(); ok {
+		if f == 0 {
+			f = 0
+		}
 		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return v.String()
@@ -123,9 +127,9 @@ func (ix *attrIndex) replace(member loid.LOID, old, succ *record) {
 
 // sameBucket reports whether a and b certainly have the same canonical
 // text, without rendering it. It compares what the text is made from —
-// the float64 bits of a numeric (0 and -0 print differently), the payload
-// of a string or bool — and answers false for anything it cannot decide
-// cheaply (lists), which only costs replace a drop and an add.
+// the float64 bits of a numeric, the payload of a string or bool — and
+// answers false for anything it does not decide cheaply (lists, 0
+// against -0), which only costs replace a drop and an add.
 func sameBucket(a, b attr.Value) bool {
 	if af, ok := a.AsFloat(); ok {
 		bf, bok := b.AsFloat()

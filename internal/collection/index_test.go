@@ -2,6 +2,7 @@ package collection
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -59,8 +60,8 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 		`$host_alive == true and $host_load < 0.5`,
 		`$host_zone == "uva" and $host_cpus >= 4`,
 		`$host_os_name >= "Linux" and $host_os_name <= "Solaris"`,
-		`$host_arch == "vax"`, // empty bucket
-		`$host_load < 0.3`,    // unindexed key: full scan on both
+		`$host_arch == "vax"`,                          // empty bucket
+		`$host_load < 0.3`,                             // unindexed key: full scan on both
 		`$host_arch == "x86" or $host_arch == "sparc"`, // or: index bypassed
 		`$host_alive == true and not ($host_zone == "mit")`,
 		`true`,
@@ -150,5 +151,11 @@ func TestIndexNumericEquality(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Errorf("cross-kind numeric equality: %d results, want 2", len(recs))
+	}
+	// 0 and -0 are equal and print differently.
+	c.Join(member(3), []attr.Pair{{Name: "host_cpus", Value: attr.Float(math.Copysign(0, -1))}}, "")
+	c.Join(member(4), []attr.Pair{{Name: "host_cpus", Value: attr.Int(0)}}, "")
+	if recs, err = c.Query(`$host_cpus == 0`); err != nil || len(recs) != 2 {
+		t.Errorf("zero and negative zero: %d results (error %v), want 2", len(recs), err)
 	}
 }

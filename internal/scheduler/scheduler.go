@@ -140,19 +140,19 @@ func (e *Env) call(ctx context.Context, target loid.LOID, method string, arg any
 
 // HostInfo is a scheduler's parsed view of one Collection host record.
 type HostInfo struct {
-	LOID   loid.LOID
-	Arch   string
-	OS     string
-	Load   float64
-	CPUs   int
-	Zone   string
-	Cost   float64
+	LOID loid.LOID
+	Arch string
+	OS   string
+	Load float64
+	CPUs int
+	Zone string
+	Cost float64
 	// Price is the economy layer's advertised charge per instance-hour
 	// ($host_price); Spot marks preemptible spot capacity ($host_class
 	// == "spot"). The DeadlineBudget generator trades Price against
 	// estimated completion time.
-	Price  float64
-	Spot   bool
+	Price float64
+	Spot  bool
 	// Speed is the host's relative benchmark speed ($host_speed,
 	// 1.0 = baseline); deadline-aware schedulers scale completion
 	// estimates by it.
@@ -242,23 +242,29 @@ func QueryHostsPartial(ctx context.Context, env *Env, querySrc string) (hosts []
 }
 
 // hostSnapshot answers a Collection query with parsed host records in
-// LOID order: the live Env.Cache entry when there is one, otherwise a
-// fresh fetch (stored for the next caller when a cache is set). This is
-// the single lookup per class that IRS amortizes.
+// LOID order: through Env.Cache when there is one — its live entry, or a
+// fetch shared with every caller that misses meanwhile — otherwise a
+// fetch of its own. This is the single lookup per class that IRS
+// amortizes.
 func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntry, error) {
-	if env.Cache != nil {
-		if snap, ok := env.Cache.get(querySrc); ok {
-			return snap, nil
-		}
+	fetch := func() ([]HostInfo, int, error) { return fetchHosts(ctx, env, querySrc) }
+	if env.Cache == nil {
+		hosts, skipped, err := fetch()
+		return hostCacheEntry{hosts: hosts, skipped: skipped}, err
 	}
+	return env.Cache.snapshot(ctx, querySrc, fetch)
+}
+
+// fetchHosts queries the Collection and parses every matching record.
+func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
 	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
 	defer cancel()
 	reply, err := replyAs[proto.QueryReply](env.call(cctx, env.Collection,
 		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
 	if err != nil {
-		return hostCacheEntry{}, fmt.Errorf("scheduler: collection query: %w", err)
+		return nil, 0, fmt.Errorf("scheduler: collection query: %w", err)
 	}
-	hosts := make([]HostInfo, 0, len(reply.Records))
+	hosts = make([]HostInfo, 0, len(reply.Records))
 	for _, rec := range reply.Records {
 		hosts = append(hosts, parseHostInfo(rec))
 	}
@@ -272,10 +278,7 @@ func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntr
 		}
 		return 0
 	})
-	if env.Cache != nil {
-		return env.Cache.put(querySrc, hosts, reply.SkippedShards), nil
-	}
-	return hostCacheEntry{hosts: hosts, skipped: reply.SkippedShards}, nil
+	return hosts, reply.SkippedShards, nil
 }
 
 // parseHostInfo converts a Collection record into a HostInfo in one pass

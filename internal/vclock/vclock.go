@@ -99,7 +99,10 @@ type Gate interface {
 
 // Group is a WaitGroup whose Wait is context-cancellable and, in
 // virtual mode, barrier-aware. The chaos storm uses it to join its
-// in-flight arrival goroutines without stalling virtual time.
+// in-flight arrival goroutines without stalling virtual time, and the
+// scheduler's HostCache to hold a herd of callers for one fetch. Any
+// number may Wait; in virtual mode they are released one at a time, in
+// the order they began to wait.
 type Group interface {
 	Add(n int)
 	Done()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -193,6 +194,45 @@ func TestVirtualGroup(t *testing.T) {
 	})
 	if sum != 30*time.Millisecond {
 		t.Fatalf("group joined at %v, want 30ms", sum)
+	}
+}
+
+// TestVirtualGroupReleasesOneAtATime: a Group's waiters are woken in the
+// order they began to wait, each only once the goroutines before it have
+// parked again — never together. The unsynchronised log would be a data
+// race, and its order the Go scheduler's choice, if they ran at once.
+func TestVirtualGroupReleasesOneAtATime(t *testing.T) {
+	const waiters = 6
+	for run := 0; run < 20; run++ {
+		v := NewVirtual()
+		g := v.NewGroup()
+		g.Add(1)
+		var log []int
+		v.Run(func() {
+			ctx := context.Background()
+			all := v.NewGroup()
+			all.Add(waiters)
+			for i := 0; i < waiters; i++ {
+				v.Go(func() {
+					defer all.Done()
+					short, cancel := v.WithTimeout(ctx, time.Duration(i%2)*time.Hour+time.Millisecond)
+					defer cancel()
+					if err := g.Wait(short); err != nil {
+						return // the even ones give up before the release
+					}
+					log = append(log, i)
+					_ = v.Sleep(ctx, time.Millisecond)
+					log = append(log, -i)
+				})
+			}
+			_ = v.Sleep(ctx, time.Second)
+			g.Done()
+			log = append(log, 0) // the releaser runs on until it parks
+			_ = all.Wait(ctx)
+		})
+		if want := []int{0, 1, 3, 5, -1, -3, -5}; !slices.Equal(log, want) {
+			t.Fatalf("run %d: wake order %v, want %v", run, log, want)
+		}
 	}
 }
 

@@ -584,8 +584,16 @@ func (g *vgroup) Add(n int) {
 		panic("vclock: negative Group counter")
 	}
 	if g.n == 0 {
+		// One wake-up event per waiter, in the order they began to wait,
+		// not a grant to each here and now: granted together, the waiters
+		// and the releaser would all be runnable at once, and whatever
+		// they do next — draw from a shared rng, schedule events — would
+		// happen in the order the Go scheduler picks. As events they run
+		// one after another, each once the one before has parked.
 		for _, w := range g.waiters {
-			g.v.grant(w, nil)
+			if !w.granted { // a waiter whose context ended has left
+				w.ev = g.v.schedule(g.v.now, "group-wake", func(v *Virtual) { v.grant(w, nil) })
+			}
 		}
 		g.waiters = nil
 	}
