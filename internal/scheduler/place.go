@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -79,7 +80,7 @@ type cand struct {
 }
 
 // ordering ranks two candidates: negative when a goes first, zero on a
-// tie. Orderings never mention LOIDs — order appends that tiebreak.
+// tie. Orderings never mention LOIDs — total appends that tiebreak.
 type ordering func(a, b cand) int
 
 // owned copies a view into a list the caller may reorder.
@@ -91,22 +92,55 @@ func owned(view []HostInfo) []cand {
 	return c
 }
 
-// order sorts an owned list by the ordering, ties by LOID: every
-// ordering is thereby total, so the result depends on the candidate set
-// alone, never on its incoming order or the sort algorithm.
+// total is the comparator order and best share: the ordering, ties by
+// LOID. Every ordering is thereby total, so what either returns depends
+// on the candidate set alone, never on its incoming order or on the
+// algorithm — which is what lets best stand in for order.
+func (by ordering) total(a, b cand) int {
+	if d := by(a, b); d != 0 {
+		return d
+	}
+	switch {
+	case a.LOID.Less(b.LOID):
+		return -1
+	case b.LOID.Less(a.LOID):
+		return 1
+	}
+	return 0
+}
+
+// order sorts an owned list by the ordering's total order.
 func order(c []cand, by ordering) {
-	slices.SortFunc(c, func(a, b cand) int {
-		if d := by(a, b); d != 0 {
-			return d
+	slices.SortFunc(c, by.total)
+}
+
+// best moves the first k candidates of order(c, by) to c[:k], sorted,
+// and returns them; c stays a permutation of itself. It is for the
+// generators that read the head of the ranking and nothing else: one
+// pass keeps the k best so far sorted at the front of c and inserts each
+// later candidate that beats the last of them. That is at most len(c)·k
+// comparisons where the sort makes about len(c)·log₂ len(c), so past
+// that logarithm it sorts.
+func best(c []cand, by ordering, k int) []cand {
+	k = min(max(k, 0), len(c))
+	if k > bits.Len(uint(len(c))) {
+		order(c, by)
+		return c[:k]
+	}
+	for i := range c {
+		n := min(i, k) // c[:n] is the sorted buffer
+		if n == k {
+			if k == 0 || by.total(c[i], c[k-1]) >= 0 {
+				continue
+			}
+			c[i], c[k-1] = c[k-1], c[i] // the evicted entry takes the newcomer's place
+			n--
 		}
-		switch {
-		case a.LOID.Less(b.LOID):
-			return -1
-		case b.LOID.Less(a.LOID):
-			return 1
+		for j := n; j > 0 && by.total(c[j], c[j-1]) < 0; j-- {
+			c[j], c[j-1] = c[j-1], c[j]
 		}
-		return 0
-	})
+	}
+	return c[:k]
 }
 
 // ordered is owned + order.

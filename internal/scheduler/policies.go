@@ -63,13 +63,14 @@ func (g LoadAware) Generate(ctx context.Context, env *Env, req Request) (sched.R
 		}
 		pool := owned(hosts)
 		for i := 0; i < cr.Count; i++ {
-			// Least projected load wins; each placement re-ranks the pool.
-			order(pool, byProjectedLoad)
+			// Least projected load wins; each placement re-ranks the pool,
+			// and reads only its head: the winner and the next-best
+			// alternatives, which become this entry's variants.
+			top := best(pool, byProjectedLoad, 1+nVar)
 			idx := len(master.Mappings)
-			master.Mappings = append(master.Mappings, pool[0].mapping(cr.Class, 0))
-			pool[0].placed++
-			// Variants: the next-best alternatives for this entry.
-			addVariants(&master, idx, cr.Class, upTo(pool, 1, nVar))
+			master.Mappings = append(master.Mappings, top[0].mapping(cr.Class, 0))
+			addVariants(&master, idx, cr.Class, top[1:])
+			top[0].placed++
 		}
 	}
 	return schedule(master, req), nil
@@ -92,7 +93,7 @@ func (CostAware) Generate(ctx context.Context, env *Env, req Request) (sched.Req
 		if err != nil {
 			return sched.RequestList{}, err
 		}
-		cheapest := ordered(hosts, byCostThenLoad)
+		cheapest := best(owned(hosts), byCostThenLoad, cr.Count)
 		for i := 0; i < cr.Count; i++ {
 			master.Mappings = append(master.Mappings, cheapest[i%len(cheapest)].mapping(cr.Class, 0))
 		}

@@ -39,16 +39,15 @@ func (g Replicated) Generate(ctx context.Context, env *Env, req Request) (sched.
 				"%w: class %v wants %d distinct hosts, %d available",
 				ErrNoResources, cr.Class, cr.Count, len(hosts))
 		}
-		ranked := ordered(hosts, byLoad)
 		n := g.N
-		if n <= 0 || n > len(ranked) {
-			n = len(ranked)
+		if n <= 0 || n > len(hosts) {
+			n = len(hosts)
 		}
 		if n < cr.Count {
 			n = cr.Count
 		}
 		group := sched.KofN{Class: cr.Class, K: cr.Count}
-		for _, h := range ranked[:n] {
+		for _, h := range best(owned(hosts), byLoad, n) {
 			group.Alternatives = append(group.Alternatives, h.hostVault(0))
 		}
 		master.KofN = append(master.KofN, group)

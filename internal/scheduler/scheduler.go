@@ -20,7 +20,9 @@
 //     are down or reach no vault, raise ErrNoResources when nothing is
 //     left. The result is a read-only view, shared under a cache.
 //   - order: sort an owned copy of the view by an ordering, LOID
-//     tiebreak appended, so every ranking is total and deterministic.
+//     tiebreak appended, so every ranking is total and deterministic;
+//     best: the first k of that same order without sorting the rest, for
+//     the policies that read only the head.
 //   - fill: turn a host into a sched.Mapping or sched.HostVault, record
 //     the next k alternatives as variant schedules, wrap the master.
 //
@@ -29,9 +31,9 @@
 //	Random          no ordering      uniform host, uniform vault (Fig 7)
 //	IRS             no ordering      n Random picks per instance → master + variants (Fig 8)
 //	RoundRobin      LOID order       next host, position kept across calls
-//	LoadAware       projected load   head of the list, re-ranked per instance; next k as variants
-//	CostAware       cost, then load  cycle the list
-//	Replicated      load             first N as a k-of-n equivalence class
+//	LoadAware       projected load   best 1+k, re-ranked per instance: the head, next k as variants
+//	CostAware       cost, then load  cycle the best Count
+//	Replicated      load             best N as a k-of-n equivalence class
 //	DeadlineBudget  price            cheapest deadline-feasible first; next k feasible as variants
 //	Stencil         free capacity    contiguous row bands apportioned by capacity (§4.3)
 //	CommAware       free capacity    Stencil's bands walked along a latency chain of zones
