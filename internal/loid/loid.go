@@ -45,10 +45,24 @@ func (l LOID) IsNil() bool { return l == Nil }
 // "legion:<domain>/<class>/<instance>". The nil LOID renders as
 // "legion:nil".
 func (l LOID) String() string {
+	var buf [64]byte // longer LOIDs spill to the heap inside append
+	return string(l.AppendText(buf[:0]))
+}
+
+// AppendText appends the canonical textual form, exactly as String
+// renders it, to b and returns the extended slice. It allocates only
+// when b lacks the room: reservation tokens are authenticated over this
+// text several times per placement.
+func (l LOID) AppendText(b []byte) []byte {
 	if l.IsNil() {
-		return "legion:nil"
+		return append(b, "legion:nil"...)
 	}
-	return fmt.Sprintf("legion:%s/%s/%d", l.Domain, l.Class, l.Instance)
+	b = append(b, "legion:"...)
+	b = append(b, l.Domain...)
+	b = append(b, '/')
+	b = append(b, l.Class...)
+	b = append(b, '/')
+	return strconv.AppendUint(b, l.Instance, 10)
 }
 
 // Short returns an abbreviated human-readable form, "<class>/<instance>",

@@ -1,6 +1,9 @@
 package loid
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -68,6 +71,49 @@ func TestRoundTripProperty(t *testing.T) {
 		return err == nil && got == l
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// sprintfForm is how String rendered a LOID before it was built on
+// AppendText; token MACs are computed over this text, so it may not move.
+func sprintfForm(l LOID) string {
+	if l.IsNil() {
+		return "legion:nil"
+	}
+	return fmt.Sprintf("legion:%s/%s/%d", l.Domain, l.Class, l.Instance)
+}
+
+func TestStringMatchesSprintfForm(t *testing.T) {
+	check := func(l LOID) bool {
+		s := l.String()
+		if s != sprintfForm(l) {
+			t.Errorf("String() = %q, want %q", s, sprintfForm(l))
+			return false
+		}
+		// AppendText extends what it is given and is the same text.
+		if got := string(l.AppendText([]byte("x"))); got != "x"+s {
+			t.Errorf("AppendText onto %q = %q, want %q", "x", got, "x"+s)
+			return false
+		}
+		return true
+	}
+	long := strings.Repeat("d", 100) // past String's stack buffer
+	for _, l := range []LOID{
+		Nil,
+		{Domain: "uva", Class: "Host", Instance: math.MaxUint64},
+		{Domain: "uva", Class: "Host"}, // instance 0 is not the nil LOID
+		{Domain: long, Class: long, Instance: 1},
+		{Domain: "σ", Class: "%d%s", Instance: 7},
+	} {
+		check(l)
+		if got, err := Parse(l.String()); err != nil || got != l {
+			t.Errorf("Parse(%q) = %v, %v; want the LOID back", l.String(), got, err)
+		}
+	}
+	if err := quick.Check(func(dom, class string, inst uint64) bool {
+		return check(LOID{Domain: dom, Class: class, Instance: inst})
+	}, nil); err != nil {
 		t.Error(err)
 	}
 }
