@@ -296,9 +296,22 @@ func (p Policy) delay(n int) time.Duration {
 // Do runs op under the policy: attempts are repeated with backoff while
 // the error stays retryable, the budget deadline holds, and attempts
 // remain. The final error is returned annotated with the attempt count.
+//
+// Nearly every call succeeds first time, so the first attempt derives as
+// few contexts as its deadline needs. When 0 < AttemptTimeout < Budget
+// the attempt's own deadline is the tighter of the two, and the budget's
+// context — a timer and a cancel closure, or an event on the virtual
+// clock — is derived only once a retry is in sight, for what is left of
+// the budget by then. The condition is strict: at AttemptTimeout ==
+// Budget the two deadlines are one instant, the budget's is scheduled
+// first, and the attempt must go on seeing Canceled from it, which is
+// final, rather than a DeadlineExceeded of its own, which is retried.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
 	clock := vclock.Default(p.Clock)
-	if p.Budget > 0 {
+	var budgetAt time.Time // set while the budget's context is still owed
+	if p.AttemptTimeout > 0 && p.AttemptTimeout < p.Budget {
+		budgetAt = clock.Now().Add(p.Budget)
+	} else if p.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = clock.WithTimeout(ctx, p.Budget)
 		defer cancel()
@@ -322,10 +335,19 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if n >= attempts {
 			return fmt.Errorf("resilient: %d attempts exhausted: %w", attempts, err)
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)
+		spent := false
+		if !budgetAt.IsZero() {
+			left := clock.Until(budgetAt)
+			budgetAt = time.Time{}
+			if left > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = clock.WithTimeout(ctx, left)
+				defer cancel()
+			} else {
+				spent = true // an op deaf to its context outran the whole budget
+			}
 		}
-		if serr := clock.Sleep(ctx, p.delay(n)); serr != nil {
+		if spent || ctx.Err() != nil || clock.Sleep(ctx, p.delay(n)) != nil {
 			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)
 		}
 	}
