@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"legion/internal/fanout"
@@ -101,15 +102,8 @@ type Runtime struct {
 
 	server *tcpServer
 
-	hooksMu  sync.RWMutex
-	inject   FaultInjector
-	latency  time.Duration
-	jitter   time.Duration
-	tracer   CallTracer
-	metrics  *telemetry.Registry
-	clock    vclock.Clock
-	loopback bool
-	srvLim   *fanout.Limiter
+	hooksMu sync.Mutex                // serializes the setters' copy-and-publish
+	hooks   atomic.Pointer[callHooks] // never nil; what it points at is never written
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -119,7 +113,7 @@ type Runtime struct {
 // domain names the site (site autonomy is a core Legion objective); all
 // LOIDs minted through the runtime carry it.
 func NewRuntime(domain string) *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		name:    domain,
 		minter:  loid.NewMinter(domain),
 		objects: make(map[loid.LOID]Object),
@@ -127,10 +121,38 @@ func NewRuntime(domain string) *Runtime {
 		domains: make(map[string]string),
 		clients: make(map[string]*tcpClient),
 		rng:     rand.New(rand.NewSource(1)),
+	}
+	rt.hooks.Store(&callHooks{
 		metrics: telemetry.Default,
 		clock:   vclock.Wall,
 		srvLim:  fanout.NewLimiter(DefaultServerLimit),
-	}
+	})
+	return rt
+}
+
+// callHooks is everything about a Runtime that a setter can replace
+// while calls are in flight. It is published whole: Call is the hottest
+// path in the system (every scheduler probe, query and reservation goes
+// through it) and loads one pointer, takes no lock, and works from one
+// consistent snapshot for the length of the call.
+type callHooks struct {
+	clock    vclock.Clock
+	tracer   CallTracer
+	inject   FaultInjector
+	latency  time.Duration
+	jitter   time.Duration
+	loopback bool
+	metrics  *telemetry.Registry
+	srvLim   *fanout.Limiter
+}
+
+// setHooks publishes a copy of the current hooks with edit applied.
+func (rt *Runtime) setHooks(edit func(h *callHooks)) {
+	rt.hooksMu.Lock()
+	defer rt.hooksMu.Unlock()
+	h := *rt.hooks.Load()
+	edit(&h)
+	rt.hooks.Store(&h)
 }
 
 // Domain returns the runtime's administrative domain name.
@@ -203,26 +225,19 @@ func (rt *Runtime) Locals() []loid.LOID {
 // SetFaultInjector installs (or clears, with nil) a fault injector
 // consulted before every call.
 func (rt *Runtime) SetFaultInjector(f FaultInjector) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.inject = f
+	rt.setHooks(func(h *callHooks) { h.inject = f })
 }
 
 // SetLatency adds a simulated base latency and uniform jitter to every
 // call made through this runtime, modeling the wide-area links of a
 // metasystem. Zero disables.
 func (rt *Runtime) SetLatency(base, jitter time.Duration) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.latency = base
-	rt.jitter = jitter
+	rt.setHooks(func(h *callHooks) { h.latency, h.jitter = base, jitter })
 }
 
 // SetTracer installs (or clears) a tracer observing every call.
 func (rt *Runtime) SetTracer(t CallTracer) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.tracer = t
+	rt.setHooks(func(h *callHooks) { h.tracer = t })
 }
 
 // SetMetrics replaces the runtime's telemetry registry (by default the
@@ -232,34 +247,22 @@ func (rt *Runtime) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.Default
 	}
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.metrics = reg
+	rt.setHooks(func(h *callHooks) { h.metrics = reg })
 }
 
 // Metrics returns the runtime's telemetry registry.
-func (rt *Runtime) Metrics() *telemetry.Registry {
-	rt.hooksMu.RLock()
-	defer rt.hooksMu.RUnlock()
-	return rt.metrics
-}
+func (rt *Runtime) Metrics() *telemetry.Registry { return rt.hooks.Load().metrics }
 
 // SetClock replaces the runtime's time source (by default the wall
 // clock). The runtime is the distribution point: services built on it
 // read the clock here, so install a virtual clock before constructing
 // them. nil restores the wall clock.
 func (rt *Runtime) SetClock(c vclock.Clock) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.clock = vclock.Default(c)
+	rt.setHooks(func(h *callHooks) { h.clock = vclock.Default(c) })
 }
 
 // Clock returns the runtime's time source.
-func (rt *Runtime) Clock() vclock.Clock {
-	rt.hooksMu.RLock()
-	defer rt.hooksMu.RUnlock()
-	return rt.clock
-}
+func (rt *Runtime) Clock() vclock.Clock { return rt.hooks.Load().clock }
 
 // DefaultServerLimit is the default bound on concurrently executing
 // inbound request handlers across all of a runtime's server
@@ -272,17 +275,11 @@ const DefaultServerLimit = 1024
 // limiter when serving starts. limit < 1 panics.
 func (rt *Runtime) SetServerLimit(limit int) {
 	lim := fanout.NewLimiter(limit)
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.srvLim = lim
+	rt.setHooks(func(h *callHooks) { h.srvLim = lim })
 }
 
 // serverLimiter returns the current inbound-handler limiter.
-func (rt *Runtime) serverLimiter() *fanout.Limiter {
-	rt.hooksMu.RLock()
-	defer rt.hooksMu.RUnlock()
-	return rt.srvLim
-}
+func (rt *Runtime) serverLimiter() *fanout.Limiter { return rt.hooks.Load().srvLim }
 
 // SetLoopbackCodec installs (or removes) a marshalling boundary on
 // local dispatch: every argument and result round-trips through the
@@ -291,9 +288,7 @@ func (rt *Runtime) serverLimiter() *fanout.Limiter {
 // per-call marshalling cost — the virtual-time scale runs otherwise
 // assume serialization is free.
 func (rt *Runtime) SetLoopbackCodec(on bool) {
-	rt.hooksMu.Lock()
-	defer rt.hooksMu.Unlock()
-	rt.loopback = on
+	rt.setHooks(func(h *callHooks) { h.loopback = on })
 }
 
 // loopbackRoundTrip re-materializes v through the wire codec with
@@ -339,59 +334,33 @@ func dispatchLoopback(ctx context.Context, obj Object, method string, arg any) (
 // per-domain bindings. Call honors ctx cancellation for remote calls and
 // latency simulation; local dispatch runs on the caller's goroutine.
 func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	// One hooksMu acquisition per call: Call is the hottest path in the
-	// system (every scheduler probe, query, and reservation goes through
-	// it), and the three separate RLocks this used to take were
-	// measurable at virtual-scale call volumes.
-	rt.hooksMu.RLock()
-	h := callHooks{
-		clock:    rt.clock,
-		tracer:   rt.tracer,
-		inject:   rt.inject,
-		latency:  rt.latency,
-		jitter:   rt.jitter,
-		loopback: rt.loopback,
+	h := rt.hooks.Load()
+	if h.tracer == nil {
+		return rt.call(ctx, h, target, method, arg)
 	}
-	rt.hooksMu.RUnlock()
 	start := h.clock.Now()
 	res, err := rt.call(ctx, h, target, method, arg)
-	if h.tracer != nil {
-		h.tracer(rt.name, target, method, h.clock.Since(start), err)
-	}
+	h.tracer(rt.name, target, method, h.clock.Since(start), err)
 	return res, err
 }
 
-// callHooks is the per-call snapshot of the runtime's hook state, read
-// once under hooksMu at the top of Call.
-type callHooks struct {
-	clock    vclock.Clock
-	tracer   CallTracer
-	inject   FaultInjector
-	latency  time.Duration
-	jitter   time.Duration
-	loopback bool
-}
-
-func (rt *Runtime) call(ctx context.Context, h callHooks, target loid.LOID, method string, arg any) (any, error) {
+func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, method string, arg any) (any, error) {
 	if target.IsNil() {
 		return nil, fmt.Errorf("%w: nil LOID", ErrNotBound)
 	}
-	inject, latency, jitter := h.inject, h.latency, h.jitter
-	clock := h.clock
-
-	if inject != nil {
-		if err := inject(target, method); err != nil {
+	if h.inject != nil {
+		if err := h.inject(target, method); err != nil {
 			return nil, err
 		}
 	}
-	if latency > 0 || jitter > 0 {
-		d := latency
-		if jitter > 0 {
+	if h.latency > 0 || h.jitter > 0 {
+		d := h.latency
+		if h.jitter > 0 {
 			rt.rngMu.Lock()
-			d += time.Duration(rt.rng.Int63n(int64(jitter) + 1))
+			d += time.Duration(rt.rng.Int63n(int64(h.jitter) + 1))
 			rt.rngMu.Unlock()
 		}
-		if err := clock.Sleep(ctx, d); err != nil {
+		if err := h.clock.Sleep(ctx, d); err != nil {
 			return nil, err
 		}
 	}
