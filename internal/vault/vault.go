@@ -126,13 +126,22 @@ func (v *Vault) Store(o *opr.OPR) error {
 	return nil
 }
 
+// notFoundError is ErrNotFound naming the object. Its text is put
+// together only when somebody reads it: a Host tearing down an instance
+// that was never deactivated deletes an OPR that is not there, and
+// discards the answer, on every teardown.
+type notFoundError struct{ object loid.LOID }
+
+func (e notFoundError) Error() string { return ErrNotFound.Error() + ": " + e.object.String() }
+func (e notFoundError) Unwrap() error { return ErrNotFound }
+
 // Retrieve returns a copy of the newest OPR stored for the object.
 func (v *Vault) Retrieve(object loid.LOID) (*opr.OPR, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	o, ok := v.oprs[object]
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, object)
+		return nil, notFoundError{object}
 	}
 	return o.Clone(), nil
 }
@@ -143,7 +152,7 @@ func (v *Vault) Delete(object loid.LOID) error {
 	defer v.mu.Unlock()
 	o, ok := v.oprs[object]
 	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotFound, object)
+		return notFoundError{object}
 	}
 	v.used -= int64(o.Size())
 	delete(v.oprs, object)

@@ -223,6 +223,48 @@ func TestOrbProtocolOverTCP(t *testing.T) {
 	}
 }
 
+// TestNotFoundError: a missing OPR is still ErrNotFound with the object
+// named after it, in process and — as text, which is all the wire
+// carries of an error — at a remote caller.
+func TestNotFoundError(t *testing.T) {
+	server := orb.NewRuntime("uva")
+	defer server.Close()
+	v := New(server, Config{})
+	addr, err := server.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := orb.NewRuntime("sdsc")
+	defer client.Close()
+	client.Bind(v.LOID(), addr)
+
+	const want = "vault: no OPR for object: legion:uva/Worker/1"
+	_, rerr := v.Retrieve(objA)
+	for name, err := range map[string]error{"Delete": v.Delete(objA), "Retrieve": rerr} {
+		if !errors.Is(err, ErrNotFound) || err.Error() != want {
+			t.Errorf("%s: %v (is ErrNotFound: %v), want %q", name, err, errors.Is(err, ErrNotFound), want)
+		}
+	}
+	ctx := context.Background()
+	for name, call := range map[string]func(*orb.Runtime) error{
+		proto.MethodDeleteOPR: func(rt *orb.Runtime) error {
+			_, err := rt.Call(ctx, v.LOID(), proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: objA})
+			return err
+		},
+		proto.MethodRetrieveOPR: func(rt *orb.Runtime) error {
+			_, err := rt.Call(ctx, v.LOID(), proto.MethodRetrieveOPR, proto.RetrieveOPRArgs{Object: objA})
+			return err
+		},
+	} {
+		if err := call(server); !errors.Is(err, ErrNotFound) || err.Error() != want {
+			t.Errorf("%s in process: %v, want %q", name, err, want)
+		}
+		if err := call(client); err == nil || err.Error() != want {
+			t.Errorf("%s over TCP: %v, want %q", name, err, want)
+		}
+	}
+}
+
 // TestVaultOKVerifiesIdentityAndZone is the ISSUE 5 regression: the
 // vault_OK handler used to answer OK for ANY well-formed VaultOKArgs —
 // a probe naming a different vault (misrouted call, stale LOID) was
