@@ -122,7 +122,10 @@ func order(c []cand, by ordering) {
 // comparisons where the sort makes about len(c)·log₂ len(c), so past
 // that logarithm it sorts.
 func best(c []cand, by ordering, k int) []cand {
-	k = min(max(k, 0), len(c))
+	k = min(k, len(c))
+	if k <= 0 {
+		return c[:0]
+	}
 	if k > bits.Len(uint(len(c))) {
 		order(c, by)
 		return c[:k]
@@ -130,7 +133,7 @@ func best(c []cand, by ordering, k int) []cand {
 	for i := range c {
 		n := min(i, k) // c[:n] is the sorted buffer
 		if n == k {
-			if k == 0 || by.total(c[i], c[k-1]) >= 0 {
+			if by.total(c[i], c[k-1]) >= 0 {
 				continue
 			}
 			c[i], c[k-1] = c[k-1], c[i] // the evicted entry takes the newcomer's place
