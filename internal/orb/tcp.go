@@ -14,6 +14,7 @@ import (
 	"legion/internal/fanout"
 	"legion/internal/loid"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 	"legion/internal/wire"
 )
 
@@ -229,7 +230,7 @@ func (s *tcpServer) process(req request) (any, error) {
 				time.Since(dl).Round(time.Millisecond))
 		} else {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, dl)
+			ctx, cancel = vclock.WithDeadline(ctx, dl)
 			defer cancel()
 		}
 	}

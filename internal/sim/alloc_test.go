@@ -11,26 +11,51 @@ import (
 	"legion/internal/sched"
 	"legion/internal/scheduler"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // TestPlacementAllocBudget pins what one placement allocates end to end:
 // Wrapper.Run for two instances on a warm 256-host fleet — Scheduler,
 // Collection snapshot, Enactor, Host reservation tables, class, all in
 // one process — and their teardown, averaged over the four generators a
-// deployment rotates. It measured 281 before ranking picked k, the token
-// MAC stopped allocating, a first attempt derived one context and a
-// missing OPR stopped formatting its error; 133 after.
+// deployment rotates. On the wall clock it measured 281 before ranking
+// picked k, the token MAC stopped allocating, a first attempt derived one
+// context and a missing OPR stopped formatting its error; 131 after; 117
+// since a wall-clock deadline is a field until somebody waits on it. On
+// the virtual clock, with link latency so that every call parks and no
+// fan-out, it measures 105 (217 before), now that a sleep allocates
+// nothing and an event is part of what it wakes; the budget is that
+// reading and 15 %.
 func TestPlacementAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	const budget = 160
-	ms := core.New("alloc", core.Options{Seed: 1, Metrics: telemetry.NewRegistry()})
+	t.Run("wall", func(t *testing.T) {
+		placementAllocs(t, nil, 125)
+	})
+	t.Run("virtual", func(t *testing.T) {
+		vc := vclock.NewVirtual()
+		vc.Run(func() { placementAllocs(t, vc, 120) })
+	})
+}
+
+// placementAllocs measures the placement on clock (nil is the wall
+// clock; a virtual one also gets 2–3 ms of latency on every call) and
+// fails t if it allocates more than budget.
+func placementAllocs(t *testing.T, clock vclock.Clock, budget float64) {
+	opts := core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock}
+	if clock != nil {
+		opts.Parallelism = 1 // the engine cannot see fanout's goroutines
+	}
+	ms := core.New("alloc", opts)
 	class := ms.DefineClass("Worker", nil)
 	rng := rand.New(rand.NewSource(1))
 	Build(ms, rng, RandomSpecs(rng, 256, "z1", "z2", "z3", "z4"))
+	if clock != nil {
+		ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
+	}
 	env := ms.Env()
-	env.Cache = scheduler.NewHostCache(nil, time.Hour)
+	env.Cache = scheduler.NewHostCache(clock, time.Hour)
 	wrapper := scheduler.Wrapper{SchedTryLimit: 2, EnactTryLimit: 1}
 	req := scheduler.Request{
 		Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: 2}},
@@ -65,8 +90,8 @@ func TestPlacementAllocBudget(t *testing.T) {
 	}
 	// A multiple of the rotation, so every generator weighs the same.
 	if got := testing.AllocsPerRun(50*len(gens), place); got > budget {
-		t.Errorf("%.1f allocations per placement, budget %d", got, budget)
+		t.Errorf("%.1f allocations per placement, budget %v", got, budget)
 	} else {
-		t.Logf("%.1f allocations per placement (budget %d)", got, budget)
+		t.Logf("%.1f allocations per placement (budget %v)", got, budget)
 	}
 }

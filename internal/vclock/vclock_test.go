@@ -459,3 +459,122 @@ func TestVirtualSleepNeverEarly(t *testing.T) {
 		t.Fatalf("%d early wakes", violations)
 	}
 }
+
+// TestWrappedContextSleeperWokenAtItsDeadline: a sleeper whose context is
+// one of the clock's own under a context.WithValue layer (every traced
+// call path adds one) is woken by the deadline event itself, under the
+// clock's lock and with a busy credit — not through the Done channel some
+// time after it. It used to be: the engine saw nobody runnable and went
+// on firing, so the sleeper came round at whatever instant the engine
+// had reached, or slept its whole hour, and RunUntilIdle could return
+// with it still running.
+func TestWrappedContextSleeperWokenAtItsDeadline(t *testing.T) {
+	type key struct{}
+	type wake struct {
+		err     error
+		at      time.Duration
+		pending int
+	}
+	bg := context.Background()
+	for round := 0; round < 300; round++ {
+		v := NewVirtual()
+		ctx, cancel := v.WithTimeout(bg, 10*time.Millisecond)
+		wrapped := context.WithValue(ctx, key{}, 1)
+		woke := make(chan wake, 1)
+		v.Go(func() {
+			err := v.Sleep(wrapped, time.Hour)
+			woke <- wake{err, v.Elapsed(), v.PendingEvents()}
+		})
+		v.Go(func() { _ = v.Sleep(bg, 20*time.Millisecond) })
+		v.Go(func() { _ = v.Sleep(bg, 30*time.Millisecond) })
+		v.RunUntilIdle()
+		got := <-woke
+		cancel()
+		if want := (wake{context.DeadlineExceeded, 10 * time.Millisecond, 2}); got != want {
+			t.Fatalf("round %d: woke with %v at %v, %d events pending; want %v at %v, %d pending",
+				round, got.err, got.at, got.pending, want.err, want.at, want.pending)
+		}
+	}
+}
+
+// TestContextForgetsWokenWaiters: a waiter leaves its context's list when
+// it wakes, not when the context ends. A long-lived context used to keep
+// every waiter that had ever parked under it, and walk them all when it
+// was cancelled.
+func TestContextForgetsWokenWaiters(t *testing.T) {
+	v := NewVirtual()
+	ctx, cancel := v.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	type key struct{}
+	wrapped := context.WithValue(ctx, key{}, 1)
+	v.Run(func() {
+		tk := v.NewTicker(time.Millisecond)
+		for i := 0; i < 5000; i++ {
+			if err := v.Sleep(ctx, time.Millisecond); err != nil {
+				t.Errorf("Sleep: %v", err)
+				return
+			}
+			if err := tk.Wait(wrapped); err != nil {
+				t.Errorf("Wait: %v", err)
+				return
+			}
+		}
+	})
+	c := ctx.(*vctx)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	listed := 0
+	for w := c.firstWaiter; w != nil; w = w.next {
+		listed++
+	}
+	if listed != 0 || c.lastWaiter != nil {
+		t.Fatalf("%d waiters still listed under the context after 10,000 waits, want 0", listed)
+	}
+}
+
+// TestClockAllocBudget pins what the clock itself allocates for the
+// things a placement does a dozen times: a sleep costs nothing (its
+// waiter comes from a pool, its event is inside the waiter), and a
+// deadline costs the context and its cancel function.
+func TestClockAllocBudget(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	bg := context.Background()
+	v := NewVirtual()
+	measure := func(name string, budget float64, f func()) {
+		t.Helper()
+		f() // fill the waiter pool
+		if got := testing.AllocsPerRun(200, f); got > budget {
+			t.Errorf("%s: %.2f allocations, budget %v", name, got, budget)
+		} else {
+			t.Logf("%s: %.2f allocations (budget %v)", name, got, budget)
+		}
+	}
+	v.Run(func() {
+		// Below 1, not 0: the garbage collector may empty the pool mid-run.
+		measure("virtual Sleep", 0.99, func() { _ = v.Sleep(bg, time.Millisecond) })
+		measure("virtual WithTimeout+cancel", 2, func() {
+			_, cancel := v.WithTimeout(bg, time.Second)
+			cancel()
+		})
+		measure("virtual two nested contexts and a sleep", 4.99, func() {
+			outer, cancelOuter := v.WithTimeout(bg, time.Second)
+			inner, cancelInner := v.WithTimeout(outer, time.Second)
+			_ = v.Sleep(inner, time.Millisecond)
+			cancelInner()
+			cancelOuter()
+		})
+	})
+	measure("wall WithTimeout+cancel", 2, func() {
+		_, cancel := Wall.WithTimeout(bg, time.Second)
+		cancel()
+	})
+	measure("wall two nested contexts", 4, func() {
+		outer, cancelOuter := Wall.WithTimeout(bg, time.Second)
+		inner, cancelInner := Wall.WithTimeout(outer, time.Second)
+		_ = inner.Err()
+		cancelInner()
+		cancelOuter()
+	})
+}

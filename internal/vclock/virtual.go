@@ -41,18 +41,57 @@ type Virtual struct {
 	busy  int
 
 	tracing bool
-	trace   []string
+	trace   []traceRecord
 }
 
-// event is one scheduled occurrence. fire runs with v.mu held.
+// eventKind says what an event does when it fires, and so which of the
+// event's targets is set. Its String is the name Trace prints.
+type eventKind uint8
+
+const (
+	evSleep       eventKind = iota // grants w: a Sleep is over
+	evTick                         // grants w: a Ticker.Wait's tick has come
+	evGroupWake                    // grants w: a Group released this waiter
+	evCtxDeadline                  // ends c with DeadlineExceeded
+	evTimer                        // delivers the time on t's channel
+	evAfterFunc                    // runs f on a registered goroutine
+	evGo                           // likewise: the start of a Go
+)
+
+var eventKindNames = [...]string{
+	evSleep: "sleep", evTick: "tick", evGroupWake: "group-wake", evCtxDeadline: "ctx-deadline",
+	evTimer: "timer", evAfterFunc: "afterfunc", evGo: "go",
+}
+
+func (k eventKind) String() string { return eventKindNames[k] }
+
+// eventState follows an event through the heap. Only a pending event is
+// in it, so an event that has fired or been cancelled may be scheduled
+// again, which is how a pooled waiter and a Reset timer reuse theirs.
+type eventState uint8
+
+const (
+	evIdle eventState = iota // never scheduled
+	evPending
+	evFired
+	evCancelled
+)
+
+// event is one scheduled occurrence: a value stored in what it wakes (a
+// waiter, a context, a timer), or allocated on its own for a Go. The
+// engine switches on kind; no closure is built to fire it.
 type event struct {
-	at        time.Time
-	seq       uint64
-	kind      string
-	cancelled bool
-	fired     bool
-	index     int
-	fire      func(v *Virtual)
+	at    time.Time
+	seq   uint64
+	index int
+	kind  eventKind
+	state eventState
+
+	// The target: the one that kind names.
+	w *waiter
+	c *vctx
+	t *vtimer
+	f func()
 }
 
 // eventHeap orders events by (time, seq) — seq breaks ties in
@@ -86,13 +125,33 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// waiter is one parked goroutine awaiting a grant.
+// waiter is one parked goroutine awaiting a grant. ev is its wake-up
+// event when what it awaits is a time or a Group's release; ch has room
+// for the one token a grant sends, so nothing is made per wait and the
+// waiter can be used again once the token is taken.
 type waiter struct {
+	ev      event
 	ch      chan struct{}
 	granted bool
 	err     error
-	ev      *event
+
+	// The clock context the wait is under, if any, and the neighbours in
+	// its list of waiters; grant unlinks.
+	ctx        *vctx
+	prev, next *waiter
 }
+
+func newWaiter() *waiter {
+	w := &waiter{ch: make(chan struct{}, 1)}
+	w.ev.w = w
+	return w
+}
+
+// waiterPool recycles the waiters of Sleep and Ticker.Wait, which nothing
+// points at once the wait has returned. A Gate or a Group keeps a pointer
+// to its waiter past the wake and reads granted through it, so theirs are
+// made new for every wait.
+var waiterPool = sync.Pool{New: func() any { return newWaiter() }}
 
 // NewVirtual creates a virtual clock whose epoch is the current wall
 // time. Anchoring near real time keeps any stdlib-derived deadline
@@ -108,47 +167,63 @@ func NewVirtualAt(epoch time.Time) *Virtual {
 	return v
 }
 
-// schedule registers an event; v.mu must be held.
-func (v *Virtual) schedule(at time.Time, kind string, fire func(*Virtual)) *event {
+// schedule registers e, whose kind and target the caller has set, to
+// fire at at; v.mu must be held.
+func (v *Virtual) schedule(e *event, at time.Time) {
 	if at.Before(v.now) {
 		at = v.now
 	}
 	v.seq++
-	e := &event{at: at, seq: v.seq, kind: kind, fire: fire}
+	e.at, e.seq, e.state = at, v.seq, evPending
 	heap.Push(&v.heap, e)
-	return e
 }
 
-// cancelLocked marks e dead and removes it from the heap immediately.
-// Lazy removal (skip-on-pop) would also be correct, but long-deadline
-// context events are almost always cancelled well before they fire, and
-// letting them pile up makes every heap operation pay for the corpses;
-// v.mu must be held.
+// cancelEventLocked takes a pending event out of the heap, at once:
+// long-deadline context events are almost always cancelled well before
+// they fire, and letting them pile up would make every heap operation
+// pay for the corpses. Any other state is left alone; v.mu must be held.
 func (v *Virtual) cancelEventLocked(e *event) {
-	if e == nil || e.cancelled || e.fired {
+	if e.state != evPending {
 		return
 	}
-	e.cancelled = true
-	if e.index >= 0 {
-		heap.Remove(&v.heap, e.index)
-	}
+	e.state = evCancelled
+	heap.Remove(&v.heap, e.index)
 }
 
 // grant wakes a parked waiter, handing it a busy credit so the engine
-// waits for it before firing the next event; v.mu must be held.
+// waits for it before firing the next event; v.mu must be held. The send
+// is the last touch: the woken goroutine may recycle w straight away.
 func (v *Virtual) grant(w *waiter, err error) {
 	if w.granted {
 		return
 	}
 	w.granted = true
 	w.err = err
+	if w.ctx != nil {
+		w.ctx.unlinkWaiter(w)
+	}
 	v.busy++
-	close(w.ch)
+	w.ch <- struct{}{}
 }
 
-// park releases the caller's busy credit and blocks until granted or
-// ctx is done; v.mu must be held on entry and is released.
-func (v *Virtual) park(ctx context.Context, w *waiter) error {
+// attach lists w under c, the clock context its wait is under, so that
+// the context's end grants w under v.mu, in the serialized order, and w
+// need not watch Done. It reports whether it did: not without such a
+// context (c is v.own(ctx), looked up before v.mu was taken), nor under
+// one that has ended since the caller looked, whose closed Done park
+// will find. v.mu must be held.
+func (v *Virtual) attach(c *vctx, w *waiter) bool {
+	if c == nil || c.err != nil {
+		return false
+	}
+	c.linkWaiter(w)
+	return true
+}
+
+// park releases the caller's busy credit and blocks until w is granted
+// or, for a waiter no clock context will grant, until ctx is done; v.mu
+// must be held on entry and is released.
+func (v *Virtual) park(ctx context.Context, w *waiter, attached bool) error {
 	v.busy--
 	if v.busy < 0 {
 		v.mu.Unlock()
@@ -156,6 +231,10 @@ func (v *Virtual) park(ctx context.Context, w *waiter) error {
 	}
 	v.cond.Broadcast()
 	v.mu.Unlock()
+	if attached {
+		<-w.ch
+		return w.err
+	}
 	select {
 	case <-w.ch:
 		return w.err
@@ -164,24 +243,30 @@ func (v *Virtual) park(ctx context.Context, w *waiter) error {
 		if w.granted {
 			v.mu.Unlock()
 			// The grant raced the cancellation; the busy credit is
-			// already ours either way.
+			// already ours either way. Take its token, or the next user
+			// of a pooled waiter would wake on it.
+			<-w.ch
 			return w.err
 		}
 		w.granted = true
-		v.cancelEventLocked(w.ev)
+		v.cancelEventLocked(&w.ev)
 		v.busy++
 		v.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// attachCtx registers w with ctx when ctx is one of this clock's
-// virtual contexts, so cancellation grants the waiter synchronously
-// (serialized) instead of waking it through the select race; v.mu held.
-func (v *Virtual) attachCtx(ctx context.Context, w *waiter) {
-	if c, ok := ctx.(*vctx); ok && c.v == v && c.err == nil {
-		c.waiters = append(c.waiters, w)
-	}
+// sleepUntil parks the caller until an event of the given kind fires at
+// at, or ctx ends: the whole of Sleep and Ticker.Wait once they hold
+// v.mu, which it releases. c is v.own(ctx).
+func (v *Virtual) sleepUntil(ctx context.Context, c *vctx, at time.Time, kind eventKind) error {
+	w := waiterPool.Get().(*waiter)
+	w.ev.kind = kind
+	v.schedule(&w.ev, at)
+	err := v.park(ctx, w, v.attach(c, w))
+	w.granted, w.err = false, nil
+	waiterPool.Put(w)
+	return err
 }
 
 func (v *Virtual) exitBusy() {
@@ -221,11 +306,9 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
+	c := v.own(ctx)
 	v.mu.Lock()
-	w := &waiter{ch: make(chan struct{})}
-	w.ev = v.schedule(v.now.Add(d), "sleep", func(v *Virtual) { v.grant(w, nil) })
-	v.attachCtx(ctx, w)
-	return v.park(ctx, w)
+	return v.sleepUntil(ctx, c, v.now.Add(d), evSleep)
 }
 
 // After returns a one-shot channel; see the interface note — only
@@ -237,13 +320,8 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t := &vtimer{v: v}
-	t.ev = v.schedule(v.now.Add(d), "afterfunc", func(v *Virtual) {
-		v.busy++
-		go func() {
-			defer v.exitBusy()
-			f()
-		}()
-	})
+	t.ev.kind, t.ev.f = evAfterFunc, f
+	v.schedule(&t.ev, v.now.Add(d))
 	return t
 }
 
@@ -253,7 +331,8 @@ func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
-	t.arm(d)
+	t.ev.kind, t.ev.t = evTimer, t
+	v.schedule(&t.ev, v.now.Add(d))
 	return t
 }
 
@@ -273,13 +352,16 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 func (v *Virtual) Go(f func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.schedule(v.now, "go", func(v *Virtual) {
-		v.busy++
-		go func() {
-			defer v.exitBusy()
-			f()
-		}()
-	})
+	v.schedule(&event{kind: evGo, f: f}, v.now)
+}
+
+// spawn runs f as a registered goroutine; v.mu must be held.
+func (v *Virtual) spawn(f func()) {
+	v.busy++
+	go func() {
+		defer v.exitBusy()
+		f()
+	}()
 }
 
 // NewGate returns a virtual Gate.
@@ -290,18 +372,12 @@ func (v *Virtual) NewGroup() Group { return &vgroup{v: v} }
 
 // --- engine ---
 
-// peekLocked discards cancelled events and returns the next live one
-// without popping, or nil.
+// peekLocked returns the next event without popping it, or nil.
 func (v *Virtual) peekLocked() *event {
-	for v.heap.Len() > 0 {
-		e := v.heap[0]
-		if e.cancelled {
-			heap.Pop(&v.heap)
-			continue
-		}
-		return e
+	if len(v.heap) == 0 {
+		return nil
 	}
-	return nil
+	return v.heap[0]
 }
 
 // stepLocked fires the earliest pending event, advancing now to its
@@ -315,12 +391,23 @@ func (v *Virtual) stepLocked() bool {
 	if e.at.After(v.now) {
 		v.now = e.at
 	}
-	e.fired = true
+	e.state = evFired
 	if v.tracing {
-		v.trace = append(v.trace,
-			fmt.Sprintf("+%012dus #%06d %s", v.now.Sub(v.start).Microseconds(), e.seq, e.kind))
+		v.trace = append(v.trace, traceRecord{v.now.Sub(v.start).Microseconds(), e.seq, e.kind})
 	}
-	e.fire(v)
+	switch e.kind {
+	case evSleep, evTick, evGroupWake:
+		v.grant(e.w, nil)
+	case evCtxDeadline:
+		e.c.cancelLocked(context.DeadlineExceeded)
+	case evTimer:
+		select {
+		case e.t.ch <- v.now:
+		default:
+		}
+	case evAfterFunc, evGo:
+		v.spawn(e.f)
+	}
 	return true
 }
 
@@ -410,10 +497,18 @@ func (v *Virtual) Run(fn func()) {
 
 // --- tracing ---
 
-// StartTrace clears the trace buffer and begins recording one line per
-// fired event: "+<offset-us> #<seq> <kind>". Under serialized
-// execution the trace is a pure function of the workload and its
-// seeds, which is the determinism proof the chaos experiments commit.
+// traceRecord is one fired event as the engine keeps it; Trace formats.
+type traceRecord struct {
+	us   int64 // offset from the epoch
+	seq  uint64
+	kind eventKind
+}
+
+// StartTrace clears the trace buffer and begins recording every fired
+// event, which Trace renders one line each: "+<offset-us> #<seq> <kind>".
+// Under serialized execution the trace is a pure function of the
+// workload and its seeds, which is the determinism proof the chaos
+// experiments commit.
 func (v *Virtual) StartTrace() {
 	v.mu.Lock()
 	v.tracing = true
@@ -421,11 +516,15 @@ func (v *Virtual) StartTrace() {
 	v.mu.Unlock()
 }
 
-// Trace returns a copy of the recorded event trace.
+// Trace returns the recorded event trace as text.
 func (v *Virtual) Trace() []string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return append([]string(nil), v.trace...)
+	lines := make([]string, len(v.trace))
+	for i, r := range v.trace {
+		lines[i] = fmt.Sprintf("+%012dus #%06d %s", r.us, r.seq, r.kind)
+	}
+	return lines
 }
 
 // PendingEvents returns how many live events are scheduled (tests and
@@ -433,57 +532,35 @@ func (v *Virtual) Trace() []string {
 func (v *Virtual) PendingEvents() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, e := range v.heap {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
+	return len(v.heap)
 }
 
 // --- timers & tickers ---
 
+// vtimer is a Timer around its own event: evTimer delivers on ch,
+// evAfterFunc (ch nil) runs the event's f.
 type vtimer struct {
 	v  *Virtual
-	ch chan time.Time // nil for AfterFunc
-	ev *event
+	ch chan time.Time
+	ev event
 }
 
 func (t *vtimer) C() <-chan time.Time { return t.ch }
 
-// arm schedules the fire event; v.mu must be held.
-func (t *vtimer) arm(d time.Duration) {
-	t.ev = t.v.schedule(t.v.now.Add(d), "timer", func(v *Virtual) {
-		if t.ch != nil {
-			select {
-			case t.ch <- v.now:
-			default:
-			}
-		}
-	})
-}
-
 func (t *vtimer) Stop() bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	active := t.ev != nil && !t.ev.fired && !t.ev.cancelled
-	t.v.cancelEventLocked(t.ev)
+	active := t.ev.state == evPending
+	t.v.cancelEventLocked(&t.ev)
 	return active
 }
 
 func (t *vtimer) Reset(d time.Duration) bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	active := t.ev != nil && !t.ev.fired && !t.ev.cancelled
-	t.v.cancelEventLocked(t.ev)
-	if t.ch == nil {
-		// AfterFunc timer: re-arm the original callback.
-		old := t.ev
-		t.ev = t.v.schedule(t.v.now.Add(d), "afterfunc", old.fire)
-		return active
-	}
-	t.arm(d)
+	active := t.ev.state == evPending
+	t.v.cancelEventLocked(&t.ev)
+	t.v.schedule(&t.ev, t.v.now.Add(d))
 	return active
 }
 
@@ -498,6 +575,7 @@ func (t *vticker) Wait(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	c := t.v.own(ctx)
 	t.v.mu.Lock()
 	if t.stopped {
 		t.v.mu.Unlock()
@@ -508,10 +586,7 @@ func (t *vticker) Wait(ctx context.Context) error {
 		at = t.v.now // fell behind: fire immediately, no backlog
 	}
 	t.next = at.Add(t.period)
-	w := &waiter{ch: make(chan struct{})}
-	w.ev = t.v.schedule(at, "tick", func(v *Virtual) { v.grant(w, nil) })
-	t.v.attachCtx(ctx, w)
-	return t.v.park(ctx, w)
+	return t.v.sleepUntil(ctx, c, at, evTick)
 }
 
 func (t *vticker) Stop() {
@@ -544,6 +619,7 @@ func (g *vgate) Wait(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	c := g.v.own(ctx)
 	g.v.mu.Lock()
 	if g.tokens > 0 {
 		g.tokens--
@@ -554,10 +630,9 @@ func (g *vgate) Wait(ctx context.Context) error {
 		g.v.mu.Unlock()
 		panic("vclock: concurrent Gate.Wait (single-waiter contract)")
 	}
-	w := &waiter{ch: make(chan struct{})}
+	w := newWaiter()
 	g.waiter = w
-	g.v.attachCtx(ctx, w)
-	err := g.v.park(ctx, w)
+	err := g.v.park(ctx, w, g.v.attach(c, w))
 	if err != nil {
 		// Cancelled: detach so a later Signal deposits a token instead
 		// of granting a dead waiter.
@@ -592,7 +667,8 @@ func (g *vgroup) Add(n int) {
 		// one after another, each once the one before has parked.
 		for _, w := range g.waiters {
 			if !w.granted { // a waiter whose context ended has left
-				w.ev = g.v.schedule(g.v.now, "group-wake", func(v *Virtual) { v.grant(w, nil) })
+				w.ev.kind = evGroupWake
+				g.v.schedule(&w.ev, g.v.now)
 			}
 		}
 		g.waiters = nil
@@ -605,13 +681,13 @@ func (g *vgroup) Wait(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	c := g.v.own(ctx)
 	g.v.mu.Lock()
 	if g.n == 0 {
 		g.v.mu.Unlock()
 		return nil
 	}
-	w := &waiter{ch: make(chan struct{})}
+	w := newWaiter()
 	g.waiters = append(g.waiters, w)
-	g.v.attachCtx(ctx, w)
-	return g.v.park(ctx, w)
+	return g.v.park(ctx, w, g.v.attach(c, w))
 }
