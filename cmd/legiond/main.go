@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -47,7 +48,7 @@ func main() {
 		osName   = flag.String("os", "Linux", "host OS attribute")
 		reassess = flag.Duration("reassess", 2*time.Second, "host state reassessment interval")
 		seed     = flag.Int64("seed", 1, "scheduling RNG seed")
-		metrics  = flag.String("metrics-addr", "", "HTTP address for the /metrics and /spans endpoints (empty disables)")
+		metrics  = flag.String("metrics-addr", "", "HTTP address for the /metrics, /spans and /debug/pprof/ endpoints (empty disables)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "Enactor admission control: concurrent placements admitted (0 disables)")
 		admissionQ   = flag.Int("admission-queue", 0, "Enactor admission wait-queue depth (0 = 4×max-inflight)")
@@ -75,8 +76,15 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", telemetry.Default.Handler())
 		mux.Handle("/spans", telemetry.Default.SpanHandler())
+		// Profiles of the running node (go tool pprof http://<addr>/debug/pprof/profile):
+		// Index serves heap, goroutine, allocs, block and mutex by name.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("legiond: telemetry on http://%s/metrics (spans at /spans)", *metrics)
+			log.Printf("legiond: telemetry on http://%s/metrics (spans at /spans, profiles at /debug/pprof/)", *metrics)
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
 				log.Printf("legiond: telemetry endpoint: %v", err)
 			}

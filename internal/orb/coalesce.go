@@ -25,13 +25,15 @@ import (
 type coalescer struct {
 	w     io.Writer
 	onErr func(error) // invoked once, outside the lock, on write failure
+	loop  func()      // co.flushLoop, bound once: binding it per start allocates
 
 	mu       sync.Mutex
 	pending  []byte // frames accumulated since the last swap
 	spans    []frameSpan
-	spare    []byte      // recycled write buffer
-	spareSp  []frameSpan // recycled span slice
-	scratch  []byte      // header scratch for append callbacks
+	spare    []byte       // recycled write buffer
+	spareSp  []frameSpan  // recycled span slice
+	scratch  []byte       // header scratch for append callbacks
+	methods  methodIntern // the sending client's method IDs; idle on a server
 	flushing bool
 	err      error
 
@@ -41,10 +43,12 @@ type coalescer struct {
 	writeHi   uint64
 }
 
-// frameSpan locates one frame inside the pending buffer.
+// frameSpan locates one frame inside the pending buffer. defines is the
+// method whose connection-local ID this frame introduces, if any.
 type frameSpan struct {
 	id         uint64
 	start, end int
+	defines    string
 }
 
 // coalesceRecycleMax bounds recycled write buffers; one giant payload
@@ -52,15 +56,16 @@ type frameSpan struct {
 const coalesceRecycleMax = 1 << 22
 
 func newCoalescer(w io.Writer, onErr func(error)) *coalescer {
-	return &coalescer{w: w, onErr: onErr}
+	co := &coalescer{w: w, onErr: onErr}
+	co.loop = co.flushLoop
+	return co
 }
 
 // append runs fn under the coalescer lock to append exactly one
 // complete frame to the pending buffer, then ensures a flusher is
-// running. fn may use co.scratch and any per-connection state that is
-// only touched under this lock (the client's method-intern table rides
-// here, so the frame introducing a method ID is ordered before every
-// frame using it). It returns the frame's ID for cancel.
+// running. fn may use co.scratch and co.methods, which are only touched
+// under this lock (so the frame introducing a method ID is ordered
+// before every frame using it). It returns the frame's ID for cancel.
 func (co *coalescer) append(fn func(b []byte) []byte) (uint64, error) {
 	co.mu.Lock()
 	if co.err != nil {
@@ -72,10 +77,11 @@ func (co *coalescer) append(fn func(b []byte) []byte) (uint64, error) {
 	co.pending = fn(co.pending)
 	co.nextID++
 	id := co.nextID
-	co.spans = append(co.spans, frameSpan{id: id, start: start, end: len(co.pending)})
+	co.spans = append(co.spans, frameSpan{id: id, start: start, end: len(co.pending), defines: co.methods.defined})
+	co.methods.defined = ""
 	if !co.flushing {
 		co.flushing = true
-		go co.flushLoop()
+		go co.loop()
 	}
 	co.mu.Unlock()
 	return id, nil
@@ -135,8 +141,9 @@ func (co *coalescer) flushLoop() {
 type cancelState int
 
 const (
-	// cancelFlushed: the frame was fully written; the connection is
-	// intact and the eventual response will be dropped.
+	// cancelFlushed: the frame was fully written, or is pending and must
+	// stay because it defines a method ID for frames behind it; the
+	// connection is intact and the eventual response will be dropped.
 	cancelFlushed cancelState = iota
 	// cancelInflight: the frame was part of a write still in progress;
 	// the stream may be cut mid-frame and the connection must be closed.
@@ -161,6 +168,16 @@ func (co *coalescer) cancel(id uint64) cancelState {
 	for i, f := range co.spans {
 		if f.id != id {
 			continue
+		}
+		if f.defines != "" {
+			// Frames appended since may name the method by the ID this
+			// one defines, so it has to go out ahead of them (its reply
+			// will be dropped). Behind nothing, it is excised and the
+			// method's next frame defines it afresh.
+			if i != len(co.spans)-1 {
+				return cancelFlushed
+			}
+			delete(co.methods.ids, f.defines)
 		}
 		w := f.end - f.start
 		co.pending = append(co.pending[:f.start], co.pending[f.end:]...)

@@ -213,6 +213,10 @@ func DecodePayloadBytes(b []byte) (any, error) {
 type methodIntern struct {
 	ids  map[string]uint64
 	next uint64
+	// defined is the name the last intern call assigned an ID to, until
+	// the coalescer takes it for the frame being appended: that frame
+	// carries the definition later frames rely on (see coalescer.cancel).
+	defined string
 }
 
 // intern returns the method's connection-local ID, assigning the next
@@ -228,6 +232,7 @@ func (m *methodIntern) intern(name string) (id uint64, first bool) {
 	}
 	m.next++
 	m.ids[name] = m.next
+	m.defined = name
 	return m.next, true
 }
 
@@ -236,7 +241,13 @@ func (m *methodIntern) intern(name string) (id uint64, first bool) {
 // a frame past either cap is a corrupt header. Real vocabularies are a
 // few dozen short constants (package proto).
 type methodTable struct {
-	names map[uint64]string
+	names map[uint64]methodEntry
+}
+
+// methodEntry is a defined method and the name of the span that serves
+// it, built once per connection instead of once per frame.
+type methodEntry struct {
+	name, span string
 }
 
 const (
@@ -245,15 +256,16 @@ const (
 )
 
 // define records id -> name, refusing to grow past maxMethods.
-func (m *methodTable) define(id uint64, name string) bool {
+func (m *methodTable) define(id uint64, name string) (methodEntry, bool) {
 	if m.names == nil {
-		m.names = make(map[uint64]string, 16)
+		m.names = make(map[uint64]methodEntry, 16)
 	}
 	if _, known := m.names[id]; !known && len(m.names) >= maxMethods {
-		return false
+		return methodEntry{}, false
 	}
-	m.names[id] = name
-	return true
+	e := methodEntry{name: name, span: "rpc/" + name}
+	m.names[id] = e
+	return e, true
 }
 
 // appendMethod appends the method field: uvarint id<<1|first, then the
@@ -272,32 +284,33 @@ func appendMethod(b []byte, mi *methodIntern, name string) []byte {
 }
 
 // decodeMethod consumes a method field against the connection's table.
-func decodeMethod(r *wire.Reader, mt *methodTable) (string, error) {
+func decodeMethod(r *wire.Reader, mt *methodTable) (methodEntry, error) {
 	code := r.Uvarint()
 	if r.Err != nil {
-		return "", r.Err
+		return methodEntry{}, r.Err
 	}
 	id := code >> 1
 	if code&1 == 1 {
 		n := r.Len()
 		if r.Err != nil {
-			return "", r.Err
+			return methodEntry{}, r.Err
 		}
 		if n > maxMethodNameLen {
-			return "", fmt.Errorf("orb: method name of %d bytes exceeds limit", n)
+			return methodEntry{}, fmt.Errorf("orb: method name of %d bytes exceeds limit", n)
 		}
 		name := wire.Intern(r.B[:n])
 		r.B = r.B[n:]
-		if !mt.define(id, name) {
-			return "", fmt.Errorf("orb: connection defines more than %d methods", maxMethods)
+		e, ok := mt.define(id, name)
+		if !ok {
+			return methodEntry{}, fmt.Errorf("orb: connection defines more than %d methods", maxMethods)
 		}
-		return name, nil
+		return e, nil
 	}
-	name, ok := mt.names[id]
+	e, ok := mt.names[id]
 	if !ok {
-		return "", fmt.Errorf("orb: frame references undefined method ID %d", id)
+		return methodEntry{}, fmt.Errorf("orb: frame references undefined method ID %d", id)
 	}
-	return name, nil
+	return e, nil
 }
 
 // --- frames ---
@@ -331,7 +344,7 @@ func decodeRequestHeader(r *wire.Reader, mt *methodTable) (request, error) {
 	if err != nil {
 		return req, err
 	}
-	req.Method = m
+	req.Method, req.span = m.name, m.span
 	req.Target.DecodeWire(r)
 	req.TraceID = r.Uvarint()
 	req.SpanID = r.Uvarint()

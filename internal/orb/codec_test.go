@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -364,6 +365,12 @@ func TestServerOverloadSheds(t *testing.T) {
 	client.Bind(obj.LOID(), addr)
 	ctx := context.Background()
 
+	// A method labels the server's metrics once a dispatch of it has
+	// returned; until then a shed of it counts under "unknown".
+	if _, err := client.Call(ctx, obj.LOID(), "echo", "first"); err != nil {
+		t.Fatal(err)
+	}
+
 	// Fill both handler slots with calls that park in the object.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -531,6 +538,85 @@ func TestCoalescerCancelStates(t *testing.T) {
 	w.mu.Unlock()
 	if written != "aaaa"+"bbdd" {
 		t.Fatalf("wrote %q, want %q", written, "aaaabbdd")
+	}
+}
+
+// waitCoalescer polls cond under co's lock until it holds, failing t with
+// what after 5s.
+func waitCoalescer(t *testing.T, co *coalescer, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		co.mu.Lock()
+		ok := cond()
+		co.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExcisionKeepsMethodDefinitions: the frame that introduces a method
+// ID carries the name for every frame after it. A caller that gives up
+// on it while it is still pending may take it out only from the end of
+// the buffer (and then the method is defined afresh next time); with
+// frames behind it, it goes out. Either way the receiver can decode the
+// whole stream. Excising it from under its users left them naming an ID
+// the receiver had never been told, which drops the connection.
+func TestExcisionKeepsMethodDefinitions(t *testing.T) {
+	w := &gateWriter{gate: make(chan struct{})}
+	co := newCoalescer(w, nil)
+	target := loid.LOID{Domain: "zone-1", Class: "Host", Instance: 31}
+	var nextID uint64
+	send := func(method string) uint64 {
+		nextID++
+		req := request{ID: nextID, Target: target, Method: method}
+		id, err := co.append(func(b []byte) []byte {
+			return appendRequestFrame(b, &co.scratch, &co.methods, &req, []byte{payloadNil})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	send("wedge")
+	waitCoalescer(t, co, "flusher never started", func() bool { return co.writeLo != 0 })
+
+	definesProbe := send("probe")
+	send("probe")
+	if got := co.cancel(definesProbe); got != cancelFlushed {
+		t.Fatalf("cancel(defining frame with a user behind it) = %v, want flushed (kept)", got)
+	}
+	definesQuery := send("query")
+	if got := co.cancel(definesQuery); got != cancelExcised {
+		t.Fatalf("cancel(defining frame at the end) = %v, want excised", got)
+	}
+	send("query")
+
+	close(w.gate)
+	waitCoalescer(t, co, "frames never flushed", func() bool { return co.flushedID == co.nextID && !co.flushing })
+
+	w.mu.Lock()
+	r := wire.NewReader(w.buf)
+	w.mu.Unlock()
+	var mt methodTable
+	var got []string
+	for len(r.B) > 0 {
+		n := r.Len()
+		body := wire.NewReader(r.B[:n])
+		r.B = r.B[n:]
+		req, err := decodeRequestHeader(&body, &mt)
+		if err != nil {
+			t.Fatalf("frame %d of the stream: %v", len(got), err)
+		}
+		got = append(got, req.Method)
+	}
+	if want := []string{"wedge", "probe", "probe", "query"}; !slices.Equal(got, want) {
+		t.Fatalf("receiver decoded %v, want %v", got, want)
 	}
 }
 

@@ -92,6 +92,16 @@ func TestExpiredFrameRefusedWithoutDispatch(t *testing.T) {
 	}
 	defer server.Close()
 
+	// A method labels the server's metrics once a dispatch of it has
+	// returned; until then an expired frame counts under "unknown".
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+	if _, err := client.Call(context.Background(), obj.LOID(), "probe", nil); err != nil {
+		t.Fatal(err)
+	}
+	obj.invoked.Store(0)
+
 	conn := rawConn(t, addr)
 	req := request{
 		ID:       7,
@@ -122,5 +132,37 @@ func TestExpiredFrameRefusedWithoutDispatch(t *testing.T) {
 	}
 	if n := reg.CounterValue("legion_orb_deadline_expired_total", "method", "probe"); n != 1 {
 		t.Fatalf("legion_orb_deadline_expired_total = %v, want 1", n)
+	}
+}
+
+// TestDeadlineOnTheLinkIsARefusal: a caller whose deadline passes during
+// the simulated link latency gets the refusal the TCP server gives a
+// frame that arrives expired — the method never ran, and the error says
+// so — while remaining the context's own error. A cancelled caller is
+// not a deadline and stays a bare cancellation. The Wrapper relies on
+// the refusal to release the reservations of an episode whose
+// enact_schedule died on the link (the leak behind the flaky overload
+// storm conservation test).
+func TestDeadlineOnTheLinkIsARefusal(t *testing.T) {
+	rt := NewRuntime("uva")
+	obj := &deadlineObj{l: rt.Mint("Clock")}
+	rt.Register(obj)
+	rt.SetLatency(50*time.Millisecond, 0)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	_, err := rt.Call(ctx, obj.LOID(), "probe", nil)
+	if !errors.Is(err, ErrDeadlineExpired) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline on the link: err=%v, want ErrDeadlineExpired wrapping DeadlineExceeded", err)
+	}
+
+	cctx, ccancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, ccancel)
+	_, err = rt.Call(cctx, obj.LOID(), "probe", nil)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExpired) {
+		t.Fatalf("cancel on the link: err=%v, want a bare context.Canceled", err)
+	}
+	if n := obj.invoked.Load(); n != 0 {
+		t.Fatalf("method invoked %d times by calls that died on the link", n)
 	}
 }

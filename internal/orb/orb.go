@@ -361,6 +361,15 @@ func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, met
 			rt.rngMu.Unlock()
 		}
 		if err := h.clock.Sleep(ctx, d); err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				// The caller's deadline passed on the (simulated) link, so
+				// the method was never invoked: the refusal the TCP server
+				// gives a frame that arrives expired, and like it a
+				// guarantee callers act on (the Wrapper releases the
+				// reservations of an episode whose enact_schedule never
+				// ran). It is still the context's error underneath.
+				return nil, fmt.Errorf("%w: %w", ErrDeadlineExpired, err)
+			}
 			return nil, err
 		}
 	}

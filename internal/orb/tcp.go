@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"legion/internal/fanout"
@@ -34,6 +35,10 @@ type request struct {
 	TraceID  uint64
 	SpanID   uint64
 	Deadline int64
+
+	// span is "rpc/"+Method, taken from the connection's method table on
+	// the serving side; it does not cross the wire.
+	span string
 }
 
 // response is the reply to one request.
@@ -97,6 +102,12 @@ type tcpServer struct {
 	wg     sync.WaitGroup
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// served is the set of method names that label this server's
+	// metrics, never nil and published whole like callHooks; servedMu
+	// serializes the copy-and-publish. See methodLabel.
+	servedMu sync.Mutex
+	served   atomic.Pointer[map[string]struct{}]
 }
 
 // ListenAndServe starts serving this runtime's objects on addr (e.g.
@@ -117,6 +128,7 @@ func (rt *Runtime) ListenAndServe(addr string) (string, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &tcpServer{rt: rt, ln: ln, lim: rt.serverLimiter(),
 		cs: make(map[net.Conn]struct{}), ctx: ctx, cancel: cancel}
+	s.served.Store(&map[string]struct{}{})
 
 	rt.mu.Lock()
 	rt.server = s
@@ -206,6 +218,47 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 	s.serveBinary(conn)
 }
 
+// unknownMethod labels the metrics of a method name that has not earned
+// its own series.
+const unknownMethod = "unknown"
+
+// methodLabel returns the method label for a request's metrics. The name
+// in a frame is whatever the peer wrote, and a registry keeps every
+// series for the life of the process, so a name labels metrics only once
+// a dispatch of it has returned something other than ErrNoMethod or
+// ErrNotBound — which bounds the set by the methods this process really
+// exports, and keeps a name crafted to break out of the label's quotes
+// away from /metrics. Until then it is observed as unknownMethod.
+func (s *tcpServer) methodLabel(method string) string {
+	if _, ok := (*s.served.Load())[method]; ok {
+		return method
+	}
+	return unknownMethod
+}
+
+// earnLabel adds method to the served set and reports whether it is in
+// it. The set is capped like a connection's method table: a dispatch can
+// also fail before it reaches an object (a forwarded call whose next hop
+// is down), and that must not reopen the door.
+func (s *tcpServer) earnLabel(method string) bool {
+	s.servedMu.Lock()
+	defer s.servedMu.Unlock()
+	old := *s.served.Load()
+	if _, ok := old[method]; ok {
+		return true
+	}
+	if len(old) >= maxMethods {
+		return false
+	}
+	next := make(map[string]struct{}, len(old)+1)
+	for k := range old {
+		next[k] = struct{}{}
+	}
+	next[method] = struct{}{}
+	s.served.Store(&next)
+	return true
+}
+
 // process runs one decoded request against the runtime: span
 // re-parenting, propagated-deadline enforcement, dispatch, server-side
 // metrics.
@@ -213,8 +266,9 @@ func (s *tcpServer) process(req request) (any, error) {
 	ctx := telemetry.WithRemoteParent(s.ctx,
 		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	reg := s.rt.Metrics()
-	ctx, span := reg.Spans().StartIn(ctx, "rpc/"+req.Method, s.rt.Domain())
+	ctx, span := reg.Spans().StartIn(ctx, req.span, s.rt.Domain())
 	start := time.Now()
+	label := s.methodLabel(req.Method)
 	var res any
 	var err error
 	if req.Deadline != 0 {
@@ -224,7 +278,7 @@ func (s *tcpServer) process(req request) (any, error) {
 			// it: refuse without invoking the method so doomed work is
 			// shed at every hop, not just at the origin.
 			reg.Counter("legion_orb_deadline_expired_total",
-				"method", req.Method).Inc()
+				"method", label).Inc()
 			err = fmt.Errorf("%w: %s (deadline %s ago)",
 				ErrDeadlineExpired, req.Method,
 				time.Since(dl).Round(time.Millisecond))
@@ -236,12 +290,16 @@ func (s *tcpServer) process(req request) (any, error) {
 	}
 	if err == nil {
 		res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
+		if label == unknownMethod && !errors.Is(err, ErrNoMethod) && !errors.Is(err, ErrNotBound) &&
+			s.earnLabel(req.Method) {
+			label = req.Method
+		}
 	}
 	span.Finish(err)
 	reg.Histogram("legion_orb_server_seconds", telemetry.LatencyBuckets,
-		"method", req.Method).ObserveSince(start)
+		"method", label).ObserveSince(start)
 	if err != nil {
-		reg.Counter("legion_orb_server_errors_total", "method", req.Method).Inc()
+		reg.Counter("legion_orb_server_errors_total", "method", label).Inc()
 	}
 	return res, err
 }
@@ -251,7 +309,7 @@ func (s *tcpServer) process(req request) (any, error) {
 // permanent refusal its retry policy will not amplify.
 func (s *tcpServer) shed(method string) error {
 	s.rt.Metrics().Counter("legion_orb_server_overload_total",
-		"method", method).Inc()
+		"method", s.methodLabel(method)).Inc()
 	return ErrServerOverload
 }
 
@@ -332,10 +390,8 @@ func (s *tcpServer) respondBinary(co *coalescer, id uint64, res any, err error) 
 type tcpClient struct {
 	conn net.Conn
 
-	// Frames coalesce into batched writes; mi is the method-intern
-	// table, touched only inside co.append callbacks.
+	// Frames coalesce into batched writes.
 	co *coalescer
-	mi methodIntern
 
 	onClose func(*tcpClient) // eviction hook, run once on first close
 
@@ -434,9 +490,17 @@ func (c *tcpClient) close(err error) {
 	}
 }
 
-// register allocates a request ID and its response channel.
+// replyPool recycles reply slots: capacity-1 channels, so deliver and
+// close never block on a caller that gave up. A slot goes back only from
+// the arm of call that received on it: by then it has left pending and
+// its one send is consumed, so nobody else holds it. A caller that gave
+// up drops its slot instead, because deliver may already have taken it
+// out of pending and be about to send.
+var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
+
+// register allocates a request ID and its reply slot.
 func (c *tcpClient) register(req *request) (chan response, error) {
-	ch := make(chan response, 1)
+	ch := replyPool.Get().(chan response)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -490,7 +554,7 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 		return nil, err
 	}
 	frameID, err := c.co.append(func(b []byte) []byte {
-		return appendRequestFrame(b, &c.co.scratch, &c.mi, &req, *payload)
+		return appendRequestFrame(b, &c.co.scratch, &c.co.methods, &req, *payload)
 	})
 	wire.PutBuf(payload)
 	if err != nil {
@@ -500,6 +564,7 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 
 	select {
 	case resp := <-ch:
+		replyPool.Put(ch)
 		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
 	case <-ctx.Done():
 		c.withdraw(req.ID)

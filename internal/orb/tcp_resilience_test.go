@@ -3,8 +3,11 @@ package orb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,5 +308,78 @@ func TestCtxExpiryLeavesConnectionUsable(t *testing.T) {
 	}
 	if res, err := client.Call(context.Background(), obj.LOID(), "fast", nil); err != nil || res != "done" {
 		t.Fatalf("fast call after timeout: %v %v", res, err)
+	}
+}
+
+// TestAbandonedCallNeverCrossDelivers storms one connection with callers
+// of which half give up after 1 ms, against a handler that takes 0–2 ms:
+// reply slots are recycled between calls, and a slot a caller abandoned
+// may still be written by the read loop, so it must never reach another
+// caller. Every reply that arrives is the caller's own argument.
+func TestAbandonedCallNeverCrossDelivers(t *testing.T) {
+	server := NewRuntime("srv")
+	obj := &funcObj{l: server.Mint("Echo"), fn: func(arg any) (any, error) {
+		s := arg.(string)
+		sum := 0
+		for i := 0; i < len(s); i++ {
+			sum += int(s[i])
+		}
+		time.Sleep(time.Duration(sum%5) * 500 * time.Microsecond)
+		return s, nil
+	}}
+	server.Register(obj)
+	addr, err := server.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+	const callers, calls = 64, 300
+	var ok, gaveUp, dropped atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			timed := g%2 == 1
+			for i := 0; i < calls; i++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if timed {
+					ctx, cancel = context.WithTimeout(ctx, time.Millisecond)
+				}
+				want := fmt.Sprintf("caller-%d-call-%d", g, i)
+				res, err := client.Call(ctx, obj.LOID(), "echo", want)
+				cancel()
+				switch {
+				case err == nil && res == want:
+					ok.Add(1)
+				case err == nil:
+					t.Errorf("caller %d call %d received %q", g, i, res)
+				case timed && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadlineExpired)):
+					gaveUp.Add(1)
+				default:
+					// A caller that gives up while its frame is mid-write
+					// cuts the stream by design: everyone pending on it
+					// fails fast and the next call redials.
+					dropped.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	t.Logf("%d replies, %d abandoned, %d failed with their connection", ok.Load(), gaveUp.Load(), dropped.Load())
+	if ok.Load() == 0 || gaveUp.Load() == 0 {
+		t.Fatalf("storm exercised one arm only: %d replies, %d abandoned", ok.Load(), gaveUp.Load())
+	}
+	if n := pendingCount(client); n != 0 {
+		t.Fatalf("%d requests still pending after every caller returned", n)
+	}
+	if dropped.Load() == 0 && clientCount(client) != 1 {
+		t.Fatalf("connection did not survive the storm: %d cached clients", clientCount(client))
+	}
+	if res, err := client.Call(context.Background(), obj.LOID(), "echo", "after"); err != nil || res != "after" {
+		t.Fatalf("call after the storm: %v, %v", res, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"legion/internal/core"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
@@ -25,24 +26,33 @@ import (
 // the virtual clock, with link latency so that every call parks and no
 // fan-out, it measures 105 (217 before), now that a sleep allocates
 // nothing and an event is part of what it wakes; the budget is that
-// reading and 15 %.
+// reading and 15 %. The wall arm reads 108 since a fan-out round is one
+// allocation and a metric lookup none. The tcp arm is the same placement
+// from a second runtime over one loopback connection, both ends counted:
+// 226–230 when every frame and every round got fresh goroutines, 169–173
+// since they run on parked workers with pooled reply slots.
 func TestPlacementAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	t.Run("wall", func(t *testing.T) {
-		placementAllocs(t, nil, 125)
+		placementAllocs(t, nil, false, 115)
 	})
 	t.Run("virtual", func(t *testing.T) {
 		vc := vclock.NewVirtual()
-		vc.Run(func() { placementAllocs(t, vc, 120) })
+		vc.Run(func() { placementAllocs(t, vc, false, 120) })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		placementAllocs(t, nil, true, 185)
 	})
 }
 
 // placementAllocs measures the placement on clock (nil is the wall
 // clock; a virtual one also gets 2–3 ms of latency on every call) and
-// fails t if it allocates more than budget.
-func placementAllocs(t *testing.T, clock vclock.Clock, budget float64) {
+// fails t if it allocates more than budget. With tcp the client is a
+// second runtime that reaches the metasystem through its listener and
+// finds the services in its directory, as legion-run does.
+func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64) {
 	opts := core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock}
 	if clock != nil {
 		opts.Parallelism = 1 // the engine cannot see fanout's goroutines
@@ -66,6 +76,24 @@ func placementAllocs(t *testing.T, clock vclock.Clock, budget float64) {
 	}
 	ctx := context.Background()
 	rt, enactor := ms.Runtime(), ms.Enactor.LOID()
+	if tcp {
+		addr, err := ms.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ms.Close()
+		rt = orb.NewRuntime("alloc-client")
+		rt.SetMetrics(telemetry.NewRegistry())
+		defer rt.Close()
+		rt.BindDomain(ms.Domain(), addr)
+		res, err := rt.Call(ctx, proto.DirectoryLOID(ms.Domain()), proto.MethodLookupServices, nil)
+		if err != nil {
+			t.Fatalf("directory lookup: %v", err)
+		}
+		dir := res.(proto.ServicesReply)
+		env = &scheduler.Env{RT: rt, Collection: dir.Collection, Cache: env.Cache, Rand: env.Rand}
+		enactor = dir.Enactor
+	}
 	next := 0
 	place := func() {
 		gen := gens[next%len(gens)]

@@ -228,65 +228,71 @@ func NewDisabled() *Registry {
 // their own via orb.Runtime.SetMetrics / core.Options.Metrics.
 var Default = NewRegistry()
 
-// key builds the canonical metric identity string, e.g.
-// `orb_client_seconds{method="make_reservation"}`.
-func key(name string, labels []string) string {
+// keyBufLen is the stack buffer a lookup builds its key in; a longer
+// identity spills to the heap and still finds its series.
+const keyBufLen = 128
+
+// appendKey appends the canonical metric identity, e.g.
+// `orb_client_seconds{method="make_reservation"}`, to b. Lookups index
+// the maps with string(kb) written in the index expression itself, the
+// form the compiler converts without allocating, so a hit allocates
+// nothing; the string is made only to mint.
+func appendKey(b []byte, name string, labels []string) []byte {
+	b = append(b, name...)
 	if len(labels) == 0 {
-		return name
+		return b
 	}
-	var b strings.Builder
-	b.Grow(len(name) + 16*len(labels))
-	b.WriteString(name)
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(labels[i+1])
-		b.WriteString(`"`)
+		b = append(b, labels[i]...)
+		b = append(b, '=', '"')
+		b = append(b, labels[i+1]...)
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // Counter returns (minting if needed) the counter for name+labels.
 // Labels are alternating key, value strings.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	k := key(name, labels)
+	var buf [keyBufLen]byte
+	kb := appendKey(buf[:0], name, labels)
 	r.mu.RLock()
-	c, ok := r.counters[k]
+	c, ok := r.counters[string(kb)]
 	r.mu.RUnlock()
 	if ok {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[k]; ok {
+	if c, ok = r.counters[string(kb)]; ok {
 		return c
 	}
 	c = &Counter{nop: r.disabled}
-	r.counters[k] = c
+	r.counters[string(kb)] = c
 	return c
 }
 
 // Gauge returns (minting if needed) the gauge for name+labels.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	k := key(name, labels)
+	var buf [keyBufLen]byte
+	kb := appendKey(buf[:0], name, labels)
 	r.mu.RLock()
-	g, ok := r.gauges[k]
+	g, ok := r.gauges[string(kb)]
 	r.mu.RUnlock()
 	if ok {
 		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok = r.gauges[k]; ok {
+	if g, ok = r.gauges[string(kb)]; ok {
 		return g
 	}
 	g = &Gauge{nop: r.disabled}
-	r.gauges[k] = g
+	r.gauges[string(kb)] = g
 	return g
 }
 
@@ -294,21 +300,22 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // The bucket bounds are fixed at first mint; later calls with different
 // bounds return the existing histogram unchanged.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	k := key(name, labels)
+	var buf [keyBufLen]byte
+	kb := appendKey(buf[:0], name, labels)
 	r.mu.RLock()
-	h, ok := r.hists[k]
+	h, ok := r.hists[string(kb)]
 	r.mu.RUnlock()
 	if ok {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[k]; ok {
+	if h, ok = r.hists[string(kb)]; ok {
 		return h
 	}
 	h = newHistogram(bounds)
 	h.nop = r.disabled
-	r.hists[k] = h
+	r.hists[string(kb)] = h
 	return h
 }
 
@@ -318,18 +325,20 @@ func (r *Registry) Spans() *SpanLog { return r.spans }
 // CounterValue reads a counter by identity without minting it; 0 if
 // absent. Convenient for tests and dumps.
 func (r *Registry) CounterValue(name string, labels ...string) int64 {
-	k := key(name, labels)
+	var buf [keyBufLen]byte
+	kb := appendKey(buf[:0], name, labels)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.counters[k].Value()
+	return r.counters[string(kb)].Value()
 }
 
 // GaugeValue reads a gauge by identity without minting it; 0 if absent.
 func (r *Registry) GaugeValue(name string, labels ...string) int64 {
-	k := key(name, labels)
+	var buf [keyBufLen]byte
+	kb := appendKey(buf[:0], name, labels)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.gauges[k].Value()
+	return r.gauges[string(kb)].Value()
 }
 
 // WriteText dumps every metric in a stable, Prometheus-flavoured text
