@@ -5,7 +5,7 @@
 //
 //	legion-bench              # run everything
 //	legion-bench -run F8,E1   # run selected experiments
-//	legion-bench -run E8 -json # machine-readable tables (CI trend tracking)
+//	legion-bench -run E8 -json # machine-readable tables
 //	legion-bench -list        # list experiment IDs
 package main
 
@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"legion/internal/experiments"
@@ -160,6 +161,30 @@ func catalogue() []experiment {
 	}
 }
 
+// selectExperiments returns the catalogue entries a -run list names, in
+// catalogue order, and (sorted) the IDs in the list that the catalogue
+// does not have. An empty list selects everything.
+func selectExperiments(cat []experiment, list string) (selected []experiment, unknown []string) {
+	if strings.TrimSpace(list) == "" {
+		return cat, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	for _, e := range cat {
+		if want[e.id] {
+			selected = append(selected, e)
+			delete(want, e.id)
+		}
+	}
+	for id := range want {
+		unknown = append(unknown, id)
+	}
+	slices.Sort(unknown)
+	return selected, unknown
+}
+
 func main() {
 	var (
 		run       = flag.String("run", "", "comma-separated experiment IDs (default: all)")
@@ -167,14 +192,11 @@ func main() {
 		faultrate = flag.Float64("faultrate", -1, "inject this fraction of transport faults in E7 (0..1; default: sweep 0%, 5%, 20%)")
 		metrics   = flag.Bool("metrics", false, "after running, dump the accumulated telemetry registry as text")
 		asJSON    = flag.Bool("json", false, "emit the result tables as a JSON array instead of text")
-		compare   = flag.String("compare", "", "diff this run's tables against a baseline -json file; exits nonzero past LEGION_BENCH_DRIFT_MAX (fraction, unset = report only)")
 		virtual   = flag.Bool("virtual", false, "run E12 at full committed scale (100k hosts / 1M placements; implies -run E12 when -run is unset)")
 		hosts     = flag.Int("hosts", 0, "override E12/E13/E14 fleet size (virtual-time hosts)")
 		requests  = flag.Int("requests", 0, "override E12/E13/E14 placement count")
 		steps     = flag.Int("steps", 0, "override E15's virtual-time step count")
 		tasks     = flag.Int("tasks", 0, "override E16's parameter-space task count")
-		input     = flag.String("input", "", "load tables from this -json output file instead of running experiments (for -compare/-slo on recorded results)")
-		slo       = flag.Bool("slo", false, "after running, check LEGION_PERF_* env ceilings against the result tables; exits 3 on violation")
 	)
 	flag.Parse()
 	if *faultrate >= 0 {
@@ -206,48 +228,18 @@ func main() {
 		}
 		return
 	}
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	selected, unknown := selectExperiments(cat, *run)
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment IDs %q; try -list\n", unknown)
+		os.Exit(1)
 	}
 	var tables []*experiments.Table
-	if *input != "" {
-		raw, err := os.ReadFile(*input)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "input: %v\n", err)
-			os.Exit(1)
+	for _, e := range selected {
+		t := e.run()
+		if !*asJSON {
+			t.Fprint(os.Stdout)
 		}
-		var loaded []*experiments.Table
-		if err := json.Unmarshal(raw, &loaded); err != nil {
-			fmt.Fprintf(os.Stderr, "input %s: %v\n", *input, err)
-			os.Exit(1)
-		}
-		for _, t := range loaded {
-			if len(want) > 0 && !want[t.ID] {
-				continue
-			}
-			if !*asJSON {
-				t.Fprint(os.Stdout)
-			}
-			tables = append(tables, t)
-		}
-	} else {
-		for _, e := range cat {
-			if len(want) > 0 && !want[e.id] {
-				continue
-			}
-			t := e.run()
-			if !*asJSON {
-				t.Fprint(os.Stdout)
-			}
-			tables = append(tables, t)
-		}
-	}
-	if len(tables) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched %q; try -list\n", *run)
-		os.Exit(1)
+		tables = append(tables, t)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -265,15 +257,5 @@ func main() {
 		fmt.Println("```")
 		telemetry.Default.WriteText(os.Stdout)
 		fmt.Println("```")
-	}
-	if *compare != "" {
-		if code := runCompare(*compare, tables); code != 0 {
-			os.Exit(code)
-		}
-	}
-	if *slo {
-		if code := checkSLOs(tables); code != 0 {
-			os.Exit(code)
-		}
 	}
 }

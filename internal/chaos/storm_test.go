@@ -31,15 +31,17 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 // TestOverloadStormConservation is the storm-level conservation check:
 // after an overload storm against an admission-controlled site drains,
 // every shed must have been a pure refusal — zero reservations and zero
-// running instances left behind, and zero circuit breakers tripped
-// (sheds classify as refusals, not transport failures). Seed replay:
-// LEGION_CHAOS_SEED pins the run.
+// running instances left behind, and no circuit breaker tripped by a
+// shed (sheds classify as refusals, not transport failures). Seed
+// replay: LEGION_CHAOS_SEED pins the run.
 func TestOverloadStormConservation(t *testing.T) {
+	const breakerThreshold = 5
 	w, reg := stormWorld(t, core.Options{
 		Seed:           1,
 		MaxInFlight:    4,
 		AdmissionQueue: 8,
 		ShedWatermark:  0.8,
+		Breaker:        resilient.BreakerConfig{FailureThreshold: breakerThreshold},
 	})
 	site := w.Sites[0]
 	// Slow the site so placements genuinely saturate the admission
@@ -77,9 +79,14 @@ func TestOverloadStormConservation(t *testing.T) {
 	if res, run := w.Quiesce(site, 2*time.Second); res != 0 || run != 0 {
 		t.Errorf("storm leaked %d reservations, %d running instances", res, run)
 	}
-	// Sheds are refusals: no breaker may have opened.
-	if n := reg.CounterValue("legion_breaker_transitions_total", "to", "open"); n != 0 {
-		t.Errorf("%d breakers opened during shedding", n)
+	// Sheds are refusals: none may count against a breaker. Requests
+	// whose deadline died in a call are failures, and breakerThreshold of
+	// those in a row against one endpoint rightly open its breaker, so a
+	// storm may open at most one breaker per breakerThreshold failures.
+	opened := reg.CounterValue("legion_breaker_transitions_total", "to", "open")
+	if opened > int64(res.Failed/breakerThreshold) {
+		t.Errorf("seed %d: %d breakers opened in a storm with %d sheds and %d failures",
+			w.Seed(), opened, res.Shed, res.Failed)
 	}
 }
 

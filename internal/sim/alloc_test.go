@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"legion/internal/core"
+	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/sched"
@@ -47,12 +49,80 @@ func TestPlacementAllocBudget(t *testing.T) {
 	})
 }
 
-// placementAllocs measures the placement on clock (nil is the wall
-// clock; a virtual one also gets 2–3 ms of latency on every call) and
-// fails t if it allocates more than budget. With tcp the client is a
-// second runtime that reaches the metasystem through its listener and
-// finds the services in its directory, as legion-run does.
+// placementAllocs fails t if one placement of the fixture allocates more
+// than budget.
 func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64) {
+	place, _ := placementFixture(t, clock, tcp)
+	// A multiple of the rotation, so every generator weighs the same.
+	if got := testing.AllocsPerRun(50*len(placementGens), place); got > budget {
+		t.Errorf("%.1f allocations per placement, budget %v", got, budget)
+	} else {
+		t.Logf("%.1f allocations per placement (budget %v)", got, budget)
+	}
+}
+
+// TestPlacementCallCount pins, at equality, how many ORB calls the same
+// placements make — counted by a tracer on every runtime involved, so on
+// the tcp arm a call that crosses the socket and the calls it causes
+// behind it all count — and on the virtual arm how many events the
+// engine fires for them: per rotation of the four generators, two
+// instances placed and torn down by each. A change that adds a round
+// trip or a timer fails here, with the count, before any benchmark runs.
+func TestPlacementCallCount(t *testing.T) {
+	t.Run("wall", func(t *testing.T) {
+		placementCalls(t, nil, false, 80, 0)
+	})
+	t.Run("virtual", func(t *testing.T) {
+		vc := vclock.NewVirtual()
+		vc.Run(func() { placementCalls(t, vc, false, 80, 80) })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		placementCalls(t, nil, true, 104, 0)
+	})
+}
+
+// placementCalls runs the fixture for five rotations and fails t unless
+// each made exactly wantCalls ORB calls and, on a virtual clock, fired
+// exactly wantEvents engine events.
+func placementCalls(t *testing.T, clock vclock.Clock, tcp bool, wantCalls int64, wantEvents int) {
+	place, runtimes := placementFixture(t, clock, tcp)
+	var calls atomic.Int64
+	for _, rt := range runtimes {
+		rt.SetTracer(func(string, loid.LOID, string, time.Duration, error) { calls.Add(1) })
+	}
+	vc, _ := clock.(*vclock.Virtual)
+	for r := 0; r < 5; r++ {
+		calls.Store(0)
+		if vc != nil {
+			vc.StartTrace()
+		}
+		for range placementGens {
+			place()
+		}
+		if got := calls.Load(); got != wantCalls {
+			t.Errorf("rotation %d: %d ORB calls, want %d", r, got, wantCalls)
+		}
+		if vc != nil {
+			if got := len(vc.Trace()); got != wantEvents {
+				t.Errorf("rotation %d: %d engine events, want %d", r, got, wantEvents)
+			}
+		}
+	}
+}
+
+// placementGens is the rotation the fixture places with.
+var placementGens = []scheduler.Generator{
+	scheduler.Random{}, scheduler.LoadAware{}, scheduler.CostAware{}, scheduler.IRS{NSched: 3},
+}
+
+// placementFixture builds a warm 256-host metasystem on clock (nil is
+// the wall clock; a virtual one also gets 2–3 ms of latency on every
+// call) and returns a function that places two instances with the next
+// generator of the rotation and tears them down, beside the runtimes its
+// calls go through. With tcp the client is a second runtime that reaches
+// the metasystem through its listener and finds the services in its
+// directory, as legion-run does.
+func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(), runtimes []*orb.Runtime) {
 	opts := core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock}
 	if clock != nil {
 		opts.Parallelism = 1 // the engine cannot see fanout's goroutines
@@ -71,20 +141,19 @@ func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64)
 		Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: 2}},
 		Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
 	}
-	gens := []scheduler.Generator{
-		scheduler.Random{}, scheduler.LoadAware{}, scheduler.CostAware{}, scheduler.IRS{NSched: 3},
-	}
 	ctx := context.Background()
 	rt, enactor := ms.Runtime(), ms.Enactor.LOID()
+	runtimes = []*orb.Runtime{rt}
 	if tcp {
 		addr, err := ms.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ms.Close()
+		t.Cleanup(func() { ms.Close() })
 		rt = orb.NewRuntime("alloc-client")
 		rt.SetMetrics(telemetry.NewRegistry())
-		defer rt.Close()
+		t.Cleanup(func() { rt.Close() })
+		runtimes = append(runtimes, rt)
 		rt.BindDomain(ms.Domain(), addr)
 		res, err := rt.Call(ctx, proto.DirectoryLOID(ms.Domain()), proto.MethodLookupServices, nil)
 		if err != nil {
@@ -95,8 +164,8 @@ func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64)
 		enactor = dir.Enactor
 	}
 	next := 0
-	place := func() {
-		gen := gens[next%len(gens)]
+	place = func() {
+		gen := placementGens[next%len(placementGens)]
 		next++
 		out, err := wrapper.Run(ctx, env, enactor, gen, req)
 		if err != nil || !out.Success {
@@ -113,13 +182,8 @@ func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64)
 			t.Fatalf("cancel_reservations: %v", err)
 		}
 	}
-	for range gens { // warm the host cache and every generator's path
+	for range placementGens { // warm the host cache and every generator's path
 		place()
 	}
-	// A multiple of the rotation, so every generator weighs the same.
-	if got := testing.AllocsPerRun(50*len(gens), place); got > budget {
-		t.Errorf("%.1f allocations per placement, budget %v", got, budget)
-	} else {
-		t.Logf("%.1f allocations per placement (budget %v)", got, budget)
-	}
+	return place, runtimes
 }
