@@ -602,19 +602,18 @@ func BenchmarkQueryParse(b *testing.B) {
 	}
 }
 
-// BenchmarkOPRRoundTrip measures OPR encode+verify+decode for a 64 KiB
+// BenchmarkOPRRoundTrip measures OPR digest+verify for a 64 KiB
 // object state (the migration unit cost).
 func BenchmarkOPRRoundTrip(b *testing.B) {
 	obj := loid.LOID{Domain: "uva", Class: "Worker", Instance: 1}
 	state := make([]byte, 64<<10)
 	b.SetBytes(int64(len(state)))
 	for i := 0; i < b.N; i++ {
-		o, err := opr.Encode(obj, uint64(i), state)
+		o, err := opr.New(obj, uint64(i), time.Time{}, state)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out []byte
-		if err := o.Decode(&out); err != nil {
+		if _, err := o.State(); err != nil {
 			b.Fatal(err)
 		}
 	}

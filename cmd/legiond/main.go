@@ -236,5 +236,4 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	log.Println("legiond: shutting down")
-	_ = context.Background()
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzDecode asserts the gob decoder is total over arbitrary bytes —
-// saved object state is retrieved from Vaults in other domains, so a
-// malformed or hostile payload must produce an error, never a panic or
-// an out-of-range Value — and that whatever it accepts survives an
-// encode/decode round trip unchanged.
+// FuzzDecode asserts the gob decoder is total over arbitrary bytes — a
+// malformed payload must produce an error, never a panic or an
+// out-of-range Value, or the codec's gob test reference could crash on
+// the inputs it exists to judge — and that whatever it accepts survives
+// an encode/decode round trip unchanged.
 func FuzzDecode(f *testing.F) {
 	for _, v := range []Value{
 		{},

@@ -8,9 +8,11 @@ import (
 
 // wireValue is the gob-visible form of Value. Value keeps its fields
 // unexported for immutability, so it implements GobEncoder/GobDecoder by
-// round-tripping through this struct, so an object's saved state
-// (package opr) and the wire codec's test reference can carry
-// attributes. The wire uses AppendWire.
+// round-tripping through this struct. Nothing the system itself reads
+// is gob: the hook exists so the wire codec's test reference
+// (proto/gob_ref_test.go, FuzzCodecRoundTrip) can carry attributes, and
+// it stays off AppendWire so that reference does not compare the codec
+// with itself.
 type wireValue struct {
 	Kind Kind
 	S    string

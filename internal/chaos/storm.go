@@ -2,10 +2,8 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,18 +91,6 @@ func (r *StormResult) P99() time.Duration {
 	return sorted[(len(sorted)-1)*99/100]
 }
 
-// IsOverload reports whether err is (or wraps, on either side of the
-// wire) the typed proto.ErrOverload shed. Cross-runtime calls flatten
-// sentinel identity into a RemoteError message, so the check falls back
-// to the message prefix the same way resilient.Classify does.
-func IsOverload(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, proto.ErrOverload) ||
-		strings.Contains(err.Error(), proto.ErrOverload.Error())
-}
-
 // Storm fires cfg.Rate placements/second at the site's metasystem for
 // cfg.Duration, waits for every in-flight request to resolve, and
 // returns the tallied result. Successful placements are torn down
@@ -178,7 +164,7 @@ func (w *World) Storm(ctx context.Context, s *Site, cfg StormConfig) *StormResul
 			return
 		}
 		mu.Lock()
-		if IsOverload(err) {
+		if proto.IsOverload(err) {
 			res.Shed++
 			res.ShedByPriority[prio]++
 		} else {

@@ -74,20 +74,10 @@ type Options struct {
 	// Collection shards fronted by a collection.Router, and every
 	// consumer — schedulers, the quick placer, host push updates, the
 	// Data Collection Daemon — addresses the Router's LOID instead of a
-	// single Collection. 0 or 1 keeps the classic single Collection and
+	// single Collection. Members route to shards by a hash of their
+	// LOID. 0 or 1 keeps the classic single Collection and
 	// ms.Collection semantics.
 	CollectionShards int
-	// CollectionRoute overrides the member→shard routing when sharded;
-	// nil hashes the member LOID. collection.RouteByDomain pins whole
-	// administrative domains to shards.
-	CollectionRoute func(loid.LOID) int
-	// DaemonBatchInterval, when > 0, makes NewDaemon coalesce its pushes
-	// into one batch call per Collection per interval (see
-	// daemon.Config.BatchInterval).
-	DaemonBatchInterval time.Duration
-	// DaemonBatchSize caps a daemon batch before an early flush; zero
-	// means the daemon default.
-	DaemonBatchSize int
 	// MaxInFlight bounds concurrently executing Enactor placements
 	// admitted at the wire boundary; requests beyond it wait in a
 	// priority queue and are shed with proto.ErrOverload when the queue
@@ -261,7 +251,6 @@ func New(domain string, opts Options) *Metasystem {
 		ms.Router = collection.NewRouter(rt, collection.RouterConfig{
 			Shards:      shardLOIDs,
 			Parallelism: opts.Parallelism,
-			Route:       opts.CollectionRoute,
 			Retry:       opts.Retry,
 			Breakers:    ms.breakers,
 		})
@@ -390,12 +379,6 @@ func (ms *Metasystem) NewDaemonConfig(cfg daemon.Config) *daemon.Daemon {
 	}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = ms.opts.Parallelism
-	}
-	if cfg.BatchInterval == 0 {
-		cfg.BatchInterval = ms.opts.DaemonBatchInterval
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = ms.opts.DaemonBatchSize
 	}
 	d := daemon.New(ms.rt, cfg)
 	for _, h := range ms.Hosts() {

@@ -211,6 +211,67 @@ func TestMigratePreservesState(t *testing.T) {
 	}
 }
 
+// TestStateRoundTripsThroughMigrateAndEnsureRunning: the whole saved
+// state — every payload key, the ping count — survives both recovery
+// paths, and each reactivation counts one generation.
+func TestStateRoundTripsThroughMigrateAndEnsureRunning(t *testing.T) {
+	ms := buildMeta(t, 2)
+	c := ms.DefineClass("Worker", nil)
+	ctx := context.Background()
+	insts, p, err := c.CreateInstance(ctx, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := insts[0]
+	for i := 0; i < 8; i++ {
+		kv := []string{fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)}
+		if _, err := ms.Runtime().Call(ctx, inst, "set", kv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ms.Runtime().Call(ctx, inst, "ping", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string, generation int) {
+		t.Helper()
+		obj, ok := ms.Runtime().Lookup(inst)
+		if !ok {
+			t.Fatalf("%s: %v not bound", stage, inst)
+		}
+		g := obj.(*host.GenericObject)
+		if g.Pings() != 3 || g.Generation() != generation {
+			t.Errorf("%s: pings=%d generation=%d, want 3 and %d", stage, g.Pings(), g.Generation(), generation)
+		}
+		for i := 0; i < 8; i++ {
+			got, err := ms.Runtime().Call(ctx, inst, "get", fmt.Sprintf("key-%d", i))
+			if err != nil || got != fmt.Sprintf("value-%d", i) {
+				t.Errorf("%s: key-%d = %v, %v", stage, i, got, err)
+			}
+		}
+	}
+
+	dest := ms.Hosts()[0]
+	if dest.LOID() == p.Host {
+		dest = ms.Hosts()[1]
+	}
+	if err := ms.Migrate(ctx, c, inst, dest.LOID(), p.Vault); err != nil {
+		t.Fatal(err)
+	}
+	check("after Migrate", 1)
+
+	// A migration that died after deactivation: the object is passive in
+	// its vault and the class still records it on dest.
+	if _, _, err := dest.DeactivateObject(ctx, inst); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.EnsureRunning(ctx, c, inst); err != nil {
+		t.Fatal(err)
+	}
+	check("after EnsureRunning", 2)
+}
+
 func TestMigrateRefusedDestinationLeavesObjectRunning(t *testing.T) {
 	ms := New("uva", Options{})
 	v := ms.AddVault(vault.Config{Zone: "z1"})

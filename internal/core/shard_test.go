@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"legion/internal/collection/daemon"
 	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/scheduler"
@@ -76,8 +77,7 @@ func TestShardedMetasystemTransparent(t *testing.T) {
 // every host's record stays fresh.
 func TestShardedDaemonBatchedFlow(t *testing.T) {
 	ms := buildShardedMeta(t, 6, 2)
-	ms.opts.DaemonBatchInterval = time.Hour // flush via Stop
-	d := ms.NewDaemon()
+	d := ms.NewDaemonConfig(daemon.Config{BatchInterval: time.Hour}) // flush via Stop
 	ctx := context.Background()
 	d.Sweep(ctx)
 	d.Sweep(ctx)

@@ -56,11 +56,12 @@ var (
 	ErrNotReserved = errors.New("enactor: request has no successful reservation set")
 )
 
+// defaultDuration applies when a request's ReservationSpec has zero
+// duration.
+const defaultDuration = time.Hour
+
 // Config parameterizes an Enactor.
 type Config struct {
-	// DefaultDuration applies when a request's ReservationSpec has zero
-	// duration; defaults to one hour.
-	DefaultDuration time.Duration
 	// CallTimeout bounds each per-resource negotiation call (the whole
 	// retry budget for that call); defaults to 30 seconds.
 	CallTimeout time.Duration
@@ -86,9 +87,6 @@ type Config struct {
 	// host-side by the confirmation timeout / reservation reaper).
 	// Defaults to 5 minutes.
 	RequestTTL time.Duration
-	// DisableResilience reverts to direct single-attempt calls — the
-	// pre-resilience behaviour, kept for ablation experiments.
-	DisableResilience bool
 	// Parallelism bounds how many per-resource negotiation calls
 	// (reservations, k-of-n probes, create_instance, rollbacks and
 	// cancellations) run concurrently within one request. Zero means 8;
@@ -183,17 +181,8 @@ func newEnactorMetrics(rt *orb.Runtime) enactorMetrics {
 
 // New creates an Enactor, registers its methods and itself with rt.
 func New(rt *orb.Runtime, cfg Config) *Enactor {
-	if cfg.DefaultDuration <= 0 {
-		cfg.DefaultDuration = time.Hour
-	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 30 * time.Second
-	}
-	if cfg.DisableResilience {
-		// Applied before AttemptTimeout is derived so the ablation's
-		// single attempt keeps the full CallTimeout, matching the
-		// pre-resilience behaviour it stands in for.
-		cfg.Retry.MaxAttempts = 1
 	}
 	if cfg.Retry.MaxAttempts <= 0 {
 		cfg.Retry.MaxAttempts = 3
@@ -220,12 +209,9 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 		adm:           newAdmission(rt, cfg),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	switch {
-	case cfg.DisableResilience:
-		e.call = resilient.NewCallerWith(rt, cfg.Retry, nil)
-	case cfg.Breakers != nil:
+	if cfg.Breakers != nil {
 		e.call = resilient.NewCallerWith(rt, cfg.Retry, cfg.Breakers)
-	default:
+	} else {
 		e.call = resilient.NewCaller(rt, cfg.Retry, cfg.Breaker)
 	}
 	// Cleanup (rollback destroys, reservation cancels) bypasses the
@@ -239,8 +225,8 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 	return e
 }
 
-// Breakers exposes the Enactor's per-endpoint breaker states (nil when
-// resilience is disabled) — chaos tests and operators read these.
+// Breakers exposes the Enactor's per-endpoint breaker states — chaos
+// tests and operators read these.
 func (e *Enactor) Breakers() *resilient.BreakerSet { return e.call.Breakers() }
 
 // fanOut runs fn(i) for i in [0, n) under the configured parallelism
@@ -324,7 +310,7 @@ func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestLis
 		return fb
 	}
 	if spec.Duration <= 0 {
-		spec.Duration = e.cfg.DefaultDuration
+		spec.Duration = defaultDuration
 	}
 
 	for mi := range request.Masters {

@@ -153,23 +153,13 @@ func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 	}
 }
 
-// TestAblationKeepsFullAttemptTimeout pins the ablation semantics: with
-// resilience disabled the single attempt gets the whole CallTimeout, not
-// CallTimeout/MaxAttempts as a leftover of the retry derivation.
-func TestAblationKeepsFullAttemptTimeout(t *testing.T) {
+// TestDefaultAttemptTimeoutSplitsBudget: a hung Host must not consume
+// the whole budget in one attempt, so each of the three default attempts
+// gets a third of the CallTimeout.
+func TestDefaultAttemptTimeoutSplitsBudget(t *testing.T) {
 	env := newEnv(t, 1, nil)
-	e := New(env.rt, Config{CallTimeout: 30 * time.Second, DisableResilience: true})
-	p := e.call.Policy()
-	if p.MaxAttempts != 1 {
-		t.Errorf("MaxAttempts = %d, want 1", p.MaxAttempts)
-	}
-	if p.AttemptTimeout != 30*time.Second {
-		t.Errorf("AttemptTimeout = %v, want the full 30s CallTimeout", p.AttemptTimeout)
-	}
-
-	// The resilient default still splits the budget across attempts.
-	e2 := New(env.rt, Config{CallTimeout: 30 * time.Second})
-	if p2 := e2.call.Policy(); p2.AttemptTimeout != 10*time.Second {
-		t.Errorf("resilient AttemptTimeout = %v, want Budget/3 = 10s", p2.AttemptTimeout)
+	e := New(env.rt, Config{CallTimeout: 30 * time.Second})
+	if p := e.call.Policy(); p.AttemptTimeout != 10*time.Second {
+		t.Errorf("AttemptTimeout = %v, want Budget/3 = 10s", p.AttemptTimeout)
 	}
 }

@@ -114,15 +114,10 @@ func TestEnactRetriesTransientCreateFault(t *testing.T) {
 	}
 }
 
-// TestDisableResilienceAblation pins the pre-resilience behaviour: with
-// the layer disabled a single transient fault fails the negotiation
-// outright (no retry, no breaker).
-func TestDisableResilienceAblation(t *testing.T) {
+// TestDefaultPolicyAbsorbsOneBlip: the default retry policy absorbs a
+// single transient fault on a reservation call.
+func TestDefaultPolicyAbsorbsOneBlip(t *testing.T) {
 	rtEnv := newEnv(t, 1, nil)
-	e := New(rtEnv.rt, Config{CallTimeout: 2 * time.Second, DisableResilience: true})
-	if e.Breakers() != nil {
-		t.Fatal("ablation enactor still has breakers")
-	}
 	ctx := context.Background()
 
 	var mu sync.Mutex
@@ -138,22 +133,16 @@ func TestDisableResilienceAblation(t *testing.T) {
 	})
 	defer rtEnv.rt.SetFaultInjector(nil)
 
+	e := New(rtEnv.rt, Config{CallTimeout: 2 * time.Second,
+		Retry: resilient.Policy{BaseDelay: time.Millisecond}})
 	req := rtEnv.request(rtEnv.mapping(0))
 	req.ID = e.NewRequestID()
-	fb := e.MakeReservations(ctx, req)
-	if fb.Success {
-		t.Fatal("single-attempt enactor absorbed a fault it should not retry")
+	if fb := e.MakeReservations(ctx, req); !fb.Success {
+		t.Fatalf("enactor failed on one blip: %+v", fb)
 	}
-
-	// Sanity: the resilient default absorbs the same single blip.
 	mu.Lock()
-	faulted = false
-	mu.Unlock()
-	e2 := New(rtEnv.rt, Config{CallTimeout: 2 * time.Second,
-		Retry: resilient.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
-	req2 := rtEnv.request(rtEnv.mapping(0))
-	req2.ID = e2.NewRequestID()
-	if fb2 := e2.MakeReservations(ctx, req2); !fb2.Success {
-		t.Fatalf("resilient enactor failed on one blip: %+v", fb2)
+	defer mu.Unlock()
+	if !faulted {
+		t.Error("the blip was never injected")
 	}
 }

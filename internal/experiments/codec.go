@@ -1,77 +1,27 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"legion/internal/core"
-	"legion/internal/resilient"
 	"legion/internal/sim"
-	"legion/internal/telemetry"
-	"legion/internal/vclock"
 )
 
-// codecCampaign is one reduced E12 run with a marshalling boundary on
+// runCodecCampaign is one reduced E12 run with a marshalling boundary on
 // local dispatch. Virtual time is untouched by the boundary (encoding
 // is synchronous CPU work, invisible to the discrete-event clock), so
 // the campaign's placements, sheds, latencies, and event trace must be
 // identical with and without it — only the wall-clock differs. That is
 // the point: the delta between the two rows is pure codec cost, measured
 // inside the real placement pipeline rather than a microbenchmark loop.
-type codecRun struct {
-	res   *sim.DriverResult
-	wall  time.Duration
-	leaks int
-	trace []string
-}
-
-func runCodecCampaign(boundary bool, hosts, requests int, keepTrace bool) codecRun {
-	vc := vclock.NewVirtual()
-	ms := core.New("codec", core.Options{
-		Seed:    13,
-		Metrics: telemetry.NewRegistry(),
-		Clock:   vc,
-		Retry: resilient.Policy{
-			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
-			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
-			Clock: vc, JitterRand: resilient.NewLockedRand(13),
-		},
-	})
-	defer ms.Close()
-	class := ms.DefineClass("Worker", nil)
-
-	rng := rand.New(rand.NewSource(13))
-	fleet := sim.Build(ms, rng, sim.RandomSpecs(rng, hosts, "z1", "z2"))
-
-	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
-	ms.Runtime().SetLoopbackCodec(boundary)
-
-	if keepTrace {
-		vc.StartTrace()
-	}
-	var res *sim.DriverResult
-	wall0 := time.Now()
-	vc.Run(func() {
-		res = fleet.Drive(context.Background(), class, sim.DriverConfig{
-			Clock:       vc,
-			Rate:        2000,
-			Requests:    requests,
-			Arrivals:    sim.Poisson,
-			Seed:        13,
-			Deadline:    10 * time.Second,
-			SnapshotTTL: 10 * time.Second,
-		})
-	})
-	run := codecRun{res: res, wall: time.Since(wall0)}
-	for _, h := range fleet.Hosts {
-		run.leaks += h.ActiveReservations() + h.RunningCount()
-	}
-	if keepTrace {
-		run.trace = vc.Trace()
-	}
-	return run
+func runCodecCampaign(boundary bool, hosts, requests int, keepTrace bool) campaignRun {
+	return virtualCampaign{
+		domain: "codec", seed: 13,
+		specs: sim.RandomSpecs, zones: []string{"z1", "z2"},
+		hosts: hosts, requests: requests,
+		built:     func(f *sim.Fleet) { f.MS.Runtime().SetLoopbackCodec(boundary) },
+		keepTrace: keepTrace,
+	}.run()
 }
 
 // E13CodecBoundary reruns a reduced E12 virtual-time campaign twice —
@@ -100,7 +50,7 @@ func E13CodecBoundary(hosts, requests int) *Table {
 	base := runCodecCampaign(false, hosts, requests, false)
 	for _, row := range []struct {
 		codec string
-		run   codecRun
+		run   campaignRun
 	}{
 		{"off", base},
 		{"binary", runCodecCampaign(true, hosts, requests, false)},

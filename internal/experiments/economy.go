@@ -1,20 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"legion/internal/core"
 	"legion/internal/economy"
-	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
 	"legion/internal/sim"
-	"legion/internal/telemetry"
-	"legion/internal/vclock"
 )
 
 // economyTenants is the fixed tenant roster of the E14 campaign: four
@@ -45,7 +39,7 @@ func economySpec(i int) sched.ReservationSpec {
 // economyRun is one E14 campaign outcome: placement tallies plus the
 // ledger's verdict on what the placements cost.
 type economyRun struct {
-	res *sim.DriverResult
+	campaignRun
 	// spent is the gross ledger spend across all tenants (refunds do
 	// not decrement it — the number compares what each policy bought,
 	// not what it kept).
@@ -54,9 +48,7 @@ type economyRun struct {
 	// hit/judged count successful placements whose modelled completion
 	// fits the request's deadline.
 	hit, judged int
-	leaks       int
 	audit       []string
-	trace       []string
 }
 
 // runEconomyCampaign drives one policy through the placement pipeline on
@@ -65,47 +57,26 @@ type economyRun struct {
 // the differential test's configuration), and reads the bill off the
 // ledger afterwards.
 func runEconomyCampaign(gen scheduler.Generator, hosts, requests int, spec func(int) sched.ReservationSpec, keepTrace bool) economyRun {
-	vc := vclock.NewVirtual()
-	ms := core.New("econ", core.Options{
-		Seed:    13,
-		Metrics: telemetry.NewRegistry(),
-		Clock:   vc,
-		Economy: true,
-		Retry: resilient.Policy{
-			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
-			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
-			Clock: vc, JitterRand: resilient.NewLockedRand(13),
-		},
-	})
-	defer ms.Close()
-	class := ms.DefineClass("Worker", nil)
-
-	rng := rand.New(rand.NewSource(13))
-	fleet := sim.Build(ms, rng, sim.EconomySpecs(rng, hosts, "z1", "z2"))
-	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
-
-	led := ms.Ledger()
-	for _, tn := range economyTenants {
-		led.Open(tn, economy.ToCredits(1e9))
-	}
-
 	const est = time.Hour // matches the reservation duration the specs carry
-	var run economyRun
-	var mu sync.Mutex
-	if keepTrace {
-		vc.StartTrace()
-	}
-	vc.Run(func() {
-		run.res = fleet.Drive(context.Background(), class, sim.DriverConfig{
-			Clock:       vc,
-			Rate:        2000,
-			Requests:    requests,
-			Arrivals:    sim.Poisson,
-			Seed:        13,
-			Deadline:    10 * time.Second,
-			SnapshotTTL: 10 * time.Second,
-			Generator:   gen,
-			Spec:        spec,
+	var (
+		run   economyRun
+		mu    sync.Mutex
+		fleet *sim.Fleet
+		led   *economy.Ledger
+	)
+	run.campaignRun = virtualCampaign{
+		domain: "econ", seed: 13, economy: true,
+		specs: sim.EconomySpecs, zones: []string{"z1", "z2"},
+		hosts: hosts, requests: requests,
+		built: func(f *sim.Fleet) {
+			fleet, led = f, f.MS.Ledger()
+			for _, tn := range economyTenants {
+				led.Open(tn, economy.ToCredits(1e9))
+			}
+		},
+		drive: sim.DriverConfig{
+			Generator: gen,
+			Spec:      spec,
 			Observe: func(i int, out *scheduler.Outcome) {
 				if spec == nil {
 					return
@@ -122,19 +93,14 @@ func runEconomyCampaign(gen scheduler.Generator, hosts, requests int, spec func(
 				}
 				mu.Unlock()
 			},
-		})
-	})
+		},
+		keepTrace: keepTrace,
+	}.run()
 	for _, a := range led.Accounts() {
 		run.spent += a.Spent
 		run.refunded += a.Refunded
 	}
 	run.audit = led.Audit()
-	for _, h := range fleet.Hosts {
-		run.leaks += h.ActiveReservations() + h.RunningCount()
-	}
-	if keepTrace {
-		run.trace = vc.Trace()
-	}
 	return run
 }
 

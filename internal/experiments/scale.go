@@ -48,63 +48,29 @@ func E12VirtualScale(hosts, requests int) *Table {
 			"p50", "p99", "p999", "goodput/vs", "vtime", "wall", "leaks", "MB", "B/host"},
 	}
 
-	vc := vclock.NewVirtual()
-	reg := telemetry.NewRegistry()
-	ms := core.New("scale", core.Options{
-		Seed:    12,
-		Metrics: reg,
-		Clock:   vc,
-		Retry: resilient.Policy{
-			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
-			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
-			Clock: vc, JitterRand: resilient.NewLockedRand(12),
-		},
-	})
-	class := ms.DefineClass("Worker", nil)
-
-	rng := rand.New(rand.NewSource(12))
-	fleet := sim.Build(ms, rng, sim.RandomSpecs(rng, hosts, "z1", "z2", "z3", "z4"))
-
 	// Bytes per host: heap growth across the fleet build, which covers
 	// the Host object, its attribute database, its reservation table,
 	// and its Collection record.
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	heapMB := float64(m.HeapAlloc) / (1 << 20)
-	perHost := float64(m.HeapAlloc) / float64(hosts)
-
-	// 2ms±1ms virtual link latency on every method call: placement
-	// latency becomes a count of negotiation round-trips, measured
-	// exactly in virtual time.
-	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
-
-	var res *sim.DriverResult
-	wall0 := time.Now()
-	vc.Run(func() {
-		res = fleet.Drive(context.Background(), class, sim.DriverConfig{
-			Clock:       vc,
-			Rate:        2000,
-			Requests:    requests,
-			Arrivals:    sim.Poisson,
-			Seed:        12,
-			Deadline:    10 * time.Second,
-			SnapshotTTL: 10 * time.Second,
-		})
-	})
-	wall := time.Since(wall0)
-
-	// Conservation audit: the drain must leave an empty metasystem.
-	leaks := 0
-	for _, h := range fleet.Hosts {
-		leaks += h.ActiveReservations() + h.RunningCount()
-	}
+	var heapMB, perHost float64
+	run := virtualCampaign{
+		domain: "scale", seed: 12,
+		specs: sim.RandomSpecs, zones: []string{"z1", "z2", "z3", "z4"},
+		hosts: hosts, requests: requests,
+		built: func(*sim.Fleet) {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			heapMB = float64(m.HeapAlloc) / (1 << 20)
+			perHost = float64(m.HeapAlloc) / float64(hosts)
+		},
+	}.run()
+	res := run.res
 
 	t.AddRow(hosts, requests, res.Succeeded, res.Shed, res.Failed,
 		res.Percentile(0.50), res.Percentile(0.99), res.Percentile(0.999),
 		fmt.Sprintf("%.0f", res.Goodput()),
-		res.Elapsed.Round(time.Millisecond), wall.Round(time.Millisecond),
-		leaks, fmt.Sprintf("%.0f", heapMB), fmt.Sprintf("%.0f", perHost))
+		res.Elapsed.Round(time.Millisecond), run.wall.Round(time.Millisecond),
+		run.leaks, fmt.Sprintf("%.0f", heapMB), fmt.Sprintf("%.0f", perHost))
 	t.Notes = append(t.Notes,
 		"single process, deterministic discrete-event clock (internal/vclock); latencies are virtual time",
 		"2ms±1ms synthetic link latency per method call; Poisson arrivals at 2000 req/virtual-second",
@@ -112,4 +78,86 @@ func E12VirtualScale(hosts, requests int) *Table {
 		"leaks = active reservations + running instances after the drain (must be 0)",
 		"MB = heap after fleet build; B/host = heap bytes per built host")
 	return t
+}
+
+// virtualCampaign is one open-loop run of the real placement pipeline on
+// a virtual clock: E12's configuration, parameterised by what E12, E13
+// and E14 vary.
+type virtualCampaign struct {
+	domain string
+	// seed drives the metasystem, the retry jitter, the fleet build and
+	// the arrival process.
+	seed            int64
+	economy         bool
+	specs           func(rng *rand.Rand, n int, zones ...string) []sim.HostSpec
+	zones           []string
+	hosts, requests int
+	// built, when non-nil, runs once the fleet exists, before the drive.
+	built func(*sim.Fleet)
+	// drive carries the DriverConfig fields beyond the shared ones.
+	drive     sim.DriverConfig
+	keepTrace bool
+}
+
+// campaignRun is a virtualCampaign's outcome.
+type campaignRun struct {
+	res  *sim.DriverResult
+	wall time.Duration
+	// leaks is the conservation audit: active reservations plus running
+	// instances after the drain, which must be zero.
+	leaks int
+	trace []string
+}
+
+func (c virtualCampaign) run() campaignRun {
+	vc := vclock.NewVirtual()
+	ms := core.New(c.domain, core.Options{
+		Seed:    c.seed,
+		Metrics: telemetry.NewRegistry(),
+		Clock:   vc,
+		Economy: c.economy,
+		Retry: resilient.Policy{
+			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
+			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
+			Clock: vc, JitterRand: resilient.NewLockedRand(c.seed),
+		},
+	})
+	defer ms.Close()
+	class := ms.DefineClass("Worker", nil)
+
+	rng := rand.New(rand.NewSource(c.seed))
+	fleet := sim.Build(ms, rng, c.specs(rng, c.hosts, c.zones...))
+	// 2ms±1ms virtual link latency on every method call: placement
+	// latency becomes a count of negotiation round-trips, measured
+	// exactly in virtual time.
+	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
+	if c.built != nil {
+		c.built(fleet)
+	}
+
+	cfg := c.drive
+	cfg.Clock = vc
+	cfg.Rate = 2000
+	cfg.Requests = c.requests
+	cfg.Arrivals = sim.Poisson
+	cfg.Seed = c.seed
+	cfg.Deadline = 10 * time.Second
+	cfg.SnapshotTTL = 10 * time.Second
+
+	if c.keepTrace {
+		vc.StartTrace()
+	}
+	var run campaignRun
+	wall0 := time.Now()
+	vc.Run(func() {
+		run.res = fleet.Drive(context.Background(), class, cfg)
+	})
+	run.wall = time.Since(wall0)
+	for _, h := range fleet.Hosts {
+		run.leaks += h.ActiveReservations() + h.RunningCount()
+	}
+	if c.keepTrace {
+		run.trace = vc.Trace()
+	}
+	return run
 }

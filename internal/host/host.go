@@ -792,6 +792,7 @@ func (h *Host) KillObject(ctx context.Context, object loid.LOID) error {
 func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR, loid.LOID, error) {
 	h.mu.Lock()
 	ro, ok := h.running[object]
+	now := h.now
 	h.mu.Unlock()
 	if !ok {
 		return nil, loid.Nil, fmt.Errorf("%w: %v", ErrUnknownObject, object)
@@ -800,11 +801,11 @@ func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR
 	if !isPersistent {
 		return nil, loid.Nil, fmt.Errorf("host: %v does not support shutdown/restart", object)
 	}
-	stateVal, err := p.SaveState()
+	payload, err := p.SaveState()
 	if err != nil {
 		return nil, loid.Nil, fmt.Errorf("host: saving state of %v: %w", object, err)
 	}
-	o, err := opr.Encode(object, ro.version, stateVal)
+	o, err := opr.New(object, ro.version, now(), payload)
 	if err != nil {
 		return nil, loid.Nil, err
 	}

@@ -1,13 +1,17 @@
 package host
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"legion/internal/loid"
 	"legion/internal/opr"
 	"legion/internal/orb"
+	"legion/internal/wire"
 )
 
 // GenericObject is the default activated user object: a minimal Legion
@@ -30,11 +34,51 @@ type GenericObject struct {
 	generation int
 }
 
-// genericState is the GenericObject's OPR payload.
+// genericState is the GenericObject's OPR payload: pings, generation,
+// then the payload map as a count and key/value pairs sorted by key, so
+// one state has exactly one encoding.
 type genericState struct {
-	Payload    map[string]string
-	Pings      int64
-	Generation int
+	payload    map[string]string
+	pings      int64
+	generation int
+}
+
+func (s genericState) appendWire(b []byte) []byte {
+	b = wire.AppendVarint(b, s.pings)
+	b = wire.AppendVarint(b, int64(s.generation))
+	keys := make([]string, 0, len(s.payload))
+	for k := range s.payload {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = wire.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = wire.AppendString(b, k)
+		b = wire.AppendString(b, s.payload[k])
+	}
+	return b
+}
+
+// decodeGenericState refuses input that is truncated, oversized, or not
+// the one encoding of the state it describes (unsorted or repeated keys,
+// padded varints, trailing bytes).
+func decodeGenericState(data []byte) (genericState, error) {
+	r := wire.NewReader(data)
+	s := genericState{pings: r.Varint(), generation: int(r.Varint())}
+	if n := r.Len(); n > 0 {
+		s.payload = make(map[string]string, n)
+		for ; n > 0 && r.Err == nil; n-- {
+			k := r.Str()
+			s.payload[k] = r.Str()
+		}
+	}
+	if r.Err == nil && !bytes.Equal(s.appendWire(nil), data) {
+		r.Err = errors.New("not in canonical form")
+	}
+	if r.Err != nil {
+		return genericState{}, fmt.Errorf("object: decoding state: %w", r.Err)
+	}
+	return s, nil
 }
 
 // genericMethods is the class-wide dispatch table all GenericObjects
@@ -122,29 +166,27 @@ func (g *GenericObject) Generation() int {
 }
 
 // SaveState implements opr.Persistent.
-func (g *GenericObject) SaveState() (any, error) {
+func (g *GenericObject) SaveState() ([]byte, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var p map[string]string
-	if len(g.payload) > 0 {
-		p = make(map[string]string, len(g.payload))
-		for k, v := range g.payload {
-			p[k] = v
-		}
-	}
-	return genericState{Payload: p, Pings: g.pings, Generation: g.generation}, nil
+	s := genericState{payload: g.payload, pings: g.pings, generation: g.generation}
+	return s.appendWire(nil), nil
 }
 
 // RestoreState implements opr.Persistent.
 func (g *GenericObject) RestoreState(state *opr.OPR) error {
-	var s genericState
-	if err := state.Decode(&s); err != nil {
+	data, err := state.State()
+	if err != nil {
+		return err
+	}
+	s, err := decodeGenericState(data)
+	if err != nil {
 		return err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.payload = s.Payload
-	g.pings = s.Pings
-	g.generation = s.Generation + 1
+	g.payload = s.payload
+	g.pings = s.pings
+	g.generation = s.generation + 1
 	return nil
 }

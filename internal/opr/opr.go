@@ -8,16 +8,17 @@
 // the passive state to a new Vault if necessary, and activating the
 // object on another host."
 //
-// An OPR here is the gob-serialized passive state of an object plus
-// integrity metadata: the owning LOID, a monotonically increasing
-// version, a save timestamp, and a SHA-256 digest over the payload so a
-// Vault (or the object itself, on restart) can detect corruption.
+// An OPR here is an envelope over bytes: the passive state exactly as
+// the object wrote it, plus integrity metadata — the owning LOID, a
+// monotonically increasing version, the save instant on the saving
+// host's clock, and a SHA-256 digest over the payload so a Vault (or the
+// object itself, on restart) can detect corruption. The package does not
+// know how state is encoded; an object that writes the same bytes for
+// the same state gets the same digest.
 package opr
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -37,7 +38,8 @@ type OPR struct {
 	Version uint64
 	// SavedAt is when the state was captured.
 	SavedAt time.Time
-	// Payload is the gob-encoded object state.
+	// Payload is the object's state as its SaveState wrote it. Read it
+	// through State, which checks the digest first.
 	Payload []byte
 	// Digest is the SHA-256 hash of Payload.
 	Digest [sha256.Size]byte
@@ -46,22 +48,17 @@ type OPR struct {
 // ErrCorrupt reports that an OPR's payload does not match its digest.
 var ErrCorrupt = errors.New("opr: payload digest mismatch")
 
-// Encode captures an object's state into an OPR. The state value must be
-// gob-encodable.
-func Encode(object loid.LOID, version uint64, state any) (*OPR, error) {
+// New wraps a payload produced by an object's SaveState into an OPR
+// saved at savedAt, the instant on the saving host's clock.
+func New(object loid.LOID, version uint64, savedAt time.Time, payload []byte) (*OPR, error) {
 	if object.IsNil() {
 		return nil, errors.New("opr: nil object LOID")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
-		return nil, fmt.Errorf("opr: encode state for %v: %w", object, err)
-	}
-	payload := buf.Bytes()
 	return &OPR{
 		Object:  object,
 		Class:   object.Class,
 		Version: version,
-		SavedAt: time.Now(),
+		SavedAt: savedAt,
 		Payload: payload,
 		Digest:  sha256.Sum256(payload),
 	}, nil
@@ -75,16 +72,13 @@ func (o *OPR) Verify() error {
 	return nil
 }
 
-// Decode verifies integrity and decodes the payload into state, which
-// must be a pointer to the same type passed to Encode.
-func (o *OPR) Decode(state any) error {
+// State verifies integrity and returns the payload, which the caller
+// must not modify.
+func (o *OPR) State() ([]byte, error) {
 	if err := o.Verify(); err != nil {
-		return err
+		return nil, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(o.Payload)).Decode(state); err != nil {
-		return fmt.Errorf("opr: decode state for %v: %w", o.Object, err)
-	}
-	return nil
+	return o.Payload, nil
 }
 
 // Clone returns a deep copy; Vaults hand out clones so callers cannot
@@ -100,11 +94,11 @@ func (o *OPR) Clone() *OPR {
 func (o *OPR) Size() int { return len(o.Payload) }
 
 // Persistent is implemented by objects that support Legion's automatic
-// shutdown/restart protocol. SaveState returns a gob-encodable snapshot
-// of the object's state; RestoreState reinstates a snapshot produced by
-// SaveState (possibly by another instance, on another host — that is
-// migration).
+// shutdown/restart protocol. SaveState returns the object's state as
+// bytes, the same bytes for the same state; RestoreState reinstates a
+// snapshot produced by SaveState (possibly by another instance, on
+// another host — that is migration), reading it through OPR.State.
 type Persistent interface {
-	SaveState() (any, error)
+	SaveState() ([]byte, error)
 	RestoreState(state *OPR) error
 }

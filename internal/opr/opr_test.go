@@ -4,54 +4,45 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"legion/internal/loid"
 )
 
-var obj = loid.LOID{Domain: "uva", Class: "Worker", Instance: 3}
-
-type workerState struct {
-	Iteration int
-	Grid      []float64
-	Name      string
-}
+var (
+	obj     = loid.LOID{Domain: "uva", Class: "Worker", Instance: 3}
+	savedAt = time.Unix(1e9, 42)
+)
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := workerState{Iteration: 42, Grid: []float64{1.5, 2.5}, Name: "w"}
-	o, err := Encode(obj, 7, in)
+	in := []byte("iteration 42")
+	o, err := New(obj, 7, savedAt, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Object != obj || o.Class != "Worker" || o.Version != 7 {
+	if o.Object != obj || o.Class != "Worker" || o.Version != 7 || !o.SavedAt.Equal(savedAt) {
 		t.Errorf("metadata: %+v", o)
 	}
-	if o.Size() != len(o.Payload) || o.Size() == 0 {
+	if o.Size() != len(in) {
 		t.Errorf("Size = %d", o.Size())
 	}
-	var out workerState
-	if err := o.Decode(&out); err != nil {
+	out, err := o.State()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Iteration != in.Iteration || out.Name != in.Name ||
-		len(out.Grid) != 2 || out.Grid[1] != 2.5 {
-		t.Errorf("round trip: %+v", out)
+	if string(out) != string(in) {
+		t.Errorf("round trip: %q", out)
 	}
 }
 
 func TestEncodeNilLOID(t *testing.T) {
-	if _, err := Encode(loid.Nil, 1, 5); err == nil {
+	if _, err := New(loid.Nil, 1, savedAt, nil); err == nil {
 		t.Error("nil LOID accepted")
 	}
 }
 
-func TestEncodeUnencodable(t *testing.T) {
-	if _, err := Encode(obj, 1, make(chan int)); err == nil {
-		t.Error("channel state accepted")
-	}
-}
-
 func TestCorruptionDetected(t *testing.T) {
-	o, err := Encode(obj, 1, workerState{Iteration: 1})
+	o, err := New(obj, 1, savedAt, []byte("state"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +53,13 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := o.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Verify after corruption = %v, want ErrCorrupt", err)
 	}
-	var out workerState
-	if err := o.Decode(&out); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Decode after corruption = %v, want ErrCorrupt", err)
+	if _, err := o.State(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("State after corruption = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	o, _ := Encode(obj, 1, workerState{Iteration: 9})
+	o, _ := New(obj, 1, savedAt, []byte("state"))
 	c := o.Clone()
 	c.Payload[0] ^= 0xff
 	if err := o.Verify(); err != nil {
@@ -80,27 +70,16 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestDecodeTypeMismatch(t *testing.T) {
-	o, _ := Encode(obj, 1, workerState{Iteration: 1})
-	var wrong chan int
-	if err := o.Decode(&wrong); err == nil {
-		t.Error("decode into wrong type succeeded")
-	}
-}
-
-// Property: any byte-slice state survives encode/decode, and any single
+// Property: any byte-slice state survives the envelope, and any single
 // byte flip in the payload is detected.
 func TestRoundTripAndTamperProperty(t *testing.T) {
 	f := func(data []byte, flip uint16) bool {
-		o, err := Encode(obj, 1, data)
+		o, err := New(obj, 1, savedAt, data)
 		if err != nil {
 			return false
 		}
-		var out []byte
-		if err := o.Decode(&out); err != nil {
-			return false
-		}
-		if string(out) != string(data) {
+		out, err := o.State()
+		if err != nil || string(out) != string(data) {
 			return false
 		}
 		if len(o.Payload) == 0 {

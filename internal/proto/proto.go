@@ -13,6 +13,7 @@ package proto
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"legion/internal/attr"
@@ -32,6 +33,15 @@ import (
 // prefix survives orb.RemoteError's identity erasure, so the classifier
 // recognizes sheds across the wire too.
 var ErrOverload = errors.New("legion: overloaded, request shed")
+
+// IsOverload reports whether err is, or wraps on either side of the
+// wire, the ErrOverload shed. Cross-runtime calls flatten sentinel
+// identity into a RemoteError message, so the check falls back to the
+// sentinel's text.
+func IsOverload(err error) bool {
+	return err != nil && (errors.Is(err, ErrOverload) ||
+		strings.Contains(err.Error(), ErrOverload.Error()))
+}
 
 // Host object methods (Table 1), plus the trigger-registration calls the
 // Monitor uses (§3.5) and the attribute report every Legion object

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -35,7 +37,7 @@ func TestAllMessageTypesCrossTheWire(t *testing.T) {
 	tok := reservation.Token{ID: 9, Host: hostL, Vault: vaultL,
 		Type: reservation.ReusableTimesharing, Start: time.Unix(1e9, 0).UTC(),
 		Duration: time.Hour, MAC: []byte{1, 2, 3}}
-	o, err := opr.Encode(instL, 2, "state")
+	o, err := opr.New(instL, 2, time.Unix(1e9, 0), []byte("state"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,7 @@ func TestAllMessageTypesCrossTheWire(t *testing.T) {
 	}
 
 	op := roundTrip(t, RetrieveOPRReply{OPR: o}).(RetrieveOPRReply)
-	var s string
-	if err := op.OPR.Decode(&s); err != nil || s != "state" {
+	if s, err := op.OPR.State(); err != nil || string(s) != "state" {
 		t.Errorf("OPR payload: %q %v", s, err)
 	}
 }
@@ -137,5 +138,25 @@ func TestDirectoryLOIDWellKnown(t *testing.T) {
 	}
 	if DirectoryLOID("uva") == DirectoryLOID("sdsc") {
 		t.Error("not domain-distinct")
+	}
+}
+
+// TestIsOverload: the shed is recognised by identity on this side of the
+// wire and by the sentinel's text once a RemoteError has flattened it.
+func TestIsOverload(t *testing.T) {
+	shed := fmt.Errorf("%w: make_reservations shed (queue full)", ErrOverload)
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{errors.New("host: no such object"), false},
+		{ErrOverload, true},
+		{shed, true},
+		{&orb.RemoteError{Msg: shed.Error()}, true},
+	} {
+		if got := IsOverload(tc.err); got != tc.want {
+			t.Errorf("IsOverload(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }

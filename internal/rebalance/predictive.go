@@ -151,7 +151,7 @@ func (r *Rebalancer) StartForecastScan(interval time.Duration, p *Predictive) {
 		t := r.clock.NewTicker(interval)
 		defer t.Stop()
 		for t.Wait(sctx) == nil {
-			ctx, cancel := r.clock.WithTimeout(context.Background(), r.cfg.PlanTimeout)
+			ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
 			r.forecastScan(ctx, p)
 			cancel()
 		}

@@ -85,16 +85,15 @@ type Config struct {
 	// RatePerSec caps metasystem-wide migrations per second via a token
 	// bucket with burst MaxConcurrent (default 0 = unlimited).
 	RatePerSec float64
-	// QueueDepth bounds the Monitor event queue feeding this Rebalancer
-	// (default monitor.DefaultQueueDepth).
-	QueueDepth int
-	// PlanTimeout bounds one event's plan+migrate episode (default 30s).
-	PlanTimeout time.Duration
 	// Clock overrides the time source for cooldown/rate-limit
 	// bookkeeping, plan deadlines, and the reconcile sweep; nil means
 	// the metasystem runtime's clock.
 	Clock vclock.Clock
 }
+
+// planTimeout bounds one event's plan+migrate episode, one reconcile
+// sweep and one forecast scan.
+const planTimeout = 30 * time.Second
 
 // Rebalancer owns the monitor→migrate arc for a metasystem.
 type Rebalancer struct {
@@ -139,9 +138,6 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 10 * time.Second
 	}
-	if cfg.PlanTimeout <= 0 {
-		cfg.PlanTimeout = 30 * time.Second
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = ms.Runtime().Clock()
@@ -181,7 +177,8 @@ func (r *Rebalancer) Start() error {
 		return errors.New("rebalance: already started")
 	}
 	r.started = true
-	r.stopMon = r.ms.Monitor.OnEventAsync(r.cfg.QueueDepth, func(ev proto.NotifyArgs) {
+	// Depth 0 is the Monitor's own default, monitor.DefaultQueueDepth.
+	r.stopMon = r.ms.Monitor.OnEventAsync(0, func(ev proto.NotifyArgs) {
 		r.handle(ev)
 	})
 	return nil
@@ -204,7 +201,7 @@ func (r *Rebalancer) StartSweeping(interval time.Duration) {
 		t := r.clock.NewTicker(interval)
 		defer t.Stop()
 		for t.Wait(sctx) == nil {
-			ctx, cancel := r.clock.WithTimeout(context.Background(), r.cfg.PlanTimeout)
+			ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
 			_ = r.Reconcile(ctx)
 			cancel()
 		}
@@ -248,7 +245,7 @@ func (r *Rebalancer) handle(ev proto.NotifyArgs) {
 		return
 	}
 
-	ctx, cancel := r.clock.WithTimeout(context.Background(), r.cfg.PlanTimeout)
+	ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
 	defer cancel()
 	ctx, span := r.spans.StartIn(ctx, "rebalance/handle_event", r.ms.Domain())
 

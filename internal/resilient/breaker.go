@@ -46,11 +46,12 @@ type BreakerConfig struct {
 	// opens the breaker; <=0 means 5.
 	FailureThreshold int
 	// Cooldown is how long an open breaker refuses calls before allowing
-	// half-open probes; <=0 means 2s.
+	// a half-open probe; <=0 means 2s.
 	Cooldown time.Duration
-	// HalfOpenMax bounds concurrent probes in half-open; <=0 means 1.
-	HalfOpenMax int
 }
+
+// halfOpenMax bounds concurrent probes in half-open.
+const halfOpenMax = 1
 
 func (c BreakerConfig) threshold() int {
 	if c.FailureThreshold <= 0 {
@@ -64,13 +65,6 @@ func (c BreakerConfig) cooldown() time.Duration {
 		return 2 * time.Second
 	}
 	return c.Cooldown
-}
-
-func (c BreakerConfig) halfOpenMax() int {
-	if c.HalfOpenMax <= 0 {
-		return 1
-	}
-	return c.HalfOpenMax
 }
 
 // Breaker is a circuit breaker for one endpoint (a LOID or a TCP
@@ -153,7 +147,7 @@ func (b *Breaker) Allow() error {
 		b.probes = 1
 		return nil
 	default: // HalfOpen
-		if b.probes >= b.cfg.halfOpenMax() {
+		if b.probes >= halfOpenMax {
 			return fmt.Errorf("%w: half-open probe limit", ErrCircuitOpen)
 		}
 		b.probes++

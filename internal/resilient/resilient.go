@@ -181,11 +181,8 @@ type Policy struct {
 	// MaxAttempts bounds total attempts (first try included); <=0 means 4.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; <=0 means 5ms.
+	// The backoff doubles per attempt up to 64*BaseDelay.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff; <=0 means 64*BaseDelay.
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt; <=1 means 2.
-	Multiplier float64
 	// Jitter is the fraction of the delay randomized (0..1); zero means
 	// 0.5, negative disables jitter (deterministic backoff).
 	Jitter float64
@@ -247,6 +244,10 @@ var (
 	jitterRng = rand.New(rand.NewSource(42))
 )
 
+// maxDoublings caps the backoff, which doubles per attempt, at 64 times
+// the base delay.
+const maxDoublings = 6
+
 // delay computes the backoff before attempt n (n=1 is the delay after
 // the first failure).
 func (p Policy) delay(n int) time.Duration {
@@ -254,22 +255,7 @@ func (p Policy) delay(n int) time.Duration {
 	if base <= 0 {
 		base = 5 * time.Millisecond
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 64 * base
-	}
-	d := float64(base)
-	for i := 1; i < n; i++ {
-		d *= mult
-		if d >= float64(maxd) {
-			d = float64(maxd)
-			break
-		}
-	}
+	d := float64(base << min(n-1, maxDoublings))
 	jit := p.Jitter
 	if jit == 0 {
 		jit = 0.5

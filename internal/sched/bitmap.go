@@ -143,8 +143,9 @@ func (b Bitmap) Clone() Bitmap {
 }
 
 // GobEncode implements gob.GobEncoder: the bitmap's words are unexported,
-// and gob is how an object's saved state (package opr) and the wire
-// codec's test reference carry a schedule. The wire uses AppendWire.
+// and gob is how the wire codec's test reference (proto/gob_ref_test.go)
+// carries a schedule. It stays off AppendWire so that reference does not
+// compare the codec with itself.
 func (b Bitmap) GobEncode() ([]byte, error) {
 	out := make([]byte, 8*len(b.words))
 	for i, w := range b.words {

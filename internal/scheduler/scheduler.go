@@ -111,8 +111,6 @@ type Env struct {
 	// Rand drives randomized policies; a nil Rand panics in those
 	// policies (determinism must be an explicit choice).
 	Rand *rand.Rand
-	// QueryTimeout bounds Collection and class queries; zero means 30s.
-	QueryTimeout time.Duration
 	// Retry shapes transport-fault retries for scheduler-side calls
 	// (Collection queries, class queries, Enactor negotiation); the zero
 	// value uses resilient defaults.
@@ -127,12 +125,8 @@ type Env struct {
 	Cache *HostCache
 }
 
-func (e *Env) timeout() time.Duration {
-	if e.QueryTimeout > 0 {
-		return e.QueryTimeout
-	}
-	return 30 * time.Second
-}
+// queryTimeout bounds Collection and class queries.
+const queryTimeout = 30 * time.Second
 
 // call makes one scheduler-side metasystem call through the Env's retry
 // policy and shared breakers.
@@ -175,7 +169,7 @@ type HostInfo struct {
 // queryClassImpls fetches a class's available implementations (Fig 7:
 // "query the class for available implementations").
 func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Implementation, error) {
-	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
+	cctx, cancel := env.RT.Clock().WithTimeout(ctx, queryTimeout)
 	defer cancel()
 	reply, err := replyAs[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
 	if err != nil {
@@ -259,7 +253,7 @@ func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntr
 
 // fetchHosts queries the Collection and parses every matching record.
 func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
-	cctx, cancel := env.RT.Clock().WithTimeout(ctx, env.timeout())
+	cctx, cancel := env.RT.Clock().WithTimeout(ctx, queryTimeout)
 	defer cancel()
 	reply, err := replyAs[proto.QueryReply](env.call(cctx, env.Collection,
 		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))

@@ -21,12 +21,8 @@ import (
 // sentinel identity into a RemoteError message, so the check falls back
 // to the sentinel text (the same convention resilient.Classify uses).
 func isRefusal(err error) bool {
-	if errors.Is(err, proto.ErrOverload) || errors.Is(err, orb.ErrDeadlineExpired) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, proto.ErrOverload.Error()) ||
-		strings.Contains(msg, orb.ErrDeadlineExpired.Error())
+	return proto.IsOverload(err) || errors.Is(err, orb.ErrDeadlineExpired) ||
+		strings.Contains(err.Error(), orb.ErrDeadlineExpired.Error())
 }
 
 // wrapperIDs mints request IDs for Wrapper-driven episodes. It starts

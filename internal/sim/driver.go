@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -148,11 +146,6 @@ func (s *splitmix) Uint64() uint64 {
 func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
-func isOverloadErr(err error) bool {
-	return err != nil && (errors.Is(err, proto.ErrOverload) ||
-		strings.Contains(err.Error(), proto.ErrOverload.Error()))
-}
-
 // Drive replays an open-loop workload of cfg.Requests placements of the
 // given class against the fleet's metasystem, through the production
 // pipeline (Generator → Wrapper → Enactor → Hosts), and returns the
@@ -246,7 +239,7 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 			return
 		}
 		mu.Lock()
-		if isOverloadErr(err) {
+		if proto.IsOverload(err) {
 			res.Shed++
 		} else {
 			res.Failed++

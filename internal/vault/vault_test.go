@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"legion/internal/loid"
 	"legion/internal/opr"
@@ -15,7 +16,7 @@ func newRT() *orb.Runtime { return orb.NewRuntime("uva") }
 
 func mkOPR(t *testing.T, obj loid.LOID, version uint64, payload string) *opr.OPR {
 	t.Helper()
-	o, err := opr.Encode(obj, version, payload)
+	o, err := opr.New(obj, version, time.Unix(1e9, 0), []byte(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +35,8 @@ func TestStoreRetrieveDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s string
-	if err := got.Decode(&s); err != nil || s != "state-v1" {
-		t.Errorf("decoded %q, %v", s, err)
+	if s, err := got.State(); err != nil || string(s) != "state-v1" {
+		t.Errorf("state %q, %v", s, err)
 	}
 	if v.Count() != 1 || v.Used() != int64(o.Size()) {
 		t.Errorf("Count=%d Used=%d", v.Count(), v.Used())
@@ -160,8 +160,7 @@ func TestOrbProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s string
-	if err := res.(proto.RetrieveOPRReply).OPR.Decode(&s); err != nil || s != "over-the-wire" {
+	if s, err := res.(proto.RetrieveOPRReply).OPR.State(); err != nil || string(s) != "over-the-wire" {
 		t.Errorf("retrieved %q, %v", s, err)
 	}
 
@@ -217,8 +216,7 @@ func TestOrbProtocolOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s string
-	if err := res.(proto.RetrieveOPRReply).OPR.Decode(&s); err != nil || s != "tcp-state" {
+	if s, err := res.(proto.RetrieveOPRReply).OPR.State(); err != nil || string(s) != "tcp-state" {
 		t.Errorf("retrieved %q, %v", s, err)
 	}
 }
