@@ -37,12 +37,12 @@ var ErrServerOverload = errors.New("legion: overloaded, request shed by orb serv
 
 // WireMessage is implemented by message types that cross the wire with
 // hand-rolled encodings. AppendWire appends the value to b and returns
-// the extended slice; DecodeWire consumes the same field sequence from
-// r, reusing the receiver's slice capacities, and reports malformed
-// input through r.Err.
+// the extended slice. It takes a value receiver, so a T and a *T both
+// encode through one interface call and neither is copied to the heap.
+// Decoding is not a method here: each type registers a typed decoder
+// with RegisterWireMessage.
 type WireMessage interface {
 	AppendWire(b []byte) []byte
-	DecodeWire(r *wire.Reader)
 }
 
 // Payload tags. Tags below WireIDFirst are structural or built in;
@@ -61,45 +61,29 @@ const (
 // is neither nil, a string, a []string, nor a registered WireMessage.
 var ErrUnregisteredType = errors.New("orb: type not registered for the wire")
 
-type wireEncodeFunc func(v any, b []byte) []byte
-
 type wireDecodeFunc func(r *wire.Reader) any
 
 var (
 	wireRegMu    sync.RWMutex
-	wireEncoders = make(map[reflect.Type]wireEncodeFunc)
 	wireTypeIDs  = make(map[reflect.Type]uint64)
 	wireDecoders = make(map[uint64]wireDecodeFunc)
 )
 
-// RegisterWireMessage registers T under the given stable wire type ID.
-// Values of both T and *T encode under the ID; decoding always produces
-// a T value. Registration happens in init functions; re-registering an
-// ID or type panics.
-func RegisterWireMessage[T any, PT interface {
-	*T
-	WireMessage
-}](id uint16) {
+// RegisterWireMessage registers T under the given stable wire type ID
+// with dec, the decoder that reads one T from r and reports malformed
+// input through r.Err — e.g.
+//
+//	RegisterWireMessage(id, func(r *wire.Reader) (m ObjectArgs) { m.DecodeWire(r); return })
+//
+// T is inferred from dec's result, so a decoder cannot be filed under
+// another type. Values of both T and *T encode under the ID; decoding
+// always produces a T value. Registration happens in init functions;
+// re-registering an ID or type panics.
+func RegisterWireMessage[T WireMessage](id uint16, dec func(r *wire.Reader) T) {
 	if id < WireIDFirst {
 		panic(fmt.Sprintf("orb: wire type ID %d is reserved (first assignable is %d)", id, WireIDFirst))
 	}
-	var zero T
-	typ := reflect.TypeOf(zero)
-	enc := func(v any, b []byte) []byte {
-		if p, ok := v.(PT); ok {
-			return p.AppendWire(b)
-		}
-		t := v.(T)
-		return PT(&t).AppendWire(b)
-	}
-	dec := func(r *wire.Reader) any {
-		var t T
-		PT(&t).DecodeWire(r)
-		if r.Err != nil {
-			return nil
-		}
-		return t
-	}
+	typ := reflect.TypeOf((*T)(nil)).Elem()
 	wireRegMu.Lock()
 	defer wireRegMu.Unlock()
 	if _, dup := wireDecoders[uint64(id)]; dup {
@@ -108,11 +92,15 @@ func RegisterWireMessage[T any, PT interface {
 	if _, dup := wireTypeIDs[typ]; dup {
 		panic(fmt.Sprintf("orb: wire type %v registered twice", typ))
 	}
-	wireEncoders[typ] = enc
-	wireEncoders[reflect.PointerTo(typ)] = enc
 	wireTypeIDs[typ] = uint64(id)
 	wireTypeIDs[reflect.PointerTo(typ)] = uint64(id)
-	wireDecoders[uint64(id)] = dec
+	wireDecoders[uint64(id)] = func(r *wire.Reader) any {
+		m := dec(r)
+		if r.Err != nil {
+			return nil
+		}
+		return m
+	}
 }
 
 // AppendPayload appends v's payload encoding: a uvarint type tag and
@@ -131,16 +119,17 @@ func AppendPayload(b []byte, v any) ([]byte, error) {
 		}
 		return b, nil
 	}
-	typ := reflect.TypeOf(v)
-	wireRegMu.RLock()
-	enc := wireEncoders[typ]
-	id := wireTypeIDs[typ]
-	wireRegMu.RUnlock()
-	if enc == nil {
+	m, ok := v.(WireMessage)
+	if !ok {
 		return b, fmt.Errorf("%w: %T", ErrUnregisteredType, v)
 	}
-	b = wire.AppendUvarint(b, id)
-	return enc(v, b), nil
+	wireRegMu.RLock()
+	id, ok := wireTypeIDs[reflect.TypeOf(v)]
+	wireRegMu.RUnlock()
+	if !ok {
+		return b, fmt.Errorf("%w: %T", ErrUnregisteredType, v)
+	}
+	return m.AppendWire(wire.AppendUvarint(b, id)), nil
 }
 
 // DecodePayload consumes one payload from r. Decoded values never alias

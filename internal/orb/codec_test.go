@@ -26,7 +26,9 @@ import (
 
 // Package proto registers the real message types; these tests use a
 // bare LOID as a stand-in registered payload.
-func init() { RegisterWireMessage[loid.LOID, *loid.LOID](testWireLOID) }
+func init() {
+	RegisterWireMessage(testWireLOID, func(r *wire.Reader) (l loid.LOID) { l.DecodeWire(r); return })
+}
 
 // codecEchoObj echoes its argument back; "fail" returns an error.
 type codecEchoObj struct {

@@ -19,7 +19,7 @@ type echoArg struct {
 	S string
 }
 
-func (m *echoArg) AppendWire(b []byte) []byte {
+func (m echoArg) AppendWire(b []byte) []byte {
 	return wire.AppendString(wire.AppendVarint(b, int64(m.N)), m.S)
 }
 
@@ -28,7 +28,9 @@ func (m *echoArg) DecodeWire(r *wire.Reader) {
 	m.S = r.Str()
 }
 
-func init() { RegisterWireMessage[echoArg, *echoArg](testWireEchoArg) }
+func init() {
+	RegisterWireMessage(testWireEchoArg, func(r *wire.Reader) (m echoArg) { m.DecodeWire(r); return })
+}
 
 func newEcho(rt *Runtime) *ServiceObject {
 	obj := NewServiceObject(rt.Mint("Echo"))

@@ -356,17 +356,52 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 			s.respondBinary(co, req.ID, nil, perr)
 			continue
 		}
+		f, _ := framePool.Get().(*frame)
+		if f == nil {
+			f = new(frame)
+			f.run = f.serve
+		}
+		f.s, f.co, f.wg, f.req = s, co, &reqWG, req
 		reqWG.Add(1)
-		admitted := s.lim.TryGo(func() {
-			defer reqWG.Done()
-			res, err := s.process(req)
-			s.respondBinary(co, req.ID, res, err)
-		})
-		if !admitted {
+		if !s.lim.TryGo(f.run) {
 			reqWG.Done()
+			f.release()
 			s.respondBinary(co, req.ID, nil, s.shed(req.Method))
 		}
 	}
+}
+
+// frame is one admitted request on its way to a handler. Frames are
+// pooled, and run is bound to serve once, when the frame is made, so
+// admitting a frame allocates nothing.
+type frame struct {
+	s   *tcpServer
+	co  *coalescer
+	wg  *sync.WaitGroup
+	req request
+	run func()
+}
+
+// framePool has no New: serve puts frames back in it, so a New that
+// bound serve would make its initializer refer to itself.
+var framePool sync.Pool
+
+// serve handles the frame's request and answers it. It takes what it
+// needs and returns the frame to the pool first, so a handler that runs
+// long does not keep a frame out of it.
+func (f *frame) serve() {
+	s, co, wg, req := f.s, f.co, f.wg, f.req
+	f.release()
+	defer wg.Done()
+	res, err := s.process(req)
+	s.respondBinary(co, req.ID, res, err)
+}
+
+// release clears the frame, the request's argument included, and puts
+// it back in the pool: a pooled frame pins nothing.
+func (f *frame) release() {
+	f.s, f.co, f.wg, f.req = nil, nil, nil, request{}
+	framePool.Put(f)
 }
 
 // respondBinary encodes res outside the coalescer lock and appends one

@@ -1,10 +1,10 @@
 // Binary wire encodings for every protocol message, registered under
 // stable explicit type IDs (see init). The IDs appear on the wire, so
 // they are append-only: never renumber or reuse one, even for a
-// removed message. Field order in AppendWire/DecodeWire pairs is the
-// schema — both directions must match exactly, and the differential
-// fuzzer (FuzzCodecRoundTrip) holds every type to gob-equivalent round
-// trips.
+// removed message, whose constant stays in the block as _. Field order
+// in AppendWire/DecodeWire pairs is the schema — both directions must
+// match exactly, and the differential fuzzer (FuzzCodecRoundTrip) holds
+// every type to gob-equivalent round trips.
 package proto
 
 import (
@@ -65,55 +65,55 @@ const (
 )
 
 func init() {
-	orb.RegisterWireMessage[MakeReservationArgs, *MakeReservationArgs](wireMakeReservationArgs)
-	orb.RegisterWireMessage[MakeReservationReply, *MakeReservationReply](wireMakeReservationReply)
-	orb.RegisterWireMessage[TokenArgs, *TokenArgs](wireTokenArgs)
-	orb.RegisterWireMessage[StartObjectArgs, *StartObjectArgs](wireStartObjectArgs)
-	orb.RegisterWireMessage[StartObjectReply, *StartObjectReply](wireStartObjectReply)
-	orb.RegisterWireMessage[ObjectArgs, *ObjectArgs](wireObjectArgs)
-	orb.RegisterWireMessage[DeactivateReply, *DeactivateReply](wireDeactivateReply)
-	orb.RegisterWireMessage[CompatibleVaultsReply, *CompatibleVaultsReply](wireCompatibleVaultsReply)
-	orb.RegisterWireMessage[VaultOKArgs, *VaultOKArgs](wireVaultOKArgs)
-	orb.RegisterWireMessage[BoolReply, *BoolReply](wireBoolReply)
-	orb.RegisterWireMessage[AttributesReply, *AttributesReply](wireAttributesReply)
-	orb.RegisterWireMessage[DefineTriggerArgs, *DefineTriggerArgs](wireDefineTriggerArgs)
-	orb.RegisterWireMessage[RegisterOutcallArgs, *RegisterOutcallArgs](wireRegisterOutcallArgs)
-	orb.RegisterWireMessage[NotifyArgs, *NotifyArgs](wireNotifyArgs)
-	orb.RegisterWireMessage[StoreOPRArgs, *StoreOPRArgs](wireStoreOPRArgs)
-	orb.RegisterWireMessage[RetrieveOPRArgs, *RetrieveOPRArgs](wireRetrieveOPRArgs)
-	orb.RegisterWireMessage[RetrieveOPRReply, *RetrieveOPRReply](wireRetrieveOPRReply)
-	orb.RegisterWireMessage[DeleteOPRArgs, *DeleteOPRArgs](wireDeleteOPRArgs)
-	orb.RegisterWireMessage[JoinArgs, *JoinArgs](wireJoinArgs)
-	orb.RegisterWireMessage[LeaveArgs, *LeaveArgs](wireLeaveArgs)
-	orb.RegisterWireMessage[UpdateArgs, *UpdateArgs](wireUpdateArgs)
-	orb.RegisterWireMessage[QueryArgs, *QueryArgs](wireQueryArgs)
-	orb.RegisterWireMessage[QueryReply, *QueryReply](wireQueryReply)
-	orb.RegisterWireMessage[CollectionRecord, *CollectionRecord](wireCollectionRecord)
-	orb.RegisterWireMessage[BatchEntry, *BatchEntry](wireBatchEntry)
-	orb.RegisterWireMessage[BatchUpdateArgs, *BatchUpdateArgs](wireBatchUpdateArgs)
-	orb.RegisterWireMessage[BatchUpdateReply, *BatchUpdateReply](wireBatchUpdateReply)
-	orb.RegisterWireMessage[CreateInstanceArgs, *CreateInstanceArgs](wireCreateInstanceArgs)
-	orb.RegisterWireMessage[CreateInstanceReply, *CreateInstanceReply](wireCreateInstanceReply)
-	orb.RegisterWireMessage[ImplementationsReply, *ImplementationsReply](wireImplementationsReply)
-	orb.RegisterWireMessage[InstancesReply, *InstancesReply](wireInstancesReply)
-	orb.RegisterWireMessage[Placement, *Placement](wirePlacement)
-	orb.RegisterWireMessage[Implementation, *Implementation](wireImplementation)
-	orb.RegisterWireMessage[MakeReservationsArgs, *MakeReservationsArgs](wireMakeReservationsArgs)
-	orb.RegisterWireMessage[FeedbackReply, *FeedbackReply](wireFeedbackReply)
-	orb.RegisterWireMessage[EnactScheduleArgs, *EnactScheduleArgs](wireEnactScheduleArgs)
-	orb.RegisterWireMessage[EnactReply, *EnactReply](wireEnactReply)
-	orb.RegisterWireMessage[CancelReservationsArgs, *CancelReservationsArgs](wireCancelReservationsArgs)
-	orb.RegisterWireMessage[Ack, *Ack](wireAck)
-	orb.RegisterWireMessage[ServicesReply, *ServicesReply](wireServicesReply)
-	orb.RegisterWireMessage[AccountArgs, *AccountArgs](wireAccountArgs)
-	orb.RegisterWireMessage[AccountDepositArgs, *AccountDepositArgs](wireAccountDepositArgs)
-	orb.RegisterWireMessage[AccountReply, *AccountReply](wireAccountReply)
+	orb.RegisterWireMessage(wireMakeReservationArgs, func(r *wire.Reader) (m MakeReservationArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireMakeReservationReply, func(r *wire.Reader) (m MakeReservationReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireTokenArgs, func(r *wire.Reader) (m TokenArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireStartObjectArgs, func(r *wire.Reader) (m StartObjectArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireStartObjectReply, func(r *wire.Reader) (m StartObjectReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireObjectArgs, func(r *wire.Reader) (m ObjectArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireDeactivateReply, func(r *wire.Reader) (m DeactivateReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireCompatibleVaultsReply, func(r *wire.Reader) (m CompatibleVaultsReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireVaultOKArgs, func(r *wire.Reader) (m VaultOKArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireBoolReply, func(r *wire.Reader) (m BoolReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireAttributesReply, func(r *wire.Reader) (m AttributesReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireDefineTriggerArgs, func(r *wire.Reader) (m DefineTriggerArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireRegisterOutcallArgs, func(r *wire.Reader) (m RegisterOutcallArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireNotifyArgs, func(r *wire.Reader) (m NotifyArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireStoreOPRArgs, func(r *wire.Reader) (m StoreOPRArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireRetrieveOPRArgs, func(r *wire.Reader) (m RetrieveOPRArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireRetrieveOPRReply, func(r *wire.Reader) (m RetrieveOPRReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireDeleteOPRArgs, func(r *wire.Reader) (m DeleteOPRArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireJoinArgs, func(r *wire.Reader) (m JoinArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireLeaveArgs, func(r *wire.Reader) (m LeaveArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireUpdateArgs, func(r *wire.Reader) (m UpdateArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireQueryArgs, func(r *wire.Reader) (m QueryArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireQueryReply, func(r *wire.Reader) (m QueryReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireCollectionRecord, func(r *wire.Reader) (m CollectionRecord) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireBatchEntry, func(r *wire.Reader) (m BatchEntry) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireBatchUpdateArgs, func(r *wire.Reader) (m BatchUpdateArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireBatchUpdateReply, func(r *wire.Reader) (m BatchUpdateReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireCreateInstanceArgs, func(r *wire.Reader) (m CreateInstanceArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireCreateInstanceReply, func(r *wire.Reader) (m CreateInstanceReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireImplementationsReply, func(r *wire.Reader) (m ImplementationsReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireInstancesReply, func(r *wire.Reader) (m InstancesReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wirePlacement, func(r *wire.Reader) (m Placement) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireImplementation, func(r *wire.Reader) (m Implementation) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireMakeReservationsArgs, func(r *wire.Reader) (m MakeReservationsArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireFeedbackReply, func(r *wire.Reader) (m FeedbackReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireEnactScheduleArgs, func(r *wire.Reader) (m EnactScheduleArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireEnactReply, func(r *wire.Reader) (m EnactReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireCancelReservationsArgs, func(r *wire.Reader) (m CancelReservationsArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireAck, func(r *wire.Reader) (m Ack) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireServicesReply, func(r *wire.Reader) (m ServicesReply) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireAccountArgs, func(r *wire.Reader) (m AccountArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireAccountDepositArgs, func(r *wire.Reader) (m AccountDepositArgs) { m.DecodeWire(r); return })
+	orb.RegisterWireMessage(wireAccountReply, func(r *wire.Reader) (m AccountReply) { m.DecodeWire(r); return })
 }
 
 // --- Host messages ---
 
 // AppendWire implements orb.WireMessage.
-func (m *MakeReservationArgs) AppendWire(b []byte) []byte {
+func (m MakeReservationArgs) AppendWire(b []byte) []byte {
 	b = m.Requester.AppendWire(b)
 	b = m.Vault.AppendWire(b)
 	b = m.Type.AppendWire(b)
@@ -124,7 +124,7 @@ func (m *MakeReservationArgs) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Tenant)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *MakeReservationArgs) DecodeWire(r *wire.Reader) {
 	m.Requester.DecodeWire(r)
 	m.Vault.DecodeWire(r)
@@ -137,41 +137,41 @@ func (m *MakeReservationArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *MakeReservationReply) AppendWire(b []byte) []byte {
+func (m MakeReservationReply) AppendWire(b []byte) []byte {
 	b = m.Token.AppendWire(b)
 	return wire.AppendFloat64(b, m.Cost)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *MakeReservationReply) DecodeWire(r *wire.Reader) {
 	m.Token.DecodeWire(r)
 	m.Cost = r.Float64()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *AccountArgs) AppendWire(b []byte) []byte {
+func (m AccountArgs) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Tenant)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *AccountArgs) DecodeWire(r *wire.Reader) {
 	m.Tenant = r.Sym()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *AccountDepositArgs) AppendWire(b []byte) []byte {
+func (m AccountDepositArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.Tenant)
 	return wire.AppendVarint(b, m.Amount)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *AccountDepositArgs) DecodeWire(r *wire.Reader) {
 	m.Tenant = r.Sym()
 	m.Amount = r.Varint()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *AccountReply) AppendWire(b []byte) []byte {
+func (m AccountReply) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.Tenant)
 	b = wire.AppendVarint(b, m.Budget)
 	b = wire.AppendVarint(b, m.Spent)
@@ -179,7 +179,7 @@ func (m *AccountReply) AppendWire(b []byte) []byte {
 	return wire.AppendVarint(b, m.Remaining)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *AccountReply) DecodeWire(r *wire.Reader) {
 	m.Tenant = r.Sym()
 	m.Budget = r.Varint()
@@ -189,24 +189,24 @@ func (m *AccountReply) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *TokenArgs) AppendWire(b []byte) []byte {
+func (m TokenArgs) AppendWire(b []byte) []byte {
 	return m.Token.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *TokenArgs) DecodeWire(r *wire.Reader) {
 	m.Token.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *StartObjectArgs) AppendWire(b []byte) []byte {
+func (m StartObjectArgs) AppendWire(b []byte) []byte {
 	b = m.Token.AppendWire(b)
 	b = m.Class.AppendWire(b)
 	b = loid.AppendWireSlice(b, m.Instances)
 	return opr.AppendWirePtr(b, m.State)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *StartObjectArgs) DecodeWire(r *wire.Reader) {
 	m.Token.DecodeWire(r)
 	m.Class.DecodeWire(r)
@@ -215,112 +215,112 @@ func (m *StartObjectArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *StartObjectReply) AppendWire(b []byte) []byte {
+func (m StartObjectReply) AppendWire(b []byte) []byte {
 	return loid.AppendWireSlice(b, m.Started)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *StartObjectReply) DecodeWire(r *wire.Reader) {
 	m.Started = loid.DecodeWireSlice(r, m.Started)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *ObjectArgs) AppendWire(b []byte) []byte {
+func (m ObjectArgs) AppendWire(b []byte) []byte {
 	return m.Object.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *ObjectArgs) DecodeWire(r *wire.Reader) {
 	m.Object.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *DeactivateReply) AppendWire(b []byte) []byte {
+func (m DeactivateReply) AppendWire(b []byte) []byte {
 	b = opr.AppendWirePtr(b, m.OPR)
 	return m.Vault.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *DeactivateReply) DecodeWire(r *wire.Reader) {
 	m.OPR = opr.DecodeWirePtr(r, m.OPR)
 	m.Vault.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *CompatibleVaultsReply) AppendWire(b []byte) []byte {
+func (m CompatibleVaultsReply) AppendWire(b []byte) []byte {
 	return loid.AppendWireSlice(b, m.Vaults)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *CompatibleVaultsReply) DecodeWire(r *wire.Reader) {
 	m.Vaults = loid.DecodeWireSlice(r, m.Vaults)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *VaultOKArgs) AppendWire(b []byte) []byte {
+func (m VaultOKArgs) AppendWire(b []byte) []byte {
 	b = m.Vault.AppendWire(b)
 	return wire.AppendString(b, m.Zone)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *VaultOKArgs) DecodeWire(r *wire.Reader) {
 	m.Vault.DecodeWire(r)
 	m.Zone = r.Sym()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *BoolReply) AppendWire(b []byte) []byte {
+func (m BoolReply) AppendWire(b []byte) []byte {
 	return wire.AppendBool(b, m.OK)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *BoolReply) DecodeWire(r *wire.Reader) {
 	m.OK = r.Bool()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *AttributesReply) AppendWire(b []byte) []byte {
+func (m AttributesReply) AppendWire(b []byte) []byte {
 	return attr.AppendWirePairs(b, m.Attrs)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *AttributesReply) DecodeWire(r *wire.Reader) {
 	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *DefineTriggerArgs) AppendWire(b []byte) []byte {
+func (m DefineTriggerArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.Name)
 	return wire.AppendString(b, m.Guard)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *DefineTriggerArgs) DecodeWire(r *wire.Reader) {
 	m.Name = r.Sym()
 	m.Guard = r.Str()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *RegisterOutcallArgs) AppendWire(b []byte) []byte {
+func (m RegisterOutcallArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.Trigger)
 	return m.Monitor.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *RegisterOutcallArgs) DecodeWire(r *wire.Reader) {
 	m.Trigger = r.Sym()
 	m.Monitor.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *NotifyArgs) AppendWire(b []byte) []byte {
+func (m NotifyArgs) AppendWire(b []byte) []byte {
 	b = m.Source.AppendWire(b)
 	b = wire.AppendString(b, m.Trigger)
 	b = attr.AppendWirePairs(b, m.Attrs)
 	return wire.AppendTime(b, m.Time)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *NotifyArgs) DecodeWire(r *wire.Reader) {
 	m.Source.DecodeWire(r)
 	m.Trigger = r.Sym()
@@ -331,41 +331,41 @@ func (m *NotifyArgs) DecodeWire(r *wire.Reader) {
 // --- Vault messages ---
 
 // AppendWire implements orb.WireMessage.
-func (m *StoreOPRArgs) AppendWire(b []byte) []byte {
+func (m StoreOPRArgs) AppendWire(b []byte) []byte {
 	return opr.AppendWirePtr(b, m.OPR)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *StoreOPRArgs) DecodeWire(r *wire.Reader) {
 	m.OPR = opr.DecodeWirePtr(r, m.OPR)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *RetrieveOPRArgs) AppendWire(b []byte) []byte {
+func (m RetrieveOPRArgs) AppendWire(b []byte) []byte {
 	return m.Object.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *RetrieveOPRArgs) DecodeWire(r *wire.Reader) {
 	m.Object.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *RetrieveOPRReply) AppendWire(b []byte) []byte {
+func (m RetrieveOPRReply) AppendWire(b []byte) []byte {
 	return opr.AppendWirePtr(b, m.OPR)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *RetrieveOPRReply) DecodeWire(r *wire.Reader) {
 	m.OPR = opr.DecodeWirePtr(r, m.OPR)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *DeleteOPRArgs) AppendWire(b []byte) []byte {
+func (m DeleteOPRArgs) AppendWire(b []byte) []byte {
 	return m.Object.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *DeleteOPRArgs) DecodeWire(r *wire.Reader) {
 	m.Object.DecodeWire(r)
 }
@@ -373,13 +373,13 @@ func (m *DeleteOPRArgs) DecodeWire(r *wire.Reader) {
 // --- Collection messages ---
 
 // AppendWire implements orb.WireMessage.
-func (m *JoinArgs) AppendWire(b []byte) []byte {
+func (m JoinArgs) AppendWire(b []byte) []byte {
 	b = m.Joiner.AppendWire(b)
 	b = attr.AppendWirePairs(b, m.Attrs)
 	return wire.AppendString(b, m.Credential)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *JoinArgs) DecodeWire(r *wire.Reader) {
 	m.Joiner.DecodeWire(r)
 	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
@@ -387,25 +387,25 @@ func (m *JoinArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *LeaveArgs) AppendWire(b []byte) []byte {
+func (m LeaveArgs) AppendWire(b []byte) []byte {
 	b = m.Leaver.AppendWire(b)
 	return wire.AppendString(b, m.Credential)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *LeaveArgs) DecodeWire(r *wire.Reader) {
 	m.Leaver.DecodeWire(r)
 	m.Credential = r.Str()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *UpdateArgs) AppendWire(b []byte) []byte {
+func (m UpdateArgs) AppendWire(b []byte) []byte {
 	b = m.Member.AppendWire(b)
 	b = attr.AppendWirePairs(b, m.Attrs)
 	return wire.AppendString(b, m.Credential)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *UpdateArgs) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
 	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
@@ -413,13 +413,13 @@ func (m *UpdateArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *BatchEntry) AppendWire(b []byte) []byte {
+func (m BatchEntry) AppendWire(b []byte) []byte {
 	b = m.Member.AppendWire(b)
 	b = attr.AppendWirePairs(b, m.Attrs)
 	return wire.AppendBool(b, m.UpdateOnly)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *BatchEntry) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
 	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
@@ -427,7 +427,7 @@ func (m *BatchEntry) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *BatchUpdateArgs) AppendWire(b []byte) []byte {
+func (m BatchUpdateArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Entries)))
 	for i := range m.Entries {
 		b = m.Entries[i].AppendWire(b)
@@ -435,7 +435,7 @@ func (m *BatchUpdateArgs) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Credential)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *BatchUpdateArgs) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n > 0 {
@@ -454,35 +454,35 @@ func (m *BatchUpdateArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *BatchUpdateReply) AppendWire(b []byte) []byte {
+func (m BatchUpdateReply) AppendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(m.Applied))
 	return wire.AppendVarint(b, int64(m.Dropped))
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *BatchUpdateReply) DecodeWire(r *wire.Reader) {
 	m.Applied = int(r.Varint())
 	m.Dropped = int(r.Varint())
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *QueryArgs) AppendWire(b []byte) []byte {
+func (m QueryArgs) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Query)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *QueryArgs) DecodeWire(r *wire.Reader) {
 	m.Query = r.Str()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *CollectionRecord) AppendWire(b []byte) []byte {
+func (m CollectionRecord) AppendWire(b []byte) []byte {
 	b = m.Member.AppendWire(b)
 	b = attr.AppendWirePairs(b, m.Attrs)
 	return wire.AppendTime(b, m.UpdatedAt)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *CollectionRecord) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
 	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
@@ -490,7 +490,7 @@ func (m *CollectionRecord) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *QueryReply) AppendWire(b []byte) []byte {
+func (m QueryReply) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Records)))
 	for i := range m.Records {
 		b = m.Records[i].AppendWire(b)
@@ -498,7 +498,7 @@ func (m *QueryReply) AppendWire(b []byte) []byte {
 	return wire.AppendVarint(b, int64(m.SkippedShards))
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *QueryReply) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n > 0 {
@@ -519,13 +519,13 @@ func (m *QueryReply) DecodeWire(r *wire.Reader) {
 // --- Class object messages ---
 
 // AppendWire implements orb.WireMessage.
-func (m *Placement) AppendWire(b []byte) []byte {
+func (m Placement) AppendWire(b []byte) []byte {
 	b = m.Host.AppendWire(b)
 	b = m.Vault.AppendWire(b)
 	return m.Token.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *Placement) DecodeWire(r *wire.Reader) {
 	m.Host.DecodeWire(r)
 	m.Vault.DecodeWire(r)
@@ -533,7 +533,7 @@ func (m *Placement) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *CreateInstanceArgs) AppendWire(b []byte) []byte {
+func (m CreateInstanceArgs) AppendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(m.Count))
 	if m.Placement == nil {
 		b = append(b, 0)
@@ -544,7 +544,7 @@ func (m *CreateInstanceArgs) AppendWire(b []byte) []byte {
 	return opr.AppendWirePtr(b, m.State)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *CreateInstanceArgs) DecodeWire(r *wire.Reader) {
 	m.Count = int(r.Varint())
 	if r.Bool() {
@@ -561,13 +561,13 @@ func (m *CreateInstanceArgs) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *CreateInstanceReply) AppendWire(b []byte) []byte {
+func (m CreateInstanceReply) AppendWire(b []byte) []byte {
 	b = loid.AppendWireSlice(b, m.Instances)
 	b = m.Host.AppendWire(b)
 	return m.Vault.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *CreateInstanceReply) DecodeWire(r *wire.Reader) {
 	m.Instances = loid.DecodeWireSlice(r, m.Instances)
 	m.Host.DecodeWire(r)
@@ -575,13 +575,13 @@ func (m *CreateInstanceReply) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *Implementation) AppendWire(b []byte) []byte {
+func (m Implementation) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.Arch)
 	b = wire.AppendString(b, m.OS)
 	return wire.AppendVarint(b, int64(m.MemoryMB))
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *Implementation) DecodeWire(r *wire.Reader) {
 	m.Arch = r.Sym()
 	m.OS = r.Sym()
@@ -589,7 +589,7 @@ func (m *Implementation) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *ImplementationsReply) AppendWire(b []byte) []byte {
+func (m ImplementationsReply) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Impls)))
 	for i := range m.Impls {
 		b = m.Impls[i].AppendWire(b)
@@ -597,7 +597,7 @@ func (m *ImplementationsReply) AppendWire(b []byte) []byte {
 	return b
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *ImplementationsReply) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n == 0 {
@@ -615,11 +615,11 @@ func (m *ImplementationsReply) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *InstancesReply) AppendWire(b []byte) []byte {
+func (m InstancesReply) AppendWire(b []byte) []byte {
 	return loid.AppendWireSlice(b, m.Instances)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *InstancesReply) DecodeWire(r *wire.Reader) {
 	m.Instances = loid.DecodeWireSlice(r, m.Instances)
 }
@@ -627,39 +627,39 @@ func (m *InstancesReply) DecodeWire(r *wire.Reader) {
 // --- Enactor messages ---
 
 // AppendWire implements orb.WireMessage.
-func (m *MakeReservationsArgs) AppendWire(b []byte) []byte {
+func (m MakeReservationsArgs) AppendWire(b []byte) []byte {
 	b = m.Request.AppendWire(b)
 	return wire.AppendString(b, m.RequesterDomain)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *MakeReservationsArgs) DecodeWire(r *wire.Reader) {
 	m.Request.DecodeWire(r)
 	m.RequesterDomain = r.Sym()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *FeedbackReply) AppendWire(b []byte) []byte {
+func (m FeedbackReply) AppendWire(b []byte) []byte {
 	return m.Feedback.AppendWire(b)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *FeedbackReply) DecodeWire(r *wire.Reader) {
 	m.Feedback.DecodeWire(r)
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *EnactScheduleArgs) AppendWire(b []byte) []byte {
+func (m EnactScheduleArgs) AppendWire(b []byte) []byte {
 	return wire.AppendUvarint(b, m.RequestID)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *EnactScheduleArgs) DecodeWire(r *wire.Reader) {
 	m.RequestID = r.Uvarint()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *EnactReply) AppendWire(b []byte) []byte {
+func (m EnactReply) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Instances)))
 	for i := range m.Instances {
 		b = loid.AppendWireSlice(b, m.Instances[i])
@@ -668,7 +668,7 @@ func (m *EnactReply) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Detail)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *EnactReply) DecodeWire(r *wire.Reader) {
 	n := r.Len()
 	if n > 0 {
@@ -688,25 +688,25 @@ func (m *EnactReply) DecodeWire(r *wire.Reader) {
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *CancelReservationsArgs) AppendWire(b []byte) []byte {
+func (m CancelReservationsArgs) AppendWire(b []byte) []byte {
 	return wire.AppendUvarint(b, m.RequestID)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *CancelReservationsArgs) DecodeWire(r *wire.Reader) {
 	m.RequestID = r.Uvarint()
 }
 
 // AppendWire implements orb.WireMessage.
-func (m *Ack) AppendWire(b []byte) []byte { return b }
+func (m Ack) AppendWire(b []byte) []byte { return b }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *Ack) DecodeWire(r *wire.Reader) {}
 
 // AppendWire implements orb.WireMessage. The Classes map is encoded in
 // sorted key order so equal maps produce identical bytes (the virtual-
 // trace differential depends on deterministic encodings).
-func (m *ServicesReply) AppendWire(b []byte) []byte {
+func (m ServicesReply) AppendWire(b []byte) []byte {
 	b = m.Collection.AppendWire(b)
 	b = m.Enactor.AppendWire(b)
 	b = m.Monitor.AppendWire(b)
@@ -726,7 +726,7 @@ func (m *ServicesReply) AppendWire(b []byte) []byte {
 	return loid.AppendWireSlice(b, m.Vaults)
 }
 
-// DecodeWire implements orb.WireMessage.
+// DecodeWire reads what AppendWire writes.
 func (m *ServicesReply) DecodeWire(r *wire.Reader) {
 	m.Collection.DecodeWire(r)
 	m.Enactor.DecodeWire(r)

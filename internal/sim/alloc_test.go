@@ -27,25 +27,30 @@ import (
 // since a wall-clock deadline is a field until somebody waits on it. On
 // the virtual clock, with link latency so that every call parks and no
 // fan-out, it measures 105 (217 before), now that a sleep allocates
-// nothing and an event is part of what it wakes; the budget is that
-// reading and 15 %. The wall arm reads 108 since a fan-out round is one
-// allocation and a metric lookup none. The tcp arm is the same placement
+// nothing and an event is part of what it wakes. The wall arm read 108
+// since a fan-out round is one allocation and a metric lookup none. The
+// tcp arm is the same placement
 // from a second runtime over one loopback connection, both ends counted:
 // 226–230 when every frame and every round got fresh goroutines, 169–173
-// since they run on parked workers with pooled reply slots.
+// since they run on parked workers with pooled reply slots. Since a span
+// is its own context (3 allocations → 1), a payload encodes in place and
+// decodes into the value it returns (1 → 0 and 2 → 1), and a frame's
+// handler is pooled, the arms read 100 / 97 / 131 (108 / 105 / 173
+// before); each budget is its reading plus the margin it had: 6 %, 15 %
+// and 7 %.
 func TestPlacementAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	t.Run("wall", func(t *testing.T) {
-		placementAllocs(t, nil, false, 115)
+		placementAllocs(t, nil, false, 106)
 	})
 	t.Run("virtual", func(t *testing.T) {
 		vc := vclock.NewVirtual()
-		vc.Run(func() { placementAllocs(t, vc, false, 120) })
+		vc.Run(func() { placementAllocs(t, vc, false, 111) })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		placementAllocs(t, nil, true, 185)
+		placementAllocs(t, nil, true, 140+tcpRaceSlack)
 	})
 }
 

@@ -25,14 +25,39 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
 
 // Span is one in-flight timed operation. Created by SpanLog.Start,
 // completed by Finish; a nil *Span is a valid no-op (the disabled path).
+//
+// A Span is also a context: the one it was started in, plus itself.
+// Start returns it as the child context, so opening a span allocates
+// the Span and nothing else. It forwards Deadline, Done, Err and every
+// other Value key to parent, and answers Value(spanCtxKey{}) with
+// itself, which SpanFromContext reads without boxing anything.
 type Span struct {
-	log     *SpanLog
-	name    string
-	trace   uint64
-	id      uint64
-	parent  uint64
-	runtime string
-	start   time.Time
+	parent   context.Context // the context Start was given
+	log      *SpanLog
+	name     string
+	trace    uint64
+	id       uint64
+	parentID uint64
+	runtime  string
+	start    time.Time
+}
+
+// Deadline implements context.Context by forwarding to the parent.
+func (s *Span) Deadline() (time.Time, bool) { return s.parent.Deadline() }
+
+// Done implements context.Context by forwarding to the parent.
+func (s *Span) Done() <-chan struct{} { return s.parent.Done() }
+
+// Err implements context.Context by forwarding to the parent.
+func (s *Span) Err() error { return s.parent.Err() }
+
+// Value implements context.Context: the span itself under spanCtxKey,
+// the parent's value for every other key.
+func (s *Span) Value(key any) any {
+	if _, ok := key.(spanCtxKey); ok {
+		return s
+	}
+	return s.parent.Value(key)
 }
 
 // Context returns the span's propagatable identity; zero for nil spans.
@@ -52,7 +77,7 @@ func (s *Span) Finish(err error) {
 	fs := FinishedSpan{
 		TraceID:  s.trace,
 		SpanID:   s.id,
-		ParentID: s.parent,
+		ParentID: s.parentID,
 		Name:     s.name,
 		Runtime:  s.runtime,
 		Start:    s.start,
@@ -128,11 +153,16 @@ func nextID() uint64 { return ids.Add(1) }
 type spanCtxKey struct{}
 
 // SpanFromContext returns the active span context, if any — either a
-// local parent installed by Start or a remote parent installed by the
-// ORB server from call metadata.
+// local parent, the *Span Start returned, or a remote parent installed
+// by the ORB server from call metadata.
 func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case *Span:
+		return v.Context(), true
+	case SpanContext:
+		return v, v.Valid()
+	}
+	return SpanContext{}, false
 }
 
 // WithRemoteParent installs a span context received from the wire, so
@@ -146,8 +176,8 @@ func WithRemoteParent(ctx context.Context, sc SpanContext) context.Context {
 
 // Start begins a span named name, parented under any span context
 // already carried by ctx (same trace); otherwise it opens a new trace.
-// The returned ctx carries the new span for children to parent under.
-// On a disabled log it returns (ctx, nil) — and nil spans no-op.
+// The returned ctx is the new span itself, for children to parent
+// under. On a disabled log it returns (ctx, nil) — and nil spans no-op.
 func (l *SpanLog) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if l == nil {
 		return ctx, nil
@@ -164,14 +194,14 @@ func (l *SpanLog) StartIn(ctx context.Context, name, runtime string) (context.Co
 	if l == nil || l.disabled {
 		return ctx, nil
 	}
-	s := &Span{log: l, name: name, id: nextID(), start: time.Now(), runtime: runtime}
+	s := &Span{parent: ctx, log: l, name: name, id: nextID(), start: time.Now(), runtime: runtime}
 	if parent, ok := SpanFromContext(ctx); ok {
 		s.trace = parent.TraceID
-		s.parent = parent.SpanID
+		s.parentID = parent.SpanID
 	} else {
 		s.trace = nextID()
 	}
-	return context.WithValue(ctx, spanCtxKey{}, s.Context()), s
+	return s, s
 }
 
 func (l *SpanLog) add(fs FinishedSpan) {
