@@ -176,7 +176,6 @@ type Queue struct {
 	closed  bool
 	timers  map[vclock.Timer]struct{}
 	clock   vclock.Clock
-	now     func() time.Time
 }
 
 // New creates a Queue. It panics on a non-positive slot count, which is a
@@ -185,27 +184,17 @@ func New(cfg Config) *Queue {
 	if cfg.Slots < 1 {
 		panic(fmt.Sprintf("batchq: %q: slots must be >= 1, got %d", cfg.Name, cfg.Slots))
 	}
-	clock := vclock.Default(cfg.Clock)
 	return &Queue{
 		cfg:     cfg,
 		jobs:    make(map[JobID]*job),
 		timers:  make(map[vclock.Timer]struct{}),
 		pending: jobHeap{policy: cfg.Policy},
-		clock:   clock,
-		now:     clock.Now,
+		clock:   vclock.Default(cfg.Clock),
 	}
 }
 
 // Config returns the queue's configuration.
 func (q *Queue) Config() Config { return q.cfg }
-
-// SetClock overrides the queue's wait-time accounting clock (dispatch
-// delay still uses real timers).
-func (q *Queue) SetClock(now func() time.Time) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.now = now
-}
 
 // Submit enqueues a job. onStart, if non-nil, runs when the job is
 // dispatched to a slot — synchronously within Submit when a slot is free
@@ -224,7 +213,7 @@ func (q *Queue) Submit(name string, priority int, onStart func(JobID)) (JobID, e
 		name:      name,
 		priority:  priority,
 		state:     StateQueued,
-		submitted: q.now(),
+		submitted: q.clock.Now(),
 		onStart:   onStart,
 		seq:       q.nextSeq,
 	}
@@ -284,7 +273,7 @@ func runStarts(starts []func()) {
 
 func (q *Queue) startLocked(j *job) {
 	j.state = StateRunning
-	j.started = q.now()
+	j.started = q.clock.Now()
 	q.stats.TotalWait += j.started.Sub(j.submitted)
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"legion/internal/vclock"
 )
 
 func TestImmediateDispatchWhenSlotsFree(t *testing.T) {
@@ -195,14 +197,12 @@ func TestCloseRejectsSubmit(t *testing.T) {
 }
 
 func TestWaitAccounting(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1})
-	var now atomic.Int64
-	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	q.SetClock(func() time.Time { return base.Add(time.Duration(now.Load())) })
+	vc := vclock.NewVirtualAt(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
+	q := New(Config{Name: "test", Slots: 1, Clock: vc})
 
 	a, _ := q.Submit("a", 0, nil) // starts at t=0, wait 0
 	q.Submit("b", 0, nil)         // queued
-	now.Store(int64(10 * time.Second))
+	vc.Advance(10 * time.Second)
 	q.Complete(a) // b starts at t=10s, wait 10s
 	st := q.Stats()
 	if st.TotalWait != 10*time.Second {

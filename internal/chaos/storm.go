@@ -10,7 +10,6 @@ import (
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
-	"legion/internal/vclock"
 )
 
 // StormConfig shapes an open-loop overload storm against one site.
@@ -20,6 +19,12 @@ import (
 // still in flight, exactly like independent clients who do not know the
 // service is drowning. A closed loop (next request after the previous
 // answer) self-throttles and can never push a service past saturation.
+//
+// The World's clock drives the arrival schedule, per-request deadlines
+// and latency measurement. That is what makes a fixed-seed storm replay
+// bit-identically on any machine: under a virtual clock the absolute
+// schedule becomes a deterministic sequence of discrete events immune
+// to scheduler jitter.
 type StormConfig struct {
 	// Rate is the arrival rate in requests/second; must be > 0.
 	Rate float64
@@ -44,13 +49,6 @@ type StormConfig struct {
 	// an overloaded run fails fast instead of multiplying the offered
 	// load with retries.
 	Wrapper scheduler.Wrapper
-	// Clock drives the arrival schedule, per-request deadlines, and
-	// latency measurement; nil means the World's clock. Taking the
-	// clock here (rather than time.Now) is what makes a fixed-seed
-	// storm replay bit-identically on any machine: under a virtual
-	// clock the absolute schedule becomes a deterministic sequence of
-	// discrete events immune to scheduler jitter.
-	Clock vclock.Clock
 }
 
 // StormResult aggregates one storm's outcomes.
@@ -112,10 +110,7 @@ func (w *World) Storm(ctx context.Context, s *Site, cfg StormConfig) *StormResul
 	}
 	class, _ := s.MS.Class("Worker")
 
-	clock := cfg.Clock
-	if clock == nil {
-		clock = w.clock
-	}
+	clock := w.clock
 	res := &StormResult{ShedByPriority: make(map[int]int)}
 	var mu sync.Mutex
 	wg := clock.NewGroup()

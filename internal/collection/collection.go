@@ -40,6 +40,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/query"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Op identifies a Collection mutation for authorization decisions.
@@ -173,7 +174,7 @@ type Collection struct {
 	idx     *attrIndex
 	funcs   map[string]query.Func
 	auth    Authorizer
-	now     func() time.Time
+	clock   vclock.Clock
 
 	queries atomic.Int64
 	updates atomic.Int64
@@ -220,7 +221,7 @@ func New(rt *orb.Runtime, auth Authorizer) *Collection {
 		idx:           newAttrIndex(DefaultIndexedKeys),
 		funcs:         make(map[string]query.Func),
 		auth:          auth,
-		now:           rt.Clock().Now,
+		clock:         rt.Clock(),
 		met:           newCollectionMetrics(rt),
 	}
 	c.installMethods()
@@ -239,13 +240,6 @@ func (c *Collection) SetIndexedKeys(keys ...string) {
 	for member, r := range c.records {
 		c.idx.replace(member, nil, r)
 	}
-}
-
-// SetClock overrides the record-freshness clock.
-func (c *Collection) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
 }
 
 // InjectFunc installs a user function callable from queries (§3.2
@@ -286,7 +280,7 @@ func (c *Collection) Join(member loid.LOID, attrs []attr.Pair, credential string
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := c.records[member]
-	r := newRecord(old, attrs, c.now())
+	r := newRecord(old, attrs, c.clock.Now())
 	c.records[member] = r
 	c.idx.replace(member, old, r)
 	return nil
@@ -320,7 +314,7 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotMember, member)
 	}
-	r := newRecord(old, attrs, c.now())
+	r := newRecord(old, attrs, c.clock.Now())
 	c.records[member] = r
 	c.idx.replace(member, old, r)
 	c.updates.Add(1)
@@ -337,7 +331,7 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (applied, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := c.clock.Now()
 	for _, e := range entries {
 		if e.Member.IsNil() {
 			dropped++

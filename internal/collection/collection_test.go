@@ -14,6 +14,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/query"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 func member(i uint64) loid.LOID {
@@ -269,15 +270,13 @@ func TestFunctionInjection(t *testing.T) {
 }
 
 func TestPrune(t *testing.T) {
-	c := New(orb.NewRuntime("uva"), nil)
 	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	now := base
-	var mu sync.Mutex
-	c.SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
+	vc := vclock.NewVirtualAt(base)
+	rt := orb.NewRuntime("uva")
+	rt.SetClock(vc)
+	c := New(rt, nil)
 	c.Join(member(1), nil, "")
-	mu.Lock()
-	now = base.Add(time.Hour)
-	mu.Unlock()
+	vc.Advance(time.Hour)
 	c.Join(member(2), nil, "")
 	if n := c.Prune(base.Add(30 * time.Minute)); n != 1 {
 		t.Errorf("Prune = %d", n)

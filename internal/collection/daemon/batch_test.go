@@ -113,7 +113,7 @@ func TestBatchingProperty(t *testing.T) {
 				// breaker would keep a revived resource failing fast and
 				// diverge the model, so breakers effectively never open.
 				Breaker:       resilient.BreakerConfig{FailureThreshold: 1 << 30},
-				Liveness:      monitor.NewLiveness(time.Hour, 1),
+				Liveness:      monitor.NewLiveness(time.Hour, 1, nil),
 				DownAfter:     1,
 				Parallelism:   tc.parallelism,
 				BatchInterval: time.Hour, // flushes driven manually + by size

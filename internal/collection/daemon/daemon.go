@@ -158,8 +158,7 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 		cfg.Parallelism = 8
 	}
 	if cfg.Liveness == nil {
-		cfg.Liveness = monitor.NewLiveness(3*cfg.Interval, cfg.DownAfter)
-		cfg.Liveness.SetClock(rt.Clock().Now)
+		cfg.Liveness = monitor.NewLiveness(3*cfg.Interval, cfg.DownAfter, rt.Clock())
 		// A tracker minted here is observed by nothing else, so the
 		// daemon wires the flap counters itself; a caller-supplied
 		// tracker keeps whatever observer the caller installed.

@@ -13,6 +13,7 @@ import (
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/query"
+	"legion/internal/vclock"
 )
 
 // fuzzKeys mixes indexed keys (see DefaultIndexedKeys) with unindexed
@@ -303,10 +304,11 @@ func FuzzRecordMergeModel(f *testing.F) {
 		if len(data) > 512 {
 			return
 		}
-		c := New(orb.NewRuntime("uva"), nil)
-		epoch := time.Unix(1_000_000, 0)
+		rt := orb.NewRuntime("uva")
+		vc := vclock.NewVirtualAt(time.Unix(1_000_000, 0))
+		rt.SetClock(vc)
+		c := New(rt, nil)
 		tick := 0
-		c.SetClock(func() time.Time { return epoch.Add(time.Duration(tick) * time.Second) })
 		model := map[loid.LOID]*modelRecord{}
 
 		i := 0
@@ -334,7 +336,8 @@ func FuzzRecordMergeModel(f *testing.F) {
 		}
 		for i < len(data) {
 			tick++
-			at := c.now()
+			vc.Advance(time.Second)
+			at := vc.Now()
 			op := next()
 			m := member(uint64(op%16) + 1)
 			step := fmt.Sprintf("step %d (byte %d)", tick, i)

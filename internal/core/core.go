@@ -217,11 +217,10 @@ func New(domain string, opts Options) *Metasystem {
 	ms := &Metasystem{
 		rt:       rt,
 		opts:     opts,
-		breakers: resilient.NewBreakerSet(opts.Breaker),
+		breakers: resilient.NewBreakerSet(opts.Breaker, rt.Clock()),
 		classes:  make(map[string]*classobj.Class),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
-	ms.breakers.SetClock(rt.Clock().Now)
 	// Count breaker state transitions for the whole domain pool: trips
 	// (→open), recoveries (→closed), and probe admissions (→half-open).
 	reg := rt.Metrics()

@@ -343,7 +343,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 	remote := orb.NewRuntime("nova")
 	defer remote.Close()
 	remote.Bind(enr.LOID(), addr)
-	breakers := resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 3})
+	breakers := resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 3}, nil)
 	caller := resilient.NewCallerWith(remote, resilient.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, breakers)
 
 	var attempts atomic.Int64

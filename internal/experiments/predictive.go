@@ -104,7 +104,6 @@ func E15PredictiveRebalancing(steps int) *Table {
 			Classes:  []*classobj.Class{class},
 			Cooldown: -1,
 			Policy:   pol,
-			Clock:    vc,
 		})
 
 		hosts := ms.Hosts()

@@ -201,7 +201,6 @@ type Host struct {
 	running map[loid.LOID]*runningObject
 	extLoad float64
 	pushTo  []pushTarget
-	now     func() time.Time
 	// preempted records reservation tokens the rebalancer's preempting
 	// policy deliberately evicted. If the eviction's cancel RPC is lost
 	// (chaos faults) the token can linger in the table with no backing
@@ -277,15 +276,14 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		policy:        cfg.Policy,
 		table:         nil, // set below, needs LOID
 		running:       make(map[loid.LOID]*runningObject),
-		now:           rt.Clock().Now,
 	}
 	h.BindReceiver(h)
-	h.table = reservation.NewTable(h.LOID(), cfg.MaxShared, cfg.ReservationTimeout)
+	h.table = reservation.NewTable(h.LOID(), cfg.MaxShared, cfg.ReservationTimeout, rt.Clock())
 	h.met = newHostMetrics(rt)
 	// All Hosts on one runtime share the aggregate occupancy gauge; the
 	// table pushes deltas into it on every grant/cancel/expiry.
 	h.table.SetGauge(rt.Metrics().Gauge("legion_reservations_active"))
-	h.trigs = rge.NewTriggerSet(h.LOID())
+	h.trigs = rge.NewTriggerSet(h.LOID(), rt.Clock())
 	h.attrs = attr.NewSet(
 		attr.Pair{Name: "host_arch", Value: attr.String(cfg.Arch)},
 		attr.Pair{Name: "host_os_name", Value: attr.String(cfg.OS)},
@@ -362,15 +360,6 @@ func (h *Host) SetPolicy(p PolicyFunc) {
 	h.mu.Lock()
 	h.policy = p
 	h.mu.Unlock()
-}
-
-// SetClock overrides time sources (reservation table included).
-func (h *Host) SetClock(now func() time.Time) {
-	h.mu.Lock()
-	h.now = now
-	h.mu.Unlock()
-	h.table.SetClock(now)
-	h.trigs.SetClock(now)
 }
 
 // SetExternalLoad sets the synthetic background load (0..n), modelling
@@ -792,7 +781,6 @@ func (h *Host) KillObject(ctx context.Context, object loid.LOID) error {
 func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR, loid.LOID, error) {
 	h.mu.Lock()
 	ro, ok := h.running[object]
-	now := h.now
 	h.mu.Unlock()
 	if !ok {
 		return nil, loid.Nil, fmt.Errorf("%w: %v", ErrUnknownObject, object)
@@ -805,7 +793,7 @@ func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR
 	if err != nil {
 		return nil, loid.Nil, fmt.Errorf("host: saving state of %v: %w", object, err)
 	}
-	o, err := opr.New(object, ro.version, now(), payload)
+	o, err := opr.New(object, ro.version, h.rt.Clock().Now(), payload)
 	if err != nil {
 		return nil, loid.Nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"legion/internal/reservation"
 	"legion/internal/telemetry"
 	"legion/internal/vault"
+	"legion/internal/vclock"
 )
 
 // testEnv is a runtime with one vault and one (configurable) host.
@@ -25,7 +26,15 @@ type testEnv struct {
 
 func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	t.Helper()
+	return newEnvOn(t, nil, mutate)
+}
+
+// newEnvOn is newEnv on a runtime running on clock (nil = the wall
+// clock).
+func newEnvOn(t *testing.T, clock vclock.Clock, mutate func(*Config)) *testEnv {
+	t.Helper()
 	rt := orb.NewRuntime("uva")
+	rt.SetClock(clock)
 	// Private registry: metric assertions stay independent of other
 	// tests (and -count=N reruns) sharing telemetry.Default.
 	rt.SetMetrics(telemetry.NewRegistry())
@@ -603,10 +612,12 @@ func TestAccessorsAndGenericObject(t *testing.T) {
 	}
 }
 
+// TestSetClockPropagates: the clock installed on the runtime before the
+// Host is built reaches the Host's reservation table, so a grant's Start
+// is stamped at the runtime's time, not the wall time.
 func TestSetClockPropagates(t *testing.T) {
-	e := newEnv(t, nil)
 	fixed := time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC)
-	e.host.SetClock(func() time.Time { return fixed })
+	e := newEnvOn(t, vclock.NewVirtualAt(fixed), nil)
 	tok := e.reserve(t, reservation.ReusableTimesharing)
 	if !tok.Start.Equal(fixed) {
 		t.Errorf("reservation start = %v, want %v", tok.Start, fixed)

@@ -1,38 +1,24 @@
 package host
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"legion/internal/reservation"
+	"legion/internal/vclock"
 )
 
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
+// reaperEpoch is far from any wall time, so a stamp or an expiry read
+// off the wall clock instead of the runtime's cannot pass by accident.
+var reaperEpoch = time.Date(1970, 1, 12, 0, 0, 0, 0, time.UTC)
 
 // TestReapReservationsReclaimsOrphans simulates an Enactor crashing
 // between make_reservation and confirmation: the unconfirmed grant must
 // be reclaimed by the reaper once its confirmation timeout passes,
 // without any further reservation traffic to trigger lazy expiry.
 func TestReapReservationsReclaimsOrphans(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(5000, 0)}
-	e := newEnv(t, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
-	e.host.SetClock(clk.Now)
+	vc := vclock.NewVirtualAt(reaperEpoch)
+	e := newEnvOn(t, vc, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
 
 	e.reserve(t, reservation.OneShotTimesharing) // orphan: never confirmed
 	if n := e.host.ActiveReservations(); n != 1 {
@@ -42,7 +28,7 @@ func TestReapReservationsReclaimsOrphans(t *testing.T) {
 		t.Fatalf("premature reap reclaimed %d", n)
 	}
 
-	clk.Advance(11 * time.Second) // past the confirmation timeout
+	vc.Advance(11 * time.Second) // past the confirmation timeout
 	if n := e.host.ReapReservations(); n != 1 {
 		t.Fatalf("reap reclaimed %d, want 1", n)
 	}
@@ -51,24 +37,24 @@ func TestReapReservationsReclaimsOrphans(t *testing.T) {
 	}
 }
 
-// TestStartReaperRunsInBackground verifies the periodic reaper reclaims
-// an orphaned grant without any explicit call.
+// TestStartReaperRunsInBackground: the periodic reaper, ticking on the
+// runtime's virtual clock, reclaims an orphaned grant once virtual time
+// passes the confirmation timeout, with no explicit call.
 func TestStartReaperRunsInBackground(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(5000, 0)}
-	e := newEnv(t, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
-	e.host.SetClock(clk.Now)
+	vc := vclock.NewVirtualAt(reaperEpoch)
+	e := newEnvOn(t, vc, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
 
-	e.reserve(t, reservation.OneShotTimesharing)
-	stop := e.host.StartReaper(5 * time.Millisecond)
+	e.reserve(t, reservation.OneShotTimesharing) // orphan: never confirmed
+	stop := e.host.StartReaper(time.Second)
 	defer stop()
 
-	clk.Advance(11 * time.Second)
-	deadline := time.Now().Add(2 * time.Second)
-	for e.host.ActiveReservations() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background reaper never reclaimed the orphan")
-		}
-		time.Sleep(time.Millisecond)
+	vc.Advance(5 * time.Second)
+	if n := e.host.ActiveReservations(); n != 1 {
+		t.Fatalf("active before the timeout = %d, want 1", n)
+	}
+	vc.Advance(6 * time.Second) // past the confirmation timeout
+	if n := e.host.ActiveReservations(); n != 0 {
+		t.Fatalf("background reaper left %d reservations after the virtual timeout", n)
 	}
 	stop()
 	stop() // idempotent

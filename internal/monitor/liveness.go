@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
 // LivenessState classifies a tracked resource's reachability.
@@ -51,7 +52,7 @@ type Liveness struct {
 	staleAfter time.Duration
 	// downAfter is the consecutive-failure count that declares Down.
 	downAfter int
-	clock     func() time.Time
+	clock     vclock.Clock
 	entries   map[loid.LOID]*livenessEntry
 	// onChange observes state transitions seen at Beat/Fail events
 	// (passive staleness is not reported — nothing observes it happen).
@@ -64,9 +65,10 @@ type livenessEntry struct {
 	failures int
 }
 
-// NewLiveness creates a tracker. staleAfter <= 0 defaults to 10 seconds;
-// downAfter <= 0 defaults to 3 consecutive failures.
-func NewLiveness(staleAfter time.Duration, downAfter int) *Liveness {
+// NewLiveness creates a tracker ageing heartbeats on clock (nil = the
+// wall clock). staleAfter <= 0 defaults to 10 seconds; downAfter <= 0
+// defaults to 3 consecutive failures.
+func NewLiveness(staleAfter time.Duration, downAfter int, clock vclock.Clock) *Liveness {
 	if staleAfter <= 0 {
 		staleAfter = 10 * time.Second
 	}
@@ -76,16 +78,9 @@ func NewLiveness(staleAfter time.Duration, downAfter int) *Liveness {
 	return &Liveness{
 		staleAfter: staleAfter,
 		downAfter:  downAfter,
-		clock:      time.Now,
+		clock:      vclock.Default(clock),
 		entries:    make(map[loid.LOID]*livenessEntry),
 	}
-}
-
-// SetClock substitutes the time source (tests).
-func (l *Liveness) SetClock(fn func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.clock = fn
 }
 
 // OnTransition installs an observer invoked (outside the tracker's
@@ -112,7 +107,7 @@ func (l *Liveness) Beat(r loid.LOID) {
 	l.mu.Lock()
 	before := l.stateLocked(r)
 	e := l.entry(r)
-	e.lastBeat = l.clock()
+	e.lastBeat = l.clock.Now()
 	e.beaten = true
 	e.failures = 0
 	after := l.stateLocked(r)
@@ -161,7 +156,7 @@ func (l *Liveness) stateLocked(r loid.LOID) LivenessState {
 		}
 		return LivenessUnknown
 	}
-	if l.clock().Sub(e.lastBeat) > l.staleAfter {
+	if l.clock.Now().Sub(e.lastBeat) > l.staleAfter {
 		return LivenessStale
 	}
 	return LivenessUp

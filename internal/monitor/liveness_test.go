@@ -1,34 +1,16 @@
 package monitor
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
 func TestLivenessStates(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	l := NewLiveness(10*time.Second, 3)
-	l.SetClock(clk.Now)
+	clk := vclock.NewVirtualAt(time.Unix(1000, 0))
+	l := NewLiveness(10*time.Second, 3, clk)
 	h := loid.LOID{Domain: "d", Class: "Host", Instance: 1}
 
 	if got := l.State(h); got != LivenessUnknown {

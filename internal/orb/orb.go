@@ -254,9 +254,9 @@ func (rt *Runtime) SetMetrics(reg *telemetry.Registry) {
 func (rt *Runtime) Metrics() *telemetry.Registry { return rt.hooks.Load().metrics }
 
 // SetClock replaces the runtime's time source (by default the wall
-// clock). The runtime is the distribution point: services built on it
-// read the clock here, so install a virtual clock before constructing
-// them. nil restores the wall clock.
+// clock). It is the only clock setter: services built on the runtime
+// take the clock here once, at construction, and keep it, so install a
+// virtual clock before constructing them. nil restores the wall clock.
 func (rt *Runtime) SetClock(c vclock.Clock) {
 	rt.setHooks(func(h *callHooks) { h.clock = vclock.Default(c) })
 }

@@ -185,7 +185,7 @@ func (r *Rebalancer) forecastScan(ctx context.Context, p *Predictive) {
 	// infos arrives LOID-sorted, so this stable sort keeps the scan
 	// deterministic under the virtual clock.
 	slices.SortStableFunc(hots, func(a, b hot) int { return cmp.Compare(b.forecast, a.forecast) })
-	now := r.now()
+	now := r.clock.Now()
 	for _, h := range hots {
 		r.handle(proto.NotifyArgs{Source: h.loid, Trigger: ForecastTrigger, Time: now})
 	}

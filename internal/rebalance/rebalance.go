@@ -85,10 +85,6 @@ type Config struct {
 	// RatePerSec caps metasystem-wide migrations per second via a token
 	// bucket with burst MaxConcurrent (default 0 = unlimited).
 	RatePerSec float64
-	// Clock overrides the time source for cooldown/rate-limit
-	// bookkeeping, plan deadlines, and the reconcile sweep; nil means
-	// the metasystem runtime's clock.
-	Clock vclock.Clock
 }
 
 // planTimeout bounds one event's plan+migrate episode, one reconcile
@@ -99,8 +95,7 @@ const planTimeout = 30 * time.Second
 type Rebalancer struct {
 	ms    *core.Metasystem
 	cfg   Config
-	clock vclock.Clock
-	now   func() time.Time
+	clock vclock.Clock // the metasystem runtime's
 
 	mu        sync.Mutex
 	started   bool
@@ -138,21 +133,16 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 10 * time.Second
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = ms.Runtime().Clock()
-	}
-	now := clock.Now
+	clock := ms.Runtime().Clock()
 	reg := ms.Runtime().Metrics()
 	r := &Rebalancer{
 		ms:          ms,
 		cfg:         cfg,
 		clock:       clock,
-		now:         now,
 		lastShed:    make(map[loid.LOID]time.Time),
 		inflight:    make(map[loid.LOID]bool),
 		tokens:      float64(cfg.MaxConcurrent),
-		lastFill:    now(),
+		lastFill:    clock.Now(),
 		events:      reg.Counter("legion_rebalance_events_total"),
 		migrationsO: reg.Counter("legion_rebalance_migrations_total", "result", "ok"),
 		migrationsF: reg.Counter("legion_rebalance_migrations_total", "result", "failed"),
@@ -317,7 +307,7 @@ func (r *Rebalancer) execute(ctx context.Context, moves []Move) int {
 			return
 		}
 		mctx, span := r.spans.StartIn(ctx, "rebalance/migrate", r.ms.Domain())
-		start := r.now()
+		start := r.clock.Now()
 		err := r.ms.Migrate(mctx, m.Class, m.Instance, m.ToHost, m.ToVault)
 		r.migSeconds.Observe(r.clock.Since(start).Seconds())
 		span.Finish(err)
@@ -366,13 +356,13 @@ func (r *Rebalancer) underCooldown(src loid.LOID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	last, ok := r.lastShed[src]
-	return ok && r.now().Sub(last) < r.cfg.Cooldown
+	return ok && r.clock.Now().Sub(last) < r.cfg.Cooldown
 }
 
 func (r *Rebalancer) markShed(src loid.LOID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.lastShed[src] = r.now()
+	r.lastShed[src] = r.clock.Now()
 }
 
 // takeToken consumes one migration token from the global rate bucket.
@@ -383,7 +373,7 @@ func (r *Rebalancer) takeToken() bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.now()
+	now := r.clock.Now()
 	r.tokens += now.Sub(r.lastFill).Seconds() * r.cfg.RatePerSec
 	if cap := float64(r.cfg.MaxConcurrent); r.tokens > cap {
 		r.tokens = cap

@@ -21,7 +21,13 @@ import (
 // registry so counter assertions don't see other tests' traffic.
 func buildMeta(t *testing.T, nHosts, nVaults int) *core.Metasystem {
 	t.Helper()
-	ms := core.New("uva", core.Options{Seed: 11, Metrics: telemetry.NewRegistry()})
+	return buildMetaOn(t, nil, nHosts, nVaults)
+}
+
+// buildMetaOn is buildMeta on clock (nil = the wall clock).
+func buildMetaOn(t *testing.T, clock vclock.Clock, nHosts, nVaults int) *core.Metasystem {
+	t.Helper()
+	ms := core.New("uva", core.Options{Seed: 11, Metrics: telemetry.NewRegistry(), Clock: clock})
 	vaults := make([]loid.LOID, 0, nVaults)
 	for i := 0; i < nVaults; i++ {
 		v := ms.AddVault(vault.Config{Zone: "z1"})
@@ -103,18 +109,18 @@ func TestRebalancerShedsOverloadedHost(t *testing.T) {
 // TestCooldownSuppressesRepeatShedding: after a successful shed, further
 // events from the same host are ignored until the window passes.
 func TestCooldownSuppressesRepeatShedding(t *testing.T) {
-	ms := buildMeta(t, 3, 1)
+	// Virtual clock (epoch anchored near wall time so stdlib-derived
+	// deadlines downstream stay sane); the test advances it directly
+	// instead of sleeping through the cooldown window.
+	vc := vclock.NewVirtual()
+	ms := buildMetaOn(t, vc, 3, 1)
 	c := ms.DefineClass("Worker", nil)
 	ctx := context.Background()
 	if _, _, err := c.CreateInstance(ctx, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Virtual clock (epoch anchored near wall time so stdlib-derived
-	// deadlines downstream stay sane); the test advances it directly
-	// instead of sleeping through the cooldown window.
-	vc := vclock.NewVirtual()
-	r := New(ms, Config{Classes: []*classobj.Class{c}, Cooldown: time.Minute, Clock: vc})
+	r := New(ms, Config{Classes: []*classobj.Class{c}, Cooldown: time.Minute})
 
 	src := ms.Hosts()[0].LOID()
 	ev := proto.NotifyArgs{Source: src, Trigger: "overload"}
@@ -142,20 +148,19 @@ func TestCooldownSuppressesRepeatShedding(t *testing.T) {
 // TestRateLimitBoundsChurn: with a tiny bucket, a burst of events
 // executes at most Burst migrations and counts the rest as rate-limited.
 func TestRateLimitBoundsChurn(t *testing.T) {
-	ms := buildMeta(t, 4, 1)
+	// Virtual clock, never advanced: the bucket never refills.
+	ms := buildMetaOn(t, vclock.NewVirtual(), 4, 1)
 	c := ms.DefineClass("Worker", nil)
 	ctx := context.Background()
 	if _, _, err := c.CreateInstance(ctx, 4, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Virtual clock, never advanced: the bucket never refills.
 	r := New(ms, Config{
 		Classes:       []*classobj.Class{c},
 		Cooldown:      -1,
 		MaxConcurrent: 1, // burst = 1
 		RatePerSec:    0.001,
-		Clock:         vclock.NewVirtual(),
 		Policy:        &LeastLoaded{MaxShedPerEvent: 4},
 	})
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
 var (
@@ -15,33 +16,9 @@ var (
 	vaultL = loid.LOID{Domain: "uva", Class: "Vault", Instance: 1}
 )
 
-// fakeClock is a settable time source.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(1999, 4, 12, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
-func newTestTable(maxShared int) (*Table, *fakeClock) {
-	tb := NewTable(hostL, maxShared, time.Minute)
-	clk := newFakeClock()
-	tb.SetClock(clk.Now)
-	return tb, clk
+func newTestTable(maxShared int) (*Table, *vclock.Virtual) {
+	clk := vclock.NewVirtualAt(time.Date(1999, 4, 12, 12, 0, 0, 0, time.UTC))
+	return NewTable(hostL, maxShared, time.Minute, clk), clk
 }
 
 func TestTypeNames(t *testing.T) {

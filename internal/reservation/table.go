@@ -8,6 +8,7 @@ import (
 
 	"legion/internal/loid"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Admission errors returned by Table operations.
@@ -85,27 +86,21 @@ type Table struct {
 	gauge      *telemetry.Gauge
 	gaugeCount int64
 
-	now func() time.Time
+	clock vclock.Clock
 }
 
-// NewTable creates a reservation table for the given host. maxShared
-// bounds overlapping timesharing reservations (0 = unlimited).
-func NewTable(host loid.LOID, maxShared int, defaultTimeout time.Duration) *Table {
+// NewTable creates a reservation table for the given host, reading time
+// from clock (nil = the wall clock). maxShared bounds overlapping
+// timesharing reservations (0 = unlimited).
+func NewTable(host loid.LOID, maxShared int, defaultTimeout time.Duration, clock vclock.Clock) *Table {
 	return &Table{
 		host:           host,
 		signer:         NewSigner(),
 		entries:        make(map[uint64]*entry),
 		maxShared:      maxShared,
 		defaultTimeout: defaultTimeout,
-		now:            time.Now,
+		clock:          vclock.Default(clock),
 	}
-}
-
-// SetClock overrides the table's time source for simulations.
-func (tb *Table) SetClock(now func() time.Time) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.now = now
 }
 
 // SetGauge attaches an occupancy gauge tracking the number of live
@@ -145,7 +140,7 @@ func (tb *Table) Make(req Request) (*Token, error) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 
-	now := tb.now()
+	now := tb.clock.Now()
 	start := req.Start
 	instantaneous := start.IsZero() || !start.After(now)
 	if start.IsZero() {
@@ -228,7 +223,7 @@ func (tb *Table) Check(t *Token) error {
 // windowLocked validates timing. If redeem is true the caller is
 // presenting the token with a service request, which confirms it.
 func (tb *Table) windowLocked(e *entry, redeem bool) error {
-	now := tb.now()
+	now := tb.clock.Now()
 	if now.Before(e.tok.Start) {
 		return fmt.Errorf("%w: starts %v", ErrNotYetValid, e.tok.Start)
 	}
@@ -292,7 +287,7 @@ type EntryInfo struct {
 func (tb *Table) Snapshot() []EntryInfo {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	tb.gcLocked(tb.now())
+	tb.gcLocked(tb.clock.Now())
 	out := make([]EntryInfo, 0, len(tb.entries))
 	for _, e := range tb.entries {
 		out = append(out, EntryInfo{Token: e.tok, Confirmed: e.confirmed, Consumed: e.consumed})
@@ -304,7 +299,7 @@ func (tb *Table) Snapshot() []EntryInfo {
 func (tb *Table) Active() int {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	tb.gcLocked(tb.now())
+	tb.gcLocked(tb.clock.Now())
 	return len(tb.entries)
 }
 
@@ -318,7 +313,7 @@ func (tb *Table) Reap() int {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	before := len(tb.entries)
-	tb.gcLocked(tb.now())
+	tb.gcLocked(tb.clock.Now())
 	return before - len(tb.entries)
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
 // ErrCircuitOpen reports a call refused locally because the endpoint's
@@ -79,7 +80,7 @@ type Breaker struct {
 	failures int       // consecutive transport failures (closed state)
 	openedAt time.Time // when the breaker last opened
 	probes   int       // in-flight probes (half-open state)
-	now      func() time.Time
+	clock    vclock.Clock
 	onChange func(from, to State) // observer, invoked outside mu
 }
 
@@ -105,16 +106,10 @@ func (b *Breaker) transitionLocked(to State) func() {
 	return func() { fn(from, to) }
 }
 
-// NewBreaker creates a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, now: time.Now}
-}
-
-// SetClock overrides the breaker's time source for tests.
-func (b *Breaker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.now = now
+// NewBreaker creates a closed breaker timing its cooldown on clock
+// (nil = the wall clock).
+func NewBreaker(cfg BreakerConfig, clock vclock.Clock) *Breaker {
+	return &Breaker{cfg: cfg, clock: vclock.Default(clock)}
 }
 
 // State returns the breaker's current position, accounting for cooldown
@@ -122,7 +117,7 @@ func (b *Breaker) SetClock(now func() time.Time) {
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.now().Sub(b.openedAt) >= b.cfg.cooldown() {
+	if b.state == Open && b.clock.Now().Sub(b.openedAt) >= b.cfg.cooldown() {
 		return HalfOpen
 	}
 	return b.state
@@ -138,7 +133,7 @@ func (b *Breaker) Allow() error {
 	case Closed:
 		return nil
 	case Open:
-		if b.now().Sub(b.openedAt) < b.cfg.cooldown() {
+		if b.clock.Now().Sub(b.openedAt) < b.cfg.cooldown() {
 			return fmt.Errorf("%w: cooling down", ErrCircuitOpen)
 		}
 		// Cooldown elapsed: transition to half-open and admit this call
@@ -170,7 +165,7 @@ func (b *Breaker) Record(err error) {
 		}
 		if class == ClassRetryable {
 			notify = b.transitionLocked(Open)
-			b.openedAt = b.now()
+			b.openedAt = b.clock.Now()
 			b.failures = 0
 			return
 		}
@@ -185,7 +180,7 @@ func (b *Breaker) Record(err error) {
 		b.failures++
 		if b.failures >= b.cfg.threshold() {
 			notify = b.transitionLocked(Open)
-			b.openedAt = b.now()
+			b.openedAt = b.clock.Now()
 			b.failures = 0
 		}
 	case Open:
@@ -198,7 +193,7 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) Trip() {
 	b.mu.Lock()
 	notify := b.transitionLocked(Open)
-	b.openedAt = b.now()
+	b.openedAt = b.clock.Now()
 	b.failures = 0
 	b.mu.Unlock()
 	notify()
@@ -221,7 +216,7 @@ type BreakerSet struct {
 
 	mu       sync.Mutex
 	m        map[string]*Breaker
-	clock    func() time.Time     // non-nil after SetClock; applied to new breakers
+	clock    vclock.Clock         // every breaker's clock
 	onChange func(from, to State) // applied to current and new breakers
 
 	// byLOID memoizes LOID→Breaker so the per-call lookup on the query
@@ -230,9 +225,10 @@ type BreakerSet struct {
 	byLOID sync.Map
 }
 
-// NewBreakerSet creates an empty set minting breakers with cfg.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{cfg: cfg, m: make(map[string]*Breaker)}
+// NewBreakerSet creates an empty set minting breakers with cfg on clock
+// (nil = the wall clock).
+func NewBreakerSet(cfg BreakerConfig, clock vclock.Clock) *BreakerSet {
+	return &BreakerSet{cfg: cfg, clock: vclock.Default(clock), m: make(map[string]*Breaker)}
 }
 
 // For returns (creating if needed) the breaker for key.
@@ -241,10 +237,7 @@ func (s *BreakerSet) For(key string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[key]
 	if !ok {
-		b = NewBreaker(s.cfg)
-		if s.clock != nil {
-			b.SetClock(s.clock)
-		}
+		b = NewBreaker(s.cfg, s.clock)
 		if s.onChange != nil {
 			b.OnStateChange(s.onChange)
 		}
@@ -285,14 +278,4 @@ func (s *BreakerSet) States() map[string]State {
 		out[k] = b.State()
 	}
 	return out
-}
-
-// SetClock overrides the clock of all current and future breakers.
-func (s *BreakerSet) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range s.m {
-		b.SetClock(now)
-	}
-	s.clock = now
 }

@@ -24,9 +24,10 @@ type Caller struct {
 	breakers *BreakerSet // may be nil: retry without breakers
 }
 
-// NewCaller wraps inv with the policy and a fresh breaker set.
+// NewCaller wraps inv with the policy and a fresh breaker set on the
+// policy's clock.
 func NewCaller(inv Invoker, p Policy, bc BreakerConfig) *Caller {
-	return &Caller{inv: inv, policy: p, breakers: NewBreakerSet(bc)}
+	return &Caller{inv: inv, policy: p, breakers: NewBreakerSet(bc, p.Clock)}
 }
 
 // NewCallerWith wraps inv sharing an existing breaker set (nil disables

@@ -12,6 +12,7 @@ import (
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/reservation"
+	"legion/internal/vclock"
 )
 
 func TestClassify(t *testing.T) {
@@ -134,9 +135,8 @@ func TestDoAttemptTimeout(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	clock := time.Now()
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second})
-	b.SetClock(func() time.Time { return clock })
+	vc := vclock.NewVirtualAt(time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC))
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second}, vc)
 
 	transport := fmt.Errorf("%w: boom", orb.ErrInjectedFault)
 	for i := 0; i < 3; i++ {
@@ -153,7 +153,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Cooldown elapses: one probe is admitted, a second refused.
-	clock = clock.Add(2 * time.Second)
+	vc.Advance(2 * time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Another cooldown; successful probe closes.
-	clock = clock.Add(2 * time.Second)
+	vc.Advance(2 * time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
@@ -178,8 +178,45 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// failingInvoker fails every call with a transport fault and counts
+// the calls that reach it.
+type failingInvoker struct{ calls int }
+
+func (f *failingInvoker) Call(context.Context, loid.LOID, string, any) (any, error) {
+	f.calls++
+	return nil, fmt.Errorf("%w: down", orb.ErrInjectedFault)
+}
+
+// TestCallerBreakerOnPolicyClock: a Caller built by NewCaller times its
+// breakers' cooldown on the policy's clock, so a virtual run that
+// advances past the cooldown gets its probe.
+func TestCallerBreakerOnPolicyClock(t *testing.T) {
+	vc := vclock.NewVirtualAt(time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC))
+	inv := &failingInvoker{}
+	c := NewCaller(inv, Policy{MaxAttempts: 1, Clock: vc},
+		BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute})
+	target := loid.LOID{Domain: "uva", Class: "Host", Instance: 1}
+
+	if _, err := c.Call(context.Background(), target, "m", nil); errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("first call refused by a closed breaker: %v", err)
+	}
+	if _, err := c.Call(context.Background(), target, "m", nil); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("tripped breaker admitted a call: %v", err)
+	}
+	vc.Advance(2 * time.Minute)
+	if st := c.Breakers().ForLOID(target).State(); st != HalfOpen {
+		t.Fatalf("state after virtual cooldown: %v, want half-open", st)
+	}
+	if _, err := c.Call(context.Background(), target, "m", nil); errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("probe refused after the virtual cooldown: %v", err)
+	}
+	if inv.calls != 2 {
+		t.Fatalf("invoker reached %d times, want 2 (first call and probe)", inv.calls)
+	}
+}
+
 func TestBreakerPermanentRefusalsDoNotTrip(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2}, nil)
 	refusal := fmt.Errorf("%w: no", host.ErrPolicy)
 	for i := 0; i < 10; i++ {
 		if err := b.Allow(); err != nil {

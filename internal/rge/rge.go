@@ -28,6 +28,7 @@ import (
 	"legion/internal/attr"
 	"legion/internal/loid"
 	"legion/internal/query"
+	"legion/internal/vclock"
 )
 
 // Event is raised when a trigger's guard becomes true.
@@ -70,26 +71,19 @@ type TriggerSet struct {
 	triggers map[string]*trigger
 	outcalls map[string][]outcall // trigger name ("" = all) -> handlers
 	fired    map[string]int       // per-trigger fire counts, for tests/metrics
-	now      func() time.Time
+	clock    vclock.Clock
 }
 
-// NewTriggerSet creates an empty trigger set owned by the given object.
-func NewTriggerSet(owner loid.LOID) *TriggerSet {
+// NewTriggerSet creates an empty trigger set owned by the given object,
+// stamping events from clock (nil = the wall clock).
+func NewTriggerSet(owner loid.LOID, clock vclock.Clock) *TriggerSet {
 	return &TriggerSet{
 		owner:    owner,
 		triggers: make(map[string]*trigger),
 		outcalls: make(map[string][]outcall),
 		fired:    make(map[string]int),
-		now:      time.Now,
+		clock:    vclock.Default(clock),
 	}
-}
-
-// SetClock overrides the event timestamp source; simulations use virtual
-// time.
-func (ts *TriggerSet) SetClock(now func() time.Time) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.now = now
 }
 
 // Define installs (or replaces) a named trigger whose guard is a query-
@@ -212,7 +206,7 @@ func (ts *TriggerSet) Evaluate(rec query.Record) []Event {
 				snapshot = s.Snapshot()
 			}
 		}
-		ev := Event{Source: ts.owner, Trigger: tr.name, Attrs: snapshot, Time: ts.now()}
+		ev := Event{Source: ts.owner, Trigger: tr.name, Attrs: snapshot, Time: ts.clock.Now()}
 		ts.fired[tr.name]++
 		var ocs []Outcall
 		for _, oc := range ts.outcalls[tr.name] {

@@ -7,12 +7,13 @@ import (
 
 	"legion/internal/attr"
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
 var owner = loid.LOID{Domain: "uva", Class: "Host", Instance: 1}
 
 func TestTriggerFiresOnGuardTrue(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	if err := ts.Define("overload", `$host_load > 0.8`); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTriggerFiresOnGuardTrue(t *testing.T) {
 }
 
 func TestEdgeTriggeredSemantics(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("hot", `$load > 0.8`)
 	attrs := attr.NewSet(attr.Pair{Name: "load", Value: attr.Float(0.9)})
 
@@ -66,7 +67,7 @@ func TestEdgeTriggeredSemantics(t *testing.T) {
 }
 
 func TestWildcardOutcall(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("a", `$x > 1`)
 	ts.Define("b", `$x > 2`)
 	var names []string
@@ -78,7 +79,7 @@ func TestWildcardOutcall(t *testing.T) {
 }
 
 func TestMultipleOutcallsPerTrigger(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("t", `true`)
 	n := 0
 	ts.RegisterOutcall("t", func(Event) { n++ })
@@ -90,7 +91,7 @@ func TestMultipleOutcallsPerTrigger(t *testing.T) {
 }
 
 func TestDefineErrors(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	if err := ts.Define("", "true"); err == nil {
 		t.Error("empty name accepted")
 	}
@@ -100,7 +101,7 @@ func TestDefineErrors(t *testing.T) {
 }
 
 func TestGuardTypeErrorNeverFires(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("bad", `$s and true`) // $s is a string: type error
 	attrs := attr.NewSet(attr.Pair{Name: "s", Value: attr.String("x")})
 	if n := len(ts.Evaluate(attrs)); n != 0 {
@@ -114,7 +115,7 @@ func TestGuardTypeErrorNeverFires(t *testing.T) {
 }
 
 func TestRemoveTrigger(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("t", "true")
 	if got := ts.Triggers(); len(got) != 1 || got[0] != "t" {
 		t.Fatalf("Triggers = %v", got)
@@ -130,7 +131,7 @@ func TestRemoveTrigger(t *testing.T) {
 }
 
 func TestRedefiningTriggerRearms(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("t", `$x > 0`)
 	attrs := attr.NewSet(attr.Pair{Name: "x", Value: attr.Int(1)})
 	ts.Evaluate(attrs) // fires, disarms
@@ -141,9 +142,8 @@ func TestRedefiningTriggerRearms(t *testing.T) {
 }
 
 func TestVirtualClock(t *testing.T) {
-	ts := NewTriggerSet(owner)
 	fixed := time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC) // IPPS '99
-	ts.SetClock(func() time.Time { return fixed })
+	ts := NewTriggerSet(owner, vclock.NewVirtualAt(fixed))
 	ts.Define("t", "true")
 	evs := ts.Evaluate(attr.NewSet())
 	if len(evs) != 1 || !evs[0].Time.Equal(fixed) {
@@ -152,7 +152,7 @@ func TestVirtualClock(t *testing.T) {
 }
 
 func TestConcurrentEvaluateAndDefine(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("t", `$x > 5`)
 	attrs := attr.NewSet(attr.Pair{Name: "x", Value: attr.Int(0)})
 	var wg sync.WaitGroup
@@ -185,7 +185,7 @@ func TestConcurrentEvaluateAndDefine(t *testing.T) {
 // deadlocking — firings are collected under the lock but delivered
 // outside it.
 func TestOutcallCanReenterTriggerSet(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	ts.Define("once", "true")
 	done := make(chan struct{})
 	ts.RegisterOutcall("once", func(e Event) {
@@ -208,7 +208,7 @@ func TestOutcallCanReenterTriggerSet(t *testing.T) {
 // the Host-side half of Watch idempotency. Distinct keys and anonymous
 // registrations still append.
 func TestRegisterOutcallKeyedDedupes(t *testing.T) {
-	ts := NewTriggerSet(owner)
+	ts := NewTriggerSet(owner, nil)
 	if err := ts.Define("overload", `$host_load > 0.8`); err != nil {
 		t.Fatal(err)
 	}

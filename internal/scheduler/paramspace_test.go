@@ -2,11 +2,13 @@ package scheduler
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/vclock"
 )
 
 func psFleet() []hostSpec {
@@ -90,21 +92,33 @@ func TestParamSpaceReuseCapProperty(t *testing.T) {
 	}
 }
 
+// offsetClock is the wall clock read offset ahead, an offset a test may
+// jump mid-run.
+type offsetClock struct {
+	vclock.Clock
+	offset *atomic.Int64 // nanoseconds
+}
+
+func (c offsetClock) Now() time.Time {
+	return c.Clock.Now().Add(time.Duration(c.offset.Load()))
+}
+func (c offsetClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c offsetClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
+
 func TestParamSpaceSurvivesTokenDeath(t *testing.T) {
 	// Kill the standing grants mid-study by jumping the issuing hosts'
-	// clocks past the reservation window: every held token answers
+	// clock past the reservation window: every held token answers
 	// ErrExpired on the next redeem, and the slots must renegotiate
 	// fresh grants and stream on without failing a single task.
-	e := newTenv(t, psFleet())
+	var offset atomic.Int64
+	e := newTenvOn(t, offsetClock{vclock.Wall, &offset}, psFleet())
 	ctx := context.Background()
 	broke := false
 	res, err := ParamSpace{Slots: 2, ReuseCap: 100}.Run(ctx, e.env, e.class, 20,
 		func(_ context.Context, _ loid.LOID, task int) error {
 			if task == 9 && !broke {
 				broke = true
-				for _, h := range e.hosts {
-					h.SetClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
-				}
+				offset.Store(int64(2 * time.Hour))
 			}
 			return nil
 		})

@@ -17,6 +17,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/vault"
+	"legion/internal/vclock"
 )
 
 // tenv is a full single-runtime metasystem for scheduler tests.
@@ -40,7 +41,15 @@ type hostSpec struct {
 
 func newTenv(t *testing.T, specs []hostSpec) *tenv {
 	t.Helper()
+	return newTenvOn(t, nil, specs)
+}
+
+// newTenvOn is newTenv on a runtime running on clock (nil = the wall
+// clock), installed before any service is built.
+func newTenvOn(t *testing.T, clock vclock.Clock, specs []hostSpec) *tenv {
+	t.Helper()
 	rt := orb.NewRuntime("uva")
+	rt.SetClock(clock)
 	coll := collection.New(rt, nil)
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	e := &tenv{rt: rt, coll: coll, vaults: []*vault.Vault{v}}
