@@ -10,6 +10,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
+	"legion/internal/vclock"
 )
 
 // StormConfig shapes an open-loop overload storm against one site.
@@ -125,9 +126,8 @@ func (w *World) Storm(ctx context.Context, s *Site, cfg StormConfig) *StormResul
 		}
 		rctx := ctx
 		if cfg.Deadline > 0 {
-			var cancel context.CancelFunc
-			rctx, cancel = clock.WithTimeout(ctx, cfg.Deadline)
-			defer cancel()
+			rctx = clock.WithDeadline(ctx, clock.Now().Add(cfg.Deadline))
+			defer vclock.End(rctx)
 		}
 		t0 := clock.Now()
 		out, err := s.MS.PlaceApplicationLimits(rctx, cfg.Generator, scheduler.Request{
@@ -143,7 +143,7 @@ func (w *World) Storm(ctx context.Context, s *Site, cfg StormConfig) *StormResul
 			// Tear down with a fresh context: the request deadline may
 			// already be spent, and a successful placement must not leak
 			// just because cleanup raced it.
-			cctx, cancel := clock.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+			cctx := clock.WithDeadline(context.WithoutCancel(ctx), clock.Now().Add(5*time.Second))
 			for j, insts := range out.Instances {
 				for _, inst := range insts {
 					_, _ = s.MS.Runtime().Call(cctx, out.Feedback.Resolved[j].Class,
@@ -151,7 +151,7 @@ func (w *World) Storm(ctx context.Context, s *Site, cfg StormConfig) *StormResul
 				}
 			}
 			_ = s.MS.Enactor.CancelReservations(cctx, out.RequestID)
-			cancel()
+			vclock.End(cctx)
 			mu.Lock()
 			res.Succeeded++
 			res.Latencies = append(res.Latencies, lat)

@@ -31,6 +31,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/resilient"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Liveness attribute names deposited alongside pulled attributes.
@@ -257,8 +258,9 @@ func (d *Daemon) flushOne(ctx context.Context, coll loid.LOID, cb *collBatch) {
 	if len(entries) == 0 {
 		return
 	}
-	cctx, cancel := d.rt.Clock().WithTimeout(ctx, d.cfg.CallTimeout)
-	defer cancel()
+	clk := d.rt.Clock()
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
+	defer vclock.End(cctx)
 	d.mu.Lock()
 	d.pushCalls++
 	d.mu.Unlock()
@@ -337,9 +339,10 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 	oks := make([]int, len(resources))
 	fanout.Do(d.cfg.Parallelism, len(resources), func(ri int) {
 		res := resources[ri]
-		cctx, cancel := d.rt.Clock().WithTimeout(ctx, d.cfg.CallTimeout)
+		clk := d.rt.Clock()
+		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
 		reply, err := d.call.Call(cctx, res, proto.MethodGetAttributes, nil)
-		cancel()
+		vclock.End(cctx)
 		attrs, isAttrs := reply.(proto.AttributesReply)
 		if err != nil || !isAttrs {
 			d.mu.Lock()
@@ -432,13 +435,14 @@ func (d *Daemon) flagDown(ctx context.Context, res loid.LOID, collections []loid
 		if !d.hasJoined(coll, res) {
 			continue
 		}
-		cctx, cancel := d.rt.Clock().WithTimeout(ctx, d.cfg.CallTimeout)
+		clk := d.rt.Clock()
+		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
 		d.mu.Lock()
 		d.pushCalls++
 		d.mu.Unlock()
 		_, err := d.call.Call(cctx, coll, proto.MethodUpdateCollectionEntry,
 			proto.UpdateArgs{Member: res, Attrs: flag, Credential: d.cfg.Credential})
-		cancel()
+		vclock.End(cctx)
 		if err != nil {
 			d.mu.Lock()
 			d.errors++
@@ -468,8 +472,9 @@ func (d *Daemon) deposit(ctx context.Context, coll, res loid.LOID, attrs proto.A
 		d.enqueue(ctx, coll, proto.BatchEntry{Member: res, Attrs: attrs.Attrs})
 		return true
 	}
-	cctx, cancel := d.rt.Clock().WithTimeout(ctx, d.cfg.CallTimeout)
-	defer cancel()
+	clk := d.rt.Clock()
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
+	defer vclock.End(cctx)
 	key := d.joinKey(coll, res)
 	d.mu.Lock()
 	alreadyJoined := d.joined[key]

@@ -34,6 +34,7 @@ import (
 	"legion/internal/query"
 	"legion/internal/resilient"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // ErrNoShards reports a Router built over zero shards.
@@ -172,8 +173,9 @@ func (r *Router) shardIndex(member loid.LOID) int {
 
 // shardCall forwards one call to a shard under the per-shard deadline.
 func (r *Router) shardCall(ctx context.Context, shard loid.LOID, method string, arg any) (any, error) {
-	cctx, cancel := r.rt.Clock().WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
+	clk := r.rt.Clock()
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(r.cfg.ShardTimeout))
+	defer vclock.End(cctx)
 	return r.call.Call(cctx, shard, method, arg)
 }
 

@@ -514,8 +514,9 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 	}
 	tok := res.(proto.MakeReservationReply).Token
 	cancelTok := func() {
-		cctx, cancel := ms.rt.Clock().WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-		defer cancel()
+		clk := ms.rt.Clock()
+		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
+		defer vclock.End(cctx)
 		_, _ = ms.rt.Call(cctx, toHost, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
 	}
 
@@ -590,8 +591,9 @@ func (ms *Metasystem) reactivateInPlace(ctx context.Context, class *classobj.Cla
 		Instances: []loid.LOID{instance},
 		State:     state,
 	}); err != nil {
-		cctx, cancel := ms.rt.Clock().WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-		defer cancel()
+		clk := ms.rt.Clock()
+		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
+		defer vclock.End(cctx)
 		_, _ = ms.rt.Call(cctx, fromHost, proto.MethodCancelReservation, proto.TokenArgs{Token: rtok})
 		return fmt.Errorf("%w (and recovery reactivation failed: %v)", cause, err)
 	}
@@ -703,9 +705,10 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 			State:     best.state,
 		}); err != nil {
 			lastErr = err
-			cctx, cancel := ms.rt.Clock().WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+			clk := ms.rt.Clock()
+			cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
 			_, _ = ms.rt.Call(cctx, cand, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
-			cancel()
+			vclock.End(cctx)
 			continue
 		}
 		class.ForgetInstance(instance)

@@ -222,8 +222,8 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 		a.ewmaSvcNs = float64(time.Second)
 		a.mu.Unlock()
 
-		dctx, cancel := vc.WithTimeout(ctx, 50*time.Millisecond)
-		defer cancel()
+		dctx := vc.WithDeadline(ctx, vc.Now().Add(50*time.Millisecond))
+		defer vclock.End(dctx)
 		if _, err := a.acquire(dctx, "make_reservations", "d1", "", 0); !errors.Is(err, proto.ErrOverload) {
 			t.Errorf("doomed-deadline acquire: %v, want ErrOverload", err)
 		}
@@ -232,8 +232,8 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 		}
 
 		// A deadline with room to wait is queued, not shed.
-		roomy, cancel2 := vc.WithTimeout(ctx, 10*time.Second)
-		defer cancel2()
+		roomy := vc.WithDeadline(ctx, vc.Now().Add(10*time.Second))
+		defer vclock.End(roomy)
 		done := make(chan error, 1)
 		vc.Go(func() {
 			rel, aerr := a.acquire(roomy, "make_reservations", "d1", "", 0)

@@ -44,6 +44,7 @@ import (
 	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Errors returned by Enactor operations.
@@ -349,6 +350,17 @@ func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestLis
 	return fb
 }
 
+// slot is one reservation asked for in a round: the index of its mapping
+// in current (in a k-of-n wave, the slot's own place in the wave gives
+// the alternative), and the grant, written by the fan-out goroutine that
+// asked and read once the round has joined.
+type slot struct {
+	i    int
+	tok  reservation.Token
+	cost float64
+	ok   bool
+}
+
 // tryMaster negotiates one master schedule with variant patching. It
 // returns the resolved mappings, tokens and per-token host-quoted costs
 // on success; on failure it has already cancelled everything it
@@ -384,28 +396,29 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 		// joins — the same bitmap the serial walk produced, since it
 		// never short-circuited a round either — and variant selection
 		// runs on the collected result.
-		var toReserve []int
+		round := make([]slot, 0, len(current))
 		for i := range current {
 			if !held[i] {
-				toReserve = append(toReserve, i)
+				round = append(round, slot{i: i})
 			}
 		}
-		stats.ReservationsRequested += len(toReserve)
-		toks := make([]*reservation.Token, len(toReserve))
-		tcosts := make([]float64, len(toReserve))
-		e.fanOut(len(toReserve), func(j int) {
-			toks[j], tcosts[j], _ = e.reserve(ctx, current[toReserve[j]], spec)
+		stats.ReservationsRequested += len(round)
+		e.fanOut(len(round), func(j int) {
+			s := &round[j]
+			var err error
+			s.tok, s.cost, err = e.reserve(ctx, current[s.i], spec)
+			s.ok = err == nil
 		})
 		var failedIdx []int
-		for j, tok := range toks {
-			i := toReserve[j]
-			if tok == nil {
-				failedIdx = append(failedIdx, i)
+		for j := range round {
+			s := &round[j]
+			if !s.ok {
+				failedIdx = append(failedIdx, s.i)
 				continue
 			}
-			tokens[i] = *tok
-			costs[i] = tcosts[j]
-			held[i] = true
+			tokens[s.i] = s.tok
+			costs[s.i] = s.cost
+			held[s.i] = true
 			stats.ReservationsGranted++
 		}
 		if len(failedIdx) == 0 {
@@ -424,19 +437,22 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 					wave := g.Alternatives[next:min(next+g.K-got, len(g.Alternatives))]
 					next += len(wave)
 					stats.ReservationsRequested += len(wave)
-					wtoks := make([]*reservation.Token, len(wave))
-					wcosts := make([]float64, len(wave))
+					probes := make([]slot, len(wave))
 					e.fanOut(len(wave), func(j int) {
+						s := &probes[j]
 						gm := sched.Mapping{Class: g.Class, Host: wave[j].Host, Vault: wave[j].Vault}
-						wtoks[j], wcosts[j], _ = e.reserve(ctx, gm, spec)
+						var err error
+						s.tok, s.cost, err = e.reserve(ctx, gm, spec)
+						s.ok = err == nil
 					})
-					for j, tok := range wtoks {
-						if tok == nil {
+					for j := range probes {
+						s := &probes[j]
+						if !s.ok {
 							continue
 						}
 						current = append(current, sched.Mapping{Class: g.Class, Host: wave[j].Host, Vault: wave[j].Vault})
-						tokens = append(tokens, *tok)
-						costs = append(costs, wcosts[j])
+						tokens = append(tokens, s.tok)
+						costs = append(costs, s.cost)
 						held = append(held, true)
 						got++
 						stats.ReservationsGranted++
@@ -486,7 +502,7 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 // the callers do all stats accounting after the round joins. The second
 // return is the host-quoted cost of the grant in price units (zero for
 // unpriced hosts), which the caller bills to the tenant's ledger.
-func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.ReservationSpec) (*reservation.Token, float64, error) {
+func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.ReservationSpec) (reservation.Token, float64, error) {
 	res, err := e.call.Call(ctx, m.Host, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: e.LOID(),
 		Vault:     m.Vault,
@@ -498,13 +514,13 @@ func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.Reser
 		Tenant:    spec.Tenant,
 	})
 	if err != nil {
-		return nil, 0, err
+		return reservation.Token{}, 0, err
 	}
 	reply, ok := res.(proto.MakeReservationReply)
 	if !ok {
-		return nil, 0, fmt.Errorf("enactor: unexpected reply %T", res)
+		return reservation.Token{}, 0, fmt.Errorf("enactor: unexpected reply %T", res)
 	}
-	return &reply.Token, reply.Cost, nil
+	return reply.Token, reply.Cost, nil
 }
 
 // chargeTokens bills the request's tenant for every granted token at the
@@ -689,9 +705,9 @@ func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]lo
 	// fail every destroy/cancel call — leaking the very tokens it
 	// exists to reclaim. Trace/span values are kept; only the
 	// cancellation signal is dropped, re-bounded by a cleanup budget.
-	var cancel context.CancelFunc
-	ctx, cancel = e.rt.Clock().WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-	defer cancel()
+	clk := e.rt.Clock()
+	ctx = clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(30*time.Second))
+	defer vclock.End(ctx)
 	ctx, span := e.met.spans.StartIn(ctx, "enactor/rollback", e.met.domain)
 	defer span.Finish(nil)
 	e.met.rollbacks.Inc()

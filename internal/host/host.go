@@ -43,6 +43,7 @@ import (
 	"legion/internal/reservation"
 	"legion/internal/rge"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Errors returned by Host operations.
@@ -981,8 +982,9 @@ func buildHostMethods() *orb.DispatchTable {
 		h.trigs.RegisterOutcallKeyed(a.Trigger, monitor.String(), func(ev rge.Event) {
 			// The outcall is a method invocation on the Monitor; failures
 			// are tolerated (the Monitor may be down).
-			ctx, cancel := h.rt.Clock().WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
+			clk := h.rt.Clock()
+			ctx := clk.WithDeadline(context.Background(), clk.Now().Add(10*time.Second))
+			defer vclock.End(ctx)
 			_, _ = h.rt.Call(ctx, monitor, proto.MethodNotify, proto.NotifyArgs{
 				Source:  ev.Source,
 				Trigger: ev.Trigger,

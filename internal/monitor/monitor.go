@@ -30,6 +30,7 @@ import (
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // Handler receives trigger events delivered to the Monitor.
@@ -216,9 +217,9 @@ func (m *Monitor) EventCount() int {
 func (m *Monitor) Watch(ctx context.Context, hostL loid.LOID, trigger, guard string) error {
 	cctx := ctx
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		cctx, cancel = m.rt.Clock().WithTimeout(ctx, 30*time.Second)
-		defer cancel()
+		clk := m.rt.Clock()
+		cctx = clk.WithDeadline(ctx, clk.Now().Add(30*time.Second))
+		defer vclock.End(cctx)
 	}
 	// Loopback calls dispatch without consulting the context, so an
 	// already-expired caller deadline is enforced here.

@@ -177,13 +177,14 @@ func BenchmarkLoopbackDeepHandler(b *testing.B) {
 // concatenated span name; 12 since those are kept per connection or
 // pooled; 5 since a span is its own context, the codec neither copies a
 // message to encode it nor boxes it twice to decode it, and frames are
-// pooled. What is left: the server's span, its deadline context (2), and
-// the decoded message boxed once on each side.
+// pooled; 4 since the server's deadline context is one object, not a
+// context and its cancel function. What is left: the server's span, its
+// deadline context, and the decoded message boxed once on each side.
 func TestRemoteCallAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	const budget = 6 + raceSlack
+	const budget = 5 + raceSlack
 	client, obj := loopbackPair(t, telemetry.NewRegistry, func(server *Runtime) Object {
 		return &codecEchoObj{l: server.Mint("Echo")}
 	})

@@ -283,9 +283,8 @@ func (s *tcpServer) process(req request) (any, error) {
 				ErrDeadlineExpired, req.Method,
 				time.Since(dl).Round(time.Millisecond))
 		} else {
-			var cancel context.CancelFunc
-			ctx, cancel = vclock.WithDeadline(ctx, dl)
-			defer cancel()
+			ctx = vclock.Wall.WithDeadline(ctx, dl)
+			defer vclock.End(ctx)
 		}
 	}
 	if err == nil {

@@ -12,6 +12,7 @@ import (
 	"legion/internal/nws"
 	"legion/internal/proto"
 	"legion/internal/scheduler"
+	"legion/internal/vclock"
 )
 
 // ForecastTrigger names the synthetic trigger the forecast scan fires.
@@ -151,9 +152,9 @@ func (r *Rebalancer) StartForecastScan(interval time.Duration, p *Predictive) {
 		t := r.clock.NewTicker(interval)
 		defer t.Stop()
 		for t.Wait(sctx) == nil {
-			ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
+			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			r.forecastScan(ctx, p)
-			cancel()
+			vclock.End(ctx)
 		}
 	})
 }

@@ -191,9 +191,9 @@ func (r *Rebalancer) StartSweeping(interval time.Duration) {
 		t := r.clock.NewTicker(interval)
 		defer t.Stop()
 		for t.Wait(sctx) == nil {
-			ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
+			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			_ = r.Reconcile(ctx)
-			cancel()
+			vclock.End(ctx)
 		}
 	})
 }
@@ -235,8 +235,8 @@ func (r *Rebalancer) handle(ev proto.NotifyArgs) {
 		return
 	}
 
-	ctx, cancel := r.clock.WithTimeout(context.Background(), planTimeout)
-	defer cancel()
+	ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
+	defer vclock.End(ctx)
 	ctx, span := r.spans.StartIn(ctx, "rebalance/handle_event", r.ms.Domain())
 
 	moves, err := r.cfg.Policy.Plan(ctx, ev, r.ms, r.cfg.Classes)

@@ -106,9 +106,8 @@ func TestDoAttemptDeadlines(t *testing.T) {
 				ctx := context.Background()
 				var parentDL time.Time
 				if c.parent > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = clock.WithTimeout(ctx, c.parent)
-					defer cancel()
+					ctx = clock.WithDeadline(ctx, clock.Now().Add(c.parent))
+					defer vclock.End(ctx)
 					parentDL, _ = ctx.Deadline()
 				}
 				rec := &recordingOp{clock: clock, failFirst: 2, last: clock.Now()}
@@ -190,11 +189,11 @@ func TestDoBudgetSpentBeforeRetry(t *testing.T) {
 	})
 	t.Run("caller cancelled", func(t *testing.T) {
 		onBothClocks(t, func(t *testing.T, clock vclock.Clock) {
-			ctx, cancel := clock.WithTimeout(context.Background(), time.Hour)
-			defer cancel()
+			ctx := clock.WithDeadline(context.Background(), clock.Now().Add(time.Hour))
+			defer vclock.End(ctx)
 			err := Policy{MaxAttempts: 5, BaseDelay: ms, Jitter: -1, Clock: clock,
 				Budget: 20 * ms, AttemptTimeout: 5 * ms}.Do(ctx,
-				func(context.Context) error { cancel(); return errFlaky })
+				func(context.Context) error { vclock.End(ctx); return errFlaky })
 			if err == nil || err.Error() != want {
 				t.Errorf("err=%v, want %q", err, want)
 			}

@@ -286,9 +286,10 @@ func (p Policy) delay(n int) time.Duration {
 // Nearly every call succeeds first time, so the first attempt derives as
 // few contexts as its deadline needs. When 0 < AttemptTimeout < Budget
 // the attempt's own deadline is the tighter of the two, and the budget's
-// context — a timer and a cancel closure, or an event on the virtual
-// clock — is derived only once a retry is in sight, for what is left of
-// the budget by then. The condition is strict: at AttemptTimeout ==
+// context — an object, and an event on the virtual clock — is derived
+// only once a retry is in sight, at the instant it would have had. The
+// attempt's context is Ended when the attempt returns, the budget's
+// when Do does. The condition is strict: at AttemptTimeout ==
 // Budget the two deadlines are one instant, the budget's is scheduled
 // first, and the attempt must go on seeing Canceled from it, which is
 // final, rather than a DeadlineExceeded of its own, which is retried.
@@ -298,20 +299,19 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 	if p.AttemptTimeout > 0 && p.AttemptTimeout < p.Budget {
 		budgetAt = clock.Now().Add(p.Budget)
 	} else if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = clock.WithTimeout(ctx, p.Budget)
-		defer cancel()
+		ctx = clock.WithDeadline(ctx, clock.Now().Add(p.Budget))
+		defer vclock.End(ctx)
 	}
 	var err error
 	attempts := p.attempts()
 	for n := 1; ; n++ {
-		actx := ctx
-		var cancel context.CancelFunc = func() {}
 		if p.AttemptTimeout > 0 {
-			actx, cancel = clock.WithTimeout(ctx, p.AttemptTimeout)
+			actx := clock.WithDeadline(ctx, clock.Now().Add(p.AttemptTimeout))
+			err = op(actx)
+			vclock.End(actx)
+		} else {
+			err = op(ctx)
 		}
-		err = op(actx)
-		cancel()
 		if err == nil {
 			return nil
 		}
@@ -323,15 +323,13 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		}
 		spent := false
 		if !budgetAt.IsZero() {
-			left := clock.Until(budgetAt)
-			budgetAt = time.Time{}
-			if left > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = clock.WithTimeout(ctx, left)
-				defer cancel()
+			if clock.Until(budgetAt) > 0 {
+				ctx = clock.WithDeadline(ctx, budgetAt)
+				defer vclock.End(ctx)
 			} else {
 				spent = true // an op deaf to its context outran the whole budget
 			}
+			budgetAt = time.Time{}
 		}
 		if spent || ctx.Err() != nil || clock.Sleep(ctx, p.delay(n)) != nil {
 			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)

@@ -58,6 +58,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/resilient"
 	"legion/internal/sched"
+	"legion/internal/vclock"
 )
 
 // Errors returned by schedulers.
@@ -169,8 +170,9 @@ type HostInfo struct {
 // queryClassImpls fetches a class's available implementations (Fig 7:
 // "query the class for available implementations").
 func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Implementation, error) {
-	cctx, cancel := env.RT.Clock().WithTimeout(ctx, queryTimeout)
-	defer cancel()
+	clk := env.RT.Clock()
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
+	defer vclock.End(cctx)
 	reply, err := replyAs[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
@@ -253,8 +255,9 @@ func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntr
 
 // fetchHosts queries the Collection and parses every matching record.
 func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
-	cctx, cancel := env.RT.Clock().WithTimeout(ctx, queryTimeout)
-	defer cancel()
+	clk := env.RT.Clock()
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
+	defer vclock.End(cctx)
 	reply, err := replyAs[proto.QueryReply](env.call(cctx, env.Collection,
 		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
 	if err != nil {

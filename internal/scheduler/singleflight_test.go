@@ -160,8 +160,8 @@ func TestSingleFlightLeaderFails(t *testing.T) {
 	env, coll := flightEnv(t, vc, 2*time.Millisecond)
 	vc.Run(func() {
 		ctxs := background(callers)
-		short, cancel := vc.WithTimeout(ctxs[0], time.Millisecond) // started first: the leader
-		defer cancel()
+		short := vc.WithDeadline(ctxs[0], vc.Now().Add(time.Millisecond)) // started first: the leader
+		defer vclock.End(short)
 		ctxs[0] = short
 		snaps, errs := meet(vc, env, ctxs)
 		if errs[0] == nil || !errors.Is(short.Err(), context.DeadlineExceeded) {
@@ -186,8 +186,8 @@ func TestSingleFlightFollowerGivesUp(t *testing.T) {
 	env, coll := flightEnv(t, vc, 2*time.Millisecond)
 	vc.Run(func() {
 		ctxs := background(callers)
-		short, cancel := vc.WithTimeout(ctxs[2], time.Millisecond)
-		defer cancel()
+		short := vc.WithDeadline(ctxs[2], vc.Now().Add(time.Millisecond))
+		defer vclock.End(short)
 		ctxs[2] = short
 		snaps, errs := meet(vc, env, ctxs)
 		if !errors.Is(errs[2], context.DeadlineExceeded) {

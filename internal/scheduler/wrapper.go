@@ -13,6 +13,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/resilient"
 	"legion/internal/sched"
+	"legion/internal/vclock"
 )
 
 // isRefusal reports whether err is a typed refusal — an admission shed
@@ -100,8 +101,9 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 	// retries transport faults under the normal policy.
 	canceller := resilient.NewCallerWith(env.RT, env.Retry, nil)
 	cancelEpisode := func(id uint64) {
-		cctx, cancel := env.RT.Clock().WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-		defer cancel()
+		clk := env.RT.Clock()
+		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
+		defer vclock.End(cctx)
 		_, _ = canceller.Call(cctx, enactorL, proto.MethodCancelReservations,
 			proto.CancelReservationsArgs{RequestID: id})
 	}

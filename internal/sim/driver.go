@@ -197,9 +197,8 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 		envi.Rand = rand.New(&splitmix{state: uint64(cfg.Seed) ^ (uint64(i)+1)*0xD1342543DE82EF95})
 		rctx := ctx
 		if cfg.Deadline > 0 {
-			var cancel context.CancelFunc
-			rctx, cancel = clock.WithTimeout(ctx, cfg.Deadline)
-			defer cancel()
+			rctx = clock.WithDeadline(ctx, clock.Now().Add(cfg.Deadline))
+			defer vclock.End(rctx)
 		}
 		spec := sched.ReservationSpec{
 			Share: true, Reuse: true, Duration: time.Hour,
@@ -222,7 +221,7 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 			if !cfg.KeepInstances {
 				// Fresh context: the request deadline may be spent, and a
 				// successful placement must not leak because cleanup raced.
-				cctx, cancel := clock.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+				cctx := clock.WithDeadline(context.WithoutCancel(ctx), clock.Now().Add(30*time.Second))
 				for j, insts := range out.Instances {
 					for _, inst := range insts {
 						_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
@@ -230,7 +229,7 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 					}
 				}
 				_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
-				cancel()
+				vclock.End(cctx)
 			}
 			mu.Lock()
 			res.Succeeded++

@@ -52,7 +52,9 @@ func TestSpanIsItsContext(t *testing.T) {
 			return ctx, func() { s.Finish(nil) }
 		}},
 		{"virtual deadline", func() (context.Context, context.CancelFunc) {
-			return vclock.NewVirtual().WithTimeout(bg, time.Hour)
+			v := vclock.NewVirtual()
+			ctx := v.WithDeadline(bg, v.Now().Add(time.Hour))
+			return ctx, func() { vclock.End(ctx) }
 		}},
 	}
 	for _, p := range parents {
@@ -150,7 +152,7 @@ func TestSpanUnderVirtualDeadlineWokenAtItsInstant(t *testing.T) {
 	bg := context.Background()
 	for round := 0; round < 100; round++ {
 		v := vclock.NewVirtual()
-		vctx, cancel := v.WithTimeout(bg, 10*time.Millisecond)
+		vctx := v.WithDeadline(bg, v.Now().Add(10*time.Millisecond))
 		ctx, s := log.StartIn(vctx, "op", "rt")
 		woke := make(chan wake, 1)
 		v.Go(func() {
@@ -162,7 +164,7 @@ func TestSpanUnderVirtualDeadlineWokenAtItsInstant(t *testing.T) {
 		v.RunUntilIdle()
 		got := <-woke
 		s.Finish(nil)
-		cancel()
+		vclock.End(vctx)
 		if want := (wake{context.DeadlineExceeded, 10 * time.Millisecond, 2}); got != want {
 			t.Fatalf("round %d: woke with %v at %v, %d events pending; want %v at %v, %d pending",
 				round, got.err, got.at, got.pending, want.err, want.at, want.pending)

@@ -21,8 +21,8 @@ type vctx struct {
 
 	v        *Virtual
 	deadline time.Time
-	stop     atomic.Bool
-	ev       event // the deadline
+	stop     atomic.Bool // set by the first End
+	ev       event       // the deadline
 
 	// The rest is guarded by v.mu.
 	done chan struct{}
@@ -78,11 +78,11 @@ func (v *Virtual) own(ctx context.Context) *vctx {
 	return c
 }
 
-// WithTimeout derives a context whose deadline is d of virtual time
-// from now. Parent cancellation propagates: synchronously (serialized)
-// for parents created by this clock, via a watcher goroutine for
-// arbitrary cancellable parents.
-func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+// WithDeadline derives a context whose deadline is the virtual instant
+// at. Parent cancellation propagates: synchronously (serialized) for
+// parents created by this clock, via a watcher goroutine for arbitrary
+// cancellable parents.
+func (v *Virtual) WithDeadline(parent context.Context, at time.Time) context.Context {
 	p := v.own(parent)
 	var perr error
 	var pdone <-chan struct{}
@@ -93,7 +93,7 @@ func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.
 		pdone = parent.Done()
 	}
 	v.mu.Lock()
-	c := &vctx{Context: parent, v: v, deadline: v.now.Add(d)}
+	c := &vctx{Context: parent, v: v, deadline: at}
 	if pd, ok := parent.Deadline(); ok && pd.Before(c.deadline) {
 		c.deadline = pd
 	}
@@ -103,7 +103,7 @@ func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.
 	if perr != nil {
 		c.cancelLocked(perr)
 		v.mu.Unlock()
-		return c, func() {}
+		return c
 	}
 	c.ev.kind, c.ev.c = evCtxDeadline, c
 	v.schedule(&c.ev, c.deadline)
@@ -121,14 +121,16 @@ func (v *Virtual) WithTimeout(parent context.Context, d time.Duration) (context.
 		go c.watch(pdone, c.done)
 	}
 	v.mu.Unlock()
-	cancel := func() {
-		if c.stop.CompareAndSwap(false, true) {
-			v.mu.Lock()
-			c.cancelLocked(context.Canceled)
-			v.mu.Unlock()
-		}
+	return c
+}
+
+// end is End for one of the clock's contexts.
+func (c *vctx) end() {
+	if c.stop.CompareAndSwap(false, true) {
+		c.v.mu.Lock()
+		c.cancelLocked(context.Canceled)
+		c.v.mu.Unlock()
 	}
-	return c, cancel
 }
 
 // watch ends c when its foreign parent ends, and returns when c has.

@@ -45,10 +45,12 @@ type Clock interface {
 	// NewTicker returns a Ticker with the given period. Virtual-safe
 	// consumers loop on Wait rather than selecting on a channel.
 	NewTicker(d time.Duration) Ticker
-	// WithTimeout derives a context whose deadline is d from now on
-	// this clock. In virtual mode the deadline is a scheduled event and
-	// Deadline() reports a virtual time.
-	WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc)
+	// WithDeadline derives a context that ends at the instant at on this
+	// clock, or at parent's deadline if that is earlier, or when parent
+	// ends, or when End is called on it. In virtual mode the deadline is
+	// a scheduled event and Deadline() reports a virtual time. Callers
+	// End what they derive, as they would call a CancelFunc.
+	WithDeadline(parent context.Context, at time.Time) context.Context
 	// Go spawns f as a participating goroutine. In virtual mode the
 	// goroutine is registered with the barrier: virtual time cannot
 	// advance while it is runnable. All goroutines that touch this
@@ -107,6 +109,22 @@ type Group interface {
 	Add(n int)
 	Done()
 	Wait(ctx context.Context) error
+}
+
+// End ends ctx with context.Canceled if some Clock's WithDeadline
+// returned it, and does nothing to any other context: not to a span or a
+// context.WithValue over one (their end is their parent's), nor to a
+// stdlib context. It is idempotent and rewrites no end already reached:
+// a wall deadline that passed unobserved still reads DeadlineExceeded.
+// It is a function and not a CancelFunc because a closure per deadline
+// is a second object per deadline.
+func End(ctx context.Context) {
+	switch c := ctx.(type) {
+	case *vctx:
+		c.end()
+	case *wallCtx:
+		c.cancel()
+	}
 }
 
 // Default returns c, or Wall when c is nil — config structs carry a

@@ -65,8 +65,8 @@ func TestVirtualRun(t *testing.T) {
 
 func TestVirtualSleepCancel(t *testing.T) {
 	v := NewVirtual()
-	ctx, cancel := v.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
+	ctx := v.WithDeadline(context.Background(), v.Now().Add(10*time.Millisecond))
+	defer End(ctx)
 	var err error
 	v.Run(func() {
 		err = v.Sleep(ctx, time.Hour)
@@ -79,10 +79,10 @@ func TestVirtualSleepCancel(t *testing.T) {
 	}
 }
 
-func TestVirtualWithTimeoutDeadline(t *testing.T) {
+func TestVirtualWithDeadlineExpiry(t *testing.T) {
 	v := NewVirtual()
-	ctx, cancel := v.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	ctx := v.WithDeadline(context.Background(), v.Now().Add(time.Minute))
+	defer End(ctx)
 	dl, ok := ctx.Deadline()
 	if !ok || !dl.Equal(v.Now().Add(time.Minute)) {
 		t.Fatalf("Deadline = %v,%v; want virtual now+1m", dl, ok)
@@ -101,22 +101,22 @@ func TestVirtualWithTimeoutDeadline(t *testing.T) {
 	}
 }
 
-func TestVirtualWithTimeoutParentCancel(t *testing.T) {
+func TestVirtualWithDeadlineParentCancel(t *testing.T) {
 	v := NewVirtual()
-	parent, pcancel := v.WithTimeout(context.Background(), time.Hour)
-	child, ccancel := v.WithTimeout(parent, time.Hour)
-	defer ccancel()
-	pcancel()
+	parent := v.WithDeadline(context.Background(), v.Now().Add(time.Hour))
+	child := v.WithDeadline(parent, v.Now().Add(time.Hour))
+	defer End(child)
+	End(parent)
 	if child.Err() != context.Canceled {
 		t.Fatalf("child Err = %v, want Canceled after parent cancel", child.Err())
 	}
 }
 
-func TestVirtualWithTimeoutStdlibParent(t *testing.T) {
+func TestVirtualWithDeadlineStdlibParent(t *testing.T) {
 	v := NewVirtual()
 	parent, pcancel := context.WithCancel(context.Background())
-	child, ccancel := v.WithTimeout(parent, time.Hour)
-	defer ccancel()
+	child := v.WithDeadline(parent, v.Now().Add(time.Hour))
+	defer End(child)
 	pcancel()
 	<-child.Done()
 	if child.Err() != context.Canceled {
@@ -215,8 +215,8 @@ func TestVirtualGroupReleasesOneAtATime(t *testing.T) {
 			for i := 0; i < waiters; i++ {
 				v.Go(func() {
 					defer all.Done()
-					short, cancel := v.WithTimeout(ctx, time.Duration(i%2)*time.Hour+time.Millisecond)
-					defer cancel()
+					short := v.WithDeadline(ctx, v.Now().Add(time.Duration(i%2)*time.Hour+time.Millisecond))
+					defer End(short)
 					if err := g.Wait(short); err != nil {
 						return // the even ones give up before the release
 					}
@@ -478,7 +478,7 @@ func TestWrappedContextSleeperWokenAtItsDeadline(t *testing.T) {
 	bg := context.Background()
 	for round := 0; round < 300; round++ {
 		v := NewVirtual()
-		ctx, cancel := v.WithTimeout(bg, 10*time.Millisecond)
+		ctx := v.WithDeadline(bg, v.Now().Add(10*time.Millisecond))
 		wrapped := context.WithValue(ctx, key{}, 1)
 		woke := make(chan wake, 1)
 		v.Go(func() {
@@ -489,7 +489,7 @@ func TestWrappedContextSleeperWokenAtItsDeadline(t *testing.T) {
 		v.Go(func() { _ = v.Sleep(bg, 30*time.Millisecond) })
 		v.RunUntilIdle()
 		got := <-woke
-		cancel()
+		End(ctx)
 		if want := (wake{context.DeadlineExceeded, 10 * time.Millisecond, 2}); got != want {
 			t.Fatalf("round %d: woke with %v at %v, %d events pending; want %v at %v, %d pending",
 				round, got.err, got.at, got.pending, want.err, want.at, want.pending)
@@ -503,8 +503,8 @@ func TestWrappedContextSleeperWokenAtItsDeadline(t *testing.T) {
 // was cancelled.
 func TestContextForgetsWokenWaiters(t *testing.T) {
 	v := NewVirtual()
-	ctx, cancel := v.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
+	ctx := v.WithDeadline(context.Background(), v.Now().Add(time.Hour))
+	defer End(ctx)
 	type key struct{}
 	wrapped := context.WithValue(ctx, key{}, 1)
 	v.Run(func() {
@@ -535,7 +535,8 @@ func TestContextForgetsWokenWaiters(t *testing.T) {
 // TestClockAllocBudget pins what the clock itself allocates for the
 // things a placement does a dozen times: a sleep costs nothing (its
 // waiter comes from a pool, its event is inside the waiter), and a
-// deadline costs the context and its cancel function.
+// deadline costs the context alone — End is a function, not a closure
+// made per deadline.
 func TestClockAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -554,27 +555,25 @@ func TestClockAllocBudget(t *testing.T) {
 	v.Run(func() {
 		// Below 1, not 0: the garbage collector may empty the pool mid-run.
 		measure("virtual Sleep", 0.99, func() { _ = v.Sleep(bg, time.Millisecond) })
-		measure("virtual WithTimeout+cancel", 2, func() {
-			_, cancel := v.WithTimeout(bg, time.Second)
-			cancel()
+		measure("virtual WithDeadline+End", 1, func() {
+			End(v.WithDeadline(bg, v.Now().Add(time.Second)))
 		})
-		measure("virtual two nested contexts and a sleep", 4.99, func() {
-			outer, cancelOuter := v.WithTimeout(bg, time.Second)
-			inner, cancelInner := v.WithTimeout(outer, time.Second)
+		measure("virtual two nested contexts and a sleep", 2.99, func() {
+			outer := v.WithDeadline(bg, v.Now().Add(time.Second))
+			inner := v.WithDeadline(outer, v.Now().Add(time.Second))
 			_ = v.Sleep(inner, time.Millisecond)
-			cancelInner()
-			cancelOuter()
+			End(inner)
+			End(outer)
 		})
 	})
-	measure("wall WithTimeout+cancel", 2, func() {
-		_, cancel := Wall.WithTimeout(bg, time.Second)
-		cancel()
+	measure("wall WithDeadline+End", 1, func() {
+		End(Wall.WithDeadline(bg, Wall.Now().Add(time.Second)))
 	})
-	measure("wall two nested contexts", 4, func() {
-		outer, cancelOuter := Wall.WithTimeout(bg, time.Second)
-		inner, cancelInner := Wall.WithTimeout(outer, time.Second)
+	measure("wall two nested contexts", 2, func() {
+		outer := Wall.WithDeadline(bg, Wall.Now().Add(time.Second))
+		inner := Wall.WithDeadline(outer, Wall.Now().Add(time.Second))
 		_ = inner.Err()
-		cancelInner()
-		cancelOuter()
+		End(inner)
+		End(outer)
 	})
 }

@@ -28,7 +28,7 @@ import (
 //     or network I/O — they use Gate/Group, and fan-out runs with
 //     Parallelism=1;
 //   - cancellation that must wake a parked goroutine flows through a
-//     context created by this clock's WithTimeout (stdlib contexts work
+//     context created by this clock's WithDeadline (stdlib contexts work
 //     but wake asynchronously, which costs determinism, not safety).
 type Virtual struct {
 	mu   sync.Mutex

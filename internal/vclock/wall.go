@@ -48,24 +48,19 @@ func (wallClock) NewTicker(d time.Duration) Ticker {
 	return &wallTicker{t: time.NewTicker(d)}
 }
 
-func (wallClock) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return WithDeadline(parent, time.Now().Add(d))
-}
-
 // WithDeadline derives a context that ends at the wall-clock instant at,
-// or at parent's deadline if that is earlier, or when parent ends or
-// cancel is called. It behaves as context.WithDeadline does, but costs
+// or at parent's deadline if that is earlier, or when parent ends or End
+// is called on it. It behaves as context.WithDeadline does, but costs
 // what it is used for: the deadline is a field, and Err reads it against
 // the time of day; nothing is armed until Done() — the timer, the
 // channel and the link to a cancellable parent are made by the first
 // call. A call that runs in this process never makes it; a call that
 // waits on a socket does.
-func WithDeadline(parent context.Context, at time.Time) (context.Context, context.CancelFunc) {
+func (wallClock) WithDeadline(parent context.Context, at time.Time) context.Context {
 	if pd, ok := parent.Deadline(); ok && pd.Before(at) {
 		at = pd
 	}
-	c := &wallCtx{Context: parent, deadline: at}
-	return c, c.cancel
+	return &wallCtx{Context: parent, deadline: at}
 }
 
 type wallCtx struct {
@@ -157,6 +152,7 @@ func (c *wallCtx) AfterFunc(f func()) (stop func() bool) {
 	}
 }
 
+// cancel is End for a wall context.
 func (c *wallCtx) cancel() {
 	// Through Err, so that a deadline which passed unobserved is not
 	// overwritten.

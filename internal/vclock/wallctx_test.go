@@ -8,10 +8,11 @@ import (
 )
 
 // TestWallContextAgainstStdlib runs one table of scenarios against
-// context.WithTimeout and against Wall.WithTimeout, which arms nothing
-// until Done() is called: whatever a caller can observe — Err, Done,
-// Deadline, what reaches a child and what a parent passes down — must
-// read the same from both.
+// context.WithTimeout and against Wall.WithDeadline, which arms nothing
+// until Done() is called, ended by End where the stdlib context is
+// cancelled: whatever a caller can observe — Err, Done, Deadline, what
+// reaches a child and what a parent passes down — must read the same
+// from both.
 func TestWallContextAgainstStdlib(t *testing.T) {
 	type deriver func(context.Context, time.Duration) (context.Context, context.CancelFunc)
 	const (
@@ -320,7 +321,10 @@ func TestWallContextAgainstStdlib(t *testing.T) {
 		with deriver
 	}{
 		{"stdlib", context.WithTimeout},
-		{"wall", Wall.WithTimeout},
+		{"wall", func(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+			ctx := Wall.WithDeadline(parent, Wall.Now().Add(d))
+			return ctx, func() { End(ctx) }
+		}},
 	}
 	for _, sc := range scenarios {
 		for _, impl := range impls {
@@ -332,24 +336,24 @@ func TestWallContextAgainstStdlib(t *testing.T) {
 	}
 }
 
-// TestWithDeadlineInstant: the exported constructor takes the instant as
-// given (the ORB server's frame deadline arrives as one), earlier parent
-// deadlines still capping it, and an instant already past yields a
-// context that has ended.
+// TestWithDeadlineInstant: the wall clock's constructor takes the instant
+// as given (the ORB server's frame deadline arrives as one), earlier
+// parent deadlines still capping it, and an instant already past yields
+// a context that has ended.
 func TestWithDeadlineInstant(t *testing.T) {
 	at := time.Now().Add(time.Hour)
-	ctx, cancel := WithDeadline(context.Background(), at)
-	defer cancel()
+	ctx := Wall.WithDeadline(context.Background(), at)
+	defer End(ctx)
 	if dl, ok := ctx.Deadline(); !ok || !dl.Equal(at) {
 		t.Errorf("Deadline = %v, %v; want %v", dl, ok, at)
 	}
-	inner, cancelInner := WithDeadline(ctx, at.Add(time.Hour))
-	defer cancelInner()
+	inner := Wall.WithDeadline(ctx, at.Add(time.Hour))
+	defer End(inner)
 	if dl, _ := inner.Deadline(); !dl.Equal(at) {
 		t.Errorf("inner Deadline = %v, want the parent's %v", dl, at)
 	}
-	late, cancelLate := WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancelLate()
+	late := Wall.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer End(late)
 	if err := late.Err(); err != context.DeadlineExceeded {
 		t.Errorf("Err of a deadline in the past = %v, want DeadlineExceeded", err)
 	}
