@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -10,6 +9,7 @@ import (
 
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 	"legion/internal/vclock"
 )
@@ -19,9 +19,13 @@ import (
 // flaky links and their retry backoff, a dead host, and a deadline short
 // enough to expire under two in five requests while calls are parked —
 // must fire the same events, with the same sequence numbers at the same
-// virtual instants, as it did when the digests below were recorded (the
-// commit before events became values and waiters were pooled). The seeds
-// are fixed, not LEGION_CHAOS_SEED: a golden value belongs to its input.
+// virtual instants, as it did when the digests below were recorded. They
+// were recorded first on the commit before events became values and
+// waiters were pooled, and re-recorded when storms moved onto sim.Drive,
+// which draws each request's placement choices from (world seed, request
+// index) instead of the metasystem's shared stream; the engine was
+// untouched. The seeds are fixed, not LEGION_CHAOS_SEED: a golden value
+// belongs to its input.
 // A change that moves a digest has changed when or in what order the
 // clock schedules something, and says so by editing this table.
 func TestVirtualTraceGolden(t *testing.T) {
@@ -30,9 +34,9 @@ func TestVirtualTraceGolden(t *testing.T) {
 		events int
 		sha256 string
 	}{
-		{5, 2246, "d4b815a4dd549cd4fa76ca8bcad83880ff4c7ff33528792f1e1b3689126e9dde"},
-		{42, 2222, "e7c45fd344fb66a7e99ad3690b721e474d257b8188e94e99ba2235f8aa02aecb"},
-		{13, 2227, "004a830b83d2f2b63a9b2b5fe7e18aaba1cf16567e965b17daec020e706403a6"},
+		{5, 2224, "1984301f97652a3cc0a4420580986c571a690ad730a3d8561ac74a53823755fe"},
+		{42, 2226, "2f278cbbfeda5eff06b37e7930aaad781caf7a6fef6ec6d557f15c85a776cd51"},
+		{13, 2211, "46de7530ffed8387074308527e29f5ea5a23ce550307d72bce6c984acbc5c6bb"},
 	}
 	for _, g := range golden {
 		t.Run(fmt.Sprintf("seed=%d", g.seed), func(t *testing.T) {
@@ -60,9 +64,9 @@ func TestVirtualTraceGolden(t *testing.T) {
 
 			vc.StartTrace()
 			vc.Run(func() {
-				res := w.Storm(context.Background(), site, StormConfig{
+				res := storm(w, site, sim.DriverConfig{
 					Rate:     500,
-					Duration: 300 * time.Millisecond,
+					Requests: 150, // 300ms of arrivals
 					Deadline: 22 * time.Millisecond,
 				})
 				if res.Succeeded == 0 || res.Failed == 0 {

@@ -7,8 +7,20 @@ import (
 
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
+
+// storm drives an open-loop storm of uniform arrivals at the site's
+// Worker class, seeded by the world seed and uncached: a storm measures
+// the control plane, so every request queries the Collection.
+func storm(w *World, site *Site, cfg sim.DriverConfig) *sim.DriverResult {
+	class, _ := site.MS.Class("Worker")
+	cfg.Arrivals = sim.Uniform
+	cfg.SnapshotTTL = -1
+	cfg.Seed = w.Seed()
+	return sim.Drive(context.Background(), site.MS, class, cfg)
+}
 
 // stormWorld builds a single-site world at the given admission settings
 // with a private registry for exact counter assertions.
@@ -49,15 +61,15 @@ func TestOverloadStormConservation(t *testing.T) {
 	// sub-millisecond and no storm rate shrugs the gate.
 	w.Slow(site, 10*time.Millisecond, 2*time.Millisecond)
 
-	res := w.Storm(context.Background(), site, StormConfig{
+	res := storm(w, site, sim.DriverConfig{
 		Rate:       250, // ~5x the E11 base rate
-		Duration:   400 * time.Millisecond,
+		Requests:   100, // 400ms of arrivals
 		Deadline:   250 * time.Millisecond,
 		Priorities: []int{0, 0, 0, 1},
 	})
 	t.Logf("seed %d: offered=%d ok=%d shed=%d failed=%d goodput=%.1f/s p99=%v shedByPrio=%v",
 		w.Seed(), res.Offered, res.Succeeded, res.Shed, res.Failed,
-		res.Goodput(), res.P99(), res.ShedByPriority)
+		res.Goodput(), res.Percentile(0.99), res.ShedByPriority)
 
 	if res.Offered == 0 {
 		t.Fatal("storm fired nothing")
@@ -71,6 +83,13 @@ func TestOverloadStormConservation(t *testing.T) {
 	}
 	if res.Shed == 0 {
 		t.Error("saturated gate shed nothing — admission control never engaged")
+	}
+	byPrio := 0
+	for _, n := range res.ShedByPriority {
+		byPrio += n
+	}
+	if byPrio != res.Shed {
+		t.Errorf("shed by priority %v sums to %d, want shed %d", res.ShedByPriority, byPrio, res.Shed)
 	}
 
 	// Conservation: sheds leave no tokens, no instances. Quiesce rather
@@ -98,9 +117,9 @@ func TestOverloadStormUncontrolledBaseline(t *testing.T) {
 	w, reg := stormWorld(t, core.Options{Seed: 1})
 	site := w.Sites[0]
 
-	res := w.Storm(context.Background(), site, StormConfig{
+	res := storm(w, site, sim.DriverConfig{
 		Rate:     250,
-		Duration: 400 * time.Millisecond,
+		Requests: 100,
 		Deadline: 250 * time.Millisecond,
 	})
 	t.Logf("seed %d: offered=%d ok=%d shed=%d failed=%d",

@@ -1,12 +1,15 @@
 package chaos
 
 import (
-	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/scheduler"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 	"legion/internal/vclock"
 )
@@ -47,9 +50,9 @@ func TestVirtualStormDeterministicTrace(t *testing.T) {
 
 		vc.StartTrace()
 		vc.Run(func() {
-			res := w.Storm(context.Background(), site, StormConfig{
+			res := storm(w, site, sim.DriverConfig{
 				Rate:       500,
-				Duration:   100 * time.Millisecond,
+				Requests:   50, // 100ms of arrivals
 				Deadline:   200 * time.Millisecond,
 				Priorities: []int{0, 0, 1},
 			})
@@ -86,4 +89,46 @@ func TestVirtualStormDeterministicTrace(t *testing.T) {
 		t.Errorf("both storm replays took %v wall, want < 5s", wall)
 	}
 	t.Logf("trace: %d events, byte-identical across runs, %v wall (seed %d)", len(t1), wall, seed)
+}
+
+// TestStormFollowsWorldSeed: a storm's placement choices come from the
+// world seed, so a seed sweep (LEGION_CHAOS_SEED, CI's seed matrices)
+// varies the placements as well as the faults. Every world here has the
+// same core.Options.Seed and no faults; only the chaos seed differs.
+func TestStormFollowsWorldSeed(t *testing.T) {
+	run := func(seed int64) []string {
+		vc := vclock.NewVirtual()
+		w, err := NewWorld(seed, core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: vc},
+			SiteSpec{Domain: "uva", Hosts: 4})
+		if err != nil {
+			t.Fatalf("world: %v", err)
+		}
+		defer w.Close()
+		site := w.Sites[0]
+		w.Slow(site, 2*time.Millisecond, time.Millisecond)
+
+		const requests = 40
+		placed := make([]string, requests)
+		vc.StartTrace()
+		vc.Run(func() {
+			res := storm(w, site, sim.DriverConfig{
+				Rate:     500,
+				Requests: requests,
+				Observe: func(i int, out *scheduler.Outcome) {
+					placed[i] = fmt.Sprint(out.Feedback.Resolved)
+				},
+			})
+			if res.Succeeded != requests {
+				t.Errorf("seed %d: %d of %d placed on a healthy site", seed, res.Succeeded, requests)
+			}
+		})
+		return append(vc.Trace(), placed...)
+	}
+
+	if a, b := run(5), run(5); !slices.Equal(a, b) {
+		t.Error("chaos seed 5 twice: traces differ")
+	}
+	if a, b := run(5), run(6); slices.Equal(a, b) {
+		t.Error("chaos seeds 5 and 6: identical traces, so the world seed never reached a placement")
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"legion/internal/chaos"
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 	"legion/internal/vclock"
 )
@@ -57,14 +58,18 @@ func TestE11DifferentialVirtualClock(t *testing.T) {
 		site := w.Sites[0]
 		w.Slow(site, 5*time.Millisecond, time.Millisecond)
 
-		var res *chaos.StormResult
+		class, _ := site.MS.Class("Worker")
+		var res *sim.DriverResult
 		var resv, running int
 		body := func() {
-			res = w.Storm(context.Background(), site, chaos.StormConfig{
-				Rate:       200,
-				Duration:   250 * time.Millisecond,
-				Deadline:   250 * time.Millisecond,
-				Priorities: []int{0, 0, 0, 1},
+			res = sim.Drive(context.Background(), site.MS, class, sim.DriverConfig{
+				Arrivals:    sim.Uniform,
+				Rate:        200,
+				Requests:    50, // 250ms of arrivals
+				SnapshotTTL: -1,
+				Seed:        w.Seed(),
+				Deadline:    250 * time.Millisecond,
+				Priorities:  []int{0, 0, 0, 1},
 			})
 			resv, running = w.Quiesce(site, 2*time.Second)
 		}

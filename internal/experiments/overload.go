@@ -8,6 +8,7 @@ import (
 	"legion/internal/chaos"
 	"legion/internal/core"
 	"legion/internal/resilient"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
 
@@ -52,7 +53,7 @@ func E11OverloadAdmission(multipliers []float64, stormDur time.Duration) *Table 
 			mode = "on"
 		}
 		t.AddRow(load, mode, row.Offered, row.Succeeded,
-			row.Shed, row.Failed, fmt.Sprintf("%.1f", row.Goodput()), row.P99(),
+			row.Shed, row.Failed, fmt.Sprintf("%.1f", row.Goodput()), row.Percentile(0.99),
 			row.leaks, row.breakersOpened)
 		return row
 	}
@@ -79,7 +80,7 @@ func E11OverloadAdmission(multipliers []float64, stormDur time.Duration) *Table 
 
 // overloadRow is one storm's result plus its conservation counters.
 type overloadRow struct {
-	*chaos.StormResult
+	*sim.DriverResult
 	leaks          int
 	breakersOpened int64
 }
@@ -105,7 +106,7 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 	w, err := chaos.NewWorld(chaos.SeedFromEnv(11), opts,
 		chaos.SiteSpec{Domain: "uva", Hosts: 4})
 	if err != nil {
-		return overloadRow{StormResult: &chaos.StormResult{}}
+		return overloadRow{DriverResult: &sim.DriverResult{}}
 	}
 	defer w.Close()
 	site := w.Sites[0]
@@ -113,11 +114,15 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 		w.Slow(site, 10*time.Millisecond, 2*time.Millisecond)
 	}
 
-	res := w.Storm(context.Background(), site, chaos.StormConfig{
-		Rate:       rate,
-		Duration:   dur,
-		Deadline:   300 * time.Millisecond,
-		Priorities: []int{0, 0, 0, 1},
+	class, _ := site.MS.Class("Worker")
+	res := sim.Drive(context.Background(), site.MS, class, sim.DriverConfig{
+		Arrivals:    sim.Uniform,
+		Rate:        rate,
+		Requests:    int(rate * dur.Seconds()),
+		SnapshotTTL: -1,
+		Seed:        w.Seed(),
+		Deadline:    300 * time.Millisecond,
+		Priorities:  []int{0, 0, 0, 1},
 	})
 
 	// Quiesce, then check conservation: a shed must be a pure refusal.
@@ -126,5 +131,5 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 	resv, running := w.Quiesce(site, 2*time.Second)
 	leaks := resv + running
 	opened := reg.CounterValue("legion_breaker_transitions_total", "to", "open")
-	return overloadRow{StormResult: res, leaks: leaks, breakersOpened: opened}
+	return overloadRow{DriverResult: res, leaks: leaks, breakersOpened: opened}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"legion/internal/classobj"
+	"legion/internal/core"
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
@@ -55,11 +56,12 @@ type DriverConfig struct {
 	Instances int
 	// Deadline bounds each request (client patience); zero = unbounded.
 	Deadline time.Duration
-	// Priority stamps every request's reservation spec.
-	Priority int
+	// Priorities is cycled across requests (request i gets
+	// Priorities[i % len]); empty means every request is priority 0.
+	Priorities []int
 	// Spec, when non-nil, overrides the reservation spec for request i
 	// (economy campaigns stamp Tenant/Deadline/Budget per request); nil
-	// keeps the default shared hour-long reusable spec with Priority.
+	// keeps the default shared hour-long reusable spec with Priorities.
 	Spec func(i int) sched.ReservationSpec
 	// Generator computes schedules; nil means scheduler.Random{}.
 	Generator scheduler.Generator
@@ -93,6 +95,9 @@ type DriverResult struct {
 	Succeeded int
 	// Shed counts typed overload refusals; Failed everything else.
 	Shed, Failed int
+	// ShedByPriority splits Shed by the refused spec's priority; nil
+	// until the first shed.
+	ShedByPriority map[int]int
 	// Latencies holds each successful placement's latency on the
 	// driving clock (virtual time under a virtual clock).
 	Latencies []time.Duration
@@ -146,14 +151,26 @@ func (s *splitmix) Uint64() uint64 {
 func (s *splitmix) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
-// Drive replays an open-loop workload of cfg.Requests placements of the
-// given class against the fleet's metasystem, through the production
-// pipeline (Generator → Wrapper → Enactor → Hosts), and returns the
-// tallied result. Successful placements are torn down unless
-// cfg.KeepInstances, so repeated replays see the same capacity and the
-// caller's conservation audit can expect an empty site.
+// Drive is the package-level Drive against the fleet's metasystem.
 func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConfig) *DriverResult {
-	ms := f.MS
+	return Drive(ctx, f.MS, class, cfg)
+}
+
+// Drive replays an open-loop workload of cfg.Requests placements of the
+// given class against ms, through the production pipeline (Generator →
+// Wrapper → Enactor → Hosts), and returns the tallied result. Successful
+// placements are torn down unless cfg.KeepInstances, so repeated replays
+// see the same capacity and the caller's conservation audit can expect
+// an empty site.
+//
+// Open-loop is the property that makes overload testing honest: arrivals
+// keep their schedule however many earlier requests are still in flight,
+// like independent clients who do not know the service is drowning. A
+// closed loop (next request after the previous answer) self-throttles
+// and can never push a service past saturation. On a virtual clock the
+// schedule, the deadlines and the latencies are discrete events, so a
+// fixed seed replays bit-identically.
+func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg DriverConfig) *DriverResult {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = ms.Runtime().Clock()
@@ -200,9 +217,9 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 			rctx = clock.WithDeadline(ctx, clock.Now().Add(cfg.Deadline))
 			defer vclock.End(rctx)
 		}
-		spec := sched.ReservationSpec{
-			Share: true, Reuse: true, Duration: time.Hour,
-			Priority: cfg.Priority,
+		spec := sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour}
+		if len(cfg.Priorities) > 0 {
+			spec.Priority = cfg.Priorities[i%len(cfg.Priorities)]
 		}
 		if cfg.Spec != nil {
 			spec = cfg.Spec(i)
@@ -240,15 +257,21 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 		mu.Lock()
 		if proto.IsOverload(err) {
 			res.Shed++
+			if res.ShedByPriority == nil {
+				res.ShedByPriority = make(map[int]int)
+			}
+			res.ShedByPriority[spec.Priority]++
 		} else {
 			res.Failed++
 		}
 		mu.Unlock()
 	}
 
-	// Open loop: arrivals keep their schedule no matter how many earlier
-	// requests are in flight. Arrival gaps come from their own stream so
-	// the schedule does not depend on placement outcomes.
+	// Arrivals follow an absolute schedule, not a ticker: a ticker drops
+	// ticks when its receiver is late, which under load would offer less
+	// exactly when the service is busiest. An arrival behind schedule
+	// fires at once. Poisson gaps come from their own stream so the
+	// schedule does not depend on placement outcomes.
 	arrivals := rand.New(&splitmix{state: uint64(cfg.Seed)})
 	interval := time.Duration(float64(time.Second) / cfg.Rate)
 	burst := cfg.BurstSize
