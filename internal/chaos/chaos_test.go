@@ -214,7 +214,7 @@ func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 	target := sdsc.MS.Hosts()[0].LOID()
 
 	bc := resilient.BreakerConfig{FailureThreshold: 3, Cooldown: 20 * time.Millisecond}
-	caller := resilient.NewCallerWith(uva.MS.Runtime(), resilient.Policy{MaxAttempts: 1}, resilient.NewBreakerSet(bc, nil))
+	caller := resilient.NewCaller(uva.MS.Runtime(), resilient.Policy{MaxAttempts: 1}, resilient.NewBreakerSet(bc, nil))
 	ctx := context.Background()
 
 	w.Partition(uva.MS.Runtime(), "sdsc")

@@ -112,7 +112,7 @@ func TestBatchingProperty(t *testing.T) {
 				// The oracle models the daemon, not the breakers: an open
 				// breaker would keep a revived resource failing fast and
 				// diverge the model, so breakers effectively never open.
-				Breaker:       resilient.BreakerConfig{FailureThreshold: 1 << 30},
+				Breakers:      resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
 				Liveness:      monitor.NewLiveness(time.Hour, 1, nil),
 				DownAfter:     1,
 				Parallelism:   tc.parallelism,

@@ -60,10 +60,9 @@ type Config struct {
 	// Retry shapes per-probe retries; the zero value means 2 attempts
 	// (one quick retry absorbs a blip without stretching the sweep).
 	Retry resilient.Policy
-	// Breaker shapes the per-resource circuit breaker.
-	Breaker resilient.BreakerConfig
-	// Breakers, when non-nil, is an existing breaker pool to share (e.g.
-	// the Metasystem's domain-wide set); it overrides Breaker.
+	// Breakers is the per-resource circuit-breaker pool to share (e.g.
+	// the Metasystem's domain-wide set); nil means a private set with
+	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
 	// Liveness, when non-nil, is the tracker to feed; nil makes the
 	// daemon create its own (read it back via Liveness()).
@@ -168,9 +167,8 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	if cfg.Retry.Clock == nil {
 		cfg.Retry.Clock = rt.Clock()
 	}
-	call := resilient.NewCaller(rt, cfg.Retry, cfg.Breaker)
-	if cfg.Breakers != nil {
-		call = resilient.NewCallerWith(rt, cfg.Retry, cfg.Breakers)
+	if cfg.Breakers == nil {
+		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
@@ -178,7 +176,7 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	return &Daemon{
 		rt:          rt,
 		cfg:         cfg,
-		call:        call,
+		call:        resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
 		live:        cfg.Liveness,
 		loadHist:    make(map[loid.LOID][]float64),
 		joined:      make(map[loid.LOID]bool),

@@ -11,6 +11,7 @@ import (
 	"legion/internal/loid"
 	"legion/internal/nws"
 	"legion/internal/orb"
+	"legion/internal/resilient"
 	"legion/internal/vault"
 	"legion/internal/vclock"
 )
@@ -224,5 +225,21 @@ func TestSweepPublishesLoadHistory(t *testing.T) {
 	recs, err = c.Query(`forecast_load() > 0.3`)
 	if err != nil || len(recs) != 1 {
 		t.Errorf("forecast over published history: %v %v", recs, err)
+	}
+}
+
+// TestNilBreakersCoolOnRuntimeClock: a Daemon built with nil Breakers
+// on a virtual runtime gets a private breaker set on that runtime's
+// clock, so an open breaker cools down as virtual time passes.
+func TestNilBreakersCoolOnRuntimeClock(t *testing.T) {
+	vc := vclock.NewVirtualAt(time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC))
+	rt := orb.NewRuntime("uva")
+	rt.SetClock(vc)
+	d := New(rt, Config{})
+	br := d.Breakers().ForLOID(loid.LOID{Domain: "uva", Class: "Host", Instance: 1})
+	br.Trip()
+	vc.Advance(2 * time.Second) // the default cooldown
+	if st := br.State(); st != resilient.HalfOpen {
+		t.Fatalf("breaker after its cooldown in virtual time: %v, want half-open", st)
 	}
 }

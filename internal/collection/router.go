@@ -60,14 +60,12 @@ type RouterConfig struct {
 	// pin administrative domains to shards.
 	Route func(member loid.LOID) int
 	// Retry shapes transport-fault retries for shard calls; the zero
-	// value uses resilient defaults.
+	// value uses resilient defaults on the runtime's clock.
 	Retry resilient.Policy
-	// Breaker tunes per-shard circuit breakers; ignored when Breakers is
-	// set.
-	Breaker resilient.BreakerConfig
-	// Breakers, when non-nil, shares an existing breaker pool (e.g. the
+	// Breakers is the per-shard circuit-breaker pool. Share one (e.g. the
 	// Metasystem's domain-wide set) so a shard that fails scheduler
-	// queries also fails fast here.
+	// queries also fails fast here; nil means a private set with
+	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
 }
 
@@ -130,16 +128,18 @@ func NewRouter(rt *orb.Runtime, cfg RouterConfig) *Router {
 	if cfg.Route == nil {
 		cfg.Route = hashLOID
 	}
-	call := resilient.NewCaller(rt, cfg.Retry, cfg.Breaker)
-	if cfg.Breakers != nil {
-		call = resilient.NewCallerWith(rt, cfg.Retry, cfg.Breakers)
+	if cfg.Retry.Clock == nil {
+		cfg.Retry.Clock = rt.Clock()
+	}
+	if cfg.Breakers == nil {
+		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
 	reg := rt.Metrics()
 	r := &Router{
 		ServiceObject: orb.NewServiceObject(rt.Mint("MetaCollection")),
 		rt:            rt,
 		cfg:           cfg,
-		call:          call,
+		call:          resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
 		cache:         query.NewParseCache(0),
 		met: routerMetrics{
 			queries:    reg.Counter("legion_collection_router_queries_total"),

@@ -3,6 +3,7 @@ package collection
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +11,9 @@ import (
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
+	"legion/internal/resilient"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 func domainMember(domain string, i uint64) loid.LOID {
@@ -266,4 +269,39 @@ func TestRouterShardForStable(t *testing.T) {
 	if len(r.Shards()) != 4 {
 		t.Fatalf("Shards() = %d", len(r.Shards()))
 	}
+}
+
+// TestStandaloneServicesRetryOnRuntimeClock: a Router built on a virtual
+// runtime without a Retry.Clock of its own backs off on the runtime's
+// clock. core.New fills it in for the Router it builds; a standalone one
+// must too, or its backoff sleeps on the wall clock and takes no virtual
+// time. The Enactor's half is in internal/enactor.
+func TestStandaloneServicesRetryOnRuntimeClock(t *testing.T) {
+	const backoff = 50 * time.Millisecond
+	vc := vclock.NewVirtual()
+	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
+	rt.SetClock(vc)
+	shard := New(rt, nil)
+	r := NewRouter(rt, RouterConfig{
+		Shards:      []loid.LOID{shard.LOID()},
+		Parallelism: 1,
+		Retry:       resilient.Policy{MaxAttempts: 2, BaseDelay: backoff, Jitter: -1},
+	})
+	var faulted atomic.Bool
+	rt.SetFaultInjector(func(l loid.LOID, _ string) error {
+		if l == shard.LOID() && faulted.CompareAndSwap(false, true) {
+			return orb.ErrInjectedFault
+		}
+		return nil
+	})
+	vc.Run(func() {
+		t0 := vc.Now()
+		if _, skipped, err := r.QueryPartial(context.Background(), "defined($host_os_name)"); err != nil || skipped != 0 {
+			t.Fatalf("query: %d shards skipped, err %v; the retry should absorb one fault", skipped, err)
+		}
+		if took := vc.Since(t0); took != backoff {
+			t.Errorf("query with one retry took %v of virtual time, want the %v backoff", took, backoff)
+		}
+	})
 }

@@ -344,7 +344,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 	defer remote.Close()
 	remote.Bind(enr.LOID(), addr)
 	breakers := resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 3}, nil)
-	caller := resilient.NewCallerWith(remote, resilient.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, breakers)
+	caller := resilient.NewCaller(remote, resilient.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, breakers)
 
 	var attempts atomic.Int64
 	for i := 0; i < 20; i++ {

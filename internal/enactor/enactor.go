@@ -71,14 +71,12 @@ type Config struct {
 	// faults on a flaky Host are absorbed here before the Enactor falls
 	// back to variant schedules.
 	Retry resilient.Policy
-	// Breaker shapes the per-Host circuit breaker; the zero value uses
-	// resilient defaults. Repeatedly unreachable Hosts fail fast with
-	// ErrCircuitOpen instead of absorbing a retry budget per mapping.
-	Breaker resilient.BreakerConfig
-	// Breakers, when non-nil, is an existing breaker pool to share (e.g.
-	// the Metasystem's domain-wide set, so a Host failing in the Enactor
-	// fails fast in the scheduler path and vice versa); it overrides
-	// Breaker.
+	// Breakers is the per-Host circuit-breaker pool: repeatedly
+	// unreachable Hosts fail fast with ErrCircuitOpen instead of absorbing
+	// a retry budget per mapping. Share one (e.g. the Metasystem's
+	// domain-wide set, so a Host failing in the Enactor fails fast in the
+	// scheduler path and vice versa); nil means a private set with
+	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
 	// RequestTTL bounds how long a reserved-but-never-enacted episode's
 	// state is retained. The Wrapper mints a fresh request ID per
@@ -195,6 +193,12 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 		// A hung Host must not consume the whole budget in one attempt.
 		cfg.Retry.AttemptTimeout = cfg.Retry.Budget / time.Duration(cfg.Retry.MaxAttempts)
 	}
+	if cfg.Retry.Clock == nil {
+		cfg.Retry.Clock = rt.Clock()
+	}
+	if cfg.Breakers == nil {
+		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
+	}
 	if cfg.RequestTTL <= 0 {
 		cfg.RequestTTL = 5 * time.Minute
 	}
@@ -210,17 +214,13 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 		adm:           newAdmission(rt, cfg),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.Breakers != nil {
-		e.call = resilient.NewCallerWith(rt, cfg.Retry, cfg.Breakers)
-	} else {
-		e.call = resilient.NewCaller(rt, cfg.Retry, cfg.Breaker)
-	}
+	e.call = resilient.NewCaller(rt, cfg.Retry, cfg.Breakers)
 	// Cleanup (rollback destroys, reservation cancels) bypasses the
 	// breakers: the failures that trigger a rollback are often exactly
 	// what opened the endpoint's breaker, and failing the destroy fast
 	// would leak the instances the rollback exists to reclaim. The retry
 	// policy still bounds the attempts.
-	e.cleanup = resilient.NewCallerWith(rt, cfg.Retry, nil)
+	e.cleanup = resilient.NewCaller(rt, cfg.Retry, nil)
 	e.installMethods()
 	rt.Register(e)
 	return e

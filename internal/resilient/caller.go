@@ -24,15 +24,10 @@ type Caller struct {
 	breakers *BreakerSet // may be nil: retry without breakers
 }
 
-// NewCaller wraps inv with the policy and a fresh breaker set on the
-// policy's clock.
-func NewCaller(inv Invoker, p Policy, bc BreakerConfig) *Caller {
-	return &Caller{inv: inv, policy: p, breakers: NewBreakerSet(bc, p.Clock)}
-}
-
-// NewCallerWith wraps inv sharing an existing breaker set (nil disables
-// breakers), so several components can pool endpoint health knowledge.
-func NewCallerWith(inv Invoker, p Policy, breakers *BreakerSet) *Caller {
+// NewCaller wraps inv with the policy and a breaker set (nil disables
+// breakers); several components may share one set to pool endpoint
+// health knowledge.
+func NewCaller(inv Invoker, p Policy, breakers *BreakerSet) *Caller {
 	return &Caller{inv: inv, policy: p, breakers: breakers}
 }
 

@@ -178,43 +178,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-// failingInvoker fails every call with a transport fault and counts
-// the calls that reach it.
-type failingInvoker struct{ calls int }
-
-func (f *failingInvoker) Call(context.Context, loid.LOID, string, any) (any, error) {
-	f.calls++
-	return nil, fmt.Errorf("%w: down", orb.ErrInjectedFault)
-}
-
-// TestCallerBreakerOnPolicyClock: a Caller built by NewCaller times its
-// breakers' cooldown on the policy's clock, so a virtual run that
-// advances past the cooldown gets its probe.
-func TestCallerBreakerOnPolicyClock(t *testing.T) {
-	vc := vclock.NewVirtualAt(time.Date(1999, 4, 12, 0, 0, 0, 0, time.UTC))
-	inv := &failingInvoker{}
-	c := NewCaller(inv, Policy{MaxAttempts: 1, Clock: vc},
-		BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute})
-	target := loid.LOID{Domain: "uva", Class: "Host", Instance: 1}
-
-	if _, err := c.Call(context.Background(), target, "m", nil); errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("first call refused by a closed breaker: %v", err)
-	}
-	if _, err := c.Call(context.Background(), target, "m", nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("tripped breaker admitted a call: %v", err)
-	}
-	vc.Advance(2 * time.Minute)
-	if st := c.Breakers().ForLOID(target).State(); st != HalfOpen {
-		t.Fatalf("state after virtual cooldown: %v, want half-open", st)
-	}
-	if _, err := c.Call(context.Background(), target, "m", nil); errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("probe refused after the virtual cooldown: %v", err)
-	}
-	if inv.calls != 2 {
-		t.Fatalf("invoker reached %d times, want 2 (first call and probe)", inv.calls)
-	}
-}
-
 func TestBreakerPermanentRefusalsDoNotTrip(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 2}, nil)
 	refusal := fmt.Errorf("%w: no", host.ErrPolicy)
@@ -268,7 +231,7 @@ func TestCallerRetriesThroughBreaker(t *testing.T) {
 		},
 	}}
 	c := NewCaller(f, Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, Jitter: -1},
-		BreakerConfig{FailureThreshold: 10})
+		NewBreakerSet(BreakerConfig{FailureThreshold: 10}, nil))
 	res, err := c.Call(context.Background(), good, "m", nil)
 	if err != nil || res != "ok" {
 		t.Fatalf("res=%v err=%v", res, err)
@@ -284,7 +247,7 @@ func TestCallerOpensBreakerAndFailsFast(t *testing.T) {
 		dead.String(): func(n int) error { return fmt.Errorf("%w: down", orb.ErrInjectedFault) },
 	}}
 	c := NewCaller(f, Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, Jitter: -1},
-		BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour})
+		NewBreakerSet(BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}, nil))
 	if _, err := c.Call(context.Background(), dead, "m", nil); err == nil {
 		t.Fatal("want failure")
 	}
@@ -305,7 +268,7 @@ func TestCallerOnceDoesNotRetry(t *testing.T) {
 	f := &fakeInvoker{calls: map[string]int{}, fail: map[string]func(int) error{
 		l.String(): func(n int) error { return fmt.Errorf("%w", orb.ErrInjectedFault) },
 	}}
-	c := NewCaller(f, Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, BreakerConfig{})
+	c := NewCaller(f, Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, NewBreakerSet(BreakerConfig{}, nil))
 	_, err := c.CallOnce(context.Background(), l, "m", nil)
 	if err == nil || f.calls[l.String()] != 1 {
 		t.Fatalf("err=%v calls=%d, want 1 attempt", err, f.calls[l.String()])

@@ -48,9 +48,6 @@ type ParamSpace struct {
 	// Priority and Tenant flow into every make_reservation call.
 	Priority int
 	Tenant   string
-	// KeepInstances leaves task instances running; by default each
-	// instance is destroyed once its task returns (short-lived jobs).
-	KeepInstances bool
 }
 
 // ParamSpaceResult reports one study.
@@ -81,9 +78,10 @@ func tokenKey(t reservation.Token) string {
 
 // Run executes tasks.Count short tasks of class through the pool. For
 // each task it creates one instance on the slot's reserved placement,
-// calls run (nil run means "start only"), and destroys the instance
-// unless KeepInstances. A slot that fails to start an instance is
-// renegotiated once before the task counts as failed.
+// calls run (nil run means "start only"), and destroys the instance once
+// its task returns (the study's jobs are short-lived). A slot that fails
+// to start an instance is renegotiated once before the task counts as
+// failed.
 func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, tasks int, run func(ctx context.Context, inst loid.LOID, task int) error) (ParamSpaceResult, error) {
 	res := ParamSpaceResult{PerToken: make(map[string]int)}
 	slots := p.Slots
@@ -95,7 +93,7 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 		cap = 64
 	}
 
-	caller := resilient.NewCallerWith(env.RT, env.Retry, env.Breakers)
+	caller := resilient.NewCaller(env.RT, env.Retry, env.Breakers)
 
 	// negotiate acquires a fresh reservation for one slot, preferring
 	// the least-loaded compatible host not already carrying more of this
@@ -210,9 +208,7 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 					res.Started--
 				}
 			}
-			if !p.KeepInstances {
-				_ = class.DestroyInstance(ctx, insts[0])
-			}
+			_ = class.DestroyInstance(ctx, insts[0])
 			break
 		}
 		if !started {

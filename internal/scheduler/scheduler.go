@@ -132,7 +132,7 @@ const queryTimeout = 30 * time.Second
 // call makes one scheduler-side metasystem call through the Env's retry
 // policy and shared breakers.
 func (e *Env) call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	return resilient.NewCallerWith(e.RT, e.Retry, e.Breakers).Call(ctx, target, method, arg)
+	return resilient.NewCaller(e.RT, e.Retry, e.Breakers).Call(ctx, target, method, arg)
 }
 
 // HostInfo is a scheduler's parsed view of one Collection host record.

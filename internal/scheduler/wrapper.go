@@ -87,7 +87,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 	if enactLimit <= 0 {
 		enactLimit = 2
 	}
-	caller := resilient.NewCallerWith(env.RT, env.Retry, env.Breakers)
+	caller := resilient.NewCaller(env.RT, env.Retry, env.Breakers)
 
 	// cancelEpisode best-effort releases one episode's reservations on a
 	// context detached from the caller's: the episodes worth cancelling
@@ -99,7 +99,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 	// breaker would fail the *placement* path for hygiene's sake. The
 	// cancel is idempotent (a repeat answers ErrUnknownRequest), so it
 	// retries transport faults under the normal policy.
-	canceller := resilient.NewCallerWith(env.RT, env.Retry, nil)
+	canceller := resilient.NewCaller(env.RT, env.Retry, nil)
 	cancelEpisode := func(id uint64) {
 		clk := env.RT.Clock()
 		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))

@@ -26,9 +26,6 @@ const (
 	// Uniform fires exactly every 1/Rate — a metronome, useful when an
 	// experiment wants latency variance attributable to the system alone.
 	Uniform
-	// Bursty fires BurstSize arrivals back-to-back, then idles so the
-	// long-run rate still averages Rate — flash-crowd shapes.
-	Bursty
 )
 
 // DriverConfig shapes one open-loop placement workload replay.
@@ -44,16 +41,11 @@ type DriverConfig struct {
 	Requests int
 	// Arrivals picks the arrival process; default Poisson.
 	Arrivals ArrivalProcess
-	// BurstSize is the arrivals per burst for Bursty; <= 1 degenerates
-	// to Uniform.
-	BurstSize int
 	// Seed drives the arrival gaps and every placement's random choices.
 	// Each request r uses an independent stream derived from (Seed, r),
 	// so placement decisions do not depend on goroutine interleaving —
 	// the property that lets a virtual-time replay be deterministic.
 	Seed int64
-	// Instances per placement; zero means 1.
-	Instances int
 	// Deadline bounds each request (client patience); zero = unbounded.
 	Deadline time.Duration
 	// Priorities is cycled across requests (request i gets
@@ -65,28 +57,17 @@ type DriverConfig struct {
 	Spec func(i int) sched.ReservationSpec
 	// Generator computes schedules; nil means scheduler.Random{}.
 	Generator scheduler.Generator
-	// Wrapper bounds the Figure 9 retry protocol; zero limits default to
-	// the storm's tight (2 scheduling rounds, 1 enactment try) so an
-	// overloaded run fails fast instead of multiplying offered load.
-	Wrapper scheduler.Wrapper
 	// SnapshotTTL bounds host-snapshot staleness: placements within the
 	// TTL share one parsed Collection snapshot (scheduler.HostCache)
 	// instead of re-reading the whole directory per request. Zero means
 	// 5s — commensurate with the Collection's own pull interval, per the
 	// §3.2 staleness license. Negative disables caching.
 	SnapshotTTL time.Duration
-	// KeepInstances leaves successful placements running instead of
-	// tearing them down; default false so capacity is conserved and the
-	// post-run audit expects an empty metasystem.
-	KeepInstances bool
 	// Observe, when non-nil, is called with each successful placement's
 	// outcome (request index, resolved schedule) before teardown. It
 	// runs on the placement's goroutine and must be safe for concurrent
 	// use; economy campaigns judge per-request deadline fit here.
 	Observe func(i int, out *scheduler.Outcome)
-	// Progress, when non-nil, is called after every arrival with
-	// (offered, total).
-	Progress func(done, total int)
 }
 
 // DriverResult aggregates one replay.
@@ -156,12 +137,12 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 	return Drive(ctx, f.MS, class, cfg)
 }
 
-// Drive replays an open-loop workload of cfg.Requests placements of the
-// given class against ms, through the production pipeline (Generator →
-// Wrapper → Enactor → Hosts), and returns the tallied result. Successful
-// placements are torn down unless cfg.KeepInstances, so repeated replays
-// see the same capacity and the caller's conservation audit can expect
-// an empty site.
+// Drive replays an open-loop workload of cfg.Requests single-instance
+// placements of the given class against ms, through the production
+// pipeline (Generator → Wrapper → Enactor → Hosts), and returns the
+// tallied result. Successful placements are torn down, so repeated
+// replays see the same capacity and the caller's conservation audit can
+// expect an empty site.
 //
 // Open-loop is the property that makes overload testing honest: arrivals
 // keep their schedule however many earlier requests are still in flight,
@@ -175,19 +156,13 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 	if clock == nil {
 		clock = ms.Runtime().Clock()
 	}
-	if cfg.Instances <= 0 {
-		cfg.Instances = 1
-	}
 	gen := cfg.Generator
 	if gen == nil {
 		gen = scheduler.Random{}
 	}
-	if cfg.Wrapper.SchedTryLimit == 0 {
-		cfg.Wrapper.SchedTryLimit = 2
-	}
-	if cfg.Wrapper.EnactTryLimit == 0 {
-		cfg.Wrapper.EnactTryLimit = 1
-	}
+	// Tight Figure 9 limits, so an overloaded run fails fast instead of
+	// multiplying the offered load with retries.
+	wrapper := scheduler.Wrapper{SchedTryLimit: 2, EnactTryLimit: 1}
 	env := ms.Env()
 	var cache *scheduler.HostCache
 	if cfg.SnapshotTTL >= 0 {
@@ -225,8 +200,8 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 			spec = cfg.Spec(i)
 		}
 		t0 := clock.Now()
-		out, err := cfg.Wrapper.Run(rctx, &envi, enactorL, gen, scheduler.Request{
-			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: cfg.Instances}},
+		out, err := wrapper.Run(rctx, &envi, enactorL, gen, scheduler.Request{
+			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: 1}},
 			Res:     spec,
 		})
 		lat := clock.Since(t0)
@@ -235,19 +210,17 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 			if cfg.Observe != nil {
 				cfg.Observe(i, &out)
 			}
-			if !cfg.KeepInstances {
-				// Fresh context: the request deadline may be spent, and a
-				// successful placement must not leak because cleanup raced.
-				cctx := clock.WithDeadline(context.WithoutCancel(ctx), clock.Now().Add(30*time.Second))
-				for j, insts := range out.Instances {
-					for _, inst := range insts {
-						_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
-							proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
-					}
+			// Fresh context: the request deadline may be spent, and a
+			// successful placement must not leak because cleanup raced.
+			cctx := clock.WithDeadline(context.WithoutCancel(ctx), clock.Now().Add(30*time.Second))
+			for j, insts := range out.Instances {
+				for _, inst := range insts {
+					_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
+						proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 				}
-				_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
-				vclock.End(cctx)
 			}
+			_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
+			vclock.End(cctx)
 			mu.Lock()
 			res.Succeeded++
 			res.Latencies = append(res.Latencies, lat)
@@ -274,10 +247,6 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 	// schedule does not depend on placement outcomes.
 	arrivals := rand.New(&splitmix{state: uint64(cfg.Seed)})
 	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	burst := cfg.BurstSize
-	if burst <= 1 {
-		burst = 1
-	}
 	next := start
 	for i := 0; i < cfg.Requests; i++ {
 		if d := clock.Until(next); d > 0 {
@@ -289,16 +258,9 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 		res.Offered++
 		n := i
 		clock.Go(func() { fire(n) })
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, cfg.Requests)
-		}
 		switch cfg.Arrivals {
 		case Uniform:
 			next = next.Add(interval)
-		case Bursty:
-			if (i+1)%burst == 0 {
-				next = next.Add(interval * time.Duration(burst))
-			}
 		default: // Poisson
 			next = next.Add(time.Duration(arrivals.ExpFloat64() * float64(interval)))
 		}
