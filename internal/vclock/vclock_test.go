@@ -532,11 +532,14 @@ func TestContextForgetsWokenWaiters(t *testing.T) {
 	}
 }
 
+func noop() {}
+
 // TestClockAllocBudget pins what the clock itself allocates for the
 // things a placement does a dozen times: a sleep costs nothing (its
-// waiter comes from a pool, its event is inside the waiter), and a
-// deadline costs the context alone — End is a function, not a closure
-// made per deadline.
+// waiter comes from a pool, its event is inside the waiter), a Go costs
+// nothing (its event is one that fired before, its body runs on a parked
+// worker), and a deadline costs the context alone — End is a function,
+// not a closure made per deadline.
 func TestClockAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -555,6 +558,11 @@ func TestClockAllocBudget(t *testing.T) {
 	v.Run(func() {
 		// Below 1, not 0: the garbage collector may empty the pool mid-run.
 		measure("virtual Sleep", 0.99, func() { _ = v.Sleep(bg, time.Millisecond) })
+		// The sleep lets the body run before the next call.
+		measure("virtual Go", 0.99, func() {
+			v.Go(noop)
+			_ = v.Sleep(bg, time.Nanosecond)
+		})
 		measure("virtual WithDeadline+End", 1, func() {
 			End(v.WithDeadline(bg, v.Now().Add(time.Second)))
 		})

@@ -42,6 +42,10 @@ type Virtual struct {
 
 	tracing bool
 	trace   []traceRecord
+
+	// Fired go events: nothing points at one once stepLocked has popped
+	// it, so Go takes its event from here before it allocates one.
+	goFree []*event
 }
 
 // eventKind says what an event does when it fires, and so which of the
@@ -78,8 +82,9 @@ const (
 )
 
 // event is one scheduled occurrence: a value stored in what it wakes (a
-// waiter, a context, a timer), or allocated on its own for a Go. The
-// engine switches on kind; no closure is built to fire it.
+// waiter, a context, a timer), or, for a Go, one of the clock's own,
+// reused once it has fired. The engine switches on kind; no closure is
+// built to fire it.
 type event struct {
 	at    time.Time
 	seq   uint64
@@ -352,16 +357,94 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 func (v *Virtual) Go(f func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.schedule(&event{kind: evGo, f: f}, v.now)
+	var e *event
+	if n := len(v.goFree); n > 0 {
+		e = v.goFree[n-1]
+		v.goFree = v.goFree[:n-1]
+	} else {
+		e = &event{kind: evGo}
+	}
+	e.f = f
+	v.schedule(e, v.now)
 }
 
-// spawn runs f as a registered goroutine; v.mu must be held.
+// spawn runs f as a registered goroutine, on the most recently parked
+// worker or on a new one when none is parked; v.mu must be held. LIFO
+// keeps the warmest stack in use.
 func (v *Virtual) spawn(f func()) {
 	v.busy++
-	go func() {
-		defer v.exitBusy()
-		f()
-	}()
+	t := task{v, f}
+	workers.mu.Lock()
+	if n := len(workers.idle); n > 0 {
+		w := workers.idle[n-1]
+		workers.idle[n-1] = nil
+		workers.idle = workers.idle[:n-1]
+		workers.mu.Unlock()
+		w.ch <- t
+		return
+	}
+	workers.mu.Unlock()
+	w := &worker{ch: make(chan task, 1)}
+	go w.loop(t)
+}
+
+// maxIdleWorkers bounds the parked workers: one that finishes with this
+// many already parked exits, so a burst leaves at most this many
+// goroutines behind it.
+const maxIdleWorkers = 64
+
+// task is a Go or AfterFunc body and the clock whose busy credit it holds.
+type task struct {
+	v *Virtual
+	f func()
+}
+
+// worker is a goroutine that runs bodies one after another. The runtime
+// frees a goroutine's stack when it exits, so a body started on a fresh
+// goroutine grows its stack again, copy by copy, down to the deepest
+// frame of a placement; a worker that parks keeps the stack it grew. Its
+// channel has capacity 1 so the hand-off in spawn never blocks: only a
+// parked worker, whose channel is empty, is on the idle list.
+type worker struct {
+	ch chan task
+}
+
+// workers is the idle list, a stack with the most recently parked worker
+// last. It is shared by every Virtual: a worker may serve any of them.
+var workers struct {
+	mu   sync.Mutex
+	idle []*worker
+}
+
+// loop runs tasks until one ends in runtime.Goexit or finishes with the
+// idle list full.
+func (w *worker) loop(t task) {
+	for w.run(t) {
+		// A parked worker pins nothing: not what the body captured, and
+		// not its clock.
+		t = task{}
+		t = <-w.ch
+	}
+}
+
+// run runs t's body, puts w on the idle list, and only then gives back
+// the body's busy credit; it reports whether w parked. The order is the
+// point: the engine fires the next event the instant busy reaches zero,
+// and when that event starts a body it must find w parked, not start a
+// cold goroutine.
+func (w *worker) run(t task) bool {
+	// Deferred, as it was when each body had a goroutine of its own: a
+	// body that ends in runtime.Goexit (t.FailNow in a Go'd test body)
+	// still gives back its credit.
+	defer t.v.exitBusy()
+	t.f()
+	workers.mu.Lock()
+	defer workers.mu.Unlock()
+	if len(workers.idle) >= maxIdleWorkers {
+		return false
+	}
+	workers.idle = append(workers.idle, w)
+	return true
 }
 
 // NewGate returns a virtual Gate.
@@ -405,8 +488,12 @@ func (v *Virtual) stepLocked() bool {
 		case e.t.ch <- v.now:
 		default:
 		}
-	case evAfterFunc, evGo:
+	case evAfterFunc:
 		v.spawn(e.f)
+	case evGo:
+		v.spawn(e.f)
+		e.f = nil
+		v.goFree = append(v.goFree, e)
 	}
 	return true
 }
