@@ -24,8 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -73,27 +71,8 @@ type World struct {
 // wall clock).
 func (w *World) Clock() vclock.Clock { return w.clock }
 
-// Seed returns the seed the World's fault RNG was built with. Test
-// harnesses log it on failure so a flaky-fault sequence can be replayed
-// exactly (see SeedFromEnv).
+// Seed returns the seed the World's fault RNG was built with.
 func (w *World) Seed() int64 { return w.seed }
-
-// SeedFromEnv returns the chaos seed to use: the value of the
-// LEGION_CHAOS_SEED environment variable when set and parseable, else
-// fallback. Together with World.Seed this makes chaos runs replayable:
-// a failing run logs its seed, and
-//
-//	LEGION_CHAOS_SEED=<seed> go test ./internal/chaos
-//
-// reproduces the same injected-fault sequence.
-func SeedFromEnv(fallback int64) int64 {
-	if v := os.Getenv("LEGION_CHAOS_SEED"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return fallback
-}
 
 // NewWorld builds and federates the sites. Every site serves its objects
 // over loopback TCP and binds every other site's domain, so any

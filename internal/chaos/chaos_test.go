@@ -25,17 +25,11 @@ func fastRetry() resilient.Policy {
 
 func newWorld(t *testing.T, specs ...SiteSpec) *World {
 	t.Helper()
-	seed := SeedFromEnv(42)
-	w, err := NewWorld(seed, core.Options{Seed: 7, Retry: fastRetry()}, specs...)
+	w, err := NewWorld(42, core.Options{Seed: 7, Retry: fastRetry()}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("chaos seed %d; replay with LEGION_CHAOS_SEED=%d go test ./internal/chaos", seed, seed)
-		}
-	})
 	return w
 }
 

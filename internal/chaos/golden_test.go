@@ -24,8 +24,7 @@ import (
 // waiters were pooled, and re-recorded when storms moved onto sim.Drive,
 // which draws each request's placement choices from (world seed, request
 // index) instead of the metasystem's shared stream; the engine was
-// untouched. The seeds are fixed, not LEGION_CHAOS_SEED: a golden value
-// belongs to its input.
+// untouched. The seeds are fixed: a golden value belongs to its input.
 // A change that moves a digest has changed when or in what order the
 // clock schedules something, and says so by editing this table.
 func TestVirtualTraceGolden(t *testing.T) {
@@ -76,7 +75,7 @@ func TestVirtualTraceGolden(t *testing.T) {
 				// the counts are not asserted; the polling is in the trace.
 				w.Quiesce(site, time.Second)
 			})
-			// Read before Close, as TestVirtualStormDeterministicTrace does.
+			// Read before Close: shutdown is not part of the trace.
 			trace := vc.Trace()
 			sum := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(trace, "\n"))))
 			if len(trace) != g.events || sum != g.sha256 {

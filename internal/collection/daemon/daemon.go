@@ -335,7 +335,7 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 	// tracker) is internally locked; the per-resource deposit counts go
 	// into per-index slots and are summed after the join.
 	oks := make([]int, len(resources))
-	fanout.Do(d.cfg.Parallelism, len(resources), func(ri int) {
+	fanout.Do(d.rt.Clock(), d.cfg.Parallelism, len(resources), func(ri int) {
 		res := resources[ri]
 		clk := d.rt.Clock()
 		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))

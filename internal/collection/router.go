@@ -219,7 +219,7 @@ func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, cre
 	}
 	replies := make([]proto.BatchUpdateReply, len(idxs))
 	errs := make([]error, len(idxs))
-	fanout.Do(r.cfg.Parallelism, len(idxs), func(k int) {
+	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, len(idxs), func(k int) {
 		sub := perShard[idxs[k]]
 		res, err := r.shardCall(ctx, r.cfg.Shards[idxs[k]], proto.MethodUpdateCollectionBatch,
 			proto.BatchUpdateArgs{Entries: sub, Credential: credential})
@@ -278,7 +278,7 @@ func (r *Router) QueryPartial(ctx context.Context, src string) (recs []Record, s
 	replies := make([][]proto.CollectionRecord, n)
 	subSkips := make([]int, n)
 	errs := make([]error, n)
-	fanout.Do(r.cfg.Parallelism, n, func(i int) {
+	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, n, func(i int) {
 		res, cerr := r.shardCall(ctx, r.cfg.Shards[i], proto.MethodQueryCollection,
 			proto.QueryArgs{Query: src})
 		if cerr != nil {

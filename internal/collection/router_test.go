@@ -284,9 +284,8 @@ func TestStandaloneServicesRetryOnRuntimeClock(t *testing.T) {
 	rt.SetClock(vc)
 	shard := New(rt, nil)
 	r := NewRouter(rt, RouterConfig{
-		Shards:      []loid.LOID{shard.LOID()},
-		Parallelism: 1,
-		Retry:       resilient.Policy{MaxAttempts: 2, BaseDelay: backoff, Jitter: -1},
+		Shards: []loid.LOID{shard.LOID()},
+		Retry:  resilient.Policy{MaxAttempts: 2, BaseDelay: backoff, Jitter: -1},
 	})
 	var faulted atomic.Bool
 	rt.SetFaultInjector(func(l loid.LOID, _ string) error {

@@ -373,7 +373,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 
 // TestAdmissionConcurrentStress hammers the gate from many goroutines
 // with mixed domains, priorities, and deadlines (run under -race in CI's
-// overload-race job). Afterwards the gate must be fully drained: no
+// main job). Afterwards the gate must be fully drained: no
 // in-flight slots, empty queue, empty fair-share accounts, and
 // admitted + sheds == offered.
 func TestAdmissionConcurrentStress(t *testing.T) {

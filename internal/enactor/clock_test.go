@@ -33,10 +33,7 @@ func TestStandaloneServicesRetryOnRuntimeClock(t *testing.T) {
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Vaults: []loid.LOID{v.LOID()}})
 	c := classobj.New(rt, classobj.Config{Name: "Worker"})
-	e := New(rt, Config{
-		Retry:       resilient.Policy{MaxAttempts: 2, BaseDelay: backoff, Jitter: -1},
-		Parallelism: 1,
-	})
+	e := New(rt, Config{Retry: resilient.Policy{MaxAttempts: 2, BaseDelay: backoff, Jitter: -1}})
 	request := func() sched.RequestList {
 		return sched.RequestList{
 			ID:      e.NewRequestID(),

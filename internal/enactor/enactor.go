@@ -235,7 +235,7 @@ func (e *Enactor) Breakers() *resilient.BreakerSet { return e.call.Breakers() }
 // all stats accounting on their own goroutine after the join, so the
 // shared EnactmentStats never crosses goroutines.
 func (e *Enactor) fanOut(n int, fn func(i int)) {
-	fanout.Do(e.cfg.Parallelism, n, fn)
+	fanout.Do(e.rt.Clock(), e.cfg.Parallelism, n, fn)
 }
 
 // NewRequestID mints a fresh request ID for a scheduling episode.

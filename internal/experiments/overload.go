@@ -103,7 +103,7 @@ func overloadStormRun(rate float64, dur time.Duration, admission, slow bool) ove
 		opts.AdmissionQueue = 16
 		opts.ShedWatermark = 0.8
 	}
-	w, err := chaos.NewWorld(chaos.SeedFromEnv(11), opts,
+	w, err := chaos.NewWorld(11, opts,
 		chaos.SiteSpec{Domain: "uva", Hosts: 4})
 	if err != nil {
 		return overloadRow{DriverResult: &sim.DriverResult{}}

@@ -16,6 +16,8 @@ package fanout
 import (
 	"sync"
 	"sync/atomic"
+
+	"legion/internal/vclock"
 )
 
 // maxIdle bounds the parked workers. A worker that finishes with maxIdle
@@ -161,18 +163,22 @@ func (r *round) work() {
 // to a plain loop on the calling goroutine — callers expose
 // "parallelism 1" as an exact serial ablation.
 //
+// clk is the caller's clock. On any clock but vclock.Wall the loop is
+// serial too: a parked worker is not registered with a virtual clock, and
+// fn parking on one from it would spend another goroutine's busy credit.
+//
 // The calling goroutine works as one of the limit workers, so a fan-out
 // of width w borrows min(limit, w)-1 parked workers, not w — on the
 // query hot path (one Do per federated query) the hand-offs are
 // measurable.
-func Do(limit, n int, fn func(i int)) {
+func Do(clk vclock.Clock, limit, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	if limit > n {
 		limit = n
 	}
-	if limit <= 1 {
+	if limit <= 1 || clk != vclock.Wall {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -1,18 +1,21 @@
 package fanout
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"legion/internal/vclock"
 )
 
 func TestDoCoversEveryIndexOnce(t *testing.T) {
 	for _, limit := range []int{1, 2, 8, 100} {
 		n := 37
 		counts := make([]int32, n)
-		Do(limit, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		Do(vclock.Wall, limit, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Errorf("limit %d: index %d called %d times", limit, i, c)
@@ -25,7 +28,7 @@ func TestDoBoundsConcurrency(t *testing.T) {
 	const limit = 3
 	var inflight, peak int32
 	var mu sync.Mutex
-	Do(limit, 20, func(int) {
+	Do(vclock.Wall, limit, 20, func(int) {
 		cur := atomic.AddInt32(&inflight, 1)
 		mu.Lock()
 		if cur > peak {
@@ -48,7 +51,7 @@ func TestDoSerialWhenLimitOne(t *testing.T) {
 	// plain slice with no synchronization is race-free only then (the
 	// race detector guards this property).
 	var order []int
-	Do(1, 5, func(i int) { order = append(order, i) })
+	Do(vclock.Wall, 1, 5, func(i int) { order = append(order, i) })
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("order = %v", order)
@@ -56,10 +59,36 @@ func TestDoSerialWhenLimitOne(t *testing.T) {
 	}
 }
 
+// TestDoSerialOnVirtualClock: under a virtual clock a fan-out of any
+// width runs in index order on the calling goroutine, so fn may park on
+// the clock — only registered goroutines may — and the plain slice below
+// is race-free.
+func TestDoSerialOnVirtualClock(t *testing.T) {
+	vc := vclock.NewVirtual()
+	var order []int
+	vc.Run(func() {
+		Do(vc, 8, 5, func(i int) {
+			_ = vc.Sleep(context.Background(), time.Millisecond)
+			order = append(order, i)
+		})
+	})
+	if len(order) != 5 {
+		t.Fatalf("order = %v", order)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("order = %v", order)
+		}
+	}
+	if got := vc.Elapsed(); got != 5*time.Millisecond {
+		t.Errorf("five serial 1ms sleeps took %v of virtual time", got)
+	}
+}
+
 func TestDoZeroAndNegative(t *testing.T) {
 	called := false
-	Do(4, 0, func(int) { called = true })
-	Do(0, -3, func(int) { called = true })
+	Do(vclock.Wall, 4, 0, func(int) { called = true })
+	Do(vclock.Wall, 0, -3, func(int) { called = true })
 	if called {
 		t.Error("fn called for empty range")
 	}
@@ -262,7 +291,7 @@ func TestDoUsesEveryIndexOnce(t *testing.T) {
 			// Plain ints: fn(i) owns slot i, and the join orders the
 			// read below after every write (the race detector checks).
 			counts := make([]int, n)
-			Do(limit, n, func(i int) { counts[i]++ })
+			Do(vclock.Wall, limit, n, func(i int) { counts[i]++ })
 			for i, c := range counts {
 				if c != 1 {
 					t.Errorf("n %d limit %d: index %d called %d times", n, limit, i, c)

@@ -41,11 +41,57 @@ type Handler func(ev proto.NotifyArgs)
 const DefaultQueueDepth = 256
 
 // asyncSub is one OnEventAsync subscription: a bounded queue drained by
-// a dedicated goroutine, so slow handlers shed events instead of
-// stalling the Host outcall that delivered them.
+// a dispatcher on the runtime's clock, so slow handlers shed events
+// instead of stalling the Host outcall that delivered them.
 type asyncSub struct {
-	ch   chan proto.NotifyArgs
-	done chan struct{}
+	wake vclock.Gate // signalled when the queue gains an event, and at stop
+
+	mu       sync.Mutex
+	queue    []proto.NotifyArgs
+	depth    int
+	stopped  bool
+	started  bool          // the dispatcher is running (stop waits for it)
+	finished chan struct{} // closed when a started dispatcher returns
+}
+
+// start marks the dispatcher running, so that stop waits for it, unless
+// the subscription has already stopped.
+func (s *asyncSub) start() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.started = !s.stopped
+	return s.started
+}
+
+func (s *asyncSub) isStopped() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stopped
+}
+
+// push queues ev and reports whether there was room.
+func (s *asyncSub) push(ev proto.NotifyArgs) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped || len(s.queue) >= s.depth {
+		return false
+	}
+	s.queue = append(s.queue, ev)
+	return true
+}
+
+// pop takes the oldest queued event; ok is false once the queue is empty
+// or the subscription stopped.
+func (s *asyncSub) pop() (ev proto.NotifyArgs, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped || len(s.queue) == 0 {
+		return ev, false
+	}
+	ev = s.queue[0]
+	s.queue[0] = proto.NotifyArgs{}
+	s.queue = s.queue[1:]
+	return ev, true
 }
 
 // Monitor receives Host trigger outcalls and dispatches them to handlers.
@@ -104,34 +150,37 @@ func (m *Monitor) OnEvent(h Handler) {
 // is dropped and counted in legion_monitor_events_dropped_total — for
 // load triggers this is safe, the next reassessment re-fires. The
 // returned stop function drains nothing: it detaches the subscription
-// and terminates its dispatch goroutine after the in-flight handler
-// call, then returns.
+// and terminates its dispatcher after the in-flight handler call, then
+// returns.
+//
+// The dispatcher is started with the runtime clock's Go and parks on its
+// Gate, so under a virtual clock the handler may sleep, call and migrate
+// in virtual time like any other registered goroutine.
 func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	sub := &asyncSub{
-		ch:   make(chan proto.NotifyArgs, depth),
-		done: make(chan struct{}),
-	}
+	clk := m.rt.Clock()
+	sub := &asyncSub{wake: clk.NewGate(), depth: depth, finished: make(chan struct{})}
 	m.mu.Lock()
 	m.asyncs = append(m.asyncs, sub)
 	m.mu.Unlock()
 
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case ev := <-sub.ch:
+	clk.Go(func() {
+		if !sub.start() {
+			return // stopped before the clock ever started it
+		}
+		defer close(sub.finished)
+		// stop sets stopped before it signals, so the Wait after it
+		// returns and the loop ends.
+		for sub.wake.Wait(context.Background()) == nil && !sub.isStopped() {
+			for ev, ok := sub.pop(); ok; ev, ok = sub.pop() {
 				m.queueDepth.Add(-1)
 				m.delivered.Inc()
 				h(ev)
-			case <-sub.done:
-				return
 			}
 		}
-	}()
+	})
 
 	var once sync.Once
 	return func() {
@@ -144,17 +193,18 @@ func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 				}
 			}
 			m.mu.Unlock()
-			close(sub.done)
-			<-finished
+			sub.mu.Lock()
+			sub.stopped = true
+			started := sub.started
 			// Account for events still queued at detach.
-			for {
-				select {
-				case <-sub.ch:
-					m.queueDepth.Add(-1)
-					m.dropped.Inc()
-				default:
-					return
-				}
+			left := len(sub.queue)
+			sub.queue = nil
+			sub.mu.Unlock()
+			m.queueDepth.Add(-int64(left))
+			m.dropped.Add(int64(left))
+			sub.wake.Signal()
+			if started {
+				<-sub.finished
 			}
 		})
 	}
@@ -178,13 +228,18 @@ func (m *Monitor) deliver(ev proto.NotifyArgs) {
 	hs := append([]Handler(nil), m.handlers...)
 	subs := append([]*asyncSub(nil), m.asyncs...)
 	m.mu.Unlock()
+	clk := m.rt.Clock()
 	for _, sub := range subs {
-		select {
-		case sub.ch <- ev:
-			m.queueDepth.Add(1)
-		default:
+		if !sub.push(ev) {
 			m.dropped.Inc()
+			continue
 		}
+		m.queueDepth.Add(1)
+		// The wake is an event on the clock, as a Group's release is:
+		// under a virtual clock each dispatcher starts its handler only
+		// once the delivering goroutine has parked, one at a time, so
+		// the run replays.
+		clk.Go(sub.wake.Signal)
 	}
 	for _, h := range hs {
 		h(ev)

@@ -295,7 +295,7 @@ func (r *Rebalancer) ensureRunning(ctx context.Context, c *classobj.Class, inst 
 func (r *Rebalancer) execute(ctx context.Context, moves []Move) int {
 	var okCount int64
 	var mu sync.Mutex
-	fanout.Do(r.cfg.MaxConcurrent, len(moves), func(i int) {
+	fanout.Do(r.clock, r.cfg.MaxConcurrent, len(moves), func(i int) {
 		m := moves[i]
 		if !r.claim(m.Instance) {
 			r.skipBusy.Inc()

@@ -106,6 +106,51 @@ func TestRebalancerShedsOverloadedHost(t *testing.T) {
 	}
 }
 
+// TestRebalancerReactsOnVirtualClock is the §3.5 loop above on a virtual
+// runtime whose every call sleeps on a link: the Monitor's dispatcher
+// runs the handler, and with it the plan's Collection query and the
+// migration's calls, as a goroutine registered with the clock: from a
+// bare goroutine, the first park would spend a busy credit it does not
+// own.
+func TestRebalancerReactsOnVirtualClock(t *testing.T) {
+	vc := vclock.NewVirtual()
+	ms := buildMetaOn(t, vc, 3, 1)
+	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
+	c := ms.DefineClass("Worker", nil)
+	r := New(ms, Config{Classes: []*classobj.Class{c}, Cooldown: -1})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	var inst, src loid.LOID
+	vc.Run(func() {
+		ctx := context.Background()
+		insts, p, err := c.CreateInstance(ctx, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, src = insts[0], p.Host
+		if err := ms.WatchLoad(ctx, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range ms.Hosts() {
+			if h.LOID() == src {
+				h.SetExternalLoad(0.95)
+			} else {
+				h.SetExternalLoad(0.3)
+			}
+		}
+		ms.ReassessAll(ctx)
+		_ = vc.Sleep(ctx, time.Minute)
+	})
+	if hL, _, err := c.WhereIs(inst); err != nil || hL == src {
+		t.Fatalf("instance still on the hot host %v (err %v)", hL, err)
+	}
+	if a := ms.AuditMigrations(c); !a.Clean() {
+		t.Errorf("audit after rebalance: %v", a)
+	}
+}
+
 // TestCooldownSuppressesRepeatShedding: after a successful shed, further
 // events from the same host are ignored until the window passes.
 func TestCooldownSuppressesRepeatShedding(t *testing.T) {

@@ -130,11 +130,7 @@ var placementGens = []scheduler.Generator{
 // the metasystem through its listener and finds the services in its
 // directory, as legion-run does.
 func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(), runtimes []*orb.Runtime) {
-	opts := core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock}
-	if clock != nil {
-		opts.Parallelism = 1 // the engine cannot see fanout's goroutines
-	}
-	ms := core.New("alloc", opts)
+	ms := core.New("alloc", core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock})
 	class := ms.DefineClass("Worker", nil)
 	rng := rand.New(rand.NewSource(1))
 	Build(ms, rng, RandomSpecs(rng, 256, "z1", "z2", "z3", "z4"))

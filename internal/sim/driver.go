@@ -76,6 +76,10 @@ type DriverResult struct {
 	Succeeded int
 	// Shed counts typed overload refusals; Failed everything else.
 	Shed, Failed int
+	// Stranded counts successful placements whose teardown failed: the
+	// DestroyInstance call returned an error, so the instance may still
+	// be running. Each request places one instance.
+	Stranded int
 	// ShedByPriority splits Shed by the refused spec's priority; nil
 	// until the first shed.
 	ShedByPriority map[int]int
@@ -141,8 +145,9 @@ func (f *Fleet) Drive(ctx context.Context, class *classobj.Class, cfg DriverConf
 // placements of the given class against ms, through the production
 // pipeline (Generator → Wrapper → Enactor → Hosts), and returns the
 // tallied result. Successful placements are torn down, so repeated
-// replays see the same capacity and the caller's conservation audit can
-// expect an empty site.
+// replays see the same capacity. Teardown is one call per instance with
+// no retry: under injected faults some fail, and Stranded counts them, so
+// a conservation audit expects exactly that many instances left behind.
 //
 // Open-loop is the property that makes overload testing honest: arrivals
 // keep their schedule however many earlier requests are still in flight,
@@ -213,16 +218,20 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 			// Fresh context: the request deadline may be spent, and a
 			// successful placement must not leak because cleanup raced.
 			cctx := clock.WithDeadline(context.WithoutCancel(ctx), clock.Now().Add(30*time.Second))
+			stranded := 0
 			for j, insts := range out.Instances {
 				for _, inst := range insts {
-					_, _ = rt.Call(cctx, out.Feedback.Resolved[j].Class,
-						proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
+					if _, err := rt.Call(cctx, out.Feedback.Resolved[j].Class,
+						proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst}); err != nil {
+						stranded++
+					}
 				}
 			}
 			_ = ms.Enactor.CancelReservations(cctx, out.RequestID)
 			vclock.End(cctx)
 			mu.Lock()
 			res.Succeeded++
+			res.Stranded += stranded
 			res.Latencies = append(res.Latencies, lat)
 			mu.Unlock()
 			return

@@ -18,7 +18,7 @@ import (
 // one to finish, and none drifts.
 func TestUniformArrivalsAreAbsolute(t *testing.T) {
 	vc := vclock.NewVirtual()
-	ms := core.New("drive", core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: vc, Parallelism: 1})
+	ms := core.New("drive", core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: vc})
 	defer ms.Close()
 	class := ms.DefineClass("Worker", nil)
 	rng := rand.New(rand.NewSource(1))

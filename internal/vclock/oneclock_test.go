@@ -47,26 +47,65 @@ var wallReads = map[string]int{
 	"cmd/legion-run/main.go": 3,
 }
 
+// bareGos is every non-test file under internal/ and cmd/ that may start
+// a goroutine with a go statement, with its exact count. Everything else
+// spawns through its clock's Go, which a virtual clock registers: a bare
+// goroutine that parks on a virtual clock spends some other goroutine's
+// busy credit, and the engine fires its next event early.
+var bareGos = map[string]int{
+	// The clocks themselves.
+	"internal/vclock/wall.go":    3,
+	"internal/vclock/virtual.go": 1,
+	"internal/vclock/ctx.go":     1,
+	// Sockets: the accept loop, a connection's server and reader, and the
+	// write coalescer's flusher (ROADMAP item 9).
+	"internal/orb/tcp.go":      3,
+	"internal/orb/coalesce.go": 1,
+	// The wall clock's worker pool; fanout.Do runs serially on any other.
+	"internal/fanout/fanout.go": 1,
+	// "<-stop; cancel()" watchers, which never touch a clock.
+	"internal/collection/daemon/daemon.go": 1,
+	"internal/rebalance/rebalance.go":      1,
+	"internal/rebalance/predictive.go":     1,
+	// A daemon's telemetry listener and status line, on the wall clock.
+	"cmd/legiond/main.go": 2,
+}
+
 // TestOneClockPerGraph holds the rule that time reaches a service only
 // through the vclock.Clock it was built with: no value of type
 // func() time.Time is stored, passed or returned, the runtime's
-// SetClock is the only clock setter, and the wall clock is read only
-// where wallReads allows.
+// SetClock is the only clock setter, the wall clock is read only where
+// wallReads allows, and a goroutine is started bare only where bareGos
+// allows.
 func TestOneClockPerGraph(t *testing.T) {
-	reads := map[string]int{}
+	reads, gos := map[string]int{}, map[string]int{}
 	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
 		if n := checkClockUse(t, fset, rel, f); n > 0 {
 			reads[rel] = n
 		}
+		ast.Inspect(f, func(node ast.Node) bool {
+			if _, ok := node.(*ast.GoStmt); ok {
+				gos[rel]++
+			}
+			return true
+		})
 	})
-	for file, n := range reads {
-		if want := wallReads[file]; n != want {
-			t.Errorf("%s: %d time.Now/time.Since references, allowed %d; take the clock the service was built with", file, n, want)
+	exact(t, reads, wallReads, "time.Now/time.Since references", "take the clock the service was built with", "wallReads")
+	exact(t, gos, bareGos, "go statements", "spawn with the clock's Go", "bareGos")
+}
+
+// exact fails t for every file whose count in got differs from its
+// allowance in allowed.
+func exact(t *testing.T, got, allowed map[string]int, what, fix, table string) {
+	t.Helper()
+	for file, n := range got {
+		if want := allowed[file]; n != want {
+			t.Errorf("%s: %d %s, allowed %d; %s", file, n, what, want, fix)
 		}
 	}
-	for file, want := range wallReads {
-		if _, ok := reads[file]; !ok {
-			t.Errorf("%s: allowed %d time.Now/time.Since references, found none; drop it from wallReads", file, want)
+	for file, want := range allowed {
+		if _, ok := got[file]; !ok {
+			t.Errorf("%s: allowed %d %s, found none; drop it from %s", file, want, what, table)
 		}
 	}
 }

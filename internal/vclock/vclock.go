@@ -12,7 +12,7 @@
 // bit-identically from a seed because nothing waits on the scheduler's
 // whims — see DESIGN.md §13 for the architecture and the rules
 // virtual-mode code must follow (spawn via Clock.Go, block only through
-// Clock primitives, Parallelism=1).
+// Clock primitives).
 package vclock
 
 import (

@@ -25,8 +25,7 @@ import (
 //   - every goroutine that parks (Sleep, Ticker.Wait, Gate.Wait,
 //     Group.Wait) must be spawned via Go or be the root of Run;
 //   - registered goroutines never block on bare channels, WaitGroups,
-//     or network I/O — they use Gate/Group, and fan-out runs with
-//     Parallelism=1;
+//     or network I/O — they use Gate/Group;
 //   - cancellation that must wake a parked goroutine flows through a
 //     context created by this clock's WithDeadline (stdlib contexts work
 //     but wake asynchronously, which costs determinism, not safety).
