@@ -58,7 +58,7 @@ func seedInstances(t *testing.T, s *Site, c *classobj.Class, n int) []loid.LOID 
 	return insts
 }
 
-// TestMigrationChaosConservation is the ISSUE 5 acceptance scenario: a
+// TestMigrationChaosConservation is the migration acceptance scenario: a
 // migration storm where the destination host or destination vault dies
 // mid-protocol (injected faults on StartObject / StoreOPR / DeleteOPR /
 // DeactivateObject at a rate >= 20%, plus whole host/vault crash
@@ -66,7 +66,7 @@ func seedInstances(t *testing.T, s *Site, c *classobj.Class, n int) []loid.LOID 
 // running exactly once with its state intact, with zero leaked
 // reservation tokens and zero orphaned OPRs.
 func TestMigrationChaosConservation(t *testing.T) {
-	seed := SeedFromEnv(5)
+	const seed = 5
 	w, s, c := migrationWorld(t, seed, 3, 2)
 	insts := seedInstances(t, s, c, 6)
 	ctx := context.Background()
@@ -142,7 +142,7 @@ func TestMigrationChaosConservation(t *testing.T) {
 // and StoreOPR calls fail. Afterwards a Reconcile pass must leave every
 // instance running exactly once with a clean audit.
 func TestRebalanceChaosExactlyOnce(t *testing.T) {
-	seed := SeedFromEnv(9)
+	const seed = 9
 	w, s, c := migrationWorld(t, seed, 3, 2)
 	insts := seedInstances(t, s, c, 6)
 	ctx := context.Background()

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -10,17 +9,6 @@ import (
 	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
-
-// storm drives an open-loop storm of uniform arrivals at the site's
-// Worker class, seeded by the world seed and uncached: a storm measures
-// the control plane, so every request queries the Collection.
-func storm(w *World, site *Site, cfg sim.DriverConfig) *sim.DriverResult {
-	class, _ := site.MS.Class("Worker")
-	cfg.Arrivals = sim.Uniform
-	cfg.SnapshotTTL = -1
-	cfg.Seed = w.Seed()
-	return sim.Drive(context.Background(), site.MS, class, cfg)
-}
 
 // stormWorld builds a single-site world at the given admission settings
 // with a private registry for exact counter assertions.
@@ -32,7 +20,7 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 		MaxAttempts: 2, BaseDelay: time.Millisecond,
 		Budget: 2 * time.Second, AttemptTimeout: time.Second,
 	}
-	w, err := NewWorld(SeedFromEnv(42), opts, SiteSpec{Domain: "uva", Hosts: 4})
+	w, err := NewWorld(42, opts, SiteSpec{Domain: "uva", Hosts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +32,7 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 // after an overload storm against an admission-controlled site drains,
 // every shed must have been a pure refusal — zero reservations and zero
 // running instances left behind, and no circuit breaker tripped by a
-// shed (sheds classify as refusals, not transport failures). Seed
-// replay: LEGION_CHAOS_SEED pins the run.
+// shed (sheds classify as refusals, not transport failures).
 func TestOverloadStormConservation(t *testing.T) {
 	const breakerThreshold = 5
 	w, reg := stormWorld(t, core.Options{

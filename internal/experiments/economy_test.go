@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,9 +19,12 @@ import (
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
+	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // TestE14EconomyShape is the reduced acceptance run for the E14 claim:
@@ -97,6 +102,125 @@ func TestE14EconomyDifferential(t *testing.T) {
 	got := run(scheduler.DeadlineBudget{Estimate: time.Hour})
 	if got != base {
 		t.Errorf("unconstrained deadline-budget diverges from random:\nrandom: %+v\ndb:     %+v", base, got)
+	}
+}
+
+// runConservationCampaign drives a seeded multi-tenant workload through
+// a flaky transport (failed reservations, lost cancels, aborted
+// enactments), then quiesces — a virtual-time sleep past the Enactor's
+// request TTL plus an explicit sweep — and returns the ledger.
+func runConservationCampaign(t *testing.T, seed int64, faultRate float64) *economy.Ledger {
+	t.Helper()
+	vc := vclock.NewVirtual()
+	ms := core.New("conserve", core.Options{
+		Seed:    seed,
+		Metrics: telemetry.NewRegistry(),
+		Clock:   vc,
+		Economy: true,
+		Retry: resilient.Policy{
+			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
+			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
+			Clock: vc, JitterRand: resilient.NewLockedRand(seed),
+		},
+	})
+	defer ms.Close()
+	class := ms.DefineClass("Worker", nil)
+
+	rng := rand.New(rand.NewSource(seed))
+	fleet := sim.Build(ms, rng, sim.EconomySpecs(rng, 200, "z1", "z2"))
+	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
+
+	led := ms.Ledger()
+	budgets := map[string]economy.Credits{}
+	for i, tn := range economyTenants {
+		// The first tenant runs on a shoestring so the campaign also
+		// exercises the budget-refusal rollback path; the rest are rich.
+		b := economy.ToCredits(25)
+		if i > 0 {
+			b = economy.ToCredits(1e6)
+		}
+		led.Open(tn, b)
+		budgets[tn] = b
+	}
+
+	if faultRate > 0 {
+		var fmu sync.Mutex
+		frng := rand.New(rand.NewSource(seed + 1))
+		ms.Runtime().SetFaultInjector(func(target loid.LOID, method string) error {
+			fmu.Lock()
+			defer fmu.Unlock()
+			if frng.Float64() < faultRate {
+				return fmt.Errorf("%w: flaky link (%s)", orb.ErrInjectedFault, method)
+			}
+			return nil
+		})
+	}
+
+	vc.Run(func() {
+		_ = fleet.Drive(context.Background(), class, sim.DriverConfig{
+			Clock:       vc,
+			Rate:        1000,
+			Requests:    800,
+			Arrivals:    sim.Poisson,
+			Seed:        seed,
+			Deadline:    5 * time.Second,
+			SnapshotTTL: 10 * time.Second,
+			Spec:        economySpec,
+		})
+		// Quiesce: outlive the Enactor's request TTL so the sweep below
+		// refunds every orphaned episode (replies lost to faults).
+		_ = vc.Sleep(context.Background(), 6*time.Minute)
+	})
+	ms.Runtime().SetFaultInjector(nil)
+	ms.Enactor.ReapRequests()
+
+	for tn, b := range budgets {
+		if got := led.Account(tn).Budget; got != b {
+			t.Errorf("seed %d: tenant %s budget drifted: %v != %v", seed, tn, got, b)
+		}
+	}
+	return led
+}
+
+// TestEconomyLedgerConservationCampaign is the campaign-level property
+// test: across randomized multi-tenant workloads with injected
+// transport faults (failed enactments, rollbacks, lost cancellations),
+// every tenant's credits are conserved to the token — budget =
+// remaining + outstanding throughout, every refund matches a charge,
+// and after quiescence every charge has been refunded exactly once,
+// restoring remaining == budget.
+func TestEconomyLedgerConservationCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		rate float64
+	}{
+		{seed: 7, rate: 0},
+		{seed: 11, rate: 0.05},
+	} {
+		t.Run(fmt.Sprintf("seed=%d_fault=%v", tc.seed, tc.rate), func(t *testing.T) {
+			led := runConservationCampaign(t, tc.seed, tc.rate)
+			if msgs := led.Audit(); len(msgs) > 0 {
+				t.Errorf("ledger audit failed: %v", msgs)
+			}
+			if n := led.LiveCharges(); n != 0 {
+				t.Errorf("%d live charges after quiescence", n)
+			}
+			var spent economy.Credits
+			for _, a := range led.Accounts() {
+				if a.Spent != a.Refunded {
+					t.Errorf("tenant %q: spent %v != refunded %v after teardown",
+						a.Tenant, a.Spent, a.Refunded)
+				}
+				if a.Remaining() != a.Budget {
+					t.Errorf("tenant %q: remaining %v != budget %v after teardown",
+						a.Tenant, a.Remaining(), a.Budget)
+				}
+				spent += a.Spent
+			}
+			if spent == 0 {
+				t.Error("campaign spent nothing: the property was tested against a no-op")
+			}
+		})
 	}
 }
 
