@@ -47,7 +47,7 @@ func main() {
 	for i := 0; i < 4; i++ {
 		q := batchq.New(batchq.Config{
 			Name: fmt.Sprintf("loadleveler-%d", i), Slots: 8,
-			Policy: batchq.FCFS, DispatchDelay: 20 * time.Millisecond,
+			DispatchDelay: 20 * time.Millisecond,
 		})
 		defer q.Close()
 		queues = append(queues, q)

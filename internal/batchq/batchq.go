@@ -9,69 +9,29 @@
 // Unix machines, LoadLeveler, and Codine.
 //
 // Since those proprietary systems are unavailable, this package provides
-// a faithful synthetic equivalent: a job queue with a fixed number of
-// execution slots, FCFS or priority ordering, and a configurable dispatch
-// delay modelling scheduler cycle time. The Batch Queue Host (package
-// host) submits object activations as jobs; the delay between submission
-// and dispatch is exactly the behaviour that distinguishes batch-managed
-// resources from interactive Unix hosts in the experiments.
+// a faithful synthetic equivalent: an FCFS job queue with a fixed number
+// of execution slots and a configurable dispatch delay modelling
+// scheduler cycle time. The delay between submission and dispatch is
+// exactly the behaviour that distinguishes batch-managed resources from
+// interactive Unix hosts in the experiments.
+//
+// Its one production caller is the Batch Queue Host (package host);
+// legiond and the examples only build queues to hand to one. It stays a
+// package of its own because it stands for the queue manager behind the
+// host, not the host: the substrate a LoadLeveler or Codine would replace,
+// which sits below the Host's reservation table and knows nothing of
+// reservations, objects or the ORB.
 package batchq
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"legion/internal/vclock"
 )
-
-// Policy selects the queue ordering discipline.
-type Policy int
-
-// Queue ordering disciplines.
-const (
-	// FCFS dispatches jobs in submission order (LoadLeveler default
-	// class behaviour).
-	FCFS Policy = iota
-	// Priority dispatches the highest-priority job first, FCFS within a
-	// priority level (Codine-style).
-	Priority
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == Priority {
-		return "priority"
-	}
-	return "fcfs"
-}
-
-// State is a job's lifecycle state.
-type State int
-
-// Job lifecycle states.
-const (
-	StateQueued State = iota
-	StateRunning
-	StateDone
-	StateCancelled
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	default:
-		return "cancelled"
-	}
-}
 
 // JobID identifies a submitted job.
 type JobID uint64
@@ -82,11 +42,10 @@ type Config struct {
 	Name string
 	// Slots is the number of jobs that may run concurrently; must be >= 1.
 	Slots int
-	// Policy is the ordering discipline.
-	Policy Policy
 	// DispatchDelay is the simulated scheduler cycle: the minimum time
 	// between a job reaching the head of the queue with a free slot and
-	// its start callback running. Zero dispatches synchronously.
+	// its start callback running. Zero starts it through Clock.Go, once
+	// the goroutine that submitted it or freed its slot has parked.
 	DispatchDelay time.Duration
 	// Clock supplies dispatch timers and wait-time accounting; nil means
 	// the wall clock.
@@ -99,55 +58,12 @@ var (
 	ErrClosed     = errors.New("batchq: queue closed")
 )
 
-// job is the internal job record.
+// job is a job's record, kept while it is queued or holds a slot.
 type job struct {
 	id        JobID
-	name      string
-	priority  int
-	state     State
 	submitted time.Time
-	started   time.Time
 	onStart   func(JobID)
-	seq       uint64 // FCFS tiebreak
-	index     int    // heap index
-}
-
-// jobHeap orders queued jobs per the policy.
-type jobHeap struct {
-	jobs   []*job
-	policy Policy
-}
-
-func (h *jobHeap) Len() int { return len(h.jobs) }
-
-func (h *jobHeap) Less(i, j int) bool {
-	a, b := h.jobs[i], h.jobs[j]
-	if h.policy == Priority && a.priority != b.priority {
-		return a.priority > b.priority // higher priority first
-	}
-	return a.seq < b.seq
-}
-
-func (h *jobHeap) Swap(i, j int) {
-	h.jobs[i], h.jobs[j] = h.jobs[j], h.jobs[i]
-	h.jobs[i].index = i
-	h.jobs[j].index = j
-}
-
-func (h *jobHeap) Push(x any) {
-	j := x.(*job)
-	j.index = len(h.jobs)
-	h.jobs = append(h.jobs, j)
-}
-
-func (h *jobHeap) Pop() any {
-	old := h.jobs
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.index = -1
-	h.jobs = old[:n-1]
-	return j
+	started   bool // dispatched; a delayed dispatch holds a slot before it starts
 }
 
 // Stats summarizes queue occupancy.
@@ -168,10 +84,9 @@ type Queue struct {
 
 	mu      sync.Mutex
 	nextID  JobID
-	nextSeq uint64
-	pending jobHeap
-	jobs    map[JobID]*job
-	running int
+	pending []*job         // waiting for a slot, in submission order
+	jobs    map[JobID]*job // queued or holding a slot
+	running int            // slots held, a pending delayed dispatch's included
 	stats   Stats
 	closed  bool
 	timers  map[vclock.Timer]struct{}
@@ -185,174 +100,112 @@ func New(cfg Config) *Queue {
 		panic(fmt.Sprintf("batchq: %q: slots must be >= 1, got %d", cfg.Name, cfg.Slots))
 	}
 	return &Queue{
-		cfg:     cfg,
-		jobs:    make(map[JobID]*job),
-		timers:  make(map[vclock.Timer]struct{}),
-		pending: jobHeap{policy: cfg.Policy},
-		clock:   vclock.Default(cfg.Clock),
+		cfg:    cfg,
+		jobs:   make(map[JobID]*job),
+		timers: make(map[vclock.Timer]struct{}),
+		clock:  vclock.Default(cfg.Clock),
 	}
 }
 
 // Config returns the queue's configuration.
 func (q *Queue) Config() Config { return q.cfg }
 
-// Submit enqueues a job. onStart, if non-nil, runs when the job is
-// dispatched to a slot — synchronously within Submit when a slot is free
-// and DispatchDelay is zero, otherwise on a timer or a later Complete/
-// Cancel call. onStart must not block.
-func (q *Queue) Submit(name string, priority int, onStart func(JobID)) (JobID, error) {
+// Submit enqueues a job. onStart, if non-nil, runs on its own clock
+// goroutine when the job is dispatched to a slot, never inside Submit,
+// Complete or Cancel. onStart must not block.
+func (q *Queue) Submit(onStart func(JobID)) (JobID, error) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return 0, ErrClosed
 	}
 	q.nextID++
-	q.nextSeq++
-	j := &job{
-		id:        q.nextID,
-		name:      name,
-		priority:  priority,
-		state:     StateQueued,
-		submitted: q.clock.Now(),
-		onStart:   onStart,
-		seq:       q.nextSeq,
-	}
+	j := &job{id: q.nextID, submitted: q.clock.Now(), onStart: onStart}
 	q.jobs[j.id] = j
-	heap.Push(&q.pending, j)
-	starts := q.fillSlotsLocked()
-	q.mu.Unlock()
-	runStarts(starts)
+	q.pending = append(q.pending, j)
+	q.fillSlotsLocked()
 	return j.id, nil
 }
 
-// fillSlotsLocked dispatches queued jobs into free slots. It returns the
-// start callbacks to run after the lock is released (zero-delay case);
-// delayed dispatches are armed on timers.
-func (q *Queue) fillSlotsLocked() []func() {
-	var starts []func()
-	for q.running < q.cfg.Slots && q.pending.Len() > 0 {
-		j := heap.Pop(&q.pending).(*job)
+// fillSlotsLocked dispatches queued jobs into free slots, at once or on
+// a timer when there is a dispatch delay.
+func (q *Queue) fillSlotsLocked() {
+	for q.running < q.cfg.Slots && len(q.pending) > 0 {
+		j := q.pending[0]
+		q.pending = slices.Delete(q.pending, 0, 1)
 		q.running++
 		if q.cfg.DispatchDelay <= 0 {
 			q.startLocked(j)
-			if j.onStart != nil {
-				cb, id := j.onStart, j.id
-				starts = append(starts, func() { cb(id) })
-			}
 			continue
 		}
 		var tm vclock.Timer
 		tm = q.clock.AfterFunc(q.cfg.DispatchDelay, func() {
 			q.mu.Lock()
+			defer q.mu.Unlock()
 			delete(q.timers, tm)
-			if q.closed || j.state != StateQueued {
+			if q.closed || q.jobs[j.id] != j {
 				// Cancelled while waiting for dispatch: free the slot.
 				q.running--
-				more := q.fillSlotsLocked()
-				q.mu.Unlock()
-				runStarts(more)
+				q.fillSlotsLocked()
 				return
 			}
 			q.startLocked(j)
-			cb, id := j.onStart, j.id
-			q.mu.Unlock()
-			if cb != nil {
-				cb(id)
-			}
 		})
 		q.timers[tm] = struct{}{}
 	}
-	return starts
 }
 
-func runStarts(starts []func()) {
-	for _, s := range starts {
-		s()
+// startLocked marks j started and runs its start callback through the
+// clock: under a virtual clock it runs only once the goroutine that
+// dispatched j has parked, as a Group's release does, so a run replays.
+func (q *Queue) startLocked(j *job) {
+	j.started = true
+	q.stats.TotalWait += q.clock.Since(j.submitted)
+	if cb, id := j.onStart, j.id; cb != nil {
+		q.clock.Go(func() { cb(id) })
 	}
 }
 
-func (q *Queue) startLocked(j *job) {
-	j.state = StateRunning
-	j.started = q.clock.Now()
-	q.stats.TotalWait += j.started.Sub(j.submitted)
-}
-
-// Complete marks a running job finished, freeing its slot. Completing a
-// queued job is an error (it has not started); use Cancel.
+// Complete marks a running job finished, freeing its slot and dropping
+// its record. Completing a job that has not started is an error; use
+// Cancel.
 func (q *Queue) Complete(id JobID) error {
 	q.mu.Lock()
-	j, ok := q.jobs[id]
-	if !ok {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	if j.state != StateRunning {
-		q.mu.Unlock()
-		return fmt.Errorf("batchq: complete job %d in state %v", id, j.state)
-	}
-	j.state = StateDone
-	q.running--
-	q.stats.Done++
-	starts := q.fillSlotsLocked()
-	q.mu.Unlock()
-	runStarts(starts)
-	return nil
-}
-
-// Cancel removes a job. A queued job is dropped; a running job's slot is
-// freed (the caller is responsible for killing whatever it started).
-func (q *Queue) Cancel(id JobID) error {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	if !ok || j.state == StateDone || j.state == StateCancelled {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	wasRunning := j.state == StateRunning
-	wasQueued := j.state == StateQueued
-	j.state = StateCancelled
-	q.stats.Cancelled++
-	if wasQueued && j.index >= 0 {
-		heap.Remove(&q.pending, j.index)
-	}
-	var starts []func()
-	if wasRunning {
-		q.running--
-		starts = q.fillSlotsLocked()
-	}
-	q.mu.Unlock()
-	runStarts(starts)
-	return nil
-}
-
-// Forget drops a terminal (done or cancelled) job's record, so callers
-// that submit an unbounded stream of jobs (e.g. an admission controller
-// reusing the queue's priority ordering) do not grow the job map without
-// limit. Forgetting a queued or running job is an error — it still owns
-// heap or slot state.
-func (q *Queue) Forget(id JobID) error {
-	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
-	if j.state != StateDone && j.state != StateCancelled {
-		return fmt.Errorf("batchq: forget job %d in state %v", id, j.state)
+	if !j.started {
+		return fmt.Errorf("batchq: complete job %d before it started", id)
 	}
 	delete(q.jobs, id)
+	q.running--
+	q.stats.Done++
+	q.fillSlotsLocked()
 	return nil
 }
 
-// State returns a job's lifecycle state.
-func (q *Queue) State(id JobID) (State, error) {
+// Cancel removes a job and drops its record. A queued job is dropped; a
+// started one's slot is freed (the caller is responsible for killing
+// whatever it started); one waiting out its dispatch delay frees its slot
+// when the delay ends.
+func (q *Queue) Cancel(id JobID) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownJob, id)
+		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
-	return j.state, nil
+	delete(q.jobs, id)
+	q.stats.Cancelled++
+	if j.started {
+		q.running--
+		q.fillSlotsLocked()
+	} else if i := slices.Index(q.pending, j); i >= 0 {
+		q.pending = slices.Delete(q.pending, i, i+1)
+	}
+	return nil
 }
 
 // Stats returns a snapshot of queue occupancy and accounting.
@@ -360,7 +213,7 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := q.stats
-	s.Queued = q.pending.Len()
+	s.Queued = len(q.pending)
 	s.Running = q.running
 	return s
 }
@@ -369,7 +222,7 @@ func (q *Queue) Stats() Stats {
 func (q *Queue) QueueLength() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pending.Len()
+	return len(q.pending)
 }
 
 // Close stops the queue: pending timers are cancelled and future Submits

@@ -10,34 +10,44 @@ import (
 	"legion/internal/vclock"
 )
 
+// virtualQueue builds a queue on a fresh virtual clock. Start callbacks
+// are clock events, so a test fires them with RunUntilIdle.
+func virtualQueue(cfg Config) (*Queue, *vclock.Virtual) {
+	vc := vclock.NewVirtualAt(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
+	cfg.Clock = vc
+	return New(cfg), vc
+}
+
 func TestImmediateDispatchWhenSlotsFree(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 2})
+	q, vc := virtualQueue(Config{Name: "test", Slots: 2})
 	var started []JobID
 	onStart := func(id JobID) { started = append(started, id) }
-	id1, err := q.Submit("a", 0, onStart)
+	id1, err := q.Submit(onStart)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := q.Submit("b", 0, onStart)
-	if len(started) != 2 || started[0] != id1 || started[1] != id2 {
-		t.Fatalf("started = %v", started)
-	}
+	id2, _ := q.Submit(onStart)
 	st := q.Stats()
 	if st.Running != 2 || st.Queued != 0 {
 		t.Errorf("stats = %+v", st)
 	}
+	vc.RunUntilIdle()
+	if len(started) != 2 || started[0] != id1 || started[1] != id2 {
+		t.Fatalf("started = %v", started)
+	}
 }
 
 func TestQueueingBeyondSlots(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1})
+	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
 	var started []string
 	submit := func(name string) JobID {
-		id, _ := q.Submit(name, 0, func(JobID) { started = append(started, name) })
+		id, _ := q.Submit(func(JobID) { started = append(started, name) })
 		return id
 	}
 	a := submit("a")
 	submit("b")
 	submit("c")
+	vc.RunUntilIdle()
 	if len(started) != 1 || started[0] != "a" {
 		t.Fatalf("started = %v", started)
 	}
@@ -47,42 +57,14 @@ func TestQueueingBeyondSlots(t *testing.T) {
 	if err := q.Complete(a); err != nil {
 		t.Fatal(err)
 	}
+	// The next job starts only once the completing goroutine has parked.
+	if len(started) != 1 {
+		t.Fatalf("a job started inside Complete: %v", started)
+	}
+	vc.RunUntilIdle()
 	// FCFS: b before c.
 	if len(started) != 2 || started[1] != "b" {
 		t.Fatalf("after complete, started = %v", started)
-	}
-}
-
-func TestPriorityOrdering(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1, Policy: Priority})
-	var order []string
-	var runningID atomic.Uint64
-	mk := func(name string, prio int) {
-		q.Submit(name, prio, func(id JobID) {
-			order = append(order, name)
-			runningID.Store(uint64(id))
-		})
-	}
-	mk("first", 0) // dispatches immediately, occupying the slot
-	mk("low", 1)
-	mk("high", 10)
-	mk("mid", 5)
-	mk("high2", 10)
-	// Complete the runner four times; each completion dispatches the next
-	// job by priority (FCFS within equal priorities).
-	for i := 0; i < 4; i++ {
-		if err := q.Complete(JobID(runningID.Load())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{"first", "high", "high2", "mid", "low"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 
@@ -91,7 +73,7 @@ func TestDispatchDelay(t *testing.T) {
 	defer q.Close()
 	started := make(chan time.Time, 1)
 	t0 := time.Now()
-	q.Submit("a", 0, func(JobID) { started <- time.Now() })
+	q.Submit(func(JobID) { started <- time.Now() })
 	select {
 	case ts := <-started:
 		if d := ts.Sub(t0); d < 25*time.Millisecond {
@@ -107,32 +89,34 @@ func TestDispatchDelay(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1})
-	a, _ := q.Submit("a", 0, nil)
-	b, _ := q.Submit("b", 0, nil)
+	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
+	a, _ := q.Submit(nil)
+	b, _ := q.Submit(nil)
 	cStarted := false
-	q.Submit("c", 0, func(JobID) { cStarted = true })
+	q.Submit(func(JobID) { cStarted = true })
 
 	if err := q.Cancel(b); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := q.State(b); s != StateCancelled {
-		t.Errorf("state(b) = %v", s)
+	if st := q.Stats(); st.Cancelled != 1 || st.Queued != 1 {
+		t.Errorf("after cancelling b: %+v", st)
 	}
 	q.Complete(a)
+	vc.RunUntilIdle()
 	if !cStarted {
 		t.Error("c should start after a completes (b cancelled)")
 	}
 }
 
 func TestCancelRunningJobFreesSlot(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1})
-	a, _ := q.Submit("a", 0, nil)
+	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
+	a, _ := q.Submit(nil)
 	bStarted := false
-	q.Submit("b", 0, func(JobID) { bStarted = true })
+	q.Submit(func(JobID) { bStarted = true })
 	if err := q.Cancel(a); err != nil {
 		t.Fatal(err)
 	}
+	vc.RunUntilIdle()
 	if !bStarted {
 		t.Error("b should start after a cancelled")
 	}
@@ -143,8 +127,8 @@ func TestCancelDelayedDispatchFreesSlot(t *testing.T) {
 	defer q.Close()
 	aStarted := make(chan struct{})
 	bStarted := make(chan struct{})
-	a, _ := q.Submit("a", 0, func(JobID) { close(aStarted) })
-	q.Submit("b", 0, func(JobID) { close(bStarted) })
+	a, _ := q.Submit(func(JobID) { close(aStarted) })
+	q.Submit(func(JobID) { close(bStarted) })
 	// Cancel a while its dispatch timer is pending.
 	if err := q.Cancel(a); err != nil {
 		t.Fatal(err)
@@ -169,10 +153,7 @@ func TestErrorPaths(t *testing.T) {
 	if err := q.Cancel(99); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("Cancel(unknown) = %v", err)
 	}
-	if _, err := q.State(99); !errors.Is(err, ErrUnknownJob) {
-		t.Errorf("State(unknown) = %v", err)
-	}
-	a, _ := q.Submit("a", 0, nil)
+	a, _ := q.Submit(nil)
 	q.Complete(a)
 	if err := q.Complete(a); err == nil {
 		t.Error("double Complete succeeded")
@@ -181,27 +162,51 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("Cancel(done) = %v", err)
 	}
 	// Completing a queued (not yet running) job is an error.
-	q.Submit("b", 0, nil) // running
-	c, _ := q.Submit("c", 0, nil)
+	q.Submit(nil) // running
+	c, _ := q.Submit(nil)
 	if err := q.Complete(c); err == nil {
 		t.Error("Complete(queued) succeeded")
+	}
+}
+
+// TestFinishedJobsLeaveNoRecord: a queue that runs an unbounded stream of
+// jobs keeps a record only while a job is queued or holds a slot, as a
+// Batch Queue Host's queue does over its whole life.
+func TestFinishedJobsLeaveNoRecord(t *testing.T) {
+	q := New(Config{Name: "test", Slots: 1})
+	for i := 0; i < 1000; i++ {
+		id, _ := q.Submit(nil)
+		if err := q.Complete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		id, _ := q.Submit(nil)
+		if err := q.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(q.jobs); n != 0 {
+		t.Errorf("%d job records kept after every job finished, want 0", n)
+	}
+	if st := q.Stats(); st.Done != 1000 || st.Cancelled != 1000 || st.Running != 0 || st.Queued != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestCloseRejectsSubmit(t *testing.T) {
 	q := New(Config{Name: "test", Slots: 1})
 	q.Close()
-	if _, err := q.Submit("a", 0, nil); !errors.Is(err, ErrClosed) {
+	if _, err := q.Submit(nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after close = %v", err)
 	}
 }
 
 func TestWaitAccounting(t *testing.T) {
-	vc := vclock.NewVirtualAt(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
-	q := New(Config{Name: "test", Slots: 1, Clock: vc})
+	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
 
-	a, _ := q.Submit("a", 0, nil) // starts at t=0, wait 0
-	q.Submit("b", 0, nil)         // queued
+	a, _ := q.Submit(nil) // starts at t=0, wait 0
+	q.Submit(nil)         // queued
 	vc.Advance(10 * time.Second)
 	q.Complete(a) // b starts at t=10s, wait 10s
 	st := q.Stats()
@@ -234,7 +239,7 @@ func TestConcurrentSubmitCompleteStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				done := make(chan JobID, 1)
-				q.Submit("job", i%3, func(id JobID) {
+				q.Submit(func(id JobID) {
 					n := cur.Add(1)
 					for {
 						m := maxRunning.Load()
@@ -265,19 +270,5 @@ func TestConcurrentSubmitCompleteStress(t *testing.T) {
 	st := q.Stats()
 	if st.Done != 400 {
 		t.Errorf("Done = %d, want 400", st.Done)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || Priority.String() != "priority" {
-		t.Error("policy names")
-	}
-	for s, want := range map[State]string{
-		StateQueued: "queued", StateRunning: "running",
-		StateDone: "done", StateCancelled: "cancelled",
-	} {
-		if s.String() != want {
-			t.Errorf("%v.String() = %q", int(s), s.String())
-		}
 	}
 }

@@ -34,12 +34,9 @@ const sweepSeeds = 200
 // subsystem on at once, wounds it with a fault schedule drawn from the
 // seed while an open-loop storm runs through it, quiesces it, and holds
 // it to the conservation laws in invariants. Admission control is on for
-// odd seeds and off for even ones; every tenth seed runs twice and must
-// fire the same events both times. Those seeds are even: a world with
-// admission on holds every invariant but does not yet replay event for
-// event, because the admission gate wakes the admitted caller while the
-// releaser still runs (ROADMAP item 1, slice B). A failing seed replays
-// alone by its name:
+// odd seeds and off for even ones; every fifth seed, half of them with
+// admission on, runs twice and must fire the same events both times. A
+// failing seed replays alone by its name:
 //
 //	go test ./internal/chaos -run 'TestWorldSweep/seed=137$'
 //
@@ -67,7 +64,7 @@ func TestWorldSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			got := sweepWorld(t, seed)
-			if seed%10 == 0 {
+			if seed%5 == 0 {
 				if again := sweepWorld(t, seed); again.trace != got.trace {
 					t.Errorf("the same seed fired different events: trace sha256 %s, then %s", got.trace, again.trace)
 				}

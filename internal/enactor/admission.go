@@ -3,11 +3,11 @@ package enactor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
-	"legion/internal/batchq"
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/telemetry"
@@ -40,20 +40,31 @@ import (
 //     times scaled by queue position) exceeds the request's remaining
 //     deadline budget — the request would expire while waiting.
 //
-// Queued requests dispatch in priority order (higher sched.Priority
-// first, FCFS within a class) via batchq's priority heap.
+// Queued requests dispatch in priority order: higher sched.Priority
+// first, arrival order within a priority. A release hands its slot
+// straight to the head waiter.
 type admission struct {
-	q     *batchq.Queue // nil when admission control is disabled
-	slots int
+	slots int // 0 when admission control is disabled
 	depth int
 	clock vclock.Clock
 
 	mu        sync.Mutex
-	byDomain  map[string]int // queued waiters per requester domain
-	byTenant  map[string]int // queued waiters per economy tenant
-	ewmaSvcNs float64        // EWMA of admitted-call service time
+	running   int                // admitted calls not yet released
+	waiting   []*admissionWaiter // dispatch order
+	byDomain  map[string]int     // queued waiters per requester domain
+	byTenant  map[string]int     // queued waiters per economy tenant
+	ewmaSvcNs float64            // EWMA of admitted-call service time
 
 	met admissionMetrics
+}
+
+// admissionWaiter is one queued call, parked on its gate until a release
+// hands it a slot.
+type admissionWaiter struct {
+	priority       int
+	domain, tenant string
+	gate           vclock.Gate
+	admitted       bool // handed a slot; guarded by admission.mu
 }
 
 // admissionMetrics caches the gate's telemetry handles.
@@ -93,17 +104,11 @@ func newAdmission(rt *orb.Runtime, cfg Config) *admission {
 	if a.depth <= 0 {
 		a.depth = 4 * cfg.MaxInFlight
 	}
-	a.q = batchq.New(batchq.Config{
-		Name:   "enactor-admission",
-		Slots:  a.slots,
-		Policy: batchq.Priority,
-		Clock:  a.clock,
-	})
 	return a
 }
 
 // enabled reports whether the gate actually gates.
-func (a *admission) enabled() bool { return a.q != nil }
+func (a *admission) enabled() bool { return a.slots > 0 }
 
 // shed records one refusal and returns the typed overload error.
 func (a *admission) shed(reason, method string, priority int) error {
@@ -129,138 +134,161 @@ func (a *admission) acquire(ctx context.Context, method, domain, tenant string, 
 	if err := ctx.Err(); err != nil {
 		return nil, a.shed("expired", method, priority)
 	}
-	if dl, ok := ctx.Deadline(); ok && !dl.After(a.clock.Now()) {
+	enqueued := a.clock.Now()
+	if dl, ok := ctx.Deadline(); ok && !dl.After(enqueued) {
 		return nil, a.shed("expired", method, priority)
 	}
 
 	a.mu.Lock()
-	st := a.q.Stats()
-	mustQueue := st.Running >= a.slots
-	if mustQueue {
-		if st.Queued >= a.depth {
-			a.mu.Unlock()
-			return nil, a.shed("queue_full", method, priority)
-		}
-		// Fair share of the wait-queue: the caller's domain may hold at
-		// most depth/(activeDomains+1) queued slots (min 1) — the +1
-		// keeps headroom for a domain that has not arrived yet, so one
-		// chatty Scheduler can never pack the queue solid and leave a
-		// newcomer facing queue_full before fairness can arbitrate. A
-		// free execution slot admits regardless — fairness only
-		// arbitrates scarcity.
-		active := len(a.byDomain)
-		if a.byDomain[domain] == 0 {
-			active++ // this domain is about to become active
-		}
-		share := a.depth / (active + 1)
-		if share < 1 {
-			share = 1
-		}
-		if a.byDomain[domain] >= share {
-			a.mu.Unlock()
-			return nil, a.shed("fair_share", method, priority)
-		}
-		// Per-tenant quota, same arithmetic over the economy tenant
-		// rather than the requester domain: several schedulers in one
-		// domain working for the same tenant still cannot jointly pack
-		// the queue past the tenant's share.
-		if tenant != "" {
-			activeT := len(a.byTenant)
-			if a.byTenant[tenant] == 0 {
-				activeT++
-			}
-			shareT := a.depth / (activeT + 1)
-			if shareT < 1 {
-				shareT = 1
-			}
-			if a.byTenant[tenant] >= shareT {
-				a.mu.Unlock()
-				return nil, a.shed("tenant_share", method, priority)
-			}
-		}
-		// Deadline-aware shed: refuse now if the expected wait alone
-		// would blow the caller's deadline. Expected wait ≈ EWMA service
-		// time × (queue position) / slots; position is pessimistically
-		// the whole current queue (priority may let us jump it, so this
-		// only sheds when even head-of-line service would be too slow
-		// relative to the crowd).
-		if dl, ok := ctx.Deadline(); ok && a.ewmaSvcNs > 0 {
-			estWait := time.Duration(a.ewmaSvcNs * float64(st.Queued+1) / float64(a.slots))
-			if estWait > a.clock.Until(dl) {
-				a.mu.Unlock()
-				return nil, a.shed("deadline", method, priority)
-			}
-		}
+	if a.running < a.slots {
+		a.running++
+		a.setGaugesLocked()
+		a.mu.Unlock()
+		return a.admit(enqueued), nil
 	}
+	if reason := a.queueShedLocked(ctx, domain, tenant); reason != "" {
+		a.mu.Unlock()
+		return nil, a.shed(reason, method, priority)
+	}
+	w := &admissionWaiter{priority: priority, domain: domain, tenant: tenant, gate: a.clock.NewGate()}
+	i := len(a.waiting)
+	for i > 0 && a.waiting[i-1].priority < priority {
+		i--
+	}
+	a.waiting = slices.Insert(a.waiting, i, w)
 	a.byDomain[domain]++
 	if tenant != "" {
 		a.byTenant[tenant]++
 	}
-	// A Gate never blocks the signaller, so a synchronous dispatch
-	// inside Submit is safe; in virtual mode parking on it releases the
-	// discrete-event barrier.
-	started := a.clock.NewGate()
-	id, err := a.q.Submit(method, priority, func(batchq.JobID) { started.Signal() })
+	a.setGaugesLocked()
 	a.mu.Unlock()
-	if err != nil {
-		a.exitQueue(domain, tenant)
-		return nil, a.shed("closed", method, priority)
-	}
-	a.met.queued.Set(int64(a.q.QueueLength()))
 
-	enqueued := a.clock.Now()
-	if started.Wait(ctx) != nil {
-		// The caller gave up while queued (or mid-dispatch — Cancel
-		// handles both: a queued job is dropped, a just-started one has
-		// its slot freed). Either way nothing downstream ran.
-		_ = a.q.Cancel(id)
-		_ = a.q.Forget(id)
-		a.exitQueue(domain, tenant)
-		a.met.queued.Set(int64(a.q.QueueLength()))
+	if w.gate.Wait(ctx) != nil {
+		// The caller gave up while queued. If a release handed it the
+		// slot meanwhile, the slot goes on to the next waiter; either way
+		// nothing downstream ran.
+		a.mu.Lock()
+		if w.admitted {
+			a.freeSlotLocked()
+		} else {
+			a.dequeueLocked(slices.Index(a.waiting, w))
+		}
+		a.setGaugesLocked()
+		a.mu.Unlock()
 		return nil, a.shed("expired", method, priority)
 	}
-	a.exitQueue(domain, tenant)
-	a.met.admitted.Inc()
-	a.met.waitTime.Observe(a.clock.Since(enqueued).Seconds())
-	a.met.inflight.Set(int64(a.q.Stats().Running))
-	a.met.queued.Set(int64(a.q.QueueLength()))
-
-	startedAt := a.clock.Now()
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			_ = a.q.Complete(id)
-			_ = a.q.Forget(id)
-			a.mu.Lock()
-			sample := float64(a.clock.Since(startedAt))
-			if a.ewmaSvcNs == 0 {
-				a.ewmaSvcNs = sample
-			} else {
-				a.ewmaSvcNs += ewmaAlpha * (sample - a.ewmaSvcNs)
-			}
-			a.mu.Unlock()
-			a.met.inflight.Set(int64(a.q.Stats().Running))
-			a.met.queued.Set(int64(a.q.QueueLength()))
-		})
-	}
-	return release, nil
+	return a.admit(enqueued), nil
 }
 
-// exitQueue drops one waiter from the domain's and tenant's fair-share
-// accounts.
-func (a *admission) exitQueue(domain, tenant string) {
-	a.mu.Lock()
-	if a.byDomain[domain] <= 1 {
-		delete(a.byDomain, domain)
-	} else {
-		a.byDomain[domain]--
+// queueShedLocked returns why a call that must queue is refused, or ""
+// when it may queue. a.mu must be held.
+func (a *admission) queueShedLocked(ctx context.Context, domain, tenant string) string {
+	queued := len(a.waiting)
+	if queued >= a.depth {
+		return "queue_full"
 	}
-	if tenant != "" {
-		if a.byTenant[tenant] <= 1 {
-			delete(a.byTenant, tenant)
-		} else {
-			a.byTenant[tenant]--
+	// Fair share of the wait-queue per requester domain, then per economy
+	// tenant: several schedulers in one domain working for the same
+	// tenant still cannot jointly pack the queue past the tenant's share.
+	if a.byDomain[domain] >= a.share(a.byDomain, domain) {
+		return "fair_share"
+	}
+	if tenant != "" && a.byTenant[tenant] >= a.share(a.byTenant, tenant) {
+		return "tenant_share"
+	}
+	// Deadline-aware shed: refuse now if the expected wait alone would
+	// blow the caller's deadline. Expected wait ≈ EWMA service time ×
+	// (queue position) / slots; position is pessimistically the whole
+	// current queue (priority may let us jump it, so this only sheds when
+	// even head-of-line service would be too slow relative to the crowd).
+	if dl, ok := ctx.Deadline(); ok && a.ewmaSvcNs > 0 {
+		estWait := time.Duration(a.ewmaSvcNs * float64(queued+1) / float64(a.slots))
+		if estWait > a.clock.Until(dl) {
+			return "deadline"
 		}
 	}
-	a.mu.Unlock()
+	return ""
+}
+
+// share is the most queued waiters key may hold: depth/(active keys+1),
+// min 1, counting key as active. The +1 keeps headroom for a key that
+// has not arrived yet, so one chatty Scheduler can never pack the queue
+// solid and leave a newcomer facing queue_full before fairness can
+// arbitrate. A free execution slot admits regardless — fairness only
+// arbitrates scarcity.
+func (a *admission) share(queued map[string]int, key string) int {
+	active := len(queued)
+	if queued[key] == 0 {
+		active++
+	}
+	return max(1, a.depth/(active+1))
+}
+
+// admit counts one admission that queued at enqueued and returns its
+// release: the call's service time feeds the EWMA, and its slot goes to
+// the head waiter.
+func (a *admission) admit(enqueued time.Time) func() {
+	startedAt := a.clock.Now()
+	a.met.admitted.Inc()
+	a.met.waitTime.Observe(startedAt.Sub(enqueued).Seconds())
+	released := false
+	return func() {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if released {
+			return
+		}
+		released = true
+		sample := float64(a.clock.Since(startedAt))
+		if a.ewmaSvcNs == 0 {
+			a.ewmaSvcNs = sample
+		} else {
+			a.ewmaSvcNs += ewmaAlpha * (sample - a.ewmaSvcNs)
+		}
+		a.freeSlotLocked()
+		a.setGaugesLocked()
+	}
+}
+
+// freeSlotLocked hands a freed slot to the head waiter or, when nobody
+// waits, lets it go idle. a.mu must be held.
+func (a *admission) freeSlotLocked() {
+	if len(a.waiting) == 0 {
+		a.running--
+		return
+	}
+	w := a.dequeueLocked(0)
+	w.admitted = true
+	// The wake is an event on the clock, as the Monitor's is: under a
+	// virtual clock the admitted call runs only once the releaser has
+	// parked, so a world with admission on replays.
+	a.clock.Go(w.gate.Signal)
+}
+
+// dequeueLocked takes waiter i out of the queue and out of the
+// fair-share accounts. a.mu must be held.
+func (a *admission) dequeueLocked(i int) *admissionWaiter {
+	w := a.waiting[i]
+	a.waiting = slices.Delete(a.waiting, i, i+1)
+	leave(a.byDomain, w.domain)
+	if w.tenant != "" {
+		leave(a.byTenant, w.tenant)
+	}
+	return w
+}
+
+// leave drops one waiter from key's fair-share account.
+func leave(queued map[string]int, key string) {
+	if queued[key] <= 1 {
+		delete(queued, key)
+	} else {
+		queued[key]--
+	}
+}
+
+// setGaugesLocked publishes the gate's occupancy. a.mu must be held, so
+// the gauges never show a stale count written late.
+func (a *admission) setGaugesLocked() {
+	a.met.inflight.Set(int64(a.running))
+	a.met.queued.Set(int64(len(a.waiting)))
 }

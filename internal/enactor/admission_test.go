@@ -28,6 +28,13 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// queueLen is how many calls wait at the gate.
+func queueLen(a *admission) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.waiting)
+}
+
 func TestAdmissionDisabledByDefault(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	if e.enactor.adm.enabled() {
@@ -125,9 +132,9 @@ func TestAdmissionPriorityOrderAndQueueFull(t *testing.T) {
 		}()
 	}
 	spawn("low", 1)
-	waitUntil(t, "low queued", func() bool { return a.q.QueueLength() == 1 })
+	waitUntil(t, "low queued", func() bool { return queueLen(a) == 1 })
 	spawn("high", 5)
-	waitUntil(t, "high queued", func() bool { return a.q.QueueLength() == 2 })
+	waitUntil(t, "high queued", func() bool { return queueLen(a) == 2 })
 
 	// Queue is at capacity: even a top-priority request is shed.
 	if _, err := a.acquire(ctx, "make_reservations", "vip", "", 9); !errors.Is(err, proto.ErrOverload) {
@@ -174,9 +181,9 @@ func TestAdmissionFairShare(t *testing.T) {
 		}()
 	}
 	queueUp("greedy")
-	waitUntil(t, "first greedy queued", func() bool { return a.q.QueueLength() == 1 })
+	waitUntil(t, "first greedy queued", func() bool { return queueLen(a) == 1 })
 	queueUp("greedy")
-	waitUntil(t, "second greedy queued", func() bool { return a.q.QueueLength() == 2 })
+	waitUntil(t, "second greedy queued", func() bool { return queueLen(a) == 2 })
 
 	// Greedy is at its share (4 / (1 active + 1) = 2): shed.
 	if _, err := a.acquire(ctx, "make_reservations", "greedy", "", 0); !errors.Is(err, proto.ErrOverload) {
@@ -188,7 +195,7 @@ func TestAdmissionFairShare(t *testing.T) {
 
 	// A different domain still gets a queue slot.
 	queueUp("meek")
-	waitUntil(t, "meek queued", func() bool { return a.q.QueueLength() == 3 })
+	waitUntil(t, "meek queued", func() bool { return queueLen(a) == 3 })
 
 	holdRelease()
 	wg.Wait()
@@ -234,24 +241,31 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 		// A deadline with room to wait is queued, not shed.
 		roomy := vc.WithDeadline(ctx, vc.Now().Add(10*time.Second))
 		defer vclock.End(roomy)
-		done := make(chan error, 1)
+		// The waiter is joined through the clock: its wake is an event,
+		// which fires only once this goroutine has parked.
+		waiter := vc.NewGroup()
+		waiter.Add(1)
+		var aerr error
 		vc.Go(func() {
-			rel, aerr := a.acquire(roomy, "make_reservations", "d1", "", 0)
-			if aerr == nil {
+			defer waiter.Done()
+			var rel func()
+			if rel, aerr = a.acquire(roomy, "make_reservations", "d1", "", 0); aerr == nil {
 				rel()
 			}
-			done <- aerr
 		})
 		// One virtual millisecond: the engine starts the waiter, which
 		// enqueues and parks, before this sleep returns.
 		if err := vc.Sleep(ctx, time.Millisecond); err != nil {
 			t.Errorf("sleep: %v", err)
 		}
-		if n := a.q.QueueLength(); n != 1 {
+		if n := queueLen(a); n != 1 {
 			t.Errorf("queue length = %d, want 1", n)
 		}
 		holdRelease()
-		if aerr := <-done; aerr != nil {
+		if err := waiter.Wait(ctx); err != nil {
+			t.Errorf("joining the waiter: %v", err)
+		}
+		if aerr != nil {
 			t.Errorf("roomy waiter shed: %v", aerr)
 		}
 	})
@@ -289,7 +303,7 @@ func TestShedEnactDoesNotPoisonIdempotency(t *testing.T) {
 		}
 		<-blocked
 	}()
-	waitUntil(t, "queue filled", func() bool { return enr.adm.q.QueueLength() == 1 })
+	waitUntil(t, "queue filled", func() bool { return queueLen(enr.adm) == 1 })
 
 	_, err = e.rt.Call(ctx, enr.LOID(), proto.MethodEnactSchedule, proto.EnactScheduleArgs{RequestID: req.ID})
 	if !errors.Is(err, proto.ErrOverload) {
@@ -338,7 +352,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 		}
 		<-blocked
 	}()
-	waitUntil(t, "queue filled", func() bool { return enr.adm.q.QueueLength() == 1 })
+	waitUntil(t, "queue filled", func() bool { return queueLen(enr.adm) == 1 })
 
 	remote := orb.NewRuntime("nova")
 	defer remote.Close()
@@ -422,13 +436,12 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 	if got := admitted.Load() + shed.Load(); got != workers*perWorker {
 		t.Fatalf("admitted %d + shed %d = %d, want %d", admitted.Load(), shed.Load(), got, workers*perWorker)
 	}
-	st := a.q.Stats()
-	if st.Running != 0 || st.Queued != 0 {
-		t.Fatalf("gate not drained: %+v", st)
-	}
 	a.mu.Lock()
-	leftover := len(a.byDomain)
+	running, queued, leftover := a.running, len(a.waiting), len(a.byDomain)
 	a.mu.Unlock()
+	if running != 0 || queued != 0 {
+		t.Fatalf("gate not drained: %d running, %d queued", running, queued)
+	}
 	if leftover != 0 {
 		t.Fatalf("fair-share accounts leaked: %d domains still counted", leftover)
 	}

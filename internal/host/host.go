@@ -118,10 +118,6 @@ func ChainPolicies(policies ...PolicyFunc) PolicyFunc {
 	}
 }
 
-// Activator constructs the runtime object for an activated instance.
-// state is nil for fresh starts and carries the OPR on reactivation.
-type Activator func(instance, class loid.LOID, state *opr.OPR) (orb.Object, error)
-
 // Config parameterizes a Host.
 type Config struct {
 	// Arch, OS, OSVersion describe the machine for implementation
@@ -165,8 +161,6 @@ type Config struct {
 	ReservationTimeout time.Duration
 	// Policy is the local placement policy; nil accepts everything.
 	Policy PolicyFunc
-	// Activator builds activated objects; nil uses NewGenericObject.
-	Activator Activator
 	// ExtraAttrs are merged into the attribute database at construction,
 	// letting sites export arbitrary descriptive information.
 	ExtraAttrs []attr.Pair
@@ -264,11 +258,6 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 	}
 	if cfg.Zone == "" {
 		cfg.Zone = rt.Domain()
-	}
-	if cfg.Activator == nil {
-		cfg.Activator = func(instance, class loid.LOID, state *opr.OPR) (orb.Object, error) {
-			return NewGenericObject(instance, class, state)
-		}
 	}
 	h := &Host{
 		ServiceObject: orb.NewSharedServiceObject(rt.Mint("Host"), hostMethods(), nil),
@@ -715,7 +704,7 @@ func (h *Host) StartObject(ctx context.Context, req proto.StartObjectArgs) (_ []
 // activate builds and registers one instance, via the batch queue when
 // configured.
 func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservation.Token, state *opr.OPR) error {
-	obj, err := h.cfg.Activator(inst, class, state)
+	obj, err := NewGenericObject(inst, class, state)
 	if err != nil {
 		return err
 	}
@@ -734,9 +723,7 @@ func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservat
 	}
 
 	dispatched := h.rt.Clock().NewGate()
-	jobID, err := h.cfg.Queue.Submit(inst.String(), 0, func(id batchq.JobID) {
-		dispatched.Signal()
-	})
+	jobID, err := h.cfg.Queue.Submit(func(batchq.JobID) { dispatched.Signal() })
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrQueueRejected, err)
 	}

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -474,6 +475,68 @@ func TestBatchQueueHost(t *testing.T) {
 		Token: *tok, Class: classL, Instances: []loid.LOID{inst2},
 	}); err != nil {
 		t.Errorf("start after slot freed: %v", err)
+	}
+}
+
+// TestBatchQueueHostVirtualReplay runs a one-slot Batch Queue Host on the
+// virtual clock: a second activation waits in the queue until the first
+// object is killed, and starts once the killer has parked. Two runs fire
+// the same events.
+func TestBatchQueueHostVirtualReplay(t *testing.T) {
+	run := func() []string {
+		vc := vclock.NewVirtualAt(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
+		q := batchq.New(batchq.Config{Name: "ll", Slots: 1, Clock: vc})
+		defer q.Close()
+		e := newEnvOn(t, vc, func(c *Config) { c.Queue = q })
+		insts := instances(2)
+		vc.StartTrace()
+		vc.Run(func() {
+			ctx := context.Background()
+			tok := e.reserve(t, reservation.ReusableTimesharing)
+			start := func(inst loid.LOID) error {
+				_, err := e.host.StartObject(ctx, proto.StartObjectArgs{
+					Token: *tok, Class: classL, Instances: []loid.LOID{inst},
+				})
+				return err
+			}
+			if err := start(insts[0]); err != nil {
+				t.Errorf("first start: %v", err)
+				return
+			}
+			second := vc.NewGroup()
+			second.Add(1)
+			var err2 error
+			vc.Go(func() {
+				defer second.Done()
+				err2 = start(insts[1])
+			})
+			if err := vc.Sleep(ctx, time.Millisecond); err != nil {
+				t.Errorf("sleep: %v", err)
+				return
+			}
+			if n, running := q.QueueLength(), e.host.RunningCount(); n != 1 || running != 1 {
+				t.Errorf("with the slot held: %d queued, %d running, want 1 and 1", n, running)
+			}
+			if err := e.host.KillObject(ctx, insts[0]); err != nil {
+				t.Errorf("kill: %v", err)
+				return
+			}
+			if err := second.Wait(ctx); err != nil || err2 != nil {
+				t.Errorf("second start: %v, %v", err, err2)
+				return
+			}
+			if res, err := e.rt.Call(ctx, insts[1], "ping", nil); err != nil || res != "pong" {
+				t.Errorf("ping the second object: %v %v", res, err)
+			}
+			if st := q.Stats(); st.Done != 1 || st.Running != 1 || st.Queued != 0 {
+				t.Errorf("queue stats = %+v", st)
+			}
+		})
+		return vc.Trace()
+	}
+	first, second := run(), run()
+	if !slices.Equal(first, second) {
+		t.Errorf("the same run fired different events: %d events, then %d", len(first), len(second))
 	}
 }
 

@@ -14,14 +14,11 @@ import (
 	"legion/internal/wire"
 )
 
-// GenericObject is the default activated user object: a minimal Legion
-// object that holds mutable state, answers pings, and supports the
-// automatic shutdown/restart protocol (opr.Persistent) that makes every
-// Legion object migratable.
-//
-// Applications with richer behaviour install their own Activator; the
-// examples and experiments mostly need an object whose state provably
-// survives deactivation, migration, and reactivation.
+// GenericObject is the activated user object: a minimal Legion object
+// that holds mutable state, answers pings, and supports the automatic
+// shutdown/restart protocol (opr.Persistent) that makes every Legion
+// object migratable. The examples and experiments need an object whose
+// state provably survives deactivation, migration, and reactivation.
 type GenericObject struct {
 	*orb.ServiceObject
 	class loid.LOID
