@@ -8,9 +8,11 @@
 //
 // Following the NWS design, several simple predictors run side by side —
 // last value, running mean, sliding-window mean/median, exponential
-// smoothing — and an adaptive meta-predictor tracks each one's past
-// mean-squared error, answering with the forecast of whichever predictor
-// has been most accurate so far.
+// smoothing — and an adaptive meta-predictor, Bank, scores each one's
+// recent one-step-ahead error over the history it is handed and answers
+// with the forecast of whichever predictor has been most accurate lately.
+// Every predictor is a pure function of a history slice: the Collection
+// daemon keeps the rolling window, so no predictor keeps state of its own.
 //
 // The bridge to the RMI is InjectForecast: it registers a
 // "forecast_load" query function on a Collection, computing a prediction
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"legion/internal/attr"
 	"legion/internal/collection"
@@ -210,184 +211,15 @@ func trendFit(win []float64, ahead int) float64 {
 	return intercept + slope*(n-1+float64(ahead))
 }
 
-type trendState struct {
-	ring    []float64
-	idx     int
-	n       int
-	horizon int
-}
-
-func (s *trendState) Observe(v float64) {
-	s.ring[s.idx] = v
-	s.idx = (s.idx + 1) % len(s.ring)
-	if s.n < len(s.ring) {
-		s.n++
-	}
-}
-
-func (s *trendState) Forecast() float64 {
-	win := make([]float64, 0, s.n)
-	if s.n < len(s.ring) {
-		win = append(win, s.ring[:s.n]...)
-	} else {
-		win = append(win, s.ring[s.idx:]...)
-		win = append(win, s.ring[:s.idx]...)
-	}
-	return trendFit(win, s.horizon)
-}
-
-// NewState implements Incremental. The fit re-runs over the K-sized
-// ring per forecast; K is a small constant, so the cost is O(1) in the
-// history length.
-func (t Trend) NewState() State {
-	k := t.K
-	if k < 2 {
-		k = 2
-	}
-	return &trendState{ring: make([]float64, k), horizon: t.horizon()}
-}
-
-// Incremental is an optional Predictor extension: predictors that can
-// maintain their forecast in O(1) per observation implement it, and
-// Adaptive uses the returned State instead of re-running Predict over
-// the full history on every Observe. Every built-in predictor is
-// Incremental; external predictors that are not fall back to a generic
-// replay State whose per-observation cost is O(len(history)).
-type Incremental interface {
-	Predictor
-	// NewState returns a fresh per-series evaluator.
-	NewState() State
-}
-
-// State is one predictor's incremental view of a series: Observe folds
-// in the next value, Forecast answers for the value after that.
-type State interface {
-	Observe(v float64)
-	Forecast() float64
-}
-
-type lastState struct{ v float64 }
-
-func (s *lastState) Observe(v float64) { s.v = v }
-func (s *lastState) Forecast() float64 { return s.v }
-
-// NewState implements Incremental.
-func (LastValue) NewState() State { return &lastState{} }
-
-type meanState struct {
-	sum float64
-	n   int
-}
-
-func (s *meanState) Observe(v float64) { s.sum += v; s.n++ }
-func (s *meanState) Forecast() float64 { return s.sum / float64(s.n) }
-
-// NewState implements Incremental. The incremental mean runs over the
-// entire observed series, not just Adaptive's bounded history buffer —
-// the predictor's own definition, kept exactly instead of approximately.
-func (RunningMean) NewState() State { return &meanState{} }
-
-// winState keeps the last K observations in a ring with a running sum.
-type winState struct {
-	ring   []float64
-	sum    float64
-	idx, n int
-	median bool
-}
-
-func (s *winState) Observe(v float64) {
-	if s.n < len(s.ring) {
-		s.n++
-	} else {
-		s.sum -= s.ring[s.idx]
-	}
-	s.ring[s.idx] = v
-	s.sum += v
-	s.idx = (s.idx + 1) % len(s.ring)
-}
-
-func (s *winState) Forecast() float64 {
-	if !s.median {
-		return s.sum / float64(s.n)
-	}
-	win := make([]float64, 0, s.n)
-	win = append(win, s.ring[:s.n]...)
-	sort.Float64s(win)
-	mid := len(win) / 2
-	if len(win)%2 == 1 {
-		return win[mid]
-	}
-	return (win[mid-1] + win[mid]) / 2
-}
-
-func winSize(k int) int {
-	if k < 1 {
-		return 1
-	}
-	return k
-}
-
-// NewState implements Incremental.
-func (w WindowMean) NewState() State { return &winState{ring: make([]float64, winSize(w.K))} }
-
-// NewState implements Incremental. The median still sorts its K-sized
-// window per forecast; K is a small constant, so the cost is O(1) in the
-// history length.
-func (w WindowMedian) NewState() State {
-	return &winState{ring: make([]float64, winSize(w.K)), median: true}
-}
-
-type expState struct {
-	alpha float64
-	s     float64
-	init  bool
-}
-
-func (s *expState) Observe(v float64) {
-	if !s.init {
-		s.s, s.init = v, true
-		return
-	}
-	s.s = s.alpha*v + (1-s.alpha)*s.s
-}
-func (s *expState) Forecast() float64 { return s.s }
-
-// NewState implements Incremental.
-func (e ExpSmoothing) NewState() State {
-	alpha := e.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
-	return &expState{alpha: alpha}
-}
-
-// replayState adapts a non-Incremental predictor: it keeps the bounded
-// history itself and replays Predict over it, the pre-existing
-// O(len(history)) behaviour, now confined to predictors that opt out of
-// incremental evaluation.
-type replayState struct {
-	p       Predictor
-	hist    []float64
-	maxHist int
-}
-
-func (s *replayState) Observe(v float64) {
-	s.hist = append(s.hist, v)
-	if len(s.hist) > s.maxHist {
-		s.hist = append([]float64(nil), s.hist[len(s.hist)-s.maxHist:]...)
-	}
-}
-func (s *replayState) Forecast() float64 { return s.p.Predict(s.hist) }
-
-// DefaultErrorWindow is how many recent one-step-ahead errors Adaptive
-// scores each predictor on. NWS windows its error tracking for the same
+// DefaultErrorWindow is how many trailing one-step-ahead errors Bank
+// scores each member on. NWS windows its error tracking for the same
 // reason: a meta-predictor scoring on all-time error freezes onto
 // whichever predictor won the earliest regime and never adapts when the
 // series changes character.
 const DefaultErrorWindow = 64
 
-// DefaultBank returns the standard predictor bank Adaptive (and the
-// stateless Bank) use when given none.
+// DefaultBank returns the standard predictor bank Bank uses when given
+// none.
 func DefaultBank() []Predictor {
 	return []Predictor{
 		LastValue{}, RunningMean{}, WindowMean{K: 5},
@@ -395,142 +227,13 @@ func DefaultBank() []Predictor {
 	}
 }
 
-// Adaptive is the NWS meta-predictor: it scores a bank of predictors by
-// their mean-squared one-step-ahead error over a sliding window of
-// recent observations and forecasts with the current best. The window
-// (DefaultErrorWindow) is what lets the choice of predictor track
-// regime changes in the series; scoring is incremental — each
-// predictor's standing forecast is kept up to date through the State
-// returned by its Incremental implementation — so Observe costs
-// O(len(bank)) regardless of history length. It is stateful; feed
-// observations in order with Observe and ask for Forecast.
-type Adaptive struct {
-	mu       sync.Mutex
-	bank     []Predictor
-	states   []State
-	standing []float64 // each predictor's forecast for the next value
-	errRing  [][]float64
-	errSum   []float64
-	errIdx   []int
-	errN     []int
-	history  []float64
-	maxHist  int
-}
-
-// NewAdaptive builds an Adaptive over the given bank (DefaultBank when
-// empty) scoring errors over DefaultErrorWindow observations.
-func NewAdaptive(bank ...Predictor) *Adaptive {
-	return NewAdaptiveWindow(DefaultErrorWindow, bank...)
-}
-
-// NewAdaptiveWindow is NewAdaptive with an explicit error window size
-// (values < 1 behave as 1).
-func NewAdaptiveWindow(window int, bank ...Predictor) *Adaptive {
-	if len(bank) == 0 {
-		bank = DefaultBank()
-	}
-	if window < 1 {
-		window = 1
-	}
-	const maxHist = 512
-	a := &Adaptive{
-		bank:     bank,
-		states:   make([]State, len(bank)),
-		standing: make([]float64, len(bank)),
-		errRing:  make([][]float64, len(bank)),
-		errSum:   make([]float64, len(bank)),
-		errIdx:   make([]int, len(bank)),
-		errN:     make([]int, len(bank)),
-		maxHist:  maxHist,
-	}
-	for i, p := range bank {
-		if inc, ok := p.(Incremental); ok {
-			a.states[i] = inc.NewState()
-		} else {
-			a.states[i] = &replayState{p: p, maxHist: maxHist}
-		}
-		a.errRing[i] = make([]float64, window)
-	}
-	return a
-}
-
-// Observe appends an observation: every predictor's standing forecast
-// is scored against it (into the sliding error window), then every
-// incremental state folds it in. Cost is O(len(bank)) — no predictor
-// re-reads the history.
-func (a *Adaptive) Observe(v float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.history) > 0 {
-		for i := range a.bank {
-			e := a.standing[i] - v
-			a.scoreLocked(i, e*e)
-		}
-	}
-	a.history = append(a.history, v)
-	if len(a.history) > a.maxHist {
-		a.history = append([]float64(nil), a.history[len(a.history)-a.maxHist:]...)
-	}
-	for i, st := range a.states {
-		st.Observe(v)
-		a.standing[i] = st.Forecast()
-	}
-}
-
-// scoreLocked pushes one squared error into predictor i's sliding
-// window, maintaining the running sum incrementally.
-func (a *Adaptive) scoreLocked(i int, sq float64) {
-	ring := a.errRing[i]
-	if a.errN[i] < len(ring) {
-		a.errN[i]++
-	} else {
-		a.errSum[i] -= ring[a.errIdx[i]]
-	}
-	ring[a.errIdx[i]] = sq
-	a.errSum[i] += sq
-	if a.errSum[i] < 0 {
-		a.errSum[i] = 0 // floating-point drift from the rolling subtract
-	}
-	a.errIdx[i] = (a.errIdx[i] + 1) % len(ring)
-}
-
-// Forecast returns the best predictor's forecast and that predictor's
-// name, best meaning lowest mean-squared error over the sliding window.
-// It errors when no observations exist.
-func (a *Adaptive) Forecast() (float64, string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.history) == 0 {
-		return 0, "", errors.New("nws: no observations")
-	}
-	best, bestMSE := 0, math.Inf(1)
-	for i := range a.bank {
-		if a.errN[i] == 0 {
-			continue
-		}
-		mse := a.errSum[i] / float64(a.errN[i])
-		if mse < bestMSE {
-			best, bestMSE = i, mse
-		}
-	}
-	return a.standing[best], a.bank[best].Name(), nil
-}
-
-// History returns a copy of the observed series.
-func (a *Adaptive) History() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]float64(nil), a.history...)
-}
-
-// Bank is the stateless form of the adaptive meta-predictor, for places
-// that receive a fresh history slice on every call (Collection queries)
-// and so cannot keep per-series Observe state: Predict replays every
-// member over the tail of the supplied history, scoring one-step-ahead
-// squared errors, and answers with the best member's forecast. With a
-// short history ring — the Collection daemon publishes a few dozen
-// samples — the replay is cheap; Window (DefaultErrorWindow when zero)
-// bounds it regardless.
+// Bank is the adaptive meta-predictor. Collection queries hand it a fresh
+// history slice on every call, so it keeps no per-series state: Predict
+// replays every member over the tail of the supplied history, scoring
+// one-step-ahead squared errors, and answers with the best member's
+// forecast. With a short history ring — the Collection daemon publishes a
+// few dozen samples — the replay is cheap; Window (DefaultErrorWindow
+// when zero) bounds the number of replays regardless.
 type Bank struct {
 	// Members to score; DefaultBank when empty.
 	Members []Predictor
@@ -585,11 +288,6 @@ func HistoryAttr(h []float64) attr.Value {
 // HistoryFromAttr parses a $host_load_history attribute value back into
 // a series.
 func HistoryFromAttr(v attr.Value) ([]float64, error) {
-	return historyFromAttr(v)
-}
-
-// historyFromAttr parses $host_load_history back into a series.
-func historyFromAttr(v attr.Value) ([]float64, error) {
 	if v.Kind() != attr.KindList || v.Len() == 0 {
 		return nil, errors.New("nws: host_load_history missing or empty")
 	}
@@ -610,8 +308,8 @@ func historyFromAttr(v attr.Value) ([]float64, error) {
 // adaptive default — Bank{} over DefaultBank(), which re-scores the
 // bank against each record's own history on every evaluation (queries
 // hand the function a bare record, so there is no per-record identity
-// to hang Observe state on). An optional string argument selects a
-// different history attribute.
+// to hang state on). An optional string argument selects a different
+// history attribute.
 func InjectForecast(c *collection.Collection, p Predictor) {
 	if p == nil {
 		p = Bank{}
@@ -627,7 +325,7 @@ func InjectForecast(c *collection.Collection, p Predictor) {
 		if !ok {
 			return attr.Value{}, fmt.Errorf("record has no $%s", attrName)
 		}
-		h, err := historyFromAttr(v)
+		h, err := HistoryFromAttr(v)
 		if err != nil {
 			return attr.Value{}, err
 		}

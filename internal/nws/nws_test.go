@@ -84,51 +84,39 @@ func TestPredictorsStayInRangeProperty(t *testing.T) {
 }
 
 func TestAdaptivePicksGoodPredictorOnConstantSeries(t *testing.T) {
-	a := NewAdaptive()
-	for i := 0; i < 50; i++ {
-		a.Observe(0.4)
+	h := make([]float64, 50)
+	for i := range h {
+		h[i] = 0.4
 	}
-	got, _, err := a.Forecast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(got, 0.4) {
+	if got := (Bank{}).Predict(h); !almost(got, 0.4) {
 		t.Errorf("forecast = %v", got)
 	}
 }
 
 func TestAdaptivePrefersLastValueOnTrend(t *testing.T) {
 	// On a strong monotone trend, last-value beats the running mean.
-	a := NewAdaptive(LastValue{}, RunningMean{})
-	for i := 0; i < 100; i++ {
-		a.Observe(float64(i))
+	h := make([]float64, 100)
+	for i := range h {
+		h[i] = float64(i)
 	}
-	_, name, err := a.Forecast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "last" {
-		t.Errorf("best predictor on trend = %q, want last", name)
+	b := Bank{Members: []Predictor{LastValue{}, RunningMean{}}}
+	if got := b.Predict(h); !almost(got, 99) {
+		t.Errorf("forecast on trend = %v, want 99 (last value)", got)
 	}
 }
 
 func TestAdaptivePrefersSmoothingOnOscillation(t *testing.T) {
 	// On a +-1 oscillation around 0.5, the mean predictor (error ~1)
 	// beats last-value (error ~2 each step).
-	a := NewAdaptive(LastValue{}, RunningMean{})
-	for i := 0; i < 100; i++ {
-		v := 0.0
+	h := make([]float64, 100)
+	for i := range h {
 		if i%2 == 0 {
-			v = 1.0
+			h[i] = 1.0
 		}
-		a.Observe(v)
 	}
-	_, name, err := a.Forecast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "mean" {
-		t.Errorf("best predictor on oscillation = %q, want mean", name)
+	b := Bank{Members: []Predictor{LastValue{}, RunningMean{}}}
+	if got := b.Predict(h); !almost(got, 0.5) {
+		t.Errorf("forecast on oscillation = %v, want 0.5 (mean)", got)
 	}
 }
 
@@ -138,37 +126,34 @@ func TestAdaptiveAdaptsToRegimeChange(t *testing.T) {
 	// series flips to an oscillation around a plateau (±5), where the
 	// window mean (error 5/step) crushes last-value (error 10/step).
 	//
-	// The accumulate-forever scoring this test regressed against built a
-	// ~105k squared-error lead for last-value during phase 1; the ~75 per
-	// step phase 2 earns back would have needed ~1400 oscillation steps
-	// to flip the ranking, so after 150 steps the meta-predictor was
-	// still forecasting with last-value. Sliding-window scoring forgets
-	// phase 1 within DefaultErrorWindow observations and flips.
-	a := NewAdaptive(LastValue{}, WindowMean{K: 4})
+	// Scored over the whole series, last-value keeps a ~150k
+	// squared-error lead from phase 1 that 150 steps of phase 2 do not
+	// earn back. The default error window forgets phase 1 and flips.
+	h := make([]float64, 0, 450)
 	for i := 0; i < 300; i++ {
-		a.Observe(float64(i) * 10)
+		h = append(h, float64(i)*10)
 	}
-	if _, name, _ := a.Forecast(); name != "last" {
-		t.Fatalf("best on ramp = %q, want last", name)
+	members := []Predictor{LastValue{}, WindowMean{K: 4}}
+	if got := (Bank{Members: members}).Predict(h); !almost(got, 2990) {
+		t.Fatalf("forecast on ramp = %v, want 2990 (last value)", got)
 	}
 	for i := 0; i < 150; i++ {
 		v := 3000.0 - 5
 		if i%2 == 0 {
 			v = 3000.0 + 5
 		}
-		a.Observe(v)
+		h = append(h, v)
 	}
-	_, name, err := a.Forecast()
-	if err != nil {
-		t.Fatal(err)
+	want := (WindowMean{K: 4}).Predict(h)
+	if got := (Bank{Members: members}).Predict(h); !almost(got, want) {
+		t.Errorf("forecast after regime change = %v, want %v (win-mean-4)", got, want)
 	}
-	if name != "win-mean-4" {
-		t.Errorf("best after regime change = %q, want win-mean-4 (stale all-time error ranking?)", name)
+	if got := (Bank{Members: members, Window: len(h)}).Predict(h); !almost(got, h[len(h)-1]) {
+		t.Errorf("all-time scoring = %v, want %v (last value): the window no longer matters", got, h[len(h)-1])
 	}
 }
 
-// countingPredictor counts full-history Predict calls; its incremental
-// state does not use Predict at all.
+// countingPredictor is last-value that counts its Predict calls.
 type countingPredictor struct{ predicts *int }
 
 func (countingPredictor) Name() string { return "counting" }
@@ -176,41 +161,17 @@ func (c countingPredictor) Predict(h []float64) float64 {
 	*c.predicts++
 	return h[len(h)-1]
 }
-func (c countingPredictor) NewState() State { return &lastState{} }
 
-func TestObserveIsIncremental(t *testing.T) {
-	// Observe must never re-run a predictor over the full history: for
-	// Incremental bank members the per-observation work is the State
-	// update, so Predict (the O(len(history)) path) stays uncalled no
-	// matter how many observations arrive.
-	calls := 0
-	a := NewAdaptive(countingPredictor{predicts: &calls}, LastValue{})
-	for i := 0; i < 1000; i++ {
-		a.Observe(float64(i % 7))
-	}
-	if calls != 0 {
-		t.Errorf("Observe ran full-history Predict %d times, want 0", calls)
-	}
-	if _, _, err := a.Forecast(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIncrementalStatesMatchPredict(t *testing.T) {
-	// Each built-in predictor's incremental state must forecast exactly
-	// what Predict over the same (untrimmed) history forecasts.
-	preds := []Incremental{LastValue{}, RunningMean{}, WindowMean{K: 5},
-		WindowMedian{K: 5}, WindowMedian{K: 4}, ExpSmoothing{Alpha: 0.3},
-		Trend{K: 4}, Trend{K: 16}}
-	h := []float64{0.9, 0.1, 0.5, 0.5, 0.7, 0.2, 0.8, 0.4, 0.6, 0.3}
-	for _, p := range preds {
-		st := p.NewState()
-		for i, v := range h {
-			st.Observe(v)
-			want := p.Predict(h[:i+1])
-			if got := st.Forecast(); !almost(got, want) {
-				t.Errorf("%s state at %d: %v, want %v", p.Name(), i, got, want)
-			}
+func TestAdaptiveHistoryBounded(t *testing.T) {
+	// The replay is bounded by the error window, not the history: each
+	// member scores Window points and answers once, however long the
+	// series it is handed.
+	for _, n := range []int{100, 10000} {
+		calls := 0
+		b := Bank{Members: []Predictor{countingPredictor{predicts: &calls}}, Window: 16}
+		b.Predict(make([]float64, n))
+		if calls != 17 {
+			t.Errorf("history %d: %d Predict calls, want 17", n, calls)
 		}
 	}
 }
@@ -260,28 +221,10 @@ func TestBankPicksBestMember(t *testing.T) {
 	}
 }
 
-func TestAdaptiveEmpty(t *testing.T) {
-	a := NewAdaptive()
-	if _, _, err := a.Forecast(); err == nil {
-		t.Error("forecast with no observations succeeded")
-	}
-}
-
-func TestAdaptiveHistoryBounded(t *testing.T) {
-	a := NewAdaptive()
-	a.maxHist = 16
-	for i := 0; i < 100; i++ {
-		a.Observe(float64(i))
-	}
-	if n := len(a.History()); n != 16 {
-		t.Errorf("history length = %d", n)
-	}
-}
-
 func TestHistoryAttrRoundTrip(t *testing.T) {
 	h := []float64{0.1, 0.2, 0.3}
 	v := HistoryAttr(h)
-	got, err := historyFromAttr(v)
+	got, err := HistoryFromAttr(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +233,13 @@ func TestHistoryAttrRoundTrip(t *testing.T) {
 			t.Errorf("round trip: %v", got)
 		}
 	}
-	if _, err := historyFromAttr(attr.String("nope")); err == nil {
+	if _, err := HistoryFromAttr(attr.String("nope")); err == nil {
 		t.Error("non-list accepted")
 	}
-	if _, err := historyFromAttr(attr.List(attr.String("x"))); err == nil {
+	if _, err := HistoryFromAttr(attr.List(attr.String("x"))); err == nil {
 		t.Error("non-numeric element accepted")
 	}
-	if _, err := historyFromAttr(attr.List()); err == nil {
+	if _, err := HistoryFromAttr(attr.List()); err == nil {
 		t.Error("empty list accepted")
 	}
 }
@@ -360,5 +303,18 @@ func TestInjectForecastDefaultPredictor(t *testing.T) {
 	recs, err := c.Query(`forecast_load() > 0.39 and forecast_load() < 0.41`)
 	if err != nil || len(recs) != 1 {
 		t.Errorf("default predictor: %v %v", recs, err)
+	}
+}
+
+func TestAdaptiveEmpty(t *testing.T) {
+	// An empty history fails the record's forecast_load() evaluation
+	// instead of reaching the Bank, whose Predict needs one sample.
+	rt := orb.NewRuntime("uva")
+	c := collection.New(rt, nil)
+	InjectForecast(c, nil)
+	c.Join(loid.LOID{Domain: "uva", Class: "Host", Instance: 1},
+		[]attr.Pair{{Name: "host_load_history", Value: HistoryAttr(nil)}}, "")
+	if recs, err := c.Query(`forecast_load() >= 0`); err != nil || len(recs) != 0 {
+		t.Errorf("forecast over an empty history: %v %v", recs, err)
 	}
 }

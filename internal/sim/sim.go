@@ -5,12 +5,12 @@
 // workstations, MPPs, batch-managed clusters). That environment is not
 // available, so sim provides the closest synthetic equivalent: fleets of
 // heterogeneous Host objects (mixed architectures, OSes, CPU counts,
-// zones, costs, batch queues) whose background load evolves under
-// configurable stochastic processes, plus the workload families the
-// paper's §4.3 names — bags of independent tasks, MPI-style 2-D stencil
-// applications, and parameter-space studies. The RMI code path exercised
-// is exactly the production one; only the machine behind each Host is
-// synthetic.
+// zones, costs, prices) at a drawn background load, an open-loop driver
+// that replays placement workloads against them (Drive), and the
+// makespan and imbalance metrics the scheduler tables judge placements
+// by. Experiments that need load to change over a run set it on the
+// Hosts themselves. The RMI code path exercised is exactly the
+// production one; only the machine behind each Host is synthetic.
 package sim
 
 import (
@@ -38,7 +38,7 @@ type HostSpec struct {
 	// Speed is a relative per-CPU speed factor used by the makespan
 	// model; 1.0 is the baseline machine.
 	Speed float64
-	// Load is the initial background load.
+	// Load is the background load Build sets on the host.
 	Load float64
 	// MaxShared overrides the host's timesharing multiplex bound
 	// (0 keeps the host default of 4x CPUs).
@@ -126,20 +126,17 @@ type Fleet struct {
 	idxDomain string
 	idxBase   uint64
 	idx       []int32
-	procs     []LoadProcess
-	rng       *rand.Rand
 }
 
 // Build constructs hosts (one per spec) in the metasystem, with one
-// shared vault per zone.
-func Build(ms *core.Metasystem, rng *rand.Rand, specs []HostSpec) *Fleet {
+// shared vault per zone. Every random draw is already in specs: rng is
+// not read, and stays only so that existing callers keep compiling.
+func Build(ms *core.Metasystem, _ *rand.Rand, specs []HostSpec) *Fleet {
 	f := &Fleet{
 		MS:      ms,
 		Hosts:   make([]*host.Host, 0, len(specs)),
 		specIDs: make([]int32, 0, len(specs)),
 		loads:   make([]float32, 0, len(specs)),
-		procs:   make([]LoadProcess, len(specs)),
-		rng:     rng,
 	}
 	// One vault per zone; all hosts of a zone share one immutable vault
 	// slice rather than allocating a single-element slice each.
@@ -224,9 +221,6 @@ func (f *Fleet) specAt(i int) HostSpec {
 	return s
 }
 
-// Size returns the number of hosts in the fleet.
-func (f *Fleet) Size() int { return len(f.Hosts) }
-
 // SpecOf returns the spec of the host with the given LOID.
 func (f *Fleet) SpecOf(l loid.LOID) (HostSpec, bool) {
 	i, ok := f.indexOf(l)
@@ -234,73 +228,6 @@ func (f *Fleet) SpecOf(l loid.LOID) (HostSpec, bool) {
 		return HostSpec{}, false
 	}
 	return f.specAt(i), true
-}
-
-// LoadProcess evolves one host's background load per step.
-type LoadProcess interface {
-	Next(rng *rand.Rand, current float64) float64
-}
-
-// RandomWalk perturbs load by a uniform step in [-Step, +Step], clamped
-// to [Min, Max].
-type RandomWalk struct {
-	Step     float64
-	Min, Max float64
-}
-
-// Next implements LoadProcess.
-func (w RandomWalk) Next(rng *rand.Rand, cur float64) float64 {
-	nxt := cur + (rng.Float64()*2-1)*w.Step
-	return math.Max(w.Min, math.Min(w.Max, nxt))
-}
-
-// Sinusoid models daily-cycle load: it ignores the current value and
-// follows Base + Amp*sin(phase), advancing by Omega per step.
-type Sinusoid struct {
-	Base, Amp, Omega float64
-	phase            float64
-}
-
-// Next implements LoadProcess.
-func (s *Sinusoid) Next(_ *rand.Rand, _ float64) float64 {
-	s.phase += s.Omega
-	v := s.Base + s.Amp*math.Sin(s.phase)
-	return math.Max(0, v)
-}
-
-// Spiky stays at Quiet load but jumps to Spike with probability P per
-// step — the overload events the Monitor experiments need.
-type Spiky struct {
-	Quiet, Spike, P float64
-}
-
-// Next implements LoadProcess.
-func (s Spiky) Next(rng *rand.Rand, _ float64) float64 {
-	if rng.Float64() < s.P {
-		return s.Spike
-	}
-	return s.Quiet
-}
-
-// SetProcess attaches a load process to host i.
-func (f *Fleet) SetProcess(i int, p LoadProcess) { f.procs[i] = p }
-
-// SetAllProcesses attaches a process factory to every host.
-func (f *Fleet) SetAllProcesses(mk func(i int) LoadProcess) {
-	for i := range f.procs {
-		f.procs[i] = mk(i)
-	}
-}
-
-// Step advances every host's background load one tick and reassesses
-// (pushing fresh state to the Collection and evaluating triggers).
-func (f *Fleet) Step(ctx context.Context) {
-	for i, h := range f.Hosts {
-		if f.procs[i] != nil {
-			h.SetExternalLoad(f.procs[i].Next(f.rng, h.Load()))
-		}
-		h.Reassess(ctx)
-	}
 }
 
 // --- Placement quality metrics ---

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -43,63 +42,6 @@ func TestUniformSpecs(t *testing.T) {
 	specs := UniformSpecs(5, 4)
 	if len(specs) != 5 || specs[0].CPUs != 4 || specs[0].Arch != "x86" {
 		t.Errorf("specs: %+v", specs[0])
-	}
-}
-
-func TestLoadProcesses(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	w := RandomWalk{Step: 0.1, Min: 0, Max: 1}
-	cur := 0.5
-	for i := 0; i < 1000; i++ {
-		cur = w.Next(rng, cur)
-		if cur < 0 || cur > 1 {
-			t.Fatalf("walk escaped bounds: %v", cur)
-		}
-	}
-	s := &Sinusoid{Base: 0.5, Amp: 0.3, Omega: 0.1}
-	lo, hi := 1.0, 0.0
-	for i := 0; i < 200; i++ {
-		v := s.Next(rng, 0)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if lo > 0.25 || hi < 0.75 {
-		t.Errorf("sinusoid range [%v, %v]", lo, hi)
-	}
-	sp := Spiky{Quiet: 0.1, Spike: 0.9, P: 0.5}
-	spikes := 0
-	for i := 0; i < 1000; i++ {
-		if sp.Next(rng, 0) == 0.9 {
-			spikes++
-		}
-	}
-	if spikes < 400 || spikes > 600 {
-		t.Errorf("spike count: %d", spikes)
-	}
-}
-
-func TestStepEvolvesLoadAndPushes(t *testing.T) {
-	f := buildTestFleet(t, UniformSpecs(3, 4))
-	f.SetAllProcesses(func(i int) LoadProcess {
-		return Spiky{Quiet: 0.9, Spike: 0.9, P: 1} // deterministic high load
-	})
-	f.Step(context.Background())
-	recs, err := f.MS.Collection.Query("$host_load > 0.8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Errorf("pushed loads: %d records", len(recs))
-	}
-	// Per-host process override.
-	f.SetProcess(0, Spiky{Quiet: 0.0, Spike: 0.0, P: 0})
-	f.Step(context.Background())
-	if f.Hosts[0].Load() != 0 {
-		t.Errorf("host 0 load: %v", f.Hosts[0].Load())
 	}
 }
 
@@ -209,57 +151,4 @@ func TestRandomSpecsProperties(t *testing.T) {
 			t.Errorf("default zone: %q", s.Zone)
 		}
 	}
-}
-
-func TestWorkloadBuilders(t *testing.T) {
-	class := loid.LOID{Domain: "uva", Class: "WorkerClass", Instance: 1}
-	bot := BagOfTasks(class, 16, time.Second)
-	if bot.Request.TotalInstances() != 16 || bot.IsGrid() {
-		t.Errorf("bag: %+v", bot)
-	}
-	st := StencilApp(class, 4, 5, time.Second)
-	if st.Request.TotalInstances() != 20 || !st.IsGrid() || st.GridRows != 4 {
-		t.Errorf("stencil: %+v", st)
-	}
-	rng := rand.New(rand.NewSource(1))
-	ps, durs := ParamSweep(class, 10, time.Second, 3*time.Second, rng)
-	if ps.Request.TotalInstances() != 10 || len(durs) != 10 {
-		t.Fatalf("sweep: %+v %v", ps, durs)
-	}
-	for _, d := range durs {
-		if d < time.Second || d > 3*time.Second {
-			t.Errorf("duration out of range: %v", d)
-		}
-	}
-	if ps.TaskDuration < time.Second || ps.TaskDuration > 3*time.Second {
-		t.Errorf("mean duration: %v", ps.TaskDuration)
-	}
-}
-
-func TestWeightedMakespan(t *testing.T) {
-	f := buildTestFleet(t, UniformSpecs(2, 4)) // 4 CPUs, speed 1, load 0
-	h0, h1 := f.Hosts[0].LOID(), f.Hosts[1].LOID()
-	cl := loid.LOID{Domain: "uva", Class: "C", Instance: 1}
-	vl := loid.LOID{Domain: "uva", Class: "V", Instance: 1}
-	maps := []sched.Mapping{
-		{Class: cl, Host: h0, Vault: vl},
-		{Class: cl, Host: h0, Vault: vl},
-		{Class: cl, Host: h1, Vault: vl},
-	}
-	durs := []time.Duration{8 * time.Second, 4 * time.Second, 40 * time.Second}
-	// Host0: 12s of work over 4 cpus = 3s; host1: 40s/4 = 10s -> 10s.
-	if got := f.WeightedMakespan(maps, durs); got != 10*time.Second {
-		t.Errorf("weighted makespan = %v", got)
-	}
-	// Load slows the bottleneck host.
-	f.Hosts[1].SetExternalLoad(1.0)
-	if got := f.WeightedMakespan(maps, durs); got != 20*time.Second {
-		t.Errorf("loaded weighted makespan = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched lengths should panic")
-		}
-	}()
-	f.WeightedMakespan(maps, durs[:1])
 }
