@@ -53,7 +53,6 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", 0, "Enactor admission control: concurrent placements admitted (0 disables)")
 		admissionQ   = flag.Int("admission-queue", 0, "Enactor admission wait-queue depth (0 = 4×max-inflight)")
 		shedWater    = flag.Float64("shed-watermark", 0, "host occupancy fraction above which low-priority reservations are shed (0 disables)")
-		shedMinPrio  = flag.Int("shed-min-priority", 1, "lowest priority that still rides through above the watermark")
 		reapInterval = flag.Duration("reap-interval", 30*time.Second, "host reservation reaper interval (0 disables the reaper)")
 
 		hostPrice    = flag.Float64("host-price", 0, "advertised per-instance-hour price on every host ($host_price); >0 enables the economy ledger")
@@ -92,12 +91,11 @@ func main() {
 	}
 
 	ms := core.New(*domain, core.Options{
-		Seed:            *seed,
-		MaxInFlight:     *maxInFlight,
-		AdmissionQueue:  *admissionQ,
-		ShedWatermark:   *shedWater,
-		ShedMinPriority: *shedMinPrio,
-		Economy:         *hostPrice > 0 || *tenantBudget != "",
+		Seed:           *seed,
+		MaxInFlight:    *maxInFlight,
+		AdmissionQueue: *admissionQ,
+		ShedWatermark:  *shedWater,
+		Economy:        *hostPrice > 0 || *tenantBudget != "",
 	})
 	defer ms.Close()
 
@@ -209,8 +207,8 @@ func main() {
 		*nHosts, *nBatch, 1, "Worker")
 	log.Printf("legiond: collection=%v enactor=%v", ms.CollectionLOID(), ms.Enactor.LOID())
 	if *maxInFlight > 0 || *shedWater > 0 {
-		log.Printf("legiond: admission max-inflight=%d queue=%d, shed watermark=%.2f min-priority=%d, reap every %v",
-			*maxInFlight, *admissionQ, *shedWater, *shedMinPrio, *reapInterval)
+		log.Printf("legiond: admission max-inflight=%d queue=%d, shed watermark=%.2f, reap every %v",
+			*maxInFlight, *admissionQ, *shedWater, *reapInterval)
 	}
 
 	// Periodic status line.

@@ -34,13 +34,12 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 // running instances left behind, and no circuit breaker tripped by a
 // shed (sheds classify as refusals, not transport failures).
 func TestOverloadStormConservation(t *testing.T) {
-	const breakerThreshold = 5
+	const breakerThreshold = 5 // resilient's default FailureThreshold
 	w, reg := stormWorld(t, core.Options{
 		Seed:           1,
 		MaxInFlight:    4,
 		AdmissionQueue: 8,
 		ShedWatermark:  0.8,
-		Breaker:        resilient.BreakerConfig{FailureThreshold: breakerThreshold},
 	})
 	site := w.Sites[0]
 	// Slow the site so placements genuinely saturate the admission

@@ -146,7 +146,7 @@ const (
 	sweepVaults      = 2
 	sweepRequests    = 60
 	sweepLongLived   = 4
-	breakerThreshold = 5
+	breakerThreshold = 5 // resilient's default FailureThreshold
 )
 
 // sweepTenants share the storm; the first can afford only a few
@@ -171,7 +171,6 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 			Budget: 2 * time.Second, AttemptTimeout: time.Second,
 			Clock: vc, JitterRand: resilient.NewLockedRand(seed),
 		},
-		Breaker:          resilient.BreakerConfig{FailureThreshold: breakerThreshold},
 		CollectionShards: 2,
 		Economy:          true,
 	}
@@ -215,8 +214,8 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	})
 
 	reactive := &countingPolicy{Policy: rebalance.NewLeastLoaded()}
-	preempting := &countingPolicy{Policy: rebalance.NewPreempting(led)}
-	forecast := rebalance.NewPredictive(0.8)
+	preempting := &countingPolicy{Policy: &rebalance.PreemptingPolicy{MaxShedPerEvent: 1, Ledger: led}}
+	forecast := &rebalance.Predictive{Watermark: 0.8, MaxShedPerEvent: 1}
 	predictive := &countingPolicy{Policy: forecast}
 	var rebalancers []*rebalance.Rebalancer
 	for _, p := range []*countingPolicy{reactive, preempting, predictive} {

@@ -83,9 +83,6 @@ type Config struct {
 	// Impls lists the available implementations; schedulers query these
 	// to match hosts.
 	Impls []proto.Implementation
-	// Placer is the quick-placement fallback; may be nil, in which case
-	// undirected create_instance fails.
-	Placer QuickPlacer
 	// Policy validates directed placements; nil accepts all.
 	Policy PlacementPolicy
 }
@@ -102,7 +99,6 @@ func New(rt *orb.Runtime, cfg Config) *Class {
 		meta:          cfg.Meta,
 		impls:         append([]proto.Implementation(nil), cfg.Impls...),
 		instances:     make(map[loid.LOID]instanceInfo),
-		placer:        cfg.Placer,
 		policy:        cfg.Policy,
 	}
 	c.installMethods()
@@ -116,7 +112,8 @@ func (c *Class) Name() string { return c.name }
 // Meta returns the LOID of this class's managing class object.
 func (c *Class) Meta() loid.LOID { return c.meta }
 
-// SetPlacer replaces the quick-placement fallback.
+// SetPlacer replaces the quick-placement fallback. A class without one
+// fails undirected create_instance.
 func (c *Class) SetPlacer(p QuickPlacer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

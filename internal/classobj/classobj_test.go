@@ -97,7 +97,8 @@ func TestQuickPlacement(t *testing.T) {
 		return proto.Placement{Host: e.host.LOID(), Vault: e.vault.LOID(),
 			Token: res.(proto.MakeReservationReply).Token}, nil
 	}
-	c := New(e.rt, Config{Name: "Worker", Placer: placer})
+	c := New(e.rt, Config{Name: "Worker"})
+	c.SetPlacer(placer)
 	insts, _, err := c.CreateInstance(context.Background(), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)

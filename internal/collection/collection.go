@@ -479,22 +479,6 @@ func (c *Collection) Stats() (queries, updates int64) {
 	return c.queries.Load(), c.updates.Load()
 }
 
-// Prune drops records not updated since the deadline, bounding staleness
-// under the push model when a Host dies silently.
-func (c *Collection) Prune(olderThan time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for member, r := range c.records {
-		if r.updatedAt.Before(olderThan) {
-			delete(c.records, member)
-			c.idx.replace(member, r, nil)
-			n++
-		}
-	}
-	return n
-}
-
 func (c *Collection) installMethods() {
 	c.Handle(proto.MethodJoinCollection, func(_ context.Context, arg any) (any, error) {
 		a, ok := arg.(proto.JoinArgs)

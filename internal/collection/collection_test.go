@@ -14,7 +14,6 @@ import (
 	"legion/internal/proto"
 	"legion/internal/query"
 	"legion/internal/telemetry"
-	"legion/internal/vclock"
 )
 
 func member(i uint64) loid.LOID {
@@ -266,23 +265,6 @@ func TestFunctionInjection(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Member != member(2) {
 		t.Errorf("forecast query: %+v", recs)
-	}
-}
-
-func TestPrune(t *testing.T) {
-	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	vc := vclock.NewVirtualAt(base)
-	rt := orb.NewRuntime("uva")
-	rt.SetClock(vc)
-	c := New(rt, nil)
-	c.Join(member(1), nil, "")
-	vc.Advance(time.Hour)
-	c.Join(member(2), nil, "")
-	if n := c.Prune(base.Add(30 * time.Minute)); n != 1 {
-		t.Errorf("Prune = %d", n)
-	}
-	if c.Size() != 1 {
-		t.Errorf("Size after prune = %d", c.Size())
 	}
 }
 

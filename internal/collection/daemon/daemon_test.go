@@ -237,7 +237,9 @@ func TestNilBreakersCoolOnRuntimeClock(t *testing.T) {
 	rt.SetClock(vc)
 	d := New(rt, Config{})
 	br := d.Breakers().ForLOID(loid.LOID{Domain: "uva", Class: "Host", Instance: 1})
-	br.Trip()
+	for range 5 { // the default failure threshold
+		br.Record(orb.ErrInjectedFault)
+	}
 	vc.Advance(2 * time.Second) // the default cooldown
 	if st := br.State(); st != resilient.HalfOpen {
 		t.Fatalf("breaker after its cooldown in virtual time: %v, want half-open", st)

@@ -291,7 +291,7 @@ func checkAgainstModel(t *testing.T, c *Collection, model map[loid.LOID]*modelRe
 	}
 }
 
-// FuzzRecordMergeModel drives random Join/Update/ApplyBatch/Leave/Prune
+// FuzzRecordMergeModel drives random Join/Update/ApplyBatch/Leave
 // sequences — unsorted updates, duplicate names, empty updates, re-joins
 // of a member — through a Collection and the map model side by side, and
 // after every step holds the Collection to the model.
@@ -341,7 +341,7 @@ func FuzzRecordMergeModel(f *testing.F) {
 			op := next()
 			m := member(uint64(op%16) + 1)
 			step := fmt.Sprintf("step %d (byte %d)", tick, i)
-			switch op / 16 % 5 {
+			switch op / 16 % 4 {
 			case 0: // join, or re-join: a merge
 				attrs := update()
 				if err := c.Join(m, attrs, ""); err != nil {
@@ -385,18 +385,6 @@ func FuzzRecordMergeModel(f *testing.F) {
 					t.Fatalf("%s: Leave error %v, member in model: %v", step, err, model[m] != nil)
 				}
 				delete(model, m)
-			case 4:
-				cutoff := at.Add(-time.Duration(next()%8) * time.Second)
-				want := 0
-				for m, r := range model {
-					if r.updatedAt.Before(cutoff) {
-						delete(model, m)
-						want++
-					}
-				}
-				if n := c.Prune(cutoff); n != want {
-					t.Fatalf("%s: pruned %d, model %d", step, n, want)
-				}
 			}
 			checkAgainstModel(t, c, model, step)
 		}

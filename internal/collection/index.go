@@ -27,7 +27,7 @@ var DefaultIndexedKeys = []string{
 // attrIndex is an inverted index over a fixed set of attribute keys:
 // key → canonical value text → set of members whose record carries
 // exactly that value. It is maintained under the Collection write lock
-// on every Join/Update/Leave/Prune. Bucket keys come from canonical,
+// on every Join/Update/Leave. Bucket keys come from canonical,
 // which yields identical text exactly when attr.Value.Equal holds, so
 // an equality term lands in the same bucket as every record it matches.
 type attrIndex struct {

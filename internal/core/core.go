@@ -55,9 +55,6 @@ type Options struct {
 	// (scheduler queries, Enactor negotiation). The zero value uses
 	// resilient defaults.
 	Retry resilient.Policy
-	// Breaker tunes the shared per-endpoint circuit breakers. The zero
-	// value uses resilient defaults.
-	Breaker resilient.BreakerConfig
 	// Metrics, when non-nil, replaces the process-wide telemetry.Default
 	// registry for this metasystem's runtime and services — tests use a
 	// private registry to assert exact counts, and overhead benchmarks
@@ -89,14 +86,10 @@ type Options struct {
 	AdmissionQueue int
 	// ShedWatermark, when > 0, installs a load-aware policy on every
 	// host added through AddHost: at or above this occupancy fraction
-	// (active reservations / MaxShared) the host refuses reservations
-	// below ShedMinPriority with proto.ErrOverload, keeping headroom
+	// (active reservations / MaxShared) the host refuses priority-0
+	// best-effort reservations with proto.ErrOverload, keeping headroom
 	// for important work during overload.
 	ShedWatermark float64
-	// ShedMinPriority is the lowest priority that still rides through
-	// above the watermark; zero means 1 (so priority-0 best-effort
-	// requests are the ones shed).
-	ShedMinPriority int
 	// Clock is the metasystem's time source; nil means the wall clock.
 	// A virtual clock here propagates to every service built on this
 	// runtime — retries, admission, daemons, reapers — which is what
@@ -107,10 +100,6 @@ type Options struct {
 	// tenant at the host-quoted price and refunds on every cancel path.
 	// False leaves placement free, matching the pre-economy behaviour.
 	Economy bool
-	// Ledger, when non-nil, is an externally built ledger to use instead
-	// of the one Economy constructs (tests share one across domains).
-	// Implies Economy.
-	Ledger *economy.Ledger
 }
 
 // Metasystem is one administrative domain's assembled Legion RMI.
@@ -217,7 +206,7 @@ func New(domain string, opts Options) *Metasystem {
 	ms := &Metasystem{
 		rt:       rt,
 		opts:     opts,
-		breakers: resilient.NewBreakerSet(opts.Breaker, rt.Clock()),
+		breakers: resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock()),
 		classes:  make(map[string]*classobj.Class),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
@@ -256,8 +245,8 @@ func New(domain string, opts Options) *Metasystem {
 	} else {
 		ms.Collection = collection.New(rt, opts.CollectionAuth)
 	}
-	ledger := opts.Ledger
-	if ledger == nil && opts.Economy {
+	var ledger *economy.Ledger
+	if opts.Economy {
 		ledger = economy.NewLedger(rt.Metrics())
 	}
 	ms.Enactor = enactor.New(rt, enactor.Config{
@@ -316,11 +305,7 @@ func (ms *Metasystem) AddHost(cfg host.Config) *host.Host {
 		// Layer the load shed behind any autonomy policy the caller
 		// supplied: local refusals (the site's own rules) win, then the
 		// occupancy watermark sheds what is left.
-		minPrio := ms.opts.ShedMinPriority
-		if minPrio == 0 {
-			minPrio = 1
-		}
-		h.SetPolicy(host.ChainPolicies(cfg.Policy, h.LoadShedPolicy(ms.opts.ShedWatermark, minPrio)))
+		h.SetPolicy(host.ChainPolicies(cfg.Policy, h.LoadShedPolicy(ms.opts.ShedWatermark)))
 	}
 	ms.HostClass.AdoptInstance(h.LOID(), loid.Nil, loid.Nil)
 	// Hosts push to (and join) the Router when sharded — it forwards to

@@ -78,14 +78,6 @@ type Config struct {
 	// scheduler path and vice versa); nil means a private set with
 	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
-	// RequestTTL bounds how long a reserved-but-never-enacted episode's
-	// state is retained. The Wrapper mints a fresh request ID per
-	// make_reservations transport attempt, so an attempt whose success
-	// reply was lost leaves an orphan entry here forever; entries older
-	// than the TTL are swept (their unconfirmed grants are reclaimed
-	// host-side by the confirmation timeout / reservation reaper).
-	// Defaults to 5 minutes.
-	RequestTTL time.Duration
 	// Parallelism bounds how many per-resource negotiation calls
 	// (reservations, k-of-n probes, create_instance, rollbacks and
 	// cancellations) run concurrently within one request. Zero means 8;
@@ -198,9 +190,6 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 	}
 	if cfg.Breakers == nil {
 		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
-	}
-	if cfg.RequestTTL <= 0 {
-		cfg.RequestTTL = 5 * time.Minute
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 8
@@ -767,8 +756,16 @@ func (e *Enactor) Enacted(requestID uint64) ([][]loid.LOID, error) {
 	return req.enacted, nil
 }
 
+// requestTTL bounds how long a reserved-but-never-enacted episode's
+// state is retained. The Wrapper mints a fresh request ID per
+// make_reservations transport attempt, so an attempt whose success reply
+// was lost leaves an orphan entry here forever; entries older than the
+// TTL are swept (their unconfirmed grants are reclaimed host-side by the
+// confirmation timeout / reservation reaper).
+const requestTTL = 5 * time.Minute
+
 // reapLocked deletes abandoned episodes: requests reserved more than
-// RequestTTL ago that never successfully enacted (including recorded
+// requestTTL ago that never successfully enacted (including recorded
 // failures the caller stopped retrying). Their unconfirmed grants are
 // reclaimed host-side by the confirmation timeout / reservation reaper;
 // this sweep bounds the Enactor-side map, which would otherwise grow
@@ -780,7 +777,7 @@ func (e *Enactor) reapLocked(now time.Time) int {
 		if req.done || req.inflight {
 			continue
 		}
-		if now.Sub(req.reserved) > e.cfg.RequestTTL {
+		if now.Sub(req.reserved) > requestTTL {
 			// The sweep drops tokens without calling cancelToken (the
 			// hosts reclaim them on their own), so it must refund the
 			// ledger explicitly or the tenant pays for swept grants.
@@ -847,7 +844,7 @@ func (e *Enactor) installMethods() {
 		// A shed here records no outcome, so a live retry can still
 		// enact; if the caller never returns, the held reservations are
 		// reclaimed by the hosts' confirmation timeouts and the
-		// Enactor's RequestTTL sweep.
+		// Enactor's requestTTL sweep.
 		prio, domain, tenant := e.requestClass(a.RequestID)
 		release, err := e.adm.acquire(ctx, "enact_schedule", domain, tenant, prio)
 		if err != nil {

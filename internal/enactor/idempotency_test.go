@@ -7,8 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"legion/internal/classobj"
+	"legion/internal/host"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
+	"legion/internal/telemetry"
+	"legion/internal/vault"
+	"legion/internal/vclock"
 )
 
 // TestConcurrentEnactRunsOnce races many enact_schedule invocations for
@@ -107,50 +113,56 @@ func TestFailedEnactOutcomeRecorded(t *testing.T) {
 // episodes must be swept after the TTL instead of growing without bound
 // — while successfully enacted requests are retained.
 func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
-	env := newEnv(t, 1, nil)
-	e := New(env.rt, Config{CallTimeout: 5 * time.Second, RequestTTL: 10 * time.Millisecond})
+	vc := vclock.NewVirtual()
+	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
+	rt.SetClock(vc)
+	v := vault.New(rt, vault.Config{Zone: "z1"})
+	h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Vaults: []loid.LOID{v.LOID()}})
+	c := classobj.New(rt, classobj.Config{Name: "Worker"})
+	e := New(rt, Config{CallTimeout: 5 * time.Second})
+	env := &env{rt: rt, vault: v, hosts: []*host.Host{h}, class: c, enactor: e}
 	ctx := context.Background()
+	pastTTL := requestTTL + time.Second
 
-	abandoned := env.request(env.mapping(0))
-	abandoned.ID = e.NewRequestID()
-	if fb := e.MakeReservations(ctx, abandoned); !fb.Success {
-		t.Fatalf("reserve abandoned: %+v", fb)
-	}
-	enacted := env.request(env.mapping(0))
-	enacted.ID = e.NewRequestID()
-	if fb := e.MakeReservations(ctx, enacted); !fb.Success {
-		t.Fatalf("reserve enacted: %+v", fb)
-	}
-	if r := e.EnactSchedule(ctx, enacted.ID); !r.Success {
-		t.Fatalf("enact: %+v", r)
-	}
+	vc.Run(func() {
+		abandoned := env.request(env.mapping(0))
+		if fb := e.MakeReservations(ctx, abandoned); !fb.Success {
+			t.Fatalf("reserve abandoned: %+v", fb)
+		}
+		enacted := env.request(env.mapping(0))
+		if fb := e.MakeReservations(ctx, enacted); !fb.Success {
+			t.Fatalf("reserve enacted: %+v", fb)
+		}
+		if r := e.EnactSchedule(ctx, enacted.ID); !r.Success {
+			t.Fatalf("enact: %+v", r)
+		}
 
-	time.Sleep(20 * time.Millisecond)
-	if n := e.ReapRequests(); n != 1 {
-		t.Fatalf("reaped %d entries, want 1", n)
-	}
-	if _, err := e.Enacted(abandoned.ID); !errors.Is(err, ErrUnknownRequest) {
-		t.Errorf("abandoned episode survived the reaper: err=%v", err)
-	}
-	if got, err := e.Enacted(enacted.ID); err != nil || len(got) != 1 {
-		t.Errorf("enacted episode was reaped: %v %v", got, err)
-	}
+		_ = vc.Sleep(ctx, pastTTL)
+		if n := e.ReapRequests(); n != 1 {
+			t.Fatalf("reaped %d entries, want 1", n)
+		}
+		if _, err := e.Enacted(abandoned.ID); !errors.Is(err, ErrUnknownRequest) {
+			t.Errorf("abandoned episode survived the reaper: err=%v", err)
+		}
+		if got, err := e.Enacted(enacted.ID); err != nil || len(got) != 1 {
+			t.Errorf("enacted episode was reaped: %v %v", got, err)
+		}
 
-	// The sweep also runs lazily on MakeReservations.
-	again := env.request(env.mapping(0))
-	again.ID = e.NewRequestID()
-	if fb := e.MakeReservations(ctx, again); !fb.Success {
-		t.Fatalf("reserve again: %+v", fb)
-	}
-	time.Sleep(20 * time.Millisecond)
-	final := env.request(env.mapping(0))
-	final.ID = e.NewRequestID()
-	if fb := e.MakeReservations(ctx, final); !fb.Success {
-		t.Fatalf("reserve final: %+v", fb)
-	}
-	if _, err := e.Enacted(again.ID); !errors.Is(err, ErrUnknownRequest) {
-		t.Errorf("lazy sweep missed the abandoned episode: err=%v", err)
-	}
+		// The sweep also runs lazily on MakeReservations.
+		again := env.request(env.mapping(0))
+		if fb := e.MakeReservations(ctx, again); !fb.Success {
+			t.Fatalf("reserve again: %+v", fb)
+		}
+		_ = vc.Sleep(ctx, pastTTL)
+		final := env.request(env.mapping(0))
+		if fb := e.MakeReservations(ctx, final); !fb.Success {
+			t.Fatalf("reserve final: %+v", fb)
+		}
+		if _, err := e.Enacted(again.ID); !errors.Is(err, ErrUnknownRequest) {
+			t.Errorf("lazy sweep missed the abandoned episode: err=%v", err)
+		}
+	})
 }
 
 // TestDefaultAttemptTimeoutSplitsBudget: a hung Host must not consume

@@ -281,7 +281,7 @@ func TestPreemptionExactlyOnce(t *testing.T) {
 	})
 	defer ms.Runtime().SetFaultInjector(nil)
 
-	pol := rebalance.NewPreempting(led)
+	pol := &rebalance.PreemptingPolicy{MaxShedPerEvent: 1, Ledger: led}
 	ev := proto.NotifyArgs{Source: spot.LOID(), Trigger: "deadline_at_risk"}
 	moves, err := pol.Plan(ctx, ev, ms, []*classobj.Class{class})
 	if err != nil {

@@ -81,23 +81,27 @@ func RefuseDomains(domains ...string) PolicyFunc {
 	}
 }
 
+// shedMinPriority is the lowest priority a LoadShedPolicy lets through
+// above its watermark: priority-0 best-effort requests are the ones shed.
+const shedMinPriority = 1
+
 // LoadShedPolicy returns a load-aware placement policy: once the host's
 // reservation occupancy (live reservations / MaxShared) reaches
-// watermark (0..1], requests below minPriority are refused with a typed
-// proto.ErrOverload shed. Higher-priority requests still get the
+// watermark (0..1], requests below shedMinPriority are refused with a
+// typed proto.ErrOverload shed. Higher-priority requests still get the
 // remaining capacity — the Table 2 admission rules are the hard limit —
 // so under saturation the host degrades by shedding its least important
 // work first instead of failing everything at the cliff. Combine with
 // other policies via ChainPolicies.
-func (h *Host) LoadShedPolicy(watermark float64, minPriority int) PolicyFunc {
+func (h *Host) LoadShedPolicy(watermark float64) PolicyFunc {
 	return func(req proto.MakeReservationArgs) error {
-		if req.Priority >= minPriority {
+		if req.Priority >= shedMinPriority {
 			return nil
 		}
 		occ := float64(h.table.Active()) / float64(h.cfg.MaxShared)
 		if occ >= watermark {
 			return fmt.Errorf("%w: occupancy %.2f >= watermark %.2f, priority %d < %d",
-				proto.ErrOverload, occ, watermark, req.Priority, minPriority)
+				proto.ErrOverload, occ, watermark, req.Priority, shedMinPriority)
 		}
 		return nil
 	}
@@ -117,6 +121,10 @@ func ChainPolicies(policies ...PolicyFunc) PolicyFunc {
 		return nil
 	}
 }
+
+// reservationTimeout is the confirmation timeout of an instantaneous
+// reservation: a grant not confirmed within it is reclaimed.
+const reservationTimeout = 30 * time.Second
 
 // Config parameterizes a Host.
 type Config struct {
@@ -156,9 +164,6 @@ type Config struct {
 	// MaxShared bounds concurrently overlapping timesharing
 	// reservations; zero defaults to 4x CPUs.
 	MaxShared int
-	// ReservationTimeout is the default confirmation timeout for
-	// instantaneous reservations; zero defaults to 30 seconds.
-	ReservationTimeout time.Duration
 	// Policy is the local placement policy; nil accepts everything.
 	Policy PolicyFunc
 	// ExtraAttrs are merged into the attribute database at construction,
@@ -253,9 +258,6 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 			cfg.MaxShared = cfg.CPUs * 4
 		}
 	}
-	if cfg.ReservationTimeout == 0 {
-		cfg.ReservationTimeout = 30 * time.Second
-	}
 	if cfg.Zone == "" {
 		cfg.Zone = rt.Domain()
 	}
@@ -268,7 +270,7 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		running:       make(map[loid.LOID]*runningObject),
 	}
 	h.BindReceiver(h)
-	h.table = reservation.NewTable(h.LOID(), cfg.MaxShared, cfg.ReservationTimeout, rt.Clock())
+	h.table = reservation.NewTable(h.LOID(), cfg.MaxShared, reservationTimeout, rt.Clock())
 	h.met = newHostMetrics(rt)
 	// All Hosts on one runtime share the aggregate occupancy gauge; the
 	// table pushes deltas into it on every grant/cancel/expiry.
@@ -819,27 +821,6 @@ func (h *Host) releaseOneShot(ro *runningObject) {
 	if !inUse {
 		_ = h.table.Cancel(&ro.tok)
 	}
-}
-
-// Drain deactivates every running object on this host, storing each OPR
-// in its vault — the graceful-maintenance path enabled by "All Legion
-// objects automatically support shutdown and restart" (§2.1). It returns
-// the deactivated instances (reactivate them elsewhere with StartObject +
-// the vault's OPR) and the first error encountered, continuing past
-// per-object failures.
-func (h *Host) Drain(ctx context.Context) ([]loid.LOID, error) {
-	var drained []loid.LOID
-	var firstErr error
-	for _, inst := range h.RunningInstances() {
-		if _, _, err := h.DeactivateObject(ctx, inst); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		drained = append(drained, inst)
-	}
-	return drained, firstErr
 }
 
 // --- orb protocol wiring ---

@@ -687,55 +687,9 @@ func TestSetClockPropagates(t *testing.T) {
 	}
 }
 
-func TestDrainDeactivatesEverything(t *testing.T) {
-	e := newEnv(t, nil)
-	ctx := context.Background()
-	tok := e.reserve(t, reservation.ReusableTimesharing)
-	insts := instances(3)
-	if _, err := e.host.StartObject(ctx, proto.StartObjectArgs{
-		Token: *tok, Class: classL, Instances: insts,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Give each object distinct state.
-	for i, inst := range insts {
-		if _, err := e.rt.Call(ctx, inst, "set", []string{"id", string(rune('a' + i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drained, err := e.host.Drain(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drained) != 3 || e.host.RunningCount() != 0 {
-		t.Fatalf("drained %v, running %d", drained, e.host.RunningCount())
-	}
-	// Every OPR is in the vault; reactivation restores state.
-	for i, inst := range insts {
-		o, verr := e.vault.Retrieve(inst)
-		if verr != nil {
-			t.Fatalf("OPR for %v: %v", inst, verr)
-		}
-		if _, err := e.host.StartObject(ctx, proto.StartObjectArgs{
-			Token: *tok, Class: classL, Instances: []loid.LOID{inst}, State: o,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		got, gerr := e.rt.Call(ctx, inst, "get", "id")
-		if gerr != nil || got != string(rune('a'+i)) {
-			t.Errorf("state of %v after drain+restart: %v %v", inst, got, gerr)
-		}
-	}
-}
-
-func TestDrainEmptyHost(t *testing.T) {
-	e := newEnv(t, nil)
-	drained, err := e.host.Drain(context.Background())
-	if err != nil || len(drained) != 0 {
-		t.Errorf("empty drain: %v %v", drained, err)
-	}
-}
-
+// TestDrainReportsVaultFailure: an object cannot be drained off a host
+// whose vault is gone. DeactivateObject fails and the object keeps
+// running.
 func TestDrainReportsVaultFailure(t *testing.T) {
 	e := newEnv(t, nil)
 	ctx := context.Background()
@@ -744,8 +698,8 @@ func TestDrainReportsVaultFailure(t *testing.T) {
 	e.host.StartObject(ctx, proto.StartObjectArgs{Token: *tok, Class: classL, Instances: []loid.LOID{inst}})
 	// Vault disappears: deactivation cannot store the OPR.
 	e.rt.Unregister(e.vault.LOID())
-	if _, err := e.host.Drain(ctx); err == nil {
-		t.Error("drain with dead vault succeeded")
+	if _, _, err := e.host.DeactivateObject(ctx, inst); err == nil {
+		t.Error("deactivate with dead vault succeeded")
 	}
 	// The object is still running (deactivation aborted safely).
 	if e.host.RunningCount() != 1 {

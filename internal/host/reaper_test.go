@@ -18,7 +18,7 @@ var reaperEpoch = time.Date(1970, 1, 12, 0, 0, 0, 0, time.UTC)
 // without any further reservation traffic to trigger lazy expiry.
 func TestReapReservationsReclaimsOrphans(t *testing.T) {
 	vc := vclock.NewVirtualAt(reaperEpoch)
-	e := newEnvOn(t, vc, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
+	e := newEnvOn(t, vc, nil)
 
 	e.reserve(t, reservation.OneShotTimesharing) // orphan: never confirmed
 	if n := e.host.ActiveReservations(); n != 1 {
@@ -28,7 +28,7 @@ func TestReapReservationsReclaimsOrphans(t *testing.T) {
 		t.Fatalf("premature reap reclaimed %d", n)
 	}
 
-	vc.Advance(11 * time.Second) // past the confirmation timeout
+	vc.Advance(reservationTimeout + time.Second)
 	if n := e.host.ReapReservations(); n != 1 {
 		t.Fatalf("reap reclaimed %d, want 1", n)
 	}
@@ -42,13 +42,13 @@ func TestReapReservationsReclaimsOrphans(t *testing.T) {
 // passes the confirmation timeout, with no explicit call.
 func TestStartReaperRunsInBackground(t *testing.T) {
 	vc := vclock.NewVirtualAt(reaperEpoch)
-	e := newEnvOn(t, vc, func(cfg *Config) { cfg.ReservationTimeout = 10 * time.Second })
+	e := newEnvOn(t, vc, nil)
 
 	e.reserve(t, reservation.OneShotTimesharing) // orphan: never confirmed
 	stop := e.host.StartReaper(time.Second)
 	defer stop()
 
-	vc.Advance(5 * time.Second)
+	vc.Advance(reservationTimeout - 5*time.Second)
 	if n := e.host.ActiveReservations(); n != 1 {
 		t.Fatalf("active before the timeout = %d, want 1", n)
 	}

@@ -28,7 +28,7 @@ func shedReq(e *testEnv, priority int) proto.MakeReservationArgs {
 // while high-priority requests still get the remaining capacity.
 func TestLoadShedPolicyRefusesLowPriorityAboveWatermark(t *testing.T) {
 	e := newEnv(t, func(c *Config) { c.MaxShared = 4 })
-	e.host.SetPolicy(e.host.LoadShedPolicy(0.5, 1))
+	e.host.SetPolicy(e.host.LoadShedPolicy(0.5))
 	ctx := context.Background()
 
 	// Two grants of four slots: occupancy 0.5 = watermark.
@@ -90,7 +90,7 @@ func TestChainPolicies(t *testing.T) {
 	e := newEnv(t, func(c *Config) { c.MaxShared = 2 })
 	e.host.SetPolicy(ChainPolicies(
 		RefuseDomains("untrusted"),
-		e.host.LoadShedPolicy(0.5, 1),
+		e.host.LoadShedPolicy(0.5),
 	))
 	ctx := context.Background()
 

@@ -1,0 +1,181 @@
+package integration
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyExports is every exported func or method under internal/ and
+// cmd/ whose name no non-test file uses, keyed "dir.Name" for a function
+// and "dir.Recv.Name" for a method. Everything else exported is called
+// by the program, an example or the benchmark. The list is exact, so a
+// name that gains a caller, or goes, is dropped here too.
+var testOnlyExports = map[string]bool{
+	// Methods an interface outside the repo calls: gob's encoder and
+	// decoder, errors.Is, container/heap.
+	"internal/attr.Value.GobDecode":       true,
+	"internal/attr.Value.GobEncode":       true,
+	"internal/sched.Bitmap.GobDecode":     true,
+	"internal/sched.Bitmap.GobEncode":     true,
+	"internal/vault.notFoundError.Unwrap": true,
+	"internal/vclock.eventHeap.Swap":      true,
+
+	// The chaos harness: fault controls that tests aim at a World.
+	"internal/chaos.World.CrashHost":   true,
+	"internal/chaos.World.CrashVault":  true,
+	"internal/chaos.World.Flaky":       true,
+	"internal/chaos.World.FlakyMethod": true,
+	"internal/chaos.World.HealAll":     true,
+	"internal/chaos.World.Partition":   true,
+
+	// Accessors tests read to assert what a service did.
+	"internal/attr.Value.IntVal":              true,
+	"internal/attr.Value.ListVal":             true,
+	"internal/classobj.Class.Created":         true,
+	"internal/collection/daemon.Daemon.Sheds": true,
+	"internal/economy.Ledger.LiveCharges":     true,
+	"internal/enactor.Enactor.Enacted":        true,
+	"internal/fanout.Limiter.InFlight":        true,
+	"internal/fanout.Limiter.Limit":           true,
+	"internal/host.GenericObject.Generation":  true,
+	"internal/host.GenericObject.Pings":       true,
+	"internal/host.Host.PreemptedTokens":      true,
+	"internal/host.Host.RunningInstances":     true,
+	"internal/host.Host.Triggers":             true,
+	"internal/monitor.Liveness.LastBeat":      true,
+	"internal/monitor.Monitor.DroppedEvents":  true,
+	"internal/monitor.Monitor.EventCount":     true,
+	"internal/monitor.Monitor.Events":         true,
+	"internal/netobj.Link.Bandwidth":          true,
+	"internal/orb.DispatchTable.Methods":      true,
+	"internal/orb.Runtime.Locals":             true,
+	"internal/orb.ServiceObject.Methods":      true,
+	"internal/rge.TriggerSet.FireCount":       true,
+	"internal/rge.TriggerSet.OutcallCount":    true,
+	"internal/rge.TriggerSet.Triggers":        true,
+	"internal/scheduler.HostCache.Evicted":    true,
+	"internal/telemetry.Histogram.Mean":       true,
+	"internal/telemetry.Registry.GaugeValue":  true,
+	"internal/telemetry.SpanLog.ByName":       true,
+	"internal/telemetry.SpanLog.ByTrace":      true,
+	"internal/telemetry.SpanLog.Total":        true,
+	"internal/vault.Vault.Used":               true,
+	"internal/vclock.Virtual.PendingEvents":   true,
+
+	// Ways tests drive the virtual clock's engine and write literals.
+	"internal/vclock.Virtual.AdvanceTo":    true,
+	"internal/vclock.Virtual.RunUntilIdle": true,
+	"internal/loid.MustParse":              true,
+	"internal/query.MustParse":             true,
+
+	// Mechanisms only tests still reach, not yet deleted (ROADMAP item 4).
+	"internal/collection/daemon.Daemon.Flush": true,
+	"internal/core.Metasystem.NewDaemon":      true,
+	"internal/enactor.Enactor.ReapRequests":   true,
+	"internal/host.Host.AttrSet":              true,
+	"internal/orb.Runtime.SetServerLimit":     true,
+	"internal/telemetry.SpanLog.SetRuntime":   true,
+}
+
+// TestNoTestOnlyExports holds that the program exports nothing only its
+// tests reach: an exported func or method that no non-test file under
+// internal/, cmd/, bench/ or examples/ names is a mechanism the tests
+// keep alive. Delete it, or move it into the test that uses it. Names are
+// matched, not objects, so any use of a name covers every declaration of
+// it.
+func TestNoTestOnlyExports(t *testing.T) {
+	declared := map[string]string{} // key → position
+	used := map[string]bool{}
+	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		decls := map[*ast.Ident]bool{}
+		if strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				decls[fd.Name] = true
+				key := filepath.ToSlash(filepath.Dir(rel)) + "."
+				if fd.Recv != nil {
+					key += receiver(fd.Recv) + "."
+				}
+				declared[key+fd.Name.Name] = fset.Position(fd.Pos()).String()
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decls[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	})
+	var unused []string
+	for key := range declared {
+		if !used[key[strings.LastIndexByte(key, '.')+1:]] {
+			unused = append(unused, key)
+		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		if !testOnlyExports[key] {
+			t.Errorf("%s: %s is exported but only tests use it; delete it or move it into its test", declared[key], key)
+		}
+	}
+	for key := range testOnlyExports {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("%s is allowed but not declared; drop it from testOnlyExports", key)
+		} else if used[key[strings.LastIndexByte(key, '.')+1:]] {
+			t.Errorf("%s is allowed but has a non-test user; drop it from testOnlyExports", key)
+		}
+	}
+}
+
+// walkNonTest parses every non-test Go file under internal/, cmd/, bench/
+// and examples/ and hands it to visit with its slash-separated path from
+// the repo root.
+func walkNonTest(t *testing.T, visit func(rel string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	for _, dir := range []string{"internal", "cmd", "bench", "examples"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			visit(filepath.ToSlash(rel), fset, f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// receiver is the type name of a method's receiver.
+func receiver(recv *ast.FieldList) string {
+	e := recv.List[0].Type
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ix.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}

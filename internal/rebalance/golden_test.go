@@ -148,7 +148,7 @@ func TestPolicyGoldenMoves(t *testing.T) {
 		check(phase+"/least-loaded-all", &LeastLoaded{MaxShedPerEvent: 16}, src.LOID())
 		check(phase+"/least-loaded-live-fallback", &LeastLoaded{MaxShedPerEvent: 4, Query: "$host_load > 100"}, src.LOID())
 		check(phase+"/least-loaded-idle-source", NewLeastLoaded(), hosts[7].LOID())
-		check(phase+"/predictive-default", NewPredictive(0), src.LOID())
+		check(phase+"/predictive-default", &Predictive{MaxShedPerEvent: 1}, src.LOID())
 		check(phase+"/predictive-4", &Predictive{MaxShedPerEvent: 4, Watermark: 0.45}, src.LOID())
 		check(phase+"/predictive-all-hot", &Predictive{MaxShedPerEvent: 5, Watermark: 0.01}, src.LOID())
 		check(phase+"/predictive-window-mean", &Predictive{MaxShedPerEvent: 6, Watermark: 0.6, Predictor: nws.WindowMean{K: 4}}, src.LOID())
@@ -167,9 +167,9 @@ func TestPolicyGoldenMoves(t *testing.T) {
 
 	// Preemption last: Plan marks the victims' tokens preempted.
 	prio := func(inst loid.LOID) int { return int(inst.Instance % 3) }
-	check("preempting-1", NewPreempting(nil), src.LOID())
+	check("preempting-1", &PreemptingPolicy{MaxShedPerEvent: 1}, src.LOID())
 	check("preempting-4-by-priority", &PreemptingPolicy{MaxShedPerEvent: 4, Priority: prio}, src.LOID())
 	check("preempting-all", &PreemptingPolicy{MaxShedPerEvent: 16, Priority: prio}, src.LOID())
 	check("preempting-live-fallback", &PreemptingPolicy{MaxShedPerEvent: 3, Query: "$host_load > 100"}, src.LOID())
-	check("preempting-reserved-source", NewPreempting(nil), hosts[1].LOID())
+	check("preempting-reserved-source", &PreemptingPolicy{MaxShedPerEvent: 1}, hosts[1].LOID())
 }

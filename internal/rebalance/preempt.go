@@ -49,12 +49,6 @@ type PreemptingPolicy struct {
 	Query string
 }
 
-// NewPreempting returns a PreemptingPolicy with defaults over the given
-// ledger (which may be nil for placement-only preemption).
-func NewPreempting(led *economy.Ledger) *PreemptingPolicy {
-	return &PreemptingPolicy{MaxShedPerEvent: 1, Ledger: led}
-}
-
 // Plan implements Policy.
 func (p *PreemptingPolicy) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Metasystem, classes []*classobj.Class) ([]Move, error) {
 	src := ms.HostByLOID(ev.Source)

@@ -70,7 +70,7 @@ func TestTokenForgeryResistance(t *testing.T) {
 
 func TestSignerDeterministicWithKey(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
-	a, b := NewSignerWithKey(key), NewSignerWithKey(key)
+	a, b := signerWithKey(key), signerWithKey(key)
 	tok := Token{ID: 7, Host: hostL, Vault: vaultL, Duration: time.Hour}
 	a.Sign(&tok)
 	if !b.Valid(&tok) {

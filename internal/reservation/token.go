@@ -119,18 +119,6 @@ func NewSigner() *Signer {
 	return s
 }
 
-// NewSignerWithKey creates a Signer with a caller-provided key, for tests
-// that need determinism or key-compromise scenarios.
-func NewSignerWithKey(key []byte) *Signer {
-	s := new(Signer)
-	if len(key) > sha256.BlockSize {
-		sum := sha256.Sum256(key)
-		key = sum[:]
-	}
-	copy(s.key[:], key)
-	return s
-}
-
 // mac computes HMAC-SHA256 over every authenticated token field:
 //
 //	ID ‖ host text ‖ 0 ‖ vault text ‖ 0 ‖ type bits ‖ start ‖ duration ‖ timeout

@@ -15,6 +15,19 @@ import (
 	"legion/internal/loid"
 )
 
+// signerWithKey builds a Signer over a chosen key, for tests that need
+// determinism or key-compromise scenarios. A key longer than one SHA-256
+// block is hashed first, as RFC 2104 says.
+func signerWithKey(key []byte) *Signer {
+	s := new(Signer)
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(s.key[:], key)
+	return s
+}
+
 // referenceMAC is the oracle: crypto/hmac over the message laid out the
 // way Signer.mac has always laid it out, LOIDs through String.
 func referenceMAC(key []byte, t *Token) []byte {
@@ -68,7 +81,7 @@ func TestTokenMACGolden(t *testing.T) {
 		{"edges", goldenKey, edges, "1d15b129faba3c2398e717f71ee72c6abb5bf9f325bac0e3b72488fc3305aae1"},
 		{"key longer than a block", longKey, typical, "f5dac069c6bbc470d6af369c89713054f5b0967c4c374aee96dc44c16c5a1cd7"},
 	} {
-		s := NewSignerWithKey(c.key)
+		s := signerWithKey(c.key)
 		s.Sign(&c.tok)
 		if got := hex.EncodeToString(c.tok.MAC); got != c.want {
 			t.Errorf("%s: MAC %s, recorded %s", c.name, got, c.want)
@@ -105,7 +118,7 @@ func FuzzTokenMAC(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, key []byte, id uint64, hostLen, vaultLen uint16, bits uint8, start, dur, timeout int64) {
 		tok := fuzzToken(id, hostLen%2048, vaultLen%2048, bits, start, dur, timeout)
-		s := NewSignerWithKey(key)
+		s := signerWithKey(key)
 		s.Sign(&tok)
 		if want := referenceMAC(key, &tok); !bytes.Equal(tok.MAC, want) {
 			t.Fatalf("key %d bytes, LOID texts %d+%d: MAC %x, crypto/hmac says %x",
@@ -137,7 +150,7 @@ func TestTokenMACAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	s := NewSignerWithKey(goldenKey)
+	s := signerWithKey(goldenKey)
 	tok := Token{ID: 7, Host: hostL, Vault: vaultL, Type: OneShotTimesharing,
 		Start: time.Unix(1000, 5), Duration: time.Hour, Timeout: time.Second}
 	if n := testing.AllocsPerRun(200, func() { s.Sign(&tok) }); n > 1 {

@@ -188,27 +188,6 @@ func (b *Breaker) Record(err error) {
 	}
 }
 
-// Trip forces the breaker open (liveness trackers use this when an
-// endpoint is declared down out-of-band).
-func (b *Breaker) Trip() {
-	b.mu.Lock()
-	notify := b.transitionLocked(Open)
-	b.openedAt = b.clock.Now()
-	b.failures = 0
-	b.mu.Unlock()
-	notify()
-}
-
-// Reset forces the breaker closed.
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	notify := b.transitionLocked(Closed)
-	b.failures = 0
-	b.probes = 0
-	b.mu.Unlock()
-	notify()
-}
-
 // BreakerSet holds one Breaker per endpoint key (a LOID string or TCP
 // address). Safe for concurrent use.
 type BreakerSet struct {
@@ -267,15 +246,4 @@ func (s *BreakerSet) OnStateChange(fn func(from, to State)) {
 	for _, b := range s.m {
 		b.OnStateChange(fn)
 	}
-}
-
-// States snapshots every known endpoint's state.
-func (s *BreakerSet) States() map[string]State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]State, len(s.m))
-	for k, b := range s.m {
-		out[k] = b.State()
-	}
-	return out
 }

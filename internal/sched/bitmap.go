@@ -55,17 +55,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[w] |= 1 << (i % 64)
 }
 
-// Clear clears bit i; clearing beyond the current size is a no-op.
-func (b *Bitmap) Clear(i int) {
-	if i < 0 {
-		panic("sched: negative bit index")
-	}
-	w := i / 64
-	if w < len(b.words) {
-		b.words[w] &^= 1 << (i % 64)
-	}
-}
-
 // Get reports bit i; bits beyond the current size read as zero.
 func (b Bitmap) Get(i int) bool {
 	if i < 0 {

@@ -43,12 +43,7 @@ func TestBitmapBasics(t *testing.T) {
 			t.Fatalf("Bits = %v, want %v", got, want)
 		}
 	}
-	b.Clear(9)
-	if b.Get(9) || b.Count() != 3 {
-		t.Error("Clear failed")
-	}
-	b.Clear(100000) // beyond size: no-op
-	if b.String() != "{0,64,130}" {
+	if b.String() != "{0,9,64,130}" {
 		t.Errorf("String = %s", b.String())
 	}
 }
@@ -126,7 +121,6 @@ func TestBitmapPanicsOnNegative(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewBitmap(-1) },
 		func() { b := NewBitmap(1); b.Set(-1) },
-		func() { b := NewBitmap(1); b.Clear(-1) },
 	} {
 		func() {
 			defer func() {
@@ -206,18 +200,6 @@ func TestMasterValidateErrors(t *testing.T) {
 	m4.Variants = append(m4.Variants, badnil)
 	if err := m4.Validate(); err == nil {
 		t.Error("variant nil LOID validated")
-	}
-}
-
-func TestMasterApply(t *testing.T) {
-	m := newMaster()
-	got := m.Apply(&m.Variants[1])
-	if got[0] != mapping(1, 5, 5) || got[1] != m.Mappings[1] || got[2] != mapping(2, 6, 6) {
-		t.Errorf("Apply = %v", got)
-	}
-	// Original untouched.
-	if m.Mappings[0] != mapping(1, 1, 1) {
-		t.Error("Apply mutated master")
 	}
 }
 

@@ -137,18 +137,6 @@ func (m *Master) Validate() error {
 	return nil
 }
 
-// Apply returns the master's mapping list with the variant's replacements
-// substituted. The master is not modified.
-func (m *Master) Apply(v *Variant) []Mapping {
-	out := append([]Mapping(nil), m.Mappings...)
-	for _, r := range v.Replacements {
-		if r.Index >= 0 && r.Index < len(out) {
-			out[r.Index] = r.Mapping
-		}
-	}
-	return out
-}
-
 // NextVariant returns the index of the first variant at or after `from`
 // whose coverage intersects the failed-entry bitmap — the Enactor's
 // efficient variant-selection step. It returns -1 if none qualifies.

@@ -121,56 +121,33 @@ func (c *HostCache) snapshot(ctx context.Context, query string, fetch func() ([]
 // land ends a flight: it records the outcome for the waiters, stores a
 // fetched result for the callers to come, and releases the waiters.
 //
-// The result is stored only if f is still the query's registered flight.
-// Invalidate forgets the flights in progress, so a fetch that began
-// before it answers the callers already waiting on it and nobody else:
-// stored, it would hand the fleet from before the invalidating event to
-// a whole TTL of placements.
-//
 // Storing sweeps out every expired entry first. Without the sweep,
-// entries are only ever overwritten (same query string) or mass-dropped
-// by Invalidate, so a workload whose query strings vary — per-class
-// filters, per-tenant predicates — leaks one parsed fleet snapshot per
-// distinct string forever. Sweeping here keeps the map bounded by the
-// number of query shapes live within one TTL, at O(entries) per fill;
-// fills happen at most once per TTL per shape, so the sweep never
-// dominates the fetch it rides on.
+// entries are only ever overwritten (same query string), so a workload
+// whose query strings vary — per-class filters, per-tenant predicates —
+// leaks one parsed fleet snapshot per distinct string forever. Sweeping
+// here keeps the map bounded by the number of query shapes live within
+// one TTL, at O(entries) per fill; fills happen at most once per TTL per
+// shape, so the sweep never dominates the fetch it rides on.
 func (c *HostCache) land(query string, f *flight, hosts []HostInfo, skipped int, err error) {
 	now := c.clock.Now()
 	c.mu.Lock()
-	current := c.flights[query] == f
-	if current {
-		delete(c.flights, query)
-	}
+	delete(c.flights, query)
 	f.err = err
 	if err == nil {
 		f.entry = hostCacheEntry{
 			hosts: hosts, usable: usable(hosts),
 			skipped: skipped, fetched: now,
 		}
-		if current {
-			for q, e := range c.entries {
-				if now.Sub(e.fetched) >= c.ttl {
-					delete(c.entries, q)
-					c.evicted++
-				}
+		for q, e := range c.entries {
+			if now.Sub(e.fetched) >= c.ttl {
+				delete(c.entries, q)
+				c.evicted++
 			}
-			c.entries[query] = f.entry
 		}
+		c.entries[query] = f.entry
 	}
 	c.mu.Unlock()
 	f.done.Done()
-}
-
-// Invalidate drops every entry, forcing the next query of each shape to
-// refetch — with a fetch of its own, not one that was already under way.
-// Drivers call it after events that change the fleet (hosts added, mass
-// load shifts) when they cannot wait out the TTL.
-func (c *HostCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.entries)
-	clear(c.flights)
 }
 
 // Stats reports cache hits and misses since creation: a miss is a fetch

@@ -82,16 +82,6 @@ type Request struct {
 	Res     sched.ReservationSpec
 }
 
-// TotalInstances returns the number of mappings a schedule for the
-// request will contain.
-func (r Request) TotalInstances() int {
-	n := 0
-	for _, c := range r.Classes {
-		n += c.Count
-	}
-	return n
-}
-
 // Generator computes schedules: the Scheduler role of Figure 3, step 4.
 // Generators are driven by the Wrapper (or called directly) and must be
 // safe for concurrent use.

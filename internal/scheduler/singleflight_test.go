@@ -204,35 +204,3 @@ func TestSingleFlightFollowerGivesUp(t *testing.T) {
 		t.Errorf("%d events still pending on the clock", n)
 	}
 }
-
-// TestInvalidateDuringFill: a fetch that was in flight when the cache
-// was invalidated carries the fleet from before the invalidating event.
-// It may answer its own caller, but stored it would be served, fresh, for
-// a whole TTL. The next lookup must fetch again.
-func TestInvalidateDuringFill(t *testing.T) {
-	env, coll := flightEnv(t, nil, 0)
-	entered, release := holdQuery(coll)
-	done := make(chan error)
-	go func() {
-		_, err := hostSnapshot(context.Background(), env, flightQuery)
-		done <- err
-	}()
-	<-entered
-	env.Cache.Invalidate()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostSnapshot(context.Background(), env, flightQuery); err != nil {
-		t.Fatal(err)
-	}
-	if q, _ := coll.Stats(); q != 2 {
-		t.Errorf("%d Collection queries, want 2: the lookup after Invalidate was served the snapshot fetched before it", q)
-	}
-	if _, err := hostSnapshot(context.Background(), env, flightQuery); err != nil {
-		t.Fatal(err)
-	}
-	if q, _ := coll.Stats(); q != 2 {
-		t.Errorf("%d Collection queries, want 2: the fetch after Invalidate was not stored", q)
-	}
-}

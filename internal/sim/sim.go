@@ -221,15 +221,6 @@ func (f *Fleet) specAt(i int) HostSpec {
 	return s
 }
 
-// SpecOf returns the spec of the host with the given LOID.
-func (f *Fleet) SpecOf(l loid.LOID) (HostSpec, bool) {
-	i, ok := f.indexOf(l)
-	if !ok {
-		return HostSpec{}, false
-	}
-	return f.specAt(i), true
-}
-
 // --- Placement quality metrics ---
 
 // TaskCounts tallies mappings per host.
@@ -301,25 +292,4 @@ func (f *Fleet) Imbalance(mappings []sched.Mapping) float64 {
 		maxW = math.Max(maxW, w)
 	}
 	return maxW / mean
-}
-
-// CrossZoneFraction is the share of mappings landing outside the
-// majority zone — a locality measure for co-allocation experiments.
-func (f *Fleet) CrossZoneFraction(mappings []sched.Mapping) float64 {
-	if len(mappings) == 0 {
-		return 0
-	}
-	zones := make(map[string]int)
-	for _, m := range mappings {
-		if s, ok := f.SpecOf(m.Host); ok {
-			zones[s.Zone]++
-		}
-	}
-	best := 0
-	for _, n := range zones {
-		if n > best {
-			best = n
-		}
-	}
-	return 1 - float64(best)/float64(len(mappings))
 }

@@ -29,12 +29,17 @@ func TestBuildFleet(t *testing.T) {
 		t.Errorf("collection: %d", f.MS.Collection.Size())
 	}
 	for _, h := range f.Hosts {
-		if s, ok := f.SpecOf(h.LOID()); !ok || s.CPUs < 1 {
-			t.Errorf("SpecOf(%v) = %+v %v", h.LOID(), s, ok)
+		i, ok := f.indexOf(h.LOID())
+		if !ok || f.Hosts[i] != h {
+			t.Errorf("indexOf(%v) = %d %v", h.LOID(), i, ok)
+			continue
+		}
+		if s := f.specAt(i); s.CPUs < 1 {
+			t.Errorf("specAt(%d) = %+v", i, s)
 		}
 	}
-	if _, ok := f.SpecOf(loid.LOID{Domain: "x", Class: "Host", Instance: 1}); ok {
-		t.Error("SpecOf unknown host")
+	if _, ok := f.indexOf(loid.LOID{Domain: "x", Class: "Host", Instance: 1}); ok {
+		t.Error("indexOf unknown host")
 	}
 }
 
@@ -101,22 +106,6 @@ func TestImbalance(t *testing.T) {
 	}
 	if im := f.Imbalance(nil); im != 0 {
 		t.Errorf("empty imbalance: %v", im)
-	}
-}
-
-func TestCrossZoneFraction(t *testing.T) {
-	f := buildTestFleet(t, []HostSpec{
-		{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Speed: 1},
-		{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Speed: 1},
-		{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z2", Speed: 1},
-	})
-	h := []loid.LOID{f.Hosts[0].LOID(), f.Hosts[1].LOID(), f.Hosts[2].LOID()}
-	// 3 in z1, 1 in z2 -> 0.25 cross-zone.
-	if cz := f.CrossZoneFraction(mappingsOn(h, []int{2, 1, 1})); cz != 0.25 {
-		t.Errorf("cross-zone: %v", cz)
-	}
-	if cz := f.CrossZoneFraction(nil); cz != 0 {
-		t.Errorf("empty: %v", cz)
 	}
 }
 

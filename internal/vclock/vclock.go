@@ -32,16 +32,9 @@ type Clock interface {
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in
 	// the latter case. A non-positive d returns immediately.
 	Sleep(ctx context.Context, d time.Duration) error
-	// After returns a channel delivering the clock's time after d. In
-	// virtual mode only the Advance driver (or an unparked goroutine)
-	// may select on it — a registered goroutine blocking on a bare
-	// channel stalls the barrier; registered code uses Sleep.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc runs f after d on its own goroutine (registered, in
-	// virtual mode). The returned Timer has a nil C.
+	// virtual mode).
 	AfterFunc(d time.Duration, f func()) Timer
-	// NewTimer returns a one-shot Timer delivering on C after d.
-	NewTimer(d time.Duration) Timer
 	// NewTicker returns a Ticker with the given period. Virtual-safe
 	// consumers loop on Wait rather than selecting on a channel.
 	NewTicker(d time.Duration) Ticker
@@ -63,16 +56,10 @@ type Clock interface {
 	NewGroup() Group
 }
 
-// Timer is a one-shot timer. Stop and Reset report whether the timer
-// was still pending, with time.Timer semantics.
+// Timer is a pending AfterFunc.
 type Timer interface {
-	// C delivers the fire time; nil for AfterFunc timers.
-	C() <-chan time.Time
 	// Stop cancels the pending fire; it reports whether it was pending.
 	Stop() bool
-	// Reset re-arms the timer for d from now; it reports whether the
-	// timer was still pending.
-	Reset(d time.Duration) bool
 }
 
 // Ticker fires repeatedly. Consumers call Wait in a loop; in virtual

@@ -251,11 +251,6 @@ func TestVirtualAfterFunc(t *testing.T) {
 	if fired != 0 {
 		t.Fatal("fired after Stop")
 	}
-	tm.Reset(10 * time.Millisecond)
-	v.Advance(10 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 after Reset", fired)
-	}
 }
 
 func TestVirtualTraceDeterminism(t *testing.T) {
@@ -322,7 +317,7 @@ func TestWallClockBasics(t *testing.T) {
 
 // --- property test (satellite 2): randomized timer operations against
 // a model oracle. Invariants: a timer fires never early, at most once,
-// and exactly once unless stopped/reset while pending; fires are
+// and exactly once unless stopped while pending; fires are
 // observed in nondecreasing virtual-time order.
 
 type modelTimer struct {
@@ -395,17 +390,6 @@ func TestVirtualTimerProperty(t *testing.T) {
 						t.Fatalf("step %d: Stop(#%d) = %v, model pending = %v", step, i, got, wasPending)
 					}
 					model[i].stopped = true
-				case op < 8 && len(timers) > 0: // reset
-					i := rng.Intn(len(timers))
-					d := time.Duration(rng.Intn(100)) * time.Millisecond
-					wasPending := !model[i].fired && !model[i].stopped
-					got := timers[i].Reset(d)
-					if got != wasPending {
-						t.Fatalf("step %d: Reset(#%d) = %v, model pending = %v", step, i, got, wasPending)
-					}
-					model[i].stopped = false
-					model[i].fired = false
-					model[i].due = elapsed() + d
 				default: // advance
 					v.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
 					consume(step)

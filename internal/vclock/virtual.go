@@ -56,21 +56,20 @@ const (
 	evTick                         // grants w: a Ticker.Wait's tick has come
 	evGroupWake                    // grants w: a Group released this waiter
 	evCtxDeadline                  // ends c with DeadlineExceeded
-	evTimer                        // delivers the time on t's channel
 	evAfterFunc                    // runs f on a registered goroutine
 	evGo                           // likewise: the start of a Go
 )
 
 var eventKindNames = [...]string{
 	evSleep: "sleep", evTick: "tick", evGroupWake: "group-wake", evCtxDeadline: "ctx-deadline",
-	evTimer: "timer", evAfterFunc: "afterfunc", evGo: "go",
+	evAfterFunc: "afterfunc", evGo: "go",
 }
 
 func (k eventKind) String() string { return eventKindNames[k] }
 
 // eventState follows an event through the heap. Only a pending event is
 // in it, so an event that has fired or been cancelled may be scheduled
-// again, which is how a pooled waiter and a Reset timer reuse theirs.
+// again, which is how a pooled waiter reuses its own.
 type eventState uint8
 
 const (
@@ -94,7 +93,6 @@ type event struct {
 	// The target: the one that kind names.
 	w *waiter
 	c *vctx
-	t *vtimer
 	f func()
 }
 
@@ -315,27 +313,12 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	return v.sleepUntil(ctx, c, v.now.Add(d), evSleep)
 }
 
-// After returns a one-shot channel; see the interface note — only
-// unregistered (driver-side) goroutines may block on it.
-func (v *Virtual) After(d time.Duration) <-chan time.Time { return v.NewTimer(d).C() }
-
 // AfterFunc schedules f to run after d on a registered goroutine.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	t := &vtimer{v: v}
 	t.ev.kind, t.ev.f = evAfterFunc, f
-	v.schedule(&t.ev, v.now.Add(d))
-	return t
-}
-
-// NewTimer returns a one-shot timer delivering the virtual fire time
-// on a buffered channel.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
-	t.ev.kind, t.ev.t = evTimer, t
 	v.schedule(&t.ev, v.now.Add(d))
 	return t
 }
@@ -482,11 +465,6 @@ func (v *Virtual) stepLocked() bool {
 		v.grant(e.w, nil)
 	case evCtxDeadline:
 		e.c.cancelLocked(context.DeadlineExceeded)
-	case evTimer:
-		select {
-		case e.t.ch <- v.now:
-		default:
-		}
 	case evAfterFunc:
 		v.spawn(e.f)
 	case evGo:
@@ -623,30 +601,17 @@ func (v *Virtual) PendingEvents() int {
 
 // --- timers & tickers ---
 
-// vtimer is a Timer around its own event: evTimer delivers on ch,
-// evAfterFunc (ch nil) runs the event's f.
+// vtimer is an AfterFunc's Timer: its own event, which runs the event's f.
 type vtimer struct {
 	v  *Virtual
-	ch chan time.Time
 	ev event
 }
-
-func (t *vtimer) C() <-chan time.Time { return t.ch }
 
 func (t *vtimer) Stop() bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
 	active := t.ev.state == evPending
 	t.v.cancelEventLocked(&t.ev)
-	return active
-}
-
-func (t *vtimer) Reset(d time.Duration) bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	active := t.ev.state == evPending
-	t.v.cancelEventLocked(&t.ev)
-	t.v.schedule(&t.ev, t.v.now.Add(d))
 	return active
 }
 

@@ -34,15 +34,7 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-func (wallClock) AfterFunc(d time.Duration, f func()) Timer {
-	return wallTimer{t: time.AfterFunc(d, f)}
-}
-
-func (wallClock) NewTimer(d time.Duration) Timer {
-	return wallTimer{t: time.NewTimer(d)}
-}
+func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 func (wallClock) NewTicker(d time.Duration) Ticker {
 	return &wallTicker{t: time.NewTicker(d)}
@@ -194,13 +186,6 @@ func (wallClock) Go(f func()) { go f() }
 
 func (wallClock) NewGate() Gate   { return &wallGate{} }
 func (wallClock) NewGroup() Group { return &wallGroup{} }
-
-// wallTimer adapts *time.Timer.
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) C() <-chan time.Time        { return w.t.C }
-func (w wallTimer) Stop() bool                 { return w.t.Stop() }
-func (w wallTimer) Reset(d time.Duration) bool { return w.t.Reset(d) }
 
 // wallTicker adapts *time.Ticker with a cancellable Wait.
 type wallTicker struct{ t *time.Ticker }
