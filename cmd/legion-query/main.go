@@ -35,21 +35,20 @@ func main() {
 	defer rt.Close()
 	rt.BindDomain(*domain, *addr)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	res, err := rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil)
+	dir, err := orb.As[proto.ServicesReply](rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil))
 	cancel()
 	if err != nil {
 		log.Fatalf("directory lookup at %s: %v", *addr, err)
 	}
-	collL := res.(proto.ServicesReply).Collection
 
 	run := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		res, err := rt.Call(ctx, collL, proto.MethodQueryCollection, proto.QueryArgs{Query: *q})
+		res, err := orb.As[proto.QueryReply](rt.Call(ctx, dir.Collection, proto.MethodQueryCollection, proto.QueryArgs{Query: *q}))
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
-		recs := res.(proto.QueryReply).Records
+		recs := res.Records
 		fmt.Printf("%d record(s) match %q\n", len(recs), *q)
 		for _, r := range recs {
 			if *verbose {

@@ -49,11 +49,10 @@ func main() {
 	defer cancel()
 
 	// Bootstrap: discover the node's service objects.
-	res, err := rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil)
+	dir, err := orb.As[proto.ServicesReply](rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil))
 	if err != nil {
 		log.Fatalf("directory lookup at %s: %v", *addr, err)
 	}
-	dir := res.(proto.ServicesReply)
 	classL, ok := dir.Classes[*className]
 	if !ok {
 		log.Fatalf("node has no class %q (has: %v)", *className, dir.Classes)

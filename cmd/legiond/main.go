@@ -187,7 +187,7 @@ func main() {
 			// host's rolling load history into the Collection, and the
 			// periodic scan extrapolates it, shedding hosts whose
 			// forecast — not current — load crosses the watermark.
-			d := ms.NewDaemonConfig(daemon.Config{Interval: *reassess, HistoryLen: *forecastHist})
+			d := ms.NewDaemon(daemon.Config{Interval: *reassess, HistoryLen: *forecastHist})
 			d.Start()
 			defer d.Stop()
 			rb.StartForecastScan(*forecastScan, pol)

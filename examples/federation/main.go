@@ -68,11 +68,11 @@ func main() {
 	app.BindDomain("uva", uvaAddr)
 	app.BindDomain("sdsc", sdscAddr)
 	lookup := func(domain string) proto.ServicesReply {
-		res, err := app.Call(ctx, proto.DirectoryLOID(domain), proto.MethodLookupServices, nil)
+		res, err := orb.As[proto.ServicesReply](app.Call(ctx, proto.DirectoryLOID(domain), proto.MethodLookupServices, nil))
 		if err != nil {
 			log.Fatalf("directory %s: %v", domain, err)
 		}
-		return res.(proto.ServicesReply)
+		return res
 	}
 	uvaDir, sdscDir := lookup("uva"), lookup("sdsc")
 	fmt.Printf("federated 2 domains: uva(%d hosts) + sdsc(%d hosts)\n",
@@ -94,12 +94,12 @@ func main() {
 		Masters: []sched.Master{master},
 		Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
 	}
-	res, err := app.Call(ctx, uvaDir.Enactor, proto.MethodMakeReservations,
-		proto.MakeReservationsArgs{Request: req})
+	res, err := orb.As[proto.FeedbackReply](app.Call(ctx, uvaDir.Enactor, proto.MethodMakeReservations,
+		proto.MakeReservationsArgs{Request: req}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fb := res.(proto.FeedbackReply).Feedback
+	fb := res.Feedback
 	if !fb.Success {
 		log.Fatalf("co-allocation failed: %s", fb.Detail)
 	}
@@ -107,12 +107,12 @@ func main() {
 	fmt.Printf("  sdsc admin refused host %s; variant moved the mapping to %s\n",
 		sdscDir.Hosts[0].Short(), fb.Resolved[1].Host.Short())
 
-	eres, err := app.Call(ctx, uvaDir.Enactor, proto.MethodEnactSchedule,
-		proto.EnactScheduleArgs{RequestID: 42})
-	if err != nil || !eres.(proto.EnactReply).Success {
+	eres, err := orb.As[proto.EnactReply](app.Call(ctx, uvaDir.Enactor, proto.MethodEnactSchedule,
+		proto.EnactScheduleArgs{RequestID: 42}))
+	if err != nil || !eres.Success {
 		log.Fatalf("enact: %v %v", eres, err)
 	}
-	insts := eres.(proto.EnactReply).Instances
+	insts := eres.Instances
 	// The sdsc-resident instance's LOID was minted by uva's class; bind
 	// it explicitly so the app can reach it at its new home.
 	app.Bind(insts[1][0], sdscAddr)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"legion/internal/collection/daemon"
 	"legion/internal/core"
 	"legion/internal/host"
 	"legion/internal/resilient"
@@ -240,7 +241,7 @@ func TestDaemonFlagsCrashedHostAndSchedulerAvoidsIt(t *testing.T) {
 		c.MaxShared = 16
 	}})
 	s := w.Sites[0]
-	d := s.MS.NewDaemon()
+	d := s.MS.NewDaemon(daemon.Config{})
 	ctx := context.Background()
 
 	if got := d.Sweep(ctx); got != 2 {

@@ -223,7 +223,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 			Classes: []*classobj.Class{stateful}, Policy: p, Cooldown: -1,
 		}))
 	}
-	d := ms.NewDaemonConfig(daemon.Config{HistoryLen: 4})
+	d := ms.NewDaemon(daemon.Config{HistoryLen: 4})
 	gens := []scheduler.Generator{scheduler.Random{}, scheduler.LoadAware{}, scheduler.CostAware{}, scheduler.IRS{NSched: 3}}
 	gen := gens[rng.Intn(len(gens))]
 	arrivals := sim.ArrivalProcess(rng.Intn(2))

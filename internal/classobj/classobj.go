@@ -209,18 +209,14 @@ func (c *Class) CreateInstance(ctx context.Context, count int, placement *proto.
 	for i := range insts {
 		insts[i] = c.rt.Mint(c.name)
 	}
-	res, err := c.rt.Call(ctx, p.Host, proto.MethodStartObject, proto.StartObjectArgs{
+	reply, err := orb.As[proto.StartObjectReply](c.rt.Call(ctx, p.Host, proto.MethodStartObject, proto.StartObjectArgs{
 		Token:     p.Token,
 		Class:     c.LOID(),
 		Instances: insts,
 		State:     state,
-	})
+	}))
 	if err != nil {
 		return nil, p, fmt.Errorf("classobj: startObject on %v: %w", p.Host, err)
-	}
-	reply, ok := res.(proto.StartObjectReply)
-	if !ok {
-		return nil, p, fmt.Errorf("classobj: unexpected reply %T", res)
 	}
 	c.mu.Lock()
 	for _, inst := range reply.Started {
@@ -256,31 +252,23 @@ func (c *Class) Created() int64 {
 }
 
 func (c *Class) installMethods() {
-	c.Handle(proto.MethodCreateInstance, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.CreateInstanceArgs)
-		if !ok {
-			return nil, fmt.Errorf("classobj: want CreateInstanceArgs, got %T", arg)
-		}
+	c.Handle(proto.MethodCreateInstance, orb.Typed(func(ctx context.Context, a proto.CreateInstanceArgs) (any, error) {
 		insts, p, err := c.CreateInstance(ctx, a.Count, a.Placement, a.State)
 		if err != nil {
 			return nil, err
 		}
 		return proto.CreateInstanceReply{Instances: insts, Host: p.Host, Vault: p.Vault}, nil
-	})
+	}))
 	c.Handle(proto.MethodGetImplementations, func(_ context.Context, _ any) (any, error) {
 		return proto.ImplementationsReply{Impls: c.Implementations()}, nil
 	})
 	c.Handle(proto.MethodListInstances, func(_ context.Context, _ any) (any, error) {
 		return proto.InstancesReply{Instances: c.Instances()}, nil
 	})
-	c.Handle(proto.MethodDestroyInstance, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.ObjectArgs)
-		if !ok {
-			return nil, fmt.Errorf("classobj: want ObjectArgs, got %T", arg)
-		}
+	c.Handle(proto.MethodDestroyInstance, orb.Typed(func(ctx context.Context, a proto.ObjectArgs) (any, error) {
 		if err := c.DestroyInstance(ctx, a.Object); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
+	}))
 }

@@ -480,49 +480,29 @@ func (c *Collection) Stats() (queries, updates int64) {
 }
 
 func (c *Collection) installMethods() {
-	c.Handle(proto.MethodJoinCollection, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.JoinArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want JoinArgs, got %T", arg)
-		}
+	c.Handle(proto.MethodJoinCollection, orb.Typed(func(_ context.Context, a proto.JoinArgs) (any, error) {
 		if err := c.Join(a.Joiner, a.Attrs, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	c.Handle(proto.MethodLeaveCollection, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.LeaveArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want LeaveArgs, got %T", arg)
-		}
+	}))
+	c.Handle(proto.MethodLeaveCollection, orb.Typed(func(_ context.Context, a proto.LeaveArgs) (any, error) {
 		if err := c.Leave(a.Leaver, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	c.Handle(proto.MethodUpdateCollectionEntry, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.UpdateArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want UpdateArgs, got %T", arg)
-		}
+	}))
+	c.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(_ context.Context, a proto.UpdateArgs) (any, error) {
 		if err := c.Update(a.Member, a.Attrs, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	c.Handle(proto.MethodUpdateCollectionBatch, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.BatchUpdateArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want BatchUpdateArgs, got %T", arg)
-		}
+	}))
+	c.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(_ context.Context, a proto.BatchUpdateArgs) (any, error) {
 		applied, dropped := c.ApplyBatch(a.Entries, a.Credential)
 		return proto.BatchUpdateReply{Applied: applied, Dropped: dropped}, nil
-	})
-	c.Handle(proto.MethodQueryCollection, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.QueryArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want QueryArgs, got %T", arg)
-		}
+	}))
+	c.Handle(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (any, error) {
 		recs, err := c.QueryCtx(ctx, a.Query)
 		if err != nil {
 			return nil, err
@@ -530,5 +510,5 @@ func (c *Collection) installMethods() {
 		// Record aliases proto.CollectionRecord, so the reply reuses the
 		// query result without a per-record conversion copy.
 		return proto.QueryReply{Records: recs}, nil
-	})
+	}))
 }

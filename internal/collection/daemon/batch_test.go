@@ -290,7 +290,7 @@ func TestBatchFlushRetriesAfterCollectionRecovers(t *testing.T) {
 
 	d.Sweep(context.Background())
 	ds.set(c.LOID(), true) // Collection unreachable: flush must re-queue
-	d.Flush(context.Background(), c.LOID())
+	d.FlushAll(context.Background())
 	if c.Size() != 0 {
 		t.Fatalf("entries landed through a dead Collection")
 	}
@@ -299,7 +299,7 @@ func TestBatchFlushRetriesAfterCollectionRecovers(t *testing.T) {
 		t.Fatal("failed flush not counted")
 	}
 	ds.set(c.LOID(), false)
-	d.Flush(context.Background(), c.LOID())
+	d.FlushAll(context.Background())
 	if c.Size() != 1 {
 		t.Fatalf("re-queued entries lost: size = %d", c.Size())
 	}

@@ -112,7 +112,7 @@ type Daemon struct {
 	joined      map[loid.LOID]bool
 	flagged     map[loid.LOID]bool // resources currently marked down
 	batches     map[loid.LOID]*collBatch
-	stop        chan struct{}
+	tickers     []vclock.Ticker // Start's; Stop stops them
 	stopped     bool
 	sweeps      int64
 	errors      int64
@@ -182,7 +182,6 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 		joined:      make(map[loid.LOID]bool),
 		flagged:     make(map[loid.LOID]bool),
 		batches:     make(map[loid.LOID]*collBatch),
-		stop:        make(chan struct{}),
 		shedCounter: rt.Metrics().Counter("legion_daemon_update_sheds_total"),
 	}
 }
@@ -224,11 +223,6 @@ func (d *Daemon) enqueue(ctx context.Context, coll loid.LOID, e proto.BatchEntry
 	if full {
 		d.flushOne(ctx, coll, cb)
 	}
-}
-
-// Flush pushes coll's buffered entries now, as one batch call.
-func (d *Daemon) Flush(ctx context.Context, coll loid.LOID) {
-	d.flushOne(ctx, coll, d.batchFor(coll))
 }
 
 // FlushAll flushes every Collection's buffer.
@@ -339,10 +333,9 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 		res := resources[ri]
 		clk := d.rt.Clock()
 		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
-		reply, err := d.call.Call(cctx, res, proto.MethodGetAttributes, nil)
+		attrs, err := orb.As[proto.AttributesReply](d.call.Call(cctx, res, proto.MethodGetAttributes, nil))
 		vclock.End(cctx)
-		attrs, isAttrs := reply.(proto.AttributesReply)
-		if err != nil || !isAttrs {
+		if err != nil {
 			d.mu.Lock()
 			d.errors++
 			d.mu.Unlock()
@@ -507,37 +500,47 @@ func (d *Daemon) deposit(ctx context.Context, coll, res loid.LOID, attrs proto.A
 // flushes); Stop ends them.
 func (d *Daemon) Start() {
 	clock := d.rt.Clock()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { <-d.stop; cancel() }()
+	sweep := clock.NewTicker(d.cfg.Interval)
 	clock.Go(func() {
-		t := clock.NewTicker(d.cfg.Interval)
-		defer t.Stop()
-		for t.Wait(ctx) == nil {
+		for sweep.Wait(context.Background()) == nil {
 			d.Sweep(context.Background())
 		}
+		// The last sweep may have run after Stop: flush what it buffered.
+		if d.batching() {
+			d.FlushAll(context.Background())
+		}
 	})
+	tickers := []vclock.Ticker{sweep}
 	if d.batching() {
+		flush := clock.NewTicker(d.cfg.BatchInterval)
 		clock.Go(func() {
-			t := clock.NewTicker(d.cfg.BatchInterval)
-			defer t.Stop()
-			for t.Wait(ctx) == nil {
+			for flush.Wait(context.Background()) == nil {
 				d.FlushAll(context.Background())
 			}
 		})
+		tickers = append(tickers, flush)
 	}
+	d.mu.Lock()
+	d.tickers = append(d.tickers, tickers...)
+	d.mu.Unlock()
 }
 
-// Stop halts periodic sweeps and flushes any buffered entries so a
-// shutdown never strands the last interval's updates. Idempotent.
+// Stop halts periodic sweeps; buffered entries are flushed so a shutdown
+// never strands the last interval's updates. After Start, the sweep loop
+// flushes once its last sweep ends; without Start, Stop flushes itself.
+// Idempotent.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
-	alreadyStopped := d.stopped
-	if !d.stopped {
-		d.stopped = true
-		close(d.stop)
-	}
+	alreadyStopped, tickers := d.stopped, d.tickers
+	d.stopped = true
 	d.mu.Unlock()
-	if !alreadyStopped && d.batching() {
+	if alreadyStopped {
+		return
+	}
+	for _, t := range tickers {
+		t.Stop()
+	}
+	if len(tickers) == 0 && d.batching() {
 		d.FlushAll(context.Background())
 	}
 }

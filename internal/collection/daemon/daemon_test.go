@@ -123,6 +123,36 @@ func TestPeriodicStartStop(t *testing.T) {
 	d.Stop() // idempotent
 }
 
+// TestDaemonStopFlushesInFlightSweep: Stop arrives while a sweep waits
+// on a slow link. The loop runs no further sweep, and the entry that
+// sweep buffers is flushed once it ends. Stop used to cancel the loops
+// from a bare goroutine, which let ticks fire after Stop, and flushed
+// before the in-flight sweep had buffered anything.
+func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
+	vc := vclock.NewVirtual()
+	rt := orb.NewRuntime("uva")
+	rt.SetClock(vc)
+	rt.SetLatency(20*time.Millisecond, 0)
+	c := collection.New(rt, nil)
+	d := New(rt, Config{
+		Interval: 100 * time.Millisecond, Credential: "cred",
+		BatchInterval: time.Hour, BatchSize: 1 << 20,
+	})
+	d.Watch(newFakeRes(rt, 0).LOID())
+	d.PushInto(c.LOID())
+	d.Start()
+
+	vc.Advance(110 * time.Millisecond) // the first sweep's probe is in flight
+	d.Stop()
+	vc.Advance(time.Second)
+	if sweeps, _ := d.Stats(); sweeps != 1 {
+		t.Errorf("sweeps = %d, want 1", sweeps)
+	}
+	if n := c.Size(); n != 1 {
+		t.Errorf("collection holds %d records, want 1", n)
+	}
+}
+
 // TestBatchIntervalVirtual checks the batch flush fires on its own
 // periodic timer: deposits buffered by a sweep stay out of the
 // Collection until virtual time crosses BatchInterval.

@@ -221,16 +221,13 @@ func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, cre
 	errs := make([]error, len(idxs))
 	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, len(idxs), func(k int) {
 		sub := perShard[idxs[k]]
-		res, err := r.shardCall(ctx, r.cfg.Shards[idxs[k]], proto.MethodUpdateCollectionBatch,
-			proto.BatchUpdateArgs{Entries: sub, Credential: credential})
+		rep, err := orb.As[proto.BatchUpdateReply](r.shardCall(ctx, r.cfg.Shards[idxs[k]], proto.MethodUpdateCollectionBatch,
+			proto.BatchUpdateArgs{Entries: sub, Credential: credential}))
 		if err != nil {
 			errs[k] = err
-			replies[k] = proto.BatchUpdateReply{Dropped: len(sub)}
-			return
+			rep = proto.BatchUpdateReply{Dropped: len(sub)}
 		}
-		if rep, ok := res.(proto.BatchUpdateReply); ok {
-			replies[k] = rep
-		}
+		replies[k] = rep
 	})
 	var out proto.BatchUpdateReply
 	var firstErr error
@@ -279,15 +276,10 @@ func (r *Router) QueryPartial(ctx context.Context, src string) (recs []Record, s
 	subSkips := make([]int, n)
 	errs := make([]error, n)
 	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, n, func(i int) {
-		res, cerr := r.shardCall(ctx, r.cfg.Shards[i], proto.MethodQueryCollection,
-			proto.QueryArgs{Query: src})
+		reply, cerr := orb.As[proto.QueryReply](r.shardCall(ctx, r.cfg.Shards[i], proto.MethodQueryCollection,
+			proto.QueryArgs{Query: src}))
 		if cerr != nil {
 			errs[i] = cerr
-			return
-		}
-		reply, ok := res.(proto.QueryReply)
-		if !ok {
-			errs[i] = fmt.Errorf("collection: shard %v: unexpected reply %T", r.cfg.Shards[i], res)
 			return
 		}
 		replies[i] = reply.Records
@@ -375,52 +367,32 @@ func mergeSorted(replies [][]proto.CollectionRecord, total int) []Record {
 // extension) so remote runtimes address the Router exactly like a
 // Collection.
 func (r *Router) installMethods() {
-	r.Handle(proto.MethodJoinCollection, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.JoinArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want JoinArgs, got %T", arg)
-		}
+	r.Handle(proto.MethodJoinCollection, orb.Typed(func(ctx context.Context, a proto.JoinArgs) (any, error) {
 		if err := r.Join(ctx, a.Joiner, a.Attrs, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	r.Handle(proto.MethodLeaveCollection, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.LeaveArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want LeaveArgs, got %T", arg)
-		}
+	}))
+	r.Handle(proto.MethodLeaveCollection, orb.Typed(func(ctx context.Context, a proto.LeaveArgs) (any, error) {
 		if err := r.Leave(ctx, a.Leaver, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	r.Handle(proto.MethodUpdateCollectionEntry, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.UpdateArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want UpdateArgs, got %T", arg)
-		}
+	}))
+	r.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(ctx context.Context, a proto.UpdateArgs) (any, error) {
 		if err := r.Update(ctx, a.Member, a.Attrs, a.Credential); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	r.Handle(proto.MethodUpdateCollectionBatch, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.BatchUpdateArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want BatchUpdateArgs, got %T", arg)
-		}
+	}))
+	r.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (any, error) {
 		reply, err := r.ApplyBatch(ctx, a.Entries, a.Credential)
 		if err != nil && reply.Applied == 0 {
 			return nil, err
 		}
 		return reply, nil
-	})
-	r.Handle(proto.MethodQueryCollection, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.QueryArgs)
-		if !ok {
-			return nil, fmt.Errorf("collection: want QueryArgs, got %T", arg)
-		}
+	}))
+	r.Handle(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (any, error) {
 		recs, skipped, err := r.QueryPartial(ctx, a.Query)
 		if err != nil {
 			return nil, err
@@ -430,5 +402,5 @@ func (r *Router) installMethods() {
 			out[i] = proto.CollectionRecord{Member: rec.Member, Attrs: rec.Attrs}
 		}
 		return proto.QueryReply{Records: out, SkippedShards: skipped}, nil
-	})
+	}))
 }

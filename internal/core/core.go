@@ -341,17 +341,11 @@ func (ms *Metasystem) Vaults() []*vault.Vault {
 // watches every current host, pushes into the domain Collection, and
 // doubles as the failure detector — unreachable hosts get their
 // Collection records flagged down, which schedulers skip. The caller
-// drives sweeps (Sweep for one pass, Start for periodic).
-func (ms *Metasystem) NewDaemon() *daemon.Daemon {
-	return ms.NewDaemonConfig(daemon.Config{})
-}
-
-// NewDaemonConfig is NewDaemon with explicit daemon configuration: zero
-// fields inherit the metasystem defaults. Callers use it to set the
-// pull interval or the rolling host_load_history window
-// (daemon.Config.HistoryLen — the series predictive rebalancing
-// forecasts from) without re-wiring the watch/push targets by hand.
-func (ms *Metasystem) NewDaemonConfig(cfg daemon.Config) *daemon.Daemon {
+// drives sweeps (Sweep for one pass, Start for periodic). Zero fields of
+// cfg inherit the metasystem defaults; callers set the pull interval or
+// the rolling host_load_history window (daemon.Config.HistoryLen — the
+// series predictive rebalancing forecasts from).
+func (ms *Metasystem) NewDaemon(cfg daemon.Config) *daemon.Daemon {
 	if cfg.Credential == "" {
 		cfg.Credential = ms.opts.Credential
 	}
@@ -417,20 +411,16 @@ func (ms *Metasystem) quickPlacer() classobj.QuickPlacer {
 			if len(h.Vaults) == 0 || h.Down {
 				continue
 			}
-			res, err := ms.rt.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
+			res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: c.LOID(),
 				Vault:     h.Vaults[0],
 				Type:      reservation.ReusableTimesharing,
 				Duration:  time.Hour,
-			})
+			}))
 			if err != nil {
 				continue // autonomy: the host said no; try the next
 			}
-			return proto.Placement{
-				Host:  h.LOID,
-				Vault: h.Vaults[0],
-				Token: res.(proto.MakeReservationReply).Token,
-			}, nil
+			return proto.Placement{Host: h.LOID, Vault: h.Vaults[0], Token: res.Token}, nil
 		}
 		return proto.Placement{}, errors.New("core: no host granted a reservation")
 	}
@@ -488,16 +478,16 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 
 	// Reserve the destination before disturbing the running object, so a
 	// refusal leaves the system untouched.
-	res, err := ms.rt.Call(ctx, toHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, toHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: ms.Monitor.LOID(),
 		Vault:     toVault,
 		Type:      reservation.OneShotTimesharing,
 		Duration:  time.Hour,
-	})
+	}))
 	if err != nil {
 		return fmt.Errorf("core: migrate %v: destination reservation: %w", instance, err)
 	}
-	tok := res.(proto.MakeReservationReply).Token
+	tok := res.Token
 	cancelTok := func() {
 		clk := ms.rt.Clock()
 		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
@@ -507,13 +497,13 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 
 	// Shut down: the host stores the OPR in the instance's current vault
 	// and returns it.
-	dres, err := ms.rt.Call(ctx, fromHost, proto.MethodDeactivateObject, proto.ObjectArgs{Object: instance})
+	dres, err := orb.As[proto.DeactivateReply](ms.rt.Call(ctx, fromHost, proto.MethodDeactivateObject, proto.ObjectArgs{Object: instance}))
 	if err != nil {
 		// Roll the reservation back; the object is still running.
 		cancelTok()
 		return fmt.Errorf("core: migrate %v: deactivate on %v: %w", instance, fromHost, err)
 	}
-	state := dres.(proto.DeactivateReply).OPR
+	state := dres.OPR
 
 	// Move the passive state to the new vault if necessary.
 	moved := false
@@ -560,16 +550,16 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 // reservation is cancelled if its redeem fails, so even a doubly-failed
 // migration leaks no token.
 func (ms *Metasystem) reactivateInPlace(ctx context.Context, class *classobj.Class, instance, fromHost, fromVault loid.LOID, state *opr.OPR, cause error) error {
-	res, err := ms.rt.Call(ctx, fromHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, fromHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: ms.Monitor.LOID(),
 		Vault:     fromVault,
 		Type:      reservation.OneShotTimesharing,
 		Duration:  time.Hour,
-	})
+	}))
 	if err != nil {
 		return fmt.Errorf("%w (and recovery reservation failed: %v)", cause, err)
 	}
-	rtok := res.(proto.MakeReservationReply).Token
+	rtok := res.Token
 	if _, err := ms.rt.Call(ctx, fromHost, proto.MethodStartObject, proto.StartObjectArgs{
 		Token:     rtok,
 		Class:     class.LOID(),
@@ -639,11 +629,11 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 	}
 	var copies []copyAt
 	for _, v := range ms.Vaults() {
-		res, err := ms.rt.Call(ctx, v.LOID(), proto.MethodRetrieveOPR, proto.RetrieveOPRArgs{Object: instance})
+		res, err := orb.As[proto.RetrieveOPRReply](ms.rt.Call(ctx, v.LOID(), proto.MethodRetrieveOPR, proto.RetrieveOPRArgs{Object: instance}))
 		if err != nil {
 			continue // not here, or vault unreachable — keep looking
 		}
-		copies = append(copies, copyAt{vault: v.LOID(), state: res.(proto.RetrieveOPRReply).OPR})
+		copies = append(copies, copyAt{vault: v.LOID(), state: res.OPR})
 	}
 	if len(copies) == 0 {
 		return fmt.Errorf("core: ensure-running %v: not active and no OPR found in any vault", instance)
@@ -672,17 +662,17 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 	}
 	var lastErr error
 	for _, cand := range candidates {
-		res, err := ms.rt.Call(ctx, cand, proto.MethodMakeReservation, proto.MakeReservationArgs{
+		res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, cand, proto.MethodMakeReservation, proto.MakeReservationArgs{
 			Requester: ms.Monitor.LOID(),
 			Vault:     best.vault,
 			Type:      reservation.OneShotTimesharing,
 			Duration:  time.Hour,
-		})
+		}))
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		tok := res.(proto.MakeReservationReply).Token
+		tok := res.Token
 		if _, err := ms.rt.Call(ctx, cand, proto.MethodStartObject, proto.StartObjectArgs{
 			Token:     tok,
 			Class:     class.LOID(),

@@ -9,6 +9,7 @@ import (
 
 	"legion/internal/attr"
 	"legion/internal/collection"
+	"legion/internal/collection/daemon"
 	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
@@ -49,7 +50,7 @@ func TestDomainWideBreakersShared(t *testing.T) {
 	if ms.Enactor.Breakers() != ms.Breakers() {
 		t.Error("Enactor uses a private breaker set, not the domain-wide pool")
 	}
-	if d := ms.NewDaemon(); d.Breakers() != ms.Breakers() {
+	if d := ms.NewDaemon(daemon.Config{}); d.Breakers() != ms.Breakers() {
 		t.Error("Daemon uses a private breaker set, not the domain-wide pool")
 	}
 	if ms.Env().Breakers != ms.Breakers() {

@@ -10,6 +10,7 @@ import (
 
 	"legion/internal/host"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/vault"
 )
@@ -324,5 +325,34 @@ func TestMigrationConservesInstanceAndOPR(t *testing.T) {
 	}
 	if got, err := ms.Runtime().Call(ctx, inst, "get", "k"); err != nil || got != "v" {
 		t.Fatalf("state after storm: %v %v", got, err)
+	}
+}
+
+// TestMigrateWrongReplyType: a destination that answers make_reservation
+// with another registered type (a version-skewed or misbehaving peer)
+// fails the migration like a refusal. Reading that reply with an
+// unchecked type assertion used to panic the whole process.
+func TestMigrateWrongReplyType(t *testing.T) {
+	ms := buildMetaMultiVault(t, 1, 1)
+	c := ms.DefineClass("Worker", nil)
+	ctx := context.Background()
+	insts, p, err := c.CreateInstance(ctx, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue := orb.NewServiceObject(ms.Runtime().Mint("Host"))
+	rogue.Handle(proto.MethodMakeReservation, func(context.Context, any) (any, error) {
+		return proto.Ack{}, nil
+	})
+	ms.Runtime().Register(rogue)
+
+	if err := ms.Migrate(ctx, c, insts[0], rogue.LOID(), p.Vault); err == nil {
+		t.Fatal("migration toward a wrong-typed reply succeeded")
+	}
+	if !ms.HostByLOID(p.Host).IsRunning(insts[0]) {
+		t.Error("instance no longer runs on its source host")
+	}
+	if a := ms.AuditMigrations(c); !a.Clean() {
+		t.Errorf("audit after failed migration: %v", a)
 	}
 }

@@ -77,7 +77,7 @@ func TestShardedMetasystemTransparent(t *testing.T) {
 // every host's record stays fresh.
 func TestShardedDaemonBatchedFlow(t *testing.T) {
 	ms := buildShardedMeta(t, 6, 2)
-	d := ms.NewDaemonConfig(daemon.Config{BatchInterval: time.Hour}) // flush via Stop
+	d := ms.NewDaemon(daemon.Config{BatchInterval: time.Hour}) // flush via Stop
 	ctx := context.Background()
 	d.Sweep(ctx)
 	d.Sweep(ctx)

@@ -492,7 +492,7 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 // return is the host-quoted cost of the grant in price units (zero for
 // unpriced hosts), which the caller bills to the tenant's ledger.
 func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.ReservationSpec) (reservation.Token, float64, error) {
-	res, err := e.call.Call(ctx, m.Host, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	reply, err := orb.As[proto.MakeReservationReply](e.call.Call(ctx, m.Host, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: e.LOID(),
 		Vault:     m.Vault,
 		Type:      reservation.Type{Share: spec.Share, Reuse: spec.Reuse},
@@ -501,13 +501,9 @@ func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.Reser
 		Timeout:   spec.Timeout,
 		Priority:  spec.Priority,
 		Tenant:    spec.Tenant,
-	})
+	}))
 	if err != nil {
 		return reservation.Token{}, 0, err
-	}
-	reply, ok := res.(proto.MakeReservationReply)
-	if !ok {
-		return reservation.Token{}, 0, fmt.Errorf("enactor: unexpected reply %T", res)
 	}
 	return reply.Token, reply.Cost, nil
 }
@@ -638,21 +634,19 @@ func (e *Enactor) enact(ctx context.Context, req *heldRequest) proto.EnactReply 
 	errs := make([]error, len(req.resolved))
 	e.fanOut(len(req.resolved), func(i int) {
 		m := req.resolved[i]
-		res, err := e.call.CallPolicy(ctx, createPolicy, m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
+		reply, err := orb.As[proto.CreateInstanceReply](e.call.CallPolicy(ctx, createPolicy, m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
 			Count: 1,
 			Placement: &proto.Placement{
 				Host:  m.Host,
 				Vault: m.Vault,
 				Token: req.tokens[i],
 			},
-		})
+		}))
+		if err == nil && len(reply.Instances) == 0 {
+			err = errors.New("no instance created")
+		}
 		if err != nil {
 			errs[i] = fmt.Errorf("create_instance for mapping %d (%v): %w", i, m, err)
-			return
-		}
-		reply, isReply := res.(proto.CreateInstanceReply)
-		if !isReply || len(reply.Instances) == 0 {
-			errs[i] = fmt.Errorf("create_instance for mapping %d returned %T", i, res)
 			return
 		}
 		created[i] = reply.Instances
@@ -820,11 +814,7 @@ func (e *Enactor) requestClass(requestID uint64) (int, string, string) {
 func (e *Enactor) Ledger() *economy.Ledger { return e.cfg.Ledger }
 
 func (e *Enactor) installMethods() {
-	e.Handle(proto.MethodMakeReservations, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.MakeReservationsArgs)
-		if !ok {
-			return nil, fmt.Errorf("enactor: want MakeReservationsArgs, got %T", arg)
-		}
+	e.Handle(proto.MethodMakeReservations, orb.Typed(func(ctx context.Context, a proto.MakeReservationsArgs) (any, error) {
 		// The overload gate guards the wire-facing entry point: a shed
 		// crosses back as a typed proto.ErrOverload refusal (classified
 		// permanent — never a breaker strike), and nothing downstream
@@ -835,12 +825,8 @@ func (e *Enactor) installMethods() {
 		}
 		defer release()
 		return proto.FeedbackReply{Feedback: e.makeReservations(ctx, a.Request, a.RequesterDomain)}, nil
-	})
-	e.Handle(proto.MethodEnactSchedule, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.EnactScheduleArgs)
-		if !ok {
-			return nil, fmt.Errorf("enactor: want EnactScheduleArgs, got %T", arg)
-		}
+	}))
+	e.Handle(proto.MethodEnactSchedule, orb.Typed(func(ctx context.Context, a proto.EnactScheduleArgs) (any, error) {
 		// A shed here records no outcome, so a live retry can still
 		// enact; if the caller never returns, the held reservations are
 		// reclaimed by the hosts' confirmation timeouts and the
@@ -852,40 +838,28 @@ func (e *Enactor) installMethods() {
 		}
 		defer release()
 		return e.EnactSchedule(ctx, a.RequestID), nil
-	})
-	e.Handle(proto.MethodCancelReservations, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.CancelReservationsArgs)
-		if !ok {
-			return nil, fmt.Errorf("enactor: want CancelReservationsArgs, got %T", arg)
-		}
+	}))
+	e.Handle(proto.MethodCancelReservations, orb.Typed(func(ctx context.Context, a proto.CancelReservationsArgs) (any, error) {
 		if err := e.CancelReservations(ctx, a.RequestID); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	e.Handle(proto.MethodAccountDeposit, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.AccountDepositArgs)
-		if !ok {
-			return nil, fmt.Errorf("enactor: want AccountDepositArgs, got %T", arg)
-		}
+	}))
+	e.Handle(proto.MethodAccountDeposit, orb.Typed(func(ctx context.Context, a proto.AccountDepositArgs) (any, error) {
 		led := e.cfg.Ledger
 		if led == nil {
 			return nil, errors.New("enactor: no economy ledger configured")
 		}
 		led.Open(a.Tenant, economy.Credits(a.Amount))
 		return accountReply(led, a.Tenant), nil
-	})
-	e.Handle(proto.MethodAccountStatus, func(ctx context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.AccountArgs)
-		if !ok {
-			return nil, fmt.Errorf("enactor: want AccountArgs, got %T", arg)
-		}
+	}))
+	e.Handle(proto.MethodAccountStatus, orb.Typed(func(ctx context.Context, a proto.AccountArgs) (any, error) {
 		led := e.cfg.Ledger
 		if led == nil {
 			return nil, errors.New("enactor: no economy ledger configured")
 		}
 		return accountReply(led, a.Tenant), nil
-	})
+	}))
 }
 
 // accountReply snapshots one tenant account for the wire.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/scheduler"
@@ -152,24 +153,24 @@ func A2CoAllocation(rounds, gang int) *Table {
 			var heldTokens []reservation.Token
 			ok := true
 			for _, m := range rl.Masters[0].Mappings {
-				res, err := env.ms.Runtime().Call(ctx, m.Host, proto.MethodMakeReservation,
+				res, err := orb.As[proto.MakeReservationReply](env.ms.Runtime().Call(ctx, m.Host, proto.MethodMakeReservation,
 					proto.MakeReservationArgs{Vault: m.Vault,
 						Type:     reservation.ReusableTimesharing,
-						Duration: time.Hour})
+						Duration: time.Hour}))
 				if err != nil {
 					ok = false
 					break
 				}
-				tok := res.(proto.MakeReservationReply).Token
+				tok := res.Token
 				heldTokens = append(heldTokens, tok)
-				cres, err := env.ms.Runtime().Call(ctx, m.Class, proto.MethodCreateInstance,
+				cres, err := orb.As[proto.CreateInstanceReply](env.ms.Runtime().Call(ctx, m.Class, proto.MethodCreateInstance,
 					proto.CreateInstanceArgs{Count: 1, Placement: &proto.Placement{
-						Host: m.Host, Vault: m.Vault, Token: tok}})
+						Host: m.Host, Vault: m.Vault, Token: tok}}))
 				if err != nil {
 					ok = false
 					break
 				}
-				started = append(started, cres.(proto.CreateInstanceReply).Instances...)
+				started = append(started, cres.Instances...)
 			}
 			switch {
 			case ok && len(started) == gang:

@@ -8,6 +8,7 @@ import (
 	"legion/internal/core"
 	"legion/internal/host"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/vault"
@@ -125,11 +126,11 @@ func Table1HostInterface(iters int) *Table {
 		return nil
 	})
 	measure("information", "vault_OK()", func(i int) error {
-		res, err := rt.Call(ctx, h.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Vault: v.LOID()})
+		res, err := orb.As[proto.BoolReply](rt.Call(ctx, h.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Vault: v.LOID()}))
 		if err != nil {
 			return err
 		}
-		if !res.(proto.BoolReply).OK {
+		if !res.OK {
 			return fmt.Errorf("vault not OK")
 		}
 		return nil

@@ -12,6 +12,7 @@ import (
 	"legion/internal/classobj"
 	"legion/internal/core"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/sched"
@@ -68,17 +69,17 @@ func runLayeringA(ctx context.Context, ms *core.Metasystem, class *classobj.Clas
 	}
 	var best *candidate
 	for _, l := range ms.HostClass.Instances() {
-		res, err := rt.Call(ctx, l, proto.MethodGetAttributes, nil)
+		res, err := orb.As[proto.AttributesReply](rt.Call(ctx, l, proto.MethodGetAttributes, nil))
 		if err != nil {
 			continue
 		}
-		v, _ := attr.Lookup(res.(proto.AttributesReply).Attrs, "host_load")
+		v, _ := attr.Lookup(res.Attrs, "host_load")
 		load, _ := v.AsFloat()
-		vres, err := rt.Call(ctx, l, proto.MethodGetCompatibleVaults, nil)
+		vres, err := orb.As[proto.CompatibleVaultsReply](rt.Call(ctx, l, proto.MethodGetCompatibleVaults, nil))
 		if err != nil {
 			continue
 		}
-		vaults := vres.(proto.CompatibleVaultsReply).Vaults
+		vaults := vres.Vaults
 		if len(vaults) == 0 {
 			continue
 		}
@@ -89,15 +90,14 @@ func runLayeringA(ctx context.Context, ms *core.Metasystem, class *classobj.Clas
 	if best == nil {
 		return errors.New("no host answered")
 	}
-	res, err := rt.Call(ctx, best.host, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.As[proto.MakeReservationReply](rt.Call(ctx, best.host, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Vault: best.vault, Type: reservation.ReusableTimesharing, Duration: time.Hour,
-	})
+	}))
 	if err != nil {
 		return err
 	}
 	_, _, err = class.CreateInstance(ctx, 1, &proto.Placement{
-		Host: best.host, Vault: best.vault,
-		Token: res.(proto.MakeReservationReply).Token,
+		Host: best.host, Vault: best.vault, Token: res.Token,
 	}, nil)
 	return err
 }

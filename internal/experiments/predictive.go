@@ -94,7 +94,7 @@ func E15PredictiveRebalancing(steps int) *Table {
 			instances = append(instances, insts...)
 		}
 
-		d := ms.NewDaemonConfig(daemon.Config{Interval: tick, HistoryLen: 8})
+		d := ms.NewDaemon(daemon.Config{Interval: tick, HistoryLen: 8})
 		pol := &rebalance.Predictive{
 			Watermark:       watermark,
 			MaxShedPerEvent: nObjects, // drain the hot host in one event

@@ -467,15 +467,13 @@ func (h *Host) Reassess(ctx context.Context) {
 // function is called.
 func (h *Host) StartReassessing(interval time.Duration) (stop func()) {
 	clock := h.rt.Clock()
-	ctx, cancel := context.WithCancel(context.Background())
+	t := clock.NewTicker(interval)
 	clock.Go(func() {
-		t := clock.NewTicker(interval)
-		defer t.Stop()
-		for t.Wait(ctx) == nil {
+		for t.Wait(context.Background()) == nil {
 			h.Reassess(context.Background())
 		}
 	})
-	return cancel
+	return t.Stop
 }
 
 // ReapReservations reclaims expired and orphaned (granted but never
@@ -569,15 +567,13 @@ func (h *Host) IsRunning(instance loid.LOID) bool {
 // stop function is called.
 func (h *Host) StartReaper(interval time.Duration) (stop func()) {
 	clock := h.rt.Clock()
-	ctx, cancel := context.WithCancel(context.Background())
+	t := clock.NewTicker(interval)
 	clock.Go(func() {
-		t := clock.NewTicker(interval)
-		defer t.Stop()
-		for t.Wait(ctx) == nil {
+		for t.Wait(context.Background()) == nil {
 			h.ReapReservations()
 		}
 	})
-	return cancel
+	return t.Stop
 }
 
 // --- Reservation management (Table 1, column 1) ---
@@ -645,11 +641,11 @@ func (h *Host) vaultOK(ctx context.Context, v loid.LOID) error {
 	}
 	// Identity + zone probe: the vault confirms it is the vault we think
 	// it is and that a host in our zone can reach it.
-	res, err := h.rt.Call(ctx, v, proto.MethodVaultOK, proto.VaultOKArgs{Vault: v, Zone: h.cfg.Zone})
+	r, err := orb.As[proto.BoolReply](h.rt.Call(ctx, v, proto.MethodVaultOK, proto.VaultOKArgs{Vault: v, Zone: h.cfg.Zone}))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVaultUnreachable, err)
 	}
-	if r, ok := res.(proto.BoolReply); !ok || !r.OK {
+	if !r.OK {
 		return fmt.Errorf("%w: vault %v declines zone %q", ErrVaultUnreachable, v, h.cfg.Zone)
 	}
 	return nil
@@ -840,109 +836,64 @@ func hostMethods() *orb.DispatchTable {
 
 func buildHostMethods() *orb.DispatchTable {
 	t := orb.NewDispatchTable()
-	t.Handle(proto.MethodMakeReservation, func(ctx context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.MakeReservationArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want MakeReservationArgs, got %T", arg)
-		}
+	t.Handle(proto.MethodMakeReservation, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.MakeReservationArgs) (any, error) {
 		tok, err := h.MakeReservation(ctx, a)
 		if err != nil {
 			return nil, err
 		}
 		return proto.MakeReservationReply{Token: *tok, Cost: h.ReservationCost(tok.Duration)}, nil
-	})
-	t.Handle(proto.MethodCheckReservation, func(_ context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.TokenArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want TokenArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodCheckReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (any, error) {
 		if err := h.CheckReservation(&a.Token); err != nil {
 			return proto.BoolReply{OK: false}, nil
 		}
 		return proto.BoolReply{OK: true}, nil
-	})
-	t.Handle(proto.MethodCancelReservation, func(_ context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.TokenArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want TokenArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodCancelReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (any, error) {
 		if err := h.CancelReservation(&a.Token); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	t.Handle(proto.MethodStartObject, func(ctx context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.StartObjectArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want StartObjectArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodStartObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.StartObjectArgs) (any, error) {
 		started, err := h.StartObject(ctx, a)
 		if err != nil {
 			return nil, err
 		}
 		return proto.StartObjectReply{Started: started}, nil
-	})
-	t.Handle(proto.MethodKillObject, func(ctx context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.ObjectArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want ObjectArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodKillObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (any, error) {
 		if err := h.KillObject(ctx, a.Object); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	t.Handle(proto.MethodDeactivateObject, func(ctx context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.ObjectArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want ObjectArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodDeactivateObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (any, error) {
 		o, vaultL, err := h.DeactivateObject(ctx, a.Object)
 		if err != nil {
 			return nil, err
 		}
 		return proto.DeactivateReply{OPR: o, Vault: vaultL}, nil
-	})
+	}))
 	t.Handle(proto.MethodGetCompatibleVaults, func(_ context.Context, recv, _ any) (any, error) {
 		return proto.CompatibleVaultsReply{Vaults: recv.(*Host).CompatibleVaults()}, nil
 	})
-	t.Handle(proto.MethodVaultOK, func(ctx context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.VaultOKArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want VaultOKArgs, got %T", arg)
-		}
+	t.Handle(proto.MethodVaultOK, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.VaultOKArgs) (any, error) {
 		if err := h.vaultOK(ctx, a.Vault); err != nil {
 			return proto.BoolReply{OK: false}, nil
 		}
 		return proto.BoolReply{OK: true}, nil
-	})
+	}))
 	t.Handle(proto.MethodGetAttributes, func(_ context.Context, recv, _ any) (any, error) {
 		return proto.AttributesReply{Attrs: recv.(*Host).Attributes()}, nil
 	})
-	t.Handle(proto.MethodDefineTrigger, func(_ context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.DefineTriggerArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want DefineTriggerArgs, got %T", arg)
-		}
+	t.Handle(proto.MethodDefineTrigger, orb.SharedTyped(func(_ context.Context, h *Host, a proto.DefineTriggerArgs) (any, error) {
 		if err := h.trigs.Define(a.Name, a.Guard); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	t.Handle(proto.MethodRegisterOutcall, func(_ context.Context, recv, arg any) (any, error) {
-		h := recv.(*Host)
-		a, ok := arg.(proto.RegisterOutcallArgs)
-		if !ok {
-			return nil, fmt.Errorf("host: want RegisterOutcallArgs, got %T", arg)
-		}
+	}))
+	t.Handle(proto.MethodRegisterOutcall, orb.SharedTyped(func(_ context.Context, h *Host, a proto.RegisterOutcallArgs) (any, error) {
 		monitor := a.Monitor
 		// Keyed by the registering Monitor: a re-watch (reconnect, retried
 		// Watch) replaces the previous registration instead of stacking a
@@ -961,6 +912,6 @@ func buildHostMethods() *orb.DispatchTable {
 			})
 		})
 		return proto.Ack{}, nil
-	})
+	}))
 	return t
 }

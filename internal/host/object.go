@@ -98,22 +98,15 @@ func genericMethods() *orb.DispatchTable {
 			g.mu.Unlock()
 			return "pong", nil
 		})
-		t.Handle("get", func(_ context.Context, recv, arg any) (any, error) {
-			key, ok := arg.(string)
-			if !ok {
-				return nil, fmt.Errorf("object: want string key, got %T", arg)
-			}
-			g := recv.(*GenericObject)
+		t.Handle("get", orb.SharedTyped(func(_ context.Context, g *GenericObject, key string) (any, error) {
 			g.mu.Lock()
 			defer g.mu.Unlock()
 			return g.payload[key], nil
-		})
-		t.Handle("set", func(_ context.Context, recv, arg any) (any, error) {
-			kv, ok := arg.([]string)
-			if !ok || len(kv) != 2 {
-				return nil, fmt.Errorf("object: want [key, value], got %T", arg)
+		}))
+		t.Handle("set", orb.SharedTyped(func(_ context.Context, g *GenericObject, kv []string) (any, error) {
+			if len(kv) != 2 {
+				return nil, fmt.Errorf("object: want [key, value], got %d strings", len(kv))
 			}
-			g := recv.(*GenericObject)
 			g.mu.Lock()
 			if g.payload == nil {
 				g.payload = make(map[string]string)
@@ -121,7 +114,7 @@ func genericMethods() *orb.DispatchTable {
 			g.payload[kv[0]] = kv[1]
 			g.mu.Unlock()
 			return nil, nil
-		})
+		}))
 		genericTable = t
 	})
 	return genericTable

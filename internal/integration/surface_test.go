@@ -75,12 +75,10 @@ var testOnlyExports = map[string]bool{
 	"internal/query.MustParse":             true,
 
 	// Mechanisms only tests still reach, not yet deleted (ROADMAP item 4).
-	"internal/collection/daemon.Daemon.Flush": true,
-	"internal/core.Metasystem.NewDaemon":      true,
-	"internal/enactor.Enactor.ReapRequests":   true,
-	"internal/host.Host.AttrSet":              true,
-	"internal/orb.Runtime.SetServerLimit":     true,
-	"internal/telemetry.SpanLog.SetRuntime":   true,
+	"internal/enactor.Enactor.ReapRequests": true,
+	"internal/host.Host.AttrSet":            true,
+	"internal/orb.Runtime.SetServerLimit":   true,
+	"internal/telemetry.SpanLog.SetRuntime": true,
 }
 
 // TestNoTestOnlyExports holds that the program exports nothing only its
@@ -134,6 +132,62 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("%s is allowed but has a non-test user; drop it from testOnlyExports", key)
 		}
 	}
+}
+
+// TestNoProtoTypeAssertions holds that a payload crossing the ORB is
+// typed in one place: handlers take their argument through orb.Typed or
+// orb.SharedTyped, and callers read replies through orb.As, so a peer's
+// wrong-typed payload is an error and never a panic. Any type assertion
+// to a proto type, single-value or comma-ok, in non-test Go fails.
+func TestNoProtoTypeAssertions(t *testing.T) {
+	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasPrefix(rel, "bench/") {
+			return // the frozen benchmark instrument, edited only in its own changes
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"legion/internal/proto"` {
+				name = "proto"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return
+		}
+		commaOK := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == 2 && len(n.Rhs) == 1 {
+					commaOK[n.Rhs[0]] = true
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == 2 && len(n.Values) == 1 {
+					commaOK[n.Values[0]] = true
+				}
+			case *ast.TypeAssertExpr:
+				typ := n.Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				sel, ok := typ.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == name {
+					form := "single-value"
+					if commaOK[n] {
+						form = "comma-ok"
+					}
+					t.Errorf("%s: %s type assertion to proto.%s; read a reply with orb.As, take an argument with orb.Typed",
+						fset.Position(n.Pos()), form, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
 }
 
 // walkNonTest parses every non-test Go file under internal/, cmd/, bench/

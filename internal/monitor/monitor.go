@@ -122,14 +122,10 @@ func New(rt *orb.Runtime) *Monitor {
 		delivered:     reg.Counter("legion_monitor_events_delivered_total"),
 		dropped:       reg.Counter("legion_monitor_events_dropped_total"),
 	}
-	m.Handle(proto.MethodNotify, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.NotifyArgs)
-		if !ok {
-			return nil, fmt.Errorf("monitor: want NotifyArgs, got %T", arg)
-		}
+	m.Handle(proto.MethodNotify, orb.Typed(func(_ context.Context, a proto.NotifyArgs) (any, error) {
 		m.deliver(a)
 		return proto.Ack{}, nil
-	})
+	}))
 	rt.Register(m)
 	return m
 }

@@ -17,6 +17,50 @@ type Method func(ctx context.Context, arg any) (any, error)
 // struct, e.g. *host.Host).
 type SharedMethod func(ctx context.Context, recv, arg any) (any, error)
 
+// Typed adapts a handler of one argument type to a Method. The caller
+// may be remote or version-skewed, so an argument of another type is
+// refused with an error, never a panic.
+func Typed[A any](f func(ctx context.Context, a A) (any, error)) Method {
+	return func(ctx context.Context, arg any) (any, error) {
+		a, err := argAs[A](arg)
+		if err != nil {
+			return nil, err
+		}
+		return f(ctx, a)
+	}
+}
+
+// SharedTyped is Typed for a class-wide table: recv is the receiver
+// bound by NewSharedServiceObject or BindReceiver.
+func SharedTyped[R, A any](f func(ctx context.Context, recv R, a A) (any, error)) SharedMethod {
+	return func(ctx context.Context, recv, arg any) (any, error) {
+		a, err := argAs[A](arg)
+		if err != nil {
+			return nil, err
+		}
+		return f(ctx, recv.(R), a)
+	}
+}
+
+func argAs[A any](arg any) (A, error) {
+	a, ok := arg.(A)
+	if !ok {
+		return a, fmt.Errorf("orb: want argument %T, got %T", a, arg)
+	}
+	return a, nil
+}
+
+// As types a call's result, passing a call error through. A peer may
+// answer with any registered type, so a reply of another type is an
+// error like any other, never a panic.
+func As[T any](res any, err error) (T, error) {
+	reply, ok := res.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("orb: unexpected reply %T", res)
+	}
+	return reply, err
+}
+
 // DispatchTable is a build-once method table shared across all instances
 // of a class. At metasystem scale the per-instance method map is the
 // dominant per-object allocation (a Host registers ~12 closures, and

@@ -40,13 +40,9 @@ func newEcho(rt *Runtime) *ServiceObject {
 	obj.Handle("fail", func(_ context.Context, _ any) (any, error) {
 		return nil, errors.New("deliberate failure")
 	})
-	obj.Handle("double", func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(echoArg)
-		if !ok {
-			return nil, fmt.Errorf("want echoArg, got %T", arg)
-		}
+	obj.Handle("double", Typed(func(_ context.Context, a echoArg) (any, error) {
 		return echoArg{N: a.N * 2, S: a.S + a.S}, nil
-	})
+	}))
 	rt.Register(obj)
 	return obj
 }
@@ -60,6 +56,41 @@ func TestLocalCall(t *testing.T) {
 	}
 	if g := got.(echoArg); g.N != 42 || g.S != "abab" {
 		t.Errorf("got %+v", g)
+	}
+}
+
+// TestTypedBoundary: a handler registered through Typed or SharedTyped
+// refuses an argument of another type, and As refuses a reply of
+// another type; both are errors a caller handles, never a panic.
+func TestTypedBoundary(t *testing.T) {
+	rt := NewRuntime("uva")
+	obj := newEcho(rt)
+	ctx := context.Background()
+	if _, err := rt.Call(ctx, obj.LOID(), "double", "not an echoArg"); err == nil ||
+		err.Error() != "orb: want argument orb.echoArg, got string" {
+		t.Errorf("wrong-typed argument: %v", err)
+	}
+	tbl := NewDispatchTable()
+	tbl.Handle("len", SharedTyped(func(_ context.Context, recv string, a echoArg) (any, error) {
+		return len(recv) + a.N, nil
+	}))
+	shared := NewSharedServiceObject(rt.Mint("Shared"), tbl, "abc")
+	if got, err := shared.Dispatch(ctx, "len", echoArg{N: 1}); err != nil || got != 4 {
+		t.Errorf("shared typed call: %v %v", got, err)
+	}
+	if _, err := shared.Dispatch(ctx, "len", 1); err == nil {
+		t.Error("shared typed method accepted an int")
+	}
+	if g, err := As[echoArg](rt.Call(ctx, obj.LOID(), "double", echoArg{N: 2})); err != nil || g.N != 4 {
+		t.Errorf("As on the right type: %+v %v", g, err)
+	}
+	if _, err := As[echoArg](rt.Call(ctx, obj.LOID(), "echo", "text")); err == nil ||
+		err.Error() != "orb: unexpected reply string" {
+		t.Errorf("As on a string reply: %v", err)
+	}
+	callErr := errors.New("call failed")
+	if _, err := As[echoArg](echoArg{}, callErr); err != callErr {
+		t.Errorf("As dropped the call error: %v", err)
 	}
 }
 

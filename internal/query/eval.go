@@ -231,7 +231,7 @@ func cmpOrder(op string, c int) bool {
 func (e *callExpr) eval(env *Env) (attr.Value, error) {
 	// defined($attr) must observe attribute absence rather than have the
 	// missing-attribute signal abort argument evaluation, so it is
-	// handled before the generic call path.
+	// handled here, not through builtins; an injected "defined" wins.
 	if e.name == "defined" && (env.Funcs == nil || env.Funcs["defined"] == nil) {
 		if len(e.args) != 1 {
 			return attr.Value{}, evalErrf(e, "defined wants 1 argument, got %d", len(e.args))
@@ -276,7 +276,6 @@ func (e *callExpr) call(env *Env, f Func) (attr.Value, error) {
 var builtins = map[string]Func{
 	"match":    builtinMatch,
 	"contains": builtinContains,
-	"defined":  builtinDefined,
 	"len":      builtinLen,
 }
 
@@ -332,19 +331,6 @@ func builtinContains(_ Record, args []attr.Value) (attr.Value, error) {
 		}
 	}
 	return attr.Bool(false), nil
-}
-
-// builtinDefined implements defined($attr): true when the record has the
-// attribute. The interesting case — the attribute being absent — is
-// handled directly in callExpr.eval, which intercepts the missing-
-// attribute signal before it aborts argument evaluation; this entry only
-// exists so name resolution and shadowing by injected functions work
-// uniformly.
-func builtinDefined(_ Record, args []attr.Value) (attr.Value, error) {
-	if len(args) != 1 {
-		return attr.Value{}, fmt.Errorf("defined wants 1 argument, got %d", len(args))
-	}
-	return attr.Bool(args[0].IsValid()), nil
 }
 
 // builtinLen implements len(x): list length or string byte length.

@@ -156,7 +156,7 @@ func TestPolicyGoldenMoves(t *testing.T) {
 	}
 	arms("no-history")
 
-	d := ms.NewDaemonConfig(daemon.Config{Interval: time.Second, HistoryLen: 8})
+	d := ms.NewDaemon(daemon.Config{Interval: time.Second, HistoryLen: 8})
 	for round := 0; round < 2; round++ {
 		for step := range specs[0].ramp {
 			setLoads(step)

@@ -133,19 +133,15 @@ func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Met
 func (r *Rebalancer) StartForecastScan(interval time.Duration, p *Predictive) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopScan != nil {
+	if r.scan != nil {
 		return
 	}
-	stop := make(chan struct{})
-	r.stopScan = stop
-	sctx, scancel := context.WithCancel(context.Background())
-	go func() { <-stop; scancel() }()
+	t := r.clock.NewTicker(interval)
+	r.scan = t
 	r.scanWG.Add(1)
 	r.clock.Go(func() {
 		defer r.scanWG.Done()
-		t := r.clock.NewTicker(interval)
-		defer t.Stop()
-		for t.Wait(sctx) == nil {
+		for t.Wait(context.Background()) == nil {
 			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			r.forecastScan(ctx, p)
 			vclock.End(ctx)

@@ -78,7 +78,7 @@ func TestPredictiveRanksByForecastNotCurrentLoad(t *testing.T) {
 
 	// Publish histories through the daemon so the policy sees exactly
 	// what production sees.
-	d := ms.NewDaemonConfig(daemon.Config{Interval: time.Second, HistoryLen: 8})
+	d := ms.NewDaemon(daemon.Config{Interval: time.Second, HistoryLen: 8})
 	hosts := ms.Hosts()
 	spikyIdx, steadyIdx := -1, -1
 	for i, h := range hosts {
@@ -160,7 +160,7 @@ func TestForecastScanShedsBeforeOverload(t *testing.T) {
 	}
 	inst, src := insts[0], p.Host
 
-	d := ms.NewDaemonConfig(daemon.Config{Interval: time.Second, HistoryLen: 8})
+	d := ms.NewDaemon(daemon.Config{Interval: time.Second, HistoryLen: 8})
 	pol := &Predictive{Watermark: 0.8, Predictor: nws.Trend{K: 4}}
 	r := New(ms, Config{Classes: []*classobj.Class{c}, Policy: pol, Cooldown: -1})
 	if err := r.Start(); err != nil {

@@ -97,17 +97,17 @@ type Rebalancer struct {
 	cfg   Config
 	clock vclock.Clock // the metasystem runtime's
 
-	mu        sync.Mutex
-	started   bool
-	stopMon   func() // detaches the OnEventAsync subscription
-	stopSweep chan struct{}
-	sweepWG   sync.WaitGroup
-	stopScan  chan struct{} // forecast scan (predictive.go)
-	scanWG    sync.WaitGroup
-	lastShed  map[loid.LOID]time.Time // source host -> last successful shed
-	inflight  map[loid.LOID]bool      // instances being migrated by us
-	tokens    float64                 // rate-limit bucket level
-	lastFill  time.Time
+	mu       sync.Mutex
+	started  bool
+	stopMon  func() // detaches the OnEventAsync subscription
+	sweep    vclock.Ticker
+	sweepWG  sync.WaitGroup
+	scan     vclock.Ticker // forecast scan (predictive.go)
+	scanWG   sync.WaitGroup
+	lastShed map[loid.LOID]time.Time // source host -> last successful shed
+	inflight map[loid.LOID]bool      // instances being migrated by us
+	tokens   float64                 // rate-limit bucket level
+	lastFill time.Time
 
 	events      *telemetry.Counter
 	migrationsO *telemetry.Counter // result="ok"
@@ -178,19 +178,15 @@ func (r *Rebalancer) Start() error {
 func (r *Rebalancer) StartSweeping(interval time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopSweep != nil {
+	if r.sweep != nil {
 		return
 	}
-	stop := make(chan struct{})
-	r.stopSweep = stop
-	sctx, scancel := context.WithCancel(context.Background())
-	go func() { <-stop; scancel() }()
+	t := r.clock.NewTicker(interval)
+	r.sweep = t
 	r.sweepWG.Add(1)
 	r.clock.Go(func() {
 		defer r.sweepWG.Done()
-		t := r.clock.NewTicker(interval)
-		defer t.Stop()
-		for t.Wait(sctx) == nil {
+		for t.Wait(context.Background()) == nil {
 			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			_ = r.Reconcile(ctx)
 			vclock.End(ctx)
@@ -203,23 +199,19 @@ func (r *Rebalancer) StartSweeping(interval time.Duration) {
 // not wait for it.
 func (r *Rebalancer) Stop() {
 	r.mu.Lock()
-	stopMon := r.stopMon
-	stopSweep := r.stopSweep
-	stopScan := r.stopScan
-	r.stopMon = nil
-	r.stopSweep = nil
-	r.stopScan = nil
+	stopMon, sweep, scan := r.stopMon, r.sweep, r.scan
+	r.stopMon, r.sweep, r.scan = nil, nil, nil
 	r.started = false
 	r.mu.Unlock()
 	if stopMon != nil {
 		stopMon()
 	}
-	if stopSweep != nil {
-		close(stopSweep)
+	if sweep != nil {
+		sweep.Stop()
 		r.sweepWG.Wait()
 	}
-	if stopScan != nil {
-		close(stopScan)
+	if scan != nil {
+		scan.Stop()
 		r.scanWG.Wait()
 	}
 }

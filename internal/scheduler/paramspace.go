@@ -8,6 +8,7 @@ import (
 
 	"legion/internal/classobj"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/resilient"
@@ -113,7 +114,7 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 		}
 		var lastErr error
 		for _, h := range ordered(view, bySlotLoad) {
-			reply, err := replyAs[proto.MakeReservationReply](caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
+			reply, err := orb.As[proto.MakeReservationReply](caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: env.Collection, // the study has no LOID of its own; attribute to the RM
 				Vault:     h.hostVault(0).Vault,
 				Type:      reservation.ReusableTimesharing,

@@ -163,22 +163,11 @@ func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Im
 	clk := env.RT.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
 	defer vclock.End(cctx)
-	reply, err := replyAs[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
+	reply, err := orb.As[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
 	}
 	return reply.Impls, nil
-}
-
-// replyAs types a call's result, passing a call error through. Peers may
-// be remote or version-skewed, so a reply of another type is an error
-// like any other — never a panic.
-func replyAs[T any](res any, err error) (T, error) {
-	reply, ok := res.(T)
-	if err == nil && !ok {
-		err = fmt.Errorf("scheduler: unexpected reply %T", res)
-	}
-	return reply, err
 }
 
 // implQuery builds the Collection query matching hosts able to run any of
@@ -248,7 +237,7 @@ func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInf
 	clk := env.RT.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
 	defer vclock.End(cctx)
-	reply, err := replyAs[proto.QueryReply](env.call(cctx, env.Collection,
+	reply, err := orb.As[proto.QueryReply](env.call(cctx, env.Collection,
 		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
 	if err != nil {
 		return nil, 0, fmt.Errorf("scheduler: collection query: %w", err)

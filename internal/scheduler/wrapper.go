@@ -128,7 +128,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			var staleIDs []uint64
 			rerr := env.Retry.Do(ctx, func(actx context.Context) error {
 				request.ID = wrapperIDs.Add(1)
-				reply, cerr := replyAs[proto.FeedbackReply](caller.CallOnce(actx, enactorL, proto.MethodMakeReservations,
+				reply, cerr := orb.As[proto.FeedbackReply](caller.CallOnce(actx, enactorL, proto.MethodMakeReservations,
 					proto.MakeReservationsArgs{Request: request, RequesterDomain: env.RT.Domain()}))
 				if cerr != nil {
 					// The attempt may have succeeded server-side with the
@@ -176,7 +176,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			// enact_schedule is idempotent at the Enactor (a retried
 			// success returns the same instances), so the same request
 			// ID is safely retried through the resilient caller.
-			reply, err := replyAs[proto.EnactReply](caller.Call(ctx, enactorL, proto.MethodEnactSchedule,
+			reply, err := orb.As[proto.EnactReply](caller.Call(ctx, enactorL, proto.MethodEnactSchedule,
 				proto.EnactScheduleArgs{RequestID: request.ID}))
 			if err != nil {
 				lastErr = err

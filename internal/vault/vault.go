@@ -192,47 +192,26 @@ func (v *Vault) Attributes() []attr.Pair { return v.attrs.Snapshot() }
 
 // installMethods wires the orb protocol to the Go API.
 func (v *Vault) installMethods() {
-	v.Handle(proto.MethodStoreOPR, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.StoreOPRArgs)
-		if !ok {
-			return nil, fmt.Errorf("vault: want StoreOPRArgs, got %T", arg)
-		}
+	v.Handle(proto.MethodStoreOPR, orb.Typed(func(_ context.Context, a proto.StoreOPRArgs) (any, error) {
 		if err := v.Store(a.OPR); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	v.Handle(proto.MethodRetrieveOPR, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.RetrieveOPRArgs)
-		if !ok {
-			return nil, fmt.Errorf("vault: want RetrieveOPRArgs, got %T", arg)
-		}
+	}))
+	v.Handle(proto.MethodRetrieveOPR, orb.Typed(func(_ context.Context, a proto.RetrieveOPRArgs) (any, error) {
 		o, err := v.Retrieve(a.Object)
 		if err != nil {
 			return nil, err
 		}
 		return proto.RetrieveOPRReply{OPR: o}, nil
-	})
-	v.Handle(proto.MethodDeleteOPR, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.DeleteOPRArgs)
-		if !ok {
-			return nil, fmt.Errorf("vault: want DeleteOPRArgs, got %T", arg)
-		}
+	}))
+	v.Handle(proto.MethodDeleteOPR, orb.Typed(func(_ context.Context, a proto.DeleteOPRArgs) (any, error) {
 		if err := v.Delete(a.Object); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
-	})
-	v.Handle(proto.MethodVaultOK, func(_ context.Context, arg any) (any, error) {
-		a, ok := arg.(proto.VaultOKArgs)
-		if !ok {
-			// Zone-based compatibility probe: argument may be a zone
-			// string for host-side checks.
-			if zone, isZone := arg.(string); isZone {
-				return proto.BoolReply{OK: v.CompatibleWithZone(zone)}, nil
-			}
-			return nil, fmt.Errorf("vault: want VaultOKArgs or zone string, got %T", arg)
-		}
+	}))
+	v.Handle(proto.MethodVaultOK, orb.Typed(func(_ context.Context, a proto.VaultOKArgs) (any, error) {
 		// The vault vouches only for itself: a probe naming some other
 		// vault (misrouted call, stale LOID) must not be confirmed, and
 		// when the caller supplies a host zone the vault also verifies
@@ -245,7 +224,7 @@ func (v *Vault) installMethods() {
 			return proto.BoolReply{OK: false}, nil
 		}
 		return proto.BoolReply{OK: true}, nil
-	})
+	}))
 	v.Handle(proto.MethodGetAttributes, func(_ context.Context, _ any) (any, error) {
 		return proto.AttributesReply{Attrs: v.Attributes()}, nil
 	})

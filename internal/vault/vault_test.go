@@ -168,11 +168,11 @@ func TestOrbProtocol(t *testing.T) {
 	if err != nil || !res.(proto.BoolReply).OK {
 		t.Errorf("VaultOK: %v %v", res, err)
 	}
-	res, err = rt.Call(ctx, v.LOID(), proto.MethodVaultOK, "z1")
+	res, err = rt.Call(ctx, v.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Zone: "z1"})
 	if err != nil || !res.(proto.BoolReply).OK {
 		t.Errorf("VaultOK zone probe: %v %v", res, err)
 	}
-	res, err = rt.Call(ctx, v.LOID(), proto.MethodVaultOK, "z9")
+	res, err = rt.Call(ctx, v.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Zone: "z9"})
 	if err != nil || res.(proto.BoolReply).OK {
 		t.Errorf("VaultOK wrong zone: %v %v", res, err)
 	}

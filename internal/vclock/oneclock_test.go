@@ -63,10 +63,6 @@ var bareGos = map[string]int{
 	"internal/orb/coalesce.go": 1,
 	// The wall clock's worker pool; fanout.Do runs serially on any other.
 	"internal/fanout/fanout.go": 1,
-	// "<-stop; cancel()" watchers, which never touch a clock.
-	"internal/collection/daemon/daemon.go": 1,
-	"internal/rebalance/rebalance.go":      1,
-	"internal/rebalance/predictive.go":     1,
 	// A daemon's telemetry listener and status line, on the wall clock.
 	"cmd/legiond/main.go": 2,
 }

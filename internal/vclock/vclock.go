@@ -68,9 +68,11 @@ type Timer interface {
 // backlog: the next Wait fires immediately (once), then the schedule
 // resumes from there.
 type Ticker interface {
-	// Wait blocks until the next tick or ctx cancellation.
+	// Wait blocks until the next tick, Stop, or ctx's end. One goroutine
+	// waits on a ticker at a time: the loop it drives.
 	Wait(ctx context.Context) error
-	// Stop releases the ticker; pending Waits return via their ctx.
+	// Stop releases the ticker and ends a pending Wait, and every later
+	// one, with context.Canceled. Idempotent.
 	Stop()
 }
 

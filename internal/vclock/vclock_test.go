@@ -149,6 +149,58 @@ func TestVirtualTicker(t *testing.T) {
 	}
 }
 
+// TestTickerStopEndsWait: Stop ends a Wait parked on the ticker, and
+// every later one, with context.Canceled, on either clock. On the
+// virtual clock the parked loop wakes at the virtual instant Stop ran,
+// and its tick is taken out of the queue.
+func TestTickerStopEndsWait(t *testing.T) {
+	bg := context.Background()
+	v := NewVirtual()
+	var err error
+	var at time.Duration
+	v.Run(func() {
+		tk := v.NewTicker(time.Hour)
+		g := v.NewGroup()
+		g.Add(1)
+		v.Go(func() {
+			defer g.Done()
+			err = tk.Wait(bg)
+			at = v.Elapsed()
+		})
+		_ = v.Sleep(bg, time.Millisecond)
+		tk.Stop()
+		_ = g.Wait(bg)
+		if again := tk.Wait(bg); again != context.Canceled {
+			t.Errorf("virtual Wait after Stop = %v", again)
+		}
+		tk.Stop() // idempotent
+	})
+	if err != context.Canceled || at != time.Millisecond {
+		t.Errorf("virtual Wait ended with %v at %v, want Canceled at 1ms", err, at)
+	}
+	if n := v.PendingEvents(); n != 0 {
+		t.Errorf("%d events pending after Stop", n)
+	}
+
+	tk := Wall.NewTicker(time.Hour)
+	errc := make(chan error, 1)
+	go func() { errc <- tk.Wait(bg) }()
+	time.Sleep(10 * time.Millisecond)
+	tk.Stop()
+	select {
+	case err := <-errc:
+		if err != context.Canceled {
+			t.Errorf("wall Wait ended with %v, want Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("wall Wait still parked 5s after Stop")
+	}
+	if err := tk.Wait(bg); err != context.Canceled {
+		t.Errorf("wall Wait after Stop = %v", err)
+	}
+	tk.Stop()
+}
+
 func TestVirtualGate(t *testing.T) {
 	v := NewVirtual()
 	g := v.NewGate()

@@ -149,10 +149,10 @@ func newWaiter() *waiter {
 	return w
 }
 
-// waiterPool recycles the waiters of Sleep and Ticker.Wait, which nothing
-// points at once the wait has returned. A Gate or a Group keeps a pointer
-// to its waiter past the wake and reads granted through it, so theirs are
-// made new for every wait.
+// waiterPool recycles the waiters of Sleep, which nothing points at once
+// the wait has returned. A Ticker keeps one waiter, which Stop grants; a
+// Gate or a Group keeps a pointer to its waiter past the wake and reads
+// granted through it, so theirs are made new for every wait.
 var waiterPool = sync.Pool{New: func() any { return newWaiter() }}
 
 // NewVirtual creates a virtual clock whose epoch is the current wall
@@ -258,17 +258,12 @@ func (v *Virtual) park(ctx context.Context, w *waiter, attached bool) error {
 	}
 }
 
-// sleepUntil parks the caller until an event of the given kind fires at
+// sleepUntil parks the caller on w until an event of w's kind fires at
 // at, or ctx ends: the whole of Sleep and Ticker.Wait once they hold
 // v.mu, which it releases. c is v.own(ctx).
-func (v *Virtual) sleepUntil(ctx context.Context, c *vctx, at time.Time, kind eventKind) error {
-	w := waiterPool.Get().(*waiter)
-	w.ev.kind = kind
+func (v *Virtual) sleepUntil(ctx context.Context, c *vctx, w *waiter, at time.Time) error {
 	v.schedule(&w.ev, at)
-	err := v.park(ctx, w, v.attach(c, w))
-	w.granted, w.err = false, nil
-	waiterPool.Put(w)
-	return err
+	return v.park(ctx, w, v.attach(c, w))
 }
 
 func (v *Virtual) exitBusy() {
@@ -309,8 +304,13 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	c := v.own(ctx)
+	w := waiterPool.Get().(*waiter)
+	w.ev.kind = evSleep
 	v.mu.Lock()
-	return v.sleepUntil(ctx, c, v.now.Add(d), evSleep)
+	err := v.sleepUntil(ctx, c, w, v.now.Add(d))
+	w.granted, w.err = false, nil
+	waiterPool.Put(w)
+	return err
 }
 
 // AfterFunc schedules f to run after d on a registered goroutine.
@@ -328,9 +328,12 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("vclock: non-positive ticker period")
 	}
+	w := newWaiter()
+	w.ev.kind = evTick
+	w.granted = true // not parked
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return &vticker{v: v, period: d, next: v.now.Add(d)}
+	return &vticker{v: v, period: d, next: v.now.Add(d), w: w}
 }
 
 // Go registers f with the barrier and schedules its start at the
@@ -615,10 +618,14 @@ func (t *vtimer) Stop() bool {
 	return active
 }
 
+// vticker's one waiter is parked while a Wait is, and granted otherwise,
+// so Stop can end the Wait under v.mu as a clock context's end does.
+// Wait is for one goroutine at a time, the ticker's loop.
 type vticker struct {
 	v       *Virtual
 	period  time.Duration
 	next    time.Time
+	w       *waiter
 	stopped bool
 }
 
@@ -637,13 +644,16 @@ func (t *vticker) Wait(ctx context.Context) error {
 		at = t.v.now // fell behind: fire immediately, no backlog
 	}
 	t.next = at.Add(t.period)
-	return t.v.sleepUntil(ctx, c, at, evTick)
+	t.w.granted, t.w.err = false, nil
+	return t.v.sleepUntil(ctx, c, t.w, at)
 }
 
 func (t *vticker) Stop() {
 	t.v.mu.Lock()
+	defer t.v.mu.Unlock()
 	t.stopped = true
-	t.v.mu.Unlock()
+	t.v.cancelEventLocked(&t.w.ev)
+	t.v.grant(t.w, context.Canceled)
 }
 
 // --- gate & group ---

@@ -37,7 +37,7 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 func (wallClock) NewTicker(d time.Duration) Ticker {
-	return &wallTicker{t: time.NewTicker(d)}
+	return &wallTicker{t: time.NewTicker(d), stop: make(chan struct{})}
 }
 
 // WithDeadline derives a context that ends at the wall-clock instant at,
@@ -187,19 +187,35 @@ func (wallClock) Go(f func()) { go f() }
 func (wallClock) NewGate() Gate   { return &wallGate{} }
 func (wallClock) NewGroup() Group { return &wallGroup{} }
 
-// wallTicker adapts *time.Ticker with a cancellable Wait.
-type wallTicker struct{ t *time.Ticker }
+// wallTicker adapts *time.Ticker with a Wait that ctx or Stop ends.
+type wallTicker struct {
+	t    *time.Ticker
+	stop chan struct{}
+	once sync.Once
+}
 
 func (w *wallTicker) Wait(ctx context.Context) error {
 	select {
+	case <-w.stop: // before a tick Stop left in the channel
+		return context.Canceled
+	default:
+	}
+	select {
 	case <-w.t.C:
 		return nil
+	case <-w.stop:
+		return context.Canceled
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-func (w *wallTicker) Stop() { w.t.Stop() }
+func (w *wallTicker) Stop() {
+	w.once.Do(func() {
+		w.t.Stop()
+		close(w.stop)
+	})
+}
 
 // wallGate is the real-time Gate: a token count plus a one-slot wake
 // channel (single waiter by contract).
