@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"legion/internal/economy"
 	"legion/internal/host"
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
 	"legion/internal/resilient"
@@ -34,7 +36,9 @@ const sweepSeeds = 200
 // subsystem on at once, wounds it with a fault schedule drawn from the
 // seed while an open-loop storm runs through it, quiesces it, and holds
 // it to the conservation laws in invariants. Admission control is on for
-// odd seeds and off for even ones; every fifth seed, half of them with
+// odd seeds and off for even ones; on half the seeds of either kind
+// (seed%4 >= 2) every argument, reply and error of every call
+// round-trips the wire codec. Every fifth seed, half of them with
 // admission on, runs twice and must fire the same events both times. A
 // failing seed replays alone by its name:
 //
@@ -188,6 +192,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	defer w.Close()
 	site := w.Sites[0]
 	ms, rt := site.MS, site.MS.Runtime()
+	rt.SetLoopbackCodec(seed%4 >= 2)
 	worker, _ := ms.Class("Worker")
 	stateful := ms.DefineClass("Stateful", nil)
 	tasks := ms.DefineClass("Task", nil)
@@ -205,7 +210,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	// and lost cancels how many grants may wait for the reaper.
 	var failures, lostCancels atomic.Int64
 	rt.SetTracer(func(_ string, _ loid.LOID, method string, _ time.Duration, err error) {
-		if err != nil && !proto.IsOverload(err) {
+		if err != nil && !errors.Is(err, orb.ErrOverload) {
 			failures.Add(1)
 			if method == proto.MethodCancelReservation {
 				lostCancels.Add(1)

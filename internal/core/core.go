@@ -77,7 +77,7 @@ type Options struct {
 	CollectionShards int
 	// MaxInFlight bounds concurrently executing Enactor placements
 	// admitted at the wire boundary; requests beyond it wait in a
-	// priority queue and are shed with proto.ErrOverload when the queue
+	// priority queue and are shed with orb.ErrOverload when the queue
 	// is full or their deadline cannot be met. Zero disables admission
 	// control (every request dispatches immediately).
 	MaxInFlight int
@@ -87,7 +87,7 @@ type Options struct {
 	// ShedWatermark, when > 0, installs a load-aware policy on every
 	// host added through AddHost: at or above this occupancy fraction
 	// (active reservations / MaxShared) the host refuses priority-0
-	// best-effort reservations with proto.ErrOverload, keeping headroom
+	// best-effort reservations with orb.ErrOverload, keeping headroom
 	// for important work during overload.
 	ShedWatermark float64
 	// Clock is the metasystem's time source; nil means the wall clock.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"legion/internal/orb"
-	"legion/internal/proto"
 	"legion/internal/telemetry"
 	"legion/internal/vclock"
 )
@@ -17,7 +16,7 @@ import (
 // admission is the Enactor's overload gate: a bounded set of in-flight
 // negotiation calls plus a bounded priority wait-queue in front of them.
 // Requests that cannot be admitted are shed immediately with a typed
-// proto.ErrOverload refusal (never silently queued without bound), so
+// orb.ErrOverload refusal (never silently queued without bound), so
 // under sustained overload the Enactor does a bounded amount of work and
 // callers learn to back off — the anti-metastability posture.
 //
@@ -115,12 +114,12 @@ func (a *admission) shed(reason, method string, priority int) error {
 	a.met.reg.Counter("legion_admission_sheds_total", "reason", reason).Inc()
 	a.met.reg.Counter("legion_admission_sheds_by_priority_total",
 		"priority", strconv.Itoa(priority)).Inc()
-	return fmt.Errorf("%w: %s shed (%s)", proto.ErrOverload, method, reason)
+	return fmt.Errorf("%w: %s shed (%s)", orb.ErrOverload, method, reason)
 }
 
 // acquire admits or sheds one call. On admission it returns a release
 // function the caller must invoke when the call finishes; on a shed it
-// returns a proto.ErrOverload-wrapped error. method labels metrics;
+// returns an orb.ErrOverload-wrapped error. method labels metrics;
 // domain, tenant and priority drive fair-share and queue ordering
 // (tenant may be empty for economy-unaware callers).
 func (a *admission) acquire(ctx context.Context, method, domain, tenant string, priority int) (func(), error) {

@@ -53,7 +53,7 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 // make_reservations call through the wire-facing handler must never
 // perform downstream negotiation work — zero reservations requested at
 // the Enactor, zero tokens on any Host — and must refuse with the typed
-// proto.ErrOverload.
+// orb.ErrOverload.
 func TestExpiredContextNeverReachesDownstream(t *testing.T) {
 	e := newEnv(t, 2, nil)
 	// Rebuild the enactor with the gate enabled.
@@ -79,7 +79,7 @@ func TestExpiredContextNeverReachesDownstream(t *testing.T) {
 		}
 		_, err := e.rt.Call(ctx, enr.LOID(), proto.MethodMakeReservations,
 			proto.MakeReservationsArgs{Request: req, RequesterDomain: "dead"})
-		if !errors.Is(err, proto.ErrOverload) {
+		if !errors.Is(err, orb.ErrOverload) {
 			t.Fatalf("case %d: err = %v, want ErrOverload", i, err)
 		}
 		cancel()
@@ -137,7 +137,7 @@ func TestAdmissionPriorityOrderAndQueueFull(t *testing.T) {
 	waitUntil(t, "high queued", func() bool { return queueLen(a) == 2 })
 
 	// Queue is at capacity: even a top-priority request is shed.
-	if _, err := a.acquire(ctx, "make_reservations", "vip", "", 9); !errors.Is(err, proto.ErrOverload) {
+	if _, err := a.acquire(ctx, "make_reservations", "vip", "", 9); !errors.Is(err, orb.ErrOverload) {
 		t.Fatalf("overflow acquire: %v, want ErrOverload", err)
 	}
 	if n := e.rt.Metrics().CounterValue("legion_admission_sheds_total", "reason", "queue_full"); n != 1 {
@@ -186,7 +186,7 @@ func TestAdmissionFairShare(t *testing.T) {
 	waitUntil(t, "second greedy queued", func() bool { return queueLen(a) == 2 })
 
 	// Greedy is at its share (4 / (1 active + 1) = 2): shed.
-	if _, err := a.acquire(ctx, "make_reservations", "greedy", "", 0); !errors.Is(err, proto.ErrOverload) {
+	if _, err := a.acquire(ctx, "make_reservations", "greedy", "", 0); !errors.Is(err, orb.ErrOverload) {
 		t.Fatalf("over-share acquire: %v, want ErrOverload", err)
 	}
 	if n := e.rt.Metrics().CounterValue("legion_admission_sheds_total", "reason", "fair_share"); n != 1 {
@@ -231,7 +231,7 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 
 		dctx := vc.WithDeadline(ctx, vc.Now().Add(50*time.Millisecond))
 		defer vclock.End(dctx)
-		if _, err := a.acquire(dctx, "make_reservations", "d1", "", 0); !errors.Is(err, proto.ErrOverload) {
+		if _, err := a.acquire(dctx, "make_reservations", "d1", "", 0); !errors.Is(err, orb.ErrOverload) {
 			t.Errorf("doomed-deadline acquire: %v, want ErrOverload", err)
 		}
 		if n := e.rt.Metrics().CounterValue("legion_admission_sheds_total", "reason", "deadline"); n != 1 {
@@ -306,7 +306,7 @@ func TestShedEnactDoesNotPoisonIdempotency(t *testing.T) {
 	waitUntil(t, "queue filled", func() bool { return queueLen(enr.adm) == 1 })
 
 	_, err = e.rt.Call(ctx, enr.LOID(), proto.MethodEnactSchedule, proto.EnactScheduleArgs{RequestID: req.ID})
-	if !errors.Is(err, proto.ErrOverload) {
+	if !errors.Is(err, orb.ErrOverload) {
 		t.Fatalf("saturated enact: %v, want ErrOverload", err)
 	}
 
@@ -422,7 +422,7 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 					}
 					rel()
 				} else {
-					if !errors.Is(err, proto.ErrOverload) {
+					if !errors.Is(err, orb.ErrOverload) {
 						t.Errorf("worker %d: non-overload refusal: %v", w, err)
 					}
 					shed.Add(1)

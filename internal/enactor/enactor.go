@@ -90,7 +90,7 @@ type Config struct {
 	MaxInFlight int
 	// AdmissionQueue bounds the priority wait-queue in front of the
 	// in-flight slots; requests beyond it are shed with
-	// proto.ErrOverload. Zero means 4×MaxInFlight.
+	// orb.ErrOverload. Zero means 4×MaxInFlight.
 	AdmissionQueue int
 	// Ledger, when non-nil, is the economy accounting the Enactor
 	// reconciles (DESIGN.md §15): every granted reservation is charged
@@ -816,7 +816,7 @@ func (e *Enactor) Ledger() *economy.Ledger { return e.cfg.Ledger }
 func (e *Enactor) installMethods() {
 	e.Handle(proto.MethodMakeReservations, orb.Typed(func(ctx context.Context, a proto.MakeReservationsArgs) (any, error) {
 		// The overload gate guards the wire-facing entry point: a shed
-		// crosses back as a typed proto.ErrOverload refusal (classified
+		// crosses back as a typed orb.ErrOverload refusal (classified
 		// permanent — never a breaker strike), and nothing downstream
 		// runs for a shed request, so it can leak no tokens.
 		release, err := e.adm.acquire(ctx, "make_reservations", a.RequesterDomain, a.Request.Res.Tenant, a.Request.Res.Priority)

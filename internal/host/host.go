@@ -88,7 +88,7 @@ const shedMinPriority = 1
 // LoadShedPolicy returns a load-aware placement policy: once the host's
 // reservation occupancy (live reservations / MaxShared) reaches
 // watermark (0..1], requests below shedMinPriority are refused with a
-// typed proto.ErrOverload shed. Higher-priority requests still get the
+// typed orb.ErrOverload shed. Higher-priority requests still get the
 // remaining capacity — the Table 2 admission rules are the hard limit —
 // so under saturation the host degrades by shedding its least important
 // work first instead of failing everything at the cliff. Combine with
@@ -101,7 +101,7 @@ func (h *Host) LoadShedPolicy(watermark float64) PolicyFunc {
 		occ := float64(h.table.Active()) / float64(h.cfg.MaxShared)
 		if occ >= watermark {
 			return fmt.Errorf("%w: occupancy %.2f >= watermark %.2f, priority %d < %d",
-				proto.ErrOverload, occ, watermark, req.Priority, shedMinPriority)
+				orb.ErrOverload, occ, watermark, req.Priority, shedMinPriority)
 		}
 		return nil
 	}
@@ -367,10 +367,6 @@ func (h *Host) SetExternalLoad(l float64) {
 // information describing the Host's state").
 func (h *Host) Attributes() []attr.Pair { return h.attrs.Snapshot() }
 
-// AttrSet exposes the live attribute database (used by tests and the RGE
-// examples; treat as read-mostly).
-func (h *Host) AttrSet() *attr.Set { return h.attrs }
-
 // Triggers exposes the host's RGE trigger set.
 func (h *Host) Triggers() *rge.TriggerSet { return h.trigs }
 
@@ -589,7 +585,7 @@ func (h *Host) MakeReservation(ctx context.Context, req proto.MakeReservationArg
 	if policy != nil {
 		if err := policy(req); err != nil {
 			h.met.refused.Inc()
-			if errors.Is(err, proto.ErrOverload) {
+			if errors.Is(err, orb.ErrOverload) {
 				h.met.shed.Inc()
 			}
 			return nil, err

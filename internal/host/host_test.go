@@ -629,8 +629,8 @@ func TestAccessorsAndGenericObject(t *testing.T) {
 	if e.host.Zone() != "z1" {
 		t.Errorf("Zone = %q", e.host.Zone())
 	}
-	if e.host.AttrSet() == nil || e.host.Triggers() == nil {
-		t.Error("AttrSet/Triggers nil")
+	if e.host.Triggers() == nil {
+		t.Error("Triggers nil")
 	}
 
 	tok := e.reserve(t, reservation.ReusableTimesharing)

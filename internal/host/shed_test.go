@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 )
@@ -24,7 +25,7 @@ func shedReq(e *testEnv, priority int) proto.MakeReservationArgs {
 
 // TestLoadShedPolicyRefusesLowPriorityAboveWatermark drives occupancy
 // past the watermark and verifies low-priority requests are shed with
-// the typed proto.ErrOverload (counted separately from other refusals)
+// the typed orb.ErrOverload (counted separately from other refusals)
 // while high-priority requests still get the remaining capacity.
 func TestLoadShedPolicyRefusesLowPriorityAboveWatermark(t *testing.T) {
 	e := newEnv(t, func(c *Config) { c.MaxShared = 4 })
@@ -38,11 +39,11 @@ func TestLoadShedPolicyRefusesLowPriorityAboveWatermark(t *testing.T) {
 		}
 	}
 
-	// Priority 0 is now shed; the shed wraps proto.ErrOverload (so the
+	// Priority 0 is now shed; the shed wraps orb.ErrOverload (so the
 	// resilient classifier treats it as a refusal, not a transport
 	// fault).
 	_, err := e.host.MakeReservation(ctx, shedReq(e, 0))
-	if !errors.Is(err, proto.ErrOverload) {
+	if !errors.Is(err, orb.ErrOverload) {
 		t.Fatalf("above-watermark low-priority: %v, want ErrOverload", err)
 	}
 
@@ -102,7 +103,7 @@ func TestChainPolicies(t *testing.T) {
 	if _, err := e.host.MakeReservation(ctx, shedReq(e, 0)); err != nil {
 		t.Fatalf("first grant: %v", err)
 	}
-	if _, err := e.host.MakeReservation(ctx, shedReq(e, 0)); !errors.Is(err, proto.ErrOverload) {
+	if _, err := e.host.MakeReservation(ctx, shedReq(e, 0)); !errors.Is(err, orb.ErrOverload) {
 		t.Fatalf("chained shed: %v, want ErrOverload", err)
 	}
 }

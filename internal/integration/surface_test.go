@@ -21,6 +21,7 @@ var testOnlyExports = map[string]bool{
 	// decoder, errors.Is, container/heap.
 	"internal/attr.Value.GobDecode":       true,
 	"internal/attr.Value.GobEncode":       true,
+	"internal/orb.RemoteError.Unwrap":     true,
 	"internal/sched.Bitmap.GobDecode":     true,
 	"internal/sched.Bitmap.GobEncode":     true,
 	"internal/vault.notFoundError.Unwrap": true,
@@ -76,8 +77,6 @@ var testOnlyExports = map[string]bool{
 
 	// Mechanisms only tests still reach, not yet deleted (ROADMAP item 4).
 	"internal/enactor.Enactor.ReapRequests": true,
-	"internal/host.Host.AttrSet":            true,
-	"internal/orb.Runtime.SetServerLimit":   true,
 	"internal/telemetry.SpanLog.SetRuntime": true,
 }
 
@@ -188,6 +187,93 @@ func TestNoProtoTypeAssertions(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestNoErrorTextMatching holds that the program learns how a call
+// ended from the error's type, never its text: the ORB reports a
+// transport failure as ErrUnreachable or ErrConnLost and carries the
+// sentinels it knows across the wire, so errors.Is answers every
+// question. Any strings.* call in non-test Go that takes an error's
+// text, directly or through a local variable assigned from .Error() in
+// the same function, fails.
+func TestNoErrorTextMatching(t *testing.T) {
+	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasPrefix(rel, "bench/") {
+			return // the frozen benchmark instrument, edited only in its own changes
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"strings"` {
+				name = "strings"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			texts := map[string]bool{} // locals assigned from an error's text
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if len(n.Lhs) != len(n.Rhs) {
+						break
+					}
+					for i, rhs := range n.Rhs {
+						if id, ok := n.Lhs[i].(*ast.Ident); ok && isErrorText(rhs) {
+							texts[id.Name] = true
+						}
+					}
+				case *ast.ValueSpec:
+					for i, v := range n.Values {
+						if i < len(n.Names) && isErrorText(v) {
+							texts[n.Names[i].Name] = true
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != name {
+					return true
+				}
+				for _, arg := range call.Args {
+					id, local := arg.(*ast.Ident)
+					if isErrorText(arg) || local && texts[id.Name] {
+						t.Errorf("%s: strings.%s reads an error's text; test its identity with errors.Is",
+							fset.Position(call.Pos()), sel.Sel.Name)
+						break
+					}
+				}
+				return true
+			})
+		}
+	})
+}
+
+// isErrorText reports whether e is a call of an Error method with no
+// arguments, such as err.Error().
+func isErrorText(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Error"
 }
 
 // walkNonTest parses every non-test Go file under internal/, cmd/, bench/

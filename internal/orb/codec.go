@@ -24,15 +24,6 @@ var preamble = [4]byte{'L', 'G', 1, 'B'}
 // corrupt stream and drop the connection.
 const maxFrameLen = 1 << 26 // 64M
 
-// ErrServerOverload reports that the serving runtime's bounded request
-// pool was full and the frame was refused before dispatch. The message
-// deliberately carries package proto's ErrOverload prefix ("legion:
-// overloaded, request shed") so package resilient classifies transport-
-// level sheds as permanent refusals — retrying into an overloaded
-// server feeds the overload, and tripping breakers on sheds would
-// amplify it into an availability collapse.
-var ErrServerOverload = errors.New("legion: overloaded, request shed by orb server")
-
 // --- payload registry ---
 
 // WireMessage is implemented by message types that cross the wire with
@@ -339,6 +330,57 @@ func decodeRequestHeader(r *wire.Reader, mt *methodTable) (request, error) {
 	req.SpanID = r.Uvarint()
 	req.Deadline = r.Varint()
 	return req, r.Err
+}
+
+// --- errors ---
+
+// Error kinds: how a response frame says the call ended. The numbers
+// are frame bytes and never change.
+const (
+	errKindNone    = iota // the call succeeded
+	errKindGeneric        // the callee returned an error with no kind below
+	errKindNotBound
+	errKindNoMethod
+	errKindDeadline
+	errKindOverload
+)
+
+// errKinds is the one table of kinds that carry a sentinel: encodeErr
+// sends an error wrapping one as its kind, and decodeErr gives it back.
+var errKinds = [...]error{
+	errKindNotBound: ErrNotBound,
+	errKindNoMethod: ErrNoMethod,
+	errKindDeadline: ErrDeadlineExpired,
+	errKindOverload: ErrOverload,
+}
+
+// encodeErr is a method error as a response frame carries it: the kind
+// of the first sentinel in errKinds it wraps, else errKindGeneric, and
+// its text.
+func encodeErr(err error) (int, string) {
+	if err == nil {
+		return errKindNone, ""
+	}
+	for kind, s := range errKinds {
+		if s != nil && errors.Is(err, s) {
+			return kind, err.Error()
+		}
+	}
+	return errKindGeneric, err.Error()
+}
+
+// decodeErr is the callee's answer a response frame carried: nil, or a
+// *RemoteError with the text as sent that unwraps to the kind's
+// sentinel, if the kind has one.
+func decodeErr(kind int, msg string) error {
+	if kind == errKindNone {
+		return nil
+	}
+	e := &RemoteError{Msg: msg}
+	if uint(kind) < uint(len(errKinds)) {
+		e.kind = errKinds[kind]
+	}
+	return e
 }
 
 // appendResponseFrame appends one length-prefixed response frame:

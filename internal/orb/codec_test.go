@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"legion/internal/fanout"
 	"legion/internal/loid"
 	"legion/internal/telemetry"
 	"legion/internal/wire"
@@ -346,14 +347,14 @@ func TestBinaryCodecConcurrentCalls(t *testing.T) {
 }
 
 // TestServerOverloadSheds verifies the server-wide handler bound: past
-// the limit, frames are refused immediately with ErrServerOverload, the
-// shed counter increments, and the connection keeps serving once
-// capacity frees up.
+// the limit, frames are refused immediately with ErrOverload, the shed
+// counter increments, and the connection keeps serving once capacity
+// frees up.
 func TestServerOverloadSheds(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	server := NewRuntime("srv")
 	server.SetMetrics(reg)
-	server.SetServerLimit(2)
+	server.setHooks(func(h *callHooks) { h.srvLim = fanout.NewLimiter(2) })
 	obj := &codecEchoObj{l: server.Mint("Echo"), block: make(chan struct{})}
 	server.Register(obj)
 	addr, err := server.ListenAndServe("127.0.0.1:0")
@@ -394,13 +395,11 @@ func TestServerOverloadSheds(t *testing.T) {
 
 	// The third frame must shed, typed and counted.
 	_, err = client.Call(ctx, obj.LOID(), "echo", "overflow")
-	if !errors.Is(err, ErrServerOverload) {
-		t.Fatalf("overload err=%v, want ErrServerOverload", err)
+	if !errors.Is(err, ErrOverload) {
+		t.Fatalf("overload err=%v, want ErrOverload", err)
 	}
-	// The message carries the proto.ErrOverload prefix package
-	// resilient classifies as a permanent refusal.
-	if !strings.Contains(err.Error(), "legion: overloaded, request shed") {
-		t.Fatalf("overload message %q lacks the shed-classification prefix", err)
+	if want := "legion: overloaded, request shed by orb server"; err.Error() != want {
+		t.Fatalf("overload message %q, want %q", err, want)
 	}
 	if n := reg.CounterValue("legion_orb_server_overload_total", "method", "echo"); n != 1 {
 		t.Fatalf("legion_orb_server_overload_total = %v, want 1", n)

@@ -68,15 +68,36 @@ var (
 	// method was never invoked — the caller has abandoned the call and any
 	// work done for it would be wasted.
 	ErrDeadlineExpired = errors.New("orb: deadline expired before dispatch")
+	// ErrOverload is the shed: a live server refused the request under
+	// load without running it (the server's handler pool, the Enactor's
+	// admission gate, a Host's occupancy watermark). It is a refusal,
+	// not a transport failure: retrying it feeds the overload, and a
+	// breaker that counted it would take a live endpoint out of rotation.
+	ErrOverload = errors.New("legion: overloaded, request shed")
+	// ErrUnreachable reports that the dial or the connection preamble
+	// failed, so the request was never written.
+	ErrUnreachable = errors.New("orb: unreachable")
+	// ErrConnLost reports that the connection failed after the call was
+	// registered on it, so the call may have run.
+	ErrConnLost = errors.New("orb: connection lost")
 )
 
-// RemoteError is a method error that crossed the wire. It preserves the
-// message of the remote error; errors.Is matching for sentinel errors
-// like ErrNoMethod is handled by the transport.
-type RemoteError struct{ Msg string }
+// RemoteError is an error the callee answered with, as the response
+// frame carried it. Msg is its text as sent. When the frame's kind
+// names one of the sentinels above (ErrNotBound, ErrNoMethod,
+// ErrDeadlineExpired, ErrOverload), the error unwraps to it, so
+// errors.Is works across the wire. Any other error crosses as its text
+// alone: the callee ran and answered, whatever the text says.
+type RemoteError struct {
+	Msg  string
+	kind error
+}
 
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return e.Msg }
+
+// Unwrap returns the sentinel the frame's kind named, or nil.
+func (e *RemoteError) Unwrap() error { return e.kind }
 
 // FaultInjector decides whether a given call should fail artificially.
 // Returning a non-nil error aborts the call before it reaches the target.
@@ -264,19 +285,11 @@ func (rt *Runtime) SetClock(c vclock.Clock) {
 // Clock returns the runtime's time source.
 func (rt *Runtime) Clock() vclock.Clock { return rt.hooks.Load().clock }
 
-// DefaultServerLimit is the default bound on concurrently executing
-// inbound request handlers across all of a runtime's server
-// connections. Past it, frames are shed with ErrServerOverload instead
-// of spawning goroutines until memory is exhausted.
+// DefaultServerLimit is the bound on concurrently executing inbound
+// request handlers across all of a runtime's server connections. Past
+// it, frames are shed with ErrOverload instead of spawning goroutines
+// until memory is exhausted.
 const DefaultServerLimit = 1024
-
-// SetServerLimit replaces the bound on concurrent inbound request
-// handlers. Call it before ListenAndServe; connections capture the
-// limiter when serving starts. limit < 1 panics.
-func (rt *Runtime) SetServerLimit(limit int) {
-	lim := fanout.NewLimiter(limit)
-	rt.setHooks(func(h *callHooks) { h.srvLim = lim })
-}
 
 // serverLimiter returns the current inbound-handler limiter.
 func (rt *Runtime) serverLimiter() *fanout.Limiter { return rt.hooks.Load().srvLim }

@@ -41,55 +41,14 @@ type request struct {
 	span string
 }
 
-// response is the reply to one request.
+// response is the reply to one request. lost is set instead when the
+// connection failed before the reply came: it never crosses the wire.
 type response struct {
 	ID      uint64
 	Result  any
 	ErrMsg  string
-	ErrKind int // 0 none, 1 generic, 2 not bound, 3 no method, 4 deadline expired, 5 overload
-}
-
-const (
-	errKindNone = iota
-	errKindGeneric
-	errKindNotBound
-	errKindNoMethod
-	errKindDeadline
-	errKindOverload
-)
-
-func encodeErr(err error) (int, string) {
-	switch {
-	case err == nil:
-		return errKindNone, ""
-	case errors.Is(err, ErrNotBound):
-		return errKindNotBound, err.Error()
-	case errors.Is(err, ErrNoMethod):
-		return errKindNoMethod, err.Error()
-	case errors.Is(err, ErrDeadlineExpired):
-		return errKindDeadline, err.Error()
-	case errors.Is(err, ErrServerOverload):
-		return errKindOverload, err.Error()
-	default:
-		return errKindGeneric, err.Error()
-	}
-}
-
-func decodeErr(kind int, msg string) error {
-	switch kind {
-	case errKindNone:
-		return nil
-	case errKindNotBound:
-		return fmt.Errorf("%w: %s", ErrNotBound, msg)
-	case errKindNoMethod:
-		return fmt.Errorf("%w: %s", ErrNoMethod, msg)
-	case errKindDeadline:
-		return fmt.Errorf("%w: %s", ErrDeadlineExpired, msg)
-	case errKindOverload:
-		return fmt.Errorf("%w (remote)", ErrServerOverload)
-	default:
-		return &RemoteError{Msg: msg}
-	}
+	ErrKind int // see errKinds
+	lost    error
 }
 
 // tcpServer accepts connections and serves requests against a Runtime.
@@ -176,7 +135,7 @@ func (rt *Runtime) Close() error {
 	}
 	rt.clientsMu.Unlock()
 	for _, c := range clients {
-		c.close(errors.New("orb: runtime closed"))
+		c.close(errors.New("runtime closed"))
 	}
 	return nil
 }
@@ -303,13 +262,16 @@ func (s *tcpServer) process(req request) (any, error) {
 	return res, err
 }
 
+// errServerShed is the server's refusal when its handler pool is full.
+var errServerShed = fmt.Errorf("%w by orb server", ErrOverload)
+
 // shed records and reports a refused frame. The handler pool is full:
 // responding immediately (instead of queueing) gives the caller a typed
 // permanent refusal its retry policy will not amplify.
 func (s *tcpServer) shed(method string) error {
 	s.rt.Metrics().Counter("legion_orb_server_overload_total",
 		"method", s.methodLabel(method)).Inc()
-	return ErrServerOverload
+	return errServerShed
 }
 
 // serveBinary is the wire protocol: length-prefixed frames, a
@@ -438,11 +400,11 @@ type tcpClient struct {
 func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("orb: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("%w: dial %s: %w", ErrUnreachable, addr, err)
 	}
 	if _, err := conn.Write(preamble[:]); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("orb: preamble %s: %w", addr, err)
+		return nil, fmt.Errorf("%w: preamble %s: %w", ErrUnreachable, addr, err)
 	}
 	c := &tcpClient{
 		conn:    conn,
@@ -450,7 +412,7 @@ func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 		pending: make(map[uint64]chan response),
 	}
 	c.co = newCoalescer(conn, func(err error) {
-		c.close(fmt.Errorf("orb: send: %w", err))
+		c.close(fmt.Errorf("send: %w", err))
 	})
 	go c.readLoopBinary()
 	return c, nil
@@ -464,9 +426,9 @@ func (c *tcpClient) readLoopBinary() {
 		n, err := binary.ReadUvarint(br)
 		if err != nil || n > maxFrameLen {
 			if err == nil {
-				err = fmt.Errorf("orb: response frame of %d bytes exceeds limit", n)
+				err = fmt.Errorf("response frame of %d bytes exceeds limit", n)
 			} else if err == io.EOF {
-				err = errors.New("orb: connection closed by peer")
+				err = errors.New("closed by peer")
 			}
 			c.close(err)
 			return
@@ -481,7 +443,7 @@ func (c *tcpClient) readLoopBinary() {
 		}
 		resp, err := decodeResponseFrame(&r, body)
 		if err != nil {
-			c.close(fmt.Errorf("orb: decode response: %w", err))
+			c.close(fmt.Errorf("decode response: %w", err))
 			return
 		}
 		c.deliver(resp)
@@ -500,20 +462,20 @@ func (c *tcpClient) deliver(resp response) {
 	}
 }
 
-// close fails all pending calls, marks the client dead, and (once) runs
-// the eviction hook so the owning Runtime drops it from the client cache
-// — the next call to this address redials instead of failing forever on
-// a dead connection.
+// close fails all pending calls with ErrConnLost, marks the client
+// dead, and (once) runs the eviction hook so the owning Runtime drops it
+// from the client cache — the next call to this address redials instead
+// of failing forever on a dead connection.
 func (c *tcpClient) close(err error) {
 	c.conn.Close()
 	c.mu.Lock()
 	first := c.err == nil
 	if first {
-		c.err = err
+		c.err = fmt.Errorf("%w: %w", ErrConnLost, err)
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		ch <- response{ErrKind: errKindGeneric, ErrMsg: c.err.Error()}
+		ch <- response{lost: c.err}
 	}
 	onClose := c.onClose
 	c.mu.Unlock()
@@ -593,12 +555,15 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 	wire.PutBuf(payload)
 	if err != nil {
 		c.withdraw(req.ID)
-		return nil, fmt.Errorf("orb: send: %w", err)
+		return nil, fmt.Errorf("%w: send: %w", ErrConnLost, err)
 	}
 
 	select {
 	case resp := <-ch:
 		replyPool.Put(ch)
+		if resp.lost != nil {
+			return nil, resp.lost
+		}
 		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
 	case <-ctx.Done():
 		c.withdraw(req.ID)
@@ -606,7 +571,7 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 			// Bytes of this frame may be half-written: the stream is
 			// unusable, so the whole client is closed; pending calls fail
 			// fast and the Runtime's eviction hook forces a redial.
-			c.close(fmt.Errorf("orb: send aborted: %w", ctx.Err()))
+			c.close(fmt.Errorf("send aborted: %w", ctx.Err()))
 		}
 		return nil, ctx.Err()
 	}

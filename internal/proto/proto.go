@@ -12,8 +12,6 @@
 package proto
 
 import (
-	"errors"
-	"strings"
 	"time"
 
 	"legion/internal/attr"
@@ -22,26 +20,6 @@ import (
 	"legion/internal/reservation"
 	"legion/internal/sched"
 )
-
-// ErrOverload is the typed refusal servers return when they shed a
-// request under load (admission control at the Enactor, occupancy
-// watermarks at a Host). It is a *refusal*, not a transport failure:
-// package resilient classifies it permanent, so shedding makes callers
-// back off through their protocol loops without opening circuit
-// breakers — a loaded server is alive, and tripping breakers on sheds
-// would amplify the overload into an availability collapse. The message
-// prefix survives orb.RemoteError's identity erasure, so the classifier
-// recognizes sheds across the wire too.
-var ErrOverload = errors.New("legion: overloaded, request shed")
-
-// IsOverload reports whether err is, or wraps on either side of the
-// wire, the ErrOverload shed. Cross-runtime calls flatten sentinel
-// identity into a RemoteError message, so the check falls back to the
-// sentinel's text.
-func IsOverload(err error) bool {
-	return err != nil && (errors.Is(err, ErrOverload) ||
-		strings.Contains(err.Error(), ErrOverload.Error()))
-}
 
 // Host object methods (Table 1), plus the trigger-registration calls the
 // Monitor uses (§3.5) and the attribute report every Legion object

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -138,25 +136,5 @@ func TestDirectoryLOIDWellKnown(t *testing.T) {
 	}
 	if DirectoryLOID("uva") == DirectoryLOID("sdsc") {
 		t.Error("not domain-distinct")
-	}
-}
-
-// TestIsOverload: the shed is recognised by identity on this side of the
-// wire and by the sentinel's text once a RemoteError has flattened it.
-func TestIsOverload(t *testing.T) {
-	shed := fmt.Errorf("%w: make_reservations shed (queue full)", ErrOverload)
-	for _, tc := range []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("host: no such object"), false},
-		{ErrOverload, true},
-		{shed, true},
-		{&orb.RemoteError{Msg: shed.Error()}, true},
-	} {
-		if got := IsOverload(tc.err); got != tc.want {
-			t.Errorf("IsOverload(%v) = %v, want %v", tc.err, got, tc.want)
-		}
 	}
 }

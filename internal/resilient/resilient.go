@@ -30,14 +30,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"legion/internal/host"
 	"legion/internal/orb"
-	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/vclock"
 )
@@ -69,50 +66,13 @@ func (c Class) String() string {
 	}
 }
 
-// permanentMarks are substrings of errors that are definitive refusals
-// even after crossing the wire as an *orb.RemoteError (which erases the
-// sentinel identity but preserves the message).
-var permanentMarks = []string{
-	host.ErrPolicy.Error(),
-	host.ErrVaultUnreachable.Error(),
-	host.ErrUnknownObject.Error(),
-	host.ErrQueueRejected.Error(),
-	reservation.ErrConflict.Error(),
-	reservation.ErrInvalidToken.Error(),
-	reservation.ErrExpired.Error(),
-	reservation.ErrNotYetValid.Error(),
-	reservation.ErrBadRequest.Error(),
-	orb.ErrNotBound.Error(),
-	orb.ErrNoMethod.Error(),
-	// Overload sheds and expired-deadline refusals are deliberate
-	// server decisions, not connection failures: retrying immediately
-	// would feed the overload, and counting them toward breakers would
-	// take a *live* (merely busy) endpoint out of rotation.
-	proto.ErrOverload.Error(),
-	orb.ErrDeadlineExpired.Error(),
-}
-
-// transportMarks are substrings of errors produced by the orb transport
-// (or its remote echo) when a connection, not the target object, failed.
-var transportMarks = []string{
-	"orb: injected fault",
-	"orb: connection closed by peer",
-	"orb: runtime closed",
-	"orb: send",
-	"orb: dial",
-	"connection refused",
-	"connection reset",
-	"broken pipe",
-	"i/o timeout",
-	"use of closed network connection",
-	"EOF",
-}
-
 // Classify sorts a call error into retryable transport faults versus
-// permanent refusals. Unknown errors classify as permanent: blindly
-// retrying a call whose failure mode we cannot name risks duplicating
-// non-idempotent work (e.g. double-granting a reservation), while
-// treating it as final merely falls back to a variant schedule.
+// permanent refusals, by the error's identity alone. Unknown errors
+// classify as permanent: an error the callee answered with is final
+// whatever its text says, and blindly retrying a call whose failure mode
+// we cannot name risks duplicating non-idempotent work (e.g.
+// double-granting a reservation), while treating it as final merely
+// falls back to a variant schedule.
 func Classify(err error) Class {
 	switch {
 	case err == nil:
@@ -128,34 +88,21 @@ func Classify(err error) Class {
 		return ClassPermanent
 	case errors.Is(err, orb.ErrNotBound), errors.Is(err, orb.ErrNoMethod):
 		return ClassPermanent
-	case errors.Is(err, proto.ErrOverload), errors.Is(err, orb.ErrServerOverload),
-		errors.Is(err, orb.ErrDeadlineExpired):
-		// A shed (application-level or by the orb server's admission
-		// limiter) or an expired-on-arrival frame is a refusal by a live
-		// server: retrying the same call feeds the overload. Callers fall
-		// through to their protocol-level logic (regenerate, back off)
-		// and breakers never count it as a strike.
+	case errors.Is(err, orb.ErrOverload), errors.Is(err, orb.ErrDeadlineExpired):
+		// A shed (by the orb server's limiter, an admission gate or a
+		// Host's watermark) or an expired-on-arrival frame is a refusal
+		// by a live server: retrying the same call feeds the overload.
+		// Callers fall through to their protocol-level logic
+		// (regenerate, back off) and breakers never count it as a strike.
 		return ClassPermanent
 	case errors.Is(err, host.ErrPolicy), errors.Is(err, host.ErrVaultUnreachable):
 		return ClassPermanent
 	case errors.Is(err, reservation.ErrConflict), errors.Is(err, reservation.ErrInvalidToken),
 		errors.Is(err, reservation.ErrExpired), errors.Is(err, reservation.ErrBadRequest):
 		return ClassPermanent
-	}
-	var nerr net.Error
-	if errors.As(err, &nerr) {
+	case errors.Is(err, orb.ErrUnreachable), errors.Is(err, orb.ErrConnLost):
+		// The connection, not the target object, failed.
 		return ClassRetryable
-	}
-	msg := err.Error()
-	for _, m := range permanentMarks {
-		if strings.Contains(msg, m) {
-			return ClassPermanent
-		}
-	}
-	for _, m := range transportMarks {
-		if strings.Contains(msg, m) {
-			return ClassRetryable
-		}
 	}
 	return ClassPermanent
 }
@@ -166,14 +113,8 @@ func Classify(err error) Class {
 // operation is not idempotent (nothing happened on the far side); the
 // Enactor uses this predicate for create_instance.
 func NeverReached(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, orb.ErrInjectedFault) || errors.Is(err, ErrCircuitOpen) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "orb: dial") || strings.Contains(msg, "connection refused")
+	return errors.Is(err, orb.ErrInjectedFault) || errors.Is(err, ErrCircuitOpen) ||
+		errors.Is(err, orb.ErrUnreachable)
 }
 
 // Policy parameterizes retries for one logical call.

@@ -29,15 +29,11 @@ func TestClassify(t *testing.T) {
 		{"policy", fmt.Errorf("%w: domain refused", host.ErrPolicy), ClassPermanent},
 		{"conflict", fmt.Errorf("%w: slot", reservation.ErrConflict), ClassPermanent},
 		{"circuit open", fmt.Errorf("%w: cooling", ErrCircuitOpen), ClassPermanent},
-		{"server shed", fmt.Errorf("%w (remote)", orb.ErrServerOverload), ClassPermanent},
-		{"remote server shed", &orb.RemoteError{Msg: orb.ErrServerOverload.Error()}, ClassPermanent},
-		// Remote echoes: sentinel identity lost, message preserved.
-		{"remote policy", &orb.RemoteError{Msg: "host: refused by local placement policy: domain \"uva\" refused"}, ClassPermanent},
-		{"remote conflict", &orb.RemoteError{Msg: "reservation: conflicts with existing reservation: [a,b)"}, ClassPermanent},
-		{"remote conn loss", &orb.RemoteError{Msg: "orb: connection closed by peer"}, ClassRetryable},
-		{"send failure", errors.New("orb: send: write tcp: broken pipe"), ClassRetryable},
-		{"dial failure", errors.New("orb: dial 127.0.0.1:9: connect: connection refused"), ClassRetryable},
+		{"shed", fmt.Errorf("%w by orb server", orb.ErrOverload), ClassPermanent},
+		{"conn loss", fmt.Errorf("%w: closed by peer", orb.ErrConnLost), ClassRetryable},
+		{"dial failure", fmt.Errorf("%w: dial 127.0.0.1:9: connection refused", orb.ErrUnreachable), ClassRetryable},
 		{"unknown", errors.New("some application error"), ClassPermanent},
+		{"transport words in an answer", errors.New("config: unexpected EOF in record 3"), ClassPermanent},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
@@ -50,10 +46,10 @@ func TestNeverReached(t *testing.T) {
 	if !NeverReached(fmt.Errorf("%w", orb.ErrInjectedFault)) {
 		t.Error("injected fault should be never-reached")
 	}
-	if !NeverReached(errors.New("orb: dial 127.0.0.1:9: connection refused")) {
+	if !NeverReached(fmt.Errorf("%w: dial 127.0.0.1:9: connection refused", orb.ErrUnreachable)) {
 		t.Error("dial failure should be never-reached")
 	}
-	if NeverReached(&orb.RemoteError{Msg: "orb: connection closed by peer"}) {
+	if NeverReached(fmt.Errorf("%w: closed by peer", orb.ErrConnLost)) {
 		t.Error("mid-call connection loss may have reached the target")
 	}
 	if NeverReached(nil) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -18,12 +17,9 @@ import (
 
 // isRefusal reports whether err is a typed refusal — an admission shed
 // or a deadline expiry caught before dispatch — for which the remote
-// method is guaranteed not to have run. Cross-runtime calls flatten
-// sentinel identity into a RemoteError message, so the check falls back
-// to the sentinel text (the same convention resilient.Classify uses).
+// method is guaranteed not to have run.
 func isRefusal(err error) bool {
-	return proto.IsOverload(err) || errors.Is(err, orb.ErrDeadlineExpired) ||
-		strings.Contains(err.Error(), orb.ErrDeadlineExpired.Error())
+	return errors.Is(err, orb.ErrOverload) || errors.Is(err, orb.ErrDeadlineExpired)
 }
 
 // wrapperIDs mints request IDs for Wrapper-driven episodes. It starts
@@ -158,7 +154,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 				if errors.Is(rerr, resilient.ErrCircuitOpen) {
 					// The Enactor endpoint itself is down; neither this
 					// schedule nor a regenerated one can proceed.
-					return out, fmt.Errorf("%w (after %d schedules, %d enact attempts): %v",
+					return out, fmt.Errorf("%w (after %d schedules, %d enact attempts): %w",
 						ErrExhausted, out.SchedAttempts, out.EnactAttempts, rerr)
 				}
 				continue
@@ -205,6 +201,6 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 	if lastErr == nil {
 		lastErr = ErrExhausted
 	}
-	return out, fmt.Errorf("%w (after %d schedules, %d enact attempts): %v",
+	return out, fmt.Errorf("%w (after %d schedules, %d enact attempts): %w",
 		ErrExhausted, out.SchedAttempts, out.EnactAttempts, lastErr)
 }

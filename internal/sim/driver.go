@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"legion/internal/classobj"
 	"legion/internal/core"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
@@ -237,7 +239,7 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 			return
 		}
 		mu.Lock()
-		if proto.IsOverload(err) {
+		if errors.Is(err, orb.ErrOverload) {
 			res.Shed++
 			if res.ShedByPriority == nil {
 				res.ShedByPriority = make(map[int]int)
