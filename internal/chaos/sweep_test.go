@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,8 +40,8 @@ const sweepSeeds = 200
 // odd seeds and off for even ones; on half the seeds of either kind
 // (seed%4 >= 2) every argument, reply and error of every call
 // round-trips the wire codec. Every fifth seed, half of them with
-// admission on, runs twice and must fire the same events both times. A
-// failing seed replays alone by its name:
+// admission on, runs twice and must fire the same events and record the
+// same spans both times. A failing seed replays alone by its name:
 //
 //	go test ./internal/chaos -run 'TestWorldSweep/seed=137$'
 //
@@ -69,8 +70,12 @@ func TestWorldSweep(t *testing.T) {
 			t.Parallel()
 			got := sweepWorld(t, seed)
 			if seed%5 == 0 {
-				if again := sweepWorld(t, seed); again.trace != got.trace {
+				again := sweepWorld(t, seed)
+				if again.trace != got.trace {
 					t.Errorf("the same seed fired different events: trace sha256 %s, then %s", got.trace, again.trace)
+				}
+				if again.spans != got.spans {
+					t.Errorf("the same seed recorded different spans: sha256 %s, then %s", got.spans, again.spans)
 				}
 			}
 			mu.Lock()
@@ -87,6 +92,7 @@ type sweepTally struct {
 	reactive, predictive, migrations int
 	preemptRefunds, partials, reuses int
 	trace                            string // sha256 of the engine's event trace
+	spans                            string // spanDigest of the world's span log
 }
 
 func (a *sweepTally) add(b sweepTally) {
@@ -346,7 +352,38 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		})
 	})
 	tally.trace = fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(vc.Trace(), "\n"))))
+	tally.spans = spanDigest(t, vc, reg.Spans())
 	return tally
+}
+
+// spanDigest is the sha256 of a virtual run's span tree: one line per
+// span, "name runtime start duration parent err", with start measured
+// from the clock's epoch, the parent named rather than numbered, and the
+// lines sorted, so that neither the process-global span IDs nor the
+// order concurrent spans finished in enters it. It fails t if the log's
+// ring has overwritten a span, which would hide a difference.
+func spanDigest(t *testing.T, vc *vclock.Virtual, log *telemetry.SpanLog) string {
+	spans := log.Snapshot()
+	if n := log.Total(); int64(len(spans)) != n {
+		t.Errorf("span log kept %d of %d spans; the digest would miss the rest", len(spans), n)
+	}
+	names := make(map[uint64]string, len(spans))
+	for _, s := range spans {
+		names[s.SpanID] = s.Name
+	}
+	epoch := vc.Now().Add(-vc.Elapsed())
+	lines := make([]string, len(spans))
+	for i, s := range spans {
+		parent := "-"
+		if s.ParentID != 0 {
+			if parent = names[s.ParentID]; parent == "" {
+				parent = "?"
+			}
+		}
+		lines[i] = fmt.Sprintf("%s %s %v %v %s %q", s.Name, s.Runtime, s.Start.Sub(epoch), s.Duration, parent, s.Err)
+	}
+	sort.Strings(lines)
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, "\n"))))
 }
 
 // faultSchedule wounds w for a few hundred virtual milliseconds while the

@@ -379,11 +379,9 @@ func (c *Collection) Query(src string) ([]Record, error) {
 // under any span the context carries (e.g. the ORB server span of a
 // remote QueryCollection call).
 func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err error) {
-	start := time.Now()
-	_, span := c.met.spans.StartIn(ctx, "collection/query", c.met.domain)
+	_, span := c.met.spans.Start(ctx, c.clock, "collection/query", c.met.domain)
 	defer func() {
-		span.Finish(err)
-		c.met.queryTime.ObserveSince(start)
+		c.met.queryTime.Observe(span.Finish(err).Seconds())
 		if err != nil {
 			c.met.queryErrs.Inc()
 		}

@@ -261,11 +261,10 @@ func (r *Router) QueryCtx(ctx context.Context, src string) ([]Record, error) {
 // only when the query does not parse or every shard failed; anything
 // less degrades to a partial result the caller can inspect.
 func (r *Router) QueryPartial(ctx context.Context, src string) (recs []Record, skipped int, err error) {
-	start := time.Now()
+	clk := r.rt.Clock()
+	start := clk.Now()
 	r.met.queries.Inc()
-	defer func() {
-		r.met.queryTime.ObserveSince(start)
-	}()
+	defer func() { r.met.queryTime.Observe(clk.Since(start).Seconds()) }()
 	// Reject malformed queries locally: a parse error is the caller's
 	// bug, not a shard failure, and must not be mistaken for one.
 	if _, _, perr := r.cache.Parse(src); perr != nil {

@@ -269,13 +269,9 @@ func (e *Enactor) MakeReservations(ctx context.Context, request sched.RequestLis
 // retained on the held request so a later enact_schedule is accounted
 // to the same fair-share bucket and priority class at admission.
 func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestList, domain string) sched.Feedback {
-	start := time.Now()
-	ctx, span := e.met.spans.StartIn(ctx, "enactor/make_reservations", e.met.domain)
+	ctx, span := e.met.spans.Start(ctx, e.rt.Clock(), "enactor/make_reservations", e.met.domain)
 	var spanErr error
-	defer func() {
-		span.Finish(spanErr)
-		e.met.mresTime.ObserveSince(start)
-	}()
+	defer func() { e.met.mresTime.Observe(span.Finish(spanErr).Seconds()) }()
 
 	e.mu.Lock()
 	e.reapLocked(e.rt.Clock().Now())
@@ -566,15 +562,13 @@ func (e *Enactor) cancelToken(ctx context.Context, hostL loid.LOID, tok reservat
 // any failure it rolls back: created instances are destroyed and
 // remaining reservations cancelled.
 func (e *Enactor) EnactSchedule(ctx context.Context, requestID uint64) (reply proto.EnactReply) {
-	start := time.Now()
-	ctx, span := e.met.spans.StartIn(ctx, "enactor/enact_schedule", e.met.domain)
+	ctx, span := e.met.spans.Start(ctx, e.rt.Clock(), "enactor/enact_schedule", e.met.domain)
 	defer func() {
 		var spanErr error
 		if !reply.Success {
 			spanErr = errors.New(reply.Detail)
 		}
-		span.Finish(spanErr)
-		e.met.enactTime.ObserveSince(start)
+		e.met.enactTime.Observe(span.Finish(spanErr).Seconds())
 		e.met.enactments.Inc()
 	}()
 
@@ -691,7 +685,7 @@ func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]lo
 	clk := e.rt.Clock()
 	ctx = clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(30*time.Second))
 	defer vclock.End(ctx)
-	ctx, span := e.met.spans.StartIn(ctx, "enactor/rollback", e.met.domain)
+	ctx, span := e.met.spans.Start(ctx, clk, "enactor/rollback", e.met.domain)
 	defer span.Finish(nil)
 	e.met.rollbacks.Inc()
 	type target struct{ class, inst loid.LOID }

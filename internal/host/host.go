@@ -660,12 +660,8 @@ func (h *Host) CompatibleVaults() []loid.LOID {
 // instance is submitted as a job and this call blocks until dispatch (or
 // ctx cancellation).
 func (h *Host) StartObject(ctx context.Context, req proto.StartObjectArgs) (_ []loid.LOID, err error) {
-	start := time.Now() // wall time: telemetry histograms measure real cost
-	ctx, span := h.met.spans.StartIn(ctx, "host/startObject", h.met.domain)
-	defer func() {
-		span.Finish(err)
-		h.met.startTime.ObserveSince(start)
-	}()
+	ctx, span := h.met.spans.Start(ctx, h.rt.Clock(), "host/startObject", h.met.domain)
+	defer func() { h.met.startTime.Observe(span.Finish(err).Seconds()) }()
 	if len(req.Instances) == 0 {
 		return nil, errors.New("host: StartObject with no instances")
 	}

@@ -77,7 +77,6 @@ var testOnlyExports = map[string]bool{
 
 	// Mechanisms only tests still reach, not yet deleted (ROADMAP item 4).
 	"internal/enactor.Enactor.ReapRequests": true,
-	"internal/telemetry.SpanLog.SetRuntime": true,
 }
 
 // TestNoTestOnlyExports holds that the program exports nothing only its

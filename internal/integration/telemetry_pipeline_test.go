@@ -2,6 +2,8 @@ package integration
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"legion/internal/scheduler"
 	"legion/internal/telemetry"
 	"legion/internal/vault"
+	"legion/internal/vclock"
 )
 
 // TestTelemetryAcrossPlacementPipeline drives one placement through the
@@ -122,4 +125,81 @@ func TestTelemetryAcrossPlacementPipeline(t *testing.T) {
 	if n := telemetry.Default.CounterValue("legion_host_object_starts_total"); n != defaultStarts {
 		t.Errorf("default registry saw %d object starts from a private-registry metasystem", n-defaultStarts)
 	}
+}
+
+// TestStageHistogramsReadTheRuntimeClock places on a virtual clock with
+// a fixed link latency, twice from one seed, and holds each pipeline
+// stage's latency histogram to that stage's spans: the histogram
+// observes the very durations the spans recorded on the runtime's
+// clock, so its count and sum are theirs, the negotiation stages last at
+// least one link's latency, and the second run fills the same buckets.
+func TestStageHistogramsReadTheRuntimeClock(t *testing.T) {
+	const latency = time.Millisecond
+	stages := []struct {
+		span, hist string
+		calls      bool // the stage waits on at least one call
+	}{
+		{"collection/query", "legion_collection_query_seconds", false},
+		{"enactor/make_reservations", "legion_enactor_make_reservations_seconds", true},
+		{"enactor/enact_schedule", "legion_enactor_enact_schedule_seconds", true},
+		{"host/startObject", "legion_host_start_object_seconds", false},
+	}
+	var firstRun [][]int64
+	for run := 0; run < 2; run++ {
+		reg := placeOnVirtualClock(t, latency)
+		for i, st := range stages {
+			spans := reg.Spans().ByName(st.span)
+			if len(spans) == 0 {
+				t.Fatalf("run %d: no %s span recorded", run, st.span)
+			}
+			var sum time.Duration
+			for _, s := range spans {
+				sum += s.Duration
+				if st.calls && s.Duration < latency {
+					t.Errorf("run %d: %s span lasted %v, under one link's %v", run, st.span, s.Duration, latency)
+				}
+			}
+			h := reg.Histogram(st.hist, telemetry.LatencyBuckets)
+			if h.Count() != int64(len(spans)) || math.Abs(h.Sum()-sum.Seconds()) > 1e-9 {
+				t.Errorf("run %d: %s observed %d values summing to %gs; its %d spans sum to %v",
+					run, st.hist, h.Count(), h.Sum(), len(spans), sum)
+			}
+			_, counts := h.Buckets()
+			if run == 0 {
+				firstRun = append(firstRun, counts)
+			} else if !slices.Equal(counts, firstRun[i]) {
+				t.Errorf("%s buckets %v, then %v from the same seed", st.hist, firstRun[i], counts)
+			}
+		}
+	}
+}
+
+// placeOnVirtualClock places two instances on a four-host metasystem
+// whose runtime runs on a virtual clock with every call delayed by
+// latency, and returns the registry the placement recorded into.
+func placeOnVirtualClock(t *testing.T, latency time.Duration) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	vc := vclock.NewVirtual()
+	ms := core.New("uva", core.Options{Seed: 1, Metrics: reg, Clock: vc})
+	t.Cleanup(func() { ms.Close() })
+	ms.Runtime().SetLatency(latency, 0)
+	v := ms.AddVault(vault.Config{Zone: "uva"})
+	for i := 0; i < 4; i++ {
+		ms.AddHost(host.Config{
+			Arch: "x86", OS: "Linux", OSVersion: "2.2",
+			CPUs: 4, MemoryMB: 512, Zone: "uva",
+			Vaults: []loid.LOID{v.LOID()},
+		})
+	}
+	class := ms.DefineClass("Worker", nil)
+	vc.Run(func() {
+		out, err := ms.PlaceApplication(context.Background(), scheduler.IRS{NSched: 3}, scheduler.Request{
+			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: 2}},
+			Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
+		})
+		if err != nil || !out.Success {
+			t.Errorf("placement failed: %v (outcome %+v)", err, out)
+		}
+	})
+	return reg
 }

@@ -225,8 +225,7 @@ func (s *tcpServer) process(req request) (any, error) {
 	ctx := telemetry.WithRemoteParent(s.ctx,
 		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	reg := s.rt.Metrics()
-	ctx, span := reg.Spans().StartIn(ctx, req.span, s.rt.Domain())
-	start := time.Now()
+	ctx, span := reg.Spans().Start(ctx, s.rt.Clock(), req.span, s.rt.Domain())
 	label := s.methodLabel(req.Method)
 	var res any
 	var err error
@@ -253,9 +252,8 @@ func (s *tcpServer) process(req request) (any, error) {
 			label = req.Method
 		}
 	}
-	span.Finish(err)
 	reg.Histogram("legion_orb_server_seconds", telemetry.LatencyBuckets,
-		"method", label).ObserveSince(start)
+		"method", label).Observe(span.Finish(err).Seconds())
 	if err != nil {
 		reg.Counter("legion_orb_server_errors_total", "method", label).Inc()
 	}
@@ -607,11 +605,11 @@ func (rt *Runtime) client(addr string) (*tcpClient, error) {
 }
 
 func (rt *Runtime) callRemote(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	reg := rt.Metrics()
-	start := time.Now()
+	reg, clk := rt.Metrics(), rt.Clock()
+	start := clk.Now()
 	res, err := rt.callRemoteRaw(ctx, addr, target, method, arg)
 	reg.Histogram("legion_orb_client_seconds", telemetry.LatencyBuckets,
-		"method", method).ObserveSince(start)
+		"method", method).Observe(clk.Since(start).Seconds())
 	if err != nil {
 		reg.Counter("legion_orb_client_errors_total", "method", method).Inc()
 	}

@@ -34,7 +34,7 @@ func TestSpanPropagationOverTCP(t *testing.T) {
 	client.SetMetrics(clientReg)
 	client.Bind(obj.LOID(), addr)
 
-	ctx, span := clientReg.Spans().StartIn(context.Background(), "test/placement", "sdsc")
+	ctx, span := clientReg.Spans().Start(context.Background(), client.Clock(), "test/placement", "sdsc")
 	if _, err := client.Call(ctx, obj.LOID(), "double", echoArg{N: 3, S: "y"}); err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func (r *Rebalancer) handle(ev proto.NotifyArgs) {
 
 	ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 	defer vclock.End(ctx)
-	ctx, span := r.spans.StartIn(ctx, "rebalance/handle_event", r.ms.Domain())
+	ctx, span := r.spans.Start(ctx, r.clock, "rebalance/handle_event", r.ms.Domain())
 
 	moves, err := r.cfg.Policy.Plan(ctx, ev, r.ms, r.cfg.Classes)
 	if err != nil || len(moves) == 0 {
@@ -249,7 +249,7 @@ func (r *Rebalancer) handle(ev proto.NotifyArgs) {
 // with no stray OPR copies" via core.EnsureRunning. It returns the first
 // error encountered (after attempting every instance).
 func (r *Rebalancer) Reconcile(ctx context.Context) error {
-	ctx, span := r.spans.StartIn(ctx, "rebalance/reconcile", r.ms.Domain())
+	ctx, span := r.spans.Start(ctx, r.clock, "rebalance/reconcile", r.ms.Domain())
 	var firstErr error
 	for _, c := range r.cfg.Classes {
 		for _, inst := range c.Instances() {
@@ -298,11 +298,9 @@ func (r *Rebalancer) execute(ctx context.Context, moves []Move) int {
 			r.skipRate.Inc()
 			return
 		}
-		mctx, span := r.spans.StartIn(ctx, "rebalance/migrate", r.ms.Domain())
-		start := r.clock.Now()
+		mctx, span := r.spans.Start(ctx, r.clock, "rebalance/migrate", r.ms.Domain())
 		err := r.ms.Migrate(mctx, m.Class, m.Instance, m.ToHost, m.ToVault)
-		r.migSeconds.Observe(r.clock.Since(start).Seconds())
-		span.Finish(err)
+		r.migSeconds.Observe(span.Finish(err).Seconds())
 		if err != nil {
 			r.migrationsF.Inc()
 			// The failure path inside Migrate already restored what it

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"legion/internal/vclock"
 )
 
 // defaultSpanCap bounds the span ring buffer; old spans are overwritten.
@@ -39,6 +41,7 @@ type Span struct {
 	id       uint64
 	parentID uint64
 	runtime  string
+	clk      vclock.Clock
 	start    time.Time
 }
 
@@ -69,10 +72,13 @@ func (s *Span) Context() SpanContext {
 }
 
 // Finish records the span into its log with the outcome err (nil for
-// success). Safe on a nil receiver; must be called at most once.
-func (s *Span) Finish(err error) {
+// success) and returns the duration it recorded, read on the clock the
+// span was started on: the one reading a stage's latency histogram
+// observes. Safe on a nil receiver, which records nothing and returns
+// 0; must be called at most once.
+func (s *Span) Finish(err error) time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	fs := FinishedSpan{
 		TraceID:  s.trace,
@@ -81,12 +87,13 @@ func (s *Span) Finish(err error) {
 		Name:     s.name,
 		Runtime:  s.runtime,
 		Start:    s.start,
-		Duration: time.Since(s.start),
+		Duration: s.clk.Since(s.start),
 	}
 	if err != nil {
 		fs.Err = err.Error()
 	}
 	s.log.add(fs)
+	return fs.Duration
 }
 
 // FinishedSpan is a completed span as stored in the log.
@@ -95,8 +102,8 @@ type FinishedSpan struct {
 	SpanID   uint64
 	ParentID uint64
 	Name     string
-	Runtime  string // domain of the runtime that recorded it, if known
-	Start    time.Time
+	Runtime  string    // domain of the runtime that recorded it
+	Start    time.Time // on the recording runtime's clock
 	Duration time.Duration
 	Err      string
 }
@@ -119,7 +126,6 @@ func (s FinishedSpan) String() string {
 // for new ones. Safe for concurrent use.
 type SpanLog struct {
 	disabled bool
-	runtime  string // stamped onto spans; set via SetRuntime
 
 	mu    sync.Mutex
 	ring  []FinishedSpan
@@ -134,14 +140,6 @@ func NewSpanLog(cap int) *SpanLog {
 		cap = defaultSpanCap
 	}
 	return &SpanLog{ring: make([]FinishedSpan, 0, cap)}
-}
-
-// SetRuntime stamps subsequently recorded spans with the runtime's
-// domain name, so a merged multi-runtime dump stays attributable.
-func (l *SpanLog) SetRuntime(name string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.runtime = name
 }
 
 // ids mints process-unique span/trace IDs. Starting at 1 keeps 0 free
@@ -174,27 +172,16 @@ func WithRemoteParent(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
-// Start begins a span named name, parented under any span context
-// already carried by ctx (same trace); otherwise it opens a new trace.
-// The returned ctx is the new span itself, for children to parent
-// under. On a disabled log it returns (ctx, nil) — and nil spans no-op.
-func (l *SpanLog) Start(ctx context.Context, name string) (context.Context, *Span) {
-	if l == nil {
-		return ctx, nil
-	}
-	l.mu.Lock()
-	rt := l.runtime
-	l.mu.Unlock()
-	return l.StartIn(ctx, name, rt)
-}
-
-// StartIn is Start with an explicit runtime stamp — used by call sites
-// sharing one log (e.g. the Default registry) across several runtimes.
-func (l *SpanLog) StartIn(ctx context.Context, name, runtime string) (context.Context, *Span) {
+// Start begins a span named name on the clock clk of the runtime named
+// runtime, parented under any span context already carried by ctx
+// (same trace); otherwise it opens a new trace. The returned ctx is the
+// new span itself, for children to parent under. On a nil or disabled
+// log it returns (ctx, nil), and a nil span no-ops.
+func (l *SpanLog) Start(ctx context.Context, clk vclock.Clock, name, runtime string) (context.Context, *Span) {
 	if l == nil || l.disabled {
 		return ctx, nil
 	}
-	s := &Span{parent: ctx, log: l, name: name, id: nextID(), start: time.Now(), runtime: runtime}
+	s := &Span{parent: ctx, log: l, name: name, id: nextID(), runtime: runtime, clk: clk, start: clk.Now()}
 	if parent, ok := SpanFromContext(ctx); ok {
 		s.trace = parent.TraceID
 		s.parentID = parent.SpanID

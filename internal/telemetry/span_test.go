@@ -9,14 +9,14 @@ import (
 	"legion/internal/vclock"
 )
 
-// withValueSpan is how StartIn derived the child context before a span
+// withValueSpan is how Start derived the child context before a span
 // was one, kept as the oracle: a context.WithValue layer carrying the
 // span's identity over the context it started in.
 func withValueSpan(parent context.Context, s *Span) context.Context {
 	return context.WithValue(parent, spanCtxKey{}, s.Context())
 }
 
-// TestSpanIsItsContext: the context StartIn returns answers Deadline,
+// TestSpanIsItsContext: the context Start returns answers Deadline,
 // Done, Err, unrelated Value keys and SpanFromContext exactly as the
 // WithValue wrapping did, over every kind of parent a call path hands it.
 func TestSpanIsItsContext(t *testing.T) {
@@ -48,7 +48,7 @@ func TestSpanIsItsContext(t *testing.T) {
 			return WithRemoteParent(context.WithValue(bg, otherKey{}, "r"), SpanContext{TraceID: 7, SpanID: 9}), nop
 		}},
 		{"span", func() (context.Context, context.CancelFunc) {
-			ctx, s := log.StartIn(context.WithValue(bg, otherKey{}, "s"), "outer", "rt")
+			ctx, s := log.Start(context.WithValue(bg, otherKey{}, "s"), vclock.Wall, "outer", "rt")
 			return ctx, func() { s.Finish(nil) }
 		}},
 		{"virtual deadline", func() (context.Context, context.CancelFunc) {
@@ -61,10 +61,10 @@ func TestSpanIsItsContext(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			parent, cancel := p.make()
 			defer cancel()
-			ctx, s := log.StartIn(parent, "op", "rt")
+			ctx, s := log.Start(parent, vclock.Wall, "op", "rt")
 			defer s.Finish(nil)
 			if ctx != context.Context(s) {
-				t.Fatal("StartIn's context is not its span")
+				t.Fatal("Start's context is not its span")
 			}
 			old := withValueSpan(parent, s)
 
@@ -101,7 +101,7 @@ func TestSpanIsItsContext(t *testing.T) {
 func TestSpanCancellationReachesDescendants(t *testing.T) {
 	log := NewSpanLog(64)
 	parent, cancel := context.WithCancel(context.Background())
-	ctx, s := log.StartIn(parent, "op", "rt")
+	ctx, s := log.Start(parent, vclock.Wall, "op", "rt")
 	defer s.Finish(nil)
 
 	const workers = 8
@@ -111,7 +111,7 @@ func TestSpanCancellationReachesDescendants(t *testing.T) {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer done.Done()
-			cctx, child := log.StartIn(ctx, "child", "rt")
+			cctx, child := log.Start(ctx, vclock.Wall, "child", "rt")
 			defer child.Finish(nil)
 			sub, subCancel := context.WithCancel(cctx)
 			defer subCancel()
@@ -153,7 +153,7 @@ func TestSpanUnderVirtualDeadlineWokenAtItsInstant(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		v := vclock.NewVirtual()
 		vctx := v.WithDeadline(bg, v.Now().Add(10*time.Millisecond))
-		ctx, s := log.StartIn(vctx, "op", "rt")
+		ctx, s := log.Start(vctx, v, "op", "rt")
 		woke := make(chan wake, 1)
 		v.Go(func() {
 			err := v.Sleep(ctx, time.Hour)
@@ -172,6 +172,41 @@ func TestSpanUnderVirtualDeadlineWokenAtItsInstant(t *testing.T) {
 	}
 }
 
+// TestSpanTimedOnItsClock: a span started on a virtual clock records
+// its start and duration in virtual time, and Finish returns the
+// duration it recorded; a nil span, the disabled path, returns 0.
+func TestSpanTimedOnItsClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	log := NewSpanLog(8)
+	start := v.Now()
+	ctx, outer := log.Start(context.Background(), v, "outer", "rt")
+	v.Advance(2 * time.Millisecond)
+	_, inner := log.Start(ctx, v, "inner", "rt")
+	v.Advance(3 * time.Millisecond)
+	if got := inner.Finish(nil); got != 3*time.Millisecond {
+		t.Errorf("inner Finish = %v, want 3ms", got)
+	}
+	if got := outer.Finish(nil); got != 5*time.Millisecond {
+		t.Errorf("outer Finish = %v, want 5ms", got)
+	}
+	want := []struct {
+		at, dur time.Duration
+	}{{2 * time.Millisecond, 3 * time.Millisecond}, {0, 5 * time.Millisecond}}
+	spans := log.Snapshot()
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans recorded, want %d", len(spans), len(want))
+	}
+	for i, got := range spans {
+		if at := got.Start.Sub(start); at != want[i].at || got.Duration != want[i].dur {
+			t.Errorf("%s: started at +%v for %v, want +%v for %v", got.Name, at, got.Duration, want[i].at, want[i].dur)
+		}
+	}
+	var disabled *Span
+	if got := disabled.Finish(nil); got != 0 {
+		t.Errorf("nil span Finish = %v, want 0", got)
+	}
+}
+
 // TestSpanAllocBudget: opening and finishing a span is one allocation,
 // the Span (3 when it also boxed its SpanContext into a WithValue
 // layer), and reading the active span back is none, local or remote.
@@ -181,7 +216,7 @@ func TestSpanAllocBudget(t *testing.T) {
 	}
 	log := NewSpanLog(64)
 	bg := context.Background()
-	outer, s := log.StartIn(bg, "outer", "rt")
+	outer, s := log.Start(bg, vclock.Wall, "outer", "rt")
 	defer s.Finish(nil)
 	remote := WithRemoteParent(bg, SpanContext{TraceID: 7, SpanID: 9})
 	for _, c := range []struct {
@@ -189,12 +224,12 @@ func TestSpanAllocBudget(t *testing.T) {
 		budget float64
 		fn     func()
 	}{
-		{"StartIn+Finish", 1, func() {
-			_, s := log.StartIn(bg, "op", "rt")
+		{"Start+Finish", 1, func() {
+			_, s := log.Start(bg, vclock.Wall, "op", "rt")
 			s.Finish(nil)
 		}},
-		{"child StartIn+Finish", 1, func() {
-			_, s := log.StartIn(outer, "op", "rt")
+		{"child Start+Finish", 1, func() {
+			_, s := log.Start(outer, vclock.Wall, "op", "rt")
 			s.Finish(nil)
 		}},
 		{"SpanFromContext(span)", 0, func() {

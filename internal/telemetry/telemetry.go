@@ -1,16 +1,20 @@
 // Package telemetry is the observability substrate for the Legion
-// reproduction: a dependency-free metrics registry (counters, gauges,
-// histograms with preset latency buckets) plus lightweight trace spans
-// (span.go) whose IDs propagate through ORB call metadata, so one
-// placement request can be followed Scheduler → Collection query →
-// Enactor reserve/enact → Host startObject across runtimes.
+// reproduction: a metrics registry (counters, gauges, histograms with
+// preset latency buckets) plus lightweight trace spans (span.go) whose
+// IDs propagate through ORB call metadata, so one placement request can
+// be followed Scheduler → Collection query → Enactor reserve/enact →
+// Host startObject across runtimes.
 //
 // The paper's RMI is a pipeline of replaceable service objects with
 // feedback loops; this package is the measurement substrate those loops
-// read. Everything here is stdlib-only and cheap on the hot path:
-// counters and gauges are single atomics, histograms are a preallocated
-// bucket array of atomics, and metric handles are cached by the caller
-// so steady-state observation does no map lookups.
+// read. Its one internal import is vclock: a span is timed on the clock
+// of the runtime that opens it, and its duration is the reading a
+// stage's latency histogram observes, so under a virtual clock spans and
+// _seconds histograms are virtual time and replay with the run.
+// Everything here is cheap on the hot path: counters and gauges are
+// single atomics, histograms are a preallocated bucket array of atomics,
+// and metric handles are cached by the caller so steady-state
+// observation does no map lookups.
 //
 // Each orb.Runtime carries a Registry (telemetry.Default unless
 // overridden), so a multi-runtime test can give every site its own
@@ -27,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // LatencyBuckets are the preset histogram bucket upper bounds, in
@@ -138,15 +141,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the elapsed time since start, in seconds — the
-// idiom for latency histograms.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil || h.nop {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.

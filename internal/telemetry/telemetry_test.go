@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"legion/internal/vclock"
 )
 
 // TestHistogramBucketEdges pins the boundary semantics: an observation
@@ -126,7 +128,7 @@ func TestDisabledRegistryIsInert(t *testing.T) {
 	reg.Counter("c").Inc()
 	reg.Gauge("g").Set(5)
 	reg.Histogram("h", LatencyBuckets).Observe(1)
-	ctx, span := reg.Spans().Start(context.Background(), "s")
+	ctx, span := reg.Spans().Start(context.Background(), vclock.Wall, "s", "rt")
 	span.Finish(nil)
 	if _, ok := SpanFromContext(ctx); ok {
 		t.Error("disabled span log leaked a span context")
@@ -165,8 +167,8 @@ func TestWriteTextFormat(t *testing.T) {
 
 func TestSpanParentChild(t *testing.T) {
 	log := NewSpanLog(16)
-	ctx, parent := log.Start(context.Background(), "outer")
-	ctx2, child := log.Start(ctx, "inner")
+	ctx, parent := log.Start(context.Background(), vclock.Wall, "outer", "rt")
+	ctx2, child := log.Start(ctx, vclock.Wall, "inner", "rt")
 	child.Finish(nil)
 	parent.Finish(errors.New("boom"))
 
@@ -204,7 +206,7 @@ func TestSpanParentChild(t *testing.T) {
 func TestSpanRingOverflow(t *testing.T) {
 	log := NewSpanLog(4)
 	for i := 0; i < 10; i++ {
-		_, s := log.Start(context.Background(), "s")
+		_, s := log.Start(context.Background(), vclock.Wall, "s", "rt")
 		s.Finish(nil)
 	}
 	if log.Total() != 10 {
@@ -219,7 +221,7 @@ func TestRemoteParentPropagation(t *testing.T) {
 	log := NewSpanLog(8)
 	wire := SpanContext{TraceID: 77, SpanID: 99}
 	ctx := WithRemoteParent(context.Background(), wire)
-	_, s := log.Start(ctx, "server")
+	_, s := log.Start(ctx, vclock.Wall, "server", "rt")
 	s.Finish(nil)
 	got := log.Snapshot()[0]
 	if got.TraceID != 77 || got.ParentID != 99 {

@@ -1,4 +1,4 @@
-package vclock
+package vclock_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 // TestEnd holds what End does on each clock: it ends the context a
@@ -25,40 +26,40 @@ func TestEnd(t *testing.T) {
 	type key struct{}
 	for _, clk := range []struct {
 		name string
-		new  func() Clock
+		new  func() vclock.Clock
 		// expire lets a deadline d from now pass without anybody asking
 		// the context about it.
-		expire func(c Clock, d time.Duration)
+		expire func(c vclock.Clock, d time.Duration)
 	}{
-		{"wall", func() Clock { return Wall }, func(_ Clock, d time.Duration) { time.Sleep(4 * d) }},
-		{"virtual", func() Clock { return NewVirtual() }, func(c Clock, d time.Duration) { c.(*Virtual).Advance(d) }},
+		{"wall", func() vclock.Clock { return vclock.Wall }, func(_ vclock.Clock, d time.Duration) { time.Sleep(4 * d) }},
+		{"virtual", func() vclock.Clock { return vclock.NewVirtual() }, func(c vclock.Clock, d time.Duration) { c.(*vclock.Virtual).Advance(d) }},
 	} {
-		derive := func(c Clock, parent context.Context, d time.Duration) context.Context {
+		derive := func(c vclock.Clock, parent context.Context, d time.Duration) context.Context {
 			return c.WithDeadline(parent, c.Now().Add(d))
 		}
 		t.Run(clk.name+"/End twice is a no-op", func(t *testing.T) {
 			c := clk.new()
 			ctx := derive(c, bg, time.Hour)
-			End(ctx)
+			vclock.End(ctx)
 			if err := ctx.Err(); err != context.Canceled || !closed(ctx) {
 				t.Fatalf("after End: Err = %v, Done closed = %v; want Canceled, true", err, closed(ctx))
 			}
-			End(ctx)
+			vclock.End(ctx)
 			if err := ctx.Err(); err != context.Canceled {
 				t.Errorf("after a second End: Err = %v, want Canceled", err)
 			}
-			if v, ok := c.(*Virtual); ok && v.PendingEvents() != 0 {
+			if v, ok := c.(*vclock.Virtual); ok && v.PendingEvents() != 0 {
 				t.Errorf("%d events pending after End, want the deadline's withdrawn", v.PendingEvents())
 			}
 		})
 		t.Run(clk.name+"/End on a span or a value layer leaves the context running", func(t *testing.T) {
 			c := clk.new()
 			ctx := derive(c, bg, time.Hour)
-			defer End(ctx)
-			span, s := telemetry.NewSpanLog(8).StartIn(ctx, "op", "rt")
+			defer vclock.End(ctx)
+			span, s := telemetry.NewSpanLog(8).Start(ctx, c, "op", "rt")
 			defer s.Finish(nil)
-			End(span)
-			End(context.WithValue(ctx, key{}, 1))
+			vclock.End(span)
+			vclock.End(context.WithValue(ctx, key{}, 1))
 			if err := ctx.Err(); err != nil || closed(ctx) {
 				t.Errorf("Err = %v, Done closed = %v; want a live context", err, closed(ctx))
 			}
@@ -68,18 +69,18 @@ func TestEnd(t *testing.T) {
 		})
 		t.Run(clk.name+"/End on a foreign context does nothing", func(t *testing.T) {
 			c := clk.new()
-			End(bg)
+			vclock.End(bg)
 			std, cancel := context.WithCancel(bg)
 			defer cancel()
-			End(std)
+			vclock.End(std)
 			if err := std.Err(); err != nil {
 				t.Errorf("stdlib context: Err = %v after End, want nil", err)
 			}
 			ctx := derive(c, bg, time.Hour)
-			defer End(ctx)
+			defer vclock.End(ctx)
 			child, cancelChild := context.WithCancel(ctx)
 			defer cancelChild()
-			End(child)
+			vclock.End(child)
 			if child.Err() != nil || ctx.Err() != nil {
 				t.Errorf("stdlib child of a clock context: Err = %v, parent Err = %v after End, want nil, nil", child.Err(), ctx.Err())
 			}
@@ -89,7 +90,7 @@ func TestEnd(t *testing.T) {
 			const short = 5 * time.Millisecond
 			ctx := derive(c, bg, short)
 			clk.expire(c, short)
-			End(ctx)
+			vclock.End(ctx)
 			if err := ctx.Err(); err != context.DeadlineExceeded || !closed(ctx) {
 				t.Errorf("Err = %v, Done closed = %v; want DeadlineExceeded, true", err, closed(ctx))
 			}

@@ -20,16 +20,8 @@ var wallReads = map[string]int{
 	// The wall clock itself, and NewVirtual's epoch.
 	"internal/vclock/wall.go":    3,
 	"internal/vclock/virtual.go": 1,
-	// Socket deadlines and the TCP round-trip histogram.
-	"internal/orb/tcp.go": 4,
-	// Spans and histograms (ROADMAP item 3, slice A).
-	"internal/telemetry/span.go":      2,
-	"internal/telemetry/telemetry.go": 1,
-	// Wall-cost histogram stamps.
-	"internal/enactor/enactor.go":       2,
-	"internal/collection/collection.go": 1,
-	"internal/collection/router.go":     1,
-	"internal/host/host.go":             1,
+	// Socket deadlines.
+	"internal/orb/tcp.go": 2,
 	// Experiment timers.
 	"internal/experiments/ablations.go":  2,
 	"internal/experiments/collection.go": 10,
