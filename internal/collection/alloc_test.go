@@ -2,7 +2,9 @@ package collection
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"legion/internal/attr"
 	"legion/internal/orb"
@@ -61,43 +63,96 @@ func TestUpdateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSelectiveQueryAllocBudget: a query's allocations do not grow with
-// the candidates it evaluates — the evaluator reads each record's own
-// pairs in place — only with the doublings of the result slice.
-func TestSelectiveQueryAllocBudget(t *testing.T) {
-	if testing.CoverMode() != "" {
-		t.Skip("coverage instrumentation allocates")
-	}
-	c := New(orb.NewRuntime("uva"), nil)
-	const hosts = 10000
-	candidates, want := 0, 0
-	for i := uint64(1); i <= hosts; i++ {
+// joinFleet joins hosts members spread over zones z0–z3, with loads
+// stepping by 0.01.
+func joinFleet(t *testing.T, c *Collection, hosts int) {
+	t.Helper()
+	for i := uint64(1); i <= uint64(hosts); i++ {
 		zone, load := fmt.Sprintf("z%d", i%4), float64(i%100)/100
 		if err := c.Join(member(i), pushAttrs(zone, load), ""); err != nil {
 			t.Fatal(err)
 		}
-		if zone == "z3" {
-			candidates++
-			if load < 0.5 {
-				want++
-			}
-		}
+	}
+}
+
+// TestSelectiveQueryAllocBudget: a query's allocations do not grow with
+// the candidates it evaluates or the records it returns. The snapshot
+// is sized to the chosen bucket, the evaluator reads each record's own
+// pairs in place, and the reply is allocated once, at its exact length.
+func TestSelectiveQueryAllocBudget(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
 	}
 	const src = `$host_zone == "z3" and $host_load < 0.5`
+	for _, hosts := range []int{1000, 10000} {
+		c := New(orb.NewRuntime("uva"), nil)
+		joinFleet(t, c, hosts)
+		candidates, want := 0, 0
+		for i := 1; i <= hosts; i++ {
+			if i%4 == 3 {
+				candidates++
+				if i%100 < 50 {
+					want++
+				}
+			}
+		}
+		var got []Record
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if got, err = c.Query(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(got) != want || cap(got) != len(got) {
+			t.Fatalf("%d records match (cap %d), want %d at exact capacity", len(got), cap(got), want)
+		}
+		// 8 at any size: the span, the terms slice (grown twice), the
+		// zone's bucket key, the Env, the snapshot and the reply.
+		if allocs > 9 {
+			t.Errorf("selective query over %d records (%d candidates): %.0f allocs/op, budget 9", hosts, candidates, allocs)
+		}
+		t.Logf("%d candidates, %d matches: %.0f allocs/op", candidates, want, allocs)
+	}
+}
+
+// TestFullScanQueryAllocBudget: a query no index prunes — the one every
+// generator asks on a cache miss — allocates the same handful of
+// objects at any size, and its bytes are the snapshot and the reply,
+// each at exactly its length.
+func TestFullScanQueryAllocBudget(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const hosts = 10000
+	c := New(orb.NewRuntime("uva"), nil)
+	joinFleet(t, c, hosts)
+	const src = `defined($host_arch)`
 	var got []Record
-	allocs := testing.AllocsPerRun(10, func() {
+	query := func() {
 		var err error
 		if got, err = c.Query(src); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if len(got) != want {
-		t.Fatalf("%d records match, want %d", len(got), want)
 	}
-	// 2,500 candidates, 1,200 matches: the result slice doubles a dozen
-	// times; span, snapshot and bookkeeping are a handful more.
-	if allocs > 40 {
-		t.Errorf("selective query over %d records (%d candidates): %.0f allocs/op, budget 40", hosts, candidates, allocs)
+	allocs := testing.AllocsPerRun(10, query)
+	if len(got) != hosts || cap(got) != len(got) {
+		t.Fatalf("%d records match (cap %d), want %d at exact capacity", len(got), cap(got), hosts)
 	}
-	t.Logf("%d candidates, %d matches: %.0f allocs/op", candidates, want, allocs)
+	// 4: the span, the Env, the snapshot and the reply.
+	if allocs > 5 {
+		t.Errorf("full scan over %d records: %.0f allocs/op, budget 5", hosts, allocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	exact := uint64(hosts) * uint64(unsafe.Sizeof(Record{})+unsafe.Sizeof(candidate{}))
+	if bytes > exact+exact/20 {
+		t.Errorf("full scan over %d records: %d B/op, budget %d (snapshot and reply at their length, +5%%)", hosts, bytes, exact+exact/20)
+	}
+	t.Logf("%.0f allocs/op, %d B/op", allocs, bytes)
 }

@@ -170,7 +170,8 @@ type Collection struct {
 	cache *query.ParseCache // parsed-query LRU; safe for concurrent use
 
 	mu      sync.RWMutex
-	records map[loid.LOID]*record
+	records map[loid.LOID]*entry // point lookups
+	entries []*entry             // the same entries, sorted by member
 	idx     *attrIndex
 	funcs   map[string]query.Func
 	auth    Authorizer
@@ -188,6 +189,7 @@ type collectionMetrics struct {
 	spans     *telemetry.SpanLog
 	domain    string
 	queryTime *telemetry.Histogram
+	queryCand *telemetry.Histogram
 	querySize *telemetry.Histogram
 	queryErrs *telemetry.Counter
 	evalSkips *telemetry.Counter
@@ -202,6 +204,7 @@ func newCollectionMetrics(rt *orb.Runtime) collectionMetrics {
 		spans:     reg.Spans(),
 		domain:    rt.Domain(),
 		queryTime: reg.Histogram("legion_collection_query_seconds", telemetry.LatencyBuckets),
+		queryCand: reg.Histogram("legion_collection_query_candidates", telemetry.SizeBuckets),
 		querySize: reg.Histogram("legion_collection_query_results", telemetry.SizeBuckets),
 		queryErrs: reg.Counter("legion_collection_query_errors_total"),
 		evalSkips: reg.Counter("legion_collection_query_eval_skips"),
@@ -217,7 +220,7 @@ func New(rt *orb.Runtime, auth Authorizer) *Collection {
 	c := &Collection{
 		ServiceObject: orb.NewServiceObject(rt.Mint("Collection")),
 		cache:         query.NewParseCache(0),
-		records:       make(map[loid.LOID]*record),
+		records:       make(map[loid.LOID]*entry),
 		idx:           newAttrIndex(DefaultIndexedKeys),
 		funcs:         make(map[string]query.Func),
 		auth:          auth,
@@ -237,8 +240,8 @@ func (c *Collection) SetIndexedKeys(keys ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.idx = newAttrIndex(keys)
-	for member, r := range c.records {
-		c.idx.replace(member, nil, r)
+	for _, e := range c.entries {
+		c.idx.replace(e, nil, e.rec)
 	}
 }
 
@@ -279,11 +282,24 @@ func (c *Collection) Join(member loid.LOID, attrs []attr.Pair, credential string
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.records[member]
-	r := newRecord(old, attrs, c.clock.Now())
-	c.records[member] = r
-	c.idx.replace(member, old, r)
+	c.upsert(c.records[member], member, attrs, c.clock.Now())
 	return nil
+}
+
+// upsert merges attrs into the record of e, member's entry, or into a
+// fresh record under a new entry filed in order when e is nil, and moves
+// the entry's index buckets to match. Callers hold the write lock.
+func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at time.Time) {
+	var old *record
+	if e == nil {
+		e = &entry{member: member}
+		c.records[member] = e
+		c.entries = insertEntry(c.entries, e)
+	} else {
+		old = e.rec
+	}
+	e.rec = newRecord(old, attrs, at)
+	c.idx.replace(e, old, e.rec)
 }
 
 // Leave removes a member's record.
@@ -293,12 +309,13 @@ func (c *Collection) Leave(member loid.LOID, credential string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.records[member]
+	e, ok := c.records[member]
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotMember, member)
 	}
 	delete(c.records, member)
-	c.idx.replace(member, r, nil)
+	c.entries = removeEntry(c.entries, e)
+	c.idx.replace(e, e.rec, nil)
 	return nil
 }
 
@@ -310,13 +327,11 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old, ok := c.records[member]
+	e, ok := c.records[member]
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotMember, member)
 	}
-	r := newRecord(old, attrs, c.clock.Now())
-	c.records[member] = r
-	c.idx.replace(member, old, r)
+	c.upsert(e, member, attrs, c.clock.Now())
 	c.updates.Add(1)
 	return nil
 }
@@ -337,7 +352,7 @@ func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (
 			dropped++
 			continue
 		}
-		old, present := c.records[e.Member]
+		ent, present := c.records[e.Member]
 		op := OpUpdate
 		if !present {
 			if e.UpdateOnly {
@@ -350,9 +365,7 @@ func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (
 			dropped++
 			continue
 		}
-		r := newRecord(old, e.Attrs, now)
-		c.records[e.Member] = r
-		c.idx.replace(e.Member, old, r)
+		c.upsert(ent, e.Member, e.Attrs, now)
 		if present {
 			c.updates.Add(1)
 		}
@@ -399,68 +412,83 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 	// copy-on-write values and the function table is swapped wholesale on
 	// InjectFunc, so both stay valid after the lock is released and the
 	// (possibly slow) evaluation below never stalls Join/Update. When a
-	// top-level conjunct hits an indexed key, only the index's candidate
-	// set is snapshotted instead of every record.
-	type candidate struct {
-		member loid.LOID
-		rec    *record
-	}
+	// top-level conjunct hits an indexed key, only its buckets are
+	// snapshotted instead of every record; either way the snapshot comes
+	// out in member order, the order of the reply.
 	c.mu.RLock()
 	c.queries.Add(1)
 	funcs := c.funcs
+	plan := c.idx.plan(terms)
 	var snap []candidate
-	cands, usedIndex := c.idx.candidates(terms)
-	if usedIndex {
-		snap = make([]candidate, 0, len(cands))
-		for member := range cands {
-			if r, ok := c.records[member]; ok {
-				snap = append(snap, candidate{member: member, rec: r})
-			}
-		}
+	if plan.term >= 0 {
+		snap = c.idx.snapshot(make([]candidate, 0, plan.size), plan, terms[plan.term])
 	} else {
-		snap = make([]candidate, 0, len(c.records))
-		for member, r := range c.records {
-			snap = append(snap, candidate{member: member, rec: r})
-		}
+		snap = appendCandidates(make([]candidate, 0, len(c.entries)), c.entries)
 	}
 	c.mu.RUnlock()
-	if usedIndex {
+	if plan.term >= 0 {
 		c.met.indexed.Inc()
+		// Every candidate of an == bucket carries a value Equal to the
+		// literal, so that conjunct is true and error-free for each of
+		// them, and an AND chain without it answers exactly as with it.
+		if t := terms[plan.term]; t.Op == "==" && decides(t.Value) {
+			e = query.WithoutTerm(e, plan.term)
+		}
 	} else {
 		c.met.scans.Inc()
 	}
+	c.met.queryCand.Observe(float64(len(snap)))
 
-	var out []Record
-	skips := 0
+	// Matches are compacted to the front of the snapshot, so the reply
+	// is allocated once, at its exact length.
+	n, skips := 0, 0
 	env := query.Env{Funcs: funcs}
 	for _, cand := range snap {
-		env.Rec = cand.rec
-		ok, err := query.EvalEnv(e, &env)
-		if err != nil {
-			// One record's bad value must not hide every other resource
-			// from the scheduler: skip it and report the rest.
-			skips++
-			continue
+		if e != nil {
+			env.Rec = cand.rec
+			ok, err := query.EvalEnv(e, &env)
+			if err != nil {
+				// One record's bad value must not hide every other
+				// resource from the scheduler: skip it and report the
+				// rest.
+				skips++
+				continue
+			}
+			if !ok {
+				continue
+			}
 		}
-		if !ok {
-			continue
-		}
-		out = append(out, Record{Member: cand.member, Attrs: cand.rec.pairs, UpdatedAt: cand.rec.updatedAt})
+		snap[n] = cand
+		n++
 	}
 	if skips > 0 {
 		c.met.evalSkips.Add(int64(skips))
 	}
-	slices.SortFunc(out, func(a, b Record) int {
-		switch {
-		case a.Member.Less(b.Member):
-			return -1
-		case b.Member.Less(a.Member):
-			return 1
-		}
-		return 0
-	})
-	c.met.querySize.Observe(float64(len(out)))
+	c.met.querySize.Observe(float64(n))
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Record, n)
+	for i, cand := range snap[:n] {
+		out[i] = Record{Member: cand.e.member, Attrs: cand.rec.pairs, UpdatedAt: cand.rec.updatedAt}
+	}
 	return out, nil
+}
+
+// candidate is one entry as a query snapshots it: the entry, for its
+// member, and the record the entry held under the read lock.
+type candidate struct {
+	e   *entry
+	rec *record
+}
+
+// appendCandidates appends each of entries with its current record.
+// Callers hold the Collection lock.
+func appendCandidates(dst []candidate, entries []*entry) []candidate {
+	for _, e := range entries {
+		dst = append(dst, candidate{e: e, rec: e.rec})
+	}
+	return dst
 }
 
 // Size returns the number of member records.

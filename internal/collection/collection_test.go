@@ -310,6 +310,9 @@ func TestOrbProtocol(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess: updates that move members between index
+// buckets race full scans and bucket queries; every reply stays
+// strictly ascending by member.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(orb.NewRuntime("uva"), nil)
 	var wg sync.WaitGroup
@@ -319,11 +322,23 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			m := member(uint64(g + 1))
 			c.Join(m, hostAttrs("Linux", "2.2", 0.5), "")
+			oses := []string{"Linux", "IRIX"}
+			queries := []string{`$host_load >= 0`, `$host_os_name == "Linux" and $host_load >= 0`}
 			for i := 0; i < 100; i++ {
-				c.Update(m, []attr.Pair{{Name: "host_load", Value: attr.Float(float64(i) / 100)}}, "")
-				if _, err := c.Query(`$host_load >= 0`); err != nil {
+				c.Update(m, []attr.Pair{
+					{Name: "host_load", Value: attr.Float(float64(i) / 100)},
+					{Name: "host_os_name", Value: attr.String(oses[(i/3+g)%2])},
+				}, "")
+				recs, err := c.Query(queries[i%2])
+				if err != nil {
 					t.Errorf("query: %v", err)
 					return
+				}
+				for j := 1; j < len(recs); j++ {
+					if !recs[j-1].Member.Less(recs[j].Member) {
+						t.Errorf("reply not strictly ascending: %v then %v", recs[j-1].Member, recs[j].Member)
+						return
+					}
 				}
 			}
 		}(g)

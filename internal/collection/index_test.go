@@ -93,10 +93,11 @@ func TestIndexUsageCounters(t *testing.T) {
 	rt.SetMetrics(reg)
 	c := New(rt, nil)
 	c.Join(member(1), hostAttrs("IRIX", "5.3", 0.2), "")
+	c.Join(member(2), hostAttrs("Linux", "2.0", 0.7), "")
 
-	c.Query(`$host_os_name == "IRIX"`) // indexed
-	c.Query(`$host_load < 0.5`)        // no indexed conjunct: scan
-	c.Query(`$host_os_name == "IRIX"`) // cache hit + indexed
+	c.Query(`$host_os_name == "IRIX"`) // indexed: 1 candidate
+	c.Query(`$host_load < 0.5`)        // no indexed conjunct: scan 2
+	c.Query(`$host_os_name == "IRIX"`) // cache hit + indexed: 1
 	if got := reg.CounterValue("legion_collection_query_indexed_total"); got != 2 {
 		t.Errorf("indexed = %d, want 2", got)
 	}
@@ -105,6 +106,16 @@ func TestIndexUsageCounters(t *testing.T) {
 	}
 	if got := reg.CounterValue("legion_collection_query_cache_hits_total"); got != 1 {
 		t.Errorf("cache hits = %d, want 1", got)
+	}
+	// What the index pruned shows beside what matched: 4 candidates
+	// evaluated, 3 records returned.
+	cands := reg.Histogram("legion_collection_query_candidates", telemetry.SizeBuckets)
+	results := reg.Histogram("legion_collection_query_results", telemetry.SizeBuckets)
+	if cands.Count() != 3 || cands.Sum() != 4 {
+		t.Errorf("candidates: %d observations summing to %v, want 3 summing to 4", cands.Count(), cands.Sum())
+	}
+	if results.Count() != 3 || results.Sum() != 3 {
+		t.Errorf("results: %d observations summing to %v, want 3 summing to 3", results.Count(), results.Sum())
 	}
 }
 

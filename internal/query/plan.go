@@ -27,29 +27,75 @@ func ConjunctiveTerms(e Expr) []Term {
 }
 
 func collectConjuncts(e Expr, out *[]Term) {
-	b, ok := e.(*binaryExpr)
-	if !ok {
-		return
-	}
-	if b.op == "and" {
+	if b, ok := e.(*binaryExpr); ok && b.op == "and" {
 		collectConjuncts(b.lhs, out)
 		collectConjuncts(b.rhs, out)
 		return
 	}
-	if b.op == "or" {
-		return
+	if t, ok := asTerm(e); ok {
+		*out = append(*out, t)
+	}
+}
+
+// asTerm reads e as "$attr op literal" or "literal op $attr".
+func asTerm(e Expr) (Term, bool) {
+	b, ok := e.(*binaryExpr)
+	if !ok || b.op == "and" || b.op == "or" {
+		return Term{}, false
 	}
 	if a, ok := b.lhs.(*attrExpr); ok {
 		if l, ok := b.rhs.(*literalExpr); ok {
-			*out = append(*out, Term{Attr: a.name, Op: b.op, Value: l.val})
+			return Term{Attr: a.name, Op: b.op, Value: l.val}, true
 		}
-		return
+		return Term{}, false
 	}
 	if l, ok := b.lhs.(*literalExpr); ok {
 		if a, ok := b.rhs.(*attrExpr); ok {
-			*out = append(*out, Term{Attr: a.name, Op: flipOp(b.op), Value: l.val})
+			return Term{Attr: a.name, Op: flipOp(b.op), Value: l.val}, true
 		}
 	}
+	return Term{}, false
+}
+
+// WithoutTerm returns e with the conjunct that ConjunctiveTerms(e)[i]
+// came from taken out of the top-level "and" spine, or nil when that
+// conjunct is the whole expression (every record matches). e itself is
+// not modified. The result is equivalent to e — same answer, and an
+// error exactly when e errors — for every record on which the conjunct
+// is true without error: "and" evaluates its operands in boolean
+// context, where "true and x" and "x and true" both answer what x does.
+// A Collection uses it for the == conjunct whose index bucket supplied
+// the candidates.
+func WithoutTerm(e Expr, i int) Expr {
+	out, _ := withoutTerm(e, &i)
+	return out
+}
+
+// withoutTerm walks e's spine in collectConjuncts' order, counting
+// terms down in *i, and reports whether it removed the one at zero.
+func withoutTerm(e Expr, i *int) (Expr, bool) {
+	if b, ok := e.(*binaryExpr); ok && b.op == "and" {
+		if lhs, done := withoutTerm(b.lhs, i); done {
+			if lhs == nil {
+				return b.rhs, true
+			}
+			return &binaryExpr{op: "and", lhs: lhs, rhs: b.rhs}, true
+		}
+		if rhs, done := withoutTerm(b.rhs, i); done {
+			if rhs == nil {
+				return b.lhs, true
+			}
+			return &binaryExpr{op: "and", lhs: b.lhs, rhs: rhs}, true
+		}
+		return e, false
+	}
+	if _, ok := asTerm(e); ok {
+		if *i == 0 {
+			return nil, true
+		}
+		*i--
+	}
+	return e, false
 }
 
 // flipOp rewrites "literal op $attr" as "$attr flipOp(op) literal".

@@ -121,3 +121,76 @@ func TestConjunctiveTermsMatchEval(t *testing.T) {
 		}
 	}
 }
+
+// TestWithoutTerm: the conjunct behind ConjunctiveTerms(e)[i] leaves the
+// and-spine and nothing else moves; the parsed expression is not
+// modified.
+func TestWithoutTerm(t *testing.T) {
+	cases := []struct {
+		src  string
+		i    int
+		want string // "" for nil: the term was the whole expression
+	}{
+		{`$a == 1`, 0, ""},
+		{`$a == 1 and $b < 2`, 0, `($b < 2)`},
+		{`$a == 1 and $b < 2`, 1, `($a == 1)`},
+		{`($c >= 4 and 10 > $d) and match("x", $os)`, 1, `(($c >= 4) and match("x", $os))`},
+		{`$a == 1 and ($b == 2 or $c == 3)`, 0, `(($b == 2) or ($c == 3))`},
+		{`match("x", $os) and ($a == 1 and $b == "z")`, 1, `(match("x", $os) and ($a == 1))`},
+	}
+	for _, tc := range cases {
+		e := mustParse(t, tc.src)
+		before := e.String()
+		got := WithoutTerm(e, tc.i)
+		if e.String() != before {
+			t.Errorf("%q: WithoutTerm modified the expression: %s", tc.src, e)
+		}
+		switch {
+		case tc.want == "" && got != nil:
+			t.Errorf("%q without term %d: %s, want nil", tc.src, tc.i, got)
+		case tc.want != "" && (got == nil || got.String() != tc.want):
+			t.Errorf("%q without term %d: %v, want %s", tc.src, tc.i, got, tc.want)
+		}
+	}
+}
+
+// TestWithoutTermMatchesEval: on every record where the removed ==
+// conjunct holds, the reduced expression answers what the whole one
+// does, an error included — the property a Collection relies on when it
+// skips the conjunct its index bucket decided.
+func TestWithoutTermMatchesEval(t *testing.T) {
+	srcs := []string{
+		`$zone == "z1"`,
+		`$zone == "z1" and $load < 0.5`,
+		`$load < 0.5 and $zone == "z1"`,
+		`$zone == "z1" and $arch < 3`, // errors where $arch is a string
+		`$arch < 3 and $zone == "z1"`,
+		`($alive == true and $zone == "z1") and $load`, // non-bool operand
+		`not ($load > 0.2) and "z1" == $zone`,
+	}
+	recs := []MapRecord{
+		{"zone": attr.String("z1"), "load": attr.Float(0.1), "arch": attr.String("x86"), "alive": attr.Bool(true)},
+		{"zone": attr.String("z1"), "load": attr.Float(0.9), "arch": attr.Int(2), "alive": attr.Bool(false)},
+		{"zone": attr.String("z1"), "arch": attr.Float(-0.0), "alive": attr.Bool(true)},
+		{"zone": attr.String("z1")},
+	}
+	for _, src := range srcs {
+		e := mustParse(t, src)
+		for i, term := range ConjunctiveTerms(e) {
+			if term.Attr != "zone" || term.Op != "==" {
+				continue
+			}
+			reduced := WithoutTerm(e, i)
+			for ri, rec := range recs {
+				want, wantErr := Eval(e, rec)
+				got, gotErr := true, error(nil)
+				if reduced != nil {
+					got, gotErr = Eval(reduced, rec)
+				}
+				if got != want || (gotErr == nil) != (wantErr == nil) {
+					t.Errorf("%q rec %d: reduced %v answers %v/%v, whole %v/%v", src, ri, reduced, got, gotErr, want, wantErr)
+				}
+			}
+		}
+	}
+}
