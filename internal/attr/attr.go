@@ -8,14 +8,16 @@
 // system, load, available memory, etc."
 //
 // Attributes are (name, value) pairs. Values are dynamically typed:
-// string, int64, float64, bool, or a list of values. The Collection stores
-// one attribute Set per resource record, and the query language (package
-// query) evaluates expressions over a Set, referring to attributes as
-// $name.
+// string, int64, float64, bool, or a list of values. A Host keeps its
+// attributes in a Set; the Collection stores each resource record's
+// attributes as the sorted pairs a Set's Snapshot returns, and the query
+// language (package query) evaluates expressions over either, referring
+// to attributes as $name.
 package attr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -54,33 +56,43 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed attribute value. The zero Value is invalid.
 // Values are immutable once constructed.
+//
+// A Value is 40 bytes: the string, one word that holds whichever of the
+// int, the float's bits or the bool the kind calls for, a pointer to a
+// list's elements, and the kind in a byte. A Pair is 56. A fleet holds
+// two copies of every host's attributes (the Host's own and its
+// Collection record), so these bytes are most of what a host costs.
 type Value struct {
-	kind Kind
-	s    string
-	i    int64
-	f    float64
-	b    bool
-	l    []Value
+	s    string   // KindString
+	w    uint64   // KindInt, KindFloat (math.Float64bits), KindBool (0 or 1)
+	l    *[]Value // KindList; the elements are never written after construction
+	kind uint8    // a Kind
 }
 
 // String constructs a string Value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+func String(s string) Value { return Value{kind: uint8(KindString), s: s} }
 
 // Int constructs an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: uint8(KindInt), w: uint64(i)} }
 
 // Float constructs a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: uint8(KindFloat), w: math.Float64bits(f)} }
 
 // Bool constructs a boolean Value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: uint8(KindBool)}
+	if b {
+		v.w = 1
+	}
+	return v
+}
 
 // List constructs a list Value from the given elements. The slice is
 // copied.
 func List(elems ...Value) Value {
 	l := make([]Value, len(elems))
 	copy(l, elems)
-	return Value{kind: KindList, l: l}
+	return Value{kind: uint8(KindList), l: &l}
 }
 
 // Strings constructs a list Value of strings; a convenience for common
@@ -90,56 +102,76 @@ func Strings(ss ...string) Value {
 	for i, s := range ss {
 		l[i] = String(s)
 	}
-	return Value{kind: KindList, l: l}
+	return Value{kind: uint8(KindList), l: &l}
 }
 
 // Kind reports the value's dynamic type.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return Kind(v.kind) }
 
 // IsValid reports whether the value holds any type at all.
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
+func (v Value) IsValid() bool { return v.kind != uint8(KindInvalid) }
 
-// Str returns the string payload; it is only meaningful for KindString.
+// Str returns the string payload; it is "" for every other kind.
 func (v Value) Str() string { return v.s }
 
-// IntVal returns the integer payload; it is only meaningful for KindInt.
-func (v Value) IntVal() int64 { return v.i }
+// IntVal returns the integer payload; it is 0 for every other kind.
+func (v Value) IntVal() int64 {
+	if v.Kind() != KindInt {
+		return 0
+	}
+	return int64(v.w)
+}
 
-// FloatVal returns the float payload; it is only meaningful for KindFloat.
-func (v Value) FloatVal() float64 { return v.f }
+// FloatVal returns the float payload; it is 0 for every other kind.
+func (v Value) FloatVal() float64 {
+	if v.Kind() != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.w)
+}
 
-// BoolVal returns the bool payload; it is only meaningful for KindBool.
-func (v Value) BoolVal() bool { return v.b }
+// BoolVal returns the bool payload; it is false for every other kind.
+func (v Value) BoolVal() bool { return v.Kind() == KindBool && v.w != 0 }
 
-// ListVal returns a copy of the list payload; it is only meaningful for
-// KindList.
+// list returns the list payload without copying it; nil for every other
+// kind.
+func (v Value) list() []Value {
+	if v.l == nil {
+		return nil
+	}
+	return *v.l
+}
+
+// ListVal returns a copy of the list payload; it is empty for every
+// other kind.
 func (v Value) ListVal() []Value {
-	out := make([]Value, len(v.l))
-	copy(out, v.l)
+	l := v.list()
+	out := make([]Value, len(l))
+	copy(out, l)
 	return out
 }
 
 // Len returns the list length for KindList and 0 otherwise.
-func (v Value) Len() int { return len(v.l) }
+func (v Value) Len() int { return len(v.list()) }
 
 // At returns the i'th list element. It panics if v is not a list or the
 // index is out of range, matching slice semantics.
 func (v Value) At(i int) Value {
-	if v.kind != KindList {
+	if v.Kind() != KindList {
 		panic("attr: At on non-list value")
 	}
-	return v.l[i]
+	return v.list()[i]
 }
 
 // AsFloat coerces numeric values to float64: ints widen, floats pass
 // through. ok is false for every other kind. This is the numeric-
 // comparison coercion used by the query evaluator.
 func (v Value) AsFloat() (f float64, ok bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.w)), true
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.w), true
 	default:
 		return 0, false
 	}
@@ -156,17 +188,18 @@ func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
 		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.w == o.w
 	case KindList:
-		if len(v.l) != len(o.l) {
+		vl, ol := v.list(), o.list()
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.l {
-			if !v.l[i].Equal(o.l[i]) {
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -179,18 +212,19 @@ func (v Value) Equal(o Value) bool {
 // String renders the value for traces and error messages. Strings are
 // quoted; lists are bracketed.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
 		return fmt.Sprintf("%q", v.s)
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", int64(v.w))
 	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.FloatVal())
 	case KindBool:
-		return fmt.Sprintf("%t", v.b)
+		return fmt.Sprintf("%t", v.BoolVal())
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		l := v.list()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -206,50 +240,65 @@ type Pair struct {
 	Value Value
 }
 
-// Set is a mutable attribute database. It is safe for concurrent use.
-// The zero Set must not be used; call NewSet.
+// Set is a mutable attribute database: its pairs, sorted by name, one
+// per name. It is safe for concurrent use. The zero Set must not be used;
+// call NewSet.
 type Set struct {
-	mu sync.RWMutex
-	m  map[string]Value
+	mu    sync.RWMutex
+	pairs []Pair
 }
 
-// NewSet returns an empty attribute Set, optionally populated with the
-// given pairs (later pairs overwrite earlier ones of the same name).
+// NewSet returns an attribute Set holding the given pairs (later pairs
+// overwrite earlier ones of the same name). Its storage is allocated at
+// len(pairs), so a caller that passes every attribute up front gets a
+// set at its final length.
 func NewSet(pairs ...Pair) *Set {
-	s := &Set{m: make(map[string]Value, len(pairs))}
+	s := &Set{pairs: make([]Pair, 0, len(pairs))}
 	for _, p := range pairs {
-		s.m[p.Name] = p.Value
+		s.put(p)
 	}
 	return s
+}
+
+// put overwrites the pair of p's name in place, or inserts p at its
+// sorted position. The caller holds the write lock.
+func (s *Set) put(p Pair) {
+	i, ok := search(s.pairs, p.Name)
+	if ok {
+		s.pairs[i].Value = p.Value
+		return
+	}
+	s.pairs = slices.Insert(s.pairs, i, p)
 }
 
 // Get returns the named attribute and whether it is present.
 func (s *Set) Get(name string) (Value, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.m[name]
-	return v, ok
+	return Lookup(s.pairs, name)
 }
 
 // Set stores an attribute, overwriting any previous value of that name.
 func (s *Set) Set(name string, v Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[name] = v
+	s.put(Pair{Name: name, Value: v})
 }
 
 // Delete removes the named attribute if present.
 func (s *Set) Delete(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.m, name)
+	if i, ok := search(s.pairs, name); ok {
+		s.pairs = slices.Delete(s.pairs, i, i+1)
+	}
 }
 
 // Len returns the number of attributes in the set.
 func (s *Set) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.m)
+	return len(s.pairs)
 }
 
 // Merge overwrites attributes in s with every pair in the given list. It
@@ -259,27 +308,25 @@ func (s *Set) Merge(pairs []Pair) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range pairs {
-		s.m[p.Name] = p.Value
+		s.put(p)
 	}
 }
 
-// Snapshot returns the attributes as a sorted, immutable slice of pairs.
-// Snapshots are what Hosts push to Collections and what query evaluation
-// runs over; sorting makes downstream iteration deterministic.
+// Snapshot returns the attributes as a sorted slice of pairs that the
+// caller owns, allocated at exactly their number. Snapshots are what
+// Hosts push to Collections and what query evaluation runs over; the
+// set is kept sorted, so this is one copy.
 func (s *Set) Snapshot() []Pair {
 	s.mu.RLock()
-	pairs := make([]Pair, 0, len(s.m))
-	for k, v := range s.m {
-		pairs = append(pairs, Pair{Name: k, Value: v})
-	}
-	s.mu.RUnlock()
-	slices.SortFunc(pairs, func(a, b Pair) int { return strings.Compare(a.Name, b.Name) })
-	return pairs
+	defer s.mu.RUnlock()
+	out := make([]Pair, len(s.pairs))
+	copy(out, s.pairs)
+	return out
 }
 
-// Clone returns an independent deep copy of the set.
+// Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
-	return NewSet(s.Snapshot()...)
+	return &Set{pairs: s.Snapshot()}
 }
 
 // Lookup adapts the Set to the query evaluator's attribute-resolution
@@ -287,11 +334,20 @@ func (s *Set) Clone() *Set {
 func (s *Set) Lookup(name string) (Value, bool) { return s.Get(name) }
 
 // Lookup finds name in pairs, which must be sorted by name (a Snapshot,
-// or the attributes of a Collection record): a binary search, no map. A
-// record is some twenty contiguous pairs, so the five or so string
-// compares this costs are cheaper than hashing the name once — and a
-// reader gets to use the slice the store already holds.
+// a Set's own pairs, or the attributes of a Collection record): a binary
+// search, no map. A record is some twenty contiguous pairs, so the five
+// or so string compares this costs are cheaper than hashing the name
+// once — and a reader gets to use the slice the store already holds.
 func Lookup(pairs []Pair, name string) (Value, bool) {
+	if i, ok := search(pairs, name); ok {
+		return pairs[i].Value, true
+	}
+	return Value{}, false
+}
+
+// search returns the position of name in pairs sorted by name, or the
+// position it would be inserted at, and whether it is there.
+func search(pairs []Pair, name string) (int, bool) {
 	lo, hi := 0, len(pairs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -301,10 +357,7 @@ func Lookup(pairs []Pair, name string) (Value, bool) {
 			hi = mid
 		}
 	}
-	if lo < len(pairs) && pairs[lo].Name == name {
-		return pairs[lo].Value, true
-	}
-	return Value{}, false
+	return lo, lo < len(pairs) && pairs[lo].Name == name
 }
 
 // FromPairs builds a read-only lookup map from a snapshot, for evaluating

@@ -1,9 +1,14 @@
 package attr
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"legion/internal/wire"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -236,5 +241,135 @@ func TestLookupSortedPairs(t *testing.T) {
 	}
 	if _, ok := Lookup(nil, "host_arch"); ok {
 		t.Error("Lookup found a name in no pairs")
+	}
+}
+
+// edgeValues are the payloads a packed Value could lose: a sign bit, a
+// NaN's bits, an extreme int, the bool that is all zeros, and lists that
+// are empty or nested.
+func edgeValues() map[string]Value {
+	return map[string]Value{
+		"-0":        Float(math.Copysign(0, -1)),
+		"NaN":       Float(math.NaN()),
+		"+Inf":      Float(math.Inf(1)),
+		"-Inf":      Float(math.Inf(-1)),
+		"MinInt64":  Int(math.MinInt64),
+		"false":     Bool(false),
+		"empty":     List(),
+		"nested":    List(List(), List(Int(1), List(String("x"), Bool(false))), Float(math.Copysign(0, -1))),
+		"emptyStr":  String(""),
+		"MaxInt64":  Int(math.MaxInt64),
+		"true":      Bool(true),
+		"listOfNaN": List(Float(math.NaN())),
+	}
+}
+
+// sameValue reports whether a and b are the same value bit for bit —
+// stricter than Equal, which holds NaN unequal to itself, -0 equal to 0
+// and an Int equal to a Float.
+func sameValue(a, b Value) bool {
+	return a.Kind() == b.Kind() && bytes.Equal(a.AppendWire(nil), b.AppendWire(nil))
+}
+
+// gobSame is sameValue for the gob hook, which sends no field that is
+// zero: -0 == 0, so Float(-0) comes back as Float(0). It holds when the
+// kinds match and every float is equal or both are NaN.
+func gobSame(a, b Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case KindFloat:
+		fa, fb := a.FloatVal(), b.FloatVal()
+		return fa == fb || math.IsNaN(fa) && math.IsNaN(fb)
+	case KindList:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !gobSame(a.At(i), b.At(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
+func TestValueEdgeCasesRoundTrip(t *testing.T) {
+	for name, in := range edgeValues() {
+		r := wire.NewReader(in.AppendWire(nil))
+		var out Value
+		out.DecodeWire(&r)
+		if r.Err != nil || len(r.B) != 0 || !sameValue(in, out) {
+			t.Errorf("%s: wire round trip %v -> %v (err %v, %d bytes left)", name, in, out, r.Err, len(r.B))
+		}
+
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+			t.Fatalf("%s: gob encode: %v", name, err)
+		}
+		out = Value{}
+		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+			t.Fatalf("%s: gob decode: %v", name, err)
+		}
+		if !gobSame(in, out) {
+			t.Errorf("%s: gob round trip %v -> %v", name, in, out)
+		}
+	}
+	if f := Float(math.Copysign(0, -1)).FloatVal(); !math.Signbit(f) {
+		t.Error("Float(-0) lost its sign")
+	}
+	if f := Float(math.NaN()).FloatVal(); !math.IsNaN(f) {
+		t.Errorf("Float(NaN) reads %v", f)
+	}
+	if i := Int(math.MinInt64).IntVal(); i != math.MinInt64 {
+		t.Errorf("Int(MinInt64) reads %d", i)
+	}
+}
+
+func TestValueKindsStayApart(t *testing.T) {
+	if Bool(false).Equal(Int(0)) || Int(0).Equal(Bool(false)) {
+		t.Error("Bool(false) equals Int(0)")
+	}
+	if Bool(true).Equal(Int(1)) || Bool(false).Equal(Float(0)) {
+		t.Error("a Bool equals a number")
+	}
+	if !Float(math.Copysign(0, -1)).Equal(Int(0)) {
+		t.Error("Float(-0) should equal Int(0), as -0 == 0")
+	}
+	if Float(math.NaN()).Equal(Float(math.NaN())) {
+		t.Error("NaN equals itself")
+	}
+	if List().Equal(String("")) || List(Int(0)).Equal(List(Bool(false))) {
+		t.Error("values of different kinds compare equal")
+	}
+	if !List(List(), Int(1)).Equal(List(List(), Float(1))) {
+		t.Error("nested lists with numerically equal elements should be equal")
+	}
+}
+
+func TestWrongKindAccessorsReturnZero(t *testing.T) {
+	for name, v := range edgeValues() {
+		if v.Kind() != KindInt && v.IntVal() != 0 {
+			t.Errorf("%s: IntVal = %d on a %s", name, v.IntVal(), v.Kind())
+		}
+		if v.Kind() != KindFloat && v.FloatVal() != 0 {
+			t.Errorf("%s: FloatVal = %v on a %s", name, v.FloatVal(), v.Kind())
+		}
+		if v.Kind() != KindBool && v.BoolVal() {
+			t.Errorf("%s: BoolVal = true on a %s", name, v.Kind())
+		}
+		if v.Kind() != KindString && v.Str() != "" {
+			t.Errorf("%s: Str = %q on a %s", name, v.Str(), v.Kind())
+		}
+		if v.Kind() != KindList && (v.Len() != 0 || len(v.ListVal()) != 0) {
+			t.Errorf("%s: Len = %d on a %s", name, v.Len(), v.Kind())
+		}
+	}
+	var zero Value
+	if zero.IntVal() != 0 || zero.FloatVal() != 0 || zero.BoolVal() || zero.Str() != "" || zero.Len() != 0 {
+		t.Error("the zero Value has a payload")
 	}
 }

@@ -25,7 +25,10 @@ type wireValue struct {
 // GobEncode implements gob.GobEncoder.
 func (v Value) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	w := wireValue{Kind: v.kind, S: v.s, I: v.i, F: v.f, B: v.b, L: v.l}
+	w := wireValue{Kind: v.Kind(), S: v.s, F: v.FloatVal(), B: v.BoolVal(), L: v.list()}
+	if w.Kind == KindInt {
+		w.I = int64(v.w)
+	}
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 		return nil, fmt.Errorf("attr: gob encode: %w", err)
 	}
@@ -38,9 +41,22 @@ func (v *Value) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("attr: gob decode: %w", err)
 	}
-	if w.Kind < KindInvalid || w.Kind > KindList {
+	switch w.Kind {
+	case KindInvalid:
+		*v = Value{}
+	case KindString:
+		*v = String(w.S)
+	case KindInt:
+		*v = Int(w.I)
+	case KindFloat:
+		*v = Float(w.F)
+	case KindBool:
+		*v = Bool(w.B)
+	case KindList:
+		l := w.L
+		*v = Value{kind: uint8(KindList), l: &l}
+	default:
 		return fmt.Errorf("attr: gob decode: invalid kind %d", int(w.Kind))
 	}
-	v.kind, v.s, v.i, v.f, v.b, v.l = w.Kind, w.S, w.I, w.F, w.B, w.L
 	return nil
 }

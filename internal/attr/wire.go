@@ -14,20 +14,21 @@ const maxWireDepth = 32
 // AppendWire appends the Value in the ORB's binary wire format: a kind
 // byte followed by the kind's payload.
 func (v Value) AppendWire(b []byte) []byte {
-	b = append(b, byte(v.kind))
-	switch v.kind {
+	b = append(b, v.kind)
+	switch v.Kind() {
 	case KindString:
 		b = wire.AppendString(b, v.s)
 	case KindInt:
-		b = wire.AppendVarint(b, v.i)
+		b = wire.AppendVarint(b, int64(v.w))
 	case KindFloat:
-		b = wire.AppendFloat64(b, v.f)
+		b = wire.AppendFloat64(b, v.FloatVal())
 	case KindBool:
-		b = wire.AppendBool(b, v.b)
+		b = wire.AppendBool(b, v.BoolVal())
 	case KindList:
-		b = wire.AppendUvarint(b, uint64(len(v.l)))
-		for i := range v.l {
-			b = v.l[i].AppendWire(b)
+		l := v.list()
+		b = wire.AppendUvarint(b, uint64(len(l)))
+		for i := range l {
+			b = l[i].AppendWire(b)
 		}
 	}
 	return b
@@ -55,26 +56,28 @@ func (v *Value) decodeWire(r *wire.Reader, depth int) {
 	}
 	k := Kind(r.B[0])
 	r.B = r.B[1:]
-	*v = Value{kind: k}
 	switch k {
 	case KindInvalid:
+		*v = Value{}
 	case KindString:
-		v.s = r.Sym()
+		*v = String(r.Sym())
 	case KindInt:
-		v.i = r.Varint()
+		*v = Int(r.Varint())
 	case KindFloat:
-		v.f = r.Float64()
+		*v = Float(r.Float64())
 	case KindBool:
-		v.b = r.Bool()
+		*v = Bool(r.Bool())
 	case KindList:
+		*v = Value{kind: uint8(KindList)}
 		n := r.Len()
 		if r.Err != nil || n == 0 {
 			return
 		}
-		v.l = make([]Value, n)
-		for i := range v.l {
-			v.l[i].decodeWire(r, depth+1)
+		l := make([]Value, n)
+		for i := range l {
+			l[i].decodeWire(r, depth+1)
 		}
+		v.l = &l
 	default:
 		r.Err = fmt.Errorf("attr: wire decode: invalid kind %d", int(k))
 		*v = Value{}

@@ -276,6 +276,10 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 	// table pushes deltas into it on every grant/cancel/expiry.
 	h.table.SetGauge(rt.Metrics().Gauge("legion_reservations_active"))
 	h.trigs = rge.NewTriggerSet(h.LOID(), rt.Clock())
+	vaultStrs := make([]string, len(cfg.Vaults))
+	for i, vl := range cfg.Vaults {
+		vaultStrs[i] = vl.String()
+	}
 	h.attrs = attr.NewSet(
 		attr.Pair{Name: "host_arch", Value: attr.String(cfg.Arch)},
 		attr.Pair{Name: "host_os_name", Value: attr.String(cfg.OS)},
@@ -294,12 +298,8 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		attr.Pair{Name: "host_queue_length", Value: attr.Int(0)},
 		attr.Pair{Name: "host_is_batch", Value: attr.Bool(cfg.Queue != nil)},
 		attr.Pair{Name: "host_loid", Value: attr.String(h.LOID().String())},
+		attr.Pair{Name: "host_vaults", Value: attr.Strings(vaultStrs...)},
 	)
-	vaultStrs := make([]string, len(cfg.Vaults))
-	for i, vl := range cfg.Vaults {
-		vaultStrs[i] = vl.String()
-	}
-	h.attrs.Set("host_vaults", attr.Strings(vaultStrs...))
 	h.attrs.Merge(cfg.ExtraAttrs)
 	rt.Register(h)
 	return h

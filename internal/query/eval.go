@@ -9,9 +9,10 @@ import (
 )
 
 // Record resolves $name attribute references during evaluation. A
-// Collection's records satisfy it over their sorted pairs (attr.Lookup),
-// as do *attr.Set and the map-based view returned by attr.FromPairs (via
-// MapRecord).
+// Collection record, which is its sorted pairs, satisfies it with
+// attr.Lookup's binary search, and so does a Host's *attr.Set, which is
+// sorted pairs under a lock. MapRecord adapts the map attr.FromPairs
+// returns.
 type Record interface {
 	Lookup(name string) (attr.Value, bool)
 }

@@ -67,7 +67,9 @@ type outcall struct {
 type TriggerSet struct {
 	owner loid.LOID
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// The maps are made on their first write: most hosts of a fleet
+	// never define a trigger or take an outcall.
 	triggers map[string]*trigger
 	outcalls map[string][]outcall // trigger name ("" = all) -> handlers
 	fired    map[string]int       // per-trigger fire counts, for tests/metrics
@@ -77,13 +79,7 @@ type TriggerSet struct {
 // NewTriggerSet creates an empty trigger set owned by the given object,
 // stamping events from clock (nil = the wall clock).
 func NewTriggerSet(owner loid.LOID, clock vclock.Clock) *TriggerSet {
-	return &TriggerSet{
-		owner:    owner,
-		triggers: make(map[string]*trigger),
-		outcalls: make(map[string][]outcall),
-		fired:    make(map[string]int),
-		clock:    vclock.Default(clock),
-	}
+	return &TriggerSet{owner: owner, clock: vclock.Default(clock)}
 }
 
 // Define installs (or replaces) a named trigger whose guard is a query-
@@ -99,6 +95,9 @@ func (ts *TriggerSet) Define(name, guardSrc string) error {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if ts.triggers == nil {
+		ts.triggers = make(map[string]*trigger)
+	}
 	ts.triggers[name] = &trigger{name: name, guard: g, armed: true}
 	return nil
 }
@@ -131,7 +130,7 @@ func (ts *TriggerSet) Triggers() []string {
 func (ts *TriggerSet) RegisterOutcall(triggerName string, oc Outcall) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.outcalls[triggerName] = append(ts.outcalls[triggerName], outcall{fn: oc})
+	ts.addOutcall(triggerName, outcall{fn: oc})
 }
 
 // RegisterOutcallKeyed registers a handler for the named trigger under an
@@ -151,7 +150,16 @@ func (ts *TriggerSet) RegisterOutcallKeyed(triggerName, key string, oc Outcall) 
 			return
 		}
 	}
-	ts.outcalls[triggerName] = append(ts.outcalls[triggerName], outcall{key: key, fn: oc})
+	ts.addOutcall(triggerName, outcall{key: key, fn: oc})
+}
+
+// addOutcall appends oc to the named trigger's handlers. The caller
+// holds ts.mu.
+func (ts *TriggerSet) addOutcall(triggerName string, oc outcall) {
+	if ts.outcalls == nil {
+		ts.outcalls = make(map[string][]outcall)
+	}
+	ts.outcalls[triggerName] = append(ts.outcalls[triggerName], oc)
 }
 
 // OutcallCount returns how many handlers are registered for the named
@@ -207,6 +215,9 @@ func (ts *TriggerSet) Evaluate(rec query.Record) []Event {
 			}
 		}
 		ev := Event{Source: ts.owner, Trigger: tr.name, Attrs: snapshot, Time: ts.clock.Now()}
+		if ts.fired == nil {
+			ts.fired = make(map[string]int)
+		}
 		ts.fired[tr.name]++
 		var ocs []Outcall
 		for _, oc := range ts.outcalls[tr.name] {

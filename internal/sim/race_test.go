@@ -8,3 +8,7 @@ package sim
 // buffers. It reads 143 under -race against 131 without. The wall and
 // virtual arms read 100 and 107 under -race, inside their budgets.
 const tcpRaceSlack = 10
+
+// raceEnabled reports whether the race detector is on: heap readings
+// are skipped under it.
+const raceEnabled = true
