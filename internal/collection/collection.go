@@ -338,10 +338,10 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 
 // ApplyBatch applies a coalesced update batch in entry order under a
 // single lock acquisition — the server half of the Data Collection
-// Daemon's batched push path. Each entry upserts: an absent member is
+// Daemon's push. Each entry upserts: an absent member is
 // joined (authorized as OpJoin), a present one updated (OpUpdate).
 // UpdateOnly entries for absent members are dropped rather than joined,
-// so a buffered down-flag cannot resurrect a pruned record. Entries the
+// so a down-flag cannot resurrect a pruned record. Entries the
 // authorizer refuses are dropped too; the batch never fails wholesale.
 func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (applied, dropped int) {
 	c.mu.Lock()

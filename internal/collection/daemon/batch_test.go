@@ -15,6 +15,7 @@ import (
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/resilient"
+	"legion/internal/vclock"
 )
 
 // fakeRes is a scripted resource: it answers get_attributes with
@@ -67,24 +68,25 @@ func (ds *downSet) get(res loid.LOID) bool {
 	return ds.down[res]
 }
 
-// TestBatchingProperty is the satellite property test: after an
-// arbitrary interleaving of sweeps (updates + down-flags) with
-// concurrent flushes, each member's shard state must equal the serial
-// application of that member's updates in pull order — no lost writes,
-// no reordered writes, and a down-flag racing a buffered update never
-// resurrects a member that was never deposited.
+// TestBatchingProperty models the sweep: over an arbitrary sequence of
+// sweeps, with resources changing, dying and reviving and the Collection
+// itself unreachable for some rounds, each member's record must equal
+// the serial application of the pushes that got through, in sweep
+// order. A failed push loses nothing for good: a deposit lost with it is
+// superseded by the next sweep's, and a down-flag lost with it is sent
+// again. A down-flag never creates a member that was never deposited.
 func TestBatchingProperty(t *testing.T) {
+	resent := 0 // down-flags the model saw re-sent after a failed push
 	for _, tc := range []struct {
 		seed        int64
-		batchSize   int
 		parallelism int
 	}{
-		{seed: 1, batchSize: 4, parallelism: 8},
-		{seed: 2, batchSize: 1, parallelism: 1}, // every enqueue flushes
-		{seed: 3, batchSize: 1 << 20, parallelism: 4},
-		{seed: 4, batchSize: 7, parallelism: 2},
+		{seed: 1, parallelism: 8},
+		{seed: 2, parallelism: 1},
+		{seed: 3, parallelism: 4},
+		{seed: 4, parallelism: 2},
 	} {
-		t.Run(fmt.Sprintf("seed%d_batch%d_par%d", tc.seed, tc.batchSize, tc.parallelism), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed%d_par%d", tc.seed, tc.parallelism), func(t *testing.T) {
 			rt := orb.NewRuntime("uva")
 			c := collection.New(rt, nil)
 			const nRes = 12
@@ -112,49 +114,32 @@ func TestBatchingProperty(t *testing.T) {
 				// The oracle models the daemon, not the breakers: an open
 				// breaker would keep a revived resource failing fast and
 				// diverge the model, so breakers effectively never open.
-				Breakers:      resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
-				Liveness:      monitor.NewLiveness(time.Hour, 1, nil),
-				DownAfter:     1,
-				Parallelism:   tc.parallelism,
-				BatchInterval: time.Hour, // flushes driven manually + by size
-				BatchSize:     tc.batchSize,
+				Breakers:    resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
+				Liveness:    monitor.NewLiveness(time.Hour, 1, nil),
+				DownAfter:   1,
+				Parallelism: tc.parallelism,
 			})
 			for _, f := range res {
 				d.Watch(f.LOID())
 			}
 			d.PushInto(c.LOID())
 
-			// A concurrent flusher racing the sweeps' enqueues.
-			stopFlush := make(chan struct{})
-			var flushWG sync.WaitGroup
-			flushWG.Add(1)
-			go func() {
-				defer flushWG.Done()
-				for {
-					select {
-					case <-stopFlush:
-						return
-					default:
-						d.FlushAll(context.Background())
-						time.Sleep(time.Duration(100+tc.seed*37) * time.Microsecond)
-					}
-				}
-			}()
-
-			// Oracle: per member, the serial application of its pulled
-			// snapshots in sweep order, with the daemon's flag semantics.
+			// Oracle: per member, the record the Collection holds, and
+			// whether the daemon counts it as flagged down.
 			type model struct {
 				attrs   map[string]attr.Value
-				present bool
 				flagged bool
+				lost    bool // its down-flag went out with a failed push
 			}
 			models := make([]model, nRes)
 			version := make([]int, nRes)
+			unreachable := false // the Collection, this round
 
-			const rounds = 60
+			const rounds = 80
 			ctx := context.Background()
 			for round := 0; round < rounds; round++ {
-				// Mutate some resources and flip some liveness states.
+				// Mutate some resources and flip some liveness states; the
+				// last rounds keep the Collection up so it recovers.
 				for i := 0; i < nRes; i++ {
 					if rng.Intn(3) == 0 {
 						version[i]++
@@ -164,147 +149,173 @@ func TestBatchingProperty(t *testing.T) {
 						ds.set(res[i].LOID(), !ds.get(res[i].LOID()))
 					}
 				}
+				switch {
+				case round >= rounds-5:
+					unreachable = false // recovered for the last rounds
+				case rng.Intn(5) == 0:
+					unreachable = !unreachable
+				}
+				ds.set(c.LOID(), unreachable)
 				d.Sweep(ctx)
-				// Mirror what this sweep must have enqueued per member. A
-				// sweep is one snapshot per live resource; updates to the
-				// fake after Sweep returned can't have been seen.
+				// Mirror the sweep's one batch: a deposit per live
+				// resource, a down-flag per resource newly down.
 				for i := 0; i < nRes; i++ {
 					m := &models[i]
-					if !ds.get(res[i].LOID()) {
-						if m.attrs == nil {
-							m.attrs = make(map[string]attr.Value)
+					switch {
+					case !ds.get(res[i].LOID()):
+						m.flagged, m.lost = false, false
+						if unreachable {
+							continue
 						}
-						m.attrs["host_arch"] = attr.String("x86")
-						m.attrs["version"] = attr.Int(int64(version[i]))
-						m.attrs[AttrAlive] = attr.Bool(true)
-						m.attrs[AttrState] = attr.String(monitor.LivenessUp.String())
-						m.present = true
-						m.flagged = false
-					} else if !m.flagged {
-						// First failing sweep: flag once, UpdateOnly — a
-						// member never deposited stays absent.
+						m.attrs = map[string]attr.Value{
+							"host_arch": attr.String("x86"),
+							"version":   attr.Int(int64(version[i])),
+							AttrAlive:   attr.Bool(true),
+							AttrState:   attr.String(monitor.LivenessUp.String()),
+						}
+					case !m.flagged:
+						if unreachable {
+							m.lost = true // unmarked: the next sweep sends it again
+							continue
+						}
 						m.flagged = true
-						if m.present {
+						if m.attrs != nil { // UpdateOnly: no member, no record
 							m.attrs[AttrAlive] = attr.Bool(false)
 							m.attrs[AttrState] = attr.String(monitor.LivenessDown.String())
+							if m.lost {
+								resent++
+							}
 						}
+						m.lost = false
 					}
 				}
-			}
-			close(stopFlush)
-			flushWG.Wait()
-			d.Stop() // flush-on-shutdown drains whatever is still buffered
-
-			recs, err := c.Query(`defined($host_arch)`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			byMember := make(map[loid.LOID]map[string]attr.Value, len(recs))
-			for _, r := range recs {
-				byMember[r.Member] = attr.FromPairs(r.Attrs)
-			}
-			for i := 0; i < nRes; i++ {
-				m := models[i]
-				got, ok := byMember[res[i].LOID()]
-				if !m.present {
-					if ok {
-						t.Errorf("res %d: never-alive member resurrected by a flag: %v", i, got)
-					}
-					continue
+				if !unreachable {
+					checkRecords(t, round, c, res, func(i int) map[string]attr.Value { return models[i].attrs })
 				}
-				if !ok {
-					t.Errorf("res %d: deposited member missing from shard", i)
-					continue
-				}
-				for k, want := range m.attrs {
-					if gv, ok := got[k]; !ok || !gv.Equal(want) {
-						t.Errorf("res %d attr %q = %v, want %v", i, k, gv, want)
-					}
-				}
-				delete(byMember, res[i].LOID())
 			}
-			if len(byMember) != 0 {
-				t.Errorf("unexpected extra members: %v", byMember)
+			if unreachable {
+				t.Fatal("the Collection never recovered; the model checks nothing at the end")
 			}
 		})
 	}
+	if resent == 0 {
+		t.Error("no seed re-sent a down-flag lost with a failed push; the outage rounds test nothing")
+	}
 }
 
-// TestBatchingCutsPushCalls pins the acceptance criterion: the same
-// sweep workload must cost ≥ 4× fewer Collection-bound ORB calls with
-// batching on.
+// checkRecords fails t unless c holds exactly one record per resource
+// whose want is non-nil, with exactly those attributes.
+func checkRecords(t *testing.T, round int, c *collection.Collection, res []*fakeRes, want func(i int) map[string]attr.Value) {
+	t.Helper()
+	recs, err := c.Query(`defined($host_arch)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[loid.LOID]map[string]attr.Value, len(recs))
+	for _, r := range recs {
+		got[r.Member] = attr.FromPairs(r.Attrs)
+	}
+	for i, f := range res {
+		w, g := want(i), got[f.LOID()]
+		delete(got, f.LOID())
+		switch {
+		case w == nil && g != nil:
+			t.Fatalf("round %d: res %d was never deposited, yet has a record: %v", round, i, g)
+		case w != nil && g == nil:
+			t.Fatalf("round %d: res %d was deposited, yet has no record", round, i)
+		case len(g) != len(w):
+			t.Fatalf("round %d: res %d record %v, want %v", round, i, g, w)
+		}
+		for k, wv := range w {
+			if gv, ok := g[k]; !ok || !gv.Equal(wv) {
+				t.Fatalf("round %d: res %d attr %q = %v, want %v", round, i, k, gv, wv)
+			}
+		}
+	}
+	if len(got) != 0 {
+		t.Fatalf("round %d: records for unknown members: %v", round, got)
+	}
+}
+
+// TestBatchingCutsPushCalls: a sweep costs one push call per Collection,
+// however many resources it pulled from.
 func TestBatchingCutsPushCalls(t *testing.T) {
-	run := func(batch bool) int64 {
-		rt := orb.NewRuntime("uva")
-		c := collection.New(rt, nil)
-		cfg := Config{Interval: time.Hour, Credential: "cred"}
-		if batch {
-			cfg.BatchInterval = time.Hour
-			cfg.BatchSize = 1 << 20 // flush only on Stop
-		}
-		d := New(rt, cfg)
-		for i := 0; i < 16; i++ {
-			d.Watch(newFakeRes(rt, i).LOID())
-		}
-		d.PushInto(c.LOID())
-		for s := 0; s < 5; s++ {
-			d.Sweep(context.Background())
-		}
-		d.Stop()
-		if c.Size() != 16 {
-			t.Fatalf("collection size = %d, want 16 (batch=%v)", c.Size(), batch)
-		}
-		return d.PushCalls()
+	const nRes, collections, sweeps = 16, 2, 5
+	rt := orb.NewRuntime("uva")
+	d := New(rt, Config{Interval: time.Hour, Credential: "cred"})
+	for i := 0; i < nRes; i++ {
+		d.Watch(newFakeRes(rt, i).LOID())
 	}
-	direct := run(false)
-	batched := run(true)
-	if direct != 16*5 {
-		t.Fatalf("direct push calls = %d, want 80", direct)
+	colls := make([]*collection.Collection, collections)
+	for i := range colls {
+		colls[i] = collection.New(rt, nil)
+		d.PushInto(colls[i].LOID())
 	}
-	if batched*4 > direct {
-		t.Fatalf("batched push calls = %d, not ≥4× below %d", batched, direct)
+	for s := 0; s < sweeps; s++ {
+		if ok := d.Sweep(context.Background()); ok != nRes*collections {
+			t.Fatalf("sweep %d deposits = %d, want %d", s, ok, nRes*collections)
+		}
+	}
+	for i, c := range colls {
+		if c.Size() != nRes {
+			t.Fatalf("collection %d size = %d, want %d", i, c.Size(), nRes)
+		}
+	}
+	if got := d.PushCalls(); got != sweeps*collections {
+		t.Fatalf("push calls = %d, want %d (one per Collection per sweep)", got, sweeps*collections)
 	}
 }
 
-// TestBatchFlushRetriesAfterCollectionRecovers: a flush against an
-// unreachable Collection re-queues its entries in order and the next
-// flush delivers them.
-func TestBatchFlushRetriesAfterCollectionRecovers(t *testing.T) {
+// TestSweepLandsWithinCallTimeout holds the currency bound the one push
+// per sweep costs: a record lands when the sweep's slowest probe
+// returns, not when its own does, and so no later than CallTimeout after
+// the sweep began, however long a hung resource stays hung.
+func TestSweepLandsWithinCallTimeout(t *testing.T) {
+	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
+	rt.SetClock(vc)
 	c := collection.New(rt, nil)
-	f := newFakeRes(rt, 0)
-	ds := &downSet{down: make(map[loid.LOID]bool)}
-	rt.SetFaultInjector(func(target loid.LOID, _ string) error {
-		if ds.get(target) {
-			return orb.ErrInjectedFault
-		}
-		return nil
+	d := New(rt, Config{Interval: time.Hour, Credential: "cred"})
+	const nRes = 4
+	for i := 0; i < nRes; i++ {
+		d.Watch(newFakeRes(rt, i).LOID())
+	}
+	hung := orb.NewServiceObject(loid.LOID{Domain: "uva", Class: "Fake", Instance: 99})
+	hung.Handle(proto.MethodGetAttributes, func(ctx context.Context, _ any) (any, error) {
+		return nil, vc.Sleep(ctx, time.Hour)
 	})
-	d := New(rt, Config{
-		Interval: time.Hour, Credential: "cred",
-		Retry:         resilient.Policy{MaxAttempts: 1},
-		BatchInterval: time.Hour, BatchSize: 1 << 20,
-	})
-	d.Watch(f.LOID())
+	rt.Register(hung)
+	d.Watch(hung.LOID())
 	d.PushInto(c.LOID())
+	const callTimeout = 10 * time.Second // the default
 
-	d.Sweep(context.Background())
-	ds.set(c.LOID(), true) // Collection unreachable: flush must re-queue
-	d.FlushAll(context.Background())
-	if c.Size() != 0 {
-		t.Fatalf("entries landed through a dead Collection")
-	}
-	_, errs := d.Stats()
-	if errs == 0 {
-		t.Fatal("failed flush not counted")
-	}
-	ds.set(c.LOID(), false)
-	d.FlushAll(context.Background())
-	if c.Size() != 1 {
-		t.Fatalf("re-queued entries lost: size = %d", c.Size())
-	}
-	recs, _ := c.Query(`$version == 0`)
-	if len(recs) != 1 || recs[0].Member != f.LOID() {
-		t.Fatalf("recovered record: %+v", recs)
-	}
+	vc.Run(func() {
+		start := vc.Now()
+		swept := vc.NewGroup()
+		swept.Add(1)
+		vc.Go(func() {
+			defer swept.Done()
+			if ok := d.Sweep(context.Background()); ok != nRes {
+				t.Errorf("sweep deposits = %d, want %d", ok, nRes)
+			}
+		})
+		_ = vc.Sleep(context.Background(), callTimeout/2)
+		if n := c.Size(); n != 0 {
+			t.Errorf("%d records landed before the sweep's slowest probe returned", n)
+		}
+		_ = swept.Wait(context.Background())
+		end := vc.Now()
+		if took := end.Sub(start); took > callTimeout {
+			t.Errorf("sweep took %v, past the %v CallTimeout", took, callTimeout)
+		}
+		recs, err := c.Query(`defined($host_arch)`)
+		if err != nil || len(recs) != nRes {
+			t.Fatalf("records after the sweep: %d, %v; want %d", len(recs), err, nRes)
+		}
+		for _, r := range recs {
+			if !r.UpdatedAt.Equal(end) {
+				t.Errorf("%v landed at +%v, want the sweep's end +%v", r.Member, r.UpdatedAt.Sub(start), end.Sub(start))
+			}
+		}
+	})
 }

@@ -3,10 +3,11 @@
 // The paper (§3.1, footnote 4): "We are implementing an intermediate
 // agent, the Data Collection Daemon, which pulls data from Hosts and
 // pushes it into Collections." The daemon periodically invokes
-// get_attributes on a set of resources and UpdateCollectionEntry (or
-// JoinCollection for resources not yet members) on a set of Collections —
+// get_attributes on a set of resources and pushes what the sweep pulled
+// into each of a set of Collections as one update_collection_batch call —
 // the pull half of the Collection population model, complementing the
-// Hosts' own push path.
+// Hosts' own push path. A batch entry upserts, so a resource's first
+// deposit joins it and later ones update it.
 //
 // The pull loop is where resource failure becomes visible first, so the
 // daemon doubles as the failure detector: each probe runs under a retry
@@ -75,19 +76,6 @@ type Config struct {
 	// probe, not the sum of all probe timeouts. Zero means 8; 1 probes
 	// serially.
 	Parallelism int
-	// BatchInterval > 0 switches the push half to coalesced batches:
-	// deposits and down-flags are buffered per Collection and flushed as
-	// one UpdateCollectionBatch call every BatchInterval (and whenever a
-	// buffer reaches BatchSize, and on Stop). The trade-off is the
-	// paper's §4 pull/push staleness argument made explicit: Collection
-	// data lags by up to one interval in exchange for one ORB
-	// round-trip per Collection per flush instead of one per resource.
-	BatchInterval time.Duration
-	// BatchSize triggers an early flush when a Collection's buffer holds
-	// this many entries; zero means 256. Buffers are capped at 16× this
-	// to bound memory while a Collection is unreachable (oldest entries
-	// are dropped and counted as errors).
-	BatchSize int
 	// HistoryLen > 0 makes each sweep record the resource's host_load
 	// into a rolling per-resource window of that many samples and
 	// deposit the window as the host_load_history attribute — the pull
@@ -109,32 +97,11 @@ type Daemon struct {
 	resources   []loid.LOID
 	collections []loid.LOID
 	loadHist    map[loid.LOID][]float64 // rolling host_load windows (HistoryLen > 0)
-	joined      map[loid.LOID]bool
-	flagged     map[loid.LOID]bool // resources currently marked down
-	batches     map[loid.LOID]*collBatch
-	tickers     []vclock.Ticker // Start's; Stop stops them
-	stopped     bool
+	flagged     map[loid.LOID]bool      // resources currently marked down
+	tickers     []vclock.Ticker         // Start's; Stop stops them
 	sweeps      int64
 	errors      int64
-	sheds       int64 // batch entries dropped by the overflow cap
 	pushCalls   int64 // ORB calls spent pushing into Collections
-
-	// shedCounter mirrors sheds into the runtime's registry
-	// (legion_daemon_update_sheds_total) so overflow drops are visible
-	// on /metrics, distinct from transport errors.
-	shedCounter *telemetry.Counter
-}
-
-// collBatch buffers pending entries for one Collection. mu guards
-// pending; sendMu is held across the swap-and-send of a flush so
-// concurrent flushes serialize and per-member entry order on the wire
-// matches enqueue order (a failed send re-queues its entries at the
-// front under mu before sendMu is released, so no later flush can slip
-// its entries ahead of them).
-type collBatch struct {
-	mu      sync.Mutex
-	sendMu  sync.Mutex
-	pending []proto.BatchEntry
 }
 
 // New creates a Daemon using rt for communication.
@@ -170,105 +137,14 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	if cfg.Breakers == nil {
 		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
 	return &Daemon{
-		rt:          rt,
-		cfg:         cfg,
-		call:        resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
-		live:        cfg.Liveness,
-		loadHist:    make(map[loid.LOID][]float64),
-		joined:      make(map[loid.LOID]bool),
-		flagged:     make(map[loid.LOID]bool),
-		batches:     make(map[loid.LOID]*collBatch),
-		shedCounter: rt.Metrics().Counter("legion_daemon_update_sheds_total"),
+		rt:       rt,
+		cfg:      cfg,
+		call:     resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
+		live:     cfg.Liveness,
+		loadHist: make(map[loid.LOID][]float64),
+		flagged:  make(map[loid.LOID]bool),
 	}
-}
-
-// batching reports whether the coalesced push path is enabled.
-func (d *Daemon) batching() bool { return d.cfg.BatchInterval > 0 }
-
-func (d *Daemon) batchFor(coll loid.LOID) *collBatch {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cb := d.batches[coll]
-	if cb == nil {
-		cb = &collBatch{}
-		d.batches[coll] = cb
-	}
-	return cb
-}
-
-// enqueue buffers one entry for coll and flushes if the buffer filled.
-func (d *Daemon) enqueue(ctx context.Context, coll loid.LOID, e proto.BatchEntry) {
-	cb := d.batchFor(coll)
-	cb.mu.Lock()
-	cb.pending = append(cb.pending, e)
-	// Bound memory while coll is unreachable: shed the oldest entries
-	// (their members' later entries, still queued, carry newer state).
-	// Sheds are counted apart from transport errors — a rising shed
-	// count means updates are being lost to backpressure, not that the
-	// Collection is failing calls.
-	if max := 16 * d.cfg.BatchSize; len(cb.pending) > max {
-		over := len(cb.pending) - max
-		cb.pending = append(cb.pending[:0:0], cb.pending[over:]...)
-		d.shedCounter.Add(int64(over))
-		d.mu.Lock()
-		d.sheds += int64(over)
-		d.mu.Unlock()
-	}
-	full := len(cb.pending) >= d.cfg.BatchSize
-	cb.mu.Unlock()
-	if full {
-		d.flushOne(ctx, coll, cb)
-	}
-}
-
-// FlushAll flushes every Collection's buffer.
-func (d *Daemon) FlushAll(ctx context.Context) {
-	d.mu.Lock()
-	colls := make([]loid.LOID, 0, len(d.batches))
-	cbs := make([]*collBatch, 0, len(d.batches))
-	for coll, cb := range d.batches {
-		colls = append(colls, coll)
-		cbs = append(cbs, cb)
-	}
-	d.mu.Unlock()
-	for i := range colls {
-		d.flushOne(ctx, colls[i], cbs[i])
-	}
-}
-
-func (d *Daemon) flushOne(ctx context.Context, coll loid.LOID, cb *collBatch) {
-	cb.sendMu.Lock()
-	defer cb.sendMu.Unlock()
-	cb.mu.Lock()
-	entries := cb.pending
-	cb.pending = nil
-	cb.mu.Unlock()
-	if len(entries) == 0 {
-		return
-	}
-	clk := d.rt.Clock()
-	cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
-	defer vclock.End(cctx)
-	d.mu.Lock()
-	d.pushCalls++
-	d.mu.Unlock()
-	_, err := d.call.Call(cctx, coll, proto.MethodUpdateCollectionBatch,
-		proto.BatchUpdateArgs{Entries: entries, Credential: d.cfg.Credential})
-	if err == nil {
-		return
-	}
-	// Re-queue at the front (sendMu is still held, so nothing sent in
-	// between) and retry on the next flush.
-	d.mu.Lock()
-	d.errors++
-	d.mu.Unlock()
-	cb.mu.Lock()
-	cb.pending = append(entries, cb.pending...)
-	cb.mu.Unlock()
 }
 
 // wireLivenessCounters counts liveness transitions into reg: one
@@ -316,6 +192,16 @@ func (d *Daemon) PushInto(collections ...loid.LOID) {
 // instantly once its breaker opens), the failure feeds the liveness
 // tracker, and on crossing the down threshold the resource's records in
 // every Collection are flagged down in place.
+//
+// What the probes pulled goes to each Collection as one batch once the
+// last probe has returned, the Collections in turn, each push under its
+// own CallTimeout. A record so reaches the k-th Collection at most
+// (⌈resources/Parallelism⌉ + k−1) × CallTimeout after the sweep began,
+// plus link latency × hops; on a virtual clock the probes run serially,
+// so Parallelism counts as 1 there. A failed push, a Router's included
+// when any of its shards missed the batch, is not kept: the next sweep
+// deposits fresher state, and the down-flags the failed push carried
+// are sent again. Deposits a Collection refuses count as errors.
 func (d *Daemon) Sweep(ctx context.Context) int {
 	d.mu.Lock()
 	resources := append([]loid.LOID(nil), d.resources...)
@@ -325,10 +211,10 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 
 	// Probe the resources concurrently: a sweep over a fleet with a few
 	// dead hosts would otherwise serialize their full retry budgets. All
-	// shared state touched here (errors, flagged, joined, the liveness
-	// tracker) is internally locked; the per-resource deposit counts go
-	// into per-index slots and are summed after the join.
-	oks := make([]int, len(resources))
+	// shared state touched here (errors, flagged, the liveness tracker) is
+	// internally locked; each probe writes its entry into its own slot,
+	// so the batch lists resources in the order they are watched.
+	slots := make([]proto.BatchEntry, len(resources))
 	fanout.Do(d.rt.Clock(), d.cfg.Parallelism, len(resources), func(ri int) {
 		res := resources[ri]
 		clk := d.rt.Clock()
@@ -340,8 +226,8 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 			d.errors++
 			d.mu.Unlock()
 			d.live.Fail(res)
-			if d.live.State(res) == monitor.LivenessDown {
-				d.flagDown(ctx, res, collections)
+			if d.live.State(res) == monitor.LivenessDown && d.markDown(res) {
+				slots[ri] = downFlag(res)
 			}
 			return
 		}
@@ -357,22 +243,48 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 			attrs.Attrs = append(attrs.Attrs,
 				attr.Pair{Name: AttrLoadHistory, Value: nws.HistoryAttr(hist)})
 		}
-		for _, coll := range collections {
-			if d.deposit(ctx, coll, res, attrs) {
-				oks[ri]++
+		slots[ri] = proto.BatchEntry{Member: res, Attrs: attrs.Attrs}
+	})
+
+	entries, deposits := slots[:0], 0
+	for _, e := range slots {
+		if e.Member.IsNil() {
+			continue // a failed probe with no flag to send
+		}
+		if !e.UpdateOnly {
+			deposits++
+		}
+		entries = append(entries, e)
+	}
+	if len(entries) == 0 {
+		return 0
+	}
+	flags, ok := len(entries)-deposits, 0
+	for _, coll := range collections {
+		reply, pushed := d.push(ctx, coll, entries)
+		d.mu.Lock()
+		if pushed {
+			// Dropped also counts flags for absent members, so only the
+			// excess is sure to be deposits the Collection refused (a
+			// credential its Authorizer turns down).
+			refused := max(reply.Dropped-flags, 0)
+			d.errors += int64(refused)
+			ok += deposits - refused
+		} else {
+			for _, e := range entries {
+				if e.UpdateOnly {
+					d.flagged[e.Member] = false
+				}
 			}
 		}
-	})
-	ok := 0
-	for _, n := range oks {
-		ok += n
+		d.mu.Unlock()
 	}
 	return ok
 }
 
 // recordLoad folds the snapshot's host_load sample into the resource's
-// rolling window and returns a copy to deposit (shared batch buffers
-// outlive the next sweep's in-place roll). Disabled, load-less, and
+// rolling window and returns a copy to deposit, so nothing read outside
+// the lock shares the window's backing array. Disabled, load-less, and
 // non-numeric snapshots deposit nothing.
 func (d *Daemon) recordLoad(res loid.LOID, attrs []attr.Pair) ([]float64, bool) {
 	if d.cfg.HistoryLen <= 0 {
@@ -398,106 +310,48 @@ func (d *Daemon) recordLoad(res loid.LOID, attrs []attr.Pair) ([]float64, bool) 
 	return append([]float64(nil), h...), true
 }
 
-// flagDown marks a dead resource's records down in every Collection it
-// has joined: Update merges, so the stale attributes survive alongside
-// the flag for operators, while schedulers filter on host_alive.
-func (d *Daemon) flagDown(ctx context.Context, res loid.LOID, collections []loid.LOID) {
-	d.mu.Lock()
-	already := d.flagged[res]
-	d.flagged[res] = true
-	d.mu.Unlock()
-	if already {
-		return // records already say down; no traffic per sweep
-	}
-	flag := []attr.Pair{
+// downFlag is the entry that marks a dead resource's record down: the
+// batch apply merges it, so the stale attributes survive alongside the
+// flag for operators, while schedulers filter on host_alive. It is
+// UpdateOnly, so a member never deposited (or pruned) gets no record.
+func downFlag(res loid.LOID) proto.BatchEntry {
+	return proto.BatchEntry{Member: res, UpdateOnly: true, Attrs: []attr.Pair{
 		{Name: AttrAlive, Value: attr.Bool(false)},
 		{Name: AttrState, Value: attr.String(monitor.LivenessDown.String())},
-	}
-	if d.batching() {
-		// UpdateOnly: if the member was never deposited (or was pruned),
-		// the shard drops the flag instead of creating a ghost record.
-		// A flush failure re-queues the entry, so no error-reset here.
-		for _, coll := range collections {
-			d.enqueue(ctx, coll, proto.BatchEntry{Member: res, Attrs: flag, UpdateOnly: true})
-		}
-		return
-	}
-	for _, coll := range collections {
-		if !d.hasJoined(coll, res) {
-			continue
-		}
-		clk := d.rt.Clock()
-		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
-		d.mu.Lock()
-		d.pushCalls++
-		d.mu.Unlock()
-		_, err := d.call.Call(cctx, coll, proto.MethodUpdateCollectionEntry,
-			proto.UpdateArgs{Member: res, Attrs: flag, Credential: d.cfg.Credential})
-		vclock.End(cctx)
-		if err != nil {
-			d.mu.Lock()
-			d.errors++
-			// Retry the flagging next sweep.
-			d.flagged[res] = false
-			d.mu.Unlock()
-		}
-	}
+	}}
 }
 
-func (d *Daemon) joinKey(coll, res loid.LOID) loid.LOID {
-	return loid.LOID{Domain: coll.Domain, Class: coll.Class + "/" + res.String(), Instance: coll.Instance}
-}
-
-func (d *Daemon) hasJoined(coll, res loid.LOID) bool {
+// markDown marks res flagged and reports whether it was not already, so
+// a resource that stays down costs no traffic per sweep.
+func (d *Daemon) markDown(res loid.LOID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.joined[d.joinKey(coll, res)]
+	already := d.flagged[res]
+	d.flagged[res] = true
+	return !already
 }
 
-// deposit pushes one snapshot, joining the member first if needed. In
-// batched mode it only buffers the entry — the server-side batch apply
-// upserts, so no separate join round-trip (or joined bookkeeping) is
-// needed.
-func (d *Daemon) deposit(ctx context.Context, coll, res loid.LOID, attrs proto.AttributesReply) bool {
-	if d.batching() {
-		d.enqueue(ctx, coll, proto.BatchEntry{Member: res, Attrs: attrs.Attrs})
-		return true
-	}
+// push sends one sweep's entries to coll as a single batch call and
+// reports the Collection's reply, or false if the call failed.
+func (d *Daemon) push(ctx context.Context, coll loid.LOID, entries []proto.BatchEntry) (proto.BatchUpdateReply, bool) {
 	clk := d.rt.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
 	defer vclock.End(cctx)
-	key := d.joinKey(coll, res)
 	d.mu.Lock()
-	alreadyJoined := d.joined[key]
 	d.pushCalls++
 	d.mu.Unlock()
-	if !alreadyJoined {
-		_, err := d.call.Call(cctx, coll, proto.MethodJoinCollection,
-			proto.JoinArgs{Joiner: res, Attrs: attrs.Attrs, Credential: d.cfg.Credential})
-		if err == nil {
-			d.mu.Lock()
-			d.joined[key] = true
-			d.mu.Unlock()
-			return true
-		}
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
-		return false
-	}
-	_, err := d.call.Call(cctx, coll, proto.MethodUpdateCollectionEntry,
-		proto.UpdateArgs{Member: res, Attrs: attrs.Attrs, Credential: d.cfg.Credential})
+	reply, err := orb.As[proto.BatchUpdateReply](d.call.Call(cctx, coll, proto.MethodUpdateCollectionBatch,
+		proto.BatchUpdateArgs{Entries: entries, Credential: d.cfg.Credential}))
 	if err != nil {
 		d.mu.Lock()
 		d.errors++
 		d.mu.Unlock()
-		return false
+		return reply, false
 	}
-	return true
+	return reply, true
 }
 
-// Start begins periodic sweeps (and, in batched mode, periodic
-// flushes); Stop ends them.
+// Start begins periodic sweeps; Stop ends them.
 func (d *Daemon) Start() {
 	clock := d.rt.Clock()
 	sweep := clock.NewTicker(d.cfg.Interval)
@@ -505,43 +359,21 @@ func (d *Daemon) Start() {
 		for sweep.Wait(context.Background()) == nil {
 			d.Sweep(context.Background())
 		}
-		// The last sweep may have run after Stop: flush what it buffered.
-		if d.batching() {
-			d.FlushAll(context.Background())
-		}
 	})
-	tickers := []vclock.Ticker{sweep}
-	if d.batching() {
-		flush := clock.NewTicker(d.cfg.BatchInterval)
-		clock.Go(func() {
-			for flush.Wait(context.Background()) == nil {
-				d.FlushAll(context.Background())
-			}
-		})
-		tickers = append(tickers, flush)
-	}
 	d.mu.Lock()
-	d.tickers = append(d.tickers, tickers...)
+	d.tickers = append(d.tickers, sweep)
 	d.mu.Unlock()
 }
 
-// Stop halts periodic sweeps; buffered entries are flushed so a shutdown
-// never strands the last interval's updates. After Start, the sweep loop
-// flushes once its last sweep ends; without Start, Stop flushes itself.
-// Idempotent.
+// Stop halts periodic sweeps. A sweep already running finishes, push
+// included, and no further sweep starts. Idempotent.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
-	alreadyStopped, tickers := d.stopped, d.tickers
-	d.stopped = true
+	tickers := d.tickers
+	d.tickers = nil
 	d.mu.Unlock()
-	if alreadyStopped {
-		return
-	}
 	for _, t := range tickers {
 		t.Stop()
-	}
-	if len(tickers) == 0 && d.batching() {
-		d.FlushAll(context.Background())
 	}
 }
 
@@ -552,16 +384,9 @@ func (d *Daemon) Stats() (sweeps, errors int64) {
 	return d.sweeps, d.errors
 }
 
-// Sheds reports how many buffered batch entries were dropped by the
-// overflow cap while a Collection was unreachable.
-func (d *Daemon) Sheds() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sheds
-}
-
 // PushCalls reports how many ORB calls the daemon has spent pushing
-// data into Collections — the quantity batching exists to cut.
+// data into Collections: one per Collection per sweep that had anything
+// to send.
 func (d *Daemon) PushCalls() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

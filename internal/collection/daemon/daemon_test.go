@@ -124,20 +124,17 @@ func TestPeriodicStartStop(t *testing.T) {
 }
 
 // TestDaemonStopFlushesInFlightSweep: Stop arrives while a sweep waits
-// on a slow link. The loop runs no further sweep, and the entry that
-// sweep buffers is flushed once it ends. Stop used to cancel the loops
-// from a bare goroutine, which let ticks fire after Stop, and flushed
-// before the in-flight sweep had buffered anything.
+// on a slow link. The loop runs no further sweep, and the sweep in
+// flight still pushes what it pulled once its probe returns. Stop used
+// to cancel the loops from a bare goroutine, which let ticks fire after
+// Stop.
 func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
 	rt.SetClock(vc)
 	rt.SetLatency(20*time.Millisecond, 0)
 	c := collection.New(rt, nil)
-	d := New(rt, Config{
-		Interval: 100 * time.Millisecond, Credential: "cred",
-		BatchInterval: time.Hour, BatchSize: 1 << 20,
-	})
+	d := New(rt, Config{Interval: 100 * time.Millisecond, Credential: "cred"})
 	d.Watch(newFakeRes(rt, 0).LOID())
 	d.PushInto(c.LOID())
 	d.Start()
@@ -151,35 +148,6 @@ func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	if n := c.Size(); n != 1 {
 		t.Errorf("collection holds %d records, want 1", n)
 	}
-}
-
-// TestBatchIntervalVirtual checks the batch flush fires on its own
-// periodic timer: deposits buffered by a sweep stay out of the
-// Collection until virtual time crosses BatchInterval.
-func TestBatchIntervalVirtual(t *testing.T) {
-	vc := vclock.NewVirtual()
-	rt := orb.NewRuntime("uva")
-	rt.SetClock(vc)
-	c := collection.New(rt, nil)
-	d := New(rt, Config{
-		Interval: time.Hour, Credential: "cred",
-		BatchInterval: 50 * time.Millisecond, BatchSize: 1 << 20,
-	})
-	for i := 0; i < 4; i++ {
-		d.Watch(newFakeRes(rt, i).LOID())
-	}
-	d.PushInto(c.LOID())
-	d.Start()
-
-	d.Sweep(context.Background())
-	if c.Size() != 0 {
-		t.Fatalf("batched entries landed before the flush interval: size=%d", c.Size())
-	}
-	vc.Advance(50 * time.Millisecond)
-	if c.Size() != 4 {
-		t.Fatalf("flush tick deposited %d entries, want 4", c.Size())
-	}
-	d.Stop()
 }
 
 func TestMultipleCollections(t *testing.T) {

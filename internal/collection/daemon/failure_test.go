@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -150,5 +151,101 @@ func TestPermanentProbeErrorStillCountsAsFailure(t *testing.T) {
 	// error from trying; the real host's record is unaffected.
 	if c.Size() != 1 {
 		t.Fatalf("collection size = %d, want 1 (just the real host)", c.Size())
+	}
+}
+
+// TestShardedFlagSurvivesShardOutage: a sweep whose batch reaches only
+// some of a Router's shards has not been pushed. The shard that missed a
+// down-flag reads host_alive=false once it is back, and the shard that
+// stayed up keeps receiving every sweep while the other is out.
+func TestShardedFlagSurvivesShardOutage(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	shards := []*collection.Collection{collection.New(rt, nil), collection.New(rt, nil)}
+	// The Router's breakers never open, so the restored shard answers at
+	// once; the daemon's keep their defaults.
+	r := collection.NewRouter(rt, collection.RouterConfig{
+		Shards:   []loid.LOID{shards[0].LOID(), shards[1].LOID()},
+		Route:    func(m loid.LOID) int { return int(m.Instance) },
+		Retry:    resilient.Policy{MaxAttempts: 1},
+		Breakers: resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
+	})
+	dead, live := newFakeRes(rt, 0), newFakeRes(rt, 1) // instances 1 and 2: shards 1 and 0
+	ds := &downSet{down: make(map[loid.LOID]bool)}
+	rt.SetFaultInjector(func(target loid.LOID, _ string) error {
+		if ds.get(target) {
+			return orb.ErrInjectedFault
+		}
+		return nil
+	})
+	d := New(rt, Config{Interval: time.Hour, Credential: "cred",
+		Retry: resilient.Policy{MaxAttempts: 1}, DownAfter: 1})
+	d.Watch(dead.LOID(), live.LOID())
+	d.PushInto(r.LOID())
+	ctx := context.Background()
+	if ok := d.Sweep(ctx); ok != 2 {
+		t.Fatalf("healthy sweep deposits = %d, want 2", ok)
+	}
+
+	// The resource dies with its shard out, so its flag crosses
+	// DownAfter in a batch only shard 0 receives; the outage outlasts the
+	// breaker threshold.
+	ds.set(dead.LOID(), true)
+	ds.set(shards[1].LOID(), true)
+	for v := 1; v <= 6; v++ {
+		live.set(v)
+		d.Sweep(ctx)
+		recs, _ := shards[0].Query(`defined($host_arch)`)
+		if len(recs) != 1 || !attr.FromPairs(recs[0].Attrs)["version"].Equal(attr.Int(int64(v))) {
+			t.Fatalf("outage sweep %d: shard 0 holds %+v, want version %d", v, recs, v)
+		}
+	}
+	ds.set(shards[1].LOID(), false)
+	d.Sweep(ctx)
+	recs, _ := shards[1].Query(`defined($host_arch)`)
+	if alive, state := aliveFlag(t, recs, dead.LOID()); alive || state != monitor.LivenessDown.String() {
+		t.Fatalf("shard 1 after the outage: alive=%v state=%q, want the down-flag", alive, state)
+	}
+}
+
+// TestRefusedDepositsCountAsErrors: a Collection that refuses the
+// daemon's credential answers the batch but applies none of it. The
+// sweep reports no deposit and counts each refused one as an error; a
+// down-flag dropped for a member never deposited is not a refusal.
+func TestRefusedDepositsCountAsErrors(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	c := collection.New(rt, func(_ collection.Op, _ loid.LOID, credential string) error {
+		if credential != "right" {
+			return errors.New("bad credential")
+		}
+		return nil
+	})
+	const nRes = 3
+	var watched []loid.LOID
+	for i := 0; i < nRes; i++ {
+		watched = append(watched, newFakeRes(rt, i).LOID())
+	}
+	ghost := loid.LOID{Domain: "uva", Class: "Host", Instance: 999} // never registered
+	watched = append(watched, ghost)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		credential string
+		ok, errs   int
+	}{
+		{credential: "wrong", ok: 0, errs: nRes + 1},
+		{credential: "right", ok: nRes, errs: 1},
+	} {
+		d := New(rt, Config{Interval: time.Hour, Credential: tc.credential,
+			Retry: resilient.Policy{MaxAttempts: 1}, DownAfter: 1})
+		d.Watch(watched...)
+		d.PushInto(c.LOID())
+		if ok := d.Sweep(ctx); ok != tc.ok {
+			t.Errorf("credential %q: deposits = %d, want %d", tc.credential, ok, tc.ok)
+		}
+		if _, errs := d.Stats(); errs != int64(tc.errs) {
+			t.Errorf("credential %q: errors = %d, want %d (refused deposits plus the ghost's probe)", tc.credential, errs, tc.errs)
+		}
+	}
+	if c.Size() != nRes {
+		t.Fatalf("collection size = %d, want %d", c.Size(), nRes)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"legion/internal/attr"
@@ -205,8 +206,10 @@ func (r *Router) Update(ctx context.Context, member loid.LOID, attrs []attr.Pair
 
 // ApplyBatch splits a coalesced update batch per owning shard —
 // preserving each member's entry order — and forwards the sub-batches
-// concurrently. It returns the summed reply; a failed shard's entries
-// count as dropped (the sender may retry them next flush).
+// concurrently, started in shard order. It returns the summed reply and
+// the first shard error; a failed shard's entries count as dropped. The
+// orb handler answers any shard error with an error, so a remote caller
+// such as the daemon resends the whole batch: its entries are upserts.
 func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, credential string) (proto.BatchUpdateReply, error) {
 	perShard := make(map[int][]proto.BatchEntry)
 	for _, e := range entries {
@@ -217,6 +220,7 @@ func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, cre
 	for i := range perShard {
 		idxs = append(idxs, i)
 	}
+	slices.Sort(idxs) // map order would vary the call order run to run
 	replies := make([]proto.BatchUpdateReply, len(idxs))
 	errs := make([]error, len(idxs))
 	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, len(idxs), func(k int) {
@@ -386,8 +390,15 @@ func (r *Router) installMethods() {
 	}))
 	r.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (any, error) {
 		reply, err := r.ApplyBatch(ctx, a.Entries, a.Credential)
-		if err != nil && reply.Applied == 0 {
+		switch {
+		case err != nil && reply.Applied == 0:
 			return nil, err
+		case err != nil:
+			// Some shards applied: the Router answers the rest as its
+			// own refusal (%v, not %w), so the caller resends but its
+			// breaker for the Router counts no transport fault and keeps
+			// feeding the shards that answered.
+			return nil, fmt.Errorf("collection: a shard missed the batch: %v", err)
 		}
 		return reply, nil
 	}))

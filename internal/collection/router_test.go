@@ -3,6 +3,8 @@ package collection
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,6 +241,53 @@ func TestRouterBatchSplitAndUpdateOnly(t *testing.T) {
 	recs, _ := shards[1].Query(`$host_alive == false`)
 	if len(recs) != 1 || recs[0].Member != west {
 		t.Fatalf("down flag not applied to west: %+v", recs)
+	}
+}
+
+// TestRouterBatchCallsShardsInOrder: a batch spanning every shard is
+// forwarded shard by shard in index order on a virtual clock, run after
+// run, so a seeded world replays the same calls in the same order.
+func TestRouterBatchCallsShardsInOrder(t *testing.T) {
+	const nShards, runs = 4, 50
+	outOfOrder := 0
+	for run := 0; run < runs; run++ {
+		vc := vclock.NewVirtual()
+		rt := orb.NewRuntime("uva")
+		rt.SetMetrics(telemetry.NewRegistry())
+		rt.SetClock(vc)
+		loids := make([]loid.LOID, nShards)
+		for i := range loids {
+			loids[i] = New(rt, nil).LOID()
+		}
+		r := NewRouter(rt, RouterConfig{
+			Shards: loids,
+			Route:  func(m loid.LOID) int { return int(m.Instance) },
+		})
+		var mu sync.Mutex
+		var called []loid.LOID
+		rt.SetTracer(func(_ string, target loid.LOID, method string, _ time.Duration, _ error) {
+			if method == proto.MethodUpdateCollectionBatch {
+				mu.Lock()
+				called = append(called, target)
+				mu.Unlock()
+			}
+		})
+		var entries []proto.BatchEntry
+		for i := nShards - 1; i >= 0; i-- {
+			entries = append(entries, proto.BatchEntry{Member: member(uint64(i)), Attrs: hostAttrs("Linux", "2.2", 0.1)})
+		}
+		vc.Run(func() {
+			if _, err := r.ApplyBatch(context.Background(), entries, ""); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !slices.Equal(called, loids) {
+			outOfOrder++
+			t.Logf("run %d: shards called in order %v, want %v", run, called, loids)
+		}
+	}
+	if outOfOrder > 0 {
+		t.Errorf("%d of %d runs called the shards out of index order", outOfOrder, runs)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"legion/internal/collection/daemon"
 	"legion/internal/host"
@@ -72,25 +71,20 @@ func TestShardedMetasystemTransparent(t *testing.T) {
 	}
 }
 
-// TestShardedDaemonBatchedFlow runs the batched Data Collection Daemon
-// against the Router: one coalesced batch call fans out per shard and
-// every host's record stays fresh.
+// TestShardedDaemonBatchedFlow runs the Data Collection Daemon against
+// the Router: each sweep is one batch call, which the Router fans out
+// per shard, and every host's record stays fresh.
 func TestShardedDaemonBatchedFlow(t *testing.T) {
 	ms := buildShardedMeta(t, 6, 2)
-	d := ms.NewDaemon(daemon.Config{BatchInterval: time.Hour}) // flush via Stop
+	d := ms.NewDaemon(daemon.Config{})
 	ctx := context.Background()
 	d.Sweep(ctx)
 	d.Sweep(ctx)
-	if calls := d.PushCalls(); calls != 0 {
-		t.Fatalf("batched daemon made %d direct push calls before flush", calls)
-	}
-	d.Stop() // flush-on-shutdown delivers both sweeps' entries
-	if calls := d.PushCalls(); calls == 0 || calls > 2 {
-		// One batch call per shard with buffered entries (≤ 2 shards).
-		t.Fatalf("flush used %d push calls, want 1..2", calls)
+	if calls := d.PushCalls(); calls != 2 {
+		t.Fatalf("two sweeps used %d push calls, want 2", calls)
 	}
 	hosts, err := scheduler.QueryHosts(ctx, ms.Env(), "$host_alive == true")
 	if err != nil || len(hosts) != 6 {
-		t.Fatalf("after batched flush: %d alive hosts, %v", len(hosts), err)
+		t.Fatalf("after two sweeps: %d alive hosts, %v", len(hosts), err)
 	}
 }

@@ -107,14 +107,17 @@ type Config struct {
 type heldRequest struct {
 	resolved []sched.Mapping
 	tokens   []reservation.Token
-	reserved time.Time // when the reservations were made (TTL sweep)
-	priority int       // admission class carried from make_reservations
-	domain   string    // requester domain, for fair-share accounting
-	tenant   string    // economy tenant, for ledger and tenant quotas
-	enacted  [][]loid.LOID
-	done     bool
+	reserved time.Time         // when the reservations were made (TTL sweep)
+	priority int               // admission class carried from make_reservations
+	domain   string            // requester domain, for fair-share accounting
+	tenant   string            // economy tenant, for ledger and tenant quotas
 	inflight bool              // an EnactSchedule is executing now
 	outcome  *proto.EnactReply // recorded result of the first enactment
+	// ended is released when the in-flight enactment ends. The first
+	// caller to wait on it creates it, so an uncontended enactment has
+	// none. It is a Group of the runtime's clock: under vclock.Virtual a
+	// sync.Cond would park the waiter where the engine cannot see it.
+	ended vclock.Group
 }
 
 // Enactor implements the schedule-implementation role. Safe for
@@ -129,7 +132,6 @@ type Enactor struct {
 	adm *admission // overload gate for wire-facing calls
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signals inflight enactments completing
 	requests map[uint64]*heldRequest
 	nextID   uint64
 
@@ -202,7 +204,6 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 		met:           newEnactorMetrics(rt),
 		adm:           newAdmission(rt, cfg),
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.call = resilient.NewCaller(rt, cfg.Retry, cfg.Breakers)
 	// Cleanup (rollback destroys, reservation cancels) bypasses the
 	// breakers: the failures that trigger a rollback are often exactly
@@ -585,9 +586,7 @@ func (e *Enactor) EnactSchedule(ctx context.Context, requestID uint64) (reply pr
 	// in-flight enactment rather than racing a second pass against it —
 	// which would duplicate running instances and let one invocation's
 	// rollback destroy the other's successful enactment.
-	for req.inflight {
-		e.cond.Wait()
-	}
+	e.awaitEnactmentLocked(req)
 	if req.outcome != nil {
 		// Idempotent at-least-once semantics: a caller retrying after a
 		// lost reply gets the recorded outcome of the first enactment. A
@@ -604,14 +603,30 @@ func (e *Enactor) EnactSchedule(ctx context.Context, requestID uint64) (reply pr
 
 	e.mu.Lock()
 	req.outcome = &out
-	if out.Success {
-		req.enacted = out.Instances
-		req.done = true
-	}
 	req.inflight = false
-	e.cond.Broadcast()
+	if req.ended != nil {
+		req.ended.Done()
+		req.ended = nil
+	}
 	e.mu.Unlock()
 	return out
+}
+
+// awaitEnactmentLocked returns once req has no enactment in flight. The
+// wait lasts until the enactment ends, whatever the waiter's context:
+// the outcome it records is the waiter's answer too. Callers hold e.mu;
+// it is released while waiting.
+func (e *Enactor) awaitEnactmentLocked(req *heldRequest) {
+	for req.inflight {
+		if req.ended == nil {
+			req.ended = e.rt.Clock().NewGroup()
+			req.ended.Add(1)
+		}
+		ended := req.ended
+		e.mu.Unlock()
+		_ = ended.Wait(context.Background())
+		e.mu.Lock()
+	}
 }
 
 // enact runs the create_instance loop for a held request. The caller has
@@ -713,9 +728,7 @@ func (e *Enactor) CancelReservations(ctx context.Context, requestID uint64) erro
 	req, ok := e.requests[requestID]
 	if ok {
 		// Never yank reservations out from under a running enactment.
-		for req.inflight {
-			e.cond.Wait()
-		}
+		e.awaitEnactmentLocked(req)
 		delete(e.requests, requestID)
 	}
 	e.mu.Unlock()
@@ -738,10 +751,10 @@ func (e *Enactor) Enacted(requestID uint64) ([][]loid.LOID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownRequest, requestID)
 	}
-	if !req.done {
+	if req.outcome == nil || !req.outcome.Success {
 		return nil, ErrNotReserved
 	}
-	return req.enacted, nil
+	return req.outcome.Instances, nil
 }
 
 // requestTTL bounds how long a reserved-but-never-enacted episode's
@@ -762,7 +775,7 @@ const requestTTL = 5 * time.Minute
 func (e *Enactor) reapLocked(now time.Time) int {
 	n := 0
 	for id, req := range e.requests {
-		if req.done || req.inflight {
+		if req.inflight || (req.outcome != nil && req.outcome.Success) {
 			continue
 		}
 		if now.Sub(req.reserved) > requestTTL {

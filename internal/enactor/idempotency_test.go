@@ -65,6 +65,59 @@ func TestConcurrentEnactRunsOnce(t *testing.T) {
 	}
 }
 
+// TestConcurrentEnactWaitsOnVirtualClock: a second enact_schedule for a
+// request whose enactment is in flight must park where the virtual
+// engine can see it. A waiter parked outside the clock leaves the engine
+// waiting for a goroutine that never parks, and no virtual time passes.
+func TestConcurrentEnactWaitsOnVirtualClock(t *testing.T) {
+	vc := vclock.NewVirtual()
+	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
+	rt.SetClock(vc)
+	v := vault.New(rt, vault.Config{Zone: "z1"})
+	h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Vaults: []loid.LOID{v.LOID()}})
+	c := classobj.New(rt, classobj.Config{Name: "Worker"})
+	e := New(rt, Config{CallTimeout: 5 * time.Second})
+	env := &env{rt: rt, vault: v, hosts: []*host.Host{h}, class: c, enactor: e}
+	rt.SetLatency(10*time.Millisecond, 0)
+	ctx := context.Background()
+
+	var replies [2]proto.EnactReply
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		vc.Run(func() {
+			req := env.request(env.mapping(0))
+			if fb := e.MakeReservations(ctx, req); !fb.Success {
+				t.Errorf("reserve: %+v", fb)
+				return
+			}
+			callers := vc.NewGroup()
+			callers.Add(len(replies))
+			for i := range replies {
+				vc.Go(func() {
+					defer callers.Done()
+					replies[i] = e.EnactSchedule(ctx, req.ID)
+				})
+			}
+			_ = callers.Wait(ctx)
+		})
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("two enactments of one request hung the virtual engine")
+	}
+	for i, r := range replies {
+		if !r.Success || len(r.Instances) != 1 || r.Instances[0][0] != replies[0].Instances[0][0] {
+			t.Errorf("caller %d: %+v, want caller 0's enactment %+v", i, r, replies[0])
+		}
+	}
+	if n := h.RunningCount(); n != 1 {
+		t.Errorf("host runs %d instances, want the one enactment's", n)
+	}
+}
+
 // TestFailedEnactOutcomeRecorded verifies a failed enactment is final:
 // rollback cancelled the reservations, so a retry returns the recorded
 // failure without re-running create_instance against dead tokens.

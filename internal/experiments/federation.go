@@ -26,10 +26,9 @@ import (
 //     widens; the merge and the extra local ORB hop are the overhead
 //     being priced.
 //   - Update: one Data Collection Daemon sweeping nRes resources for
-//     `sweeps` rounds, with the host→Collection traffic pushed directly
-//     (one UpdateCollectionEntry per resource per sweep) vs coalesced
-//     into batches flushed once per sweep. The column is the number of
-//     Collection-bound ORB calls; the acceptance bar is a ≥4× cut.
+//     `sweeps` rounds, each sweep pushed into the Collection as one
+//     batch. The column is the number of Collection-bound ORB calls the
+//     daemon measured.
 func E9HierarchicalCollections(nHosts, nRes, sweeps int) *Table {
 	if nHosts <= 0 {
 		nHosts = 10000
@@ -72,17 +71,13 @@ func E9HierarchicalCollections(nHosts, nRes, sweeps int) *Table {
 	}
 
 	scale = fmt.Sprintf("%d res x %d sweeps", nRes, sweeps)
-	direct := daemonPushCalls(nRes, sweeps, false)
-	batched := daemonPushCalls(nRes, sweeps, true)
-	t.AddRow("update", scale, "direct push", "", direct, "")
-	t.AddRow("update", scale, "batched push", "", batched,
-		fmt.Sprintf("%.1fx fewer", float64(direct)/float64(batched)))
+	t.AddRow("update", scale, "one batch per sweep", "", daemonPushCalls(nRes, sweeps), "")
 
 	t.Notes = append(t.Notes,
 		"query: `$host_zone == \"z3\" and $host_load < 0.5`, default indexed keys, warm parse cache; latency = best round mean over interleaved rounds",
 		"vs baseline = mode latency / the same regime's direct baseline (in-process rows vs in-process direct; 1ms-link rows vs the 1ms-link direct call)",
 		"1ms links: every orb call sleeps 1ms — the concurrent scatter pays the link once, the serial ablation once per shard",
-		"update: orb calls = Collection-bound update RPCs; batched mode coalesces one flush per sweep")
+		"update: orb calls = Collection-bound update RPCs; the daemon pushes each sweep as one batch per Collection")
 	return t
 }
 
@@ -192,16 +187,11 @@ func federatedQueryLatencies(nHosts int, modes []queryMode) []time.Duration {
 
 // daemonPushCalls sweeps nRes hosts `sweeps` times and returns how many
 // Collection-bound update calls the daemon issued.
-func daemonPushCalls(nRes, sweeps int, batched bool) int64 {
+func daemonPushCalls(nRes, sweeps int) int64 {
 	rt := orb.NewRuntime("uva")
 	rt.SetMetrics(telemetry.NewDisabled())
 	c := collection.New(rt, nil)
-	cfg := daemon.Config{Interval: time.Hour, Credential: ""}
-	if batched {
-		cfg.BatchInterval = time.Hour // flushed manually once per sweep
-		cfg.BatchSize = 1 << 20
-	}
-	d := daemon.New(rt, cfg)
+	d := daemon.New(rt, daemon.Config{Interval: time.Hour})
 	for i := 0; i < nRes; i++ {
 		h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 1024, Zone: "z1"})
 		d.Watch(h.LOID())
@@ -210,10 +200,6 @@ func daemonPushCalls(nRes, sweeps int, batched bool) int64 {
 	ctx := context.Background()
 	for s := 0; s < sweeps; s++ {
 		d.Sweep(ctx)
-		if batched {
-			d.FlushAll(ctx)
-		}
 	}
-	d.Stop()
 	return d.PushCalls()
 }

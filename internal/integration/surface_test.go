@@ -36,38 +36,37 @@ var testOnlyExports = map[string]bool{
 	"internal/chaos.World.Partition":   true,
 
 	// Accessors tests read to assert what a service did.
-	"internal/attr.Value.IntVal":              true,
-	"internal/attr.Value.ListVal":             true,
-	"internal/classobj.Class.Created":         true,
-	"internal/collection/daemon.Daemon.Sheds": true,
-	"internal/economy.Ledger.LiveCharges":     true,
-	"internal/enactor.Enactor.Enacted":        true,
-	"internal/fanout.Limiter.InFlight":        true,
-	"internal/fanout.Limiter.Limit":           true,
-	"internal/host.GenericObject.Generation":  true,
-	"internal/host.GenericObject.Pings":       true,
-	"internal/host.Host.PreemptedTokens":      true,
-	"internal/host.Host.RunningInstances":     true,
-	"internal/host.Host.Triggers":             true,
-	"internal/monitor.Liveness.LastBeat":      true,
-	"internal/monitor.Monitor.DroppedEvents":  true,
-	"internal/monitor.Monitor.EventCount":     true,
-	"internal/monitor.Monitor.Events":         true,
-	"internal/netobj.Link.Bandwidth":          true,
-	"internal/orb.DispatchTable.Methods":      true,
-	"internal/orb.Runtime.Locals":             true,
-	"internal/orb.ServiceObject.Methods":      true,
-	"internal/rge.TriggerSet.FireCount":       true,
-	"internal/rge.TriggerSet.OutcallCount":    true,
-	"internal/rge.TriggerSet.Triggers":        true,
-	"internal/scheduler.HostCache.Evicted":    true,
-	"internal/telemetry.Histogram.Mean":       true,
-	"internal/telemetry.Registry.GaugeValue":  true,
-	"internal/telemetry.SpanLog.ByName":       true,
-	"internal/telemetry.SpanLog.ByTrace":      true,
-	"internal/telemetry.SpanLog.Total":        true,
-	"internal/vault.Vault.Used":               true,
-	"internal/vclock.Virtual.PendingEvents":   true,
+	"internal/attr.Value.IntVal":             true,
+	"internal/attr.Value.ListVal":            true,
+	"internal/classobj.Class.Created":        true,
+	"internal/economy.Ledger.LiveCharges":    true,
+	"internal/enactor.Enactor.Enacted":       true,
+	"internal/fanout.Limiter.InFlight":       true,
+	"internal/fanout.Limiter.Limit":          true,
+	"internal/host.GenericObject.Generation": true,
+	"internal/host.GenericObject.Pings":      true,
+	"internal/host.Host.PreemptedTokens":     true,
+	"internal/host.Host.RunningInstances":    true,
+	"internal/host.Host.Triggers":            true,
+	"internal/monitor.Liveness.LastBeat":     true,
+	"internal/monitor.Monitor.DroppedEvents": true,
+	"internal/monitor.Monitor.EventCount":    true,
+	"internal/monitor.Monitor.Events":        true,
+	"internal/netobj.Link.Bandwidth":         true,
+	"internal/orb.DispatchTable.Methods":     true,
+	"internal/orb.Runtime.Locals":            true,
+	"internal/orb.ServiceObject.Methods":     true,
+	"internal/rge.TriggerSet.FireCount":      true,
+	"internal/rge.TriggerSet.OutcallCount":   true,
+	"internal/rge.TriggerSet.Triggers":       true,
+	"internal/scheduler.HostCache.Evicted":   true,
+	"internal/telemetry.Histogram.Mean":      true,
+	"internal/telemetry.Registry.GaugeValue": true,
+	"internal/telemetry.SpanLog.ByName":      true,
+	"internal/telemetry.SpanLog.ByTrace":     true,
+	"internal/telemetry.SpanLog.Total":       true,
+	"internal/vault.Vault.Used":              true,
+	"internal/vclock.Virtual.PendingEvents":  true,
 
 	// Ways tests drive the virtual clock's engine and write literals.
 	"internal/vclock.Virtual.AdvanceTo":    true,

@@ -318,9 +318,10 @@ type QueryArgs struct {
 }
 
 // CollectionRecord is one resource description. UpdatedAt is the
-// depositing Collection's receipt time for the latest update — under
-// batched daemon pushes records are bounded-stale, and the timestamp
-// lets federated callers judge that staleness for themselves.
+// depositing Collection's receipt time for the latest update — a
+// record the daemon pushes is up to a pull interval plus one sweep,
+// pushes included, stale, and the timestamp lets federated callers
+// judge that staleness for themselves.
 type CollectionRecord struct {
 	Member    loid.LOID
 	Attrs     []attr.Pair

@@ -59,27 +59,45 @@ var bareGos = map[string]int{
 	"cmd/legiond/main.go": 2,
 }
 
+// bareConds is every non-test file under internal/ and cmd/ that may
+// name sync.Cond or sync.NewCond, with its exact count. Everything else
+// waits on its clock's Gate or Group: a goroutine parked on a bare
+// sync.Cond under a virtual clock is parked where the engine cannot see
+// it, so the engine waits on it forever.
+var bareConds = map[string]int{
+	// The virtual engine's own barrier.
+	"internal/vclock/virtual.go": 2,
+}
+
 // TestOneClockPerGraph holds the rule that time reaches a service only
 // through the vclock.Clock it was built with: no value of type
 // func() time.Time is stored, passed or returned, the runtime's
 // SetClock is the only clock setter, the wall clock is read only where
-// wallReads allows, and a goroutine is started bare only where bareGos
-// allows.
+// wallReads allows, a goroutine is started bare only where bareGos
+// allows, and a sync.Cond is used only where bareConds allows.
 func TestOneClockPerGraph(t *testing.T) {
-	reads, gos := map[string]int{}, map[string]int{}
+	reads, gos, conds := map[string]int{}, map[string]int{}, map[string]int{}
 	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
 		if n := checkClockUse(t, fset, rel, f); n > 0 {
 			reads[rel] = n
 		}
+		syncPkg := importName(f, "sync")
 		ast.Inspect(f, func(node ast.Node) bool {
-			if _, ok := node.(*ast.GoStmt); ok {
+			switch node := node.(type) {
+			case *ast.GoStmt:
 				gos[rel]++
+			case *ast.SelectorExpr:
+				if x, ok := node.X.(*ast.Ident); ok && syncPkg != "" && x.Name == syncPkg &&
+					(node.Sel.Name == "Cond" || node.Sel.Name == "NewCond") {
+					conds[rel]++
+				}
 			}
 			return true
 		})
 	})
 	exact(t, reads, wallReads, "time.Now/time.Since references", "take the clock the service was built with", "wallReads")
 	exact(t, gos, bareGos, "go statements", "spawn with the clock's Go", "bareGos")
+	exact(t, conds, bareConds, "sync.Cond references", "wait on the clock's Gate or Group", "bareConds")
 }
 
 // exact fails t for every file whose count in got differs from its
@@ -215,15 +233,7 @@ func walkSources(t *testing.T, visit func(rel string, fset *token.FileSet, f *as
 // methods, and returns its count of time.Now and time.Since references.
 func checkClockUse(t *testing.T, fset *token.FileSet, rel string, f *ast.File) int {
 	t.Helper()
-	timePkg := ""
-	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p == "time" {
-			timePkg = "time"
-			if imp.Name != nil {
-				timePkg = imp.Name.Name
-			}
-		}
-	}
+	timePkg := importName(f, "time")
 	isTime := func(e ast.Expr, name string) bool {
 		sel, ok := e.(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != name {
@@ -268,6 +278,20 @@ func checkClockUse(t *testing.T, fset *token.FileSet, rel string, f *ast.File) i
 		return true
 	})
 	return n
+}
+
+// importName is the name f refers to the one-element standard package
+// pkg (such as "time") by, or "" if f does not import it.
+func importName(f *ast.File, pkg string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == pkg {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return pkg
+		}
+	}
+	return ""
 }
 
 // recvName is the type name of a method's receiver.
