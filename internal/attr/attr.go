@@ -10,9 +10,11 @@
 // Attributes are (name, value) pairs. Values are dynamically typed:
 // string, int64, float64, bool, or a list of values. A Host keeps its
 // attributes in a Set; the Collection stores each resource record's
-// attributes as the sorted pairs a Set's Snapshot returns, and the query
-// language (package query) evaluates expressions over either, referring
-// to attributes as $name.
+// attributes as the sorted pairs a Set's Snapshot returns — for a Host's
+// own push, that very version, since a Snapshot is shared rather than
+// copied and the Set never writes it again — and the query language
+// (package query) evaluates expressions over either, referring to
+// attributes as $name.
 package attr
 
 import (
@@ -21,6 +23,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind enumerates the dynamic types an attribute Value can hold.
@@ -60,8 +63,9 @@ func (k Kind) String() string {
 // A Value is 40 bytes: the string, one word that holds whichever of the
 // int, the float's bits or the bool the kind calls for, a pointer to a
 // list's elements, and the kind in a byte. A Pair is 56. A fleet holds
-// two copies of every host's attributes (the Host's own and its
-// Collection record), so these bytes are most of what a host costs.
+// every host's attributes once, one version that the Host's Set and its
+// Collection record share, and these bytes are most of what a host
+// costs.
 type Value struct {
 	s    string   // KindString
 	w    uint64   // KindInt, KindFloat (math.Float64bits), KindBool (0 or 1)
@@ -243,9 +247,15 @@ type Pair struct {
 // Set is a mutable attribute database: its pairs, sorted by name, one
 // per name. It is safe for concurrent use. The zero Set must not be used;
 // call NewSet.
+//
+// The pairs are copy-on-share. Snapshot hands out the current version
+// itself and marks it shared; the Set never writes a shared version
+// again, so the next write first copies it into a new one at its exact
+// length. A Set whose version nobody holds writes in place.
 type Set struct {
-	mu    sync.RWMutex
-	pairs []Pair
+	mu     sync.RWMutex
+	pairs  []Pair
+	shared atomic.Bool // pairs has been handed out by Snapshot
 }
 
 // NewSet returns an attribute Set holding the given pairs (later pairs
@@ -261,7 +271,8 @@ func NewSet(pairs ...Pair) *Set {
 }
 
 // put overwrites the pair of p's name in place, or inserts p at its
-// sorted position. The caller holds the write lock.
+// sorted position. The caller holds the write lock and has made the
+// version its own (own).
 func (s *Set) put(p Pair) {
 	i, ok := search(s.pairs, p.Name)
 	if ok {
@@ -269,6 +280,23 @@ func (s *Set) put(p Pair) {
 		return
 	}
 	s.pairs = slices.Insert(s.pairs, i, p)
+}
+
+// own readies the version for writing pairs into it: a shared version is
+// copied into a new one with room for exactly the names of pairs it
+// lacks. The caller holds the write lock.
+func (s *Set) own(pairs []Pair) {
+	if !s.shared.Load() {
+		return
+	}
+	n := len(s.pairs)
+	for i, p := range pairs {
+		if _, ok := search(s.pairs, p.Name); !ok && !slices.ContainsFunc(pairs[:i], func(q Pair) bool { return q.Name == p.Name }) {
+			n++
+		}
+	}
+	s.pairs = append(make([]Pair, 0, n), s.pairs...)
+	s.shared.Store(false)
 }
 
 // Get returns the named attribute and whether it is present.
@@ -280,18 +308,23 @@ func (s *Set) Get(name string) (Value, bool) {
 
 // Set stores an attribute, overwriting any previous value of that name.
 func (s *Set) Set(name string, v Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.put(Pair{Name: name, Value: v})
+	s.Merge([]Pair{{Name: name, Value: v}})
 }
 
 // Delete removes the named attribute if present.
 func (s *Set) Delete(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := search(s.pairs, name); ok {
-		s.pairs = slices.Delete(s.pairs, i, i+1)
+	i, ok := search(s.pairs, name)
+	if !ok {
+		return
 	}
+	if s.shared.Load() {
+		s.pairs = append(append(make([]Pair, 0, len(s.pairs)-1), s.pairs[:i]...), s.pairs[i+1:]...)
+		s.shared.Store(false)
+		return
+	}
+	s.pairs = slices.Delete(s.pairs, i, i+1)
 }
 
 // Len returns the number of attributes in the set.
@@ -307,26 +340,31 @@ func (s *Set) Len() int {
 func (s *Set) Merge(pairs []Pair) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.own(pairs)
 	for _, p := range pairs {
 		s.put(p)
 	}
 }
 
-// Snapshot returns the attributes as a sorted slice of pairs that the
-// caller owns, allocated at exactly their number. Snapshots are what
-// Hosts push to Collections and what query evaluation runs over; the
-// set is kept sorted, so this is one copy.
+// Snapshot returns the current version of the attributes, sorted by name
+// and clipped to its length, without copying it. The caller must not
+// write to it: it is shared with the Set, and with anyone else who took
+// it, until the Set's next write installs a new version. Snapshots are
+// what Hosts push to Collections, which keep them as the record, and what
+// query evaluation runs over. A caller that wants a slice of its own
+// clones one.
 func (s *Set) Snapshot() []Pair {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Pair, len(s.pairs))
-	copy(out, s.pairs)
-	return out
+	s.shared.Store(true)
+	return slices.Clip(s.pairs)
 }
 
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
-	return &Set{pairs: s.Snapshot()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Set{pairs: slices.Clone(s.pairs)}
 }
 
 // Lookup adapts the Set to the query evaluator's attribute-resolution

@@ -185,6 +185,33 @@ func TestSetClone(t *testing.T) {
 	}
 }
 
+// TestSetWritesInPlaceUntilShared: a Set whose version nobody holds
+// overwrites in place and allocates nothing, as a Vault's
+// vault_used_bytes writes do. Once Snapshot has handed its version out,
+// the next write builds exactly one new version, and the snapshot keeps
+// the values it had.
+func TestSetWritesInPlaceUntilShared(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	s := NewSet(Pair{"a", Int(1)}, Pair{"b", Int(2)})
+	if allocs := testing.AllocsPerRun(100, func() { s.Set("b", Int(3)) }); allocs != 0 {
+		t.Errorf("Set on an unshared set: %.1f allocs/op, want 0", allocs)
+	}
+	write := func() {
+		s.Snapshot()
+		s.Merge([]Pair{{"a", Int(5)}, {"b", Int(6)}})
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs != 1 {
+		t.Errorf("Merge after a Snapshot: %.1f allocs/op, want 1 (the new version)", allocs)
+	}
+	snap := s.Snapshot()
+	s.Set("b", Int(7))
+	if got := snap[1].Value.IntVal(); got != 6 {
+		t.Errorf("the snapshot's b reads %d after the write, want 6", got)
+	}
+}
+
 func TestSetLookupAdapter(t *testing.T) {
 	s := NewSet(Pair{"a", Int(1)})
 	if v, ok := s.Lookup("a"); !ok || v.IntVal() != 1 {
@@ -202,7 +229,11 @@ func TestSetConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				s.Set("k", Int(int64(i)))
 				s.Get("k")
-				s.Snapshot()
+				// Read the version outside the lock, as a Collection
+				// record does, while the others write.
+				for _, p := range s.Snapshot() {
+					_ = p.Value.IntVal()
+				}
 				s.Merge([]Pair{{"m", Int(int64(g))}})
 			}
 		}(g)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -87,10 +88,12 @@ func TestDecodeRejectsInvalidKind(t *testing.T) {
 // FuzzSetModel runs random sequences of NewSet, Set, Delete and Merge
 // against a map, the Set's old representation, and after every step
 // checks that Snapshot is strictly ascending, holds exactly the map's
-// pairs and is allocated at its length, and that Get agrees with the map
-// for every name. Names come from a small alphabet and every write
-// stores a fresh value, so NewSet and Merge see duplicate names, and
-// keeping the last one is observable.
+// pairs and is clipped to its length, and that Get agrees with the map
+// for every name. Each step also takes a Snapshot before its write and
+// checks afterwards that it still holds the model as it was: a write
+// never reaches a version already handed out. Names come from a small
+// alphabet and every write stores a fresh value, so NewSet and Merge see
+// duplicate names, and keeping the last one is observable.
 func FuzzSetModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 0, 2, 0, 3})                          // NewSet with a duplicate
@@ -150,6 +153,7 @@ func FuzzSetModel(f *testing.F) {
 		s := NewSet(initial...)
 		checkSetModel(t, "NewSet", s, model, names)
 		for step := 0; len(ops) > 0; step++ {
+			before, was := s.Snapshot(), maps.Clone(model)
 			switch op := next() % 3; op {
 			case 0:
 				p := pair()
@@ -164,7 +168,9 @@ func FuzzSetModel(f *testing.F) {
 				s.Merge(ps)
 				put(ps)
 			}
-			checkSetModel(t, fmt.Sprintf("step %d", step), s, model, names)
+			at := fmt.Sprintf("step %d", step)
+			checkSetModel(t, at, s, model, names)
+			checkPairs(t, at+", the snapshot taken before it", before, was)
 		}
 	})
 }
@@ -172,9 +178,25 @@ func FuzzSetModel(f *testing.F) {
 // checkSetModel fails t unless s holds exactly model's pairs.
 func checkSetModel(t *testing.T, at string, s *Set, model map[string]Value, names []string) {
 	t.Helper()
-	snap := s.Snapshot()
-	if cap(snap) != len(snap) || len(snap) != len(model) || s.Len() != len(model) {
-		t.Fatalf("%s: snapshot len %d cap %d, Len %d, model %d", at, len(snap), cap(snap), s.Len(), len(model))
+	if s.Len() != len(model) {
+		t.Fatalf("%s: Len %d, model %d", at, s.Len(), len(model))
+	}
+	checkPairs(t, at, s.Snapshot(), model)
+	for _, name := range names {
+		got, ok := s.Get(name)
+		want, wantOK := model[name]
+		if ok != wantOK || !sameValue(got, want) {
+			t.Fatalf("%s: Get(%q) = %v, %t; model %v, %t", at, name, got, ok, want, wantOK)
+		}
+	}
+}
+
+// checkPairs fails t unless snap is strictly ascending, at exactly its
+// capacity, and holds exactly model's pairs.
+func checkPairs(t *testing.T, at string, snap []Pair, model map[string]Value) {
+	t.Helper()
+	if cap(snap) != len(snap) || len(snap) != len(model) {
+		t.Fatalf("%s: snapshot len %d cap %d, model %d", at, len(snap), cap(snap), len(model))
 	}
 	for i, p := range snap {
 		if i > 0 && snap[i-1].Name >= p.Name {
@@ -182,13 +204,6 @@ func checkSetModel(t *testing.T, at string, s *Set, model map[string]Value, name
 		}
 		if want, ok := model[p.Name]; !ok || !sameValue(p.Value, want) {
 			t.Fatalf("%s: snapshot has %q = %v, model %v (present %t)", at, p.Name, p.Value, want, ok)
-		}
-	}
-	for _, name := range names {
-		got, ok := s.Get(name)
-		want, wantOK := model[name]
-		if ok != wantOK || !sameValue(got, want) {
-			t.Fatalf("%s: Get(%q) = %v, %t; model %v, %t", at, name, got, ok, want, wantOK)
 		}
 	}
 }

@@ -550,7 +550,12 @@ func invariants(t *testing.T, vc *vclock.Virtual, s sweptWorld) {
 		}
 	}
 	_ = vc.Sleep(ctx, time.Hour+time.Minute)
-	ms.Enactor.ReapRequests()
+	// One more reservation runs the Enactor's sweep of episodes older
+	// than its request TTL, refunding any a lost reply orphaned. An empty
+	// request list is refused after the sweep and holds nothing.
+	if fb := ms.Enactor.MakeReservations(ctx, sched.RequestList{}); fb.Reason != sched.FailureMalformed {
+		t.Errorf("empty request list: %+v, want refused as malformed", fb)
+	}
 
 	// Every credit charged was refunded exactly once.
 	led := ms.Ledger()

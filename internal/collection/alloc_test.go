@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -8,10 +9,12 @@ import (
 
 	"legion/internal/attr"
 	"legion/internal/orb"
+	"legion/internal/proto"
 )
 
 // pushAttrs is a Host's full push, 20 attributes in Snapshot order, the
-// shape every Update on the hot path has.
+// shape every Update on the hot path has: a Set's version, strictly
+// sorted and at exact capacity.
 func pushAttrs(zone string, load float64) []attr.Pair {
 	set := attr.NewSet(
 		attr.Pair{Name: "host_alive", Value: attr.Bool(true)},
@@ -30,13 +33,16 @@ func pushAttrs(zone string, load float64) []attr.Pair {
 }
 
 // TestUpdateAllocBudget: an Update allocates the merged pair slice and
-// the record that holds it. The index costs nothing unless an indexed
-// value moved to another bucket, and then only what moving it costs.
+// the record that holds it, and the adopting update the ORB handler
+// makes of a covering version allocates the record alone. The index
+// costs nothing unless an indexed value moved to another bucket, and
+// then only what moving it costs.
 func TestUpdateAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	c := New(orb.NewRuntime("uva"), nil)
+	rt := orb.NewRuntime("uva")
+	c := New(rt, nil)
 	for i := uint64(1); i <= 64; i++ {
 		if err := c.Join(member(i), pushAttrs("z1", 0.5), ""); err != nil {
 			t.Fatal(err)
@@ -51,6 +57,17 @@ func TestUpdateAllocBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, update(pushAttrs("z1", 0.25))); allocs > 2 {
 		t.Errorf("Update, no indexed value changed: %.1f allocs/op, budget 2", allocs)
+	}
+	// The argument is boxed once, as a caller that reuses it would: what
+	// is left is the ORB's dispatch and the handler's adopting update.
+	var arg any = proto.UpdateArgs{Member: member(7), Attrs: pushAttrs("z1", 0.75)}
+	adopt := func() {
+		if _, err := rt.Call(context.Background(), c.LOID(), proto.MethodUpdateCollectionEntry, arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, adopt); allocs > 1 {
+		t.Errorf("in-process update_collection_entry of a covering version: %.1f allocs/op, budget 1 (the record)", allocs)
 	}
 	// Moving between two live zone buckets renders the old and the new
 	// value's bucket key; every other indexed key is skipped.

@@ -86,9 +86,14 @@ var (
 // replacement record and swap the pointer under the write lock, so
 // queries capture a consistent snapshot with a brief read lock and
 // evaluate entirely outside it.
+//
+// A record pushed through the ORB is usually the pusher's own version,
+// adopted rather than copied (newRecord): a Host's record shares its
+// backing array with the Host's attr.Set, which never writes a version
+// it has handed out.
 type record struct {
 	// pairs has cap == len: replies keep it alive for as long as their
-	// holder likes, so it must not carry slack.
+	// holder likes, so it must not carry slack. Nobody writes it.
 	pairs     []attr.Pair
 	updatedAt time.Time
 }
@@ -100,8 +105,13 @@ func (r *record) Lookup(name string) (attr.Value, bool) { return attr.Lookup(r.p
 // update merged in, an update's value replacing the old one of the same
 // name: a two-pointer merge of two sorted runs into one slice allocated
 // at its exact length. Neither old nor the result is ever mutated
-// afterwards, and the result never aliases update.
-func newRecord(old *record, update []attr.Pair, at time.Time) *record {
+// afterwards.
+//
+// With adopt set, the caller hands update over: nobody writes it again.
+// When update then is the whole merge — strictly sorted, naming every
+// attribute of old — and has cap == len, it becomes the record as it
+// is, with no copy. Without adopt the result never aliases update.
+func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) *record {
 	update = normalized(update)
 	var base []attr.Pair
 	if old != nil {
@@ -119,6 +129,9 @@ func newRecord(old *record, update []attr.Pair, at time.Time) *record {
 		if c >= 0 {
 			j++
 		}
+	}
+	if adopt && n == len(update) && cap(update) == n {
+		return &record{pairs: update, updatedAt: at}
 	}
 	pairs := make([]attr.Pair, 0, n)
 	i, j := 0, 0
@@ -272,8 +285,14 @@ func (c *Collection) authorize(op Op, member loid.LOID, credential string) error
 }
 
 // Join registers a member, optionally with initial descriptive
-// information.
+// information. The record keeps a copy of attrs.
 func (c *Collection) Join(member loid.LOID, attrs []attr.Pair, credential string) error {
+	return c.join(member, attrs, credential, false)
+}
+
+// join is Join; with adopt set the record may keep attrs itself (see
+// newRecord).
+func (c *Collection) join(member loid.LOID, attrs []attr.Pair, credential string, adopt bool) error {
 	if member.IsNil() {
 		return errors.New("collection: nil member LOID")
 	}
@@ -282,14 +301,15 @@ func (c *Collection) Join(member loid.LOID, attrs []attr.Pair, credential string
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.upsert(c.records[member], member, attrs, c.clock.Now())
+	c.upsert(c.records[member], member, attrs, c.clock.Now(), adopt)
 	return nil
 }
 
 // upsert merges attrs into the record of e, member's entry, or into a
 // fresh record under a new entry filed in order when e is nil, and moves
-// the entry's index buckets to match. Callers hold the write lock.
-func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at time.Time) {
+// the entry's index buckets to match; adopt is newRecord's. Callers hold
+// the write lock.
+func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at time.Time, adopt bool) {
 	var old *record
 	if e == nil {
 		e = &entry{member: member}
@@ -298,7 +318,7 @@ func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at ti
 	} else {
 		old = e.rec
 	}
-	e.rec = newRecord(old, attrs, at)
+	e.rec = newRecord(old, attrs, at, adopt)
 	c.idx.replace(e, old, e.rec)
 }
 
@@ -320,8 +340,14 @@ func (c *Collection) Leave(member loid.LOID, credential string) error {
 }
 
 // Update merges new descriptive information into a member's record — the
-// push-model data path.
+// push-model data path. The record keeps a copy of attrs.
 func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential string) error {
+	return c.update(member, attrs, credential, false)
+}
+
+// update is Update; with adopt set the record may keep attrs itself (see
+// newRecord).
+func (c *Collection) update(member loid.LOID, attrs []attr.Pair, credential string, adopt bool) error {
 	if err := c.authorize(OpUpdate, member, credential); err != nil {
 		return err
 	}
@@ -331,7 +357,7 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotMember, member)
 	}
-	c.upsert(e, member, attrs, c.clock.Now())
+	c.upsert(e, member, attrs, c.clock.Now(), adopt)
 	c.updates.Add(1)
 	return nil
 }
@@ -343,7 +369,14 @@ func (c *Collection) Update(member loid.LOID, attrs []attr.Pair, credential stri
 // UpdateOnly entries for absent members are dropped rather than joined,
 // so a down-flag cannot resurrect a pruned record. Entries the
 // authorizer refuses are dropped too; the batch never fails wholesale.
+// Each record keeps a copy of its entry's attributes.
 func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (applied, dropped int) {
+	return c.applyBatch(entries, credential, false)
+}
+
+// applyBatch is ApplyBatch; with adopt set a record may keep its entry's
+// attributes themselves (see newRecord).
+func (c *Collection) applyBatch(entries []proto.BatchEntry, credential string, adopt bool) (applied, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock.Now()
@@ -365,7 +398,7 @@ func (c *Collection) ApplyBatch(entries []proto.BatchEntry, credential string) (
 			dropped++
 			continue
 		}
-		c.upsert(ent, e.Member, e.Attrs, now)
+		c.upsert(ent, e.Member, e.Attrs, now, adopt)
 		if present {
 			c.updates.Add(1)
 		}
@@ -505,9 +538,13 @@ func (c *Collection) Stats() (queries, updates int64) {
 	return c.queries.Load(), c.updates.Load()
 }
 
+// installMethods registers the Figure 4 interface. The mutation handlers
+// own their argument's attributes — a decoded frame is private, and an
+// in-process caller hands its slice over and never writes it again — so
+// they let the record adopt them.
 func (c *Collection) installMethods() {
 	c.Handle(proto.MethodJoinCollection, orb.Typed(func(_ context.Context, a proto.JoinArgs) (any, error) {
-		if err := c.Join(a.Joiner, a.Attrs, a.Credential); err != nil {
+		if err := c.join(a.Joiner, a.Attrs, a.Credential, true); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
@@ -519,13 +556,13 @@ func (c *Collection) installMethods() {
 		return proto.Ack{}, nil
 	}))
 	c.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(_ context.Context, a proto.UpdateArgs) (any, error) {
-		if err := c.Update(a.Member, a.Attrs, a.Credential); err != nil {
+		if err := c.update(a.Member, a.Attrs, a.Credential, true); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
 	}))
 	c.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(_ context.Context, a proto.BatchUpdateArgs) (any, error) {
-		applied, dropped := c.ApplyBatch(a.Entries, a.Credential)
+		applied, dropped := c.applyBatch(a.Entries, a.Credential, true)
 		return proto.BatchUpdateReply{Applied: applied, Dropped: dropped}, nil
 	}))
 	c.Handle(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (any, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +348,58 @@ func TestConcurrentAccess(t *testing.T) {
 	q, u := c.Stats()
 	if q != 800 || u != 800 {
 		t.Errorf("stats = %d queries %d updates", q, u)
+	}
+}
+
+// TestPublicWritesNeverAliasCaller: the Go-level mutations of a
+// Collection, and of a Router over an in-process Collection shard, keep
+// a copy of the attributes they are given, even a version the ORB
+// handlers would adopt — strictly sorted, at exact capacity, naming
+// every attribute of the record. The caller scribbles on its slice
+// after the call, and the stored record must not change.
+func TestPublicWritesNeverAliasCaller(t *testing.T) {
+	ctx := context.Background()
+	m := member(1)
+	for _, tc := range []struct {
+		name  string
+		write func(c *Collection, r *Router, attrs []attr.Pair) error
+	}{
+		{"Collection.Join", func(c *Collection, _ *Router, attrs []attr.Pair) error { return c.Join(m, attrs, "") }},
+		{"Collection.Update", func(c *Collection, _ *Router, attrs []attr.Pair) error { return c.Update(m, attrs, "") }},
+		{"Collection.ApplyBatch", func(c *Collection, _ *Router, attrs []attr.Pair) error {
+			if applied, _ := c.ApplyBatch([]proto.BatchEntry{{Member: m, Attrs: attrs}}, ""); applied != 1 {
+				return fmt.Errorf("applied %d of 1", applied)
+			}
+			return nil
+		}},
+		{"Router.Join", func(_ *Collection, r *Router, attrs []attr.Pair) error { return r.Join(ctx, m, attrs, "") }},
+		{"Router.Update", func(_ *Collection, r *Router, attrs []attr.Pair) error { return r.Update(ctx, m, attrs, "") }},
+		{"Router.ApplyBatch", func(_ *Collection, r *Router, attrs []attr.Pair) error {
+			_, err := r.ApplyBatch(ctx, []proto.BatchEntry{{Member: m, Attrs: attrs}}, "")
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, shards, r, _ := newRouterFixture(t, 1, nil)
+			c := shards[0]
+			if err := c.Join(m, pushAttrs("z1", 0.5), ""); err != nil {
+				t.Fatal(err)
+			}
+			attrs := pushAttrs("z2", 0.25)
+			want := slices.Clone(attrs)
+			if err := tc.write(c, r, attrs); err != nil {
+				t.Fatal(err)
+			}
+			for i := range attrs {
+				attrs[i].Value = attr.String("scribbled")
+			}
+			recs, err := c.Query("true")
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("%d records, err %v", len(recs), err)
+			}
+			if !samePairs(recs[0].Attrs, want) {
+				t.Errorf("the record follows the caller's slice: %v, want %v", recs[0].Attrs, want)
+			}
+		})
 	}
 }

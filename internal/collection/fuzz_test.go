@@ -345,8 +345,14 @@ func checkAgainstModel(t *testing.T, c *Collection, model map[loid.LOID]*modelRe
 
 // FuzzRecordMergeModel drives random Join/Update/ApplyBatch/Leave
 // sequences — unsorted updates, duplicate names, empty updates, re-joins
-// of a member — through a Collection and the map model side by side, and
-// after every step holds the Collection to the model.
+// of a member, covering versions — through two Collections and the map
+// model side by side, and after every step holds both to the model. One
+// Collection takes each step through its copying Go methods, whose
+// caller then scribbles on what it passed; the other through the
+// adopting path the ORB handlers take, handed a slice of its own that
+// nobody writes again. A covering version (every attribute of the
+// record, sorted, at exact capacity) must become that one's record as
+// it is.
 func FuzzRecordMergeModel(f *testing.F) {
 	f.Add([]byte{0, 3, 6, 10, 1, 17, 0, 40, 1, 1, 0, 1, 6, 9})
 	f.Add([]byte{16, 2, 1, 5, 1, 7, 17, 0, 2, 2, 0, 11, 16, 3, 4, 8, 80, 1, 2, 3, 4, 5, 6})
@@ -357,6 +363,10 @@ func FuzzRecordMergeModel(f *testing.F) {
 	// to Float(0) and member 2 from -0 to Int(0), a move sameBucket
 	// cannot tell stays in one bucket.
 	f.Add([]byte{0, 1, 0, 27, 1, 1, 0, 8, 2, 1, 0, 3, 3, 1, 0, 22, 4, 1, 0, 32, 5, 1, 0, 43, 16, 1, 0, 48, 17, 1, 0, 27})
+	// Member 1 joins with two attributes, then gets a covering update
+	// and a covering re-join, each of which the adopting Collection keeps
+	// as it is.
+	f.Add([]byte{0, 2, 0, 7, 1, 9, 144, 3, 4, 128, 5, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return
@@ -364,7 +374,7 @@ func FuzzRecordMergeModel(f *testing.F) {
 		rt := orb.NewRuntime("uva")
 		vc := vclock.NewVirtualAt(time.Unix(1_000_000, 0))
 		rt.SetClock(vc)
-		c := New(rt, nil)
+		c, adopting := New(rt, nil), New(rt, nil)
 		tick := 0
 		model := map[loid.LOID]*modelRecord{}
 
@@ -385,10 +395,37 @@ func FuzzRecordMergeModel(f *testing.F) {
 			}
 			return attrs
 		}
-		// The Collection must have copied what it keeps.
+		// A covering version of m's record: every name the model holds
+		// for it, in order, each with a fresh value.
+		covering := func(m loid.LOID) []attr.Pair {
+			var attrs []attr.Pair
+			if model[m] != nil {
+				attrs = model[m].pairs()
+			}
+			for a := range attrs {
+				attrs[a].Value = fuzzValue(next())
+			}
+			return slices.Clip(attrs)
+		}
+		// The copying Collection must have copied what it keeps.
 		scribble := func(attrs []attr.Pair) {
 			for a := range attrs {
 				attrs[a] = attr.Pair{Name: "scribbled", Value: attr.Int(-1)}
+			}
+		}
+		// handOver gives the adopting Collection a slice of its own, at
+		// exactly its length, as a decoded frame is.
+		handOver := func(attrs []attr.Pair) []attr.Pair {
+			return append(make([]attr.Pair, 0, len(attrs)), attrs...)
+		}
+		// adopted holds the adopting Collection to adopting a covering
+		// version it was handed.
+		adopted := func(step string, m loid.LOID, attrs []attr.Pair) {
+			if len(attrs) == 0 {
+				return
+			}
+			if e := adopting.records[m]; e == nil || &e.rec.pairs[0] != &attrs[0] {
+				t.Fatalf("%s: %v: a covering version was copied, not adopted", step, m)
 			}
 		}
 		for i < len(data) {
@@ -398,22 +435,45 @@ func FuzzRecordMergeModel(f *testing.F) {
 			op := next()
 			m := member(uint64(op%16) + 1)
 			step := fmt.Sprintf("step %d (byte %d)", tick, i)
+			// The top bit turns a join's or an update's attributes into a
+			// covering version of m's record.
+			cover := op >= 128
 			switch op / 16 % 4 {
 			case 0: // join, or re-join: a merge
 				attrs := update()
+				if cover {
+					attrs = covering(m)
+				}
+				mine := handOver(attrs)
 				if err := c.Join(m, attrs, ""); err != nil {
+					t.Fatal(err)
+				}
+				if err := adopting.join(m, mine, "", true); err != nil {
 					t.Fatal(err)
 				}
 				model[m] = modelMerge(model[m], attrs, at)
 				scribble(attrs)
+				if cover {
+					adopted(step, m, mine)
+				}
 			case 1: // update: members only
 				attrs := update()
+				if cover {
+					attrs = covering(m)
+				}
+				mine := handOver(attrs)
 				err := c.Update(m, attrs, "")
 				if (err == nil) != (model[m] != nil) {
 					t.Fatalf("%s: Update error %v, member in model: %v", step, err, model[m] != nil)
 				}
+				if aerr := adopting.update(m, mine, "", true); (aerr == nil) != (err == nil) {
+					t.Fatalf("%s: Update error %v, adopting update error %v", step, err, aerr)
+				}
 				if err == nil {
 					model[m] = modelMerge(model[m], attrs, at)
+					if cover {
+						adopted(step, m, mine)
+					}
 				}
 				scribble(attrs)
 			case 2: // batch: upserts and update-only entries, one member twice
@@ -421,6 +481,11 @@ func FuzzRecordMergeModel(f *testing.F) {
 				for e := range entries {
 					b := next()
 					entries[e] = proto.BatchEntry{Member: member(uint64(b%16) + 1), Attrs: update(), UpdateOnly: b >= 128}
+				}
+				mine := make([]proto.BatchEntry, len(entries))
+				for e := range entries {
+					mine[e] = entries[e]
+					mine[e].Attrs = handOver(entries[e].Attrs)
 				}
 				want := 0
 				for _, e := range entries {
@@ -433,6 +498,9 @@ func FuzzRecordMergeModel(f *testing.F) {
 				if applied, dropped := c.ApplyBatch(entries, ""); applied != want || applied+dropped != len(entries) {
 					t.Fatalf("%s: batch applied %d dropped %d, model applies %d of %d", step, applied, dropped, want, len(entries))
 				}
+				if applied, dropped := adopting.applyBatch(mine, "", true); applied != want || applied+dropped != len(entries) {
+					t.Fatalf("%s: adopting batch applied %d dropped %d, model applies %d of %d", step, applied, dropped, want, len(entries))
+				}
 				for _, e := range entries {
 					scribble(e.Attrs)
 				}
@@ -441,9 +509,13 @@ func FuzzRecordMergeModel(f *testing.F) {
 				if (err == nil) != (model[m] != nil) {
 					t.Fatalf("%s: Leave error %v, member in model: %v", step, err, model[m] != nil)
 				}
+				if aerr := adopting.Leave(m, ""); (aerr == nil) != (err == nil) {
+					t.Fatalf("%s: Leave error %v, adopting Leave error %v", step, err, aerr)
+				}
 				delete(model, m)
 			}
 			checkAgainstModel(t, c, model, step)
+			checkAgainstModel(t, adopting, model, step+", adopting")
 		}
 	})
 }

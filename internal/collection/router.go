@@ -180,28 +180,24 @@ func (r *Router) shardCall(ctx context.Context, shard loid.LOID, method string, 
 	return r.call.Call(cctx, shard, method, arg)
 }
 
-// Join routes a member's registration to its owning shard.
+// Join routes a member's registration, with a copy of attrs, to its
+// owning shard.
 func (r *Router) Join(ctx context.Context, member loid.LOID, attrs []attr.Pair, credential string) error {
-	if member.IsNil() {
-		return errors.New("collection: nil member LOID")
-	}
-	_, err := r.shardCall(ctx, r.ShardFor(member), proto.MethodJoinCollection,
-		proto.JoinArgs{Joiner: member, Attrs: attrs, Credential: credential})
-	return err
+	return r.forward(ctx, member, proto.MethodJoinCollection,
+		proto.JoinArgs{Joiner: member, Attrs: clonePairs(attrs), Credential: credential})
 }
 
 // Leave routes a member's removal to its owning shard.
 func (r *Router) Leave(ctx context.Context, member loid.LOID, credential string) error {
-	_, err := r.shardCall(ctx, r.ShardFor(member), proto.MethodLeaveCollection,
+	return r.forward(ctx, member, proto.MethodLeaveCollection,
 		proto.LeaveArgs{Leaver: member, Credential: credential})
-	return err
 }
 
-// Update routes a member's description push to its owning shard.
+// Update routes a member's description push, with a copy of attrs, to
+// its owning shard.
 func (r *Router) Update(ctx context.Context, member loid.LOID, attrs []attr.Pair, credential string) error {
-	_, err := r.shardCall(ctx, r.ShardFor(member), proto.MethodUpdateCollectionEntry,
-		proto.UpdateArgs{Member: member, Attrs: attrs, Credential: credential})
-	return err
+	return r.forward(ctx, member, proto.MethodUpdateCollectionEntry,
+		proto.UpdateArgs{Member: member, Attrs: clonePairs(attrs), Credential: credential})
 }
 
 // ApplyBatch splits a coalesced update batch per owning shard —
@@ -210,9 +206,38 @@ func (r *Router) Update(ctx context.Context, member loid.LOID, attrs []attr.Pair
 // the first shard error; a failed shard's entries count as dropped. The
 // orb handler answers any shard error with an error, so a remote caller
 // such as the daemon resends the whole batch: its entries are upserts.
+// Each shard gets a copy of each entry's attributes.
 func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, credential string) (proto.BatchUpdateReply, error) {
+	return r.applyBatch(ctx, entries, credential, true)
+}
+
+// clonePairs copies attrs into a slice of exactly their length. The
+// public mutations pass shards such copies: an in-process Collection
+// shard adopts the slice it is handed (Collection.installMethods), and
+// the caller may write its own afterwards. The Router's ORB handlers own
+// their argument already and forward it as it is.
+func clonePairs(attrs []attr.Pair) []attr.Pair {
+	return append(make([]attr.Pair, 0, len(attrs)), attrs...)
+}
+
+// forward sends one member's mutation, its argument as it is, to the
+// member's owning shard. A nil member has none.
+func (r *Router) forward(ctx context.Context, member loid.LOID, method string, arg any) error {
+	if member.IsNil() {
+		return errors.New("collection: nil member LOID")
+	}
+	_, err := r.shardCall(ctx, r.ShardFor(member), method, arg)
+	return err
+}
+
+// applyBatch is ApplyBatch; with clone unset each sub-batch carries the
+// entries' attributes as they are.
+func (r *Router) applyBatch(ctx context.Context, entries []proto.BatchEntry, credential string, clone bool) (proto.BatchUpdateReply, error) {
 	perShard := make(map[int][]proto.BatchEntry)
 	for _, e := range entries {
+		if clone {
+			e.Attrs = clonePairs(e.Attrs)
+		}
 		i := r.shardIndex(e.Member)
 		perShard[i] = append(perShard[i], e)
 	}
@@ -371,25 +396,25 @@ func mergeSorted(replies [][]proto.CollectionRecord, total int) []Record {
 // Collection.
 func (r *Router) installMethods() {
 	r.Handle(proto.MethodJoinCollection, orb.Typed(func(ctx context.Context, a proto.JoinArgs) (any, error) {
-		if err := r.Join(ctx, a.Joiner, a.Attrs, a.Credential); err != nil {
+		if err := r.forward(ctx, a.Joiner, proto.MethodJoinCollection, a); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
 	}))
 	r.Handle(proto.MethodLeaveCollection, orb.Typed(func(ctx context.Context, a proto.LeaveArgs) (any, error) {
-		if err := r.Leave(ctx, a.Leaver, a.Credential); err != nil {
+		if err := r.forward(ctx, a.Leaver, proto.MethodLeaveCollection, a); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
 	}))
 	r.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(ctx context.Context, a proto.UpdateArgs) (any, error) {
-		if err := r.Update(ctx, a.Member, a.Attrs, a.Credential); err != nil {
+		if err := r.forward(ctx, a.Member, proto.MethodUpdateCollectionEntry, a); err != nil {
 			return nil, err
 		}
 		return proto.Ack{}, nil
 	}))
 	r.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (any, error) {
-		reply, err := r.ApplyBatch(ctx, a.Entries, a.Credential)
+		reply, err := r.applyBatch(ctx, a.Entries, a.Credential, false)
 		switch {
 		case err != nil && reply.Applied == 0:
 			return nil, err

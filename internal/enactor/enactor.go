@@ -772,8 +772,7 @@ const requestTTL = 5 * time.Minute
 // this sweep bounds the Enactor-side map, which would otherwise grow
 // without limit under sustained transport faults (the Wrapper mints a
 // fresh request ID per make_reservations attempt). Callers hold e.mu.
-func (e *Enactor) reapLocked(now time.Time) int {
-	n := 0
+func (e *Enactor) reapLocked(now time.Time) {
 	for id, req := range e.requests {
 		if req.inflight || (req.outcome != nil && req.outcome.Success) {
 			continue
@@ -788,19 +787,8 @@ func (e *Enactor) reapLocked(now time.Time) int {
 				}
 			}
 			delete(e.requests, id)
-			n++
 		}
 	}
-	return n
-}
-
-// ReapRequests sweeps abandoned episodes immediately (the sweep also
-// runs lazily on every MakeReservations) and reports how many request
-// entries were dropped.
-func (e *Enactor) ReapRequests() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.reapLocked(e.rt.Clock().Now())
 }
 
 // requestClass reports the admission class (priority, requester domain,

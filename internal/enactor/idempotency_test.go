@@ -164,7 +164,8 @@ func TestFailedEnactOutcomeRecorded(t *testing.T) {
 // TestRequestReaperDropsAbandonedEpisodes: the Wrapper mints a fresh
 // request ID per make_reservations transport attempt, so orphaned
 // episodes must be swept after the TTL instead of growing without bound
-// — while successfully enacted requests are retained.
+// — while successfully enacted requests are retained. The sweep runs on
+// the next MakeReservations.
 func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
@@ -192,8 +193,9 @@ func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 		}
 
 		_ = vc.Sleep(ctx, pastTTL)
-		if n := e.ReapRequests(); n != 1 {
-			t.Fatalf("reaped %d entries, want 1", n)
+		next := env.request(env.mapping(0))
+		if fb := e.MakeReservations(ctx, next); !fb.Success {
+			t.Fatalf("reserve next: %+v", fb)
 		}
 		if _, err := e.Enacted(abandoned.ID); !errors.Is(err, ErrUnknownRequest) {
 			t.Errorf("abandoned episode survived the reaper: err=%v", err)
@@ -201,19 +203,8 @@ func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 		if got, err := e.Enacted(enacted.ID); err != nil || len(got) != 1 {
 			t.Errorf("enacted episode was reaped: %v %v", got, err)
 		}
-
-		// The sweep also runs lazily on MakeReservations.
-		again := env.request(env.mapping(0))
-		if fb := e.MakeReservations(ctx, again); !fb.Success {
-			t.Fatalf("reserve again: %+v", fb)
-		}
-		_ = vc.Sleep(ctx, pastTTL)
-		final := env.request(env.mapping(0))
-		if fb := e.MakeReservations(ctx, final); !fb.Success {
-			t.Fatalf("reserve final: %+v", fb)
-		}
-		if _, err := e.Enacted(again.ID); !errors.Is(err, ErrUnknownRequest) {
-			t.Errorf("lazy sweep missed the abandoned episode: err=%v", err)
+		if _, err := e.Enacted(next.ID); !errors.Is(err, ErrNotReserved) {
+			t.Errorf("the reservation that ran the sweep was reaped: err=%v", err)
 		}
 	})
 }

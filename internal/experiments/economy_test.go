@@ -172,7 +172,11 @@ func runConservationCampaign(t *testing.T, seed int64, faultRate float64) *econo
 		_ = vc.Sleep(context.Background(), 6*time.Minute)
 	})
 	ms.Runtime().SetFaultInjector(nil)
-	ms.Enactor.ReapRequests()
+	// One more reservation runs the sweep. An empty request list is
+	// refused after it and holds nothing.
+	if fb := ms.Enactor.MakeReservations(context.Background(), sched.RequestList{}); fb.Reason != sched.FailureMalformed {
+		t.Errorf("seed %d: empty request list: %+v, want refused as malformed", seed, fb)
+	}
 
 	for tn, b := range budgets {
 		if got := led.Account(tn).Budget; got != b {

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -362,10 +363,10 @@ func (h *Host) SetExternalLoad(l float64) {
 	h.mu.Unlock()
 }
 
-// Attributes returns the current attribute snapshot (the paper's
-// information-reporting path for "an external agent to retrieve
-// information describing the Host's state").
-func (h *Host) Attributes() []attr.Pair { return h.attrs.Snapshot() }
+// Attributes returns a copy of the current attributes, the caller's to
+// keep and write (the paper's information-reporting path for "an
+// external agent to retrieve information describing the Host's state").
+func (h *Host) Attributes() []attr.Pair { return slices.Clone(h.attrs.Snapshot()) }
 
 // Triggers exposes the host's RGE trigger set.
 func (h *Host) Triggers() *rge.TriggerSet { return h.trigs }
@@ -450,6 +451,8 @@ func (h *Host) Reassess(ctx context.Context) {
 
 	h.trigs.Evaluate(h.attrs)
 
+	// The Set's own version, not a copy: the Set never writes it again,
+	// so a Collection that gets it in process keeps it as the record.
 	snap := h.attrs.Snapshot()
 	for _, t := range targets {
 		// Push failures are tolerated: a Collection outage must not take

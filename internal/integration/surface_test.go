@@ -73,9 +73,6 @@ var testOnlyExports = map[string]bool{
 	"internal/vclock.Virtual.RunUntilIdle": true,
 	"internal/loid.MustParse":              true,
 	"internal/query.MustParse":             true,
-
-	// Mechanisms only tests still reach, not yet deleted (ROADMAP item 4).
-	"internal/enactor.Enactor.ReapRequests": true,
 }
 
 // TestNoTestOnlyExports holds that the program exports nothing only its

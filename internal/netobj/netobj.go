@@ -14,6 +14,7 @@ package netobj
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"legion/internal/attr"
@@ -93,8 +94,9 @@ func (l *Link) Observe(latencyMS, bwMbps float64) {
 	})
 }
 
-// Attributes returns the link's attribute snapshot.
-func (l *Link) Attributes() []attr.Pair { return l.attrs.Snapshot() }
+// Attributes returns a copy of the link's attributes, the caller's to
+// keep and write.
+func (l *Link) Attributes() []attr.Pair { return slices.Clone(l.attrs.Snapshot()) }
 
 // Topology aggregates Links and answers zone-distance queries. Missing
 // pairs are treated as unreachable-but-expensive rather than errors, so

@@ -38,7 +38,8 @@ type Event struct {
 	// Trigger is the name of the trigger that fired.
 	Trigger string
 	// Attrs is a snapshot of the source's attributes at firing time, so
-	// handlers can see the state that caused the event.
+	// handlers can see the state that caused the event. It is the
+	// source's attr.Set version itself, shared: read it, never write it.
 	Attrs []attr.Pair
 	// Time is the (wall-clock) firing time.
 	Time time.Time

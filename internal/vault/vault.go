@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"legion/internal/attr"
@@ -187,8 +188,9 @@ func (v *Vault) Objects() []loid.LOID {
 	return out
 }
 
-// Attributes returns a snapshot of the vault's attribute database.
-func (v *Vault) Attributes() []attr.Pair { return v.attrs.Snapshot() }
+// Attributes returns a copy of the vault's attribute database, the
+// caller's to keep and write.
+func (v *Vault) Attributes() []attr.Pair { return slices.Clone(v.attrs.Snapshot()) }
 
 // installMethods wires the orb protocol to the Go API.
 func (v *Vault) installMethods() {
