@@ -3,9 +3,9 @@
 // A worker object with accumulated state runs on a host whose background
 // load spikes. The Monitor has registered an RGE outcall for the
 // "$host_load > 0.8" trigger; when the host's periodic reassessment fires
-// it, the handler shuts the object down (OPR to its Vault), moves the
-// passive state, and reactivates the object — same LOID, same state — on
-// the least-loaded host.
+// it, a Rebalancer picks the least-loaded host from the Collection's
+// records, shuts the object down (OPR to its Vault), moves the passive
+// state, and reactivates the object — same LOID, same state — there.
 //
 // Run with: go run ./examples/migration
 package main
@@ -16,10 +16,12 @@ import (
 	"log"
 	"time"
 
+	"legion/internal/classobj"
 	"legion/internal/core"
 	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/proto"
+	"legion/internal/rebalance"
 	"legion/internal/vault"
 )
 
@@ -55,21 +57,18 @@ func main() {
 	}
 	fmt.Printf("worker %s running on %s with checkpoint state\n", worker.Short(), placement.Host.Short())
 
-	// Register overload triggers on every host (Monitor -> RGE).
+	// Register overload triggers on every host (Monitor -> RGE), and a
+	// Rebalancer that turns their events into migrations.
 	if err := ms.WatchLoad(ctx, 0.8); err != nil {
 		log.Fatal(err)
 	}
-	done := make(chan loid.LOID, 1)
+	rb := rebalance.New(ms, rebalance.Config{Classes: []*classobj.Class{workers}})
+	if err := rb.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer rb.Stop()
 	ms.Monitor.OnEvent(func(ev proto.NotifyArgs) {
-		fmt.Printf("trigger %q fired on %s — rescheduling\n", ev.Trigger, ev.Source.Short())
-		dest, destVault, err := ms.LeastLoadedHost(ev.Source)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ms.Migrate(ctx, workers, worker, dest.LOID(), destVault); err != nil {
-			log.Fatalf("migration: %v", err)
-		}
-		done <- dest.LOID()
+		fmt.Printf("trigger %q fired on %s — rebalancing\n", ev.Trigger, ev.Source.Short())
 	})
 
 	// Background load on the worker's host spikes; the periodic
@@ -82,11 +81,16 @@ func main() {
 	}
 	ms.ReassessAll(ctx)
 
-	select {
-	case dest := <-done:
-		fmt.Printf("worker migrated to %s\n", dest.Short())
-	case <-time.After(5 * time.Second):
-		log.Fatal("no migration happened")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if h, _, err := workers.WhereIs(worker); err == nil && h != placement.Host {
+			fmt.Printf("worker migrated to %s\n", h.Short())
+			break
+		}
+		if time.Now().After(deadline) {
+			log.Fatal("no migration happened")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Same LOID, same state, new host.

@@ -60,11 +60,6 @@ type Options struct {
 	// private registry to assert exact counts, and overhead benchmarks
 	// pass telemetry.NewDisabled().
 	Metrics *telemetry.Registry
-	// Parallelism bounds how many per-resource negotiation calls the
-	// Enactor (and the Data Collection Daemon's probes) issue
-	// concurrently. Zero means the enactor default (8); 1 is the serial
-	// host-by-host walk.
-	Parallelism int
 	// CollectionShards > 1 partitions the resource directory (paper §4:
 	// Collections "organized so that each covers a subset of the
 	// metasystem's resources"): the Metasystem builds that many
@@ -237,10 +232,9 @@ func New(domain string, opts Options) *Metasystem {
 			shardLOIDs[i] = shard.LOID()
 		}
 		ms.Router = collection.NewRouter(rt, collection.RouterConfig{
-			Shards:      shardLOIDs,
-			Parallelism: opts.Parallelism,
-			Retry:       opts.Retry,
-			Breakers:    ms.breakers,
+			Shards:   shardLOIDs,
+			Retry:    opts.Retry,
+			Breakers: ms.breakers,
 		})
 	} else {
 		ms.Collection = collection.New(rt, opts.CollectionAuth)
@@ -252,7 +246,6 @@ func New(domain string, opts Options) *Metasystem {
 	ms.Enactor = enactor.New(rt, enactor.Config{
 		Retry:          opts.Retry,
 		Breakers:       ms.breakers,
-		Parallelism:    opts.Parallelism,
 		MaxInFlight:    opts.MaxInFlight,
 		AdmissionQueue: opts.AdmissionQueue,
 		Ledger:         ledger,
@@ -354,9 +347,6 @@ func (ms *Metasystem) NewDaemon(cfg daemon.Config) *daemon.Daemon {
 	}
 	if cfg.Breakers == nil {
 		cfg.Breakers = ms.breakers
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = ms.opts.Parallelism
 	}
 	d := daemon.New(ms.rt, cfg)
 	for _, h := range ms.Hosts() {
@@ -842,23 +832,4 @@ func (ms *Metasystem) ServeDirectory() {
 func (ms *Metasystem) ListenAndServe(addr string) (string, error) {
 	ms.ServeDirectory()
 	return ms.rt.ListenAndServe(addr)
-}
-
-// LeastLoadedHost returns the host with the lowest current load and its
-// first vault, excluding the given host — the default migration target
-// chooser.
-func (ms *Metasystem) LeastLoadedHost(exclude loid.LOID) (*host.Host, loid.LOID, error) {
-	var best *host.Host
-	for _, h := range ms.Hosts() {
-		if h.LOID() == exclude || len(h.CompatibleVaults()) == 0 {
-			continue
-		}
-		if best == nil || h.Load() < best.Load() {
-			best = h
-		}
-	}
-	if best == nil {
-		return nil, loid.Nil, errors.New("core: no alternative host")
-	}
-	return best, best.CompatibleVaults()[0], nil
 }

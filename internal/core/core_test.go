@@ -308,8 +308,8 @@ func TestMigrateUnknownInstance(t *testing.T) {
 }
 
 // TestOverloadTriggersMigration is the full §3.5 loop: a loaded host's
-// trigger fires, the Monitor's handler reschedules the instance onto the
-// least-loaded host.
+// trigger fires, the Monitor's handler moves the instance onto the
+// fleet's other host.
 func TestOverloadTriggersMigration(t *testing.T) {
 	ms := buildMeta(t, 2)
 	c := ms.DefineClass("Worker", nil)
@@ -333,12 +333,7 @@ func TestOverloadTriggersMigration(t *testing.T) {
 		if ev.Trigger != "overload" || ev.Source != h1.LOID() {
 			return
 		}
-		dest, dv, err := ms.LeastLoadedHost(ev.Source)
-		if err != nil {
-			migrated <- err
-			return
-		}
-		migrated <- ms.Migrate(ctx, c, inst, dest.LOID(), dv)
+		migrated <- ms.Migrate(ctx, c, inst, h2.LOID(), h2.CompatibleVaults()[0])
 	})
 
 	// Drive h1 over the threshold and reassess (the periodic tick).
@@ -377,28 +372,6 @@ func TestPushUpdatesReachCollection(t *testing.T) {
 	m := attr.FromPairs(recs[0].Attrs)
 	if m["host_load"].FloatVal() != 0.6 {
 		t.Errorf("load attr: %v", m["host_load"])
-	}
-}
-
-func TestLeastLoadedHost(t *testing.T) {
-	ms := buildMeta(t, 3)
-	hs := ms.Hosts()
-	hs[0].SetExternalLoad(0.9)
-	hs[1].SetExternalLoad(0.2)
-	hs[2].SetExternalLoad(0.5)
-	best, v, err := ms.LeastLoadedHost(loid.Nil)
-	if err != nil || best != hs[1] || v.IsNil() {
-		t.Errorf("LeastLoadedHost: %v %v %v", best, v, err)
-	}
-	// Excluding the best yields the next.
-	best2, _, err := ms.LeastLoadedHost(hs[1].LOID())
-	if err != nil || best2 != hs[2] {
-		t.Errorf("excluded: %v %v", best2, err)
-	}
-	// Single-host system with that host excluded: error.
-	ms1 := buildMeta(t, 1)
-	if _, _, err := ms1.LeastLoadedHost(ms1.Hosts()[0].LOID()); err == nil {
-		t.Error("want error with no alternative")
 	}
 }
 

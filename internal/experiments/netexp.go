@@ -14,7 +14,7 @@ import (
 
 // E5NetworkObjects measures the §6 future-work extension: Network
 // Objects managing communications resources, and the comm-aware stencil
-// scheduler that consults them. A three-site metasystem with two fast
+// scheduler that reads their Collection records. A three-site metasystem with two fast
 // links and one slow link runs a 12x6 stencil grid under three policies;
 // the latency-weighted edge cut (ms of link latency crossed per
 // iteration's halo exchange) is the objective.
@@ -25,72 +25,71 @@ func E5NetworkObjects() *Table {
 		Header: []string{"scheduler", "edge cut (count)", "weighted cut (ms)",
 			"cross-zone fraction"},
 	}
-	const rows, cols = 12, 6
-	ctx := context.Background()
-
-	build := func() (*core.Metasystem, *netobj.Topology, map[loid.LOID]string, loid.LOID) {
-		ms := core.New("uva", core.Options{Seed: 55})
-		zoneOf := map[loid.LOID]string{}
-		cpusByZone := map[string][]int{"za": {16, 2}, "zb": {12, 4}, "zc": {8, 6}}
-		for _, z := range []string{"za", "zb", "zc"} {
-			v := ms.AddVault(vaultCfg(z))
-			for _, cpus := range cpusByZone[z] {
-				h := ms.AddHost(host.Config{
-					Arch: "x86", OS: "Linux", CPUs: cpus, MemoryMB: 1024, Zone: z,
-					MaxShared: 1024, Vaults: []loid.LOID{v.LOID()},
-				})
-				zoneOf[h.LOID()] = z
-			}
-		}
-		topo := netobj.NewTopology(
-			netobj.NewLink(ms.Runtime(), "za", "zb", 5, 1000),
-			netobj.NewLink(ms.Runtime(), "zb", "zc", 5, 1000),
-			netobj.NewLink(ms.Runtime(), "za", "zc", 100, 10),
-		)
-		// Network objects are first-class: discoverable via the Collection.
-		_ = topo.JoinCollection(ctx, ms.Runtime(), ms.Collection.LOID(), "")
-		class := ms.DefineClass("Cell", nil)
-		return ms, topo, zoneOf, class.LOID()
-	}
-
-	gens := func(topo *netobj.Topology) []scheduler.Generator {
-		return []scheduler.Generator{
-			scheduler.Random{},
-			scheduler.Stencil{Rows: rows, Cols: cols},
-			scheduler.CommAware{Rows: rows, Cols: cols, Topo: topo},
-		}
-	}
-
-	msProbe, topoProbe, _, _ := build()
-	n := len(gens(topoProbe))
-	msProbe.Close()
-
-	for gi := 0; gi < n; gi++ {
-		ms, topo, zoneOf, classL := build()
-		gen := gens(topo)[gi]
-		env := ms.Env()
-		rl, err := gen.Generate(ctx, env, scheduler.Request{
-			Classes: []scheduler.ClassRequest{{Class: classL, Count: rows * cols}},
-			Res:     shareSpec(),
-		})
-		if err != nil {
+	for _, gen := range []scheduler.Generator{
+		scheduler.Random{},
+		scheduler.Stencil{Rows: e5Rows, Cols: e5Cols},
+		scheduler.CommAware{Rows: e5Rows, Cols: e5Cols},
+	} {
+		if err := e5Row(t, gen); err != nil {
 			t.AddRow(gen.Name(), "failed", err.Error(), "-")
-			ms.Close()
-			continue
 		}
-		maps := rl.Masters[0].Mappings
-		assignment := scheduler.AssignmentOf(maps)
-		cut := scheduler.EdgeCut(assignment, rows, cols)
-		wcut := scheduler.WeightedEdgeCut(assignment, rows, cols,
-			func(l loid.LOID) string { return zoneOf[l] }, topo)
-		cross := crossZone(maps, zoneOf)
-		t.AddRow(gen.Name(), cut, fmt.Sprintf("%.1f", wcut), fmt.Sprintf("%.2f", cross))
-		ms.Close()
 	}
 	t.Notes = append(t.Notes,
 		"topology: za-zb 5ms, zb-zc 5ms, za-zc 100ms; link state lives in Network Objects",
 		"comm-aware chains zones by link latency so no band boundary pays the 100ms link")
 	return t
+}
+
+const e5Rows, e5Cols = 12, 6
+
+// e5Row builds a fresh three-site metasystem whose links are Collection
+// records, places the grid with gen, and adds gen's row to t. The
+// weighted cut reads link latency from the same records the scheduler
+// queried.
+func e5Row(t *Table, gen scheduler.Generator) error {
+	ctx := context.Background()
+	ms := core.New("uva", core.Options{Seed: 55})
+	defer ms.Close()
+	zoneOf := map[loid.LOID]string{}
+	cpusByZone := map[string][]int{"za": {16, 2}, "zb": {12, 4}, "zc": {8, 6}}
+	for _, z := range []string{"za", "zb", "zc"} {
+		v := ms.AddVault(vaultCfg(z))
+		for _, cpus := range cpusByZone[z] {
+			h := ms.AddHost(host.Config{
+				Arch: "x86", OS: "Linux", CPUs: cpus, MemoryMB: 1024, Zone: z,
+				MaxShared: 1024, Vaults: []loid.LOID{v.LOID()},
+			})
+			zoneOf[h.LOID()] = z
+		}
+	}
+	for _, l := range []*netobj.Link{
+		netobj.NewLink(ms.Runtime(), "za", "zb", 5, 1000),
+		netobj.NewLink(ms.Runtime(), "zb", "zc", 5, 1000),
+		netobj.NewLink(ms.Runtime(), "za", "zc", 100, 10),
+	} {
+		if err := ms.Collection.Join(l.LOID(), l.Attributes(), ""); err != nil {
+			return fmt.Errorf("joining link %v: %w", l.LOID(), err)
+		}
+	}
+	class := ms.DefineClass("Cell", nil)
+	rl, err := gen.Generate(ctx, ms.Env(), scheduler.Request{
+		Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: e5Rows * e5Cols}},
+		Res:     shareSpec(),
+	})
+	if err != nil {
+		return err
+	}
+	links, err := ms.Collection.Query(netobj.Query)
+	if err != nil {
+		return fmt.Errorf("reading links: %w", err)
+	}
+	maps := rl.Masters[0].Mappings
+	assignment := scheduler.AssignmentOf(maps)
+	wcut := scheduler.WeightedEdgeCut(assignment, e5Rows, e5Cols,
+		func(l loid.LOID) string { return zoneOf[l] }, netobj.LatenciesOf(links))
+	t.AddRow(gen.Name(), scheduler.EdgeCut(assignment, e5Rows, e5Cols),
+		fmt.Sprintf("%.1f", wcut), fmt.Sprintf("%.2f", crossZone(maps, zoneOf)))
+	return nil
 }
 
 // crossZone is the fraction of mappings outside the modal zone.

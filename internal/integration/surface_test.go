@@ -52,7 +52,6 @@ var testOnlyExports = map[string]bool{
 	"internal/monitor.Monitor.DroppedEvents": true,
 	"internal/monitor.Monitor.EventCount":    true,
 	"internal/monitor.Monitor.Events":        true,
-	"internal/netobj.Link.Bandwidth":         true,
 	"internal/orb.DispatchTable.Methods":     true,
 	"internal/orb.Runtime.Locals":            true,
 	"internal/orb.ServiceObject.Methods":     true,

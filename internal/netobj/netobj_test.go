@@ -6,6 +6,7 @@ import (
 
 	"legion/internal/attr"
 	"legion/internal/collection"
+	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
 )
@@ -13,20 +14,17 @@ import (
 func TestLinkBasics(t *testing.T) {
 	rt := orb.NewRuntime("uva")
 	l := NewLink(rt, "zb", "za", 40, 100) // endpoints canonicalized
-	a, b := l.Zones()
-	if a != "za" || b != "zb" {
-		t.Errorf("zones: %s %s", a, b)
+	m := attr.FromPairs(l.Attributes())
+	if m[attrZoneA].Str() != "za" || m[attrZoneB].Str() != "zb" {
+		t.Errorf("zones: %v", l.Attributes())
 	}
-	if l.Latency() != 40 || l.Bandwidth() != 100 {
-		t.Errorf("initial: %v %v", l.Latency(), l.Bandwidth())
+	if m[attrLatencyMS].FloatVal() != 40 || m[attrBandwidth].FloatVal() != 100 {
+		t.Errorf("initial: %v", l.Attributes())
 	}
 	l.Observe(55, 80)
-	if l.Latency() != 55 || l.Bandwidth() != 80 {
-		t.Errorf("after observe: %v %v", l.Latency(), l.Bandwidth())
-	}
-	m := attr.FromPairs(l.Attributes())
-	if m["net_latency_ms"].FloatVal() != 55 || m["net_zone_a"].Str() != "za" {
-		t.Errorf("attrs: %v", l.Attributes())
+	m = attr.FromPairs(l.Attributes())
+	if m[attrLatencyMS].FloatVal() != 55 || m[attrBandwidth].FloatVal() != 80 || m[attrZoneA].Str() != "za" {
+		t.Errorf("after observe: %v", l.Attributes())
 	}
 	// Reachable as a Legion object.
 	res, err := rt.Call(context.Background(), l.LOID(), proto.MethodGetAttributes, nil)
@@ -44,62 +42,61 @@ func TestLinkSameZonePanics(t *testing.T) {
 	NewLink(orb.NewRuntime("uva"), "z", "z", 1, 1)
 }
 
-func TestTopologyLatency(t *testing.T) {
-	rt := orb.NewRuntime("uva")
-	topo := NewTopology(
-		NewLink(rt, "za", "zb", 10, 1000),
-		NewLink(rt, "zb", "zc", 50, 100),
-	)
-	if l := topo.LatencyMS("za", "za"); l != 0.1 {
-		t.Errorf("intra-zone: %v", l)
-	}
-	if l := topo.LatencyMS("za", "zb"); l != 10 {
-		t.Errorf("za-zb: %v", l)
-	}
-	if l := topo.LatencyMS("zb", "za"); l != 10 {
-		t.Errorf("symmetric: %v", l)
-	}
-	if l := topo.LatencyMS("za", "zc"); l != 200 {
-		t.Errorf("missing pair default: %v", l)
-	}
-	if _, ok := topo.Link("zc", "zb"); !ok {
-		t.Error("Link lookup with swapped order failed")
-	}
-	if len(topo.Links()) != 2 {
-		t.Errorf("links: %d", len(topo.Links()))
-	}
-}
-
-func TestTopologyDynamicUpdates(t *testing.T) {
-	rt := orb.NewRuntime("uva")
-	link := NewLink(rt, "za", "zb", 10, 1000)
-	topo := NewTopology(link)
-	link.Observe(90, 10) // WAN degraded
-	if l := topo.LatencyMS("za", "zb"); l != 90 {
-		t.Errorf("after observe: %v", l)
-	}
-}
-
-func TestJoinCollection(t *testing.T) {
+// TestLatenciesOf reads link records both as a Collection returns them
+// and as a peer may send them: unsorted, partial or mistyped.
+func TestLatenciesOf(t *testing.T) {
 	rt := orb.NewRuntime("uva")
 	coll := collection.New(rt, nil)
-	topo := NewTopology(
-		NewLink(rt, "za", "zb", 10, 1000),
-		NewLink(rt, "zb", "zc", 50, 100),
-	)
-	if err := topo.JoinCollection(context.Background(), rt, coll.LOID(), ""); err != nil {
+	for _, l := range []*Link{NewLink(rt, "za", "zb", 10, 1000), NewLink(rt, "zc", "zb", 50, 100)} {
+		if err := coll.Join(l.LOID(), l.Attributes(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A host record is not a link record.
+	if err := coll.Join(rt.Mint("Host"), []attr.Pair{{Name: "host_zone", Value: attr.String("za")}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Communication resources are queryable like any other resource.
-	recs, err := coll.Query(`defined($net_latency_ms) and $net_latency_ms < 20`)
+	recs, err := coll.Query(Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("fast links: %+v", recs)
+	if len(recs) != 2 {
+		t.Fatalf("link records: %+v", recs)
 	}
-	m := attr.FromPairs(recs[0].Attrs)
-	if m["net_zone_a"].Str() != "za" || m["net_zone_b"].Str() != "zb" {
-		t.Errorf("record: %v", recs[0].Attrs)
+	rec := func(pairs ...attr.Pair) proto.CollectionRecord {
+		return proto.CollectionRecord{Member: loid.LOID{Domain: "peer", Class: "NetworkLink"}, Attrs: pairs}
+	}
+	recs = append(recs,
+		// Unsorted, zones reversed.
+		rec(attr.Pair{Name: attrLatencyMS, Value: attr.Int(7)},
+			attr.Pair{Name: attrZoneB, Value: attr.String("zd")},
+			attr.Pair{Name: attrZoneA, Value: attr.String("zz")}),
+		// Missing a zone: skipped.
+		rec(attr.Pair{Name: attrLatencyMS, Value: attr.Float(1)},
+			attr.Pair{Name: attrZoneA, Value: attr.String("za")}),
+		// Non-numeric latency: skipped.
+		rec(attr.Pair{Name: attrLatencyMS, Value: attr.String("fast")},
+			attr.Pair{Name: attrZoneA, Value: attr.String("za")},
+			attr.Pair{Name: attrZoneB, Value: attr.String("zc")}),
+	)
+	lat := LatenciesOf(recs)
+	if len(lat) != 3 {
+		t.Errorf("latencies: %v", lat)
+	}
+	for _, c := range []struct {
+		a, b string
+		want float64
+	}{
+		{"za", "za", 0.1}, // within a zone
+		{"za", "zb", 10},
+		{"zb", "za", 10},  // symmetric
+		{"zb", "zc", 50},  // a link joined with its zones out of order
+		{"zz", "zd", 7},   // the unsorted record
+		{"za", "zc", 200}, // the non-numeric record's pair: no link
+		{"za", "zq", 200}, // no record at all
+	} {
+		if got := lat.MS(c.a, c.b); got != c.want {
+			t.Errorf("MS(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }

@@ -14,16 +14,15 @@ import (
 // resources") combined with the §4.3 specialized stencil policy.
 //
 // Like Stencil, it partitions a Rows x Cols grid into contiguous row
-// bands sized by host capacity — but it also consults a netobj.Topology
-// and arranges the bands so that adjacent bands live in network-close
-// zones: hosts are grouped by zone, zones are chained greedily by
-// link latency, and bands are walked along that chain. Cross-zone grid
-// edges (the expensive ones) then only occur at zone-chain boundaries.
+// bands sized by host capacity — but it also reads the link records in
+// the Collection and arranges the bands so that adjacent bands live in
+// network-close zones: hosts are grouped by zone, zones are chained
+// greedily by link latency, and bands are walked along that chain.
+// Cross-zone grid edges (the expensive ones) then only occur at
+// zone-chain boundaries. With no link records every zone pair costs the
+// same and the zones keep alphabetical order.
 type CommAware struct {
 	Rows, Cols int
-	// Topo answers zone-to-zone latency; nil behaves like Stencil with
-	// alphabetical zone grouping.
-	Topo *netobj.Topology
 }
 
 // Name implements Generator.
@@ -32,6 +31,10 @@ func (CommAware) Name() string { return "comm-aware" }
 // Generate implements Generator.
 func (g CommAware) Generate(ctx context.Context, env *Env, req Request) (sched.RequestList, error) {
 	ranked, err := gridCandidates(ctx, env, req, g.Name(), g.Rows, g.Cols)
+	if err != nil {
+		return sched.RequestList{}, err
+	}
+	links, err := queryCollection(ctx, env, netobj.Query)
 	if err != nil {
 		return sched.RequestList{}, err
 	}
@@ -47,26 +50,25 @@ func (g CommAware) Generate(ctx context.Context, env *Env, req Request) (sched.R
 	slices.Sort(zones)
 
 	chained := make([]cand, 0, len(ranked))
-	for _, z := range chainZones(zones, g.Topo) {
+	for _, z := range chainZones(zones, netobj.LatenciesOf(links.Records)) {
 		chained = append(chained, byZone[z]...)
 	}
 	return schedule(bandSchedule(req.Classes[0].Class, chained, g.Rows, g.Cols), req), nil
 }
 
 // chainZones orders zones as a greedy nearest-neighbour chain under the
-// topology's latency metric, starting from the alphabetically first
-// zone. With a nil topology the input (sorted) order is returned.
-func chainZones(zones []string, topo *netobj.Topology) []string {
-	if topo == nil || len(zones) < 3 {
+// link latencies, starting from the first zone; ties keep input order.
+func chainZones(zones []string, lat netobj.Latencies) []string {
+	if len(zones) < 3 {
 		return zones
 	}
 	remaining := append([]string(nil), zones[1:]...)
 	chain := []string{zones[0]}
 	for len(remaining) > 0 {
 		last := chain[len(chain)-1]
-		best, bestLat := 0, topo.LatencyMS(last, remaining[0])
+		best, bestLat := 0, lat.MS(last, remaining[0])
 		for i := 1; i < len(remaining); i++ {
-			if l := topo.LatencyMS(last, remaining[i]); l < bestLat {
+			if l := lat.MS(last, remaining[i]); l < bestLat {
 				best, bestLat = i, l
 			}
 		}
@@ -80,7 +82,7 @@ func chainZones(zones []string, topo *netobj.Topology) []string {
 // endpoints land on different hosts — the latency-weighted analogue of
 // EdgeCut, and the objective CommAware minimizes. zoneOf maps a host to
 // its zone.
-func WeightedEdgeCut(assignment []loid.LOID, rows, cols int, zoneOf func(loid.LOID) string, topo *netobj.Topology) float64 {
+func WeightedEdgeCut(assignment []loid.LOID, rows, cols int, zoneOf func(loid.LOID) string, lat netobj.Latencies) float64 {
 	if len(assignment) != rows*cols {
 		panic("scheduler: assignment length mismatch")
 	}
@@ -89,7 +91,7 @@ func WeightedEdgeCut(assignment []loid.LOID, rows, cols int, zoneOf func(loid.LO
 		if a == b {
 			return 0
 		}
-		return topo.LatencyMS(zoneOf(a), zoneOf(b))
+		return lat.MS(zoneOf(a), zoneOf(b))
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -2,11 +2,13 @@ package scheduler
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"legion/internal/classobj"
 	"legion/internal/collection"
+	"legion/internal/collection/daemon"
 	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/netobj"
@@ -15,12 +17,11 @@ import (
 	"legion/internal/vault"
 )
 
-// multiZoneEnv builds hosts across three zones with a WAN topology.
+// multiZoneEnv builds hosts across zones; links joins WAN link records.
 type multiZoneEnv struct {
 	rt     *orb.Runtime
 	coll   *collection.Collection
 	class  *classobj.Class
-	topo   *netobj.Topology
 	zoneOf map[loid.LOID]string
 	env    *Env
 }
@@ -47,6 +48,37 @@ func newMultiZone(t *testing.T, hostsPerZone int, zones ...string) *multiZoneEnv
 	return e
 }
 
+// links joins za-zb and zb-zc at 5 ms and za-zc at zaZC ms to the
+// Collection as link records, and returns them.
+func (e *multiZoneEnv) links(t *testing.T, zaZC float64) []*netobj.Link {
+	t.Helper()
+	ls := []*netobj.Link{
+		netobj.NewLink(e.rt, "za", "zb", 5, 1000),
+		netobj.NewLink(e.rt, "zb", "zc", 5, 1000),
+		netobj.NewLink(e.rt, "za", "zc", zaZC, 10),
+	}
+	for _, l := range ls {
+		if err := e.coll.Join(l.LOID(), l.Attributes(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ls
+}
+
+// zoneChain is the sequence of zones down the rows of a stencil schedule,
+// each run of one zone counted once.
+func (e *multiZoneEnv) zoneChain(rl sched.RequestList, rows, cols int) []string {
+	maps := rl.Masters[0].Mappings
+	var seq []string
+	for r := 0; r < rows; r++ {
+		z := e.zoneOf[maps[r*cols].Host]
+		if len(seq) == 0 || seq[len(seq)-1] != z {
+			seq = append(seq, z)
+		}
+	}
+	return seq
+}
+
 func (e *multiZoneEnv) req(n int) Request {
 	return Request{
 		Classes: []ClassRequest{{Class: e.class.LOID(), Count: n}},
@@ -58,27 +90,16 @@ func TestCommAwareKeepsBandsZoneContiguous(t *testing.T) {
 	e := newMultiZone(t, 2, "za", "zb", "zc")
 	// WAN: za-zb close, zb-zc close, za-zc far. The greedy chain should
 	// visit za, zb, zc so no band boundary pays the za-zc latency.
-	e.topo = netobj.NewTopology(
-		netobj.NewLink(e.rt, "za", "zb", 5, 1000),
-		netobj.NewLink(e.rt, "zb", "zc", 5, 1000),
-		netobj.NewLink(e.rt, "za", "zc", 100, 10),
-	)
+	e.links(t, 100)
 	const rows, cols = 6, 6
-	rl, err := CommAware{Rows: rows, Cols: cols, Topo: e.topo}.Generate(
+	rl, err := CommAware{Rows: rows, Cols: cols}.Generate(
 		context.Background(), e.env, e.req(rows*cols))
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps := rl.Masters[0].Mappings
 	// Zone sequence down the rows must be contiguous (each zone appears
 	// as one run).
-	var zoneSeq []string
-	for r := 0; r < rows; r++ {
-		z := e.zoneOf[maps[r*cols].Host]
-		if len(zoneSeq) == 0 || zoneSeq[len(zoneSeq)-1] != z {
-			zoneSeq = append(zoneSeq, z)
-		}
-	}
+	zoneSeq := e.zoneChain(rl, rows, cols)
 	seen := map[string]bool{}
 	for _, z := range zoneSeq {
 		if seen[z] {
@@ -115,11 +136,12 @@ func TestCommAwareBeatsStencilOnWeightedCut(t *testing.T) {
 	}
 	e.class = classobj.New(rt, classobj.Config{Name: "Cell"})
 	e.env = &Env{RT: rt, Collection: coll.LOID()}
-	e.topo = netobj.NewTopology(
-		netobj.NewLink(e.rt, "za", "zb", 5, 1000),
-		netobj.NewLink(e.rt, "zb", "zc", 5, 1000),
-		netobj.NewLink(e.rt, "za", "zc", 100, 10),
-	)
+	e.links(t, 100)
+	recs, err := coll.Query(netobj.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := netobj.LatenciesOf(recs)
 	const rows, cols = 9, 6
 	ctx := context.Background()
 	zoneOf := func(l loid.LOID) string { return e.zoneOf[l] }
@@ -128,12 +150,12 @@ func TestCommAwareBeatsStencilOnWeightedCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commRL, err := CommAware{Rows: rows, Cols: cols, Topo: e.topo}.Generate(ctx, e.env, e.req(rows*cols))
+	commRL, err := CommAware{Rows: rows, Cols: cols}.Generate(ctx, e.env, e.req(rows*cols))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stencilCut := WeightedEdgeCut(AssignmentOf(stencilRL.Masters[0].Mappings), rows, cols, zoneOf, e.topo)
-	commCut := WeightedEdgeCut(AssignmentOf(commRL.Masters[0].Mappings), rows, cols, zoneOf, e.topo)
+	stencilCut := WeightedEdgeCut(AssignmentOf(stencilRL.Masters[0].Mappings), rows, cols, zoneOf, lat)
+	commCut := WeightedEdgeCut(AssignmentOf(commRL.Masters[0].Mappings), rows, cols, zoneOf, lat)
 	if commCut > stencilCut {
 		t.Errorf("comm-aware weighted cut %v > stencil %v", commCut, stencilCut)
 	}
@@ -155,8 +177,7 @@ func TestCommAwareValidation(t *testing.T) {
 }
 
 func TestWeightedEdgeCutKnownCase(t *testing.T) {
-	rt := orb.NewRuntime("uva")
-	topo := netobj.NewTopology(netobj.NewLink(rt, "za", "zb", 10, 100))
+	lat := netobj.Latencies{{"za", "zb"}: 10}
 	a := loid.LOID{Domain: "d", Class: "H", Instance: 1} // za
 	b := loid.LOID{Domain: "d", Class: "H", Instance: 2} // za
 	c := loid.LOID{Domain: "d", Class: "H", Instance: 3} // zb
@@ -167,28 +188,61 @@ func TestWeightedEdgeCutKnownCase(t *testing.T) {
 		return "za"
 	}
 	// 3x1 column: a,b,c. Edges: a-b (intra-zone cut, 0.1), b-c (10).
-	got := WeightedEdgeCut([]loid.LOID{a, b, c}, 3, 1, zoneOf, topo)
+	got := WeightedEdgeCut([]loid.LOID{a, b, c}, 3, 1, zoneOf, lat)
 	if got != 10.1 {
 		t.Errorf("weighted cut = %v, want 10.1", got)
 	}
 }
 
 func TestChainZones(t *testing.T) {
-	rt := orb.NewRuntime("uva")
-	topo := netobj.NewTopology(
-		netobj.NewLink(rt, "za", "zc", 5, 100),
-		netobj.NewLink(rt, "zc", "zb", 5, 100),
-		netobj.NewLink(rt, "za", "zb", 90, 10),
-	)
-	got := chainZones([]string{"za", "zb", "zc"}, topo)
+	lat := netobj.Latencies{{"za", "zc"}: 5, {"zb", "zc"}: 5, {"za", "zb"}: 90}
+	got := chainZones([]string{"za", "zb", "zc"}, lat)
 	want := []string{"za", "zc", "zb"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("chain = %v, want %v", got, want)
 		}
 	}
-	// Nil topology or short lists pass through.
+	// No links or short lists pass through.
 	if out := chainZones([]string{"zb", "za"}, nil); out[0] != "zb" {
-		t.Errorf("nil topo chain: %v", out)
+		t.Errorf("short chain: %v", out)
+	}
+	if out := chainZones([]string{"za", "zb", "zc"}, nil); !slices.Equal(out, []string{"za", "zb", "zc"}) {
+		t.Errorf("chain without links: %v", out)
+	}
+}
+
+// TestLinkObservedBySweep drives a link change through the Data
+// Collection Daemon: CommAware reads the Collection, so the zone chain
+// moves at the sweep after Observe and not before.
+func TestLinkObservedBySweep(t *testing.T) {
+	e := newMultiZone(t, 2, "za", "zb", "zc")
+	ls := e.links(t, 50)
+	d := daemon.New(e.rt, daemon.Config{})
+	for _, l := range ls {
+		d.Watch(l.LOID())
+	}
+	d.PushInto(e.coll.LOID())
+	const rows, cols = 6, 6
+	chain := func() []string {
+		t.Helper()
+		rl, err := CommAware{Rows: rows, Cols: cols}.Generate(context.Background(), e.env, e.req(rows*cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.zoneChain(rl, rows, cols)
+	}
+	want := []string{"za", "zb", "zc"}
+	if got := chain(); !slices.Equal(got, want) {
+		t.Fatalf("before: chain %v, want %v", got, want)
+	}
+	ls[0].Observe(90, 10) // za-zb degrades past za-zc's 50 ms
+	if got := chain(); !slices.Equal(got, want) {
+		t.Fatalf("before the sweep: chain %v, want %v", got, want)
+	}
+	d.Sweep(context.Background())
+	want = []string{"za", "zc", "zb"}
+	if got := chain(); !slices.Equal(got, want) {
+		t.Errorf("after the sweep: chain %v, want %v", got, want)
 	}
 }

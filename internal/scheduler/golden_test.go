@@ -97,6 +97,7 @@ func (g goldenHost) attrs() []attr.Pair {
 // runtime. cached selects whether Env.Cache is set.
 type goldenEnv struct {
 	env          *Env
+	coll         *collection.Collection
 	worker, cell *classobj.Class
 }
 
@@ -112,6 +113,7 @@ func newGoldenEnv(t testing.TB, cached bool) *goldenEnv {
 		}
 	}
 	e := &goldenEnv{
+		coll:   coll,
 		worker: classobj.New(rt, classobj.Config{Name: "Worker", Impls: []proto.Implementation{{Arch: "x86", OS: "Linux"}}}),
 		cell:   classobj.New(rt, classobj.Config{Name: "Cell", Impls: []proto.Implementation{{Arch: "x86"}}}),
 		env:    &Env{RT: rt, Collection: coll.LOID()},
@@ -137,6 +139,15 @@ type goldenArm struct {
 	gen  func() Generator // fresh per run (RoundRobin carries state)
 	req  func(e *goldenEnv) Request
 	runs int // Generate calls hashed together; 0 means 1
+	// links are joined to the Collection as link records for this arm
+	// alone.
+	links []goldenLink
+}
+
+// goldenLink is one zone-to-zone link and its latency in ms.
+type goldenLink struct {
+	a, b string
+	ms   float64
 }
 
 func goldenArms() []goldenArm {
@@ -153,14 +164,6 @@ func goldenArms() []goldenArm {
 			res.Deadline, res.Budget, res.Tenant = deadline, budget, "acme"
 			return e.req(res, n, 2)
 		}
-	}
-	topo := func() *netobj.Topology {
-		rt := orb.NewRuntime("net")
-		return netobj.NewTopology(
-			netobj.NewLink(rt, "za", "zb", 40, 100),
-			netobj.NewLink(rt, "za", "zc", 5, 100),
-			netobj.NewLink(rt, "zb", "zc", 60, 100),
-		)
 	}
 	gen := func(g Generator) func() Generator { return func() Generator { return g } }
 	return []goldenArm{
@@ -186,7 +189,8 @@ func goldenArms() []goldenArm {
 		{name: "deadline-budget-over-budget", gen: gen(DeadlineBudget{}), req: econ(3*time.Hour, 0.5, 9)},
 		{name: "stencil", gen: gen(Stencil{Rows: 9, Cols: 4}), req: one(36)},
 		{name: "stencil-fewer-rows-than-hosts", gen: gen(Stencil{Rows: 3, Cols: 2}), req: one(6)},
-		{name: "comm-aware", gen: func() Generator { return CommAware{Rows: 9, Cols: 4, Topo: topo()} }, req: one(36)},
+		{name: "comm-aware", gen: gen(CommAware{Rows: 9, Cols: 4}), req: one(36),
+			links: []goldenLink{{"za", "zb", 40}, {"za", "zc", 5}, {"zb", "zc", 60}}},
 		{name: "comm-aware-no-topology", gen: gen(CommAware{Rows: 7, Cols: 3}), req: one(21)},
 	}
 }
@@ -195,6 +199,14 @@ func goldenArms() []goldenArm {
 // bytes of each RequestList, or the error text.
 func (a goldenArm) run(t testing.TB, e *goldenEnv) string {
 	t.Helper()
+	net := orb.NewRuntime("net")
+	for _, l := range a.links {
+		link := netobj.NewLink(net, l.a, l.b, l.ms, 100)
+		if err := e.coll.Join(link.LOID(), link.Attributes(), ""); err != nil {
+			t.Fatal(err)
+		}
+		defer e.coll.Leave(link.LOID(), "")
+	}
 	e.env.Rand = rand.New(rand.NewSource(7))
 	h := sha256.New()
 	g := a.gen()

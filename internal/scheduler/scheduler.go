@@ -232,15 +232,24 @@ func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntr
 	return env.Cache.snapshot(ctx, querySrc, fetch)
 }
 
-// fetchHosts queries the Collection and parses every matching record.
-func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
+// queryCollection makes one Collection query under queryTimeout.
+func queryCollection(ctx context.Context, env *Env, querySrc string) (proto.QueryReply, error) {
 	clk := env.RT.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
 	defer vclock.End(cctx)
 	reply, err := orb.As[proto.QueryReply](env.call(cctx, env.Collection,
 		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
 	if err != nil {
-		return nil, 0, fmt.Errorf("scheduler: collection query: %w", err)
+		return proto.QueryReply{}, fmt.Errorf("scheduler: collection query: %w", err)
+	}
+	return reply, nil
+}
+
+// fetchHosts queries the Collection and parses every matching record.
+func fetchHosts(ctx context.Context, env *Env, querySrc string) (hosts []HostInfo, skipped int, err error) {
+	reply, err := queryCollection(ctx, env, querySrc)
+	if err != nil {
+		return nil, 0, err
 	}
 	hosts = make([]HostInfo, 0, len(reply.Records))
 	for _, rec := range reply.Records {
