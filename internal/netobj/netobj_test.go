@@ -42,16 +42,71 @@ func TestLinkSameZonePanics(t *testing.T) {
 	NewLink(orb.NewRuntime("uva"), "z", "z", 1, 1)
 }
 
-// TestLatenciesOf reads link records both as a Collection returns them
-// and as a peer may send them: unsorted, partial or mistyped.
-func TestLatenciesOf(t *testing.T) {
-	rt := orb.NewRuntime("uva")
+// joinLinks joins links to a new Collection and returns it.
+func joinLinks(t *testing.T, rt *orb.Runtime, links ...*Link) *collection.Collection {
+	t.Helper()
 	coll := collection.New(rt, nil)
-	for _, l := range []*Link{NewLink(rt, "za", "zb", 10, 1000), NewLink(rt, "zc", "zb", 50, 100)} {
+	for _, l := range links {
 		if err := coll.Join(l.LOID(), l.Attributes(), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return coll
+}
+
+// TestTopologyLatency checks the latency lookups a scheduler makes on
+// the link records of a Collection.
+func TestTopologyLatency(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	coll := joinLinks(t, rt, NewLink(rt, "za", "zb", 10, 1000), NewLink(rt, "zb", "zc", 50, 100))
+	recs, err := coll.Query(Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := LatenciesOf(recs)
+	if l := lat.MS("za", "za"); l != 0.1 {
+		t.Errorf("intra-zone: %v", l)
+	}
+	if l := lat.MS("za", "zb"); l != 10 {
+		t.Errorf("za-zb: %v", l)
+	}
+	if l := lat.MS("zb", "za"); l != 10 {
+		t.Errorf("symmetric: %v", l)
+	}
+	if l := lat.MS("zc", "zb"); l != 50 {
+		t.Errorf("swapped order: %v", l)
+	}
+	if l := lat.MS("za", "zc"); l != 200 {
+		t.Errorf("missing pair default: %v", l)
+	}
+	if len(lat) != 2 {
+		t.Errorf("links: %d", len(lat))
+	}
+}
+
+// TestJoinCollection checks that communication resources are queryable
+// like any other resource once their links join a Collection.
+func TestJoinCollection(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	coll := joinLinks(t, rt, NewLink(rt, "za", "zb", 10, 1000), NewLink(rt, "zb", "zc", 50, 100))
+	recs, err := coll.Query(Query + ` and $` + attrLatencyMS + ` < 20`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("fast links: %+v", recs)
+	}
+	m := attr.FromPairs(recs[0].Attrs)
+	if m[attrZoneA].Str() != "za" || m[attrZoneB].Str() != "zb" {
+		t.Errorf("record: %v", recs[0].Attrs)
+	}
+}
+
+// TestLatenciesOf reads link records both as a Collection returns them
+// and as a peer may send them: unsorted, partial or mistyped.
+func TestLatenciesOf(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	coll := joinLinks(t, rt, NewLink(rt, "za", "zb", 10, 1000), NewLink(rt, "zc", "zb", 50, 100))
 	// A host record is not a link record.
 	if err := coll.Join(rt.Mint("Host"), []attr.Pair{{Name: "host_zone", Value: attr.String("za")}}, ""); err != nil {
 		t.Fatal(err)
