@@ -373,14 +373,61 @@ func (s *Set) Lookup(name string) (Value, bool) { return s.Get(name) }
 
 // Lookup finds name in pairs, which must be sorted by name (a Snapshot,
 // a Set's own pairs, or the attributes of a Collection record): a binary
-// search, no map. A record is some twenty contiguous pairs, so the five
-// or so string compares this costs are cheaper than hashing the name
-// once — and a reader gets to use the slice the store already holds.
+// search, no map. A record is some twenty contiguous pairs, so the
+// search costs about five string compares, each of which may touch a
+// different cache line of a record that is not in cache. A reader that
+// looks the same names up in many records of one layout uses a Finder.
 func Lookup(pairs []Pair, name string) (Value, bool) {
 	if i, ok := search(pairs, name); ok {
 		return pairs[i].Value, true
 	}
 	return Value{}, false
+}
+
+// finderSlots is how many names a Finder remembers: more than a
+// Collection query names.
+const finderSlots = 8
+
+// Finder is Lookup with a memory: for each of the last few names it
+// found, the slot it found that name at. Records pushed by one kind of
+// resource share a layout (the same names in the same order), so a name
+// sits at the same slot in each of them, and after the first record a
+// lookup is one compare. A lookup whose slot misses falls back to the
+// binary search and remembers the new slot; an absent name is not
+// remembered. The answer is always Lookup's.
+//
+// The zero Finder is ready to use. It is not safe for concurrent use.
+type Finder struct {
+	names [finderSlots]string
+	slots [finderSlots]uint32
+	n     int // names in use
+	next  int // the entry the next new name takes, round-robin once full
+}
+
+// Lookup finds name in pairs, which must be strictly sorted by name, as
+// Lookup (the function) does.
+func (f *Finder) Lookup(pairs []Pair, name string) (Value, bool) {
+	k := 0
+	for k < f.n && f.names[k] != name {
+		k++
+	}
+	if k < f.n {
+		if i := int(f.slots[k]); i < len(pairs) && pairs[i].Name == name {
+			return pairs[i].Value, true
+		}
+	}
+	i, ok := search(pairs, name)
+	if !ok {
+		return Value{}, false
+	}
+	if k == f.n {
+		k = f.next
+		f.next = (f.next + 1) % finderSlots
+		f.n = max(f.n, k+1)
+		f.names[k] = name
+	}
+	f.slots[k] = uint32(i)
+	return pairs[i].Value, true
 }
 
 // search returns the position of name in pairs sorted by name, or the

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"maps"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -206,4 +208,87 @@ func checkPairs(t *testing.T, at string, snap []Pair, model map[string]Value) {
 			t.Fatalf("%s: snapshot has %q = %v, model %v (present %t)", at, p.Name, p.Value, want, ok)
 		}
 	}
+}
+
+// FuzzFinderModel holds one Finder to Lookup over a run of records:
+// after every record, each of a handful of names looked up through the
+// Finder gives what Lookup gives. A record keeps the previous record's
+// layout (the slot the Finder remembers is right), or takes a new one
+// from a 12-name alphabet (the slot may be wrong, out of range, or the
+// name gone). Lookups draw on the alphabet, on names no record holds,
+// and on copies of names that are equal but not the same string, and
+// twelve names are more than the Finder remembers.
+func FuzzFinderModel(f *testing.F) {
+	f.Add([]byte{})
+	// A record is a layout byte (a multiple of 4 keeps the previous
+	// layout; anything else is the low half of a 12-bit name mask, the
+	// next byte the high half), a value byte per name, a count byte
+	// (count%6+1 lookups), and a byte per lookup: its low 7 bits pick
+	// the name (12 and up: absent names), the top bit copies it.
+	//
+	// {alive arch cpus load}, then the same layout again.
+	f.Add([]byte{0x0f, 0x00, 1, 1, 1, 1, 2, 3, 1, 2, 0x00, 5, 5, 5, 5, 2, 3, 1, 2})
+	// {alive arch cpus load}, then {arch cpus load zone_a}: every name
+	// the Finder remembers has moved down one slot.
+	f.Add([]byte{0x0f, 0x00, 1, 1, 1, 1, 2, 3, 1, 2, 0x0e, 0x04, 1, 1, 1, 1, 2, 3, 1, 2})
+	// {alive arch cpus load}, then {alive}: load's slot is past the end;
+	// then absent names and copies.
+	f.Add([]byte{0x0f, 0x00, 1, 1, 1, 1, 0, 3, 0x01, 0x00, 1, 5, 3, 0, 12, 13, 0x83, 0x80, 16})
+	// Every name, looked up six at a time: twelve names overflow the
+	// Finder's memory, then the first six come back.
+	f.Add([]byte{
+		0xff, 0x0f, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 0, 1, 2, 3, 4, 5,
+		0x00, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 5, 6, 7, 8, 9, 10, 11,
+		0x00, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5, 0, 1, 2, 3, 4, 5,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			return
+		}
+		names := []string{
+			"alive", "arch", "cpus", "load", "mem", "os", "speed", "state", "vaults", "zone", "zone_a", "zone_b",
+		}
+		// The names a lookup draws on: the alphabet, then names no
+		// record holds.
+		pool := append(slices.Clone(names), "", "a", "loa", "load_", "zzz")
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		var find Finder
+		var layout []string
+		for step := 0; len(data) > 0; step++ {
+			// A record: the previous layout with new values, or a new
+			// layout picked by a 12-bit mask.
+			if b := next(); b%4 != 0 || layout == nil {
+				mask := int(b) | int(next())<<8
+				layout = layout[:0:0]
+				for i, name := range names {
+					if mask&(1<<i) != 0 {
+						layout = append(layout, name)
+					}
+				}
+			}
+			rec := make([]Pair, len(layout))
+			for i, name := range layout {
+				rec[i] = Pair{Name: name, Value: Int(int64(step)<<16 | int64(i)<<8 | int64(next()))}
+			}
+			for n := int(next())%6 + 1; n > 0; n-- {
+				b := next()
+				name := pool[int(b&0x7f)%len(pool)]
+				if b&0x80 != 0 {
+					name = strings.Clone(name) // equal, not the same string
+				}
+				got, ok := find.Lookup(rec, name)
+				want, wantOK := Lookup(rec, name)
+				if ok != wantOK || !sameValue(got, want) {
+					t.Fatalf("step %d, record %v: Finder.Lookup(%q) = %v, %t; Lookup %v, %t", step, layout, name, got, ok, want, wantOK)
+				}
+			}
+		}
+	})
 }

@@ -78,9 +78,16 @@ var (
 
 // record is one member's stored description: its attributes as a slice
 // strictly sorted by name, and nothing else. That slice is the record on
-// the whole read path — the query evaluator and the index binary-search
-// it (record implements query.Record), query replies share it, the
-// scheduler walks it — so no map is built per record anywhere.
+// the whole read path — the query evaluator and the index search it,
+// query replies share it, the scheduler walks it — so no map is built
+// per record anywhere.
+//
+// Records from one kind of resource share a layout: the same names in
+// the same order, since a Host re-pushes its whole attribute set every
+// time. An update in its record's layout is applied without a merge
+// (newRecord) and moves the index without a second search
+// (attrIndex.replace), and a query looks each name up at the slot where
+// it found it in the previous candidate (attr.Finder).
 //
 // Records are immutable copy-on-write snapshots: mutators build a
 // replacement record and swap the pointer under the write lock, so
@@ -98,20 +105,31 @@ type record struct {
 	updatedAt time.Time
 }
 
-// Lookup implements query.Record.
+// Lookup finds name in the record's pairs by binary search.
 func (r *record) Lookup(name string) (attr.Value, bool) { return attr.Lookup(r.pairs, name) }
 
 // newRecord builds the successor of old (nil for a fresh member) with
 // update merged in, an update's value replacing the old one of the same
-// name: a two-pointer merge of two sorted runs into one slice allocated
-// at its exact length. Neither old nor the result is ever mutated
-// afterwards.
+// name, and reports whether update had old's layout. Neither old nor
+// the result is ever mutated afterwards.
+//
+// An update in old's layout — exactly old's names, in old's order,
+// checked pairwise with ==, which interned and constant names answer
+// from their pointers — is the merged record already. Any other update
+// is normalized and merged with old: a two-pointer merge of two sorted
+// runs into one slice allocated at its exact length.
 //
 // With adopt set, the caller hands update over: nobody writes it again.
 // When update then is the whole merge — strictly sorted, naming every
 // attribute of old — and has cap == len, it becomes the record as it
 // is, with no copy. Without adopt the result never aliases update.
-func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) *record {
+func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) (*record, bool) {
+	if old != nil && sameLayout(old.pairs, update) {
+		if !adopt || cap(update) != len(update) {
+			update = slices.Clip(slices.Clone(update))
+		}
+		return &record{pairs: update, updatedAt: at}, true
+	}
 	update = normalized(update)
 	var base []attr.Pair
 	if old != nil {
@@ -131,7 +149,7 @@ func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) *recor
 		}
 	}
 	if adopt && n == len(update) && cap(update) == n {
-		return &record{pairs: update, updatedAt: at}
+		return &record{pairs: update, updatedAt: at}, false
 	}
 	pairs := make([]attr.Pair, 0, n)
 	i, j := 0, 0
@@ -149,7 +167,21 @@ func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) *recor
 	}
 	pairs = append(pairs, base[i:]...)
 	pairs = append(pairs, update[j:]...)
-	return &record{pairs: pairs, updatedAt: at}
+	return &record{pairs: pairs, updatedAt: at}, false
+}
+
+// sameLayout reports whether update names exactly old's attributes, in
+// old's order.
+func sameLayout(old, update []attr.Pair) bool {
+	if len(old) != len(update) {
+		return false
+	}
+	for i := range old {
+		if old[i].Name != update[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // normalized returns update strictly sorted by name. A Host's push is an
@@ -254,7 +286,7 @@ func (c *Collection) SetIndexedKeys(keys ...string) {
 	defer c.mu.Unlock()
 	c.idx = newAttrIndex(keys)
 	for _, e := range c.entries {
-		c.idx.replace(e, nil, e.rec)
+		c.idx.replace(e, nil, e.rec, false)
 	}
 }
 
@@ -318,8 +350,9 @@ func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at ti
 	} else {
 		old = e.rec
 	}
-	e.rec = newRecord(old, attrs, at, adopt)
-	c.idx.replace(e, old, e.rec)
+	var same bool
+	e.rec, same = newRecord(old, attrs, at, adopt)
+	c.idx.replace(e, old, e.rec, same)
 }
 
 // Leave removes a member's record.
@@ -335,7 +368,7 @@ func (c *Collection) Leave(member loid.LOID, credential string) error {
 	}
 	delete(c.records, member)
 	c.entries = removeEntry(c.entries, e)
-	c.idx.replace(e, e.rec, nil)
+	c.idx.replace(e, e.rec, nil, false)
 	return nil
 }
 
@@ -475,11 +508,12 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 	// Matches are compacted to the front of the snapshot, so the reply
 	// is allocated once, at its exact length.
 	n, skips := 0, 0
-	env := query.Env{Funcs: funcs}
+	v := &view{env: query.Env{Funcs: funcs}}
+	v.env.Rec = v
 	for _, cand := range snap {
 		if e != nil {
-			env.Rec = cand.rec
-			ok, err := query.EvalEnv(e, &env)
+			v.rec = cand.rec
+			ok, err := query.EvalEnv(e, &v.env)
 			if err != nil {
 				// One record's bad value must not hide every other
 				// resource from the scheduler: skip it and report the
@@ -507,6 +541,22 @@ func (c *Collection) QueryCtx(ctx context.Context, src string) (_ []Record, err 
 	}
 	return out, nil
 }
+
+// view is what a query evaluates its candidates through: the
+// evaluation environment, the candidate under evaluation, and one
+// attr.Finder for all of them, so a name is looked for first at the
+// slot where the previous candidate held it. It is one allocation per
+// query, the environment's own; the evaluator sees the same view for
+// every candidate, which is why a query.Func may use its record only
+// during the call.
+type view struct {
+	env  query.Env
+	rec  *record
+	find attr.Finder
+}
+
+// Lookup implements query.Record over the candidate under evaluation.
+func (v *view) Lookup(name string) (attr.Value, bool) { return v.find.Lookup(v.rec.pairs, name) }
 
 // candidate is one entry as a query snapshots it: the entry, for its
 // member, and the record the entry held under the read lock.

@@ -403,3 +403,54 @@ func TestPublicWritesNeverAliasCaller(t *testing.T) {
 		})
 	}
 }
+
+// TestSameLayoutUpdate: a full re-push in the record's layout takes the
+// path with no merge. Through Update the record is a copy, so writing
+// into the caller's slice afterwards leaves it unchanged; through the
+// ORB handler it is the pushed version itself. Either way the index
+// follows an indexed value that moved.
+func TestSameLayoutUpdate(t *testing.T) {
+	rt := orb.NewRuntime("uva")
+	c := New(rt, nil)
+	m := member(1)
+	if err := c.Join(m, pushAttrs("z1", 0.5), ""); err != nil {
+		t.Fatal(err)
+	}
+	zone := func(z string) int {
+		t.Helper()
+		recs, err := c.Query(`$host_zone == "` + z + `"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+
+	push := pushAttrs("z2", 0.25)
+	if _, same := newRecord(c.records[m].rec, push, time.Time{}, false); !same {
+		t.Fatal("a full re-push is not in the record's layout")
+	}
+	want := slices.Clone(push)
+	if err := c.Update(m, push, ""); err != nil {
+		t.Fatal(err)
+	}
+	for i := range push {
+		push[i] = attr.Pair{Name: "scribbled", Value: attr.Int(-1)}
+	}
+	if got := c.records[m].rec.pairs; !samePairs(got, want) {
+		t.Errorf("the record follows the caller's slice: %v, want %v", got, want)
+	}
+	if zone("z1") != 0 || zone("z2") != 1 {
+		t.Errorf("after Update: z1 holds %d, z2 %d; want 0 and 1", zone("z1"), zone("z2"))
+	}
+
+	pairs := pushAttrs("z3", 0.75)
+	if _, err := rt.Call(context.Background(), c.LOID(), proto.MethodUpdateCollectionEntry, proto.UpdateArgs{Member: m, Attrs: pairs}); err != nil {
+		t.Fatal(err)
+	}
+	if &c.records[m].rec.pairs[0] != &pairs[0] {
+		t.Error("the ORB handler copied a same-layout update instead of adopting it")
+	}
+	if zone("z2") != 0 || zone("z3") != 1 {
+		t.Errorf("after the ORB update: z2 holds %d, z3 %d; want 0 and 1", zone("z2"), zone("z3"))
+	}
+}

@@ -288,9 +288,9 @@ func checkAgainstModel(t *testing.T, c *Collection, model map[loid.LOID]*modelRe
 	fresh := newAttrIndex(DefaultIndexedKeys)
 	for _, m := range members {
 		e := c.records[m]
-		fresh.replace(e, nil, e.rec)
+		fresh.replace(e, nil, e.rec, false)
 	}
-	for k := range fresh.keys {
+	for _, k := range fresh.keys {
 		got, want := c.idx.buckets[k], fresh.buckets[k]
 		if len(got) != len(want) {
 			t.Fatalf("%s: index key %q: %d buckets, rebuilt %d", step, k, len(got), len(want))
@@ -322,7 +322,7 @@ func checkAgainstModel(t *testing.T, c *Collection, model map[loid.LOID]*modelRe
 		}
 		var want []Record
 		for m, r := range model {
-			if ok, err := query.Eval(e, query.MapRecord(r.attrs)); err == nil && ok {
+			if ok, err := query.Eval(e, attr.NewSet(r.pairs()...)); err == nil && ok {
 				want = append(want, Record{Member: m, Attrs: r.pairs(), UpdatedAt: r.updatedAt})
 			}
 		}
@@ -367,6 +367,16 @@ func FuzzRecordMergeModel(f *testing.F) {
 	// and a covering re-join, each of which the adopting Collection keeps
 	// as it is.
 	f.Add([]byte{0, 2, 0, 7, 1, 9, 144, 3, 4, 128, 5, 6})
+	// Member 1 joins as {host_alive host_arch host_zone}, and re-pushes
+	// the same names in the same order by Update and by a batch of one:
+	// the same-layout path, no merge.
+	f.Add([]byte{0, 3, 2, 10, 0, 20, 1, 30, 16, 3, 2, 11, 0, 21, 1, 31, 32, 1, 0, 3, 2, 12, 0, 22, 1, 32})
+	// Near misses of that layout, each of which must merge: the same
+	// length with one name different (note for host_zone), the same
+	// names unsorted, and a repeated name.
+	f.Add([]byte{0, 3, 2, 10, 0, 20, 1, 30, 16, 3, 2, 11, 0, 21, 6, 31})
+	f.Add([]byte{0, 3, 2, 10, 0, 20, 1, 30, 16, 3, 0, 11, 2, 21, 1, 31})
+	f.Add([]byte{0, 3, 2, 10, 0, 20, 1, 30, 16, 3, 2, 11, 0, 21, 0, 31})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return

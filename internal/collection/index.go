@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"legion/internal/attr"
 	"legion/internal/loid"
@@ -72,7 +73,7 @@ func removeEntry(s []*entry, e *entry) []*entry {
 // as every record it matches, and every record in that bucket matches
 // it.
 type attrIndex struct {
-	keys    map[string]bool
+	keys    []string // each once, in the order given
 	buckets map[string]map[string]*indexBucket
 }
 
@@ -113,12 +114,11 @@ func decides(v attr.Value) bool {
 }
 
 func newAttrIndex(keys []string) *attrIndex {
-	ix := &attrIndex{
-		keys:    make(map[string]bool, len(keys)),
-		buckets: make(map[string]map[string]*indexBucket),
-	}
+	ix := &attrIndex{buckets: make(map[string]map[string]*indexBucket)}
 	for _, k := range keys {
-		ix.keys[k] = true
+		if !slices.Contains(ix.keys, k) {
+			ix.keys = append(ix.keys, k)
+		}
 	}
 	return ix
 }
@@ -158,16 +158,24 @@ func (ix *attrIndex) drop(e *entry, k string, v attr.Value) {
 // either may be nil (fresh join / removal). A key whose old and new
 // values land in the same bucket is left alone, so the common update — a
 // Host re-pushing its attributes with a new host_load, which is not
-// indexed — does no index work at all.
-func (ix *attrIndex) replace(e *entry, old, succ *record) {
-	for k := range ix.keys {
+// indexed — does no index work at all. sameLayout says succ has old's
+// layout (see newRecord): each key is then searched for once, in old,
+// and its new value read at the same slot of succ.
+func (ix *attrIndex) replace(e *entry, old, succ *record, sameLayout bool) {
+	for _, k := range ix.keys {
 		var ov, nv attr.Value
 		var had, has bool
-		if old != nil {
-			ov, had = old.Lookup(k)
-		}
-		if succ != nil {
-			nv, has = succ.Lookup(k)
+		if sameLayout {
+			if i, ok := slices.BinarySearchFunc(old.pairs, k, byName); ok {
+				ov, nv, had, has = old.pairs[i].Value, succ.pairs[i].Value, true, true
+			}
+		} else {
+			if old != nil {
+				ov, had = old.Lookup(k)
+			}
+			if succ != nil {
+				nv, has = succ.Lookup(k)
+			}
 		}
 		if had && has && sameBucket(ov, nv) {
 			continue
@@ -180,6 +188,9 @@ func (ix *attrIndex) replace(e *entry, old, succ *record) {
 		}
 	}
 }
+
+// byName orders a pair against a name.
+func byName(p attr.Pair, name string) int { return strings.Compare(p.Name, name) }
 
 // sameBucket reports whether a and b certainly have the same canonical
 // text, without rendering it. It compares what the text is made from —
@@ -219,7 +230,7 @@ type choice struct {
 func (ix *attrIndex) plan(terms []query.Term) choice {
 	best := choice{term: -1}
 	for i, t := range terms {
-		if !ix.keys[t.Attr] {
+		if !slices.Contains(ix.keys, t.Attr) {
 			continue
 		}
 		c := choice{term: i}

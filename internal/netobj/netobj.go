@@ -28,6 +28,11 @@ const (
 	attrBandwidth = "net_bandwidth_mbps"
 )
 
+// attrAlive is the liveness flag the Data Collection Daemon deposits
+// on every resource it watches (daemon.AttrAlive): false once the
+// resource stops answering.
+const attrAlive = "host_alive"
+
 // Query is the Collection query that selects link records.
 const Query = `defined($` + attrLatencyMS + `)`
 
@@ -91,12 +96,15 @@ type Latencies map[[2]string]float64
 
 // LatenciesOf reads link records as a Collection query returns them. A
 // record's pairs need not be sorted; a record missing a zone or carrying
-// a non-numeric latency is skipped.
+// a non-numeric latency is skipped, and so is a link the Data Collection
+// Daemon has flagged down (host_alive not true, the rule by which a
+// scheduler takes a host for down), so its zone pair costs what a pair
+// with no link does.
 func LatenciesOf(recs []proto.CollectionRecord) Latencies {
 	lat := make(Latencies, len(recs))
 	for _, rec := range recs {
 		var a, b string
-		ms, ok := 0.0, false
+		ms, ok, down := 0.0, false, false
 		for _, p := range rec.Attrs {
 			switch p.Name {
 			case attrZoneA:
@@ -105,9 +113,11 @@ func LatenciesOf(recs []proto.CollectionRecord) Latencies {
 				b = p.Value.Str()
 			case attrLatencyMS:
 				ms, ok = p.Value.AsFloat()
+			case attrAlive:
+				down = !p.Value.BoolVal()
 			}
 		}
-		if a == "" || b == "" || !ok {
+		if a == "" || b == "" || !ok || down {
 			continue
 		}
 		if b < a {

@@ -133,6 +133,11 @@ func TestLatenciesOf(t *testing.T) {
 		rec(attr.Pair{Name: attrLatencyMS, Value: attr.String("fast")},
 			attr.Pair{Name: attrZoneA, Value: attr.String("za")},
 			attr.Pair{Name: attrZoneB, Value: attr.String("zc")}),
+		// Flagged down by the Data Collection Daemon: skipped.
+		rec(attr.Pair{Name: attrZoneA, Value: attr.String("zd")},
+			attr.Pair{Name: attrZoneB, Value: attr.String("ze")},
+			attr.Pair{Name: attrLatencyMS, Value: attr.Float(1)},
+			attr.Pair{Name: attrAlive, Value: attr.Bool(false)}),
 	)
 	lat := LatenciesOf(recs)
 	if len(lat) != 3 {
@@ -148,6 +153,7 @@ func TestLatenciesOf(t *testing.T) {
 		{"zb", "zc", 50},  // a link joined with its zones out of order
 		{"zz", "zd", 7},   // the unsorted record
 		{"za", "zc", 200}, // the non-numeric record's pair: no link
+		{"zd", "ze", 200}, // the down link's pair: no link
 		{"za", "zq", 200}, // no record at all
 	} {
 		if got := lat.MS(c.a, c.b); got != c.want {

@@ -9,27 +9,20 @@ import (
 )
 
 // Record resolves $name attribute references during evaluation. A
-// Collection record, which is its sorted pairs, satisfies it with
-// attr.Lookup's binary search, and so does a Host's *attr.Set, which is
-// sorted pairs under a lock. MapRecord adapts the map attr.FromPairs
-// returns.
+// Host's *attr.Set satisfies it with attr.Lookup's binary search over
+// its sorted pairs. A Collection query evaluates its records through a
+// view that looks each name up with an attr.Finder, at the slot where
+// the previous record held it.
 type Record interface {
 	Lookup(name string) (attr.Value, bool)
-}
-
-// MapRecord adapts a plain attribute map to the Record interface.
-type MapRecord map[string]attr.Value
-
-// Lookup implements Record.
-func (m MapRecord) Lookup(name string) (attr.Value, bool) {
-	v, ok := m[name]
-	return v, ok
 }
 
 // Func is an injectable query function. Implementations receive the
 // record under evaluation (so injected functions can derive new
 // description information from existing attributes — the paper's §3.2
-// "function injection") and the evaluated argument values.
+// "function injection") and the evaluated argument values. rec is valid
+// only for the duration of the call: a Collection passes one view for
+// every record of a query, and moves it to the next record afterwards.
 type Func func(rec Record, args []attr.Value) (attr.Value, error)
 
 // Env is an evaluation environment: the record under test plus any

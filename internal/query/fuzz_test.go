@@ -10,15 +10,15 @@ import (
 // fuzzRecord is a representative host record for evaluating whatever the
 // fuzzer manages to parse: every attribute kind appears, so comparisons,
 // list builtins, and coercions all get exercised.
-var fuzzRecord = MapRecord{
-	"arch":        attr.String("x86"),
-	"os":          attr.String("Linux"),
-	"os_version":  attr.String("2.2"),
-	"cpus":        attr.Int(4),
-	"load":        attr.Float(0.25),
-	"interactive": attr.Bool(true),
-	"vaults":      attr.Strings("v1", "v2"),
-}
+var fuzzRecord = attr.NewSet(
+	attr.Pair{Name: "arch", Value: attr.String("x86")},
+	attr.Pair{Name: "os", Value: attr.String("Linux")},
+	attr.Pair{Name: "os_version", Value: attr.String("2.2")},
+	attr.Pair{Name: "cpus", Value: attr.Int(4)},
+	attr.Pair{Name: "load", Value: attr.Float(0.25)},
+	attr.Pair{Name: "interactive", Value: attr.Bool(true)},
+	attr.Pair{Name: "vaults", Value: attr.Strings("v1", "v2")},
+)
 
 // FuzzParse asserts the query front end is total: Parse never panics,
 // and anything it accepts can be printed and evaluated without panicking

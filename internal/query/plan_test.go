@@ -91,13 +91,17 @@ func TestConjunctiveTermsMatchEval(t *testing.T) {
 		`$cpus >= 2 and not ($os == "IRIX")`,
 		`3 <= $cpus and defined($vaults)`,
 	}
-	recs := []MapRecord{
-		{"arch": attr.String("mips"), "load": attr.Float(0.1), "alive": attr.Bool(true),
-			"zone": attr.String("uva"), "cpus": attr.Int(4), "os": attr.String("Linux"),
-			"vaults": attr.List(attr.String("v1"))},
-		{"arch": attr.String("sparc"), "load": attr.Float(0.9), "alive": attr.Bool(false),
-			"zone": attr.String("mit"), "cpus": attr.Int(1), "os": attr.String("IRIX")},
-		{}, // everything missing
+	recs := []*attr.Set{
+		attr.NewSet(
+			attr.Pair{Name: "arch", Value: attr.String("mips")}, attr.Pair{Name: "load", Value: attr.Float(0.1)},
+			attr.Pair{Name: "alive", Value: attr.Bool(true)}, attr.Pair{Name: "zone", Value: attr.String("uva")},
+			attr.Pair{Name: "cpus", Value: attr.Int(4)}, attr.Pair{Name: "os", Value: attr.String("Linux")},
+			attr.Pair{Name: "vaults", Value: attr.List(attr.String("v1"))}),
+		attr.NewSet(
+			attr.Pair{Name: "arch", Value: attr.String("sparc")}, attr.Pair{Name: "load", Value: attr.Float(0.9)},
+			attr.Pair{Name: "alive", Value: attr.Bool(false)}, attr.Pair{Name: "zone", Value: attr.String("mit")},
+			attr.Pair{Name: "cpus", Value: attr.Int(1)}, attr.Pair{Name: "os", Value: attr.String("IRIX")}),
+		attr.NewSet(), // everything missing
 	}
 	for _, src := range srcs {
 		e := mustParse(t, src)
@@ -168,11 +172,14 @@ func TestWithoutTermMatchesEval(t *testing.T) {
 		`($alive == true and $zone == "z1") and $load`, // non-bool operand
 		`not ($load > 0.2) and "z1" == $zone`,
 	}
-	recs := []MapRecord{
-		{"zone": attr.String("z1"), "load": attr.Float(0.1), "arch": attr.String("x86"), "alive": attr.Bool(true)},
-		{"zone": attr.String("z1"), "load": attr.Float(0.9), "arch": attr.Int(2), "alive": attr.Bool(false)},
-		{"zone": attr.String("z1"), "arch": attr.Float(-0.0), "alive": attr.Bool(true)},
-		{"zone": attr.String("z1")},
+	zone := attr.Pair{Name: "zone", Value: attr.String("z1")}
+	recs := []*attr.Set{
+		attr.NewSet(zone, attr.Pair{Name: "load", Value: attr.Float(0.1)},
+			attr.Pair{Name: "arch", Value: attr.String("x86")}, attr.Pair{Name: "alive", Value: attr.Bool(true)}),
+		attr.NewSet(zone, attr.Pair{Name: "load", Value: attr.Float(0.9)},
+			attr.Pair{Name: "arch", Value: attr.Int(2)}, attr.Pair{Name: "alive", Value: attr.Bool(false)}),
+		attr.NewSet(zone, attr.Pair{Name: "arch", Value: attr.Float(-0.0)}, attr.Pair{Name: "alive", Value: attr.Bool(true)}),
+		attr.NewSet(zone),
 	}
 	for _, src := range srcs {
 		e := mustParse(t, src)

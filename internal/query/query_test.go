@@ -415,16 +415,6 @@ func TestConcurrentEvalSharedExpr(t *testing.T) {
 	}
 }
 
-func TestMapRecordLookup(t *testing.T) {
-	m := MapRecord{"x": attr.Int(1)}
-	if v, ok := m.Lookup("x"); !ok || v.IntVal() != 1 {
-		t.Errorf("Lookup = %v, %v", v, ok)
-	}
-	if _, ok := m.Lookup("y"); ok {
-		t.Error("missing key found")
-	}
-}
-
 func TestErrorMessages(t *testing.T) {
 	_, err := Parse("(((")
 	var se *SyntaxError

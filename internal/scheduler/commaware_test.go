@@ -11,8 +11,10 @@ import (
 	"legion/internal/collection/daemon"
 	"legion/internal/host"
 	"legion/internal/loid"
+	"legion/internal/monitor"
 	"legion/internal/netobj"
 	"legion/internal/orb"
+	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/vault"
 )
@@ -244,5 +246,53 @@ func TestLinkObservedBySweep(t *testing.T) {
 	want = []string{"za", "zc", "zb"}
 	if got := chain(); !slices.Equal(got, want) {
 		t.Errorf("after the sweep: chain %v, want %v", got, want)
+	}
+}
+
+// TestDownLinkLeavesChain: a link that stops answering is flagged down
+// by the Data Collection Daemon's sweeps, and from then on CommAware
+// charges its zone pair as if no link joined it.
+func TestDownLinkLeavesChain(t *testing.T) {
+	e := newMultiZone(t, 2, "za", "zb", "zc")
+	ls := e.links(t, 50)
+	d := daemon.New(e.rt, daemon.Config{Retry: resilient.Policy{MaxAttempts: 1}, DownAfter: 2})
+	for _, l := range ls {
+		d.Watch(l.LOID())
+	}
+	d.PushInto(e.coll.LOID())
+	const rows, cols = 6, 6
+	chain := func() []string {
+		t.Helper()
+		rl, err := CommAware{Rows: rows, Cols: cols}.Generate(context.Background(), e.env, e.req(rows*cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.zoneChain(rl, rows, cols)
+	}
+	ctx := context.Background()
+	d.Sweep(ctx)
+	want := []string{"za", "zb", "zc"}
+	if got := chain(); !slices.Equal(got, want) {
+		t.Fatalf("all links up: chain %v, want %v", got, want)
+	}
+	// za-zb stops answering; its record keeps its last 5 ms.
+	dead := ls[0].LOID()
+	e.rt.SetFaultInjector(func(target loid.LOID, _ string) error {
+		if target == dead {
+			return orb.ErrInjectedFault
+		}
+		return nil
+	})
+	d.Sweep(ctx) // failure 1 of 2: not yet flagged
+	if got := chain(); !slices.Equal(got, want) {
+		t.Fatalf("one failed probe: chain %v, want %v", got, want)
+	}
+	d.Sweep(ctx) // failure 2 of 2: flagged down
+	if st := d.Liveness().State(dead); st != monitor.LivenessDown {
+		t.Fatalf("link liveness %v, want down", st)
+	}
+	want = []string{"za", "zc", "zb"} // za-zb now costs 200 ms, za-zc 50
+	if got := chain(); !slices.Equal(got, want) {
+		t.Errorf("link flagged down: chain %v, want %v", got, want)
 	}
 }
