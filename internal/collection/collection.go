@@ -84,10 +84,13 @@ var (
 //
 // Records from one kind of resource share a layout: the same names in
 // the same order, since a Host re-pushes its whole attribute set every
-// time. An update in its record's layout is applied without a merge
-// (newRecord) and moves the index without a second search
-// (attrIndex.replace), and a query looks each name up at the slot where
-// it found it in the previous candidate (attr.Finder).
+// time, and a daemon sweep deposits that set with the same liveness
+// attributes every time. An update in its record's layout, or in it
+// once sorted as a daemon's entry is, becomes the record without a merge
+// (newRecord); a partial update, such as a Host's own push into a record
+// a daemon also sweeps, is merged. The index and the query evaluator
+// each look names up through an attr.Finder, at the slot where they
+// last found them.
 //
 // Records are immutable copy-on-write snapshots: mutators build a
 // replacement record and swap the pointer under the write lock, so
@@ -105,13 +108,9 @@ type record struct {
 	updatedAt time.Time
 }
 
-// Lookup finds name in the record's pairs by binary search.
-func (r *record) Lookup(name string) (attr.Value, bool) { return attr.Lookup(r.pairs, name) }
-
 // newRecord builds the successor of old (nil for a fresh member) with
 // update merged in, an update's value replacing the old one of the same
-// name, and reports whether update had old's layout. Neither old nor
-// the result is ever mutated afterwards.
+// name. Neither old nor the result is ever mutated afterwards.
 //
 // An update in old's layout — exactly old's names, in old's order,
 // checked pairwise with ==, which interned and constant names answer
@@ -120,21 +119,25 @@ func (r *record) Lookup(name string) (attr.Value, bool) { return attr.Lookup(r.p
 // runs into one slice allocated at its exact length.
 //
 // With adopt set, the caller hands update over: nobody writes it again.
-// When update then is the whole merge — strictly sorted, naming every
-// attribute of old — and has cap == len, it becomes the record as it
-// is, with no copy. Without adopt the result never aliases update.
-func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) (*record, bool) {
-	if old != nil && sameLayout(old.pairs, update) {
-		if !adopt || cap(update) != len(update) {
-			update = slices.Clip(slices.Clone(update))
-		}
-		return &record{pairs: update, updatedAt: at}, true
-	}
-	update = normalized(update)
+// A copy normalized made is handed over in the same way. When update
+// then is the whole merge — strictly sorted, naming every attribute of
+// old — and has cap == len, it becomes the record as it is, with no
+// copy: so a daemon's sweep entry, a Host's snapshot with the liveness
+// attributes appended, is sorted into a copy that becomes the record.
+// Without adopt the result never aliases update.
+func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) *record {
 	var base []attr.Pair
 	if old != nil {
 		base = old.pairs
 	}
+	if old != nil && sameLayout(base, update) {
+		if !adopt || cap(update) != len(update) {
+			update = slices.Clip(slices.Clone(update))
+		}
+		return &record{pairs: update, updatedAt: at}
+	}
+	update, copied := normalized(update)
+	adopt = adopt || copied
 	n := len(base) + len(update)
 	for i, j := 0, 0; i < len(base) && j < len(update); {
 		c := strings.Compare(base[i].Name, update[j].Name)
@@ -149,7 +152,7 @@ func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) (*reco
 		}
 	}
 	if adopt && n == len(update) && cap(update) == n {
-		return &record{pairs: update, updatedAt: at}, false
+		return &record{pairs: update, updatedAt: at}
 	}
 	pairs := make([]attr.Pair, 0, n)
 	i, j := 0, 0
@@ -167,7 +170,7 @@ func newRecord(old *record, update []attr.Pair, at time.Time, adopt bool) (*reco
 	}
 	pairs = append(pairs, base[i:]...)
 	pairs = append(pairs, update[j:]...)
-	return &record{pairs: pairs, updatedAt: at}, false
+	return &record{pairs: pairs, updatedAt: at}
 }
 
 // sameLayout reports whether update names exactly old's attributes, in
@@ -184,17 +187,18 @@ func sameLayout(old, update []attr.Pair) bool {
 	return true
 }
 
-// normalized returns update strictly sorted by name. A Host's push is an
-// attr.Set.Snapshot, which already is, and comes back as it is. Anything
-// else is copied, stably sorted, and stripped of all but the last pair
-// of each name — later pairs overwrite earlier ones, as in attr.NewSet.
-func normalized(update []attr.Pair) []attr.Pair {
+// normalized returns update strictly sorted by name, and whether that
+// took a copy. A Host's push is an attr.Set.Snapshot, which already is,
+// and comes back as it is. Anything else is copied, stably sorted, and
+// stripped of all but the last pair of each name — later pairs overwrite
+// earlier ones, as in attr.NewSet; the copy has cap == len.
+func normalized(update []attr.Pair) ([]attr.Pair, bool) {
 	strict := true
 	for i := 1; i < len(update) && strict; i++ {
 		strict = update[i-1].Name < update[i].Name
 	}
 	if strict {
-		return update
+		return update, false
 	}
 	update = slices.Clone(update)
 	slices.SortStableFunc(update, func(a, b attr.Pair) int { return strings.Compare(a.Name, b.Name) })
@@ -205,7 +209,8 @@ func normalized(update []attr.Pair) []attr.Pair {
 		}
 		out = append(out, p)
 	}
-	return out
+	clear(update[len(out):])
+	return slices.Clip(out), true
 }
 
 // Collection is a Legion Collection object. Safe for concurrent use.
@@ -286,7 +291,7 @@ func (c *Collection) SetIndexedKeys(keys ...string) {
 	defer c.mu.Unlock()
 	c.idx = newAttrIndex(keys)
 	for _, e := range c.entries {
-		c.idx.replace(e, nil, e.rec, false)
+		c.idx.replace(e, nil, e.rec)
 	}
 }
 
@@ -350,9 +355,8 @@ func (c *Collection) upsert(e *entry, member loid.LOID, attrs []attr.Pair, at ti
 	} else {
 		old = e.rec
 	}
-	var same bool
-	e.rec, same = newRecord(old, attrs, at, adopt)
-	c.idx.replace(e, old, e.rec, same)
+	e.rec = newRecord(old, attrs, at, adopt)
+	c.idx.replace(e, old, e.rec)
 }
 
 // Leave removes a member's record.
@@ -368,7 +372,7 @@ func (c *Collection) Leave(member loid.LOID, credential string) error {
 	}
 	delete(c.records, member)
 	c.entries = removeEntry(c.entries, e)
-	c.idx.replace(e, e.rec, nil, false)
+	c.idx.replace(e, e.rec, nil)
 	return nil
 }
 

@@ -408,7 +408,9 @@ func TestPublicWritesNeverAliasCaller(t *testing.T) {
 // path with no merge. Through Update the record is a copy, so writing
 // into the caller's slice afterwards leaves it unchanged; through the
 // ORB handler it is the pushed version itself. Either way the index
-// follows an indexed value that moved.
+// follows an indexed value that moved. A daemon-shaped entry, the
+// liveness attributes appended after a sorted snapshot, is sorted into
+// one copy that becomes the record: no merge slice besides.
 func TestSameLayoutUpdate(t *testing.T) {
 	rt := orb.NewRuntime("uva")
 	c := New(rt, nil)
@@ -426,7 +428,7 @@ func TestSameLayoutUpdate(t *testing.T) {
 	}
 
 	push := pushAttrs("z2", 0.25)
-	if _, same := newRecord(c.records[m].rec, push, time.Time{}, false); !same {
+	if !sameLayout(c.records[m].rec.pairs, push) {
 		t.Fatal("a full re-push is not in the record's layout")
 	}
 	want := slices.Clone(push)
@@ -452,5 +454,34 @@ func TestSameLayoutUpdate(t *testing.T) {
 	}
 	if zone("z2") != 0 || zone("z3") != 1 {
 		t.Errorf("after the ORB update: z2 holds %d, z3 %d; want 0 and 1", zone("z2"), zone("z3"))
+	}
+
+	var sweep []attr.Pair
+	for _, p := range pushAttrs("z4", 0.5) {
+		if p.Name != "host_alive" && p.Name != "host_state" {
+			sweep = append(sweep, p)
+		}
+	}
+	sweep = append(sweep,
+		attr.Pair{Name: "host_alive", Value: attr.Bool(true)},
+		attr.Pair{Name: "host_state", Value: attr.String("up")})
+	if sameLayout(c.records[m].rec.pairs, sweep) {
+		t.Fatal("the daemon-shaped entry is sorted already")
+	}
+	want = pushAttrs("z4", 0.5)
+	if err := c.Update(m, sweep, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.records[m].rec.pairs; !samePairs(got, want) {
+		t.Errorf("after the daemon-shaped entry: %v, want %v", got, want)
+	}
+	if zone("z3") != 0 || zone("z4") != 1 {
+		t.Errorf("after the daemon-shaped entry: z3 holds %d, z4 %d; want 0 and 1", zone("z3"), zone("z4"))
+	}
+	if testing.CoverMode() != "" {
+		return // coverage instrumentation allocates
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Update(m, sweep, "") }); allocs > 2 {
+		t.Errorf("Update of a daemon-shaped entry: %.1f allocs/op, want 2 (the sorted copy and the record)", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 
 	"legion/internal/attr"
 	"legion/internal/loid"
@@ -75,6 +74,7 @@ func removeEntry(s []*entry, e *entry) []*entry {
 type attrIndex struct {
 	keys    []string // each once, in the order given
 	buckets map[string]map[string]*indexBucket
+	find    attr.Finder // replace's lookups
 }
 
 type indexBucket struct {
@@ -158,24 +158,19 @@ func (ix *attrIndex) drop(e *entry, k string, v attr.Value) {
 // either may be nil (fresh join / removal). A key whose old and new
 // values land in the same bucket is left alone, so the common update — a
 // Host re-pushing its attributes with a new host_load, which is not
-// indexed — does no index work at all. sameLayout says succ has old's
-// layout (see newRecord): each key is then searched for once, in old,
-// and its new value read at the same slot of succ.
-func (ix *attrIndex) replace(e *entry, old, succ *record, sameLayout bool) {
+// indexed — does no index work at all. Keys are looked up through the
+// index's Finder: in a successor of its record's layout a key sits at
+// the slot it had in the old record, so each lookup is one compare.
+// Callers hold the Collection's write lock, which covers the Finder.
+func (ix *attrIndex) replace(e *entry, old, succ *record) {
 	for _, k := range ix.keys {
 		var ov, nv attr.Value
 		var had, has bool
-		if sameLayout {
-			if i, ok := slices.BinarySearchFunc(old.pairs, k, byName); ok {
-				ov, nv, had, has = old.pairs[i].Value, succ.pairs[i].Value, true, true
-			}
-		} else {
-			if old != nil {
-				ov, had = old.Lookup(k)
-			}
-			if succ != nil {
-				nv, has = succ.Lookup(k)
-			}
+		if old != nil {
+			ov, had = ix.find.Lookup(old.pairs, k)
+		}
+		if succ != nil {
+			nv, has = ix.find.Lookup(succ.pairs, k)
 		}
 		if had && has && sameBucket(ov, nv) {
 			continue
@@ -188,9 +183,6 @@ func (ix *attrIndex) replace(e *entry, old, succ *record, sameLayout bool) {
 		}
 	}
 }
-
-// byName orders a pair against a name.
-func byName(p attr.Pair, name string) int { return strings.Compare(p.Name, name) }
 
 // sameBucket reports whether a and b certainly have the same canonical
 // text, without rendering it. It compares what the text is made from —
