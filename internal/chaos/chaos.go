@@ -28,27 +28,11 @@ import (
 	"time"
 
 	"legion/internal/core"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
-	"legion/internal/vault"
+	"legion/internal/sim"
 	"legion/internal/vclock"
 )
-
-// SiteSpec describes one administrative domain of a World.
-type SiteSpec struct {
-	// Domain names the site (and its runtime).
-	Domain string
-	// Hosts is how many hosts the site runs.
-	Hosts int
-	// Vaults is how many vaults the site runs (0 means 1). Every host can
-	// reach every site vault, so migration tests can exercise the
-	// cross-vault OPR move.
-	Vaults int
-	// HostMutate, when non-nil, adjusts each host's config (site policy,
-	// reservation timeouts, capacity).
-	HostMutate func(i int, c *host.Config)
-}
 
 // Site is one domain of a World.
 type Site struct {
@@ -67,57 +51,35 @@ type World struct {
 	rules map[*orb.Runtime][]orb.FaultInjector
 }
 
-// Clock returns the world's time source (opts.Clock at NewWorld, or the
-// wall clock).
+// Clock returns the world's time source: the first site's clock, or
+// the wall clock.
 func (w *World) Clock() vclock.Clock { return w.clock }
 
 // Seed returns the seed the World's fault RNG was built with.
 func (w *World) Seed() int64 { return w.seed }
 
-// NewWorld builds and federates the sites. Every site serves its objects
-// over loopback TCP and binds every other site's domain, so any
-// cross-domain call travels the real wire protocol. Each site defines a
-// "Worker" class for workloads to place. opts is applied to every site
-// (its Seed is offset per site so their schedulers do not move in
-// lockstep).
-func NewWorld(seed int64, opts core.Options, specs ...SiteSpec) (*World, error) {
+// NewWorld builds each site with sim.New and federates them. Every site
+// serves its objects over loopback TCP and binds every other site's
+// domain, so any cross-domain call travels the real wire protocol. Each
+// site defines a "Worker" class for workloads to place.
+func NewWorld(seed int64, sites ...sim.Spec) (*World, error) {
 	w := &World{
 		seed:  seed,
-		clock: vclock.Default(opts.Clock),
+		clock: vclock.Default(nil),
 		rng:   rand.New(rand.NewSource(seed)),
 		rules: make(map[*orb.Runtime][]orb.FaultInjector),
 	}
-	// Virtual-time worlds stay in one address space: TCP connection
-	// goroutines are invisible to the discrete-event barrier, so the
-	// sites are not served over the wire (links are still simulated —
-	// SetLatency sleeps on the virtual clock).
-	inProcess := opts.Clock != nil
-	for i, spec := range specs {
-		o := opts
-		o.Seed = opts.Seed + int64(i)
-		ms := core.New(spec.Domain, o)
-		nVaults := spec.Vaults
-		if nVaults <= 0 {
-			nVaults = 1
-		}
-		vaults := make([]loid.LOID, 0, nVaults)
-		for j := 0; j < nVaults; j++ {
-			v := ms.AddVault(vault.Config{Zone: spec.Domain})
-			vaults = append(vaults, v.LOID())
-		}
-		for j := 0; j < spec.Hosts; j++ {
-			cfg := host.Config{
-				Arch: "x86", OS: "Linux", OSVersion: "2.2",
-				CPUs: 4, MemoryMB: 512, Zone: spec.Domain,
-				Vaults: append([]loid.LOID(nil), vaults...),
-			}
-			if spec.HostMutate != nil {
-				spec.HostMutate(j, &cfg)
-			}
-			ms.AddHost(cfg)
+	for i, spec := range sites {
+		ms := sim.New(spec).MS
+		if i == 0 {
+			w.clock = ms.Runtime().Clock()
 		}
 		ms.DefineClass("Worker", nil)
-		if inProcess {
+		// Virtual-time sites stay in one address space: TCP connection
+		// goroutines are invisible to the discrete-event barrier, so
+		// they are not served over the wire (links are still simulated
+		// — SetLatency sleeps on the virtual clock).
+		if spec.Options.Clock != nil {
 			ms.ServeDirectory()
 			w.Sites = append(w.Sites, &Site{MS: ms})
 			continue
@@ -129,8 +91,8 @@ func NewWorld(seed int64, opts core.Options, specs ...SiteSpec) (*World, error) 
 		}
 		w.Sites = append(w.Sites, &Site{MS: ms, Addr: addr})
 	}
-	// Full-mesh federation (served worlds only; an in-process world has
-	// no wire addresses to bind).
+	// Full-mesh federation (served sites only; an in-process site has
+	// no wire address to bind).
 	for _, a := range w.Sites {
 		for _, b := range w.Sites {
 			if a != b && b.Addr != "" {

@@ -8,10 +8,10 @@ import (
 
 	"legion/internal/collection/daemon"
 	"legion/internal/core"
-	"legion/internal/host"
 	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 )
 
 // fastRetry keeps chaos runs quick: short backoff, tight budgets.
@@ -24,9 +24,15 @@ func fastRetry() resilient.Policy {
 	}
 }
 
-func newWorld(t *testing.T, specs ...SiteSpec) *World {
+// site declares a chaos site of n 4-CPU hosts whose schedulers draw
+// from seed.
+func site(domain string, seed int64, n int) sim.Spec {
+	return sim.Spec{Domain: domain, Options: core.Options{Seed: seed, Retry: fastRetry()}, Hosts: sim.UniformSpecs(n, 4)}
+}
+
+func newWorld(t *testing.T, sites ...sim.Spec) *World {
 	t.Helper()
-	w, err := NewWorld(42, core.Options{Seed: 7, Retry: fastRetry()}, specs...)
+	w, err := NewWorld(42, sites...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestScenarios(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			w := newWorld(t, SiteSpec{Domain: "uva", Hosts: 4})
+			w := newWorld(t, site("uva", 7, 4))
 			s := w.Sites[0]
 			crashed := sc.wound(w, s)
 			out, err := place(t, s, 3)
@@ -154,8 +160,8 @@ func TestScenarios(t *testing.T) {
 // after the partition heals.
 func TestPartitionFallsBackThenHeals(t *testing.T) {
 	w := newWorld(t,
-		SiteSpec{Domain: "uva", Hosts: 1},
-		SiteSpec{Domain: "sdsc", Hosts: 1})
+		site("uva", 7, 1),
+		site("sdsc", 8, 1))
 	uva, sdsc := w.Site("uva"), w.Site("sdsc")
 	ctx := context.Background()
 
@@ -203,8 +209,8 @@ func TestPartitionFallsBackThenHeals(t *testing.T) {
 // and verifies the half-open probe closes the circuit again.
 func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 	w := newWorld(t,
-		SiteSpec{Domain: "uva", Hosts: 1},
-		SiteSpec{Domain: "sdsc", Hosts: 1})
+		site("uva", 7, 1),
+		site("sdsc", 8, 1))
 	uva, sdsc := w.Site("uva"), w.Site("sdsc")
 	target := sdsc.MS.Hosts()[0].LOID()
 
@@ -237,9 +243,11 @@ func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 // detector against a crashed host and verifies schedulers skip the
 // flagged record while it is down — and use it again after revival.
 func TestDaemonFlagsCrashedHostAndSchedulerAvoidsIt(t *testing.T) {
-	w := newWorld(t, SiteSpec{Domain: "uva", Hosts: 2, HostMutate: func(i int, c *host.Config) {
-		c.MaxShared = 16
-	}})
+	uva := site("uva", 7, 2)
+	for i := range uva.Hosts {
+		uva.Hosts[i].MaxShared = 16
+	}
+	w := newWorld(t, uva)
 	s := w.Sites[0]
 	d := s.MS.NewDaemon(daemon.Config{})
 	ctx := context.Background()

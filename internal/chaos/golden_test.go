@@ -91,7 +91,7 @@ func goldenStorm(t *testing.T, seed int64) (trace []string, spans string) {
 			JitterRand: resilient.NewLockedRand(seed),
 		},
 	}
-	w, err := NewWorld(seed, opts, SiteSpec{Domain: "uva", Hosts: 4})
+	w, err := NewWorld(seed, sim.Spec{Domain: "uva", Options: opts, Hosts: sim.UniformSpecs(4, 4)})
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
 )
 
@@ -19,8 +20,8 @@ import (
 // reach several vaults, so migrations exercise the cross-vault OPR move.
 func migrationWorld(t *testing.T, seed int64, hosts, vaults int) (*World, *Site, *classobj.Class) {
 	t.Helper()
-	w, err := NewWorld(seed, core.Options{Seed: seed, Metrics: telemetry.NewRegistry()},
-		SiteSpec{Domain: "uva", Hosts: hosts, Vaults: vaults})
+	w, err := NewWorld(seed, sim.Spec{Domain: "uva", Options: core.Options{Seed: seed, Metrics: telemetry.NewRegistry()},
+		Hosts: sim.UniformSpecs(hosts, 4), Vaults: vaults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func stormWorld(t *testing.T, opts core.Options) (*World, *telemetry.Registry) {
 		MaxAttempts: 2, BaseDelay: time.Millisecond,
 		Budget: 2 * time.Second, AttemptTimeout: time.Second,
 	}
-	w, err := NewWorld(42, opts, SiteSpec{Domain: "uva", Hosts: 4})
+	w, err := NewWorld(42, sim.Spec{Domain: "uva", Options: opts, Hosts: sim.UniformSpecs(4, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

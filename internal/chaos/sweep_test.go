@@ -17,7 +17,6 @@ import (
 	"legion/internal/collection/daemon"
 	"legion/internal/core"
 	"legion/internal/economy"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
@@ -187,11 +186,12 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	if admission {
 		opts.MaxInFlight, opts.AdmissionQueue, opts.ShedWatermark = 4, 8, 0.8
 	}
-	w, err := NewWorld(seed, opts, SiteSpec{Domain: "uva", Hosts: sweepHosts, Vaults: sweepVaults,
-		HostMutate: func(i int, c *host.Config) {
-			c.Price = 0.25 * float64(i+1)
-			c.Spot = i%2 == 0
-		}})
+	hosts := sim.UniformSpecs(sweepHosts, 4)
+	for i := range hosts {
+		hosts[i].Price = 0.25 * float64(i+1)
+		hosts[i].Spot = i%2 == 0
+	}
+	w, err := NewWorld(seed, sim.Spec{Domain: "uva", Options: opts, Hosts: hosts, Vaults: sweepVaults})
 	if err != nil {
 		t.Fatal(err)
 	}

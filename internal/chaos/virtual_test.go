@@ -52,7 +52,7 @@ func TestVirtualStormDeterministicTrace(t *testing.T) {
 				JitterRand: resilient.NewLockedRand(seed),
 			},
 		}
-		w, err := NewWorld(seed, opts, SiteSpec{Domain: "uva", Hosts: 4})
+		w, err := NewWorld(seed, sim.Spec{Domain: "uva", Options: opts, Hosts: sim.UniformSpecs(4, 4)})
 		if err != nil {
 			t.Fatalf("world: %v", err)
 		}
@@ -110,8 +110,9 @@ func TestVirtualStormDeterministicTrace(t *testing.T) {
 func TestStormFollowsWorldSeed(t *testing.T) {
 	run := func(seed int64) []string {
 		vc := vclock.NewVirtual()
-		w, err := NewWorld(seed, core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: vc},
-			SiteSpec{Domain: "uva", Hosts: 4})
+		w, err := NewWorld(seed, sim.Spec{Domain: "uva",
+			Options: core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: vc},
+			Hosts:   sim.UniformSpecs(4, 4)})
 		if err != nil {
 			t.Fatalf("world: %v", err)
 		}

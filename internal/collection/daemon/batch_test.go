@@ -115,7 +115,6 @@ func TestBatchingProperty(t *testing.T) {
 				// breaker would keep a revived resource failing fast and
 				// diverge the model, so breakers effectively never open.
 				Breakers:    resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
-				Liveness:    monitor.NewLiveness(time.Hour, 1, nil),
 				DownAfter:   1,
 				Parallelism: tc.parallelism,
 			})

@@ -65,9 +65,6 @@ type Config struct {
 	// the Metasystem's domain-wide set); nil means a private set with
 	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
-	// Liveness, when non-nil, is the tracker to feed; nil makes the
-	// daemon create its own (read it back via Liveness()).
-	Liveness *monitor.Liveness
 	// DownAfter consecutive probe failures flag the resource's records;
 	// zero means 2.
 	DownAfter int
@@ -124,24 +121,19 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 8
 	}
-	if cfg.Liveness == nil {
-		cfg.Liveness = monitor.NewLiveness(3*cfg.Interval, cfg.DownAfter, rt.Clock())
-		// A tracker minted here is observed by nothing else, so the
-		// daemon wires the flap counters itself; a caller-supplied
-		// tracker keeps whatever observer the caller installed.
-		wireLivenessCounters(cfg.Liveness, rt.Metrics())
-	}
 	if cfg.Retry.Clock == nil {
 		cfg.Retry.Clock = rt.Clock()
 	}
 	if cfg.Breakers == nil {
 		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
+	live := monitor.NewLiveness(3*cfg.Interval, cfg.DownAfter, rt.Clock())
+	wireLivenessCounters(live, rt.Metrics())
 	return &Daemon{
 		rt:       rt,
 		cfg:      cfg,
 		call:     resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
-		live:     cfg.Liveness,
+		live:     live,
 		loadHist: make(map[loid.LOID][]float64),
 		flagged:  make(map[loid.LOID]bool),
 	}

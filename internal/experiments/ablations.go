@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"time"
 
+	"legion/internal/core"
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 )
 
 // A1VariantVsRegenerate ablates the variant-schedule mechanism (DESIGN
@@ -219,7 +221,8 @@ func A3SnapshotVsDirect(rounds, staleSteps int) *Table {
 	}
 	ctx := context.Background()
 	for _, strat := range []string{"collection snapshot (stale)", "direct host queries (fresh)"} {
-		ms, fleet := uniformFleet(33, 8, 4)
+		fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 33}, Hosts: sim.UniformSpecs(8, 4)})
+		ms := fleet.MS
 		rng := rand.New(rand.NewSource(33))
 		correct, calls := 0, 0
 		var lat []time.Duration

@@ -50,7 +50,7 @@ func TestE11DifferentialVirtualClock(t *testing.T) {
 			opts.Retry.Clock = vc
 			opts.Retry.JitterRand = resilient.NewLockedRand(7)
 		}
-		w, err := chaos.NewWorld(11, opts, chaos.SiteSpec{Domain: "uva", Hosts: 2})
+		w, err := chaos.NewWorld(11, sim.Spec{Domain: "uva", Options: opts, Hosts: sim.UniformSpecs(2, 4)})
 		if err != nil {
 			t.Fatalf("world: %v", err)
 		}

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"legion/internal/core"
 	"legion/internal/proto"
 	"legion/internal/reservation"
+	"legion/internal/sim"
 )
 
 // E2ReservationContention sweeps offered load against a fixed pool of
@@ -40,10 +42,9 @@ func E2ReservationContention(offered []int) *Table {
 	} {
 		row := []any{ty.String()}
 		for _, o := range offered {
-			ms, _ := uniformFleet(2, nHosts, 1)
-			// uniformFleet's hosts default MaxShared=4*CPUs; rebuild with
-			// explicit bound by using the host's admission via CPUs=1 ->
-			// MaxShared=4, which matches the experiment's parameters.
+			// One CPU per host and the default MaxShared of 4×CPUs: each
+			// host admits four, the experiment's bound.
+			ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 2}, Hosts: sim.UniformSpecs(nHosts, 1)}).MS
 			hosts := ms.Hosts()
 			vaultL := ms.Vaults()[0].LOID()
 			granted := 0
@@ -83,7 +84,7 @@ func E3MigrationPipeline(stateSizes []int) *Table {
 	}
 	ctx := context.Background()
 	for _, size := range stateSizes {
-		ms, _ := uniformFleet(3, 2, 8)
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 3}, Hosts: sim.UniformSpecs(2, 8)}).MS
 		class := ms.DefineClass("Worker", nil)
 		h1, h2 := ms.Hosts()[0], ms.Hosts()[1]
 		insts, p, err := class.CreateInstance(ctx, 1, nil, nil)
@@ -134,7 +135,7 @@ func E3TriggerLatency(rounds int) *Table {
 	if rounds < 1 {
 		rounds = 50
 	}
-	ms, _ := uniformFleet(3, 1, 8)
+	ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 3}, Hosts: sim.UniformSpecs(1, 8)}).MS
 	defer ms.Close()
 	ctx := context.Background()
 	h := ms.Hosts()[0]

@@ -24,6 +24,7 @@ import (
 	"legion/internal/scheduler"
 	"legion/internal/sim"
 	"legion/internal/telemetry"
+	"legion/internal/vault"
 	"legion/internal/vclock"
 )
 
@@ -237,7 +238,7 @@ func TestEconomyLedgerConservationCampaign(t *testing.T) {
 func TestPreemptionExactlyOnce(t *testing.T) {
 	ms := core.New("preempt", core.Options{Seed: 3, Metrics: telemetry.NewRegistry(), Economy: true})
 	defer ms.Close()
-	vlt := ms.AddVault(vaultCfg("z1"))
+	vlt := ms.AddVault(vault.Config{Zone: "z1"})
 
 	spot := ms.AddHost(host.Config{
 		Arch: "x86", OS: "Linux", CPUs: 2, MemoryMB: 256, Zone: "z1",

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"legion/internal/core"
 	"legion/internal/sim"
 )
 
@@ -96,26 +95,15 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// uniformFleet builds a homogeneous metasystem for latency-oriented
-// experiments.
-func uniformFleet(seed int64, hosts, cpus int) (*core.Metasystem, *sim.Fleet) {
-	ms := core.New("uva", core.Options{Seed: seed})
-	f := sim.Build(ms, rand.New(rand.NewSource(seed)), sim.UniformSpecs(hosts, cpus))
-	return ms, f
-}
+// newRand seeds a deterministic source.
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// heteroFleet builds a mixed-architecture metasystem for placement-
-// quality experiments. maxShared lifts per-host admission bounds when
-// the experiment wants capacity rather than admission to discriminate.
-func heteroFleet(seed int64, hosts int, maxShared int, zones ...string) (*core.Metasystem, *sim.Fleet) {
-	ms := core.New("uva", core.Options{Seed: seed})
-	rng := rand.New(rand.NewSource(seed))
-	specs := sim.RandomSpecs(rng, hosts, zones...)
+// withMaxShared sets the admission bound on every spec.
+func withMaxShared(specs []sim.HostSpec, n int) []sim.HostSpec {
 	for i := range specs {
-		specs[i].MaxShared = maxShared
+		specs[i].MaxShared = n
 	}
-	f := sim.Build(ms, rng, specs)
-	return ms, f
+	return specs
 }
 
 // meanDuration averages a sample set.

@@ -6,26 +6,12 @@ import (
 	"time"
 
 	"legion/internal/core"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
-
-// vaultCfg and hostCfg are small config builders for experiments needing
-// explicit admission bounds.
-func vaultCfg(zone string) vault.Config { return vault.Config{Zone: zone} }
-
-func hostCfg(zone string, vaultL loid.LOID, maxShared int) host.Config {
-	return host.Config{
-		Arch: "x86", OS: "Linux", OSVersion: "2.2",
-		CPUs: 8, MemoryMB: 1024, Zone: zone,
-		MaxShared: maxShared,
-		Vaults:    []loid.LOID{vaultL},
-	}
-}
 
 // Table1HostInterface exercises every operation of the Host resource
 // management interface (paper Table 1) and reports per-operation latency
@@ -35,10 +21,9 @@ func Table1HostInterface(iters int) *Table {
 	if iters < 1 {
 		iters = 100
 	}
-	ms := core.New("uva", core.Options{Seed: 1})
+	ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 1},
+		Hosts: withMaxShared(sim.UniformSpecs(1, 8), iters+8)}).MS
 	defer ms.Close()
-	vlt := ms.AddVault(vaultCfg("z1"))
-	ms.AddHost(hostCfg("z1", vlt.LOID(), iters+8))
 	ctx := context.Background()
 	h := ms.Hosts()[0]
 	v := ms.Vaults()[0]
@@ -161,7 +146,7 @@ func Table2ReservationTypes() *Table {
 		reservation.OneShotTimesharing,
 		reservation.ReusableTimesharing,
 	} {
-		ms, _ := uniformFleet(2, 1, 8)
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 2}, Hosts: sim.UniformSpecs(1, 8)}).MS
 		h := ms.Hosts()[0]
 		v := ms.Vaults()[0]
 		class := ms.DefineClass("Worker", nil)

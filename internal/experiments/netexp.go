@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"legion/internal/core"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/netobj"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 )
 
 // E5NetworkObjects measures the §6 future-work extension: Network
@@ -48,19 +48,19 @@ const e5Rows, e5Cols = 12, 6
 // queried.
 func e5Row(t *Table, gen scheduler.Generator) error {
 	ctx := context.Background()
-	ms := core.New("uva", core.Options{Seed: 55})
-	defer ms.Close()
-	zoneOf := map[loid.LOID]string{}
+	var hosts []sim.HostSpec
 	cpusByZone := map[string][]int{"za": {16, 2}, "zb": {12, 4}, "zc": {8, 6}}
 	for _, z := range []string{"za", "zb", "zc"} {
-		v := ms.AddVault(vaultCfg(z))
 		for _, cpus := range cpusByZone[z] {
-			h := ms.AddHost(host.Config{
-				Arch: "x86", OS: "Linux", CPUs: cpus, MemoryMB: 1024, Zone: z,
-				MaxShared: 1024, Vaults: []loid.LOID{v.LOID()},
-			})
-			zoneOf[h.LOID()] = z
+			hosts = append(hosts, sim.HostSpec{Arch: "x86", OS: "Linux", CPUs: cpus, MemoryMB: 1024, Zone: z, MaxShared: 1024})
 		}
+	}
+	fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 55}, Hosts: hosts})
+	ms := fleet.MS
+	defer ms.Close()
+	zoneOf := map[loid.LOID]string{}
+	for i, h := range fleet.Hosts {
+		zoneOf[h.LOID()] = hosts[i].Zone
 	}
 	for _, l := range []*netobj.Link{
 		netobj.NewLink(ms.Runtime(), "za", "zb", 5, 1000),

@@ -17,19 +17,17 @@ import (
 	"legion/internal/reservation"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 // Fig1CoreObjectTree builds and reports the Figure 1 core object
 // hierarchy: LegionClass managing HostClass, VaultClass, and a user
 // class, each managing their instances.
 func Fig1CoreObjectTree(hosts, extraVaults, workers int) *Table {
-	ms, _ := uniformFleet(1, hosts, 8)
+	ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 1},
+		Hosts: sim.UniformSpecs(hosts, 8), Vaults: 1 + extraVaults}).MS
 	defer ms.Close()
 	ctx := context.Background()
-	for i := 0; i < extraVaults; i++ {
-		ms.AddVault(vault.Config{Zone: "z1"})
-	}
 	class := ms.DefineClass("MyObj", nil)
 	placed := 0
 	for i := 0; i < workers; i++ {
@@ -199,7 +197,7 @@ func Fig2Layerings(rounds int) *Table {
 		{"(d) separate modules", runLayeringD},
 	}
 	for _, s := range schemes {
-		ms, _ := uniformFleet(7, 8, 8)
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 7}, Hosts: sim.UniformSpecs(8, 8)}).MS
 		class := ms.DefineClass("Worker", nil)
 
 		var mu sync.Mutex
@@ -234,7 +232,7 @@ func Fig2Layerings(rounds int) *Table {
 // Fig3PlacementTrace runs one full placement and reports the observed
 // method-invocation sequence mapped to the 13 steps of Figure 3.
 func Fig3PlacementTrace() *Table {
-	ms, _ := uniformFleet(11, 3, 8)
+	ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 11}, Hosts: sim.UniformSpecs(3, 8)}).MS
 	defer ms.Close()
 	ctx := context.Background()
 	class := ms.DefineClass("MyObj", nil)

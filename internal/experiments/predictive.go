@@ -69,12 +69,12 @@ func E15PredictiveRebalancing(steps int) *Table {
 	} {
 		vc := vclock.NewVirtual()
 		reg := telemetry.NewRegistry()
-		ms := core.New("uva", core.Options{Seed: 15, Metrics: reg, Clock: vc})
 		// 32-CPU hosts keep each running object's own load contribution
 		// small (~0.03) so the advertised load the daemon publishes tracks
 		// the external ramp rather than the shed feedback — the signal the
 		// trend fit needs to be clean.
-		sim.Build(ms, newRand(15), withMaxShared(sim.UniformSpecs(nHosts, 32), 64))
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 15, Metrics: reg, Clock: vc},
+			Hosts: withMaxShared(sim.UniformSpecs(nHosts, 32), 64)}).MS
 		class := ms.DefineClass("Worker", nil)
 
 		// The driver itself stays an unmanaged goroutine (the vclock
@@ -233,7 +233,7 @@ func E16ParamSpaceThroughput(tasks int) *Table {
 
 	// Arm 1: one Wrapper negotiation per task (fresh one-shot grant).
 	{
-		ms, _ := uniformFleet(16, nHosts, 8)
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 16}, Hosts: sim.UniformSpecs(nHosts, 8)}).MS
 		class := ms.DefineClass("Worker", nil)
 		started, failed := 0, 0
 		wall0 := time.Now()
@@ -269,7 +269,7 @@ func E16ParamSpaceThroughput(tasks int) *Table {
 
 	// Arm 2: the ParamSpace pool.
 	{
-		ms, _ := uniformFleet(16, nHosts, 8)
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 16}, Hosts: sim.UniformSpecs(nHosts, 8)}).MS
 		class := ms.DefineClass("Worker", nil)
 		wall0 := time.Now()
 		res, err := scheduler.ParamSpace{Slots: slots, ReuseCap: reuseCap}.

@@ -8,6 +8,8 @@ import (
 
 	"legion/internal/attr"
 	"legion/internal/collection/daemon"
+	"legion/internal/core"
+	"legion/internal/sim"
 )
 
 // A4PushVsPull compares the Collection's two population models (DESIGN
@@ -27,7 +29,8 @@ func A4PushVsPull(steps int) *Table {
 	const nHosts = 6
 	for _, model := range []string{"push", "pull"} {
 		for _, period := range []int{1, 5} {
-			ms, fleet := uniformFleet(44, nHosts, 4)
+			fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 44}, Hosts: sim.UniformSpecs(nHosts, 4)})
+			ms := fleet.MS
 			rng := rand.New(rand.NewSource(44))
 			var d *daemon.Daemon
 			if model == "pull" {

@@ -4,23 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"legion/internal/classobj"
 	"legion/internal/core"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
 	"legion/internal/scheduler"
 	"legion/internal/sim"
 	"legion/internal/telemetry"
-	"legion/internal/vault"
 )
-
-// newRand seeds a deterministic source for fleet construction.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // E6MonitoredRebalancing runs the full §3.5 closed loop over a timeline:
 // objects are placed once, background load then drifts unevenly, and the
@@ -44,10 +38,11 @@ func E6MonitoredRebalancing(steps int) *Table {
 
 	for _, monitored := range []bool{false, true} {
 		reg := telemetry.NewRegistry()
-		ms := core.New("uva", core.Options{Seed: 66, Metrics: reg})
 		// 8-CPU hosts: an object adds little load itself, so the drifting
 		// background load dominates the experienced-load objective.
-		fleet := sim.Build(ms, newRand(66), withMaxShared(sim.UniformSpecs(nHosts, 8), 64))
+		fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 66, Metrics: reg},
+			Hosts: withMaxShared(sim.UniformSpecs(nHosts, 8), 64)})
+		ms := fleet.MS
 		class := ms.DefineClass("Worker", nil)
 
 		out, err := ms.PlaceApplication(ctx, scheduler.LoadAware{}, scheduler.Request{
@@ -181,18 +176,8 @@ func E10RebalanceChaosScale(nHosts, nObjects, steps int, faultRate float64) *Tab
 
 	for _, rate := range []float64{0, faultRate} {
 		reg := telemetry.NewRegistry()
-		ms := core.New("uva", core.Options{Seed: 1999, Metrics: reg})
-		vaults := make([]loid.LOID, 0, 2)
-		for i := 0; i < 2; i++ {
-			v := ms.AddVault(vault.Config{Zone: "z1"})
-			vaults = append(vaults, v.LOID())
-		}
-		for i := 0; i < nHosts; i++ {
-			ms.AddHost(host.Config{
-				Arch: "x86", OS: "Linux", CPUs: 8, MemoryMB: 1024, Zone: "z1",
-				MaxShared: 64, Vaults: append([]loid.LOID(nil), vaults...),
-			})
-		}
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 1999, Metrics: reg},
+			Hosts: withMaxShared(sim.UniformSpecs(nHosts, 8), 64), Vaults: 2}).MS
 		class := ms.DefineClass("Worker", nil)
 		out, err := ms.PlaceApplication(ctx, scheduler.LoadAware{}, scheduler.Request{
 			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: nObjects}},
@@ -294,12 +279,4 @@ func E10RebalanceChaosScale(nHosts, nObjects, steps int, faultRate float64) *Tab
 		"faults hit the migration protocol itself: destination StartObject and vault StoreOPR fail at the given rate",
 		"after the storm one Reconcile pass runs; the audit then checks exactly-once + zero leaked tokens + zero orphan OPRs")
 	return t
-}
-
-// withMaxShared sets the admission bound on every spec.
-func withMaxShared(specs []sim.HostSpec, n int) []sim.HostSpec {
-	for i := range specs {
-		specs[i].MaxShared = n
-	}
-	return specs
 }

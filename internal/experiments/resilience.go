@@ -14,6 +14,7 @@ import (
 	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 )
 
 // E7FaultRateResilience measures end-to-end placement under injected
@@ -68,12 +69,9 @@ func faultRateRun(trials int, rate float64, resilienceOn bool) (placed int, mean
 	if !resilienceOn {
 		retry.MaxAttempts = 1
 	}
-	ms := core.New("uva", core.Options{Seed: 1, Retry: retry})
+	ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 1, Retry: retry},
+		Hosts: withMaxShared(sim.UniformSpecs(4, 8), trials*4+16)}).MS
 	defer ms.Close()
-	vlt := ms.AddVault(vaultCfg("z1"))
-	for i := 0; i < 4; i++ {
-		ms.AddHost(hostCfg("z1", vlt.LOID(), trials*4+16))
-	}
 	class := ms.DefineClass("Worker", nil)
 
 	// Seeded flaky link: deterministic across runs.

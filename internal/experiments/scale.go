@@ -111,22 +111,24 @@ type campaignRun struct {
 
 func (c virtualCampaign) run() campaignRun {
 	vc := vclock.NewVirtual()
-	ms := core.New(c.domain, core.Options{
-		Seed:    c.seed,
-		Metrics: telemetry.NewRegistry(),
-		Clock:   vc,
-		Economy: c.economy,
-		Retry: resilient.Policy{
-			MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
-			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
-			Clock: vc, JitterRand: resilient.NewLockedRand(c.seed),
+	fleet := sim.New(sim.Spec{
+		Domain: c.domain,
+		Options: core.Options{
+			Seed:    c.seed,
+			Metrics: telemetry.NewRegistry(),
+			Clock:   vc,
+			Economy: c.economy,
+			Retry: resilient.Policy{
+				MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
+				Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
+				Clock: vc, JitterRand: resilient.NewLockedRand(c.seed),
+			},
 		},
+		Hosts: c.specs(newRand(c.seed), c.hosts, c.zones...),
 	})
+	ms := fleet.MS
 	defer ms.Close()
 	class := ms.DefineClass("Worker", nil)
-
-	rng := rand.New(rand.NewSource(c.seed))
-	fleet := sim.Build(ms, rng, c.specs(rng, c.hosts, c.zones...))
 	// 2ms±1ms virtual link latency on every method call: placement
 	// latency becomes a count of negotiation round-trips, measured
 	// exactly in virtual time.

@@ -11,7 +11,7 @@ import (
 	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/sched"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 // Fig5VariantSelection measures the schedule data structure of Figure 5:
@@ -204,28 +204,17 @@ type msEnv struct {
 }
 
 func newMSEnv(nHosts, cpus int, broken ...int) *msEnv {
-	ms := core.New("uva", core.Options{Seed: 6})
-	brokenSet := map[int]bool{}
+	fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 6}, Hosts: sim.UniformSpecs(nHosts, cpus)})
 	for _, b := range broken {
-		brokenSet[b] = true
+		fleet.Hosts[b].SetPolicy(func(proto.MakeReservationArgs) error {
+			return fmt.Errorf("%w: broken for experiment", host.ErrPolicy)
+		})
 	}
-	vaultL := ms.AddVault(vault.Config{Zone: "z1"}).LOID()
-	env := &msEnv{ms: ms, vault: vaultL}
-	for i := 0; i < nHosts; i++ {
-		cfg := host.Config{
-			Arch: "x86", OS: "Linux", CPUs: cpus, MemoryMB: 1024, Zone: "z1",
-			Vaults: []loid.LOID{vaultL},
-		}
-		if brokenSet[i] {
-			cfg.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken for experiment", host.ErrPolicy)
-			}
-		}
-		h := ms.AddHost(cfg)
+	ms := fleet.MS
+	env := &msEnv{ms: ms, vault: ms.Vaults()[0].LOID(), class: ms.DefineClass("Worker", nil).LOID()}
+	for _, h := range fleet.Hosts {
 		env.hosts = append(env.hosts, h.LOID())
 	}
-	c := ms.DefineClass("Worker", nil)
-	env.class = c.LOID()
 	return env
 }
 

@@ -8,6 +8,7 @@ import (
 	"legion/internal/core"
 	"legion/internal/proto"
 	"legion/internal/scheduler"
+	"legion/internal/sim"
 )
 
 // Fig7RandomScheduler characterizes the Figure 7 random placement
@@ -24,7 +25,9 @@ func Fig7RandomScheduler(counts []int) *Table {
 	}
 	ctx := context.Background()
 	for _, n := range counts {
-		ms, fleet := heteroFleet(7, 12, 256)
+		fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 7},
+			Hosts: withMaxShared(sim.RandomSpecs(newRand(7), 12), 256)})
+		ms := fleet.MS
 		class := ms.DefineClass("Worker", nil)
 		out, err := ms.PlaceApplication(ctx, scheduler.Random{}, scheduler.Request{
 			Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: n}},
@@ -64,11 +67,8 @@ func Fig8IRS(rounds int) *Table {
 		// each round places 6 objects. Random choices collide within a
 		// placement (birthday effect) and force whole-schedule
 		// regeneration; IRS absorbs collisions with variants.
-		ms := core.New("uva", core.Options{Seed: 8})
-		vlt := ms.AddVault(vaultCfg("z1"))
-		for i := 0; i < 8; i++ {
-			ms.AddHost(hostCfg("z1", vlt.LOID(), 1))
-		}
+		ms := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 8},
+			Hosts: withMaxShared(sim.UniformSpecs(8, 8), 1)}).MS
 		class := ms.DefineClass("Worker", nil)
 		env := ms.Env()
 
@@ -151,7 +151,9 @@ func E1SchedulerLadder() *Table {
 			gens = append(gens, scheduler.Stencil{Rows: gridR, Cols: gridC})
 		}
 		for _, gen := range gens {
-			ms, fleet := heteroFleet(11, 10, 256)
+			fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 11},
+				Hosts: withMaxShared(sim.RandomSpecs(newRand(11), 10), 256)})
+			ms := fleet.MS
 			class := ms.DefineClass("Worker", nil)
 			res := shareSpec()
 			if _, isEco := gen.(scheduler.DeadlineBudget); isEco {

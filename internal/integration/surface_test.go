@@ -183,6 +183,47 @@ func TestNoProtoTypeAssertions(t *testing.T) {
 	})
 }
 
+// TestOneWorldBuilder holds that a world under internal/ is declared
+// once: a sim.Spec that sim.New builds. Outside internal/sim, and
+// internal/core which defines them, a non-test file that calls core.New,
+// AddHost or AddVault is wiring a world by hand.
+func TestOneWorldBuilder(t *testing.T) {
+	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if !strings.HasPrefix(rel, "internal/") ||
+			strings.HasPrefix(rel, "internal/sim/") || strings.HasPrefix(rel, "internal/core/") {
+			return
+		}
+		core := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"legion/internal/core"` {
+				core = "core"
+				if imp.Name != nil {
+					core = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			name := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok && core != "" && pkg.Name == core && name == "New" {
+				name = "core.New"
+			} else if name != "AddHost" && name != "AddVault" {
+				return true
+			}
+			t.Errorf("%s: %s builds a world by hand; declare a sim.Spec and build it with sim.New",
+				fset.Position(call.Pos()), name)
+			return true
+		})
+	})
+}
+
 // TestNoErrorTextMatching holds that the program learns how a call
 // ended from the error's type, never its text: the ORB reports a
 // transport failure as ErrUnreachable or ErrConnLost and carries the

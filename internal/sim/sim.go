@@ -3,14 +3,15 @@
 //
 // The paper evaluated Legion on a real multi-site testbed (Unix
 // workstations, MPPs, batch-managed clusters). That environment is not
-// available, so sim provides the closest synthetic equivalent: fleets of
-// heterogeneous Host objects (mixed architectures, OSes, CPU counts,
-// zones, costs, prices) at a drawn background load, an open-loop driver
-// that replays placement workloads against them (Drive), and the
-// makespan and imbalance metrics the scheduler tables judge placements
-// by. Experiments that need load to change over a run set it on the
-// Hosts themselves. The RMI code path exercised is exactly the
-// production one; only the machine behind each Host is synthetic.
+// available, so sim provides the closest synthetic equivalent: worlds
+// declared as a Spec and built by New, fleets of heterogeneous Host
+// objects (mixed architectures, OSes, CPU counts, zones, costs, prices)
+// at a drawn background load, an open-loop driver that replays
+// placement workloads against them (Drive), and the makespan and
+// imbalance metrics the scheduler tables judge placements by.
+// Experiments that need load to change over a run set it on the Hosts
+// themselves. The RMI code path exercised is exactly the production
+// one; only the machine behind each Host is synthetic.
 package sim
 
 import (
@@ -128,25 +129,52 @@ type Fleet struct {
 	idx       []int32
 }
 
-// Build constructs hosts (one per spec) in the metasystem, with one
-// shared vault per zone. Every random draw is already in specs: rng is
-// not read, and stays only so that existing callers keep compiling.
+// Spec declares one domain's world: the metasystem's options, its
+// hosts, and how many vaults each zone runs. New builds it.
+type Spec struct {
+	Domain  string
+	Options core.Options
+	Hosts   []HostSpec
+	// Vaults is how many vaults each zone runs (0 means 1). Every host
+	// reaches every vault of its zone.
+	Vaults int
+}
+
+// New builds the world s declares: the metasystem, then s.Vaults vaults
+// per zone in the order zones first appear among the hosts, then one
+// host per HostSpec.
+func New(s Spec) *Fleet {
+	return build(core.New(s.Domain, s.Options), s.Hosts, s.Vaults)
+}
+
+// Build constructs hosts (one per spec) in ms, with one vault per zone:
+// New's build step for a metasystem the caller already made. Every
+// random draw is already in specs: rng is not read, and stays only so
+// that existing callers keep compiling.
 func Build(ms *core.Metasystem, _ *rand.Rand, specs []HostSpec) *Fleet {
+	return build(ms, specs, 1)
+}
+
+func build(ms *core.Metasystem, specs []HostSpec, perZone int) *Fleet {
 	f := &Fleet{
 		MS:      ms,
 		Hosts:   make([]*host.Host, 0, len(specs)),
 		specIDs: make([]int32, 0, len(specs)),
 		loads:   make([]float32, 0, len(specs)),
 	}
-	// One vault per zone; all hosts of a zone share one immutable vault
-	// slice rather than allocating a single-element slice each.
-	vaults := make(map[string]loid.LOID)
-	vaultSlices := make(map[string][]loid.LOID)
+	if perZone < 1 {
+		perZone = 1
+	}
+	// All hosts of a zone share one immutable slice of its vaults rather
+	// than allocating their own.
+	vaults := make(map[string][]loid.LOID)
 	for _, s := range specs {
 		if _, ok := vaults[s.Zone]; !ok {
-			v := ms.AddVault(vault.Config{Zone: s.Zone})
-			vaults[s.Zone] = v.LOID()
-			vaultSlices[s.Zone] = []loid.LOID{v.LOID()}
+			zv := make([]loid.LOID, perZone)
+			for j := range zv {
+				zv[j] = ms.AddVault(vault.Config{Zone: s.Zone}).LOID()
+			}
+			vaults[s.Zone] = zv
 		}
 	}
 	catIdx := make(map[HostSpec]int32)
@@ -159,7 +187,7 @@ func Build(ms *core.Metasystem, _ *rand.Rand, specs []HostSpec) *Fleet {
 			Price:      s.Price,
 			Spot:       s.Spot,
 			Speed:      s.Speed,
-			Vaults:     vaultSlices[s.Zone],
+			Vaults:     vaults[s.Zone],
 		})
 		h.SetExternalLoad(s.Load)
 		h.Reassess(context.Background())

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,6 +41,43 @@ func TestBuildFleet(t *testing.T) {
 	}
 	if _, ok := f.indexOf(loid.LOID{Domain: "x", Class: "Host", Instance: 1}); ok {
 		t.Error("indexOf unknown host")
+	}
+
+	// A declared world of two zones with two vaults each: zone z2 appears
+	// first, so it mints first, and each host's host_vaults names exactly
+	// its own zone's two vaults in mint order.
+	specs := UniformSpecs(4, 4)
+	specs[0].Zone, specs[2].Zone = "z2", "z2"
+	f = New(Spec{Domain: "uva", Options: core.Options{Seed: 7}, Hosts: specs, Vaults: 2})
+	vaults := f.MS.Vaults()
+	if len(vaults) != 4 {
+		t.Fatalf("vaults: %d, want 2 per zone", len(vaults))
+	}
+	want := map[string][]string{
+		"z2": {vaults[0].LOID().String(), vaults[1].LOID().String()},
+		"z1": {vaults[2].LOID().String(), vaults[3].LOID().String()},
+	}
+	hosts := make([]loid.LOID, len(f.Hosts))
+	for i, h := range f.Hosts {
+		hosts[i] = h.LOID()
+		var got []string
+		for _, p := range h.Attributes() {
+			if p.Name == "host_vaults" {
+				for _, v := range p.Value.ListVal() {
+					got = append(got, v.Str())
+				}
+			}
+		}
+		if !slices.Equal(got, want[specs[i].Zone]) {
+			t.Errorf("host %d in %s: host_vaults %v, want %v", i, specs[i].Zone, got, want[specs[i].Zone])
+		}
+	}
+	one := mappingsOn(hosts, []int{1, 1, 1, 1})
+	if ms := f.Makespan(one, time.Second); ms != time.Second {
+		t.Errorf("makespan over New's hosts: %v, want 1s", ms)
+	}
+	if im := f.Imbalance(one); im != 1.0 {
+		t.Errorf("imbalance over New's hosts: %v, want 1", im)
 	}
 }
 
