@@ -13,7 +13,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -23,51 +22,54 @@ import (
 	"strings"
 	"time"
 
-	"legion/internal/batchq"
 	"legion/internal/classobj"
 	"legion/internal/collection/daemon"
-	"legion/internal/core"
 	"legion/internal/economy"
-	"legion/internal/host"
-	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
+	"legion/internal/sim"
 	"legion/internal/telemetry"
-	"legion/internal/vault"
 )
 
 func main() {
+	// The node is one sim.Spec: each flag sets the field it names, on
+	// the spec, on the template every host is copied from, or on the
+	// rebalancer's and the daemon's configs.
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7777", "TCP address to serve on")
-		domain   = flag.String("domain", "uva", "administrative domain name")
-		nHosts   = flag.Int("hosts", 4, "number of interactive Unix hosts")
-		nBatch   = flag.Int("batch", 0, "number of batch-queue hosts")
-		cpus     = flag.Int("cpus", 4, "CPUs per host")
-		memMB    = flag.Int("mem", 1024, "memory per host (MB)")
-		arch     = flag.String("arch", "x86", "host architecture attribute")
-		osName   = flag.String("os", "Linux", "host OS attribute")
-		reassess = flag.Duration("reassess", 2*time.Second, "host state reassessment interval")
-		seed     = flag.Int64("seed", 1, "scheduling RNG seed")
-		metrics  = flag.String("metrics-addr", "", "HTTP address for the /metrics, /spans and /debug/pprof/ endpoints (empty disables)")
-
-		maxInFlight  = flag.Int("max-inflight", 0, "Enactor admission control: concurrent placements admitted (0 disables)")
-		admissionQ   = flag.Int("admission-queue", 0, "Enactor admission wait-queue depth (0 = 4×max-inflight)")
-		shedWater    = flag.Float64("shed-watermark", 0, "host occupancy fraction above which low-priority reservations are shed (0 disables)")
+		spec  sim.Spec
+		tmpl  = sim.HostSpec{OSVer: "2.2"}
+		rbCfg rebalance.Config
+		pred  rebalance.Predictive
+		dcfg  daemon.Config
+	)
+	flag.StringVar(&spec.Domain, "domain", "uva", "administrative domain name")
+	flag.IntVar(&tmpl.CPUs, "cpus", 4, "CPUs per host")
+	flag.IntVar(&tmpl.MemoryMB, "mem", 1024, "memory per host (MB)")
+	flag.StringVar(&tmpl.Arch, "arch", "x86", "host architecture attribute")
+	flag.StringVar(&tmpl.OS, "os", "Linux", "host OS attribute")
+	flag.DurationVar(&dcfg.Interval, "reassess", 2*time.Second, "host state reassessment interval")
+	flag.Int64Var(&spec.Options.Seed, "seed", 1, "scheduling RNG seed")
+	flag.IntVar(&spec.Options.MaxInFlight, "max-inflight", 0, "Enactor admission control: concurrent placements admitted (0 disables)")
+	flag.IntVar(&spec.Options.AdmissionQueue, "admission-queue", 0, "Enactor admission wait-queue depth (0 = 4×max-inflight)")
+	flag.Float64Var(&spec.Options.ShedWatermark, "shed-watermark", 0, "host occupancy fraction above which low-priority reservations are shed (0 disables)")
+	flag.Float64Var(&tmpl.Price, "host-price", 0, "advertised per-instance-hour price on every host ($host_price); >0 enables the economy ledger")
+	flag.DurationVar(&rbCfg.Cooldown, "rebalance-cooldown", 10*time.Second, "per-host hysteresis window between sheds")
+	flag.Float64Var(&rbCfg.RatePerSec, "rebalance-rate", 0, "global migrations/sec cap (0 = unlimited)")
+	flag.Float64Var(&pred.Watermark, "rebalance-forecast-watermark", 0.8, "forecast load above which the predictive scan sheds (predictive mode)")
+	flag.IntVar(&dcfg.HistoryLen, "rebalance-history", 16, "load-history samples the Collection daemon publishes per host (predictive mode)")
+	var (
+		addr         = flag.String("addr", "127.0.0.1:7777", "TCP address to serve on")
+		nHosts       = flag.Int("hosts", 4, "number of interactive Unix hosts")
+		nBatch       = flag.Int("batch", 0, "number of batch-queue hosts")
+		metrics      = flag.String("metrics-addr", "", "HTTP address for the /metrics, /spans and /debug/pprof/ endpoints (empty disables)")
 		reapInterval = flag.Duration("reap-interval", 30*time.Second, "host reservation reaper interval (0 disables the reaper)")
-
-		hostPrice    = flag.Float64("host-price", 0, "advertised per-instance-hour price on every host ($host_price); >0 enables the economy ledger")
 		tenantBudget = flag.String("tenant-budget", "", "comma-separated tenant=budget pairs (credit units) to open on the economy ledger, e.g. astro=100,bio=50; enables the ledger")
 
 		rebalanceOn   = flag.Bool("rebalance", false, "run the rebalance subsystem: overload triggers migrate objects off hot hosts")
 		rebalanceTh   = flag.Float64("rebalance-threshold", 0.8, "host load above which the overload trigger fires")
-		rebalanceCool = flag.Duration("rebalance-cooldown", 10*time.Second, "per-host hysteresis window between sheds")
-		rebalanceRate = flag.Float64("rebalance-rate", 0, "global migrations/sec cap (0 = unlimited)")
 		rebalanceSwp  = flag.Duration("rebalance-sweep", time.Minute, "reconcile sweep interval (0 disables the sweep)")
-
 		rebalancePred = flag.Bool("rebalance-predictive", false, "rebalance on NWS forecasts: a Collection daemon publishes $host_load_history and a periodic scan sheds hosts whose FORECAST load crosses the watermark (implies -rebalance)")
-		forecastWater = flag.Float64("rebalance-forecast-watermark", 0.8, "forecast load above which the predictive scan sheds (predictive mode)")
 		forecastScan  = flag.Duration("rebalance-forecast-scan", 15*time.Second, "forecast scan interval (predictive mode)")
-		forecastHist  = flag.Int("rebalance-history", 16, "load-history samples the Collection daemon publishes per host (predictive mode)")
 	)
 	flag.Parse()
 
@@ -90,13 +92,15 @@ func main() {
 		}()
 	}
 
-	ms := core.New(*domain, core.Options{
-		Seed:           *seed,
-		MaxInFlight:    *maxInFlight,
-		AdmissionQueue: *admissionQ,
-		ShedWatermark:  *shedWater,
-		Economy:        *hostPrice > 0 || *tenantBudget != "",
-	})
+	spec.Options.Economy = tmpl.Price > 0 || *tenantBudget != ""
+	tmpl.Zone = spec.Domain
+	for i := range *nHosts + *nBatch {
+		h := tmpl
+		h.Batch = i >= *nHosts
+		spec.Hosts = append(spec.Hosts, h)
+	}
+	fleet := sim.New(spec)
+	ms := fleet.MS
 	defer ms.Close()
 
 	if *tenantBudget != "" {
@@ -115,63 +119,27 @@ func main() {
 		}
 	}
 
-	// startHost wires the periodic loops every host needs: state
-	// reassessment pushes into the Collection, and the reservation
-	// reaper reclaims unconfirmed grants whose clients died between
-	// make_reservation and confirmation (without it those slots free
-	// only lazily, at the next reservation request).
-	var stops []func()
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	startHost := func(h *host.Host) {
-		stops = append(stops, h.StartReassessing(*reassess))
+	// The periodic loops every host needs: state reassessment pushes
+	// into the Collection, and the reservation reaper reclaims
+	// unconfirmed grants whose clients died between make_reservation and
+	// confirmation (without it those slots free only lazily, at the next
+	// reservation request).
+	for _, h := range fleet.Hosts {
+		defer h.StartReassessing(dcfg.Interval)()
 		if *reapInterval > 0 {
-			stops = append(stops, h.StartReaper(*reapInterval))
+			defer h.StartReaper(*reapInterval)()
 		}
-	}
-
-	v := ms.AddVault(vault.Config{Zone: *domain})
-	for i := 0; i < *nHosts; i++ {
-		startHost(ms.AddHost(host.Config{
-			Arch: *arch, OS: *osName, OSVersion: "2.2",
-			CPUs: *cpus, MemoryMB: *memMB, Zone: *domain,
-			Price:  *hostPrice,
-			Vaults: []loid.LOID{v.LOID()},
-		}))
-	}
-	for i := 0; i < *nBatch; i++ {
-		q := batchq.New(batchq.Config{
-			Name: fmt.Sprintf("queue-%d", i), Slots: *cpus,
-			DispatchDelay: 50 * time.Millisecond,
-		})
-		defer q.Close()
-		startHost(ms.AddHost(host.Config{
-			Arch: *arch, OS: *osName, OSVersion: "2.2",
-			CPUs: *cpus, MemoryMB: *memMB, Zone: *domain,
-			Price:  *hostPrice,
-			Vaults: []loid.LOID{v.LOID()},
-			Queue:  q,
-		}))
 	}
 
 	// A default user class so clients can place objects immediately.
-	workerClass := ms.DefineClass("Worker", []proto.Implementation{{Arch: *arch, OS: *osName}})
+	workerClass := ms.DefineClass("Worker", []proto.Implementation{{Arch: tmpl.Arch, OS: tmpl.OS}})
 
 	if *rebalanceOn || *rebalancePred {
-		cfg := rebalance.Config{
-			Classes:    []*classobj.Class{workerClass},
-			Cooldown:   *rebalanceCool,
-			RatePerSec: *rebalanceRate,
-		}
-		var pol *rebalance.Predictive
+		rbCfg.Classes = []*classobj.Class{workerClass}
 		if *rebalancePred {
-			pol = &rebalance.Predictive{Watermark: *forecastWater}
-			cfg.Policy = pol
+			rbCfg.Policy = &pred
 		}
-		rb := rebalance.New(ms, cfg)
+		rb := rebalance.New(ms, rbCfg)
 		if err := rb.Start(); err != nil {
 			log.Fatalf("rebalance: %v", err)
 		}
@@ -187,28 +155,28 @@ func main() {
 			// host's rolling load history into the Collection, and the
 			// periodic scan extrapolates it, shedding hosts whose
 			// forecast — not current — load crosses the watermark.
-			d := ms.NewDaemon(daemon.Config{Interval: *reassess, HistoryLen: *forecastHist})
+			d := ms.NewDaemon(dcfg)
 			d.Start()
 			defer d.Stop()
-			rb.StartForecastScan(*forecastScan, pol)
+			rb.StartForecastScan(*forecastScan, &pred)
 			log.Printf("legiond: predictive rebalancer on (forecast watermark %.2f, scan %v, history %d)",
-				*forecastWater, *forecastScan, *forecastHist)
+				pred.Watermark, *forecastScan, dcfg.HistoryLen)
 		}
 		log.Printf("legiond: rebalancer on (threshold %.2f, cooldown %v, rate %.2f/s, sweep %v)",
-			*rebalanceTh, *rebalanceCool, *rebalanceRate, *rebalanceSwp)
+			*rebalanceTh, rbCfg.Cooldown, rbCfg.RatePerSec, *rebalanceSwp)
 	}
 
 	bound, err := ms.ListenAndServe(*addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("legiond: domain %q serving on %s", *domain, bound)
+	log.Printf("legiond: domain %q serving on %s", spec.Domain, bound)
 	log.Printf("legiond: %d unix + %d batch hosts, %d vault(s), class %q defined",
-		*nHosts, *nBatch, 1, "Worker")
+		*nHosts, *nBatch, len(ms.Vaults()), "Worker")
 	log.Printf("legiond: collection=%v enactor=%v", ms.CollectionLOID(), ms.Enactor.LOID())
-	if *maxInFlight > 0 || *shedWater > 0 {
+	if spec.Options.MaxInFlight > 0 || spec.Options.ShedWatermark > 0 {
 		log.Printf("legiond: admission max-inflight=%d queue=%d, shed watermark=%.2f, reap every %v",
-			*maxInFlight, *admissionQ, *shedWater, *reapInterval)
+			spec.Options.MaxInFlight, spec.Options.AdmissionQueue, spec.Options.ShedWatermark, *reapInterval)
 	}
 
 	// Periodic status line.

@@ -16,7 +16,7 @@
 // interactive Unix hosts in the experiments.
 //
 // Its one production caller is the Batch Queue Host (package host);
-// legiond and the examples only build queues to hand to one. It stays a
+// sim and the examples only build queues to hand to one. It stays a
 // package of its own because it stands for the queue manager behind the
 // host, not the host: the substrate a LoadLeveler or Codine would replace,
 // which sits below the Host's reservation table and knows nothing of

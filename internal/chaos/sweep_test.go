@@ -90,6 +90,7 @@ type sweepTally struct {
 	shed, crashFailures, stranded    int
 	reactive, predictive, migrations int
 	preemptRefunds, partials, reuses int
+	batchStarts                      int
 	trace                            string // sha256 of the engine's event trace
 	spans                            string // spanDigest of the world's span log
 }
@@ -104,6 +105,7 @@ func (a *sweepTally) add(b sweepTally) {
 	a.preemptRefunds += b.preemptRefunds
 	a.partials += b.partials
 	a.reuses += b.reuses
+	a.batchStarts += b.batchStarts
 }
 
 func (a sweepTally) coverage() []struct {
@@ -123,6 +125,7 @@ func (a sweepTally) coverage() []struct {
 		{"a preemption refund", a.preemptRefunds},
 		{"a partial Router query", a.partials},
 		{"a reused ParamSpace token", a.reuses},
+		{"an object started on a batch host", a.batchStarts},
 	}
 }
 
@@ -191,6 +194,11 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		hosts[i].Price = 0.25 * float64(i+1)
 		hosts[i].Spot = i%2 == 0
 	}
+	// Two seeds in three put one host behind a batch queue. The choice
+	// reads the seed, not rng, so each seed's other draws stay the same.
+	if seed%3 != 1 {
+		hosts[seed/3%sweepHosts].Batch = true
+	}
 	w, err := NewWorld(seed, sim.Spec{Domain: "uva", Options: opts, Hosts: hosts, Vaults: sweepVaults})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +222,15 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	}
 	// Call failures other than sheds bound how many breakers may open,
 	// and lost cancels how many grants may wait for the reaper.
-	var failures, lostCancels atomic.Int64
-	rt.SetTracer(func(_ string, _ loid.LOID, method string, _ time.Duration, err error) {
+	var failures, lostCancels, batchStarts atomic.Int64
+	batch := map[loid.LOID]bool{}
+	for i, h := range ms.Hosts() {
+		batch[h.LOID()] = hosts[i].Batch
+	}
+	rt.SetTracer(func(_ string, target loid.LOID, method string, _ time.Duration, err error) {
+		if err == nil && method == proto.MethodStartObject && batch[target] {
+			batchStarts.Add(1)
+		}
 		if err != nil && !errors.Is(err, orb.ErrOverload) {
 			failures.Add(1)
 			if method == proto.MethodCancelReservation {
@@ -338,6 +353,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 			tally.preemptRefunds = 1
 		}
 		tally.partials = int(reg.CounterValue("legion_collection_router_partial_total"))
+		tally.batchStarts = int(batchStarts.Load())
 		for _, n := range study.PerToken {
 			if n > 1 {
 				tally.reuses++

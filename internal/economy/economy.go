@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"legion/internal/loid"
 	"legion/internal/telemetry"
 )
 
@@ -75,6 +76,12 @@ func (a Account) Remaining() Credits { return a.Budget - a.Spent + a.Refunded }
 // Outstanding is the net spend currently held against live tokens.
 func (a Account) Outstanding() Credits { return a.Spent - a.Refunded }
 
+// tokenKey names a reservation token: its ID is unique only per host.
+type tokenKey struct {
+	host loid.LOID
+	id   uint64
+}
+
 // charge records one token's debit so a later refund can return
 // exactly the charged amount, exactly once.
 type charge struct {
@@ -89,7 +96,7 @@ type charge struct {
 type Ledger struct {
 	mu       sync.Mutex
 	accounts map[string]*Account
-	charges  map[uint64]charge // live (unrefunded) token charges
+	charges  map[tokenKey]charge // live (unrefunded) token charges
 
 	spendTotal   *telemetry.Counter
 	refundTotal  *telemetry.Counter
@@ -104,7 +111,7 @@ func NewLedger(reg *telemetry.Registry) *Ledger {
 	}
 	return &Ledger{
 		accounts:     make(map[string]*Account),
-		charges:      make(map[uint64]charge),
+		charges:      make(map[tokenKey]charge),
 		spendTotal:   reg.Counter("legion_economy_spend_credits_total"),
 		refundTotal:  reg.Counter("legion_economy_refund_credits_total"),
 		refusedTotal: reg.Counter("legion_economy_budget_refusals_total"),
@@ -138,18 +145,19 @@ func (l *Ledger) account(tenant string) *Account {
 	return a
 }
 
-// Charge debits the tenant for one reservation token. It fails with
-// ErrInsufficientBudget (leaving the ledger untouched) if the account
-// cannot cover the amount, and rejects double charges of a live token —
-// a charge must be refunded before its token ID can be charged again.
-func (l *Ledger) Charge(tenant string, token uint64, amount Credits) error {
+// Charge debits the tenant for the reservation token host issued as ID
+// token. It fails with ErrInsufficientBudget (leaving the ledger
+// untouched) if the account cannot cover the amount, and rejects double
+// charges of a live token — a charge must be refunded first.
+func (l *Ledger) Charge(tenant string, host loid.LOID, token uint64, amount Credits) error {
 	if amount < 0 {
-		return fmt.Errorf("economy: negative charge %v for token %d", amount, token)
+		return fmt.Errorf("economy: negative charge %v for token %v#%d", amount, host, token)
 	}
+	k := tokenKey{host, token}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if prev, dup := l.charges[token]; dup {
-		return fmt.Errorf("economy: token %d already charged to %q", token, prev.tenant)
+	if prev, dup := l.charges[k]; dup {
+		return fmt.Errorf("economy: token %v#%d already charged to %q", host, token, prev.tenant)
 	}
 	a := l.account(tenant)
 	if a.Remaining() < amount {
@@ -158,7 +166,7 @@ func (l *Ledger) Charge(tenant string, token uint64, amount Credits) error {
 			ErrInsufficientBudget, tenant, a.Remaining(), amount)
 	}
 	a.Spent += amount
-	l.charges[token] = charge{tenant: tenant, amount: amount}
+	l.charges[k] = charge{tenant: tenant, amount: amount}
 	l.spendTotal.Add(int64(amount))
 	return nil
 }
@@ -167,14 +175,15 @@ func (l *Ledger) Charge(tenant string, token uint64, amount Credits) error {
 // already-refunded tokens are a no-op returning 0, which is what makes
 // the enactor's overlapping cancel/rollback/reap/preempt paths
 // exactly-once by construction.
-func (l *Ledger) Refund(token uint64) Credits {
+func (l *Ledger) Refund(host loid.LOID, token uint64) Credits {
+	k := tokenKey{host, token}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.charges[token]
+	c, ok := l.charges[k]
 	if !ok {
 		return 0
 	}
-	delete(l.charges, token)
+	delete(l.charges, k)
 	l.accounts[c.tenant].Refunded += c.amount
 	l.refundTotal.Add(int64(c.amount))
 	return c.amount

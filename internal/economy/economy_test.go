@@ -6,27 +6,40 @@ import (
 	"sync"
 	"testing"
 
+	"legion/internal/loid"
 	"legion/internal/telemetry"
+)
+
+// hostA and hostB issue token IDs independently, so both may issue 42.
+var (
+	hostA = loid.LOID{Domain: "uva", Class: "Host", Instance: 1}
+	hostB = loid.LOID{Domain: "uva", Class: "Host", Instance: 2}
 )
 
 func TestChargeRefundExactlyOnce(t *testing.T) {
 	l := NewLedger(telemetry.NewRegistry())
 	l.Open("t1", ToCredits(10))
 
-	if err := l.Charge("t1", 42, ToCredits(4)); err != nil {
+	if err := l.Charge("t1", hostA, 42, ToCredits(4)); err != nil {
 		t.Fatalf("charge: %v", err)
 	}
-	if err := l.Charge("t1", 42, ToCredits(1)); err == nil {
+	if err := l.Charge("t1", hostA, 42, ToCredits(1)); err == nil {
 		t.Fatalf("double charge of live token accepted")
 	}
-	if got := l.Account("t1").Remaining(); got != ToCredits(6) {
-		t.Fatalf("remaining = %v, want 6", got)
+	if err := l.Charge("t1", hostB, 42, ToCredits(1)); err != nil {
+		t.Fatalf("charge of another host's token 42: %v", err)
 	}
-	if got := l.Refund(42); got != ToCredits(4) {
+	if got := l.Account("t1").Remaining(); got != ToCredits(5) {
+		t.Fatalf("remaining = %v, want 5", got)
+	}
+	if got := l.Refund(hostA, 42); got != ToCredits(4) {
 		t.Fatalf("refund = %v, want 4", got)
 	}
-	if got := l.Refund(42); got != 0 {
+	if got := l.Refund(hostA, 42); got != 0 {
 		t.Fatalf("second refund = %v, want 0", got)
+	}
+	if got := l.Refund(hostB, 42); got != ToCredits(1) {
+		t.Fatalf("refund of host B's token = %v, want 1", got)
 	}
 	if got := l.Account("t1").Remaining(); got != ToCredits(10) {
 		t.Fatalf("remaining after refund = %v, want 10", got)
@@ -39,7 +52,7 @@ func TestChargeRefundExactlyOnce(t *testing.T) {
 func TestChargeRefusesOverBudget(t *testing.T) {
 	l := NewLedger(telemetry.NewRegistry())
 	l.Open("poor", ToCredits(1))
-	if err := l.Charge("poor", 1, ToCredits(2)); !errors.Is(err, ErrInsufficientBudget) {
+	if err := l.Charge("poor", hostA, 1, ToCredits(2)); !errors.Is(err, ErrInsufficientBudget) {
 		t.Fatalf("err = %v, want ErrInsufficientBudget", err)
 	}
 	// A refused charge must leave the ledger untouched.
@@ -53,10 +66,10 @@ func TestChargeRefusesOverBudget(t *testing.T) {
 
 func TestUnknownTenantIsUnlimited(t *testing.T) {
 	l := NewLedger(telemetry.NewRegistry())
-	if err := l.Charge("anon", 7, ToCredits(1e6)); err != nil {
+	if err := l.Charge("anon", hostA, 7, ToCredits(1e6)); err != nil {
 		t.Fatalf("charge against implicit account: %v", err)
 	}
-	l.Refund(7)
+	l.Refund(hostA, 7)
 	if bad := l.Audit(); len(bad) != 0 {
 		t.Fatalf("audit: %v", bad)
 	}
@@ -91,16 +104,16 @@ func TestLedgerConservationProperty(t *testing.T) {
 				tok := uint64(w)<<32 | uint64(op)
 				tenant := names[rng.Intn(tenants)]
 				amt := ToCredits(rng.Float64() * 5)
-				if err := l.Charge(tenant, tok, amt); err != nil {
+				if err := l.Charge(tenant, hostA, tok, amt); err != nil {
 					continue // over budget: fine, must just not corrupt
 				}
 				switch rng.Intn(3) {
 				case 0: // keep the charge (simulates a completed, paid run)
 				case 1:
-					l.Refund(tok)
+					l.Refund(hostA, tok)
 				case 2: // double refund (cancel racing rollback)
-					l.Refund(tok)
-					l.Refund(tok)
+					l.Refund(hostA, tok)
+					l.Refund(hostA, tok)
 				}
 			}
 		}(w)
@@ -114,7 +127,7 @@ func TestLedgerConservationProperty(t *testing.T) {
 	// every account: Σ(spend) and Σ(refunds) cancel to the credit.
 	for w := 0; w < workers; w++ {
 		for op := 0; op < opsEach; op++ {
-			l.Refund(uint64(w)<<32 | uint64(op))
+			l.Refund(hostA, uint64(w)<<32|uint64(op))
 		}
 	}
 	for _, a := range l.Accounts() {

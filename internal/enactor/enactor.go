@@ -528,7 +528,7 @@ func (e *Enactor) chargeTokens(ctx context.Context, spec sched.ReservationSpec, 
 		if err != nil {
 			break
 		}
-		if cerr := led.Charge(spec.Tenant, tokens[i].ID, economy.ToCredits(costs[i])); cerr != nil {
+		if cerr := led.Charge(spec.Tenant, tokens[i].Host, tokens[i].ID, economy.ToCredits(costs[i])); cerr != nil {
 			err = fmt.Errorf("enactor: tenant %q: %w", spec.Tenant, cerr)
 		}
 	}
@@ -552,7 +552,7 @@ func (e *Enactor) chargeTokens(ctx context.Context, spec sched.ReservationSpec, 
 // reaper reclaims the grant; the tenant is not billed for it).
 func (e *Enactor) cancelToken(ctx context.Context, hostL loid.LOID, tok reservation.Token) {
 	if e.cfg.Ledger != nil {
-		e.cfg.Ledger.Refund(tok.ID)
+		e.cfg.Ledger.Refund(tok.Host, tok.ID)
 	}
 	_, _ = e.cleanup.Call(ctx, hostL, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
 }
@@ -783,7 +783,7 @@ func (e *Enactor) reapLocked(now time.Time) {
 			// ledger explicitly or the tenant pays for swept grants.
 			if e.cfg.Ledger != nil {
 				for _, tok := range req.tokens {
-					e.cfg.Ledger.Refund(tok.ID)
+					e.cfg.Ledger.Refund(tok.Host, tok.ID)
 				}
 			}
 			delete(e.requests, id)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"legion/internal/classobj"
+	"legion/internal/economy"
 	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
@@ -304,6 +305,51 @@ func TestCancelReservations(t *testing.T) {
 	}
 	if err := e.enactor.CancelReservations(ctx, req.ID); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("double cancel: %v", err)
+	}
+}
+
+// TestLedgerKeysTokensByHost reserves one instance on each of two priced
+// hosts. Each host numbers its tokens from 1, so both grants carry ID 1:
+// the ledger must charge both, and cancelling one token must refund its
+// own charge and no other.
+func TestLedgerKeysTokensByHost(t *testing.T) {
+	e := newEnv(t, 2, func(i int, c *host.Config) { c.Price = float64(i + 1) })
+	led := economy.NewLedger(telemetry.NewRegistry())
+	led.Open("astro", economy.ToCredits(10))
+	en := New(e.rt, Config{CallTimeout: 5 * time.Second, Ledger: led})
+	ctx := context.Background()
+	req := e.request(e.mapping(0), e.mapping(1))
+	req.ID = en.NewRequestID()
+	req.Res.Tenant = "astro"
+
+	if fb := en.MakeReservations(ctx, req); !fb.Success {
+		t.Fatalf("two-host placement refused: %+v", fb)
+	}
+	en.mu.Lock()
+	tokens := en.requests[req.ID].tokens
+	en.mu.Unlock()
+	if len(tokens) != 2 || tokens[0].ID != tokens[1].ID || tokens[0].Host == tokens[1].Host {
+		t.Fatalf("want one token ID from each of two hosts, got %+v", tokens)
+	}
+	if a := led.Account("astro"); a.Spent != economy.ToCredits(3) || led.LiveCharges() != 2 {
+		t.Fatalf("spent %v on %d live charges, want 3 on 2", a.Spent, led.LiveCharges())
+	}
+	cheap := tokens[0]
+	if cheap.Host != e.hosts[0].LOID() {
+		cheap = tokens[1]
+	}
+	en.cancelToken(ctx, cheap.Host, cheap)
+	if a := led.Account("astro"); a.Refunded != economy.ToCredits(1) || led.LiveCharges() != 1 {
+		t.Fatalf("cancelling the price-1 token refunded %v and left %d live charges, want 1 and 1", a.Refunded, led.LiveCharges())
+	}
+	if err := en.CancelReservations(ctx, req.ID); err != nil {
+		t.Fatal(err)
+	}
+	if a := led.Account("astro"); a.Remaining() != a.Budget || led.LiveCharges() != 0 {
+		t.Errorf("after cancelling the request: remaining %v of %v, %d live charges", a.Remaining(), a.Budget, led.LiveCharges())
+	}
+	if bad := led.Audit(); len(bad) > 0 {
+		t.Errorf("ledger audit: %v", bad)
 	}
 }
 

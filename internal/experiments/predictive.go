@@ -189,7 +189,7 @@ func E15PredictiveRebalancing(steps int) *Table {
 				peak = e
 			}
 		}
-		rb.Stop()
+		vc.Run(rb.Stop) // Stop waits for the scan on the clock
 
 		t.AddRow(arm.name,
 			reg.CounterValue("legion_rebalance_migrations_total", "result", "ok"),

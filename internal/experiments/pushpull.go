@@ -39,11 +39,7 @@ func A4PushVsPull(steps int) *Table {
 				for _, h := range fleet.Hosts {
 					h.ClearPushTargets()
 				}
-				d = daemon.New(ms.Runtime(), daemon.Config{})
-				for _, h := range fleet.Hosts {
-					d.Watch(h.LOID())
-				}
-				d.PushInto(ms.Collection.LOID())
+				d = ms.NewDaemon(daemon.Config{})
 			}
 			_, u0 := ms.Collection.Stats()
 			totalErr, samples := 0.0, 0

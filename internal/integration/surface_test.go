@@ -183,24 +183,31 @@ func TestNoProtoTypeAssertions(t *testing.T) {
 	})
 }
 
-// TestOneWorldBuilder holds that a world under internal/ is declared
-// once: a sim.Spec that sim.New builds. Outside internal/sim, and
-// internal/core which defines them, a non-test file that calls core.New,
-// AddHost or AddVault is wiring a world by hand.
+// TestOneWorldBuilder holds that a world under internal/ or cmd/ is
+// declared once: a sim.Spec that sim.New builds. Outside internal/sim,
+// and internal/core which defines them, a non-test file that calls
+// core.New, AddHost, AddVault or batchq.New is wiring a world by hand.
+// bench/ stays out, as the measuring instrument, and so do examples/, as
+// a reader's first code.
 func TestOneWorldBuilder(t *testing.T) {
 	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
-		if !strings.HasPrefix(rel, "internal/") ||
+		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") ||
 			strings.HasPrefix(rel, "internal/sim/") || strings.HasPrefix(rel, "internal/core/") {
 			return
 		}
-		core := ""
+		// The local names of the packages whose New builds a world's
+		// parts: core's metasystem and batchq's queue.
+		builders := map[string]string{}
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"legion/internal/core"` {
-				core = "core"
-				if imp.Name != nil {
-					core = imp.Name.Name
-				}
+			pkg := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), "legion/internal/")
+			if pkg != "core" && pkg != "batchq" {
+				continue
 			}
+			name := pkg
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			builders[name] = pkg
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -212,8 +219,8 @@ func TestOneWorldBuilder(t *testing.T) {
 				return true
 			}
 			name := sel.Sel.Name
-			if pkg, ok := sel.X.(*ast.Ident); ok && core != "" && pkg.Name == core && name == "New" {
-				name = "core.New"
+			if pkg, ok := sel.X.(*ast.Ident); ok && builders[pkg.Name] != "" && name == "New" {
+				name = builders[pkg.Name] + ".New"
 			} else if name != "AddHost" && name != "AddVault" {
 				return true
 			}

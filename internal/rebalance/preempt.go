@@ -87,7 +87,7 @@ func (p *PreemptingPolicy) Plan(ctx context.Context, ev proto.NotifyArgs, ms *co
 		if tok, ok := src.TokenFor(m.Instance); ok {
 			src.NotePreempted(tok.ID)
 			if p.Ledger != nil {
-				p.Ledger.Refund(tok.ID)
+				p.Ledger.Refund(tok.Host, tok.ID)
 			}
 		}
 	}

@@ -101,9 +101,9 @@ type Rebalancer struct {
 	started  bool
 	stopMon  func() // detaches the OnEventAsync subscription
 	sweep    vclock.Ticker
-	sweepWG  sync.WaitGroup
+	sweepWG  vclock.Group  // of the runtime's clock, as scanWG (see Stop)
 	scan     vclock.Ticker // forecast scan (predictive.go)
-	scanWG   sync.WaitGroup
+	scanWG   vclock.Group
 	lastShed map[loid.LOID]time.Time // source host -> last successful shed
 	inflight map[loid.LOID]bool      // instances being migrated by us
 	tokens   float64                 // rate-limit bucket level
@@ -139,6 +139,8 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 		ms:          ms,
 		cfg:         cfg,
 		clock:       clock,
+		sweepWG:     clock.NewGroup(),
+		scanWG:      clock.NewGroup(),
 		lastShed:    make(map[loid.LOID]time.Time),
 		inflight:    make(map[loid.LOID]bool),
 		tokens:      float64(cfg.MaxConcurrent),
@@ -194,9 +196,10 @@ func (r *Rebalancer) StartSweeping(interval time.Duration) {
 	})
 }
 
-// Stop detaches from the Monitor and halts the reconcile sweep. Any
-// in-flight migration episode finishes on its own goroutine; Stop does
-// not wait for it.
+// Stop detaches from the Monitor and halts the reconcile sweep and the
+// forecast scan, waiting on the runtime's clock for an episode of theirs
+// (under vclock.Virtual, call it from a goroutine the clock runs). Any
+// other in-flight migration episode finishes on its own goroutine.
 func (r *Rebalancer) Stop() {
 	r.mu.Lock()
 	stopMon, sweep, scan := r.stopMon, r.sweep, r.scan
@@ -208,11 +211,11 @@ func (r *Rebalancer) Stop() {
 	}
 	if sweep != nil {
 		sweep.Stop()
-		r.sweepWG.Wait()
+		_ = r.sweepWG.Wait(context.Background())
 	}
 	if scan != nil {
 		scan.Stop()
-		r.scanWG.Wait()
+		_ = r.scanWG.Wait(context.Background())
 	}
 }
 

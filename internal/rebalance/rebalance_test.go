@@ -151,6 +151,31 @@ func TestRebalancerReactsOnVirtualClock(t *testing.T) {
 	}
 }
 
+// TestStopWaitsOnTheRuntimeClock stops a Rebalancer on a virtual clock
+// while its forecast scan is mid-query, the query sleeping on a link.
+// Stop waits the scan out, and the scan needs virtual time to pass: a
+// wait the engine cannot see would hold time still and never return.
+func TestStopWaitsOnTheRuntimeClock(t *testing.T) {
+	vc := vclock.NewVirtual()
+	ms := buildMetaOn(t, vc, 2, 1)
+	ms.Runtime().SetLatency(2*time.Millisecond, 0)
+	r := New(ms, Config{Policy: &Predictive{}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vc.Run(func() {
+			r.StartForecastScan(10*time.Millisecond, &Predictive{})
+			_ = vc.Sleep(context.Background(), 11*time.Millisecond)
+			r.Stop()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop never returned: the scan it waits for is stuck on virtual time")
+	}
+}
+
 // TestCooldownSuppressesRepeatShedding: after a successful shed, further
 // events from the same host are ignored until the window passes.
 func TestCooldownSuppressesRepeatShedding(t *testing.T) {

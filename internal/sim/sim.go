@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"time"
 
+	"legion/internal/batchq"
 	"legion/internal/core"
 	"legion/internal/host"
 	"legion/internal/loid"
@@ -49,7 +50,14 @@ type HostSpec struct {
 	Price float64
 	// Spot marks the host as preemptible spot capacity ($host_class).
 	Spot bool
+	// Batch makes it a Batch Queue Host: its objects start through a
+	// queue with one slot per CPU and a batchCycle dispatch delay.
+	Batch bool
 }
+
+// batchCycle is a batch host's queue dispatch delay: the scheduler
+// cycle of the queue manager behind it.
+const batchCycle = 50 * time.Millisecond
 
 // archetypes is a small catalogue of late-1990s machine types, matching
 // the paper's era (IRIX workstations, Solaris servers, Linux PCs, AIX
@@ -179,6 +187,13 @@ func build(ms *core.Metasystem, specs []HostSpec, perZone int) *Fleet {
 	}
 	catIdx := make(map[HostSpec]int32)
 	for i, s := range specs {
+		var q *batchq.Queue
+		if s.Batch {
+			q = batchq.New(batchq.Config{
+				Name: "batch", Slots: max(s.CPUs, 1),
+				DispatchDelay: batchCycle, Clock: ms.Runtime().Clock(),
+			})
+		}
 		h := ms.AddHost(host.Config{
 			Arch: s.Arch, OS: s.OS, OSVersion: s.OSVer,
 			CPUs: s.CPUs, MemoryMB: s.MemoryMB, Zone: s.Zone,
@@ -188,6 +203,7 @@ func build(ms *core.Metasystem, specs []HostSpec, perZone int) *Fleet {
 			Spot:       s.Spot,
 			Speed:      s.Speed,
 			Vaults:     vaults[s.Zone],
+			Queue:      q,
 		})
 		h.SetExternalLoad(s.Load)
 		h.Reassess(context.Background())
