@@ -70,9 +70,7 @@ func main() {
 
 	run()
 	if *watch > 0 {
-		t := time.NewTicker(*watch)
-		defer t.Stop()
-		for range t.C {
+		for range time.Tick(*watch) {
 			fmt.Println("---")
 			run()
 		}

@@ -29,6 +29,7 @@ import (
 	"legion/internal/rebalance"
 	"legion/internal/sim"
 	"legion/internal/telemetry"
+	"legion/internal/vclock"
 )
 
 func main() {
@@ -180,23 +181,19 @@ func main() {
 	}
 
 	// Periodic status line.
-	go func() {
-		t := time.NewTicker(10 * time.Second)
-		defer t.Stop()
-		for range t.C {
-			total := 0
-			for _, h := range ms.Hosts() {
-				total += h.RunningCount()
-			}
-			if ms.Collection != nil {
-				q, u := ms.Collection.Stats()
-				log.Printf("legiond: %d objects running, collection %d queries / %d updates",
-					total, q, u)
-			} else {
-				log.Printf("legiond: %d objects running", total)
-			}
+	defer vclock.Every(vclock.Wall, 10*time.Second, func() {
+		total := 0
+		for _, h := range ms.Hosts() {
+			total += h.RunningCount()
 		}
-	}()
+		if ms.Collection != nil {
+			q, u := ms.Collection.Stats()
+			log.Printf("legiond: %d objects running, collection %d queries / %d updates",
+				total, q, u)
+		} else {
+			log.Printf("legiond: %d objects running", total)
+		}
+	})()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -90,7 +90,7 @@ type sweepTally struct {
 	shed, crashFailures, stranded    int
 	reactive, predictive, migrations int
 	preemptRefunds, partials, reuses int
-	batchStarts                      int
+	batchStarts, stopWaits           int
 	trace                            string // sha256 of the engine's event trace
 	spans                            string // spanDigest of the world's span log
 }
@@ -106,6 +106,7 @@ func (a *sweepTally) add(b sweepTally) {
 	a.partials += b.partials
 	a.reuses += b.reuses
 	a.batchStarts += b.batchStarts
+	a.stopWaits += b.stopWaits
 }
 
 func (a sweepTally) coverage() []struct {
@@ -126,6 +127,7 @@ func (a sweepTally) coverage() []struct {
 		{"a partial Router query", a.partials},
 		{"a reused ParamSpace token", a.reuses},
 		{"an object started on a batch host", a.batchStarts},
+		{"a rebalancer Stop that waited out an episode", a.stopWaits},
 	}
 }
 
@@ -330,12 +332,28 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		_ = rest.Wait(ctx)
 
 		// Quiesce. With the faults healed every call is instant, so a
-		// tenth of a second drains whatever was in flight and the
-		// rebalancers stop idle.
+		// tenth of a second drains whatever was in flight. Seeds with
+		// seed%8 < 4 stop the rebalancers first, the instant the faults
+		// heal, so a Stop may land mid-episode with every subsystem on
+		// and must wait it out on the clock; the others stop them idle,
+		// after the quiet. The choice reads the seed, not rng, and is
+		// independent of admission (odd seeds) and the codec (seed%4 >= 2).
 		w.HealAll()
+		stopEarly := seed%8 < 4
+		if stopEarly {
+			before := vc.Elapsed()
+			for _, r := range rebalancers {
+				r.Stop()
+			}
+			if vc.Elapsed() > before {
+				tally.stopWaits = 1
+			}
+		}
 		_ = vc.Sleep(ctx, 100*time.Millisecond)
-		for _, r := range rebalancers {
-			r.Stop()
+		if !stopEarly {
+			for _, r := range rebalancers {
+				r.Stop()
+			}
 		}
 
 		tally.shed, tally.stranded = res.Shed, res.Stranded

@@ -95,7 +95,7 @@ type Daemon struct {
 	collections []loid.LOID
 	loadHist    map[loid.LOID][]float64 // rolling host_load windows (HistoryLen > 0)
 	flagged     map[loid.LOID]bool      // resources currently marked down
-	tickers     []vclock.Ticker         // Start's; Stop stops them
+	stopSweeps  func()                  // Start's vclock.Every; Stop calls it
 	sweeps      int64
 	errors      int64
 	pushCalls   int64 // ORB calls spent pushing into Collections
@@ -343,29 +343,25 @@ func (d *Daemon) push(ctx context.Context, coll loid.LOID, entries []proto.Batch
 	return reply, true
 }
 
-// Start begins periodic sweeps; Stop ends them.
+// Start begins periodic sweeps, unless they are running; Stop ends them.
 func (d *Daemon) Start() {
-	clock := d.rt.Clock()
-	sweep := clock.NewTicker(d.cfg.Interval)
-	clock.Go(func() {
-		for sweep.Wait(context.Background()) == nil {
-			d.Sweep(context.Background())
-		}
-	})
 	d.mu.Lock()
-	d.tickers = append(d.tickers, sweep)
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	if d.stopSweeps == nil {
+		d.stopSweeps = vclock.Every(d.rt.Clock(), d.cfg.Interval, func() { d.Sweep(context.Background()) })
+	}
 }
 
-// Stop halts periodic sweeps. A sweep already running finishes, push
-// included, and no further sweep starts. Idempotent.
+// Stop halts periodic sweeps as vclock.Every's stop does: it returns once
+// a sweep in flight has finished, push included, and no further sweep
+// starts. Idempotent.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
-	tickers := d.tickers
-	d.tickers = nil
+	stop := d.stopSweeps
+	d.stopSweeps = nil
 	d.mu.Unlock()
-	for _, t := range tickers {
-		t.Stop()
+	if stop != nil {
+		stop()
 	}
 }
 

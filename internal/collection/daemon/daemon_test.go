@@ -124,10 +124,10 @@ func TestPeriodicStartStop(t *testing.T) {
 }
 
 // TestDaemonStopFlushesInFlightSweep: Stop arrives while a sweep waits
-// on a slow link. The loop runs no further sweep, and the sweep in
-// flight still pushes what it pulled once its probe returns. Stop used
-// to cancel the loops from a bare goroutine, which let ticks fire after
-// Stop.
+// on a slow link. Stop returns only once the sweep in flight has pushed
+// what it pulled, and the loop runs no further sweep. Stop waits on the
+// clock, so it runs on a goroutine the clock runs. Stop used to cancel
+// the loops from a bare goroutine, which let ticks fire after Stop.
 func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
@@ -140,8 +140,15 @@ func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	d.Start()
 
 	vc.Advance(110 * time.Millisecond) // the first sweep's probe is in flight
-	d.Stop()
+	heldAtStop := -1
+	vc.Go(func() {
+		d.Stop()
+		heldAtStop = c.Size()
+	})
 	vc.Advance(time.Second)
+	if heldAtStop != 1 {
+		t.Errorf("collection held %d records when Stop returned, want 1", heldAtStop)
+	}
 	if sweeps, _ := d.Stats(); sweeps != 1 {
 		t.Errorf("sweeps = %d, want 1", sweeps)
 	}

@@ -462,17 +462,10 @@ func (h *Host) Reassess(ctx context.Context) {
 	}
 }
 
-// StartReassessing runs Reassess every interval until the returned stop
-// function is called.
+// StartReassessing runs Reassess every interval, through vclock.Every,
+// until the returned stop is called.
 func (h *Host) StartReassessing(interval time.Duration) (stop func()) {
-	clock := h.rt.Clock()
-	t := clock.NewTicker(interval)
-	clock.Go(func() {
-		for t.Wait(context.Background()) == nil {
-			h.Reassess(context.Background())
-		}
-	})
-	return t.Stop
+	return vclock.Every(h.rt.Clock(), interval, func() { h.Reassess(context.Background()) })
 }
 
 // ReapReservations reclaims expired and orphaned (granted but never
@@ -562,17 +555,10 @@ func (h *Host) IsRunning(instance loid.LOID) bool {
 	return ok
 }
 
-// StartReaper runs ReapReservations every interval until the returned
-// stop function is called.
+// StartReaper runs ReapReservations every interval, through
+// vclock.Every, until the returned stop is called.
 func (h *Host) StartReaper(interval time.Duration) (stop func()) {
-	clock := h.rt.Clock()
-	t := clock.NewTicker(interval)
-	clock.Go(func() {
-		for t.Wait(context.Background()) == nil {
-			h.ReapReservations()
-		}
-	})
-	return t.Stop
+	return vclock.Every(h.rt.Clock(), interval, func() { h.ReapReservations() })
 }
 
 // --- Reservation management (Table 1, column 1) ---

@@ -50,8 +50,6 @@ var testOnlyExports = map[string]bool{
 	"internal/host.Host.Triggers":            true,
 	"internal/monitor.Liveness.LastBeat":     true,
 	"internal/monitor.Monitor.DroppedEvents": true,
-	"internal/monitor.Monitor.EventCount":    true,
-	"internal/monitor.Monitor.Events":        true,
 	"internal/orb.DispatchTable.Methods":     true,
 	"internal/orb.Runtime.Locals":            true,
 	"internal/orb.ServiceObject.Methods":     true,

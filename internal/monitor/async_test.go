@@ -50,3 +50,46 @@ func TestOnEventAsyncOnVirtualClock(t *testing.T) {
 		t.Errorf("%d events delivered, want 2", n)
 	}
 }
+
+// TestOnEventAsyncStopWaitsForTheHandler: a stop called while the handler
+// sleeps on a virtual clock returns once the handler has ended, at the
+// virtual instant it ends. It waits on the clock: behind a bare channel,
+// the stopper held virtual time still and the handler's sleep never
+// ended.
+func TestOnEventAsyncStopWaitsForTheHandler(t *testing.T) {
+	vc := vclock.NewVirtual()
+	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
+	rt.SetClock(vc)
+	m := New(rt)
+
+	var log []string
+	stop := m.OnEventAsync(4, func(ev proto.NotifyArgs) {
+		log = append(log, "handle "+ev.Trigger)
+		_ = vc.Sleep(context.Background(), time.Second)
+		log = append(log, "handled "+ev.Trigger)
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vc.Run(func() {
+			m.deliver(proto.NotifyArgs{Trigger: "a"})
+			m.deliver(proto.NotifyArgs{Trigger: "b"})
+			_ = vc.Sleep(context.Background(), time.Millisecond) // a's handler is asleep
+			stop()
+			log = append(log, "stopped at "+vc.Elapsed().String())
+			_ = vc.Sleep(context.Background(), time.Minute)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop never returned: the handler it waits for is stuck on virtual time")
+	}
+	if want := []string{"handle a", "handled a", "stopped at 1s"}; !slices.Equal(log, want) {
+		t.Errorf("log %v, want %v", log, want)
+	}
+	if n := m.DroppedEvents(); n != 1 {
+		t.Errorf("%d events dropped at stop, want 1 (b, still queued)", n)
+	}
+}

@@ -44,23 +44,13 @@ const DefaultQueueDepth = 256
 // a dispatcher on the runtime's clock, so slow handlers shed events
 // instead of stalling the Host outcall that delivered them.
 type asyncSub struct {
-	wake vclock.Gate // signalled when the queue gains an event, and at stop
+	wake vclock.Gate  // signalled when the queue gains an event, and at stop
+	runs vclock.Group // the handler call in flight, which stop waits out
 
-	mu       sync.Mutex
-	queue    []proto.NotifyArgs
-	depth    int
-	stopped  bool
-	started  bool          // the dispatcher is running (stop waits for it)
-	finished chan struct{} // closed when a started dispatcher returns
-}
-
-// start marks the dispatcher running, so that stop waits for it, unless
-// the subscription has already stopped.
-func (s *asyncSub) start() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.started = !s.stopped
-	return s.started
+	mu      sync.Mutex
+	queue   []proto.NotifyArgs
+	depth   int
+	stopped bool
 }
 
 func (s *asyncSub) isStopped() bool {
@@ -80,8 +70,8 @@ func (s *asyncSub) push(ev proto.NotifyArgs) bool {
 	return true
 }
 
-// pop takes the oldest queued event; ok is false once the queue is empty
-// or the subscription stopped.
+// pop takes the oldest queued event and counts its handler call in
+// runs; ok is false once the queue is empty or the subscription stopped.
 func (s *asyncSub) pop() (ev proto.NotifyArgs, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -91,6 +81,7 @@ func (s *asyncSub) pop() (ev proto.NotifyArgs, ok bool) {
 	ev = s.queue[0]
 	s.queue[0] = proto.NotifyArgs{}
 	s.queue = s.queue[1:]
+	s.runs.Add(1)
 	return ev, true
 }
 
@@ -103,8 +94,6 @@ type Monitor struct {
 	mu       sync.Mutex
 	handlers []Handler
 	asyncs   []*asyncSub
-	events   []proto.NotifyArgs
-	maxKeep  int
 
 	queueDepth *telemetry.Gauge
 	delivered  *telemetry.Counter
@@ -117,7 +106,6 @@ func New(rt *orb.Runtime) *Monitor {
 	m := &Monitor{
 		ServiceObject: orb.NewServiceObject(rt.Mint("Monitor")),
 		rt:            rt,
-		maxKeep:       1024,
 		queueDepth:    reg.Gauge("legion_monitor_queue_depth"),
 		delivered:     reg.Counter("legion_monitor_events_delivered_total"),
 		dropped:       reg.Counter("legion_monitor_events_dropped_total"),
@@ -146,27 +134,26 @@ func (m *Monitor) OnEvent(h Handler) {
 // is dropped and counted in legion_monitor_events_dropped_total — for
 // load triggers this is safe, the next reassessment re-fires. The
 // returned stop function drains nothing: it detaches the subscription
-// and terminates its dispatcher after the in-flight handler call, then
-// returns.
+// and ends its dispatcher.
 //
 // The dispatcher is started with the runtime clock's Go and parks on its
 // Gate, so under a virtual clock the handler may sleep, call and migrate
-// in virtual time like any other registered goroutine.
+// in virtual time like any other registered goroutine. stop follows
+// vclock.Every's rule: it returns once the handler call in flight, if
+// any, has ended, waiting for it on the runtime's clock; no call starts
+// after it; a stop that finds none in flight never parks; and a handler
+// must not call its own stop.
 func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
 	clk := m.rt.Clock()
-	sub := &asyncSub{wake: clk.NewGate(), depth: depth, finished: make(chan struct{})}
+	sub := &asyncSub{wake: clk.NewGate(), runs: clk.NewGroup(), depth: depth}
 	m.mu.Lock()
 	m.asyncs = append(m.asyncs, sub)
 	m.mu.Unlock()
 
 	clk.Go(func() {
-		if !sub.start() {
-			return // stopped before the clock ever started it
-		}
-		defer close(sub.finished)
 		// stop sets stopped before it signals, so the Wait after it
 		// returns and the loop ends.
 		for sub.wake.Wait(context.Background()) == nil && !sub.isStopped() {
@@ -174,6 +161,7 @@ func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 				m.queueDepth.Add(-1)
 				m.delivered.Inc()
 				h(ev)
+				sub.runs.Done()
 			}
 		}
 	})
@@ -191,7 +179,6 @@ func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 			m.mu.Unlock()
 			sub.mu.Lock()
 			sub.stopped = true
-			started := sub.started
 			// Account for events still queued at detach.
 			left := len(sub.queue)
 			sub.queue = nil
@@ -199,9 +186,7 @@ func (m *Monitor) OnEventAsync(depth int, h Handler) (stop func()) {
 			m.queueDepth.Add(-int64(left))
 			m.dropped.Add(int64(left))
 			sub.wake.Signal()
-			if started {
-				<-sub.finished
-			}
+			_ = sub.runs.Wait(context.Background())
 		})
 	}
 }
@@ -217,10 +202,6 @@ func (m *Monitor) DroppedEvents() int64 { return m.dropped.Value() }
 
 func (m *Monitor) deliver(ev proto.NotifyArgs) {
 	m.mu.Lock()
-	m.events = append(m.events, ev)
-	if len(m.events) > m.maxKeep {
-		m.events = append([]proto.NotifyArgs(nil), m.events[len(m.events)-m.maxKeep:]...)
-	}
 	hs := append([]Handler(nil), m.handlers...)
 	subs := append([]*asyncSub(nil), m.asyncs...)
 	m.mu.Unlock()
@@ -240,20 +221,6 @@ func (m *Monitor) deliver(ev proto.NotifyArgs) {
 	for _, h := range hs {
 		h(ev)
 	}
-}
-
-// Events returns a copy of the retained event history (newest last).
-func (m *Monitor) Events() []proto.NotifyArgs {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]proto.NotifyArgs(nil), m.events...)
-}
-
-// EventCount returns how many events have been retained.
-func (m *Monitor) EventCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
 }
 
 // Watch installs a guarded trigger on a Host and registers this Monitor

@@ -26,9 +26,10 @@ import (
 //     cross-vault move that stays inside the zone);
 //  3. everything else;
 //
-// ties broken by ascending advertised load. If the Collection yields no
-// usable candidate (e.g. no daemon is pushing load updates), the policy
-// falls back to direct host introspection via the metasystem.
+// ties broken by ascending advertised load. If the query fails or
+// matches no record (e.g. nothing pushes load updates), the policy falls
+// back to direct host introspection via the metasystem; records that are
+// all flagged down mean no move.
 type LeastLoaded struct {
 	// MaxShedPerEvent bounds how many instances one trigger event may
 	// move off the source host (default 1).
@@ -91,16 +92,18 @@ func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, 
 	}
 	infos, _, err := scheduler.QueryHostsPartial(ctx, ms.Env(), query)
 	var out []scheduler.HostInfo
-	if err == nil {
+	if err == nil && len(infos) > 0 {
+		// The Collection answered: its records decide, and a host it
+		// flags down is no destination even when no other is left.
 		for _, hi := range infos {
 			if hi.LOID == source || hi.Down || len(hi.Vaults) == 0 {
 				continue
 			}
 			out = append(out, hi)
 		}
-	}
-	if len(out) == 0 {
-		// Collection empty or stale — fall back to live host state.
+	} else {
+		// No Collection answer (no daemon or Host pushes into it, or
+		// the query failed): fall back to live host state.
 		for _, h := range ms.Hosts() {
 			if h.LOID() == source || len(h.CompatibleVaults()) == 0 {
 				continue

@@ -48,13 +48,11 @@ type Predictive struct {
 	// shed, destinations forecast at or above it are avoided.
 	Watermark float64
 	// MaxShedPerEvent bounds how many instances one event may move off
-	// the source host (default 1).
-	MaxShedPerEvent int
-	// Query selects candidate destination records (default
-	// "defined($host_load)" — history is optional on purpose: a
+	// the source host (default 1). Candidate destinations are the
+	// records defining $host_load: history is optional on purpose, a
 	// history-less host is still a usable destination, judged by its
-	// current load).
-	Query string
+	// current load.
+	MaxShedPerEvent int
 	// Predictor turns a load history into a forecast; nil means an
 	// adaptive nws.Bank over the default predictor bank plus
 	// nws.Trend{K: 8} — the extrapolating member is what lets the scan
@@ -94,7 +92,7 @@ func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Met
 	if len(victims) == 0 {
 		return nil, nil
 	}
-	cands := candidateHosts(ctx, ev.Source, ms, p.Query)
+	cands := candidateHosts(ctx, ev.Source, ms, "")
 
 	// Forecast each candidate once: ranking consults the key O(n log n)
 	// times per victim, and Bank replays its whole member bank per call.
@@ -133,20 +131,13 @@ func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Met
 func (r *Rebalancer) StartForecastScan(interval time.Duration, p *Predictive) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.scan != nil {
-		return
-	}
-	t := r.clock.NewTicker(interval)
-	r.scan = t
-	r.scanWG.Add(1)
-	r.clock.Go(func() {
-		defer r.scanWG.Done()
-		for t.Wait(context.Background()) == nil {
+	if r.endScan == nil {
+		r.endScan = vclock.Every(r.clock, interval, func() {
 			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			r.forecastScan(ctx, p)
 			vclock.End(ctx)
-		}
-	})
+		})
+	}
 }
 
 // forecastScan performs one predictive pass: every host whose forecast

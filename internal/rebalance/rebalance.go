@@ -99,11 +99,9 @@ type Rebalancer struct {
 
 	mu       sync.Mutex
 	started  bool
-	stopMon  func() // detaches the OnEventAsync subscription
-	sweep    vclock.Ticker
-	sweepWG  vclock.Group  // of the runtime's clock, as scanWG (see Stop)
-	scan     vclock.Ticker // forecast scan (predictive.go)
-	scanWG   vclock.Group
+	stopMon  func()                  // detaches the OnEventAsync subscription
+	endSweep func()                  // the reconcile sweep's vclock.Every
+	endScan  func()                  // the forecast scan's (predictive.go)
 	lastShed map[loid.LOID]time.Time // source host -> last successful shed
 	inflight map[loid.LOID]bool      // instances being migrated by us
 	tokens   float64                 // rate-limit bucket level
@@ -139,8 +137,6 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 		ms:          ms,
 		cfg:         cfg,
 		clock:       clock,
-		sweepWG:     clock.NewGroup(),
-		scanWG:      clock.NewGroup(),
 		lastShed:    make(map[loid.LOID]time.Time),
 		inflight:    make(map[loid.LOID]bool),
 		tokens:      float64(cfg.MaxConcurrent),
@@ -180,42 +176,30 @@ func (r *Rebalancer) Start() error {
 func (r *Rebalancer) StartSweeping(interval time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sweep != nil {
-		return
-	}
-	t := r.clock.NewTicker(interval)
-	r.sweep = t
-	r.sweepWG.Add(1)
-	r.clock.Go(func() {
-		defer r.sweepWG.Done()
-		for t.Wait(context.Background()) == nil {
+	if r.endSweep == nil {
+		r.endSweep = vclock.Every(r.clock, interval, func() {
 			ctx := r.clock.WithDeadline(context.Background(), r.clock.Now().Add(planTimeout))
 			_ = r.Reconcile(ctx)
 			vclock.End(ctx)
-		}
-	})
+		})
+	}
 }
 
 // Stop detaches from the Monitor and halts the reconcile sweep and the
-// forecast scan, waiting on the runtime's clock for an episode of theirs
-// (under vclock.Virtual, call it from a goroutine the clock runs). Any
-// other in-flight migration episode finishes on its own goroutine.
+// forecast scan. Each stops as vclock.Every's stop does: Stop returns
+// once the event handler, sweep and scan in flight, if any, have ended,
+// waiting for them on the runtime's clock (under vclock.Virtual, a Stop
+// that finds one in flight is called from a goroutine the clock runs).
 func (r *Rebalancer) Stop() {
 	r.mu.Lock()
-	stopMon, sweep, scan := r.stopMon, r.sweep, r.scan
-	r.stopMon, r.sweep, r.scan = nil, nil, nil
+	stops := []func(){r.stopMon, r.endSweep, r.endScan}
+	r.stopMon, r.endSweep, r.endScan = nil, nil, nil
 	r.started = false
 	r.mu.Unlock()
-	if stopMon != nil {
-		stopMon()
-	}
-	if sweep != nil {
-		sweep.Stop()
-		_ = r.sweepWG.Wait(context.Background())
-	}
-	if scan != nil {
-		scan.Stop()
-		_ = r.scanWG.Wait(context.Background())
+	for _, stop := range stops {
+		if stop != nil {
+			stop()
+		}
 	}
 }
 

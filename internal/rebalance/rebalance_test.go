@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"legion/internal/attr"
 	"legion/internal/classobj"
 	"legion/internal/core"
 	"legion/internal/host"
@@ -371,4 +372,105 @@ func TestPolicyPrefersCurrentVaultAndZone(t *testing.T) {
 		t.Errorf("move = %+v, want current-vault host %v", moves[0], hSame.LOID())
 	}
 	_ = insts
+}
+
+// TestNoMoveOntoAHostFlaggedDown: two hosts, and the Collection flags
+// the one that is not the source down. No policy plans a move onto it:
+// the fallback to live host state is for a Collection that returns no
+// record, not for one whose records are all down.
+func TestNoMoveOntoAHostFlaggedDown(t *testing.T) {
+	ctx := context.Background()
+	ms := buildMeta(t, 2, 1)
+	defer ms.Close()
+	c := ms.DefineClass("Worker", nil)
+	_, p, err := c.CreateInstance(ctx, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms.ReassessAll(ctx)
+	for _, h := range ms.Hosts() {
+		if h.LOID() == p.Host {
+			continue
+		}
+		if err := ms.Collection.Update(h.LOID(), []attr.Pair{{Name: "host_alive", Value: attr.Bool(false)}}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, policy := range []Policy{NewLeastLoaded(), &Predictive{}} {
+		moves, err := policy.Plan(ctx, proto.NotifyArgs{Source: p.Host, Trigger: "overload"}, ms, []*classobj.Class{c})
+		if err != nil || len(moves) != 0 {
+			t.Errorf("%T planned %v (err %v) with the only other host flagged down, want no move", policy, moves, err)
+		}
+	}
+}
+
+// TestStopWaitsForTheReactiveEpisode: Stop, called while a reactive
+// migration waits on a virtual link, returns only once the episode has
+// ended. It used to wait on the Monitor's dispatcher behind a bare
+// channel, which held virtual time still, so the link never delivered
+// and Stop never returned.
+func TestStopWaitsForTheReactiveEpisode(t *testing.T) {
+	vc := vclock.NewVirtual()
+	ms := buildMetaOn(t, vc, 3, 1)
+	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
+	c := ms.DefineClass("Worker", nil)
+	planned := vc.NewGate()
+	r := New(ms, Config{Classes: []*classobj.Class{c}, Cooldown: -1, Policy: signalling{NewLeastLoaded(), planned}})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	reg := ms.Runtime().Metrics()
+	episodes := func() int64 {
+		return reg.CounterValue("legion_rebalance_migrations_total", "result", "ok") +
+			reg.CounterValue("legion_rebalance_migrations_total", "result", "failed")
+	}
+	var atStop, afterStop int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vc.Run(func() {
+			ctx := context.Background()
+			_, p, err := c.CreateInstance(ctx, 1, nil, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ms.WatchLoad(ctx, 0.8); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, h := range ms.Hosts() {
+				if h.LOID() == p.Host {
+					h.SetExternalLoad(0.95)
+				} else {
+					h.SetExternalLoad(0.3)
+				}
+			}
+			ms.ReassessAll(ctx)
+			_ = planned.Wait(ctx) // the migration's calls are on the link now
+			atStop = episodes()
+			r.Stop()
+			afterStop = episodes()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop never returned: the migration it waits for is stuck on virtual time")
+	}
+	if atStop != 0 || afterStop != 1 {
+		t.Errorf("migrations ended: %d when Stop was called, %d when it returned; want 0 and 1", atStop, afterStop)
+	}
+}
+
+// signalling is a Policy that signals planned each time it has planned.
+type signalling struct {
+	Policy
+	planned vclock.Gate
+}
+
+func (p signalling) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Metasystem, classes []*classobj.Class) ([]Move, error) {
+	moves, err := p.Policy.Plan(ctx, ev, ms, classes)
+	p.planned.Signal()
+	return moves, err
 }

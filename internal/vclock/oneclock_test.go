@@ -1,11 +1,17 @@
 package vclock_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -55,8 +61,8 @@ var bareGos = map[string]int{
 	"internal/orb/coalesce.go": 1,
 	// The wall clock's worker pool; fanout.Do runs serially on any other.
 	"internal/fanout/fanout.go": 1,
-	// A daemon's telemetry listener and status line, on the wall clock.
-	"cmd/legiond/main.go": 2,
+	// A daemon's telemetry listener, on the wall clock.
+	"cmd/legiond/main.go": 1,
 }
 
 // bareConds is every non-test file under internal/ and cmd/ that may
@@ -69,12 +75,38 @@ var bareConds = map[string]int{
 	"internal/vclock/virtual.go": 2,
 }
 
+// bareRecvs is every non-test file under internal/ and cmd/ that may
+// receive from a channel, with its exact count of receives: each <-ch,
+// in a select case or not, and each range over a channel. Everything
+// else waits on its clock's Gate or Group (or vclock.Every's stop): a
+// goroutine parked on a bare channel under a virtual clock keeps its
+// busy credit, so the engine holds time still and the goroutine that
+// would have sent waits on it forever.
+var bareRecvs = map[string]int{
+	// The clocks themselves: a parked waiter's token, the worker pool's
+	// hand-off, a foreign parent's end, and the wall clock's timers.
+	"internal/vclock/virtual.go": 5,
+	"internal/vclock/ctx.go":     2,
+	"internal/vclock/wall.go":    9,
+	// A socket call's reply or its context's end.
+	"internal/orb/tcp.go": 2,
+	// The wall clock's worker pool.
+	"internal/fanout/fanout.go": 1,
+	// E3b times a trigger outcall on the wall clock.
+	"internal/experiments/dynamics.go": 2,
+	// Wall CLIs: legiond waits for SIGINT, legion-query -watch re-runs
+	// its query on a wall ticker.
+	"cmd/legiond/main.go":      1,
+	"cmd/legion-query/main.go": 1,
+}
+
 // TestOneClockPerGraph holds the rule that time reaches a service only
 // through the vclock.Clock it was built with: no value of type
 // func() time.Time is stored, passed or returned, the runtime's
 // SetClock is the only clock setter, the wall clock is read only where
 // wallReads allows, a goroutine is started bare only where bareGos
-// allows, and a sync.Cond is used only where bareConds allows.
+// allows, a sync.Cond is used only where bareConds allows, and a
+// channel is received from only where bareRecvs allows.
 func TestOneClockPerGraph(t *testing.T) {
 	reads, gos, conds := map[string]int{}, map[string]int{}, map[string]int{}
 	walkSources(t, func(rel string, fset *token.FileSet, f *ast.File) {
@@ -98,6 +130,85 @@ func TestOneClockPerGraph(t *testing.T) {
 	exact(t, reads, wallReads, "time.Now/time.Since references", "take the clock the service was built with", "wallReads")
 	exact(t, gos, bareGos, "go statements", "spawn with the clock's Go", "bareGos")
 	exact(t, conds, bareConds, "sync.Cond references", "wait on the clock's Gate or Group", "bareConds")
+	exact(t, channelReceives(t), bareRecvs, "channel receives", "wait on the clock's Gate or Group", "bareRecvs")
+}
+
+// channelReceives counts, per non-test file under internal/ and cmd/,
+// its channel receives: each <-ch, in a select case or not, and each
+// range over a channel. Which range is over a channel takes types, so
+// each package is type-checked against the export data that go list
+// -export builds for its imports.
+func channelReceives(t *testing.T) map[string]int {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := exec.Command("go", "list", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard", "./internal/...", "./cmd/...")
+	list.Dir = root
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	exports := map[string]string{}
+	var ours []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		exports[p.ImportPath] = p.Export
+		if !p.Standard {
+			ours = append(ours, p)
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	counts := map[string]int{}
+	for _, p := range ours {
+		files := make([]*ast.File, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			if files[i], err = parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+		if _, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		for i, f := range files {
+			n := 0
+			ast.Inspect(f, func(node ast.Node) bool {
+				switch node := node.(type) {
+				case *ast.UnaryExpr:
+					if node.Op == token.ARROW {
+						n++
+					}
+				case *ast.RangeStmt:
+					if _, ok := info.TypeOf(node.X).Underlying().(*types.Chan); ok {
+						n++
+					}
+				}
+				return true
+			})
+			if n > 0 {
+				rel, err := filepath.Rel(root, filepath.Join(p.Dir, p.GoFiles[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts[filepath.ToSlash(rel)] = n
+			}
+		}
+	}
+	return counts
 }
 
 // exact fails t for every file whose count in got differs from its

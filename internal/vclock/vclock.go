@@ -17,6 +17,7 @@ package vclock
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -35,9 +36,6 @@ type Clock interface {
 	// AfterFunc runs f after d on its own goroutine (registered, in
 	// virtual mode).
 	AfterFunc(d time.Duration, f func()) Timer
-	// NewTicker returns a Ticker with the given period. Virtual-safe
-	// consumers loop on Wait rather than selecting on a channel.
-	NewTicker(d time.Duration) Ticker
 	// WithDeadline derives a context that ends at the instant at on this
 	// clock, or at parent's deadline if that is earlier, or when parent
 	// ends, or when End is called on it. In virtual mode the deadline is
@@ -54,6 +52,9 @@ type Clock interface {
 	NewGate() Gate
 	// NewGroup returns a cancellable WaitGroup analogue (see Group).
 	NewGroup() Group
+
+	// newTicker returns the ticker an Every loop waits on; d > 0.
+	newTicker(d time.Duration) ticker
 }
 
 // Timer is a pending AfterFunc.
@@ -62,18 +63,67 @@ type Timer interface {
 	Stop() bool
 }
 
-// Ticker fires repeatedly. Consumers call Wait in a loop; in virtual
-// mode Wait parks the goroutine so the barrier can advance time.
-// Like time.Ticker, a Ticker that falls behind does not accumulate a
-// backlog: the next Wait fires immediately (once), then the schedule
-// resumes from there.
-type Ticker interface {
-	// Wait blocks until the next tick, Stop, or ctx's end. One goroutine
-	// waits on a ticker at a time: the loop it drives.
-	Wait(ctx context.Context) error
-	// Stop releases the ticker and ends a pending Wait, and every later
-	// one, with context.Canceled. Idempotent.
-	Stop()
+// ticker fires repeatedly for one Every loop. Like time.Ticker, a
+// ticker that falls behind does not accumulate a backlog: the next wait
+// fires immediately (once), then the schedule resumes from there.
+type ticker interface {
+	// wait blocks until the next tick or stop; in virtual mode it parks
+	// the goroutine so the barrier can advance time. Only the loop waits.
+	wait() error
+	// stop ends a pending wait, and every later one, with
+	// context.Canceled. Idempotent.
+	stop()
+}
+
+// Every runs fn every d on c until the returned stop is called, each run
+// on the one goroutine it starts with c.Go. It is the one way a service
+// runs periodic work, so that every such loop stops the same way:
+//
+//   - stop returns once the run of fn in flight, if any, has ended. It
+//     waits on c, so under Virtual a stop that finds a run in flight is
+//     called from a goroutine c runs.
+//   - No run starts after stop returns.
+//   - A stop that finds no run in flight never parks, so it may be called
+//     from outside Virtual.Run.
+//   - stop must not be called from inside fn, which would wait on itself.
+//
+// stop is idempotent.
+func Every(c Clock, d time.Duration, fn func()) (stop func()) {
+	if d <= 0 {
+		panic("vclock: non-positive Every period")
+	}
+	t := c.newTicker(d)
+	l := &periodic{runs: c.NewGroup()}
+	c.Go(func() {
+		for t.wait() == nil && l.begin() {
+			fn()
+			l.runs.Done()
+		}
+	})
+	return func() {
+		l.mu.Lock()
+		l.stopped = true
+		l.mu.Unlock()
+		t.stop()
+		_ = l.runs.Wait(context.Background())
+	}
+}
+
+// periodic is what an Every loop's stop reads: runs counts the run in
+// flight, and begin counts one in only while stop has not been called.
+type periodic struct {
+	runs    Group
+	mu      sync.Mutex
+	stopped bool
+}
+
+func (l *periodic) begin() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.stopped {
+		l.runs.Add(1)
+	}
+	return !l.stopped
 }
 
 // Gate is a single-waiter handoff: Signal deposits a token (never

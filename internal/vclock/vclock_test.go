@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -124,81 +125,150 @@ func TestVirtualWithDeadlineStdlibParent(t *testing.T) {
 	}
 }
 
+// TestVirtualTicker: an Every loop ticks on its period, and a run that
+// overruns it is followed by one immediate run, not a backlog.
 func TestVirtualTicker(t *testing.T) {
+	bg := context.Background()
 	v := NewVirtual()
 	var ticks []time.Duration
 	v.Run(func() {
-		tk := v.NewTicker(10 * time.Millisecond)
-		defer tk.Stop()
-		for i := 0; i < 3; i++ {
-			if err := tk.Wait(context.Background()); err != nil {
-				t.Errorf("Wait: %v", err)
-				return
-			}
+		three := v.NewGroup()
+		three.Add(3)
+		stop := Every(v, 10*time.Millisecond, func() {
 			ticks = append(ticks, v.Elapsed())
-			// Simulate slow consumer on the second tick: the ticker
-			// fires once immediately, then resumes its schedule.
-			if i == 0 {
-				_ = v.Sleep(context.Background(), 25*time.Millisecond)
+			// A slow first run: the loop runs once at once, then
+			// resumes its schedule.
+			if len(ticks) == 1 {
+				_ = v.Sleep(bg, 25*time.Millisecond)
 			}
-		}
+			if len(ticks) <= 3 {
+				three.Done()
+			}
+		})
+		_ = three.Wait(bg)
+		stop()
 	})
 	want := []time.Duration{10 * time.Millisecond, 35 * time.Millisecond, 45 * time.Millisecond}
 	if fmt.Sprint(ticks) != fmt.Sprint(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
+	if n := v.PendingEvents(); n != 0 {
+		t.Errorf("%d events pending after stop", n)
+	}
 }
 
-// TestTickerStopEndsWait: Stop ends a Wait parked on the ticker, and
-// every later one, with context.Canceled, on either clock. On the
-// virtual clock the parked loop wakes at the virtual instant Stop ran,
-// and its tick is taken out of the queue.
+// TestTickerStopEndsWait: a stop that finds no run in flight ends the
+// loop's parked wait at once, without parking, so it may be called from
+// outside Virtual.Run; no run starts after it, its tick is taken out of
+// the queue, and a second stop does nothing. A stop before the loop ever
+// started stops it too. The same on the wall clock.
 func TestTickerStopEndsWait(t *testing.T) {
-	bg := context.Background()
 	v := NewVirtual()
-	var err error
-	var at time.Duration
-	v.Run(func() {
-		tk := v.NewTicker(time.Hour)
-		g := v.NewGroup()
-		g.Add(1)
-		v.Go(func() {
-			defer g.Done()
-			err = tk.Wait(bg)
-			at = v.Elapsed()
-		})
-		_ = v.Sleep(bg, time.Millisecond)
-		tk.Stop()
-		_ = g.Wait(bg)
-		if again := tk.Wait(bg); again != context.Canceled {
-			t.Errorf("virtual Wait after Stop = %v", again)
-		}
-		tk.Stop() // idempotent
-	})
-	if err != context.Canceled || at != time.Millisecond {
-		t.Errorf("virtual Wait ended with %v at %v, want Canceled at 1ms", err, at)
+	runs := 0
+	stop := Every(v, 10*time.Millisecond, func() { runs++ })
+	v.Advance(25 * time.Millisecond)
+	stop() // the loop is parked on its tick at 30ms: nothing to wait for
+	stop()
+	v.Advance(time.Second)
+	if runs != 2 {
+		t.Errorf("virtual: %d runs, want 2 (at 10ms and 20ms)", runs)
 	}
 	if n := v.PendingEvents(); n != 0 {
-		t.Errorf("%d events pending after Stop", n)
+		t.Errorf("virtual: %d events pending after stop", n)
 	}
 
-	tk := Wall.NewTicker(time.Hour)
-	errc := make(chan error, 1)
-	go func() { errc <- tk.Wait(bg) }()
-	time.Sleep(10 * time.Millisecond)
-	tk.Stop()
+	never := Every(v, time.Millisecond, func() { t.Error("virtual: a loop stopped before it started ran") })
+	never()
+	v.Advance(time.Second)
+
+	var wallRuns atomic.Int32
+	wallStop := Every(Wall, time.Hour, func() { wallRuns.Add(1) })
+	returned := make(chan struct{})
+	go func() { wallStop(); close(returned) }()
 	select {
-	case err := <-errc:
-		if err != context.Canceled {
-			t.Errorf("wall Wait ended with %v, want Canceled", err)
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wall: stop with no run in flight still waiting after 10s")
+	}
+	if n := wallRuns.Load(); n != 0 {
+		t.Errorf("wall: %d runs of an hourly loop", n)
+	}
+}
+
+// TestEveryStopWaitsForTheRunInFlight: a stop called while a run sleeps
+// on the virtual clock returns once that run has ended, at the virtual
+// instant it ends, and no run starts after it. The stop parks on the
+// clock, so the engine keeps moving time for the run it waits on.
+func TestEveryStopWaitsForTheRunInFlight(t *testing.T) {
+	bg := context.Background()
+	v := NewVirtual()
+	var starts, ends []time.Duration
+	var stoppedAt time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v.Run(func() {
+			stop := Every(v, 10*time.Millisecond, func() {
+				starts = append(starts, v.Elapsed())
+				_ = v.Sleep(bg, 25*time.Millisecond)
+				ends = append(ends, v.Elapsed())
+			})
+			_ = v.Sleep(bg, 15*time.Millisecond) // mid-run: 10ms to 35ms
+			stop()
+			stoppedAt = v.Elapsed()
+			_ = v.Sleep(bg, time.Second)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop never returned: the run it waits for is stuck on virtual time")
+	}
+	if fmt.Sprint(starts) != "[10ms]" || fmt.Sprint(ends) != "[35ms]" {
+		t.Errorf("runs started at %v and ended at %v, want one from 10ms to 35ms", starts, ends)
+	}
+	if stoppedAt != 35*time.Millisecond {
+		t.Errorf("stop returned at %v, want 35ms, when the run in flight ended", stoppedAt)
+	}
+}
+
+// TestEveryStopWaitsForTheRunInFlightOnWall: the same on the wall clock,
+// with the stop racing the loop across goroutines.
+func TestEveryStopWaitsForTheRunInFlightOnWall(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var runs, ended atomic.Int32
+	stop := Every(Wall, time.Millisecond, func() {
+		if runs.Add(1) == 1 {
+			entered <- struct{}{}
+			<-release
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("wall Wait still parked 5s after Stop")
+		ended.Add(1)
+	})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the loop never ran")
 	}
-	if err := tk.Wait(bg); err != context.Canceled {
-		t.Errorf("wall Wait after Stop = %v", err)
+	returned := make(chan struct{})
+	go func() { stop(); close(returned) }()
+	select {
+	case <-returned:
+		t.Fatal("stop returned while a run was in flight")
+	case <-time.After(20 * time.Millisecond):
 	}
-	tk.Stop()
+	close(release)
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop still waiting 10s after the run in flight ended")
+	}
+	if r, e := runs.Load(), ended.Load(); r != 1 || e != 1 {
+		t.Errorf("%d runs started and %d ended by stop's return, want 1 and 1", r, e)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if r := runs.Load(); r != 1 {
+		t.Errorf("%d runs after stop returned, want 1", r)
+	}
 }
 
 func TestVirtualGate(t *testing.T) {
@@ -544,14 +614,13 @@ func TestContextForgetsWokenWaiters(t *testing.T) {
 	type key struct{}
 	wrapped := context.WithValue(ctx, key{}, 1)
 	v.Run(func() {
-		tk := v.NewTicker(time.Millisecond)
 		for i := 0; i < 5000; i++ {
 			if err := v.Sleep(ctx, time.Millisecond); err != nil {
 				t.Errorf("Sleep: %v", err)
 				return
 			}
-			if err := tk.Wait(wrapped); err != nil {
-				t.Errorf("Wait: %v", err)
+			if err := v.Sleep(wrapped, time.Millisecond); err != nil {
+				t.Errorf("Sleep under a wrapper: %v", err)
 				return
 			}
 		}

@@ -22,7 +22,7 @@ import (
 // Rules for code running under a Virtual clock (enforced by panics
 // where cheap, by review elsewhere; see DESIGN.md §13):
 //
-//   - every goroutine that parks (Sleep, Ticker.Wait, Gate.Wait,
+//   - every goroutine that parks (Sleep, an Every tick, Gate.Wait,
 //     Group.Wait) must be spawned via Go or be the root of Run;
 //   - registered goroutines never block on bare channels, WaitGroups,
 //     or network I/O — they use Gate/Group;
@@ -53,7 +53,7 @@ type eventKind uint8
 
 const (
 	evSleep       eventKind = iota // grants w: a Sleep is over
-	evTick                         // grants w: a Ticker.Wait's tick has come
+	evTick                         // grants w: an Every loop's tick has come
 	evGroupWake                    // grants w: a Group released this waiter
 	evCtxDeadline                  // ends c with DeadlineExceeded
 	evAfterFunc                    // runs f on a registered goroutine
@@ -150,7 +150,7 @@ func newWaiter() *waiter {
 }
 
 // waiterPool recycles the waiters of Sleep, which nothing points at once
-// the wait has returned. A Ticker keeps one waiter, which Stop grants; a
+// the wait has returned. A ticker keeps one waiter, which stop grants; a
 // Gate or a Group keeps a pointer to its waiter past the wake and reads
 // granted through it, so theirs are made new for every wait.
 var waiterPool = sync.Pool{New: func() any { return newWaiter() }}
@@ -259,7 +259,7 @@ func (v *Virtual) park(ctx context.Context, w *waiter, attached bool) error {
 }
 
 // sleepUntil parks the caller on w until an event of w's kind fires at
-// at, or ctx ends: the whole of Sleep and Ticker.Wait once they hold
+// at, or ctx ends: the whole of Sleep and a ticker's wait once they hold
 // v.mu, which it releases. c is v.own(ctx).
 func (v *Virtual) sleepUntil(ctx context.Context, c *vctx, w *waiter, at time.Time) error {
 	v.schedule(&w.ev, at)
@@ -323,11 +323,7 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return t
 }
 
-// NewTicker returns a virtual ticker; consumers loop on Wait.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
+func (v *Virtual) newTicker(d time.Duration) ticker {
 	w := newWaiter()
 	w.ev.kind = evTick
 	w.granted = true // not parked
@@ -514,9 +510,9 @@ func (v *Virtual) advanceToLocked(t time.Time) {
 }
 
 // RunUntilIdle fires events (waiting for quiescence between them)
-// until none remain. It does not terminate while periodic work — a
-// ticker loop that re-arms itself — is still live; bound those loops
-// with a context or use Advance.
+// until none remain. It does not terminate while periodic work — an
+// Every loop that re-arms itself — is still live; stop those loops or
+// use Advance.
 func (v *Virtual) RunUntilIdle() {
 	v.mu.Lock()
 	for {
@@ -618,9 +614,8 @@ func (t *vtimer) Stop() bool {
 	return active
 }
 
-// vticker's one waiter is parked while a Wait is, and granted otherwise,
-// so Stop can end the Wait under v.mu as a clock context's end does.
-// Wait is for one goroutine at a time, the ticker's loop.
+// vticker's one waiter is parked while a wait is, and granted otherwise,
+// so stop can end the wait under v.mu as a clock context's end does.
 type vticker struct {
 	v       *Virtual
 	period  time.Duration
@@ -629,11 +624,7 @@ type vticker struct {
 	stopped bool
 }
 
-func (t *vticker) Wait(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c := t.v.own(ctx)
+func (t *vticker) wait() error {
 	t.v.mu.Lock()
 	if t.stopped {
 		t.v.mu.Unlock()
@@ -645,10 +636,10 @@ func (t *vticker) Wait(ctx context.Context) error {
 	}
 	t.next = at.Add(t.period)
 	t.w.granted, t.w.err = false, nil
-	return t.v.sleepUntil(ctx, c, t.w, at)
+	return t.v.sleepUntil(context.Background(), nil, t.w, at)
 }
 
-func (t *vticker) Stop() {
+func (t *vticker) stop() {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
 	t.stopped = true

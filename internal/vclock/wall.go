@@ -36,8 +36,8 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 
 func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
-func (wallClock) NewTicker(d time.Duration) Ticker {
-	return &wallTicker{t: time.NewTicker(d), stop: make(chan struct{})}
+func (wallClock) newTicker(d time.Duration) ticker {
+	return &wallTicker{t: time.NewTicker(d), stopped: make(chan struct{})}
 }
 
 // WithDeadline derives a context that ends at the wall-clock instant at,
@@ -187,33 +187,31 @@ func (wallClock) Go(f func()) { go f() }
 func (wallClock) NewGate() Gate   { return &wallGate{} }
 func (wallClock) NewGroup() Group { return &wallGroup{} }
 
-// wallTicker adapts *time.Ticker with a Wait that ctx or Stop ends.
+// wallTicker adapts *time.Ticker with a wait that stop ends.
 type wallTicker struct {
-	t    *time.Ticker
-	stop chan struct{}
-	once sync.Once
+	t       *time.Ticker
+	stopped chan struct{}
+	once    sync.Once
 }
 
-func (w *wallTicker) Wait(ctx context.Context) error {
+func (w *wallTicker) wait() error {
 	select {
-	case <-w.stop: // before a tick Stop left in the channel
+	case <-w.stopped: // before a tick stop left in the channel
 		return context.Canceled
 	default:
 	}
 	select {
 	case <-w.t.C:
 		return nil
-	case <-w.stop:
+	case <-w.stopped:
 		return context.Canceled
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 
-func (w *wallTicker) Stop() {
+func (w *wallTicker) stop() {
 	w.once.Do(func() {
 		w.t.Stop()
-		close(w.stop)
+		close(w.stopped)
 	})
 }
 
