@@ -825,9 +825,7 @@ func BenchmarkEnactWideSchedule(b *testing.B) {
 					})
 				}
 				class := classobj.New(rt, classobj.Config{Name: "Worker"})
-				enr := enactor.New(rt, enactor.Config{
-					CallTimeout: 30 * time.Second, Parallelism: par,
-				})
+				enr := enactor.New(rt, enactor.Config{Parallelism: par})
 				var maps []sched.Mapping
 				for i := 0; i < width; i++ {
 					maps = append(maps, sched.Mapping{

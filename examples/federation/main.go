@@ -23,24 +23,17 @@ import (
 	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/sched"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
-// site boots one domain with two hosts (mutate tweaks host 1's config).
-func site(domain string, mutate func(c *host.Config)) (*core.Metasystem, string) {
-	ms := core.New(domain, core.Options{Seed: 1})
-	v := ms.AddVault(vault.Config{Zone: domain})
-	for i := 0; i < 2; i++ {
-		cfg := host.Config{
-			Arch: "x86", OS: "Linux", OSVersion: "2.2",
-			CPUs: 4, MemoryMB: 512, Zone: domain,
-			Vaults: []loid.LOID{v.LOID()},
-		}
-		if i == 0 && mutate != nil {
-			mutate(&cfg)
-		}
-		ms.AddHost(cfg)
+// site boots one domain with two hosts; a non-nil policy is host 1's.
+func site(domain string, policy host.PolicyFunc) (*core.Metasystem, string) {
+	unix := sim.HostSpec{Arch: "x86", OS: "Linux", OSVer: "2.2", CPUs: 4, MemoryMB: 512, Zone: domain}
+	fleet := sim.New(sim.Spec{Domain: domain, Options: core.Options{Seed: 1}, Hosts: []sim.HostSpec{unix, unix}})
+	if policy != nil {
+		fleet.Hosts[0].SetPolicy(policy)
 	}
+	ms := fleet.MS
 	ms.DefineClass("Worker", nil)
 	addr, err := ms.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -55,9 +48,7 @@ func main() {
 	uva, uvaAddr := site("uva", nil)
 	defer uva.Close()
 	// sdsc's first host refuses uva-domain requesters (site autonomy).
-	sdsc, sdscAddr := site("sdsc", func(c *host.Config) {
-		c.Policy = host.RefuseDomains("uva")
-	})
+	sdsc, sdscAddr := site("sdsc", host.RefuseDomains("uva"))
 	defer sdsc.Close()
 	// uva's Enactor will negotiate with sdsc over TCP.
 	uva.Runtime().BindDomain("sdsc", sdscAddr)

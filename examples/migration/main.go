@@ -18,27 +18,21 @@ import (
 
 	"legion/internal/classobj"
 	"legion/internal/core"
-	"legion/internal/host"
-	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/rebalance"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 func main() {
 	ctx := context.Background()
-	ms := core.New("uva", core.Options{Seed: 3})
+	unix := sim.HostSpec{Arch: "x86", OS: "Linux", OSVer: "2.2", CPUs: 4, MemoryMB: 1024, Zone: "campus"}
+	fleet := sim.New(sim.Spec{
+		Domain:  "uva",
+		Options: core.Options{Seed: 3},
+		Hosts:   []sim.HostSpec{unix, unix, unix},
+	})
+	ms, hosts := fleet.MS, fleet.Hosts
 	defer ms.Close()
-
-	v := ms.AddVault(vault.Config{Zone: "campus"})
-	var hosts []*host.Host
-	for i := 0; i < 3; i++ {
-		hosts = append(hosts, ms.AddHost(host.Config{
-			Arch: "x86", OS: "Linux", OSVersion: "2.2",
-			CPUs: 4, MemoryMB: 1024, Zone: "campus",
-			Vaults: []loid.LOID{v.LOID()},
-		}))
-	}
 
 	// Start a worker and give it state worth preserving.
 	workers := ms.DefineClass("Worker", nil)
@@ -97,6 +91,9 @@ func main() {
 	val, err := ms.Runtime().Call(ctx, worker, "get", "checkpoint")
 	if err != nil {
 		log.Fatal(err)
+	}
+	if val != "iteration-500" {
+		log.Fatalf("checkpoint=%v after the move, want iteration-500: state was lost", val)
 	}
 	hostNow, vaultNow, _ := workers.WhereIs(worker)
 	fmt.Printf("worker %s now on %s (vault %s), checkpoint=%v — state survived the move\n",

@@ -34,8 +34,6 @@ func main() {
 
 	// A heterogeneous fleet: IRIX workstations, Solaris servers, Linux
 	// PCs — the kind of campus metasystem Legion federated.
-	ms := core.New("msrc", core.Options{Seed: 1999})
-	defer ms.Close()
 	specs := sim.RandomSpecs(rng, 8, "stennis")
 	for i := range specs {
 		// A long-running MPI job timeshares freely on these machines:
@@ -43,7 +41,9 @@ func main() {
 		// admission, differentiates the schedulers.
 		specs[i].MaxShared = rows * cols
 	}
-	fleet := sim.Build(ms, rng, specs)
+	fleet := sim.New(sim.Spec{Domain: "msrc", Options: core.Options{Seed: 1999}, Hosts: specs})
+	ms := fleet.MS
+	defer ms.Close()
 
 	oceanClass := ms.DefineClass("OceanSubdomain", nil)
 	req := scheduler.Request{

@@ -4,7 +4,7 @@
 //
 // Forty study points are placed as forty instances of a StudyPoint
 // class. Half the machines are ordinary Unix Hosts; half sit behind a
-// simulated LoadLeveler-style queue (one job slot each, non-zero
+// simulated LoadLeveler-style queue (one job slot per CPU, non-zero
 // dispatch latency), exercising the Batch Queue Host path the paper
 // describes: reservations are kept in the Host object because the queue
 // manager has no notion of them, and activation waits for dispatch.
@@ -18,46 +18,25 @@ import (
 	"log"
 	"time"
 
-	"legion/internal/batchq"
 	"legion/internal/core"
-	"legion/internal/host"
-	"legion/internal/loid"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 func main() {
 	ctx := context.Background()
-	ms := core.New("lab", core.Options{Seed: 7})
+	// Four interactive Unix hosts, and four batch-managed nodes
+	// (LoadLeveler-flavoured FCFS queues with a scheduler-cycle dispatch
+	// delay).
+	unix := sim.HostSpec{Arch: "x86", OS: "Linux", OSVer: "2.2", CPUs: 2, MemoryMB: 512, Zone: "lab"}
+	batch := sim.HostSpec{Arch: "rs6000", OS: "AIX", OSVer: "4.3", CPUs: 8, MemoryMB: 2048, Zone: "lab", Batch: true}
+	ms := sim.New(sim.Spec{
+		Domain:  "lab",
+		Options: core.Options{Seed: 7},
+		Hosts:   []sim.HostSpec{unix, unix, unix, unix, batch, batch, batch, batch},
+	}).MS
 	defer ms.Close()
-	v := ms.AddVault(vault.Config{Zone: "lab"})
-
-	// Four interactive Unix hosts.
-	for i := 0; i < 4; i++ {
-		ms.AddHost(host.Config{
-			Arch: "x86", OS: "Linux", OSVersion: "2.2",
-			CPUs: 2, MemoryMB: 512, Zone: "lab",
-			Vaults: []loid.LOID{v.LOID()},
-		})
-	}
-	// Four batch-managed nodes (LoadLeveler-flavoured FCFS queues with a
-	// scheduler-cycle dispatch delay).
-	var queues []*batchq.Queue
-	for i := 0; i < 4; i++ {
-		q := batchq.New(batchq.Config{
-			Name: fmt.Sprintf("loadleveler-%d", i), Slots: 8,
-			DispatchDelay: 20 * time.Millisecond,
-		})
-		defer q.Close()
-		queues = append(queues, q)
-		ms.AddHost(host.Config{
-			Arch: "rs6000", OS: "AIX", OSVersion: "4.3",
-			CPUs: 8, MemoryMB: 2048, Zone: "lab",
-			Vaults: []loid.LOID{v.LOID()},
-			Queue:  q,
-		})
-	}
 
 	study := ms.DefineClass("StudyPoint", nil)
 
@@ -102,11 +81,6 @@ func main() {
 		}
 		fmt.Printf("  %-8s (%s): %2d study points\n", h.LOID().Short(), kind, h.RunningCount())
 	}
-	for i, q := range queues {
-		st := q.Stats()
-		fmt.Printf("  queue loadleveler-%d: %d running, mean wait %v\n",
-			i, st.Running, meanWait(st))
-	}
 
 	// Spot-check one instance's configuration survived.
 	first := out.Instances[0][0]
@@ -115,12 +89,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nspot check: %s has reynolds_number=%v\n", first.Short(), val)
-}
-
-func meanWait(st batchq.Stats) time.Duration {
-	started := st.Done + st.Running
-	if started == 0 {
-		return 0
-	}
-	return (st.TotalWait / time.Duration(started)).Round(time.Millisecond)
 }

@@ -13,28 +13,23 @@ import (
 	"time"
 
 	"legion/internal/core"
-	"legion/internal/host"
-	"legion/internal/loid"
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 func main() {
 	ctx := context.Background()
 
 	// One administrative domain with a vault and three hosts.
-	ms := core.New("uva", core.Options{Seed: 42})
+	unix := sim.HostSpec{Arch: "x86", OS: "Linux", OSVer: "2.2", CPUs: 4, MemoryMB: 1024, Zone: "campus"}
+	ms := sim.New(sim.Spec{
+		Domain:  "uva",
+		Options: core.Options{Seed: 42},
+		Hosts:   []sim.HostSpec{unix, unix, unix},
+	}).MS
 	defer ms.Close()
-	v := ms.AddVault(vault.Config{Zone: "campus"})
-	for i := 0; i < 3; i++ {
-		ms.AddHost(host.Config{
-			Arch: "x86", OS: "Linux", OSVersion: "2.2",
-			CPUs: 4, MemoryMB: 1024, Zone: "campus",
-			Vaults: []loid.LOID{v.LOID()},
-		})
-	}
 	fmt.Printf("metasystem %q: %d hosts, %d vault(s), collection holds %d records\n",
 		ms.Domain(), len(ms.Hosts()), len(ms.Vaults()), ms.Collection.Size())
 

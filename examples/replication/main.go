@@ -19,34 +19,25 @@ import (
 	"legion/internal/proto"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
-	"legion/internal/vault"
+	"legion/internal/sim"
 )
 
 func main() {
 	ctx := context.Background()
-	ms := core.New("uva", core.Options{Seed: 5})
-	defer ms.Close()
-	v := ms.AddVault(vault.Config{Zone: "campus"})
-
 	// Five candidate machines; the least-loaded one (which every naive
 	// scheduler would pick first) refuses all requests — its
 	// administrator said no (site autonomy).
-	loads := []float64{0.05, 0.3, 0.5, 0.6, 0.7}
-	for i, l := range loads {
-		cfg := host.Config{
-			Arch: "x86", OS: "Linux", OSVersion: "2.2",
-			CPUs: 4, MemoryMB: 512, Zone: "campus",
-			Vaults: []loid.LOID{v.LOID()},
-		}
-		if i == 0 {
-			cfg.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: maintenance window", host.ErrPolicy)
-			}
-		}
-		h := ms.AddHost(cfg)
-		h.SetExternalLoad(l)
-		h.Reassess(ctx)
+	var specs []sim.HostSpec
+	for _, l := range []float64{0.05, 0.3, 0.5, 0.6, 0.7} {
+		specs = append(specs, sim.HostSpec{Arch: "x86", OS: "Linux", OSVer: "2.2",
+			CPUs: 4, MemoryMB: 512, Zone: "campus", Load: l})
 	}
+	fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 5}, Hosts: specs})
+	ms := fleet.MS
+	defer ms.Close()
+	fleet.Hosts[0].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: maintenance window", host.ErrPolicy)
+	})
 
 	replicas := ms.DefineClass("Replica", nil)
 	out, err := ms.PlaceApplication(ctx, scheduler.Replicated{N: 5}, scheduler.Request{

@@ -258,7 +258,7 @@ func TestDaemonFlagsCrashedHostAndSchedulerAvoidsIt(t *testing.T) {
 
 	revive := w.CrashHost(s, 0)
 	d.Sweep(ctx) // failure 1
-	d.Sweep(ctx) // failure 2: crossed DownAfter, record flagged
+	d.Sweep(ctx) // failure 2: down, record flagged
 
 	// Scheduling now avoids the dead host entirely.
 	for i := 0; i < 3; i++ {

@@ -77,20 +77,12 @@ func (ds *downSet) get(res loid.LOID) bool {
 // again. A down-flag never creates a member that was never deposited.
 func TestBatchingProperty(t *testing.T) {
 	resent := 0 // down-flags the model saw re-sent after a failed push
-	for _, tc := range []struct {
-		seed        int64
-		parallelism int
-	}{
-		{seed: 1, parallelism: 8},
-		{seed: 2, parallelism: 1},
-		{seed: 3, parallelism: 4},
-		{seed: 4, parallelism: 2},
-	} {
-		t.Run(fmt.Sprintf("seed%d_par%d", tc.seed, tc.parallelism), func(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d_par%d", seed, parallelism), func(t *testing.T) {
 			rt := orb.NewRuntime("uva")
 			c := collection.New(rt, nil)
 			const nRes = 12
-			rng := rand.New(rand.NewSource(tc.seed))
+			rng := rand.New(rand.NewSource(seed))
 
 			res := make([]*fakeRes, nRes)
 			ds := &downSet{down: make(map[loid.LOID]bool)}
@@ -114,9 +106,7 @@ func TestBatchingProperty(t *testing.T) {
 				// The oracle models the daemon, not the breakers: an open
 				// breaker would keep a revived resource failing fast and
 				// diverge the model, so breakers effectively never open.
-				Breakers:    resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
-				DownAfter:   1,
-				Parallelism: tc.parallelism,
+				Breakers: resilient.NewBreakerSet(resilient.BreakerConfig{FailureThreshold: 1 << 30}, nil),
 			})
 			for _, f := range res {
 				d.Watch(f.LOID())
@@ -127,6 +117,7 @@ func TestBatchingProperty(t *testing.T) {
 			// whether the daemon counts it as flagged down.
 			type model struct {
 				attrs   map[string]attr.Value
+				fails   int // consecutive failed probes
 				flagged bool
 				lost    bool // its down-flag went out with a failed push
 			}
@@ -160,9 +151,13 @@ func TestBatchingProperty(t *testing.T) {
 				// resource, a down-flag per resource newly down.
 				for i := 0; i < nRes; i++ {
 					m := &models[i]
+					dead := ds.get(res[i].LOID())
+					if dead {
+						m.fails++
+					}
 					switch {
-					case !ds.get(res[i].LOID()):
-						m.flagged, m.lost = false, false
+					case !dead:
+						m.fails, m.flagged, m.lost = 0, false, false
 						if unreachable {
 							continue
 						}
@@ -172,6 +167,8 @@ func TestBatchingProperty(t *testing.T) {
 							AttrAlive:   attr.Bool(true),
 							AttrState:   attr.String(monitor.LivenessUp.String()),
 						}
+					case m.fails < downAfter:
+						// Failing, not yet down: the sweep sends nothing.
 					case !m.flagged:
 						if unreachable {
 							m.lost = true // unmarked: the next sweep sends it again
@@ -267,7 +264,7 @@ func TestBatchingCutsPushCalls(t *testing.T) {
 
 // TestSweepLandsWithinCallTimeout holds the currency bound the one push
 // per sweep costs: a record lands when the sweep's slowest probe
-// returns, not when its own does, and so no later than CallTimeout after
+// returns, not when its own does, and so no later than callTimeout after
 // the sweep began, however long a hung resource stays hung.
 func TestSweepLandsWithinCallTimeout(t *testing.T) {
 	vc := vclock.NewVirtual()
@@ -286,7 +283,6 @@ func TestSweepLandsWithinCallTimeout(t *testing.T) {
 	rt.Register(hung)
 	d.Watch(hung.LOID())
 	d.PushInto(c.LOID())
-	const callTimeout = 10 * time.Second // the default
 
 	vc.Run(func() {
 		start := vc.Now()
@@ -305,7 +301,7 @@ func TestSweepLandsWithinCallTimeout(t *testing.T) {
 		_ = swept.Wait(context.Background())
 		end := vc.Now()
 		if took := end.Sub(start); took > callTimeout {
-			t.Errorf("sweep took %v, past the %v CallTimeout", took, callTimeout)
+			t.Errorf("sweep took %v, past the %v callTimeout", took, callTimeout)
 		}
 		recs, err := c.Query(`defined($host_arch)`)
 		if err != nil || len(recs) != nRes {

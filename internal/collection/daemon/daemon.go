@@ -49,15 +49,24 @@ const (
 	AttrLoad = "host_load"
 )
 
+const (
+	// callTimeout is the deadline of each probe and each push, and the
+	// default retry budget within it.
+	callTimeout = 10 * time.Second
+	// downAfter consecutive probe failures flag the resource's records.
+	downAfter = 2
+	// parallelism bounds how many resources one sweep probes at once,
+	// so a sweep's wall time is dominated by the slowest probe, not the
+	// sum of all probe timeouts.
+	parallelism = 8
+)
+
 // Config parameterizes a Daemon.
 type Config struct {
 	// Interval between pull sweeps.
 	Interval time.Duration
 	// Credential presented with Collection updates.
 	Credential string
-	// CallTimeout bounds each per-resource call (the whole retry budget
-	// for that probe); zero means 10 seconds.
-	CallTimeout time.Duration
 	// Retry shapes per-probe retries; the zero value means 2 attempts
 	// (one quick retry absorbs a blip without stretching the sweep).
 	Retry resilient.Policy
@@ -65,14 +74,6 @@ type Config struct {
 	// the Metasystem's domain-wide set); nil means a private set with
 	// resilient defaults on the runtime's clock.
 	Breakers *resilient.BreakerSet
-	// DownAfter consecutive probe failures flag the resource's records;
-	// zero means 2.
-	DownAfter int
-	// Parallelism bounds how many resources are probed concurrently in
-	// one sweep, so a sweep's wall time is dominated by the slowest
-	// probe, not the sum of all probe timeouts. Zero means 8; 1 probes
-	// serially.
-	Parallelism int
 	// HistoryLen > 0 makes each sweep record the resource's host_load
 	// into a rolling per-resource window of that many samples and
 	// deposit the window as the host_load_history attribute — the pull
@@ -106,20 +107,11 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.Retry.MaxAttempts <= 0 {
 		cfg.Retry.MaxAttempts = 2
 	}
 	if cfg.Retry.Budget <= 0 {
-		cfg.Retry.Budget = cfg.CallTimeout
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 2
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 8
+		cfg.Retry.Budget = callTimeout
 	}
 	if cfg.Retry.Clock == nil {
 		cfg.Retry.Clock = rt.Clock()
@@ -127,7 +119,7 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 	if cfg.Breakers == nil {
 		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
-	live := monitor.NewLiveness(3*cfg.Interval, cfg.DownAfter, rt.Clock())
+	live := monitor.NewLiveness(3*cfg.Interval, downAfter, rt.Clock())
 	wireLivenessCounters(live, rt.Metrics())
 	return &Daemon{
 		rt:       rt,
@@ -187,10 +179,10 @@ func (d *Daemon) PushInto(collections ...loid.LOID) {
 //
 // What the probes pulled goes to each Collection as one batch once the
 // last probe has returned, the Collections in turn, each push under its
-// own CallTimeout. A record so reaches the k-th Collection at most
-// (⌈resources/Parallelism⌉ + k−1) × CallTimeout after the sweep began,
+// own callTimeout. A record so reaches the k-th Collection at most
+// (⌈resources/parallelism⌉ + k−1) × callTimeout after the sweep began,
 // plus link latency × hops; on a virtual clock the probes run serially,
-// so Parallelism counts as 1 there. A failed push, a Router's included
+// so parallelism counts as 1 there. A failed push, a Router's included
 // when any of its shards missed the batch, is not kept: the next sweep
 // deposits fresher state, and the down-flags the failed push carried
 // are sent again. Deposits a Collection refuses count as errors.
@@ -207,10 +199,10 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 	// internally locked; each probe writes its entry into its own slot,
 	// so the batch lists resources in the order they are watched.
 	slots := make([]proto.BatchEntry, len(resources))
-	fanout.Do(d.rt.Clock(), d.cfg.Parallelism, len(resources), func(ri int) {
+	fanout.Do(d.rt.Clock(), parallelism, len(resources), func(ri int) {
 		res := resources[ri]
 		clk := d.rt.Clock()
-		cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
+		cctx := clk.WithDeadline(ctx, clk.Now().Add(callTimeout))
 		attrs, err := orb.As[proto.AttributesReply](d.call.Call(cctx, res, proto.MethodGetAttributes, nil))
 		vclock.End(cctx)
 		if err != nil {
@@ -327,7 +319,7 @@ func (d *Daemon) markDown(res loid.LOID) bool {
 // reports the Collection's reply, or false if the call failed.
 func (d *Daemon) push(ctx context.Context, coll loid.LOID, entries []proto.BatchEntry) (proto.BatchUpdateReply, bool) {
 	clk := d.rt.Clock()
-	cctx := clk.WithDeadline(ctx, clk.Now().Add(d.cfg.CallTimeout))
+	cctx := clk.WithDeadline(ctx, clk.Now().Add(callTimeout))
 	defer vclock.End(cctx)
 	d.mu.Lock()
 	d.pushCalls++

@@ -80,7 +80,7 @@ func TestSweepToleratesDeadResource(t *testing.T) {
 
 func TestSweepToleratesDeadCollection(t *testing.T) {
 	rt, _, h, _ := setup(t)
-	d2 := New(rt, Config{Interval: time.Second, CallTimeout: 50 * time.Millisecond})
+	d2 := New(rt, Config{Interval: time.Second})
 	d2.Watch(h.LOID())
 	d2.PushInto(loid.LOID{Domain: "uva", Class: "Collection", Instance: 999})
 	if ok := d2.Sweep(context.Background()); ok != 0 {

@@ -83,7 +83,8 @@ type Options struct {
 	// host added through AddHost: at or above this occupancy fraction
 	// (active reservations / MaxShared) the host refuses priority-0
 	// best-effort reservations with orb.ErrOverload, keeping headroom
-	// for important work during overload.
+	// for important work during overload. A later Host.SetPolicy
+	// replaces it.
 	ShedWatermark float64
 	// Clock is the metasystem's time source; nil means the wall clock.
 	// A virtual clock here propagates to every service built on this
@@ -295,10 +296,7 @@ func (ms *Metasystem) AddVault(cfg vault.Config) *vault.Vault {
 func (ms *Metasystem) AddHost(cfg host.Config) *host.Host {
 	h := host.New(ms.rt, cfg)
 	if ms.opts.ShedWatermark > 0 {
-		// Layer the load shed behind any autonomy policy the caller
-		// supplied: local refusals (the site's own rules) win, then the
-		// occupancy watermark sheds what is left.
-		h.SetPolicy(host.ChainPolicies(cfg.Policy, h.LoadShedPolicy(ms.opts.ShedWatermark)))
+		h.SetPolicy(h.LoadShedPolicy(ms.opts.ShedWatermark))
 	}
 	ms.HostClass.AdoptInstance(h.LOID(), loid.Nil, loid.Nil)
 	// Hosts push to (and join) the Router when sharded — it forwards to

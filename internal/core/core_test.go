@@ -110,9 +110,8 @@ func TestQuickPlacementSkipsRefusingHosts(t *testing.T) {
 	ms.AddHost(host.Config{
 		Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1",
 		Vaults: []loid.LOID{v.LOID()},
-		Policy: func(proto.MakeReservationArgs) error {
-			return fmt.Errorf("%w: full up", host.ErrPolicy)
-		},
+	}).SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: full up", host.ErrPolicy)
 	})
 	good := ms.AddHost(host.Config{
 		Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1",
@@ -279,10 +278,10 @@ func TestMigrateRefusedDestinationLeavesObjectRunning(t *testing.T) {
 	ms.AddHost(host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1",
 		Vaults: []loid.LOID{v.LOID()}})
 	bad := ms.AddHost(host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1",
-		Vaults: []loid.LOID{v.LOID()},
-		Policy: func(proto.MakeReservationArgs) error {
-			return fmt.Errorf("%w: never", host.ErrPolicy)
-		}})
+		Vaults: []loid.LOID{v.LOID()}})
+	bad.SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: never", host.ErrPolicy)
+	})
 	c := ms.DefineClass("Worker", nil)
 	ctx := context.Background()
 	insts, _, err := c.CreateInstance(ctx, 1, nil, nil)

@@ -57,7 +57,7 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 func TestExpiredContextNeverReachesDownstream(t *testing.T) {
 	e := newEnv(t, 2, nil)
 	// Rebuild the enactor with the gate enabled.
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 4})
+	enr := New(e.rt, Config{MaxInFlight: 4})
 	rng := rand.New(rand.NewSource(11))
 	ctxBg := context.Background()
 
@@ -104,7 +104,7 @@ func TestExpiredContextNeverReachesDownstream(t *testing.T) {
 // waiters dispatch highest-priority-first when the slot frees.
 func TestAdmissionPriorityOrderAndQueueFull(t *testing.T) {
 	e := newEnv(t, 1, nil)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 1, AdmissionQueue: 2})
+	enr := New(e.rt, Config{MaxInFlight: 1, AdmissionQueue: 2})
 	a := enr.adm
 	ctx := context.Background()
 
@@ -159,7 +159,7 @@ func TestAdmissionPriorityOrderAndQueueFull(t *testing.T) {
 // in.
 func TestAdmissionFairShare(t *testing.T) {
 	e := newEnv(t, 1, nil)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 1, AdmissionQueue: 4})
+	enr := New(e.rt, Config{MaxInFlight: 1, AdmissionQueue: 4})
 	a := enr.adm
 	ctx := context.Background()
 
@@ -213,7 +213,7 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	vc := vclock.NewVirtual()
 	e.rt.SetClock(vc)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 1, AdmissionQueue: 8})
+	enr := New(e.rt, Config{MaxInFlight: 1, AdmissionQueue: 8})
 	a := enr.adm
 
 	vc.Run(func() {
@@ -276,7 +276,7 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 // enacts successfully.
 func TestShedEnactDoesNotPoisonIdempotency(t *testing.T) {
 	e := newEnv(t, 1, nil)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 1, AdmissionQueue: 1})
+	enr := New(e.rt, Config{MaxInFlight: 1, AdmissionQueue: 1})
 	ctx := context.Background()
 
 	req := sched.RequestList{
@@ -329,7 +329,7 @@ func TestShedEnactDoesNotPoisonIdempotency(t *testing.T) {
 // server is alive, and opening its breaker would amplify the overload.
 func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 	e := newEnv(t, 1, nil)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 1, AdmissionQueue: 1})
+	enr := New(e.rt, Config{Retry: resilient.Policy{Budget: 5 * time.Second}, MaxInFlight: 1, AdmissionQueue: 1})
 	addr, err := e.rt.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 // admitted + sheds == offered.
 func TestAdmissionConcurrentStress(t *testing.T) {
 	e := newEnv(t, 1, nil)
-	enr := New(e.rt, Config{CallTimeout: 5 * time.Second, MaxInFlight: 4, AdmissionQueue: 8})
+	enr := New(e.rt, Config{MaxInFlight: 4, AdmissionQueue: 8})
 	a := enr.adm
 
 	const workers = 16

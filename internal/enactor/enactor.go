@@ -63,13 +63,10 @@ const defaultDuration = time.Hour
 
 // Config parameterizes an Enactor.
 type Config struct {
-	// CallTimeout bounds each per-resource negotiation call (the whole
-	// retry budget for that call); defaults to 30 seconds.
-	CallTimeout time.Duration
 	// Retry shapes per-resource call retries. The zero value means up to
-	// 3 attempts with short exponential backoff; transient transport
-	// faults on a flaky Host are absorbed here before the Enactor falls
-	// back to variant schedules.
+	// 3 attempts with short exponential backoff within a 30-second
+	// budget per call; transient transport faults on a flaky Host are
+	// absorbed here before the Enactor falls back to variant schedules.
 	Retry resilient.Policy
 	// Breakers is the per-Host circuit-breaker pool: repeatedly
 	// unreachable Hosts fail fast with ErrCircuitOpen instead of absorbing
@@ -174,14 +171,11 @@ func newEnactorMetrics(rt *orb.Runtime) enactorMetrics {
 
 // New creates an Enactor, registers its methods and itself with rt.
 func New(rt *orb.Runtime, cfg Config) *Enactor {
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 30 * time.Second
-	}
 	if cfg.Retry.MaxAttempts <= 0 {
 		cfg.Retry.MaxAttempts = 3
 	}
 	if cfg.Retry.Budget <= 0 {
-		cfg.Retry.Budget = cfg.CallTimeout
+		cfg.Retry.Budget = 30 * time.Second
 	}
 	if cfg.Retry.AttemptTimeout <= 0 {
 		// A hung Host must not consume the whole budget in one attempt.

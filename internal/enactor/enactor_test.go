@@ -46,7 +46,7 @@ func newEnv(t *testing.T, nHosts int, mutate func(i int, c *host.Config)) *env {
 		hosts[i] = host.New(rt, cfg)
 	}
 	c := classobj.New(rt, classobj.Config{Name: "Worker"})
-	e := New(rt, Config{CallTimeout: 5 * time.Second})
+	e := New(rt, Config{})
 	return &env{rt: rt, vault: v, hosts: hosts, class: c, enactor: e}
 }
 
@@ -128,12 +128,9 @@ func TestMalformedScheduleFeedback(t *testing.T) {
 
 func TestResourceFailureFeedbackAndRollback(t *testing.T) {
 	// Host 1 refuses everything via policy.
-	e := newEnv(t, 2, func(i int, c *host.Config) {
-		if i == 1 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: always refuses", host.ErrPolicy)
-			}
-		}
+	e := newEnv(t, 2, nil)
+	e.hosts[1].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: always refuses", host.ErrPolicy)
 	})
 	ctx := context.Background()
 	req := e.request(e.mapping(0), e.mapping(1))
@@ -157,12 +154,9 @@ func TestVariantPatchingAvoidsThrashing(t *testing.T) {
 	// Host 1 is broken; the master maps entries to hosts {0, 1}; a
 	// variant redirects entry 1 to host 2. Entry 0's reservation must
 	// survive (no cancel+remake).
-	e := newEnv(t, 3, func(i int, c *host.Config) {
-		if i == 1 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken host", host.ErrPolicy)
-			}
-		}
+	e := newEnv(t, 3, nil)
+	e.hosts[1].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: broken host", host.ErrPolicy)
 	})
 	ctx := context.Background()
 
@@ -212,12 +206,9 @@ func TestVariantKeepsHeldEntriesEvenWhenCovered(t *testing.T) {
 	// variant offers alternatives for BOTH entries (0 -> host 2 too).
 	// Thrash avoidance: entry 0's successful reservation is kept — only
 	// the failed entry moves — so nothing is cancelled and remade.
-	e := newEnv(t, 3, func(i int, c *host.Config) {
-		if i == 1 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken", host.ErrPolicy)
-			}
-		}
+	e := newEnv(t, 3, nil)
+	e.hosts[1].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: broken", host.ErrPolicy)
 	})
 	master := sched.Master{Mappings: []sched.Mapping{e.mapping(0), e.mapping(1)}}
 	var v sched.Variant
@@ -245,12 +236,9 @@ func TestVariantKeepsHeldEntriesEvenWhenCovered(t *testing.T) {
 func TestMultipleMastersFallthrough(t *testing.T) {
 	// First master targets only the broken host; second targets a good
 	// one.
-	e := newEnv(t, 2, func(i int, c *host.Config) {
-		if i == 0 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken", host.ErrPolicy)
-			}
-		}
+	e := newEnv(t, 2, nil)
+	e.hosts[0].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: broken", host.ErrPolicy)
 	})
 	req := sched.RequestList{
 		ID: e.enactor.NewRequestID(),
@@ -316,7 +304,7 @@ func TestLedgerKeysTokensByHost(t *testing.T) {
 	e := newEnv(t, 2, func(i int, c *host.Config) { c.Price = float64(i + 1) })
 	led := economy.NewLedger(telemetry.NewRegistry())
 	led.Open("astro", economy.ToCredits(10))
-	en := New(e.rt, Config{CallTimeout: 5 * time.Second, Ledger: led})
+	en := New(e.rt, Config{Ledger: led})
 	ctx := context.Background()
 	req := e.request(e.mapping(0), e.mapping(1))
 	req.ID = en.NewRequestID()
@@ -437,12 +425,9 @@ func TestTotalStatsAccumulate(t *testing.T) {
 
 func TestKofNSelectsAnyK(t *testing.T) {
 	// 4 hosts, host 1 broken: a 3-of-4 group must succeed by skipping it.
-	e := newEnv(t, 4, func(i int, c *host.Config) {
-		if i == 1 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken", host.ErrPolicy)
-			}
-		}
+	e := newEnv(t, 4, nil)
+	e.hosts[1].SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: broken", host.ErrPolicy)
 	})
 	ctx := context.Background()
 	group := sched.KofN{Class: e.class.LOID(), K: 3}
@@ -483,13 +468,12 @@ func TestKofNSelectsAnyK(t *testing.T) {
 func TestKofNInsufficientAlternatives(t *testing.T) {
 	// 3 hosts, 2 broken: a 2-of-3 group cannot be satisfied; the base
 	// mapping's reservation must be rolled back.
-	e := newEnv(t, 3, func(i int, c *host.Config) {
-		if i != 0 {
-			c.Policy = func(proto.MakeReservationArgs) error {
-				return fmt.Errorf("%w: broken", host.ErrPolicy)
-			}
-		}
-	})
+	e := newEnv(t, 3, nil)
+	for _, h := range e.hosts[1:] {
+		h.SetPolicy(func(proto.MakeReservationArgs) error {
+			return fmt.Errorf("%w: broken", host.ErrPolicy)
+		})
+	}
 	ctx := context.Background()
 	group := sched.KofN{Class: e.class.LOID(), K: 2}
 	for i := 1; i < 3; i++ {

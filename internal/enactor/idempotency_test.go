@@ -77,7 +77,7 @@ func TestConcurrentEnactWaitsOnVirtualClock(t *testing.T) {
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Vaults: []loid.LOID{v.LOID()}})
 	c := classobj.New(rt, classobj.Config{Name: "Worker"})
-	e := New(rt, Config{CallTimeout: 5 * time.Second})
+	e := New(rt, Config{})
 	env := &env{rt: rt, vault: v, hosts: []*host.Host{h}, class: c, enactor: e}
 	rt.SetLatency(10*time.Millisecond, 0)
 	ctx := context.Background()
@@ -174,7 +174,7 @@ func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	h := host.New(rt, host.Config{Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1", Vaults: []loid.LOID{v.LOID()}})
 	c := classobj.New(rt, classobj.Config{Name: "Worker"})
-	e := New(rt, Config{CallTimeout: 5 * time.Second})
+	e := New(rt, Config{})
 	env := &env{rt: rt, vault: v, hosts: []*host.Host{h}, class: c, enactor: e}
 	ctx := context.Background()
 	pastTTL := requestTTL + time.Second
@@ -211,11 +211,11 @@ func TestRequestReaperDropsAbandonedEpisodes(t *testing.T) {
 
 // TestDefaultAttemptTimeoutSplitsBudget: a hung Host must not consume
 // the whole budget in one attempt, so each of the three default attempts
-// gets a third of the CallTimeout.
+// gets a third of the default 30-second budget.
 func TestDefaultAttemptTimeoutSplitsBudget(t *testing.T) {
 	env := newEnv(t, 1, nil)
-	e := New(env.rt, Config{CallTimeout: 30 * time.Second})
-	if p := e.call.Policy(); p.AttemptTimeout != 10*time.Second {
-		t.Errorf("AttemptTimeout = %v, want Budget/3 = 10s", p.AttemptTimeout)
+	e := New(env.rt, Config{})
+	if p := e.call.Policy(); p.Budget != 30*time.Second || p.AttemptTimeout != 10*time.Second {
+		t.Errorf("Budget = %v, AttemptTimeout = %v, want 30s and Budget/3 = 10s", p.Budget, p.AttemptTimeout)
 	}
 }

@@ -133,8 +133,7 @@ func TestDefaultPolicyAbsorbsOneBlip(t *testing.T) {
 	})
 	defer rtEnv.rt.SetFaultInjector(nil)
 
-	e := New(rtEnv.rt, Config{CallTimeout: 2 * time.Second,
-		Retry: resilient.Policy{BaseDelay: time.Millisecond}})
+	e := New(rtEnv.rt, Config{Retry: resilient.Policy{BaseDelay: time.Millisecond}})
 	req := rtEnv.request(rtEnv.mapping(0))
 	req.ID = e.NewRequestID()
 	if fb := e.MakeReservations(ctx, req); !fb.Success {

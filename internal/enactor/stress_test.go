@@ -47,10 +47,7 @@ func TestParallelNegotiationStress(t *testing.T) {
 		})
 	}
 	class := classobj.New(rt, classobj.Config{Name: "Worker"})
-	enr := New(rt, Config{
-		CallTimeout: 5 * time.Second,
-		Parallelism: 8,
-	})
+	enr := New(rt, Config{Parallelism: 8})
 
 	// Chaos: ~20% of reservation and create calls fail before dispatch
 	// (never-reached, so the target does no work — failures cannot leak

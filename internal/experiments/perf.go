@@ -114,10 +114,7 @@ func enactLatency(width, parallelism int) time.Duration {
 		})
 	}
 	class := classobj.New(rt, classobj.Config{Name: "Worker"})
-	e := enactor.New(rt, enactor.Config{
-		CallTimeout: 30 * time.Second,
-		Parallelism: parallelism,
-	})
+	e := enactor.New(rt, enactor.Config{Parallelism: parallelism})
 	var maps []sched.Mapping
 	for i := 0; i < width; i++ {
 		maps = append(maps, sched.Mapping{Class: class.LOID(), Host: hosts[i].LOID(), Vault: v.LOID()})

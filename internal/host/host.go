@@ -92,8 +92,7 @@ const shedMinPriority = 1
 // typed orb.ErrOverload shed. Higher-priority requests still get the
 // remaining capacity — the Table 2 admission rules are the hard limit —
 // so under saturation the host degrades by shedding its least important
-// work first instead of failing everything at the cliff. Combine with
-// other policies via ChainPolicies.
+// work first instead of failing everything at the cliff.
 func (h *Host) LoadShedPolicy(watermark float64) PolicyFunc {
 	return func(req proto.MakeReservationArgs) error {
 		if req.Priority >= shedMinPriority {
@@ -103,21 +102,6 @@ func (h *Host) LoadShedPolicy(watermark float64) PolicyFunc {
 		if occ >= watermark {
 			return fmt.Errorf("%w: occupancy %.2f >= watermark %.2f, priority %d < %d",
 				orb.ErrOverload, occ, watermark, req.Priority, shedMinPriority)
-		}
-		return nil
-	}
-}
-
-// ChainPolicies composes placement policies: the first refusal wins.
-func ChainPolicies(policies ...PolicyFunc) PolicyFunc {
-	return func(req proto.MakeReservationArgs) error {
-		for _, p := range policies {
-			if p == nil {
-				continue
-			}
-			if err := p(req); err != nil {
-				return err
-			}
 		}
 		return nil
 	}
@@ -165,11 +149,6 @@ type Config struct {
 	// MaxShared bounds concurrently overlapping timesharing
 	// reservations; zero defaults to 4x CPUs.
 	MaxShared int
-	// Policy is the local placement policy; nil accepts everything.
-	Policy PolicyFunc
-	// ExtraAttrs are merged into the attribute database at construction,
-	// letting sites export arbitrary descriptive information.
-	ExtraAttrs []attr.Pair
 }
 
 // runningObject tracks one active instance.
@@ -266,7 +245,6 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		ServiceObject: orb.NewSharedServiceObject(rt.Mint("Host"), hostMethods(), nil),
 		rt:            rt,
 		cfg:           cfg,
-		policy:        cfg.Policy,
 		table:         nil, // set below, needs LOID
 		running:       make(map[loid.LOID]*runningObject),
 	}
@@ -301,7 +279,6 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		attr.Pair{Name: "host_loid", Value: attr.String(h.LOID().String())},
 		attr.Pair{Name: "host_vaults", Value: attr.Strings(vaultStrs...)},
 	)
-	h.attrs.Merge(cfg.ExtraAttrs)
 	rt.Register(h)
 	return h
 }
@@ -345,10 +322,8 @@ func (h *Host) Runtime() *orb.Runtime { return h.rt }
 // Zone returns the host's reachability zone.
 func (h *Host) Zone() string { return h.cfg.Zone }
 
-// SetPolicy replaces the host's live placement policy (nil accepts
-// everything). Unlike Config.Policy it may be installed after
-// construction — e.g. a LoadShedPolicy needs the built host's
-// reservation table — and is read under the host's mutex.
+// SetPolicy replaces the host's local placement policy; a new host, or
+// nil, accepts everything. It is read under the host's mutex.
 func (h *Host) SetPolicy(p PolicyFunc) {
 	h.mu.Lock()
 	h.policy = p

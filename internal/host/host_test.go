@@ -165,9 +165,8 @@ func TestStartObjectRequiresValidToken(t *testing.T) {
 }
 
 func TestPolicyRefusal(t *testing.T) {
-	e := newEnv(t, func(c *Config) {
-		c.Policy = RefuseDomains("evil", "worse")
-	})
+	e := newEnv(t, nil)
+	e.host.SetPolicy(RefuseDomains("evil", "worse"))
 	_, err := e.host.MakeReservation(context.Background(), proto.MakeReservationArgs{
 		Requester: loid.LOID{Domain: "evil", Class: "Sched", Instance: 1},
 		Vault:     e.vault.LOID(), Type: reservation.ReusableTimesharing, Duration: time.Hour,
@@ -317,15 +316,13 @@ func TestKillDeletesOPR(t *testing.T) {
 }
 
 func TestAttributesAndReassess(t *testing.T) {
-	e := newEnv(t, func(c *Config) {
-		c.ExtraAttrs = []attr.Pair{{Name: "host_charging", Value: attr.String("off-peak-only")}}
-	})
+	e := newEnv(t, nil)
 	ctx := context.Background()
 	m := attr.FromPairs(e.host.Attributes())
 	for _, name := range []string{"host_arch", "host_os_name", "host_os_version", "host_cpus",
 		"host_memory_mb", "host_mem_available_mb", "host_zone", "host_domain",
 		"host_cost_per_cpu", "host_load", "host_running_objects", "host_queue_length",
-		"host_is_batch", "host_loid", "host_charging"} {
+		"host_is_batch", "host_loid"} {
 		if _, ok := m[name]; !ok {
 			t.Errorf("attribute %s missing", name)
 		}

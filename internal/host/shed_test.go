@@ -85,29 +85,6 @@ func TestSetPolicySwapsLive(t *testing.T) {
 	}
 }
 
-// TestChainPolicies composes an autonomy policy with a load shed and
-// verifies the first refusal wins.
-func TestChainPolicies(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.MaxShared = 2 })
-	e.host.SetPolicy(ChainPolicies(
-		RefuseDomains("untrusted"),
-		e.host.LoadShedPolicy(0.5),
-	))
-	ctx := context.Background()
-
-	bad := shedReq(e, 9)
-	bad.Requester = loid.LOID{Domain: "untrusted", Class: "Sched", Instance: 1}
-	if _, err := e.host.MakeReservation(ctx, bad); !errors.Is(err, ErrPolicy) {
-		t.Fatalf("chained autonomy refusal: %v, want ErrPolicy", err)
-	}
-	if _, err := e.host.MakeReservation(ctx, shedReq(e, 0)); err != nil {
-		t.Fatalf("first grant: %v", err)
-	}
-	if _, err := e.host.MakeReservation(ctx, shedReq(e, 0)); !errors.Is(err, orb.ErrOverload) {
-		t.Fatalf("chained shed: %v, want ErrOverload", err)
-	}
-}
-
 // TestNegativeConfirmationTimeoutRejected pins the Host/Enactor timeout
 // semantics audit: a negative confirmation window must be rejected as
 // malformed at the table, not stored as an unexpirable grant the reaper

@@ -33,7 +33,7 @@ type site struct {
 
 // newSite builds a domain with nHosts hosts and one vault, listening on
 // loopback. mutate may adjust each host config (site policy).
-func newSite(t *testing.T, domain string, nHosts int, mutate func(i int, c *host.Config)) *site {
+func newSite(t *testing.T, domain string, nHosts int, mutate func(h *host.Host)) *site {
 	t.Helper()
 	ms := core.New(domain, core.Options{Seed: 1})
 	v := ms.AddVault(vault.Config{Zone: domain})
@@ -43,10 +43,10 @@ func newSite(t *testing.T, domain string, nHosts int, mutate func(i int, c *host
 			CPUs: 4, MemoryMB: 512, Zone: domain,
 			Vaults: []loid.LOID{v.LOID()},
 		}
+		h := ms.AddHost(cfg)
 		if mutate != nil {
-			mutate(i, &cfg)
+			mutate(h)
 		}
-		ms.AddHost(cfg)
 	}
 	ms.DefineClass("Worker", nil)
 	addr, err := ms.ListenAndServe("127.0.0.1:0")
@@ -141,8 +141,8 @@ func TestSiteAutonomyRefusesForeignDomain(t *testing.T) {
 	// "domains from which it refuses to accept object instantiation
 	// requests".
 	uva := newSite(t, "uva", 1, nil)
-	sdsc := newSite(t, "sdsc", 1, func(i int, c *host.Config) {
-		c.Policy = host.RefuseDomains("uva")
+	sdsc := newSite(t, "sdsc", 1, func(h *host.Host) {
+		h.SetPolicy(host.RefuseDomains("uva"))
 	})
 	cl := newClient(t, uva, sdsc)
 	ctx := context.Background()

@@ -181,15 +181,14 @@ func TestNoProtoTypeAssertions(t *testing.T) {
 	})
 }
 
-// TestOneWorldBuilder holds that a world under internal/ or cmd/ is
-// declared once: a sim.Spec that sim.New builds. Outside internal/sim,
-// and internal/core which defines them, a non-test file that calls
-// core.New, AddHost, AddVault or batchq.New is wiring a world by hand.
-// bench/ stays out, as the measuring instrument, and so do examples/, as
-// a reader's first code.
+// TestOneWorldBuilder holds that a world under internal/, cmd/ or
+// examples/ is declared once: a sim.Spec that sim.New builds. Outside
+// internal/sim, and internal/core which defines them, a non-test file
+// that calls core.New, AddHost, AddVault or batchq.New is wiring a world
+// by hand. bench/ stays out, as the measuring instrument.
 func TestOneWorldBuilder(t *testing.T) {
 	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
-		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") ||
+		if strings.HasPrefix(rel, "bench/") ||
 			strings.HasPrefix(rel, "internal/sim/") || strings.HasPrefix(rel, "internal/core/") {
 			return
 		}

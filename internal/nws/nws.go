@@ -232,13 +232,11 @@ func DefaultBank() []Predictor {
 // replays every member over the tail of the supplied history, scoring
 // one-step-ahead squared errors, and answers with the best member's
 // forecast. With a short history ring — the Collection daemon publishes a
-// few dozen samples — the replay is cheap; Window (DefaultErrorWindow
-// when zero) bounds the number of replays regardless.
+// few dozen samples — the replay is cheap; DefaultErrorWindow bounds
+// the number of replays regardless.
 type Bank struct {
 	// Members to score; DefaultBank when empty.
 	Members []Predictor
-	// Window bounds how many trailing points score the members.
-	Window int
 }
 
 // Name implements Predictor.
@@ -253,14 +251,7 @@ func (b Bank) Predict(h []float64) float64 {
 	if len(h) < 2 {
 		return h[0]
 	}
-	win := b.Window
-	if win <= 0 {
-		win = DefaultErrorWindow
-	}
-	start := len(h) - win
-	if start < 1 {
-		start = 1
-	}
+	start := max(len(h)-DefaultErrorWindow, 1)
 	best, bestSE := 0, math.Inf(1)
 	for i, p := range members {
 		se := 0.0

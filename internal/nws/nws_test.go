@@ -148,9 +148,20 @@ func TestAdaptiveAdaptsToRegimeChange(t *testing.T) {
 	if got := (Bank{Members: members}).Predict(h); !almost(got, want) {
 		t.Errorf("forecast after regime change = %v, want %v (win-mean-4)", got, want)
 	}
-	if got := (Bank{Members: members, Window: len(h)}).Predict(h); !almost(got, h[len(h)-1]) {
-		t.Errorf("all-time scoring = %v, want %v (last value): the window no longer matters", got, h[len(h)-1])
+	// Scored over every point instead, last-value would still lead.
+	if all, win := squaredError(LastValue{}, h, 1), squaredError(WindowMean{K: 4}, h, 1); all >= win {
+		t.Errorf("all-time squared error: last value %v, win-mean-4 %v; the window no longer matters", all, win)
 	}
+}
+
+// squaredError sums p's one-step-ahead squared errors over h[start:].
+func squaredError(p Predictor, h []float64, start int) float64 {
+	se := 0.0
+	for j := start; j < len(h); j++ {
+		e := p.Predict(h[:j]) - h[j]
+		se += e * e
+	}
+	return se
 }
 
 // countingPredictor is last-value that counts its Predict calls.
@@ -164,14 +175,14 @@ func (c countingPredictor) Predict(h []float64) float64 {
 
 func TestAdaptiveHistoryBounded(t *testing.T) {
 	// The replay is bounded by the error window, not the history: each
-	// member scores Window points and answers once, however long the
-	// series it is handed.
+	// member scores DefaultErrorWindow points and answers once, however
+	// long the series it is handed.
 	for _, n := range []int{100, 10000} {
 		calls := 0
-		b := Bank{Members: []Predictor{countingPredictor{predicts: &calls}}, Window: 16}
+		b := Bank{Members: []Predictor{countingPredictor{predicts: &calls}}}
 		b.Predict(make([]float64, n))
-		if calls != 17 {
-			t.Errorf("history %d: %d Predict calls, want 17", n, calls)
+		if calls != DefaultErrorWindow+1 {
+			t.Errorf("history %d: %d Predict calls, want %d", n, calls, DefaultErrorWindow+1)
 		}
 	}
 }

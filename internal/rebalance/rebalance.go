@@ -74,22 +74,24 @@ type Config struct {
 	Classes []*classobj.Class
 	// Policy plans moves from events; nil uses NewLeastLoaded().
 	Policy Policy
-	// MaxConcurrent bounds simultaneously-executing migrations
-	// (default 4).
-	MaxConcurrent int
 	// Cooldown is the per-source-host hysteresis window: after the
 	// Rebalancer sheds load off a host, further events from that host are
 	// ignored until the window passes (default 10s). Zero keeps the
 	// default; negative disables cooldown.
 	Cooldown time.Duration
 	// RatePerSec caps metasystem-wide migrations per second via a token
-	// bucket with burst MaxConcurrent (default 0 = unlimited).
+	// bucket with burst maxConcurrent (default 0 = unlimited).
 	RatePerSec float64
 }
 
-// planTimeout bounds one event's plan+migrate episode, one reconcile
-// sweep and one forecast scan.
-const planTimeout = 30 * time.Second
+const (
+	// planTimeout bounds one event's plan+migrate episode, one reconcile
+	// sweep and one forecast scan.
+	planTimeout = 30 * time.Second
+	// maxConcurrent bounds the migrations one event runs at once, and is
+	// the rate bucket's burst.
+	maxConcurrent = 4
+)
 
 // Rebalancer owns the monitor→migrate arc for a metasystem.
 type Rebalancer struct {
@@ -125,9 +127,6 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 	if cfg.Policy == nil {
 		cfg.Policy = NewLeastLoaded()
 	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 4
-	}
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 10 * time.Second
 	}
@@ -139,7 +138,7 @@ func New(ms *core.Metasystem, cfg Config) *Rebalancer {
 		clock:       clock,
 		lastShed:    make(map[loid.LOID]time.Time),
 		inflight:    make(map[loid.LOID]bool),
-		tokens:      float64(cfg.MaxConcurrent),
+		tokens:      maxConcurrent,
 		lastFill:    clock.Now(),
 		events:      reg.Counter("legion_rebalance_events_total"),
 		migrationsO: reg.Counter("legion_rebalance_migrations_total", "result", "ok"),
@@ -206,7 +205,7 @@ func (r *Rebalancer) Stop() {
 // handle is the per-event worker: damp, plan, execute. It runs on the
 // Monitor's async dispatch goroutine for this subscription, so events
 // are processed one at a time in arrival order; the moves within one
-// event fan out up to MaxConcurrent wide.
+// event fan out up to maxConcurrent wide.
 func (r *Rebalancer) handle(ev proto.NotifyArgs) {
 	r.events.Inc()
 	if r.underCooldown(ev.Source) {
@@ -274,7 +273,7 @@ func (r *Rebalancer) ensureRunning(ctx context.Context, c *classobj.Class, inst 
 func (r *Rebalancer) execute(ctx context.Context, moves []Move) int {
 	var okCount int64
 	var mu sync.Mutex
-	fanout.Do(r.clock, r.cfg.MaxConcurrent, len(moves), func(i int) {
+	fanout.Do(r.clock, maxConcurrent, len(moves), func(i int) {
 		m := moves[i]
 		if !r.claim(m.Instance) {
 			r.skipBusy.Inc()
@@ -352,9 +351,7 @@ func (r *Rebalancer) takeToken() bool {
 	defer r.mu.Unlock()
 	now := r.clock.Now()
 	r.tokens += now.Sub(r.lastFill).Seconds() * r.cfg.RatePerSec
-	if cap := float64(r.cfg.MaxConcurrent); r.tokens > cap {
-		r.tokens = cap
-	}
+	r.tokens = min(r.tokens, maxConcurrent)
 	r.lastFill = now
 	if r.tokens < 1 {
 		return false

@@ -216,45 +216,43 @@ func TestCooldownSuppressesRepeatShedding(t *testing.T) {
 	}
 }
 
-// TestRateLimitBoundsChurn: with a tiny bucket, a burst of events
-// executes at most Burst migrations and counts the rest as rate-limited.
+// TestRateLimitBoundsChurn: an event that sheds more moves than the
+// bucket's burst of maxConcurrent executes that many migrations and
+// counts the rest as rate-limited.
 func TestRateLimitBoundsChurn(t *testing.T) {
 	// Virtual clock, never advanced: the bucket never refills.
-	ms := buildMetaOn(t, vclock.NewVirtual(), 4, 1)
+	ms := buildMetaOn(t, vclock.NewVirtual(), 2, 1)
 	c := ms.DefineClass("Worker", nil)
 	ctx := context.Background()
-	if _, _, err := c.CreateInstance(ctx, 4, nil, nil); err != nil {
+	if _, _, err := c.CreateInstance(ctx, 16, nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Shed from the fuller host: it holds at least 8 of the 16.
+	on := map[loid.LOID]int{}
+	for _, inst := range c.Instances() {
+		if h, _, err := c.WhereIs(inst); err == nil {
+			on[h]++
+		}
+	}
+	src := ms.Hosts()[0].LOID()
+	if other := ms.Hosts()[1].LOID(); on[other] > on[src] {
+		src = other
+	}
+	const shed = 2 * maxConcurrent
 
 	r := New(ms, Config{
-		Classes:       []*classobj.Class{c},
-		Cooldown:      -1,
-		MaxConcurrent: 1, // burst = 1
-		RatePerSec:    0.001,
-		Policy:        &LeastLoaded{MaxShedPerEvent: 4},
+		Classes:    []*classobj.Class{c},
+		Cooldown:   -1,
+		RatePerSec: 0.001,
+		Policy:     &LeastLoaded{MaxShedPerEvent: shed},
 	})
-
-	src := ms.Hosts()[0].LOID()
 	r.handle(proto.NotifyArgs{Source: src, Trigger: "overload"})
 	reg := ms.Runtime().Metrics()
 	ok := reg.CounterValue("legion_rebalance_migrations_total", "result", "ok")
 	limited := reg.CounterValue("legion_rebalance_skipped_total", "reason", "rate_limited")
-	if ok > 1 {
-		t.Errorf("rate limit let %d migrations through, want <= 1", ok)
-	}
-	if limited == 0 && ok <= 1 {
-		// Some moves must have been clipped (4 instances, bucket of 1) —
-		// unless fewer than 2 victims lived on src.
-		victims := 0
-		for _, inst := range c.Instances() {
-			if h, _, err := c.WhereIs(inst); err == nil && h == src {
-				victims++
-			}
-		}
-		if victims >= 2 {
-			t.Errorf("no rate_limited skips despite %d victims", victims)
-		}
+	if ok != maxConcurrent || limited != shed-maxConcurrent {
+		t.Errorf("%d of %d victims on the source: %d migrated and %d rate-limited, want %d and %d",
+			shed, on[src], ok, limited, maxConcurrent, shed-maxConcurrent)
 	}
 }
 

@@ -255,7 +255,7 @@ func TestLinkObservedBySweep(t *testing.T) {
 func TestDownLinkLeavesChain(t *testing.T) {
 	e := newMultiZone(t, 2, "za", "zb", "zc")
 	ls := e.links(t, 50)
-	d := daemon.New(e.rt, daemon.Config{Retry: resilient.Policy{MaxAttempts: 1}, DownAfter: 2})
+	d := daemon.New(e.rt, daemon.Config{Retry: resilient.Policy{MaxAttempts: 1}})
 	for _, l := range ls {
 		d.Watch(l.LOID())
 	}

@@ -44,12 +44,10 @@ type ParamSpace struct {
 	// host/vault pair from serving the whole study as the fleet's load
 	// shifts, and bounds the blast radius of a revoked token.
 	ReuseCap int
-	// Duration is the reserved service interval per token (default 1h).
-	Duration time.Duration
-	// Priority and Tenant flow into every make_reservation call.
-	Priority int
-	Tenant   string
 }
+
+// paramSpaceDuration is the reserved service interval of each token.
+const paramSpaceDuration = time.Hour
 
 // ParamSpaceResult reports one study.
 type ParamSpaceResult struct {
@@ -108,19 +106,13 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 		if err != nil {
 			return err
 		}
-		dur := p.Duration
-		if dur <= 0 {
-			dur = time.Hour
-		}
 		var lastErr error
 		for _, h := range ordered(view, bySlotLoad) {
 			reply, err := orb.As[proto.MakeReservationReply](caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: env.Collection, // the study has no LOID of its own; attribute to the RM
 				Vault:     h.hostVault(0).Vault,
 				Type:      reservation.ReusableTimesharing,
-				Duration:  dur,
-				Priority:  p.Priority,
-				Tenant:    p.Tenant,
+				Duration:  paramSpaceDuration,
 			}))
 			res.ReservationRPCs++
 			if err != nil {

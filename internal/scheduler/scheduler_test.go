@@ -414,9 +414,9 @@ func TestWrapperRetriesThenFails(t *testing.T) {
 	h := host.New(rt, host.Config{
 		Arch: "x86", OS: "Linux", CPUs: 4, MemoryMB: 512, Zone: "z1",
 		Vaults: []loid.LOID{v.LOID()},
-		Policy: func(proto.MakeReservationArgs) error {
-			return fmt.Errorf("%w: nothing today", host.ErrPolicy)
-		},
+	})
+	h.SetPolicy(func(proto.MakeReservationArgs) error {
+		return fmt.Errorf("%w: nothing today", host.ErrPolicy)
 	})
 	coll.Join(h.LOID(), h.Attributes(), "")
 	class := classobj.New(rt, classobj.Config{Name: "Worker"})
