@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,6 +409,28 @@ func TestOrbProtocol(t *testing.T) {
 	}
 }
 
+// TestCancelOverOrbRepliesByOutcome: cancel_reservations across the ORB
+// answers proto.Ack when the cancel released a request and an error
+// when it did not, so a caller reading the reply learns which happened.
+func TestCancelOverOrbRepliesByOutcome(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	ctx := context.Background()
+	req := e.request(e.mapping(0))
+	if fb := e.enactor.MakeReservations(ctx, req); !fb.Success {
+		t.Fatalf("feedback: %+v", fb)
+	}
+	cancel := func() (any, error) {
+		return e.rt.Call(ctx, e.enactor.LOID(), proto.MethodCancelReservations,
+			proto.CancelReservationsArgs{RequestID: req.ID})
+	}
+	if res, err := cancel(); err != nil || res != (proto.Ack{}) {
+		t.Errorf("cancel of a held request: %v %v", res, err)
+	}
+	if res, err := cancel(); !errors.Is(err, ErrUnknownRequest) || res != nil {
+		t.Errorf("cancel of a released request: %v %v", res, err)
+	}
+}
+
 func TestTotalStatsAccumulate(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	ctx := context.Background()
@@ -462,6 +485,52 @@ func TestKofNSelectsAnyK(t *testing.T) {
 	reply := e.enactor.EnactSchedule(ctx, req.ID)
 	if !reply.Success || len(reply.Instances) != 4 {
 		t.Fatalf("enact: %+v", reply)
+	}
+}
+
+// TestKofNWaveAsksOnlyForTheShortfall: a 2-of-5 group whose first wave
+// gets one grant of two asks the next wave for exactly the one it still
+// lacks, so the third alternative is probed and the last two never are.
+func TestKofNWaveAsksOnlyForTheShortfall(t *testing.T) {
+	e := newEnv(t, 6, nil)
+	var mu sync.Mutex
+	asked := map[int]int{}
+	for i, h := range e.hosts {
+		i := i
+		h.SetPolicy(func(proto.MakeReservationArgs) error {
+			mu.Lock()
+			asked[i]++
+			mu.Unlock()
+			if i == 1 {
+				return fmt.Errorf("%w: broken", host.ErrPolicy)
+			}
+			return nil
+		})
+	}
+	group := sched.KofN{Class: e.class.LOID(), K: 2}
+	for i := 1; i < 6; i++ {
+		group.Alternatives = append(group.Alternatives,
+			sched.HostVault{Host: e.hosts[i].LOID(), Vault: e.vault.LOID()})
+	}
+	req := sched.RequestList{
+		ID:      e.enactor.NewRequestID(),
+		Masters: []sched.Master{{Mappings: []sched.Mapping{e.mapping(0)}, KofN: []sched.KofN{group}}},
+		Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
+	}
+	fb := e.enactor.MakeReservations(context.Background(), req)
+	if !fb.Success || len(fb.Resolved) != 3 {
+		t.Fatalf("feedback: %+v", fb)
+	}
+	// The base mapping, the first wave's two and the second wave's one.
+	if fb.Stats.ReservationsRequested != 4 || fb.Stats.ReservationsGranted != 3 {
+		t.Errorf("stats: %+v", fb.Stats)
+	}
+	want := map[int]int{0: 1, 1: 1, 2: 1, 3: 1}
+	if fmt.Sprint(asked) != fmt.Sprint(want) {
+		t.Errorf("reservations asked per host: %v, want %v", asked, want)
+	}
+	if fb.Resolved[1].Host != e.hosts[2].LOID() || fb.Resolved[2].Host != e.hosts[3].LOID() {
+		t.Errorf("group resolved to %v and %v, want hosts 2 and 3", fb.Resolved[1].Host, fb.Resolved[2].Host)
 	}
 }
 

@@ -133,7 +133,13 @@ func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(),
 	ms := core.New("alloc", core.Options{Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock})
 	class := ms.DefineClass("Worker", nil)
 	rng := rand.New(rand.NewSource(1))
-	Build(ms, rng, RandomSpecs(rng, 256, "z1", "z2", "z3", "z4"))
+	fleet := Build(ms, rng, RandomSpecs(rng, 256, "z1", "z2", "z3", "z4"))
+	// Every host's breaker exists before the first placement, as it does
+	// once a long run has touched them all: the set's LOID index is a
+	// hash trie, so what its first touches allocate varies by process.
+	for _, h := range fleet.Hosts {
+		ms.Breakers().ForLOID(h.LOID())
+	}
 	if clock != nil {
 		ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
 	}
