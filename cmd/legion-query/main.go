@@ -35,7 +35,7 @@ func main() {
 	defer rt.Close()
 	rt.BindDomain(*domain, *addr)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	dir, err := orb.As[proto.ServicesReply](rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil))
+	dir, err := orb.Invoke[proto.ServicesReply, any](ctx, rt, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil)
 	cancel()
 	if err != nil {
 		log.Fatalf("directory lookup at %s: %v", *addr, err)
@@ -44,7 +44,7 @@ func main() {
 	run := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		res, err := orb.As[proto.QueryReply](rt.Call(ctx, dir.Collection, proto.MethodQueryCollection, proto.QueryArgs{Query: *q}))
+		res, err := orb.Invoke[proto.QueryReply](ctx, rt, dir.Collection, proto.MethodQueryCollection, proto.QueryArgs{Query: *q})
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}

@@ -49,7 +49,7 @@ func main() {
 	defer cancel()
 
 	// Bootstrap: discover the node's service objects.
-	dir, err := orb.As[proto.ServicesReply](rt.Call(ctx, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil))
+	dir, err := orb.Invoke[proto.ServicesReply, any](ctx, rt, proto.DirectoryLOID(*domain), proto.MethodLookupServices, nil)
 	if err != nil {
 		log.Fatalf("directory lookup at %s: %v", *addr, err)
 	}

@@ -59,7 +59,7 @@ func main() {
 	app.BindDomain("uva", uvaAddr)
 	app.BindDomain("sdsc", sdscAddr)
 	lookup := func(domain string) proto.ServicesReply {
-		res, err := orb.As[proto.ServicesReply](app.Call(ctx, proto.DirectoryLOID(domain), proto.MethodLookupServices, nil))
+		res, err := orb.Invoke[proto.ServicesReply, any](ctx, app, proto.DirectoryLOID(domain), proto.MethodLookupServices, nil)
 		if err != nil {
 			log.Fatalf("directory %s: %v", domain, err)
 		}
@@ -85,8 +85,8 @@ func main() {
 		Masters: []sched.Master{master},
 		Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
 	}
-	res, err := orb.As[proto.FeedbackReply](app.Call(ctx, uvaDir.Enactor, proto.MethodMakeReservations,
-		proto.MakeReservationsArgs{Request: req}))
+	res, err := orb.Invoke[proto.FeedbackReply](ctx, app, uvaDir.Enactor, proto.MethodMakeReservations,
+		proto.MakeReservationsArgs{Request: req})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func main() {
 	fmt.Printf("  sdsc admin refused host %s; variant moved the mapping to %s\n",
 		sdscDir.Hosts[0].Short(), fb.Resolved[1].Host.Short())
 
-	eres, err := orb.As[proto.EnactReply](app.Call(ctx, uvaDir.Enactor, proto.MethodEnactSchedule,
-		proto.EnactScheduleArgs{RequestID: 42}))
+	eres, err := orb.Invoke[proto.EnactReply](ctx, app, uvaDir.Enactor, proto.MethodEnactSchedule,
+		proto.EnactScheduleArgs{RequestID: 42})
 	if err != nil || !eres.Success {
 		log.Fatalf("enact: %v %v", eres, err)
 	}

@@ -209,12 +209,12 @@ func (c *Class) CreateInstance(ctx context.Context, count int, placement *proto.
 	for i := range insts {
 		insts[i] = c.rt.Mint(c.name)
 	}
-	reply, err := orb.As[proto.StartObjectReply](c.rt.Call(ctx, p.Host, proto.MethodStartObject, proto.StartObjectArgs{
+	reply, err := orb.Invoke[proto.StartObjectReply](ctx, c.rt, p.Host, proto.MethodStartObject, proto.StartObjectArgs{
 		Token:     p.Token,
 		Class:     c.LOID(),
 		Instances: insts,
 		State:     state,
-	}))
+	})
 	if err != nil {
 		return nil, p, fmt.Errorf("classobj: startObject on %v: %w", p.Host, err)
 	}
@@ -235,7 +235,7 @@ func (c *Class) DestroyInstance(ctx context.Context, instance loid.LOID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownInstance, instance)
 	}
-	if _, err := c.rt.Call(ctx, info.host, proto.MethodKillObject, proto.ObjectArgs{Object: instance}); err != nil {
+	if _, err := orb.Invoke[proto.Ack](ctx, c.rt, info.host, proto.MethodKillObject, proto.ObjectArgs{Object: instance}); err != nil {
 		return fmt.Errorf("classobj: killObject on %v: %w", info.host, err)
 	}
 	c.mu.Lock()
@@ -252,10 +252,10 @@ func (c *Class) Created() int64 {
 }
 
 func (c *Class) installMethods() {
-	c.Handle(proto.MethodCreateInstance, orb.Typed(func(ctx context.Context, a proto.CreateInstanceArgs) (any, error) {
+	c.HandleTyped(proto.MethodCreateInstance, orb.Typed(func(ctx context.Context, a proto.CreateInstanceArgs) (proto.CreateInstanceReply, error) {
 		insts, p, err := c.CreateInstance(ctx, a.Count, a.Placement, a.State)
 		if err != nil {
-			return nil, err
+			return proto.CreateInstanceReply{}, err
 		}
 		return proto.CreateInstanceReply{Instances: insts, Host: p.Host, Vault: p.Vault}, nil
 	}))
@@ -265,10 +265,7 @@ func (c *Class) installMethods() {
 	c.Handle(proto.MethodListInstances, func(_ context.Context, _ any) (any, error) {
 		return proto.InstancesReply{Instances: c.Instances()}, nil
 	})
-	c.Handle(proto.MethodDestroyInstance, orb.Typed(func(ctx context.Context, a proto.ObjectArgs) (any, error) {
-		if err := c.DestroyInstance(ctx, a.Object); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	c.HandleTyped(proto.MethodDestroyInstance, orb.Typed(func(ctx context.Context, a proto.ObjectArgs) (proto.Ack, error) {
+		return proto.Ack{}, c.DestroyInstance(ctx, a.Object)
 	}))
 }

@@ -597,32 +597,23 @@ func (c *Collection) Stats() (queries, updates int64) {
 // in-process caller hands its slice over and never writes it again — so
 // they let the record adopt them.
 func (c *Collection) installMethods() {
-	c.Handle(proto.MethodJoinCollection, orb.Typed(func(_ context.Context, a proto.JoinArgs) (any, error) {
-		if err := c.join(a.Joiner, a.Attrs, a.Credential, true); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	c.HandleTyped(proto.MethodJoinCollection, orb.Typed(func(_ context.Context, a proto.JoinArgs) (proto.Ack, error) {
+		return proto.Ack{}, c.join(a.Joiner, a.Attrs, a.Credential, true)
 	}))
-	c.Handle(proto.MethodLeaveCollection, orb.Typed(func(_ context.Context, a proto.LeaveArgs) (any, error) {
-		if err := c.Leave(a.Leaver, a.Credential); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	c.HandleTyped(proto.MethodLeaveCollection, orb.Typed(func(_ context.Context, a proto.LeaveArgs) (proto.Ack, error) {
+		return proto.Ack{}, c.Leave(a.Leaver, a.Credential)
 	}))
-	c.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(_ context.Context, a proto.UpdateArgs) (any, error) {
-		if err := c.update(a.Member, a.Attrs, a.Credential, true); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	c.HandleTyped(proto.MethodUpdateCollectionEntry, orb.Typed(func(_ context.Context, a proto.UpdateArgs) (proto.Ack, error) {
+		return proto.Ack{}, c.update(a.Member, a.Attrs, a.Credential, true)
 	}))
-	c.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(_ context.Context, a proto.BatchUpdateArgs) (any, error) {
+	c.HandleTyped(proto.MethodUpdateCollectionBatch, orb.Typed(func(_ context.Context, a proto.BatchUpdateArgs) (proto.BatchUpdateReply, error) {
 		applied, dropped := c.applyBatch(a.Entries, a.Credential, true)
 		return proto.BatchUpdateReply{Applied: applied, Dropped: dropped}, nil
 	}))
-	c.Handle(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (any, error) {
+	c.HandleTyped(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (proto.QueryReply, error) {
 		recs, err := c.QueryCtx(ctx, a.Query)
 		if err != nil {
-			return nil, err
+			return proto.QueryReply{}, err
 		}
 		// Record aliases proto.CollectionRecord, so the reply reuses the
 		// query result without a per-record conversion copy.

@@ -203,7 +203,7 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 		res := resources[ri]
 		clk := d.rt.Clock()
 		cctx := clk.WithDeadline(ctx, clk.Now().Add(callTimeout))
-		attrs, err := orb.As[proto.AttributesReply](d.call.Call(cctx, res, proto.MethodGetAttributes, nil))
+		attrs, err := resilient.Invoke[proto.AttributesReply, any](cctx, d.call, d.call.Policy(), res, proto.MethodGetAttributes, nil)
 		vclock.End(cctx)
 		if err != nil {
 			d.mu.Lock()
@@ -324,8 +324,8 @@ func (d *Daemon) push(ctx context.Context, coll loid.LOID, entries []proto.Batch
 	d.mu.Lock()
 	d.pushCalls++
 	d.mu.Unlock()
-	reply, err := orb.As[proto.BatchUpdateReply](d.call.Call(cctx, coll, proto.MethodUpdateCollectionBatch,
-		proto.BatchUpdateArgs{Entries: entries, Credential: d.cfg.Credential}))
+	reply, err := resilient.Invoke[proto.BatchUpdateReply](cctx, d.call, d.call.Policy(), coll, proto.MethodUpdateCollectionBatch,
+		proto.BatchUpdateArgs{Entries: entries, Credential: d.cfg.Credential})
 	if err != nil {
 		d.mu.Lock()
 		d.errors++

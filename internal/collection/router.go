@@ -173,11 +173,11 @@ func (r *Router) shardIndex(member loid.LOID) int {
 }
 
 // shardCall forwards one call to a shard under the per-shard deadline.
-func (r *Router) shardCall(ctx context.Context, shard loid.LOID, method string, arg any) (any, error) {
+func shardCall[R, A any](ctx context.Context, r *Router, shard loid.LOID, method string, arg A) (R, error) {
 	clk := r.rt.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(r.cfg.ShardTimeout))
 	defer vclock.End(cctx)
-	return r.call.Call(cctx, shard, method, arg)
+	return resilient.Invoke[R](cctx, r.call, r.call.Policy(), shard, method, arg)
 }
 
 // Join routes a member's registration, with a copy of attrs, to its
@@ -226,7 +226,7 @@ func (r *Router) forward(ctx context.Context, member loid.LOID, method string, a
 	if member.IsNil() {
 		return errors.New("collection: nil member LOID")
 	}
-	_, err := r.shardCall(ctx, r.ShardFor(member), method, arg)
+	_, err := shardCall[proto.Ack](ctx, r, r.ShardFor(member), method, arg)
 	return err
 }
 
@@ -250,8 +250,8 @@ func (r *Router) applyBatch(ctx context.Context, entries []proto.BatchEntry, cre
 	errs := make([]error, len(idxs))
 	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, len(idxs), func(k int) {
 		sub := perShard[idxs[k]]
-		rep, err := orb.As[proto.BatchUpdateReply](r.shardCall(ctx, r.cfg.Shards[idxs[k]], proto.MethodUpdateCollectionBatch,
-			proto.BatchUpdateArgs{Entries: sub, Credential: credential}))
+		rep, err := shardCall[proto.BatchUpdateReply](ctx, r, r.cfg.Shards[idxs[k]], proto.MethodUpdateCollectionBatch,
+			proto.BatchUpdateArgs{Entries: sub, Credential: credential})
 		if err != nil {
 			errs[k] = err
 			rep = proto.BatchUpdateReply{Dropped: len(sub)}
@@ -304,8 +304,8 @@ func (r *Router) QueryPartial(ctx context.Context, src string) (recs []Record, s
 	subSkips := make([]int, n)
 	errs := make([]error, n)
 	fanout.Do(r.rt.Clock(), r.cfg.Parallelism, n, func(i int) {
-		reply, cerr := orb.As[proto.QueryReply](r.shardCall(ctx, r.cfg.Shards[i], proto.MethodQueryCollection,
-			proto.QueryArgs{Query: src}))
+		reply, cerr := shardCall[proto.QueryReply](ctx, r, r.cfg.Shards[i], proto.MethodQueryCollection,
+			proto.QueryArgs{Query: src})
 		if cerr != nil {
 			errs[i] = cerr
 			return
@@ -395,42 +395,33 @@ func mergeSorted(replies [][]proto.CollectionRecord, total int) []Record {
 // extension) so remote runtimes address the Router exactly like a
 // Collection.
 func (r *Router) installMethods() {
-	r.Handle(proto.MethodJoinCollection, orb.Typed(func(ctx context.Context, a proto.JoinArgs) (any, error) {
-		if err := r.forward(ctx, a.Joiner, proto.MethodJoinCollection, a); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	r.HandleTyped(proto.MethodJoinCollection, orb.Typed(func(ctx context.Context, a proto.JoinArgs) (proto.Ack, error) {
+		return proto.Ack{}, r.forward(ctx, a.Joiner, proto.MethodJoinCollection, a)
 	}))
-	r.Handle(proto.MethodLeaveCollection, orb.Typed(func(ctx context.Context, a proto.LeaveArgs) (any, error) {
-		if err := r.forward(ctx, a.Leaver, proto.MethodLeaveCollection, a); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	r.HandleTyped(proto.MethodLeaveCollection, orb.Typed(func(ctx context.Context, a proto.LeaveArgs) (proto.Ack, error) {
+		return proto.Ack{}, r.forward(ctx, a.Leaver, proto.MethodLeaveCollection, a)
 	}))
-	r.Handle(proto.MethodUpdateCollectionEntry, orb.Typed(func(ctx context.Context, a proto.UpdateArgs) (any, error) {
-		if err := r.forward(ctx, a.Member, proto.MethodUpdateCollectionEntry, a); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	r.HandleTyped(proto.MethodUpdateCollectionEntry, orb.Typed(func(ctx context.Context, a proto.UpdateArgs) (proto.Ack, error) {
+		return proto.Ack{}, r.forward(ctx, a.Member, proto.MethodUpdateCollectionEntry, a)
 	}))
-	r.Handle(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (any, error) {
+	r.HandleTyped(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (proto.BatchUpdateReply, error) {
 		reply, err := r.applyBatch(ctx, a.Entries, a.Credential, false)
 		switch {
 		case err != nil && reply.Applied == 0:
-			return nil, err
+			return proto.BatchUpdateReply{}, err
 		case err != nil:
 			// Some shards applied: the Router answers the rest as its
 			// own refusal (%v, not %w), so the caller resends but its
 			// breaker for the Router counts no transport fault and keeps
 			// feeding the shards that answered.
-			return nil, fmt.Errorf("collection: a shard missed the batch: %v", err)
+			return proto.BatchUpdateReply{}, fmt.Errorf("collection: a shard missed the batch: %v", err)
 		}
 		return reply, nil
 	}))
-	r.Handle(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (any, error) {
+	r.HandleTyped(proto.MethodQueryCollection, orb.Typed(func(ctx context.Context, a proto.QueryArgs) (proto.QueryReply, error) {
 		recs, skipped, err := r.QueryPartial(ctx, a.Query)
 		if err != nil {
-			return nil, err
+			return proto.QueryReply{}, err
 		}
 		out := make([]proto.CollectionRecord, len(recs))
 		for i, rec := range recs {

@@ -399,12 +399,12 @@ func (ms *Metasystem) quickPlacer() classobj.QuickPlacer {
 			if len(h.Vaults) == 0 || h.Down {
 				continue
 			}
-			res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
+			res, err := orb.Invoke[proto.MakeReservationReply](ctx, ms.rt, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: c.LOID(),
 				Vault:     h.Vaults[0],
 				Type:      reservation.ReusableTimesharing,
 				Duration:  time.Hour,
-			}))
+			})
 			if err != nil {
 				continue // autonomy: the host said no; try the next
 			}
@@ -466,12 +466,12 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 
 	// Reserve the destination before disturbing the running object, so a
 	// refusal leaves the system untouched.
-	res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, toHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.Invoke[proto.MakeReservationReply](ctx, ms.rt, toHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: ms.Monitor.LOID(),
 		Vault:     toVault,
 		Type:      reservation.OneShotTimesharing,
 		Duration:  time.Hour,
-	}))
+	})
 	if err != nil {
 		return fmt.Errorf("core: migrate %v: destination reservation: %w", instance, err)
 	}
@@ -480,12 +480,12 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 		clk := ms.rt.Clock()
 		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
 		defer vclock.End(cctx)
-		_, _ = ms.rt.Call(cctx, toHost, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
+		_, _ = orb.Invoke[proto.Ack](cctx, ms.rt, toHost, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
 	}
 
 	// Shut down: the host stores the OPR in the instance's current vault
 	// and returns it.
-	dres, err := orb.As[proto.DeactivateReply](ms.rt.Call(ctx, fromHost, proto.MethodDeactivateObject, proto.ObjectArgs{Object: instance}))
+	dres, err := orb.Invoke[proto.DeactivateReply](ctx, ms.rt, fromHost, proto.MethodDeactivateObject, proto.ObjectArgs{Object: instance})
 	if err != nil {
 		// Roll the reservation back; the object is still running.
 		cancelTok()
@@ -496,13 +496,13 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 	// Move the passive state to the new vault if necessary.
 	moved := false
 	if toVault != fromVault {
-		if _, err := ms.rt.Call(ctx, toVault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: state}); err != nil {
+		if _, err := orb.Invoke[proto.Ack](ctx, ms.rt, toVault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: state}); err != nil {
 			cancelTok()
 			return ms.reactivateInPlace(ctx, class, instance, fromHost, fromVault, state,
 				fmt.Errorf("core: migrate %v: store OPR in %v: %w", instance, toVault, err))
 		}
 		moved = true
-		_, _ = ms.rt.Call(ctx, fromVault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
+		_, _ = orb.Invoke[proto.Ack](ctx, ms.rt, fromVault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
 	}
 
 	// Reactivate on the destination.
@@ -522,8 +522,8 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 			// destination copy once the state is durable at the source
 			// again — the passive state must never exist solely in this
 			// call frame.
-			if _, rerr := ms.rt.Call(ctx, fromVault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: state}); rerr == nil {
-				_, _ = ms.rt.Call(ctx, toVault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
+			if _, rerr := orb.Invoke[proto.Ack](ctx, ms.rt, fromVault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: state}); rerr == nil {
+				_, _ = orb.Invoke[proto.Ack](ctx, ms.rt, toVault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
 			}
 		}
 		return ms.reactivateInPlace(ctx, class, instance, fromHost, fromVault, state, cause)
@@ -538,12 +538,12 @@ func (ms *Metasystem) Migrate(ctx context.Context, class *classobj.Class, instan
 // reservation is cancelled if its redeem fails, so even a doubly-failed
 // migration leaks no token.
 func (ms *Metasystem) reactivateInPlace(ctx context.Context, class *classobj.Class, instance, fromHost, fromVault loid.LOID, state *opr.OPR, cause error) error {
-	res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, fromHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.Invoke[proto.MakeReservationReply](ctx, ms.rt, fromHost, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: ms.Monitor.LOID(),
 		Vault:     fromVault,
 		Type:      reservation.OneShotTimesharing,
 		Duration:  time.Hour,
-	}))
+	})
 	if err != nil {
 		return fmt.Errorf("%w (and recovery reservation failed: %v)", cause, err)
 	}
@@ -557,7 +557,7 @@ func (ms *Metasystem) reactivateInPlace(ctx context.Context, class *classobj.Cla
 		clk := ms.rt.Clock()
 		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
 		defer vclock.End(cctx)
-		_, _ = ms.rt.Call(cctx, fromHost, proto.MethodCancelReservation, proto.TokenArgs{Token: rtok})
+		_, _ = orb.Invoke[proto.Ack](cctx, ms.rt, fromHost, proto.MethodCancelReservation, proto.TokenArgs{Token: rtok})
 		return fmt.Errorf("%w (and recovery reactivation failed: %v)", cause, err)
 	}
 	return cause
@@ -617,7 +617,7 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 	}
 	var copies []copyAt
 	for _, v := range ms.Vaults() {
-		res, err := orb.As[proto.RetrieveOPRReply](ms.rt.Call(ctx, v.LOID(), proto.MethodRetrieveOPR, proto.RetrieveOPRArgs{Object: instance}))
+		res, err := orb.Invoke[proto.RetrieveOPRReply](ctx, ms.rt, v.LOID(), proto.MethodRetrieveOPR, proto.RetrieveOPRArgs{Object: instance})
 		if err != nil {
 			continue // not here, or vault unreachable — keep looking
 		}
@@ -650,12 +650,12 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 	}
 	var lastErr error
 	for _, cand := range candidates {
-		res, err := orb.As[proto.MakeReservationReply](ms.rt.Call(ctx, cand, proto.MethodMakeReservation, proto.MakeReservationArgs{
+		res, err := orb.Invoke[proto.MakeReservationReply](ctx, ms.rt, cand, proto.MethodMakeReservation, proto.MakeReservationArgs{
 			Requester: ms.Monitor.LOID(),
 			Vault:     best.vault,
 			Type:      reservation.OneShotTimesharing,
 			Duration:  time.Hour,
-		}))
+		})
 		if err != nil {
 			lastErr = err
 			continue
@@ -670,7 +670,7 @@ func (ms *Metasystem) EnsureRunning(ctx context.Context, class *classobj.Class, 
 			lastErr = err
 			clk := ms.rt.Clock()
 			cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
-			_, _ = ms.rt.Call(cctx, cand, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
+			_, _ = orb.Invoke[proto.Ack](cctx, ms.rt, cand, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
 			vclock.End(cctx)
 			continue
 		}
@@ -698,7 +698,7 @@ func (ms *Metasystem) cleanStrayOPRs(ctx context.Context, instance, keep loid.LO
 			}
 		}
 		if has {
-			_, _ = ms.rt.Call(ctx, v.LOID(), proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
+			_, _ = orb.Invoke[proto.Ack](ctx, ms.rt, v.LOID(), proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: instance})
 		}
 	}
 }

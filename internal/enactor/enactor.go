@@ -483,7 +483,7 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 // return is the host-quoted cost of the grant in price units (zero for
 // unpriced hosts), which the caller bills to the tenant's ledger.
 func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.ReservationSpec) (reservation.Token, float64, error) {
-	reply, err := orb.As[proto.MakeReservationReply](e.call.Call(ctx, m.Host, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	reply, err := resilient.Invoke[proto.MakeReservationReply](ctx, e.call, e.cfg.Retry, m.Host, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Requester: e.LOID(),
 		Vault:     m.Vault,
 		Type:      reservation.Type{Share: spec.Share, Reuse: spec.Reuse},
@@ -492,7 +492,7 @@ func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.Reser
 		Timeout:   spec.Timeout,
 		Priority:  spec.Priority,
 		Tenant:    spec.Tenant,
-	}))
+	})
 	if err != nil {
 		return reservation.Token{}, 0, err
 	}
@@ -548,7 +548,7 @@ func (e *Enactor) cancelToken(ctx context.Context, hostL loid.LOID, tok reservat
 	if e.cfg.Ledger != nil {
 		e.cfg.Ledger.Refund(tok.Host, tok.ID)
 	}
-	_, _ = e.cleanup.Call(ctx, hostL, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
+	_, _ = resilient.Invoke[proto.Ack](ctx, e.cleanup, e.cfg.Retry, hostL, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
 }
 
 // EnactSchedule instantiates the objects of a successfully reserved
@@ -637,14 +637,14 @@ func (e *Enactor) enact(ctx context.Context, req *heldRequest) proto.EnactReply 
 	errs := make([]error, len(req.resolved))
 	e.fanOut(len(req.resolved), func(i int) {
 		m := req.resolved[i]
-		reply, err := orb.As[proto.CreateInstanceReply](e.call.CallPolicy(ctx, createPolicy, m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
+		reply, err := resilient.Invoke[proto.CreateInstanceReply](ctx, e.call, createPolicy, m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
 			Count: 1,
 			Placement: &proto.Placement{
 				Host:  m.Host,
 				Vault: m.Vault,
 				Token: req.tokens[i],
 			},
-		}))
+		})
 		if err == nil && len(reply.Instances) == 0 {
 			err = errors.New("no instance created")
 		}
@@ -707,7 +707,7 @@ func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]lo
 	e.fanOut(len(destroy), func(j int) {
 		// Cleanup path: parallel create failures may have opened the class
 		// endpoint's breaker, and destroy must still get through.
-		_, _ = e.cleanup.Call(ctx, destroy[j].class, proto.MethodDestroyInstance,
+		_, _ = resilient.Invoke[proto.Ack](ctx, e.cleanup, e.cfg.Retry, destroy[j].class, proto.MethodDestroyInstance,
 			proto.ObjectArgs{Object: destroy[j].inst})
 	})
 	e.fanOut(len(req.tokens), func(i int) {
@@ -803,19 +803,19 @@ func (e *Enactor) requestClass(requestID uint64) (int, string, string) {
 func (e *Enactor) Ledger() *economy.Ledger { return e.cfg.Ledger }
 
 func (e *Enactor) installMethods() {
-	e.Handle(proto.MethodMakeReservations, orb.Typed(func(ctx context.Context, a proto.MakeReservationsArgs) (any, error) {
+	e.HandleTyped(proto.MethodMakeReservations, orb.Typed(func(ctx context.Context, a proto.MakeReservationsArgs) (proto.FeedbackReply, error) {
 		// The overload gate guards the wire-facing entry point: a shed
 		// crosses back as a typed orb.ErrOverload refusal (classified
 		// permanent — never a breaker strike), and nothing downstream
 		// runs for a shed request, so it can leak no tokens.
 		release, err := e.adm.acquire(ctx, "make_reservations", a.RequesterDomain, a.Request.Res.Tenant, a.Request.Res.Priority)
 		if err != nil {
-			return nil, err
+			return proto.FeedbackReply{}, err
 		}
 		defer release()
 		return proto.FeedbackReply{Feedback: e.makeReservations(ctx, a.Request, a.RequesterDomain)}, nil
 	}))
-	e.Handle(proto.MethodEnactSchedule, orb.Typed(func(ctx context.Context, a proto.EnactScheduleArgs) (any, error) {
+	e.HandleTyped(proto.MethodEnactSchedule, orb.Typed(func(ctx context.Context, a proto.EnactScheduleArgs) (proto.EnactReply, error) {
 		// A shed here records no outcome, so a live retry can still
 		// enact; if the caller never returns, the held reservations are
 		// reclaimed by the hosts' confirmation timeouts and the
@@ -823,29 +823,26 @@ func (e *Enactor) installMethods() {
 		prio, domain, tenant := e.requestClass(a.RequestID)
 		release, err := e.adm.acquire(ctx, "enact_schedule", domain, tenant, prio)
 		if err != nil {
-			return nil, err
+			return proto.EnactReply{}, err
 		}
 		defer release()
 		return e.EnactSchedule(ctx, a.RequestID), nil
 	}))
-	e.Handle(proto.MethodCancelReservations, orb.Typed(func(ctx context.Context, a proto.CancelReservationsArgs) (any, error) {
-		if err := e.CancelReservations(ctx, a.RequestID); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	e.HandleTyped(proto.MethodCancelReservations, orb.Typed(func(ctx context.Context, a proto.CancelReservationsArgs) (proto.Ack, error) {
+		return proto.Ack{}, e.CancelReservations(ctx, a.RequestID)
 	}))
-	e.Handle(proto.MethodAccountDeposit, orb.Typed(func(ctx context.Context, a proto.AccountDepositArgs) (any, error) {
+	e.HandleTyped(proto.MethodAccountDeposit, orb.Typed(func(ctx context.Context, a proto.AccountDepositArgs) (proto.AccountReply, error) {
 		led := e.cfg.Ledger
 		if led == nil {
-			return nil, errors.New("enactor: no economy ledger configured")
+			return proto.AccountReply{}, errors.New("enactor: no economy ledger configured")
 		}
 		led.Open(a.Tenant, economy.Credits(a.Amount))
 		return accountReply(led, a.Tenant), nil
 	}))
-	e.Handle(proto.MethodAccountStatus, orb.Typed(func(ctx context.Context, a proto.AccountArgs) (any, error) {
+	e.HandleTyped(proto.MethodAccountStatus, orb.Typed(func(ctx context.Context, a proto.AccountArgs) (proto.AccountReply, error) {
 		led := e.cfg.Ledger
 		if led == nil {
-			return nil, errors.New("enactor: no economy ledger configured")
+			return proto.AccountReply{}, errors.New("enactor: no economy ledger configured")
 		}
 		return accountReply(led, a.Tenant), nil
 	}))

@@ -57,7 +57,7 @@ func A1VariantVsRegenerate(rounds, brokenCount int) *Table {
 				succ++
 				for i, insts := range out.Instances {
 					for _, inst := range insts {
-						_, _ = env.ms.Runtime().Call(ctx, out.Feedback.Resolved[i].Class,
+						_, _ = orb.Invoke[proto.Ack](ctx, env.ms.Runtime(), out.Feedback.Resolved[i].Class,
 							proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 					}
 				}
@@ -142,7 +142,7 @@ func A2CoAllocation(rounds, gang int) *Table {
 					complete++
 					for i, insts := range reply.Instances {
 						for _, inst := range insts {
-							_, _ = env.ms.Runtime().Call(ctx, fb.Resolved[i].Class,
+							_, _ = orb.Invoke[proto.Ack](ctx, env.ms.Runtime(), fb.Resolved[i].Class,
 								proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 						}
 					}
@@ -155,19 +155,19 @@ func A2CoAllocation(rounds, gang int) *Table {
 			var heldTokens []reservation.Token
 			ok := true
 			for _, m := range rl.Masters[0].Mappings {
-				res, err := orb.As[proto.MakeReservationReply](env.ms.Runtime().Call(ctx, m.Host, proto.MethodMakeReservation,
+				res, err := orb.Invoke[proto.MakeReservationReply](ctx, env.ms.Runtime(), m.Host, proto.MethodMakeReservation,
 					proto.MakeReservationArgs{Vault: m.Vault,
 						Type:     reservation.ReusableTimesharing,
-						Duration: time.Hour}))
+						Duration: time.Hour})
 				if err != nil {
 					ok = false
 					break
 				}
 				tok := res.Token
 				heldTokens = append(heldTokens, tok)
-				cres, err := orb.As[proto.CreateInstanceReply](env.ms.Runtime().Call(ctx, m.Class, proto.MethodCreateInstance,
+				cres, err := orb.Invoke[proto.CreateInstanceReply](ctx, env.ms.Runtime(), m.Class, proto.MethodCreateInstance,
 					proto.CreateInstanceArgs{Count: 1, Placement: &proto.Placement{
-						Host: m.Host, Vault: m.Vault, Token: tok}}))
+						Host: m.Host, Vault: m.Vault, Token: tok}})
 				if err != nil {
 					ok = false
 					break
@@ -184,12 +184,12 @@ func A2CoAllocation(rounds, gang int) *Table {
 				cleanFail++
 			}
 			for _, inst := range started {
-				_, _ = env.ms.Runtime().Call(ctx, class.LOID(),
+				_, _ = orb.Invoke[proto.Ack](ctx, env.ms.Runtime(), class.LOID(),
 					proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 			}
 			for i, tok := range heldTokens {
 				m := rl.Masters[0].Mappings[i]
-				_, _ = env.ms.Runtime().Call(ctx, m.Host, proto.MethodCancelReservation,
+				_, _ = orb.Invoke[proto.Ack](ctx, env.ms.Runtime(), m.Host, proto.MethodCancelReservation,
 					proto.TokenArgs{Token: tok})
 			}
 		}

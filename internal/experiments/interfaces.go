@@ -111,7 +111,7 @@ func Table1HostInterface(iters int) *Table {
 		return nil
 	})
 	measure("information", "vault_OK()", func(i int) error {
-		res, err := orb.As[proto.BoolReply](rt.Call(ctx, h.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Vault: v.LOID()}))
+		res, err := orb.Invoke[proto.BoolReply](ctx, rt, h.LOID(), proto.MethodVaultOK, proto.VaultOKArgs{Vault: v.LOID()})
 		if err != nil {
 			return err
 		}

@@ -67,13 +67,13 @@ func runLayeringA(ctx context.Context, ms *core.Metasystem, class *classobj.Clas
 	}
 	var best *candidate
 	for _, l := range ms.HostClass.Instances() {
-		res, err := orb.As[proto.AttributesReply](rt.Call(ctx, l, proto.MethodGetAttributes, nil))
+		res, err := orb.Invoke[proto.AttributesReply, any](ctx, rt, l, proto.MethodGetAttributes, nil)
 		if err != nil {
 			continue
 		}
 		v, _ := attr.Lookup(res.Attrs, "host_load")
 		load, _ := v.AsFloat()
-		vres, err := orb.As[proto.CompatibleVaultsReply](rt.Call(ctx, l, proto.MethodGetCompatibleVaults, nil))
+		vres, err := orb.Invoke[proto.CompatibleVaultsReply, any](ctx, rt, l, proto.MethodGetCompatibleVaults, nil)
 		if err != nil {
 			continue
 		}
@@ -88,9 +88,9 @@ func runLayeringA(ctx context.Context, ms *core.Metasystem, class *classobj.Clas
 	if best == nil {
 		return errors.New("no host answered")
 	}
-	res, err := orb.As[proto.MakeReservationReply](rt.Call(ctx, best.host, proto.MethodMakeReservation, proto.MakeReservationArgs{
+	res, err := orb.Invoke[proto.MakeReservationReply](ctx, rt, best.host, proto.MethodMakeReservation, proto.MakeReservationArgs{
 		Vault: best.vault, Type: reservation.ReusableTimesharing, Duration: time.Hour,
-	}))
+	})
 	if err != nil {
 		return err
 	}

@@ -110,7 +110,7 @@ func faultRateRun(trials int, rate float64, resilienceOn bool) (placed int, mean
 		// shrink across trials.
 		for j, insts := range out.Instances {
 			for _, inst := range insts {
-				_, _ = ms.Runtime().Call(ctx, out.Feedback.Resolved[j].Class,
+				_, _ = orb.Invoke[proto.Ack](ctx, ms.Runtime(), out.Feedback.Resolved[j].Class,
 					proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"legion/internal/core"
+	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/scheduler"
 	"legion/internal/sim"
@@ -96,7 +97,7 @@ func Fig8IRS(rounds int) *Table {
 				// Release everything for the next round.
 				for i, insts := range out.Instances {
 					for _, inst := range insts {
-						_, _ = ms.Runtime().Call(ctx, out.Feedback.Resolved[i].Class,
+						_, _ = orb.Invoke[proto.Ack](ctx, ms.Runtime(), out.Feedback.Resolved[i].Class,
 							proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst})
 					}
 				}

@@ -432,7 +432,7 @@ func (h *Host) Reassess(ctx context.Context) {
 	for _, t := range targets {
 		// Push failures are tolerated: a Collection outage must not take
 		// the Host down with it.
-		_, _ = h.rt.Call(ctx, t.collection, proto.MethodUpdateCollectionEntry,
+		_, _ = orb.Invoke[proto.Ack](ctx, h.rt, t.collection, proto.MethodUpdateCollectionEntry,
 			proto.UpdateArgs{Member: h.LOID(), Attrs: snap, Credential: t.credential})
 	}
 }
@@ -601,7 +601,7 @@ func (h *Host) vaultOK(ctx context.Context, v loid.LOID) error {
 	}
 	// Identity + zone probe: the vault confirms it is the vault we think
 	// it is and that a host in our zone can reach it.
-	r, err := orb.As[proto.BoolReply](h.rt.Call(ctx, v, proto.MethodVaultOK, proto.VaultOKArgs{Vault: v, Zone: h.cfg.Zone}))
+	r, err := orb.Invoke[proto.BoolReply](ctx, h.rt, v, proto.MethodVaultOK, proto.VaultOKArgs{Vault: v, Zone: h.cfg.Zone})
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVaultUnreachable, err)
 	}
@@ -712,7 +712,7 @@ func (h *Host) KillObject(ctx context.Context, object loid.LOID) error {
 		_ = h.cfg.Queue.Complete(ro.job)
 	}
 	// Destruction removes persistent state; ignore not-found.
-	_, _ = h.rt.Call(ctx, ro.vault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: object})
+	_, _ = orb.Invoke[proto.Ack](ctx, h.rt, ro.vault, proto.MethodDeleteOPR, proto.DeleteOPRArgs{Object: object})
 	return nil
 }
 
@@ -739,7 +739,7 @@ func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR
 	if err != nil {
 		return nil, loid.Nil, err
 	}
-	if _, err := h.rt.Call(ctx, ro.vault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: o}); err != nil {
+	if _, err := orb.Invoke[proto.Ack](ctx, h.rt, ro.vault, proto.MethodStoreOPR, proto.StoreOPRArgs{OPR: o}); err != nil {
 		return nil, loid.Nil, fmt.Errorf("host: storing OPR in vault %v: %w", ro.vault, err)
 	}
 	h.mu.Lock()
@@ -792,49 +792,43 @@ func hostMethods() *orb.DispatchTable {
 
 func buildHostMethods() *orb.DispatchTable {
 	t := orb.NewDispatchTable()
-	t.Handle(proto.MethodMakeReservation, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.MakeReservationArgs) (any, error) {
+	t.HandleTyped(proto.MethodMakeReservation, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.MakeReservationArgs) (proto.MakeReservationReply, error) {
 		tok, err := h.MakeReservation(ctx, a)
 		if err != nil {
-			return nil, err
+			return proto.MakeReservationReply{}, err
 		}
 		return proto.MakeReservationReply{Token: *tok, Cost: h.ReservationCost(tok.Duration)}, nil
 	}))
-	t.Handle(proto.MethodCheckReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (any, error) {
+	t.HandleTyped(proto.MethodCheckReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (proto.BoolReply, error) {
 		if err := h.CheckReservation(&a.Token); err != nil {
 			return proto.BoolReply{OK: false}, nil
 		}
 		return proto.BoolReply{OK: true}, nil
 	}))
-	t.Handle(proto.MethodCancelReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (any, error) {
-		if err := h.CancelReservation(&a.Token); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	t.HandleTyped(proto.MethodCancelReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (proto.Ack, error) {
+		return proto.Ack{}, h.CancelReservation(&a.Token)
 	}))
-	t.Handle(proto.MethodStartObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.StartObjectArgs) (any, error) {
+	t.HandleTyped(proto.MethodStartObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.StartObjectArgs) (proto.StartObjectReply, error) {
 		started, err := h.StartObject(ctx, a)
 		if err != nil {
-			return nil, err
+			return proto.StartObjectReply{}, err
 		}
 		return proto.StartObjectReply{Started: started}, nil
 	}))
-	t.Handle(proto.MethodKillObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (any, error) {
-		if err := h.KillObject(ctx, a.Object); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	t.HandleTyped(proto.MethodKillObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (proto.Ack, error) {
+		return proto.Ack{}, h.KillObject(ctx, a.Object)
 	}))
-	t.Handle(proto.MethodDeactivateObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (any, error) {
+	t.HandleTyped(proto.MethodDeactivateObject, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.ObjectArgs) (proto.DeactivateReply, error) {
 		o, vaultL, err := h.DeactivateObject(ctx, a.Object)
 		if err != nil {
-			return nil, err
+			return proto.DeactivateReply{}, err
 		}
 		return proto.DeactivateReply{OPR: o, Vault: vaultL}, nil
 	}))
 	t.Handle(proto.MethodGetCompatibleVaults, func(_ context.Context, recv, _ any) (any, error) {
 		return proto.CompatibleVaultsReply{Vaults: recv.(*Host).CompatibleVaults()}, nil
 	})
-	t.Handle(proto.MethodVaultOK, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.VaultOKArgs) (any, error) {
+	t.HandleTyped(proto.MethodVaultOK, orb.SharedTyped(func(ctx context.Context, h *Host, a proto.VaultOKArgs) (proto.BoolReply, error) {
 		if err := h.vaultOK(ctx, a.Vault); err != nil {
 			return proto.BoolReply{OK: false}, nil
 		}
@@ -843,13 +837,10 @@ func buildHostMethods() *orb.DispatchTable {
 	t.Handle(proto.MethodGetAttributes, func(_ context.Context, recv, _ any) (any, error) {
 		return proto.AttributesReply{Attrs: recv.(*Host).Attributes()}, nil
 	})
-	t.Handle(proto.MethodDefineTrigger, orb.SharedTyped(func(_ context.Context, h *Host, a proto.DefineTriggerArgs) (any, error) {
-		if err := h.trigs.Define(a.Name, a.Guard); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	t.HandleTyped(proto.MethodDefineTrigger, orb.SharedTyped(func(_ context.Context, h *Host, a proto.DefineTriggerArgs) (proto.Ack, error) {
+		return proto.Ack{}, h.trigs.Define(a.Name, a.Guard)
 	}))
-	t.Handle(proto.MethodRegisterOutcall, orb.SharedTyped(func(_ context.Context, h *Host, a proto.RegisterOutcallArgs) (any, error) {
+	t.HandleTyped(proto.MethodRegisterOutcall, orb.SharedTyped(func(_ context.Context, h *Host, a proto.RegisterOutcallArgs) (proto.Ack, error) {
 		monitor := a.Monitor
 		// Keyed by the registering Monitor: a re-watch (reconnect, retried
 		// Watch) replaces the previous registration instead of stacking a
@@ -860,7 +851,7 @@ func buildHostMethods() *orb.DispatchTable {
 			clk := h.rt.Clock()
 			ctx := clk.WithDeadline(context.Background(), clk.Now().Add(10*time.Second))
 			defer vclock.End(ctx)
-			_, _ = h.rt.Call(ctx, monitor, proto.MethodNotify, proto.NotifyArgs{
+			_, _ = orb.Invoke[proto.Ack](ctx, h.rt, monitor, proto.MethodNotify, proto.NotifyArgs{
 				Source:  ev.Source,
 				Trigger: ev.Trigger,
 				Attrs:   ev.Attrs,

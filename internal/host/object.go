@@ -98,12 +98,12 @@ func genericMethods() *orb.DispatchTable {
 			g.mu.Unlock()
 			return "pong", nil
 		})
-		t.Handle("get", orb.SharedTyped(func(_ context.Context, g *GenericObject, key string) (any, error) {
+		t.HandleTyped("get", orb.SharedTyped(func(_ context.Context, g *GenericObject, key string) (any, error) {
 			g.mu.Lock()
 			defer g.mu.Unlock()
 			return g.payload[key], nil
 		}))
-		t.Handle("set", orb.SharedTyped(func(_ context.Context, g *GenericObject, kv []string) (any, error) {
+		t.HandleTyped("set", orb.SharedTyped(func(_ context.Context, g *GenericObject, kv []string) (any, error) {
 			if len(kv) != 2 {
 				return nil, fmt.Errorf("object: want [key, value], got %d strings", len(kv))
 			}

@@ -110,7 +110,7 @@ func New(rt *orb.Runtime) *Monitor {
 		delivered:     reg.Counter("legion_monitor_events_delivered_total"),
 		dropped:       reg.Counter("legion_monitor_events_dropped_total"),
 	}
-	m.Handle(proto.MethodNotify, orb.Typed(func(_ context.Context, a proto.NotifyArgs) (any, error) {
+	m.HandleTyped(proto.MethodNotify, orb.Typed(func(_ context.Context, a proto.NotifyArgs) (proto.Ack, error) {
 		m.deliver(a)
 		return proto.Ack{}, nil
 	}))
@@ -244,11 +244,11 @@ func (m *Monitor) Watch(ctx context.Context, hostL loid.LOID, trigger, guard str
 	if err := cctx.Err(); err != nil {
 		return fmt.Errorf("monitor: watch %v: %w", hostL, err)
 	}
-	if _, err := m.rt.Call(cctx, hostL, proto.MethodDefineTrigger,
+	if _, err := orb.Invoke[proto.Ack](cctx, m.rt, hostL, proto.MethodDefineTrigger,
 		proto.DefineTriggerArgs{Name: trigger, Guard: guard}); err != nil {
 		return fmt.Errorf("monitor: define trigger on %v: %w", hostL, err)
 	}
-	if _, err := m.rt.Call(cctx, hostL, proto.MethodRegisterOutcall,
+	if _, err := orb.Invoke[proto.Ack](cctx, m.rt, hostL, proto.MethodRegisterOutcall,
 		proto.RegisterOutcallArgs{Trigger: trigger, Monitor: m.LOID()}); err != nil {
 		return fmt.Errorf("monitor: register outcall on %v: %w", hostL, err)
 	}

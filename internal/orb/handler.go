@@ -17,28 +17,59 @@ type Method func(ctx context.Context, arg any) (any, error)
 // struct, e.g. *host.Host).
 type SharedMethod func(ctx context.Context, recv, arg any) (any, error)
 
-// Typed adapts a handler of one argument type to a Method. The caller
+// Handler is a Method that knows its argument and reply types, as Typed
+// builds it: Invoke calls it with both by value, and every other call
+// goes through its boxed form.
+type Handler struct {
+	boxed Method
+	typed any // func(context.Context, A) (R, error)
+}
+
+// SharedHandler is a SharedMethod that knows its argument and reply
+// types, as SharedTyped builds it.
+type SharedHandler struct {
+	boxed SharedMethod
+	typed any // func(context.Context, any, A) (R, error)
+}
+
+// Typed adapts a handler of one argument and one reply type. The caller
 // may be remote or version-skewed, so an argument of another type is
-// refused with an error, never a panic.
-func Typed[A any](f func(ctx context.Context, a A) (any, error)) Method {
-	return func(ctx context.Context, arg any) (any, error) {
-		a, err := argAs[A](arg)
-		if err != nil {
-			return nil, err
-		}
-		return f(ctx, a)
+// refused with an error, never a panic; a failed call replies nil.
+func Typed[A, R any](f func(ctx context.Context, a A) (R, error)) Handler {
+	return Handler{
+		boxed: func(ctx context.Context, arg any) (any, error) {
+			a, err := argAs[A](arg)
+			if err != nil {
+				return nil, err
+			}
+			r, err := f(ctx, a)
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
+		},
+		typed: f,
 	}
 }
 
 // SharedTyped is Typed for a class-wide table: recv is the receiver
 // bound by NewSharedServiceObject or BindReceiver.
-func SharedTyped[R, A any](f func(ctx context.Context, recv R, a A) (any, error)) SharedMethod {
-	return func(ctx context.Context, recv, arg any) (any, error) {
-		a, err := argAs[A](arg)
-		if err != nil {
-			return nil, err
-		}
-		return f(ctx, recv.(R), a)
+func SharedTyped[V, A, R any](f func(ctx context.Context, recv V, a A) (R, error)) SharedHandler {
+	return SharedHandler{
+		boxed: func(ctx context.Context, recv, arg any) (any, error) {
+			a, err := argAs[A](arg)
+			if err != nil {
+				return nil, err
+			}
+			r, err := f(ctx, recv.(V), a)
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
+		},
+		typed: func(ctx context.Context, recv any, a A) (R, error) {
+			return f(ctx, recv.(V), a)
+		},
 	}
 }
 
@@ -69,18 +100,23 @@ func As[T any](res any, err error) (T, error) {
 // fully before handing it to any object — lookups are deliberately
 // lock-free and concurrent mutation is a race.
 type DispatchTable struct {
-	m map[string]SharedMethod
+	m map[string]SharedHandler
 }
 
 // NewDispatchTable creates an empty table.
 func NewDispatchTable() *DispatchTable {
-	return &DispatchTable{m: make(map[string]SharedMethod)}
+	return &DispatchTable{m: make(map[string]SharedHandler)}
 }
 
 // Handle registers (or replaces) a method. Not safe to call after the
 // table is in use.
 func (t *DispatchTable) Handle(name string, m SharedMethod) {
-	t.m[name] = m
+	t.m[name] = SharedHandler{boxed: m}
+}
+
+// HandleTyped is Handle for a method built by SharedTyped.
+func (t *DispatchTable) HandleTyped(name string, h SharedHandler) {
+	t.m[name] = h
 }
 
 // Methods returns the names of all registered methods.
@@ -104,7 +140,7 @@ type ServiceObject struct {
 	shared *DispatchTable
 	recv   any
 	mu     sync.RWMutex
-	m      map[string]Method // lazily allocated; most shared objects never need it
+	m      map[string]Handler // lazily allocated; most shared objects never need it
 }
 
 // NewServiceObject creates a ServiceObject named l with no methods.
@@ -129,12 +165,17 @@ func (s *ServiceObject) LOID() loid.LOID { return s.l }
 // Handle registers (or replaces) a per-instance method, shadowing any
 // shared-table method of the same name.
 func (s *ServiceObject) Handle(name string, m Method) {
+	s.HandleTyped(name, Handler{boxed: m})
+}
+
+// HandleTyped is Handle for a method built by Typed.
+func (s *ServiceObject) HandleTyped(name string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[string]Method)
+		s.m = make(map[string]Handler)
 	}
-	s.m[name] = m
+	s.m[name] = h
 }
 
 // Methods returns the names of all registered methods (shared and
@@ -165,12 +206,43 @@ func (s *ServiceObject) Dispatch(ctx context.Context, method string, arg any) (a
 	m, ok := s.m[method]
 	s.mu.RUnlock()
 	if ok {
-		return m(ctx, arg)
+		return m.boxed(ctx, arg)
 	}
 	if s.shared != nil {
 		if sm, ok := s.shared.m[method]; ok {
-			return sm(ctx, s.recv, arg)
+			return sm.boxed(ctx, s.recv, arg)
 		}
 	}
 	return nil, fmt.Errorf("%w: %q on %v", ErrNoMethod, method, s.l)
+}
+
+// service lets Invoke find the ServiceObject a registered Object embeds.
+func (s *ServiceObject) service() *ServiceObject { return s }
+
+// callTyped runs method on obj with arg and reply by value when obj is a
+// ServiceObject whose entry for method was registered for exactly A and
+// R. ran is false, and nothing ran, otherwise.
+func callTyped[A, R any](ctx context.Context, obj Object, method string, arg A) (res R, ran bool, err error) {
+	so, ok := obj.(interface{ service() *ServiceObject })
+	if !ok {
+		return res, false, nil
+	}
+	s := so.service()
+	s.mu.RLock()
+	m, ok := s.m[method]
+	s.mu.RUnlock()
+	if ok {
+		if f, ok := m.typed.(func(context.Context, A) (R, error)); ok {
+			res, err = f(ctx, arg)
+			return res, true, err
+		}
+		return res, false, nil
+	}
+	if s.shared != nil {
+		if f, ok := s.shared.m[method].typed.(func(context.Context, any, A) (R, error)); ok {
+			res, err = f(ctx, s.recv, arg)
+			return res, true, err
+		}
+	}
+	return res, false, nil
 }

@@ -358,12 +358,55 @@ func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, ar
 }
 
 func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, method string, arg any) (any, error) {
+	obj, addr, err := rt.route(ctx, h, target, method)
+	if err != nil {
+		return nil, err
+	}
+	return rt.dispatch(ctx, h, obj, addr, target, method, arg)
+}
+
+// Invoke is Call typed by its argument and reply. It runs Call's hooks
+// in the same order (tracer, fault injector, latency). A local
+// ServiceObject whose method was registered through Typed or SharedTyped
+// for exactly A and R, with the loopback codec off, runs with both
+// passed by value, so neither is boxed. Every other call boxes arg once
+// and goes the way Call does; its reply of another type than R is an
+// error, as with As.
+func Invoke[R, A any](ctx context.Context, rt *Runtime, target loid.LOID, method string, arg A) (R, error) {
+	h := rt.hooks.Load()
+	if h.tracer == nil {
+		return invoke[R](ctx, rt, h, target, method, arg)
+	}
+	start := h.clock.Now()
+	res, err := invoke[R](ctx, rt, h, target, method, arg)
+	h.tracer(rt.name, target, method, h.clock.Since(start), err)
+	return res, err
+}
+
+func invoke[R, A any](ctx context.Context, rt *Runtime, h *callHooks, target loid.LOID, method string, arg A) (R, error) {
+	obj, addr, err := rt.route(ctx, h, target, method)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	if obj != nil && !h.loopback {
+		if res, ran, err := callTyped[A, R](ctx, obj, method, arg); ran {
+			return res, err
+		}
+	}
+	return As[R](rt.dispatch(ctx, h, obj, addr, target, method, arg))
+}
+
+// route runs a call's fault injector and then its link latency, and
+// resolves target: to a local object, or else to the address of the
+// runtime that serves it.
+func (rt *Runtime) route(ctx context.Context, h *callHooks, target loid.LOID, method string) (Object, string, error) {
 	if target.IsNil() {
-		return nil, fmt.Errorf("%w: nil LOID", ErrNotBound)
+		return nil, "", fmt.Errorf("%w: nil LOID", ErrNotBound)
 	}
 	if h.inject != nil {
 		if err := h.inject(target, method); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	if h.latency > 0 || h.jitter > 0 {
@@ -381,9 +424,9 @@ func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, met
 				// guarantee callers act on (the Wrapper releases the
 				// reservations of an episode whose enact_schedule never
 				// ran). It is still the context's error underneath.
-				return nil, fmt.Errorf("%w: %w", ErrDeadlineExpired, err)
+				return nil, "", fmt.Errorf("%w: %w", ErrDeadlineExpired, err)
 			}
-			return nil, err
+			return nil, "", err
 		}
 	}
 
@@ -396,13 +439,22 @@ func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, met
 	rt.mu.RUnlock()
 
 	if local {
-		if h.loopback {
-			return dispatchLoopback(ctx, obj, method, arg)
-		}
-		return obj.Dispatch(ctx, method, arg)
+		return obj, "", nil
 	}
 	if bound {
+		return nil, addr, nil
+	}
+	return nil, "", fmt.Errorf("%w: %v", ErrNotBound, target)
+}
+
+// dispatch delivers a routed call: to obj when it is local, through the
+// loopback codec if that is on, else over the connection to addr.
+func (rt *Runtime) dispatch(ctx context.Context, h *callHooks, obj Object, addr string, target loid.LOID, method string, arg any) (any, error) {
+	if obj == nil {
 		return rt.callRemote(ctx, addr, target, method, arg)
 	}
-	return nil, fmt.Errorf("%w: %v", ErrNotBound, target)
+	if h.loopback {
+		return dispatchLoopback(ctx, obj, method, arg)
+	}
+	return obj.Dispatch(ctx, method, arg)
 }

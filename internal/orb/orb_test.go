@@ -40,7 +40,7 @@ func newEcho(rt *Runtime) *ServiceObject {
 	obj.Handle("fail", func(_ context.Context, _ any) (any, error) {
 		return nil, errors.New("deliberate failure")
 	})
-	obj.Handle("double", Typed(func(_ context.Context, a echoArg) (any, error) {
+	obj.HandleTyped("double", Typed(func(_ context.Context, a echoArg) (any, error) {
 		return echoArg{N: a.N * 2, S: a.S + a.S}, nil
 	}))
 	rt.Register(obj)
@@ -71,7 +71,7 @@ func TestTypedBoundary(t *testing.T) {
 		t.Errorf("wrong-typed argument: %v", err)
 	}
 	tbl := NewDispatchTable()
-	tbl.Handle("len", SharedTyped(func(_ context.Context, recv string, a echoArg) (any, error) {
+	tbl.HandleTyped("len", SharedTyped(func(_ context.Context, recv string, a echoArg) (any, error) {
 		return len(recv) + a.N, nil
 	}))
 	shared := NewSharedServiceObject(rt.Mint("Shared"), tbl, "abc")

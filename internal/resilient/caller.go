@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"legion/internal/loid"
+	"legion/internal/orb"
 )
 
 // Invoker is the calling surface the resilience layer wraps —
@@ -42,38 +43,49 @@ func (c *Caller) Policy() Policy { return c.policy }
 // call immediately with ErrCircuitOpen (classified permanent, so callers
 // fall back instead of spinning).
 func (c *Caller) Call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	return c.call(ctx, c.policy, target, method, arg)
+	return do(ctx, c, c.policy, target, method, func(ctx context.Context) (any, error) {
+		return c.inv.Call(ctx, target, method, arg)
+	})
 }
 
-// CallOnce invokes without retries (one attempt) but still through the
-// breaker — for non-idempotent operations where a duplicate would leak
-// real work.
-func (c *Caller) CallOnce(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	p := c.policy
-	p.MaxAttempts = 1
-	return c.call(ctx, p, target, method, arg)
+// Invoke is Call typed by its argument and reply, under the policy p
+// (c.Policy(), or a variant of it: one attempt for a non-idempotent
+// operation whose duplicate would leak real work). Over an
+// *orb.Runtime each attempt is an orb.Invoke, so a local typed method
+// runs with neither value boxed.
+func Invoke[R, A any](ctx context.Context, c *Caller, p Policy, target loid.LOID, method string, arg A) (R, error) {
+	return do(ctx, c, p, target, method, func(ctx context.Context) (R, error) {
+		if rt, ok := c.inv.(*orb.Runtime); ok {
+			return orb.Invoke[R](ctx, rt, target, method, arg)
+		}
+		return orb.As[R](c.inv.Call(ctx, target, method, arg))
+	})
 }
 
-// CallPolicy invokes under an explicit policy override.
-func (c *Caller) CallPolicy(ctx context.Context, p Policy, target loid.LOID, method string, arg any) (any, error) {
-	return c.call(ctx, p, target, method, arg)
-}
-
-func (c *Caller) call(ctx context.Context, p Policy, target loid.LOID, method string, arg any) (any, error) {
+// do runs one logical call under p: each attempt asks target's breaker
+// first and tells it the outcome.
+func do[R any](ctx context.Context, c *Caller, p Policy, target loid.LOID, method string, attempt func(ctx context.Context) (R, error)) (R, error) {
 	var br *Breaker
 	if c.breakers != nil {
 		br = c.breakers.ForLOID(target)
 	}
-	return p.DoValue(ctx, func(ctx context.Context) (any, error) {
+	var res R
+	err := p.Do(ctx, func(ctx context.Context) error {
 		if br != nil {
 			if err := br.Allow(); err != nil {
-				return nil, fmt.Errorf("%w (target %v, method %s)", err, target, method)
+				return fmt.Errorf("%w (target %v, method %s)", err, target, method)
 			}
 		}
-		res, err := c.inv.Call(ctx, target, method, arg)
+		var err error
+		res, err = attempt(ctx)
 		if br != nil {
 			br.Record(err)
 		}
-		return res, err
+		return err
 	})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return res, nil
 }

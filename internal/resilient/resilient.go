@@ -15,7 +15,7 @@
 //     refusals (placement policy, reservation conflicts, unbound
 //     objects) that retrying cannot fix;
 //   - a retry Policy with exponential backoff, jitter, and a per-call
-//     deadline budget (Do / DoValue);
+//     deadline budget (Do);
 //   - a per-endpoint circuit Breaker (closed → open → half-open, see
 //     breaker.go) so a dead Host is failed fast after a few strikes
 //     instead of absorbing a full retry budget on every call.
@@ -276,18 +276,4 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 			return fmt.Errorf("resilient: budget exhausted after %d attempts: %w", n, err)
 		}
 	}
-}
-
-// DoValue is Do for operations returning a value.
-func (p Policy) DoValue(ctx context.Context, op func(ctx context.Context) (any, error)) (any, error) {
-	var res any
-	err := p.Do(ctx, func(ctx context.Context) error {
-		var oerr error
-		res, oerr = op(ctx)
-		return oerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

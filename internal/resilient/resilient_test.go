@@ -265,7 +265,9 @@ func TestCallerOnceDoesNotRetry(t *testing.T) {
 		l.String(): func(n int) error { return fmt.Errorf("%w", orb.ErrInjectedFault) },
 	}}
 	c := NewCaller(f, Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, NewBreakerSet(BreakerConfig{}, nil))
-	_, err := c.CallOnce(context.Background(), l, "m", nil)
+	once := c.Policy()
+	once.MaxAttempts = 1
+	_, err := Invoke[string, any](context.Background(), c, once, l, "m", nil)
 	if err == nil || f.calls[l.String()] != 1 {
 		t.Fatalf("err=%v calls=%d, want 1 attempt", err, f.calls[l.String()])
 	}

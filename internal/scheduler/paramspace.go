@@ -8,7 +8,6 @@ import (
 
 	"legion/internal/classobj"
 	"legion/internal/loid"
-	"legion/internal/orb"
 	"legion/internal/proto"
 	"legion/internal/reservation"
 	"legion/internal/resilient"
@@ -108,12 +107,12 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 		}
 		var lastErr error
 		for _, h := range ordered(view, bySlotLoad) {
-			reply, err := orb.As[proto.MakeReservationReply](caller.Call(ctx, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
+			reply, err := resilient.Invoke[proto.MakeReservationReply](ctx, caller, env.Retry, h.LOID, proto.MethodMakeReservation, proto.MakeReservationArgs{
 				Requester: env.Collection, // the study has no LOID of its own; attribute to the RM
 				Vault:     h.hostVault(0).Vault,
 				Type:      reservation.ReusableTimesharing,
 				Duration:  paramSpaceDuration,
-			}))
+			})
 			res.ReservationRPCs++
 			if err != nil {
 				lastErr = err
@@ -134,7 +133,7 @@ func (p ParamSpace) Run(ctx context.Context, env *Env, class *classobj.Class, ta
 		if s.placement.Host.IsNil() {
 			return
 		}
-		_, _ = caller.Call(ctx, s.placement.Host, proto.MethodCancelReservation,
+		_, _ = resilient.Invoke[proto.Ack](ctx, caller, env.Retry, s.placement.Host, proto.MethodCancelReservation,
 			proto.TokenArgs{Token: s.placement.Token})
 		res.ReservationRPCs++
 		inUse[s.placement.Host]--

@@ -119,10 +119,10 @@ type Env struct {
 // queryTimeout bounds Collection and class queries.
 const queryTimeout = 30 * time.Second
 
-// call makes one scheduler-side metasystem call through the Env's retry
-// policy and shared breakers.
-func (e *Env) call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	return resilient.NewCaller(e.RT, e.Retry, e.Breakers).Call(ctx, target, method, arg)
+// invoke makes one scheduler-side metasystem call through the Env's
+// retry policy and shared breakers.
+func invoke[R, A any](ctx context.Context, e *Env, target loid.LOID, method string, arg A) (R, error) {
+	return resilient.Invoke[R](ctx, resilient.NewCaller(e.RT, e.Retry, e.Breakers), e.Retry, target, method, arg)
 }
 
 // HostInfo is a scheduler's parsed view of one Collection host record.
@@ -163,7 +163,7 @@ func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Im
 	clk := env.RT.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
 	defer vclock.End(cctx)
-	reply, err := orb.As[proto.ImplementationsReply](env.call(cctx, class, proto.MethodGetImplementations, nil))
+	reply, err := invoke[proto.ImplementationsReply, any](cctx, env, class, proto.MethodGetImplementations, nil)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
 	}
@@ -237,8 +237,8 @@ func queryCollection(ctx context.Context, env *Env, querySrc string) (proto.Quer
 	clk := env.RT.Clock()
 	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
 	defer vclock.End(cctx)
-	reply, err := orb.As[proto.QueryReply](env.call(cctx, env.Collection,
-		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc}))
+	reply, err := invoke[proto.QueryReply](cctx, env, env.Collection,
+		proto.MethodQueryCollection, proto.QueryArgs{Query: querySrc})
 	if err != nil {
 		return proto.QueryReply{}, fmt.Errorf("scheduler: collection query: %w", err)
 	}

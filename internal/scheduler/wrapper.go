@@ -84,6 +84,10 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 		enactLimit = 2
 	}
 	caller := resilient.NewCaller(env.RT, env.Retry, env.Breakers)
+	// One attempt per make_reservations call, still through the breaker:
+	// the loop below retries it with a fresh request ID each time.
+	once := env.Retry
+	once.MaxAttempts = 1
 
 	// cancelEpisode best-effort releases one episode's reservations on a
 	// context detached from the caller's: the episodes worth cancelling
@@ -100,7 +104,7 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 		clk := env.RT.Clock()
 		cctx := clk.WithDeadline(context.WithoutCancel(ctx), clk.Now().Add(5*time.Second))
 		defer vclock.End(cctx)
-		_, _ = canceller.Call(cctx, enactorL, proto.MethodCancelReservations,
+		_, _ = resilient.Invoke[proto.Ack](cctx, canceller, env.Retry, enactorL, proto.MethodCancelReservations,
 			proto.CancelReservationsArgs{RequestID: id})
 	}
 
@@ -124,8 +128,8 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			var staleIDs []uint64
 			rerr := env.Retry.Do(ctx, func(actx context.Context) error {
 				request.ID = wrapperIDs.Add(1)
-				reply, cerr := orb.As[proto.FeedbackReply](caller.CallOnce(actx, enactorL, proto.MethodMakeReservations,
-					proto.MakeReservationsArgs{Request: request, RequesterDomain: env.RT.Domain()}))
+				reply, cerr := resilient.Invoke[proto.FeedbackReply](actx, caller, once, enactorL, proto.MethodMakeReservations,
+					proto.MakeReservationsArgs{Request: request, RequesterDomain: env.RT.Domain()})
 				if cerr != nil {
 					// The attempt may have succeeded server-side with the
 					// reply lost — its episode (never to be enacted: the
@@ -172,8 +176,8 @@ func (w Wrapper) Run(ctx context.Context, env *Env, enactorL loid.LOID, gen Gene
 			// enact_schedule is idempotent at the Enactor (a retried
 			// success returns the same instances), so the same request
 			// ID is safely retried through the resilient caller.
-			reply, err := orb.As[proto.EnactReply](caller.Call(ctx, enactorL, proto.MethodEnactSchedule,
-				proto.EnactScheduleArgs{RequestID: request.ID}))
+			reply, err := resilient.Invoke[proto.EnactReply](ctx, caller, env.Retry, enactorL, proto.MethodEnactSchedule,
+				proto.EnactScheduleArgs{RequestID: request.ID})
 			if err != nil {
 				lastErr = err
 				// A refusal (admission shed, deadline expired before

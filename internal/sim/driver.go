@@ -223,7 +223,7 @@ func Drive(ctx context.Context, ms *core.Metasystem, class *classobj.Class, cfg 
 			stranded := 0
 			for j, insts := range out.Instances {
 				for _, inst := range insts {
-					if _, err := rt.Call(cctx, out.Feedback.Resolved[j].Class,
+					if _, err := orb.Invoke[proto.Ack](cctx, rt, out.Feedback.Resolved[j].Class,
 						proto.MethodDestroyInstance, proto.ObjectArgs{Object: inst}); err != nil {
 						stranded++
 					}

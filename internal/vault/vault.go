@@ -194,26 +194,20 @@ func (v *Vault) Attributes() []attr.Pair { return slices.Clone(v.attrs.Snapshot(
 
 // installMethods wires the orb protocol to the Go API.
 func (v *Vault) installMethods() {
-	v.Handle(proto.MethodStoreOPR, orb.Typed(func(_ context.Context, a proto.StoreOPRArgs) (any, error) {
-		if err := v.Store(a.OPR); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	v.HandleTyped(proto.MethodStoreOPR, orb.Typed(func(_ context.Context, a proto.StoreOPRArgs) (proto.Ack, error) {
+		return proto.Ack{}, v.Store(a.OPR)
 	}))
-	v.Handle(proto.MethodRetrieveOPR, orb.Typed(func(_ context.Context, a proto.RetrieveOPRArgs) (any, error) {
+	v.HandleTyped(proto.MethodRetrieveOPR, orb.Typed(func(_ context.Context, a proto.RetrieveOPRArgs) (proto.RetrieveOPRReply, error) {
 		o, err := v.Retrieve(a.Object)
 		if err != nil {
-			return nil, err
+			return proto.RetrieveOPRReply{}, err
 		}
 		return proto.RetrieveOPRReply{OPR: o}, nil
 	}))
-	v.Handle(proto.MethodDeleteOPR, orb.Typed(func(_ context.Context, a proto.DeleteOPRArgs) (any, error) {
-		if err := v.Delete(a.Object); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}, nil
+	v.HandleTyped(proto.MethodDeleteOPR, orb.Typed(func(_ context.Context, a proto.DeleteOPRArgs) (proto.Ack, error) {
+		return proto.Ack{}, v.Delete(a.Object)
 	}))
-	v.Handle(proto.MethodVaultOK, orb.Typed(func(_ context.Context, a proto.VaultOKArgs) (any, error) {
+	v.HandleTyped(proto.MethodVaultOK, orb.Typed(func(_ context.Context, a proto.VaultOKArgs) (proto.BoolReply, error) {
 		// The vault vouches only for itself: a probe naming some other
 		// vault (misrouted call, stale LOID) must not be confirmed, and
 		// when the caller supplies a host zone the vault also verifies
