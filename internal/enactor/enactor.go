@@ -99,17 +99,17 @@ type Config struct {
 }
 
 // heldRequest is the Enactor's retained state for one scheduling episode.
-// resolved and tokens are immutable once the request is published; the
-// remaining fields are guarded by the Enactor's mu.
+// books is immutable once the request is published; the remaining fields
+// are guarded by the Enactor's mu.
 type heldRequest struct {
-	resolved []sched.Mapping
-	tokens   []reservation.Token
-	reserved time.Time         // when the reservations were made (TTL sweep)
-	priority int               // admission class carried from make_reservations
-	domain   string            // requester domain, for fair-share accounting
-	tenant   string            // economy tenant, for ledger and tenant quotas
-	inflight bool              // an EnactSchedule is executing now
-	outcome  *proto.EnactReply // recorded result of the first enactment
+	books    []book           // the resolved mappings and their tokens
+	reserved time.Time        // when the reservations were made (TTL sweep)
+	priority int              // admission class carried from make_reservations
+	domain   string           // requester domain, for fair-share accounting
+	tenant   string           // economy tenant, for ledger and tenant quotas
+	inflight bool             // an EnactSchedule is executing now
+	enacted  bool             // outcome is recorded
+	outcome  proto.EnactReply // result of the first enactment
 	// ended is released when the in-flight enactment ends. The first
 	// caller to wait on it creates it, so an uncontended enactment has
 	// none. It is a Group of the runtime's clock: under vclock.Virtual a
@@ -296,13 +296,13 @@ func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestLis
 
 	for mi := range request.Masters {
 		fb.Stats.MastersTried++
-		resolved, tokens, costs, applied, ok := e.tryMaster(ctx, &request.Masters[mi], spec, &fb.Stats)
+		books, applied, ok := e.tryMaster(ctx, &request.Masters[mi], spec, &fb.Stats)
 		if ok {
-			if err := e.chargeTokens(ctx, spec, resolved, tokens, costs); err != nil {
+			if err := e.chargeTokens(ctx, spec, books); err != nil {
 				// A budget refusal is terminal for the whole request, not
 				// just this master: the tenant cannot pay, and later
 				// masters would bill the same account.
-				fb.Stats.ReservationsCancelled += len(tokens)
+				fb.Stats.ReservationsCancelled += len(books)
 				fb.Reason = sched.FailureResources
 				fb.Detail = err.Error()
 				spanErr = err
@@ -311,11 +311,14 @@ func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestLis
 			}
 			fb.Success = true
 			fb.MasterIndex = mi
-			fb.Resolved = resolved
+			fb.Resolved = make([]sched.Mapping, len(books))
+			for i := range books {
+				fb.Resolved[i] = books[i].m
+			}
 			fb.VariantsApplied = applied
 			e.mu.Lock()
 			e.requests[request.ID] = &heldRequest{
-				resolved: resolved, tokens: tokens, reserved: e.rt.Clock().Now(),
+				books: books, reserved: e.rt.Clock().Now(),
 				priority: request.Res.Priority, domain: domain, tenant: spec.Tenant,
 			}
 			e.mu.Unlock()
@@ -330,43 +333,60 @@ func (e *Enactor) makeReservations(ctx context.Context, request sched.RequestLis
 	return fb
 }
 
-// slot is one reservation asked for in a round: the index of its mapping
-// in current (in a k-of-n wave, the slot's own place in the wave gives
-// the alternative), and the grant, written by the fan-out goroutine that
-// asked and read once the round has joined.
-type slot struct {
-	i    int
+// book is one mapping of a master under negotiation: the mapping, and
+// once granted its token and host-quoted cost. A negotiation keeps every
+// book in one slab; pick is the slab's list of the books the calls in
+// flight are for, so the one fan-out closure reads them all through the
+// slab.
+type book struct {
+	m    sched.Mapping
 	tok  reservation.Token
 	cost float64
-	ok   bool
+	held bool
+	ok   bool // the call in flight was granted
+	pick int
 }
 
 // tryMaster negotiates one master schedule with variant patching. It
-// returns the resolved mappings, tokens and per-token host-quoted costs
-// on success; on failure it has already cancelled everything it
-// obtained.
-func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.ReservationSpec, stats *sched.EnactmentStats) ([]sched.Mapping, []reservation.Token, []float64, []int, bool) {
-	current := append([]sched.Mapping(nil), m.Mappings...)
-	tokens := make([]reservation.Token, len(current))
-	costs := make([]float64, len(current))
-	held := make([]bool, len(current))
+// returns the held books, the resolved mappings in order, on success; on
+// failure it has already cancelled everything it obtained.
+func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.ReservationSpec, stats *sched.EnactmentStats) ([]book, []int, bool) {
+	// The slab has room for the base mappings and for every k-of-n
+	// member, so appending a group's grants never moves it; a wave's
+	// probes are made in the room past the books held.
+	room := len(m.Mappings)
+	for gi := range m.KofN {
+		room += m.KofN[gi].K
+	}
+	all := make([]book, room)
+	books := all[:len(m.Mappings)]
+	for i := range m.Mappings {
+		books[i].m = m.Mappings[i]
+	}
 	var applied []int
+	reserve := func(j int) {
+		b := &all[all[j].pick]
+		var err error
+		b.tok, b.cost, err = e.reserve(ctx, b.m, spec)
+		b.ok = err == nil
+	}
 
 	cancelAll := func() {
-		var idxs []int
-		for i := range held {
-			if held[i] {
-				idxs = append(idxs, i)
+		n := 0
+		for i := range books {
+			if books[i].held {
+				all[n].pick = i
+				n++
 			}
 		}
-		e.fanOut(len(idxs), func(j int) {
-			i := idxs[j]
-			e.cancelToken(ctx, current[i].Host, tokens[i])
+		e.fanOut(n, func(j int) {
+			b := &all[all[j].pick]
+			e.cancelToken(ctx, b.m.Host, b.tok)
 		})
-		for _, i := range idxs {
-			held[i] = false
+		for j := 0; j < n; j++ {
+			all[all[j].pick].held = false
 		}
-		stats.ReservationsCancelled += len(idxs)
+		stats.ReservationsCancelled += n
 	}
 
 	variantCursor := 0
@@ -376,29 +396,23 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 		// joins — the same bitmap the serial walk produced, since it
 		// never short-circuited a round either — and variant selection
 		// runs on the collected result.
-		round := make([]slot, 0, len(current))
-		for i := range current {
-			if !held[i] {
-				round = append(round, slot{i: i})
+		n := 0
+		for i := range books {
+			if !books[i].held {
+				all[n].pick = i
+				n++
 			}
 		}
-		stats.ReservationsRequested += len(round)
-		e.fanOut(len(round), func(j int) {
-			s := &round[j]
-			var err error
-			s.tok, s.cost, err = e.reserve(ctx, current[s.i], spec)
-			s.ok = err == nil
-		})
+		stats.ReservationsRequested += n
+		e.fanOut(n, reserve)
 		var failedIdx []int
-		for j := range round {
-			s := &round[j]
-			if !s.ok {
-				failedIdx = append(failedIdx, s.i)
+		for j := 0; j < n; j++ {
+			i := all[j].pick
+			if !books[i].ok {
+				failedIdx = append(failedIdx, i)
 				continue
 			}
-			tokens[s.i] = s.tok
-			costs[s.i] = s.cost
-			held[s.i] = true
+			books[i].held = true
 			stats.ReservationsGranted++
 		}
 		if len(failedIdx) == 0 {
@@ -417,41 +431,37 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 					wave := g.Alternatives[next:min(next+g.K-got, len(g.Alternatives))]
 					next += len(wave)
 					stats.ReservationsRequested += len(wave)
-					probes := make([]slot, len(wave))
-					e.fanOut(len(wave), func(j int) {
-						s := &probes[j]
-						gm := sched.Mapping{Class: g.Class, Host: wave[j].Host, Vault: wave[j].Vault}
-						var err error
-						s.tok, s.cost, err = e.reserve(ctx, gm, spec)
-						s.ok = err == nil
-					})
-					for j := range probes {
-						s := &probes[j]
-						if !s.ok {
-							continue
+					base := len(books)
+					for j, alt := range wave {
+						all[base+j] = book{m: sched.Mapping{Class: g.Class, Host: alt.Host, Vault: alt.Vault}}
+					}
+					for j := range wave {
+						all[j].pick = base + j
+					}
+					e.fanOut(len(wave), reserve)
+					for j := range wave {
+						if b := all[base+j]; b.ok {
+							b.held = true
+							books = append(books, b)
+							got++
+							stats.ReservationsGranted++
 						}
-						current = append(current, sched.Mapping{Class: g.Class, Host: wave[j].Host, Vault: wave[j].Vault})
-						tokens = append(tokens, s.tok)
-						costs = append(costs, s.cost)
-						held = append(held, true)
-						got++
-						stats.ReservationsGranted++
 					}
 				}
 				if got < g.K {
 					cancelAll()
-					return nil, nil, nil, nil, false
+					return nil, nil, false
 				}
 			}
-			return current, tokens, costs, applied, true
+			return books, applied, true
 		}
-		failed := sched.NewBitmapOf(len(current), failedIdx...)
+		failed := sched.NewBitmapOf(len(books), failedIdx...)
 
 		// Select the next variant whose bitmap covers a failed entry.
 		vi := m.NextVariant(variantCursor, failed)
 		if vi < 0 {
 			cancelAll()
-			return nil, nil, nil, nil, false
+			return nil, nil, false
 		}
 		variantCursor = vi + 1
 		stats.VariantsTried++
@@ -465,10 +475,10 @@ func (e *Enactor) tryMaster(ctx context.Context, m *sched.Master, spec sched.Res
 		// and subsequent remaking of the same reservation)".
 		for _, r := range m.Variants[vi].Replacements {
 			i := r.Index
-			if i < 0 || i >= len(current) || held[i] {
+			if i < 0 || i >= len(books) || books[i].held {
 				continue
 			}
-			current[i] = r.Mapping
+			books[i].m = r.Mapping
 		}
 	}
 }
@@ -504,34 +514,33 @@ func (e *Enactor) reserve(ctx context.Context, m sched.Mapping, spec sched.Reser
 // any refusal it cancels every token (which refunds whatever was already
 // charged through the cancelToken choke point), so a request either
 // holds fully funded reservations or holds nothing.
-func (e *Enactor) chargeTokens(ctx context.Context, spec sched.ReservationSpec, resolved []sched.Mapping, tokens []reservation.Token, costs []float64) error {
+func (e *Enactor) chargeTokens(ctx context.Context, spec sched.ReservationSpec, books []book) error {
 	led := e.cfg.Ledger
 	if led == nil {
 		return nil
 	}
 	var total float64
-	for _, c := range costs {
-		total += c
+	for i := range books {
+		total += books[i].cost
 	}
 	var err error
 	if spec.Budget > 0 && total > spec.Budget {
 		err = fmt.Errorf("enactor: schedule cost %.6g exceeds request budget %.6g (tenant %q)",
 			total, spec.Budget, spec.Tenant)
 	}
-	for i := range tokens {
+	for i := range books {
 		if err != nil {
 			break
 		}
-		if cerr := led.Charge(spec.Tenant, tokens[i].Host, tokens[i].ID, economy.ToCredits(costs[i])); cerr != nil {
+		tok := &books[i].tok
+		if cerr := led.Charge(spec.Tenant, tok.Host, tok.ID, economy.ToCredits(books[i].cost)); cerr != nil {
 			err = fmt.Errorf("enactor: tenant %q: %w", spec.Tenant, cerr)
 		}
 	}
 	if err == nil {
 		return nil
 	}
-	e.fanOut(len(tokens), func(i int) {
-		e.cancelToken(ctx, resolved[i].Host, tokens[i])
-	})
+	e.cancelBooks(ctx, books)
 	return err
 }
 
@@ -549,6 +558,14 @@ func (e *Enactor) cancelToken(ctx context.Context, hostL loid.LOID, tok reservat
 		e.cfg.Ledger.Refund(tok.Host, tok.ID)
 	}
 	_, _ = resilient.Invoke[proto.Ack](ctx, e.cleanup, e.cfg.Retry, hostL, proto.MethodCancelReservation, proto.TokenArgs{Token: tok})
+}
+
+// cancelBooks releases the reservations of books, fanned out across
+// their hosts.
+func (e *Enactor) cancelBooks(ctx context.Context, books []book) {
+	e.fanOut(len(books), func(i int) {
+		e.cancelToken(ctx, books[i].m.Host, books[i].tok)
+	})
 }
 
 // EnactSchedule instantiates the objects of a successfully reserved
@@ -581,12 +598,12 @@ func (e *Enactor) EnactSchedule(ctx context.Context, requestID uint64) (reply pr
 	// which would duplicate running instances and let one invocation's
 	// rollback destroy the other's successful enactment.
 	e.awaitEnactmentLocked(req)
-	if req.outcome != nil {
+	if req.enacted {
 		// Idempotent at-least-once semantics: a caller retrying after a
 		// lost reply gets the recorded outcome of the first enactment. A
 		// recorded failure is final too — rollback already cancelled the
 		// reservations, so re-running could never succeed.
-		out := *req.outcome
+		out := req.outcome
 		e.mu.Unlock()
 		return out
 	}
@@ -596,7 +613,7 @@ func (e *Enactor) EnactSchedule(ctx context.Context, requestID uint64) (reply pr
 	out := e.enact(ctx, req)
 
 	e.mu.Lock()
-	req.outcome = &out
+	req.outcome, req.enacted = out, true
 	req.inflight = false
 	if req.ended != nil {
 		req.ended.Done()
@@ -633,29 +650,26 @@ func (e *Enactor) enact(ctx context.Context, req *heldRequest) proto.EnactReply 
 	createPolicy := e.call.Policy()
 	createPolicy.Retryable = resilient.NeverReached
 
-	created := make([][]loid.LOID, len(req.resolved))
-	errs := make([]error, len(req.resolved))
-	e.fanOut(len(req.resolved), func(i int) {
-		m := req.resolved[i]
-		reply, err := resilient.Invoke[proto.CreateInstanceReply](ctx, e.call, createPolicy, m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
-			Count: 1,
-			Placement: &proto.Placement{
-				Host:  m.Host,
-				Vault: m.Vault,
-				Token: req.tokens[i],
-			},
+	cs := make([]creation, len(req.books))
+	e.fanOut(len(cs), func(i int) {
+		b, c := &req.books[i], &cs[i]
+		c.at = proto.Placement{Host: b.m.Host, Vault: b.m.Vault, Token: b.tok}
+		reply, err := resilient.Invoke[proto.CreateInstanceReply](ctx, e.call, createPolicy, b.m.Class, proto.MethodCreateInstance, proto.CreateInstanceArgs{
+			Count:     1,
+			Placement: &c.at,
 		})
 		if err == nil && len(reply.Instances) == 0 {
 			err = errors.New("no instance created")
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("create_instance for mapping %d (%v): %w", i, m, err)
+			c.err = fmt.Errorf("create_instance for mapping %d (%v): %w", i, b.m, err)
 			return
 		}
-		created[i] = reply.Instances
+		c.insts = reply.Instances
 	})
 	var firstErr error
-	for _, err := range errs {
+	for i := range cs {
+		err := cs[i].err
 		if err == nil {
 			continue
 		}
@@ -675,16 +689,28 @@ func (e *Enactor) enact(ctx context.Context, req *heldRequest) proto.EnactReply 
 		// Concurrent siblings of the failed call run to completion, so
 		// rollback destroys every instance that did get created, not
 		// just a prefix.
-		e.rollback(ctx, req, created)
+		e.rollback(ctx, req, cs)
 		return proto.EnactReply{Success: false, Detail: firstErr.Error()}
 	}
+	created := make([][]loid.LOID, len(cs))
+	for i := range cs {
+		created[i] = cs[i].insts
+	}
 	return proto.EnactReply{Success: true, Instances: created}
+}
+
+// creation is one create_instance call of an enactment: the directed
+// placement it passes, and what it answered.
+type creation struct {
+	at    proto.Placement
+	insts []loid.LOID
+	err   error
 }
 
 // rollback destroys whatever instances were created and cancels the
 // remaining (unredeemed or reusable) reservations, fanning the calls
 // out across the hosts involved.
-func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]loid.LOID) {
+func (e *Enactor) rollback(ctx context.Context, req *heldRequest, cs []creation) {
 	// Detach from the caller's cancellation: the most common reason to
 	// be here under overload is that the client's deadline expired
 	// mid-enactment, and rollback run under that dead context would
@@ -699,9 +725,9 @@ func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]lo
 	e.met.rollbacks.Inc()
 	type target struct{ class, inst loid.LOID }
 	var destroy []target
-	for i, insts := range created {
-		for _, inst := range insts {
-			destroy = append(destroy, target{class: req.resolved[i].Class, inst: inst})
+	for i := range cs {
+		for _, inst := range cs[i].insts {
+			destroy = append(destroy, target{class: req.books[i].m.Class, inst: inst})
 		}
 	}
 	e.fanOut(len(destroy), func(j int) {
@@ -710,10 +736,8 @@ func (e *Enactor) rollback(ctx context.Context, req *heldRequest, created [][]lo
 		_, _ = resilient.Invoke[proto.Ack](ctx, e.cleanup, e.cfg.Retry, destroy[j].class, proto.MethodDestroyInstance,
 			proto.ObjectArgs{Object: destroy[j].inst})
 	})
-	e.fanOut(len(req.tokens), func(i int) {
-		e.cancelToken(ctx, req.resolved[i].Host, req.tokens[i])
-	})
-	e.accumulate(sched.EnactmentStats{ReservationsCancelled: len(req.tokens)})
+	e.cancelBooks(ctx, req.books)
+	e.accumulate(sched.EnactmentStats{ReservationsCancelled: len(req.books)})
 }
 
 // CancelReservations releases a request's reservations without enacting.
@@ -729,10 +753,8 @@ func (e *Enactor) CancelReservations(ctx context.Context, requestID uint64) erro
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRequest, requestID)
 	}
-	e.fanOut(len(req.tokens), func(i int) {
-		e.cancelToken(ctx, req.resolved[i].Host, req.tokens[i])
-	})
-	e.accumulate(sched.EnactmentStats{ReservationsCancelled: len(req.tokens)})
+	e.cancelBooks(ctx, req.books)
+	e.accumulate(sched.EnactmentStats{ReservationsCancelled: len(req.books)})
 	return nil
 }
 
@@ -745,7 +767,7 @@ func (e *Enactor) Enacted(requestID uint64) ([][]loid.LOID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownRequest, requestID)
 	}
-	if req.outcome == nil || !req.outcome.Success {
+	if !req.enacted || !req.outcome.Success {
 		return nil, ErrNotReserved
 	}
 	return req.outcome.Instances, nil
@@ -768,7 +790,7 @@ const requestTTL = 5 * time.Minute
 // fresh request ID per make_reservations attempt). Callers hold e.mu.
 func (e *Enactor) reapLocked(now time.Time) {
 	for id, req := range e.requests {
-		if req.inflight || (req.outcome != nil && req.outcome.Success) {
+		if req.inflight || (req.enacted && req.outcome.Success) {
 			continue
 		}
 		if now.Sub(req.reserved) > requestTTL {
@@ -776,8 +798,8 @@ func (e *Enactor) reapLocked(now time.Time) {
 			// hosts reclaim them on their own), so it must refund the
 			// ledger explicitly or the tenant pays for swept grants.
 			if e.cfg.Ledger != nil {
-				for _, tok := range req.tokens {
-					e.cfg.Ledger.Refund(tok.Host, tok.ID)
+				for i := range req.books {
+					e.cfg.Ledger.Refund(req.books[i].tok.Host, req.books[i].tok.ID)
 				}
 			}
 			delete(e.requests, id)

@@ -14,6 +14,7 @@ import (
 	"legion/internal/loid"
 	"legion/internal/orb"
 	"legion/internal/proto"
+	"legion/internal/reservation"
 	"legion/internal/sched"
 	"legion/internal/telemetry"
 	"legion/internal/vault"
@@ -315,8 +316,9 @@ func TestLedgerKeysTokensByHost(t *testing.T) {
 		t.Fatalf("two-host placement refused: %+v", fb)
 	}
 	en.mu.Lock()
-	tokens := en.requests[req.ID].tokens
+	books := en.requests[req.ID].books
 	en.mu.Unlock()
+	tokens := []reservation.Token{books[0].tok, books[1].tok}
 	if len(tokens) != 2 || tokens[0].ID != tokens[1].ID || tokens[0].Host == tokens[1].Host {
 		t.Fatalf("want one token ID from each of two hosts, got %+v", tokens)
 	}

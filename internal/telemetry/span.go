@@ -54,6 +54,10 @@ func (s *Span) Done() <-chan struct{} { return s.parent.Done() }
 // Err implements context.Context by forwarding to the parent.
 func (s *Span) Err() error { return s.parent.Err() }
 
+// ValueParent returns the context the span was started in: a span adds
+// values to it and nothing else, and a virtual clock looks through it.
+func (s *Span) ValueParent() context.Context { return s.parent }
+
 // Value implements context.Context: the span itself under spanCtxKey,
 // the parent's value for every other key.
 func (s *Span) Value(key any) any {

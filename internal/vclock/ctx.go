@@ -53,15 +53,32 @@ func (c *vctx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
+// valueContext is a context that adds values to its parent and nothing
+// else: its Deadline, Done and Err are those of ValueParent. A clock
+// looks through one to the context it wraps without asking it for a Done
+// channel, which would make one for a clock context that had none.
+type valueContext interface {
+	context.Context
+	ValueParent() context.Context
+}
+
 // own returns the context of this clock that ctx is, or that ctx wraps in
-// layers which add values and nothing else (tracing adds a
-// context.WithValue on every call path); nil if there is none. If the
-// nearest vctx ancestor's done channel IS ctx's done channel, no
-// cancellable stdlib context sits between them, so treating ctx as the
-// ancestor is exact — and keeps deriving from it, and waiting under it,
-// on the synchronous serialized path instead of a watcher goroutine or a
-// select. It may take v.mu, so callers look before they lock.
+// layers which add values and nothing else (a telemetry span on every
+// traced path); nil if there is none. A valueContext says so itself. Of
+// any other wrapper, if the nearest vctx ancestor's done channel IS
+// ctx's done channel, no cancellable stdlib context sits between them,
+// so treating ctx as the ancestor is exact — and keeps deriving from it,
+// and waiting under it, on the synchronous serialized path instead of a
+// watcher goroutine or a select. It may take v.mu, so callers look
+// before they lock.
 func (v *Virtual) own(ctx context.Context) *vctx {
+	for {
+		w, ok := ctx.(valueContext)
+		if !ok {
+			break
+		}
+		ctx = w.ValueParent()
+	}
 	c, ok := ctx.(*vctx)
 	if !ok {
 		done := ctx.Done()

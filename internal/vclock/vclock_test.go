@@ -690,3 +690,30 @@ func TestClockAllocBudget(t *testing.T) {
 		End(outer)
 	})
 }
+
+// valueOnly wraps a context and adds nothing, as a telemetry span does.
+type valueOnly struct{ context.Context }
+
+func (w valueOnly) ValueParent() context.Context { return w.Context }
+
+// TestOwnLooksThroughValueContexts: a clock finds its context behind
+// layers that say they add only values, and asks none of them for a
+// Done channel, so a clock context nobody waits on never makes one.
+func TestOwnLooksThroughValueContexts(t *testing.T) {
+	v := NewVirtual()
+	ctx := v.WithDeadline(context.Background(), v.Now().Add(time.Second))
+	defer End(ctx)
+	c := ctx.(*vctx)
+	if got := v.own(valueOnly{valueOnly{ctx}}); got != c {
+		t.Fatalf("own through two value-only layers = %p, want %p", got, c)
+	}
+	if c.done != nil {
+		t.Error("own made a Done channel for the clock context")
+	}
+	child := v.WithDeadline(valueOnly{ctx}, v.Now().Add(2*time.Second))
+	defer End(child)
+	if child.(*vctx).parent != c || c.done != nil {
+		t.Errorf("a child derived under a value-only layer: parent %p, want %p; done channel made: %v",
+			child.(*vctx).parent, c, c.done != nil)
+	}
+}
