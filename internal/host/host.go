@@ -158,7 +158,7 @@ type runningObject struct {
 	version uint64
 	job     batchq.JobID // batch hosts only
 	queued  bool
-	obj     orb.Object
+	obj     GenericObject // registered with the runtime by its address
 	// tok is the reservation the object was started under. For one-shot
 	// (non-reusable) reservations the paper specifies "a typical
 	// timesharing system that expires a reservation when the job is
@@ -169,7 +169,7 @@ type runningObject struct {
 
 // Host is a Legion Host object. It is safe for concurrent use.
 type Host struct {
-	*orb.ServiceObject
+	orb.ServiceObject
 	rt    *orb.Runtime
 	cfg   Config
 	attrs *attr.Set
@@ -242,13 +242,11 @@ func New(rt *orb.Runtime, cfg Config) *Host {
 		cfg.Zone = rt.Domain()
 	}
 	h := &Host{
-		ServiceObject: orb.NewSharedServiceObject(rt.Mint("Host"), hostMethods(), nil),
-		rt:            rt,
-		cfg:           cfg,
-		table:         nil, // set below, needs LOID
-		running:       make(map[loid.LOID]*runningObject),
+		rt:      rt,
+		cfg:     cfg,
+		running: make(map[loid.LOID]*runningObject),
 	}
-	h.BindReceiver(h)
+	h.InitShared(rt.Mint("Host"), hostMethods(), h)
 	h.table = reservation.NewTable(h.LOID(), cfg.MaxShared, reservationTimeout, rt.Clock())
 	h.met = newHostMetrics(rt)
 	// All Hosts on one runtime share the aggregate occupancy gauge; the
@@ -658,15 +656,15 @@ func (h *Host) StartObject(ctx context.Context, req proto.StartObjectArgs) (_ []
 // activate builds and registers one instance, via the batch queue when
 // configured.
 func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservation.Token, state *opr.OPR) error {
-	obj, err := NewGenericObject(inst, class, state)
-	if err != nil {
-		return err
-	}
 	version := uint64(1)
 	if state != nil {
 		version = state.Version + 1
 	}
-	ro := &runningObject{class: class, vault: tok.Vault, obj: obj, version: version, tok: tok}
+	ro := &runningObject{class: class, vault: tok.Vault, version: version, tok: tok}
+	obj := &ro.obj
+	if err := obj.init(inst, class, state); err != nil {
+		return err
+	}
 
 	if h.cfg.Queue == nil {
 		h.rt.Register(obj)
@@ -727,11 +725,7 @@ func (h *Host) DeactivateObject(ctx context.Context, object loid.LOID) (*opr.OPR
 	if !ok {
 		return nil, loid.Nil, fmt.Errorf("%w: %v", ErrUnknownObject, object)
 	}
-	p, isPersistent := ro.obj.(opr.Persistent)
-	if !isPersistent {
-		return nil, loid.Nil, fmt.Errorf("host: %v does not support shutdown/restart", object)
-	}
-	payload, err := p.SaveState()
+	payload, err := ro.obj.SaveState()
 	if err != nil {
 		return nil, loid.Nil, fmt.Errorf("host: saving state of %v: %w", object, err)
 	}

@@ -20,7 +20,7 @@ import (
 // object migratable. The examples and experiments need an object whose
 // state provably survives deactivation, migration, and reactivation.
 type GenericObject struct {
-	*orb.ServiceObject
+	orb.ServiceObject
 	class loid.LOID
 
 	mu      sync.Mutex
@@ -120,20 +120,16 @@ func genericMethods() *orb.DispatchTable {
 	return genericTable
 }
 
-// NewGenericObject creates a GenericObject for the instance, restoring
-// from the OPR when non-nil.
-func NewGenericObject(instance, class loid.LOID, state *opr.OPR) (*GenericObject, error) {
-	g := &GenericObject{
-		ServiceObject: orb.NewSharedServiceObject(instance, genericMethods(), nil),
-		class:         class,
-	}
-	g.BindReceiver(g)
+// init makes g, a zero GenericObject, the instance of class, restored
+// from the OPR when non-nil. A Host activates its objects inside their
+// runningObject with it, so an activation is one allocation.
+func (g *GenericObject) init(instance, class loid.LOID, state *opr.OPR) error {
+	g.InitShared(instance, genericMethods(), g)
+	g.class = class
 	if state != nil {
-		if err := g.RestoreState(state); err != nil {
-			return nil, err
-		}
+		return g.RestoreState(state)
 	}
-	return g, nil
+	return nil
 }
 
 // Class returns the object's class LOID.

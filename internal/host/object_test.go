@@ -18,6 +18,16 @@ import (
 	"legion/internal/wire"
 )
 
+// NewGenericObject creates a GenericObject for the instance, restoring
+// from the OPR when non-nil, as a Host's activation does in place.
+func NewGenericObject(instance, class loid.LOID, state *opr.OPR) (*GenericObject, error) {
+	g := new(GenericObject)
+	if err := g.init(instance, class, state); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // genericWith builds a GenericObject holding n payload keys and pings
 // served pings.
 func genericWith(t *testing.T, n, pings int) *GenericObject {

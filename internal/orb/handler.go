@@ -13,8 +13,8 @@ type Method func(ctx context.Context, arg any) (any, error)
 
 // SharedMethod is a Method whose receiver is bound at dispatch time, so
 // one immutable table can serve every instance of a class. recv is the
-// value passed to NewSharedServiceObject (typically the embedding
-// struct, e.g. *host.Host).
+// value passed to InitShared (typically the embedding struct, e.g.
+// *host.Host).
 type SharedMethod func(ctx context.Context, recv, arg any) (any, error)
 
 // Handler is a Method that knows its argument and reply types, as Typed
@@ -53,7 +53,7 @@ func Typed[A, R any](f func(ctx context.Context, a A) (R, error)) Handler {
 }
 
 // SharedTyped is Typed for a class-wide table: recv is the receiver
-// bound by NewSharedServiceObject or BindReceiver.
+// bound by InitShared.
 func SharedTyped[V, A, R any](f func(ctx context.Context, recv V, a A) (R, error)) SharedHandler {
 	return SharedHandler{
 		boxed: func(ctx context.Context, recv, arg any) (any, error) {
@@ -132,9 +132,9 @@ func (t *DispatchTable) Methods() []string {
 // table. The RMI components (Hosts, Collections, Enactors, ...) embed it
 // and register their methods at construction time; tests use it to stand
 // up lightweight objects. Classes instantiated at scale (Hosts,
-// application instances) instead share one class-wide DispatchTable via
-// NewSharedServiceObject; per-instance Handle registrations still work
-// and override the shared table.
+// application instances) instead embed it by value and share one
+// class-wide DispatchTable through InitShared; per-instance Handle
+// registrations still work and override the shared table.
 type ServiceObject struct {
 	l      loid.LOID
 	shared *DispatchTable
@@ -148,16 +148,14 @@ func NewServiceObject(l loid.LOID) *ServiceObject {
 	return &ServiceObject{l: l}
 }
 
-// NewSharedServiceObject creates a ServiceObject named l dispatching
-// through the class-wide table, passing recv to every SharedMethod.
-func NewSharedServiceObject(l loid.LOID, table *DispatchTable, recv any) *ServiceObject {
-	return &ServiceObject{l: l, shared: table, recv: recv}
+// InitShared names s, a ServiceObject embedded by value, l and makes it
+// dispatch through the class-wide table, passing recv (usually the
+// embedding struct) to every SharedMethod. An object and its dispatch
+// are then one allocation. Call it before s is registered with a
+// runtime.
+func (s *ServiceObject) InitShared(l loid.LOID, table *DispatchTable, recv any) {
+	s.l, s.shared, s.recv = l, table, recv
 }
-
-// BindReceiver sets the value passed to SharedMethods. It exists for
-// embedding structs that can only self-reference after construction;
-// call it before the object is registered with a runtime.
-func (s *ServiceObject) BindReceiver(recv any) { s.recv = recv }
 
 // LOID implements Object.
 func (s *ServiceObject) LOID() loid.LOID { return s.l }

@@ -74,7 +74,8 @@ func TestTypedBoundary(t *testing.T) {
 	tbl.HandleTyped("len", SharedTyped(func(_ context.Context, recv string, a echoArg) (any, error) {
 		return len(recv) + a.N, nil
 	}))
-	shared := NewSharedServiceObject(rt.Mint("Shared"), tbl, "abc")
+	shared := new(ServiceObject)
+	shared.InitShared(rt.Mint("Shared"), tbl, "abc")
 	if got, err := shared.Dispatch(ctx, "len", echoArg{N: 1}); err != nil || got != 4 {
 		t.Errorf("shared typed call: %v %v", got, err)
 	}

@@ -27,16 +27,15 @@ func TestPlacementAllocLedger(t *testing.T) {
 		t.Skip("coverage instrumentation and the race detector allocate")
 	}
 	want := map[string]int{
-		"enactor":     940,
-		"host":        593,
-		"classobj":    320,
+		"enactor":     320,
 		"vclock":      284,
 		"reservation": 273,
-		"scheduler":   270,
+		"scheduler":   210,
+		"host":        193,
 		"telemetry":   160,
 		"sched":       120,
 		"sim":         100,
-		"orb":         80,
+		"classobj":    80,
 		"vault":       80,
 		"-":           4,
 	}
