@@ -3,6 +3,7 @@ package integration
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,7 +48,7 @@ var unsetSettings = map[string]string{
 // set has one value, and is a constant. Fields are matched by type, not
 // name: Parallelism is a field of three configs.
 func TestEverySettingHasASetter(t *testing.T) {
-	pkgs := typeCheck(t, "./internal/...", "./cmd/...", "./bench/...", "./examples/...")
+	pkgs := checkedTree(t)
 	declared := map[string]string{} // key → position
 	set := map[string]bool{}
 	for _, p := range pkgs {
@@ -163,21 +165,40 @@ type checked struct {
 	info  *types.Info
 }
 
+// The tree, type-checked once for every test that reads it.
+var (
+	treeOnce sync.Once
+	tree     []checked
+	treeErr  error
+)
+
+// checkedTree is every package under internal/, cmd/, bench/ and
+// examples/, type-checked from source by the first test that asks.
+func checkedTree(t *testing.T) []checked {
+	t.Helper()
+	treeOnce.Do(func() {
+		tree, treeErr = typeCheck("./internal/...", "./cmd/...", "./bench/...", "./examples/...")
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
+}
+
 // typeCheck type-checks the non-test files of every package the go list
 // patterns name, each against the export data go list -export builds
 // for its imports.
-func typeCheck(t *testing.T, patterns ...string) []checked {
-	t.Helper()
+func typeCheck(patterns ...string) ([]checked, error) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	list := exec.Command("go", append([]string{"list", "-export", "-deps",
 		"-json=ImportPath,Dir,GoFiles,Export,Standard"}, patterns...)...)
 	list.Dir = root
 	out, err := list.Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %w", err)
 	}
 	type listed struct {
 		ImportPath, Dir, Export string
@@ -189,7 +210,7 @@ func typeCheck(t *testing.T, patterns ...string) []checked {
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listed
 		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		exports[p.ImportPath] = p.Export
 		if !p.Standard {
@@ -204,7 +225,7 @@ func typeCheck(t *testing.T, patterns ...string) []checked {
 	for _, p := range ours {
 		rel, err := filepath.Rel(root, p.Dir)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		c := checked{rel: filepath.ToSlash(rel), fset: fset, info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -213,16 +234,16 @@ func typeCheck(t *testing.T, patterns ...string) []checked {
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			c.files = append(c.files, f)
 		}
 		if c.pkg, err = (&types.Config{Importer: imp}).Check(p.ImportPath, fset, c.files, c.info); err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, c)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 // deref is t without its pointer, if it is one.
