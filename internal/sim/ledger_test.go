@@ -128,12 +128,21 @@ func allocsByPackage() map[string]int64 {
 }
 
 // allocPackage names the package of the first legion/internal/… frame
-// of stk, without the prefix; "-" if there is none.
+// of stk, without the prefix; "-" if there is none, and "" for what the
+// ledger does not charge.
 func allocPackage(stk []uintptr) string {
 	const prefix = "legion/internal/"
 	frames := runtime.CallersFrames(stk)
 	for {
 		f, more := frames.Next()
+		switch f.Function {
+		case "runtime.itabAdd", "runtime.typeAssert", "runtime.interfaceSwitch":
+			// The runtime grew its table of interface method sets, or a
+			// type assertion's cache, which it does at random: when
+			// depends on every type the binary asserts and on chance,
+			// not on the placement.
+			return ""
+		}
 		if rest, ok := strings.CutPrefix(f.Function, prefix); ok {
 			if strings.HasPrefix(rest, "sim.alloc") {
 				return "" // the ledger's own reading
