@@ -8,6 +8,7 @@ import (
 
 	"legion/internal/collection/daemon"
 	"legion/internal/core"
+	"legion/internal/proto"
 	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
@@ -220,18 +221,18 @@ func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 
 	w.Partition(uva.MS.Runtime(), "sdsc")
 	for i := 0; i < 3; i++ {
-		if _, err := caller.Call(ctx, target, "get_attributes", nil); err == nil {
+		if _, err := resilient.Invoke[proto.AttributesReply, any](ctx, caller, caller.Policy(), target, "get_attributes", nil); err == nil {
 			t.Fatal("partitioned call succeeded")
 		}
 	}
 	// Circuit open: the next call fails fast without touching the wire.
-	if _, err := caller.Call(ctx, target, "get_attributes", nil); !errors.Is(err, resilient.ErrCircuitOpen) {
+	if _, err := resilient.Invoke[proto.AttributesReply, any](ctx, caller, caller.Policy(), target, "get_attributes", nil); !errors.Is(err, resilient.ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
 
 	w.HealAll()
 	time.Sleep(25 * time.Millisecond) // past the cooldown: half-open
-	if _, err := caller.Call(ctx, target, "get_attributes", nil); err != nil {
+	if _, err := resilient.Invoke[proto.AttributesReply, any](ctx, caller, caller.Policy(), target, "get_attributes", nil); err != nil {
 		t.Fatalf("half-open probe failed after heal: %v", err)
 	}
 	if st := caller.Breakers().For(target.String()).State(); st != resilient.Closed {

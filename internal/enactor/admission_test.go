@@ -367,7 +367,7 @@ func TestShedsClassifyPermanentAndNeverOpenBreakers(t *testing.T) {
 			Masters: []sched.Master{{Mappings: []sched.Mapping{e.mapping(0)}}},
 			Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
 		}
-		_, cerr := caller.Call(ctx, enr.LOID(), proto.MethodMakeReservations,
+		_, cerr := resilient.Invoke[proto.FeedbackReply](ctx, caller, caller.Policy(), enr.LOID(), proto.MethodMakeReservations,
 			proto.MakeReservationsArgs{Request: req, RequesterDomain: "nova"})
 		attempts.Add(1)
 		if cerr == nil {

@@ -38,33 +38,15 @@ func (c *Caller) Breakers() *BreakerSet { return c.breakers }
 // Policy returns the caller's retry policy.
 func (c *Caller) Policy() Policy { return c.policy }
 
-// Call invokes method on target under the retry policy; every attempt
-// consults and informs the target's breaker. An open breaker fails the
-// call immediately with ErrCircuitOpen (classified permanent, so callers
-// fall back instead of spinning).
-func (c *Caller) Call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
-	return do(ctx, c, c.policy, target, method, func(ctx context.Context) (any, error) {
-		return c.inv.Call(ctx, target, method, arg)
-	})
-}
-
-// Invoke is Call typed by its argument and reply, under the policy p
+// Invoke calls method on target with arg under the retry policy p
 // (c.Policy(), or a variant of it: one attempt for a non-idempotent
-// operation whose duplicate would leak real work). Over an
-// *orb.Runtime each attempt is an orb.Invoke, so a local typed method
-// runs with neither value boxed.
+// operation whose duplicate would leak real work), and types the reply
+// as R. Every attempt consults and informs the target's breaker; an
+// open breaker fails the call immediately with ErrCircuitOpen
+// (classified permanent, so callers fall back instead of spinning).
+// Over an *orb.Runtime each attempt is an orb.Invoke, so a local typed
+// method runs with neither value boxed.
 func Invoke[R, A any](ctx context.Context, c *Caller, p Policy, target loid.LOID, method string, arg A) (R, error) {
-	return do(ctx, c, p, target, method, func(ctx context.Context) (R, error) {
-		if rt, ok := c.inv.(*orb.Runtime); ok {
-			return orb.Invoke[R](ctx, rt, target, method, arg)
-		}
-		return orb.As[R](c.inv.Call(ctx, target, method, arg))
-	})
-}
-
-// do runs one logical call under p: each attempt asks target's breaker
-// first and tells it the outcome.
-func do[R any](ctx context.Context, c *Caller, p Policy, target loid.LOID, method string, attempt func(ctx context.Context) (R, error)) (R, error) {
 	var br *Breaker
 	if c.breakers != nil {
 		br = c.breakers.ForLOID(target)
@@ -77,7 +59,11 @@ func do[R any](ctx context.Context, c *Caller, p Policy, target loid.LOID, metho
 			}
 		}
 		var err error
-		res, err = attempt(ctx)
+		if rt, ok := c.inv.(*orb.Runtime); ok {
+			res, err = orb.Invoke[R](ctx, rt, target, method, arg)
+		} else {
+			res, err = orb.As[R](c.inv.Call(ctx, target, method, arg))
+		}
 		if br != nil {
 			br.Record(err)
 		}

@@ -126,7 +126,7 @@ func TestCallOutcomeAcrossPaths(t *testing.T) {
 				if method == "" {
 					target, method = p.nob, "echo"
 				}
-				_, err := c.Call(ctx, target, method, nil)
+				_, err := Invoke[any, any](ctx, c, retry, target, method, nil)
 				checkOutcome(t, r.name, err, r.class, false, r.is)
 				if r.ret != nil {
 					if n := p.runs[r.method].Load(); n != 1 {
@@ -175,7 +175,7 @@ func TestCallOutcomeAcrossPaths(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		_, err := NewCaller(cli, retry, nil).Call(ctx, obj.LOID(), "echo", "x")
+		_, err := Invoke[any](ctx, NewCaller(cli, retry, nil), retry, obj.LOID(), "echo", "x")
 		checkOutcome(t, "server shed", err, ClassPermanent, false, orb.ErrOverload)
 		if n := echoed.Load(); n != 0 {
 			t.Errorf("a shed frame reached its handler %d times", n)
@@ -240,7 +240,7 @@ func TestCallOutcomeAcrossPaths(t *testing.T) {
 		breakers := NewBreakerSet(BreakerConfig{}, nil)
 		c := NewCaller(cli, retry, breakers)
 		for i := 0; i < 2; i++ {
-			if _, err := c.Call(ctx, obj.LOID(), "load", nil); Classify(err) != ClassPermanent {
+			if _, err := Invoke[any, any](ctx, c, retry, obj.LOID(), "load", nil); Classify(err) != ClassPermanent {
 				t.Errorf("call %d: %v classed %v", i, err, Classify(err))
 			}
 		}

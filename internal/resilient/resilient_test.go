@@ -228,7 +228,7 @@ func TestCallerRetriesThroughBreaker(t *testing.T) {
 	}}
 	c := NewCaller(f, Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, Jitter: -1},
 		NewBreakerSet(BreakerConfig{FailureThreshold: 10}, nil))
-	res, err := c.Call(context.Background(), good, "m", nil)
+	res, err := Invoke[string, any](context.Background(), c, c.Policy(), good, "m", nil)
 	if err != nil || res != "ok" {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -244,13 +244,13 @@ func TestCallerOpensBreakerAndFailsFast(t *testing.T) {
 	}}
 	c := NewCaller(f, Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, Jitter: -1},
 		NewBreakerSet(BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}, nil))
-	if _, err := c.Call(context.Background(), dead, "m", nil); err == nil {
+	if _, err := Invoke[any, any](context.Background(), c, c.Policy(), dead, "m", nil); err == nil {
 		t.Fatal("want failure")
 	}
 	// The first call burned 3 attempts and opened the breaker; the next
 	// call must fail fast without touching the endpoint.
 	before := f.calls[dead.String()]
-	_, err := c.Call(context.Background(), dead, "m", nil)
+	_, err := Invoke[any, any](context.Background(), c, c.Policy(), dead, "m", nil)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err=%v, want circuit open", err)
 	}
