@@ -311,29 +311,6 @@ func (s *Set) Set(name string, v Value) {
 	s.Merge([]Pair{{Name: name, Value: v}})
 }
 
-// Delete removes the named attribute if present.
-func (s *Set) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := search(s.pairs, name)
-	if !ok {
-		return
-	}
-	if s.shared.Load() {
-		s.pairs = append(append(make([]Pair, 0, len(s.pairs)-1), s.pairs[:i]...), s.pairs[i+1:]...)
-		s.shared.Store(false)
-		return
-	}
-	s.pairs = slices.Delete(s.pairs, i, i+1)
-}
-
-// Len returns the number of attributes in the set.
-func (s *Set) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pairs)
-}
-
 // Merge overwrites attributes in s with every pair in the given list. It
 // is the update operation Hosts use when repopulating their attributes and
 // Collections use for UpdateCollectionEntry.
@@ -358,13 +335,6 @@ func (s *Set) Snapshot() []Pair {
 	defer s.mu.RUnlock()
 	s.shared.Store(true)
 	return slices.Clip(s.pairs)
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &Set{pairs: slices.Clone(s.pairs)}
 }
 
 // Lookup adapts the Set to the query evaluator's attribute-resolution

@@ -47,34 +47,19 @@ type Config struct {
 	// its start callback running. Zero starts it through Clock.Go, once
 	// the goroutine that submitted it or freed its slot has parked.
 	DispatchDelay time.Duration
-	// Clock supplies dispatch timers and wait-time accounting; nil means
-	// the wall clock.
+	// Clock supplies dispatch timers; nil means the wall clock.
 	Clock vclock.Clock
 }
 
-// Errors returned by Queue operations.
-var (
-	ErrUnknownJob = errors.New("batchq: unknown job")
-	ErrClosed     = errors.New("batchq: queue closed")
-)
+// ErrUnknownJob reports a Complete or Cancel of a job the queue does not
+// hold.
+var ErrUnknownJob = errors.New("batchq: unknown job")
 
 // job is a job's record, kept while it is queued or holds a slot.
 type job struct {
-	id        JobID
-	submitted time.Time
-	onStart   func(JobID)
-	started   bool // dispatched; a delayed dispatch holds a slot before it starts
-}
-
-// Stats summarizes queue occupancy.
-type Stats struct {
-	Queued    int
-	Running   int
-	Done      int
-	Cancelled int
-	// TotalWait accumulates queued-to-started wait across dispatched
-	// jobs; TotalWait/Done approximates mean queue wait.
-	TotalWait time.Duration
+	id      JobID
+	onStart func(JobID)
+	started bool // dispatched; a delayed dispatch holds a slot before it starts
 }
 
 // Queue is a simulated batch queue management system. It is safe for
@@ -87,9 +72,6 @@ type Queue struct {
 	pending []*job         // waiting for a slot, in submission order
 	jobs    map[JobID]*job // queued or holding a slot
 	running int            // slots held, a pending delayed dispatch's included
-	stats   Stats
-	closed  bool
-	timers  map[vclock.Timer]struct{}
 	clock   vclock.Clock
 }
 
@@ -100,10 +82,9 @@ func New(cfg Config) *Queue {
 		panic(fmt.Sprintf("batchq: %q: slots must be >= 1, got %d", cfg.Name, cfg.Slots))
 	}
 	return &Queue{
-		cfg:    cfg,
-		jobs:   make(map[JobID]*job),
-		timers: make(map[vclock.Timer]struct{}),
-		clock:  vclock.Default(cfg.Clock),
+		cfg:   cfg,
+		jobs:  make(map[JobID]*job),
+		clock: vclock.Default(cfg.Clock),
 	}
 }
 
@@ -113,18 +94,15 @@ func (q *Queue) Config() Config { return q.cfg }
 // Submit enqueues a job. onStart, if non-nil, runs on its own clock
 // goroutine when the job is dispatched to a slot, never inside Submit,
 // Complete or Cancel. onStart must not block.
-func (q *Queue) Submit(onStart func(JobID)) (JobID, error) {
+func (q *Queue) Submit(onStart func(JobID)) JobID {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return 0, ErrClosed
-	}
 	q.nextID++
-	j := &job{id: q.nextID, submitted: q.clock.Now(), onStart: onStart}
+	j := &job{id: q.nextID, onStart: onStart}
 	q.jobs[j.id] = j
 	q.pending = append(q.pending, j)
 	q.fillSlotsLocked()
-	return j.id, nil
+	return j.id
 }
 
 // fillSlotsLocked dispatches queued jobs into free slots, at once or on
@@ -138,12 +116,10 @@ func (q *Queue) fillSlotsLocked() {
 			q.startLocked(j)
 			continue
 		}
-		var tm vclock.Timer
-		tm = q.clock.AfterFunc(q.cfg.DispatchDelay, func() {
+		q.clock.AfterFunc(q.cfg.DispatchDelay, func() {
 			q.mu.Lock()
 			defer q.mu.Unlock()
-			delete(q.timers, tm)
-			if q.closed || q.jobs[j.id] != j {
+			if q.jobs[j.id] != j {
 				// Cancelled while waiting for dispatch: free the slot.
 				q.running--
 				q.fillSlotsLocked()
@@ -151,7 +127,6 @@ func (q *Queue) fillSlotsLocked() {
 			}
 			q.startLocked(j)
 		})
-		q.timers[tm] = struct{}{}
 	}
 }
 
@@ -160,7 +135,6 @@ func (q *Queue) fillSlotsLocked() {
 // dispatched j has parked, as a Group's release does, so a run replays.
 func (q *Queue) startLocked(j *job) {
 	j.started = true
-	q.stats.TotalWait += q.clock.Since(j.submitted)
 	if cb, id := j.onStart, j.id; cb != nil {
 		q.clock.Go(func() { cb(id) })
 	}
@@ -181,7 +155,6 @@ func (q *Queue) Complete(id JobID) error {
 	}
 	delete(q.jobs, id)
 	q.running--
-	q.stats.Done++
 	q.fillSlotsLocked()
 	return nil
 }
@@ -198,7 +171,6 @@ func (q *Queue) Cancel(id JobID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
 	delete(q.jobs, id)
-	q.stats.Cancelled++
 	if j.started {
 		q.running--
 		q.fillSlotsLocked()
@@ -208,31 +180,9 @@ func (q *Queue) Cancel(id JobID) error {
 	return nil
 }
 
-// Stats returns a snapshot of queue occupancy and accounting.
-func (q *Queue) Stats() Stats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	s := q.stats
-	s.Queued = len(q.pending)
-	s.Running = q.running
-	return s
-}
-
 // QueueLength returns the number of jobs waiting for a slot.
 func (q *Queue) QueueLength() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.pending)
-}
-
-// Close stops the queue: pending timers are cancelled and future Submits
-// fail. Running jobs are left to their owners.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	for tm := range q.timers {
-		tm.Stop()
-		delete(q.timers, tm)
-	}
 }

@@ -22,14 +22,10 @@ func TestImmediateDispatchWhenSlotsFree(t *testing.T) {
 	q, vc := virtualQueue(Config{Name: "test", Slots: 2})
 	var started []JobID
 	onStart := func(id JobID) { started = append(started, id) }
-	id1, err := q.Submit(onStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, _ := q.Submit(onStart)
-	st := q.Stats()
-	if st.Running != 2 || st.Queued != 0 {
-		t.Errorf("stats = %+v", st)
+	id1 := q.Submit(onStart)
+	id2 := q.Submit(onStart)
+	if held, queued := slotsHeld(q), q.QueueLength(); held != 2 || queued != 0 {
+		t.Errorf("%d slots held, %d queued; want 2, 0", held, queued)
 	}
 	vc.RunUntilIdle()
 	if len(started) != 2 || started[0] != id1 || started[1] != id2 {
@@ -41,8 +37,7 @@ func TestQueueingBeyondSlots(t *testing.T) {
 	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
 	var started []string
 	submit := func(name string) JobID {
-		id, _ := q.Submit(func(JobID) { started = append(started, name) })
-		return id
+		return q.Submit(func(JobID) { started = append(started, name) })
 	}
 	a := submit("a")
 	submit("b")
@@ -70,7 +65,6 @@ func TestQueueingBeyondSlots(t *testing.T) {
 
 func TestDispatchDelay(t *testing.T) {
 	q := New(Config{Name: "test", Slots: 1, DispatchDelay: 30 * time.Millisecond})
-	defer q.Close()
 	started := make(chan time.Time, 1)
 	t0 := time.Now()
 	q.Submit(func(JobID) { started <- time.Now() })
@@ -82,24 +76,23 @@ func TestDispatchDelay(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("job never dispatched")
 	}
-	st := q.Stats()
-	if st.Running != 1 {
-		t.Errorf("stats = %+v", st)
+	if held := slotsHeld(q); held != 1 {
+		t.Errorf("%d slots held, want 1", held)
 	}
 }
 
 func TestCancelQueuedJob(t *testing.T) {
 	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
-	a, _ := q.Submit(nil)
-	b, _ := q.Submit(nil)
+	a := q.Submit(nil)
+	b := q.Submit(nil)
 	cStarted := false
 	q.Submit(func(JobID) { cStarted = true })
 
 	if err := q.Cancel(b); err != nil {
 		t.Fatal(err)
 	}
-	if st := q.Stats(); st.Cancelled != 1 || st.Queued != 1 {
-		t.Errorf("after cancelling b: %+v", st)
+	if _, held := q.jobs[b]; held || q.QueueLength() != 1 {
+		t.Errorf("after cancelling b: b held %t, %d queued; want false, 1", held, q.QueueLength())
 	}
 	q.Complete(a)
 	vc.RunUntilIdle()
@@ -110,7 +103,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestCancelRunningJobFreesSlot(t *testing.T) {
 	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
-	a, _ := q.Submit(nil)
+	a := q.Submit(nil)
 	bStarted := false
 	q.Submit(func(JobID) { bStarted = true })
 	if err := q.Cancel(a); err != nil {
@@ -124,10 +117,9 @@ func TestCancelRunningJobFreesSlot(t *testing.T) {
 
 func TestCancelDelayedDispatchFreesSlot(t *testing.T) {
 	q := New(Config{Name: "test", Slots: 1, DispatchDelay: 20 * time.Millisecond})
-	defer q.Close()
 	aStarted := make(chan struct{})
 	bStarted := make(chan struct{})
-	a, _ := q.Submit(func(JobID) { close(aStarted) })
+	a := q.Submit(func(JobID) { close(aStarted) })
 	q.Submit(func(JobID) { close(bStarted) })
 	// Cancel a while its dispatch timer is pending.
 	if err := q.Cancel(a); err != nil {
@@ -153,7 +145,7 @@ func TestErrorPaths(t *testing.T) {
 	if err := q.Cancel(99); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("Cancel(unknown) = %v", err)
 	}
-	a, _ := q.Submit(nil)
+	a := q.Submit(nil)
 	q.Complete(a)
 	if err := q.Complete(a); err == nil {
 		t.Error("double Complete succeeded")
@@ -163,7 +155,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 	// Completing a queued (not yet running) job is an error.
 	q.Submit(nil) // running
-	c, _ := q.Submit(nil)
+	c := q.Submit(nil)
 	if err := q.Complete(c); err == nil {
 		t.Error("Complete(queued) succeeded")
 	}
@@ -175,46 +167,35 @@ func TestErrorPaths(t *testing.T) {
 func TestFinishedJobsLeaveNoRecord(t *testing.T) {
 	q := New(Config{Name: "test", Slots: 1})
 	for i := 0; i < 1000; i++ {
-		id, _ := q.Submit(nil)
-		if err := q.Complete(id); err != nil {
+		if err := q.Complete(q.Submit(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		id, _ := q.Submit(nil)
-		if err := q.Cancel(id); err != nil {
+		if err := q.Cancel(q.Submit(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := len(q.jobs); n != 0 {
 		t.Errorf("%d job records kept after every job finished, want 0", n)
 	}
-	if st := q.Stats(); st.Done != 1000 || st.Cancelled != 1000 || st.Running != 0 || st.Queued != 0 {
-		t.Errorf("stats = %+v", st)
+	if held, queued := slotsHeld(q), q.QueueLength(); held != 0 || queued != 0 {
+		t.Errorf("%d slots held, %d queued after every job finished, want 0, 0", held, queued)
 	}
 }
 
-func TestCloseRejectsSubmit(t *testing.T) {
-	q := New(Config{Name: "test", Slots: 1})
-	q.Close()
-	if _, err := q.Submit(nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after close = %v", err)
-	}
-}
-
+// TestWaitAccounting: a queued job waits exactly until a slot frees.
 func TestWaitAccounting(t *testing.T) {
 	q, vc := virtualQueue(Config{Name: "test", Slots: 1})
-
-	a, _ := q.Submit(nil) // starts at t=0, wait 0
-	q.Submit(nil)         // queued
+	t0 := vc.Now()
+	a := q.Submit(nil) // starts at once
+	var bStarted time.Time
+	q.Submit(func(JobID) { bStarted = vc.Now() }) // queued behind a
 	vc.Advance(10 * time.Second)
-	q.Complete(a) // b starts at t=10s, wait 10s
-	st := q.Stats()
-	if st.TotalWait != 10*time.Second {
-		t.Errorf("TotalWait = %v, want 10s", st.TotalWait)
-	}
-	if st.Done != 1 {
-		t.Errorf("Done = %d", st.Done)
+	q.Complete(a)
+	vc.RunUntilIdle()
+	if wait := bStarted.Sub(t0); wait != 10*time.Second {
+		t.Errorf("b waited %v, want the 10s until a's slot freed", wait)
 	}
 }
 
@@ -267,8 +248,14 @@ func TestConcurrentSubmitCompleteStress(t *testing.T) {
 	if maxRunning.Load() > 4 {
 		t.Errorf("observed %d concurrent jobs, slots = 4", maxRunning.Load())
 	}
-	st := q.Stats()
-	if st.Done != 400 {
-		t.Errorf("Done = %d, want 400", st.Done)
+	if held, n := slotsHeld(q), len(q.jobs); held != 0 || n != 0 {
+		t.Errorf("%d slots held and %d jobs kept after every job completed, want 0", held, n)
 	}
+}
+
+// slotsHeld reads how many slots q's jobs hold.
+func slotsHeld(q *Queue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.running
 }

@@ -51,10 +51,6 @@ type World struct {
 	rules map[*orb.Runtime][]orb.FaultInjector
 }
 
-// Clock returns the world's time source: the first site's clock, or
-// the wall clock.
-func (w *World) Clock() vclock.Clock { return w.clock }
-
 // Seed returns the seed the World's fault RNG was built with.
 func (w *World) Seed() int64 { return w.seed }
 
@@ -101,16 +97,6 @@ func NewWorld(seed int64, sites ...sim.Spec) (*World, error) {
 		}
 	}
 	return w, nil
-}
-
-// Site returns the site for a domain, or nil.
-func (w *World) Site(domain string) *Site {
-	for _, s := range w.Sites {
-		if s.MS.Domain() == domain {
-			return s
-		}
-	}
-	return nil
 }
 
 // Close shuts every site down.

@@ -163,7 +163,7 @@ func TestPartitionFallsBackThenHeals(t *testing.T) {
 	w := newWorld(t,
 		site("uva", 7, 1),
 		site("sdsc", 8, 1))
-	uva, sdsc := w.Site("uva"), w.Site("sdsc")
+	uva, sdsc := w.Sites[0], w.Sites[1]
 	ctx := context.Background()
 
 	remoteFirst := func(id uint64) sched.RequestList {
@@ -212,11 +212,12 @@ func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 	w := newWorld(t,
 		site("uva", 7, 1),
 		site("sdsc", 8, 1))
-	uva, sdsc := w.Site("uva"), w.Site("sdsc")
+	uva, sdsc := w.Sites[0], w.Sites[1]
 	target := sdsc.MS.Hosts()[0].LOID()
 
 	bc := resilient.BreakerConfig{FailureThreshold: 3, Cooldown: 20 * time.Millisecond}
-	caller := resilient.NewCaller(uva.MS.Runtime(), resilient.Policy{MaxAttempts: 1}, resilient.NewBreakerSet(bc, nil))
+	breakers := resilient.NewBreakerSet(bc, nil)
+	caller := resilient.NewCaller(uva.MS.Runtime(), resilient.Policy{MaxAttempts: 1}, breakers)
 	ctx := context.Background()
 
 	w.Partition(uva.MS.Runtime(), "sdsc")
@@ -235,7 +236,7 @@ func TestBreakerOpensOnUnreachableEndpointAndRecovers(t *testing.T) {
 	if _, err := resilient.Invoke[proto.AttributesReply, any](ctx, caller, caller.Policy(), target, "get_attributes", nil); err != nil {
 		t.Fatalf("half-open probe failed after heal: %v", err)
 	}
-	if st := caller.Breakers().For(target.String()).State(); st != resilient.Closed {
+	if st := breakers.For(target.String()).State(); st != resilient.Closed {
 		t.Errorf("breaker state after recovery = %v, want closed", st)
 	}
 }

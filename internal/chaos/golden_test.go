@@ -79,6 +79,7 @@ func TestVirtualSpanGolden(t *testing.T) {
 // shutdown is part of neither.
 func goldenStorm(t *testing.T, seed int64) (trace []string, spans string) {
 	vc := vclock.NewVirtual()
+	epoch := vc.Now()
 	reg := telemetry.NewRegistry()
 	opts := core.Options{
 		Seed:    seed,
@@ -115,5 +116,5 @@ func goldenStorm(t *testing.T, seed int64) (trace []string, spans string) {
 		// the counts are not asserted; the polling is in the trace.
 		w.Quiesce(site, time.Second)
 	})
-	return vc.Trace(), spanDigest(t, vc, reg.Spans())
+	return vc.Trace(), spanDigest(t, epoch, reg.Spans())
 }

@@ -89,7 +89,7 @@ func TestWorldSweep(t *testing.T) {
 type sweepTally struct {
 	shed, crashFailures, stranded    int
 	reactive, predictive, migrations int
-	preemptRefunds, partials, reuses int
+	partials, reuses                 int
 	batchStarts, stopWaits           int
 	trace                            string // sha256 of the engine's event trace
 	spans                            string // spanDigest of the world's span log
@@ -102,7 +102,6 @@ func (a *sweepTally) add(b sweepTally) {
 	a.reactive += b.reactive
 	a.predictive += b.predictive
 	a.migrations += b.migrations
-	a.preemptRefunds += b.preemptRefunds
 	a.partials += b.partials
 	a.reuses += b.reuses
 	a.batchStarts += b.batchStarts
@@ -123,7 +122,6 @@ func (a sweepTally) coverage() []struct {
 		{"a reactive move", a.reactive},
 		{"a predictive move", a.predictive},
 		{"a completed migration", a.migrations},
-		{"a preemption refund", a.preemptRefunds},
 		{"a partial Router query", a.partials},
 		{"a reused ParamSpace token", a.reuses},
 		{"an object started on a batch host", a.batchStarts},
@@ -175,6 +173,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	rng := rand.New(rand.NewSource(seed))
 	admission := seed%2 == 1
 	vc := vclock.NewVirtual()
+	epoch := vc.Now()
 	reg := telemetry.NewRegistry()
 	opts := core.Options{
 		Seed:    seed,
@@ -194,7 +193,6 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	hosts := sim.UniformSpecs(sweepHosts, 4)
 	for i := range hosts {
 		hosts[i].Price = 0.25 * float64(i+1)
-		hosts[i].Spot = i%2 == 0
 	}
 	// Two seeds in three put one host behind a batch queue. The choice
 	// reads the seed, not rng, so each seed's other draws stay the same.
@@ -242,11 +240,10 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 	})
 
 	reactive := &countingPolicy{Policy: rebalance.NewLeastLoaded()}
-	preempting := &countingPolicy{Policy: &rebalance.PreemptingPolicy{MaxShedPerEvent: 1, Ledger: led}}
 	forecast := &rebalance.Predictive{Watermark: 0.8, MaxShedPerEvent: 1}
 	predictive := &countingPolicy{Policy: forecast}
 	var rebalancers []*rebalance.Rebalancer
-	for _, p := range []*countingPolicy{reactive, preempting, predictive} {
+	for _, p := range []*countingPolicy{reactive, predictive} {
 		rebalancers = append(rebalancers, rebalance.New(ms, rebalance.Config{
 			Classes: []*classobj.Class{stateful}, Policy: p, Cooldown: -1,
 		}))
@@ -281,14 +278,11 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 			leases = append(leases, out.RequestID)
 			longLived = append(longLived, inst)
 		}
-		leaseRefunded := led.Account("lease").Refunded
-		for _, r := range rebalancers[:2] {
-			if err := r.Start(); err != nil {
-				t.Error(err)
-				return
-			}
+		if err := rebalancers[0].Start(); err != nil {
+			t.Error(err)
+			return
 		}
-		rebalancers[2].StartForecastScan(40*time.Millisecond, forecast)
+		rebalancers[1].StartForecastScan(40*time.Millisecond, forecast)
 		if err := ms.WatchLoad(ctx, 0.8); err != nil {
 			t.Errorf("watch load: %v", err)
 			return
@@ -341,11 +335,11 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		w.HealAll()
 		stopEarly := seed%8 < 4
 		if stopEarly {
-			before := vc.Elapsed()
+			before := vc.Now()
 			for _, r := range rebalancers {
 				r.Stop()
 			}
-			if vc.Elapsed() > before {
+			if vc.Now().After(before) {
 				tally.stopWaits = 1
 			}
 		}
@@ -367,9 +361,6 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		tally.reactive = int(reactive.moves.Load())
 		tally.predictive = int(predictive.moves.Load())
 		tally.migrations = int(reg.CounterValue("legion_rebalance_migrations_total", "result", "ok"))
-		if led.Account("lease").Refunded > leaseRefunded { // only an eviction refunds a lease before teardown
-			tally.preemptRefunds = 1
-		}
 		tally.partials = int(reg.CounterValue("legion_collection_router_partial_total"))
 		tally.batchStarts = int(batchStarts.Load())
 		for _, n := range study.PerToken {
@@ -386,7 +377,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 		})
 	})
 	tally.trace = fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(vc.Trace(), "\n"))))
-	tally.spans = spanDigest(t, vc, reg.Spans())
+	tally.spans = spanDigest(t, epoch, reg.Spans())
 	return tally
 }
 
@@ -396,7 +387,7 @@ func sweepWorld(t *testing.T, seed int64) (tally sweepTally) {
 // lines sorted, so that neither the process-global span IDs nor the
 // order concurrent spans finished in enters it. It fails t if the log's
 // ring has overwritten a span, which would hide a difference.
-func spanDigest(t *testing.T, vc *vclock.Virtual, log *telemetry.SpanLog) string {
+func spanDigest(t *testing.T, epoch time.Time, log *telemetry.SpanLog) string {
 	spans := log.Snapshot()
 	if n := log.Total(); int64(len(spans)) != n {
 		t.Errorf("span log kept %d of %d spans; the digest would miss the rest", len(spans), n)
@@ -405,7 +396,6 @@ func spanDigest(t *testing.T, vc *vclock.Virtual, log *telemetry.SpanLog) string
 	for _, s := range spans {
 		names[s.SpanID] = s.Name
 	}
-	epoch := vc.Now().Add(-vc.Elapsed())
 	lines := make([]string, len(spans))
 	for i, s := range spans {
 		parent := "-"
@@ -445,7 +435,7 @@ func faultSchedule(ctx context.Context, w *World, d *daemon.Daemon, rng *rand.Ra
 	}
 	var revive func()
 	for step := 0; step < 12; step++ {
-		if w.Clock().Sleep(ctx, 25*time.Millisecond) != nil {
+		if rt.Clock().Sleep(ctx, 25*time.Millisecond) != nil {
 			break
 		}
 		hot := rng.Intn(len(hosts))

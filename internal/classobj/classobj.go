@@ -106,9 +106,6 @@ func New(rt *orb.Runtime, cfg Config) *Class {
 	return c
 }
 
-// Name returns the class name.
-func (c *Class) Name() string { return c.name }
-
 // Meta returns the LOID of this class's managing class object.
 func (c *Class) Meta() loid.LOID { return c.meta }
 

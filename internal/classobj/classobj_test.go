@@ -231,8 +231,8 @@ func TestMetaAndName(t *testing.T) {
 	e := newEnv(t)
 	legionClass := New(e.rt, Config{Name: "Legion"})
 	c := New(e.rt, Config{Name: "Worker", Meta: legionClass.LOID()})
-	if c.Name() != "Worker" || c.Meta() != legionClass.LOID() {
-		t.Errorf("Name/Meta: %v %v", c.Name(), c.Meta())
+	if c.name != "Worker" || c.Meta() != legionClass.LOID() {
+		t.Errorf("Name/Meta: %v %v", c.name, c.Meta())
 	}
 	if c.LOID().Class != "WorkerClass" {
 		t.Errorf("class LOID: %v", c.LOID())

@@ -26,7 +26,7 @@ func pushAttrs(zone string, load float64) []attr.Pair {
 		attr.Pair{Name: "host_state", Value: attr.String("up")},
 		attr.Pair{Name: "host_zone", Value: attr.String(zone)},
 	)
-	for i := set.Len(); i < 20; i++ {
+	for i := len(set.Snapshot()); i < 20; i++ {
 		set.Set(fmt.Sprintf("host_extra_%02d", i), attr.Int(int64(i)))
 	}
 	return set.Snapshot()

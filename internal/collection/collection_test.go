@@ -373,11 +373,6 @@ func TestPublicWritesNeverAliasCaller(t *testing.T) {
 			return nil
 		}},
 		{"Router.Join", func(_ *Collection, r *Router, attrs []attr.Pair) error { return r.Join(ctx, m, attrs, "") }},
-		{"Router.Update", func(_ *Collection, r *Router, attrs []attr.Pair) error { return r.Update(ctx, m, attrs, "") }},
-		{"Router.ApplyBatch", func(_ *Collection, r *Router, attrs []attr.Pair) error {
-			_, err := r.ApplyBatch(ctx, []proto.BatchEntry{{Member: m, Attrs: attrs}}, "")
-			return err
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, shards, r, _ := newRouterFixture(t, 1, nil)

@@ -150,11 +150,8 @@ func wireLivenessCounters(live *monitor.Liveness, reg *telemetry.Registry) {
 	})
 }
 
-// Liveness returns the tracker the daemon feeds.
-func (d *Daemon) Liveness() *monitor.Liveness { return d.live }
-
 // Breakers exposes the daemon's per-resource breaker states.
-func (d *Daemon) Breakers() *resilient.BreakerSet { return d.call.Breakers() }
+func (d *Daemon) Breakers() *resilient.BreakerSet { return d.cfg.Breakers }
 
 // Watch adds resources to pull from.
 func (d *Daemon) Watch(resources ...loid.LOID) {

@@ -73,7 +73,7 @@ func TestUnreachableHostFlaggedDownThenRecovers(t *testing.T) {
 		t.Fatal("record flagged down before reaching the threshold")
 	}
 	d.Sweep(ctx) // failure 2 of 2: crosses threshold, record flagged
-	if st := d.Liveness().State(h.LOID()); st != monitor.LivenessDown {
+	if st := d.live.State(h.LOID()); st != monitor.LivenessDown {
 		t.Fatalf("liveness state = %v, want down", st)
 	}
 	recs, _ = c.Query(`defined($host_arch)`)
@@ -90,7 +90,7 @@ func TestUnreachableHostFlaggedDownThenRecovers(t *testing.T) {
 	if ok := d.Sweep(ctx); ok != 1 {
 		t.Fatalf("recovery sweep deposits = %d", ok)
 	}
-	if st := d.Liveness().State(h.LOID()); st != monitor.LivenessUp {
+	if st := d.live.State(h.LOID()); st != monitor.LivenessUp {
 		t.Fatalf("liveness state after recovery = %v, want up", st)
 	}
 	recs, _ = c.Query(`defined($host_arch)`)
@@ -119,7 +119,7 @@ func TestFailedProbeRetriesWithinSweep(t *testing.T) {
 	if ok := d.Sweep(context.Background()); ok != 1 {
 		t.Fatalf("sweep with one blip deposits = %d", ok)
 	}
-	if st := d.Liveness().State(h.LOID()); st != monitor.LivenessUp {
+	if st := d.live.State(h.LOID()); st != monitor.LivenessUp {
 		t.Fatalf("liveness after absorbed blip = %v, want up", st)
 	}
 	if _, errs := d.Stats(); errs != 0 {
@@ -140,10 +140,10 @@ func TestPermanentProbeErrorStillCountsAsFailure(t *testing.T) {
 
 	d.Sweep(ctx)
 	d.Sweep(ctx)
-	if st := d.Liveness().State(ghost); st != monitor.LivenessDown {
+	if st := d.live.State(ghost); st != monitor.LivenessDown {
 		t.Fatalf("ghost state = %v, want down", st)
 	}
-	if st := d.Liveness().State(h.LOID()); st != monitor.LivenessUp {
+	if st := d.live.State(h.LOID()); st != monitor.LivenessUp {
 		t.Fatalf("real host state = %v, want up", st)
 	}
 	// The ghost never joined, so there is no record to flag — and no

@@ -154,11 +154,6 @@ func NewRouter(rt *orb.Runtime, cfg RouterConfig) *Router {
 	return r
 }
 
-// Shards returns the shard LOIDs in index order.
-func (r *Router) Shards() []loid.LOID {
-	return append([]loid.LOID(nil), r.cfg.Shards...)
-}
-
 // ShardFor returns the shard owning a member's record.
 func (r *Router) ShardFor(member loid.LOID) loid.LOID {
 	return r.cfg.Shards[r.shardIndex(member)]
@@ -187,35 +182,11 @@ func (r *Router) Join(ctx context.Context, member loid.LOID, attrs []attr.Pair, 
 		proto.JoinArgs{Joiner: member, Attrs: clonePairs(attrs), Credential: credential})
 }
 
-// Leave routes a member's removal to its owning shard.
-func (r *Router) Leave(ctx context.Context, member loid.LOID, credential string) error {
-	return r.forward(ctx, member, proto.MethodLeaveCollection,
-		proto.LeaveArgs{Leaver: member, Credential: credential})
-}
-
-// Update routes a member's description push, with a copy of attrs, to
-// its owning shard.
-func (r *Router) Update(ctx context.Context, member loid.LOID, attrs []attr.Pair, credential string) error {
-	return r.forward(ctx, member, proto.MethodUpdateCollectionEntry,
-		proto.UpdateArgs{Member: member, Attrs: clonePairs(attrs), Credential: credential})
-}
-
-// ApplyBatch splits a coalesced update batch per owning shard —
-// preserving each member's entry order — and forwards the sub-batches
-// concurrently, started in shard order. It returns the summed reply and
-// the first shard error; a failed shard's entries count as dropped. The
-// orb handler answers any shard error with an error, so a remote caller
-// such as the daemon resends the whole batch: its entries are upserts.
-// Each shard gets a copy of each entry's attributes.
-func (r *Router) ApplyBatch(ctx context.Context, entries []proto.BatchEntry, credential string) (proto.BatchUpdateReply, error) {
-	return r.applyBatch(ctx, entries, credential, true)
-}
-
-// clonePairs copies attrs into a slice of exactly their length. The
-// public mutations pass shards such copies: an in-process Collection
-// shard adopts the slice it is handed (Collection.installMethods), and
-// the caller may write its own afterwards. The Router's ORB handlers own
-// their argument already and forward it as it is.
+// clonePairs copies attrs into a slice of exactly their length. Join
+// passes shards such a copy: an in-process Collection shard adopts the
+// slice it is handed (Collection.installMethods), and the caller may
+// write its own afterwards. The Router's ORB handlers own their argument
+// already and forward it as it is.
 func clonePairs(attrs []attr.Pair) []attr.Pair {
 	return append(make([]attr.Pair, 0, len(attrs)), attrs...)
 }
@@ -230,14 +201,14 @@ func (r *Router) forward(ctx context.Context, member loid.LOID, method string, a
 	return err
 }
 
-// applyBatch is ApplyBatch; with clone unset each sub-batch carries the
-// entries' attributes as they are.
-func (r *Router) applyBatch(ctx context.Context, entries []proto.BatchEntry, credential string, clone bool) (proto.BatchUpdateReply, error) {
+// applyBatch splits a coalesced update batch per owning shard —
+// preserving each member's entry order — and forwards the sub-batches,
+// each entry's attributes as they are, concurrently, started in shard
+// order. It returns the summed reply and the first shard error; a failed
+// shard's entries count as dropped.
+func (r *Router) applyBatch(ctx context.Context, entries []proto.BatchEntry, credential string) (proto.BatchUpdateReply, error) {
 	perShard := make(map[int][]proto.BatchEntry)
 	for _, e := range entries {
-		if clone {
-			e.Attrs = clonePairs(e.Attrs)
-		}
 		i := r.shardIndex(e.Member)
 		perShard[i] = append(perShard[i], e)
 	}
@@ -268,19 +239,6 @@ func (r *Router) applyBatch(ctx context.Context, entries []proto.BatchEntry, cre
 		}
 	}
 	return out, firstErr
-}
-
-// Query is QueryCtx with a background context.
-func (r *Router) Query(src string) ([]Record, error) {
-	recs, _, err := r.QueryPartial(context.Background(), src)
-	return recs, err
-}
-
-// QueryCtx scatters the query and merges the shard results, dropping
-// the skipped-shard count for callers that only want records.
-func (r *Router) QueryCtx(ctx context.Context, src string) ([]Record, error) {
-	recs, _, err := r.QueryPartial(ctx, src)
-	return recs, err
 }
 
 // QueryPartial scatters a query-language expression to every shard
@@ -405,7 +363,7 @@ func (r *Router) installMethods() {
 		return proto.Ack{}, r.forward(ctx, a.Member, proto.MethodUpdateCollectionEntry, a)
 	}))
 	r.HandleTyped(proto.MethodUpdateCollectionBatch, orb.Typed(func(ctx context.Context, a proto.BatchUpdateArgs) (proto.BatchUpdateReply, error) {
-		reply, err := r.applyBatch(ctx, a.Entries, a.Credential, false)
+		reply, err := r.applyBatch(ctx, a.Entries, a.Credential)
 		switch {
 		case err != nil && reply.Applied == 0:
 			return proto.BatchUpdateReply{}, err

@@ -255,10 +255,6 @@ func New(domain string, opts Options) *Metasystem {
 	return ms
 }
 
-// Breakers exposes the domain-wide circuit-breaker pool (for inspection
-// in tests and operational tooling).
-func (ms *Metasystem) Breakers() *resilient.BreakerSet { return ms.breakers }
-
 // Ledger exposes the domain's economy ledger (nil when Options.Economy
 // is off) — experiments and tests audit conservation through it.
 func (ms *Metasystem) Ledger() *economy.Ledger { return ms.Enactor.Ledger() }

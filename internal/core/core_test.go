@@ -47,14 +47,12 @@ func workerReq(c loid.LOID, n int) scheduler.Request {
 // fails fast in the others.
 func TestDomainWideBreakersShared(t *testing.T) {
 	ms := buildMeta(t, 1)
-	if ms.Enactor.Breakers() != ms.Breakers() {
+	shared := ms.Env().Breakers
+	if ms.Enactor.Breakers() != shared {
 		t.Error("Enactor uses a private breaker set, not the domain-wide pool")
 	}
-	if d := ms.NewDaemon(daemon.Config{}); d.Breakers() != ms.Breakers() {
+	if d := ms.NewDaemon(daemon.Config{}); d.Breakers() != shared {
 		t.Error("Daemon uses a private breaker set, not the domain-wide pool")
-	}
-	if ms.Env().Breakers != ms.Breakers() {
-		t.Error("scheduler Env uses a private breaker set, not the domain-wide pool")
 	}
 }
 

@@ -2,7 +2,7 @@
 // Nimrod/G-style market (ROADMAP item 1, PAPERS.md): per-tenant budget
 // accounts charged when the Enactor's negotiation grants reservation
 // tokens, and refunded — exactly once per token — when a token is
-// cancelled, rolled back, reaped, or preempted.
+// cancelled, rolled back or reaped.
 //
 // The unit of account is the Credit, a fixed-point integer worth one
 // millionth of a "dollar" of host price. Integer arithmetic makes the
@@ -14,8 +14,8 @@
 // and every refund corresponds to a prior charge of the same token for
 // the same amount. The property test in economy_test.go and the
 // campaign-level test in internal/experiments drive randomized
-// multi-tenant workloads — with faults, rollbacks, and preemptions —
-// against exactly this invariant.
+// multi-tenant workloads — with faults and rollbacks — against exactly
+// this invariant.
 package economy
 
 import (
@@ -90,9 +90,8 @@ type charge struct {
 }
 
 // Ledger is the set of tenant accounts plus the token→charge table
-// that makes refunds exact and idempotent. A single Ledger is shared by
-// the Enactor (charges, cancel/rollback/reap refunds) and the
-// rebalancer's preempting policy (preemption refunds).
+// that makes refunds exact and idempotent. The Enactor charges it and
+// refunds it on a cancel, a rollback or a reap.
 type Ledger struct {
 	mu       sync.Mutex
 	accounts map[string]*Account
@@ -173,7 +172,7 @@ func (l *Ledger) Charge(tenant string, host loid.LOID, token uint64, amount Cred
 
 // Refund returns a token's charge to its tenant. Unknown or
 // already-refunded tokens are a no-op returning 0, which is what makes
-// the enactor's overlapping cancel/rollback/reap/preempt paths
+// the enactor's overlapping cancel/rollback/reap paths
 // exactly-once by construction.
 func (l *Ledger) Refund(host loid.LOID, token uint64) Credits {
 	k := tokenKey{host, token}

@@ -64,6 +64,45 @@ func TestChargeRefusesOverBudget(t *testing.T) {
 	}
 }
 
+// TestChargeOfTheWholeRemainder: a charge of exactly what a tenant has
+// left is accepted and leaves it at 0; one credit more is refused.
+func TestChargeOfTheWholeRemainder(t *testing.T) {
+	l := NewLedger(telemetry.NewRegistry())
+	l.Open("t1", ToCredits(3))
+	if err := l.Charge("t1", hostA, 1, ToCredits(1)); err != nil {
+		t.Fatalf("charge: %v", err)
+	}
+	if err := l.Charge("t1", hostA, 2, ToCredits(2)); err != nil {
+		t.Fatalf("charge of the whole remainder: %v", err)
+	}
+	if got := l.Account("t1").Remaining(); got != 0 {
+		t.Fatalf("remaining = %v, want 0", got)
+	}
+	if err := l.Charge("t1", hostA, 3, 1); !errors.Is(err, ErrInsufficientBudget) {
+		t.Fatalf("charge past an empty account: err = %v, want ErrInsufficientBudget", err)
+	}
+}
+
+// TestAuditAcceptsAnEmptyAccount: a tenant that ends with nothing left,
+// after a refund and a charge of its whole budget, breaks no invariant.
+func TestAuditAcceptsAnEmptyAccount(t *testing.T) {
+	l := NewLedger(telemetry.NewRegistry())
+	l.Open("t1", ToCredits(4))
+	if err := l.Charge("t1", hostA, 1, ToCredits(3)); err != nil {
+		t.Fatalf("charge: %v", err)
+	}
+	l.Refund(hostA, 1)
+	if err := l.Charge("t1", hostB, 1, ToCredits(4)); err != nil {
+		t.Fatalf("charge of the whole budget: %v", err)
+	}
+	if got := l.Account("t1").Remaining(); got != 0 {
+		t.Fatalf("remaining = %v, want 0", got)
+	}
+	if bad := l.Audit(); len(bad) != 0 {
+		t.Errorf("audit of an account at 0: %v", bad)
+	}
+}
+
 func TestUnknownTenantIsUnlimited(t *testing.T) {
 	l := NewLedger(telemetry.NewRegistry())
 	if err := l.Charge("anon", hostA, 7, ToCredits(1e6)); err != nil {

@@ -93,7 +93,7 @@ type Config struct {
 	// reconciles (DESIGN.md §15): every granted reservation is charged
 	// to the request's tenant at the host-quoted price when the grant is
 	// made, and refunded exactly once when the token is cancelled,
-	// rolled back, preempted or swept. Nil disables economy accounting
+	// rolled back or swept. Nil disables economy accounting
 	// (all placements are free).
 	Ledger *economy.Ledger
 }
@@ -210,9 +210,8 @@ func New(rt *orb.Runtime, cfg Config) *Enactor {
 	return e
 }
 
-// Breakers exposes the Enactor's per-endpoint breaker states — chaos
-// tests and operators read these.
-func (e *Enactor) Breakers() *resilient.BreakerSet { return e.call.Breakers() }
+// Breakers exposes the Enactor's per-endpoint breaker set.
+func (e *Enactor) Breakers() *resilient.BreakerSet { return e.cfg.Breakers }
 
 // fanOut runs fn(i) for i in [0, n) under the configured parallelism
 // bound. Callbacks write results into per-index slots; the callers keep

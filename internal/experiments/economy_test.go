@@ -11,20 +11,15 @@ import (
 	"testing"
 	"time"
 
-	"legion/internal/classobj"
 	"legion/internal/core"
 	"legion/internal/economy"
-	"legion/internal/host"
 	"legion/internal/loid"
 	"legion/internal/orb"
-	"legion/internal/proto"
-	"legion/internal/rebalance"
 	"legion/internal/resilient"
 	"legion/internal/sched"
 	"legion/internal/scheduler"
 	"legion/internal/sim"
 	"legion/internal/telemetry"
-	"legion/internal/vault"
 	"legion/internal/vclock"
 )
 
@@ -226,115 +221,5 @@ func TestEconomyLedgerConservationCampaign(t *testing.T) {
 				t.Error("campaign spent nothing: the property was tested against a no-op")
 			}
 		})
-	}
-}
-
-// TestPreemptionExactlyOnce is the preemption chaos test: a paying
-// tenant's instance on spot capacity is evicted by PreemptingPolicy
-// while the reservation-cancel RPC path is completely broken. The
-// victim's charge must be refunded exactly once (replanning must not
-// double-refund), the stranded source token must not surface as a
-// reservation leak, and the migration audit must stay clean end to end.
-func TestPreemptionExactlyOnce(t *testing.T) {
-	ms := core.New("preempt", core.Options{Seed: 3, Metrics: telemetry.NewRegistry(), Economy: true})
-	defer ms.Close()
-	vlt := ms.AddVault(vault.Config{Zone: "z1"})
-
-	spot := ms.AddHost(host.Config{
-		Arch: "x86", OS: "Linux", CPUs: 2, MemoryMB: 256, Zone: "z1",
-		Price: 0.1, Spot: true, Vaults: []loid.LOID{vlt.LOID()},
-	})
-	reserved := ms.AddHost(host.Config{
-		Arch: "x86", OS: "Linux", CPUs: 2, MemoryMB: 256, Zone: "z1",
-		Price: 0.5, Vaults: []loid.LOID{vlt.LOID()},
-	})
-	class := ms.DefineClass("Worker", nil)
-	led := ms.Ledger()
-	led.Open("payer", economy.ToCredits(100))
-
-	// Place one instance directly onto the spot host.
-	ctx := context.Background()
-	req := sched.RequestList{
-		ID: ms.Enactor.NewRequestID(),
-		Masters: []sched.Master{{Mappings: []sched.Mapping{{
-			Class: class.LOID(), Host: spot.LOID(), Vault: vlt.LOID(),
-		}}}},
-		Res: sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour, Tenant: "payer"},
-	}
-	if fb := ms.Enactor.MakeReservations(ctx, req); !fb.Success {
-		t.Fatalf("make_reservations failed: %s", fb.Detail)
-	}
-	enact := ms.Enactor.EnactSchedule(ctx, req.ID)
-	if !enact.Success {
-		t.Fatalf("enact failed: %s", enact.Detail)
-	}
-	victim := enact.Instances[0][0]
-	charged := led.Account("payer").Spent
-	if charged <= 0 {
-		t.Fatal("placement on a priced host charged nothing")
-	}
-	if led.Account("payer").Refunded != 0 {
-		t.Fatal("refund recorded before any cancellation")
-	}
-
-	// Chaos: every reservation-cancel RPC is lost from here on.
-	ms.Runtime().SetFaultInjector(func(target loid.LOID, method string) error {
-		if method == proto.MethodCancelReservation {
-			return fmt.Errorf("%w: cancel lost", orb.ErrInjectedFault)
-		}
-		return nil
-	})
-	defer ms.Runtime().SetFaultInjector(nil)
-
-	pol := &rebalance.PreemptingPolicy{MaxShedPerEvent: 1, Ledger: led}
-	ev := proto.NotifyArgs{Source: spot.LOID(), Trigger: "deadline_at_risk"}
-	moves, err := pol.Plan(ctx, ev, ms, []*classobj.Class{class})
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	if len(moves) != 1 {
-		t.Fatalf("want 1 move, got %d", len(moves))
-	}
-	if moves[0].Instance != victim {
-		t.Errorf("planned victim %v, want %v", moves[0].Instance, victim)
-	}
-	if moves[0].ToHost != reserved.LOID() {
-		t.Errorf("victim moved to %v, want the reserved host %v", moves[0].ToHost, reserved.LOID())
-	}
-	refundedOnce := led.Account("payer").Refunded
-	if refundedOnce != charged {
-		t.Errorf("refund %v != charge %v", refundedOnce, charged)
-	}
-
-	// Replan before the move executes: a re-fired trigger must not
-	// refund again.
-	if _, err := pol.Plan(ctx, ev, ms, []*classobj.Class{class}); err != nil {
-		t.Fatalf("replan: %v", err)
-	}
-	if got := led.Account("payer").Refunded; got != refundedOnce {
-		t.Errorf("double refund: %v after replan, want %v", got, refundedOnce)
-	}
-
-	if err := ms.Migrate(ctx, moves[0].Class, moves[0].Instance, moves[0].ToHost, moves[0].ToVault); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-
-	if !reserved.IsRunning(victim) {
-		t.Error("victim not running on the reserved host after migration")
-	}
-	// The source token could not be cancelled (the RPC path is down),
-	// but it was marked preempted — the conservation audit must not
-	// report it as a leak.
-	if n := spot.ReservationLeaks(); n != 0 {
-		t.Errorf("preempted token reported as %d leaks", n)
-	}
-	if n := spot.PreemptedTokens(); n != 1 {
-		t.Errorf("preempted tokens = %d, want 1", n)
-	}
-	if audit := ms.AuditMigrations(class); !audit.Clean() {
-		t.Errorf("migration audit dirty after preemption: %s", audit)
-	}
-	if msgs := led.Audit(); len(msgs) > 0 {
-		t.Errorf("ledger audit failed: %v", msgs)
 	}
 }

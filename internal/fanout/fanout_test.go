@@ -65,6 +65,7 @@ func TestDoSerialWhenLimitOne(t *testing.T) {
 // is race-free.
 func TestDoSerialOnVirtualClock(t *testing.T) {
 	vc := vclock.NewVirtual()
+	start := vc.Now()
 	var order []int
 	vc.Run(func() {
 		Do(vc, 8, 5, func(i int) {
@@ -80,7 +81,7 @@ func TestDoSerialOnVirtualClock(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	if got := vc.Elapsed(); got != 5*time.Millisecond {
+	if got := vc.Since(start); got != 5*time.Millisecond {
 		t.Errorf("five serial 1ms sleeps took %v of virtual time", got)
 	}
 }

@@ -57,8 +57,6 @@ var (
 	// ErrUnknownObject reports a kill/deactivate of an object this host
 	// is not running.
 	ErrUnknownObject = errors.New("host: object not running here")
-	// ErrQueueRejected reports a batch-queue submission failure.
-	ErrQueueRejected = errors.New("host: batch queue rejected job")
 )
 
 // PolicyFunc is a Host's local placement policy: it may refuse a
@@ -133,10 +131,8 @@ type Config struct {
 	// requesting tenant's ledger account at grant time (DESIGN.md §15).
 	// Zero means the host is free.
 	Price float64
-	// Spot marks the host as preemptible spot capacity ($host_class =
-	// "spot" instead of "reserved"): typically cheaper, but its instances
-	// are the first victims when the preempting rebalance policy must
-	// defend a paying tenant's deadline.
+	// Spot marks the host as spot capacity ($host_class =
+	// "spot" instead of "reserved"), typically sold cheaper.
 	Spot bool
 	// Speed is the machine's relative benchmark speed (1.0 = baseline),
 	// exported as $host_speed so deadline-aware schedulers can estimate
@@ -181,11 +177,6 @@ type Host struct {
 	running map[loid.LOID]*runningObject
 	extLoad float64
 	pushTo  []pushTarget
-	// preempted records reservation tokens the rebalancer's preempting
-	// policy deliberately evicted. If the eviction's cancel RPC is lost
-	// (chaos faults) the token can linger in the table with no backing
-	// object; ReservationLeaks must not report those as migration leaks.
-	preempted map[uint64]bool
 
 	startsTotal  int64
 	reassessions int64
@@ -304,18 +295,12 @@ func speedOf(cfg Config) float64 {
 // Price returns the host's advertised per-instance-hour price.
 func (h *Host) Price() float64 { return h.cfg.Price }
 
-// Spot reports whether this host is preemptible spot capacity.
-func (h *Host) Spot() bool { return h.cfg.Spot }
-
 // ReservationCost prices a reservation of the given duration on this
 // host: Price × hours, the amount the Enactor debits from the
 // requesting tenant's account when the grant is confirmed.
 func (h *Host) ReservationCost(d time.Duration) float64 {
 	return h.cfg.Price * d.Hours()
 }
-
-// Runtime returns the runtime this host is registered with.
-func (h *Host) Runtime() *orb.Runtime { return h.rt }
 
 // Zone returns the host's reachability zone.
 func (h *Host) Zone() string { return h.cfg.Zone }
@@ -461,11 +446,6 @@ func (h *Host) ActiveReservations() int { return h.table.Active() }
 // exactly the tokens a failed migration forgot to cancel: an unconfirmed
 // grant nobody redeemed, or a consumed token whose object is gone without
 // the release path running. It must be zero after any migration episode.
-//
-// Tokens recorded by NotePreempted are excluded: the preempting
-// rebalance policy evicted them on purpose (and refunded the tenant),
-// so a lost cancel RPC leaving one in the table is not a conservation
-// violation — the slot frees at expiry.
 func (h *Host) ReservationLeaks() int {
 	h.table.Reap()
 	h.mu.Lock()
@@ -473,51 +453,14 @@ func (h *Host) ReservationLeaks() int {
 	for _, ro := range h.running {
 		inUse[ro.tok.ID] = true
 	}
-	preempted := make(map[uint64]bool, len(h.preempted))
-	for id := range h.preempted {
-		preempted[id] = true
-	}
 	h.mu.Unlock()
 	n := 0
 	for _, e := range h.table.Snapshot() {
-		if !e.Token.Type.Reuse && !inUse[e.Token.ID] && !preempted[e.Token.ID] {
+		if !e.Token.Type.Reuse && !inUse[e.Token.ID] {
 			n++
 		}
 	}
 	return n
-}
-
-// NotePreempted records that the given reservation token was evicted by
-// the preempting rebalance policy, keeping ReservationLeaks honest when
-// the eviction's cancel is lost to faults.
-func (h *Host) NotePreempted(tokenID uint64) {
-	h.mu.Lock()
-	if h.preempted == nil {
-		h.preempted = make(map[uint64]bool)
-	}
-	h.preempted[tokenID] = true
-	h.mu.Unlock()
-}
-
-// PreemptedTokens returns how many preemption-cancelled tokens this
-// host has recorded.
-func (h *Host) PreemptedTokens() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.preempted)
-}
-
-// TokenFor returns the reservation token the named running instance was
-// started under — the preempting policy uses it to cancel and refund a
-// victim's reservation.
-func (h *Host) TokenFor(instance loid.LOID) (reservation.Token, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ro, ok := h.running[instance]
-	if !ok {
-		return reservation.Token{}, false
-	}
-	return ro.tok, true
 }
 
 // IsRunning reports whether the named instance is active on this host.
@@ -662,7 +605,7 @@ func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservat
 	}
 	ro := &runningObject{class: class, vault: tok.Vault, version: version, tok: tok}
 	obj := &ro.obj
-	if err := obj.init(inst, class, state); err != nil {
+	if err := obj.init(inst, state); err != nil {
 		return err
 	}
 
@@ -675,10 +618,7 @@ func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservat
 	}
 
 	dispatched := h.rt.Clock().NewGate()
-	jobID, err := h.cfg.Queue.Submit(func(batchq.JobID) { dispatched.Signal() })
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrQueueRejected, err)
-	}
+	jobID := h.cfg.Queue.Submit(func(batchq.JobID) { dispatched.Signal() })
 	ro.job = jobID
 	ro.queued = true
 	if err := dispatched.Wait(ctx); err != nil {

@@ -422,7 +422,6 @@ func TestPushModelToCollectionStub(t *testing.T) {
 
 func TestBatchQueueHost(t *testing.T) {
 	q := batchq.New(batchq.Config{Name: "ll", Slots: 1, DispatchDelay: 10 * time.Millisecond})
-	defer q.Close()
 	e := newEnv(t, func(c *Config) { c.Queue = q })
 	ctx := context.Background()
 
@@ -483,7 +482,6 @@ func TestBatchQueueHostVirtualReplay(t *testing.T) {
 	run := func() []string {
 		vc := vclock.NewVirtualAt(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC))
 		q := batchq.New(batchq.Config{Name: "ll", Slots: 1, Clock: vc})
-		defer q.Close()
 		e := newEnvOn(t, vc, func(c *Config) { c.Queue = q })
 		insts := instances(2)
 		vc.StartTrace()
@@ -525,8 +523,8 @@ func TestBatchQueueHostVirtualReplay(t *testing.T) {
 			if res, err := e.rt.Call(ctx, insts[1], "ping", nil); err != nil || res != "pong" {
 				t.Errorf("ping the second object: %v %v", res, err)
 			}
-			if st := q.Stats(); st.Done != 1 || st.Running != 1 || st.Queued != 0 {
-				t.Errorf("queue stats = %+v", st)
+			if n, running := q.QueueLength(), e.host.RunningCount(); n != 0 || running != 1 {
+				t.Errorf("after the kill: %d queued, %d running, want 0 and 1", n, running)
 			}
 		})
 		return vc.Trace()
@@ -620,9 +618,6 @@ func TestStartReassessing(t *testing.T) {
 func TestAccessorsAndGenericObject(t *testing.T) {
 	e := newEnv(t, nil)
 	ctx := context.Background()
-	if e.host.Runtime() != e.rt {
-		t.Error("Runtime()")
-	}
 	if e.host.Zone() != "z1" {
 		t.Errorf("Zone = %q", e.host.Zone())
 	}
@@ -640,9 +635,6 @@ func TestAccessorsAndGenericObject(t *testing.T) {
 
 	obj, _ := e.rt.Lookup(inst)
 	g := obj.(*GenericObject)
-	if g.Class() != classL {
-		t.Errorf("Class = %v", g.Class())
-	}
 	e.rt.Call(ctx, inst, "ping", nil)
 	e.rt.Call(ctx, inst, "ping", nil)
 	if g.Pings() != 2 {
@@ -710,7 +702,7 @@ func TestDrainReportsVaultFailure(t *testing.T) {
 // boundary, pinning the codec's two built-in payload tags end to end.
 func TestGenericObjectCrossesTheWire(t *testing.T) {
 	server := orb.NewRuntime("srv")
-	g, err := NewGenericObject(server.Mint("Worker"), classL, nil)
+	g, err := NewGenericObject(server.Mint("Worker"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +718,7 @@ func TestGenericObjectCrossesTheWire(t *testing.T) {
 
 	local := orb.NewRuntime("loop")
 	local.SetLoopbackCodec(true)
-	lg, err := NewGenericObject(local.Mint("Worker"), classL, nil)
+	lg, err := NewGenericObject(local.Mint("Worker"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

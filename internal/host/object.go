@@ -16,12 +16,11 @@ import (
 
 // GenericObject is the activated user object: a minimal Legion object
 // that holds mutable state, answers pings, and supports the automatic
-// shutdown/restart protocol (opr.Persistent) that makes every Legion
-// object migratable. The examples and experiments need an object whose
+// shutdown/restart protocol (SaveState, RestoreState) that makes every
+// Legion object migratable. The examples and experiments need an object whose
 // state provably survives deactivation, migration, and reactivation.
 type GenericObject struct {
 	orb.ServiceObject
-	class loid.LOID
 
 	mu      sync.Mutex
 	payload map[string]string
@@ -120,20 +119,16 @@ func genericMethods() *orb.DispatchTable {
 	return genericTable
 }
 
-// init makes g, a zero GenericObject, the instance of class, restored
-// from the OPR when non-nil. A Host activates its objects inside their
+// init makes g, a zero GenericObject, the instance, restored from the
+// OPR when non-nil. A Host activates its objects inside their
 // runningObject with it, so an activation is one allocation.
-func (g *GenericObject) init(instance, class loid.LOID, state *opr.OPR) error {
+func (g *GenericObject) init(instance loid.LOID, state *opr.OPR) error {
 	g.InitShared(instance, genericMethods(), g)
-	g.class = class
 	if state != nil {
 		return g.RestoreState(state)
 	}
 	return nil
 }
-
-// Class returns the object's class LOID.
-func (g *GenericObject) Class() loid.LOID { return g.class }
 
 // Pings returns how many pings the object has served (across
 // reactivations, since the count persists in the OPR).
@@ -151,7 +146,8 @@ func (g *GenericObject) Generation() int {
 	return g.generation
 }
 
-// SaveState implements opr.Persistent.
+// SaveState returns the object's state as bytes, the same bytes for the
+// same state.
 func (g *GenericObject) SaveState() ([]byte, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -159,7 +155,9 @@ func (g *GenericObject) SaveState() ([]byte, error) {
 	return s.appendWire(nil), nil
 }
 
-// RestoreState implements opr.Persistent.
+// RestoreState reinstates a snapshot SaveState produced, possibly by
+// another instance on another host (that is migration), reading it
+// through OPR.State.
 func (g *GenericObject) RestoreState(state *opr.OPR) error {
 	data, err := state.State()
 	if err != nil {

@@ -20,9 +20,9 @@ import (
 
 // NewGenericObject creates a GenericObject for the instance, restoring
 // from the OPR when non-nil, as a Host's activation does in place.
-func NewGenericObject(instance, class loid.LOID, state *opr.OPR) (*GenericObject, error) {
+func NewGenericObject(instance loid.LOID, state *opr.OPR) (*GenericObject, error) {
 	g := new(GenericObject)
-	if err := g.init(instance, class, state); err != nil {
+	if err := g.init(instance, state); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -32,7 +32,7 @@ func NewGenericObject(instance, class loid.LOID, state *opr.OPR) (*GenericObject
 // served pings.
 func genericWith(t *testing.T, n, pings int) *GenericObject {
 	t.Helper()
-	g, err := NewGenericObject(instances(1)[0], classL, nil)
+	g, err := NewGenericObject(instances(1)[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGenericStateGoldenBytes(t *testing.T) {
 	if got := hex.EncodeToString(o.Payload); got != want {
 		t.Fatalf("encoded state\n got %s\nwant %s", got, want)
 	}
-	back, err := NewGenericObject(g.LOID(), classL, o)
+	back, err := NewGenericObject(g.LOID(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCorruptStateRefused(t *testing.T) {
 	if err := vault.New(orb.NewRuntime("uva"), vault.Config{}).Store(o); !errors.Is(err, opr.ErrCorrupt) {
 		t.Errorf("Vault.Store = %v, want ErrCorrupt", err)
 	}
-	if _, err := NewGenericObject(o.Object, classL, o); !errors.Is(err, opr.ErrCorrupt) {
+	if _, err := NewGenericObject(o.Object, o); !errors.Is(err, opr.ErrCorrupt) {
 		t.Errorf("restore = %v, want ErrCorrupt", err)
 	}
 }

@@ -2,10 +2,9 @@ package integration
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -29,29 +28,22 @@ var closureFrame = regexp.MustCompile(`^func[0-9]+$`)
 // is a file) and a lower-case name with an underscore, which is a
 // BENCHMARK.json metric (`collection.update_us`).
 func TestDesignNamesResolve(t *testing.T) {
-	root := filepath.Join("..", "..")
-	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	decls := map[string]map[string]bool{} // package → declared names
-	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
+	for _, p := range checkedTree(t) {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.Base(filepath.Dir(path))
+		pkg := path.Base(p.rel)
 		if decls[pkg] == nil {
 			decls[pkg] = map[string]bool{}
 		}
-		declare(decls[pkg], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		for _, f := range p.files {
+			declare(decls[pkg], f)
+		}
 	}
 	checked := map[string]bool{}
 	for _, m := range designRef.FindAllStringSubmatch(string(doc), -1) {

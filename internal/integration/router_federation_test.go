@@ -161,13 +161,13 @@ func TestRouterFederationMutationsOverTCP(t *testing.T) {
 		t.Fatalf("record leaked onto east shard: %+v", recs)
 	}
 	// A batch through the Router over TCP updates it in place.
-	reply, err := r.ApplyBatch(ctx, []proto.BatchEntry{
-		{Member: sensor, Attrs: hostPairs("arm", 0.9), UpdateOnly: true},
-	}, "")
+	reply, err := orb.Invoke[proto.BatchUpdateReply](ctx, rt, r.LOID(), proto.MethodUpdateCollectionBatch, proto.BatchUpdateArgs{
+		Entries: []proto.BatchEntry{{Member: sensor, Attrs: hostPairs("arm", 0.9), UpdateOnly: true}},
+	})
 	if err != nil || reply.Applied != 1 {
 		t.Fatalf("batch over TCP: %+v, %v", reply, err)
 	}
-	recs, err := r.QueryCtx(ctx, `$host_load > 0.5`)
+	recs, _, err := r.QueryPartial(ctx, `$host_load > 0.5`)
 	if err != nil || len(recs) != 1 || recs[0].Member != sensor {
 		t.Fatalf("federated query after batch: %+v, %v", recs, err)
 	}

@@ -1,22 +1,11 @@
 package integration
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -28,7 +17,7 @@ import (
 var unsetSettings = map[string]string{
 	"internal/core.Options.CollectionAuth":   "a deployment setting: the site's authorizer of Collection writes",
 	"internal/core.Options.Credential":       "a deployment setting: the secret the site's hosts present",
-	"internal/core.Options.CollectionShards": "only the seed sweep sets it",
+	"internal/core.Options.CollectionShards": "paper §4's partitioned directory (core.go); the seed sweep is the one test that runs a Router-fronted core under faults",
 
 	"internal/resilient.BreakerConfig.FailureThreshold": "only tests set it, to keep wall-clock tests short",
 	"internal/resilient.BreakerConfig.Cooldown":         "only tests set it, to keep wall-clock tests short",
@@ -144,112 +133,16 @@ func TestEverySettingHasASetter(t *testing.T) {
 // attributes; anywhere else gob would be a second format for something
 // the system itself reads.
 func TestOneWireFormat(t *testing.T) {
-	walkNonTest(t, func(rel string, fset *token.FileSet, f *ast.File) {
-		if path.Dir(rel) == "internal/attr" {
-			return
+	for _, p := range checkedTree(t) {
+		if p.rel == "internal/attr" {
+			continue
 		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"encoding/gob"` {
-				t.Errorf("%s: imports encoding/gob; the system's one format is the wire codec", fset.Position(imp.Pos()))
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("%s: imports encoding/gob; the system's one format is the wire codec", p.fset.Position(imp.Pos()))
+				}
 			}
 		}
-	})
-}
-
-// checked is one of the repo's packages, type-checked from source.
-type checked struct {
-	rel   string // slash-separated directory from the repo root
-	fset  *token.FileSet
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-// The tree, type-checked once for every test that reads it.
-var (
-	treeOnce sync.Once
-	tree     []checked
-	treeErr  error
-)
-
-// checkedTree is every package under internal/, cmd/, bench/ and
-// examples/, type-checked from source by the first test that asks.
-func checkedTree(t *testing.T) []checked {
-	t.Helper()
-	treeOnce.Do(func() {
-		tree, treeErr = typeCheck("./internal/...", "./cmd/...", "./bench/...", "./examples/...")
-	})
-	if treeErr != nil {
-		t.Fatal(treeErr)
 	}
-	return tree
-}
-
-// typeCheck type-checks the non-test files of every package the go list
-// patterns name, each against the export data go list -export builds
-// for its imports.
-func typeCheck(patterns ...string) ([]checked, error) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		return nil, err
-	}
-	list := exec.Command("go", append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard"}, patterns...)...)
-	list.Dir = root
-	out, err := list.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
-	}
-	type listed struct {
-		ImportPath, Dir, Export string
-		GoFiles                 []string
-		Standard                bool
-	}
-	exports := map[string]string{}
-	var ours []listed
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listed
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		exports[p.ImportPath] = p.Export
-		if !p.Standard {
-			ours = append(ours, p)
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	var pkgs []checked
-	for _, p := range ours {
-		rel, err := filepath.Rel(root, p.Dir)
-		if err != nil {
-			return nil, err
-		}
-		c := checked{rel: filepath.ToSlash(rel), fset: fset, info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}}
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			c.files = append(c.files, f)
-		}
-		if c.pkg, err = (&types.Config{Importer: imp}).Check(p.ImportPath, fset, c.files, c.info); err != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
-		}
-		pkgs = append(pkgs, c)
-	}
-	return pkgs, nil
-}
-
-// deref is t without its pointer, if it is one.
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }

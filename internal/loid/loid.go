@@ -147,9 +147,6 @@ func NewMinter(domain string) *Minter {
 	return &Minter{domain: domain}
 }
 
-// Domain returns the administrative domain this Minter mints for.
-func (m *Minter) Domain() string { return m.domain }
-
 // Mint returns a fresh LOID for the given class name.
 func (m *Minter) Mint(class string) LOID {
 	if class == "" {

@@ -147,8 +147,8 @@ func TestLessIsStrictTotalOrder(t *testing.T) {
 
 func TestMinterUnique(t *testing.T) {
 	m := NewMinter("uva")
-	if m.Domain() != "uva" {
-		t.Fatalf("Domain() = %q", m.Domain())
+	if l := m.Mint("Host"); l.Domain != "uva" {
+		t.Fatalf("minted %v, want domain uva", l)
 	}
 	const n = 1000
 	var mu sync.Mutex

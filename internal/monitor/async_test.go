@@ -58,6 +58,7 @@ func TestOnEventAsyncOnVirtualClock(t *testing.T) {
 // ended.
 func TestOnEventAsyncStopWaitsForTheHandler(t *testing.T) {
 	vc := vclock.NewVirtual()
+	start := vc.Now()
 	rt := orb.NewRuntime("uva")
 	rt.SetMetrics(telemetry.NewRegistry())
 	rt.SetClock(vc)
@@ -77,7 +78,7 @@ func TestOnEventAsyncStopWaitsForTheHandler(t *testing.T) {
 			m.deliver(proto.NotifyArgs{Trigger: "b"})
 			_ = vc.Sleep(context.Background(), time.Millisecond) // a's handler is asleep
 			stop()
-			log = append(log, "stopped at "+vc.Elapsed().String())
+			log = append(log, "stopped at "+vc.Since(start).String())
 			_ = vc.Sleep(context.Background(), time.Minute)
 		})
 	}()

@@ -172,14 +172,3 @@ func (l *Liveness) LastBeat(r loid.LOID) (time.Time, bool) {
 	}
 	return e.lastBeat, true
 }
-
-// Snapshot returns the current state of every tracked resource.
-func (l *Liveness) Snapshot() map[loid.LOID]LivenessState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[loid.LOID]LivenessState, len(l.entries))
-	for r := range l.entries {
-		out[r] = l.stateLocked(r)
-	}
-	return out
-}

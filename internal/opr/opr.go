@@ -92,13 +92,3 @@ func (o *OPR) Clone() *OPR {
 // Size returns the payload size in bytes, used for Vault capacity
 // accounting.
 func (o *OPR) Size() int { return len(o.Payload) }
-
-// Persistent is implemented by objects that support Legion's automatic
-// shutdown/restart protocol. SaveState returns the object's state as
-// bytes, the same bytes for the same state; RestoreState reinstates a
-// snapshot produced by SaveState (possibly by another instance, on
-// another host — that is migration), reading it through OPR.State.
-type Persistent interface {
-	SaveState() ([]byte, error)
-	RestoreState(state *OPR) error
-}

@@ -98,16 +98,6 @@ func (rt *Runtime) ListenAndServe(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the listener address, or "" if not listening.
-func (rt *Runtime) Addr() string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if rt.server == nil {
-		return ""
-	}
-	return rt.server.ln.Addr().String()
-}
-
 // Close shuts down the listener, all server connections, and all client
 // connections. The runtime's local object table is unaffected.
 func (rt *Runtime) Close() error {

@@ -15,9 +15,6 @@ type ParseCache struct {
 	cap int
 	m   map[string]*list.Element
 	lru list.List // front = most recently used; element values are *cacheEntry
-
-	hits   int64
-	misses int64
 }
 
 type cacheEntry struct {
@@ -45,12 +42,10 @@ func (c *ParseCache) Parse(src string) (Expr, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.m[src]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
 		expr := el.Value.(*cacheEntry).expr
 		c.mu.Unlock()
 		return expr, true, nil
 	}
-	c.misses++
 	c.mu.Unlock()
 
 	// Parse outside the lock: a pathological query must not serialize
@@ -75,18 +70,4 @@ func (c *ParseCache) Parse(src string) (Expr, bool, error) {
 	}
 	c.mu.Unlock()
 	return expr, false, nil
-}
-
-// Stats returns lifetime hit and miss counts.
-func (c *ParseCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len reports the number of cached queries.
-func (c *ParseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

@@ -18,8 +18,8 @@ func TestParseCacheHitAndEvict(t *testing.T) {
 	// Touch $a so $b is the LRU victim.
 	c.Parse(`$a == 1`)
 	c.Parse(`$c == 3`) // evicts $b
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.lru.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.lru.Len())
 	}
 	if _, hit, _ := c.Parse(`$a == 1`); !hit {
 		t.Error("recently used entry evicted")
@@ -37,12 +37,8 @@ func TestParseCacheDoesNotCacheErrors(t *testing.T) {
 			t.Fatal("bad syntax accepted")
 		}
 	}
-	if c.Len() != 0 {
-		t.Errorf("error cached: Len = %d", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 0 || misses != 3 {
-		t.Errorf("stats = %d hits %d misses", hits, misses)
+	if c.lru.Len() != 0 {
+		t.Errorf("error cached: Len = %d", c.lru.Len())
 	}
 }
 
@@ -68,7 +64,7 @@ func TestParseCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if c.lru.Len() != 4 {
+		t.Errorf("Len = %d, want 4", c.lru.Len())
 	}
 }

@@ -45,16 +45,11 @@ var goldenMoves = map[string]string{
 	"history/predictive-all-hot":            "e8598e28dd70ad773a22632702e5ca09267aff184cf6381329588cc4d39c73b4",
 	"history/predictive-window-mean":        "43f6b12879e81e562039e5952640df099f0274597d3060309f03c91923d10da7",
 	"history/predictive-trend":              "7d1fa0377a250d43567a7d54100cf54cbabf59337551a81ec0b5db1f749171f3",
-	"preempting-1":                          "8a71d527c778b2b63f3b1d8f693827fb52780cd15c5e3020c81d88deaee7c3bc",
-	"preempting-4-by-priority":              "c11e61d4496c6438543af785c957d6326bcc542539f21546f570e782e2035c54",
-	"preempting-all":                        "1a149fa0e0244be08eb1232c3c860829ed7c059513402167a0ce4bd18ee1fdeb",
-	"preempting-live-fallback":              "08c00a417df975d0edb978a08275415359b94472068c592d56e31161fffc58dd",
-	"preempting-reserved-source":            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
-// TestPolicyGoldenMoves pins the three rebalance policies decision for
+// TestPolicyGoldenMoves pins the two rebalance policies decision for
 // decision on one heterogeneous metasystem: four vaults over three
-// zones, spot and reserved destinations with tied loads, one
+// zones, destinations with tied loads, one
 // destination that reaches no vault, six victims spread over two of the
 // source's vaults. The arms run first on a history-less Collection, then
 // again after a daemon has published eight sweeps of $host_load_history.
@@ -69,28 +64,27 @@ func TestPolicyGoldenMoves(t *testing.T) {
 
 	type spec struct {
 		zone   string
-		spot   bool
 		vaults []loid.LOID
 		load   float64   // instantaneous load the no-history arms see
 		ramp   []float64 // per-sweep loads for the history arms
 	}
 	specs := []spec{
-		{zone: "za", spot: true, vaults: []loid.LOID{vA, vB}, load: 0.95, ramp: []float64{0.5, 0.6, 0.7, 0.95}}, // source
-		{zone: "zb", vaults: []loid.LOID{vC}, load: 0.10, ramp: []float64{0.8, 0.8, 0.8, 0.10}},                 // coolest now, warm on average
-		{zone: "za", spot: true, vaults: []loid.LOID{vB, vA}, load: 0.30, ramp: []float64{0.3, 0.3, 0.3, 0.30}}, // reaches both source vaults
-		{zone: "za", vaults: []loid.LOID{vD}, load: 0.30, ramp: []float64{0.1, 0.2, 0.3, 0.30}},                 // same zone, other vault; rising
-		{zone: "zc", vaults: []loid.LOID{vD, vA}, load: 0.50, ramp: []float64{0.5, 0.5, 0.5, 0.50}},             // reaches vA from afar
-		{zone: "zb", spot: true, vaults: []loid.LOID{vC, vB}, load: 0.20, ramp: []float64{0.6, 0.5, 0.4, 0.20}}, // reaches vB; cooling
-		{zone: "za", vaults: []loid.LOID{vA}, load: 0.70, ramp: []float64{0.2, 0.2, 0.2, 0.70}},                 // hot now, cool on average
-		{zone: "zc", vaults: []loid.LOID{vD}, load: 0.10, ramp: []float64{0.1, 0.1, 0.1, 0.10}},                 // ties host 1 on load
-		{zone: "zb", spot: true, vaults: nil, load: 0.00, ramp: []float64{0, 0, 0, 0}},                          // no vault: never a destination
-		{zone: "za", vaults: []loid.LOID{vB}, load: 0.30, ramp: []float64{0.9, 0.9, 0.9, 0.30}},                 // ties 2 and 3 on load
+		{zone: "za", vaults: []loid.LOID{vA, vB}, load: 0.95, ramp: []float64{0.5, 0.6, 0.7, 0.95}}, // source
+		{zone: "zb", vaults: []loid.LOID{vC}, load: 0.10, ramp: []float64{0.8, 0.8, 0.8, 0.10}},     // coolest now, warm on average
+		{zone: "za", vaults: []loid.LOID{vB, vA}, load: 0.30, ramp: []float64{0.3, 0.3, 0.3, 0.30}}, // reaches both source vaults
+		{zone: "za", vaults: []loid.LOID{vD}, load: 0.30, ramp: []float64{0.1, 0.2, 0.3, 0.30}},     // same zone, other vault; rising
+		{zone: "zc", vaults: []loid.LOID{vD, vA}, load: 0.50, ramp: []float64{0.5, 0.5, 0.5, 0.50}}, // reaches vA from afar
+		{zone: "zb", vaults: []loid.LOID{vC, vB}, load: 0.20, ramp: []float64{0.6, 0.5, 0.4, 0.20}}, // reaches vB; cooling
+		{zone: "za", vaults: []loid.LOID{vA}, load: 0.70, ramp: []float64{0.2, 0.2, 0.2, 0.70}},     // hot now, cool on average
+		{zone: "zc", vaults: []loid.LOID{vD}, load: 0.10, ramp: []float64{0.1, 0.1, 0.1, 0.10}},     // ties host 1 on load
+		{zone: "zb", vaults: nil, load: 0.00, ramp: []float64{0, 0, 0, 0}},                          // no vault: never a destination
+		{zone: "za", vaults: []loid.LOID{vB}, load: 0.30, ramp: []float64{0.9, 0.9, 0.9, 0.30}},     // ties 2 and 3 on load
 	}
 	hosts := make([]*host.Host, len(specs))
 	for i, s := range specs {
 		hosts[i] = ms.AddHost(host.Config{
 			Arch: "x86", OS: "Linux", CPUs: 8, MemoryMB: 1024, Zone: s.zone,
-			Spot: s.spot, Price: 0.1 * float64(i+1), Vaults: s.vaults,
+			Price: 0.1 * float64(i+1), Vaults: s.vaults,
 		})
 	}
 	src := hosts[0]
@@ -165,11 +159,4 @@ func TestPolicyGoldenMoves(t *testing.T) {
 	}
 	arms("history")
 
-	// Preemption last: Plan marks the victims' tokens preempted.
-	prio := func(inst loid.LOID) int { return int(inst.Instance % 3) }
-	check("preempting-1", &PreemptingPolicy{MaxShedPerEvent: 1}, src.LOID())
-	check("preempting-4-by-priority", &PreemptingPolicy{MaxShedPerEvent: 4, Priority: prio}, src.LOID())
-	check("preempting-all", &PreemptingPolicy{MaxShedPerEvent: 16, Priority: prio}, src.LOID())
-	check("preempting-live-fallback", &PreemptingPolicy{MaxShedPerEvent: 3, Query: "$host_load > 100"}, src.LOID())
-	check("preempting-reserved-source", &PreemptingPolicy{MaxShedPerEvent: 1}, hosts[1].LOID())
 }

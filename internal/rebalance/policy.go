@@ -50,7 +50,7 @@ func (p *LeastLoaded) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Me
 	if len(victims) == 0 {
 		return nil, nil
 	}
-	return spread(ms, victims, candidateHosts(ctx, ev.Source, ms, p.Query), false, currentLoad), nil
+	return spread(ms, victims, candidateHosts(ctx, ev.Source, ms, p.Query), currentLoad), nil
 }
 
 func currentLoad(hi *scheduler.HostInfo) float64 { return hi.Load }
@@ -61,7 +61,6 @@ type victim struct {
 	class *classobj.Class
 	inst  loid.LOID
 	vault loid.LOID
-	prio  int // scheduling priority class; only PreemptingPolicy ranks by it
 }
 
 // victimsOn lists up to shed managed instances the class records place
@@ -113,7 +112,6 @@ func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, 
 				Load:   h.Load(),
 				Zone:   h.Zone(),
 				Price:  h.Price(),
-				Spot:   h.Spot(),
 				Vaults: h.CompatibleVaults(),
 			})
 		}
@@ -126,7 +124,7 @@ func candidateHosts(ctx context.Context, source loid.LOID, ms *core.Metasystem, 
 // spread out instead of piling onto the single coolest host), keeping
 // the victim's vault whenever the destination reaches it — no OPR copy
 // needed. No candidates, no moves.
-func spread(ms *core.Metasystem, victims []victim, cands []scheduler.HostInfo, spotLast bool, key func(*scheduler.HostInfo) float64) []Move {
+func spread(ms *core.Metasystem, victims []victim, cands []scheduler.HostInfo, key func(*scheduler.HostInfo) float64) []Move {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -136,7 +134,7 @@ func spread(ms *core.Metasystem, victims []victim, cands []scheduler.HostInfo, s
 		if v := ms.VaultByLOID(vic.vault); v != nil {
 			zone = v.Zone()
 		}
-		ranked := rank(cands, vic.vault, zone, spotLast, key)
+		ranked := rank(cands, vic.vault, zone, key)
 		dest := ranked[i%len(ranked)]
 		toVault := dest.Vaults[0]
 		if slices.Contains(dest.Vaults, vic.vault) {
@@ -148,24 +146,19 @@ func spread(ms *core.Metasystem, victims []victim, cands []scheduler.HostInfo, s
 }
 
 // rank orders destinations for one victim, in tiers: hosts that reach
-// its current vault, then hosts in that vault's zone, then the rest;
-// with spotLast every reserved-class host outranks every spot one
-// before any of that. Within a tier the coolest key (current load for
-// reactive policies, forecast for predictive ones) goes first; full ties
-// keep the candidates' incoming order.
-func rank(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string, spotLast bool, key func(*scheduler.HostInfo) float64) []scheduler.HostInfo {
+// its current vault, then hosts in that vault's zone, then the rest.
+// Within a tier the coolest key (current load for reactive policies,
+// forecast for predictive ones) goes first; full ties keep the
+// candidates' incoming order.
+func rank(cands []scheduler.HostInfo, curVault loid.LOID, vaultZone string, key func(*scheduler.HostInfo) float64) []scheduler.HostInfo {
 	tier := func(hi *scheduler.HostInfo) int {
-		t := 2
 		switch {
 		case slices.Contains(hi.Vaults, curVault):
-			t = 0
+			return 0
 		case vaultZone != "" && hi.Zone == vaultZone:
-			t = 1
+			return 1
 		}
-		if spotLast && hi.Spot {
-			t += 3
-		}
-		return t
+		return 2
 	}
 	out := slices.Clone(cands)
 	slices.SortStableFunc(out, func(a, b scheduler.HostInfo) int {

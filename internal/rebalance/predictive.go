@@ -114,7 +114,7 @@ func (p *Predictive) Plan(ctx context.Context, ev proto.NotifyArgs, ms *core.Met
 	if len(cool) > 0 {
 		cands = cool
 	}
-	return spread(ms, victims, cands, false,
+	return spread(ms, victims, cands,
 		func(hi *scheduler.HostInfo) float64 { return forecast[hi.LOID] }), nil
 }
 

@@ -32,9 +32,6 @@ func NewCaller(inv Invoker, p Policy, breakers *BreakerSet) *Caller {
 	return &Caller{inv: inv, policy: p, breakers: breakers}
 }
 
-// Breakers exposes the caller's breaker set (nil when disabled).
-func (c *Caller) Breakers() *BreakerSet { return c.breakers }
-
 // Policy returns the caller's retry policy.
 func (c *Caller) Policy() Policy { return c.policy }
 

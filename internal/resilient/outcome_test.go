@@ -36,7 +36,7 @@ var eofAnswer = errors.New("config: unexpected EOF in record 3")
 func outcomeRows() []outcomeRow {
 	var rows []outcomeRow
 	for _, s := range []error{
-		host.ErrPolicy, host.ErrVaultUnreachable, host.ErrUnknownObject, host.ErrQueueRejected,
+		host.ErrPolicy, host.ErrVaultUnreachable, host.ErrUnknownObject,
 		reservation.ErrConflict, reservation.ErrInvalidToken, reservation.ErrExpired,
 		reservation.ErrNotYetValid, reservation.ErrBadRequest,
 	} {

@@ -103,13 +103,6 @@ func (ts *TriggerSet) Define(name, guardSrc string) error {
 	return nil
 }
 
-// Remove deletes a trigger. Removing an unknown trigger is a no-op.
-func (ts *TriggerSet) Remove(name string) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	delete(ts.triggers, name)
-}
-
 // Triggers returns the defined trigger names, sorted.
 func (ts *TriggerSet) Triggers() []string {
 	ts.mu.Lock()

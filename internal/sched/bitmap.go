@@ -64,15 +64,6 @@ func (b Bitmap) Get(i int) bool {
 	return w < len(b.words) && b.words[w]&(1<<(i%64)) != 0
 }
 
-// Count returns the number of set bits.
-func (b Bitmap) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Any reports whether any bit is set.
 func (b Bitmap) Any() bool {
 	for _, w := range b.words {
@@ -124,11 +115,6 @@ func (b Bitmap) Bits() []int {
 		}
 	}
 	return out
-}
-
-// Clone returns an independent copy.
-func (b Bitmap) Clone() Bitmap {
-	return Bitmap{words: append([]uint64(nil), b.words...)}
 }
 
 // GobEncode implements gob.GobEncoder: the bitmap's words are unexported,

@@ -172,8 +172,7 @@ type ReservationSpec struct {
 	// Deadline is the requested completion bound relative to schedule
 	// time (Nimrod/G's deadline knob); zero means none. The
 	// DeadlineBudget scheduler only assigns hosts whose estimated
-	// completion fits it, and the preempting rebalance policy defends it
-	// once instances run.
+	// completion fits it.
 	Deadline time.Duration
 	// Budget caps this request's total spend in economy credit units
 	// (host price × hours, see economy.Credits); zero means unlimited.

@@ -158,13 +158,6 @@ func (c *HostCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Len reports how many entries (live or not-yet-swept) the cache holds.
-func (c *HostCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Evicted reports how many expired entries fills have swept out.
 func (c *HostCache) Evicted() int64 {
 	c.mu.Lock()

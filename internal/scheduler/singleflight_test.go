@@ -85,8 +85,8 @@ func expectAtRest(t *testing.T, env *Env, coll *collection.Collection, queries, 
 	if h, m := env.Cache.Stats(); h != hits || m != misses {
 		t.Errorf("hits/misses = %d/%d, want %d/%d", h, m, hits, misses)
 	}
-	if n := len(env.Cache.flights); n != 0 || env.Cache.Len() != 1 {
-		t.Errorf("%d flights and %d entries at rest, want 0 and 1", n, env.Cache.Len())
+	if n := len(env.Cache.flights); n != 0 || len(env.Cache.entries) != 1 {
+		t.Errorf("%d flights and %d entries at rest, want 0 and 1", n, len(env.Cache.entries))
 	}
 }
 
@@ -95,14 +95,15 @@ func expectAtRest(t *testing.T, env *Env, coll *collection.Collection, queries, 
 func TestSingleFlightVirtual(t *testing.T) {
 	const callers = 8
 	run := func() []string {
-		vc := vclock.NewVirtualAt(time.Unix(1_000_000, 0))
+		start := time.Unix(1_000_000, 0)
+		vc := vclock.NewVirtualAt(start)
 		env, coll := flightEnv(t, vc, 2*time.Millisecond)
 		vc.StartTrace()
 		vc.Run(func() {
 			snaps, errs := meet(vc, env, background(callers))
 			expectOneFetch(t, env, coll, snaps, errs)
 		})
-		if took := vc.Elapsed(); took != 2*time.Millisecond {
+		if took := vc.Since(start); took != 2*time.Millisecond {
 			t.Errorf("the herd took %v of virtual time, want one round trip (2ms)", took)
 		}
 		return vc.Trace()

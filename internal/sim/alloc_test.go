@@ -128,7 +128,7 @@ func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(),
 	// once a long run has touched them all: the set's LOID index is a
 	// hash trie, so what its first touches allocate varies by process.
 	for _, h := range fleet.Hosts {
-		ms.Breakers().ForLOID(h.LOID())
+		ms.Enactor.Breakers().ForLOID(h.LOID())
 	}
 	if clock != nil {
 		ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)

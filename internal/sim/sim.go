@@ -48,7 +48,7 @@ type HostSpec struct {
 	// Price is the economy layer's charge per instance-hour
 	// ($host_price, DESIGN.md §15); zero means unpriced.
 	Price float64
-	// Spot marks the host as preemptible spot capacity ($host_class).
+	// Spot marks the host as spot capacity ($host_class).
 	Spot bool
 	// Batch makes it a Batch Queue Host: its objects start through a
 	// queue with one slot per CPU and a batchCycle dispatch delay.
@@ -90,7 +90,7 @@ func RandomSpecs(rng *rand.Rand, n int, zones ...string) []HostSpec {
 // EconomySpecs draws n priced host specs for economy campaigns
 // (DESIGN.md §15): the archetype fleet with a per-instance-hour price
 // proportional to modelled capacity (speed × CPUs), and roughly a third
-// of the fleet sold as discounted preemptible spot capacity.
+// of the fleet sold as discounted spot capacity.
 func EconomySpecs(rng *rand.Rand, n int, zones ...string) []HostSpec {
 	specs := RandomSpecs(rng, n, zones...)
 	for i := range specs {

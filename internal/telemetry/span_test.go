@@ -152,12 +152,13 @@ func TestSpanUnderVirtualDeadlineWokenAtItsInstant(t *testing.T) {
 	bg := context.Background()
 	for round := 0; round < 100; round++ {
 		v := vclock.NewVirtual()
-		vctx := v.WithDeadline(bg, v.Now().Add(10*time.Millisecond))
+		start := v.Now()
+		vctx := v.WithDeadline(bg, start.Add(10*time.Millisecond))
 		ctx, s := log.Start(vctx, v, "op", "rt")
 		woke := make(chan wake, 1)
 		v.Go(func() {
 			err := v.Sleep(ctx, time.Hour)
-			woke <- wake{err, v.Elapsed(), v.PendingEvents()}
+			woke <- wake{err, v.Since(start), v.PendingEvents()}
 		})
 		v.Go(func() { _ = v.Sleep(bg, 20*time.Millisecond) })
 		v.Go(func() { _ = v.Sleep(bg, 30*time.Millisecond) })

@@ -168,13 +168,6 @@ func (v *Vault) Used() int64 {
 	return v.used
 }
 
-// Count returns the number of stored OPRs.
-func (v *Vault) Count() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.oprs)
-}
-
 // Objects returns the LOIDs of all objects with a stored OPR — the
 // enumeration the migration conservation audit walks to find orphaned
 // copies left behind by failed cross-vault moves.

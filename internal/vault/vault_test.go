@@ -38,8 +38,8 @@ func TestStoreRetrieveDelete(t *testing.T) {
 	if s, err := got.State(); err != nil || string(s) != "state-v1" {
 		t.Errorf("state %q, %v", s, err)
 	}
-	if v.Count() != 1 || v.Used() != int64(o.Size()) {
-		t.Errorf("Count=%d Used=%d", v.Count(), v.Used())
+	if len(v.oprs) != 1 || v.Used() != int64(o.Size()) {
+		t.Errorf("%d OPRs, Used=%d", len(v.oprs), v.Used())
 	}
 	if err := v.Delete(objA); err != nil {
 		t.Fatal(err)

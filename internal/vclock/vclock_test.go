@@ -20,7 +20,7 @@ func TestVirtualNowAdvance(t *testing.T) {
 		t.Fatalf("Since = %v, want 5s", got)
 	}
 	v.AdvanceTo(t0.Add(7 * time.Second))
-	if got := v.Elapsed(); got != 7*time.Second {
+	if got := elapsed(v); got != 7*time.Second {
 		t.Fatalf("Elapsed = %v, want 7s", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestVirtualSleepOrdering(t *testing.T) {
 		return func() {
 			_ = v.Sleep(context.Background(), d)
 			mu.Lock()
-			order = append(order, fmt.Sprintf("%s@%v", name, v.Elapsed()))
+			order = append(order, fmt.Sprintf("%s@%v", name, elapsed(v)))
 			mu.Unlock()
 		}
 	}
@@ -59,7 +59,7 @@ func TestVirtualRun(t *testing.T) {
 	if !done {
 		t.Fatal("Run returned before fn finished")
 	}
-	if got := v.Elapsed(); got != 100*time.Millisecond {
+	if got := elapsed(v); got != 100*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 100ms", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestVirtualSleepCancel(t *testing.T) {
 	if err != context.DeadlineExceeded {
 		t.Fatalf("Sleep err = %v, want DeadlineExceeded", err)
 	}
-	if got := v.Elapsed(); got != 10*time.Millisecond {
+	if got := elapsed(v); got != 10*time.Millisecond {
 		t.Fatalf("woke at %v, want 10ms", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestVirtualTicker(t *testing.T) {
 		three := v.NewGroup()
 		three.Add(3)
 		stop := Every(v, 10*time.Millisecond, func() {
-			ticks = append(ticks, v.Elapsed())
+			ticks = append(ticks, elapsed(v))
 			// A slow first run: the loop runs once at once, then
 			// resumes its schedule.
 			if len(ticks) == 1 {
@@ -209,13 +209,13 @@ func TestEveryStopWaitsForTheRunInFlight(t *testing.T) {
 		defer close(done)
 		v.Run(func() {
 			stop := Every(v, 10*time.Millisecond, func() {
-				starts = append(starts, v.Elapsed())
+				starts = append(starts, elapsed(v))
 				_ = v.Sleep(bg, 25*time.Millisecond)
-				ends = append(ends, v.Elapsed())
+				ends = append(ends, elapsed(v))
 			})
 			_ = v.Sleep(bg, 15*time.Millisecond) // mid-run: 10ms to 35ms
 			stop()
-			stoppedAt = v.Elapsed()
+			stoppedAt = elapsed(v)
 			_ = v.Sleep(bg, time.Second)
 		})
 	}()
@@ -312,7 +312,7 @@ func TestVirtualGroup(t *testing.T) {
 		if err := g.Wait(context.Background()); err != nil {
 			t.Errorf("Wait: %v", err)
 		}
-		sum = v.Elapsed()
+		sum = elapsed(v)
 	})
 	if sum != 30*time.Millisecond {
 		t.Fatalf("group joined at %v, want 30ms", sum)
@@ -589,7 +589,7 @@ func TestWrappedContextSleeperWokenAtItsDeadline(t *testing.T) {
 		woke := make(chan wake, 1)
 		v.Go(func() {
 			err := v.Sleep(wrapped, time.Hour)
-			woke <- wake{err, v.Elapsed(), v.PendingEvents()}
+			woke <- wake{err, elapsed(v), v.PendingEvents()}
 		})
 		v.Go(func() { _ = v.Sleep(bg, 20*time.Millisecond) })
 		v.Go(func() { _ = v.Sleep(bg, 30*time.Millisecond) })
@@ -717,3 +717,6 @@ func TestOwnLooksThroughValueContexts(t *testing.T) {
 			child.(*vctx).parent, c, c.done != nil)
 	}
 }
+
+// elapsed is the virtual time v has run since its epoch.
+func elapsed(v *Virtual) time.Duration { return v.Since(v.start) }

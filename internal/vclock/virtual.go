@@ -288,13 +288,6 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // Until is t.Sub(Now()) in virtual time.
 func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 
-// Elapsed is the virtual time passed since the epoch.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now.Sub(v.start)
-}
-
 // Sleep parks the calling (registered) goroutine for d of virtual time.
 func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
