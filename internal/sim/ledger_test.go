@@ -19,7 +19,8 @@ import (
 // the four generators (40 placements of two instances each): a change
 // that adds an allocation fails here and names the package it landed
 // in, and one that removes some must lower that package's row. Print
-// the table with
+// the table, and below it the sites that allocate most (that frame's
+// function and line), with
 //
 //	go test ./internal/sim -run TestPlacementAllocLedger -v
 func TestPlacementAllocLedger(t *testing.T) {
@@ -27,8 +28,8 @@ func TestPlacementAllocLedger(t *testing.T) {
 		t.Skip("coverage instrumentation and the race detector allocate")
 	}
 	want := map[string]int{
+		"vclock":      484,
 		"enactor":     320,
-		"vclock":      284,
 		"reservation": 273,
 		"scheduler":   210,
 		"host":        193,
@@ -41,24 +42,28 @@ func TestPlacementAllocLedger(t *testing.T) {
 	}
 	const rotations = 10
 	vc := vclock.NewVirtual()
-	var got map[string]int
+	var sites map[string]int
 	vc.Run(func() {
 		place, _ := placementFixture(t, vc, false)
-		got = allocLedger(place, rotations)
+		sites = allocLedger(place, rotations)
 	})
-	pkgs := make([]string, 0, len(got))
+	got := map[string]int{}
 	total := 0
-	for p, n := range got {
-		pkgs = append(pkgs, p)
+	for s, n := range sites {
+		got[sitePackage(s)] += n
 		total += n
 	}
-	sort.Slice(pkgs, func(i, j int) bool {
-		return got[pkgs[i]] > got[pkgs[j]] || got[pkgs[i]] == got[pkgs[j]] && pkgs[i] < pkgs[j]
-	})
 	placements := float64(rotations * len(placementGens))
 	var b strings.Builder
-	for _, p := range pkgs {
+	for _, p := range byCount(got) {
 		fmt.Fprintf(&b, "\t%-14s %5d  %6.2f per placement\n", p, got[p], float64(got[p])/placements)
+	}
+	b.WriteString("top sites:\n")
+	for i, s := range byCount(sites) {
+		if i == topSites {
+			break
+		}
+		fmt.Fprintf(&b, "\t%5d  %6.2f per placement  %s\n", sites[s], float64(sites[s])/placements, s)
 	}
 	t.Logf("%d allocations in %.0f placements, %.2f per placement:\n%s", total, placements, float64(total)/placements, b.String())
 	for p, n := range got {
@@ -73,9 +78,24 @@ func TestPlacementAllocLedger(t *testing.T) {
 	}
 }
 
+// topSites is how many allocation sites the ledger prints.
+const topSites = 12
+
+// byCount returns m's keys, the largest count first, ties by key.
+func byCount(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return m[keys[i]] > m[keys[j]] || m[keys[i]] == m[keys[j]] && keys[i] < keys[j]
+	})
+	return keys
+}
+
 // allocLedger runs place for rotations rotations, after one to warm
 // every path at the profiling rate, and returns the allocations each
-// package made in them. The profile sees every allocation but one that
+// site made in them. The profile sees every allocation but one that
 // shares a 16-byte tiny block already started, so the window must start
 // from the same block state and keep it: one P, and no GC cycle inside
 // (a cycle drops the block) beyond the one that starts it.
@@ -90,25 +110,25 @@ func allocLedger(place func(), rotations int) map[string]int {
 		}
 	}
 	rotate()
-	before := allocsByPackage()
+	before := allocsBySite()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for r := 0; r < rotations; r++ {
 		rotate()
 	}
-	after := allocsByPackage()
+	after := allocsBySite()
 	out := map[string]int{}
-	for p, n := range after {
-		if d := n - before[p]; d > 0 && p != "" {
-			out[p] = int(d)
+	for s, n := range after {
+		if d := n - before[s]; d > 0 && s != "" {
+			out[s] = int(d)
 		}
 	}
 	return out
 }
 
-// allocsByPackage reads the heap profile, published by a GC cycle, and
-// sums the objects ever allocated under each package's first frame.
-func allocsByPackage() map[string]int64 {
+// allocsBySite reads the heap profile, published by a GC cycle, and sums
+// the objects ever allocated at each site.
+func allocsBySite() map[string]int64 {
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
 	n, _ := runtime.MemProfile(nil, true)
@@ -122,15 +142,15 @@ func allocsByPackage() map[string]int64 {
 	}
 	out := map[string]int64{}
 	for i := range recs {
-		out[allocPackage(recs[i].Stack())] += recs[i].AllocObjects
+		out[allocSite(recs[i].Stack())] += recs[i].AllocObjects
 	}
 	return out
 }
 
-// allocPackage names the package of the first legion/internal/… frame
-// of stk, without the prefix; "-" if there is none, and "" for what the
-// ledger does not charge.
-func allocPackage(stk []uintptr) string {
+// allocSite names the first legion/internal/… frame of stk as its
+// function, without the prefix, and line; "-" if there is none, and ""
+// for what the ledger does not charge.
+func allocSite(stk []uintptr) string {
 	const prefix = "legion/internal/"
 	frames := runtime.CallersFrames(stk)
 	for {
@@ -147,12 +167,18 @@ func allocPackage(stk []uintptr) string {
 			if strings.HasPrefix(rest, "sim.alloc") {
 				return "" // the ledger's own reading
 			}
-			if i := strings.IndexByte(rest, '.'); i > 0 {
-				return rest[:i]
-			}
+			return fmt.Sprintf("%s:%d", rest, f.Line)
 		}
 		if !more {
 			return "-"
 		}
 	}
+}
+
+// sitePackage is the package an allocSite name is charged to.
+func sitePackage(site string) string {
+	if i := strings.IndexByte(site, '.'); i > 0 {
+		return site[:i]
+	}
+	return site
 }
