@@ -24,7 +24,12 @@ import (
 // waiters were pooled, and re-recorded when storms moved onto sim.Drive,
 // which draws each request's placement choices from (world seed, request
 // index) instead of the metasystem's shared stream; the engine was
-// untouched. The seeds are fixed: a golden value belongs to its input.
+// untouched. They were re-recorded once more when a deadline that does
+// not narrow its parent's became a view of the parent: such a context
+// no longer schedules a deadline event, which could never fire first,
+// so every later event takes a lower sequence number; the events that
+// fire, their instants and their order are unchanged, as the second
+// digest shows. The seeds are fixed: a golden value belongs to its input.
 // A change that moves a digest has changed when or in what order the
 // clock schedules something, and says so by editing this table.
 //
@@ -40,13 +45,13 @@ func TestVirtualTraceGolden(t *testing.T) {
 		sha256 string
 		noSeq  string
 	}{
-		// The second digest of each row was recorded on the commit
-		// before deadlines that do not narrow their parent's became views.
-		{5, 2224, "1984301f97652a3cc0a4420580986c571a690ad730a3d8561ac74a53823755fe",
+		// The second digest of each row was recorded before deadlines
+		// that do not narrow their parent's became views.
+		{5, 2224, "789936fb0d70f15fcc9c5feecc0d8f23d52c4aca880e733375750064dd454066",
 			"31393879456bba38b0a526b2ff2222b404cff460aee308353f057caa24d3e31b"},
-		{42, 2226, "2f278cbbfeda5eff06b37e7930aaad781caf7a6fef6ec6d557f15c85a776cd51",
+		{42, 2226, "30661ffdbdf2749558e3ee1f6ca870eb64f9075503e068b23867ec4be56eecde",
 			"0c40e8a2aa2a7f518c129c7dfa084c647b4bab043ed62a2fa67639f2dd179eee"},
-		{13, 2211, "46de7530ffed8387074308527e29f5ea5a23ce550307d72bce6c984acbc5c6bb",
+		{13, 2211, "27bf7f7312eb1ab967c2b3d031fabadfc9e1a0b98c37c993207bd71b2cf86c20",
 			"7e0201b45d6680d64add045e81f376e770db9462ab2a0838af518cf72f87ca9d"},
 	}
 	for _, g := range golden {

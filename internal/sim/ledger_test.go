@@ -28,7 +28,7 @@ func TestPlacementAllocLedger(t *testing.T) {
 		t.Skip("coverage instrumentation and the race detector allocate")
 	}
 	want := map[string]int{
-		"vclock":      484,
+		"vclock":      324,
 		"enactor":     320,
 		"reservation": 273,
 		"scheduler":   210,

@@ -53,6 +53,48 @@ func (c *vctx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
+// vview is what WithDeadline derives from one of the clock's contexts,
+// or from a view of one, at an instant no earlier than its deadline: the
+// same context seen through another type, so that deriving it costs
+// neither an object nor an event. A child there would have the parent's
+// deadline, Done and values, and its own deadline event, later in the
+// (time, seq) order than the parent's, could never fire first: the
+// parent's end would cascade to it as Canceled. A view answers the same
+// way: its Err is Canceled once the parent has ended, however the parent
+// ended, and a wait under it that the parent's end wakes returns
+// Canceled (own reports the view, and each wait translates). End on a
+// view does nothing: the view ends when its parent does.
+type vview vctx
+
+func (c *vview) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *vview) Done() <-chan struct{} { return (*vctx)(c).Done() }
+
+func (c *vview) Err() error {
+	c.v.mu.Lock()
+	defer c.v.mu.Unlock()
+	return viewErr(c.err, true)
+}
+
+// Value answers vctxKey with the view, so that own, looking through a
+// stdlib wrapper, knows it found one; every other key as the parent does.
+func (c *vview) Value(key any) any {
+	if _, ok := key.(vctxKey); ok {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// viewErr is the error a wait under a context returns, given the error
+// its waiter was woken with and whether own found a view behind the
+// context: the end of a view's parent reaches the view as Canceled.
+func viewErr(err error, view bool) error {
+	if err != nil && view {
+		return context.Canceled
+	}
+	return err
+}
+
 // valueContext is a context that adds values to its parent and nothing
 // else: its Deadline, Done and Err are those of ValueParent. A clock
 // looks through one to the context it wraps without asking it for a Done
@@ -64,14 +106,15 @@ type valueContext interface {
 
 // own returns the context of this clock that ctx is, or that ctx wraps in
 // layers which add values and nothing else (a telemetry span on every
-// traced path); nil if there is none. A valueContext says so itself. Of
-// any other wrapper, if the nearest vctx ancestor's done channel IS
-// ctx's done channel, no cancellable stdlib context sits between them,
-// so treating ctx as the ancestor is exact — and keeps deriving from it,
-// and waiting under it, on the synchronous serialized path instead of a
-// watcher goroutine or a select. It may take v.mu, so callers look
-// before they lock.
-func (v *Virtual) own(ctx context.Context) *vctx {
+// traced path); nil if there is none. view reports that what it found is
+// a view of the context it returns, whose end a wait must report as
+// Canceled. A valueContext says so itself. Of any other wrapper, if the
+// nearest clock ancestor's done channel IS ctx's done channel, no
+// cancellable stdlib context sits between them, so treating ctx as the
+// ancestor is exact — and keeps deriving from it, and waiting under it,
+// on the synchronous serialized path instead of a watcher goroutine or a
+// select. It may take v.mu, so callers look before they lock.
+func (v *Virtual) own(ctx context.Context) (c *vctx, view bool) {
 	for {
 		w, ok := ctx.(valueContext)
 		if !ok {
@@ -79,28 +122,50 @@ func (v *Virtual) own(ctx context.Context) *vctx {
 		}
 		ctx = w.ValueParent()
 	}
-	c, ok := ctx.(*vctx)
-	if !ok {
+	c, view = clockContext(ctx)
+	if c == nil {
 		done := ctx.Done()
 		if done == nil { // Background, WithoutCancel: nothing to be woken by
-			return nil
+			return nil, false
 		}
-		if c, ok = ctx.Value(vctxKey{}).(*vctx); !ok || done != c.Done() {
-			return nil
+		if c, view = clockContext(ctx.Value(vctxKey{})); c == nil || done != c.Done() {
+			return nil, false
 		}
 	}
 	if c.v != v {
-		return nil
+		return nil, false
 	}
-	return c
+	return c, view
+}
+
+// clockContext returns x as one of the clock's contexts, and whether x
+// is a view of it; nil if x is neither.
+func clockContext(x any) (*vctx, bool) {
+	switch c := x.(type) {
+	case *vctx:
+		return c, false
+	case *vview:
+		return (*vctx)(c), true
+	}
+	return nil, false
 }
 
 // WithDeadline derives a context whose deadline is the virtual instant
 // at. Parent cancellation propagates: synchronously (serialized) for
 // parents created by this clock, via a watcher goroutine for arbitrary
 // cancellable parents.
+//
+// A derivation that does not narrow a clock context's deadline makes
+// nothing: under a view, or value layers over one, it returns parent,
+// which already ends as a view does; under a live clock context itself
+// it returns that context's view. Under value layers over a clock
+// context it still makes a child: returning the layers would report the
+// context's own DeadlineExceeded where a child reports Canceled.
 func (v *Virtual) WithDeadline(parent context.Context, at time.Time) context.Context {
-	p := v.own(parent)
+	p, view := v.own(parent)
+	if view && !at.Before(p.deadline) {
+		return parent
+	}
 	var perr error
 	var pdone <-chan struct{}
 	if p == nil {
@@ -110,12 +175,16 @@ func (v *Virtual) WithDeadline(parent context.Context, at time.Time) context.Con
 		pdone = parent.Done()
 	}
 	v.mu.Lock()
+	if p != nil {
+		perr = viewErr(p.err, view)
+		if perr == nil && parent == p && !at.Before(p.deadline) {
+			v.mu.Unlock()
+			return (*vview)(p)
+		}
+	}
 	c := &vctx{Context: parent, v: v, deadline: at}
 	if pd, ok := parent.Deadline(); ok && pd.Before(c.deadline) {
 		c.deadline = pd
-	}
-	if p != nil {
-		perr = p.err
 	}
 	if perr != nil {
 		c.cancelLocked(perr)

@@ -643,8 +643,9 @@ func noop() {}
 // things a placement does a dozen times: a sleep costs nothing (its
 // waiter comes from a pool, its event is inside the waiter), a Go costs
 // nothing (its event is one that fired before, its body runs on a parked
-// worker), and a deadline costs the context alone — End is a function,
-// not a closure made per deadline.
+// worker), a deadline costs the context alone — End is a function, not
+// a closure made per deadline — and a deadline that does not narrow its
+// parent's costs nothing at all.
 func TestClockAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -673,10 +674,35 @@ func TestClockAllocBudget(t *testing.T) {
 		})
 		measure("virtual two nested contexts and a sleep", 2.99, func() {
 			outer := v.WithDeadline(bg, v.Now().Add(time.Second))
-			inner := v.WithDeadline(outer, v.Now().Add(time.Second))
+			inner := v.WithDeadline(outer, v.Now().Add(time.Second/2))
 			_ = v.Sleep(inner, time.Millisecond)
 			End(inner)
 			End(outer)
+		})
+		// A deadline no earlier than its parent's is a view of the parent,
+		// or the parent itself under a span over a view: no object, and no
+		// event. One that narrows is a context of its own.
+		parent := v.WithDeadline(bg, v.Now().Add(time.Hour))
+		defer End(parent)
+		pd, _ := parent.Deadline()
+		view := v.WithDeadline(parent, pd)
+		span := context.Context(valueOnly{view})
+		events := v.PendingEvents()
+		derive := func(parent context.Context, at time.Time) {
+			ctx := v.WithDeadline(parent, at)
+			if n := v.PendingEvents(); n != events {
+				t.Errorf("%d events pending after the derivation, want %d", n, events)
+			}
+			End(ctx)
+		}
+		measure("virtual WithDeadline+End that does not narrow, under a clock context", 0, func() {
+			derive(parent, pd)
+		})
+		measure("virtual WithDeadline+End that does not narrow, under a span over a view", 0, func() {
+			derive(span, pd.Add(time.Second))
+		})
+		measure("virtual WithDeadline+End that narrows, under a clock context", 1, func() {
+			End(v.WithDeadline(parent, pd.Add(-time.Nanosecond)))
 		})
 	})
 	measure("wall WithDeadline+End", 1, func() {
@@ -704,13 +730,14 @@ func TestOwnLooksThroughValueContexts(t *testing.T) {
 	ctx := v.WithDeadline(context.Background(), v.Now().Add(time.Second))
 	defer End(ctx)
 	c := ctx.(*vctx)
-	if got := v.own(valueOnly{valueOnly{ctx}}); got != c {
-		t.Fatalf("own through two value-only layers = %p, want %p", got, c)
+	if got, view := v.own(valueOnly{valueOnly{ctx}}); got != c || view {
+		t.Fatalf("own through two value-only layers = %p (view %v), want %p", got, view, c)
 	}
 	if c.done != nil {
 		t.Error("own made a Done channel for the clock context")
 	}
-	child := v.WithDeadline(valueOnly{ctx}, v.Now().Add(2*time.Second))
+	// Narrower than the parent, so the child is a context of its own.
+	child := v.WithDeadline(valueOnly{ctx}, v.Now().Add(time.Second/2))
 	defer End(child)
 	if child.(*vctx).parent != c || c.done != nil {
 		t.Errorf("a child derived under a value-only layer: parent %p, want %p; done channel made: %v",

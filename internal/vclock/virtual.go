@@ -211,9 +211,9 @@ func (v *Virtual) grant(w *waiter, err error) {
 // attach lists w under c, the clock context its wait is under, so that
 // the context's end grants w under v.mu, in the serialized order, and w
 // need not watch Done. It reports whether it did: not without such a
-// context (c is v.own(ctx), looked up before v.mu was taken), nor under
-// one that has ended since the caller looked, whose closed Done park
-// will find. v.mu must be held.
+// context (c is what v.own(ctx) found, looked up before v.mu was taken),
+// nor under one that has ended since the caller looked, whose closed
+// Done park will find. v.mu must be held.
 func (v *Virtual) attach(c *vctx, w *waiter) bool {
 	if c == nil || c.err != nil {
 		return false
@@ -260,7 +260,7 @@ func (v *Virtual) park(ctx context.Context, w *waiter, attached bool) error {
 
 // sleepUntil parks the caller on w until an event of w's kind fires at
 // at, or ctx ends: the whole of Sleep and a ticker's wait once they hold
-// v.mu, which it releases. c is v.own(ctx).
+// v.mu, which it releases. c is what v.own(ctx) found.
 func (v *Virtual) sleepUntil(ctx context.Context, c *vctx, w *waiter, at time.Time) error {
 	v.schedule(&w.ev, at)
 	return v.park(ctx, w, v.attach(c, w))
@@ -296,14 +296,14 @@ func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	c := v.own(ctx)
+	c, view := v.own(ctx)
 	w := waiterPool.Get().(*waiter)
 	w.ev.kind = evSleep
 	v.mu.Lock()
 	err := v.sleepUntil(ctx, c, w, v.now.Add(d))
 	w.granted, w.err = false, nil
 	waiterPool.Put(w)
-	return err
+	return viewErr(err, view)
 }
 
 // AfterFunc schedules f to run after d on a registered goroutine.
@@ -664,7 +664,7 @@ func (g *vgate) Wait(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c := g.v.own(ctx)
+	c, view := g.v.own(ctx)
 	g.v.mu.Lock()
 	if g.tokens > 0 {
 		g.tokens--
@@ -687,7 +687,7 @@ func (g *vgate) Wait(ctx context.Context) error {
 		}
 		g.v.mu.Unlock()
 	}
-	return err
+	return viewErr(err, view)
 }
 
 type vgroup struct {
@@ -726,7 +726,7 @@ func (g *vgroup) Wait(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c := g.v.own(ctx)
+	c, view := g.v.own(ctx)
 	g.v.mu.Lock()
 	if g.n == 0 {
 		g.v.mu.Unlock()
@@ -734,5 +734,5 @@ func (g *vgroup) Wait(ctx context.Context) error {
 	}
 	w := newWaiter()
 	g.waiters = append(g.waiters, w)
-	return g.v.park(ctx, w, g.v.attach(c, w))
+	return viewErr(g.v.park(ctx, w, g.v.attach(c, w)), view)
 }
