@@ -75,10 +75,10 @@ func BenchmarkTable1_HostInterfaceOps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := h.CheckReservation(tok); err != nil {
+		if err := h.CheckReservation(&tok); err != nil {
 			b.Fatal(err)
 		}
-		if err := h.CancelReservation(tok); err != nil {
+		if err := h.CancelReservation(&tok); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkTable1_StartKillObject(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inst := ms.Runtime().Mint("Worker")
 		if _, err := h.StartObject(ctx, proto.StartObjectArgs{
-			Token: *tok, Class: classL, Instances: []loid.LOID{inst},
+			Token: tok, Class: classL, Instances: []loid.LOID{inst},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func BenchmarkE2_ReservationContention(b *testing.B) {
 				if err == nil {
 					granted++
 					// Release immediately so b.N doesn't saturate the table.
-					h.CancelReservation(tok)
+					h.CancelReservation(&tok)
 				}
 			}
 			b.ReportMetric(100*float64(granted)/float64(b.N), "grant-%")

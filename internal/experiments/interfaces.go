@@ -50,7 +50,7 @@ func Table1HostInterface(iters int) *Table {
 	}
 
 	// Reservation management.
-	tokens := make([]*reservation.Token, 0, iters)
+	tokens := make([]reservation.Token, 0, iters)
 	measure("reservation", "make_reservation()", func(i int) error {
 		tok, err := h.MakeReservation(ctx, proto.MakeReservationArgs{
 			Vault: v.LOID(), Type: reservation.ReusableTimesharing, Duration: time.Hour,
@@ -62,10 +62,10 @@ func Table1HostInterface(iters int) *Table {
 		return nil
 	})
 	measure("reservation", "check_reservation()", func(i int) error {
-		return h.CheckReservation(tokens[i%len(tokens)])
+		return h.CheckReservation(&tokens[i%len(tokens)])
 	})
 	measure("reservation", "cancel_reservation()", func(i int) error {
-		return h.CancelReservation(tokens[i])
+		return h.CancelReservation(&tokens[i])
 	})
 
 	// Process management.
@@ -80,7 +80,7 @@ func Table1HostInterface(iters int) *Table {
 	measure("process", "startObject()", func(i int) error {
 		insts[i] = rt.Mint("Worker")
 		_, err := h.StartObject(ctx, proto.StartObjectArgs{
-			Token: *workTok, Class: class.LOID(), Instances: insts[i : i+1],
+			Token: workTok, Class: class.LOID(), Instances: insts[i : i+1],
 		})
 		return err
 	})
@@ -95,7 +95,7 @@ func Table1HostInterface(iters int) *Table {
 			return err
 		}
 		_, err = h.StartObject(ctx, proto.StartObjectArgs{
-			Token: *workTok, Class: class.LOID(), Instances: insts[i : i+1], State: o,
+			Token: workTok, Class: class.LOID(), Instances: insts[i : i+1], State: o,
 		})
 		return err
 	})
@@ -170,8 +170,8 @@ func Table2ReservationTypes() *Table {
 		}
 		// Does the token survive two StartObject calls?
 		i1, i2 := rt.Mint("Worker"), rt.Mint("Worker")
-		_, e1 := h.StartObject(ctx, proto.StartObjectArgs{Token: *tok, Class: class.LOID(), Instances: []loid.LOID{i1}})
-		_, e2 := h.StartObject(ctx, proto.StartObjectArgs{Token: *tok, Class: class.LOID(), Instances: []loid.LOID{i2}})
+		_, e1 := h.StartObject(ctx, proto.StartObjectArgs{Token: tok, Class: class.LOID(), Instances: []loid.LOID{i1}})
+		_, e2 := h.StartObject(ctx, proto.StartObjectArgs{Token: tok, Class: class.LOID(), Instances: []loid.LOID{i2}})
 		secondStart := "accepted"
 		if e1 != nil {
 			secondStart = "first failed: " + e1.Error()

@@ -482,7 +482,7 @@ func (h *Host) StartReaper(interval time.Duration) (stop func()) {
 // MakeReservation grants a reservation after checking, per §3.1, "that
 // the vault is reachable, that sufficient resources are available, and
 // that its local placement policy permits instantiating the object".
-func (h *Host) MakeReservation(ctx context.Context, req proto.MakeReservationArgs) (*reservation.Token, error) {
+func (h *Host) MakeReservation(ctx context.Context, req proto.MakeReservationArgs) (reservation.Token, error) {
 	// 1. Local placement policy (site autonomy comes first).
 	h.mu.Lock()
 	policy := h.policy
@@ -493,13 +493,13 @@ func (h *Host) MakeReservation(ctx context.Context, req proto.MakeReservationArg
 			if errors.Is(err, orb.ErrOverload) {
 				h.met.shed.Inc()
 			}
-			return nil, err
+			return reservation.Token{}, err
 		}
 	}
 	// 2. Vault reachable and compatible.
 	if err := h.vaultOK(ctx, req.Vault); err != nil {
 		h.met.refused.Inc()
-		return nil, err
+		return reservation.Token{}, err
 	}
 	// 3. Sufficient resources: the reservation table's admission rules.
 	tok, err := h.table.Make(reservation.Request{
@@ -511,7 +511,7 @@ func (h *Host) MakeReservation(ctx context.Context, req proto.MakeReservationArg
 	})
 	if err != nil {
 		h.met.refused.Inc()
-		return nil, err
+		return reservation.Token{}, err
 	}
 	h.met.granted.Inc()
 	return tok, nil
@@ -731,7 +731,7 @@ func buildHostMethods() *orb.DispatchTable {
 		if err != nil {
 			return proto.MakeReservationReply{}, err
 		}
-		return proto.MakeReservationReply{Token: *tok, Cost: h.ReservationCost(tok.Duration)}, nil
+		return proto.MakeReservationReply{Token: tok, Cost: h.ReservationCost(tok.Duration)}, nil
 	}))
 	t.HandleTyped(proto.MethodCheckReservation, orb.SharedTyped(func(_ context.Context, h *Host, a proto.TokenArgs) (proto.BoolReply, error) {
 		if err := h.CheckReservation(&a.Token); err != nil {

@@ -63,7 +63,7 @@ func (e *testEnv) reserve(t *testing.T, ty reservation.Type) *reservation.Token 
 	if err != nil {
 		t.Fatalf("MakeReservation: %v", err)
 	}
-	return tok
+	return &tok
 }
 
 var classL = loid.LOID{Domain: "uva", Class: "Class", Instance: 9}

@@ -128,7 +128,7 @@ func TestDeactivateStampsTheHostClock(t *testing.T) {
 			return
 		}
 		if _, err := h.StartObject(ctx, proto.StartObjectArgs{
-			Token: *tok, Class: classL, Instances: []loid.LOID{inst},
+			Token: tok, Class: classL, Instances: []loid.LOID{inst},
 		}); err != nil {
 			t.Error(err)
 			return

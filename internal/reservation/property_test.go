@@ -183,8 +183,8 @@ func runReservationSequence(t *testing.T, seed int64, ops int) {
 				t.Fatalf("op %d: Make(%+v) err=%v, model admit=%v", op, req, err, want)
 			}
 			if err == nil {
-				issued = append(issued, tok)
-				m.entries[tok.ID] = &modelEntry{tok: *tok, issuedAt: now}
+				issued = append(issued, &tok)
+				m.entries[tok.ID] = &modelEntry{tok: tok, issuedAt: now}
 				m.checkNoForbiddenOverlap(t, now)
 			}
 		case r < 6: // redeem
@@ -268,10 +268,10 @@ func TestOneShotNeverRedeemsTwice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.Redeem(tok); err != nil {
+		if err := tb.Redeem(&tok); err != nil {
 			t.Fatalf("%s: first redeem: %v", ty, err)
 		}
-		if err := tb.Redeem(tok); !errors.Is(err, ErrInvalidToken) {
+		if err := tb.Redeem(&tok); !errors.Is(err, ErrInvalidToken) {
 			t.Errorf("%s: second redeem of one-shot token = %v, want ErrInvalidToken", ty, err)
 		}
 	}

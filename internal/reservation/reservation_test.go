@@ -107,7 +107,7 @@ func TestMakeAndCheck(t *testing.T) {
 	if tok.Host != hostL || tok.Vault != vaultL {
 		t.Errorf("token identity: %+v", tok)
 	}
-	if err := tb.Check(tok); err != nil {
+	if err := tb.Check(&tok); err != nil {
 		t.Errorf("Check: %v", err)
 	}
 	if tb.Active() != 1 {
@@ -176,10 +176,10 @@ func TestTable2Semantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.Redeem(tok); err != nil {
+		if err := tb.Redeem(&tok); err != nil {
 			t.Fatalf("first redeem: %v", err)
 		}
-		if err := tb.Redeem(tok); !errors.Is(err, ErrInvalidToken) {
+		if err := tb.Redeem(&tok); !errors.Is(err, ErrInvalidToken) {
 			t.Errorf("second redeem of one-shot: %v", err)
 		}
 	})
@@ -191,7 +191,7 @@ func TestTable2Semantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			if err := tb.Redeem(tok); err != nil {
+			if err := tb.Redeem(&tok); err != nil {
 				t.Fatalf("redeem %d: %v", i, err)
 			}
 		}
@@ -205,15 +205,15 @@ func TestFutureReservationNotYetValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Redeem(tok); !errors.Is(err, ErrNotYetValid) {
+	if err := tb.Redeem(&tok); !errors.Is(err, ErrNotYetValid) {
 		t.Errorf("early redeem: %v", err)
 	}
 	clk.Advance(90 * time.Minute)
-	if err := tb.Redeem(tok); err != nil {
+	if err := tb.Redeem(&tok); err != nil {
 		t.Errorf("redeem inside window: %v", err)
 	}
 	clk.Advance(time.Hour)
-	if err := tb.Redeem(tok); !errors.Is(err, ErrExpired) {
+	if err := tb.Redeem(&tok); !errors.Is(err, ErrExpired) {
 		t.Errorf("redeem after end: %v", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestConfirmationTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Minute)
-	if err := tb.Redeem(tok); !errors.Is(err, ErrExpired) {
+	if err := tb.Redeem(&tok); !errors.Is(err, ErrExpired) {
 		t.Errorf("redeem after confirmation timeout: %v", err)
 	}
 
@@ -237,11 +237,11 @@ func TestConfirmationTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Redeem(tok2); err != nil {
+	if err := tb.Redeem(&tok2); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Minute)
-	if err := tb.Redeem(tok2); err != nil {
+	if err := tb.Redeem(&tok2); err != nil {
 		t.Errorf("confirmed token after timeout window: %v", err)
 	}
 }
@@ -254,11 +254,11 @@ func TestExplicitTimeoutOverridesDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Minute)
-	if err := tb.Check(tok); err != nil {
+	if err := tb.Check(&tok); err != nil {
 		t.Errorf("within explicit timeout: %v", err)
 	}
 	clk.Advance(6 * time.Minute)
-	if err := tb.Check(tok); !errors.Is(err, ErrExpired) {
+	if err := tb.Check(&tok); !errors.Is(err, ErrExpired) {
 		t.Errorf("past explicit timeout: %v", err)
 	}
 }
@@ -269,13 +269,13 @@ func TestCancelFreesInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Cancel(tok); err != nil {
+	if err := tb.Cancel(&tok); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Check(tok); !errors.Is(err, ErrInvalidToken) {
+	if err := tb.Check(&tok); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("cancelled token still checks: %v", err)
 	}
-	if err := tb.Cancel(tok); !errors.Is(err, ErrInvalidToken) {
+	if err := tb.Cancel(&tok); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("double cancel: %v", err)
 	}
 	// Interval is free again.
@@ -328,13 +328,13 @@ func TestForeignTokenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb2.Check(tok); !errors.Is(err, ErrInvalidToken) {
+	if err := tb2.Check(&tok); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("foreign table accepted token: %v", err)
 	}
-	if err := tb2.Redeem(tok); !errors.Is(err, ErrInvalidToken) {
+	if err := tb2.Redeem(&tok); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("foreign table redeemed token: %v", err)
 	}
-	if err := tb2.Cancel(tok); !errors.Is(err, ErrInvalidToken) {
+	if err := tb2.Cancel(&tok); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("foreign table cancelled token: %v", err)
 	}
 	if err := tb1.Check(nil); !errors.Is(err, ErrInvalidToken) {
@@ -353,7 +353,7 @@ func TestTableInvariantProperty(t *testing.T) {
 			switch op % 4 {
 			case 0: // make shared
 				if tok, err := tb.Make(Request{Vault: vaultL, Type: ReusableTimesharing, Duration: time.Hour}); err == nil {
-					live = append(live, tok)
+					live = append(live, &tok)
 				}
 			case 1: // make exclusive
 				tok, err := tb.Make(Request{Vault: vaultL, Type: ReusableSpaceSharing, Duration: time.Hour})
@@ -361,7 +361,7 @@ func TestTableInvariantProperty(t *testing.T) {
 					if len(live) != 0 {
 						return false // invariant violation: exclusive admitted alongside others
 					}
-					live = append(live, tok)
+					live = append(live, &tok)
 				}
 			case 2: // cancel one
 				if len(live) > 0 {
@@ -392,7 +392,7 @@ func TestConcurrentMakeRespectsExclusivity(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				if tok, err := tb.Make(Request{Vault: vaultL, Type: ReusableSpaceSharing, Duration: time.Hour}); err == nil {
-					granted <- tok
+					granted <- &tok
 				}
 			}()
 		}

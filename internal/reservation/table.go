@@ -126,16 +126,16 @@ func (tb *Table) syncGaugeLocked() {
 
 // Make attempts to grant a reservation. On success it returns a signed
 // token; on admission failure it returns ErrConflict.
-func (tb *Table) Make(req Request) (*Token, error) {
+func (tb *Table) Make(req Request) (Token, error) {
 	if req.Duration <= 0 {
-		return nil, fmt.Errorf("%w: non-positive duration", ErrBadRequest)
+		return Token{}, fmt.Errorf("%w: non-positive duration", ErrBadRequest)
 	}
 	if req.Timeout < 0 {
 		// A negative confirmation window would be stored as-is and the
 		// `Timeout > 0` expiry guards would never fire: the unconfirmed
 		// grant could outlive every reaper sweep — a permanent leak.
 		// Reject it as malformed instead of silently defaulting.
-		return nil, fmt.Errorf("%w: negative confirmation timeout %v", ErrBadRequest, req.Timeout)
+		return Token{}, fmt.Errorf("%w: negative confirmation timeout %v", ErrBadRequest, req.Timeout)
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -147,7 +147,7 @@ func (tb *Table) Make(req Request) (*Token, error) {
 		start = now
 	}
 	if start.Add(req.Duration).Before(now) {
-		return nil, fmt.Errorf("%w: interval entirely in the past", ErrBadRequest)
+		return Token{}, fmt.Errorf("%w: interval entirely in the past", ErrBadRequest)
 	}
 	end := start.Add(req.Duration)
 
@@ -160,12 +160,12 @@ func (tb *Table) Make(req Request) (*Token, error) {
 		}
 		if !e.tok.Type.Share || !req.Type.Share {
 			// Space sharing on either side forbids any overlap.
-			return nil, fmt.Errorf("%w: interval [%v,%v)", ErrConflict, start, end)
+			return Token{}, fmt.Errorf("%w: interval [%v,%v)", ErrConflict, start, end)
 		}
 		overlappingShared++
 	}
 	if req.Type.Share && tb.maxShared > 0 && overlappingShared >= tb.maxShared {
-		return nil, fmt.Errorf("%w: timesharing multiplex limit %d reached", ErrConflict, tb.maxShared)
+		return Token{}, fmt.Errorf("%w: timesharing multiplex limit %d reached", ErrConflict, tb.maxShared)
 	}
 
 	timeout := req.Timeout
@@ -189,7 +189,7 @@ func (tb *Table) Make(req Request) (*Token, error) {
 	tb.signer.Sign(&tok)
 	tb.entries[tok.ID] = &entry{tok: tok, issuedAt: now}
 	tb.syncGaugeLocked()
-	return &tok, nil
+	return tok, nil
 }
 
 // lookupLocked authenticates a presented token and returns its live entry.

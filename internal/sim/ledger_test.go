@@ -30,7 +30,7 @@ func TestPlacementAllocLedger(t *testing.T) {
 	want := map[string]int{
 		"vclock":      324,
 		"enactor":     320,
-		"reservation": 273,
+		"reservation": 193,
 		"scheduler":   210,
 		"host":        193,
 		"telemetry":   160,
