@@ -39,8 +39,11 @@ type Clock interface {
 	// WithDeadline derives a context that ends at the instant at on this
 	// clock, or at parent's deadline if that is earlier, or when parent
 	// ends, or when End is called on it. In virtual mode the deadline is
-	// a scheduled event and Deadline() reports a virtual time. Callers
-	// End what they derive, as they would call a CancelFunc.
+	// a scheduled event and Deadline() reports a virtual time; a
+	// derivation that does not narrow the deadline of one of the clock's
+	// contexts is that context, or a view of it, which ends only with it
+	// (End leaves it alone). Callers End what they derive, as they would
+	// call a CancelFunc, and join whatever waits under it first.
 	WithDeadline(parent context.Context, at time.Time) context.Context
 	// Go spawns f as a participating goroutine. In virtual mode the
 	// goroutine is registered with the barrier: virtual time cannot
@@ -151,12 +154,14 @@ type Group interface {
 }
 
 // End ends ctx with context.Canceled if some Clock's WithDeadline
-// returned it, and does nothing to any other context: not to a span or a
-// context.WithValue over one (their end is their parent's), nor to a
-// stdlib context. It is idempotent and rewrites no end already reached:
-// a wall deadline that passed unobserved still reads DeadlineExceeded.
-// It is a function and not a CancelFunc because a closure per deadline
-// is a second object per deadline.
+// returned it as a context of its own, and does nothing to any other
+// context: not to a view or a parent it returned for a deadline that did
+// not narrow, not to a span or a context.WithValue over one (their end
+// is their parent's), nor to a stdlib context. It is idempotent and
+// rewrites no end already reached: a wall deadline that passed
+// unobserved still reads DeadlineExceeded. It is a function and not a
+// CancelFunc because a closure per deadline is a second object per
+// deadline.
 func End(ctx context.Context) {
 	switch c := ctx.(type) {
 	case *vctx:
