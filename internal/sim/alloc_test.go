@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,40 @@ func placementCalls(t *testing.T, clock vclock.Clock, tcp bool, wantCalls int64,
 	}
 }
 
+// TestPlacementCriticalPath pins, at equality, how many sequential hops
+// one placement takes: Wrapper.Run's virtual time over a link that takes
+// exactly 2 ms per call, for every generator of the rotation, placing 1
+// and 2 instances on a warm HostCache. The first placement of a cold
+// cache pays for its fills. A warm one is get_implementations,
+// make_reservations, then per instance make_reservation and its
+// vault_OK (§3.1), enact_schedule, then per instance create_instance and
+// startObject. fanout.Do is serial on the virtual clock, so the
+// per-instance calls add up rather than overlap:
+// 11 = 1 + 1 + 2×2 + 1 + 2×2.
+func TestPlacementCriticalPath(t *testing.T) {
+	const hop = 2 * time.Millisecond
+	for _, tc := range []struct{ count, cold, warm int }{
+		{count: 1, cold: 8, warm: 7},
+		{count: 2, cold: 12, warm: 11},
+	} {
+		t.Run(fmt.Sprintf("instances=%d", tc.count), func(t *testing.T) {
+			vc := vclock.NewVirtual()
+			vc.Run(func() {
+				place, runtimes := placementWorld(t, vc, false, tc.count)
+				runtimes[0].SetLatency(hop, 0)
+				if took := place(placementGens[0]); took != time.Duration(tc.cold)*hop {
+					t.Errorf("cold %s: %v, want %d hops of %v", placementGens[0].Name(), took, tc.cold, hop)
+				}
+				for _, gen := range placementGens {
+					if took := place(gen); took != time.Duration(tc.warm)*hop {
+						t.Errorf("%s: %v, want %d hops of %v", gen.Name(), took, tc.warm, hop)
+					}
+				}
+			})
+		})
+	}
+}
+
 // placementGens is the rotation the fixture places with.
 var placementGens = []scheduler.Generator{
 	scheduler.Random{}, scheduler.LoadAware{}, scheduler.CostAware{}, scheduler.IRS{NSched: 3},
@@ -121,10 +156,27 @@ const requestDeadline = 10 * time.Second
 // the wall clock; a virtual one also gets 2–3 ms of latency on every
 // call) and returns a function that places two instances with the next
 // generator of the rotation, under a request deadline and vscale's retry
-// policy, and tears them down, beside the runtimes its calls go through. With tcp the client is a second runtime that reaches
-// the metasystem through its listener and finds the services in its
-// directory, as legion-run does.
+// policy, and tears them down, beside the runtimes its calls go through.
+// With tcp the client is a second runtime that reaches the metasystem
+// through its listener and finds the services in its directory, as
+// legion-run does.
 func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(), runtimes []*orb.Runtime) {
+	placeWith, runtimes := placementWorld(t, clock, tcp, 2)
+	next := 0
+	place = func() {
+		placeWith(placementGens[next%len(placementGens)])
+		next++
+	}
+	for range placementGens { // warm the host cache and every generator's path
+		place()
+	}
+	return place, runtimes
+}
+
+// placementWorld is placementFixture's metasystem, cold: its place puts
+// count instances with gen, tears them down, and returns how long
+// Wrapper.Run took on the clock.
+func placementWorld(t *testing.T, clock vclock.Clock, tcp bool, count int) (place func(gen scheduler.Generator) time.Duration, runtimes []*orb.Runtime) {
 	ms := core.New("alloc", core.Options{
 		Seed: 1, Metrics: telemetry.NewRegistry(), Clock: clock,
 		// The retry policy of the vscale benchmark and experiment E12.
@@ -149,7 +201,7 @@ func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(),
 	env.Cache = scheduler.NewHostCache(clock, time.Hour)
 	wrapper := scheduler.Wrapper{SchedTryLimit: 2, EnactTryLimit: 1}
 	req := scheduler.Request{
-		Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: 2}},
+		Classes: []scheduler.ClassRequest{{Class: class.LOID(), Count: count}},
 		Res:     sched.ReservationSpec{Share: true, Reuse: true, Duration: time.Hour},
 	}
 	ctx := context.Background()
@@ -175,14 +227,13 @@ func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(),
 		enactor = dir.Enactor
 	}
 	clk := vclock.Default(clock)
-	next := 0
-	place = func() {
-		gen := placementGens[next%len(placementGens)]
-		next++
+	place = func(gen scheduler.Generator) time.Duration {
 		// Drive's request deadline: every attempt context is derived
 		// under it, as it is in a campaign.
-		rctx := clk.WithDeadline(ctx, clk.Now().Add(requestDeadline))
+		start := clk.Now()
+		rctx := clk.WithDeadline(ctx, start.Add(requestDeadline))
 		out, err := wrapper.Run(rctx, env, enactor, gen, req)
+		took := clk.Since(start)
 		vclock.End(rctx)
 		if err != nil || !out.Success {
 			t.Fatalf("%s: placement failed: %v", gen.Name(), err)
@@ -197,9 +248,7 @@ func placementFixture(t *testing.T, clock vclock.Clock, tcp bool) (place func(),
 		if _, err := rt.Call(ctx, enactor, proto.MethodCancelReservations, proto.CancelReservationsArgs{RequestID: out.RequestID}); err != nil {
 			t.Fatalf("cancel_reservations: %v", err)
 		}
-	}
-	for range placementGens { // warm the host cache and every generator's path
-		place()
+		return took
 	}
 	return place, runtimes
 }
