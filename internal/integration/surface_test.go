@@ -60,7 +60,6 @@ var unreached = map[string]string{
 	"internal/rge.TriggerSet.FireCount":          "how often a trigger fired",
 	"internal/rge.TriggerSet.OutcallCount":       "how many outcalls a trigger has: Watch's idempotency",
 	"internal/rge.TriggerSet.Triggers":           "which triggers a set defines",
-	"internal/scheduler.HostCache.Evicted":       "how many expired entries fills swept out",
 	"internal/telemetry.Histogram.Mean":          "a histogram's mean",
 	"internal/telemetry.Registry.GaugeValue":     "a gauge's value",
 	"internal/telemetry.SpanLog.ByName":          "the spans of one name",

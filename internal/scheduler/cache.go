@@ -45,7 +45,7 @@ type HostCache struct {
 	entries map[string]hostCacheEntry
 	flights map[string]*flight // the fetch in progress for a query, if any
 
-	hits, misses, evicted int64
+	hits, misses int64
 }
 
 type hostCacheEntry struct {
@@ -141,7 +141,6 @@ func (c *HostCache) land(query string, f *flight, hosts []HostInfo, skipped int,
 		for q, e := range c.entries {
 			if now.Sub(e.fetched) >= c.ttl {
 				delete(c.entries, q)
-				c.evicted++
 			}
 		}
 		c.entries[query] = f.entry
@@ -156,11 +155,4 @@ func (c *HostCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Evicted reports how many expired entries fills have swept out.
-func (c *HostCache) Evicted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
 }

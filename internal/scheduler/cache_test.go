@@ -35,9 +35,6 @@ func TestHostCacheEvictsExpiredEntries(t *testing.T) {
 		if n := len(c.entries); n != 1 {
 			t.Errorf("entries after expiry sweep = %d, want 1", n)
 		}
-		if ev := c.Evicted(); ev != 100 {
-			t.Errorf("evicted = %d, want 100", ev)
-		}
 		// A live entry must survive an unrelated fill.
 		_ = vc.Sleep(ctx, time.Second)
 		put("other")
