@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"legion/internal/loid"
 	"legion/internal/vclock"
 )
 
@@ -37,32 +38,54 @@ import (
 // and take its entry. At 10k hosts a fetch parses 10k records, and an
 // open-loop driver delivers a dozen arrivals while the first is still in
 // flight; before, each of them paid for the whole fleet.
+//
+// The cache also keeps each class's implementation query, keyed by
+// class, under the same TTL and the same single fetch. A class's
+// implementations are fixed when it is built, and the only use of its
+// get_implementations reply is the key of its host entry, so a warm
+// placement asks the class nothing: it starts at Figure 3's first step,
+// make_reservations. Stats counts Collection fetches alone.
 type HostCache struct {
 	clock vclock.Clock
 	ttl   time.Duration
 
 	mu      sync.Mutex
-	entries map[string]hostCacheEntry
-	flights map[string]*flight // the fetch in progress for a query, if any
-
-	hits, misses int64
+	hosts   table[string, hostCacheEntry] // by Collection query
+	classes table[loid.LOID, string]      // a class's implementation query
 }
 
 type hostCacheEntry struct {
 	hosts   []HostInfo
 	usable  []HostInfo // hosts filtered through usable(), computed once at fill
 	skipped int
+}
+
+// table is one kind of entry: the live ones by key, the fetches in
+// progress, and how its lookups were answered. The HostCache's mutex
+// guards it.
+type table[K comparable, V any] struct {
+	entries      map[K]timed[V]
+	flights      map[K]*flight[V] // the fetch in progress for a key, if any
+	hits, misses int64
+}
+
+type timed[V any] struct {
+	v       V
 	fetched time.Time
 }
 
-// flight is one fetch in progress. Its leader sets entry and err, then
+func newTable[K comparable, V any]() table[K, V] {
+	return table[K, V]{entries: make(map[K]timed[V]), flights: make(map[K]*flight[V])}
+}
+
+// flight is one fetch in progress. Its leader sets v and err, then
 // releases done; followers read them after waiting. done is a Group of
 // the cache's clock: under vclock.Virtual a bare channel or sync.Cond
 // would park a registered goroutine where the engine cannot see it.
-type flight struct {
-	done  vclock.Group
-	entry hostCacheEntry
-	err   error
+type flight[V any] struct {
+	done vclock.Group
+	v    V
+	err  error
 }
 
 // NewHostCache creates a cache whose entries expire ttl after they were
@@ -71,88 +94,98 @@ func NewHostCache(clock vclock.Clock, ttl time.Duration) *HostCache {
 	return &HostCache{
 		clock:   vclock.Default(clock),
 		ttl:     ttl,
-		entries: make(map[string]hostCacheEntry),
-		flights: make(map[string]*flight),
+		hosts:   newTable[string, hostCacheEntry](),
+		classes: newTable[loid.LOID, string](),
 	}
 }
 
-// snapshot returns the live entry for the query, or fills it: the one
-// cache lookup. Of the callers that find no live entry, one calls fetch
-// and the others wait for it — a hit is any answer served without a
-// fetch of its own, a miss is a fetch issued. Both of the entry's slices
-// are shared across every caller in the TTL window and are read-only.
+// live reports whether an entry fetched at fetched is still served at
+// now: the one TTL comparison.
+func (c *HostCache) live(fetched, now time.Time) bool {
+	return now.Sub(fetched) < c.ttl
+}
+
+// lookup returns the live entry for key, or fills it: the one cache
+// lookup. Of the callers that find no live entry, one calls fetch and
+// the others wait for it — a hit is any answer served without a fetch
+// of its own, a miss is a fetch issued. A host entry's slices are
+// shared across every caller in the TTL window and are read-only.
 //
 // A waiter whose own ctx ends returns its own error. A failed fetch is
-// the leader's failure alone (its deadline, its cancellation): its
-// waiters go round again and one of them fetches.
-func (c *HostCache) snapshot(ctx context.Context, query string, fetch func() ([]HostInfo, int, error)) (hostCacheEntry, error) {
+// the leader's failure alone (its deadline, its cancellation) and is
+// never stored: its waiters go round again and one of them fetches.
+func (t *table[K, V]) lookup(ctx context.Context, c *HostCache, key K, fetch func() (V, error)) (V, error) {
 	for {
 		now := c.clock.Now()
 		c.mu.Lock()
-		if e, ok := c.entries[query]; ok && now.Sub(e.fetched) < c.ttl {
-			c.hits++
+		if e, ok := t.entries[key]; ok && c.live(e.fetched, now) {
+			t.hits++
 			c.mu.Unlock()
-			return e, nil
+			return e.v, nil
 		}
-		f := c.flights[query]
+		f := t.flights[key]
 		if f == nil {
-			f = &flight{done: c.clock.NewGroup()}
+			f = &flight[V]{done: c.clock.NewGroup()}
 			f.done.Add(1)
-			c.flights[query] = f
-			c.misses++
+			t.flights[key] = f
+			t.misses++
 			c.mu.Unlock()
-			hosts, skipped, err := fetch()
-			c.land(query, f, hosts, skipped, err)
-			return f.entry, f.err
+			v, err := fetch()
+			t.land(c, key, f, v, err)
+			return f.v, f.err
 		}
 		c.mu.Unlock()
 		if err := f.done.Wait(ctx); err != nil {
-			return hostCacheEntry{}, fmt.Errorf("scheduler: waiting on a shared collection query: %w", err)
+			var zero V
+			return zero, fmt.Errorf("scheduler: waiting on a shared fetch: %w", err)
 		}
 		if f.err == nil {
 			c.mu.Lock()
-			c.hits++
+			t.hits++
 			c.mu.Unlock()
-			return f.entry, nil
+			return f.v, nil
 		}
 	}
 }
 
 // land ends a flight: it records the outcome for the waiters, stores a
-// fetched result for the callers to come, and releases the waiters.
+// fetched value for the callers to come, and releases the waiters.
 //
-// Storing sweeps out every expired entry first. Without the sweep,
-// entries are only ever overwritten (same query string), so a workload
+// Storing sweeps out every expired entry of both tables first. Without
+// the sweep, entries are only ever overwritten (same key), so a workload
 // whose query strings vary — per-class filters, per-tenant predicates —
 // leaks one parsed fleet snapshot per distinct string forever. Sweeping
-// here keeps the map bounded by the number of query shapes live within
-// one TTL, at O(entries) per fill; fills happen at most once per TTL per
-// shape, so the sweep never dominates the fetch it rides on.
-func (c *HostCache) land(query string, f *flight, hosts []HostInfo, skipped int, err error) {
+// here keeps each map bounded by the number of keys live within one TTL,
+// at O(entries) per fill; fills happen at most once per TTL per key, so
+// the sweep never dominates the fetch it rides on.
+func (t *table[K, V]) land(c *HostCache, key K, f *flight[V], v V, err error) {
 	now := c.clock.Now()
 	c.mu.Lock()
-	delete(c.flights, query)
-	f.err = err
+	delete(t.flights, key)
+	f.v, f.err = v, err
 	if err == nil {
-		f.entry = hostCacheEntry{
-			hosts: hosts, usable: usable(hosts),
-			skipped: skipped, fetched: now,
-		}
-		for q, e := range c.entries {
-			if now.Sub(e.fetched) >= c.ttl {
-				delete(c.entries, q)
-			}
-		}
-		c.entries[query] = f.entry
+		c.hosts.sweep(c, now)
+		c.classes.sweep(c, now)
+		t.entries[key] = timed[V]{v: v, fetched: now}
 	}
 	c.mu.Unlock()
 	f.done.Done()
 }
 
-// Stats reports cache hits and misses since creation: a miss is a fetch
-// issued, a hit an answer served without issuing one.
+// sweep deletes the entries that are no longer live at now.
+func (t *table[K, V]) sweep(c *HostCache, now time.Time) {
+	for k, e := range t.entries {
+		if !c.live(e.fetched, now) {
+			delete(t.entries, k)
+		}
+	}
+}
+
+// Stats reports the cache's Collection hits and misses since creation:
+// a miss is a query issued, a hit a snapshot served without issuing one.
+// Class entries are not counted.
 func (c *HostCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hosts.hits, c.hosts.misses
 }

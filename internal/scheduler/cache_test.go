@@ -21,24 +21,24 @@ func TestHostCacheEvictsExpiredEntries(t *testing.T) {
 		ctx := context.Background()
 		fetches := 0
 		put := func(query string) {
-			c.snapshot(ctx, query, func() ([]HostInfo, int, error) { fetches++; return nil, 0, nil })
+			c.hosts.lookup(ctx, c, query, func() (hostCacheEntry, error) { fetches++; return hostCacheEntry{}, nil })
 		}
 		for i := 0; i < 100; i++ {
 			put(fmt.Sprintf("defined($host_load) and $gen == %d", i))
 		}
-		if n := len(c.entries); n != 100 {
+		if n := len(c.hosts.entries); n != 100 {
 			t.Errorf("live entries = %d, want 100", n)
 		}
 		_ = vc.Sleep(ctx, 11*time.Second)
 		// All 100 are now expired; the next fill must sweep every one.
 		put("defined($host_load)")
-		if n := len(c.entries); n != 1 {
+		if n := len(c.hosts.entries); n != 1 {
 			t.Errorf("entries after expiry sweep = %d, want 1", n)
 		}
 		// A live entry must survive an unrelated fill.
 		_ = vc.Sleep(ctx, time.Second)
 		put("other")
-		if n := len(c.entries); n != 2 {
+		if n := len(c.hosts.entries); n != 2 {
 			t.Errorf("entries with live neighbor = %d, want 2", n)
 		}
 		if put("defined($host_load)"); fetches != 102 {

@@ -345,10 +345,10 @@ func TestSharedViewReadOnly(t *testing.T) {
 		e.env.Cache.mu.Lock()
 		defer e.env.Cache.mu.Unlock()
 		out := make(map[string][2][]HostInfo)
-		for q, ent := range e.env.Cache.entries {
+		for q, ent := range e.env.Cache.hosts.entries {
 			out[q] = [2][]HostInfo{
-				append([]HostInfo(nil), ent.hosts...),
-				append([]HostInfo(nil), ent.usable...),
+				append([]HostInfo(nil), ent.v.hosts...),
+				append([]HostInfo(nil), ent.v.usable...),
 			}
 		}
 		return out

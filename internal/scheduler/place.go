@@ -17,20 +17,20 @@ import (
 // rule; everything else lives here once.
 
 // candidates is the Fig 7 prologue shared by every generator: query the
-// class for its implementations, query the Collection (through
-// Env.Cache when set) for matching Hosts, and keep the usable ones. An
-// empty result is ErrNoResources — the only place that is decided.
+// class for its implementations and the Collection for matching Hosts
+// (each through Env.Cache when set), and keep the usable ones. An empty
+// result is ErrNoResources — the only place that is decided.
 //
 // The returned slice is a read-only view: with a cache it is the
 // snapshot every placement in the TTL window shares. Generators that
 // only index into it (Random, IRS, RoundRobin) use it as is; anything
 // that reorders takes ordered(view, …), which never touches the view.
 func candidates(ctx context.Context, env *Env, class loid.LOID) ([]HostInfo, error) {
-	impls, err := queryClassImpls(ctx, env, class)
+	query, err := classQuery(ctx, env, class)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := hostSnapshot(ctx, env, implQuery(impls))
+	snap, err := hostSnapshot(ctx, env, query)
 	if err != nil {
 		return nil, err
 	}

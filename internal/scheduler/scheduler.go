@@ -15,10 +15,10 @@
 //
 // The mechanism does what every policy needs and none should repeat:
 //
-//   - candidates: query the class for implementations, query the
-//     Collection (through Env.Cache) for matching Hosts, drop hosts that
-//     are down or reach no vault, raise ErrNoResources when nothing is
-//     left. The result is a read-only view, shared under a cache.
+//   - candidates: query the class for implementations and the
+//     Collection for matching Hosts (both through Env.Cache), drop hosts
+//     that are down or reach no vault, raise ErrNoResources when nothing
+//     is left. The result is a read-only view, shared under a cache.
 //   - order: sort an owned copy of the view by an ordering, LOID
 //     tiebreak appended, so every ranking is total and deterministic;
 //     best: the first k of that same order without sorting the rest, for
@@ -110,9 +110,10 @@ type Env struct {
 	// shares one set across the Wrapper, queries, and episodes so a dead
 	// Collection or Enactor fails fast. Nil disables breakers.
 	Breakers *resilient.BreakerSet
-	// Cache, when non-nil, memoizes Collection query results (see
-	// HostCache). Scale drivers set it; interactive paths usually leave
-	// it nil and pay the full query for freshness.
+	// Cache, when non-nil, memoizes Collection query results and each
+	// class's implementation query (see HostCache). Scale drivers set
+	// it; interactive paths usually leave it nil and pay both queries
+	// for freshness.
 	Cache *HostCache
 }
 
@@ -155,17 +156,26 @@ type HostInfo struct {
 	LoadHistory []float64
 }
 
-// queryClassImpls fetches a class's available implementations (Fig 7:
-// "query the class for available implementations").
-func queryClassImpls(ctx context.Context, env *Env, class loid.LOID) ([]proto.Implementation, error) {
-	clk := env.RT.Clock()
-	cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
-	defer vclock.End(cctx)
-	reply, err := invoke[proto.ImplementationsReply, any](cctx, env, class, proto.MethodGetImplementations, nil)
-	if err != nil {
-		return nil, fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
+// classQuery returns the Collection query for the hosts able to run
+// class (Fig 7: "query the class for available implementations"):
+// through Env.Cache when there is one — its live entry, or a
+// get_implementations shared with every caller that misses meanwhile —
+// otherwise a get_implementations of its own.
+func classQuery(ctx context.Context, env *Env, class loid.LOID) (string, error) {
+	fetch := func() (string, error) {
+		clk := env.RT.Clock()
+		cctx := clk.WithDeadline(ctx, clk.Now().Add(queryTimeout))
+		defer vclock.End(cctx)
+		reply, err := invoke[proto.ImplementationsReply, any](cctx, env, class, proto.MethodGetImplementations, nil)
+		if err != nil {
+			return "", fmt.Errorf("scheduler: get_implementations on %v: %w", class, err)
+		}
+		return implQuery(reply.Impls), nil
 	}
-	return reply.Impls, nil
+	if env.Cache == nil {
+		return fetch()
+	}
+	return env.Cache.classes.lookup(ctx, env.Cache, class, fetch)
 }
 
 // implQuery builds the Collection query matching hosts able to run any of
@@ -222,12 +232,14 @@ func QueryHostsPartial(ctx context.Context, env *Env, querySrc string) (hosts []
 // fetch of its own. This is the single lookup per class that IRS
 // amortizes.
 func hostSnapshot(ctx context.Context, env *Env, querySrc string) (hostCacheEntry, error) {
-	fetch := func() ([]HostInfo, int, error) { return fetchHosts(ctx, env, querySrc) }
 	if env.Cache == nil {
-		hosts, skipped, err := fetch()
+		hosts, skipped, err := fetchHosts(ctx, env, querySrc)
 		return hostCacheEntry{hosts: hosts, skipped: skipped}, err
 	}
-	return env.Cache.snapshot(ctx, querySrc, fetch)
+	return env.Cache.hosts.lookup(ctx, env.Cache, querySrc, func() (hostCacheEntry, error) {
+		hosts, skipped, err := fetchHosts(ctx, env, querySrc)
+		return hostCacheEntry{hosts: hosts, usable: usable(hosts), skipped: skipped}, err
+	})
 }
 
 // queryCollection makes one Collection query under queryTimeout.

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"legion/internal/attr"
+	"legion/internal/classobj"
 	"legion/internal/collection"
 	"legion/internal/loid"
 	"legion/internal/orb"
+	"legion/internal/proto"
 	"legion/internal/query"
 	"legion/internal/vclock"
 )
@@ -38,17 +41,129 @@ func flightEnv(t *testing.T, clock vclock.Clock, latency time.Duration) (*Env, *
 // meet starts one goroutine per context on the clock, all looking up
 // flightQuery, and waits for them on a Group of the same clock.
 func meet(clock vclock.Clock, env *Env, ctxs []context.Context) ([]hostCacheEntry, []error) {
-	snaps, errs := make([]hostCacheEntry, len(ctxs)), make([]error, len(ctxs))
+	return herd(clock, ctxs, func(ctx context.Context) (hostCacheEntry, error) {
+		return hostSnapshot(ctx, env, flightQuery)
+	})
+}
+
+// herd calls lookup from one goroutine per context on the clock and waits
+// for them on a Group of the same clock.
+func herd[T any](clock vclock.Clock, ctxs []context.Context, lookup func(context.Context) (T, error)) ([]T, []error) {
+	got, errs := make([]T, len(ctxs)), make([]error, len(ctxs))
 	all := clock.NewGroup()
 	all.Add(len(ctxs))
 	for i, ctx := range ctxs {
 		clock.Go(func() {
 			defer all.Done()
-			snaps[i], errs[i] = hostSnapshot(ctx, env, flightQuery)
+			got[i], errs[i] = lookup(ctx)
 		})
 	}
 	_ = all.Wait(context.Background())
-	return snaps, errs
+	return got, errs
+}
+
+// flightClass builds a class on env's runtime whose implementations match
+// flightEnv's hosts, and counts the get_implementations calls made to it.
+func flightClass(env *Env) (class loid.LOID, asks *atomic.Int64) {
+	c := classobj.New(env.RT, classobj.Config{Name: "Worker", Impls: []proto.Implementation{{Arch: "x86", OS: "Linux"}}})
+	asks = new(atomic.Int64)
+	env.RT.SetTracer(func(_ string, target loid.LOID, method string, _ time.Duration, _ error) {
+		if target == c.LOID() && method == proto.MethodGetImplementations {
+			asks.Add(1)
+		}
+	})
+	return c.LOID(), asks
+}
+
+// flightClassQuery is the query flightClass's implementations build.
+const flightClassQuery = `($host_arch == "x86" and $host_os_name == "Linux")`
+
+// TestClassSingleFlightVirtual: callers that meet a cold class entry
+// while its get_implementations is in flight share it, every one of them
+// gets the class's query, the Collection counts are untouched, and the
+// run replays byte for byte.
+func TestClassSingleFlightVirtual(t *testing.T) {
+	const callers = 8
+	run := func() []string {
+		start := time.Unix(1_000_000, 0)
+		vc := vclock.NewVirtualAt(start)
+		env, _ := flightEnv(t, vc, 2*time.Millisecond)
+		class, asks := flightClass(env)
+		vc.StartTrace()
+		vc.Run(func() {
+			queries, errs := herd(vc, background(callers), func(ctx context.Context) (string, error) {
+				return classQuery(ctx, env, class)
+			})
+			for i := range queries {
+				if errs[i] != nil || queries[i] != flightClassQuery {
+					t.Errorf("caller %d: query %q, error %v", i, queries[i], errs[i])
+				}
+			}
+		})
+		if took := vc.Since(start); took != 2*time.Millisecond {
+			t.Errorf("the herd took %v of virtual time, want one round trip (2ms)", took)
+		}
+		if n := asks.Load(); n != 1 {
+			t.Errorf("%d get_implementations calls, want 1", n)
+		}
+		c := env.Cache
+		if h, m := c.classes.hits, c.classes.misses; h != callers-1 || m != 1 {
+			t.Errorf("class hits/misses = %d/%d, want %d/1", h, m, callers-1)
+		}
+		if len(c.classes.flights) != 0 || len(c.classes.entries) != 1 {
+			t.Errorf("%d class flights and %d entries at rest, want 0 and 1", len(c.classes.flights), len(c.classes.entries))
+		}
+		if h, m := c.Stats(); h != 0 || m != 0 {
+			t.Errorf("Stats = %d/%d, want 0/0: class lookups are not Collection fetches", h, m)
+		}
+		return vc.Trace()
+	}
+	first, second := run(), run()
+	if len(first) == 0 || strings.Join(first, "\n") != strings.Join(second, "\n") {
+		t.Errorf("traces of two runs differ:\n%s\n---\n%s", strings.Join(first, "\n"), strings.Join(second, "\n"))
+	}
+}
+
+// TestClassFetchFailureNotStored: a get_implementations that fails is its
+// caller's alone. Nothing is stored, and the next lookup asks the class
+// again and is served.
+func TestClassFetchFailureNotStored(t *testing.T) {
+	vc := vclock.NewVirtual()
+	env, _ := flightEnv(t, vc, 2*time.Millisecond)
+	class, asks := flightClass(env)
+	vc.Run(func() {
+		short := vc.WithDeadline(context.Background(), vc.Now().Add(time.Millisecond))
+		_, err := classQuery(short, env, class)
+		vclock.End(short)
+		if err == nil {
+			t.Fatal("a lookup under a deadline shorter than the link succeeded")
+		}
+		if n := len(env.Cache.classes.entries); n != 0 {
+			t.Errorf("%d class entries after a failed fetch, want 0", n)
+		}
+		if q, err := classQuery(context.Background(), env, class); err != nil || q != flightClassQuery {
+			t.Errorf("the lookup after the failure: query %q, error %v", q, err)
+		}
+	})
+	if n := asks.Load(); n != 2 {
+		t.Errorf("%d get_implementations calls, want 2: the failure was stored", n)
+	}
+}
+
+// TestUncachedEnvAsksTheClassEachTime: without a cache every placement's
+// candidates asks the class for its implementations, as Fig 7 does.
+func TestUncachedEnvAsksTheClassEachTime(t *testing.T) {
+	env, _ := flightEnv(t, nil, 0)
+	env.Cache = nil
+	class, asks := flightClass(env)
+	for i := 0; i < 3; i++ {
+		if view, err := candidates(context.Background(), env, class); err != nil || len(view) != 16 {
+			t.Fatalf("placement %d: %d candidates, error %v", i, len(view), err)
+		}
+	}
+	if n := asks.Load(); n != 3 {
+		t.Errorf("%d get_implementations calls in 3 placements, want 3", n)
+	}
 }
 
 func background(n int) []context.Context {
@@ -85,8 +200,8 @@ func expectAtRest(t *testing.T, env *Env, coll *collection.Collection, queries, 
 	if h, m := env.Cache.Stats(); h != hits || m != misses {
 		t.Errorf("hits/misses = %d/%d, want %d/%d", h, m, hits, misses)
 	}
-	if n := len(env.Cache.flights); n != 0 || len(env.Cache.entries) != 1 {
-		t.Errorf("%d flights and %d entries at rest, want 0 and 1", n, len(env.Cache.entries))
+	if n := len(env.Cache.hosts.flights); n != 0 || len(env.Cache.hosts.entries) != 1 {
+		t.Errorf("%d flights and %d entries at rest, want 0 and 1", n, len(env.Cache.hosts.entries))
 	}
 }
 

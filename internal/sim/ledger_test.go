@@ -28,7 +28,7 @@ func TestPlacementAllocLedger(t *testing.T) {
 		t.Skip("coverage instrumentation and the race detector allocate")
 	}
 	want := map[string]int{
-		"vclock":      324,
+		"vclock":      284,
 		"enactor":     320,
 		"reservation": 193,
 		"scheduler":   210,
