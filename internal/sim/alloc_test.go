@@ -67,6 +67,12 @@ func placementAllocs(t *testing.T, clock vclock.Clock, tcp bool, budget float64)
 // engine fires for them: per rotation of the four generators, two
 // instances placed and torn down by each. A change that adds a round
 // trip or a timer fails here, with the count, before any benchmark runs.
+//
+// The tcp arm's 20 calls over the in-process 76 are not extra calls. A
+// call that crosses the socket is traced on both runtimes, the client's
+// and the server's, and five of a placement's calls cross it:
+// make_reservations, enact_schedule, destroy_instance twice and
+// cancel_reservations (DESIGN §14).
 func TestPlacementCallCount(t *testing.T) {
 	t.Run("wall", func(t *testing.T) {
 		placementCalls(t, nil, false, 76, 0)
