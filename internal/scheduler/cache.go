@@ -43,8 +43,9 @@ import (
 // class, under the same TTL and the same single fetch. A class's
 // implementations are fixed when it is built, and the only use of its
 // get_implementations reply is the key of its host entry, so a warm
-// placement asks the class nothing: it starts at Figure 3's first step,
-// make_reservations. Stats counts Collection fetches alone.
+// placement asks the class nothing and its first call is
+// make_reservations, a Figure 3 step. Stats counts Collection fetches
+// alone.
 type HostCache struct {
 	clock vclock.Clock
 	ttl   time.Duration
