@@ -69,8 +69,6 @@ type Class struct {
 	instances map[loid.LOID]instanceInfo
 	placer    QuickPlacer
 	policy    PlacementPolicy
-
-	created int64
 }
 
 // Config parameterizes a Class.
@@ -219,7 +217,6 @@ func (c *Class) CreateInstance(ctx context.Context, count int, placement *proto.
 	for _, inst := range reply.Started {
 		c.instances[inst] = instanceInfo{host: p.Host, vault: p.Vault}
 	}
-	c.created += int64(len(reply.Started))
 	c.mu.Unlock()
 	return reply.Started, p, nil
 }
@@ -239,13 +236,6 @@ func (c *Class) DestroyInstance(ctx context.Context, instance loid.LOID) error {
 	delete(c.instances, instance)
 	c.mu.Unlock()
 	return nil
-}
-
-// Created returns the lifetime count of instances this class started.
-func (c *Class) Created() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.created
 }
 
 func (c *Class) installMethods() {

@@ -90,6 +90,10 @@ type Daemon struct {
 	cfg  Config
 	call *resilient.Caller
 	live *monitor.Liveness
+	// sweeps counts Sweep calls (legion_daemon_sweeps_total); errors
+	// counts failed probes and pushes and refused deposits
+	// (legion_daemon_errors_total).
+	sweeps, errors *telemetry.Counter
 
 	mu          sync.Mutex
 	resources   []loid.LOID
@@ -97,9 +101,7 @@ type Daemon struct {
 	loadHist    map[loid.LOID][]float64 // rolling host_load windows (HistoryLen > 0)
 	flagged     map[loid.LOID]bool      // resources currently marked down
 	stopSweeps  func()                  // Start's vclock.Every; Stop calls it
-	sweeps      int64
-	errors      int64
-	pushCalls   int64 // ORB calls spent pushing into Collections
+	pushCalls   int64                   // ORB calls spent pushing into Collections
 }
 
 // New creates a Daemon using rt for communication.
@@ -120,12 +122,15 @@ func New(rt *orb.Runtime, cfg Config) *Daemon {
 		cfg.Breakers = resilient.NewBreakerSet(resilient.BreakerConfig{}, rt.Clock())
 	}
 	live := monitor.NewLiveness(3*cfg.Interval, downAfter, rt.Clock())
-	wireLivenessCounters(live, rt.Metrics())
+	reg := rt.Metrics()
+	wireLivenessCounters(live, reg)
 	return &Daemon{
 		rt:       rt,
 		cfg:      cfg,
 		call:     resilient.NewCaller(rt, cfg.Retry, cfg.Breakers),
 		live:     live,
+		sweeps:   reg.Counter("legion_daemon_sweeps_total"),
+		errors:   reg.Counter("legion_daemon_errors_total"),
 		loadHist: make(map[loid.LOID][]float64),
 		flagged:  make(map[loid.LOID]bool),
 	}
@@ -187,14 +192,15 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 	d.mu.Lock()
 	resources := append([]loid.LOID(nil), d.resources...)
 	collections := append([]loid.LOID(nil), d.collections...)
-	d.sweeps++
 	d.mu.Unlock()
+	d.sweeps.Inc()
 
 	// Probe the resources concurrently: a sweep over a fleet with a few
 	// dead hosts would otherwise serialize their full retry budgets. All
-	// shared state touched here (errors, flagged, the liveness tracker) is
-	// internally locked; each probe writes its entry into its own slot,
-	// so the batch lists resources in the order they are watched.
+	// shared state touched here (the error counter, flagged, the liveness
+	// tracker) is safe for concurrent use; each probe writes its entry
+	// into its own slot, so the batch lists resources in the order they
+	// are watched.
 	slots := make([]proto.BatchEntry, len(resources))
 	fanout.Do(d.rt.Clock(), parallelism, len(resources), func(ri int) {
 		res := resources[ri]
@@ -203,9 +209,7 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 		attrs, err := resilient.Invoke[proto.AttributesReply, any](cctx, d.call, d.call.Policy(), res, proto.MethodGetAttributes, nil)
 		vclock.End(cctx)
 		if err != nil {
-			d.mu.Lock()
-			d.errors++
-			d.mu.Unlock()
+			d.errors.Inc()
 			d.live.Fail(res)
 			if d.live.State(res) == monitor.LivenessDown && d.markDown(res) {
 				slots[ri] = downFlag(res)
@@ -249,7 +253,7 @@ func (d *Daemon) Sweep(ctx context.Context) int {
 			// excess is sure to be deposits the Collection refused (a
 			// credential its Authorizer turns down).
 			refused := max(reply.Dropped-flags, 0)
-			d.errors += int64(refused)
+			d.errors.Add(int64(refused))
 			ok += deposits - refused
 		} else {
 			for _, e := range entries {
@@ -324,9 +328,7 @@ func (d *Daemon) push(ctx context.Context, coll loid.LOID, entries []proto.Batch
 	reply, err := resilient.Invoke[proto.BatchUpdateReply](cctx, d.call, d.call.Policy(), coll, proto.MethodUpdateCollectionBatch,
 		proto.BatchUpdateArgs{Entries: entries, Credential: d.cfg.Credential})
 	if err != nil {
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.errors.Inc()
 		return reply, false
 	}
 	return reply, true
@@ -352,13 +354,6 @@ func (d *Daemon) Stop() {
 	if stop != nil {
 		stop()
 	}
-}
-
-// Stats reports sweep and error counts.
-func (d *Daemon) Stats() (sweeps, errors int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sweeps, d.errors
 }
 
 // PushCalls reports how many ORB calls the daemon has spent pushing

@@ -12,6 +12,7 @@ import (
 	"legion/internal/nws"
 	"legion/internal/orb"
 	"legion/internal/resilient"
+	"legion/internal/telemetry"
 	"legion/internal/vault"
 	"legion/internal/vclock"
 )
@@ -19,6 +20,7 @@ import (
 func setup(t *testing.T) (*orb.Runtime, *collection.Collection, *host.Host, *Daemon) {
 	t.Helper()
 	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry()) // the daemon's counters start at zero
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	h := host.New(rt, host.Config{
 		Arch: "x86", OS: "Linux", CPUs: 2, MemoryMB: 256, Zone: "z1",
@@ -29,6 +31,13 @@ func setup(t *testing.T) (*orb.Runtime, *collection.Collection, *host.Host, *Dae
 	d.Watch(h.LOID())
 	d.PushInto(c.LOID())
 	return rt, c, h, d
+}
+
+// stats reads a daemon's sweep and error counts off its runtime's
+// registry, as /metrics serves them.
+func stats(d *Daemon) (sweeps, errs int64) {
+	reg := d.rt.Metrics()
+	return reg.CounterValue("legion_daemon_sweeps_total"), reg.CounterValue("legion_daemon_errors_total")
 }
 
 func TestSweepJoinsThenUpdates(t *testing.T) {
@@ -56,7 +65,7 @@ func TestSweepJoinsThenUpdates(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("updated record not visible: %+v", recs)
 	}
-	sweeps, errs := d.Stats()
+	sweeps, errs := stats(d)
 	if sweeps != 2 || errs != 0 {
 		t.Errorf("stats = %d sweeps %d errors", sweeps, errs)
 	}
@@ -69,7 +78,7 @@ func TestSweepToleratesDeadResource(t *testing.T) {
 	if ok := d.Sweep(context.Background()); ok != 1 {
 		t.Fatalf("sweep deposits = %d (live host should still land)", ok)
 	}
-	_, errs := d.Stats()
+	_, errs := stats(d)
 	if errs != 1 {
 		t.Errorf("errors = %d, want 1 (the ghost)", errs)
 	}
@@ -86,7 +95,7 @@ func TestSweepToleratesDeadCollection(t *testing.T) {
 	if ok := d2.Sweep(context.Background()); ok != 0 {
 		t.Fatalf("sweep deposits = %d", ok)
 	}
-	_, errs := d2.Stats()
+	_, errs := stats(d2)
 	if errs != 1 {
 		t.Errorf("errors = %d", errs)
 	}
@@ -99,6 +108,7 @@ func TestSweepToleratesDeadCollection(t *testing.T) {
 func TestPeriodicStartStop(t *testing.T) {
 	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
 	rt.SetClock(vc)
 	v := vault.New(rt, vault.Config{Zone: "z1"})
 	h := host.New(rt, host.Config{
@@ -115,7 +125,7 @@ func TestPeriodicStartStop(t *testing.T) {
 	if c.Size() == 0 {
 		t.Fatal("periodic sweep never deposited")
 	}
-	sweeps, _ := d.Stats()
+	sweeps, _ := stats(d)
 	if sweeps != 1 {
 		t.Fatalf("sweeps = %d after one interval, want exactly 1", sweeps)
 	}
@@ -131,6 +141,7 @@ func TestPeriodicStartStop(t *testing.T) {
 func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	vc := vclock.NewVirtual()
 	rt := orb.NewRuntime("uva")
+	rt.SetMetrics(telemetry.NewRegistry())
 	rt.SetClock(vc)
 	rt.SetLatency(20*time.Millisecond, 0)
 	c := collection.New(rt, nil)
@@ -149,7 +160,7 @@ func TestDaemonStopFlushesInFlightSweep(t *testing.T) {
 	if heldAtStop != 1 {
 		t.Errorf("collection held %d records when Stop returned, want 1", heldAtStop)
 	}
-	if sweeps, _ := d.Stats(); sweeps != 1 {
+	if sweeps, _ := stats(d); sweeps != 1 {
 		t.Errorf("sweeps = %d, want 1", sweeps)
 	}
 	if n := c.Size(); n != 1 {

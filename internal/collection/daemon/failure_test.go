@@ -122,7 +122,7 @@ func TestFailedProbeRetriesWithinSweep(t *testing.T) {
 	if st := d.live.State(h.LOID()); st != monitor.LivenessUp {
 		t.Fatalf("liveness after absorbed blip = %v, want up", st)
 	}
-	if _, errs := d.Stats(); errs != 0 {
+	if _, errs := stats(d); errs != 0 {
 		t.Fatalf("errors = %d, want 0 (blip absorbed by retry)", errs)
 	}
 }
@@ -239,11 +239,11 @@ func TestRefusedDepositsCountAsErrors(t *testing.T) {
 		d.PushInto(c.LOID())
 		// The first sweep fails the ghost once; the second flags it down.
 		d.Sweep(ctx)
-		_, before := d.Stats()
+		_, before := stats(d)
 		if ok := d.Sweep(ctx); ok != tc.ok {
 			t.Errorf("credential %q: deposits = %d, want %d", tc.credential, ok, tc.ok)
 		}
-		if _, errs := d.Stats(); errs-before != int64(tc.errs) {
+		if _, errs := stats(d); errs-before != int64(tc.errs) {
 			t.Errorf("credential %q: errors = %d, want %d (refused deposits plus the ghost's probe)", tc.credential, errs, tc.errs)
 		}
 	}

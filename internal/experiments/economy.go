@@ -43,8 +43,7 @@ type economyRun struct {
 	// spent is the gross ledger spend across all tenants (refunds do
 	// not decrement it — the number compares what each policy bought,
 	// not what it kept).
-	spent    economy.Credits
-	refunded economy.Credits
+	spent economy.Credits
 	// hit/judged count successful placements whose modelled completion
 	// fits the request's deadline.
 	hit, judged int
@@ -98,7 +97,6 @@ func runEconomyCampaign(gen scheduler.Generator, hosts, requests int, spec func(
 	}.run()
 	for _, a := range led.Accounts() {
 		run.spent += a.Spent
-		run.refunded += a.Refunded
 	}
 	run.audit = led.Audit()
 	return run

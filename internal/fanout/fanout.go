@@ -134,9 +134,6 @@ func (l *Limiter) TryGo(fn func()) bool {
 // InFlight returns the number of currently admitted tasks.
 func (l *Limiter) InFlight() int { return int(l.inFlight.Load()) }
 
-// Limit returns the configured bound.
-func (l *Limiter) Limit() int { return int(l.limit) }
-
 // round is one Do call, shared by the caller and its helpers.
 type round struct {
 	next atomic.Int64

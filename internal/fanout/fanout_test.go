@@ -128,8 +128,8 @@ func TestLimiterAdmitsUpToLimit(t *testing.T) {
 		t.Fatal("refused after slots freed")
 	}
 	<-done
-	if l.Limit() != 3 {
-		t.Fatalf("Limit() = %d, want 3", l.Limit())
+	if l.limit != 3 {
+		t.Fatalf("limit = %d, want 3", l.limit)
 	}
 }
 

@@ -149,11 +149,9 @@ type Config struct {
 
 // runningObject tracks one active instance.
 type runningObject struct {
-	class   loid.LOID
 	vault   loid.LOID
 	version uint64
-	job     batchq.JobID // batch hosts only
-	queued  bool
+	job     batchq.JobID  // batch hosts only
 	obj     GenericObject // registered with the runtime by its address
 	// tok is the reservation the object was started under. For one-shot
 	// (non-reusable) reservations the paper specifies "a typical
@@ -177,9 +175,6 @@ type Host struct {
 	running map[loid.LOID]*runningObject
 	extLoad float64
 	pushTo  []pushTarget
-
-	startsTotal  int64
-	reassessions int64
 
 	met hostMetrics
 }
@@ -397,7 +392,6 @@ func (h *Host) Reassess(ctx context.Context) {
 		qlen = h.cfg.Queue.QueueLength()
 	}
 	targets := append([]pushTarget(nil), h.pushTo...)
-	h.reassessions++
 	h.mu.Unlock()
 
 	h.attrs.Merge([]attr.Pair{
@@ -455,8 +449,8 @@ func (h *Host) ReservationLeaks() int {
 	}
 	h.mu.Unlock()
 	n := 0
-	for _, e := range h.table.Snapshot() {
-		if !e.Token.Type.Reuse && !inUse[e.Token.ID] {
+	for _, tok := range h.table.Snapshot() {
+		if !tok.Type.Reuse && !inUse[tok.ID] {
 			n++
 		}
 	}
@@ -582,28 +576,25 @@ func (h *Host) StartObject(ctx context.Context, req proto.StartObjectArgs) (_ []
 
 	started := make([]loid.LOID, 0, len(req.Instances))
 	for _, inst := range req.Instances {
-		if err := h.activate(ctx, inst, req.Class, req.Token, req.State); err != nil {
+		if err := h.activate(ctx, inst, req.Token, req.State); err != nil {
 			// Partial failure: report what started; callers treat the
 			// error as authoritative and may kill the started subset.
 			return started, fmt.Errorf("host: activating %v: %w", inst, err)
 		}
 		started = append(started, inst)
 	}
-	h.mu.Lock()
-	h.startsTotal += int64(len(started))
-	h.mu.Unlock()
 	h.met.starts.Add(int64(len(started)))
 	return started, nil
 }
 
 // activate builds and registers one instance, via the batch queue when
 // configured.
-func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservation.Token, state *opr.OPR) error {
+func (h *Host) activate(ctx context.Context, inst loid.LOID, tok reservation.Token, state *opr.OPR) error {
 	version := uint64(1)
 	if state != nil {
 		version = state.Version + 1
 	}
-	ro := &runningObject{class: class, vault: tok.Vault, version: version, tok: tok}
+	ro := &runningObject{vault: tok.Vault, version: version, tok: tok}
 	obj := &ro.obj
 	if err := obj.init(inst, state); err != nil {
 		return err
@@ -620,7 +611,6 @@ func (h *Host) activate(ctx context.Context, inst, class loid.LOID, tok reservat
 	dispatched := h.rt.Clock().NewGate()
 	jobID := h.cfg.Queue.Submit(func(batchq.JobID) { dispatched.Signal() })
 	ro.job = jobID
-	ro.queued = true
 	if err := dispatched.Wait(ctx); err != nil {
 		_ = h.cfg.Queue.Cancel(jobID)
 		return fmt.Errorf("host: batch dispatch: %w", err)

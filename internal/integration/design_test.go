@@ -3,10 +3,12 @@ package integration
 import (
 	"go/ast"
 	"go/token"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,4 +101,82 @@ func declare(names map[string]bool, f *ast.File) {
 			}
 		}
 	}
+}
+
+// goTestFlag is a -run, -bench or -fuzz flag on a go test command line,
+// its pattern quoted or bare.
+var goTestFlag = regexp.MustCompile("(?:^|\\s)-(run|bench|fuzz)[= ]+('[^']*'|\"[^\"]*\"|[^\\s`]+)")
+
+// flagAtEnd is a line that a -run, -bench or -fuzz flag ends.
+var flagAtEnd = regexp.MustCompile(`\s-(run|bench|fuzz)$`)
+
+// testFunc is a test, benchmark, fuzz target or example a _test.go file
+// declares, with its kind.
+var testFunc = regexp.MustCompile(`(?m)^func ((Test|Benchmark|Fuzz|Example)\w*)\(`)
+
+// TestDocCommandsNameTests holds the docs' go test commands to the
+// tree, since a -run that names a deleted test passes and checks
+// nothing. On every go test line of README.md, DESIGN.md,
+// EXPERIMENTS.md and the CI workflow, the first /-separated element of
+// each pattern must match, as a regexp, a function some _test.go file
+// declares: a Test, Fuzz or Example for -run, a Benchmark for -bench, a
+// Fuzz for -fuzz. '^$', which runs nothing on purpose, is exempt.
+func TestDocCommandsNameTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	declared := map[string][]string{} // kind → names
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return err // .git: nothing to declare
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			declared[m[2]] = append(declared[m[2]], m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string][]string{"run": {"Test", "Fuzz", "Example"}, "bench": {"Benchmark"}, "fuzz": {"Fuzz"}}
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"} {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(src), "\n")
+		for i, line := range lines {
+			if !strings.Contains(line, "go test") {
+				continue
+			}
+			if flagAtEnd.MatchString(line) && i+1 < len(lines) {
+				line += " " + lines[i+1] // a command wrapped between flag and pattern
+			}
+		flags:
+			for _, m := range goTestFlag.FindAllStringSubmatch(line, -1) {
+				pattern := strings.Trim(m[2], `'"`)
+				if pattern == "^$" {
+					continue
+				}
+				checked++
+				first, _, _ := strings.Cut(pattern, "/")
+				re, err := regexp.Compile(first)
+				if err != nil {
+					t.Errorf("%s:%d: -%s %s: %v", doc, i+1, m[1], pattern, err)
+					continue
+				}
+				for _, kind := range kinds[m[1]] {
+					if slices.ContainsFunc(declared[kind], re.MatchString) {
+						continue flags
+					}
+				}
+				t.Errorf("%s:%d: go test -%s %s matches no %s function a _test.go file declares",
+					doc, i+1, m[1], pattern, strings.Join(kinds[m[1]], ", "))
+			}
+		}
+	}
+	t.Logf("%d patterns checked", checked)
 }

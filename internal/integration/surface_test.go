@@ -36,36 +36,27 @@ var unreached = map[string]string{
 	// program output carries.
 	"internal/attr.Value.IntVal":                 "an int attribute's value",
 	"internal/attr.Value.ListVal":                "a list attribute's elements",
-	"internal/classobj.Class.Created":            "how many instances a class started",
 	"internal/classobj.Class.Meta":               "which class object manages a class: Figure 1's hierarchy",
 	"internal/collection/daemon.Daemon.Breakers": "which breaker set a daemon shares; only identity shows it",
-	"internal/collection/daemon.Daemon.Stats":    "a daemon's sweep and error counts; no metric carries them",
 	"internal/economy.Ledger.LiveCharges":        "how many charges are not yet refunded",
 	"internal/enactor.Enactor.Breakers":          "which breaker set an Enactor shares; only identity shows it",
 	"internal/enactor.Enactor.Enacted":           "the instances a request created",
 	"internal/fanout.Limiter.InFlight":           "how many tasks a limiter admitted",
-	"internal/fanout.Limiter.Limit":              "a limiter's bound",
 	"internal/host.GenericObject.Generation":     "how often an object was reactivated",
 	"internal/host.GenericObject.Pings":          "how many pings an object served",
 	"internal/host.Host.RunningInstances":        "which instances a host runs",
 	"internal/host.Host.Triggers":                "a host's trigger set",
-	"internal/monitor.Liveness.LastBeat":         "when a resource last answered",
-	"internal/monitor.Monitor.DroppedEvents":     "how many events overflowed a Monitor's queues",
 	"internal/netobj.Link.Observe":               "a link's measured latency and bandwidth, as a measurement would move them",
 	"internal/orb.DispatchTable.Methods":         "the methods a shared table serves",
 	"internal/orb.Runtime.Lookup":                "the object a runtime binds to a LOID, the activated object tests read",
-	"internal/orb.Runtime.Locals":                "which objects a runtime holds",
 	"internal/orb.ServiceObject.Methods":         "the methods an object serves: Table 1's interfaces",
 	"internal/resilient.Breaker.State":           "a breaker's state; the program only asks Allow, which moves it",
-	"internal/rge.TriggerSet.FireCount":          "how often a trigger fired",
 	"internal/rge.TriggerSet.OutcallCount":       "how many outcalls a trigger has: Watch's idempotency",
 	"internal/rge.TriggerSet.Triggers":           "which triggers a set defines",
 	"internal/telemetry.Histogram.Mean":          "a histogram's mean",
 	"internal/telemetry.Registry.GaugeValue":     "a gauge's value",
 	"internal/telemetry.SpanLog.ByName":          "the spans of one name",
-	"internal/telemetry.SpanLog.ByTrace":         "the spans of one trace",
 	"internal/telemetry.SpanLog.Total":           "how many spans were ever recorded",
-	"internal/vault.Vault.Used":                  "a vault's stored bytes",
 	"internal/vclock.Virtual.PendingEvents":      "how many events are scheduled: the leak checks",
 }
 
@@ -342,6 +333,161 @@ func objKey(obj types.Object) string {
 		return ""
 	}
 	return prefix + obj.Name()
+}
+
+// unread is every named struct field under internal/ and cmd/ that no
+// program reads, keyed "dir.Type.field", with the reason it stays. The
+// list is exact, as unreached is: a field a program comes to read, or
+// one that goes, is dropped here too.
+var unread = map[string]string{
+	// Read by tests and goldens: what a run did, no program prints it.
+	"internal/core.Metasystem.Shards":              "the directory's shards, which the shard tests and the seed sweep read one by one",
+	"internal/sim.DriverResult.Stranded":           "placements whose teardown failed, which the seed sweep holds to the instances left",
+	"internal/scheduler.ParamSpaceResult.Renewals": "a study's slot renegotiations, which the golden digest reads",
+	"internal/scheduler.ParamSpaceResult.PerToken": "the instances under each token, which the golden digest reads",
+	"internal/experiments.campaignRun.trace":       "a campaign's event trace, which the trace fingerprints read",
+	"internal/telemetry.FinishedSpan.Start":        "when a span began, which the span tests and the seed sweep's span digest read",
+
+	// A map key: == reads every field, and no selection shows it.
+	"internal/economy.tokenKey.host": "half of the ledger's key for a reservation's charge",
+	"internal/economy.tokenKey.id":   "half of the ledger's key for a reservation's charge",
+}
+
+// TestEveryFieldIsRead holds that the program keeps nothing it never
+// reads. Every named field of a struct type declared under internal/ or
+// cmd/ is read by a non-test file of the tree, or is on unread with a
+// reason. A read is any selection of the field, through embedding too,
+// except a write: the left side of an assignment, ++ or --, through an
+// index too (x.f = v, x.f += n, x.f[k] = v), and the x.f argument of
+// x.f = append(x.f, …). A composite literal's keys and elements select
+// nothing, so they are writes too.
+func TestEveryFieldIsRead(t *testing.T) {
+	declared, read := fieldUses(checkedTree(t))
+	var missed []string
+	for key := range declared {
+		if _, allowed := unread[key]; !read[key] && !allowed {
+			missed = append(missed, key)
+		}
+	}
+	sort.Strings(missed)
+	for _, key := range missed {
+		t.Errorf("%s: %s is read by no program; delete it, or the writes with it", declared[key], key)
+	}
+	for key, reason := range unread {
+		switch {
+		case declared[key] == "":
+			t.Errorf("%s is allowed unread but not declared; drop it from unread", key)
+		case read[key]:
+			t.Errorf("%s is allowed unread but a program reads it; drop it from unread", key)
+		case strings.TrimSpace(reason) == "":
+			t.Errorf("%s is allowed unread with no reason; give one", key)
+		}
+	}
+}
+
+// fieldUses is the tree's struct fields. declared holds each named
+// field of a struct type declared under internal/ or cmd/, at its
+// position; read holds each field, of any package, that a file reads.
+// Fields are keyed by the declaring type's package path and name, as
+// objKey keys a method.
+func fieldUses(pkgs []checked) (declared map[string]string, read map[string]bool) {
+	declared, read = map[string]string{}, map[string]bool{}
+	appendFn := types.Universe.Lookup("append")
+	for _, p := range pkgs {
+		inScope := strings.HasPrefix(p.rel, "internal/") || strings.HasPrefix(p.rel, "cmd/")
+		writes := map[*ast.SelectorExpr]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !inScope {
+						break
+					}
+					prefix := typeKey(p.info.Defs[n.Name].(*types.TypeName)) + "."
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							pos := p.fset.Position(id.Pos())
+							declared[prefix+id.Name] = fmt.Sprintf("%s/%s:%d", p.rel, filepath.Base(pos.Filename), pos.Line)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel := written(lhs); sel != nil {
+							writes[sel] = true
+						}
+					}
+					if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+						break
+					}
+					call, ok := n.Rhs[0].(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						break
+					}
+					fn, ok := call.Fun.(*ast.Ident)
+					arg, isSel := call.Args[0].(*ast.SelectorExpr)
+					if ok && isSel && p.info.Uses[fn] == appendFn && types.ExprString(arg) == types.ExprString(n.Lhs[0]) {
+						writes[arg] = true
+					}
+				case *ast.IncDecStmt:
+					if sel := written(n.X); sel != nil {
+						writes[sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for sel, s := range p.info.Selections {
+			if s.Kind() == types.FieldVal && !writes[sel] {
+				if key := fieldKey(s); key != "" {
+					read[key] = true
+				}
+			}
+		}
+	}
+	return declared, read
+}
+
+// written is the field selection an assignment's left side writes,
+// through any index: x.f in x.f = v and in x.f[k] = v.
+func written(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// fieldKey names a selected field by the named struct type that
+// declares it, following the selection's path through embedded fields;
+// a field of an unnamed struct has no key.
+func fieldKey(s *types.Selection) string {
+	typ, path := s.Recv(), s.Index()
+	for _, i := range path[:len(path)-1] {
+		st, ok := deref(types.Unalias(typ)).Underlying().(*types.Struct)
+		if !ok {
+			return ""
+		}
+		typ = st.Field(i).Type()
+	}
+	n, ok := deref(types.Unalias(typ)).(*types.Named)
+	if !ok {
+		return ""
+	}
+	return typeKey(n.Origin().Obj()) + "." + s.Obj().Name()
+}
+
+// typeKey names a type by its package path from the module root and
+// its name.
+func typeKey(tn *types.TypeName) string {
+	return strings.TrimPrefix(tn.Pkg().Path(), "legion/") + "." + tn.Name()
 }
 
 // TestNoProtoTypeAssertions holds that a payload crossing the ORB is

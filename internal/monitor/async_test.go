@@ -90,7 +90,7 @@ func TestOnEventAsyncStopWaitsForTheHandler(t *testing.T) {
 	if want := []string{"handle a", "handled a", "stopped at 1s"}; !slices.Equal(log, want) {
 		t.Errorf("log %v, want %v", log, want)
 	}
-	if n := m.DroppedEvents(); n != 1 {
+	if n := m.dropped.Value(); n != 1 {
 		t.Errorf("%d events dropped at stop, want 1 (b, still queued)", n)
 	}
 }

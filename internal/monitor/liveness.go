@@ -161,14 +161,3 @@ func (l *Liveness) stateLocked(r loid.LOID) LivenessState {
 	}
 	return LivenessUp
 }
-
-// LastBeat returns when r last heartbeat, and false if it never has.
-func (l *Liveness) LastBeat(r loid.LOID) (time.Time, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.entries[r]
-	if !ok || !e.beaten {
-		return time.Time{}, false
-	}
-	return e.lastBeat, true
-}

@@ -63,11 +63,11 @@ func TestLivenessStates(t *testing.T) {
 	if n := len(l.entries); n != 2 {
 		t.Fatalf("%d resources tracked, want 2", n)
 	}
-	if _, ok := l.LastBeat(h2); ok {
-		t.Fatal("LastBeat for never-beaten host reported ok")
+	if l.entries[h2].beaten {
+		t.Fatal("never-beaten host recorded as beaten")
 	}
-	if at, ok := l.LastBeat(h); !ok || !at.Equal(clk.Now()) {
-		t.Fatalf("LastBeat = %v %v", at, ok)
+	if e := l.entries[h]; !e.beaten || !e.lastBeat.Equal(clk.Now()) {
+		t.Fatalf("last beat = %v %v", e.lastBeat, e.beaten)
 	}
 }
 

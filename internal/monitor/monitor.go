@@ -197,9 +197,6 @@ func (m *Monitor) QueueDepth() int {
 	return int(m.queueDepth.Value())
 }
 
-// DroppedEvents returns how many events overflowed async queues.
-func (m *Monitor) DroppedEvents() int64 { return m.dropped.Value() }
-
 func (m *Monitor) deliver(ev proto.NotifyArgs) {
 	m.mu.Lock()
 	hs := append([]Handler(nil), m.handlers...)

@@ -208,10 +208,10 @@ func TestOnEventAsyncDecouplesDelivery(t *testing.T) {
 	// Delivery returned immediately for all five (we are here), with the
 	// overflow counted as dropped.
 	deadline := time.After(2 * time.Second)
-	for m.DroppedEvents() < 2 {
+	for m.dropped.Value() < 2 {
 		select {
 		case <-deadline:
-			t.Fatalf("dropped = %d, want >= 2", m.DroppedEvents())
+			t.Fatalf("dropped = %d, want >= 2", m.dropped.Value())
 		case <-time.After(time.Millisecond):
 		}
 	}

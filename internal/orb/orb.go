@@ -231,18 +231,6 @@ func (rt *Runtime) BindDomain(domain, addr string) {
 	rt.domains[domain] = addr
 }
 
-// Locals returns the LOIDs of all locally registered objects, in
-// unspecified order.
-func (rt *Runtime) Locals() []loid.LOID {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]loid.LOID, 0, len(rt.objects))
-	for l := range rt.objects {
-		out = append(out, l)
-	}
-	return out
-}
-
 // SetFaultInjector installs (or clears, with nil) a fault injector
 // consulted before every call.
 func (rt *Runtime) SetFaultInjector(f FaultInjector) {

@@ -390,21 +390,19 @@ func TestDoubleListenRejected(t *testing.T) {
 	}
 }
 
-func TestLocalsAndLookup(t *testing.T) {
+func TestLookup(t *testing.T) {
 	rt := NewRuntime("uva")
 	a := newEcho(rt)
 	b := newEcho(rt)
-	ls := rt.Locals()
-	if len(ls) != 2 {
-		t.Fatalf("Locals = %v", ls)
-	}
 	if o, ok := rt.Lookup(a.LOID()); !ok || o != a {
 		t.Error("Lookup(a) failed")
+	}
+	if o, ok := rt.Lookup(b.LOID()); !ok || o != b {
+		t.Error("Lookup(b) failed")
 	}
 	if _, ok := rt.Lookup(loid.LOID{Domain: "x", Class: "y", Instance: 1}); ok {
 		t.Error("Lookup of unknown LOID succeeded")
 	}
-	_ = b
 }
 
 func TestServiceObjectMethods(t *testing.T) {

@@ -274,23 +274,16 @@ func (tb *Table) Cancel(t *Token) error {
 	return nil
 }
 
-// EntryInfo is one live reservation as seen by Snapshot.
-type EntryInfo struct {
-	Token     Token
-	Confirmed bool
-	Consumed  bool
-}
-
-// Snapshot returns the live (uncancelled, unexpired) reservations with
-// their confirmation state. Audits use this to cross-reference tokens
-// against the objects actually running under them.
-func (tb *Table) Snapshot() []EntryInfo {
+// Snapshot returns the tokens of the live (uncancelled, unexpired)
+// reservations. Audits use this to cross-reference tokens against the
+// objects actually running under them.
+func (tb *Table) Snapshot() []Token {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	tb.gcLocked(tb.clock.Now())
-	out := make([]EntryInfo, 0, len(tb.entries))
+	out := make([]Token, 0, len(tb.entries))
 	for _, e := range tb.entries {
-		out = append(out, EntryInfo{Token: e.tok, Confirmed: e.confirmed, Consumed: e.consumed})
+		out = append(out, e.tok)
 	}
 	return out
 }

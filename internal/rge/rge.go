@@ -73,7 +73,6 @@ type TriggerSet struct {
 	// never define a trigger or take an outcall.
 	triggers map[string]*trigger
 	outcalls map[string][]outcall // trigger name ("" = all) -> handlers
-	fired    map[string]int       // per-trigger fire counts, for tests/metrics
 	clock    vclock.Clock
 }
 
@@ -164,13 +163,6 @@ func (ts *TriggerSet) OutcallCount(triggerName string) int {
 	return len(ts.outcalls[triggerName])
 }
 
-// FireCount returns how many times the named trigger has fired.
-func (ts *TriggerSet) FireCount(name string) int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.fired[name]
-}
-
 // Evaluate runs every guard against the attribute record and performs the
 // outcalls of triggers transitioning false->true. Hosts call this from
 // their periodic state reassessment. It returns the events fired.
@@ -209,10 +201,6 @@ func (ts *TriggerSet) Evaluate(rec query.Record) []Event {
 			}
 		}
 		ev := Event{Source: ts.owner, Trigger: tr.name, Attrs: snapshot, Time: ts.clock.Now()}
-		if ts.fired == nil {
-			ts.fired = make(map[string]int)
-		}
-		ts.fired[tr.name]++
 		var ocs []Outcall
 		for _, oc := range ts.outcalls[tr.name] {
 			ocs = append(ocs, oc.fn)

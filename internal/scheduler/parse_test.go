@@ -16,12 +16,6 @@ import (
 func parseHostInfoByMap(rec proto.CollectionRecord) HostInfo {
 	m := attr.FromPairs(rec.Attrs)
 	h := HostInfo{LOID: rec.Member}
-	if v, ok := m["host_arch"]; ok {
-		h.Arch = v.Str()
-	}
-	if v, ok := m["host_os_name"]; ok {
-		h.OS = v.Str()
-	}
 	if v, ok := m["host_load"]; ok {
 		h.Load, _ = v.AsFloat()
 	}
@@ -41,9 +35,6 @@ func parseHostInfoByMap(rec proto.CollectionRecord) HostInfo {
 	}
 	if v, ok := m["host_speed"]; ok {
 		h.Speed, _ = v.AsFloat()
-	}
-	if v, ok := m["host_is_batch"]; ok {
-		h.Batch = v.BoolVal()
 	}
 	if v, ok := m["host_alive"]; ok {
 		h.Down = !v.BoolVal()

@@ -129,8 +129,6 @@ func invoke[R, A any](ctx context.Context, e *Env, target loid.LOID, method stri
 // HostInfo is a scheduler's parsed view of one Collection host record.
 type HostInfo struct {
 	LOID loid.LOID
-	Arch string
-	OS   string
 	Load float64
 	CPUs int
 	Zone string
@@ -143,7 +141,6 @@ type HostInfo struct {
 	// 1.0 = baseline); deadline-aware schedulers scale completion
 	// estimates by it.
 	Speed  float64
-	Batch  bool
 	Vaults []loid.LOID
 	// Down is true when the record is flagged unreachable
 	// (host_alive == false, set by the Collection daemon's failure
@@ -288,10 +285,6 @@ func parseHostInfo(rec proto.CollectionRecord) HostInfo {
 	for _, p := range rec.Attrs {
 		v := p.Value
 		switch p.Name {
-		case "host_arch":
-			h.Arch = v.Str()
-		case "host_os_name":
-			h.OS = v.Str()
 		case "host_load":
 			h.Load, _ = v.AsFloat()
 		case "host_cpus":
@@ -305,8 +298,6 @@ func parseHostInfo(rec proto.CollectionRecord) HostInfo {
 			h.Price, _ = v.AsFloat()
 		case "host_speed":
 			h.Speed, _ = v.AsFloat()
-		case "host_is_batch":
-			h.Batch = v.BoolVal()
 		case "host_alive":
 			h.Down = !v.BoolVal()
 		case "host_load_history":

@@ -476,8 +476,7 @@ func TestQueryHostsParsesEverything(t *testing.T) {
 		t.Fatalf("hosts: %v", hosts)
 	}
 	h := hosts[0]
-	if h.Arch != "x86" || h.OS != "Linux" || h.Load != 0.25 || h.CPUs != 8 ||
-		h.Zone != "z1" || h.Batch || len(h.Vaults) != 1 {
+	if h.Load != 0.25 || h.CPUs != 8 || h.Zone != "z1" || len(h.Vaults) != 1 {
 		t.Errorf("parsed: %+v", h)
 	}
 }

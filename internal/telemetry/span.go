@@ -225,17 +225,6 @@ func (l *SpanLog) Snapshot() []FinishedSpan {
 	return out
 }
 
-// ByTrace returns retained spans of one trace, oldest first.
-func (l *SpanLog) ByTrace(traceID uint64) []FinishedSpan {
-	var out []FinishedSpan
-	for _, s := range l.Snapshot() {
-		if s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ByName returns retained spans with the given name, oldest first.
 func (l *SpanLog) ByName(name string) []FinishedSpan {
 	var out []FinishedSpan

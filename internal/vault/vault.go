@@ -161,13 +161,6 @@ func (v *Vault) Delete(object loid.LOID) error {
 	return nil
 }
 
-// Used returns the stored payload byte count.
-func (v *Vault) Used() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.used
-}
-
 // Objects returns the LOIDs of all objects with a stored OPR — the
 // enumeration the migration conservation audit walks to find orphaned
 // copies left behind by failed cross-vault moves.

@@ -38,8 +38,8 @@ func TestStoreRetrieveDelete(t *testing.T) {
 	if s, err := got.State(); err != nil || string(s) != "state-v1" {
 		t.Errorf("state %q, %v", s, err)
 	}
-	if len(v.oprs) != 1 || v.Used() != int64(o.Size()) {
-		t.Errorf("%d OPRs, Used=%d", len(v.oprs), v.Used())
+	if len(v.oprs) != 1 || v.used != int64(o.Size()) {
+		t.Errorf("%d OPRs, used=%d", len(v.oprs), v.used)
 	}
 	if err := v.Delete(objA); err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestStoreRetrieveDelete(t *testing.T) {
 	if _, err := v.Retrieve(objA); !errors.Is(err, ErrNotFound) {
 		t.Errorf("after delete: %v", err)
 	}
-	if v.Used() != 0 {
-		t.Errorf("Used after delete = %d", v.Used())
+	if v.used != 0 {
+		t.Errorf("used after delete = %d", v.used)
 	}
 	if err := v.Delete(objA); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete: %v", err)
