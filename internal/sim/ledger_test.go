@@ -11,42 +11,92 @@ import (
 	"legion/internal/vclock"
 )
 
-// TestPlacementAllocLedger charges every allocation of the virtual arm's
-// placements to the package that made it: the first legion/internal/…
-// frame of its stack (sim for the fixture's own teardown calls; "-" when
-// no frame of the tree is on the stack). The virtual arm's counts are
-// exact, so each package is pinned at equality over ten rotations of
-// the four generators (40 placements of two instances each): a change
-// that adds an allocation fails here and names the package it landed
-// in, and one that removes some must lower that package's row. Print
-// the table, and below it the sites that allocate most (that frame's
+// TestPlacementAllocLedger charges every allocation of a placement to
+// the package that made it: the first legion/internal/… frame of its
+// stack (sim for the fixture's own teardown calls; "-" when no frame of
+// the tree is on the stack). It runs each arm of placementFixture for
+// ten rotations of the four generators (40 placements of two instances
+// each) and pins each package's count at equality: a change that adds
+// an allocation fails here and names the package it landed in, and one
+// that removes some must lower that package's row. Print each arm's
+// table, and below it the sites that allocate most (that frame's
 // function and line), with
 //
 //	go test ./internal/sim -run TestPlacementAllocLedger -v
+//
+// The virtual and wall arms read the same on every run. The tcp arm
+// also runs the two runtimes' read loops and flushers, and they decide
+// when the one P's timer heap first outgrows its array; the growth is
+// charged to the timer armed at that moment, a wallCtx's, so its vclock
+// row may read one above its pin.
 func TestPlacementAllocLedger(t *testing.T) {
 	if testing.CoverMode() != "" || raceEnabled {
 		t.Skip("coverage instrumentation and the race detector allocate")
 	}
-	want := map[string]int{
-		"vclock":      284,
-		"enactor":     320,
-		"reservation": 193,
-		"scheduler":   210,
-		"host":        193,
-		"telemetry":   160,
-		"sched":       120,
-		"sim":         100,
-		"classobj":    80,
-		"vault":       80,
-		"-":           4,
-	}
-	const rotations = 10
-	vc := vclock.NewVirtual()
-	var sites map[string]int
-	vc.Run(func() {
-		place, _ := placementFixture(t, vc, false)
-		sites = allocLedger(place, rotations)
+	t.Run("virtual", func(t *testing.T) {
+		vc := vclock.NewVirtual()
+		vc.Run(func() {
+			ledgerArm(t, vc, false, map[string]int{
+				"enactor":     320,
+				"vclock":      284,
+				"scheduler":   210,
+				"host":        193,
+				"reservation": 193,
+				"telemetry":   160,
+				"sched":       120,
+				"sim":         100,
+				"classobj":    80,
+				"vault":       80,
+				"-":           4,
+			}, nil)
+		})
 	})
+	t.Run("wall", func(t *testing.T) {
+		ledgerArm(t, nil, false, map[string]int{
+			"vclock":      400,
+			"enactor":     320,
+			"scheduler":   210,
+			"host":        193,
+			"reservation": 193,
+			"telemetry":   160,
+			"fanout":      120,
+			"sched":       120,
+			"sim":         100,
+			"classobj":    80,
+			"vault":       80,
+			"-":           4,
+		}, nil)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		ledgerArm(t, nil, true, map[string]int{
+			"sched":       480,
+			"vclock":      480,
+			"enactor":     400,
+			"telemetry":   360,
+			"orb":         289,
+			"scheduler":   210,
+			"host":        193,
+			"reservation": 193,
+			"fanout":      120,
+			"sim":         120,
+			"classobj":    80,
+			"loid":        80,
+			"vault":       80,
+			"proto":       40,
+			"-":           4,
+			"wire":        4,
+		}, map[string]int{"vclock": 1})
+	})
+}
+
+// ledgerArm runs placementFixture's arm on clock (nil for the wall
+// clock; tcp for the client across a socket) under allocLedger, logs its
+// table and fails t unless each package's count is want's, or above it
+// by no more than slack's.
+func ledgerArm(t *testing.T, clock vclock.Clock, tcp bool, want, slack map[string]int) {
+	const rotations = 10
+	place, _ := placementFixture(t, clock, tcp)
+	sites := allocLedger(place, rotations)
 	got := map[string]int{}
 	total := 0
 	for s, n := range sites {
@@ -67,7 +117,7 @@ func TestPlacementAllocLedger(t *testing.T) {
 	}
 	t.Logf("%d allocations in %.0f placements, %.2f per placement:\n%s", total, placements, float64(total)/placements, b.String())
 	for p, n := range got {
-		if want[p] != n {
+		if n < want[p] || n > want[p]+slack[p] {
 			t.Errorf("%s: %d allocations, want %d", p, n, want[p])
 		}
 	}
@@ -156,6 +206,10 @@ func allocSite(stk []uintptr) string {
 	for {
 		f, more := frames.Next()
 		switch f.Function {
+		case "runtime.bgscavenge":
+			// The runtime's scavenger, on its own timer: not the
+			// placement's work, and it wakes when it will.
+			return ""
 		case "runtime.itabAdd", "runtime.typeAssert", "runtime.interfaceSwitch":
 			// The runtime grew its table of interface method sets, or a
 			// type assertion's cache, which it does at random: when
