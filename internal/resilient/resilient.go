@@ -33,9 +33,7 @@ import (
 	"sync"
 	"time"
 
-	"legion/internal/host"
 	"legion/internal/orb"
-	"legion/internal/reservation"
 	"legion/internal/vclock"
 )
 
@@ -67,8 +65,10 @@ func (c Class) String() string {
 }
 
 // Classify sorts a call error into retryable transport faults versus
-// permanent refusals, by the error's identity alone. Unknown errors
-// classify as permanent: an error the callee answered with is final
+// permanent refusals, by the error's identity alone. A provider's
+// refusal (a Host's policy, a reservation conflict) names no transport
+// fault, so it falls to the default. Unknown errors classify as
+// permanent: an error the callee answered with is final
 // whatever its text says, and blindly retrying a call whose failure mode
 // we cannot name risks duplicating non-idempotent work (e.g.
 // double-granting a reservation), while treating it as final merely
@@ -94,11 +94,6 @@ func Classify(err error) Class {
 		// by a live server: retrying the same call feeds the overload.
 		// Callers fall through to their protocol-level logic
 		// (regenerate, back off) and breakers never count it as a strike.
-		return ClassPermanent
-	case errors.Is(err, host.ErrPolicy), errors.Is(err, host.ErrVaultUnreachable):
-		return ClassPermanent
-	case errors.Is(err, reservation.ErrConflict), errors.Is(err, reservation.ErrInvalidToken),
-		errors.Is(err, reservation.ErrExpired), errors.Is(err, reservation.ErrBadRequest):
 		return ClassPermanent
 	case errors.Is(err, orb.ErrUnreachable), errors.Is(err, orb.ErrConnLost):
 		// The connection, not the target object, failed.

@@ -34,6 +34,14 @@ func TestClassify(t *testing.T) {
 		{"dial failure", fmt.Errorf("%w: dial 127.0.0.1:9: connection refused", orb.ErrUnreachable), ClassRetryable},
 		{"unknown", errors.New("some application error"), ClassPermanent},
 		{"transport words in an answer", errors.New("config: unexpected EOF in record 3"), ClassPermanent},
+		// A provider's refusal joined with a lost connection is the
+		// connection's: the transport failed, so the outcome is unknown.
+		// No production path joins errors, and a refusal that crossed a
+		// socket is a RemoteError's text, which unwraps to no sentinel.
+		{"refusal and conn loss", errors.Join(fmt.Errorf("%w: domain refused", host.ErrPolicy),
+			fmt.Errorf("%w: closed by peer", orb.ErrConnLost)), ClassRetryable},
+		{"conflict and conn loss", errors.Join(fmt.Errorf("%w: slot", reservation.ErrConflict),
+			fmt.Errorf("%w: closed by peer", orb.ErrConnLost)), ClassRetryable},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
