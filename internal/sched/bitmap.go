@@ -19,9 +19,15 @@ import (
 	"strings"
 )
 
-// Bitmap is a dense bitset, one bit per master-schedule mapping.
+// Bitmap is a dense bitset, one bit per master-schedule mapping. It has
+// n 64-bit words. A bitmap of at most one word — every schedule of up to
+// 64 mappings — keeps it inline in w0, so making one allocates nothing;
+// a longer one keeps all n in words, and w0 is zero. Each size has that
+// one form, so two equal bitmaps are equal field by field.
 type Bitmap struct {
-	words []uint64
+	n     int
+	w0    uint64
+	words []uint64 // nil unless n > 1
 }
 
 // NewBitmap returns a bitmap able to hold at least n bits.
@@ -29,7 +35,9 @@ func NewBitmap(n int) Bitmap {
 	if n < 0 {
 		panic("sched: negative bitmap size")
 	}
-	return Bitmap{words: make([]uint64, (n+63)/64)}
+	var b Bitmap
+	b.grow((n + 63) / 64)
+	return b
 }
 
 // NewBitmapOf returns a bitmap of at least n bits with the given bits
@@ -43,16 +51,40 @@ func NewBitmapOf(n int, bits ...int) Bitmap {
 	return b
 }
 
+// word returns word i < b.n.
+func (b *Bitmap) word(i int) uint64 {
+	if b.words == nil {
+		return b.w0
+	}
+	return b.words[i]
+}
+
+// grow extends b to n words, if it has fewer; the new words are zero.
+func (b *Bitmap) grow(n int) {
+	switch {
+	case n <= b.n:
+		return
+	case n == 1:
+	case b.words == nil:
+		b.words = make([]uint64, n)
+		b.words[0], b.w0 = b.w0, 0
+	default:
+		b.words = append(b.words, make([]uint64, n-b.n)...)
+	}
+	b.n = n
+}
+
 // Set sets bit i, growing the bitmap if needed.
 func (b *Bitmap) Set(i int) {
 	if i < 0 {
 		panic("sched: negative bit index")
 	}
-	w := i / 64
-	for w >= len(b.words) {
-		b.words = append(b.words, 0)
+	b.grow(i/64 + 1)
+	if b.words == nil {
+		b.w0 |= 1 << (i % 64)
+		return
 	}
-	b.words[w] |= 1 << (i % 64)
+	b.words[i/64] |= 1 << (i % 64)
 }
 
 // Get reports bit i; bits beyond the current size read as zero.
@@ -61,13 +93,13 @@ func (b Bitmap) Get(i int) bool {
 		return false
 	}
 	w := i / 64
-	return w < len(b.words) && b.words[w]&(1<<(i%64)) != 0
+	return w < b.n && b.word(w)&(1<<(i%64)) != 0
 }
 
 // Any reports whether any bit is set.
 func (b Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
+	for i := 0; i < b.n; i++ {
+		if b.word(i) != 0 {
 			return true
 		}
 	}
@@ -78,12 +110,8 @@ func (b Bitmap) Any() bool {
 // this to find a variant covering the failed mappings in one word-wise
 // sweep rather than per-entry scans.
 func (b Bitmap) Intersects(o Bitmap) bool {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if b.words[i]&o.words[i] != 0 {
+	for i := 0; i < b.n && i < o.n; i++ {
+		if b.word(i)&o.word(i) != 0 {
 			return true
 		}
 	}
@@ -92,12 +120,12 @@ func (b Bitmap) Intersects(o Bitmap) bool {
 
 // Contains reports whether every set bit of o is also set in b.
 func (b Bitmap) Contains(o Bitmap) bool {
-	for i, w := range o.words {
+	for i := 0; i < o.n; i++ {
 		var bw uint64
-		if i < len(b.words) {
-			bw = b.words[i]
+		if i < b.n {
+			bw = b.word(i)
 		}
-		if w&^bw != 0 {
+		if o.word(i)&^bw != 0 {
 			return false
 		}
 	}
@@ -107,8 +135,8 @@ func (b Bitmap) Contains(o Bitmap) bool {
 // Bits returns the indices of set bits in ascending order.
 func (b Bitmap) Bits() []int {
 	var out []int
-	for wi, w := range b.words {
-		for w != 0 {
+	for wi := 0; wi < b.n; wi++ {
+		for w := b.word(wi); w != 0; {
 			i := bits.TrailingZeros64(w)
 			out = append(out, wi*64+i)
 			w &^= 1 << i
@@ -122,8 +150,9 @@ func (b Bitmap) Bits() []int {
 // carries a schedule. It stays off AppendWire so that reference does not
 // compare the codec with itself.
 func (b Bitmap) GobEncode() ([]byte, error) {
-	out := make([]byte, 8*len(b.words))
-	for i, w := range b.words {
+	out := make([]byte, 8*b.n)
+	for i := 0; i < b.n; i++ {
+		w := b.word(i)
 		for j := 0; j < 8; j++ {
 			out[i*8+j] = byte(w >> (8 * j))
 		}
@@ -136,15 +165,25 @@ func (b *Bitmap) GobDecode(data []byte) error {
 	if len(data)%8 != 0 {
 		return fmt.Errorf("sched: bitmap payload length %d not a multiple of 8", len(data))
 	}
-	b.words = make([]uint64, len(data)/8)
-	for i := range b.words {
+	*b = Bitmap{}
+	b.grow(len(data) / 8)
+	for i := 0; i < b.n; i++ {
 		var w uint64
 		for j := 0; j < 8; j++ {
 			w |= uint64(data[i*8+j]) << (8 * j)
 		}
-		b.words[i] = w
+		b.setWord(i, w)
 	}
 	return nil
+}
+
+// setWord sets word i < b.n to w.
+func (b *Bitmap) setWord(i int, w uint64) {
+	if b.words == nil {
+		b.w0 = w
+		return
+	}
+	b.words[i] = w
 }
 
 // String renders the set bits, e.g. "{0,3,17}".

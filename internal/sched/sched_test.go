@@ -311,8 +311,8 @@ func TestKofNValidate(t *testing.T) {
 // ones counts b's set bits.
 func ones(b Bitmap) int {
 	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
+	for i := 0; i < b.n; i++ {
+		n += bits.OnesCount64(b.word(i))
 	}
 	return n
 }

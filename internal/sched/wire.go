@@ -11,18 +11,23 @@ import (
 
 // AppendWire appends the bitmap's word vector.
 func (b Bitmap) AppendWire(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(b.words)))
-	for _, w := range b.words {
-		buf = wire.AppendUvarint(buf, w)
+	buf = wire.AppendUvarint(buf, uint64(b.n))
+	for i := 0; i < b.n; i++ {
+		buf = wire.AppendUvarint(buf, b.word(i))
 	}
 	return buf
 }
 
-// DecodeWire consumes a Bitmap, reusing the word slice's capacity.
+// DecodeWire consumes a Bitmap, reusing the word slice's capacity when
+// it has more than one word.
 func (b *Bitmap) DecodeWire(r *wire.Reader) {
 	n := r.Len()
-	if r.Err != nil || n == 0 {
-		b.words = nil
+	if r.Err != nil || n <= 1 {
+		*b = Bitmap{}
+		if n == 1 {
+			b.grow(1)
+			b.w0 = r.Uvarint()
+		}
 		return
 	}
 	if cap(b.words) >= n {
@@ -30,6 +35,7 @@ func (b *Bitmap) DecodeWire(r *wire.Reader) {
 	} else {
 		b.words = make([]uint64, n)
 	}
+	b.n, b.w0 = n, 0
 	for i := range b.words {
 		b.words[i] = r.Uvarint()
 	}
