@@ -48,7 +48,6 @@ var unreached = map[string]string{
 	"internal/host.Host.Triggers":                "a host's trigger set",
 	"internal/netobj.Link.Observe":               "a link's measured latency and bandwidth, as a measurement would move them",
 	"internal/orb.DispatchTable.Methods":         "the methods a shared table serves",
-	"internal/orb.Runtime.Lookup":                "the object a runtime binds to a LOID, the activated object tests read",
 	"internal/orb.ServiceObject.Methods":         "the methods an object serves: Table 1's interfaces",
 	"internal/resilient.Breaker.State":           "a breaker's state; the program only asks Allow, which moves it",
 	"internal/rge.TriggerSet.OutcallCount":       "how many outcalls a trigger has: Watch's idempotency",

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -52,12 +53,63 @@ const (
 // is neither nil, a string, a []string, nor a registered WireMessage.
 var ErrUnregisteredType = errors.New("orb: type not registered for the wire")
 
-type wireDecodeFunc func(r *wire.Reader) any
+// typedCodec is one registered message type's codec: its ID, a decoder
+// to a T and an encoder from a T. Neither boxes: they are what a call
+// whose argument or reply type is known at compile time (Invoke, Typed)
+// encodes and decodes through. The encoder takes T by value, because a
+// *T passed through a function value would move the caller's T to the
+// heap.
+type typedCodec[T any] struct {
+	id     uint64
+	decode func(r *wire.Reader) T
+	append func(b []byte, v T) []byte // the payload: tag, then body
+}
 
+// payloadCodec is a typedCodec as the registry files it, with the one
+// method the boxed path needs.
+type payloadCodec interface {
+	wireID() uint64
+	decodeAny(r *wire.Reader) any
+}
+
+func (c *typedCodec[T]) wireID() uint64 { return c.id }
+
+// decodeAny is the boxed decoder DecodePayload uses, derived from the
+// typed one: the value it returns is a T.
+func (c *typedCodec[T]) decodeAny(r *wire.Reader) any {
+	m := c.decode(r)
+	if r.Err != nil {
+		return nil
+	}
+	return m
+}
+
+// decodeBytes decodes the payload at the front of b as a T, and returns
+// the bytes after it. ok is false, with nothing decoded, when b does not
+// start with T's tag: the payload is of another type, or nil, or its
+// tag is corrupt, and DecodePayload reads or refuses it as it would any
+// payload. A T that fails to decode is DecodePayload's error.
+func (c *typedCodec[T]) decodeBytes(b []byte) (v T, rest []byte, ok bool, err error) {
+	tag, n := binary.Uvarint(b)
+	if n <= 0 || tag != c.id {
+		return v, b, false, nil
+	}
+	r := wire.GetReader(b[n:])
+	defer wire.PutReader(r)
+	v = c.decode(r)
+	if r.Err != nil {
+		return v, nil, true, fmt.Errorf("orb: decode wire type %d: %w", tag, r.Err)
+	}
+	return v, r.B, true, nil
+}
+
+// The registry: each registered type's codec, filed under its type, its
+// pointer type and its ID. Registration fills it in init functions;
+// afterwards it is only read.
 var (
-	wireRegMu    sync.RWMutex
-	wireTypeIDs  = make(map[reflect.Type]uint64)
-	wireDecoders = make(map[uint64]wireDecodeFunc)
+	wireRegMu  sync.RWMutex
+	wireByType = make(map[reflect.Type]payloadCodec)
+	wireByID   = make(map[uint64]payloadCodec)
 )
 
 // RegisterWireMessage registers T under the given stable wire type ID
@@ -74,24 +126,33 @@ func RegisterWireMessage[T WireMessage](id uint16, dec func(r *wire.Reader) T) {
 	if id < WireIDFirst {
 		panic(fmt.Sprintf("orb: wire type ID %d is reserved (first assignable is %d)", id, WireIDFirst))
 	}
-	typ := reflect.TypeOf((*T)(nil)).Elem()
+	typ := reflect.TypeFor[T]()
 	wireRegMu.Lock()
 	defer wireRegMu.Unlock()
-	if _, dup := wireDecoders[uint64(id)]; dup {
+	if _, dup := wireByID[uint64(id)]; dup {
 		panic(fmt.Sprintf("orb: wire type ID %d registered twice", id))
 	}
-	if _, dup := wireTypeIDs[typ]; dup {
+	if _, dup := wireByType[typ]; dup {
 		panic(fmt.Sprintf("orb: wire type %v registered twice", typ))
 	}
-	wireTypeIDs[typ] = uint64(id)
-	wireTypeIDs[reflect.PointerTo(typ)] = uint64(id)
-	wireDecoders[uint64(id)] = func(r *wire.Reader) any {
-		m := dec(r)
-		if r.Err != nil {
-			return nil
-		}
-		return m
+	c := &typedCodec[T]{
+		id:     uint64(id),
+		decode: dec,
+		append: func(b []byte, v T) []byte { return v.AppendWire(wire.AppendUvarint(b, uint64(id))) },
 	}
+	wireByType[typ] = c
+	wireByType[reflect.PointerTo(typ)] = c
+	wireByID[uint64(id)] = c
+}
+
+// codecOf returns T's codec, or nil when T has none: it was not
+// registered (nil, string, []string and interface types never are), or
+// T is the pointer to a registered type, which the boxed path encodes.
+func codecOf[T any]() *typedCodec[T] {
+	wireRegMu.RLock()
+	c, _ := wireByType[reflect.TypeFor[T]()].(*typedCodec[T])
+	wireRegMu.RUnlock()
+	return c
 }
 
 // AppendPayload appends v's payload encoding: a uvarint type tag and
@@ -115,12 +176,12 @@ func AppendPayload(b []byte, v any) ([]byte, error) {
 		return b, fmt.Errorf("%w: %T", ErrUnregisteredType, v)
 	}
 	wireRegMu.RLock()
-	id, ok := wireTypeIDs[reflect.TypeOf(v)]
+	c, ok := wireByType[reflect.TypeOf(v)]
 	wireRegMu.RUnlock()
 	if !ok {
 		return b, fmt.Errorf("%w: %T", ErrUnregisteredType, v)
 	}
-	return m.AppendWire(wire.AppendUvarint(b, id)), nil
+	return m.AppendWire(wire.AppendUvarint(b, c.wireID())), nil
 }
 
 // DecodePayload consumes one payload from r. Decoded values never alias
@@ -147,12 +208,12 @@ func DecodePayload(r *wire.Reader) (any, error) {
 		return out, nil
 	default:
 		wireRegMu.RLock()
-		dec := wireDecoders[tag]
+		c := wireByID[tag]
 		wireRegMu.RUnlock()
-		if dec == nil {
+		if c == nil {
 			return nil, fmt.Errorf("orb: unknown wire type ID %d", tag)
 		}
-		v := dec(r)
+		v := c.decodeAny(r)
 		if r.Err != nil {
 			return nil, fmt.Errorf("orb: decode wire type %d: %w", tag, r.Err)
 		}
@@ -396,21 +457,13 @@ func appendResponseFrame(b []byte, scratch *[]byte, id uint64, errKind int, errM
 	return append(b, payload...)
 }
 
-// decodeResponseFrame consumes a response frame body through the
-// caller's Reader (reused per connection for its warm symbol cache).
-func decodeResponseFrame(r *wire.Reader, body []byte) (response, error) {
-	r.Reset(body)
+// decodeResponseHeader consumes a response frame's header from r, aimed
+// at the frame's body: request ID, error kind and message. The payload
+// is left in r for whoever decodes it.
+func decodeResponseHeader(r *wire.Reader) (response, error) {
 	var resp response
 	resp.ID = r.Uvarint()
 	resp.ErrKind = int(r.Uvarint())
 	resp.ErrMsg = r.Str()
-	if r.Err != nil {
-		return resp, r.Err
-	}
-	res, err := DecodePayload(r)
-	if err != nil {
-		return resp, err
-	}
-	resp.Result = res
-	return resp, nil
+	return resp, r.Err
 }

@@ -99,8 +99,13 @@ func readResponse(br *bufio.Reader) (response, error) {
 	if _, err := io.ReadFull(br, body); err != nil {
 		return response{}, err
 	}
-	var r wire.Reader
-	return decodeResponseFrame(&r, body)
+	r := wire.Reader{B: body}
+	resp, err := decodeResponseHeader(&r)
+	if err != nil {
+		return resp, err
+	}
+	resp.Result, err = DecodePayload(&r)
+	return resp, err
 }
 
 // TestTCPCallRoundTrips drives every payload kind the codec carries —

@@ -18,11 +18,13 @@ type Method func(ctx context.Context, arg any) (any, error)
 type SharedMethod func(ctx context.Context, recv, arg any) (any, error)
 
 // Handler is a Method that knows its argument and reply types, as Typed
-// builds it: Invoke calls it with both by value, and every other call
-// goes through its boxed form.
+// builds it: Invoke calls it with both by value, a frame from the socket
+// is served through its wire form, and every other call goes through
+// its boxed form.
 type Handler struct {
 	boxed Method
 	typed any // func(context.Context, A) (R, error)
+	wire  wireMethod
 }
 
 // SharedHandler is a SharedMethod that knows its argument and reply
@@ -30,7 +32,15 @@ type Handler struct {
 type SharedHandler struct {
 	boxed SharedMethod
 	typed any // func(context.Context, any, A) (R, error)
+	wire  wireMethod
 }
+
+// wireMethod serves a call from the socket whose argument is still
+// encoded in *buf, bound to recv (nil for a Handler). ran is false, and
+// *buf untouched, when the payload is not an A: the boxed form then
+// decodes it and answers. Otherwise *buf holds the encoded reply when
+// err is nil, and is empty when it is not.
+type wireMethod func(ctx context.Context, recv any, buf *[]byte) (ran bool, err error)
 
 // Typed adapts a handler of one argument and one reply type. The caller
 // may be remote or version-skewed, so an argument of another type is
@@ -49,12 +59,18 @@ func Typed[A, R any](f func(ctx context.Context, a A) (R, error)) Handler {
 			return r, nil
 		},
 		typed: f,
+		wire: wireForm(func(ctx context.Context, _ any, a A) (R, error) {
+			return f(ctx, a)
+		}),
 	}
 }
 
 // SharedTyped is Typed for a class-wide table: recv is the receiver
 // bound by InitShared.
 func SharedTyped[V, A, R any](f func(ctx context.Context, recv V, a A) (R, error)) SharedHandler {
+	typed := func(ctx context.Context, recv any, a A) (R, error) {
+		return f(ctx, recv.(V), a)
+	}
 	return SharedHandler{
 		boxed: func(ctx context.Context, recv, arg any) (any, error) {
 			a, err := argAs[A](arg)
@@ -67,9 +83,38 @@ func SharedTyped[V, A, R any](f func(ctx context.Context, recv V, a A) (R, error
 			}
 			return r, nil
 		},
-		typed: func(ctx context.Context, recv any, a A) (R, error) {
-			return f(ctx, recv.(V), a)
-		},
+		typed: typed,
+		wire:  wireForm(typed),
+	}
+}
+
+// wireForm is f served from and to the socket: the argument decoded as
+// an A and the reply appended as an R, neither through an any. It is
+// nil unless both A and R have codecs when the handler is built, and
+// such a method is served through its boxed form.
+func wireForm[A, R any](f func(ctx context.Context, recv any, a A) (R, error)) wireMethod {
+	ac, rc := codecOf[A](), codecOf[R]()
+	if ac == nil || rc == nil {
+		return nil
+	}
+	return func(ctx context.Context, recv any, buf *[]byte) (bool, error) {
+		a, rest, ok, err := ac.decodeBytes(*buf)
+		if !ok {
+			return false, nil
+		}
+		if err == nil && len(rest) != 0 {
+			err = trailingBytes(len(rest))
+		}
+		*buf = (*buf)[:0] // a decoded A does not alias the buffer
+		if err != nil {
+			return true, err
+		}
+		r, err := f(ctx, recv, a)
+		if err != nil {
+			return true, err
+		}
+		*buf = rc.append(*buf, r)
+		return true, nil
 	}
 }
 
@@ -216,6 +261,27 @@ func (s *ServiceObject) Dispatch(ctx context.Context, method string, arg any) (a
 
 // service lets Invoke find the ServiceObject a registered Object embeds.
 func (s *ServiceObject) service() *ServiceObject { return s }
+
+// wireMethodOf returns the wire form of obj's entry for method, and the
+// receiver it is bound to: nil unless obj is a ServiceObject whose entry
+// has one.
+func wireMethodOf(obj Object, method string) (wireMethod, any) {
+	so, ok := obj.(interface{ service() *ServiceObject })
+	if !ok {
+		return nil, nil
+	}
+	s := so.service()
+	s.mu.RLock()
+	m, ok := s.m[method]
+	s.mu.RUnlock()
+	if ok {
+		return m.wire, nil
+	}
+	if s.shared != nil {
+		return s.shared.m[method].wire, s.recv
+	}
+	return nil, nil
+}
 
 // callTyped runs method on obj with arg and reply by value when obj is a
 // ServiceObject whose entry for method was registered for exactly A and

@@ -357,9 +357,12 @@ func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, met
 // in the same order (tracer, fault injector, latency). A local
 // ServiceObject whose method was registered through Typed or SharedTyped
 // for exactly A and R, with the loopback codec off, runs with both
-// passed by value, so neither is boxed. Every other call boxes arg once
-// and goes the way Call does; its reply of another type than R is an
-// error, as with As.
+// passed by value, so neither is boxed. A remote target, when A and R
+// both have codecs (see RegisterWireMessage), gets arg appended through
+// A's codec, and the reply is decoded through R's on the caller's
+// goroutine, so neither is boxed there either. Every other call boxes
+// arg once and goes the way Call does. A reply of another type than R
+// is an error, as with As.
 func Invoke[R, A any](ctx context.Context, rt *Runtime, target loid.LOID, method string, arg A) (R, error) {
 	h := rt.hooks.Load()
 	if h.tracer == nil {
@@ -377,12 +380,73 @@ func invoke[R, A any](ctx context.Context, rt *Runtime, h *callHooks, target loi
 		var zero R
 		return zero, err
 	}
-	if obj != nil && !h.loopback {
+	if obj == nil {
+		if ac, rc := codecOf[A](), codecOf[R](); ac != nil && rc != nil {
+			return invokeRemote(ctx, rt, addr, target, method, arg, ac, rc)
+		}
+	} else if !h.loopback {
 		if res, ran, err := callTyped[A, R](ctx, obj, method, arg); ran {
 			return res, err
 		}
 	}
 	return As[R](rt.dispatch(ctx, h, obj, addr, target, method, arg))
+}
+
+// servesWire reports whether the read loop should leave a frame's
+// payload to the handler: target is a local ServiceObject whose entry
+// for method has a wire form (see Typed), and the loopback codec is off.
+func (rt *Runtime) servesWire(target loid.LOID, method string) bool {
+	if rt.hooks.Load().loopback {
+		return false
+	}
+	obj, ok := rt.Lookup(target)
+	if !ok {
+		return false
+	}
+	f, _ := wireMethodOf(obj, method)
+	return f != nil
+}
+
+// callWire is Call for a frame from the socket whose argument is still
+// encoded in *buf, because servesWire said so. It runs Call's hooks in
+// the same order. If method's wire form then serves the call, the reply
+// is encoded in *buf, and encoded is true. Otherwise — the binding has
+// moved since, or the argument is of another type — the argument is
+// decoded as the read loop would have, the call goes the way Call does
+// and returns its result, and *buf is left empty.
+func (rt *Runtime) callWire(ctx context.Context, target loid.LOID, method string, buf *[]byte) (res any, encoded bool, err error) {
+	h := rt.hooks.Load()
+	if h.tracer == nil {
+		return rt.serveWire(ctx, h, target, method, buf)
+	}
+	start := h.clock.Now()
+	res, encoded, err = rt.serveWire(ctx, h, target, method, buf)
+	h.tracer(rt.name, target, method, h.clock.Since(start), err)
+	return res, encoded, err
+}
+
+func (rt *Runtime) serveWire(ctx context.Context, h *callHooks, target loid.LOID, method string, buf *[]byte) (any, bool, error) {
+	obj, addr, err := rt.route(ctx, h, target, method)
+	if err != nil {
+		*buf = (*buf)[:0]
+		return nil, false, err
+	}
+	if obj != nil && !h.loopback {
+		if f, recv := wireMethodOf(obj, method); f != nil {
+			if ran, err := f(ctx, recv, buf); ran {
+				return nil, true, err
+			}
+		}
+	}
+	r := wire.GetReader(*buf)
+	arg, err := decodeArg(r)
+	wire.PutReader(r)
+	*buf = (*buf)[:0]
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := rt.dispatch(ctx, h, obj, addr, target, method, arg)
+	return res, false, err
 }
 
 // route runs a call's fault injector and then its link latency, and

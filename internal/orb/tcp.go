@@ -39,16 +39,24 @@ type request struct {
 	// span is "rpc/"+Method, taken from the connection's method table on
 	// the serving side; it does not cross the wire.
 	span string
+	// raw is set, on the serving side, in place of Arg when the method
+	// has a wire form: the argument's payload, copied off the read loop's
+	// buffer into a pooled one, which then carries the reply.
+	raw *[]byte
 }
 
 // response is the reply to one request. lost is set instead when the
 // connection failed before the reply came: it never crosses the wire.
+// A caller that decodes its reply itself gets the payload, copied off
+// the read loop's buffer into a pooled one it puts back, in place of
+// Result.
 type response struct {
 	ID      uint64
 	Result  any
 	ErrMsg  string
 	ErrKind int // see errKinds
 	lost    error
+	payload *[]byte
 }
 
 // tcpServer accepts connections and serves requests against a Runtime.
@@ -210,14 +218,16 @@ func (s *tcpServer) earnLabel(method string) bool {
 
 // process runs one decoded request against the runtime: span
 // re-parenting, propagated-deadline enforcement, dispatch, server-side
-// metrics.
-func (s *tcpServer) process(req request) (any, error) {
+// metrics. It leaves the reply's payload in *buf, which is req.raw when
+// that is set.
+func (s *tcpServer) process(req request, buf *[]byte) error {
 	ctx := telemetry.WithRemoteParent(s.ctx,
 		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	reg := s.rt.Metrics()
 	ctx, span := reg.Spans().Start(ctx, s.rt.Clock(), req.span, s.rt.Domain())
 	label := s.methodLabel(req.Method)
 	var res any
+	var encoded bool
 	var err error
 	if req.Deadline != 0 {
 		dl := time.Unix(0, req.Deadline)
@@ -236,7 +246,11 @@ func (s *tcpServer) process(req request) (any, error) {
 		}
 	}
 	if err == nil {
-		res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
+		if req.raw != nil {
+			res, encoded, err = s.rt.callWire(ctx, req.Target, req.Method, buf)
+		} else {
+			res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
+		}
 		if label == unknownMethod && !errors.Is(err, ErrNoMethod) && !errors.Is(err, ErrNotBound) &&
 			s.earnLabel(req.Method) {
 			label = req.Method
@@ -247,7 +261,37 @@ func (s *tcpServer) process(req request) (any, error) {
 	if err != nil {
 		reg.Counter("legion_orb_server_errors_total", "method", label).Inc()
 	}
-	return res, err
+	if !encoded || err != nil {
+		*buf, err = appendReply((*buf)[:0], res, err)
+	}
+	return err
+}
+
+// appendReply appends the payload that answers a call: res, or nil with
+// the encode error when res has no encoding.
+func appendReply(b []byte, res any, err error) ([]byte, error) {
+	pb, perr := AppendPayload(b, res)
+	if perr != nil {
+		pb, _ = AppendPayload(b, nil)
+		return pb, perr
+	}
+	return pb, err
+}
+
+// decodeArg decodes a request frame's payload, which must be all that
+// is left of the frame.
+func decodeArg(r *wire.Reader) (any, error) {
+	arg, err := DecodePayload(r)
+	if err == nil && len(r.B) != 0 {
+		err = trailingBytes(len(r.B))
+	}
+	return arg, err
+}
+
+// trailingBytes is the error for a request frame with n bytes after its
+// payload.
+func trailingBytes(n int) error {
+	return fmt.Errorf("orb: request frame has %d trailing bytes", n)
 }
 
 // errServerShed is the server's refusal when its handler pool is full.
@@ -286,23 +330,23 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		// Header and payload decode stay on the read loop: method-table
-		// updates must apply in frame order, and decoded values never
-		// alias body, so the buffer is immediately reusable.
+		// Header decode stays on the read loop: method-table updates
+		// must apply in frame order. So does the payload's, unless the
+		// method has a wire form: then its handler decodes the argument
+		// from a copy. Decoded values never alias body, so the buffer is
+		// immediately reusable.
 		r.Reset(body)
 		req, err := decodeRequestHeader(&r, &mt)
 		if err != nil {
 			return // corrupt header: the stream is unrecoverable
 		}
-		var perr error
-		req.Arg, perr = DecodePayload(&r)
-		if perr == nil && len(r.B) != 0 {
-			perr = fmt.Errorf("orb: request frame has %d trailing bytes", len(r.B))
-		}
-		if perr != nil {
+		if s.rt.servesWire(req.Target, req.Method) {
+			req.raw = wire.GetBuf()
+			*req.raw = append(*req.raw, r.B...)
+		} else if req.Arg, err = decodeArg(&r); err != nil {
 			// The frame boundary is intact, so the connection survives a
 			// bad payload; only this request fails.
-			s.respondBinary(co, req.ID, nil, perr)
+			s.respondBinary(co, req.ID, nil, err)
 			continue
 		}
 		f, _ := framePool.Get().(*frame)
@@ -315,6 +359,7 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 		if !s.lim.TryGo(f.run) {
 			reqWG.Done()
 			f.release()
+			wire.PutBuf(req.raw)
 			s.respondBinary(co, req.ID, nil, s.shed(req.Method))
 		}
 	}
@@ -342,8 +387,12 @@ func (f *frame) serve() {
 	s, co, wg, req := f.s, f.co, f.wg, f.req
 	f.release()
 	defer wg.Done()
-	res, err := s.process(req)
-	s.respondBinary(co, req.ID, res, err)
+	buf := req.raw
+	if buf == nil {
+		buf = wire.GetBuf()
+	}
+	err := s.process(req, buf)
+	s.respond(co, req.ID, buf, err)
 }
 
 // release clears the frame, the request's argument included, and puts
@@ -357,12 +406,13 @@ func (f *frame) release() {
 // response frame.
 func (s *tcpServer) respondBinary(co *coalescer, id uint64, res any, err error) {
 	payload := wire.GetBuf()
-	pb, perr := AppendPayload((*payload)[:0], res)
-	if perr != nil {
-		err = perr
-		pb, _ = AppendPayload((*payload)[:0], nil)
-	}
-	*payload = pb
+	*payload, err = appendReply((*payload)[:0], res, err)
+	s.respond(co, id, payload, err)
+}
+
+// respond appends one response frame carrying the payload encoded in
+// *payload, which it puts back.
+func (s *tcpServer) respond(co *coalescer, id uint64, payload *[]byte, err error) {
 	kind, msg := encodeErr(err)
 	co.append(func(b []byte) []byte {
 		return appendResponseFrame(b, &co.scratch, id, kind, msg, *payload)
@@ -381,8 +431,15 @@ type tcpClient struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan response
+	pending map[uint64]pendingCall
 	err     error
+}
+
+// pendingCall is a registered call's reply slot, and whether its caller
+// decodes the reply's payload itself.
+type pendingCall struct {
+	ch  chan response
+	raw bool
 }
 
 func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
@@ -397,7 +454,7 @@ func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 	c := &tcpClient{
 		conn:    conn,
 		onClose: onClose,
-		pending: make(map[uint64]chan response),
+		pending: make(map[uint64]pendingCall),
 	}
 	c.co = newCoalescer(conn, func(err error) {
 		c.close(fmt.Errorf("send: %w", err))
@@ -429,61 +486,71 @@ func (c *tcpClient) readLoopBinary() {
 			c.close(err)
 			return
 		}
-		resp, err := decodeResponseFrame(&r, body)
+		r.Reset(body)
+		resp, err := decodeResponseHeader(&r)
 		if err != nil {
 			c.close(fmt.Errorf("decode response: %w", err))
 			return
 		}
-		c.deliver(resp)
-	}
-}
-
-// deliver hands a response to its waiting caller; responses for
-// withdrawn IDs (caller gave up) are dropped.
-func (c *tcpClient) deliver(resp response) {
-	c.mu.Lock()
-	ch, ok := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
-	c.mu.Unlock()
-	if ok {
-		ch <- resp
+		// The response goes to its waiting caller; one for a withdrawn
+		// ID (the caller gave up) is decoded and dropped.
+		c.mu.Lock()
+		p, ok := c.pending[resp.ID]
+		delete(c.pending, resp.ID)
+		c.mu.Unlock()
+		if ok && p.raw {
+			resp.payload = wire.GetBuf()
+			*resp.payload = append(*resp.payload, r.B...)
+		} else if resp.Result, err = DecodePayload(&r); err != nil {
+			lost := c.close(fmt.Errorf("decode response: %w", err))
+			if ok {
+				p.ch <- response{lost: lost}
+			}
+			return
+		}
+		if ok {
+			p.ch <- resp
+		}
 	}
 }
 
 // close fails all pending calls with ErrConnLost, marks the client
 // dead, and (once) runs the eviction hook so the owning Runtime drops it
 // from the client cache — the next call to this address redials instead
-// of failing forever on a dead connection.
-func (c *tcpClient) close(err error) {
+// of failing forever on a dead connection. It returns the error the
+// pending calls failed with.
+func (c *tcpClient) close(err error) error {
 	c.conn.Close()
 	c.mu.Lock()
 	first := c.err == nil
 	if first {
 		c.err = fmt.Errorf("%w: %w", ErrConnLost, err)
 	}
-	for id, ch := range c.pending {
+	for id, p := range c.pending {
 		delete(c.pending, id)
-		ch <- response{lost: c.err}
+		p.ch <- response{lost: c.err}
 	}
-	onClose := c.onClose
+	lost, onClose := c.err, c.onClose
 	c.mu.Unlock()
 	// Outside c.mu: the hook takes the Runtime's clientsMu, which other
 	// goroutines hold while taking c.mu (lock-order discipline).
 	if first && onClose != nil {
 		onClose(c)
 	}
+	return lost
 }
 
-// replyPool recycles reply slots: capacity-1 channels, so deliver and
-// close never block on a caller that gave up. A slot goes back only from
-// the arm of call that received on it: by then it has left pending and
-// its one send is consumed, so nobody else holds it. A caller that gave
-// up drops its slot instead, because deliver may already have taken it
-// out of pending and be about to send.
+// replyPool recycles reply slots: capacity-1 channels, so the read loop
+// and close never block on a caller that gave up. A slot goes back only
+// from the arm of call that received on it: by then it has left pending
+// and its one send is consumed, so nobody else holds it. A caller that
+// gave up drops its slot instead, because the read loop may already have
+// taken it out of pending and be about to send.
 var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
-// register allocates a request ID and its reply slot.
-func (c *tcpClient) register(req *request) (chan response, error) {
+// register allocates a request ID and its reply slot; with raw, the
+// reply's payload comes back undecoded.
+func (c *tcpClient) register(req *request, raw bool) (chan response, error) {
 	ch := replyPool.Get().(chan response)
 	c.mu.Lock()
 	if c.err != nil {
@@ -493,7 +560,7 @@ func (c *tcpClient) register(req *request) (chan response, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	c.pending[req.ID] = ch
+	c.pending[req.ID] = pendingCall{ch: ch, raw: raw}
 	c.mu.Unlock()
 	return ch, nil
 }
@@ -505,37 +572,28 @@ func (c *tcpClient) withdraw(id uint64) {
 	c.mu.Unlock()
 }
 
-// call sends one request over the coalesced connection. The
-// payload is encoded outside every lock; only the small header encode
-// (which must be ordered with method interning) runs under the
-// coalescer lock. Appending never blocks — a wedged connection is the
-// flusher's problem — so the caller goes straight to the response wait,
-// and context expiry resolves through the coalescer's frame-fate
-// trichotomy: excised (nothing sent, connection lives), flushed
-// (response will be dropped, connection lives), or inflight (stream
-// integrity unknown, connection dies and the cache redials).
-func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	payload := wire.GetBuf()
-	pb, err := AppendPayload((*payload)[:0], req.Arg)
-	if err != nil {
-		wire.PutBuf(payload)
-		return nil, err
-	}
-	*payload = pb
+// call sends one request, its payload encoded in *payload, which call
+// puts back, over the coalesced connection, and waits for the response.
+// With raw the response carries the reply's payload undecoded, in a
+// buffer the caller puts back. Only the small header encode (which must
+// be ordered with method interning) runs under the coalescer lock.
+// Appending never blocks — a wedged connection is the flusher's problem
+// — so the caller goes straight to the response wait, and context
+// expiry resolves through the coalescer's frame-fate trichotomy: excised
+// (nothing sent, connection lives), flushed (response will be dropped,
+// connection lives), or inflight (stream integrity unknown, connection
+// dies and the cache redials).
+func (c *tcpClient) call(ctx context.Context, req request, payload *[]byte, raw bool) (response, error) {
 	// Large payload encodes take real time; don't enqueue a frame the
 	// caller has already abandoned.
 	if err := ctx.Err(); err != nil {
 		wire.PutBuf(payload)
-		return nil, err
+		return response{}, err
 	}
-
-	ch, err := c.register(&req)
+	ch, err := c.register(&req, raw)
 	if err != nil {
 		wire.PutBuf(payload)
-		return nil, err
+		return response{}, err
 	}
 	frameID, err := c.co.append(func(b []byte) []byte {
 		return appendRequestFrame(b, &c.co.scratch, &c.co.methods, &req, *payload)
@@ -543,16 +601,13 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 	wire.PutBuf(payload)
 	if err != nil {
 		c.withdraw(req.ID)
-		return nil, fmt.Errorf("%w: send: %w", ErrConnLost, err)
+		return response{}, fmt.Errorf("%w: send: %w", ErrConnLost, err)
 	}
 
 	select {
 	case resp := <-ch:
 		replyPool.Put(ch)
-		if resp.lost != nil {
-			return nil, resp.lost
-		}
-		return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
+		return resp, resp.lost
 	case <-ctx.Done():
 		c.withdraw(req.ID)
 		if c.co.cancel(frameID) == cancelInflight {
@@ -561,7 +616,7 @@ func (c *tcpClient) call(ctx context.Context, req request) (any, error) {
 			// fast and the Runtime's eviction hook forces a redial.
 			c.close(fmt.Errorf("send aborted: %w", ctx.Err()))
 		}
-		return nil, ctx.Err()
+		return response{}, ctx.Err()
 	}
 }
 
@@ -595,26 +650,103 @@ func (rt *Runtime) client(addr string) (*tcpClient, error) {
 }
 
 func (rt *Runtime) callRemote(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	reg, clk := rt.Metrics(), rt.Clock()
-	start := clk.Now()
+	start := rt.Clock().Now()
 	res, err := rt.callRemoteRaw(ctx, addr, target, method, arg)
-	reg.Histogram("legion_orb_client_seconds", telemetry.LatencyBuckets,
-		"method", method).Observe(clk.Since(start).Seconds())
-	if err != nil {
-		reg.Counter("legion_orb_client_errors_total", "method", method).Inc()
-	}
+	rt.observeClient(method, start, err)
 	return res, err
 }
 
+// observeClient records a remote call that started at start.
+func (rt *Runtime) observeClient(method string, start time.Time, err error) {
+	reg := rt.Metrics()
+	reg.Histogram("legion_orb_client_seconds", telemetry.LatencyBuckets,
+		"method", method).Observe(rt.Clock().Since(start).Seconds())
+	if err != nil {
+		reg.Counter("legion_orb_client_errors_total", "method", method).Inc()
+	}
+}
+
 func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	c, err := rt.client(addr)
+	c, req, err := rt.request(ctx, addr, target, method)
 	if err != nil {
 		return nil, err
 	}
-	req := request{
-		Target: target,
-		Method: method,
-		Arg:    arg,
+	payload := wire.GetBuf()
+	pb, err := AppendPayload((*payload)[:0], arg)
+	if err != nil {
+		wire.PutBuf(payload)
+		return nil, err
+	}
+	*payload = pb
+	resp, err := c.call(ctx, req, payload, false)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
+}
+
+// invokeRemote is callRemote for Invoke when A and R have codecs: arg is
+// appended through ac, and the reply decoded through rc on the caller's
+// goroutine.
+func invokeRemote[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
+	start := rt.Clock().Now()
+	res, err := invokeRemoteRaw(ctx, rt, addr, target, method, arg, ac, rc)
+	rt.observeClient(method, start, err)
+	return res, err
+}
+
+func invokeRemoteRaw[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
+	var zero R
+	c, req, err := rt.request(ctx, addr, target, method)
+	if err != nil {
+		return zero, err
+	}
+	payload := wire.GetBuf()
+	*payload = ac.append((*payload)[:0], arg)
+	resp, err := c.call(ctx, req, payload, true)
+	if err != nil {
+		return zero, err
+	}
+	defer wire.PutBuf(resp.payload)
+	return decodeReply(rc, *resp.payload, decodeErr(resp.ErrKind, resp.ErrMsg))
+}
+
+// decodeReply is As for a reply still encoded in b, with callErr the
+// error the call ended with: an R decodes through rc, and a reply of
+// another type, or nil, is As's error. A reply that fails to decode is
+// DecodePayload's error; the frame around it was whole, so the
+// connection serves on.
+func decodeReply[R any](rc *typedCodec[R], b []byte, callErr error) (R, error) {
+	v, _, ok, err := rc.decodeBytes(b)
+	if !ok {
+		r := wire.GetReader(b)
+		defer wire.PutReader(r)
+		var res any
+		if res, err = DecodePayload(r); err == nil {
+			return As[R](res, callErr)
+		}
+	}
+	if err != nil {
+		var zero R
+		if callErr == nil {
+			callErr = err
+		}
+		return zero, callErr
+	}
+	return v, callErr
+}
+
+// request dials (or reuses) the client for addr and builds a request's
+// header: target, method, and the caller's span and deadline. It fails
+// with the context's error once the caller has given up.
+func (rt *Runtime) request(ctx context.Context, addr string, target loid.LOID, method string) (*tcpClient, request, error) {
+	req := request{Target: target, Method: method}
+	c, err := rt.client(addr)
+	if err != nil {
+		return nil, req, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, req, err
 	}
 	if sc, ok := telemetry.SpanFromContext(ctx); ok {
 		req.TraceID, req.SpanID = sc.TraceID, sc.SpanID
@@ -622,5 +754,5 @@ func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.L
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	return c.call(ctx, req)
+	return c, req, nil
 }
