@@ -28,23 +28,25 @@ import (
 // parks and no fan-out; the tcp arm is the wall arm's placement from a
 // second runtime over one loopback connection, both ends counted. Each
 // budget is its arm's reading plus a fixed margin, 6 %, 15 % and 7 %,
-// over 50, 44 and 81 allocations per placement (Go 1.24, linux/amd64);
+// over 48, 42 and 66 allocations per placement (Go 1.24, linux/amd64);
 // a change that lowers a reading lowers its budget to the new reading
-// plus the same margin. TestPlacementAllocLedger names the package each
-// allocation of the virtual arm comes from.
+// plus the same margin. The tcp arm read 81 until a typed call crossed
+// the socket as a value, and every arm read one more until a bitmap of
+// up to 64 bits kept its word inline. TestPlacementAllocLedger names the
+// package each allocation of each arm comes from.
 func TestPlacementAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	t.Run("wall", func(t *testing.T) {
-		placementAllocs(t, nil, false, 53)
+		placementAllocs(t, nil, false, 51)
 	})
 	t.Run("virtual", func(t *testing.T) {
 		vc := vclock.NewVirtual()
-		vc.Run(func() { placementAllocs(t, vc, false, 51+raceSlack) })
+		vc.Run(func() { placementAllocs(t, vc, false, 49+raceSlack) })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		placementAllocs(t, nil, true, 87+raceSlack)
+		placementAllocs(t, nil, true, 71+raceSlack)
 	})
 }
 

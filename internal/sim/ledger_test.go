@@ -24,6 +24,14 @@ import (
 //
 //	go test ./internal/sim -run TestPlacementAllocLedger -v
 //
+// The tcp arm's rows over the wall arm's are the socket's: the server
+// decodes each schedule into fresh slices (sched, loid), both runtimes
+// start spans (telemetry), and each call that waits on the socket arms
+// its deadline (vclock). Its orb and wire rows are the pools the
+// window's first GC cycle emptied, refilled: buffers, readers, reply
+// slots and frames. A typed call crosses the socket as a value, so orb
+// boxes nothing (DESIGN §14).
+//
 // The virtual and wall arms read the same on every run. The tcp arm
 // also runs the two runtimes' read loops and flushers, and they decide
 // when the one P's timer heap first outgrows its array; the growth is
@@ -43,9 +51,9 @@ func TestPlacementAllocLedger(t *testing.T) {
 				"host":        193,
 				"reservation": 193,
 				"telemetry":   160,
-				"sched":       120,
 				"sim":         100,
 				"classobj":    80,
+				"sched":       80,
 				"vault":       80,
 				"-":           4,
 			}, nil)
@@ -60,31 +68,31 @@ func TestPlacementAllocLedger(t *testing.T) {
 			"reservation": 193,
 			"telemetry":   160,
 			"fanout":      120,
-			"sched":       120,
 			"sim":         100,
 			"classobj":    80,
+			"sched":       80,
 			"vault":       80,
 			"-":           4,
 		}, nil)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		ledgerArm(t, nil, true, map[string]int{
-			"sched":       480,
 			"vclock":      480,
-			"enactor":     400,
+			"sched":       400,
 			"telemetry":   360,
-			"orb":         289,
+			"enactor":     320,
 			"scheduler":   210,
 			"host":        193,
 			"reservation": 193,
 			"fanout":      120,
-			"sim":         120,
+			"sim":         100,
 			"classobj":    80,
 			"loid":        80,
 			"vault":       80,
 			"proto":       40,
+			"orb":         9,
+			"wire":        6,
 			"-":           4,
-			"wire":        4,
 		}, map[string]int{"vclock": 1})
 	})
 }
