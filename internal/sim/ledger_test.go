@@ -24,10 +24,13 @@ import (
 //
 //	go test ./internal/sim -run TestPlacementAllocLedger -v
 //
-// The tcp arm's rows over the wall arm's are the socket's: the server
-// decodes each schedule into fresh slices (sched, loid), both runtimes
-// start spans (telemetry), and each call that waits on the socket arms
-// its deadline (vclock). Its orb and wire rows are the pools the
+// On the virtual and wall arms, sched is the schedule a generator
+// builds, its mappings and variants: a variant's bitmap over at most 64
+// mappings keeps its word inline, and allocates nothing. The tcp arm's
+// rows over the wall arm's are the socket's: the server decodes each
+// schedule into fresh slices (sched), the client each enactment's
+// instance lists (loid, proto), both runtimes start spans (telemetry),
+// and each call that waits on the socket arms its deadline (vclock). Its orb and wire rows are the pools the
 // window's first GC cycle emptied, refilled: buffers, readers, reply
 // slots and frames. A typed call crosses the socket as a value, so orb
 // boxes nothing (DESIGN §14).
