@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"legion/internal/loid"
+	"legion/internal/wire"
 )
 
 // Method is one exported method of a ServiceObject.
@@ -35,12 +37,23 @@ type SharedHandler struct {
 	wire  wireMethod
 }
 
-// wireMethod serves a call from the socket whose argument is still
-// encoded in *buf, bound to recv (nil for a Handler). ran is false, and
-// *buf untouched, when the payload is not an A: the boxed form then
-// decodes it and answers. Otherwise *buf holds the encoded reply when
-// err is nil, and is empty when it is not.
-type wireMethod func(ctx context.Context, recv any, buf *[]byte) (ran bool, err error)
+// wireMethod is a method's wire form: it serves a frame from the socket
+// with the argument and the reply as values. A method has one when it
+// was registered through Typed or SharedTyped and both its types had
+// codecs (see RegisterWireMessage) when the handler was built.
+type wireMethod interface {
+	// decode reads a request frame's payload on the read loop, as
+	// decodeArg does and with its errors, but an A comes back held in a
+	// recycled *A, not boxed.
+	decode(r *wire.Reader) (any, error)
+	// serve runs the method, bound to recv, on an argument decode
+	// returned, and leaves the reply's payload in *buf. ran is false, and
+	// nothing ran, when arg is not an A: the boxed form then answers.
+	serve(ctx context.Context, recv, arg any, buf *[]byte) (ran bool, err error)
+	// boxed returns arg as the boxed form takes it: the A, when decode
+	// held one.
+	boxed(arg any) any
+}
 
 // Typed adapts a handler of one argument and one reply type. The caller
 // may be remote or version-skewed, so an argument of another type is
@@ -88,34 +101,43 @@ func SharedTyped[V, A, R any](f func(ctx context.Context, recv V, a A) (R, error
 	}
 }
 
-// wireForm is f served from and to the socket: the argument decoded as
-// an A and the reply appended as an R, neither through an any. It is
-// nil unless both A and R have codecs when the handler is built, and
-// such a method is served through its boxed form.
+// wireForm is f's wire form, or nil unless both A and R have codecs
+// when the handler is built.
 func wireForm[A, R any](f func(ctx context.Context, recv any, a A) (R, error)) wireMethod {
 	ac, rc := codecOf[A](), codecOf[R]()
 	if ac == nil || rc == nil {
 		return nil
 	}
-	return func(ctx context.Context, recv any, buf *[]byte) (bool, error) {
-		a, rest, ok, err := ac.decodeBytes(*buf)
-		if !ok {
-			return false, nil
-		}
-		if err == nil && len(rest) != 0 {
-			err = trailingBytes(len(rest))
-		}
-		*buf = (*buf)[:0] // a decoded A does not alias the buffer
-		if err != nil {
-			return true, err
-		}
-		r, err := f(ctx, recv, a)
-		if err != nil {
-			return true, err
-		}
-		*buf = rc.append(*buf, r)
-		return true, nil
+	return &typedWire[A, R]{ac: ac, rc: rc, f: f}
+}
+
+// typedWire is the wireMethod of a method of argument A and reply R.
+type typedWire[A, R any] struct {
+	ac *typedCodec[A]
+	rc *typedCodec[R]
+	f  func(ctx context.Context, recv any, a A) (R, error)
+}
+
+func (w *typedWire[A, R]) decode(r *wire.Reader) (any, error) { return w.ac.decodeArg(r) }
+
+func (w *typedWire[A, R]) serve(ctx context.Context, recv, arg any, buf *[]byte) (bool, error) {
+	a, ok := w.ac.take(arg)
+	if !ok {
+		return false, nil
 	}
+	r, err := w.f(ctx, recv, a)
+	if err != nil {
+		return true, err
+	}
+	*buf = w.rc.append((*buf)[:0], r)
+	return true, nil
+}
+
+func (w *typedWire[A, R]) boxed(arg any) any {
+	if a, ok := w.ac.take(arg); ok {
+		return a
+	}
+	return arg
 }
 
 func argAs[A any](arg any) (A, error) {
@@ -162,6 +184,7 @@ func (t *DispatchTable) Handle(name string, m SharedMethod) {
 // HandleTyped is Handle for a method built by SharedTyped.
 func (t *DispatchTable) HandleTyped(name string, h SharedHandler) {
 	t.m[name] = h
+	noteWireName(name, h.wire)
 }
 
 // Methods returns the names of all registered methods.
@@ -219,6 +242,7 @@ func (s *ServiceObject) HandleTyped(name string, h Handler) {
 		s.m = make(map[string]Handler)
 	}
 	s.m[name] = h
+	noteWireName(name, h.wire)
 }
 
 // Methods returns the names of all registered methods (shared and
@@ -262,36 +286,99 @@ func (s *ServiceObject) Dispatch(ctx context.Context, method string, arg any) (a
 // service lets Invoke find the ServiceObject a registered Object embeds.
 func (s *ServiceObject) service() *ServiceObject { return s }
 
-// wireMethodOf returns the wire form of obj's entry for method, and the
-// receiver it is bound to: nil unless obj is a ServiceObject whose entry
-// has one.
-func wireMethodOf(obj Object, method string) (wireMethod, any) {
-	so, ok := obj.(interface{ service() *ServiceObject })
-	if !ok {
-		return nil, nil
+// serviceOf returns the ServiceObject obj is or embeds, or nil.
+func serviceOf(obj Object) *ServiceObject {
+	if so, ok := obj.(interface{ service() *ServiceObject }); ok {
+		return so.service()
 	}
-	s := so.service()
+	return nil
+}
+
+// wireNames is every method name registered with a wire form, on any
+// ServiceObject or DispatchTable. The read loop looks a frame's target
+// up only for these names, so a frame for any other method, such as one
+// registered with Handle, costs it no lookup. It only grows, and is
+// copied on write: registration is rare, and the read loop reads it for
+// every frame.
+var (
+	wireNamesMu sync.Mutex
+	wireNames   atomic.Pointer[map[string]struct{}]
+)
+
+// noteWireName adds name to wireNames when its handler has a wire form.
+func noteWireName(name string, w wireMethod) {
+	if w == nil || hasWireName(name) {
+		return
+	}
+	wireNamesMu.Lock()
+	defer wireNamesMu.Unlock()
+	var old map[string]struct{}
+	if p := wireNames.Load(); p != nil {
+		old = *p
+	}
+	next := make(map[string]struct{}, len(old)+1)
+	for k := range old {
+		next[k] = struct{}{}
+	}
+	next[name] = struct{}{}
+	wireNames.Store(&next)
+}
+
+// hasWireName reports whether some method named name has a wire form.
+func hasWireName(name string) bool {
+	p := wireNames.Load()
+	if p == nil {
+		return false
+	}
+	_, ok := (*p)[name]
+	return ok
+}
+
+// wireBinding is a local method's wire form, as the read loop finds it
+// for a request frame, and what the form is bound to: the ServiceObject
+// and the receiver. Its zero value is a method without one.
+type wireBinding struct {
+	form wireMethod
+	svc  *ServiceObject
+	recv any // nil unless the entry is from a class-wide table
+}
+
+// wireBindingOf returns the wire form of obj's entry for method.
+func wireBindingOf(obj Object, method string) wireBinding {
+	s := serviceOf(obj)
+	if s == nil {
+		return wireBinding{}
+	}
 	s.mu.RLock()
 	m, ok := s.m[method]
 	s.mu.RUnlock()
-	if ok {
-		return m.wire, nil
+	b := wireBinding{form: m.wire, svc: s}
+	if !ok && s.shared != nil {
+		b.form, b.recv = s.shared.m[method].wire, s.recv
 	}
-	if s.shared != nil {
-		return s.shared.m[method].wire, s.recv
+	if b.form == nil {
+		return wireBinding{}
 	}
-	return nil, nil
+	return b
+}
+
+// decode reads a request frame's payload through b's form when there is
+// one, and as decodeArg does otherwise.
+func (b wireBinding) decode(r *wire.Reader) (any, error) {
+	if b.form == nil {
+		return decodeArg(r)
+	}
+	return b.form.decode(r)
 }
 
 // callTyped runs method on obj with arg and reply by value when obj is a
 // ServiceObject whose entry for method was registered for exactly A and
 // R. ran is false, and nothing ran, otherwise.
 func callTyped[A, R any](ctx context.Context, obj Object, method string, arg A) (res R, ran bool, err error) {
-	so, ok := obj.(interface{ service() *ServiceObject })
-	if !ok {
+	s := serviceOf(obj)
+	if s == nil {
 		return res, false, nil
 	}
-	s := so.service()
 	s.mu.RLock()
 	m, ok := s.m[method]
 	s.mu.RUnlock()

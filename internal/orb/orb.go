@@ -336,11 +336,19 @@ func dispatchLoopback(ctx context.Context, obj Object, method string, arg any) (
 // latency simulation; local dispatch runs on the caller's goroutine.
 func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, arg any) (any, error) {
 	h := rt.hooks.Load()
-	if h.tracer == nil {
+	return traced(rt, h, target, method, func() (any, error) {
 		return rt.call(ctx, h, target, method, arg)
+	})
+}
+
+// traced runs call, and reports it to h's tracer when there is one: the
+// one wrapper Call, Invoke and callWire share.
+func traced[T any](rt *Runtime, h *callHooks, target loid.LOID, method string, call func() (T, error)) (T, error) {
+	if h.tracer == nil {
+		return call()
 	}
 	start := h.clock.Now()
-	res, err := rt.call(ctx, h, target, method, arg)
+	res, err := call()
 	h.tracer(rt.name, target, method, h.clock.Since(start), err)
 	return res, err
 }
@@ -365,13 +373,9 @@ func (rt *Runtime) call(ctx context.Context, h *callHooks, target loid.LOID, met
 // is an error, as with As.
 func Invoke[R, A any](ctx context.Context, rt *Runtime, target loid.LOID, method string, arg A) (R, error) {
 	h := rt.hooks.Load()
-	if h.tracer == nil {
+	return traced(rt, h, target, method, func() (R, error) {
 		return invoke[R](ctx, rt, h, target, method, arg)
-	}
-	start := h.clock.Now()
-	res, err := invoke[R](ctx, rt, h, target, method, arg)
-	h.tracer(rt.name, target, method, h.clock.Since(start), err)
-	return res, err
+	})
 }
 
 func invoke[R, A any](ctx context.Context, rt *Runtime, h *callHooks, target loid.LOID, method string, arg A) (R, error) {
@@ -392,61 +396,43 @@ func invoke[R, A any](ctx context.Context, rt *Runtime, h *callHooks, target loi
 	return As[R](rt.dispatch(ctx, h, obj, addr, target, method, arg))
 }
 
-// servesWire reports whether the read loop should leave a frame's
-// payload to the handler: target is a local ServiceObject whose entry
-// for method has a wire form (see Typed), and the loopback codec is off.
-func (rt *Runtime) servesWire(target loid.LOID, method string) bool {
-	if rt.hooks.Load().loopback {
-		return false
+// wireBindingOf returns the wire form of target's entry for method, as
+// the read loop decodes a request frame's payload through it: the zero
+// wireBinding unless target is a local ServiceObject whose entry has
+// one and the loopback codec is off.
+func (rt *Runtime) wireBindingOf(target loid.LOID, method string) wireBinding {
+	if !hasWireName(method) || rt.hooks.Load().loopback {
+		return wireBinding{}
 	}
 	obj, ok := rt.Lookup(target)
 	if !ok {
-		return false
+		return wireBinding{}
 	}
-	f, _ := wireMethodOf(obj, method)
-	return f != nil
+	return wireBindingOf(obj, method)
 }
 
-// callWire is Call for a frame from the socket whose argument is still
-// encoded in *buf, because servesWire said so. It runs Call's hooks in
-// the same order. If method's wire form then serves the call, the reply
-// is encoded in *buf, and encoded is true. Otherwise — the binding has
-// moved since, or the argument is of another type — the argument is
-// decoded as the read loop would have, the call goes the way Call does
-// and returns its result, and *buf is left empty.
-func (rt *Runtime) callWire(ctx context.Context, target loid.LOID, method string, buf *[]byte) (res any, encoded bool, err error) {
+// callWire is Call for a request frame whose argument the read loop
+// decoded through b's form, and runs Call's hooks in the same order.
+// When target still resolves to b's ServiceObject, the form serves the
+// call: the reply is left encoded in *buf, and encoded is true.
+// Otherwise — the binding moved since, the loopback codec was turned on,
+// or the argument is of another type — the call goes the way Call does
+// and returns its result.
+func (rt *Runtime) callWire(ctx context.Context, target loid.LOID, method string, arg any, b wireBinding, buf *[]byte) (res any, encoded bool, err error) {
 	h := rt.hooks.Load()
-	if h.tracer == nil {
-		return rt.serveWire(ctx, h, target, method, buf)
-	}
-	start := h.clock.Now()
-	res, encoded, err = rt.serveWire(ctx, h, target, method, buf)
-	h.tracer(rt.name, target, method, h.clock.Since(start), err)
-	return res, encoded, err
-}
-
-func (rt *Runtime) serveWire(ctx context.Context, h *callHooks, target loid.LOID, method string, buf *[]byte) (any, bool, error) {
-	obj, addr, err := rt.route(ctx, h, target, method)
-	if err != nil {
-		*buf = (*buf)[:0]
-		return nil, false, err
-	}
-	if obj != nil && !h.loopback {
-		if f, recv := wireMethodOf(obj, method); f != nil {
-			if ran, err := f(ctx, recv, buf); ran {
-				return nil, true, err
+	res, err = traced(rt, h, target, method, func() (any, error) {
+		obj, addr, err := rt.route(ctx, h, target, method)
+		if err != nil {
+			return nil, err
+		}
+		if !h.loopback && serviceOf(obj) == b.svc {
+			if encoded, err = b.form.serve(ctx, b.recv, arg, buf); encoded {
+				return nil, err
 			}
 		}
-	}
-	r := wire.GetReader(*buf)
-	arg, err := decodeArg(r)
-	wire.PutReader(r)
-	*buf = (*buf)[:0]
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := rt.dispatch(ctx, h, obj, addr, target, method, arg)
-	return res, false, err
+		return rt.dispatch(ctx, h, obj, addr, target, method, b.form.boxed(arg))
+	})
+	return res, encoded, err
 }
 
 // route runs a call's fault injector and then its link latency, and

@@ -39,10 +39,6 @@ type request struct {
 	// span is "rpc/"+Method, taken from the connection's method table on
 	// the serving side; it does not cross the wire.
 	span string
-	// raw is set, on the serving side, in place of Arg when the method
-	// has a wire form: the argument's payload, copied off the read loop's
-	// buffer into a pooled one, which then carries the reply.
-	raw *[]byte
 }
 
 // response is the reply to one request. lost is set instead when the
@@ -218,9 +214,9 @@ func (s *tcpServer) earnLabel(method string) bool {
 
 // process runs one decoded request against the runtime: span
 // re-parenting, propagated-deadline enforcement, dispatch, server-side
-// metrics. It leaves the reply's payload in *buf, which is req.raw when
-// that is set.
-func (s *tcpServer) process(req request, buf *[]byte) error {
+// metrics. b is the method's wire form, when the read loop decoded
+// req.Arg through one. It leaves the reply's payload in *buf.
+func (s *tcpServer) process(req request, b wireBinding, buf *[]byte) error {
 	ctx := telemetry.WithRemoteParent(s.ctx,
 		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 	reg := s.rt.Metrics()
@@ -246,8 +242,8 @@ func (s *tcpServer) process(req request, buf *[]byte) error {
 		}
 	}
 	if err == nil {
-		if req.raw != nil {
-			res, encoded, err = s.rt.callWire(ctx, req.Target, req.Method, buf)
+		if b.form != nil {
+			res, encoded, err = s.rt.callWire(ctx, req.Target, req.Method, req.Arg, b, buf)
 		} else {
 			res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
 		}
@@ -330,20 +326,17 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		// Header decode stays on the read loop: method-table updates
-		// must apply in frame order. So does the payload's, unless the
-		// method has a wire form: then its handler decodes the argument
-		// from a copy. Decoded values never alias body, so the buffer is
-		// immediately reusable.
+		// Header and payload decode stay on the read loop: method-table
+		// updates must apply in frame order, and decoded values never
+		// alias body, so the buffer is immediately reusable. A method
+		// with a wire form gets its argument by value, not boxed.
 		r.Reset(body)
 		req, err := decodeRequestHeader(&r, &mt)
 		if err != nil {
 			return // corrupt header: the stream is unrecoverable
 		}
-		if s.rt.servesWire(req.Target, req.Method) {
-			req.raw = wire.GetBuf()
-			*req.raw = append(*req.raw, r.B...)
-		} else if req.Arg, err = decodeArg(&r); err != nil {
+		wb := s.rt.wireBindingOf(req.Target, req.Method)
+		if req.Arg, err = wb.decode(&r); err != nil {
 			// The frame boundary is intact, so the connection survives a
 			// bad payload; only this request fails.
 			s.respondBinary(co, req.ID, nil, err)
@@ -354,12 +347,11 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 			f = new(frame)
 			f.run = f.serve
 		}
-		f.s, f.co, f.wg, f.req = s, co, &reqWG, req
+		f.s, f.co, f.wg, f.req, f.wire = s, co, &reqWG, req, wb
 		reqWG.Add(1)
 		if !s.lim.TryGo(f.run) {
 			reqWG.Done()
 			f.release()
-			wire.PutBuf(req.raw)
 			s.respondBinary(co, req.ID, nil, s.shed(req.Method))
 		}
 	}
@@ -369,11 +361,12 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 // pooled, and run is bound to serve once, when the frame is made, so
 // admitting a frame allocates nothing.
 type frame struct {
-	s   *tcpServer
-	co  *coalescer
-	wg  *sync.WaitGroup
-	req request
-	run func()
+	s    *tcpServer
+	co   *coalescer
+	wg   *sync.WaitGroup
+	req  request
+	wire wireBinding // the method's wire form, if req.Arg was decoded through one
+	run  func()
 }
 
 // framePool has no New: serve puts frames back in it, so a New that
@@ -384,21 +377,18 @@ var framePool sync.Pool
 // needs and returns the frame to the pool first, so a handler that runs
 // long does not keep a frame out of it.
 func (f *frame) serve() {
-	s, co, wg, req := f.s, f.co, f.wg, f.req
+	s, co, wg, req, wb := f.s, f.co, f.wg, f.req, f.wire
 	f.release()
 	defer wg.Done()
-	buf := req.raw
-	if buf == nil {
-		buf = wire.GetBuf()
-	}
-	err := s.process(req, buf)
+	buf := wire.GetBuf()
+	err := s.process(req, wb, buf)
 	s.respond(co, req.ID, buf, err)
 }
 
 // release clears the frame, the request's argument included, and puts
 // it back in the pool: a pooled frame pins nothing.
 func (f *frame) release() {
-	f.s, f.co, f.wg, f.req = nil, nil, nil, request{}
+	f.s, f.co, f.wg, f.req, f.wire = nil, nil, nil, request{}, wireBinding{}
 	framePool.Put(f)
 }
 
@@ -667,7 +657,8 @@ func (rt *Runtime) observeClient(method string, start time.Time, err error) {
 }
 
 func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	c, req, err := rt.request(ctx, addr, target, method)
+	req := request{Target: target, Method: method}
+	c, err := rt.request(ctx, addr, &req)
 	if err != nil {
 		return nil, err
 	}
@@ -697,7 +688,8 @@ func invokeRemote[R, A any](ctx context.Context, rt *Runtime, addr string, targe
 
 func invokeRemoteRaw[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
 	var zero R
-	c, req, err := rt.request(ctx, addr, target, method)
+	req := request{Target: target, Method: method}
+	c, err := rt.request(ctx, addr, &req)
 	if err != nil {
 		return zero, err
 	}
@@ -717,7 +709,7 @@ func invokeRemoteRaw[R, A any](ctx context.Context, rt *Runtime, addr string, ta
 // DecodePayload's error; the frame around it was whole, so the
 // connection serves on.
 func decodeReply[R any](rc *typedCodec[R], b []byte, callErr error) (R, error) {
-	v, _, ok, err := rc.decodeBytes(b)
+	v, ok, err := rc.decodeBytes(b)
 	if !ok {
 		r := wire.GetReader(b)
 		defer wire.PutReader(r)
@@ -736,17 +728,16 @@ func decodeReply[R any](rc *typedCodec[R], b []byte, callErr error) (R, error) {
 	return v, callErr
 }
 
-// request dials (or reuses) the client for addr and builds a request's
-// header: target, method, and the caller's span and deadline. It fails
-// with the context's error once the caller has given up.
-func (rt *Runtime) request(ctx context.Context, addr string, target loid.LOID, method string) (*tcpClient, request, error) {
-	req := request{Target: target, Method: method}
+// request dials (or reuses) the client for addr and fills in the rest
+// of req's header: the caller's span and deadline. It fails with the
+// context's error once the caller has given up.
+func (rt *Runtime) request(ctx context.Context, addr string, req *request) (*tcpClient, error) {
 	c, err := rt.client(addr)
 	if err != nil {
-		return nil, req, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, req, err
+		return nil, err
 	}
 	if sc, ok := telemetry.SpanFromContext(ctx); ok {
 		req.TraceID, req.SpanID = sc.TraceID, sc.SpanID
@@ -754,5 +745,5 @@ func (rt *Runtime) request(ctx context.Context, addr string, target loid.LOID, m
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	return c, req, nil
+	return c, nil
 }

@@ -1,8 +1,11 @@
 package proto
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -18,13 +21,18 @@ import (
 // socket, by value — to the boxed one, AppendPayload and DecodePayload.
 // It covers every registered type (fixtureMessages) and every message
 // FuzzCodecRoundTrip's committed seed corpus generates. Each value
-// crosses one loopback connection three ways: typed at both ends; boxed
-// by the caller (Call) to a typed method; typed by the caller to a boxed
-// method (Handle). Each way, the value the server decodes and the reply
-// the caller decodes must equal the boxed codec's own round trip. So
-// each decoder reads each encoder's bytes alike, and a request frame
-// that carried a byte more or less than AppendPayload's would be
-// refused: a request's payload must be all of its frame.
+// crosses a fresh loopback connection three ways: typed at both ends;
+// boxed by the caller (Call) to a typed method; typed by the caller to a
+// boxed method (Handle). Each way, the value the server decodes and the
+// reply the caller decodes must equal the boxed codec's own round trip,
+// so each decoder reads each encoder's bytes alike. A relay records the
+// bytes each connection carries, and the typed encoders must write the
+// boxed one's: the typed caller's request stream is the boxed caller's,
+// byte for byte, and the typed method's reply stream is the boxed
+// method's, each ending in AppendPayload's bytes. A fresh connection
+// opens with the same preamble, method definition and request ID, and
+// no call carries a span or a deadline, so the payload is all that can
+// differ.
 func TestTypedCodecDifferential(t *testing.T) {
 	d := newTypedDiffPair(t)
 	msgs := fixtureMessages()
@@ -125,12 +133,12 @@ func TestTypedCodecDifferential(t *testing.T) {
 	}
 }
 
-// typedDiffPair is a client runtime and, across a loopback connection,
-// a server object whose "boxed" method echoes whatever it is given.
+// typedDiffPair is a server object whose "boxed" method echoes whatever
+// it is given, and the address it serves on.
 type typedDiffPair struct {
-	client *orb.Runtime
-	obj    *orb.ServiceObject
-	got    chan any // what the server's last call decoded
+	addr string
+	obj  *orb.ServiceObject
+	got  chan any // what the server's last call decoded
 }
 
 func newTypedDiffPair(t *testing.T) *typedDiffPair {
@@ -146,13 +154,58 @@ func newTypedDiffPair(t *testing.T) *typedDiffPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.client = orb.NewRuntime("cli")
-	t.Cleanup(func() { d.client.Close() })
-	d.client.Bind(d.obj.LOID(), addr)
+	d.addr = addr
 	return d
 }
 
-// typedDiff sends v the three ways and checks what each end decoded.
+// tapped makes call from a fresh client runtime, over one connection
+// through a relay to the server, and returns call's result and the bytes
+// the connection carried each way: up to the server, down from it.
+func (d *typedDiffPair) tapped(t *testing.T, call func(c *orb.Runtime) (any, error)) (res any, err error, up, down []byte) {
+	t.Helper()
+	ln, lerr := net.Listen("tcp", "127.0.0.1:0")
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	defer ln.Close()
+	var upBuf, downBuf bytes.Buffer
+	relayed := make(chan struct{})
+	go func() {
+		defer close(relayed)
+		from, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer from.Close()
+		to, err := net.Dial("tcp", d.addr)
+		if err != nil {
+			return
+		}
+		down := make(chan struct{})
+		go func() {
+			// Recorded before it is passed on: once the caller has its
+			// reply, the reply is in downBuf.
+			io.Copy(io.MultiWriter(&downBuf, from), to)
+			close(down)
+		}()
+		io.Copy(io.MultiWriter(&upBuf, to), from)
+		to.Close()
+		<-down
+	}()
+	client := orb.NewRuntime("cli")
+	client.Bind(d.obj.LOID(), ln.Addr().String())
+	res, err = call(client)
+	client.Close()
+	select {
+	case <-relayed:
+	case <-time.After(time.Minute):
+		t.Fatal("the relay did not finish")
+	}
+	return res, err, upBuf.Bytes(), downBuf.Bytes()
+}
+
+// typedDiff sends v the three ways and checks what each end decoded, and
+// what the typed encoders wrote.
 func typedDiff[T any](t *testing.T, d *typedDiffPair, v T) {
 	t.Helper()
 	b, err := orb.EncodePayloadBytes(v)
@@ -168,8 +221,9 @@ func typedDiff[T any](t *testing.T, d *typedDiffPair, v T) {
 		d.got <- a
 		return a, nil
 	}))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	// No deadline: a request frame carries its caller's, and the streams
+	// compared must differ in the payload alone.
+	ctx := context.Background()
 	check := func(way string, res any, err error) {
 		t.Helper()
 		if err != nil {
@@ -182,12 +236,24 @@ func typedDiff[T any](t *testing.T, d *typedDiffPair, v T) {
 			t.Errorf("%T, %s: the caller decoded\n%#v\nwant %#v", v, way, res, want)
 		}
 	}
-	res, err := orb.Invoke[T](ctx, d.client, d.obj.LOID(), typed, v)
+	res, err, typedUp, _ := d.tapped(t, func(c *orb.Runtime) (any, error) {
+		return orb.Invoke[T](ctx, c, d.obj.LOID(), typed, v)
+	})
 	check("typed at both ends", res, err)
-	boxed, err := d.client.Call(ctx, d.obj.LOID(), typed, v)
-	check("boxed caller, typed method", boxed, err)
-	res, err = orb.Invoke[T](ctx, d.client, d.obj.LOID(), "boxed", v)
+	res, err, boxedUp, typedDown := d.tapped(t, func(c *orb.Runtime) (any, error) {
+		return c.Call(ctx, d.obj.LOID(), typed, v)
+	})
+	check("boxed caller, typed method", res, err)
+	res, err, _, boxedDown := d.tapped(t, func(c *orb.Runtime) (any, error) {
+		return orb.Invoke[T](ctx, c, d.obj.LOID(), "boxed", v)
+	})
 	check("typed caller, boxed method", res, err)
+	if !bytes.Equal(typedUp, boxedUp) || !bytes.HasSuffix(boxedUp, b) {
+		t.Errorf("%T: the typed caller wrote\n%x\nthe boxed caller\n%x\nending in AppendPayload's\n%x", v, typedUp, boxedUp, b)
+	}
+	if !bytes.Equal(typedDown, boxedDown) || !bytes.HasSuffix(boxedDown, b) {
+		t.Errorf("%T: the typed method replied\n%x\nthe boxed method\n%x\nending in AppendPayload's\n%x", v, typedDown, boxedDown, b)
+	}
 }
 
 // seedCorpus reads the inputs of a fuzz target's committed seed corpus

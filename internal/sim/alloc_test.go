@@ -43,10 +43,10 @@ func TestPlacementAllocBudget(t *testing.T) {
 	})
 	t.Run("virtual", func(t *testing.T) {
 		vc := vclock.NewVirtual()
-		vc.Run(func() { placementAllocs(t, vc, false, 49+raceSlack) })
+		vc.Run(func() { placementAllocs(t, vc, false, 49+raceSlackVirtual) })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		placementAllocs(t, nil, true, 71+raceSlack)
+		placementAllocs(t, nil, true, 71+raceSlackTCP)
 	})
 }
 

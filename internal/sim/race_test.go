@@ -2,13 +2,16 @@
 
 package sim
 
-// raceSlack is what the race detector adds to the virtual and tcp arms'
-// allocation readings: it makes sync.Pool drop a share of what is put
-// back, and the virtual arm parks on pooled waiters while the tcp arm
-// goes through pooled frames, reply slots, buffers and readers. They
-// read 52 and 79 under -race against 42 and 66 without; the wall arm
-// reads 48 either way.
-const raceSlack = 13
+// The race detector makes sync.Pool drop a share of what is put back,
+// so it adds to the allocation readings of the arms that go through
+// pools, each arm its own share. The virtual arm parks on pooled
+// waiters: it reads 51–52 under -race against 42 without. The tcp arm
+// goes through pooled frames, reply slots, buffers and readers: it
+// reads 77–78 against 66. The wall arm reads 48 either way.
+const (
+	raceSlackVirtual = 10
+	raceSlackTCP     = 13
+)
 
 // raceEnabled reports whether the race detector is on: heap readings
 // are skipped under it.
