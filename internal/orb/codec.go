@@ -58,20 +58,12 @@ var ErrUnregisteredType = errors.New("orb: type not registered for the wire")
 // whose argument or reply type is known at compile time (Invoke, Typed)
 // encodes and decodes through. The encoder takes T by value, because a
 // *T passed through a function value would move the caller's T to the
-// heap. held recycles the *T a request's argument waits in between the
-// read loop and its handler (see decodeArg).
+// heap.
 type typedCodec[T any] struct {
 	id     uint64
 	decode func(r *wire.Reader) T
 	append func(b []byte, v T) []byte // the payload: tag, then body
-	heldMu sync.Mutex
-	held   []*T
 }
-
-// heldCap bounds how many idle *T each codec keeps for decodeArg. It is
-// a free list, not a sync.Pool, because a GC cycle empties a pool and
-// every argument type would then allocate its refill.
-const heldCap = 16
 
 // payloadCodec is a typedCodec as the registry files it, with the one
 // method the boxed path needs.
@@ -110,59 +102,6 @@ func (c *typedCodec[T]) decodeTagged(r *wire.Reader) (v T, ok bool, err error) {
 	return v, true, nil
 }
 
-// decodeBytes is decodeTagged for the payload at the front of b.
-func (c *typedCodec[T]) decodeBytes(b []byte) (v T, ok bool, err error) {
-	r := wire.GetReader(b)
-	defer wire.PutReader(r)
-	return c.decodeTagged(r)
-}
-
-// decodeArg reads a request frame's payload, which must be all that is
-// left of the frame, as the package's decodeArg does and with its
-// errors; but a T comes back held in a recycled *T, not boxed. take gets
-// it out. Nothing else decodes to a *T, so the two cannot be confused.
-func (c *typedCodec[T]) decodeArg(r *wire.Reader) (any, error) {
-	v, ok, err := c.decodeTagged(r)
-	if !ok {
-		return decodeArg(r)
-	}
-	if err == nil && len(r.B) != 0 {
-		err = trailingBytes(len(r.B))
-	}
-	if err != nil {
-		return nil, err
-	}
-	var p *T
-	c.heldMu.Lock()
-	if n := len(c.held); n > 0 {
-		p, c.held = c.held[n-1], c.held[:n-1]
-	}
-	c.heldMu.Unlock()
-	if p == nil {
-		p = new(T)
-	}
-	*p = v
-	return p, nil
-}
-
-// take returns the T that arg holds, when arg is a *T from decodeArg,
-// and puts the *T back: ok is false, and arg untouched, otherwise.
-func (c *typedCodec[T]) take(arg any) (v T, ok bool) {
-	p, ok := arg.(*T)
-	if !ok {
-		return v, false
-	}
-	v = *p
-	var zero T
-	*p = zero // an idle *T pins nothing
-	c.heldMu.Lock()
-	if len(c.held) < heldCap {
-		c.held = append(c.held, p)
-	}
-	c.heldMu.Unlock()
-	return v, true
-}
-
 // The registry: each registered type's codec, filed under its type, its
 // pointer type and its ID. Registration fills it in init functions;
 // afterwards it is only read.
@@ -199,7 +138,6 @@ func RegisterWireMessage[T WireMessage](id uint16, dec func(r *wire.Reader) T) {
 		id:     uint64(id),
 		decode: dec,
 		append: func(b []byte, v T) []byte { return v.AppendWire(wire.AppendUvarint(b, uint64(id))) },
-		held:   make([]*T, 0, heldCap),
 	}
 	wireByType[typ] = c
 	wireByType[reflect.PointerTo(typ)] = c

@@ -89,19 +89,26 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// rawResponse is a response frame as a test reads it off a raw
+// connection: its header and its payload, decoded.
+type rawResponse struct {
+	response
+	Result any
+}
+
 // readResponse reads one response frame off a raw connection.
-func readResponse(br *bufio.Reader) (response, error) {
+func readResponse(br *bufio.Reader) (rawResponse, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return response{}, err
+		return rawResponse{}, err
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
-		return response{}, err
+		return rawResponse{}, err
 	}
 	r := wire.Reader{B: body}
-	resp, err := decodeResponseHeader(&r)
-	if err != nil {
+	var resp rawResponse
+	if resp.response, err = decodeResponseHeader(&r); err != nil {
 		return resp, err
 	}
 	resp.Result, err = DecodePayload(&r)
@@ -415,6 +422,79 @@ func TestServerOverloadSheds(t *testing.T) {
 	wg.Wait()
 	if res, err := client.Call(ctx, obj.LOID(), "echo", "after"); err != nil || res != "after" {
 		t.Fatalf("call after shed: %v %v", res, err)
+	}
+}
+
+// TestShedFrameIsNotDecoded: a frame that a full handler pool refuses
+// gets the shed before its payload is decoded, so a malformed payload
+// gets ErrOverload and moves the shed counter like any other frame. Once
+// a handler slot frees, the same frame gets its decode error.
+func TestShedFrameIsNotDecoded(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	server := NewRuntime("srv")
+	server.SetMetrics(reg)
+	server.setHooks(func(h *callHooks) { h.srvLim = fanout.NewLimiter(2) })
+	obj := &codecEchoObj{l: server.Mint("Echo"), block: make(chan struct{})}
+	server.Register(obj)
+	addr, err := server.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client := NewRuntime("cli")
+	defer client.Close()
+	client.Bind(obj.LOID(), addr)
+	ctx := context.Background()
+	if _, err := client.Call(ctx, obj.LOID(), "echo", "first"); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := client.Call(ctx, obj.LOID(), "hold", nil); err != nil || res != "held" {
+				t.Errorf("held call: %v %v", res, err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for server.serverLimiter().InFlight() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("holders never occupied the limiter")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	conn := rawConn(t, addr)
+	br := bufio.NewReader(conn)
+	var mi methodIntern
+	var scratch []byte
+	malformed := wire.AppendUvarint(nil, 999) // no type has this ID
+	send := func(id uint64) rawResponse {
+		t.Helper()
+		req := request{ID: id, Target: obj.LOID(), Method: "echo"}
+		if _, err := conn.Write(appendRequestFrame(nil, &scratch, &mi, &req, malformed)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readResponse(br)
+		if err != nil || resp.ID != id {
+			t.Fatalf("response %d, %v; want response %d", resp.ID, err, id)
+		}
+		return resp
+	}
+	if resp := send(1); resp.ErrKind != errKindOverload {
+		t.Fatalf("malformed payload to a full pool: error %d %q, want the shed", resp.ErrKind, resp.ErrMsg)
+	}
+	if n := reg.CounterValue("legion_orb_server_overload_total", "method", "echo"); n != 1 {
+		t.Fatalf("legion_orb_server_overload_total = %v, want 1", n)
+	}
+
+	close(obj.block)
+	wg.Wait()
+	if resp := send(2); resp.ErrKind != errKindGeneric || resp.ErrMsg != "orb: unknown wire type ID 999" {
+		t.Fatalf("malformed payload with a free slot: error %d %q, want the decode error", resp.ErrKind, resp.ErrMsg)
 	}
 }
 

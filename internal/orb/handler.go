@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"legion/internal/loid"
-	"legion/internal/wire"
 )
 
 // Method is one exported method of a ServiceObject.
@@ -37,22 +35,15 @@ type SharedHandler struct {
 	wire  wireMethod
 }
 
-// wireMethod is a method's wire form: it serves a frame from the socket
-// with the argument and the reply as values. A method has one when it
-// was registered through Typed or SharedTyped and both its types had
-// codecs (see RegisterWireMessage) when the handler was built.
+// wireMethod is a method's wire form: it serves a request frame with the
+// argument and the reply as values. A method has one when it was
+// registered through Typed or SharedTyped and both its types had codecs
+// (see RegisterWireMessage) when the handler was built.
 type wireMethod interface {
-	// decode reads a request frame's payload on the read loop, as
-	// decodeArg does and with its errors, but an A comes back held in a
-	// recycled *A, not boxed.
-	decode(r *wire.Reader) (any, error)
-	// serve runs the method, bound to recv, on an argument decode
-	// returned, and leaves the reply's payload in *buf. ran is false, and
-	// nothing ran, when arg is not an A: the boxed form then answers.
-	serve(ctx context.Context, recv, arg any, buf *[]byte) (ran bool, err error)
-	// boxed returns arg as the boxed form takes it: the A, when decode
-	// held one.
-	boxed(arg any) any
+	// serve decodes the frame's payload as an A onto the handler's stack
+	// and serves the frame on e's entry, with the reply appended through
+	// R's codec. A payload of another type, or nil, is served boxed.
+	serve(f *frame, e entry) error
 }
 
 // Typed adapts a handler of one argument and one reply type. The caller
@@ -118,26 +109,29 @@ type typedWire[A, R any] struct {
 	f  func(ctx context.Context, recv any, a A) (R, error)
 }
 
-func (w *typedWire[A, R]) decode(r *wire.Reader) (any, error) { return w.ac.decodeArg(r) }
-
-func (w *typedWire[A, R]) serve(ctx context.Context, recv, arg any, buf *[]byte) (bool, error) {
-	a, ok := w.ac.take(arg)
+func (w *typedWire[A, R]) serve(f *frame, e entry) error {
+	a, ok, err := w.ac.decodeTagged(&f.r)
 	if !ok {
-		return false, nil
+		return f.serveBoxed(e)
 	}
-	r, err := w.f(ctx, recv, a)
+	if err == nil {
+		err = frameEnd(&f.r)
+	}
 	if err != nil {
-		return true, err
+		return f.refuse(err)
 	}
-	*buf = w.rc.append((*buf)[:0], r)
-	return true, nil
-}
-
-func (w *typedWire[A, R]) boxed(arg any) any {
-	if a, ok := w.ac.take(arg); ok {
-		return a
-	}
-	return arg
+	return f.process(func(ctx context.Context, h *callHooks, obj Object, addr string) (any, bool, error) {
+		if !e.serves(h, obj) {
+			res, err := f.s.rt.dispatch(ctx, h, obj, addr, f.req.Target, f.req.Method, a)
+			return res, false, err
+		}
+		r, err := w.f(ctx, e.recv, a)
+		if err != nil {
+			return nil, false, err
+		}
+		*f.buf = w.rc.append((*f.buf)[:0], r)
+		return nil, true, nil
+	})
 }
 
 func argAs[A any](arg any) (A, error) {
@@ -184,7 +178,6 @@ func (t *DispatchTable) Handle(name string, m SharedMethod) {
 // HandleTyped is Handle for a method built by SharedTyped.
 func (t *DispatchTable) HandleTyped(name string, h SharedHandler) {
 	t.m[name] = h
-	noteWireName(name, h.wire)
 }
 
 // Methods returns the names of all registered methods.
@@ -242,7 +235,6 @@ func (s *ServiceObject) HandleTyped(name string, h Handler) {
 		s.m = make(map[string]Handler)
 	}
 	s.m[name] = h
-	noteWireName(name, h.wire)
 }
 
 // Methods returns the names of all registered methods (shared and
@@ -294,81 +286,45 @@ func serviceOf(obj Object) *ServiceObject {
 	return nil
 }
 
-// wireNames is every method name registered with a wire form, on any
-// ServiceObject or DispatchTable. The read loop looks a frame's target
-// up only for these names, so a frame for any other method, such as one
-// registered with Handle, costs it no lookup. It only grows, and is
-// copied on write: registration is rare, and the read loop reads it for
-// every frame.
-var (
-	wireNamesMu sync.Mutex
-	wireNames   atomic.Pointer[map[string]struct{}]
-)
-
-// noteWireName adds name to wireNames when its handler has a wire form.
-func noteWireName(name string, w wireMethod) {
-	if w == nil || hasWireName(name) {
-		return
-	}
-	wireNamesMu.Lock()
-	defer wireNamesMu.Unlock()
-	var old map[string]struct{}
-	if p := wireNames.Load(); p != nil {
-		old = *p
-	}
-	next := make(map[string]struct{}, len(old)+1)
-	for k := range old {
-		next[k] = struct{}{}
-	}
-	next[name] = struct{}{}
-	wireNames.Store(&next)
-}
-
-// hasWireName reports whether some method named name has a wire form.
-func hasWireName(name string) bool {
-	p := wireNames.Load()
-	if p == nil {
-		return false
-	}
-	_, ok := (*p)[name]
-	return ok
-}
-
-// wireBinding is a local method's wire form, as the read loop finds it
-// for a request frame, and what the form is bound to: the ServiceObject
-// and the receiver. Its zero value is a method without one.
-type wireBinding struct {
-	form wireMethod
+// entry is a ServiceObject's method as a request frame is served
+// through it: its boxed form, bound to the receiver, and its wire form.
+// Its zero value is no method.
+type entry struct {
 	svc  *ServiceObject
-	recv any // nil unless the entry is from a class-wide table
+	recv any          // the receiver, for a method from a class-wide table
+	m    Method       // the boxed form of a per-instance method,
+	sm   SharedMethod // or of a class-wide one
+	wire wireMethod
 }
 
-// wireBindingOf returns the wire form of obj's entry for method.
-func wireBindingOf(obj Object, method string) wireBinding {
-	s := serviceOf(obj)
-	if s == nil {
-		return wireBinding{}
-	}
+// lookup returns s's entry for method, shadowed as Dispatch shadows it.
+func (s *ServiceObject) lookup(method string) entry {
 	s.mu.RLock()
 	m, ok := s.m[method]
 	s.mu.RUnlock()
-	b := wireBinding{form: m.wire, svc: s}
-	if !ok && s.shared != nil {
-		b.form, b.recv = s.shared.m[method].wire, s.recv
+	if ok {
+		return entry{svc: s, m: m.boxed, wire: m.wire}
 	}
-	if b.form == nil {
-		return wireBinding{}
+	if s.shared != nil {
+		if sm, ok := s.shared.m[method]; ok {
+			return entry{svc: s, recv: s.recv, sm: sm.boxed, wire: sm.wire}
+		}
 	}
-	return b
+	return entry{}
 }
 
-// decode reads a request frame's payload through b's form when there is
-// one, and as decodeArg does otherwise.
-func (b wireBinding) decode(r *wire.Reader) (any, error) {
-	if b.form == nil {
-		return decodeArg(r)
+// serves reports whether e is what a call routed to obj under h runs:
+// obj is e's ServiceObject, and the loopback codec is off.
+func (e *entry) serves(h *callHooks, obj Object) bool {
+	return e.svc != nil && !h.loopback && serviceOf(obj) == e.svc
+}
+
+// call runs e's boxed form on arg.
+func (e *entry) call(ctx context.Context, arg any) (any, error) {
+	if e.m != nil {
+		return e.m(ctx, arg)
 	}
-	return b.form.decode(r)
+	return e.sm(ctx, e.recv, arg)
 }
 
 // callTyped runs method on obj with arg and reply by value when obj is a

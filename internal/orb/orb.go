@@ -342,7 +342,7 @@ func (rt *Runtime) Call(ctx context.Context, target loid.LOID, method string, ar
 }
 
 // traced runs call, and reports it to h's tracer when there is one: the
-// one wrapper Call, Invoke and callWire share.
+// one wrapper Call, Invoke and a served request frame share.
 func traced[T any](rt *Runtime, h *callHooks, target loid.LOID, method string, call func() (T, error)) (T, error) {
 	if h.tracer == nil {
 		return call()
@@ -396,43 +396,19 @@ func invoke[R, A any](ctx context.Context, rt *Runtime, h *callHooks, target loi
 	return As[R](rt.dispatch(ctx, h, obj, addr, target, method, arg))
 }
 
-// wireBindingOf returns the wire form of target's entry for method, as
-// the read loop decodes a request frame's payload through it: the zero
-// wireBinding unless target is a local ServiceObject whose entry has
-// one and the loopback codec is off.
-func (rt *Runtime) wireBindingOf(target loid.LOID, method string) wireBinding {
-	if !hasWireName(method) || rt.hooks.Load().loopback {
-		return wireBinding{}
+// entryOf returns target's entry for method, as a request frame's
+// payload is decoded through it: the zero entry unless target is a local
+// ServiceObject with an entry for method and the loopback codec is off.
+func (rt *Runtime) entryOf(target loid.LOID, method string) entry {
+	if rt.hooks.Load().loopback {
+		return entry{}
 	}
-	obj, ok := rt.Lookup(target)
-	if !ok {
-		return wireBinding{}
+	if obj, ok := rt.Lookup(target); ok {
+		if s := serviceOf(obj); s != nil {
+			return s.lookup(method)
+		}
 	}
-	return wireBindingOf(obj, method)
-}
-
-// callWire is Call for a request frame whose argument the read loop
-// decoded through b's form, and runs Call's hooks in the same order.
-// When target still resolves to b's ServiceObject, the form serves the
-// call: the reply is left encoded in *buf, and encoded is true.
-// Otherwise — the binding moved since, the loopback codec was turned on,
-// or the argument is of another type — the call goes the way Call does
-// and returns its result.
-func (rt *Runtime) callWire(ctx context.Context, target loid.LOID, method string, arg any, b wireBinding, buf *[]byte) (res any, encoded bool, err error) {
-	h := rt.hooks.Load()
-	res, err = traced(rt, h, target, method, func() (any, error) {
-		obj, addr, err := rt.route(ctx, h, target, method)
-		if err != nil {
-			return nil, err
-		}
-		if !h.loopback && serviceOf(obj) == b.svc {
-			if encoded, err = b.form.serve(ctx, b.recv, arg, buf); encoded {
-				return nil, err
-			}
-		}
-		return rt.dispatch(ctx, h, obj, addr, target, method, b.form.boxed(arg))
-	})
-	return res, encoded, err
+	return entry{}
 }
 
 // route runs a call's fault injector and then its link latency, and

@@ -31,7 +31,6 @@ type request struct {
 	ID       uint64
 	Target   loid.LOID
 	Method   string
-	Arg      any
 	TraceID  uint64
 	SpanID   uint64
 	Deadline int64
@@ -41,18 +40,14 @@ type request struct {
 	span string
 }
 
-// response is the reply to one request. lost is set instead when the
-// connection failed before the reply came: it never crosses the wire.
-// A caller that decodes its reply itself gets the payload, copied off
-// the read loop's buffer into a pooled one it puts back, in place of
-// Result.
+// response is a reply's header; the payload after it is copied into the
+// caller's slot. lost is set instead when the connection failed before
+// the reply came: it never crosses the wire.
 type response struct {
 	ID      uint64
-	Result  any
 	ErrMsg  string
 	ErrKind int // see errKinds
 	lost    error
-	payload *[]byte
 }
 
 // tcpServer accepts connections and serves requests against a Runtime.
@@ -212,15 +207,18 @@ func (s *tcpServer) earnLabel(method string) bool {
 	return true
 }
 
-// process runs one decoded request against the runtime: span
-// re-parenting, propagated-deadline enforcement, dispatch, server-side
-// metrics. b is the method's wire form, when the read loop decoded
-// req.Arg through one. It leaves the reply's payload in *buf.
-func (s *tcpServer) process(req request, b wireBinding, buf *[]byte) error {
+// process runs one request whose argument the frame's handler decoded:
+// span re-parenting, propagated-deadline enforcement, Call's hooks in
+// Call's order, the call, server-side metrics. call runs the method on
+// the target route resolved: it reports encoded when it left the reply's
+// payload in *f.buf, and process encodes res there otherwise.
+func (f *frame) process(call func(ctx context.Context, h *callHooks, obj Object, addr string) (res any, encoded bool, err error)) error {
+	s, req := f.s, &f.req
 	ctx := telemetry.WithRemoteParent(s.ctx,
 		telemetry.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
-	reg := s.rt.Metrics()
-	ctx, span := reg.Spans().Start(ctx, s.rt.Clock(), req.span, s.rt.Domain())
+	h := s.rt.hooks.Load()
+	reg := h.metrics
+	ctx, span := reg.Spans().Start(ctx, h.clock, req.span, s.rt.Domain())
 	label := s.methodLabel(req.Method)
 	var res any
 	var encoded bool
@@ -242,11 +240,15 @@ func (s *tcpServer) process(req request, b wireBinding, buf *[]byte) error {
 		}
 	}
 	if err == nil {
-		if b.form != nil {
-			res, encoded, err = s.rt.callWire(ctx, req.Target, req.Method, req.Arg, b, buf)
-		} else {
-			res, err = s.rt.Call(ctx, req.Target, req.Method, req.Arg)
-		}
+		res, err = traced(s.rt, h, req.Target, req.Method, func() (any, error) {
+			obj, addr, err := s.rt.route(ctx, h, req.Target, req.Method)
+			if err != nil {
+				return nil, err
+			}
+			var res any
+			res, encoded, err = call(ctx, h, obj, addr)
+			return res, err
+		})
 		if label == unknownMethod && !errors.Is(err, ErrNoMethod) && !errors.Is(err, ErrNotBound) &&
 			s.earnLabel(req.Method) {
 			label = req.Method
@@ -258,7 +260,7 @@ func (s *tcpServer) process(req request, b wireBinding, buf *[]byte) error {
 		reg.Counter("legion_orb_server_errors_total", "method", label).Inc()
 	}
 	if !encoded || err != nil {
-		*buf, err = appendReply((*buf)[:0], res, err)
+		*f.buf, err = appendReply((*f.buf)[:0], res, err)
 	}
 	return err
 }
@@ -274,20 +276,13 @@ func appendReply(b []byte, res any, err error) ([]byte, error) {
 	return pb, err
 }
 
-// decodeArg decodes a request frame's payload, which must be all that
-// is left of the frame.
-func decodeArg(r *wire.Reader) (any, error) {
-	arg, err := DecodePayload(r)
-	if err == nil && len(r.B) != 0 {
-		err = trailingBytes(len(r.B))
+// frameEnd is the error for a request frame with bytes left in r after
+// its payload, or nil.
+func frameEnd(r *wire.Reader) error {
+	if len(r.B) == 0 {
+		return nil
 	}
-	return arg, err
-}
-
-// trailingBytes is the error for a request frame with n bytes after its
-// payload.
-func trailingBytes(n int) error {
-	return fmt.Errorf("orb: request frame has %d trailing bytes", n)
+	return fmt.Errorf("orb: request frame has %d trailing bytes", len(r.B))
 }
 
 // errServerShed is the server's refusal when its handler pool is full.
@@ -310,8 +305,6 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 	co := newCoalescer(conn, func(error) { conn.Close() })
 	var mt methodTable
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var body []byte
-	var r wire.Reader // reused across frames: warm symbol cache, one allocation per connection
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
@@ -319,95 +312,113 @@ func (s *tcpServer) serveBinary(conn net.Conn) {
 		if err != nil || n > maxFrameLen {
 			return
 		}
-		if uint64(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
-		}
-		// Header and payload decode stay on the read loop: method-table
-		// updates must apply in frame order, and decoded values never
-		// alias body, so the buffer is immediately reusable. A method
-		// with a wire form gets its argument by value, not boxed.
-		r.Reset(body)
-		req, err := decodeRequestHeader(&r, &mt)
-		if err != nil {
-			return // corrupt header: the stream is unrecoverable
-		}
-		wb := s.rt.wireBindingOf(req.Target, req.Method)
-		if req.Arg, err = wb.decode(&r); err != nil {
-			// The frame boundary is intact, so the connection survives a
-			// bad payload; only this request fails.
-			s.respondBinary(co, req.ID, nil, err)
-			continue
-		}
 		f, _ := framePool.Get().(*frame)
 		if f == nil {
 			f = new(frame)
 			f.run = f.serve
 		}
-		f.s, f.co, f.wg, f.req, f.wire = s, co, &reqWG, req, wb
+		f.buf = wire.GetBuf()
+		if uint64(cap(*f.buf)) < n {
+			*f.buf = make([]byte, n)
+		}
+		*f.buf = (*f.buf)[:n]
+		if _, err := io.ReadFull(br, *f.buf); err != nil {
+			return
+		}
+		// Only the header is decoded here: method-table updates must apply
+		// in frame order. The frame's reader is left at the payload, for
+		// the handler to decode through the method that serves it.
+		f.r.Reset(*f.buf)
+		if f.req, err = decodeRequestHeader(&f.r, &mt); err != nil {
+			return // corrupt header: the stream is unrecoverable
+		}
+		f.s, f.co, f.wg = s, co, &reqWG
 		reqWG.Add(1)
 		if !s.lim.TryGo(f.run) {
 			reqWG.Done()
-			f.release()
-			s.respondBinary(co, req.ID, nil, s.shed(req.Method))
+			f.answer(f.refuse(s.shed(f.req.Method)))
 		}
 	}
 }
 
-// frame is one admitted request on its way to a handler. Frames are
+// frame is one request from its read loop to its reply. Frames are
 // pooled, and run is bound to serve once, when the frame is made, so
-// admitting a frame allocates nothing.
+// admitting a frame allocates nothing. buf is a pooled buffer that holds
+// the frame's body as read, and then the reply's payload; r reads the
+// body, the header on the read loop and the payload on the handler.
 type frame struct {
-	s    *tcpServer
-	co   *coalescer
-	wg   *sync.WaitGroup
-	req  request
-	wire wireBinding // the method's wire form, if req.Arg was decoded through one
-	run  func()
+	s   *tcpServer
+	co  *coalescer
+	wg  *sync.WaitGroup
+	req request
+	buf *[]byte
+	r   wire.Reader
+	run func()
 }
 
 // framePool has no New: serve puts frames back in it, so a New that
 // bound serve would make its initializer refer to itself.
 var framePool sync.Pool
 
-// serve handles the frame's request and answers it. It takes what it
-// needs and returns the frame to the pool first, so a handler that runs
-// long does not keep a frame out of it.
+// serve handles the frame's request and answers it.
 func (f *frame) serve() {
-	s, co, wg, req, wb := f.s, f.co, f.wg, f.req, f.wire
-	f.release()
-	defer wg.Done()
-	buf := wire.GetBuf()
-	err := s.process(req, wb, buf)
-	s.respond(co, req.ID, buf, err)
+	wg := f.wg
+	f.answer(f.handle())
+	wg.Done()
 }
 
-// release clears the frame, the request's argument included, and puts
-// it back in the pool: a pooled frame pins nothing.
-func (f *frame) release() {
-	f.s, f.co, f.wg, f.req, f.wire = nil, nil, nil, request{}, wireBinding{}
-	framePool.Put(f)
+// handle resolves the frame's method once, decodes the payload through
+// it, and serves it: an entry with a wire form decodes an A, and any
+// other decodes boxed. A payload that fails to decode is answered with
+// the decode error before any hook runs.
+func (f *frame) handle() error {
+	e := f.s.rt.entryOf(f.req.Target, f.req.Method)
+	if e.wire != nil {
+		return e.wire.serve(f, e)
+	}
+	return f.serveBoxed(e)
 }
 
-// respondBinary encodes res outside the coalescer lock and appends one
-// response frame.
-func (s *tcpServer) respondBinary(co *coalescer, id uint64, res any, err error) {
-	payload := wire.GetBuf()
-	*payload, err = appendReply((*payload)[:0], res, err)
-	s.respond(co, id, payload, err)
-}
-
-// respond appends one response frame carrying the payload encoded in
-// *payload, which it puts back.
-func (s *tcpServer) respond(co *coalescer, id uint64, payload *[]byte, err error) {
-	kind, msg := encodeErr(err)
-	co.append(func(b []byte) []byte {
-		return appendResponseFrame(b, &co.scratch, id, kind, msg, *payload)
+// serveBoxed decodes the frame's payload boxed and serves it: on e's
+// entry when the call routes to e's ServiceObject, as Call does
+// otherwise.
+func (f *frame) serveBoxed(e entry) error {
+	arg, err := DecodePayload(&f.r)
+	if err == nil {
+		err = frameEnd(&f.r)
+	}
+	if err != nil {
+		return f.refuse(err)
+	}
+	return f.process(func(ctx context.Context, h *callHooks, obj Object, addr string) (any, bool, error) {
+		if e.serves(h, obj) {
+			res, err := e.call(ctx, arg)
+			return res, false, err
+		}
+		res, err := f.s.rt.dispatch(ctx, h, obj, addr, f.req.Target, f.req.Method, arg)
+		return res, false, err
 	})
-	wire.PutBuf(payload)
+}
+
+// refuse leaves the nil payload that answers a refused frame in *f.buf,
+// and returns err.
+func (f *frame) refuse(err error) error {
+	*f.buf, err = appendReply((*f.buf)[:0], nil, err)
+	return err
+}
+
+// answer appends the frame's response, the payload in *f.buf and err the
+// error the call ended with, and puts the frame and its buffer back: a
+// pooled frame pins nothing.
+func (f *frame) answer(err error) {
+	kind, msg := encodeErr(err)
+	f.co.append(func(b []byte) []byte {
+		return appendResponseFrame(b, &f.co.scratch, f.req.ID, kind, msg, *f.buf)
+	})
+	wire.PutBuf(f.buf)
+	f.s, f.co, f.wg, f.req, f.buf = nil, nil, nil, request{}, nil
+	f.r.Reset(nil)
+	framePool.Put(f)
 }
 
 // tcpClient multiplexes calls to one remote runtime over one connection.
@@ -421,15 +432,8 @@ type tcpClient struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]pendingCall
+	pending map[uint64]*callSlot
 	err     error
-}
-
-// pendingCall is a registered call's reply slot, and whether its caller
-// decodes the reply's payload itself.
-type pendingCall struct {
-	ch  chan response
-	raw bool
 }
 
 func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
@@ -444,7 +448,7 @@ func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 	c := &tcpClient{
 		conn:    conn,
 		onClose: onClose,
-		pending: make(map[uint64]pendingCall),
+		pending: make(map[uint64]*callSlot),
 	}
 	c.co = newCoalescer(conn, func(err error) {
 		c.close(fmt.Errorf("send: %w", err))
@@ -456,7 +460,7 @@ func dialClient(addr string, onClose func(*tcpClient)) (*tcpClient, error) {
 func (c *tcpClient) readLoopBinary() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var body []byte
-	var r wire.Reader // reused across frames: warm symbol cache
+	var r wire.Reader
 	for {
 		n, err := binary.ReadUvarint(br)
 		if err != nil || n > maxFrameLen {
@@ -482,24 +486,20 @@ func (c *tcpClient) readLoopBinary() {
 			c.close(fmt.Errorf("decode response: %w", err))
 			return
 		}
-		// The response goes to its waiting caller; one for a withdrawn
-		// ID (the caller gave up) is decoded and dropped.
+		// The payload is copied into its waiting caller's slot, for the
+		// caller to decode; one for a withdrawn ID (the caller gave up) is
+		// dropped.
 		c.mu.Lock()
-		p, ok := c.pending[resp.ID]
+		s, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
-		if ok && p.raw {
-			resp.payload = wire.GetBuf()
-			*resp.payload = append(*resp.payload, r.B...)
-		} else if resp.Result, err = DecodePayload(&r); err != nil {
-			lost := c.close(fmt.Errorf("decode response: %w", err))
-			if ok {
-				p.ch <- response{lost: lost}
-			}
-			return
-		}
 		if ok {
-			p.ch <- resp
+			if s.reply == nil {
+				s.reply = wire.GetBuf()
+			}
+			*s.reply = append((*s.reply)[:0], r.B...)
+			s.resp = resp
+			s.ch <- struct{}{}
 		}
 	}
 }
@@ -507,52 +507,75 @@ func (c *tcpClient) readLoopBinary() {
 // close fails all pending calls with ErrConnLost, marks the client
 // dead, and (once) runs the eviction hook so the owning Runtime drops it
 // from the client cache — the next call to this address redials instead
-// of failing forever on a dead connection. It returns the error the
-// pending calls failed with.
-func (c *tcpClient) close(err error) error {
+// of failing forever on a dead connection.
+func (c *tcpClient) close(err error) {
 	c.conn.Close()
 	c.mu.Lock()
 	first := c.err == nil
 	if first {
 		c.err = fmt.Errorf("%w: %w", ErrConnLost, err)
 	}
-	for id, p := range c.pending {
+	for id, s := range c.pending {
 		delete(c.pending, id)
-		p.ch <- response{lost: c.err}
+		s.resp = response{lost: c.err}
+		s.ch <- struct{}{}
 	}
-	lost, onClose := c.err, c.onClose
+	onClose := c.onClose
 	c.mu.Unlock()
 	// Outside c.mu: the hook takes the Runtime's clientsMu, which other
 	// goroutines hold while taking c.mu (lock-order discipline).
 	if first && onClose != nil {
 		onClose(c)
 	}
-	return lost
 }
 
-// replyPool recycles reply slots: capacity-1 channels, so the read loop
-// and close never block on a caller that gave up. A slot goes back only
-// from the arm of call that received on it: by then it has left pending
-// and its one send is consumed, so nobody else holds it. A caller that
-// gave up drops its slot instead, because the read loop may already have
-// taken it out of pending and be about to send.
-var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
+// callSlot is one remote call's reply slot. The read loop, or close,
+// leaves the reply's header in resp and its payload in reply, copied off
+// the read loop's own buffer, and then signals ch; the caller decodes
+// the payload with r. ch has capacity 1, so neither ever blocks on a
+// caller that gave up, and carries no value, so making it is one
+// allocation. reply is borrowed from wire's buffer pool on the slot's
+// first reply and kept with the slot. Slots are pooled. A slot goes back
+// only after its caller decoded a reply from it: by then it has left
+// pending and its one send is consumed, so nobody else holds it. A
+// caller that did not receive on its slot drops it, because the read
+// loop or close may already have taken it out of pending and be about
+// to write to it.
+type callSlot struct {
+	ch    chan struct{}
+	resp  response
+	reply *[]byte
+	r     wire.Reader
+}
 
-// register allocates a request ID and its reply slot; with raw, the
-// reply's payload comes back undecoded.
-func (c *tcpClient) register(req *request, raw bool) (chan response, error) {
-	ch := replyPool.Get().(chan response)
+var slotPool = sync.Pool{New: func() any { return &callSlot{ch: make(chan struct{}, 1)} }}
+
+// keptBufMax bounds the buffer a pooled call slot keeps, as wire.PutBuf
+// bounds what its pool keeps: one giant reply must not pin its memory
+// for as long as the slot is in use.
+const keptBufMax = 1 << 20
+
+// release puts the slot back, with its buffer unless that grew too big.
+func (s *callSlot) release() {
+	s.resp = response{}
+	s.r.Reset(nil)
+	if cap(*s.reply) > keptBufMax {
+		s.reply = nil
+	}
+	slotPool.Put(s)
+}
+
+// register allocates a request ID and files s as its reply slot.
+func (c *tcpClient) register(req *request, s *callSlot) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
+		return c.err
 	}
 	c.nextID++
 	req.ID = c.nextID
-	c.pending[req.ID] = pendingCall{ch: ch, raw: raw}
-	c.mu.Unlock()
-	return ch, nil
+	c.pending[req.ID] = s
+	return nil
 }
 
 // withdraw removes a pending entry after the caller gave up on it.
@@ -563,25 +586,24 @@ func (c *tcpClient) withdraw(id uint64) {
 }
 
 // call sends one request, its payload encoded in *payload, which call
-// puts back, over the coalesced connection, and waits for the response.
-// With raw the response carries the reply's payload undecoded, in a
-// buffer the caller puts back. Only the small header encode (which must
-// be ordered with method interning) runs under the coalescer lock.
+// puts back, over the coalesced connection, and waits for the response
+// on s; the reply's payload is then in *s.reply. Only the small header
+// encode (which must be ordered with method interning) runs under the
+// coalescer lock.
 // Appending never blocks — a wedged connection is the flusher's problem
 // — so the caller goes straight to the response wait, and context
 // expiry resolves through the coalescer's frame-fate trichotomy: excised
 // (nothing sent, connection lives), flushed (response will be dropped,
 // connection lives), or inflight (stream integrity unknown, connection
 // dies and the cache redials).
-func (c *tcpClient) call(ctx context.Context, req request, payload *[]byte, raw bool) (response, error) {
+func (c *tcpClient) call(ctx context.Context, req request, payload *[]byte, s *callSlot) (response, error) {
 	// Large payload encodes take real time; don't enqueue a frame the
 	// caller has already abandoned.
 	if err := ctx.Err(); err != nil {
 		wire.PutBuf(payload)
 		return response{}, err
 	}
-	ch, err := c.register(&req, raw)
-	if err != nil {
+	if err := c.register(&req, s); err != nil {
 		wire.PutBuf(payload)
 		return response{}, err
 	}
@@ -595,9 +617,8 @@ func (c *tcpClient) call(ctx context.Context, req request, payload *[]byte, raw 
 	}
 
 	select {
-	case resp := <-ch:
-		replyPool.Put(ch)
-		return resp, resp.lost
+	case <-s.ch:
+		return s.resp, s.resp.lost
 	case <-ctx.Done():
 		c.withdraw(req.ID)
 		if c.co.cancel(frameID) == cancelInflight {
@@ -640,9 +661,49 @@ func (rt *Runtime) client(addr string) (*tcpClient, error) {
 }
 
 func (rt *Runtime) callRemote(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
+	return remote(ctx, rt, addr, target, method, func(b []byte) ([]byte, error) {
+		return AppendPayload(b, arg)
+	}, decodeBoxedReply)
+}
+
+// invokeRemote is callRemote for Invoke when A and R have codecs: arg is
+// appended through ac, and the reply decoded through rc.
+func invokeRemote[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
+	return remote(ctx, rt, addr, target, method, func(b []byte) ([]byte, error) {
+		return ac.append(b, arg), nil
+	}, func(r *wire.Reader, callErr error) (R, error) {
+		return decodeReply(rc, r, callErr)
+	})
+}
+
+// remote is the one round trip of a remote call, observed as a client
+// call: encode appends the argument's payload, and decode reads the
+// reply's from the call's slot on the caller's goroutine, with callErr
+// the error the callee answered. A reply that fails to decode fails this
+// call alone: the frame around it was whole, so the connection serves
+// on.
+func remote[R any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string,
+	encode func(b []byte) ([]byte, error), decode func(r *wire.Reader, callErr error) (R, error)) (res R, err error) {
 	start := rt.Clock().Now()
-	res, err := rt.callRemoteRaw(ctx, addr, target, method, arg)
-	rt.observeClient(method, start, err)
+	defer func() { rt.observeClient(method, start, err) }()
+	req := request{Target: target, Method: method}
+	c, err := rt.request(ctx, addr, &req)
+	if err != nil {
+		return res, err
+	}
+	payload := wire.GetBuf()
+	if *payload, err = encode((*payload)[:0]); err != nil {
+		wire.PutBuf(payload)
+		return res, err
+	}
+	s := slotPool.Get().(*callSlot)
+	resp, err := c.call(ctx, req, payload, s)
+	if err != nil {
+		return res, err
+	}
+	s.r.Reset(*s.reply)
+	res, err = decode(&s.r, decodeErr(resp.ErrKind, resp.ErrMsg))
+	s.release()
 	return res, err
 }
 
@@ -656,63 +717,23 @@ func (rt *Runtime) observeClient(method string, start time.Time, err error) {
 	}
 }
 
-func (rt *Runtime) callRemoteRaw(ctx context.Context, addr string, target loid.LOID, method string, arg any) (any, error) {
-	req := request{Target: target, Method: method}
-	c, err := rt.request(ctx, addr, &req)
-	if err != nil {
-		return nil, err
+// decodeBoxedReply is Call's reply, read by DecodePayload: callErr, when
+// the callee answered one, else the decode's error.
+func decodeBoxedReply(r *wire.Reader, callErr error) (any, error) {
+	res, err := DecodePayload(r)
+	if callErr != nil {
+		return res, callErr
 	}
-	payload := wire.GetBuf()
-	pb, err := AppendPayload((*payload)[:0], arg)
-	if err != nil {
-		wire.PutBuf(payload)
-		return nil, err
-	}
-	*payload = pb
-	resp, err := c.call(ctx, req, payload, false)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, decodeErr(resp.ErrKind, resp.ErrMsg)
-}
-
-// invokeRemote is callRemote for Invoke when A and R have codecs: arg is
-// appended through ac, and the reply decoded through rc on the caller's
-// goroutine.
-func invokeRemote[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
-	start := rt.Clock().Now()
-	res, err := invokeRemoteRaw(ctx, rt, addr, target, method, arg, ac, rc)
-	rt.observeClient(method, start, err)
 	return res, err
 }
 
-func invokeRemoteRaw[R, A any](ctx context.Context, rt *Runtime, addr string, target loid.LOID, method string, arg A, ac *typedCodec[A], rc *typedCodec[R]) (R, error) {
-	var zero R
-	req := request{Target: target, Method: method}
-	c, err := rt.request(ctx, addr, &req)
-	if err != nil {
-		return zero, err
-	}
-	payload := wire.GetBuf()
-	*payload = ac.append((*payload)[:0], arg)
-	resp, err := c.call(ctx, req, payload, true)
-	if err != nil {
-		return zero, err
-	}
-	defer wire.PutBuf(resp.payload)
-	return decodeReply(rc, *resp.payload, decodeErr(resp.ErrKind, resp.ErrMsg))
-}
-
-// decodeReply is As for a reply still encoded in b, with callErr the
-// error the call ended with: an R decodes through rc, and a reply of
-// another type, or nil, is As's error. A reply that fails to decode is
-// DecodePayload's error; the frame around it was whole, so the
-// connection serves on.
-func decodeReply[R any](rc *typedCodec[R], b []byte, callErr error) (R, error) {
-	v, ok, err := rc.decodeBytes(b)
+// decodeReply is As for a reply read from r, with callErr the error the
+// call ended with: an R decodes through rc, and a reply of another type,
+// or nil, is As's error. A reply that fails to decode is DecodePayload's
+// error, unless the callee answered one.
+func decodeReply[R any](rc *typedCodec[R], r *wire.Reader, callErr error) (R, error) {
+	v, ok, err := rc.decodeTagged(r)
 	if !ok {
-		r := wire.GetReader(b)
-		defer wire.PutReader(r)
 		var res any
 		if res, err = DecodePayload(r); err == nil {
 			return As[R](res, callErr)

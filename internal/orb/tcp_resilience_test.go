@@ -1,9 +1,12 @@
 package orb
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"legion/internal/loid"
+	"legion/internal/wire"
 )
 
 // slowObj answers "fast" immediately and "slow" after a delay.
@@ -382,4 +386,93 @@ func TestAbandonedCallNeverCrossDelivers(t *testing.T) {
 	if res, err := client.Call(context.Background(), obj.LOID(), "echo", "after"); err != nil || res != "after" {
 		t.Fatalf("call after the storm: %v, %v", res, err)
 	}
+}
+
+// rawServer answers the request frames of one connection on a fresh
+// listener by hand, the nth (from 0) with the payload replies[n], and
+// returns its address.
+func rawServer(t *testing.T, replies ...[]byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var pre [len(preamble)]byte
+		if _, err := io.ReadFull(br, pre[:]); err != nil {
+			return
+		}
+		var mt methodTable
+		var scratch []byte
+		for _, payload := range replies {
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return
+			}
+			body := make([]byte, n)
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
+			r := wire.Reader{B: body}
+			req, err := decodeRequestHeader(&r, &mt)
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(appendResponseFrame(nil, &scratch, req.ID, errKindNone, "", payload)); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMalformedReplyFailsItsCall: a reply whose payload does not decode
+// fails its own call with DecodePayload's error, for Call as for Invoke,
+// and the connection serves on: the next call goes over the same client.
+func TestMalformedReplyFailsItsCall(t *testing.T) {
+	good, err := AppendPayload(nil, "ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := wire.AppendUvarint(nil, 999) // no type has this ID
+	const want = "orb: unknown wire type ID 999"
+	addr := rawServer(t, good, malformed, good, malformed, good)
+	client := NewRuntime("cli")
+	defer client.Close()
+	target := loid.LOID{Domain: "raw", Class: "Echo", Instance: 1}
+	client.Bind(target, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	if res, err := client.Call(ctx, target, "echo", nil); err != nil || res != "ok" {
+		t.Fatalf("first call: %v, %v", res, err)
+	}
+	c, err := client.client(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving := func(when string) {
+		t.Helper()
+		if again, _ := client.client(addr); again != c {
+			t.Fatalf("%s: the connection was replaced", when)
+		}
+		if res, err := client.Call(ctx, target, "echo", nil); err != nil || res != "ok" {
+			t.Fatalf("%s: next call: %v, %v", when, res, err)
+		}
+	}
+	if _, err := client.Call(ctx, target, "echo", nil); err == nil || err.Error() != want {
+		t.Fatalf("Call's malformed reply: %v, want %q", err, want)
+	}
+	serving("after Call's malformed reply")
+	if _, err := Invoke[benchMsg](ctx, client, target, "echo", benchMsg{}); err == nil || err.Error() != want {
+		t.Fatalf("Invoke's malformed reply: %v, want %q", err, want)
+	}
+	serving("after Invoke's malformed reply")
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"legion/internal/telemetry"
+	"legion/internal/wire"
 )
 
 // TestSpanPropagationOverTCP drives a real TCP round-trip and checks
@@ -107,6 +108,7 @@ func TestCallWithoutSpanStillServes(t *testing.T) {
 // process. Names nobody here exports — thousands of them, or one crafted
 // to close the label and start a line of its own — are observed under
 // method="unknown"; a method the process really serves keeps its series.
+// A name sent with a payload that does not decode is not even observed.
 func TestPeerCannotMintMetricSeries(t *testing.T) {
 	server := NewRuntime("uva")
 	defer server.Close()
@@ -149,14 +151,24 @@ func TestPeerCannotMintMetricSeries(t *testing.T) {
 	}
 	// An expired frame is counted before anything is dispatched.
 	conn := rawConn(t, addr)
+	br := bufio.NewReader(conn)
 	req := request{ID: 1, Target: obj.LOID(), Method: "never-served", Deadline: time.Now().Add(-time.Second).UnixNano()}
 	var mi methodIntern
 	var scratch []byte
 	if _, err := conn.Write(appendRequestFrame(nil, &scratch, &mi, &req, []byte{payloadNil})); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := readResponse(bufio.NewReader(conn)); err != nil || resp.ErrKind != errKindDeadline {
+	if resp, err := readResponse(br); err != nil || resp.ErrKind != errKindDeadline {
 		t.Fatalf("expired frame: %+v, %v", resp, err)
+	}
+	// A payload that does not decode is answered before anything is
+	// dispatched or observed, so its name earns no label either.
+	req = request{ID: 2, Target: obj.LOID(), Method: "malformed-payload"}
+	if _, err := conn.Write(appendRequestFrame(nil, &scratch, &mi, &req, wire.AppendUvarint(nil, 999))); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readResponse(br); err != nil || resp.ErrMsg != "orb: unknown wire type ID 999" {
+		t.Fatalf("malformed payload: %+v, %v", resp, err)
 	}
 
 	// Real methods earn their own series, errors included.
@@ -179,7 +191,7 @@ func TestPeerCannotMintMetricSeries(t *testing.T) {
 		if strings.HasPrefix(line, "fake_metric") {
 			t.Errorf("a peer's method name wrote its own /metrics line: %q", line)
 		}
-		if strings.Contains(line, "bogus-") || strings.Contains(line, "never-served") {
+		if strings.Contains(line, "bogus-") || strings.Contains(line, "never-served") || strings.Contains(line, "malformed-payload") {
 			t.Errorf("a name nobody serves labels a series: %q", line)
 		}
 	}

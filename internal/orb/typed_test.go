@@ -55,10 +55,9 @@ func TestTypedRemoteCallAllocBudget(t *testing.T) {
 		t.Skip("coverage instrumentation allocates")
 	}
 	if raceSlack != 0 {
-		// The typed path goes through more pools than the boxed path
-		// (the client's copy of the reply and its reader), and the race
-		// detector drops a share of what is put back in each, at random:
-		// it reads about 4 to the boxed path's 6.
+		// The race detector drops a share of what is put back in each
+		// pool (frames, buffers, reply slots) at random, and a budget of
+		// 2 has no room for the refills.
 		t.Skip("the race detector drops pooled buffers at random")
 	}
 	const budget = 2
@@ -94,7 +93,7 @@ func TestTypedRemoteCallAllocBudget(t *testing.T) {
 // peer of another version as the boxed path does. An argument of another
 // registered type gets argAs's error, whether the caller sent it typed
 // or boxed, and a reply of another type gets As's. A malformed payload,
-// whichever way it is malformed, gets the error the read loop gives a
+// whichever way it is malformed, gets the error the handler gives a
 // boxed method, before any hook runs: with a fault injector that fails
 // every call, it still gets the decode error, where a whole payload gets
 // the fault. After each, the same connection serves the next call.
@@ -144,7 +143,7 @@ func TestTypedRemoteSkew(t *testing.T) {
 	var mi methodIntern
 	var scratch []byte
 	var id uint64
-	send := func(method string, payload []byte) response {
+	send := func(method string, payload []byte) rawResponse {
 		t.Helper()
 		id++
 		req := request{ID: id, Target: obj.LOID(), Method: method}
@@ -192,11 +191,12 @@ func TestTypedRemoteSkew(t *testing.T) {
 }
 
 // TestTypedDecodeOwnsItsBytes: a value decoded on the typed path owns
-// its memory. The server's read loop decodes a request's payload from a
-// frame buffer it reuses for the next frame, and the client decodes a
-// reply's from a pooled copy the next call reuses, so a value aliasing
-// one would change under its holder; each call here fills the same
-// buffers with other bytes of the same length.
+// its memory. The server's handler decodes a request's payload from its
+// frame's pooled buffer, which then takes the reply and goes back to the
+// pool for a later frame; the client decodes a reply from the buffer its
+// call slot keeps, which the next call on that slot overwrites. A value
+// aliasing either would change under its holder; each call here fills
+// the same buffers with other bytes of the same length.
 func TestTypedDecodeOwnsItsBytes(t *testing.T) {
 	kept := make(chan echoArg, 2)
 	client, obj := loopbackPair(t, telemetry.NewRegistry, func(server *Runtime) Object {
@@ -226,10 +226,11 @@ func TestTypedDecodeOwnsItsBytes(t *testing.T) {
 }
 
 // TestTypedRemoteConcurrent: many typed calls in flight on one
-// connection each get their own argument back. The server holds each
-// decoded argument in a recycled *A between its read loop and its
-// handler, so a holder handed out twice, or put back before its value
-// was taken out, would answer one caller with another's message.
+// connection each get their own argument back. Each request's bytes wait
+// for their handler in their frame's pooled buffer, and each reply's
+// for their caller in the buffer the call's slot keeps, so a buffer
+// handed to two frames or two slots, or reused before its bytes were
+// decoded, would answer one caller with another's message.
 func TestTypedRemoteConcurrent(t *testing.T) {
 	client, _, obj, _ := typedPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

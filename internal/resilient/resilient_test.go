@@ -16,6 +16,12 @@ import (
 )
 
 func TestClassify(t *testing.T) {
+	// A reply that fails to decode fails its call with DecodePayload's
+	// error: the frame arrived whole, so the callee answered.
+	_, undecodable := orb.DecodePayloadBytes([]byte{0x7f}) // no type has ID 127
+	if undecodable == nil {
+		t.Fatal("payload with an unknown type ID decoded")
+	}
 	cases := []struct {
 		name string
 		err  error
@@ -34,6 +40,7 @@ func TestClassify(t *testing.T) {
 		{"dial failure", fmt.Errorf("%w: dial 127.0.0.1:9: connection refused", orb.ErrUnreachable), ClassRetryable},
 		{"unknown", errors.New("some application error"), ClassPermanent},
 		{"transport words in an answer", errors.New("config: unexpected EOF in record 3"), ClassPermanent},
+		{"reply that fails to decode", undecodable, ClassPermanent},
 		// A provider's refusal joined with a lost connection is the
 		// connection's: the transport failed, so the outcome is unknown.
 		// No production path joins errors, and a refusal that crossed a

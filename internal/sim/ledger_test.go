@@ -31,8 +31,8 @@ import (
 // schedule into fresh slices (sched), the client each enactment's
 // instance lists (loid, proto), both runtimes start spans (telemetry),
 // and each call that waits on the socket arms its deadline (vclock). Its orb and wire rows are the pools the
-// window's first GC cycle emptied, refilled: buffers, readers, reply
-// slots and frames. A typed call crosses the socket as a value, so orb
+// window's first GC cycle emptied, refilled: buffers, reply slots and
+// frames. A typed call crosses the socket as a value, so orb
 // boxes nothing (DESIGN §14).
 //
 // The virtual and wall arms read the same on every run. The tcp arm
@@ -93,7 +93,7 @@ func TestPlacementAllocLedger(t *testing.T) {
 			"loid":        80,
 			"vault":       80,
 			"proto":       40,
-			"orb":         9,
+			"orb":         8,
 			"wire":        6,
 			"-":           4,
 		}, map[string]int{"vclock": 1})
