@@ -319,7 +319,7 @@ func TestValueEdgeCasesRoundTrip(t *testing.T) {
 	for name, in := range edgeValues() {
 		r := wire.NewReader(in.AppendWire(nil))
 		var out Value
-		out.DecodeWire(&r)
+		out.decodeWire(&r, 0, new([][]Value), new([]Value), 1)
 		if r.Err != nil || len(r.B) != 0 || !sameValue(in, out) {
 			t.Errorf("%s: wire round trip %v -> %v (err %v, %d bytes left)", name, in, out, r.Err, len(r.B))
 		}

@@ -134,7 +134,9 @@ func (l *Limiter) TryGo(fn func()) bool {
 // InFlight returns the number of currently admitted tasks.
 func (l *Limiter) InFlight() int { return int(l.inFlight.Load()) }
 
-// round is one Do call, shared by the caller and its helpers.
+// round is one Do call, shared by the caller and its helpers. Rounds
+// are pooled: a helper's task.run touches its round for the last time in
+// wg.Done, so once Wait returns the caller is its only holder.
 type round struct {
 	next atomic.Int64
 	n    int
@@ -181,11 +183,17 @@ func Do(clk vclock.Clock, limit, n int, fn func(i int)) {
 		}
 		return
 	}
-	r := &round{n: n, fn: fn}
+	r := rounds.Get().(*round)
+	r.next.Store(0)
+	r.n, r.fn = n, fn
 	r.wg.Add(limit - 1)
 	for w := 1; w < limit; w++ {
 		spawn(task{r: r})
 	}
 	r.work()
 	r.wg.Wait()
+	r.fn = nil // a pooled round must pin nothing the caller captured
+	rounds.Put(r)
 }
+
+var rounds = sync.Pool{New: func() any { return new(round) }}

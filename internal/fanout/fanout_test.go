@@ -301,3 +301,46 @@ func TestDoUsesEveryIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestDoRoundAllocatesNothing: a round comes from a pool, so a warm
+// fan-out on the wall clock allocates nothing of its own.
+func TestDoRoundAllocatesNothing(t *testing.T) {
+	var calls atomic.Int64
+	fn := func(int) { calls.Add(1) }
+	for i := 0; i < 10; i++ {
+		Do(vclock.Wall, 2, 2, fn) // warm: park a worker, pool a round
+	}
+	if got := testing.AllocsPerRun(200, func() { Do(vclock.Wall, 2, 2, fn) }); got != 0 {
+		t.Errorf("a width-2 Do allocates %.1f per call, want 0", got)
+	}
+}
+
+// TestConcurrentDoRoundsStayApart: rounds are pooled, so two Do calls
+// running at once must never share one. Each caller's fn must see
+// exactly its own indices, each once.
+func TestConcurrentDoRoundsStayApart(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		n := 16 + 3*g // a foreign index shows as one out of range
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				counts := make([]atomic.Int32, n)
+				Do(vclock.Wall, 4, n, func(i int) {
+					if i >= n {
+						t.Errorf("width %d: fn got index %d", n, i)
+						return
+					}
+					counts[i].Add(1)
+				})
+				for i := range counts {
+					if c := counts[i].Load(); c != 1 {
+						t.Errorf("width %d round %d: index %d called %d times", n, round, i, c)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -285,7 +285,7 @@ func (m AttributesReply) AppendWire(b []byte) []byte {
 
 // DecodeWire reads what AppendWire writes.
 func (m *AttributesReply) DecodeWire(r *wire.Reader) {
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 }
 
 // AppendWire implements orb.WireMessage.
@@ -324,7 +324,7 @@ func (m NotifyArgs) AppendWire(b []byte) []byte {
 func (m *NotifyArgs) DecodeWire(r *wire.Reader) {
 	m.Source.DecodeWire(r)
 	m.Trigger = r.Sym()
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 	m.Time = r.Time()
 }
 
@@ -382,7 +382,7 @@ func (m JoinArgs) AppendWire(b []byte) []byte {
 // DecodeWire reads what AppendWire writes.
 func (m *JoinArgs) DecodeWire(r *wire.Reader) {
 	m.Joiner.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 	m.Credential = r.Str()
 }
 
@@ -408,7 +408,7 @@ func (m UpdateArgs) AppendWire(b []byte) []byte {
 // DecodeWire reads what AppendWire writes.
 func (m *UpdateArgs) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 	m.Credential = r.Str()
 }
 
@@ -422,7 +422,7 @@ func (m BatchEntry) AppendWire(b []byte) []byte {
 // DecodeWire reads what AppendWire writes.
 func (m *BatchEntry) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 	m.UpdateOnly = r.Bool()
 }
 
@@ -485,7 +485,7 @@ func (m CollectionRecord) AppendWire(b []byte) []byte {
 // DecodeWire reads what AppendWire writes.
 func (m *CollectionRecord) DecodeWire(r *wire.Reader) {
 	m.Member.DecodeWire(r)
-	m.Attrs = attr.DecodeWirePairs(r, m.Attrs)
+	m.Attrs = attr.DecodeWirePairs(r, m.Attrs, nil, 1, nil, nil, nil)
 	m.UpdatedAt = r.Time()
 }
 
@@ -498,20 +498,24 @@ func (m QueryReply) AppendWire(b []byte) []byte {
 	return wire.AppendVarint(b, int64(m.SkippedShards))
 }
 
-// DecodeWire reads what AppendWire writes.
+// DecodeWire reads what AppendWire writes. A fresh decode carves the
+// records' pairs, and their list values, from slabs the reply's records
+// share, and reads each record's names against the previous record's.
 func (m *QueryReply) DecodeWire(r *wire.Reader) {
-	n := r.Len()
-	if n > 0 {
-		if cap(m.Records) >= n {
-			m.Records = m.Records[:n]
-		} else {
-			m.Records = make([]CollectionRecord, n)
-		}
-		for i := range m.Records {
-			m.Records[i].DecodeWire(r)
-		}
-	} else {
-		m.Records = nil
+	var records []CollectionRecord
+	m.Records = carve(r, m.Records, &records, r.Len(), 1, minRecord)
+	var (
+		pairs []attr.Pair
+		lists [][]attr.Value
+		elems []attr.Value
+		prev  []attr.Pair
+	)
+	for i := range m.Records {
+		rec := &m.Records[i]
+		rec.Member.DecodeWire(r)
+		rec.Attrs = attr.DecodeWirePairs(r, rec.Attrs, prev, len(m.Records)-i, &pairs, &lists, &elems)
+		rec.UpdatedAt = r.Time()
+		prev = rec.Attrs
 	}
 	m.SkippedShards = int(r.Varint())
 }
@@ -668,20 +672,18 @@ func (m EnactReply) AppendWire(b []byte) []byte {
 	return wire.AppendString(b, m.Detail)
 }
 
-// DecodeWire reads what AppendWire writes.
+// DecodeWire reads what AppendWire writes. A fresh decode carves every
+// instance list from one slab.
 func (m *EnactReply) DecodeWire(r *wire.Reader) {
-	n := r.Len()
-	if n > 0 {
-		if cap(m.Instances) >= n {
-			m.Instances = m.Instances[:n]
-		} else {
-			m.Instances = make([][]loid.LOID, n)
+	var lists [][]loid.LOID
+	m.Instances = carve(r, m.Instances, &lists, r.Len(), 1, 1)
+	var slab []loid.LOID
+	for i := range m.Instances {
+		l := carve(r, m.Instances[i], &slab, r.Len(), len(m.Instances)-i, minLOID)
+		for j := range l {
+			l[j].DecodeWire(r)
 		}
-		for i := range m.Instances {
-			m.Instances[i] = loid.DecodeWireSlice(r, m.Instances[i])
-		}
-	} else {
-		m.Instances = nil
+		m.Instances[i] = l
 	}
 	m.Success = r.Bool()
 	m.Detail = r.Str()
@@ -748,4 +750,43 @@ func (m *ServicesReply) DecodeWire(r *wire.Reader) {
 	}
 	m.Hosts = loid.DecodeWireSlice(r, m.Hosts)
 	m.Vaults = loid.DecodeWireSlice(r, m.Vaults)
+}
+
+// Each element's smallest encoding, in bytes: what bounds a count, and
+// the slab a count may reserve, by the bytes left to read. A LOID is two
+// length prefixes and a serial; a record adds a pair count and a time.
+const (
+	minLOID   = 3
+	minRecord = minLOID + 2
+)
+
+// carve returns a list of n elements. It reslices dst when dst has the
+// capacity, as a decode into a retained struct reuses it. Otherwise it
+// carves n elements from *slab, refilling a short slab for lists lists
+// of n, but never for more than the bytes left can encode at size bytes
+// each; a count those bytes cannot hold fails the decode. The carved
+// list is clipped, so an append to it cannot write into the next one.
+// An empty list is nil.
+func carve[T any](r *wire.Reader, dst []T, slab *[]T, n, lists, size int) []T {
+	if n == 0 || r.Err != nil {
+		return nil
+	}
+	if cap(dst) >= n {
+		return dst[:n]
+	}
+	room := len(r.B) / size
+	if n > room {
+		r.Err = wire.ErrTruncated
+		return nil
+	}
+	if len(*slab) < n {
+		c := room
+		if lists <= room/n {
+			c = n * lists
+		}
+		*slab = make([]T, c)
+	}
+	s := *slab
+	*slab = s[n:]
+	return s[:n:n]
 }

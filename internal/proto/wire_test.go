@@ -336,7 +336,8 @@ func TestWirePointerEncodesAsValue(t *testing.T) {
 // TestCodecAllocBudget holds the hot-path types to the zero-allocation
 // contract: encoding into a warmed buffer and decoding into a reused
 // struct must cost at most one allocation per op (interned symbols,
-// reused slice capacities, pooled buffers).
+// reused slice capacities, pooled buffers). A fresh decode is pinned at
+// one allocation per element type.
 func TestCodecAllocBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -376,6 +377,43 @@ func TestCodecAllocBudget(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	})
+
+	// A fresh decode, into a zero value as a typed call's is, takes one
+	// allocation per element type present, its lists carved from slabs:
+	// a schedule's masters, mappings, variants, replacements, k-of-n
+	// groups and alternatives (6); a feedback's the same, its Resolved
+	// carved from the mappings' slab, and its VariantsApplied (7); an
+	// enactment's instance lists and their LOIDs (2); a reply's records,
+	// pairs, and its list values' headers and elements (4).
+	fresh := func(name string, want float64, v interface{ AppendWire([]byte) []byte }, decode func(*wire.Reader)) {
+		t.Helper()
+		enc := v.AppendWire(nil)
+		run := func() {
+			r.Reset(enc)
+			decode(&r)
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		run() // warm: intern symbols
+		if allocs := testing.AllocsPerRun(50, run); allocs != want {
+			t.Errorf("fresh decode %s: %.1f allocs/op, want %v", name, allocs, want)
+		}
+	}
+	listRep := fixtureQueryReply(100)
+	for i := range listRep.Records {
+		rec := &listRep.Records[i]
+		rec.Attrs = append(rec.Attrs, attr.Pair{Name: "vaults", Value: attr.Strings("vault-a", "vault-b")})
+	}
+	host := loid.LOID{Domain: "zone-1", Class: "Host", Instance: 3}
+	fresh("MakeReservationsArgs", 6, mra, func(r *wire.Reader) { var m MakeReservationsArgs; m.DecodeWire(r) })
+	fresh("FeedbackReply", 7, FeedbackReply{Feedback: sched.Feedback{
+		Request: fixtureRequestList(4), Success: true,
+		Resolved: fixtureRequestList(4).Masters[0].Mappings, VariantsApplied: []int{1, 3},
+	}}, func(r *wire.Reader) { var m FeedbackReply; m.DecodeWire(r) })
+	fresh("EnactReply", 2, EnactReply{Instances: [][]loid.LOID{{host}, nil, {host, host}}, Success: true},
+		func(r *wire.Reader) { var m EnactReply; m.DecodeWire(r) })
+	fresh("QueryReply", 4, listRep, func(r *wire.Reader) { var m QueryReply; m.DecodeWire(r) })
 }
 
 // TestWireTruncationSafety truncates every fixture's encoding at every

@@ -6,8 +6,11 @@ import (
 
 // This file gives the Figure 5 schedule structures hand-rolled binary
 // wire encodings. MakeReservations carries an entire RequestList per
-// call, so this is the largest message on the negotiation hot path;
-// every helper reuses caller slice capacity on decode.
+// call and its Feedback echoes it back, so these are the largest
+// messages on the negotiation hot path. A fresh decode takes one
+// allocation per element type (slabs), not one per list; the lists of
+// one message share memory, so keeping one keeps the message. A decode
+// into a retained struct reuses each list that has the capacity.
 
 // AppendWire appends the bitmap's word vector.
 func (b Bitmap) AppendWire(buf []byte) []byte {
@@ -63,17 +66,68 @@ func appendMappings(b []byte, ms []Mapping) []byte {
 	return b
 }
 
-func decodeMappings(r *wire.Reader, reuse []Mapping) []Mapping {
-	n := r.Len()
-	if r.Err != nil || n == 0 {
+// Each element's smallest encoding, in bytes: what bounds a count, and
+// the slab a count may reserve, by the bytes left to read. A LOID is two
+// length prefixes and a serial.
+const (
+	minLOID        = 3
+	minMapping     = 3 * minLOID
+	minReplacement = 1 + minMapping
+	minVariant     = 2 // a replacement count and a bitmap length
+	minHostVault   = 2 * minLOID
+	minKofN        = minLOID + 2
+	minMaster      = 3 // three counts
+)
+
+// slabs are the backing arrays one fresh decode carves its lists from,
+// one per element type: a schedule of m masters costs one allocation per
+// type, not one per master, variant and k-of-n group. The lists share
+// memory, so whoever keeps one list keeps the message.
+type slabs struct {
+	mappings     []Mapping
+	variants     []Variant
+	replacements []Replacement
+	kofn         []KofN
+	alts         []HostVault
+	// resolved is how many mapping lists follow the masters' in the same
+	// message: a Feedback's Resolved, sized like a master's mappings.
+	resolved int
+}
+
+// carve returns a list of n elements. It reslices dst when dst has the
+// capacity, as a decode into a retained struct reuses it. Otherwise it
+// carves n elements from *slab, refilling a short slab for lists lists
+// of n, but never for more than the bytes left can encode at size bytes
+// each; a count those bytes cannot hold fails the decode. The carved
+// list is clipped, so an append to it cannot write into the next one.
+// An empty list is nil.
+func carve[T any](r *wire.Reader, dst []T, slab *[]T, n, lists, size int) []T {
+	if n == 0 || r.Err != nil {
 		return nil
 	}
-	var out []Mapping
-	if cap(reuse) >= n {
-		out = reuse[:n]
-	} else {
-		out = make([]Mapping, n)
+	if cap(dst) >= n {
+		return dst[:n]
 	}
+	room := len(r.B) / size
+	if n > room {
+		r.Err = wire.ErrTruncated
+		return nil
+	}
+	if len(*slab) < n {
+		c := room
+		if lists <= room/n {
+			c = n * lists
+		}
+		*slab = make([]T, c)
+	}
+	s := *slab
+	*slab = s[n:]
+	return s[:n:n]
+}
+
+// decodeMappings consumes a mapping list, one of lists still to come.
+func decodeMappings(r *wire.Reader, reuse []Mapping, s *slabs, lists int) []Mapping {
+	out := carve(r, reuse, &s.mappings, r.Len(), lists, minMapping)
 	for i := range out {
 		out[i].DecodeWire(r)
 	}
@@ -90,21 +144,12 @@ func (v *Variant) AppendWire(b []byte) []byte {
 	return v.Covers.AppendWire(b)
 }
 
-// DecodeWire consumes a Variant, reusing slice capacities.
-func (v *Variant) DecodeWire(r *wire.Reader) {
-	n := r.Len()
-	if n > 0 {
-		if cap(v.Replacements) >= n {
-			v.Replacements = v.Replacements[:n]
-		} else {
-			v.Replacements = make([]Replacement, n)
-		}
-		for i := range v.Replacements {
-			v.Replacements[i].Index = int(r.Varint())
-			v.Replacements[i].Mapping.DecodeWire(r)
-		}
-	} else {
-		v.Replacements = nil
+// decodeVariant consumes a Variant, one of lists still to come.
+func decodeVariant(r *wire.Reader, v *Variant, s *slabs, lists int) {
+	v.Replacements = carve(r, v.Replacements, &s.replacements, r.Len(), lists, minReplacement)
+	for i := range v.Replacements {
+		v.Replacements[i].Index = int(r.Varint())
+		v.Replacements[i].Mapping.DecodeWire(r)
 	}
 	v.Covers.DecodeWire(r)
 }
@@ -121,20 +166,11 @@ func (g *KofN) AppendWire(b []byte) []byte {
 	return b
 }
 
-// DecodeWire consumes a KofN, reusing the alternatives slice.
-func (g *KofN) DecodeWire(r *wire.Reader) {
+// decodeKofN consumes a KofN, one of lists still to come.
+func decodeKofN(r *wire.Reader, g *KofN, s *slabs, lists int) {
 	g.Class.DecodeWire(r)
 	g.K = int(r.Varint())
-	n := r.Len()
-	if r.Err != nil || n == 0 {
-		g.Alternatives = nil
-		return
-	}
-	if cap(g.Alternatives) >= n {
-		g.Alternatives = g.Alternatives[:n]
-	} else {
-		g.Alternatives = make([]HostVault, n)
-	}
+	g.Alternatives = carve(r, g.Alternatives, &s.alts, r.Len(), lists, minHostVault)
 	for i := range g.Alternatives {
 		g.Alternatives[i].Host.DecodeWire(r)
 		g.Alternatives[i].Vault.DecodeWire(r)
@@ -155,34 +191,18 @@ func (m *Master) AppendWire(b []byte) []byte {
 	return b
 }
 
-// DecodeWire consumes a Master, reusing nested slice capacities.
-func (m *Master) DecodeWire(r *wire.Reader) {
-	m.Mappings = decodeMappings(r, m.Mappings)
-	n := r.Len()
-	if n > 0 {
-		if cap(m.Variants) >= n {
-			m.Variants = m.Variants[:n]
-		} else {
-			m.Variants = make([]Variant, n)
-		}
-		for i := range m.Variants {
-			m.Variants[i].DecodeWire(r)
-		}
-	} else {
-		m.Variants = nil
+// decodeMaster consumes a Master, the first of left masters still to
+// come. A slab it refills is sized as if each later master had this
+// one's counts.
+func decodeMaster(r *wire.Reader, m *Master, s *slabs, left int) {
+	m.Mappings = decodeMappings(r, m.Mappings, s, left+s.resolved)
+	m.Variants = carve(r, m.Variants, &s.variants, r.Len(), left, minVariant)
+	for i := range m.Variants {
+		decodeVariant(r, &m.Variants[i], s, len(m.Variants)*left-i)
 	}
-	n = r.Len()
-	if n > 0 {
-		if cap(m.KofN) >= n {
-			m.KofN = m.KofN[:n]
-		} else {
-			m.KofN = make([]KofN, n)
-		}
-		for i := range m.KofN {
-			m.KofN[i].DecodeWire(r)
-		}
-	} else {
-		m.KofN = nil
+	m.KofN = carve(r, m.KofN, &s.kofn, r.Len(), left, minKofN)
+	for i := range m.KofN {
+		decodeKofN(r, &m.KofN[i], s, len(m.KofN)*left-i)
 	}
 }
 
@@ -222,21 +242,17 @@ func (rl *RequestList) AppendWire(b []byte) []byte {
 	return rl.Res.AppendWire(b)
 }
 
-// DecodeWire consumes a RequestList, reusing nested slice capacities.
-func (rl *RequestList) DecodeWire(r *wire.Reader) {
+// DecodeWire consumes a RequestList. A fresh decode carves its lists
+// from one slab per element type (slabs); a retained struct's lists are
+// reused where they have the capacity.
+func (rl *RequestList) DecodeWire(r *wire.Reader) { rl.decodeWire(r, &slabs{}) }
+
+func (rl *RequestList) decodeWire(r *wire.Reader, s *slabs) {
 	rl.ID = r.Uvarint()
-	n := r.Len()
-	if n > 0 {
-		if cap(rl.Masters) >= n {
-			rl.Masters = rl.Masters[:n]
-		} else {
-			rl.Masters = make([]Master, n)
-		}
-		for i := range rl.Masters {
-			rl.Masters[i].DecodeWire(r)
-		}
-	} else {
-		rl.Masters = nil
+	var masters []Master
+	rl.Masters = carve(r, rl.Masters, &masters, r.Len(), 1, minMaster)
+	for i := range rl.Masters {
+		decodeMaster(r, &rl.Masters[i], s, len(rl.Masters)-i)
 	}
 	rl.Res.DecodeWire(r)
 }
@@ -260,24 +276,18 @@ func (f *Feedback) AppendWire(b []byte) []byte {
 	return wire.AppendVarint(b, int64(f.Stats.MastersTried))
 }
 
-// DecodeWire consumes a Feedback, reusing nested slice capacities.
+// DecodeWire consumes a Feedback. Resolved is carved from the slab its
+// request's master mappings come from.
 func (f *Feedback) DecodeWire(r *wire.Reader) {
-	f.Request.DecodeWire(r)
+	s := slabs{resolved: 1}
+	f.Request.decodeWire(r, &s)
 	f.Success = r.Bool()
 	f.MasterIndex = int(r.Varint())
-	f.Resolved = decodeMappings(r, f.Resolved)
-	n := r.Len()
-	if n > 0 {
-		if cap(f.VariantsApplied) >= n {
-			f.VariantsApplied = f.VariantsApplied[:n]
-		} else {
-			f.VariantsApplied = make([]int, n)
-		}
-		for i := range f.VariantsApplied {
-			f.VariantsApplied[i] = int(r.Varint())
-		}
-	} else {
-		f.VariantsApplied = nil
+	f.Resolved = decodeMappings(r, f.Resolved, &s, 1)
+	var applied []int
+	f.VariantsApplied = carve(r, f.VariantsApplied, &applied, r.Len(), 1, 1)
+	for i := range f.VariantsApplied {
+		f.VariantsApplied[i] = int(r.Varint())
 	}
 	f.Reason = FailureReason(r.Varint())
 	f.Detail = r.Str()

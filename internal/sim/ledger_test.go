@@ -28,12 +28,16 @@ import (
 // builds, its mappings and variants: a variant's bitmap over at most 64
 // mappings keeps its word inline, and allocates nothing. The tcp arm's
 // rows over the wall arm's are the socket's: the server decodes each
-// schedule into fresh slices (sched), the client each enactment's
-// instance lists (loid, proto), both runtimes start spans (telemetry),
-// and each call that waits on the socket arms its deadline (vclock). Its orb and wire rows are the pools the
-// window's first GC cycle emptied, refilled: buffers, reply slots and
-// frames. A typed call crosses the socket as a value, so orb
-// boxes nothing (DESIGN §14).
+// schedule and the client its feedback, one slab per element type each
+// (sched), the client each enactment's instance lists, one slab for all
+// of them (proto), both runtimes start spans (telemetry), and each call
+// that waits on the socket arms its deadline (vclock). Its orb and wire
+// rows are the pools the window's first GC cycle emptied, refilled:
+// buffers, reply slots and frames. A typed call crosses the socket as a
+// value, so orb boxes nothing (DESIGN §14). On the wall and tcp arms
+// the fanout row is the same kind of refill: the rounds that cycle
+// emptied from fanout.Do's pool. The virtual arm fans out serially and
+// takes no round.
 //
 // The virtual and wall arms read the same on every run. The tcp arm
 // also runs the two runtimes' read loops and flushers, and they decide
@@ -70,32 +74,31 @@ func TestPlacementAllocLedger(t *testing.T) {
 			"host":        193,
 			"reservation": 193,
 			"telemetry":   160,
-			"fanout":      120,
 			"sim":         100,
 			"classobj":    80,
 			"sched":       80,
 			"vault":       80,
 			"-":           4,
+			"fanout":      3,
 		}, nil)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		ledgerArm(t, nil, true, map[string]int{
 			"vclock":      480,
-			"sched":       400,
 			"telemetry":   360,
 			"enactor":     320,
+			"sched":       320,
 			"scheduler":   210,
 			"host":        193,
 			"reservation": 193,
-			"fanout":      120,
 			"sim":         100,
 			"classobj":    80,
-			"loid":        80,
+			"proto":       80,
 			"vault":       80,
-			"proto":       40,
 			"orb":         8,
 			"wire":        6,
 			"-":           4,
+			"fanout":      2,
 		}, map[string]int{"vclock": 1})
 	})
 }

@@ -6,10 +6,11 @@
 // path. Encoders are plain append functions over a caller-owned []byte
 // (pooled via GetBuf/PutBuf), so a message encode costs no allocations
 // once the buffer has grown to its working size. Decoders go through
-// Reader, which reuses caller-provided slice capacity and interns
-// symbol-like strings (domains, class names, attribute names, methods)
-// so the same host fleet decoded a million times allocates each name
-// once, not a million times.
+// Reader, which interns symbol-like strings (domains, class names,
+// attribute names, methods) so the same host fleet decoded a million
+// times allocates each name once, not a million times. The message
+// decoders built on it reuse a retained struct's slice capacity, and
+// otherwise carve one message's lists from one slab per element type.
 //
 // The format itself is deliberately boring: unsigned varints
 // (encoding/binary layout), zigzag varints for signed values, IEEE-754
@@ -248,7 +249,29 @@ func (r *Reader) Sym() string {
 	if r.Err != nil || n == 0 {
 		return ""
 	}
+	return r.intern(r.take(n))
+}
+
+// SymHint consumes a symbol as Sym does, but first reads it against
+// hint, the symbol a decoder expects at this position: the name at the
+// same place in the previous record of one reply. A record's names
+// collide in the cache below, so a reply of one layout would otherwise
+// miss it on about half of its names.
+func (r *Reader) SymHint(hint string) string {
+	n := r.Len()
+	if r.Err != nil || n == 0 {
+		return ""
+	}
 	b := r.take(n)
+	if string(b) == hint {
+		return hint
+	}
+	return r.intern(b)
+}
+
+// intern interns b through the Reader's cache.
+func (r *Reader) intern(b []byte) string {
+	n := len(b)
 	// Constant-time slot hash over length and edge bytes: symbol
 	// vocabularies are small, and a collision merely falls back to the
 	// shared intern table, so cheapness beats distribution here.
