@@ -3,6 +3,7 @@ package collection
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,32 +76,40 @@ func TestRouterRoutesMutationsToOwningShard(t *testing.T) {
 	}
 }
 
+// TestRouterQueryMergesSorted queries four healthy shards in process,
+// and again with every call one simulated 1 ms link away, E9's
+// deployment regime: no shard may be skipped in either.
 func TestRouterQueryMergesSorted(t *testing.T) {
-	_, _, r, reg := newRouterFixture(t, 4, nil)
-	ctx := context.Background()
-	const n = 40
-	for i := uint64(1); i <= n; i++ {
-		if err := r.Join(ctx, member(i), hostAttrs("Linux", "2.2", float64(i%10)/10), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, skipped, err := r.QueryPartial(ctx, `defined($host_os_name)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Fatalf("skipped = %d on healthy shards", skipped)
-	}
-	if len(recs) != n {
-		t.Fatalf("got %d records, want %d", len(recs), n)
-	}
-	for i := 1; i < len(recs); i++ {
-		if !recs[i-1].Member.Less(recs[i].Member) {
-			t.Fatalf("merge not sorted at %d: %v !< %v", i, recs[i-1].Member, recs[i].Member)
-		}
-	}
-	if got := reg.CounterValue("legion_collection_shard_skips"); got != 0 {
-		t.Fatalf("shard_skips = %d", got)
+	for _, link := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("link=%v", link), func(t *testing.T) {
+			rt, _, r, reg := newRouterFixture(t, 4, nil)
+			ctx := context.Background()
+			const n = 40
+			for i := uint64(1); i <= n; i++ {
+				if err := r.Join(ctx, member(i), hostAttrs("Linux", "2.2", float64(i%10)/10), ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.SetLatency(link, 0)
+			recs, skipped, err := r.QueryPartial(ctx, `defined($host_os_name)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skipped != 0 {
+				t.Fatalf("skipped = %d on healthy shards", skipped)
+			}
+			if len(recs) != n {
+				t.Fatalf("got %d records, want %d", len(recs), n)
+			}
+			for i := 1; i < len(recs); i++ {
+				if !recs[i-1].Member.Less(recs[i].Member) {
+					t.Fatalf("merge not sorted at %d: %v !< %v", i, recs[i-1].Member, recs[i].Member)
+				}
+			}
+			if got := reg.CounterValue("legion_collection_shard_skips"); got != 0 {
+				t.Fatalf("shard_skips = %d", got)
+			}
+		})
 	}
 }
 

@@ -108,7 +108,7 @@ func TestE14EconomyDifferential(t *testing.T) {
 func runConservationCampaign(t *testing.T, seed int64, faultRate float64) *economy.Ledger {
 	t.Helper()
 	vc := vclock.NewVirtual()
-	ms := core.New("conserve", core.Options{
+	fleet := sim.New(sim.Spec{Domain: "conserve", Options: core.Options{
 		Seed:    seed,
 		Metrics: telemetry.NewRegistry(),
 		Clock:   vc,
@@ -118,12 +118,10 @@ func runConservationCampaign(t *testing.T, seed int64, faultRate float64) *econo
 			Budget: 5 * time.Second, AttemptTimeout: 2 * time.Second,
 			Clock: vc, JitterRand: resilient.NewLockedRand(seed),
 		},
-	})
+	}, Hosts: sim.EconomySpecs(rand.New(rand.NewSource(seed)), 200, "z1", "z2")})
+	ms := fleet.MS
 	defer ms.Close()
 	class := ms.DefineClass("Worker", nil)
-
-	rng := rand.New(rand.NewSource(seed))
-	fleet := sim.Build(ms, rng, sim.EconomySpecs(rng, 200, "z1", "z2"))
 	ms.Runtime().SetLatency(2*time.Millisecond, time.Millisecond)
 
 	led := ms.Ledger()

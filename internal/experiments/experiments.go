@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction harness: one function
 // per paper artifact (tables, figures, and the §6 promised benchmark),
 // each returning a printable Table. cmd/legion-bench runs them from the
-// command line; bench_test.go wraps them as testing.B benchmarks; and
+// command line; this package's tests pin each (DESIGN.md §5); and
 // EXPERIMENTS.md records their output.
 //
 // The paper contains no quantitative evaluation (its tables and figures

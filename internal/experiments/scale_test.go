@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// machineColumns are the columns of E12, E14, E15 and E16 that measure
+// machineColumns are the columns of E1, E12, E14, E15 and E16 that measure
 // the machine the run was on (wall time, heap). Every other cell and
 // every note line of those tables is a property of the model: the same
 // on every run, at any GOMAXPROCS, under -race. This list is the only
@@ -44,7 +44,9 @@ func modelCells(tb *Table) string {
 // CI size (10k hosts, 50k placements through the real pipeline on the
 // virtual clock; the committed EXPERIMENTS.md row is the 100k/1M run,
 // `legion-bench -virtual`), E14's deadline hits, spend and ledgers,
-// E15's shed timing and E16's reservation RPC counts. These are the
+// E15's shed timing, E16's reservation RPC counts, and E1's makespans,
+// imbalances and stencil edge cuts (modelled from the placement each
+// rung makes on a fixed fleet, its clock virtual). These are the
 // repository's results; a change that moves one edits the golden file
 // in the same diff and says why. Wall-clock cells are bench/'s.
 func TestModelCellsGolden(t *testing.T) {
@@ -74,7 +76,8 @@ func TestModelCellsGolden(t *testing.T) {
 	got := modelCells(e12) +
 		modelCells(E14Economy(400, 1_200)) +
 		modelCells(E15PredictiveRebalancing(96)) +
-		modelCells(E16ParamSpaceThroughput(300))
+		modelCells(E16ParamSpaceThroughput(300)) +
+		modelCells(E1SchedulerLadder())
 	want, err := os.ReadFile("testdata/model_cells.golden")
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"legion/internal/proto"
 	"legion/internal/scheduler"
 	"legion/internal/sim"
+	"legion/internal/vclock"
 )
 
 // Fig7RandomScheduler characterizes the Figure 7 random placement
@@ -152,7 +153,7 @@ func E1SchedulerLadder() *Table {
 			gens = append(gens, scheduler.Stencil{Rows: gridR, Cols: gridC})
 		}
 		for _, gen := range gens {
-			fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 11},
+			fleet := sim.New(sim.Spec{Domain: "uva", Options: core.Options{Seed: 11, Clock: vclock.NewVirtual()},
 				Hosts: withMaxShared(sim.RandomSpecs(newRand(11), 10), 256)})
 			ms := fleet.MS
 			class := ms.DefineClass("Worker", nil)

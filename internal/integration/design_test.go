@@ -114,13 +114,21 @@ var flagAtEnd = regexp.MustCompile(`\s-(run|bench|fuzz)$`)
 // declares, with its kind.
 var testFunc = regexp.MustCompile(`(?m)^func ((Test|Benchmark|Fuzz|Example)\w*)\(`)
 
-// TestDocCommandsNameTests holds the docs' go test commands to the
-// tree, since a -run that names a deleted test passes and checks
-// nothing. On every go test line of README.md, DESIGN.md,
+// docTestName is a test, benchmark, fuzz target or example named in
+// prose, with its kind: `TestFoo`, the whole of the backticked span.
+var docTestName = regexp.MustCompile("`((Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*)`")
+
+// TestDocCommandsNameTests holds the docs' go test commands and the
+// tests they cite to the tree, since a -run that names a deleted test
+// passes and checks nothing, and a citation of one points at a check
+// that no longer runs. On every go test line of README.md, DESIGN.md,
 // EXPERIMENTS.md and the CI workflow, the first /-separated element of
 // each pattern must match, as a regexp, a function some _test.go file
 // declares: a Test, Fuzz or Example for -run, a Benchmark for -bench, a
-// Fuzz for -fuzz. '^$', which runs nothing on purpose, is exempt.
+// Fuzz for -fuzz. '^$', which runs nothing on purpose, is exempt. And
+// every backticked `Test…`, `Benchmark…`, `Fuzz…` or `Example…` name
+// in those files must be one some _test.go file declares. ROADMAP.md
+// is not read: it names tests still to be written.
 func TestDocCommandsNameTests(t *testing.T) {
 	root := filepath.Join("..", "..")
 	declared := map[string][]string{} // kind → names
@@ -141,7 +149,7 @@ func TestDocCommandsNameTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string][]string{"run": {"Test", "Fuzz", "Example"}, "bench": {"Benchmark"}, "fuzz": {"Fuzz"}}
-	checked := 0
+	checked, cited := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"} {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -149,6 +157,12 @@ func TestDocCommandsNameTests(t *testing.T) {
 		}
 		lines := strings.Split(string(src), "\n")
 		for i, line := range lines {
+			for _, m := range docTestName.FindAllStringSubmatch(line, -1) {
+				cited++
+				if !slices.Contains(declared[m[2]], m[1]) {
+					t.Errorf("%s:%d: `%s` names no %s function a _test.go file declares", doc, i+1, m[1], m[2])
+				}
+			}
 			if !strings.Contains(line, "go test") {
 				continue
 			}
@@ -178,5 +192,5 @@ func TestDocCommandsNameTests(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d patterns checked", checked)
+	t.Logf("%d patterns and %d cited names checked", checked, cited)
 }

@@ -98,20 +98,3 @@ func loids(c []cand) []string {
 	}
 	return out
 }
-
-func BenchmarkBestVsOrder(b *testing.B) {
-	in := randomPool(rand.New(rand.NewSource(1)), 256)
-	c := make([]cand, len(in))
-	b.Run("best3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(c, in)
-			best(c, byProjectedLoad, 3)
-		}
-	})
-	b.Run("order", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(c, in)
-			order(c, byProjectedLoad)
-		}
-	})
-}

@@ -186,35 +186,3 @@ func TestVirtualClocksShareWorkers(t *testing.T) {
 		}
 	}
 }
-
-// deep recurses n frames of about 1 KB each.
-//
-//go:noinline
-func deep(n int) byte {
-	var frame [1000]byte
-	frame[n%len(frame)] = byte(n)
-	if n > 0 {
-		frame[0] += deep(n - 1)
-	}
-	return frame[0] + frame[n%len(frame)]
-}
-
-var deepSink byte
-
-// BenchmarkVirtualGoDeepStack: sequential Gos of a body that recurses
-// about 32 KB deep, as a placement's deepest frames do. A body started on
-// a fresh goroutine grows that stack from small every time; one started
-// on a parked worker finds it grown.
-func BenchmarkVirtualGoDeepStack(b *testing.B) {
-	v := NewVirtual()
-	bg := context.Background()
-	body := func() { deepSink = deep(32) }
-	b.ReportAllocs()
-	v.Run(func() {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v.Go(body)
-			_ = v.Sleep(bg, time.Nanosecond)
-		}
-	})
-}
